@@ -1,44 +1,65 @@
 //! Batched serving on top of the [`OneSa`] engine.
 //!
 //! A deployed accelerator rarely sees one request at a time. The
-//! [`BatchEngine`] accepts a queue of independent inference requests —
-//! GEMMs against (typically shared) weight matrices and pointwise
-//! nonlinear evaluations — and serves the whole queue at once:
+//! [`BatchEngine`] accepts a queue of independent inference requests
+//! and serves the whole queue at once.
 //!
-//! 1. **Coalescing.** GEMM requests that multiply against the *same*
-//!    right-hand matrix are stacked row-wise into one tall GEMM (this is
-//!    classic serving-time batching: many activations, one weight load).
-//!    Nonlinear requests using the same function are concatenated into a
-//!    single Matrix Hadamard Product pass, amortizing Intermediate
-//!    Parameter Fetching.
-//! 2. **Execution.** Each coalesced batch runs through the engine's
+//! # One request kind
+//!
+//! ONE-SA runs the linear and the nonlinear work on one array, and the
+//! host that feeds it has one request kind to match: a compiled
+//! [`Program`] — an operator graph emitted by `onesa_nn`'s models via
+//! [`crate::plan::Compile`], or built by hand — plus its input tensors.
+//! [`Request::gemm`] and [`Request::nonlinear`] are shorthands for the
+//! two smallest programs there are, and [`Request::lower`] turns them
+//! into exactly that at the front door of every engine
+//! ([`BatchEngine::run`], the admission thread of [`crate::serve`],
+//! [`crate::net::WorkerHandle::run_window`]):
+//!
+//! * `Request::gemm(a, W)` → an [`EvalMode::Exact`] program whose one
+//!   op is `input · W`, with `W` an `Arc`-shared constant (never
+//!   copied, hashed once when the program is built);
+//! * `Request::nonlinear(f, x)` → an [`EvalMode::Cpwl`] program at the
+//!   engine's granularity whose one op is `f(input)`.
+//!
+//! Past the front door nothing asks what a request used to be. Its
+//! admission weight is its program's `modeled_macs`, its affinity key
+//! its program's `fingerprint`, its validation its program's, and on
+//! the wire it travels as a program.
+//!
+//! # Serving a queue
+//!
+//! 1. **Coalescing.** The queue's programs execute **stage by stage**
+//!    through [`crate::plan::run_staged`], which applies two rules at
+//!    *every* stage. GEMMs that multiply against the *same* constant
+//!    matrix are stacked into one GEMM — row-wise for a shared right
+//!    operand (classic serving-time batching: many activations, one
+//!    weight load), column-wise for a shared left one (a GCN's Â).
+//!    Nonlinear / softmax / layer-norm ops that share a function,
+//!    granularity and parameters are concatenated into a single
+//!    IPF + MHP pass, amortizing Intermediate Parameter Fetching. A
+//!    lowered GEMM or nonlinear is a stage-0 op like any other: bare
+//!    requests coalesce with each other *and* with the first layer of
+//!    whole networks that share their weights or function.
+//! 2. **Execution.** Each coalesced group runs through the engine's
 //!    parallel backend ([`onesa_tensor::parallel`]), which spreads row
 //!    panels across worker threads.
-//! 3. **Accounting.** Every request gets back its own output tensor and
-//!    an [`ExecStats`] for its shape; the whole run is summarized in a
-//!    [`ServingReport`] with aggregate throughput and latency
-//!    percentiles, including the cycles the array saves by batching
-//!    (fewer wavefront fills, drains and IPF passes).
+//! 3. **Accounting.** Every request gets back its own output tensor,
+//!    the per-op [`ExecStats`] of its program run alone
+//!    ([`RequestOutcome::op_stats`]) and their merge; per-stage
+//!    accounting lands in [`BatchRun::program_stages`]; the whole run
+//!    is summarized in a [`ServingReport`] with aggregate throughput
+//!    and latency percentiles, including the cycles the array saves by
+//!    batching (fewer wavefront fills, drains and IPF passes). For one
+//!    run, [`ServingReport::gemm_groups`] is the number of distinct
+//!    (stage, weight matrix) pairs in the queue and
+//!    [`ServingReport::nonlinear_groups`] the number of distinct
+//!    (stage, function, granularity) ones — for a queue of bare
+//!    requests, its distinct weights and its distinct functions.
 //!
 //! Coalescing is transparent: each request's rows/elements go through
 //! exactly the same floating-point op sequence as a solo run, so outputs
 //! are bit-identical to serving the queue one request at a time.
-//!
-//! # Whole-network program requests
-//!
-//! Beyond single GEMM/nonlinear requests, the engine accepts **compiled
-//! programs** ([`Request::Program`], [`BatchEngine::submit_program`]):
-//! operator graphs emitted by `onesa_nn`'s models via
-//! [`crate::plan::Compile`]. Concurrent programs execute **stage by
-//! stage** through [`crate::plan::run_staged`], which applies the same
-//! two coalescing rules at *every* layer — GEMMs against a shared
-//! constant weight row-stack (or column-stack for a shared left
-//! operand, a GCN's Â), and nonlinear / softmax / layer-norm ops that
-//! share a function, granularity and parameters concatenate into one
-//! IPF + MHP pass. Per-stage accounting lands in
-//! [`BatchRun::program_stages`]; each program's per-op [`ExecStats`]
-//! come back in [`RequestOutcome::op_stats`] and roll into the
-//! [`ServingReport`] totals.
 //!
 //! For asynchronous admission (submitting while a batch executes) and
 //! sharding a queue across several simulated arrays, see
@@ -116,9 +137,8 @@
 use crate::engine::OneSa;
 use onesa_cpwl::ops::TableSet;
 use onesa_cpwl::NonlinearFn;
-use onesa_plan::{self as plan, OptTotals, Program, StageGroups, TableCache};
-use onesa_sim::{analytic, ExecStats};
-use onesa_tensor::parallel;
+use onesa_plan::{self as plan, EvalMode, Op, OptTotals, Program, StageGroups, TableCache};
+use onesa_sim::ExecStats;
 use onesa_tensor::{Result, Tensor, TensorError};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,89 +148,138 @@ use std::time::Instant;
 /// Identifier handed back by [`BatchEngine::submit`].
 pub type RequestId = usize;
 
-/// One inference request in the serving queue.
+/// One inference request in the serving queue: the work to run plus its
+/// input tensors.
+///
+/// Callers build one with [`Request::gemm`], [`Request::nonlinear`] or
+/// [`Request::program`]; the first two are shorthands that
+/// [`Request::lower`] turns into one-op programs at the front door of
+/// every engine, so past it there is one request kind (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
-pub enum Request {
-    /// `A · B` — `b` is typically a weight matrix shared across requests.
-    Gemm {
-        /// Left operand (`M × K` activations).
-        a: Tensor,
-        /// Right operand (`K × N` weights).
-        b: Tensor,
-    },
-    /// A pointwise nonlinear evaluation through the CPWL tables.
-    Nonlinear {
-        /// Which function to evaluate.
-        func: NonlinearFn,
-        /// Input activations (any shape).
-        x: Tensor,
-    },
-    /// A compiled whole-network request: an operator-graph
-    /// [`Program`] plus its input tensors. Concurrent programs coalesce
-    /// with each other stage by stage (see the [module docs](self)).
-    Program {
-        /// The compiled operator graph (boxed to keep the enum small).
-        program: Box<Program>,
-        /// One tensor per program input slot.
-        inputs: Vec<Tensor>,
-    },
+pub struct Request {
+    work: Work,
+    inputs: Vec<Tensor>,
+}
+
+/// What a [`Request`] runs. Only the constructors and
+/// [`Request::lower`] look at this.
+#[derive(Debug, Clone)]
+enum Work {
+    /// `inputs[0] · weights`. `Arc`-held so lowering registers the
+    /// weights as a program constant without copying them.
+    Gemm(Arc<Tensor>),
+    /// A pointwise evaluation of `inputs[0]` through the CPWL tables.
+    Nonlinear(NonlinearFn),
+    /// A compiled operator graph (boxed to keep the request small).
+    Program(Box<Program>),
 }
 
 impl Request {
-    /// Convenience constructor for a GEMM request.
+    /// `a · b` — `b` is typically a weight matrix shared across
+    /// requests. Lowers to a one-op [`EvalMode::Exact`] program with `b`
+    /// as its constant.
     pub fn gemm(a: Tensor, b: Tensor) -> Self {
-        Request::Gemm { a, b }
+        Request {
+            work: Work::Gemm(Arc::new(b)),
+            inputs: vec![a],
+        }
     }
 
-    /// Convenience constructor for a nonlinear request.
+    /// A pointwise nonlinear evaluation of `x` (any shape) through the
+    /// CPWL tables. Lowers to a one-op [`EvalMode::Cpwl`] program at the
+    /// serving engine's granularity.
     pub fn nonlinear(func: NonlinearFn, x: Tensor) -> Self {
-        Request::Nonlinear { func, x }
+        Request {
+            work: Work::Nonlinear(func),
+            inputs: vec![x],
+        }
     }
 
-    /// Convenience constructor for a whole-network program request.
+    /// A compiled whole-network request: an operator-graph [`Program`]
+    /// plus one tensor per program input slot.
     pub fn program(program: Program, inputs: Vec<Tensor>) -> Self {
-        Request::Program {
-            program: Box::new(program),
+        Request {
+            work: Work::Program(Box::new(program)),
             inputs,
         }
     }
 
-    /// Modeled array work for this request, in MAC-equivalents: `M·K·N`
-    /// for a GEMM, one per element for a nonlinear evaluation (the MHP
-    /// `y = x⊙k + b` is exactly one MAC per element). Size-capped
-    /// admission windows and least-loaded routing in [`crate::serve`]
-    /// weigh requests by this number. Returns 0 for operands that are not
-    /// matrices (such requests are rejected at execution time).
-    pub fn modeled_macs(&self) -> u64 {
-        match self {
-            Request::Gemm { a, b } => match (a.shape().as_matrix(), b.shape().as_matrix()) {
-                (Ok((m, k)), Ok((_, n))) => (m * k * n) as u64,
-                _ => 0,
-            },
-            Request::Nonlinear { x, .. } => x.len() as u64,
-            Request::Program { program, .. } => program.modeled_macs(),
+    /// Lowers the request in place to the one kind the engines execute:
+    /// a [`Program`] plus its inputs. A program request is already
+    /// there; a GEMM becomes an exact-mode program whose only op
+    /// multiplies the input by the (shared, never copied) weight
+    /// constant, and a nonlinear a CPWL-mode program at `granularity`
+    /// whose only op evaluates the function. Building the program
+    /// validates it and hashes a GEMM's weights — the one weight hash
+    /// the request costs end to end; the scheduler and the wire cache
+    /// read the recorded fingerprint afterwards.
+    ///
+    /// # Errors
+    ///
+    /// What validation reports for the malformed request — a GEMM whose
+    /// operands are not matrices with matching inner dimensions, a
+    /// function outside the table set, a zero-sized operand. The
+    /// request is left untouched.
+    pub fn lower(&mut self, granularity: f32) -> Result<()> {
+        let program = match &self.work {
+            Work::Program(_) => return Ok(()),
+            Work::Gemm(weights) => {
+                let mut b = Program::builder("gemm", EvalMode::Exact);
+                let a = b.input(self.inputs[0].dims());
+                let w = b.constant_shared(Arc::clone(weights));
+                b.push(
+                    Op::Gemm {
+                        bias: None,
+                        sparsity: None,
+                    },
+                    &[a, w],
+                );
+                b.finish()?
+            }
+            Work::Nonlinear(func) => {
+                let mode = EvalMode::Cpwl {
+                    granularity,
+                    quantize: false,
+                };
+                let mut b = Program::builder("nonlinear", mode);
+                let x = b.input(self.inputs[0].dims());
+                b.push(Op::Nonlinear(*func), &[x]);
+                b.finish()?
+            }
+        };
+        self.work = Work::Program(Box::new(program));
+        Ok(())
+    }
+
+    /// The program the request runs and its inputs; `None` until
+    /// [`Request::lower`] has run (always `Some` for a request built
+    /// with [`Request::program`]).
+    pub fn as_program(&self) -> Option<(&Program, &[Tensor])> {
+        match &self.work {
+            Work::Program(program) => Some((program, &self.inputs)),
+            _ => None,
         }
     }
 
-    /// The coalescing key [`crate::serve`]'s weight-affinity router uses:
-    /// GEMMs that can share a weight load hash identically, nonlinears
-    /// hash by function. (Distinct weights may collide — the router only
-    /// needs "equal keys usually coalesce", the engine still checks exact
-    /// equality before stacking.)
-    pub fn affinity_key(&self) -> u64 {
-        match self {
-            Request::Gemm { b, .. } => plan::tensor_fingerprint(b),
-            Request::Program { program, .. } => program.fingerprint(),
-            Request::Nonlinear { func, .. } => {
-                // FNV-1a over the debug form: stable within a build, and
-                // parameterized variants (Elu/LeakyRelu) hash by value.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for byte in format!("{func:?}").bytes() {
-                    h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                h
-            }
-        }
+    /// [`Request::as_program`] for code behind a front door.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a request no front door lowered — a bug in this crate.
+    pub(crate) fn lowered(&self) -> (&Program, &[Tensor]) {
+        self.as_program()
+            .expect("request was lowered at the front door")
+    }
+
+    /// The program half of [`Request::lowered`].
+    pub(crate) fn lowered_program(&self) -> &Program {
+        self.lowered().0
+    }
+
+    /// Swaps in a re-compiled program (the degrade ladder's step).
+    pub(crate) fn replace_program(&mut self, program: Program) {
+        self.work = Work::Program(Box::new(program));
     }
 }
 
@@ -221,17 +290,17 @@ pub struct RequestOutcome {
     pub id: RequestId,
     /// The request's output tensor (bit-identical to a solo run).
     pub output: Tensor,
-    /// Simulated array stats for this request's own shape (for a
-    /// program request, the merge of [`RequestOutcome::op_stats`]).
+    /// Simulated array stats for this request run alone (the merge of
+    /// [`RequestOutcome::op_stats`]).
     pub stats: ExecStats,
-    /// Per-op solo stats of a program request, in stage order (empty
-    /// for plain GEMM/nonlinear requests).
+    /// Per-op solo stats of the request's program, in stage order (one
+    /// entry for a lowered GEMM or nonlinear).
     pub op_stats: Vec<ExecStats>,
-    /// Session-state tensors a program request produced (the grown
+    /// Session-state tensors the request's program produced (the grown
     /// per-layer KV caches of a decoder prefill/decode step), in the
-    /// program's `session_outputs` order. Empty for stateless programs
-    /// and plain GEMM/nonlinear requests. The serving layer
-    /// ([`crate::serve`]) writes these back into the session table.
+    /// program's `session_outputs` order. Empty for stateless programs.
+    /// The serving layer ([`crate::serve`]) writes these back into the
+    /// session table.
     pub session_outputs: Vec<Tensor>,
 }
 
@@ -261,17 +330,18 @@ pub struct ServingReport {
     /// Total CPWL nonlinear evaluations across all requests (0 for a
     /// GEMM-only queue).
     pub total_nonlinear_evals: u64,
-    /// Number of coalesced GEMM kernel calls: requests sharing a weight
-    /// matrix count once. For one [`BatchEngine::run`] this equals the
-    /// number of distinct weight matrices in the queue; reports
-    /// aggregated across shards/windows by [`crate::serve`] sum the
-    /// groups of every shard-batch, so a weight served by several
+    /// Number of coalesced GEMM kernel calls: ops of one stage sharing
+    /// a weight matrix count once. For one [`BatchEngine::run`] this
+    /// equals the number of distinct (stage, weight matrix) pairs in
+    /// the queue — for a queue of bare GEMMs, its distinct weights;
+    /// reports aggregated across shards/windows by [`crate::serve`] sum
+    /// the groups of every shard-batch, so a weight served by several
     /// shards (or in several windows) counts once per kernel call, not
     /// once overall.
     pub gemm_groups: usize,
-    /// Number of coalesced IPF + MHP passes: nonlinear requests sharing a
-    /// function count once (per run, with the same aggregation caveat as
-    /// [`ServingReport::gemm_groups`]).
+    /// Number of coalesced IPF + MHP passes: nonlinear ops of one stage
+    /// sharing a function and granularity count once (per run, with the
+    /// same aggregation caveat as [`ServingReport::gemm_groups`]).
     pub nonlinear_groups: usize,
     /// Per-request simulated latencies in seconds, indexed by submission
     /// order (entry `i` belongs to the request [`BatchEngine::submit`]
@@ -279,14 +349,14 @@ pub struct ServingReport {
     /// over the successfully served requests, omitting rejected ones).
     /// Input to [`ServingReport::latency_percentile`].
     pub latencies: Vec<f64>,
-    /// Optimizer pass totals of the run's program requests, summed from
-    /// each program's `OptReport` (all zero when the queue held no
-    /// optimized programs). The counts are per *request*: one cached
+    /// Optimizer pass totals of the run's requests, summed from each
+    /// program's `OptReport` (all zero when the queue held no optimized
+    /// programs). The counts are per *request*: one cached
     /// program served N times contributes N times, which is the point —
     /// they measure work the optimizer saved this run.
     pub opt: OptTotals,
     /// Weight column blocks the sparsity-aware GEMM kernel skipped
-    /// across the run's program requests, summed from each program's
+    /// across the run's requests, summed from each program's
     /// [`Program::sparse_blocks`](onesa_plan::Program::sparse_blocks).
     /// Per *request*, like [`ServingReport::opt`]: a pruned program
     /// served N times credits its skipped blocks N times — work the
@@ -391,9 +461,9 @@ pub struct BatchRun {
     pub outcomes: Vec<RequestOutcome>,
     /// Aggregate throughput/latency summary.
     pub report: ServingReport,
-    /// Per-stage coalescing accounting of the run's program requests
-    /// (empty when the queue held none): how many program ops executed
-    /// at each stage and how many kernel groups they collapsed into.
+    /// Per-stage coalescing accounting of the run: how many ops
+    /// executed at each stage and how many kernel groups they collapsed
+    /// into (lowered GEMMs and nonlinears are stage-0 ops).
     pub program_stages: Vec<StageGroups>,
 }
 
@@ -411,15 +481,14 @@ struct Queued {
 #[derive(Debug)]
 pub struct BatchEngine {
     engine: OneSa,
-    /// `Arc`-shared: cloning the engine (or seeding the program table
-    /// cache below) never copies the table data.
-    tables: Arc<TableSet>,
-    /// Table sets for program requests, keyed by granularity (programs
-    /// may be compiled at granularities other than the engine's own;
-    /// the engine's set seeds the cache). **Persistent across runs**:
-    /// a granularity is built at most once per engine lifetime, however
-    /// many batches it serves — `onesa_core::serve`'s shard workers
-    /// keep one engine alive across all admission windows.
+    /// The granularity nonlinear requests lower to.
+    granularity: f32,
+    /// Table sets keyed by granularity (programs may be compiled at
+    /// granularities other than the engine's own, whose set seeds the
+    /// cache). **Persistent across runs**: a granularity is built at
+    /// most once per engine lifetime, however many batches it serves —
+    /// `onesa_core::serve`'s shard workers keep one engine alive across
+    /// all admission windows.
     plan_tables: TableCache,
     queue: Vec<Queued>,
     /// Full validation walks this engine performed (a `validate` call
@@ -435,7 +504,7 @@ impl Clone for BatchEngine {
     fn clone(&self) -> Self {
         BatchEngine {
             engine: self.engine.clone(),
-            tables: Arc::clone(&self.tables),
+            granularity: self.granularity,
             plan_tables: self.plan_tables.clone(),
             queue: self.queue.clone(),
             validations: AtomicU64::new(self.validations()),
@@ -452,23 +521,21 @@ impl BatchEngine {
     /// Propagates table-construction failures as
     /// [`TensorError::InvalidArgument`].
     pub fn new(engine: OneSa, granularity: f32) -> Result<Self> {
-        let tables = Arc::new(
-            TableSet::for_granularity(granularity)
-                .map_err(|_| TensorError::InvalidArgument("invalid CPWL granularity"))?,
-        );
+        let tables = TableSet::for_granularity(granularity)
+            .map_err(|_| TensorError::InvalidArgument("invalid CPWL granularity"))?;
         let mut plan_tables = TableCache::new();
-        plan_tables.seed_shared(Arc::clone(&tables));
+        plan_tables.seed(tables);
         Ok(BatchEngine {
             engine,
-            tables,
+            granularity,
             plan_tables,
             queue: Vec::new(),
             validations: AtomicU64::new(0),
         })
     }
 
-    /// The engine's persistent per-granularity program table cache
-    /// (seeded with the engine's own set; reused across every run).
+    /// The engine's persistent per-granularity table cache (seeded with
+    /// the engine's own set; reused across every run).
     pub fn table_cache(&self) -> &TableCache {
         &self.plan_tables
     }
@@ -493,7 +560,7 @@ impl BatchEngine {
 
     /// The CPWL granularity the engine's table set was built at.
     pub fn granularity(&self) -> f32 {
-        self.tables.granularity()
+        self.granularity
     }
 
     /// Enqueues a request, returning its id (its submission index).
@@ -511,20 +578,15 @@ impl BatchEngine {
 
     /// Validates eagerly, then enqueues: a malformed request is turned
     /// away at the queue instead of poisoning the whole batch at
-    /// [`BatchEngine::run`] time. The serving layer routes every
-    /// admitted request through this.
+    /// [`BatchEngine::run`] time.
     ///
     /// # Errors
     ///
     /// The same errors [`BatchEngine::validate`] reports; the queue is
     /// untouched on error.
-    pub fn submit_checked(&mut self, request: Request) -> Result<RequestId> {
-        self.validate(&request)?;
-        self.queue.push(Queued {
-            request,
-            validated: true,
-        });
-        Ok(self.queue.len() - 1)
+    pub fn submit_checked(&mut self, mut request: Request) -> Result<RequestId> {
+        self.validate(&mut request)?;
+        Ok(self.submit_validated(request))
     }
 
     /// Enqueues a request the **caller** asserts was already validated
@@ -563,54 +625,62 @@ impl BatchEngine {
         n
     }
 
-    /// Checks that a request can execute on this engine without touching
-    /// the queue: GEMM operands must be matrices with matching inner
-    /// dimensions, and a nonlinear request's function must be in the
-    /// engine's table set.
+    /// The admission check, without touching the queue. A GEMM or
+    /// nonlinear request is lowered at the engine's granularity
+    /// ([`Request::lower`]): building its one-op program *is* its
+    /// validation, and the program takes the request's own input. A
+    /// program request is walked — graph validation plus shape
+    /// inference — and its inputs checked against its input shapes.
     ///
     /// # Errors
     ///
-    /// The same errors [`BatchEngine::run`] would report for the request.
-    pub fn validate(&self, request: &Request) -> Result<()> {
+    /// The same errors [`BatchEngine::run`] would report for the
+    /// request. A request that fails to lower is left as it was.
+    pub fn validate(&self, request: &mut Request) -> Result<()> {
         self.validations.fetch_add(1, Ordering::Relaxed);
-        match request {
-            Request::Gemm { a, b } => {
-                let (_, ka) = a.shape().as_matrix()?;
-                let (kb, _) = b.shape().as_matrix()?;
-                if ka != kb {
-                    return Err(TensorError::ShapeMismatch {
-                        lhs: a.dims().to_vec(),
-                        rhs: b.dims().to_vec(),
-                        op: "BatchEngine::run",
-                    });
-                }
-                Ok(())
-            }
-            Request::Nonlinear { func, .. } => match self.tables.table(*func) {
-                Some(_) => Ok(()),
-                None => Err(TensorError::InvalidArgument("function not in table set")),
-            },
-            Request::Program { program, inputs } => {
-                program.validate()?;
-                if inputs.len() != program.n_inputs() {
-                    return Err(TensorError::InvalidArgument("program input count mismatch"));
-                }
-                for (t, expect) in inputs.iter().zip(program.input_shapes()) {
-                    if t.dims() != expect.as_slice() {
-                        return Err(TensorError::ShapeMismatch {
-                            lhs: t.dims().to_vec(),
-                            rhs: expect.clone(),
-                            op: "BatchEngine::run program input",
-                        });
-                    }
-                }
-                Ok(())
+        let Some((program, inputs)) = request.as_program() else {
+            return request.lower(self.granularity);
+        };
+        program.validate()?;
+        if inputs.len() != program.n_inputs() {
+            return Err(TensorError::InvalidArgument("program input count mismatch"));
+        }
+        for (t, expect) in inputs.iter().zip(program.input_shapes()) {
+            if t.dims() != expect.as_slice() {
+                return Err(TensorError::ShapeMismatch {
+                    lhs: t.dims().to_vec(),
+                    rhs: expect.clone(),
+                    op: "BatchEngine::run program input",
+                });
             }
         }
+        Ok(())
     }
 
-    /// Serves the whole queue: coalesces compatible requests, executes
-    /// each batch through the parallel backend and drains the queue.
+    /// [`BatchEngine::run`]'s front door for one queue entry: lowers the
+    /// request in place and walks it unless it was admitted through
+    /// `submit_checked`/`submit_validated`, then builds its table set —
+    /// a granularity the table builder rejects (validation only checks
+    /// it is positive and finite) must fail here, with the queue still
+    /// intact. The cache is persistent, so across runs each granularity
+    /// is built at most once.
+    fn admit(&mut self, entry: &mut Queued) -> Result<()> {
+        if entry.validated {
+            entry.request.lower(self.granularity)?;
+        } else {
+            self.validate(&mut entry.request)?;
+        }
+        if let Some(g) = entry.request.lowered_program().mode().granularity() {
+            self.plan_tables.get(g)?;
+        }
+        Ok(())
+    }
+
+    /// Serves the whole queue: lowers every request to a program, runs
+    /// them stage by stage through [`plan::run_staged`] — which
+    /// coalesces compatible ops across requests at every stage and
+    /// executes each group through the parallel backend — and drains
+    /// the queue.
     ///
     /// # Errors
     ///
@@ -619,209 +689,62 @@ impl BatchEngine {
     /// no request is lost; remove or fix the offending request and call
     /// `run` again.
     pub fn run(&mut self) -> Result<BatchRun> {
-        // Validate every not-yet-validated request before draining the
-        // queue, so one malformed request cannot discard the others.
-        // Requests admitted through `submit_checked`/`submit_validated`
-        // already passed this walk and skip it here.
-        for entry in &self.queue {
-            if !entry.validated {
-                self.validate(&entry.request)?;
-            }
+        // One malformed request must not discard the others: every
+        // entry passes the front door before the queue drains.
+        let mut queue = std::mem::take(&mut self.queue);
+        if let Err(e) = queue.iter_mut().try_for_each(|entry| self.admit(entry)) {
+            self.queue = queue;
+            return Err(e);
         }
-        // Same contract for program table sets: build them up front so
-        // a granularity the table builder rejects (validation only
-        // checks it is positive and finite) fails here, with the queue
-        // still intact. The cache is persistent, so across runs each
-        // granularity is built at most once.
-        let granularities: Vec<f32> = self
-            .queue
-            .iter()
-            .filter_map(|entry| match &entry.request {
-                Request::Program { program, .. } => program.mode().granularity(),
-                _ => None,
-            })
-            .collect();
-        for g in granularities {
-            self.plan_tables.get(g)?;
-        }
-        let queue: Vec<Request> = std::mem::take(&mut self.queue)
-            .into_iter()
-            .map(|entry| entry.request)
-            .collect();
         let start = Instant::now();
         let cfg = self.engine.config().clone();
+        let idle = ExecStats::new(&cfg, Default::default(), 0, 0);
 
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; queue.len()];
-        let mut batched = ExecStats::new(&cfg, Default::default(), 0, 0);
-
-        // ---- coalesce GEMMs by right-hand matrix, nonlinears by function ----
-        let mut gemm_groups: Vec<(u64, Vec<usize>)> = Vec::new();
-        let mut nl_groups: Vec<(NonlinearFn, Vec<usize>)> = Vec::new();
-        let mut program_ids: Vec<usize> = Vec::new();
-        for (id, req) in queue.iter().enumerate() {
-            match req {
-                Request::Gemm { b, .. } => {
-                    let key = plan::tensor_fingerprint(b);
-                    match gemm_groups
-                        .iter_mut()
-                        .find(|(k, ids)| *k == key && same_weights(b, group_b(&queue, ids)))
-                    {
-                        Some((_, ids)) => ids.push(id),
-                        None => gemm_groups.push((key, vec![id])),
-                    }
-                }
-                Request::Nonlinear { func, .. } => {
-                    match nl_groups.iter_mut().find(|(f, _)| f == func) {
-                        Some((_, ids)) => ids.push(id),
-                        None => nl_groups.push((*func, vec![id])),
-                    }
-                }
-                Request::Program { .. } => program_ids.push(id),
-            }
-        }
-
-        // ---- execute GEMM groups: stack A rows, one matmul per group ----
-        for (_, ids) in &gemm_groups {
-            let b = group_b(&queue, ids);
-            let (k, n) = b.shape().as_matrix()?;
-            let mut stacked = Vec::new();
-            let mut row_counts = Vec::with_capacity(ids.len());
-            for &id in ids {
-                let Request::Gemm { a, .. } = &queue[id] else {
-                    unreachable!("gemm group holds gemm ids")
-                };
-                stacked.extend_from_slice(a.as_slice());
-                row_counts.push(a.dims()[0]);
-            }
-            let total_m: usize = row_counts.iter().sum();
-            let tall = Tensor::from_vec(stacked, &[total_m, k])?;
-            let product = parallel::matmul(&tall, b, self.engine.parallelism())?;
-            batched = batched.merged(&analytic::gemm_stats(&cfg, total_m, k, n));
-            let mut row0 = 0;
-            for (&id, &m) in ids.iter().zip(&row_counts) {
-                let rows = product.as_slice()[row0 * n..(row0 + m) * n].to_vec();
-                row0 += m;
-                outcomes[id] = Some(RequestOutcome {
-                    id,
-                    output: Tensor::from_vec(rows, &[m, n])?,
-                    stats: analytic::gemm_stats(&cfg, m, k, n),
-                    op_stats: Vec::new(),
-                    session_outputs: Vec::new(),
-                });
-            }
-        }
-
-        // ---- execute nonlinear groups: concatenate, one MHP pass each ----
-        for (func, ids) in &nl_groups {
-            let table = self
-                .tables
-                .table(*func)
-                .ok_or(TensorError::InvalidArgument("function not in table set"))?;
-            let mut flat = Vec::new();
-            for &id in ids {
-                let Request::Nonlinear { x, .. } = &queue[id] else {
-                    unreachable!("nonlinear group holds nonlinear ids")
-                };
-                flat.extend_from_slice(x.as_slice());
-            }
-            let total = flat.len();
-            let joined = Tensor::from_vec(flat, &[1, total])?;
-            // The paper's three steps, with the MHP routed through the
-            // parallel backend (bit-identical to `PwlTable::eval_tensor`,
-            // which is IPF + the sequential reference MHP).
-            let ipf = table.ipf(&joined);
-            let evaluated = parallel::mhp(&joined, &ipf.k, &ipf.b, self.engine.parallelism())?;
-            batched = batched.merged(&analytic::nonlinear_stats(&cfg, 1, total));
-            let mut off = 0;
-            for &id in ids {
-                let Request::Nonlinear { x, .. } = &queue[id] else {
-                    unreachable!("nonlinear group holds nonlinear ids")
-                };
-                let vals = evaluated.as_slice()[off..off + x.len()].to_vec();
-                off += x.len();
-                let (m, n) = matrix_or_row(x);
-                outcomes[id] = Some(RequestOutcome {
-                    id,
-                    output: Tensor::from_vec(vals, x.dims())?,
-                    stats: analytic::nonlinear_stats(&cfg, m, n),
-                    op_stats: Vec::new(),
-                    session_outputs: Vec::new(),
-                });
-            }
-        }
-
-        // ---- execute program requests stage by stage, coalescing across
-        // concurrent programs at every stage ----
-        let mut program_stages: Vec<StageGroups> = Vec::new();
-        let mut program_group_counts = (0usize, 0usize);
+        let jobs: Vec<(&Program, &[Tensor])> =
+            queue.iter().map(|entry| entry.request.lowered()).collect();
         let mut opt = OptTotals::default();
         let mut blocks = (0u64, 0u64);
-        if !program_ids.is_empty() {
-            for &id in &program_ids {
-                let Request::Program { program, .. } = &queue[id] else {
-                    unreachable!("program id list holds program requests")
-                };
-                if let Some(report) = program.opt_report() {
-                    opt.merge(&report.totals);
-                }
-                let (skipped, total) = program.sparse_blocks();
-                blocks.0 += skipped;
-                blocks.1 += total;
+        for (program, _) in &jobs {
+            if let Some(report) = program.opt_report() {
+                opt.merge(&report.totals);
             }
-            let jobs: Vec<(&Program, &[Tensor])> = program_ids
-                .iter()
-                .map(|&id| {
-                    let Request::Program { program, inputs } = &queue[id] else {
-                        unreachable!("program id list holds program requests")
-                    };
-                    (program.as_ref(), inputs.as_slice())
-                })
-                .collect();
-            let staged = plan::run_staged(
-                &jobs,
-                &cfg,
-                self.engine.parallelism(),
-                &mut self.plan_tables,
-            )?;
-            batched = batched.merged(&staged.batched);
-            program_group_counts = (staged.gemm_groups, staged.nonlinear_groups);
-            program_stages = staged.stages;
-            for (&id, run) in program_ids.iter().zip(staged.runs) {
-                let solo = run
+            let (skipped, total) = program.sparse_blocks();
+            blocks.0 += skipped;
+            blocks.1 += total;
+        }
+        let staged = plan::run_staged(
+            &jobs,
+            &cfg,
+            self.engine.parallelism(),
+            &mut self.plan_tables,
+        )?;
+        let outcomes: Vec<RequestOutcome> = staged
+            .runs
+            .into_iter()
+            .enumerate()
+            .map(|(id, run)| RequestOutcome {
+                id,
+                output: run.output,
+                stats: run
                     .op_stats
                     .iter()
-                    .fold(ExecStats::new(&cfg, Default::default(), 0, 0), |acc, s| {
-                        acc.merged(s)
-                    });
-                outcomes[id] = Some(RequestOutcome {
-                    id,
-                    output: run.output,
-                    stats: solo,
-                    op_stats: run.op_stats,
-                    session_outputs: run.session_outputs,
-                });
-            }
-        }
+                    .fold(idle.clone(), |acc, s| acc.merged(s)),
+                op_stats: run.op_stats,
+                session_outputs: run.session_outputs,
+            })
+            .collect();
 
         let wall_seconds = start.elapsed().as_secs_f64();
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every queued request was served"))
-            .collect();
-        let unbatched = outcomes
-            .iter()
-            .fold(ExecStats::new(&cfg, Default::default(), 0, 0), |acc, o| {
-                acc.merged(&o.stats)
-            });
+        let unbatched = outcomes.iter().fold(idle, |acc, o| acc.merged(&o.stats));
         let report = ServingReport {
             requests: outcomes.len(),
             wall_seconds,
-            batched_seconds: batched.seconds(),
+            batched_seconds: staged.batched.seconds(),
             unbatched_seconds: unbatched.seconds(),
             total_macs: unbatched.macs,
             total_nonlinear_evals: unbatched.nonlinear_evals,
-            gemm_groups: gemm_groups.len() + program_group_counts.0,
-            nonlinear_groups: nl_groups.len() + program_group_counts.1,
+            gemm_groups: staged.gemm_groups,
+            nonlinear_groups: staged.nonlinear_groups,
             latencies: outcomes.iter().map(|o| o.stats.seconds()).collect(),
             opt,
             blocks_skipped: blocks.0,
@@ -830,31 +753,8 @@ impl BatchEngine {
         Ok(BatchRun {
             outcomes,
             report,
-            program_stages,
+            program_stages: staged.stages,
         })
-    }
-}
-
-/// The right-hand matrix of the first request in a GEMM group.
-fn group_b<'q>(queue: &'q [Request], ids: &[usize]) -> &'q Tensor {
-    let Request::Gemm { b, .. } = &queue[ids[0]] else {
-        unreachable!("gemm group holds gemm ids")
-    };
-    b
-}
-
-fn same_weights(x: &Tensor, y: &Tensor) -> bool {
-    x.dims() == y.dims()
-        && x.as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-}
-
-fn matrix_or_row(x: &Tensor) -> (usize, usize) {
-    match x.shape().as_matrix() {
-        Ok((m, n)) => (m, n),
-        Err(_) => (1, x.len()),
     }
 }
 
@@ -1030,33 +930,85 @@ mod tests {
         assert!(!format!("{r}").contains("NaN"));
     }
 
+    /// Lowers a request the way every front door does, returning its
+    /// program's admission weight and affinity key.
+    fn lowered_weight_and_key(mut request: Request) -> (u64, u64) {
+        request.lower(0.25).unwrap();
+        let program = request.lowered_program();
+        (program.modeled_macs(), program.fingerprint())
+    }
+
     #[test]
     fn modeled_macs_and_affinity_keys() {
         let mut rng = Pcg32::seed_from_u64(13);
         let w = rng.randn(&[8, 6], 1.0);
-        let g = Request::gemm(rng.randn(&[4, 8], 1.0), w.clone());
-        assert_eq!(g.modeled_macs(), 4 * 8 * 6);
-        let nl = Request::nonlinear(NonlinearFn::Gelu, rng.randn(&[3, 5], 1.0));
-        assert_eq!(nl.modeled_macs(), 15);
-        // Shared weights agree on the affinity key; same function too.
+        let (g_macs, g_key) =
+            lowered_weight_and_key(Request::gemm(rng.randn(&[4, 8], 1.0), w.clone()));
+        assert_eq!(g_macs, 4 * 8 * 6);
+        // A nonlinear weighs what any CPWL program does: its op's MACs
+        // (the cost model's two per element) plus its table preload.
+        let gelu = Request::nonlinear(NonlinearFn::Gelu, rng.randn(&[3, 5], 1.0));
+        let (nl_macs, nl_key) = lowered_weight_and_key(gelu);
+        let preload = TableSet::preload_segments(NonlinearFn::Gelu, 0.25).unwrap() as u64 * 2;
+        assert_eq!(nl_macs, 2 * 15 + preload);
+        // Shared weights agree on the affinity key whatever the row
+        // count; same function too.
         let g2 = Request::gemm(rng.randn(&[9, 8], 1.0), w.clone());
-        assert_eq!(g.affinity_key(), g2.affinity_key());
+        assert_eq!(g_key, lowered_weight_and_key(g2).1);
         let nl2 = Request::nonlinear(NonlinearFn::Gelu, rng.randn(&[1, 2], 1.0));
-        assert_eq!(nl.affinity_key(), nl2.affinity_key());
-        assert_ne!(
-            Request::nonlinear(NonlinearFn::Tanh, rng.randn(&[1, 2], 1.0)).affinity_key(),
-            nl.affinity_key()
-        );
+        assert_eq!(nl_key, lowered_weight_and_key(nl2).1);
+        let tanh = Request::nonlinear(NonlinearFn::Tanh, rng.randn(&[1, 2], 1.0));
+        assert_ne!(lowered_weight_and_key(tanh).1, nl_key);
+    }
+
+    #[test]
+    fn lowering_is_in_place_idempotent_and_shares_the_weights() {
+        let mut rng = Pcg32::seed_from_u64(14);
+        let (a, w) = (rng.randn(&[4, 8], 1.0), rng.randn(&[8, 6], 1.0));
+        let mut request = Request::gemm(a.clone(), w.clone());
+        assert!(request.as_program().is_none());
+        request.lower(0.25).unwrap();
+        let (program, inputs) = request.as_program().unwrap();
+        assert_eq!(program.mode(), EvalMode::Exact);
+        assert_eq!(program.stages(), 1);
+        assert_eq!(program.consts()[0].as_ref(), &w);
+        assert_eq!(inputs, std::slice::from_ref(&a));
+        // Lowering twice (or lowering a program request) changes nothing,
+        // and a clone of the lowered request shares the weight constant.
+        let weights = Arc::clone(&program.consts()[0]);
+        let fingerprint = program.fingerprint();
+        request.lower(0.5).unwrap();
+        let program = request.lowered_program();
+        assert_eq!(program.fingerprint(), fingerprint);
+        assert!(Arc::ptr_eq(&program.consts()[0], &weights));
+        let clone = request.clone();
+        assert!(Arc::ptr_eq(&clone.lowered_program().consts()[0], &weights));
+
+        // A nonlinear lowers at the granularity it is given.
+        let mut nl = Request::nonlinear(NonlinearFn::Tanh, rng.randn(&[2, 3, 4], 1.0));
+        nl.lower(0.5).unwrap();
+        assert_eq!(nl.lowered_program().mode().granularity(), Some(0.5));
+        assert_eq!(nl.lowered_program().output_shape(), vec![2, 3, 4]);
+
+        // A malformed request fails to lower and is left as it was.
+        let mut bad = Request::gemm(Tensor::zeros(&[2, 3]), Tensor::zeros(&[4, 5]));
+        assert!(matches!(
+            bad.lower(0.25),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        assert!(bad.as_program().is_none());
+        let mut unknown = Request::nonlinear(NonlinearFn::Elu(1.0), Tensor::zeros(&[2, 2]));
+        assert!(unknown.lower(0.25).is_err());
     }
 
     #[test]
     fn validate_and_clear() {
         let mut serving = BatchEngine::new(engine(), 0.25).unwrap();
         assert_eq!(serving.granularity(), 0.25);
-        let good = Request::gemm(Tensor::zeros(&[2, 3]), Tensor::zeros(&[3, 5]));
-        let bad = Request::gemm(Tensor::zeros(&[2, 3]), Tensor::zeros(&[4, 5]));
-        assert!(serving.validate(&good).is_ok());
-        assert!(serving.validate(&bad).is_err());
+        let mut good = Request::gemm(Tensor::zeros(&[2, 3]), Tensor::zeros(&[3, 5]));
+        let mut bad = Request::gemm(Tensor::zeros(&[2, 3]), Tensor::zeros(&[4, 5]));
+        assert!(serving.validate(&mut good).is_ok());
+        assert!(serving.validate(&mut bad).is_err());
         serving.submit(good);
         serving.submit(bad);
         assert_eq!(serving.clear(), 2);
@@ -1123,21 +1075,30 @@ mod tests {
                 .submit_program(program.clone(), vec![x.clone()])
                 .unwrap();
         }
-        // Mixed queue: a plain GEMM rides along untouched.
-        let a = rng.randn(&[2, 6], 1.0);
+        // Mixed queue: a bare GEMM against w1 — the programs' stage-0
+        // weight — and one against a weight of its own.
+        let a = rng.randn(&[5, 6], 1.0);
+        let other = rng.randn(&[6, 7], 1.0);
         serving.submit(Request::gemm(a.clone(), w1.clone()));
+        serving.submit(Request::gemm(a.clone(), other.clone()));
         let run = serving.run().unwrap();
         for (i, solo) in solos.iter().enumerate() {
             assert_eq!(&run.outcomes[i].output, solo);
             assert_eq!(run.outcomes[i].op_stats.len(), 3);
         }
         assert_eq!(run.outcomes[3].output, gemm::matmul(&a, &w1).unwrap());
-        // Every program stage collapsed 3 ops into 1 kernel group.
+        assert_eq!(run.outcomes[4].output, gemm::matmul(&a, &other).unwrap());
+        assert_eq!(run.outcomes[3].op_stats.len(), 1);
+        // The bare GEMM is a one-op program, so it shares the kernel
+        // group of the three programs' stage-0 GEMMs against w1; the
+        // other weight is a group of its own. The later stages collapse
+        // the three programs' ops into one group each.
         assert_eq!(run.program_stages.len(), 3);
-        for s in &run.program_stages {
+        let s0 = run.program_stages[0];
+        assert_eq!((s0.ops, s0.groups, s0.gemm_groups), (5, 2, 2));
+        for s in &run.program_stages[1..] {
             assert_eq!((s.ops, s.groups), (3, 1), "stage {}", s.stage);
         }
-        // Report: 2 program GEMM groups + 1 plain group, 1 program NL group.
         assert_eq!(run.report.gemm_groups, 3);
         assert_eq!(run.report.nonlinear_groups, 1);
         assert!(run.report.batching_speedup() > 1.0);
@@ -1172,16 +1133,16 @@ mod tests {
         let w1 = rng.randn(&[6, 4], 1.0);
         let w2 = rng.randn(&[4, 3], 1.0);
         let program = mlp_program(&w1, &w2);
+        // A program request is already lowered: its admission weight
+        // and affinity key are the program's own.
         let req = Request::program(program.clone(), vec![rng.randn(&[2, 6], 1.0)]);
-        assert_eq!(req.modeled_macs(), program.modeled_macs());
-        assert!(req.modeled_macs() > 0);
-        let req2 = Request::program(program.clone(), vec![rng.randn(&[2, 6], 1.0)]);
-        assert_eq!(req.affinity_key(), req2.affinity_key());
-        let other = mlp_program(&rng.randn(&[6, 4], 1.0), &w2);
-        assert_ne!(
-            req.affinity_key(),
-            Request::program(other, vec![Tensor::zeros(&[2, 6])]).affinity_key()
+        assert_eq!(
+            lowered_weight_and_key(req),
+            (program.modeled_macs(), program.fingerprint())
         );
+        assert!(program.modeled_macs() > 0);
+        let other = mlp_program(&rng.randn(&[6, 4], 1.0), &w2);
+        assert_ne!(program.fingerprint(), other.fingerprint());
     }
 
     #[test]
@@ -1350,5 +1311,72 @@ mod tests {
         assert!(serving.run().is_err());
         // The valid request was not lost with the bad one.
         assert_eq!(serving.pending(), 2);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random mixed queues of all three constructors: every output
+        /// equals its reference kernel, and the group counts are the
+        /// distinct-weight / distinct-function counts the module docs
+        /// promise — with a bare GEMM against a program's stage-0
+        /// weight counted once, in that program's group.
+        #[test]
+        fn mixed_queues_match_reference_kernels_and_group_counts(
+            kinds in proptest::collection::vec(0usize..8, 1..12),
+            seed in 0u64..10_000,
+        ) {
+            let mut rng = Pcg32::seed_from_u64(seed);
+            let weights: Vec<Tensor> = (0..3).map(|_| rng.randn(&[6, 4], 1.0)).collect();
+            let funcs = [NonlinearFn::Gelu, NonlinearFn::Tanh, NonlinearFn::Sigmoid];
+            // The program's first GEMM multiplies by weights[0], its
+            // second by a weight no bare request uses.
+            let program = mlp_program(&weights[0], &rng.randn(&[4, 3], 1.0));
+            let tables = TableSet::for_granularity(0.25).unwrap();
+
+            let mut serving = BatchEngine::new(engine(), 0.25).unwrap();
+            let mut expected = Vec::new();
+            let (mut stage0_weights, mut stage0_funcs, mut programs) = ([false; 3], [false; 3], 0);
+            for kind in kinds {
+                match kind {
+                    0..=2 => {
+                        let rows = 1 + rng.below(5) as usize;
+                        let a = rng.randn(&[rows, 6], 1.0);
+                        expected.push(gemm::matmul(&a, &weights[kind]).unwrap());
+                        serving.submit(Request::gemm(a, weights[kind].clone()));
+                        stage0_weights[kind] = true;
+                    }
+                    3..=5 => {
+                        let (m, n) = (1 + rng.below(4) as usize, 1 + rng.below(6) as usize);
+                        let x = rng.randn(&[m, n], 1.5);
+                        let table = tables.table(funcs[kind - 3]).unwrap();
+                        expected.push(table.eval_tensor(&x).unwrap());
+                        serving.submit(Request::nonlinear(funcs[kind - 3], x));
+                        stage0_funcs[kind - 3] = true;
+                    }
+                    _ => {
+                        let x = rng.randn(&[2, 6], 1.0);
+                        let solo = program
+                            .run(std::slice::from_ref(&x), Parallelism::Sequential, &mut TableCache::new())
+                            .unwrap();
+                        expected.push(solo.output);
+                        serving.submit(Request::program(program.clone(), vec![x]));
+                        stage0_weights[0] = true;
+                        programs += 1;
+                    }
+                }
+            }
+            let run = serving.run().unwrap();
+            prop_assert_eq!(run.outcomes.len(), expected.len());
+            for (o, want) in run.outcomes.iter().zip(&expected) {
+                prop_assert_eq!(&o.output, want);
+            }
+            let distinct = |seen: &[bool]| seen.iter().filter(|s| **s).count();
+            let later_stages = usize::from(programs > 0);
+            prop_assert_eq!(run.report.gemm_groups, distinct(&stage0_weights) + later_stages);
+            prop_assert_eq!(run.report.nonlinear_groups, distinct(&stage0_funcs) + later_stages);
+        }
     }
 }

@@ -21,12 +21,19 @@
 //! worker → host   Hello      { wire format version }
 //! host → worker   Configure  { granularity, ArrayConfig, Parallelism }
 //! worker → host   Ready      {}
-//! host → worker   Window     { n × (ticket, request) }
-//! worker → host   Outcomes   { n × (ticket, output, stats, op_stats), report }
+//! host → worker   Window     { n × (ticket, program | program ref, inputs) }
+//! worker → host   Outcomes   { n × (ticket, output, stats, op_stats, session
+//!                              outputs), report, per-stage groups }
 //!              or WindowError{ message }          (batch failed; engine cleared)
 //! host → worker   Ping       {}        worker → host  Pong {}
 //! host → worker   Shutdown   {}        (worker exits 0)
 //! ```
+//!
+//! Every request crosses the wire as a program: the serve layer's
+//! arrive lowered, and [`WorkerHandle::run_window`] lowers a bare GEMM
+//! or nonlinear request itself (see [`Request::lower`]). The `Outcomes`
+//! frame carries the worker's whole [`BatchRun`], so the host handles a
+//! remote window exactly as it handles a local `BatchEngine::run`.
 //!
 //! # The weight-cache protocol
 //!
@@ -36,9 +43,13 @@
 //! included) and later requests send a *const-free delta* — just the
 //! fingerprint plus the input tensors. The worker caches decoded
 //! programs by fingerprint (consts `Arc`-shared, so the cache holds one
-//! copy of each weight set). [`WeightCacheStats`] counts both kinds of
-//! send and the const bytes the refs avoided; the serve layer surfaces
-//! them per shard.
+//! copy of each weight set). A stateless program's fingerprint ignores
+//! its input shapes, so one entry serves a ref at any shape the op list
+//! accepts — every `[rows, k] · W` GEMM against one `W` — by
+//! re-targeting the cached program at the shapes of the inputs that
+//! came with the ref. [`WeightCacheStats`] counts both kinds of send
+//! and the const bytes the refs avoided; the serve layer surfaces them
+//! per shard.
 //!
 //! # Worker death
 //!
@@ -57,12 +68,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use onesa_plan::wire::{self, FrameBuilder, FrameView, WireError, WireReader, WireWriter};
-use onesa_plan::OptTotals;
-use onesa_sim::{ArrayConfig, ExecStats};
+use onesa_plan::{OptTotals, Program, StageGroups};
+use onesa_sim::ArrayConfig;
 use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::Tensor;
 
-use crate::batch::{BatchEngine, Request};
+use crate::batch::{BatchEngine, BatchRun, Request, RequestOutcome, ServingReport};
 use crate::engine::OneSa;
 
 // ---------------------------------------------------------------------
@@ -281,161 +292,115 @@ fn empty_message(kind: u16) -> Vec<u8> {
 // request / outcome codecs (built on onesa-plan's wire primitives)
 // ---------------------------------------------------------------------
 
-const REQ_GEMM: u8 = 0;
-const REQ_NONLINEAR: u8 = 1;
+/// Request tags. Every request crosses the wire as a program; tags 0
+/// and 1 carried bare GEMM / nonlinear requests before those lowered to
+/// programs at the front door, and now decode as corrupt.
 const REQ_PROGRAM_FULL: u8 = 2;
 const REQ_PROGRAM_REF: u8 = 3;
 
-/// Writes one request. Program requests consult (and update) the
-/// per-worker shipped-fingerprint set: known programs go out as
-/// const-free deltas.
+/// Writes one lowered request, consulting (and updating) the per-worker
+/// shipped-fingerprint set: known programs go out as const-free deltas.
 fn put_request(
     w: &mut WireWriter,
-    req: &Request,
+    program: &Program,
+    inputs: &[Tensor],
     shipped: &mut HashSet<u64>,
     stats: &mut WeightCacheStats,
 ) {
-    match req {
-        Request::Gemm { a, b } => {
-            w.put_u8(REQ_GEMM);
-            wire::put_tensor(w, a);
-            wire::put_tensor(w, b);
-        }
-        Request::Nonlinear { func, x } => {
-            w.put_u8(REQ_NONLINEAR);
-            wire::put_nonlinear(w, *func);
-            wire::put_tensor(w, x);
-        }
-        Request::Program { program, inputs } => {
-            let fp = program.fingerprint();
-            if shipped.contains(&fp) {
-                w.put_u8(REQ_PROGRAM_REF);
-                w.put_u64(fp);
-                stats.ref_sends += 1;
-                stats.const_bytes_saved += program
-                    .consts()
-                    .iter()
-                    .map(|c| c.as_slice().len() as u64 * 4)
-                    .sum::<u64>();
-            } else {
-                w.put_u8(REQ_PROGRAM_FULL);
-                let frame = wire::encode_program(program);
-                w.put_usize(frame.len());
-                w.put_bytes(&frame);
-                shipped.insert(fp);
-                stats.full_sends += 1;
-            }
-            w.put_usize(inputs.len());
-            for t in inputs {
-                wire::put_tensor(w, t);
-            }
-        }
+    let fp = program.fingerprint();
+    if shipped.contains(&fp) {
+        w.put_u8(REQ_PROGRAM_REF);
+        w.put_u64(fp);
+        stats.ref_sends += 1;
+        stats.const_bytes_saved += program
+            .consts()
+            .iter()
+            .map(|c| c.as_slice().len() as u64 * 4)
+            .sum::<u64>();
+    } else {
+        w.put_u8(REQ_PROGRAM_FULL);
+        let frame = wire::encode_program(program);
+        w.put_usize(frame.len());
+        w.put_bytes(&frame);
+        shipped.insert(fp);
+        stats.full_sends += 1;
+    }
+    w.put_usize(inputs.len());
+    for t in inputs {
+        wire::put_tensor(w, t);
     }
 }
 
 /// Reads one request on the worker, resolving program refs against (and
 /// inserting full programs into) the worker's fingerprint cache.
+///
+/// A stateless program's fingerprint ignores its input shapes, so one
+/// cache entry answers refs at every shape — every `[rows, k] · W`
+/// lowered GEMM against one `W`, whatever `rows`. The inputs that
+/// follow the ref say which shapes the host validated against; when
+/// they differ from the cached program's, it is re-targeted
+/// ([`Program::with_input_shapes`]), sharing the one decoded copy of
+/// each weight.
 fn get_request(
     r: &mut WireReader<'_>,
-    cache: &mut HashMap<u64, onesa_plan::Program>,
+    cache: &mut HashMap<u64, Program>,
 ) -> Result<Request, WireError> {
-    match r.get_u8()? {
-        REQ_GEMM => {
-            let a = wire::get_tensor(r)?;
-            let b = wire::get_tensor(r)?;
-            Ok(Request::Gemm { a, b })
+    let fp = match r.get_u8()? {
+        REQ_PROGRAM_FULL => {
+            let len = r.get_usize()?;
+            let program = wire::decode_program(r.get_bytes(len)?)?;
+            let fp = program.fingerprint();
+            cache.insert(fp, program);
+            fp
         }
-        REQ_NONLINEAR => {
-            let func = wire::get_nonlinear(r)?;
-            let x = wire::get_tensor(r)?;
-            Ok(Request::Nonlinear { func, x })
-        }
-        tag @ (REQ_PROGRAM_FULL | REQ_PROGRAM_REF) => {
-            let program = if tag == REQ_PROGRAM_FULL {
-                let len = r.get_usize()?;
-                let frame = r.get_bytes(len)?;
-                let program = wire::decode_program(frame)?;
-                cache.insert(program.fingerprint(), program.clone());
-                program
-            } else {
-                let fp = r.get_u64()?;
-                cache
-                    .get(&fp)
-                    .cloned()
-                    .ok_or(WireError::Corrupt("program ref to unshipped fingerprint"))?
-            };
-            let n = r.get_usize()?;
-            if n > 4096 {
-                return Err(WireError::Corrupt("input count exceeds cap"));
-            }
-            let mut inputs = Vec::with_capacity(n);
-            for _ in 0..n {
-                inputs.push(wire::get_tensor(r)?);
-            }
-            Ok(Request::Program {
-                program: Box::new(program),
-                inputs,
-            })
-        }
-        _ => Err(WireError::Corrupt("unknown request tag")),
+        REQ_PROGRAM_REF => r.get_u64()?,
+        _ => return Err(WireError::Corrupt("unknown request tag")),
+    };
+    let cached = cache
+        .get(&fp)
+        .ok_or(WireError::Corrupt("program ref to unshipped fingerprint"))?;
+    let n = r.get_usize()?;
+    if n > 4096 {
+        return Err(WireError::Corrupt("input count exceeds cap"));
     }
-}
-
-/// One per-request result coming back from a worker.
-#[derive(Debug)]
-pub struct RemoteOutcome {
-    /// The ticket the host attached to the request.
-    pub ticket: u64,
-    /// Output tensor, bit-identical to in-process execution.
-    pub output: Tensor,
-    /// Simulated solo stats for the request's own shape.
-    pub stats: ExecStats,
-    /// Per-op stats for program requests (empty otherwise).
-    pub op_stats: Vec<ExecStats>,
-    /// Session-state tensors of a session-bearing program request (the
-    /// grown per-layer KV caches), bit-identical across the wire. The
-    /// host's serve layer writes them back into its session table —
-    /// workers stay stateless, which is what makes failover re-execution
-    /// exact.
-    pub session_outputs: Vec<Tensor>,
-}
-
-/// Everything one `Window → Outcomes` exchange produced.
-#[derive(Debug)]
-pub struct WindowResult {
-    /// Per-request outcomes, in the order the window sent them.
-    pub outcomes: Vec<RemoteOutcome>,
-    /// Coalesced GEMM kernel calls of the worker's batch.
-    pub gemm_groups: usize,
-    /// Coalesced IPF + MHP passes of the worker's batch.
-    pub nonlinear_groups: usize,
-    /// Multiply-accumulates the batch performed.
-    pub total_macs: u64,
-    /// Simulated array seconds of the batched schedule.
-    pub batched_seconds: f64,
-    /// Optimizer totals of the batch's program requests.
-    pub opt: OptTotals,
-    /// Weight column blocks the worker's sparse GEMM kernel skipped
-    /// (see `ServingReport::blocks_skipped`).
-    pub blocks_skipped: u64,
-    /// Total column blocks of the batch's sparsity-attributed GEMMs.
-    pub blocks_total: u64,
+    let mut inputs = Vec::with_capacity(n);
+    for _ in 0..n {
+        inputs.push(wire::get_tensor(r)?);
+    }
+    let fits = inputs
+        .iter()
+        .map(Tensor::dims)
+        .eq(cached.input_shapes().iter().map(Vec::as_slice));
+    let program = if fits {
+        cached.clone()
+    } else {
+        cached
+            .with_input_shapes(inputs.iter().map(|t| t.dims().to_vec()).collect())
+            .map_err(|_| WireError::Corrupt("inputs do not fit the referenced program"))?
+    };
+    Ok(Request::program(program, inputs))
 }
 
 /// A window's outcome: executed, or failed as a unit (the worker's
 /// engine recovered and stays serviceable).
 #[derive(Debug)]
 pub enum WindowReply {
-    /// The batch executed; per-request outcomes inside.
-    Done(WindowResult),
+    /// The batch executed: the worker's [`BatchRun`], exactly what an
+    /// in-process `BatchEngine::run` over the same window returns (every
+    /// `f32` bit and every modeled number; `wall_seconds` is the
+    /// worker's).
+    Done(BatchRun),
     /// The worker's `BatchEngine::run` rejected the batch.
     Failed(String),
 }
 
-fn put_window_result(w: &mut WireWriter, outcomes: &[RemoteOutcome], result: &WindowResult) {
-    w.put_usize(outcomes.len());
-    for o in outcomes {
-        w.put_u64(o.ticket);
+/// Writes a worker's [`BatchRun`], each outcome under the ticket the
+/// host attached to its request. The report's `requests` and
+/// `latencies` are not sent: they restate the outcomes.
+fn put_window_result(w: &mut WireWriter, tickets: &[u64], run: &BatchRun) {
+    w.put_usize(run.outcomes.len());
+    for (ticket, o) in tickets.iter().zip(&run.outcomes) {
+        w.put_u64(*ticket);
         wire::put_tensor(w, &o.output);
         wire::put_exec_stats(w, &o.stats);
         w.put_usize(o.op_stats.len());
@@ -447,27 +412,42 @@ fn put_window_result(w: &mut WireWriter, outcomes: &[RemoteOutcome], result: &Wi
             wire::put_tensor(w, t);
         }
     }
-    w.put_usize(result.gemm_groups);
-    w.put_usize(result.nonlinear_groups);
-    w.put_u64(result.total_macs);
-    w.put_f64(result.batched_seconds);
-    w.put_usize(result.opt.elided);
-    w.put_usize(result.opt.shared);
-    w.put_usize(result.opt.fused);
-    w.put_usize(result.opt.dead);
-    w.put_usize(result.opt.pruned);
-    w.put_u64(result.blocks_skipped);
-    w.put_u64(result.blocks_total);
+    let report = &run.report;
+    w.put_usize(report.gemm_groups);
+    w.put_usize(report.nonlinear_groups);
+    w.put_u64(report.total_macs);
+    w.put_u64(report.total_nonlinear_evals);
+    w.put_f64(report.wall_seconds);
+    w.put_f64(report.batched_seconds);
+    w.put_f64(report.unbatched_seconds);
+    w.put_usize(report.opt.elided);
+    w.put_usize(report.opt.shared);
+    w.put_usize(report.opt.fused);
+    w.put_usize(report.opt.dead);
+    w.put_usize(report.opt.pruned);
+    w.put_u64(report.blocks_skipped);
+    w.put_u64(report.blocks_total);
+    w.put_usize(run.program_stages.len());
+    for s in &run.program_stages {
+        for v in [s.stage, s.ops, s.groups, s.gemm_groups, s.nonlinear_groups] {
+            w.put_usize(v);
+        }
+    }
 }
 
-fn get_window_result(r: &mut WireReader<'_>) -> Result<WindowResult, WireError> {
-    let n = r.get_usize()?;
-    if n > 1_048_576 {
-        return Err(WireError::Corrupt("outcome count exceeds cap"));
+/// Reads the reply to a window sent under `tickets`: the worker must
+/// echo them, one outcome each, in order.
+fn get_window_result(r: &mut WireReader<'_>, tickets: &[u64]) -> Result<BatchRun, WireError> {
+    if r.get_usize()? != tickets.len() {
+        return Err(WireError::Corrupt(
+            "worker answered a different outcome count",
+        ));
     }
-    let mut outcomes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let ticket = r.get_u64()?;
+    let mut outcomes = Vec::with_capacity(tickets.len());
+    for (id, &ticket) in tickets.iter().enumerate() {
+        if r.get_u64()? != ticket {
+            return Err(WireError::Corrupt("worker answered a different ticket"));
+        }
         let output = wire::get_tensor(r)?;
         let stats = wire::get_exec_stats(r)?;
         let n_ops = r.get_usize()?;
@@ -486,20 +466,24 @@ fn get_window_result(r: &mut WireReader<'_>) -> Result<WindowResult, WireError> 
         for _ in 0..n_sess {
             session_outputs.push(wire::get_tensor(r)?);
         }
-        outcomes.push(RemoteOutcome {
-            ticket,
+        outcomes.push(RequestOutcome {
+            id,
             output,
             stats,
             op_stats,
             session_outputs,
         });
     }
-    Ok(WindowResult {
-        outcomes,
+    let report = ServingReport {
+        requests: outcomes.len(),
+        latencies: outcomes.iter().map(|o| o.stats.seconds()).collect(),
         gemm_groups: r.get_usize()?,
         nonlinear_groups: r.get_usize()?,
         total_macs: r.get_u64()?,
+        total_nonlinear_evals: r.get_u64()?,
+        wall_seconds: r.get_f64()?,
         batched_seconds: r.get_f64()?,
+        unbatched_seconds: r.get_f64()?,
         opt: OptTotals {
             elided: r.get_usize()?,
             shared: r.get_usize()?,
@@ -509,6 +493,25 @@ fn get_window_result(r: &mut WireReader<'_>) -> Result<WindowResult, WireError> 
         },
         blocks_skipped: r.get_u64()?,
         blocks_total: r.get_u64()?,
+    };
+    let n_stages = r.get_usize()?;
+    if n_stages > 1_048_576 {
+        return Err(WireError::Corrupt("stage count exceeds cap"));
+    }
+    let mut program_stages = Vec::with_capacity(n_stages);
+    for _ in 0..n_stages {
+        program_stages.push(StageGroups {
+            stage: r.get_usize()?,
+            ops: r.get_usize()?,
+            groups: r.get_usize()?,
+            gemm_groups: r.get_usize()?,
+            nonlinear_groups: r.get_usize()?,
+        });
+    }
+    Ok(BatchRun {
+        outcomes,
+        report,
+        program_stages,
     })
 }
 
@@ -524,7 +527,7 @@ static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
 const SPAWN_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// A spawned shard worker process plus its connected, handshaken
-/// stream. Owned by one serve-engine proxy; all methods take `&mut
+/// stream. Owned by one serve-engine shard; all methods take `&mut
 /// self` and any I/O error means the worker should be treated as dead
 /// (the process is killed and reaped on drop).
 #[derive(Debug)]
@@ -535,6 +538,9 @@ pub struct WorkerHandle {
     /// Weight-cache accounting for this connection.
     pub cache: WeightCacheStats,
     socket_path: Option<PathBuf>,
+    /// The granularity the worker's engine was configured with — what
+    /// [`WorkerHandle::run_window`] lowers a bare nonlinear request at.
+    granularity: f32,
 }
 
 impl WorkerHandle {
@@ -659,6 +665,7 @@ impl WorkerHandle {
             shipped: HashSet::new(),
             cache: WeightCacheStats::default(),
             socket_path,
+            granularity,
         };
 
         // Handshake (bounded: a wedged worker must not hang start()).
@@ -706,7 +713,13 @@ impl WorkerHandle {
         self.child.id()
     }
 
-    /// Ships one window and waits for its outcomes.
+    /// Ships one window and waits for its outcomes. This is a front
+    /// door: the serve layer's requests arrive lowered, and a bare GEMM
+    /// or nonlinear request lowers here (on a clone — the caller keeps
+    /// its request; the weights are `Arc`-shared, not copied), so its
+    /// weights cross the wire once per worker like any program's. A
+    /// request that does not lower fails the window before anything is
+    /// sent, as the worker's engine would have.
     ///
     /// # Errors
     ///
@@ -717,7 +730,24 @@ impl WorkerHandle {
         body.put_usize(items.len());
         for (ticket, request) in items {
             body.put_u64(*ticket);
-            put_request(&mut body, request, &mut self.shipped, &mut self.cache);
+            let mut bare;
+            let (program, inputs) = match request.as_program() {
+                Some(lowered) => lowered,
+                None => {
+                    bare = (*request).clone();
+                    if let Err(e) = bare.lower(self.granularity) {
+                        return Ok(WindowReply::Failed(format!("request does not lower: {e}")));
+                    }
+                    bare.lowered()
+                }
+            };
+            put_request(
+                &mut body,
+                program,
+                inputs,
+                &mut self.shipped,
+                &mut self.cache,
+            );
         }
         write_frame(&mut self.stream, &message(KIND_WINDOW, body))?;
 
@@ -726,14 +756,9 @@ impl WorkerHandle {
         let mut body = WireReader::new(view.section(SEC_BODY).map_err(wire_to_io)?);
         match view.kind() {
             KIND_OUTCOMES => {
-                let result = get_window_result(&mut body).map_err(wire_to_io)?;
-                if result.outcomes.len() != items.len() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "worker answered with a different outcome count",
-                    ));
-                }
-                Ok(WindowReply::Done(result))
+                let tickets: Vec<u64> = items.iter().map(|(ticket, _)| *ticket).collect();
+                let run = get_window_result(&mut body, &tickets).map_err(wire_to_io)?;
+                Ok(WindowReply::Done(run))
             }
             KIND_WINDOW_ERROR => {
                 let msg = body.get_str().map_err(wire_to_io)?;
@@ -872,7 +897,7 @@ pub fn worker_main(args: impl Iterator<Item = String>) -> Result<(), String> {
         .map_err(|e| format!("build engine: {e}"))?;
     write_frame(&mut stream, &empty_message(KIND_READY)).map_err(|e| format!("ready: {e}"))?;
 
-    let mut programs: HashMap<u64, onesa_plan::Program> = HashMap::new();
+    let mut programs: HashMap<u64, Program> = HashMap::new();
     loop {
         let frame = match read_frame(&mut stream) {
             Ok(f) => f,
@@ -906,7 +931,7 @@ pub fn worker_main(args: impl Iterator<Item = String>) -> Result<(), String> {
 fn serve_window(
     body: &mut WireReader<'_>,
     engine: &mut BatchEngine,
-    programs: &mut HashMap<u64, onesa_plan::Program>,
+    programs: &mut HashMap<u64, Program>,
 ) -> Vec<u8> {
     let fail = |engine: &mut BatchEngine, msg: String| {
         engine.clear();
@@ -938,29 +963,8 @@ fn serve_window(
 
     match engine.run() {
         Ok(run) => {
-            let outcomes: Vec<RemoteOutcome> = tickets
-                .into_iter()
-                .zip(run.outcomes)
-                .map(|(ticket, o)| RemoteOutcome {
-                    ticket,
-                    output: o.output,
-                    stats: o.stats,
-                    op_stats: o.op_stats,
-                    session_outputs: o.session_outputs,
-                })
-                .collect();
-            let result = WindowResult {
-                outcomes: Vec::new(),
-                gemm_groups: run.report.gemm_groups,
-                nonlinear_groups: run.report.nonlinear_groups,
-                total_macs: run.report.total_macs,
-                batched_seconds: run.report.batched_seconds,
-                opt: run.report.opt,
-                blocks_skipped: run.report.blocks_skipped,
-                blocks_total: run.report.blocks_total,
-            };
             let mut w = WireWriter::new();
-            put_window_result(&mut w, &outcomes, &result);
+            put_window_result(&mut w, &tickets, &run);
             message(KIND_OUTCOMES, w)
         }
         Err(e) => fail(engine, format!("batch execution failed: {e}")),
@@ -971,7 +975,8 @@ fn serve_window(
 mod tests {
     use super::*;
     use onesa_cpwl::NonlinearFn;
-    use onesa_plan::{EvalMode, Op, Program};
+    use onesa_plan::{EvalMode, Op};
+    use onesa_sim::ExecStats;
     use onesa_tensor::rng::Pcg32;
 
     fn small_program() -> Program {
@@ -990,57 +995,74 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// Lowers a request the way `run_window` does and writes it.
+    fn put_lowered(
+        w: &mut WireWriter,
+        mut request: Request,
+        shipped: &mut HashSet<u64>,
+        stats: &mut WeightCacheStats,
+    ) -> Request {
+        request.lower(0.25).unwrap();
+        let (program, inputs) = request.lowered();
+        put_request(w, program, inputs, shipped, stats);
+        request
+    }
+
+    fn assert_same_request(sent: &Request, back: &Request) {
+        let ((p, inputs), (p2, inputs2)) = (sent.lowered(), back.lowered());
+        assert_eq!(p, p2);
+        assert_eq!(inputs.len(), inputs2.len());
+        for (a, b) in inputs.iter().zip(inputs2) {
+            assert_tensor_bits_eq(a, b);
+        }
+    }
+
     #[test]
     fn request_round_trip_all_variants() {
         let mut rng = Pcg32::seed_from_u64(6);
         let program = small_program();
+        let w = rng.randn(&[3, 2], 1.0);
         let reqs = vec![
-            Request::gemm(rng.randn(&[2, 3], 1.0), rng.randn(&[3, 2], 1.0)),
-            Request::nonlinear(NonlinearFn::LeakyRelu(0.1), rng.randn(&[2, 2], 1.0)),
+            Request::gemm(rng.randn(&[2, 3], 1.0), w.clone()),
+            Request::nonlinear(NonlinearFn::Tanh, rng.randn(&[2, 2], 1.0)),
             Request::program(program.clone(), vec![rng.randn(&[1, 4], 1.0)]),
             Request::program(program.clone(), vec![rng.randn(&[1, 4], 1.0)]),
+            // Same weights, another row count: the fingerprint ignores
+            // input shapes, so this goes out as a ref.
+            Request::gemm(rng.randn(&[5, 3], 1.0), w.clone()),
         ];
         let mut shipped = HashSet::new();
         let mut stats = WeightCacheStats::default();
         let mut w = WireWriter::new();
-        for r in &reqs {
-            put_request(&mut w, r, &mut shipped, &mut stats);
-        }
-        // Second program send rode the cache.
-        assert_eq!(stats.full_sends, 1);
-        assert_eq!(stats.ref_sends, 1);
-        assert_eq!(stats.const_bytes_saved, 4 * 2 * 4);
-        assert!((stats.hit_ratio() - 0.5).abs() < 1e-12);
+        let sent: Vec<Request> = reqs
+            .into_iter()
+            .map(|r| put_lowered(&mut w, r, &mut shipped, &mut stats))
+            .collect();
+        // The second program send and the second GEMM rode the cache.
+        assert_eq!(stats.full_sends, 3);
+        assert_eq!(stats.ref_sends, 2);
+        assert_eq!(stats.const_bytes_saved, 4 * 2 * 4 + 3 * 2 * 4);
+        assert!((stats.hit_ratio() - 0.4).abs() < 1e-12);
 
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         let mut cache = HashMap::new();
-        for req in &reqs {
-            let back = get_request(&mut r, &mut cache).unwrap();
-            match (req, &back) {
-                (Request::Gemm { a, b }, Request::Gemm { a: a2, b: b2 }) => {
-                    assert_eq!(a.as_slice(), a2.as_slice());
-                    assert_eq!(b.as_slice(), b2.as_slice());
-                }
-                (Request::Nonlinear { func, x }, Request::Nonlinear { func: f2, x: x2 }) => {
-                    assert_eq!(func, f2);
-                    assert_eq!(x.as_slice(), x2.as_slice());
-                }
-                (
-                    Request::Program { program, inputs },
-                    Request::Program {
-                        program: p2,
-                        inputs: i2,
-                    },
-                ) => {
-                    assert_eq!(program.as_ref(), p2.as_ref());
-                    assert_eq!(inputs.len(), i2.len());
-                }
-                _ => panic!("variant changed across the wire"),
-            }
-        }
+        let back: Vec<Request> = sent
+            .iter()
+            .map(|_| get_request(&mut r, &mut cache).unwrap())
+            .collect();
         r.expect_end().unwrap();
-        assert_eq!(cache.len(), 1);
+        for (sent, back) in sent.iter().zip(&back) {
+            assert_same_request(sent, back);
+        }
+        // One cache entry per fingerprint, and the re-targeted GEMM
+        // shares the one decoded copy of its weights.
+        assert_eq!(cache.len(), 3);
+        assert_eq!(back[4].lowered_program().input_shapes(), [vec![5, 3]]);
+        assert!(std::sync::Arc::ptr_eq(
+            &back[0].lowered_program().consts()[0],
+            &back[4].lowered_program().consts()[0]
+        ));
     }
 
     #[test]
@@ -1058,26 +1080,92 @@ mod tests {
     }
 
     #[test]
-    fn window_result_round_trip() {
-        let stats = ExecStats {
-            breakdown: Default::default(),
-            macs: 7,
-            nonlinear_evals: 0,
-            clock_mhz: 200.0,
-        };
-        let outcome = RemoteOutcome {
-            ticket: 42,
-            output: Tensor::from_vec(vec![1.0, -0.0], &[1, 2]).unwrap(),
-            stats: stats.clone(),
-            op_stats: vec![stats.clone(), stats],
-            session_outputs: vec![Tensor::from_vec(vec![0.5, 2.0, -3.0, 0.25], &[2, 2]).unwrap()],
-        };
-        let result = WindowResult {
-            outcomes: Vec::new(),
-            gemm_groups: 3,
-            nonlinear_groups: 1,
-            total_macs: 999,
-            batched_seconds: 0.125,
+    fn hostile_request_bytes_are_corrupt_not_a_panic() {
+        let mut rng = Pcg32::seed_from_u64(8);
+        // The removed bare-request tags, with the payloads they used to
+        // carry: tag 0 = GEMM (two tensors), tag 1 = nonlinear.
+        let mut gemm = WireWriter::new();
+        gemm.put_u8(0);
+        wire::put_tensor(&mut gemm, &rng.randn(&[2, 3], 1.0));
+        wire::put_tensor(&mut gemm, &rng.randn(&[3, 2], 1.0));
+        let mut nonlinear = WireWriter::new();
+        nonlinear.put_u8(1);
+        wire::put_nonlinear(&mut nonlinear, NonlinearFn::Gelu);
+        wire::put_tensor(&mut nonlinear, &rng.randn(&[2, 2], 1.0));
+        for bytes in [gemm.into_bytes(), nonlinear.into_bytes(), vec![0xff]] {
+            assert!(matches!(
+                get_request(&mut WireReader::new(&bytes), &mut HashMap::new()),
+                Err(WireError::Corrupt("unknown request tag"))
+            ));
+        }
+
+        // A ref whose inputs the cached program cannot take (a GEMM fed
+        // the wrong inner dimension) is corrupt too, not a re-target.
+        let mut shipped = HashSet::new();
+        let mut stats = WeightCacheStats::default();
+        let mut w = WireWriter::new();
+        let sent = put_lowered(
+            &mut w,
+            Request::gemm(rng.randn(&[2, 3], 1.0), rng.randn(&[3, 2], 1.0)),
+            &mut shipped,
+            &mut stats,
+        );
+        w.put_u8(REQ_PROGRAM_REF);
+        w.put_u64(sent.lowered_program().fingerprint());
+        w.put_usize(1);
+        wire::put_tensor(&mut w, &rng.randn(&[2, 4], 1.0));
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        let mut cache = HashMap::new();
+        get_request(&mut r, &mut cache).unwrap();
+        assert!(matches!(
+            get_request(&mut r, &mut cache),
+            Err(WireError::Corrupt(_))
+        ));
+
+        // Through the worker's window loop the same bytes become a
+        // WindowError frame and the engine stays serviceable.
+        let mut window = WireWriter::new();
+        window.put_usize(1);
+        window.put_u64(7);
+        window.put_u8(0);
+        let bytes = window.into_bytes();
+        let mut engine = BatchEngine::new(OneSa::new(ArrayConfig::new(4, 4)), 0.25).unwrap();
+        let reply = serve_window(&mut WireReader::new(&bytes), &mut engine, &mut cache);
+        assert_eq!(FrameView::parse(&reply).unwrap().kind(), KIND_WINDOW_ERROR);
+        assert_eq!(engine.pending(), 0);
+    }
+
+    fn sample_run(rng: &mut Pcg32, n: usize, seed: u64) -> BatchRun {
+        let outcomes: Vec<RequestOutcome> = (0..n)
+            .map(|i| {
+                let stats = ExecStats {
+                    breakdown: Default::default(),
+                    macs: seed.wrapping_mul(i as u64 + 1),
+                    nonlinear_evals: i as u64,
+                    clock_mhz: 200.0,
+                };
+                RequestOutcome {
+                    id: i,
+                    output: rng.randn(&[1 + i % 3, 2], 1.0),
+                    stats: stats.clone(),
+                    op_stats: vec![stats; i % 3],
+                    session_outputs: (0..i % 4)
+                        .map(|l| rng.randn(&[1 + i, 2 + l % 2], 1.0))
+                        .collect(),
+                }
+            })
+            .collect();
+        let report = ServingReport {
+            requests: n,
+            wall_seconds: 0.5,
+            batched_seconds: (seed % 1000) as f64 / 64.0,
+            unbatched_seconds: 0.25,
+            total_macs: seed.wrapping_mul(31),
+            total_nonlinear_evals: seed % 97,
+            gemm_groups: seed as usize % 7,
+            nonlinear_groups: seed as usize % 3,
+            latencies: outcomes.iter().map(|o| o.stats.seconds()).collect(),
             opt: OptTotals {
                 elided: 1,
                 shared: 2,
@@ -1085,28 +1173,86 @@ mod tests {
                 dead: 3,
                 pruned: 4,
             },
-            blocks_skipped: 12,
-            blocks_total: 48,
+            blocks_skipped: seed % 16,
+            blocks_total: 16 + seed % 16,
         };
+        let program_stages = (0..seed as usize % 3)
+            .map(|stage| StageGroups {
+                stage,
+                ops: n,
+                groups: 1 + stage,
+                gemm_groups: 1,
+                nonlinear_groups: stage,
+            })
+            .collect();
+        BatchRun {
+            outcomes,
+            report,
+            program_stages,
+        }
+    }
+
+    /// Every field of a worker's `BatchRun` survives the wire.
+    fn assert_run_round_trips(run: &BatchRun, tickets: &[u64]) {
         let mut w = WireWriter::new();
-        put_window_result(&mut w, std::slice::from_ref(&outcome), &result);
+        put_window_result(&mut w, tickets, run);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        let back = get_window_result(&mut r).unwrap();
+        let back = get_window_result(&mut r, tickets).unwrap();
         r.expect_end().unwrap();
-        assert_eq!(back.outcomes.len(), 1);
-        assert_eq!(back.outcomes[0].ticket, 42);
-        assert_eq!(back.outcomes[0].op_stats.len(), 2);
-        assert_eq!(back.outcomes[0].session_outputs.len(), 1);
-        assert_tensor_bits_eq(
-            &back.outcomes[0].session_outputs[0],
-            &outcome.session_outputs[0],
+        assert_eq!(back.outcomes.len(), run.outcomes.len());
+        for (a, b) in run.outcomes.iter().zip(&back.outcomes) {
+            assert_eq!(a.id, b.id);
+            assert_tensor_bits_eq(&a.output, &b.output);
+            assert_eq!(a.stats, b.stats);
+            assert_eq!(a.op_stats, b.op_stats);
+            assert_eq!(a.session_outputs.len(), b.session_outputs.len());
+            for (s, t) in a.session_outputs.iter().zip(&b.session_outputs) {
+                assert_tensor_bits_eq(s, t);
+            }
+        }
+        let (a, b) = (&run.report, &back.report);
+        assert_eq!(a.requests, b.requests);
+        assert_eq!(a.latencies, b.latencies);
+        assert_eq!(
+            (a.gemm_groups, a.nonlinear_groups),
+            (b.gemm_groups, b.nonlinear_groups)
         );
-        assert_eq!(back.gemm_groups, 3);
-        assert_eq!(back.total_macs, 999);
-        assert_eq!(back.opt.dead, 3);
-        assert_eq!(back.opt.pruned, 4);
-        assert_eq!((back.blocks_skipped, back.blocks_total), (12, 48));
+        assert_eq!(
+            (a.total_macs, a.total_nonlinear_evals),
+            (b.total_macs, b.total_nonlinear_evals)
+        );
+        for (x, y) in [
+            (a.wall_seconds, b.wall_seconds),
+            (a.batched_seconds, b.batched_seconds),
+            (a.unbatched_seconds, b.unbatched_seconds),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        assert_eq!(a.opt, b.opt);
+        assert_eq!(
+            (a.blocks_skipped, a.blocks_total),
+            (b.blocks_skipped, b.blocks_total)
+        );
+        assert_eq!(run.program_stages, back.program_stages);
+
+        // A reply under other tickets (or another count) is refused.
+        let mut wrong = tickets.to_vec();
+        wrong.push(99);
+        assert!(get_window_result(&mut WireReader::new(&bytes), &wrong).is_err());
+        if !tickets.is_empty() {
+            wrong[0] ^= 1;
+            let wrong = &wrong[..tickets.len()];
+            assert!(get_window_result(&mut WireReader::new(&bytes), wrong).is_err());
+        }
+    }
+
+    #[test]
+    fn window_result_round_trip() {
+        let mut rng = Pcg32::seed_from_u64(9);
+        let mut run = sample_run(&mut rng, 2, 999);
+        run.outcomes[0].output = Tensor::from_vec(vec![1.0, -0.0], &[1, 2]).unwrap();
+        assert_run_round_trips(&run, &[42, 7]);
     }
 
     #[test]
@@ -1130,7 +1276,8 @@ mod tests {
 
         /// Randomized mixed request streams round trip bit-exactly
         /// through the weight-cached request codec, and the cache
-        /// accounting matches the repeat structure exactly.
+        /// accounting matches the repeat structure exactly: one full
+        /// send per distinct weight / function / program, refs after.
         #[test]
         fn request_frames_round_trip(
             n_gemm in 0usize..4,
@@ -1140,20 +1287,19 @@ mod tests {
         ) {
             let mut rng = Pcg32::seed_from_u64(seed);
             let program = small_program();
+            let weights = rng.randn(&[4, 2], 1.0);
             let mut reqs = Vec::new();
-            for _ in 0..n_gemm {
-                reqs.push(Request::gemm(
-                    rng.randn(&[1 + seed as usize % 3, 4], 1.0),
-                    rng.randn(&[4, 2], 1.0),
-                ));
+            for i in 0..n_gemm {
+                // One shared weight at varying row counts.
+                reqs.push(Request::gemm(rng.randn(&[1 + i, 4], 1.0), weights.clone()));
             }
             for i in 0..n_nl {
                 let func = if i % 2 == 0 {
                     NonlinearFn::Gelu
                 } else {
-                    NonlinearFn::Elu(0.5)
+                    NonlinearFn::Sigmoid
                 };
-                reqs.push(Request::nonlinear(func, rng.randn(&[2, 3], 1.0)));
+                reqs.push(Request::nonlinear(func, rng.randn(&[2, 3 + i], 1.0)));
             }
             for _ in 0..n_prog {
                 reqs.push(Request::program(program.clone(), vec![rng.randn(&[1, 4], 1.0)]));
@@ -1161,97 +1307,34 @@ mod tests {
             let mut shipped = HashSet::new();
             let mut stats = WeightCacheStats::default();
             let mut w = WireWriter::new();
-            for r in &reqs {
-                put_request(&mut w, r, &mut shipped, &mut stats);
-            }
-            prop_assert_eq!(stats.full_sends, usize::from(n_prog > 0));
-            prop_assert_eq!(stats.ref_sends, n_prog.saturating_sub(1));
+            let sent: Vec<Request> = reqs
+                .into_iter()
+                .map(|r| put_lowered(&mut w, r, &mut shipped, &mut stats))
+                .collect();
+            let distinct = usize::from(n_gemm > 0) + n_nl.min(2) + usize::from(n_prog > 0);
+            prop_assert_eq!(stats.full_sends, distinct);
+            prop_assert_eq!(stats.ref_sends, sent.len() - distinct);
             let bytes = w.into_bytes();
             let mut r = WireReader::new(&bytes);
             let mut cache = HashMap::new();
-            for req in &reqs {
-                let back = get_request(&mut r, &mut cache).unwrap();
-                match (req, &back) {
-                    (Request::Gemm { a, b }, Request::Gemm { a: a2, b: b2 }) => {
-                        assert_tensor_bits_eq(a, a2);
-                        assert_tensor_bits_eq(b, b2);
-                    }
-                    (Request::Nonlinear { func, x }, Request::Nonlinear { func: f2, x: x2 }) => {
-                        prop_assert_eq!(func, f2);
-                        assert_tensor_bits_eq(x, x2);
-                    }
-                    (
-                        Request::Program { program: p, inputs },
-                        Request::Program { program: p2, inputs: i2 },
-                    ) => {
-                        prop_assert_eq!(p.fingerprint(), p2.fingerprint());
-                        for (a, b) in inputs.iter().zip(i2.iter()) {
-                            assert_tensor_bits_eq(a, b);
-                        }
-                    }
-                    _ => prop_assert!(false, "variant changed across the wire"),
-                }
+            for req in &sent {
+                assert_same_request(req, &get_request(&mut r, &mut cache).unwrap());
             }
             r.expect_end().unwrap();
+            prop_assert_eq!(cache.len(), distinct);
         }
 
         /// Randomized outcome frames round trip every field — tickets,
-        /// output bits, per-op stats, pool totals.
+        /// output bits, per-op stats, the report, the stage accounting.
         #[test]
         fn outcome_frames_round_trip(
             n in 0usize..6,
             seed in 0u64..10_000,
         ) {
             let mut rng = Pcg32::seed_from_u64(seed);
-            let outcomes: Vec<RemoteOutcome> = (0..n)
-                .map(|i| {
-                    let stats = ExecStats {
-                        breakdown: Default::default(),
-                        macs: seed.wrapping_mul(i as u64 + 1),
-                        nonlinear_evals: i as u64,
-                        clock_mhz: 200.0,
-                    };
-                    RemoteOutcome {
-                        ticket: seed ^ i as u64,
-                        output: rng.randn(&[1 + i % 3, 2], 1.0),
-                        stats: stats.clone(),
-                        op_stats: vec![stats; i % 3],
-                        session_outputs: (0..i % 4)
-                            .map(|l| rng.randn(&[1 + i, 2 + l % 2], 1.0))
-                            .collect(),
-                    }
-                })
-                .collect();
-            let result = WindowResult {
-                outcomes: Vec::new(),
-                gemm_groups: seed as usize % 7,
-                nonlinear_groups: seed as usize % 3,
-                total_macs: seed.wrapping_mul(31),
-                batched_seconds: (seed % 1000) as f64 / 64.0,
-                opt: OptTotals::default(),
-                blocks_skipped: seed % 16,
-                blocks_total: 16 + seed % 16,
-            };
-            let mut w = WireWriter::new();
-            put_window_result(&mut w, &outcomes, &result);
-            let bytes = w.into_bytes();
-            let mut r = WireReader::new(&bytes);
-            let back = get_window_result(&mut r).unwrap();
-            r.expect_end().unwrap();
-            prop_assert_eq!(back.outcomes.len(), n);
-            for (a, b) in outcomes.iter().zip(&back.outcomes) {
-                prop_assert_eq!(a.ticket, b.ticket);
-                assert_tensor_bits_eq(&a.output, &b.output);
-                prop_assert_eq!(&a.stats, &b.stats);
-                prop_assert_eq!(a.op_stats.len(), b.op_stats.len());
-                prop_assert_eq!(a.session_outputs.len(), b.session_outputs.len());
-                for (s, t) in a.session_outputs.iter().zip(&b.session_outputs) {
-                    assert_tensor_bits_eq(s, t);
-                }
-            }
-            prop_assert_eq!(back.gemm_groups, result.gemm_groups);
-            prop_assert_eq!(back.total_macs, result.total_macs);
-            prop_assert_eq!(back.batched_seconds.to_bits(), result.batched_seconds.to_bits());
+            let run = sample_run(&mut rng, n, seed);
+            let tickets: Vec<u64> = (0..n as u64).map(|i| seed ^ i).collect();
+            assert_run_round_trips(&run, &tickets);
         }
     }
 }

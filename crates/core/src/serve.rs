@@ -15,21 +15,45 @@
 //! # Request lifecycle
 //!
 //! ```text
-//!  client threads                admission thread              shard workers
+//!  client threads                admission thread              shard threads
 //!  ──────────────                ────────────────              ─────────────
-//!  submit(Request) ──► bounded MPSC queue ──► batching window ──► router
-//!        │            (backpressure: send     (FIFO / EDF /       │
-//!        ▼             blocks when full)       size-capped)       ▼
-//!     Ticket                                              per-shard channel
-//!        │                                                        │
-//!        │                                                 BatchEngine::run
-//!        │                                                 (coalesce + exec)
-//!        ▼                                                        │
-//!  Ticket::wait ◄───────────── per-request reply channel ◄────────┘
+//!  submit(Request) ──► bounded MPSC queue ──► admit: lower to a Program
+//!        │            (backpressure: send     + validate (front door)
+//!        ▼             blocks when full)            │
+//!     Ticket                                  batching window ──► router
+//!        │                                   (FIFO / EDF /         │
+//!        │                                    size-capped)         ▼
+//!        │                                                per-shard channel
+//!        │                                                         │
+//!        │                                    ShardExec::run_window: BatchEngine::run
+//!        │                                    here, or in the shard's worker process
+//!        ▼                                                         │
+//!  Ticket::wait ◄───────────── per-request reply channel ◄─────────┘
 //!
 //!  finish() ──► drains the queue, joins every worker, aggregates the
 //!               shards into a ServingReport + per-shard ShardStats
 //! ```
+//!
+//! A client may submit a GEMM, a nonlinear evaluation or a compiled
+//! program; the admission thread's first act on a request is to lower
+//! it ([`Request::lower`]) — a GEMM to a one-op exact-mode program, a
+//! nonlinear to a one-op CPWL program at the pool's
+//! [`ServeConfig::granularity`]. From there on **every request is a
+//! program**: the window budget and the load-aware routers weigh it by
+//! `Program::modeled_macs`, the affinity router keys on
+//! `Program::fingerprint`, the degrade ladder and the shard
+//! specialization read `Program::mode`, the process backend ships it
+//! through the weight-cache protocol, and one shard loop answers its
+//! ticket whichever backend ran it. Two consequences are deliberate:
+//!
+//! * a bare nonlinear's admission weight is its program's
+//!   `modeled_macs` — its op's MACs (two per element in the cost model)
+//!   plus the table preload — where it used to be its element count;
+//! * under a configured [`DegradePolicy`] a bare nonlinear is
+//!   degradable (and, under a matching [`ShardSpec::granularity`],
+//!   steerable) like any other CPWL program. Bare GEMMs are
+//!   exact-mode programs and stay non-degradable: under drop-on-expiry
+//!   they are the requests that can still expire.
 //!
 //! # Guarantees
 //!
@@ -49,15 +73,15 @@
 //!   waiting, so producers can never outrun the pool unboundedly. The
 //!   per-shard channels are bounded too, which stalls admission (not
 //!   the clients) when one shard falls behind.
-//! * **Early rejection.** The admission thread validates every request
-//!   (via the same checks as `BatchEngine::submit_checked`) before
-//!   routing: a malformed request's ticket resolves with the validation
-//!   error at the queue, and never reaches a shard's batch. Validated
-//!   requests carry that status to their shard, whose worker enqueues
-//!   them through [`BatchEngine::submit_validated`] — the full
-//!   validation walk (for a program request, a whole-graph validation
-//!   plus shape inference) runs once per request, not once per layer of
-//!   the stack. Under
+//! * **Early rejection.** The admission thread lowers and validates
+//!   every request (via the same checks as
+//!   `BatchEngine::submit_checked`) before routing: a malformed
+//!   request's ticket resolves with the validation error at the queue,
+//!   and never reaches a shard's batch. Validated requests carry that
+//!   status to their shard, which enqueues them through
+//!   [`BatchEngine::submit_validated`] — the full validation walk (a
+//!   whole-graph validation plus shape inference) runs once per
+//!   request, not once per layer of the stack. Under
 //!   [`AdmissionPolicy::Deadline`] with `drop_expired`, requests
 //!   already past their deadline at window close resolve with
 //!   [`ServeError::DeadlineExpired`] instead of dispatching (counted in
@@ -66,11 +90,12 @@
 //!
 //! # Whole-network program tickets
 //!
-//! Compiled [`crate::Program`]s are first-class requests
-//! ([`ServeEngine::submit_program`]): an entire network — convolutions,
-//! attention, CPWL nonlinears, quantization boundaries — flows through
-//! the admission window and shard pool as one ticket, and concurrent
-//! programs on a shard coalesce **at every stage** through
+//! Compiled [`crate::Program`]s are what every ticket carries
+//! ([`ServeEngine::submit_program`] submits one directly): an entire
+//! network — convolutions, attention, CPWL nonlinears, quantization
+//! boundaries — flows through the admission window and shard pool as
+//! one ticket, and concurrent programs on a shard — lowered GEMMs and
+//! nonlinears among them — coalesce **at every stage** through
 //! `BatchEngine`'s staged scheduler (shared-weight row-stacking and
 //! shared-table concatenation per layer). [`ServedOutcome::op_stats`]
 //! returns the per-op [`ExecStats`], which roll into the summary's
@@ -100,7 +125,7 @@
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 
-use crate::batch::{BatchEngine, Request, ServingReport};
+use crate::batch::{BatchEngine, BatchRun, Request, ServingReport};
 use crate::engine::OneSa;
 use crate::net::{self, ProcessConfig, WeightCacheStats};
 use onesa_plan::{CompileCache, EvalMode, OptTotals};
@@ -155,8 +180,8 @@ pub enum AdmissionPolicy {
         /// Drop (rather than merely deprioritize) expired requests.
         drop_expired: bool,
     },
-    /// Close the window once its accumulated modeled work
-    /// ([`Request::modeled_macs`]) reaches `max_macs`, so one window
+    /// Close the window once its accumulated modeled work (the admitted
+    /// programs' `Program::modeled_macs`) reaches `max_macs`, so one window
     /// never holds more array work than a target batch budget.
     SizeCapped {
         /// Modeled-MAC budget per window.
@@ -178,11 +203,12 @@ pub enum RoutePolicy {
     #[default]
     RoundRobin,
     /// The shard with the least outstanding modeled work (queued plus
-    /// executing, in [`Request::modeled_macs`] units; ties pick the
+    /// executing, in `Program::modeled_macs` units; ties pick the
     /// lowest shard index).
     LeastLoaded,
-    /// Requests with equal [`Request::affinity_key`]s — GEMMs against
-    /// the same weight matrix, nonlinears of the same function — land on
+    /// Requests whose programs have equal `Program::fingerprint`s —
+    /// GEMMs against the same weight matrix, nonlinears of the same
+    /// function, whole networks compiled from the same model — land on
     /// the same shard, so sharding does not break [`crate::batch`]'s
     /// coalescing (shared weights still load once *per shard that sees
     /// them*, and with affinity routing that is one shard).
@@ -219,8 +245,8 @@ pub enum RoutePolicy {
 ///   `drop_expired`, a CPWL program request already past its deadline
 ///   jumps to the **coarsest** rung and dispatches instead of resolving
 ///   [`ServeError::DeadlineExpired`]. Only non-degradable requests
-///   (plain GEMM/nonlinear, exact-mode programs) or requests already at
-///   the coarsest rung still expire.
+///   (exact-mode programs, which is what GEMM requests lower to) or
+///   requests already at the coarsest rung still expire.
 ///
 /// Degraded outputs stay bit-identical to a solo run of the same
 /// program compiled directly at the served granularity — degrading
@@ -400,8 +426,7 @@ pub struct SessionSummary {
 
 /// Latency/throughput accounting of one phase ([`ServeSummary::prefill`]
 /// / [`ServeSummary::decode`]). Only session-tagged requests are
-/// counted; plain GEMM/nonlinear/program tickets belong to neither
-/// phase.
+/// counted; sessionless tickets belong to neither phase.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseStats {
     /// Requests served in this phase.
@@ -880,12 +905,11 @@ pub struct ServedOutcome {
     pub dispatch_seq: u64,
     /// The request's output, bit-identical to a solo sequential run.
     pub output: Tensor,
-    /// Simulated array stats for the request's own shape (what a solo
-    /// run would have cost; for a program request, the merge of
+    /// Simulated array stats of the request run alone (the merge of
     /// [`ServedOutcome::op_stats`]).
     pub stats: ExecStats,
-    /// Per-op solo stats of a whole-network program request, in stage
-    /// order (empty for plain GEMM/nonlinear requests).
+    /// Per-op solo stats of the request's program, in stage order (one
+    /// entry for a GEMM or nonlinear request).
     pub op_stats: Vec<ExecStats>,
     /// Host seconds between submission and the start of the executing
     /// batch (admission + routing + shard queueing delay).
@@ -935,7 +959,7 @@ impl Ticket {
 }
 
 /// Everything a shard did over one engine lifetime.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardStats {
     /// Shard index (position in [`ServeConfig::shards`]).
     pub shard: usize,
@@ -975,7 +999,7 @@ pub struct ShardStats {
     /// (EOF/ping timeout) during the run and its in-flight windows were
     /// requeued on surviving shards.
     pub worker_lost: bool,
-    /// Process backend only: requests this shard's proxy re-executed on
+    /// Process backend only: requests this shard's thread re-executed on
     /// *another* shard's worker after a connection failed (its own
     /// worker's, or a dead peer it was asked to cover for).
     pub requeued: usize,
@@ -1692,34 +1716,19 @@ impl ServeEngine {
         let shard_depths: Vec<Arc<DepthGauge>> =
             (0..n).map(|_| Arc::new(DepthGauge::default())).collect();
 
-        let mut shard_txs = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
         let mut worker_pids = Vec::new();
-        match &cfg.backend {
-            ShardBackend::InProcess => {
-                let engines: Vec<BatchEngine> = cfg
-                    .shards
-                    .iter()
-                    .map(|spec| {
-                        BatchEngine::new(
-                            OneSa::with_parallelism(spec.config.clone(), spec.parallelism),
-                            cfg.granularity,
-                        )
-                    })
-                    .collect::<Result<_, _>>()?;
-                for (i, engine) in engines.into_iter().enumerate() {
-                    let (btx, brx) = mpsc::sync_channel::<ShardBatch>(SHARD_CHANNEL_DEPTH);
-                    shard_txs.push(btx);
-                    let load = Arc::clone(&loads[i]);
-                    let depth = Arc::clone(&shard_depths[i]);
-                    let sess = Arc::clone(&sessions);
-                    let handle = thread::Builder::new()
-                        .name(format!("onesa-shard-{i}"))
-                        .spawn(move || shard_loop(i, brx, engine, load, depth, sess))
-                        .expect("spawn shard worker");
-                    workers.push(handle);
-                }
-            }
+        let execs: Vec<ShardExec> = match &cfg.backend {
+            ShardBackend::InProcess => cfg
+                .shards
+                .iter()
+                .map(|spec| {
+                    BatchEngine::new(
+                        OneSa::with_parallelism(spec.config.clone(), spec.parallelism),
+                        cfg.granularity,
+                    )
+                    .map(|engine| ShardExec::Local(Box::new(engine)))
+                })
+                .collect::<Result<_, _>>()?,
             ShardBackend::Process(pcfg) => {
                 // Spawn every worker process and complete its handshake
                 // before any thread starts: a missing binary or a
@@ -1748,25 +1757,32 @@ impl ServeEngine {
                 }
                 let alive: Vec<Arc<AtomicBool>> =
                     (0..n).map(|_| Arc::new(AtomicBool::new(true))).collect();
-                for (i, depth) in shard_depths.iter().enumerate() {
-                    let (btx, brx) = mpsc::sync_channel::<ShardBatch>(SHARD_CHANNEL_DEPTH);
-                    shard_txs.push(btx);
-                    let ctx = RemoteShardCtx {
-                        shard: i,
-                        rx: brx,
+                (0..n)
+                    .map(|_| ShardExec::Remote {
                         conns: conns.clone(),
                         alive: alive.clone(),
-                        loads: loads.clone(),
-                        depth: Arc::clone(depth),
-                        sessions: Arc::clone(&sessions),
-                    };
-                    let handle = thread::Builder::new()
-                        .name(format!("onesa-shard-proxy-{i}"))
-                        .spawn(move || remote_shard_loop(ctx))
-                        .expect("spawn shard proxy");
-                    workers.push(handle);
-                }
+                    })
+                    .collect()
             }
+        };
+        let mut shard_txs = Vec::with_capacity(n);
+        let mut workers = Vec::with_capacity(n);
+        for (i, exec) in execs.into_iter().enumerate() {
+            let (btx, rx) = mpsc::sync_channel::<ShardBatch>(SHARD_CHANNEL_DEPTH);
+            shard_txs.push(btx);
+            let ctx = ShardCtx {
+                shard: i,
+                rx,
+                exec,
+                load: Arc::clone(&loads[i]),
+                depth: Arc::clone(&shard_depths[i]),
+                sessions: Arc::clone(&sessions),
+            };
+            let handle = thread::Builder::new()
+                .name(format!("onesa-shard-{i}"))
+                .spawn(move || shard_loop(ctx))
+                .expect("spawn shard worker");
+            workers.push(handle);
         }
 
         // The admitter validates every request before routing it, so a
@@ -2062,7 +2078,13 @@ impl ServeEngine {
                     slot.1 += rec.macs;
                 }
             }
-            records.append(&mut out.records);
+            // The first shard's buffer becomes the merged one: a
+            // one-shard pool never holds its records twice.
+            if records.is_empty() {
+                records = std::mem::take(&mut out.records);
+            } else {
+                records.append(&mut out.records);
+            }
             out.stats.occupancy = if wall_seconds > 0.0 {
                 out.stats.busy_seconds / wall_seconds
             } else {
@@ -2070,7 +2092,9 @@ impl ServeEngine {
             };
             shards.push(out.stats);
         }
-        records.sort_by_key(|r| r.ticket);
+        // Tickets are unique, so the in-place unstable sort orders them
+        // exactly as a stable one would, without its scratch buffer.
+        records.sort_unstable_by_key(|r| r.ticket);
 
         // Modeled pool energy: each window lasts as long as its longest
         // shard batch; executing shards pay utilization-scaled power for
@@ -2209,8 +2233,8 @@ struct AdmitterCtx {
 /// recompiled program into the submission so every later consumer — the
 /// size-capped window budget, least-loaded/energy-aware routing, the
 /// shard — sees the *degraded* request's modeled MACs. Returns whether
-/// the request changed; plain GEMM/nonlinear requests, exact-mode
-/// programs and requests already at (or past) the target rung are left
+/// the request changed; exact-mode programs (GEMM requests among
+/// them) and requests already at (or past) the target rung are left
 /// untouched.
 fn degrade_submission(
     sub: &mut Submission,
@@ -2218,9 +2242,7 @@ fn degrade_submission(
     recompile: &CompileCache,
     to_coarsest: bool,
 ) -> bool {
-    let Request::Program { program, .. } = &mut sub.request else {
-        return false;
-    };
+    let program = sub.request.lowered_program();
     let EvalMode::Cpwl {
         granularity: current,
         quantize,
@@ -2252,7 +2274,7 @@ fn degrade_submission(
         .iter()
         .filter(|&&g| g > requested && g <= target)
         .count();
-    **program = (*recompiled).clone();
+    sub.request.replace_program((*recompiled).clone());
     sub.degrade = Some(DegradeInfo {
         requested,
         served: target,
@@ -2268,10 +2290,7 @@ fn specialized_shard(
     specialization: &[Option<f32>],
     power: &[ShardPower],
 ) -> Option<usize> {
-    let Request::Program { program, .. } = request else {
-        return None;
-    };
-    let g = program.mode().granularity()?;
+    let g = request.lowered_program().mode().granularity()?;
     specialization
         .iter()
         .zip(power)
@@ -2312,10 +2331,11 @@ fn admitter_loop(ctx: AdmitterCtx) -> AdmitOut {
     let mut power_log: Vec<Vec<ShardPower>> = Vec::new();
     let mut power_ups = 0u64;
     let mut power_downs = 0u64;
-    // Reject a malformed request at admission: its ticket resolves with
+    // The front door: lower the request to a program and validate it.
+    // A malformed request is rejected here: its ticket resolves with
     // the validation error and it never reaches a shard.
-    let admit = |sub: Submission| -> Option<Submission> {
-        match ctx.validator.validate(&sub.request) {
+    let admit = |mut sub: Submission| -> Option<Submission> {
+        match ctx.validator.validate(&mut sub.request) {
             Ok(()) => Some(sub),
             Err(e) => {
                 if let Some(tag) = sub.session {
@@ -2373,7 +2393,7 @@ fn admitter_loop(ctx: AdmitterCtx) -> AdmitOut {
         let mut window: Vec<Submission> = Vec::new();
         if let Some(mut sub) = admit(head) {
             pressure_degrade(&mut sub);
-            work += sub.request.modeled_macs();
+            work += sub.request.lowered_program().modeled_macs();
             window.push(sub);
         }
         // Fill greedily from what has already arrived — never wait for
@@ -2384,7 +2404,7 @@ fn admitter_loop(ctx: AdmitterCtx) -> AdmitOut {
                     ctx.queue_depth.dec();
                     if let Some(mut sub) = admit(sub) {
                         pressure_degrade(&mut sub);
-                        work += sub.request.modeled_macs();
+                        work += sub.request.lowered_program().modeled_macs();
                         window.push(sub);
                     }
                 }
@@ -2489,10 +2509,11 @@ fn admitter_loop(ctx: AdmitterCtx) -> AdmitOut {
                             .min_by_key(|&i| (ctx.loads[i].load(Ordering::Relaxed), i))
                             .unwrap_or(0),
                         RoutePolicy::WeightAffinity => {
-                            active[(sub.request.affinity_key() % active.len() as u64) as usize]
+                            active[(sub.request.lowered_program().fingerprint()
+                                % active.len() as u64) as usize]
                         }
                         RoutePolicy::EnergyAware => {
-                            let macs = sub.request.modeled_macs();
+                            let macs = sub.request.lowered_program().modeled_macs();
                             let joules = |i: usize| {
                                 ctx.energy_per_mac[i]
                                     * (ctx.loads[i].load(Ordering::Relaxed) + macs) as f64
@@ -2509,7 +2530,10 @@ fn admitter_loop(ctx: AdmitterCtx) -> AdmitOut {
                 ctx.sessions.set_pin(tag.id, shard);
             }
             degraded += usize::from(sub.degrade.is_some());
-            ctx.loads[shard].fetch_add(sub.request.modeled_macs(), Ordering::Relaxed);
+            ctx.loads[shard].fetch_add(
+                sub.request.lowered_program().modeled_macs(),
+                Ordering::Relaxed,
+            );
             per_shard[shard].push(WorkItem {
                 ticket: sub.ticket,
                 dispatch_seq,
@@ -2616,14 +2640,127 @@ fn window_full(policy: AdmissionPolicy, len: usize, work: u64) -> bool {
     }
 }
 
-fn shard_loop(
+/// Where a shard's windows execute. Both backends run the same
+/// `BatchEngine` over the same lowered requests and hand back the same
+/// [`BatchRun`], so [`shard_loop`] does one accounting for both.
+enum ShardExec {
+    /// On this thread, on the shard's own engine.
+    Local(Box<BatchEngine>),
+    /// On a worker process behind the wire. Every shard sees every
+    /// worker connection (each behind its own mutex) so a shard whose
+    /// worker dies can re-execute its in-flight window on a survivor
+    /// without routing back through the admitter.
+    Remote {
+        conns: Vec<Arc<Mutex<Option<net::WorkerHandle>>>>,
+        alive: Vec<Arc<AtomicBool>>,
+    },
+}
+
+impl ShardExec {
+    /// Executes one window for `shard`, returning the run and the index
+    /// of the shard whose engine executed it.
+    ///
+    /// **Failover.** Execution is pure (no side effects beyond the
+    /// reply), so a window that was in flight to a worker that died —
+    /// EOF, `EPIPE`, a failed handshake frame — simply re-runs on the
+    /// next alive shard's worker, in ring order from `shard`. The dead
+    /// worker is marked so every shard routes around it. Only if *no*
+    /// worker survives does the window fail [`ServeError::WorkerLost`].
+    fn run_window(
+        &mut self,
+        shard: usize,
+        window: Vec<(TicketId, Request)>,
+    ) -> Result<(BatchRun, usize), ServeError> {
+        match self {
+            ShardExec::Local(engine) => {
+                // The admitter already lowered every request and ran the
+                // full validation walk against a same-granularity
+                // engine, so the shard enqueues with the validated
+                // marker instead of re-walking (for whole-network
+                // programs that walk is a per-request graph validation
+                // + shape inference).
+                for (_, request) in window {
+                    engine.submit_validated(request);
+                }
+                // Pre-validation should make a failure unreachable;
+                // recover anyway: fail the batch, leave the shard
+                // serviceable.
+                engine.run().map(|run| (run, shard)).map_err(|e| {
+                    engine.clear();
+                    ServeError::Exec(e)
+                })
+            }
+            ShardExec::Remote { conns, alive } => {
+                let items: Vec<(TicketId, &Request)> =
+                    window.iter().map(|(ticket, r)| (*ticket, r)).collect();
+                let n = conns.len();
+                for target in (0..n).map(|k| (shard + k) % n) {
+                    if !alive[target].load(Ordering::SeqCst) {
+                        continue;
+                    }
+                    let mut slot = conns[target].lock().expect("worker conn lock");
+                    let Some(conn) = slot.as_mut() else {
+                        continue;
+                    };
+                    match conn.run_window(&items) {
+                        Ok(net::WindowReply::Done(run)) => return Ok((run, target)),
+                        Ok(net::WindowReply::Failed(msg)) => {
+                            // The worker's engine rejected the batch and
+                            // recovered — deterministic, so re-running
+                            // elsewhere would fail identically.
+                            // Pre-validation at admission makes this
+                            // near-unreachable; surface it without
+                            // killing the worker.
+                            eprintln!("onesa-serve: shard {target} batch failed remotely: {msg}");
+                            return Err(ServeError::Exec(TensorError::InvalidArgument(
+                                "worker reported a batch execution error (see stderr)",
+                            )));
+                        }
+                        Err(_) => {
+                            // Dead worker: mark it, reap the process
+                            // (dropping the handle kills it if needed)
+                            // and try the next shard in the ring with
+                            // the same window.
+                            alive[target].store(false, Ordering::SeqCst);
+                            *slot = None;
+                        }
+                    }
+                }
+                Err(ServeError::WorkerLost)
+            }
+        }
+    }
+
+    /// The admitter is gone: retires `shard`'s worker process (if it
+    /// survived), keeping its weight-cache accounting.
+    fn retire(self, shard: usize, stats: &mut ShardStats) {
+        if let ShardExec::Remote { conns, alive } = self {
+            if let Some(conn) = conns[shard].lock().expect("worker conn lock").take() {
+                stats.wire_cache = conn.cache;
+                conn.shutdown();
+            }
+            stats.worker_lost = !alive[shard].load(Ordering::SeqCst);
+        }
+    }
+}
+
+/// Plumbing of one shard's thread.
+struct ShardCtx {
     shard: usize,
     rx: Receiver<ShardBatch>,
-    mut engine: BatchEngine,
+    exec: ShardExec,
     load: Arc<AtomicU64>,
     depth: Arc<DepthGauge>,
     sessions: Arc<SessionTable>,
-) -> ShardOut {
+}
+
+/// One shard's thread, for either backend: receives windows from the
+/// admitter, executes each through [`ShardExec::run_window`] and
+/// answers its tickets. A window that re-ran on another shard's worker
+/// counts into [`ShardStats::requeued`], this shard's own worker's
+/// death into [`ShardStats::worker_lost`] → [`ServeSummary::failovers`].
+fn shard_loop(mut ctx: ShardCtx) -> ShardOut {
+    /// What a work item keeps once its request went to the engine.
     struct PendingReply {
         ticket: TicketId,
         dispatch_seq: u64,
@@ -2633,55 +2770,41 @@ fn shard_loop(
         session: Option<SessionTag>,
     }
 
+    let shard = ctx.shard;
     let mut out = ShardOut {
         stats: ShardStats {
             shard,
-            requests: 0,
-            batches: 0,
-            gemm_groups: 0,
-            nonlinear_groups: 0,
-            macs: 0,
-            array_seconds: 0.0,
-            busy_seconds: 0.0,
-            occupancy: 0.0,
-            peak_queue_depth: 0,
-            opt: OptTotals::default(),
-            blocks_skipped: 0,
-            blocks_total: 0,
-            worker_lost: false,
-            requeued: 0,
-            wire_cache: WeightCacheStats::default(),
+            ..ShardStats::default()
         },
         records: Vec::new(),
         window_records: Vec::new(),
     };
-    while let Ok(batch) = rx.recv() {
-        depth.dec();
-        let batch_macs: u64 = batch.iter().map(|w| w.request.modeled_macs()).sum();
+    while let Ok(batch) = ctx.rx.recv() {
+        ctx.depth.dec();
+        let batch_macs: u64 = batch
+            .iter()
+            .map(|w| w.request.lowered_program().modeled_macs())
+            .sum();
         let batch_window = batch.first().map_or(0, |w| w.window);
         let t0 = Instant::now();
-        let mut pending: Vec<PendingReply> = Vec::with_capacity(batch.len());
-        for item in batch {
-            // The admitter already ran the full validation walk against
-            // a same-granularity engine, so the shard enqueues with the
-            // validated marker instead of re-walking every request (for
-            // whole-network programs that walk is a per-request graph
-            // validation + shape inference). The queue-intact-on-error
-            // contract holds: `run` still pre-builds table sets, and a
-            // batch-level failure is recovered below without replaying
-            // the queue.
-            engine.submit_validated(item.request);
-            pending.push(PendingReply {
-                ticket: item.ticket,
-                dispatch_seq: item.dispatch_seq,
-                queue_seconds: item.submitted_at.elapsed().as_secs_f64(),
-                degrade: item.degrade,
-                reply: item.reply,
-                session: item.session,
-            });
-        }
-        match engine.run() {
-            Ok(run) => {
+        // Queueing delay ends here: what follows — `BatchEngine::run`,
+        // or the wire round trip around it — is the execution.
+        let (window, pending): (Vec<_>, Vec<_>) = batch
+            .into_iter()
+            .map(|item| {
+                let pending = PendingReply {
+                    ticket: item.ticket,
+                    dispatch_seq: item.dispatch_seq,
+                    queue_seconds: item.submitted_at.elapsed().as_secs_f64(),
+                    degrade: item.degrade,
+                    reply: item.reply,
+                    session: item.session,
+                };
+                ((item.ticket, item.request), pending)
+            })
+            .unzip();
+        match ctx.exec.run_window(shard, window) {
+            Ok((run, served_by)) => {
                 out.stats.batches += 1;
                 out.stats.requests += run.report.requests;
                 out.stats.gemm_groups += run.report.gemm_groups;
@@ -2691,18 +2814,29 @@ fn shard_loop(
                 out.stats.opt.merge(&run.report.opt);
                 out.stats.blocks_skipped += run.report.blocks_skipped;
                 out.stats.blocks_total += run.report.blocks_total;
+                if served_by != shard {
+                    out.stats.requeued += run.report.requests;
+                }
+                // Energy is attributed to this shard even after a
+                // failover — the window was admitted and powered here;
+                // which surviving worker's process hosted the
+                // re-execution is a host detail the modeled accounting
+                // deliberately ignores.
                 out.window_records.push(WindowRecord {
                     window: batch_window,
                     seconds: run.report.batched_seconds,
                     macs: run.report.total_macs,
                 });
-                for (p, mut outcome) in pending.into_iter().zip(run.outcomes) {
+                for (p, outcome) in pending.into_iter().zip(run.outcomes) {
                     // Write the grown KV cache back *before* the ticket
                     // resolves, so a caller chaining decode steps on the
                     // ticket's completion always reads the new context.
+                    // The KV lives host-side, so a worker death between
+                    // steps loses nothing a survivor can't recompute
+                    // from the same inputs.
                     if let Some(tag) = p.session {
-                        let kv = std::mem::take(&mut outcome.session_outputs);
-                        sessions.writeback(tag.id, kv, tag.phase);
+                        ctx.sessions
+                            .writeback(tag.id, outcome.session_outputs, tag.phase);
                     }
                     out.records.push(ReqRecord {
                         ticket: p.ticket,
@@ -2714,7 +2848,7 @@ fn shard_loop(
                     });
                     let _ = p.reply.send(Ok(ServedOutcome {
                         ticket: p.ticket,
-                        shard,
+                        shard: served_by,
                         dispatch_seq: p.dispatch_seq,
                         output: outcome.output,
                         stats: outcome.stats,
@@ -2725,208 +2859,19 @@ fn shard_loop(
                 }
             }
             Err(e) => {
-                // Pre-validation should make this unreachable; recover
-                // anyway: fail the batch, leave the shard serviceable.
-                engine.clear();
                 for p in pending {
                     if let Some(tag) = p.session {
-                        sessions.release(tag.id);
+                        ctx.sessions.release(tag.id);
                     }
-                    let _ = p.reply.send(Err(ServeError::Exec(e.clone())));
+                    let _ = p.reply.send(Err(e.clone()));
                 }
             }
         }
         out.stats.busy_seconds += t0.elapsed().as_secs_f64();
-        load.fetch_sub(batch_macs, Ordering::Relaxed);
-        out.stats.peak_queue_depth = depth.peak();
-    }
-    out.stats.peak_queue_depth = depth.peak();
-    out
-}
-
-/// Plumbing of one process-backend shard proxy. Every proxy sees every
-/// worker connection (each behind its own mutex) so a proxy whose
-/// worker dies can re-execute its in-flight window on a survivor
-/// without routing back through the admitter.
-struct RemoteShardCtx {
-    shard: usize,
-    rx: Receiver<ShardBatch>,
-    conns: Vec<Arc<Mutex<Option<net::WorkerHandle>>>>,
-    alive: Vec<Arc<AtomicBool>>,
-    loads: Vec<Arc<AtomicU64>>,
-    depth: Arc<DepthGauge>,
-    sessions: Arc<SessionTable>,
-}
-
-/// The process-backend counterpart of [`shard_loop`]: receives batches
-/// from the admitter, ships them to this shard's worker process over
-/// the wire, and replies tickets from the decoded outcomes.
-///
-/// **Failover.** Execution is pure (no side effects beyond the reply),
-/// so a window that was in flight to a worker that died — EOF, `EPIPE`,
-/// a failed handshake frame — simply re-runs on the next alive shard's
-/// worker, in ring order from this shard. The dead worker is marked so
-/// every proxy routes around it; the batch counts into
-/// [`ShardStats::requeued`] and the shard's own death into
-/// [`ShardStats::worker_lost`] → [`ServeSummary::failovers`]. Only if
-/// *no* worker survives do the tickets resolve
-/// [`ServeError::WorkerLost`].
-fn remote_shard_loop(ctx: RemoteShardCtx) -> ShardOut {
-    let n = ctx.conns.len();
-    let mut out = ShardOut {
-        stats: ShardStats {
-            shard: ctx.shard,
-            requests: 0,
-            batches: 0,
-            gemm_groups: 0,
-            nonlinear_groups: 0,
-            macs: 0,
-            array_seconds: 0.0,
-            busy_seconds: 0.0,
-            occupancy: 0.0,
-            peak_queue_depth: 0,
-            opt: OptTotals::default(),
-            blocks_skipped: 0,
-            blocks_total: 0,
-            worker_lost: false,
-            requeued: 0,
-            wire_cache: WeightCacheStats::default(),
-        },
-        records: Vec::new(),
-        window_records: Vec::new(),
-    };
-    while let Ok(batch) = ctx.rx.recv() {
-        ctx.depth.dec();
-        let batch_macs: u64 = batch.iter().map(|w| w.request.modeled_macs()).sum();
-        let batch_window = batch.first().map_or(0, |w| w.window);
-        let t0 = Instant::now();
-        // Queueing delay ends when the proxy starts shipping the window
-        // (the wire round trip is the execution, as `BatchEngine::run`
-        // is for an in-process shard).
-        let queue_seconds: Vec<f64> = batch
-            .iter()
-            .map(|w| w.submitted_at.elapsed().as_secs_f64())
-            .collect();
-        let mut served = false;
-        for k in 0..n {
-            let target = (ctx.shard + k) % n;
-            if !ctx.alive[target].load(Ordering::SeqCst) {
-                continue;
-            }
-            let mut slot = ctx.conns[target].lock().expect("worker conn lock");
-            let Some(conn) = slot.as_mut() else {
-                continue;
-            };
-            let items: Vec<(TicketId, &Request)> =
-                batch.iter().map(|w| (w.ticket, &w.request)).collect();
-            match conn.run_window(&items) {
-                Ok(net::WindowReply::Done(result)) => {
-                    out.stats.batches += 1;
-                    out.stats.requests += batch.len();
-                    out.stats.gemm_groups += result.gemm_groups;
-                    out.stats.nonlinear_groups += result.nonlinear_groups;
-                    out.stats.macs += result.total_macs;
-                    out.stats.array_seconds += result.batched_seconds;
-                    out.stats.opt.merge(&result.opt);
-                    out.stats.blocks_skipped += result.blocks_skipped;
-                    out.stats.blocks_total += result.blocks_total;
-                    // Energy is attributed to this proxy's shard even
-                    // after a failover — the window was admitted and
-                    // powered here; which surviving worker's process
-                    // hosted the re-execution is a host detail the
-                    // modeled accounting deliberately ignores.
-                    out.window_records.push(WindowRecord {
-                        window: batch_window,
-                        seconds: result.batched_seconds,
-                        macs: result.total_macs,
-                    });
-                    if k > 0 {
-                        out.stats.requeued += batch.len();
-                    }
-                    for ((item, o), qs) in batch.iter().zip(result.outcomes).zip(&queue_seconds) {
-                        debug_assert_eq!(item.ticket, o.ticket, "worker echoed tickets in order");
-                        // As in `shard_loop`: the session sees its grown
-                        // cache before the ticket resolves. The KV lives
-                        // host-side, so a worker death between steps
-                        // loses nothing a survivor can't recompute from
-                        // the same inputs.
-                        if let Some(tag) = item.session {
-                            ctx.sessions.writeback(tag.id, o.session_outputs, tag.phase);
-                        }
-                        out.records.push(ReqRecord {
-                            ticket: item.ticket,
-                            seconds: o.stats.seconds(),
-                            macs: o.stats.macs,
-                            nonlinear_evals: o.stats.nonlinear_evals,
-                            phase: item.session.map(|t| t.phase),
-                            tokens: item.session.map_or(0, |t| t.tokens),
-                        });
-                        let _ = item.reply.send(Ok(ServedOutcome {
-                            ticket: item.ticket,
-                            shard: target,
-                            dispatch_seq: item.dispatch_seq,
-                            output: o.output,
-                            stats: o.stats,
-                            op_stats: o.op_stats,
-                            queue_seconds: *qs,
-                            degrade: item.degrade,
-                        }));
-                    }
-                    served = true;
-                    break;
-                }
-                Ok(net::WindowReply::Failed(msg)) => {
-                    // The worker's engine rejected the batch and
-                    // recovered — deterministic, so re-running elsewhere
-                    // would fail identically. Pre-validation at
-                    // admission makes this near-unreachable; surface it
-                    // without killing the worker.
-                    eprintln!("onesa-serve: shard {target} batch failed remotely: {msg}");
-                    for item in &batch {
-                        if let Some(tag) = item.session {
-                            ctx.sessions.release(tag.id);
-                        }
-                        let _ =
-                            item.reply
-                                .send(Err(ServeError::Exec(TensorError::InvalidArgument(
-                                    "worker reported a batch execution error (see stderr)",
-                                ))));
-                    }
-                    served = true;
-                    break;
-                }
-                Err(_) => {
-                    // Dead worker: mark it, reap the process (dropping
-                    // the handle kills it if needed) and try the next
-                    // shard in the ring with the same batch.
-                    ctx.alive[target].store(false, Ordering::SeqCst);
-                    *slot = None;
-                }
-            }
-        }
-        if !served {
-            for item in &batch {
-                if let Some(tag) = item.session {
-                    ctx.sessions.release(tag.id);
-                }
-                let _ = item.reply.send(Err(ServeError::WorkerLost));
-            }
-        }
-        out.stats.busy_seconds += t0.elapsed().as_secs_f64();
-        ctx.loads[ctx.shard].fetch_sub(batch_macs, Ordering::Relaxed);
+        ctx.load.fetch_sub(batch_macs, Ordering::Relaxed);
         out.stats.peak_queue_depth = ctx.depth.peak();
     }
-    // Channel closed: the admitter is gone. Retire this shard's worker
-    // (if it survived) and keep its weight-cache accounting.
-    if let Some(conn) = ctx.conns[ctx.shard]
-        .lock()
-        .expect("worker conn lock")
-        .take()
-    {
-        out.stats.wire_cache = conn.cache;
-        conn.shutdown();
-    }
-    out.stats.worker_lost = !ctx.alive[ctx.shard].load(Ordering::SeqCst);
+    ctx.exec.retire(shard, &mut out.stats);
     out.stats.peak_queue_depth = ctx.depth.peak();
     out
 }
@@ -3673,8 +3618,10 @@ mod tests {
 
     #[test]
     fn non_degradable_requests_still_expire_under_ladder() {
-        // The ladder only rescues CPWL programs: plain GEMMs and
-        // exact-mode programs past their deadline still expire.
+        // The ladder only rescues CPWL programs: GEMMs (which lower to
+        // exact-mode programs) and exact-mode programs past their
+        // deadline still expire. A bare nonlinear lowers to a CPWL
+        // program at the pool granularity, so it is rescued like one.
         use onesa_plan::{EvalMode, Op, Program};
         let mut rng = Pcg32::seed_from_u64(52);
         let mut b = Program::builder("exact", EvalMode::Exact);
@@ -3707,6 +3654,10 @@ mod tests {
         let prog = engine
             .submit_with_deadline(Request::program(exact, vec![rng.randn(&[2, 4], 1.0)]), 0)
             .unwrap();
+        let x = rng.randn(&[3, 5], 1.5);
+        let nonlinear = engine
+            .submit_with_deadline(Request::nonlinear(NonlinearFn::Gelu, x.clone()), 0)
+            .unwrap();
         thread::sleep(std::time::Duration::from_millis(2));
         engine.resume();
         for t in [gemm, prog] {
@@ -3715,9 +3666,20 @@ mod tests {
                 other => panic!("expected DeadlineExpired, got {other:?}"),
             }
         }
+        let rescued = nonlinear.wait().unwrap();
+        assert_eq!(
+            rescued.degrade,
+            Some(DegradeInfo {
+                requested: 0.25,
+                served: 1.0,
+                rungs: 2,
+            })
+        );
+        let coarsest = onesa_cpwl::ops::TableSet::for_granularity(1.0).unwrap();
+        assert_eq!(rescued.output, coarsest.gelu(&x).unwrap());
         let summary = engine.finish().unwrap();
         assert_eq!(summary.expired, 2);
-        assert_eq!(summary.degraded, 0);
+        assert_eq!(summary.degraded, 1);
     }
 
     #[test]
@@ -3886,8 +3848,8 @@ mod tests {
 
     #[test]
     fn sparse_credit_reaches_admission_and_energy_routing() {
-        // One source of truth: `Request::modeled_macs` delegates to
-        // `Program::modeled_macs`, whose GEMM cost credits skipped
+        // One source of truth: admission and routing weigh a request by
+        // its program's `modeled_macs`, whose GEMM cost credits skipped
         // column blocks — size-capped windows and energy-aware routing
         // must both see a pruned program as the cheaper work it is.
         let dense = credit_program(false, 57);
@@ -3896,7 +3858,9 @@ mod tests {
         assert_eq!(sparse.modeled_macs() * 2, dense.modeled_macs());
         let x = Pcg32::seed_from_u64(58).randn(&[4, 32], 1.0);
         assert_eq!(
-            Request::program(sparse.clone(), vec![x.clone()]).modeled_macs(),
+            Request::program(sparse.clone(), vec![x.clone()])
+                .lowered_program()
+                .modeled_macs(),
             sparse.modeled_macs(),
             "admission and routing weigh the credited program cost"
         );

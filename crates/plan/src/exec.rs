@@ -91,11 +91,16 @@ impl TableCache {
 
     /// The packed form of sparse-attributed GEMM weight `w` at
     /// `block_cols`, packing it on first use. Keyed by the weight's
-    /// content fingerprint, so programs cloned from a cached compile
-    /// (which share their consts) and even distinct programs with
-    /// bit-identical weights all hit the same pack.
-    pub(crate) fn packed(&mut self, w: &Tensor, block_cols: usize) -> Result<Arc<SparseTensor>> {
-        let fp = tensor_fingerprint(w);
+    /// content fingerprint `fp` (the one its program recorded at build
+    /// time), so programs cloned from a cached compile (which share
+    /// their consts) and even distinct programs with bit-identical
+    /// weights all hit the same pack.
+    pub(crate) fn packed(
+        &mut self,
+        w: &Tensor,
+        fp: u64,
+        block_cols: usize,
+    ) -> Result<Arc<SparseTensor>> {
         if let Some((_, _, p)) = self
             .packs
             .iter()
@@ -158,15 +163,21 @@ pub struct StagedRun {
 /// Per-job runtime state.
 struct JobState<'a> {
     program: &'a Program,
-    /// Inputs first, then one slot per executed op.
-    slots: Vec<Option<Tensor>>,
+    /// The caller's tensors behind the input slots — read in place,
+    /// never copied.
+    inputs: &'a [Tensor],
+    /// One slot per executed op, after the input slots.
+    outputs: Vec<Option<Tensor>>,
     op_stats: Vec<ExecStats>,
 }
 
 impl JobState<'_> {
     fn resolve(&self, operand: Operand) -> &Tensor {
         match operand {
-            Operand::Slot(s) => self.slots[s].as_ref().expect("slot written before read"),
+            Operand::Slot(s) => match s.checked_sub(self.inputs.len()) {
+                None => &self.inputs[s],
+                Some(op) => self.outputs[op].as_ref().expect("slot written before read"),
+            },
             Operand::Const(c) => self.program.consts()[c].as_ref(),
         }
     }
@@ -221,13 +232,10 @@ pub fn run_staged(
                 });
             }
         }
-        let mut slots: Vec<Option<Tensor>> = vec![None; program.n_inputs() + program.stages()];
-        for (i, t) in inputs.iter().enumerate() {
-            slots[i] = Some(t.clone());
-        }
         states.push(JobState {
             program,
-            slots,
+            inputs,
+            outputs: vec![None; program.stages()],
             op_stats: Vec::with_capacity(program.stages()),
         });
     }
@@ -274,8 +282,7 @@ pub fn run_staged(
             }
             batched = batched.merged(&produced.batched);
             for (j, out, solo) in produced.outputs {
-                let out_slot = states[j].program.n_inputs() + stage;
-                states[j].slots[out_slot] = Some(out);
+                states[j].outputs[stage] = Some(out);
                 states[j].op_stats.push(solo);
             }
         }
@@ -292,16 +299,18 @@ pub fn run_staged(
 
     let runs = states
         .into_iter()
-        .map(|s| {
-            let out_slot = s.program.n_inputs() + s.program.stages() - 1;
+        .map(|mut s| {
             let session_outputs = s
                 .program
                 .session_outputs()
                 .iter()
-                .map(|&slot| s.slots[slot].clone().expect("session slot executed"))
+                .map(|&slot| s.resolve(Operand::Slot(slot)).clone())
                 .collect();
+            // Session outputs are copied out first: one of them may be
+            // the last op's slot, which the output moves out of.
+            let output = s.outputs.pop().flatten().expect("program executed");
             ProgramRun {
-                output: s.slots[out_slot].clone().expect("program executed"),
+                output,
                 session_outputs,
                 op_stats: s.op_stats,
             }
@@ -326,7 +335,7 @@ fn member_key(state: &JobState, stage: usize) -> GroupKey {
                 // Mix the sparsity attribute into the key: a sparse and
                 // a dense GEMM over the same weight run different
                 // kernels and must never coalesce into one group.
-                let mut h = tensor_fingerprint(&state.program.consts()[c]);
+                let mut h = state.program.const_fingerprint(c);
                 if let Some(s) = sparsity {
                     for v in [1, s.block_cols, s.nnz_blocks, s.total_blocks, s.nnz_cols] {
                         h = crate::program::fnv_u64(h, v as u64);
@@ -335,7 +344,7 @@ fn member_key(state: &JobState, stage: usize) -> GroupKey {
                 GroupKey::GemmRight(h)
             }
             (Operand::Const(c), Operand::Slot(_)) => {
-                GroupKey::GemmLeft(tensor_fingerprint(&state.program.consts()[c]))
+                GroupKey::GemmLeft(state.program.const_fingerprint(c))
             }
             _ => GroupKey::Solo(usize::MAX),
         },
@@ -446,7 +455,7 @@ fn exec_group(
             // weights: one tall GEMM, then slice each member's rows back
             // out and apply its bias (bit-identical: each output element
             // is an independent dot product plus its own bias add).
-            let b = gemm_const(&states[ids[0]], stage);
+            let (b, b_fp) = gemm_const(&states[ids[0]], stage);
             let sparsity = gemm_sparsity(&states[ids[0]], stage);
             let (k, n) = (b.dims()[0], b.dims()[1]);
             let mut stacked = Vec::new();
@@ -460,7 +469,7 @@ fn exec_group(
             let tall = Tensor::from_vec(stacked, &[total_m, k])?;
             let product = match sparsity {
                 Some(s) => {
-                    let packed = tables.packed(b, s.block_cols)?;
+                    let packed = tables.packed(b, b_fp, s.block_cols)?;
                     onesa_tensor::sparse::matmul(&tall, &packed, par)?
                 }
                 None => parallel::matmul(&tall, b, par)?,
@@ -482,7 +491,7 @@ fn exec_group(
             // Column-stack every member's right operand behind the
             // shared left matrix (a GCN's Â): one wide GEMM, sliced back
             // per member (output columns are independent dot products).
-            let a = gemm_const(&states[ids[0]], stage);
+            let (a, _) = gemm_const(&states[ids[0]], stage);
             let (m, k) = (a.dims()[0], a.dims()[1]);
             let col_counts: Vec<usize> = ids
                 .iter()
@@ -624,13 +633,17 @@ fn exec_group(
     }
 }
 
-/// The constant operand of a coalesced GEMM group member.
-fn gemm_const<'a>(state: &'a JobState, stage: usize) -> &'a Tensor {
+/// The constant operand of a coalesced GEMM group member, with the
+/// fingerprint its program recorded for it.
+fn gemm_const<'a>(state: &'a JobState, stage: usize) -> (&'a Tensor, u64) {
     let node = &state.program.nodes()[stage];
     node.inputs
         .iter()
         .find_map(|op| match *op {
-            Operand::Const(c) => Some(state.program.consts()[c].as_ref()),
+            Operand::Const(c) => Some((
+                state.program.consts()[c].as_ref(),
+                state.program.const_fingerprint(c),
+            )),
             Operand::Slot(_) => None,
         })
         .expect("coalesced gemm group has a constant operand")
@@ -728,8 +741,11 @@ fn exec_single(
     match op {
         Op::Gemm { bias, sparsity } => {
             let mut y = match sparsity {
+                // Only a GEMM of two constants reaches this un-grouped
+                // path with a sparsity attribute; it hashes its weight
+                // here rather than thread the stored fingerprint through.
                 Some(s) => {
-                    let packed = tables.packed(ins[1], s.block_cols)?;
+                    let packed = tables.packed(ins[1], tensor_fingerprint(ins[1]), s.block_cols)?;
                     onesa_tensor::sparse::matmul(ins[0], &packed, par)?
                 }
                 None => parallel::matmul(ins[0], ins[1], par)?,

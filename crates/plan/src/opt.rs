@@ -56,7 +56,7 @@
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 
-use crate::program::{GemmSparsity, Op, OpNode, Operand, Program};
+use crate::program::{GemmSparsity, Op, OpNode, Operand, Precision, Program};
 use onesa_sim::ArrayConfig;
 use onesa_tensor::Result;
 
@@ -324,28 +324,32 @@ fn rebuild(program: &Program, actions: Vec<Action>) -> Result<Program> {
     b.finish()
 }
 
-/// Dedups `Quantize` ops that read the same operand: the INT16 round
-/// trip is deterministic, so two boundaries of one value are one
-/// boundary. Bit-identical. (A `Quantize` *of* a `Quantize` output is
-/// deliberately left alone — re-quantizing an already-quantized tensor
-/// recomputes the scale and can move the result by an ULP.)
+/// Dedups `Quantize` ops that read the same operand at the same
+/// precision: the round trip is deterministic, so two such boundaries
+/// of one value are one boundary. Bit-identical. An `Int16` and an
+/// `Int8` boundary of one value round differently and both stay. (A
+/// `Quantize` *of* a `Quantize` output is deliberately left alone —
+/// re-quantizing an already-quantized tensor recomputes the scale and
+/// can move the result by an ULP.)
 fn elide_duplicate_quantizes(program: &Program) -> Result<(Program, usize)> {
     let n_in = program.n_inputs();
     let last = program.stages() - 1;
-    let mut seen: Vec<(Operand, usize)> = Vec::new();
+    let mut seen: Vec<((Operand, Precision), usize)> = Vec::new();
     let mut removed = 0usize;
     let actions: Vec<Action> = program
         .nodes()
         .iter()
         .enumerate()
         .map(|(i, node)| {
-            if matches!(node.op, Op::Quantize { .. }) && i != last {
-                let input = node.inputs[0];
-                if let Some(&(_, prev_out)) = seen.iter().find(|(op, _)| *op == input) {
-                    removed += 1;
-                    return Action::Alias(prev_out);
+            if let Op::Quantize { precision } = node.op {
+                if i != last {
+                    let key = (node.inputs[0], precision);
+                    if let Some(&(_, prev_out)) = seen.iter().find(|(k, _)| *k == key) {
+                        removed += 1;
+                        return Action::Alias(prev_out);
+                    }
+                    seen.push((key, n_in + i));
                 }
-                seen.push((input, n_in + i));
             }
             Action::Keep(node.clone())
         })
@@ -367,9 +371,8 @@ fn share_common_subexpressions(program: &Program) -> Result<(Program, usize)> {
     // registration (fingerprint bucket, then exact compare).
     let consts = program.consts();
     let mut canon: Vec<usize> = (0..consts.len()).collect();
-    let prints: Vec<u64> = consts
-        .iter()
-        .map(|t| crate::program::tensor_fingerprint(t))
+    let prints: Vec<u64> = (0..consts.len())
+        .map(|c| program.const_fingerprint(c))
         .collect();
     for i in 0..consts.len() {
         for j in 0..i {
@@ -648,6 +651,42 @@ mod tests {
         assert_eq!(
             run(&p, std::slice::from_ref(&x)),
             run(&o, std::slice::from_ref(&x))
+        );
+    }
+
+    #[test]
+    fn mixed_precision_quantizes_must_not_merge() {
+        // An INT16 and an INT8 boundary of one value round differently:
+        // eliding either would change the program's output.
+        let quantize =
+            |b: &mut crate::ProgramBuilder, x, precision| b.push(Op::Quantize { precision }, &[x]);
+        let mut b = Program::builder("mixed", EvalMode::Exact);
+        let x = b.input(&[2, 3]);
+        let q16 = quantize(&mut b, x, Precision::Int16);
+        let q8 = quantize(&mut b, x, Precision::Int8);
+        b.push(Op::Add, &[q16, q8]);
+        let p = b.finish().unwrap();
+        let o = p.optimize(OptLevel::Standard).unwrap();
+        assert_eq!(o.opt_report().unwrap().totals.elided, 0);
+        let xv = Pcg32::seed_from_u64(1).randn(&[2, 3], 1.0);
+        assert_eq!(
+            run(&p, std::slice::from_ref(&xv)),
+            run(&o, std::slice::from_ref(&xv)),
+            "optimization changed semantics"
+        );
+
+        // Two INT8 boundaries of one value are still one boundary.
+        let mut b = Program::builder("dup8", EvalMode::Exact);
+        let x = b.input(&[2, 3]);
+        let q1 = quantize(&mut b, x, Precision::Int8);
+        let q2 = quantize(&mut b, x, Precision::Int8);
+        b.push(Op::Add, &[q1, q2]);
+        let p = b.finish().unwrap();
+        let o = p.optimize(OptLevel::Standard).unwrap();
+        assert_eq!(o.opt_report().unwrap().totals.elided, 1);
+        assert_eq!(
+            run(&p, std::slice::from_ref(&xv)),
+            run(&o, std::slice::from_ref(&xv))
         );
     }
 
@@ -1003,30 +1042,5 @@ mod tests {
         // Cloning either is O(ops): the Arc is shared, not the data.
         let c = o.clone();
         assert!(std::sync::Arc::ptr_eq(&c.consts()[0], &o.consts()[0]));
-    }
-}
-
-#[cfg(test)]
-mod review_repro {
-    use super::*;
-    use crate::program::{EvalMode, Precision};
-    use crate::TableCache;
-    use onesa_tensor::parallel::Parallelism;
-    use onesa_tensor::rng::Pcg32;
-
-    #[test]
-    fn mixed_precision_quantizes_must_not_merge() {
-        let mut b = Program::builder("mixed", EvalMode::Exact);
-        let x = b.input(&[2, 3]);
-        let q16 = b.push(Op::Quantize { precision: Precision::Int16 }, &[x]);
-        let q8 = b.push(Op::Quantize { precision: Precision::Int8 }, &[x]);
-        b.push(Op::Add, &[q16, q8]);
-        let p = b.finish().unwrap();
-        let o = p.optimize(OptLevel::Standard).unwrap();
-        let xv = Pcg32::seed_from_u64(1).randn(&[2, 3], 1.0);
-        let mut c = TableCache::new();
-        let r0 = p.run(std::slice::from_ref(&xv), Parallelism::Sequential, &mut c).unwrap();
-        let r1 = o.run(std::slice::from_ref(&xv), Parallelism::Sequential, &mut c).unwrap();
-        assert_eq!(r0.output, r1.output, "optimization changed semantics");
     }
 }

@@ -298,6 +298,11 @@ pub struct Program {
     /// `Arc`-backed so cloning a compiled program — which the serving
     /// layer does once per request — is O(ops), not O(weights).
     consts: Vec<Arc<Tensor>>,
+    /// [`tensor_fingerprint`] of each constant, hashed once when the
+    /// program is built: the program fingerprint, the staged
+    /// scheduler's weight-group keys and the packed-weight cache all
+    /// read these instead of rehashing the weights.
+    const_fingerprints: Vec<u64>,
     nodes: Vec<OpNode>,
     /// Input-slot indices holding session-resident state (per-layer KV
     /// tensors), in session-state order. Empty for stateless programs.
@@ -423,6 +428,7 @@ impl ProgramBuilder {
             name: self.name,
             mode: self.mode,
             input_shapes: self.input_shapes,
+            const_fingerprints: self.consts.iter().map(|t| tensor_fingerprint(t)).collect(),
             consts: self.consts,
             nodes: self.nodes,
             session_inputs: self.session_inputs,
@@ -474,6 +480,16 @@ impl Program {
     /// copies weight data).
     pub fn consts(&self) -> &[Arc<Tensor>] {
         &self.consts
+    }
+
+    /// The [`tensor_fingerprint`] of constant `index`, recorded when the
+    /// program was built (reading it never rehashes the tensor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not a registered constant.
+    pub fn const_fingerprint(&self, index: usize) -> u64 {
+        self.const_fingerprints[index]
     }
 
     /// Pass accounting of the [`Program::optimize`](crate::opt) run that
@@ -758,10 +774,10 @@ impl Program {
 
     /// Re-compiles the program at a different CPWL granularity — the
     /// serving layer's degrade ladder. The op list is cloned and every
-    /// constant stays `Arc`-shared (O(ops), zero weight copies); the
-    /// fingerprint and modeled MAC-equivalents are recomputed, so the
-    /// result coalesces, caches and admission-weighs exactly like a
-    /// program compiled at `granularity` from scratch.
+    /// constant stays `Arc`-shared (O(ops), zero weight copies or
+    /// rehashes); the fingerprint and modeled MAC-equivalents are
+    /// recomputed, so the result coalesces, caches and admission-weighs
+    /// exactly like a program compiled at `granularity` from scratch.
     ///
     /// # Errors
     ///
@@ -774,14 +790,37 @@ impl Program {
                 "cannot re-granularize an exact-mode program",
             ));
         };
+        let mode = EvalMode::Cpwl {
+            granularity,
+            quantize,
+        };
+        self.retargeted(mode, self.input_shapes.clone())
+    }
+
+    /// Re-targets the program at different input shapes — how a shard
+    /// worker serves `[rows, k] · W` requests of every row count from
+    /// the one copy of `W` it was shipped. Shares every constant like
+    /// [`Program::with_granularity`]; shape inference and the modeled
+    /// MAC-equivalents are recomputed for the new shapes.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Program::validate`], if the op list does not accept
+    /// `input_shapes`.
+    pub fn with_input_shapes(&self, input_shapes: Vec<Vec<usize>>) -> Result<Program> {
+        if input_shapes.len() != self.input_shapes.len() {
+            return Err(TensorError::InvalidArgument("program input count mismatch"));
+        }
+        self.retargeted(self.mode, input_shapes)
+    }
+
+    fn retargeted(&self, mode: EvalMode, input_shapes: Vec<Vec<usize>>) -> Result<Program> {
         let mut program = Program {
             name: self.name.clone(),
-            mode: EvalMode::Cpwl {
-                granularity,
-                quantize,
-            },
-            input_shapes: self.input_shapes.clone(),
+            mode,
+            input_shapes,
             consts: self.consts.clone(),
+            const_fingerprints: self.const_fingerprints.clone(),
             nodes: self.nodes.clone(),
             session_inputs: self.session_inputs.clone(),
             session_outputs: self.session_outputs.clone(),
@@ -886,8 +925,8 @@ impl Program {
                 );
             }
         }
-        for t in &self.consts {
-            h = fnv_u64(h, tensor_fingerprint(t));
+        for &fp in &self.const_fingerprints {
+            h = fnv_u64(h, fp);
         }
         // Session-bearing programs (per-context decode steps) share one
         // op list across context lengths, so the structural hash above

@@ -6,7 +6,7 @@
 //! systolic-array designs themselves:
 //!
 //! 1. **Cache/register blocking** — [`matmul`] packs `B` into column panels
-//!    and drives a `6 × 48` register-tiled microkernel, exactly the
+//!    and drives a `4 × 48` register-tiled microkernel, exactly the
 //!    output-stationary tiling a systolic schedule performs in hardware.
 //! 2. **Row-panel threading** — the output matrix is split into disjoint
 //!    row panels, one per worker, executed under [`std::thread::scope`]

@@ -11,9 +11,9 @@
 //!    reference kernels). f32 payloads travel as raw bits, so NaN
 //!    payloads and signed zeros survive too.
 //! 2. **Weight-cache protocol** — a program's constants cross the wire
-//!    once per (shard, fingerprint); repeat submissions ship
-//!    fingerprint-only deltas, observable in
-//!    [`ServeSummary::wire_cache`].
+//!    once per (shard, fingerprint); repeat submissions — at any input
+//!    shape the program accepts — ship fingerprint-only deltas,
+//!    observable in [`ServeSummary::wire_cache`].
 //! 3. **Fault tolerance** — killing a worker process mid-run loses no
 //!    ticket: its windows re-execute on surviving shards (execution is
 //!    pure, so the retry is safe), outputs stay bit-identical, and the
@@ -62,7 +62,7 @@ fn process_backend(transport: Transport) -> ShardBackend {
     ShardBackend::Process(cfg)
 }
 
-/// A mixed queue exercising all three request kinds — GEMMs over shared
+/// A mixed queue exercising all three request constructors — GEMMs over shared
 /// weights, nonlinears (with a NaN and a -0.0 in one payload to prove
 /// bit-transparency of the wire), and compiled CNN programs submitted
 /// repeatedly so the weight cache has something to elide.
@@ -166,21 +166,72 @@ fn process_pool_bit_identical_for_every_admission_and_routing() {
                 assert_bits_eq(&format!("cross-host {label}"), &remote[i], want);
             }
             assert_eq!(summary.failovers, 0, "{routing:?}/{admission:?}");
-            // Four submissions of one program across two shards: each
-            // shard pays the full send once, every repeat is a
-            // fingerprint-only delta.
+            // Every request crosses the wire as a program, and the 14
+            // of them have five fingerprints between them (two GEMM
+            // weights, two functions, one CNN): each of the two shards
+            // pays a fingerprint's full send at most once, every repeat
+            // is a fingerprint-only delta.
             let cache = summary.wire_cache;
             assert!(
-                cache.full_sends <= 2,
+                cache.full_sends <= 2 * 5,
                 "{routing:?}/{admission:?}: {} full sends",
                 cache.full_sends
             );
-            assert_eq!(cache.full_sends + cache.ref_sends, 4);
+            assert_eq!(cache.full_sends + cache.ref_sends, 14);
             if cache.ref_sends > 0 {
                 assert!(cache.const_bytes_saved > 0);
             }
         }
     }
+}
+
+/// Regression: a stateless program's fingerprint ignores its input
+/// shapes, so `[2, 6] · W` and `[5, 6] · W` share one entry of the
+/// worker's program cache. The second must be served from that entry
+/// re-targeted at its own shapes — not fail as a shape mismatch against
+/// the first — and `W` must have crossed the wire once. Bare GEMMs
+/// lower to exactly such programs, at whatever row count each carries.
+#[test]
+fn one_cached_weight_serves_every_row_count() {
+    use onesa_core::plan::{EvalMode, Op, Program};
+    let mut rng = Pcg32::seed_from_u64(61);
+    let w = rng.randn(&[6, 4], 1.0);
+    let program = |rows: usize| {
+        let mut b = Program::builder("rows", EvalMode::Exact);
+        let x = b.input(&[rows, 6]);
+        let c = b.constant(w.clone());
+        b.push(
+            Op::Gemm {
+                bias: None,
+                sparsity: None,
+            },
+            &[x, c],
+        );
+        b.finish().unwrap()
+    };
+    assert_eq!(program(2).fingerprint(), program(5).fingerprint());
+
+    let pool = ServeEngine::start(
+        ServeConfig::uniform(1, ArrayConfig::new(8, 16), Parallelism::Sequential)
+            .with_backend(process_backend(Transport::Unix)),
+    )
+    .unwrap();
+    // One window each, so the second request meets a warm cache.
+    for (i, rows) in [2usize, 5, 3, 5].into_iter().enumerate() {
+        let a = rng.randn(&[rows, 6], 1.0);
+        let want = gemm::matmul(&a, &w).unwrap();
+        let request = if i < 2 {
+            Request::program(program(rows), vec![a])
+        } else {
+            Request::gemm(a, w.clone())
+        };
+        let served = pool.submit(request).unwrap().wait().unwrap();
+        assert_bits_eq(&format!("rows {rows}"), &served.output, &want);
+    }
+    let summary = pool.finish().unwrap();
+    let cache = summary.wire_cache;
+    assert_eq!((cache.full_sends, cache.ref_sends), (1, 3));
+    assert_eq!(cache.const_bytes_saved, 3 * 6 * 4 * 4);
 }
 
 #[test]

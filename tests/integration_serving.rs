@@ -254,12 +254,20 @@ fn bounded_queue_backpressure_hands_requests_back() {
     assert_eq!(pool.pending(), 4);
     // The queue is at capacity and the gate is closed: the fifth request
     // must come straight back, not block and not vanish.
-    let fifth = Request::gemm(rng.randn(&[2, 8], 1.0), w.clone());
-    let returned = match pool.try_submit(fifth) {
+    let a = rng.randn(&[2, 8], 1.0);
+    let fifth = Request::gemm(a.clone(), w.clone());
+    let mut returned = match pool.try_submit(fifth) {
         Err(TrySubmitError::Full(r)) => r,
         other => panic!("expected Full, got {:?}", other.map(|t| t.id())),
     };
-    assert!(returned.modeled_macs() > 0, "request handed back intact");
+    // Handed back intact: still the caller's own (un-lowered) request,
+    // which lowers to the GEMM it was built as.
+    assert!(returned.as_program().is_none());
+    returned.lower(0.25).unwrap();
+    let (program, inputs) = returned.as_program().unwrap();
+    assert_eq!(inputs, std::slice::from_ref(&a));
+    assert_eq!(program.consts()[0].as_ref(), &w);
+    assert_eq!(program.modeled_macs(), 2 * 8 * 4);
     // Open the gate: the backlog drains and every accepted ticket lands.
     pool.resume();
     for t in tickets {
