@@ -9,18 +9,25 @@
 //! The committed copy at the repository root records the trajectory
 //! later performance PRs must beat. Wall-clock numbers are
 //! machine-dependent; the `speedup_sparse` ratios and the modeled
-//! `mac_credit` column are the stable quantities. The bin asserts its
-//! own acceptance floor so the CI bench-smoke job enforces it:
+//! `mac_credit` column are the stable quantities. Both sides run the one
+//! packed kernel of `onesa_tensor::parallel` on one thread — dense over
+//! the whole weight, sparse over its payload — so the ratio is the gain
+//! from skipping blocks and nothing else. The bin asserts its own
+//! acceptance floor so the CI bench-smoke job enforces it:
 //!
-//! * at 512³ and ≤ 50% block density, the sparse kernel is ≥ 1.5×
-//!   the dense kernel;
+//! * at block density 1 (nothing to skip) sparse is within ±15% of dense
+//!   at every size — a mismatched baseline cannot come back unnoticed;
+//! * at 512³ the sparse kernel is ≥ 1.15× the dense kernel at 50% block
+//!   density and ≥ 1.9× at 25% (recorded: ≈1.4× and ≈2.5×; the shortfall
+//!   from 2× / 4× is the scattered store of panels that straddle a pruned
+//!   block);
 //! * the modeled-MAC credit (what `Op::Gemm`'s sparsity attribute
 //!   takes off `modeled_macs`) is at least the measured block-skip
 //!   fraction — admission budgets never under-credit pruned work.
 
 use onesa_bench::time_best;
 use onesa_plan::PRUNE_BLOCK_COLS;
-use onesa_tensor::parallel::Parallelism;
+use onesa_tensor::parallel::{self, Parallelism};
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::sparse::{self, column_block_stats, SparseTensor};
 use onesa_tensor::Tensor;
@@ -64,17 +71,22 @@ fn main() {
             let (nnz_blocks, total_blocks, nnz_cols) =
                 column_block_stats(&b, PRUNE_BLOCK_COLS).expect("matrix");
             let packed = SparseTensor::from_dense(&b, PRUNE_BLOCK_COLS).expect("packs");
-            let (dense_out, dense_s) = time_best(5, || {
-                onesa_tensor::parallel::matmul(&a, &b, Parallelism::Sequential).expect("gemm")
-            });
-            let (sparse_out, sparse_s) = time_best(5, || {
-                sparse::matmul(&a, &packed, Parallelism::Sequential).expect("sparse gemm")
-            });
+            let dense = || parallel::matmul(&a, &b, Parallelism::Sequential).expect("gemm");
+            let sparse = || sparse::matmul(&a, &packed, Parallelism::Sequential).expect("gemm");
             assert_eq!(
-                dense_out.as_slice(),
-                sparse_out.as_slice(),
+                dense().as_slice(),
+                sparse().as_slice(),
                 "sparse kernel must stay bit-identical to dense"
             );
+            // Alternate the two sides sample by sample, so a noisy stretch
+            // of the host lands on both, not on one side of the ratio; more
+            // samples at the small sizes, where one call is short enough
+            // for a single preemption to double it.
+            let (mut dense_s, mut sparse_s) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..16 * (512 / d).pow(2) {
+                dense_s = dense_s.min(time_best(1, dense).1);
+                sparse_s = sparse_s.min(time_best(1, sparse).1);
+            }
             // Skipped share of the modeled cost vs of the blocks: the
             // plan layer credits macs by nnz_cols, so the credit can
             // only exceed the block fraction (ragged last block).
@@ -85,10 +97,20 @@ fn main() {
                 "modeled credit {mac_credit} under-credits skip fraction {block_skip}"
             );
             let speedup = dense_s / sparse_s;
-            if d == 512 && density <= 0.5 {
+            if density == 1.0 {
+                // Nothing to skip: both sides must be the same kernel
+                // doing the same work, or every other row of this file
+                // compares a fast kernel with a slow one.
                 assert!(
-                    speedup >= 1.5,
-                    "sparse kernel only {speedup:.2}x at {density} density, need 1.5x"
+                    (0.85..=1.15).contains(&speedup),
+                    "at density 1 sparse is {speedup:.2}x dense at {d}^3: the baseline is not like-for-like"
+                );
+            }
+            if d == 512 && density <= 0.5 {
+                let floor = if density <= 0.25 { 1.9 } else { 1.15 };
+                assert!(
+                    speedup >= floor,
+                    "sparse kernel only {speedup:.2}x at {density} density, need {floor}x"
                 );
             }
             emitted += 1;

@@ -458,22 +458,37 @@ fn exec_group(
             let (b, b_fp) = gemm_const(&states[ids[0]], stage);
             let sparsity = gemm_sparsity(&states[ids[0]], stage);
             let (k, n) = (b.dims()[0], b.dims()[1]);
+            let operand = |j: usize| states[j].resolve(states[j].program.nodes()[stage].inputs[0]);
+            let mut multiply = |tall: &Tensor| match sparsity {
+                Some(s) => {
+                    let packed = tables.packed(b, b_fp, s.block_cols)?;
+                    onesa_tensor::sparse::matmul(tall, &packed, par)
+                }
+                None => parallel::matmul(tall, b, par),
+            };
+            if let [j] = *ids {
+                // A group of one has nothing to stack or slice apart:
+                // multiply the operand where it lies and move the product
+                // out.
+                let m = operand(j).dims()[0];
+                let mut out = multiply(operand(j))?;
+                apply_bias(out.as_mut_slice(), m, n, gemm_bias(&states[j], stage));
+                let batched = gemm_credit(cfg, m, k, n, sparsity);
+                return Ok(GroupOut {
+                    outputs: vec![(j, out, batched.clone())],
+                    batched,
+                });
+            }
             let mut stacked = Vec::new();
             let mut row_counts = Vec::with_capacity(ids.len());
             for &j in ids {
-                let a = states[j].resolve(states[j].program.nodes()[stage].inputs[0]);
+                let a = operand(j);
                 stacked.extend_from_slice(a.as_slice());
                 row_counts.push(a.dims()[0]);
             }
             let total_m: usize = row_counts.iter().sum();
             let tall = Tensor::from_vec(stacked, &[total_m, k])?;
-            let product = match sparsity {
-                Some(s) => {
-                    let packed = tables.packed(b, b_fp, s.block_cols)?;
-                    onesa_tensor::sparse::matmul(&tall, &packed, par)?
-                }
-                None => parallel::matmul(&tall, b, par)?,
-            };
+            let product = multiply(&tall)?;
             let batched = gemm_credit(cfg, total_m, k, n, sparsity);
             let mut outputs = Vec::with_capacity(ids.len());
             let mut row0 = 0usize;

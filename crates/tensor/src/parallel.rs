@@ -2,15 +2,23 @@
 //!
 //! The [`gemm`] module defines *what* the array computes; this
 //! module computes the same values *fast* on the host CPU so the engine can
-//! serve real traffic. Two ideas, mirroring how throughput is obtained in
-//! systolic-array designs themselves:
+//! serve real traffic. One packed GEMM sweep serves every entry point —
+//! [`matmul`] under every [`Parallelism`] setting and
+//! [`sparse::matmul`](crate::sparse::matmul) over its payload — built from
+//! two ideas, mirroring how throughput is obtained in systolic-array
+//! designs themselves:
 //!
-//! 1. **Cache/register blocking** — [`matmul`] packs `B` into column panels
-//!    and drives a `4 × 48` register-tiled microkernel, exactly the
-//!    output-stationary tiling a systolic schedule performs in hardware.
+//! 1. **Cache/register blocking** — `B` is packed into column panels that
+//!    a register-tiled microkernel sweeps, exactly the output-stationary
+//!    tiling a systolic schedule performs in hardware. The tile adapts to
+//!    the product instead of the product to the tile: four rows by the
+//!    narrowest of 16 / 32 / 48 lanes that covers the panel (`n = 64` is
+//!    48 + 16, `n = 8` one 16-lane pass), and the last `m % 4` rows ride
+//!    a zero-padded row block.
 //! 2. **Row-panel threading** — the output matrix is split into disjoint
 //!    row panels, one per worker, executed under [`std::thread::scope`]
-//!    (no external dependencies).
+//!    (no external dependencies). [`Parallelism::Sequential`] is the
+//!    one-worker case of the same sweep.
 //!
 //! # Bit-identical by construction
 //!
@@ -18,12 +26,14 @@
 //! order, one fused multiply-add ([`f32::mul_add`], a hardware MAC) per
 //! step, skipping steps where `A[i][k] == 0.0` — precisely the operation
 //! sequence of the sequential reference
-//! [`gemm::matmul`]. Row/column blocking and
-//! the thread count only change *which core* performs a given output row,
-//! never the floating-point op sequence behind an element, so results are
+//! [`gemm::matmul`]. Row/column blocking, the panel width and
+//! the thread count only change *which core and which vector lane*
+//! performs a given output element, never the floating-point op sequence
+//! behind it, so results are
 //! bit-identical to the reference for **every** [`Parallelism`] setting.
 //! The integration suite (`tests/integration_parallel.rs`) asserts this
-//! across thread counts 1/2/4.
+//! across thread counts 1/2/4, and the crate's proptests across the whole
+//! shape space.
 //!
 //! # Example
 //!
@@ -40,28 +50,33 @@
 
 use crate::{gemm, Result, Tensor, TensorError};
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 use std::thread;
 
 /// How many rows of `C` one microkernel call produces.
 const MR: usize = 4;
-/// Microkernel width (three 512-bit vectors of `f32`). `B` is packed into
-/// panels of exactly this width — the last panel zero-padded — so one
-/// kernel shape serves every column. The `MR × NR` accumulator tile plus
-/// one panel line stay well inside the vector register file.
+/// Widest microkernel (three 512-bit vectors of `f32`) and the column
+/// step of the panel sweep; a panel narrower than this runs at 16 or 32
+/// lanes. The `MR × NR` accumulator tile plus one panel line stay well
+/// inside the vector register file.
 const NR: usize = 48;
 /// K-blocking depth: one `KC × NR` packed panel is 24 KiB — it lives in
-/// L1 while every row block sweeps it.
+/// L1 while every row block sweeps it, and it is the only buffer besides
+/// the packed `A` rows a call allocates.
 const KC: usize = 128;
+/// `f32`s per cache line.
+const LINE: usize = 16;
 
 /// How kernel work is spread across CPU cores.
 ///
-/// The default is [`Parallelism::Sequential`], which dispatches to the
-/// plain reference kernels — engines opt in to the blocked/threaded
-/// backend explicitly. All settings produce bit-identical results (see the
+/// The default is [`Parallelism::Sequential`]: the packed kernels on the
+/// calling thread — engines opt in to threading explicitly. All settings
+/// run the same kernel and produce bit-identical results (see the
 /// [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// The sequential reference kernels, unchanged.
+    /// The blocked backend on the calling thread: no thread is spawned
+    /// and the OS is never asked for a core count.
     #[default]
     Sequential,
     /// The blocked backend on exactly `n` worker threads (`0` is treated
@@ -80,15 +95,25 @@ impl Parallelism {
     /// for cache, so `Threads(4)` degrades gracefully to the blocked
     /// kernel on however many cores exist.
     ///
+    /// The core count is read from the OS once per process and cached
+    /// (the query reads cgroup files — tens of microseconds, more than a
+    /// small kernel call), and `Sequential` never asks for it, so no
+    /// kernel call makes a syscall to size its thread split.
+    ///
     /// [`available_parallelism`]: std::thread::available_parallelism
     pub fn worker_count(&self) -> usize {
-        let cores = thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores = || {
+            *CORES.get_or_init(|| {
+                thread::available_parallelism()
+                    .map(NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+        };
         match *self {
             Parallelism::Sequential => 1,
-            Parallelism::Threads(n) => n.clamp(1, cores),
-            Parallelism::Auto => cores,
+            Parallelism::Threads(n) => n.clamp(1, cores()),
+            Parallelism::Auto => cores(),
         }
     }
 
@@ -104,16 +129,16 @@ impl Parallelism {
 
 /// Computes `A · B` under the given parallelism setting.
 ///
-/// [`Parallelism::Sequential`] calls [`gemm::matmul`] directly; the other
-/// settings run the blocked backend, whose results are bit-identical to it.
+/// Every setting runs the same packed kernel — [`Parallelism`] only picks
+/// how many threads share its row panels — and every result is
+/// bit-identical to [`gemm::matmul`]. Products with fewer than `MR` rows
+/// (single-token decode steps) have no row block to amortize packing over
+/// and go to the reference loop directly; that cut-off reads `m` alone.
 ///
 /// # Errors
 ///
 /// Shape errors as in [`gemm::matmul`].
 pub fn matmul(a: &Tensor, b: &Tensor, par: Parallelism) -> Result<Tensor> {
-    if let Parallelism::Sequential = par {
-        return gemm::matmul(a, b);
-    }
     let (m, k) = a.shape().as_matrix()?;
     let (k2, n) = b.shape().as_matrix()?;
     if k != k2 {
@@ -123,13 +148,34 @@ pub fn matmul(a: &Tensor, b: &Tensor, par: Parallelism) -> Result<Tensor> {
             op: "parallel::matmul",
         });
     }
+    if m < MR {
+        return gemm::matmul(a, b);
+    }
+    Ok(gemm_sweep(a.as_slice(), m, k, b.as_slice(), None, n, par))
+}
+
+/// The one GEMM sweep behind [`matmul`] and [`crate::sparse::matmul`]:
+/// `C = A · B` for a row-major `m × k` `A` and a row-major `B` with `k`
+/// rows, split into disjoint row panels across `par`'s workers.
+///
+/// Column `j` of `B` lands in column `cmap[j]` of the `n`-wide result;
+/// `None` is the identity map of a dense `B`. A block-sparse `B` passes its
+/// payload and the payload → output column map, and the output columns no
+/// payload column maps to keep the `+0.0` they are initialized with.
+pub(crate) fn gemm_sweep(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    b: &[f32],
+    cmap: Option<&[usize]>,
+    n: usize,
+    par: Parallelism,
+) -> Tensor {
     let mut out = Tensor::zeros(&[m, n]);
     let workers = par.worker_count().min(m.max(1));
-    let av = a.as_slice();
-    let bv = b.as_slice();
     if workers <= 1 || m < 2 * MR {
-        panel_rows(av, bv, out.as_mut_slice(), 0, m, k, n);
-        return Ok(out);
+        panel_rows(a, b, cmap, out.as_mut_slice(), 0, m, k, n);
+        return out;
     }
     // Split C into near-equal disjoint row panels, one per worker. Each
     // worker owns a contiguous `&mut` slice of the output, so no
@@ -143,11 +189,11 @@ pub fn matmul(a: &Tensor, b: &Tensor, par: Parallelism) -> Result<Tensor> {
             let rows = base + usize::from(w < extra);
             let (mine, tail) = rest.split_at_mut(rows * n);
             rest = tail;
-            scope.spawn(move || panel_rows(av, bv, mine, r0, rows, k, n));
+            scope.spawn(move || panel_rows(a, b, cmap, mine, r0, rows, k, n));
             r0 += rows;
         }
     });
-    Ok(out)
+    out
 }
 
 /// Matrix Hadamard Product `Y = X ⊙ K + B` under the given parallelism
@@ -189,87 +235,148 @@ pub fn mhp(x: &Tensor, k: &Tensor, b: &Tensor, par: Parallelism) -> Result<Tenso
 }
 
 /// Computes rows `r0..r0 + rows` of `C` into `c` (a slice holding exactly
-/// those rows, starting at row `r0` of the full matrix).
+/// those rows, starting at row `r0` of the full matrix); `b` and `cmap`
+/// as in [`gemm_sweep`].
 ///
 /// BLIS-style packing, done independently by each worker (the duplicated
 /// copies are `O(m·k + k·n)` against `O(rows · k · n)` of MACs):
 ///
 /// * this worker's `A` rows are repacked block-major — `MR` rows
 ///   interleaved p-major — so the microkernel reads one contiguous
-///   `MR`-float line per `k` step;
-/// * `B` is consumed one [`NR`]-wide column panel at a time: the panel is
-///   packed into a small contiguous buffer (the last panel zero-padded)
-///   and immediately swept by every row block, staying cache-hot while
-///   in use.
-fn panel_rows(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, rows: usize, k: usize, n: usize) {
-    let full_rows = (rows / MR) * MR;
-    let blocks = rows / MR;
+///   `MR`-float line per `k` step. The last block is zero-padded to `MR`
+///   rows: the kernel's `a == 0.0` skip makes the padding free, and only
+///   the live rows are resumed and stored;
+/// * `B` is consumed one column panel of up to [`NR`] columns at a time,
+///   `KC` rows deep: the panel is packed into a small contiguous buffer
+///   and immediately swept by every row block, staying cache-hot while in
+///   use. A panel is packed at the narrowest of 16 / 32 / 48 lanes that
+///   covers it, so a narrow product (or the tail of a wide one) does not
+///   pay for a `4 × 48` tile it leaves mostly empty.
+#[allow(clippy::too_many_arguments)]
+fn panel_rows(
+    a: &[f32],
+    b: &[f32],
+    cmap: Option<&[usize]>,
+    c: &mut [f32],
+    r0: usize,
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    let nb = cmap.map_or(n, <[usize]>::len);
+    let blocks = rows.div_ceil(MR);
     let mut apack = vec![0.0f32; blocks * k * MR];
-    for blk in 0..blocks {
-        let base = blk * k * MR;
-        for p in 0..k {
-            for r in 0..MR {
-                apack[base + p * MR + r] = a[(r0 + blk * MR + r) * k + p];
-            }
+    for i in 0..rows {
+        let base = (i / MR) * k * MR + i % MR;
+        for (p, &v) in a[(r0 + i) * k..(r0 + i + 1) * k].iter().enumerate() {
+            apack[base + p * MR] = v;
         }
     }
-    let mut panel = vec![0.0f32; KC * NR];
-    for t in 0..n.div_ceil(NR) {
-        let j0 = t * NR;
-        let width = NR.min(n - j0);
-        let mut k0 = 0;
-        while k0 < k {
+    // The kernel reads the panel one 64-byte vector at a time; start it
+    // on a cache line so no read straddles two (the allocator promises
+    // 16 bytes, and which residue it hands out varies call to call).
+    let len = KC.min(k) * lanes(nb.min(NR));
+    let mut buf = vec![0.0f32; len + LINE];
+    let skew = buf.as_ptr().align_offset(LINE * 4) % LINE;
+    let panel = &mut buf[skew..skew + len];
+    for j0 in (0..nb).step_by(NR) {
+        let width = NR.min(nb - j0);
+        let w = lanes(width);
+        let kernel: Microkernel = match w {
+            16 => microkernel::<16>,
+            32 => microkernel::<32>,
+            _ => microkernel::<NR>,
+        };
+        // Where this panel's columns land in C: one contiguous run (always,
+        // for a dense B; for a sparse one whenever the panel does not
+        // straddle a pruned block — `cmap` is strictly increasing, so the
+        // end points decide it) or a scatter through the map.
+        let cols = match cmap.map(|map| &map[j0..j0 + width]) {
+            None => Cols::Run(j0, width),
+            Some(map) if map[width - 1] - map[0] == width - 1 => Cols::Run(map[0], width),
+            Some(map) => Cols::Map(map),
+        };
+        for k0 in (0..k).step_by(KC) {
             let kc = KC.min(k - k0);
-            if width < NR || kc < KC {
-                panel.fill(0.0);
-            }
-            for p in 0..kc {
-                panel[p * NR..p * NR + width]
-                    .copy_from_slice(&b[(k0 + p) * n + j0..(k0 + p) * n + j0 + width]);
+            // Lanes past `width` keep whatever an earlier panel left
+            // there: the kernel computes on them and never stores them.
+            for (p, line) in panel.chunks_exact_mut(w).take(kc).enumerate() {
+                let row = (k0 + p) * nb + j0;
+                line[..width].copy_from_slice(&b[row..row + width]);
             }
             for blk in 0..blocks {
-                let base = blk * k * MR + k0 * MR;
-                let ablock = &apack[base..base + kc * MR];
-                microkernel(ablock, kc, &panel, c, blk * MR, j0, n, width);
+                let base = (blk * k + k0) * MR;
+                kernel(
+                    &apack[base..base + kc * MR],
+                    &panel[..kc * w],
+                    c,
+                    blk * MR,
+                    MR.min(rows - blk * MR),
+                    n,
+                    cols,
+                );
             }
-            k0 += kc;
         }
-    }
-    for ii in full_rows..rows {
-        reference_row(a, b, c, r0 + ii, ii, k, n);
     }
 }
 
-/// The register-tiled inner kernel: an `MR × NR` block of `C` held in
-/// accumulators across one `kc`-deep pass of the packed panels.
+/// The narrowest supported microkernel width covering `width` columns.
+fn lanes(width: usize) -> usize {
+    match width {
+        0..=16 => 16,
+        17..=32 => 32,
+        _ => NR,
+    }
+}
+
+/// The output columns one packed `B` panel lands in.
+#[derive(Clone, Copy)]
+enum Cols<'a> {
+    /// `width` adjacent columns starting at `start`: `Run(start, width)`.
+    Run(usize, usize),
+    /// One output column per panel column.
+    Map(&'a [usize]),
+}
+
+/// The signature every width of [`microkernel`] shares.
+type Microkernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, Cols);
+
+/// The register-tiled inner kernel: an `MR × W` block of `C` held in
+/// accumulators across one k-block of the packed operands (`ablock`:
+/// `kc × MR`, `bpanel`: `kc × W`).
 ///
 /// The block's running totals are *resumed from* `C` and checkpointed
 /// back to it between k-blocks, so each output element experiences one
 /// uninterrupted ascending-`k` chain of fused multiply-adds — the exact
 /// reference op sequence — regardless of how `k` is blocked. Only the
-/// first `width` columns are stored; the rest are the last panel's zero
-/// padding.
-#[allow(clippy::too_many_arguments)]
-fn microkernel(
+/// first `live` rows (the rest are the last block's zero padding) and the
+/// columns named by `cols` are loaded and stored.
+fn microkernel<const W: usize>(
     ablock: &[f32],
-    kc: usize,
     bpanel: &[f32],
     c: &mut [f32],
     ci0: usize,
-    j0: usize,
+    live: usize,
     n: usize,
-    width: usize,
+    cols: Cols,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, accr) in acc.iter_mut().enumerate() {
-        let row = (ci0 + r) * n + j0;
-        accr[..width].copy_from_slice(&c[row..row + width]);
+    let mut acc = [[0.0f32; W]; MR];
+    for (r, accr) in acc.iter_mut().enumerate().take(live) {
+        let crow = &c[(ci0 + r) * n..(ci0 + r + 1) * n];
+        match cols {
+            Cols::Run(start, width) => {
+                accr[..width].copy_from_slice(&crow[start..start + width]);
+            }
+            Cols::Map(map) => {
+                for (x, &j) in accr.iter_mut().zip(map) {
+                    *x = crow[j];
+                }
+            }
+        }
     }
-    for p in 0..kc {
-        let brow: &[f32; NR] = bpanel[p * NR..p * NR + NR].try_into().expect("panel line");
-        let arow: &[f32; MR] = ablock[p * MR..p * MR + MR]
-            .try_into()
-            .expect("A block line");
+    for (arow, brow) in ablock.chunks_exact(MR).zip(bpanel.chunks_exact(W)) {
+        let arow: &[f32; MR] = arow.try_into().expect("A block line");
+        let brow: &[f32; W] = brow.try_into().expect("panel line");
         for r in 0..MR {
             let arp = arow[r];
             // Same skip as the reference kernel: an exact zero in A
@@ -278,29 +385,22 @@ fn microkernel(
                 continue;
             }
             let accr = &mut acc[r];
-            for j in 0..NR {
+            for j in 0..W {
                 accr[j] = arp.mul_add(brow[j], accr[j]);
             }
         }
     }
-    for (r, accr) in acc.iter().enumerate() {
-        let row = (ci0 + r) * n + j0;
-        c[row..row + width].copy_from_slice(&accr[..width]);
-    }
-}
-
-/// One full row of `C` via the reference axpy loop — used for the
-/// leftover rows of a panel that do not fill an `MR`-row block.
-fn reference_row(a: &[f32], b: &[f32], c: &mut [f32], ai: usize, ci: usize, k: usize, n: usize) {
-    let arow = &a[ai * k..ai * k + k];
-    for (p, &ap) in arow.iter().enumerate() {
-        if ap == 0.0 {
-            continue;
-        }
-        let brow = &b[p * n..(p + 1) * n];
-        let crow = &mut c[ci * n..(ci + 1) * n];
-        for (o, &bv) in crow.iter_mut().zip(brow) {
-            *o = ap.mul_add(bv, *o);
+    for (r, accr) in acc.iter().enumerate().take(live) {
+        let crow = &mut c[(ci0 + r) * n..(ci0 + r + 1) * n];
+        match cols {
+            Cols::Run(start, width) => {
+                crow[start..start + width].copy_from_slice(&accr[..width]);
+            }
+            Cols::Map(map) => {
+                for (&x, &j) in accr.iter().zip(map) {
+                    crow[j] = x;
+                }
+            }
         }
     }
 }
@@ -360,14 +460,18 @@ mod tests {
     }
 
     #[test]
-    fn sequential_dispatches_to_reference() {
+    fn sequential_runs_the_packed_kernel() {
+        // Below the MR-row cut-off, a ragged row block over one narrow
+        // panel, and two k-blocks under a 48 + 48 + 32-lane sweep.
         let mut rng = Pcg32::seed_from_u64(3);
-        let a = rng.randn(&[9, 4], 1.0);
-        let b = rng.randn(&[4, 6], 1.0);
-        assert_bit_identical(
-            &matmul(&a, &b, Parallelism::Sequential).unwrap(),
-            &gemm::matmul(&a, &b).unwrap(),
-        );
+        for (m, k, n) in [(3, 5, 7), (9, 4, 6), (79, 256, 128)] {
+            let a = rng.randn(&[m, k], 1.0);
+            let b = rng.randn(&[k, n], 1.0);
+            assert_bit_identical(
+                &matmul(&a, &b, Parallelism::Sequential).unwrap(),
+                &gemm::matmul(&a, &b).unwrap(),
+            );
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! stores such a matrix as a block bitmap plus a packed payload: the
 //! dense matrix with its zero column-blocks deleted. The payload is
 //! exactly the sub-matrix the packed dense kernel would have swept had
-//! the zero panels never existed, so [`matmul`] drives the same
-//! 4×48 register-tiled microkernel as [`crate::parallel`] over the
-//! payload and scatters each output column back to its true position —
-//! zero blocks are never packed, never swept, never touched.
+//! the zero panels never existed, so [`matmul`] hands the payload and its
+//! column map to the *same* sweep [`crate::parallel::matmul`] runs —
+//! dense is its identity-map case — which scatters each output column
+//! back to its true position. Zero blocks are never packed, never swept,
+//! never touched.
 //!
 //! # Bit-identical by construction
 //!
@@ -49,16 +50,8 @@
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 
-use crate::parallel::Parallelism;
+use crate::parallel::{gemm_sweep, Parallelism};
 use crate::{Result, Tensor, TensorError};
-use std::thread;
-
-/// Microkernel tile height — mirrors `parallel::MR`.
-const MR: usize = 4;
-/// Microkernel tile width — mirrors `parallel::NR`.
-const NR: usize = 48;
-/// K-blocking depth — mirrors `parallel::KC`.
-const KC: usize = 128;
 
 /// A `rows × cols` matrix whose zero column-blocks are stored as a
 /// bitmap instead of data. See the [module docs](self) for the layout
@@ -228,7 +221,8 @@ impl SparseTensor {
 ///
 /// Zero blocks are skipped entirely: the kernel packs and sweeps only
 /// the payload, so the MAC count scales with
-/// [`SparseTensor::nnz_cols`], not with the dense width.
+/// [`SparseTensor::nnz_cols`], not with the dense width. A fully pruned
+/// `B` sweeps nothing and returns the `+0.0` output as initialized.
 ///
 /// # Errors
 ///
@@ -242,164 +236,15 @@ pub fn matmul(a: &Tensor, b: &SparseTensor, par: Parallelism) -> Result<Tensor> 
             op: "sparse::matmul",
         });
     }
-    let mut out = Tensor::zeros(&[m, b.cols]);
-    let nnz = b.col_map.len();
-    if nnz == 0 {
-        // Every block is zero: the dense product is exactly the +0.0
-        // the output is initialized with.
-        return Ok(out);
-    }
-    let av = a.as_slice();
-    let workers = par.worker_count().min(m.max(1));
-    if matches!(par, Parallelism::Sequential) || workers <= 1 || m < 2 * MR {
-        panel_rows_scattered(av, b, out.as_mut_slice(), 0, m, k);
-        return Ok(out);
-    }
-    // Disjoint near-equal row panels, one per worker, exactly as the
-    // dense backend splits C.
-    let n = b.cols;
-    let base = m / workers;
-    let extra = m % workers;
-    thread::scope(|scope| {
-        let mut rest = out.as_mut_slice();
-        let mut r0 = 0;
-        for w in 0..workers {
-            let rows = base + usize::from(w < extra);
-            let (mine, tail) = rest.split_at_mut(rows * n);
-            rest = tail;
-            scope.spawn(move || panel_rows_scattered(av, b, mine, r0, rows, k));
-            r0 += rows;
-        }
-    });
-    Ok(out)
-}
-
-/// The sparsity-aware variant of `parallel::panel_rows`: identical A
-/// packing and k-blocking, but the B panels are read from the packed
-/// payload (zero blocks were deleted at pack time, so the panel sweep
-/// skips them by construction) and the `MR × NR` accumulator tile is
-/// resumed from / checkpointed to `C` through the column map. Each
-/// output element still experiences one uninterrupted ascending-`k`
-/// chain of fused multiply-adds — the reference op sequence.
-fn panel_rows_scattered(
-    a: &[f32],
-    b: &SparseTensor,
-    c: &mut [f32],
-    r0: usize,
-    rows: usize,
-    k: usize,
-) {
-    let n = b.cols;
-    let nnz = b.col_map.len();
-    let full_rows = (rows / MR) * MR;
-    let blocks = rows / MR;
-    let mut apack = vec![0.0f32; blocks * k * MR];
-    for blk in 0..blocks {
-        let base = blk * k * MR;
-        for p in 0..k {
-            for r in 0..MR {
-                apack[base + p * MR + r] = a[(r0 + blk * MR + r) * k + p];
-            }
-        }
-    }
-    let mut panel = vec![0.0f32; KC * NR];
-    for t in 0..nnz.div_ceil(NR) {
-        let j0 = t * NR;
-        let width = NR.min(nnz - j0);
-        let cmap = &b.col_map[j0..j0 + width];
-        let mut k0 = 0;
-        while k0 < k {
-            let kc = KC.min(k - k0);
-            if width < NR || kc < KC {
-                panel.fill(0.0);
-            }
-            for p in 0..kc {
-                panel[p * NR..p * NR + width]
-                    .copy_from_slice(&b.payload[(k0 + p) * nnz + j0..(k0 + p) * nnz + j0 + width]);
-            }
-            for blk in 0..blocks {
-                let base = blk * k * MR + k0 * MR;
-                let ablock = &apack[base..base + kc * MR];
-                microkernel_scattered(ablock, kc, &panel, c, blk * MR, cmap, n);
-            }
-            k0 += kc;
-        }
-    }
-    for ii in full_rows..rows {
-        reference_row_scattered(a, b, c, r0 + ii, ii, k);
-    }
-}
-
-/// The `MR × NR` register-tiled inner kernel over one packed payload
-/// panel. Identical accumulation to `parallel::microkernel`; only the
-/// resume/checkpoint addressing differs — each tile column maps to its
-/// original output column through `cmap`.
-fn microkernel_scattered(
-    ablock: &[f32],
-    kc: usize,
-    bpanel: &[f32],
-    c: &mut [f32],
-    ci0: usize,
-    cmap: &[usize],
-    n: usize,
-) {
-    let width = cmap.len();
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, accr) in acc.iter_mut().enumerate() {
-        let row = (ci0 + r) * n;
-        for (j, &col) in cmap.iter().enumerate() {
-            accr[j] = c[row + col];
-        }
-    }
-    for p in 0..kc {
-        let brow: &[f32; NR] = bpanel[p * NR..p * NR + NR].try_into().expect("panel line");
-        let arow: &[f32; MR] = ablock[p * MR..p * MR + MR]
-            .try_into()
-            .expect("A block line");
-        for r in 0..MR {
-            let arp = arow[r];
-            // Same skip as the dense kernels: an exact zero in A
-            // contributes no operation at all.
-            if arp == 0.0 {
-                continue;
-            }
-            let accr = &mut acc[r];
-            for j in 0..NR {
-                accr[j] = arp.mul_add(brow[j], accr[j]);
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        let row = (ci0 + r) * n;
-        for (j, &col) in cmap.iter().enumerate().take(width) {
-            c[row + col] = accr[j];
-        }
-    }
-}
-
-/// One full output row via the reference axpy loop over the payload —
-/// the leftover rows of a panel that do not fill an `MR`-row block.
-fn reference_row_scattered(
-    a: &[f32],
-    b: &SparseTensor,
-    c: &mut [f32],
-    ai: usize,
-    ci: usize,
-    k: usize,
-) {
-    let n = b.cols;
-    let nnz = b.col_map.len();
-    let arow = &a[ai * k..ai * k + k];
-    let crow = &mut c[ci * n..(ci + 1) * n];
-    for (p, &ap) in arow.iter().enumerate() {
-        if ap == 0.0 {
-            continue;
-        }
-        let brow = &b.payload[p * nnz..(p + 1) * nnz];
-        for (&bv, &j) in brow.iter().zip(&b.col_map) {
-            crow[j] = ap.mul_add(bv, crow[j]);
-        }
-    }
+    Ok(gemm_sweep(
+        a.as_slice(),
+        m,
+        k,
+        &b.payload,
+        Some(&b.col_map),
+        b.cols,
+        par,
+    ))
 }
 
 #[cfg(test)]

@@ -1,7 +1,10 @@
 //! Property-based tests for the tensor substrate.
 
 use onesa_tensor::fixed::QFormat;
+use onesa_tensor::parallel::{self, Parallelism};
 use onesa_tensor::quant::{self, QuantTensor};
+use onesa_tensor::rng::Pcg32;
+use onesa_tensor::sparse::{self, SparseTensor};
 use onesa_tensor::{gemm, Tensor};
 use proptest::prelude::*;
 
@@ -12,9 +15,91 @@ fn small_matrix(max_dim: usize) -> impl Strategy<Value = Tensor> {
     })
 }
 
+/// One GEMM over the packed kernel's whole shape space: `m` crosses every
+/// `m % 4` row tail and the direct-loop cut-off, `k` crosses the 128-deep
+/// k-block twice, `n` reaches every 16 / 32 / 48-lane tail combination.
+/// `A` carries planted `+0.0` / `-0.0` entries and whole zero rows (the
+/// kernels' skip branch); `B` comes dense and with random all-`+0.0`
+/// column blocks of width `block_cols`.
+#[derive(Debug)]
+struct GemmCase {
+    a: Tensor,
+    b: Tensor,
+    pruned_b: Tensor,
+    block_cols: usize,
+}
+
+fn gemm_case() -> impl Strategy<Value = GemmCase> {
+    (
+        1usize..=70,
+        1usize..=300,
+        1usize..=130,
+        1usize..=24,
+        0u64..1 << 32,
+    )
+        .prop_map(|(m, k, n, block_cols, seed)| {
+            let mut rng = Pcg32::seed_from_u64(seed);
+            let mut a = rng.randn(&[m, k], 1.0);
+            for row in a.as_mut_slice().chunks_exact_mut(k) {
+                if rng.next_u32() % 8 == 0 {
+                    row.fill(0.0);
+                }
+                for v in row {
+                    match rng.next_u32() % 16 {
+                        0 | 1 => *v = 0.0,
+                        2 => *v = -0.0,
+                        _ => {}
+                    }
+                }
+            }
+            let b = rng.randn(&[k, n], 1.0);
+            let mut pruned_b = b.clone();
+            for j0 in (0..n).step_by(block_cols) {
+                if rng.next_u32() % 2 == 0 {
+                    let j1 = n.min(j0 + block_cols);
+                    for row in pruned_b.as_mut_slice().chunks_exact_mut(n) {
+                        row[j0..j1].fill(0.0);
+                    }
+                }
+            }
+            GemmCase {
+                a,
+                b,
+                pruned_b,
+                block_cols,
+            }
+        })
+}
+
+fn assert_bit_identical(got: &Tensor, want: &Tensor) {
+    assert_eq!(got.dims(), want.dims());
+    for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "element {i}: {g} vs {w}");
+    }
+}
+
 proptest! {
     // Pinned case count: CI runs are deterministic and reproducible.
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every entry point of the one packed GEMM, under every
+    /// `Parallelism`, is `to_bits()`-equal to the reference loop: dense
+    /// through `parallel::matmul`, block-sparse through `sparse::matmul`.
+    #[test]
+    fn packed_gemm_bit_identical_over_the_shape_space(case in gemm_case()) {
+        let dense = gemm::matmul(&case.a, &case.b).unwrap();
+        let pruned = gemm::matmul(&case.a, &case.pruned_b).unwrap();
+        let packed = SparseTensor::from_dense(&case.pruned_b, case.block_cols).unwrap();
+        for par in [
+            Parallelism::Sequential,
+            Parallelism::Threads(1),
+            Parallelism::Threads(3),
+            Parallelism::Auto,
+        ] {
+            assert_bit_identical(&parallel::matmul(&case.a, &case.b, par).unwrap(), &dense);
+            assert_bit_identical(&sparse::matmul(&case.a, &packed, par).unwrap(), &pruned);
+        }
+    }
 
     #[test]
     fn transpose_involution(t in small_matrix(8)) {
