@@ -141,7 +141,6 @@ use onesa_plan::{self as plan, EvalMode, Op, OptTotals, Program, StageGroups, Ta
 use onesa_sim::ExecStats;
 use onesa_tensor::{Result, Tensor, TensorError};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -250,6 +249,17 @@ impl Request {
         };
         self.work = Work::Program(Box::new(program));
         Ok(())
+    }
+
+    /// The whole admission check, shared by every front door: lower the
+    /// request at `granularity`, then check its inputs against its
+    /// program's input slots. The program itself needs no second look —
+    /// a [`Program`] value is sealed (validated once when it was built,
+    /// re-targeted or decoded, and immutable since).
+    pub(crate) fn check(&mut self, granularity: f32) -> Result<()> {
+        self.lower(granularity)?;
+        let (program, inputs) = self.lowered();
+        program.check_inputs(inputs)
     }
 
     /// The program the request runs and its inputs; `None` until
@@ -467,18 +477,10 @@ pub struct BatchRun {
     pub program_stages: Vec<StageGroups>,
 }
 
-/// One queued request plus whether it was already validated at
-/// admission (validated requests skip the redundant pre-run walk).
-#[derive(Debug, Clone)]
-struct Queued {
-    request: Request,
-    validated: bool,
-}
-
 /// A request queue in front of a [`OneSa`] engine.
 ///
 /// See the [module docs](self) for the serving model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BatchEngine {
     engine: OneSa,
     /// The granularity nonlinear requests lower to.
@@ -490,26 +492,7 @@ pub struct BatchEngine {
     /// `onesa_core::serve`'s shard workers keep one engine alive across
     /// all admission windows.
     plan_tables: TableCache,
-    queue: Vec<Queued>,
-    /// Full validation walks this engine performed (a `validate` call
-    /// on a request). Observable so tests can pin that admission-time
-    /// validation is not repeated per shard batch. Atomic (not `Cell`)
-    /// so the engine stays `Sync` for read-only sharing.
-    validations: AtomicU64,
-}
-
-impl Clone for BatchEngine {
-    /// Cheap: tables are `Arc`-shared. The clone starts with a snapshot
-    /// of the validation counter.
-    fn clone(&self) -> Self {
-        BatchEngine {
-            engine: self.engine.clone(),
-            granularity: self.granularity,
-            plan_tables: self.plan_tables.clone(),
-            queue: self.queue.clone(),
-            validations: AtomicU64::new(self.validations()),
-        }
-    }
+    queue: Vec<Request>,
 }
 
 impl BatchEngine {
@@ -530,7 +513,6 @@ impl BatchEngine {
             granularity,
             plan_tables,
             queue: Vec::new(),
-            validations: AtomicU64::new(0),
         })
     }
 
@@ -538,14 +520,6 @@ impl BatchEngine {
     /// the engine's own set; reused across every run).
     pub fn table_cache(&self) -> &TableCache {
         &self.plan_tables
-    }
-
-    /// Full validation walks this engine has performed, across
-    /// [`BatchEngine::validate`], [`BatchEngine::submit_checked`] and
-    /// [`BatchEngine::run`]. Requests enqueued through
-    /// [`BatchEngine::submit_validated`] never add to this count.
-    pub fn validations(&self) -> u64 {
-        self.validations.load(Ordering::Relaxed)
     }
 
     /// The wrapped engine.
@@ -565,18 +539,15 @@ impl BatchEngine {
 
     /// Enqueues a request, returning its id (its submission index).
     ///
-    /// Validation is deferred to [`BatchEngine::run`]; use
+    /// The admission check runs in [`BatchEngine::run`]; use
     /// [`BatchEngine::submit_checked`] to reject malformed requests at
     /// the queue instead.
     pub fn submit(&mut self, request: Request) -> RequestId {
-        self.queue.push(Queued {
-            request,
-            validated: false,
-        });
+        self.queue.push(request);
         self.queue.len() - 1
     }
 
-    /// Validates eagerly, then enqueues: a malformed request is turned
+    /// Checks eagerly, then enqueues: a malformed request is turned
     /// away at the queue instead of poisoning the whole batch at
     /// [`BatchEngine::run`] time.
     ///
@@ -586,25 +557,7 @@ impl BatchEngine {
     /// untouched on error.
     pub fn submit_checked(&mut self, mut request: Request) -> Result<RequestId> {
         self.validate(&mut request)?;
-        Ok(self.submit_validated(request))
-    }
-
-    /// Enqueues a request the **caller** asserts was already validated
-    /// against an engine with the same table granularity — the serving
-    /// layer's shard workers use this to skip re-walking requests the
-    /// admission thread already checked (for a whole-network program
-    /// that walk is a full graph validation + shape inference per
-    /// request). [`BatchEngine::run`] trusts the marker and skips its
-    /// own pre-run validation for such requests; a false assertion can
-    /// therefore surface as an execution error that fails the batch, so
-    /// callers outside the serving layer should prefer
-    /// [`BatchEngine::submit_checked`].
-    pub fn submit_validated(&mut self, request: Request) -> RequestId {
-        self.queue.push(Queued {
-            request,
-            validated: true,
-        });
-        self.queue.len() - 1
+        Ok(self.submit(request))
     }
 
     /// Validates and enqueues a compiled whole-network request.
@@ -628,49 +581,29 @@ impl BatchEngine {
     /// The admission check, without touching the queue. A GEMM or
     /// nonlinear request is lowered at the engine's granularity
     /// ([`Request::lower`]): building its one-op program *is* its
-    /// validation, and the program takes the request's own input. A
-    /// program request is walked — graph validation plus shape
-    /// inference — and its inputs checked against its input shapes.
+    /// validation. A program request arrives sealed — a [`Program`]
+    /// value was validated once, when it was built, re-targeted or
+    /// decoded, and is immutable — so all that is left to check is the
+    /// caller's part: the inputs against the program's input shapes
+    /// ([`Program::check_inputs`]).
     ///
     /// # Errors
     ///
     /// The same errors [`BatchEngine::run`] would report for the
     /// request. A request that fails to lower is left as it was.
     pub fn validate(&self, request: &mut Request) -> Result<()> {
-        self.validations.fetch_add(1, Ordering::Relaxed);
-        let Some((program, inputs)) = request.as_program() else {
-            return request.lower(self.granularity);
-        };
-        program.validate()?;
-        if inputs.len() != program.n_inputs() {
-            return Err(TensorError::InvalidArgument("program input count mismatch"));
-        }
-        for (t, expect) in inputs.iter().zip(program.input_shapes()) {
-            if t.dims() != expect.as_slice() {
-                return Err(TensorError::ShapeMismatch {
-                    lhs: t.dims().to_vec(),
-                    rhs: expect.clone(),
-                    op: "BatchEngine::run program input",
-                });
-            }
-        }
-        Ok(())
+        request.check(self.granularity)
     }
 
-    /// [`BatchEngine::run`]'s front door for one queue entry: lowers the
-    /// request in place and walks it unless it was admitted through
-    /// `submit_checked`/`submit_validated`, then builds its table set —
-    /// a granularity the table builder rejects (validation only checks
-    /// it is positive and finite) must fail here, with the queue still
+    /// [`BatchEngine::run`]'s front door for one queue entry: the
+    /// admission check, then the entry's table set — a granularity the
+    /// table builder rejects (a sealed program's is only known to be
+    /// positive and finite) must fail here, with the queue still
     /// intact. The cache is persistent, so across runs each granularity
     /// is built at most once.
-    fn admit(&mut self, entry: &mut Queued) -> Result<()> {
-        if entry.validated {
-            entry.request.lower(self.granularity)?;
-        } else {
-            self.validate(&mut entry.request)?;
-        }
-        if let Some(g) = entry.request.lowered_program().mode().granularity() {
+    fn admit(&mut self, request: &mut Request) -> Result<()> {
+        request.check(self.granularity)?;
+        if let Some(g) = request.lowered_program().mode().granularity() {
             self.plan_tables.get(g)?;
         }
         Ok(())
@@ -700,8 +633,7 @@ impl BatchEngine {
         let cfg = self.engine.config().clone();
         let idle = ExecStats::new(&cfg, Default::default(), 0, 0);
 
-        let jobs: Vec<(&Program, &[Tensor])> =
-            queue.iter().map(|entry| entry.request.lowered()).collect();
+        let jobs: Vec<(&Program, &[Tensor])> = queue.iter().map(Request::lowered).collect();
         let mut opt = OptTotals::default();
         let mut blocks = (0u64, 0u64);
         for (program, _) in &jobs {
@@ -1143,39 +1075,6 @@ mod tests {
         assert!(program.modeled_macs() > 0);
         let other = mlp_program(&rng.randn(&[6, 4], 1.0), &w2);
         assert_ne!(program.fingerprint(), other.fingerprint());
-    }
-
-    #[test]
-    fn submit_validated_skips_the_redundant_validation_walk() {
-        let mut rng = Pcg32::seed_from_u64(41);
-        let program = mlp_program(&rng.randn(&[6, 4], 1.0), &rng.randn(&[4, 3], 1.0));
-        let x = rng.randn(&[2, 6], 1.0);
-
-        // submit_checked validates once; run() must not re-walk it.
-        let mut serving = BatchEngine::new(engine(), 0.25).unwrap();
-        serving
-            .submit_program(program.clone(), vec![x.clone()])
-            .unwrap();
-        assert_eq!(serving.validations(), 1);
-        let _ = serving.run().unwrap();
-        assert_eq!(
-            serving.validations(),
-            1,
-            "run() re-validated a checked request"
-        );
-
-        // submit_validated (the serving layer's shard path) never walks.
-        let mut trusted = BatchEngine::new(engine(), 0.25).unwrap();
-        trusted.submit_validated(Request::program(program.clone(), vec![x.clone()]));
-        let run = trusted.run().unwrap();
-        assert_eq!(trusted.validations(), 0);
-        assert_eq!(run.report.requests, 1);
-
-        // Plain submit still validates inside run().
-        let mut lazy = BatchEngine::new(engine(), 0.25).unwrap();
-        lazy.submit(Request::program(program, vec![x]));
-        let _ = lazy.run().unwrap();
-        assert_eq!(lazy.validations(), 1);
     }
 
     #[test]

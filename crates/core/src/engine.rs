@@ -89,7 +89,7 @@ impl OneSa {
     /// Shape errors from the underlying tensor ops.
     pub fn nonlinear(&self, table: &PwlTable, x: &Tensor) -> Result<(Tensor, ExecStats)> {
         let (m, n) = matrix_or_row(x);
-        let out = table.eval_tensor(x).map_err(unwrap_cpwl)?;
+        let out = table.eval_tensor(x)?;
         Ok((out, analytic::nonlinear_stats(&self.cfg, m, n)))
     }
 
@@ -101,7 +101,7 @@ impl OneSa {
     /// Shape errors from the underlying tensor ops.
     pub fn softmax_rows(&self, tables: &TableSet, x: &Tensor) -> Result<(Tensor, ExecStats)> {
         let (m, n) = x.shape().as_matrix()?;
-        let out = tables.softmax_rows(x).map_err(unwrap_cpwl)?;
+        let out = tables.softmax_rows(x)?;
         Ok((out, self.softmax_stats(m, n)))
     }
 
@@ -119,9 +119,7 @@ impl OneSa {
         eps: f32,
     ) -> Result<(Tensor, ExecStats)> {
         let (m, n) = x.shape().as_matrix()?;
-        let out = tables
-            .layernorm_rows(x, gamma, beta, eps)
-            .map_err(unwrap_cpwl)?;
+        let out = tables.layernorm_rows(x, gamma, beta, eps)?;
         Ok((out, self.norm_stats(m, n)))
     }
 
@@ -186,17 +184,6 @@ fn matrix_or_row(x: &Tensor) -> (usize, usize) {
     match x.shape().as_matrix() {
         Ok((m, n)) => (m, n),
         Err(_) => (1, x.len()),
-    }
-}
-
-fn unwrap_cpwl(e: onesa_cpwl::CpwlError) -> onesa_tensor::TensorError {
-    match e {
-        onesa_cpwl::CpwlError::Tensor(t) => t,
-        other => onesa_tensor::TensorError::InvalidArgument(match other {
-            onesa_cpwl::CpwlError::InvalidGranularity(_) => "invalid granularity",
-            onesa_cpwl::CpwlError::InvalidRange { .. } => "invalid range",
-            _ => "cpwl table error",
-        }),
     }
 }
 

@@ -948,11 +948,9 @@ fn serve_window(
         }
         for _ in 0..n {
             let ticket = body.get_u64()?;
-            let request = get_request(body, programs)?;
-            // The host's admitter already validated the request (and
-            // program decode re-validated the graph), mirroring the
-            // in-process shard loop's submit_validated.
-            engine.submit_validated(request);
+            // Decoding sealed the program; `engine.run` checks the
+            // decoded inputs against it.
+            engine.submit(get_request(body, programs)?);
             tickets.push(ticket);
         }
         body.expect_end()

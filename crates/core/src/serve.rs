@@ -73,15 +73,14 @@
 //!   waiting, so producers can never outrun the pool unboundedly. The
 //!   per-shard channels are bounded too, which stalls admission (not
 //!   the clients) when one shard falls behind.
-//! * **Early rejection.** The admission thread lowers and validates
-//!   every request (via the same checks as
+//! * **Early rejection.** The admission thread lowers every request
+//!   and checks its inputs against its program (the same checks as
 //!   `BatchEngine::submit_checked`) before routing: a malformed
 //!   request's ticket resolves with the validation error at the queue,
-//!   and never reaches a shard's batch. Validated requests carry that
-//!   status to their shard, which enqueues them through
-//!   [`BatchEngine::submit_validated`] — the full validation walk (a
-//!   whole-graph validation plus shape inference) runs once per
-//!   request, not once per layer of the stack. Under
+//!   and never reaches a shard's batch. A `Program` value is sealed:
+//!   built, re-targeted or decoded, it was validated once and is
+//!   immutable — so no layer of the stack walks its graph again; what
+//!   each front door re-checks is only the caller's inputs. Under
 //!   [`AdmissionPolicy::Deadline`] with `drop_expired`, requests
 //!   already past their deadline at window close resolve with
 //!   [`ServeError::DeadlineExpired`] instead of dispatching (counted in
@@ -1785,12 +1784,6 @@ impl ServeEngine {
             workers.push(handle);
         }
 
-        // The admitter validates every request before routing it, so a
-        // malformed request is rejected at the queue instead of riding
-        // into (and poisoning) a shard's batch. Validation only needs
-        // the table set, so any shard's geometry works as the template.
-        let validator =
-            BatchEngine::new(OneSa::new(cfg.shards[0].config.clone()), cfg.granularity)?;
         let power_specs: Vec<ShardPowerSpec> = cfg
             .shards
             .iter()
@@ -1812,7 +1805,7 @@ impl ServeEngine {
                 recompile: CompileCache::new(),
                 gate: Arc::clone(&gate),
                 queue_depth: Arc::clone(&queue_depth),
-                validator,
+                granularity: cfg.granularity,
                 epoch: Instant::now(),
                 sessions: Arc::clone(&sessions),
             };
@@ -2221,8 +2214,9 @@ struct AdmitterCtx {
     recompile: CompileCache,
     gate: Arc<Gate>,
     queue_depth: Arc<DepthGauge>,
-    /// Validation template (same table set as every shard).
-    validator: BatchEngine,
+    /// The granularity bare nonlinear requests lower to
+    /// ([`ServeConfig::granularity`], every shard engine's own).
+    granularity: f32,
     /// Epoch of the drop-on-expiry deadline clock.
     epoch: Instant,
     sessions: Arc<SessionTable>,
@@ -2331,11 +2325,11 @@ fn admitter_loop(ctx: AdmitterCtx) -> AdmitOut {
     let mut power_log: Vec<Vec<ShardPower>> = Vec::new();
     let mut power_ups = 0u64;
     let mut power_downs = 0u64;
-    // The front door: lower the request to a program and validate it.
-    // A malformed request is rejected here: its ticket resolves with
-    // the validation error and it never reaches a shard.
+    // The front door: lower the request to a program and check its
+    // inputs. A malformed request is rejected here: its ticket resolves
+    // with the validation error and it never reaches a shard.
     let admit = |mut sub: Submission| -> Option<Submission> {
-        match ctx.validator.validate(&mut sub.request) {
+        match sub.request.check(ctx.granularity) {
             Ok(()) => Some(sub),
             Err(e) => {
                 if let Some(tag) = sub.session {
@@ -2673,18 +2667,12 @@ impl ShardExec {
     ) -> Result<(BatchRun, usize), ServeError> {
         match self {
             ShardExec::Local(engine) => {
-                // The admitter already lowered every request and ran the
-                // full validation walk against a same-granularity
-                // engine, so the shard enqueues with the validated
-                // marker instead of re-walking (for whole-network
-                // programs that walk is a per-request graph validation
-                // + shape inference).
                 for (_, request) in window {
-                    engine.submit_validated(request);
+                    engine.submit(request);
                 }
-                // Pre-validation should make a failure unreachable;
-                // recover anyway: fail the batch, leave the shard
-                // serviceable.
+                // The admitter's check should make a failure
+                // unreachable; recover anyway: fail the batch, leave
+                // the shard serviceable.
                 engine.run().map(|run| (run, shard)).map_err(|e| {
                     engine.clear();
                     ServeError::Exec(e)
@@ -2999,7 +2987,7 @@ mod tests {
 
     #[test]
     fn malformed_request_is_rejected_at_admission() {
-        // The shard never sees the bad request: the admitter's validator
+        // The shard never sees the bad request: the admitter's check
         // rejects it, so the shard's batch count stays clean.
         let mut rng = Pcg32::seed_from_u64(32);
         let engine = pool(1);

@@ -66,6 +66,23 @@ impl From<onesa_tensor::TensorError> for CpwlError {
     }
 }
 
+/// The way back, for callers whose error type is [`TensorError`]
+/// (the executor, the engine): a wrapped tensor error unwraps, a table
+/// error becomes an `InvalidArgument` naming it.
+///
+/// [`TensorError`]: onesa_tensor::TensorError
+impl From<CpwlError> for onesa_tensor::TensorError {
+    fn from(e: CpwlError) -> Self {
+        use onesa_tensor::TensorError::InvalidArgument;
+        match e {
+            CpwlError::Tensor(t) => t,
+            CpwlError::InvalidGranularity(_) => InvalidArgument("invalid granularity"),
+            CpwlError::InvalidRange { .. } => InvalidArgument("invalid range"),
+            _ => InvalidArgument("cpwl table error"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,6 +101,21 @@ mod tests {
         for e in errs {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn converts_back_to_a_tensor_error() {
+        use onesa_tensor::TensorError;
+        let inner = TensorError::NotAMatrix { rank: 1 };
+        assert_eq!(TensorError::from(CpwlError::from(inner.clone())), inner);
+        assert_eq!(
+            TensorError::from(CpwlError::InvalidGranularity(0.0)),
+            TensorError::InvalidArgument("invalid granularity")
+        );
+        assert_eq!(
+            TensorError::from(CpwlError::NonFiniteSample { x: 0.0 }),
+            TensorError::InvalidArgument("cpwl table error")
+        );
     }
 
     #[test]

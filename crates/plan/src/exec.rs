@@ -2,15 +2,17 @@
 //! multi-program scheduler with per-stage cross-program coalescing.
 
 use crate::program::{
-    op_cost, tensor_fingerprint, EvalMode, GemmSparsity, Op, Operand, PoolKind, Precision, Program,
+    fnv_u64, op_cost, same_tensor, EvalMode, Op, OpNode, Operand, PoolKind, Precision, Program,
+    FNV_OFFSET,
 };
 use onesa_cpwl::ops::{self, TableSet};
 use onesa_cpwl::NonlinearFn;
-use onesa_sim::{analytic, ArrayConfig, CycleBreakdown, ExecStats};
+use onesa_sim::{ArrayConfig, CycleBreakdown, ExecStats};
 use onesa_tensor::parallel::{self, Parallelism};
 use onesa_tensor::quant::{QuantTensor, QuantTensor8};
 use onesa_tensor::sparse::SparseTensor;
 use onesa_tensor::{im2col, Result, Tensor, TensorError};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Lazily-built CPWL table sets keyed by granularity, shared across
@@ -207,10 +209,14 @@ enum GroupKey {
 /// floating-point op sequence), which is what lets `onesa_core`'s
 /// engines schedule whole networks the way they batch single GEMMs.
 ///
+/// A [`Program`] is sealed — validated when it was built, re-targeted
+/// or decoded, and immutable since — so only the caller's `inputs` are
+/// checked here ([`Program::check_inputs`]).
+///
 /// # Errors
 ///
-/// Validation errors from any program, input-shape mismatches, kernel
-/// shape errors, or table-construction failures.
+/// Input count or shape mismatches, kernel shape errors, or
+/// table-construction failures.
 pub fn run_staged(
     jobs: &[(&Program, &[Tensor])],
     cfg: &ArrayConfig,
@@ -219,19 +225,8 @@ pub fn run_staged(
 ) -> Result<StagedRun> {
     let mut states: Vec<JobState> = Vec::with_capacity(jobs.len());
     for (program, inputs) in jobs {
-        program.validate()?;
-        if inputs.len() != program.n_inputs() {
-            return Err(TensorError::InvalidArgument("program input count mismatch"));
-        }
-        for (t, expect) in inputs.iter().zip(program.input_shapes()) {
-            if t.dims() != expect.as_slice() {
-                return Err(TensorError::ShapeMismatch {
-                    lhs: t.dims().to_vec(),
-                    rhs: expect.clone(),
-                    op: "plan::run_staged input",
-                });
-            }
-        }
+        debug_assert!(program.validate().is_ok(), "a Program value is sealed");
+        program.check_inputs(inputs)?;
         states.push(JobState {
             program,
             inputs,
@@ -269,16 +264,10 @@ pub fn run_staged(
         let (mut stage_gemm, mut stage_nl) = (0usize, 0usize);
         for (key, ids) in &groups {
             let produced = exec_group(key, ids, &states, stage, cfg, par, tables)?;
-            match key {
-                GroupKey::GemmRight(_) | GroupKey::GemmLeft(_) => stage_gemm += 1,
-                GroupKey::Nonlinear(_) | GroupKey::Softmax(..) | GroupKey::LayerNorm(..) => {
-                    stage_nl += 1
-                }
-                GroupKey::Solo(_) => {
-                    if matches!(states[ids[0]].program.nodes()[stage].op, Op::Gemm { .. }) {
-                        stage_gemm += 1;
-                    }
-                }
+            match states[ids[0]].program.nodes()[stage].op {
+                Op::Gemm { .. } => stage_gemm += 1,
+                Op::Nonlinear(_) | Op::Softmax | Op::LayerNorm { .. } => stage_nl += 1,
+                _ => {}
             }
             batched = batched.merged(&produced.batched);
             for (j, out, solo) in produced.outputs {
@@ -338,7 +327,7 @@ fn member_key(state: &JobState, stage: usize) -> GroupKey {
                 let mut h = state.program.const_fingerprint(c);
                 if let Some(s) = sparsity {
                     for v in [1, s.block_cols, s.nnz_blocks, s.total_blocks, s.nnz_cols] {
-                        h = crate::program::fnv_u64(h, v as u64);
+                        h = fnv_u64(h, v as u64);
                     }
                 }
                 GroupKey::GemmRight(h)
@@ -356,7 +345,7 @@ fn member_key(state: &JobState, stage: usize) -> GroupKey {
         Op::LayerNorm { gamma, beta, eps } => {
             let mut h = mode;
             for v in gamma.iter().chain(beta).chain(std::iter::once(eps)) {
-                h = crate::program::fnv_u64(h, u64::from(v.to_bits()));
+                h = fnv_u64(h, u64::from(v.to_bits()));
             }
             let n = state.resolve(node.inputs[0]).dims()[1];
             GroupKey::LayerNorm(h, n)
@@ -372,7 +361,7 @@ fn keys_truly_equal(
     stage: usize,
     first: usize,
     candidate: usize,
-    node: &crate::program::OpNode,
+    node: &OpNode,
 ) -> bool {
     let a = &states[first].program.nodes()[stage];
     match (&a.op, &node.op) {
@@ -406,24 +395,16 @@ fn keys_truly_equal(
     }
 }
 
-fn same_tensor(x: &Tensor, y: &Tensor) -> bool {
-    x.dims() == y.dims()
-        && x.as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-}
-
 fn same_f32s(x: &[f32], y: &[f32]) -> bool {
     x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
+/// Hashes the function's wire tag and parameter bits (the exact `f == g`
+/// compare in [`keys_truly_equal`] stands behind it).
 fn func_hash(func: NonlinearFn) -> u64 {
-    let mut h = crate::program::FNV_OFFSET;
-    for byte in format!("{func:?}").bytes() {
-        h = crate::program::fnv_u64(h, u64::from(byte));
-    }
-    h
+    let (tag, param) = crate::wire::nonlinear_tag(func);
+    let h = fnv_u64(FNV_OFFSET, u64::from(tag));
+    fnv_u64(h, param.map_or(0, |a| u64::from(a.to_bits())))
 }
 
 /// What one group execution produces.
@@ -434,12 +415,98 @@ struct GroupOut {
     batched: ExecStats,
 }
 
-fn solo_cost(state: &JobState, stage: usize, cfg: &ArrayConfig, out_dims: &[usize]) -> ExecStats {
-    let node = &state.program.nodes()[stage];
-    let in0 = state.resolve(node.inputs[0]).dims().to_vec();
-    op_cost(&node.op, &in0, out_dims, cfg)
+/// The axis along which a group's members stack into one operand.
+#[derive(Clone, Copy)]
+enum Axis {
+    /// Whole rows, one member after another.
+    Rows,
+    /// Whole columns, side by side.
+    Cols,
+    /// Every element, flattened into one `[1, total]` row.
+    Flat,
 }
 
+/// Gather: the one operand a group's kernel reads — every member's
+/// `parts` entry stacked along `axis`. A group of one has nothing to
+/// stack: it borrows its operand where it lies.
+fn gather<'a>(axis: Axis, parts: &[&'a Tensor]) -> Result<Cow<'a, Tensor>> {
+    if let [one] = *parts {
+        return Ok(Cow::Borrowed(one));
+    }
+    let stacked = match axis {
+        Axis::Rows | Axis::Flat => {
+            let mut vals = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+            for part in parts {
+                vals.extend_from_slice(part.as_slice());
+            }
+            let width = match axis {
+                Axis::Rows => parts[0].dims()[1],
+                _ => vals.len(),
+            };
+            let height = vals.len() / width;
+            Tensor::from_vec(vals, &[height, width])?
+        }
+        Axis::Cols => {
+            let k = parts[0].dims()[0];
+            let total_n: usize = parts.iter().map(|p| p.dims()[1]).sum();
+            let mut vals = vec![0.0f32; k * total_n];
+            for (r, row) in vals.chunks_mut(total_n).enumerate() {
+                let mut off = 0usize;
+                for part in parts {
+                    let nj = part.dims()[1];
+                    row[off..off + nj].copy_from_slice(&part.as_slice()[r * nj..(r + 1) * nj]);
+                    off += nj;
+                }
+            }
+            Tensor::from_vec(vals, &[k, total_n])?
+        }
+    };
+    Ok(Cow::Owned(stacked))
+}
+
+/// Scatter: each member's share of the group's `product`, in member
+/// order — the rows, columns or elements its `parts` entry contributed
+/// to [`gather`]. A group of one has nothing to slice apart: the product
+/// moves out whole.
+fn scatter(axis: Axis, product: Tensor, parts: &[&Tensor]) -> Result<Vec<Tensor>> {
+    if parts.len() == 1 {
+        return Ok(vec![product]);
+    }
+    let all = product.as_slice();
+    let mut off = 0usize;
+    parts
+        .iter()
+        .map(|part| match axis {
+            Axis::Rows => {
+                let (m, n) = (part.dims()[0], product.dims()[1]);
+                off += m * n;
+                Tensor::from_vec(all[off - m * n..off].to_vec(), &[m, n])
+            }
+            Axis::Flat => {
+                off += part.len();
+                Tensor::from_vec(all[off - part.len()..off].to_vec(), part.dims())
+            }
+            Axis::Cols => {
+                let (m, total_n, nj) = (product.dims()[0], product.dims()[1], part.dims()[1]);
+                let mut vals = Vec::with_capacity(m * nj);
+                for row in all.chunks(total_n) {
+                    vals.extend_from_slice(&row[off..off + nj]);
+                }
+                off += nj;
+                Tensor::from_vec(vals, &[m, nj])
+            }
+        })
+        .collect()
+}
+
+/// Runs one group as gather → kernel → scatter. The group's shared
+/// operands and parameters are its first member's (`keys_truly_equal`
+/// vouched for the rest); the one operand that differs per member is
+/// stacked along the key's axis, [`exec_single`] runs once over it, and
+/// every member gets its slice back plus — for a GEMM — its *own* bias
+/// (each output element is an independent dot product plus that add, so
+/// this is bit-identical to the member run alone). A `Solo` member is
+/// the degenerate case: nothing is stacked.
 fn exec_group(
     key: &GroupKey,
     ids: &[usize],
@@ -449,352 +516,128 @@ fn exec_group(
     par: Parallelism,
     tables: &mut TableCache,
 ) -> Result<GroupOut> {
-    match key {
-        GroupKey::GemmRight(_) => {
-            // Row-stack every member's left operand against the shared
-            // weights: one tall GEMM, then slice each member's rows back
-            // out and apply its bias (bit-identical: each output element
-            // is an independent dot product plus its own bias add).
-            let (b, b_fp) = gemm_const(&states[ids[0]], stage);
-            let sparsity = gemm_sparsity(&states[ids[0]], stage);
-            let (k, n) = (b.dims()[0], b.dims()[1]);
-            let operand = |j: usize| states[j].resolve(states[j].program.nodes()[stage].inputs[0]);
-            let mut multiply = |tall: &Tensor| match sparsity {
-                Some(s) => {
-                    let packed = tables.packed(b, b_fp, s.block_cols)?;
-                    onesa_tensor::sparse::matmul(tall, &packed, par)
-                }
-                None => parallel::matmul(tall, b, par),
-            };
-            if let [j] = *ids {
-                // A group of one has nothing to stack or slice apart:
-                // multiply the operand where it lies and move the product
-                // out.
-                let m = operand(j).dims()[0];
-                let mut out = multiply(operand(j))?;
-                apply_bias(out.as_mut_slice(), m, n, gemm_bias(&states[j], stage));
-                let batched = gemm_credit(cfg, m, k, n, sparsity);
-                return Ok(GroupOut {
-                    outputs: vec![(j, out, batched.clone())],
-                    batched,
-                });
-            }
-            let mut stacked = Vec::new();
-            let mut row_counts = Vec::with_capacity(ids.len());
-            for &j in ids {
-                let a = operand(j);
-                stacked.extend_from_slice(a.as_slice());
-                row_counts.push(a.dims()[0]);
-            }
-            let total_m: usize = row_counts.iter().sum();
-            let tall = Tensor::from_vec(stacked, &[total_m, k])?;
-            let product = multiply(&tall)?;
-            let batched = gemm_credit(cfg, total_m, k, n, sparsity);
-            let mut outputs = Vec::with_capacity(ids.len());
-            let mut row0 = 0usize;
-            for (&j, &m) in ids.iter().zip(&row_counts) {
-                let mut rows = product.as_slice()[row0 * n..(row0 + m) * n].to_vec();
-                row0 += m;
-                apply_bias(&mut rows, m, n, gemm_bias(&states[j], stage));
-                let out = Tensor::from_vec(rows, &[m, n])?;
-                let solo = gemm_credit(cfg, m, k, n, sparsity);
-                outputs.push((j, out, solo));
-            }
-            Ok(GroupOut { outputs, batched })
+    let first = &states[ids[0]];
+    let node = &first.program.nodes()[stage];
+    let mut ins: Vec<&Tensor> = node.inputs.iter().map(|&op| first.resolve(op)).collect();
+    // Which operand differs per member, and the axis it stacks along: a
+    // shared right matrix takes row-stacked activations, a shared left
+    // one (a GCN's Â) column-stacked ones.
+    let stacking = match key {
+        GroupKey::GemmRight(_) | GroupKey::Softmax(..) | GroupKey::LayerNorm(..) => {
+            Some((Axis::Rows, 0))
         }
-        GroupKey::GemmLeft(_) => {
-            // Column-stack every member's right operand behind the
-            // shared left matrix (a GCN's Â): one wide GEMM, sliced back
-            // per member (output columns are independent dot products).
-            let (a, _) = gemm_const(&states[ids[0]], stage);
-            let (m, k) = (a.dims()[0], a.dims()[1]);
-            let col_counts: Vec<usize> = ids
-                .iter()
-                .map(|&j| {
-                    states[j]
-                        .resolve(states[j].program.nodes()[stage].inputs[1])
-                        .dims()[1]
-                })
-                .collect();
-            let total_n: usize = col_counts.iter().sum();
-            let mut combined = vec![0.0f32; k * total_n];
-            for r in 0..k {
-                let mut off = 0usize;
-                for (&j, &nj) in ids.iter().zip(&col_counts) {
-                    let bj = states[j].resolve(states[j].program.nodes()[stage].inputs[1]);
-                    combined[r * total_n + off..r * total_n + off + nj]
-                        .copy_from_slice(&bj.as_slice()[r * nj..(r + 1) * nj]);
-                    off += nj;
-                }
-            }
-            let wide = Tensor::from_vec(combined, &[k, total_n])?;
-            let product = parallel::matmul(a, &wide, par)?;
-            let batched = analytic::gemm_stats(cfg, m, k, total_n);
-            let mut outputs = Vec::with_capacity(ids.len());
-            let mut off = 0usize;
-            for (&j, &nj) in ids.iter().zip(&col_counts) {
-                let mut vals = vec![0.0f32; m * nj];
-                for r in 0..m {
-                    vals[r * nj..(r + 1) * nj].copy_from_slice(
-                        &product.as_slice()[r * total_n + off..r * total_n + off + nj],
-                    );
-                }
-                off += nj;
-                apply_bias(&mut vals, m, nj, gemm_bias(&states[j], stage));
-                let out = Tensor::from_vec(vals, &[m, nj])?;
-                outputs.push((j, out, analytic::gemm_stats(cfg, m, k, nj)));
-            }
-            Ok(GroupOut { outputs, batched })
-        }
-        GroupKey::Nonlinear(_) => {
-            // Concatenate every member's elements into one row: one IPF
-            // + MHP pass (or one exact elementwise map) shared by the
-            // whole group.
-            let Op::Nonlinear(func) = states[ids[0]].program.nodes()[stage].op else {
-                unreachable!("nonlinear group holds nonlinear ops")
-            };
-            let mut flat = Vec::new();
-            let mut dims: Vec<Vec<usize>> = Vec::with_capacity(ids.len());
-            for &j in ids {
-                let x = states[j].resolve(states[j].program.nodes()[stage].inputs[0]);
-                flat.extend_from_slice(x.as_slice());
-                dims.push(x.dims().to_vec());
-            }
-            let total = flat.len();
-            let joined = Tensor::from_vec(flat, &[1, total])?;
-            let evaluated = match states[ids[0]].program.mode() {
-                EvalMode::Exact => joined.map(|v| func.eval(v)),
-                EvalMode::Cpwl { granularity, .. } => {
-                    let table = tables
-                        .get(granularity)?
-                        .table(func)
-                        .ok_or(TensorError::InvalidArgument("function not in table set"))?;
-                    let ipf = table.ipf(&joined);
-                    parallel::mhp(&joined, &ipf.k, &ipf.b, par)?
-                }
-            };
-            let batched = analytic::nonlinear_stats(cfg, 1, total);
-            let mut outputs = Vec::with_capacity(ids.len());
-            let mut off = 0usize;
-            for (&j, d) in ids.iter().zip(&dims) {
-                let len: usize = d.iter().product();
-                let vals = evaluated.as_slice()[off..off + len].to_vec();
-                off += len;
-                let out = Tensor::from_vec(vals, d)?;
-                let solo = solo_cost(&states[j], stage, cfg, d);
-                outputs.push((j, out, solo));
-            }
-            Ok(GroupOut { outputs, batched })
-        }
-        GroupKey::Softmax(_, n) => {
-            let stacked = stack_rows(states, ids, stage)?;
-            let total_m = stacked.dims()[0];
-            let result = match states[ids[0]].program.mode() {
-                EvalMode::Exact => ops::softmax_rows_exact(&stacked).map_err(unwrap_cpwl)?,
-                EvalMode::Cpwl { granularity, .. } => tables
-                    .get(granularity)?
-                    .softmax_rows(&stacked)
-                    .map_err(unwrap_cpwl)?,
-            };
-            split_rows(
-                states,
-                ids,
-                stage,
-                &result,
-                *n,
-                analytic::softmax_stats(cfg, total_m, *n),
-                cfg,
-            )
-        }
-        GroupKey::LayerNorm(_, n) => {
-            let Op::LayerNorm { gamma, beta, eps } = &states[ids[0]].program.nodes()[stage].op
-            else {
-                unreachable!("layer-norm group holds layer-norm ops")
-            };
-            let stacked = stack_rows(states, ids, stage)?;
-            let total_m = stacked.dims()[0];
-            let result = match states[ids[0]].program.mode() {
-                EvalMode::Exact => {
-                    ops::layernorm_rows_exact(&stacked, gamma, beta, *eps).map_err(unwrap_cpwl)?
-                }
-                EvalMode::Cpwl { granularity, .. } => tables
-                    .get(granularity)?
-                    .layernorm_rows(&stacked, gamma, beta, *eps)
-                    .map_err(unwrap_cpwl)?,
-            };
-            split_rows(
-                states,
-                ids,
-                stage,
-                &result,
-                *n,
-                analytic::norm_stats(cfg, total_m, *n),
-                cfg,
-            )
-        }
-        GroupKey::Solo(_) => {
-            let j = ids[0];
-            let state = &states[j];
-            let node = &state.program.nodes()[stage];
-            let ins: Vec<&Tensor> = node.inputs.iter().map(|&op| state.resolve(op)).collect();
-            let out = exec_single(&node.op, &ins, state.program.mode(), par, tables)?;
-            let solo = solo_cost(state, stage, cfg, out.dims());
-            let batched = solo.clone();
-            Ok(GroupOut {
-                outputs: vec![(j, out, solo)],
-                batched,
-            })
-        }
+        GroupKey::GemmLeft(_) => Some((Axis::Cols, 1)),
+        GroupKey::Nonlinear(_) => Some((Axis::Flat, 0)),
+        GroupKey::Solo(_) => None,
+    };
+    let parts: Vec<&Tensor> = match stacking {
+        Some((_, side)) => ids
+            .iter()
+            .map(|&j| states[j].resolve(states[j].program.nodes()[stage].inputs[side]))
+            .collect(),
+        None => Vec::new(),
+    };
+    let stacked;
+    if let Some((axis, side)) = stacking {
+        stacked = gather(axis, &parts)?;
+        ins[side] = &stacked;
     }
-}
-
-/// The constant operand of a coalesced GEMM group member, with the
-/// fingerprint its program recorded for it.
-fn gemm_const<'a>(state: &'a JobState, stage: usize) -> (&'a Tensor, u64) {
-    let node = &state.program.nodes()[stage];
-    node.inputs
+    let product = exec_single(first.program, node, &ins, par, tables)?;
+    // A concatenated nonlinear is costed as the one `[1, total]` row the
+    // array sweeps, whatever shape a lone member's operand has.
+    let row = [1, ins[0].len()];
+    let in0 = match stacking {
+        Some((Axis::Flat, _)) => &row[..],
+        _ => ins[0].dims(),
+    };
+    let batched = op_cost(&node.op, in0, product.dims(), cfg);
+    let shares = match stacking {
+        Some((axis, _)) => scatter(axis, product, &parts)?,
+        None => vec![product],
+    };
+    let outputs = ids
         .iter()
-        .find_map(|op| match *op {
-            Operand::Const(c) => Some((
-                state.program.consts()[c].as_ref(),
-                state.program.const_fingerprint(c),
-            )),
-            Operand::Slot(_) => None,
-        })
-        .expect("coalesced gemm group has a constant operand")
-}
-
-fn gemm_bias<'a>(state: &'a JobState, stage: usize) -> Option<&'a [f32]> {
-    match &state.program.nodes()[stage].op {
-        Op::Gemm { bias, .. } => bias.as_deref(),
-        _ => unreachable!("gemm group holds gemm ops"),
-    }
-}
-
-fn gemm_sparsity(state: &JobState, stage: usize) -> Option<GemmSparsity> {
-    match &state.program.nodes()[stage].op {
-        Op::Gemm { sparsity, .. } => *sparsity,
-        _ => unreachable!("gemm group holds gemm ops"),
-    }
-}
-
-/// Modeled GEMM stats with sparse credit — the same crediting rule as
-/// `op_cost`, so solo and coalesced runs agree with `modeled_macs`.
-fn gemm_credit(
-    cfg: &ArrayConfig,
-    m: usize,
-    k: usize,
-    n: usize,
-    sparsity: Option<GemmSparsity>,
-) -> ExecStats {
-    match sparsity {
-        Some(s) if s.nnz_cols == 0 => ExecStats::new(cfg, CycleBreakdown::default(), 0, 0),
-        Some(s) => analytic::gemm_stats(cfg, m, k, s.nnz_cols),
-        None => analytic::gemm_stats(cfg, m, k, n),
-    }
-}
-
-fn apply_bias(vals: &mut [f32], m: usize, n: usize, bias: Option<&[f32]>) {
-    if let Some(b) = bias {
-        for i in 0..m {
-            let row = &mut vals[i * n..(i + 1) * n];
-            for (j, v) in row.iter_mut().enumerate() {
-                *v += b[j];
+        .zip(shares)
+        .map(|(&j, mut out)| {
+            let member = &states[j].program.nodes()[stage];
+            if let Op::Gemm {
+                bias: Some(bias), ..
+            } = &member.op
+            {
+                for row in out.as_mut_slice().chunks_mut(bias.len()) {
+                    for (v, b) in row.iter_mut().zip(bias) {
+                        *v += b;
+                    }
+                }
             }
-        }
-    }
-}
-
-fn stack_rows(states: &[JobState], ids: &[usize], stage: usize) -> Result<Tensor> {
-    let mut stacked = Vec::new();
-    let mut total_m = 0usize;
-    let mut n = 0usize;
-    for &j in ids {
-        let x = states[j].resolve(states[j].program.nodes()[stage].inputs[0]);
-        stacked.extend_from_slice(x.as_slice());
-        total_m += x.dims()[0];
-        n = x.dims()[1];
-    }
-    Tensor::from_vec(stacked, &[total_m, n])
-}
-
-#[allow(clippy::too_many_arguments)]
-fn split_rows(
-    states: &[JobState],
-    ids: &[usize],
-    stage: usize,
-    result: &Tensor,
-    n: usize,
-    batched: ExecStats,
-    cfg: &ArrayConfig,
-) -> Result<GroupOut> {
-    let mut outputs = Vec::with_capacity(ids.len());
-    let mut row0 = 0usize;
-    for &j in ids {
-        let m = states[j]
-            .resolve(states[j].program.nodes()[stage].inputs[0])
-            .dims()[0];
-        let vals = result.as_slice()[row0 * n..(row0 + m) * n].to_vec();
-        row0 += m;
-        let out = Tensor::from_vec(vals, &[m, n])?;
-        let solo = solo_cost(&states[j], stage, cfg, &[m, n]);
-        outputs.push((j, out, solo));
-    }
+            let in0 = states[j].resolve(member.inputs[0]).dims();
+            let solo = op_cost(&member.op, in0, out.dims(), cfg);
+            (j, out, solo)
+        })
+        .collect();
     Ok(GroupOut { outputs, batched })
 }
 
-/// Executes one op on resolved inputs — the un-coalesced path, kept
-/// op-for-op identical to the direct model code it replaces (see
-/// `onesa-nn`'s `*_direct` reference implementations).
+/// The table `func` evaluates through at `granularity`.
+fn table_for(
+    tables: &mut TableCache,
+    granularity: f32,
+    func: NonlinearFn,
+) -> Result<&onesa_cpwl::PwlTable> {
+    tables
+        .get(granularity)?
+        .table(func)
+        .ok_or(TensorError::InvalidArgument("function not in table set"))
+}
+
+/// Row-wise softmax under `mode` — `Op::Softmax` over a group's stacked
+/// rows, `Op::CausalSoftmax` over each row's visible prefix.
+fn softmax_rows(x: &Tensor, mode: EvalMode, tables: &mut TableCache) -> Result<Tensor> {
+    Ok(match mode {
+        EvalMode::Exact => ops::softmax_rows_exact(x)?,
+        EvalMode::Cpwl { granularity, .. } => tables.get(granularity)?.softmax_rows(x)?,
+    })
+}
+
+/// Executes `node`'s op on resolved inputs: the one kernel site of every
+/// op, reached through [`exec_group`] with a group's stacked operand or
+/// a solo member's own, and kept op-for-op identical to the direct model
+/// code it replaces (see `onesa-nn`'s `*_direct` reference
+/// implementations). A GEMM's bias is *not* added here — it belongs to
+/// the member, not the group, so [`exec_group`] adds it after the split.
 fn exec_single(
-    op: &Op,
+    program: &Program,
+    node: &OpNode,
     ins: &[&Tensor],
-    mode: EvalMode,
     par: Parallelism,
     tables: &mut TableCache,
 ) -> Result<Tensor> {
-    match op {
-        Op::Gemm { bias, sparsity } => {
-            let mut y = match sparsity {
-                // Only a GEMM of two constants reaches this un-grouped
-                // path with a sparsity attribute; it hashes its weight
-                // here rather than thread the stored fingerprint through.
-                Some(s) => {
-                    let packed = tables.packed(ins[1], tensor_fingerprint(ins[1]), s.block_cols)?;
-                    onesa_tensor::sparse::matmul(ins[0], &packed, par)?
-                }
-                None => parallel::matmul(ins[0], ins[1], par)?,
-            };
-            let (m, n) = y.shape().as_matrix()?;
-            apply_bias(y.as_mut_slice(), m, n, bias.as_deref());
-            Ok(y)
-        }
+    let mode = program.mode();
+    match &node.op {
+        Op::Gemm { sparsity, .. } => match sparsity {
+            Some(s) => {
+                let Operand::Const(c) = node.inputs[1] else {
+                    unreachable!("a sealed program's sparse weight is a constant")
+                };
+                let packed = tables.packed(ins[1], program.const_fingerprint(c), s.block_cols)?;
+                onesa_tensor::sparse::matmul(ins[0], &packed, par)
+            }
+            None => parallel::matmul(ins[0], ins[1], par),
+        },
         Op::Nonlinear(func) => match mode {
             EvalMode::Exact => Ok(ins[0].map(|v| func.eval(v))),
             EvalMode::Cpwl { granularity, .. } => {
-                let table = tables
-                    .get(granularity)?
-                    .table(*func)
-                    .ok_or(TensorError::InvalidArgument("function not in table set"))?;
-                table.eval_tensor(ins[0]).map_err(unwrap_cpwl)
+                let ipf = table_for(tables, granularity, *func)?.ipf(ins[0]);
+                parallel::mhp(ins[0], &ipf.k, &ipf.b, par)
             }
         },
-        Op::Softmax => match mode {
-            EvalMode::Exact => ops::softmax_rows_exact(ins[0]).map_err(unwrap_cpwl),
+        Op::Softmax => softmax_rows(ins[0], mode, tables),
+        Op::LayerNorm { gamma, beta, eps } => Ok(match mode {
+            EvalMode::Exact => ops::layernorm_rows_exact(ins[0], gamma, beta, *eps)?,
             EvalMode::Cpwl { granularity, .. } => tables
                 .get(granularity)?
-                .softmax_rows(ins[0])
-                .map_err(unwrap_cpwl),
-        },
-        Op::LayerNorm { gamma, beta, eps } => match mode {
-            EvalMode::Exact => {
-                ops::layernorm_rows_exact(ins[0], gamma, beta, *eps).map_err(unwrap_cpwl)
-            }
-            EvalMode::Cpwl { granularity, .. } => tables
-                .get(granularity)?
-                .layernorm_rows(ins[0], gamma, beta, *eps)
-                .map_err(unwrap_cpwl),
-        },
+                .layernorm_rows(ins[0], gamma, beta, *eps)?,
+        }),
         Op::Im2col(geo) => im2col::im2col(ins[0], geo),
         Op::Col2im { channels, oh, ow } => im2col::col2im_output(ins[0], *channels, *oh, *ow),
         Op::Add => ins[0].add(ins[1]),
@@ -825,11 +668,7 @@ fn exec_single(
             match mode {
                 EvalMode::Exact => Ok(t.map(|v| func.eval(v))),
                 EvalMode::Cpwl { granularity, .. } => {
-                    let table = tables
-                        .get(granularity)?
-                        .table(*func)
-                        .ok_or(TensorError::InvalidArgument("function not in table set"))?;
-                    let ipf = table.ipf(&t);
+                    let ipf = table_for(tables, granularity, *func)?.ipf(&t);
                     let mut kk = ipf.k;
                     let mut bb = ipf.b;
                     for ch in 0..c {
@@ -968,13 +807,7 @@ fn exec_single(
                     ins[0].as_slice()[i * n..i * n + visible].to_vec(),
                     &[1, visible],
                 )?;
-                let soft = match mode {
-                    EvalMode::Exact => ops::softmax_rows_exact(&prefix).map_err(unwrap_cpwl)?,
-                    EvalMode::Cpwl { granularity, .. } => tables
-                        .get(granularity)?
-                        .softmax_rows(&prefix)
-                        .map_err(unwrap_cpwl)?,
-                };
+                let soft = softmax_rows(&prefix, mode, tables)?;
                 out.as_mut_slice()[i * n..i * n + visible].copy_from_slice(soft.as_slice());
             }
             Ok(out)
@@ -982,21 +815,10 @@ fn exec_single(
     }
 }
 
-fn unwrap_cpwl(e: onesa_cpwl::CpwlError) -> TensorError {
-    match e {
-        onesa_cpwl::CpwlError::Tensor(t) => t,
-        onesa_cpwl::CpwlError::InvalidGranularity(_) => {
-            TensorError::InvalidArgument("invalid granularity")
-        }
-        onesa_cpwl::CpwlError::InvalidRange { .. } => TensorError::InvalidArgument("invalid range"),
-        _ => TensorError::InvalidArgument("cpwl table error"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::Program;
+    use crate::program::GemmSparsity;
     use onesa_tensor::gemm;
     use onesa_tensor::rng::Pcg32;
 
@@ -1296,6 +1118,217 @@ mod tests {
             )
             .unwrap();
         assert_eq!(staged.runs[0].output, d1.output);
+    }
+
+    /// The six coalescing shapes `member_key` can route a group to.
+    #[derive(Debug, Clone, Copy)]
+    enum Kind {
+        GemmRight,
+        GemmRightSparse,
+        GemmLeft,
+        Nonlinear,
+        Softmax,
+        LayerNorm,
+    }
+
+    /// Member `i` of a `kind` group and its input. Members differ in
+    /// row / column / element count (the pointwise ones in rank too),
+    /// and every GEMM member carries its own bias over the one shared
+    /// weight.
+    fn group_member(kind: Kind, mode: EvalMode, i: usize) -> (Program, Tensor) {
+        let mut rng = Pcg32::seed_from_u64(40);
+        let (w, sparsity) = match kind {
+            Kind::GemmRightSparse => {
+                let (w, _, sparse) = sparse_pair();
+                let Op::Gemm { sparsity, .. } = sparse.nodes()[0].op else {
+                    unreachable!("sparse_pair builds a GEMM")
+                };
+                (w, sparsity)
+            }
+            Kind::GemmLeft => (rng.randn(&[5, 5], 1.0), None),
+            _ => (rng.randn(&[6, 32], 1.0), None),
+        };
+        let pointwise_dims: [&[usize]; 4] = [&[3, 5], &[2, 3, 4], &[1, 7], &[4, 4]];
+        let dims: Vec<usize> = match kind {
+            Kind::GemmRight | Kind::GemmRightSparse | Kind::LayerNorm => vec![2 + i, 6],
+            Kind::GemmLeft => vec![5, 3 + i],
+            Kind::Nonlinear => pointwise_dims[i].to_vec(),
+            Kind::Softmax => vec![1 + i, 7],
+        };
+        let bias = |n: usize| Some((0..n).map(|c| (i + 1) as f32 * 0.5 - c as f32).collect());
+        let mut b = Program::builder("member", mode);
+        let x = b.input(&dims);
+        match kind {
+            Kind::GemmRight | Kind::GemmRightSparse => {
+                let n = w.dims()[1];
+                let wc = b.constant(w);
+                b.push(
+                    Op::Gemm {
+                        bias: bias(n),
+                        sparsity,
+                    },
+                    &[x, wc],
+                );
+            }
+            Kind::GemmLeft => {
+                let a = b.constant(w);
+                b.push(
+                    Op::Gemm {
+                        bias: bias(dims[1]),
+                        sparsity: None,
+                    },
+                    &[a, x],
+                );
+            }
+            Kind::Nonlinear => {
+                b.push(Op::Nonlinear(NonlinearFn::Gelu), &[x]);
+            }
+            Kind::Softmax => {
+                b.push(Op::Softmax, &[x]);
+            }
+            Kind::LayerNorm => {
+                let gamma = (0..6).map(|c| 1.0 + c as f32 * 0.25).collect();
+                let beta = (0..6).map(|c| c as f32 * -0.5).collect();
+                b.push(
+                    Op::LayerNorm {
+                        gamma,
+                        beta,
+                        eps: 1e-5,
+                    },
+                    &[x],
+                );
+            }
+        }
+        let input = Pcg32::seed_from_u64(50 + i as u64).randn(&dims, 1.5);
+        (b.finish().unwrap(), input)
+    }
+
+    /// `(cycles, macs, nonlinear evals)` of a modeled stat.
+    type Triple = (u64, u64, u64);
+
+    /// Recorded at the commit before `exec_group` became gather → kernel
+    /// → scatter: per kind, the `batched` figure of a group of 1..=4
+    /// members, then each member's solo `op_stats`. A group of one
+    /// nonlinear is costed as its `[1, total]` row — not as its solo
+    /// shape — which is why `Nonlinear`'s first entries differ.
+    const GOLDEN: [(Kind, [Triple; 4], [Triple; 4]); 6] = [
+        (
+            Kind::GemmRight,
+            [(87, 384, 0), (87, 960, 0), (151, 1728, 0), (151, 2688, 0)],
+            [(87, 384, 0), (87, 576, 0), (87, 768, 0), (87, 960, 0)],
+        ),
+        (
+            Kind::GemmRightSparse,
+            [(55, 192, 0), (55, 480, 0), (87, 864, 0), (87, 1344, 0)],
+            [(55, 192, 0), (55, 288, 0), (55, 384, 0), (55, 480, 0)],
+        ),
+        (
+            Kind::GemmLeft,
+            [(42, 75, 0), (43, 175, 0), (55, 300, 0), (71, 450, 0)],
+            [(42, 75, 0), (43, 100, 0), (43, 125, 0), (43, 150, 0)],
+        ),
+        (
+            Kind::Nonlinear,
+            [(18, 30, 15), (21, 78, 39), (22, 92, 46), (24, 124, 62)],
+            [(17, 30, 15), (19, 48, 24), (17, 14, 7), (17, 32, 16)],
+        ),
+        (
+            Kind::Softmax,
+            [(84, 37, 8), (84, 111, 24), (85, 222, 48), (101, 370, 80)],
+            [(84, 37, 8), (84, 74, 16), (84, 111, 24), (85, 148, 32)],
+        ),
+        (
+            Kind::LayerNorm,
+            [(126, 100, 2), (128, 250, 5), (158, 450, 9), (158, 700, 14)],
+            [(126, 100, 2), (126, 150, 3), (128, 200, 4), (128, 250, 5)],
+        ),
+    ];
+
+    #[test]
+    fn groups_of_one_to_four_match_solo_runs_and_golden_accounting() {
+        let cfg = ArrayConfig::new(8, 16);
+        let triple = |s: &ExecStats| (s.cycles(), s.macs, s.nonlinear_evals);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (kind, batched, solo) in GOLDEN {
+            for mode in [EvalMode::Exact, cpwl()] {
+                for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+                    for size in 1..=4usize {
+                        let case = format!("{kind:?} x{size} {mode:?} {}", par.label());
+                        let members: Vec<(Program, Tensor)> =
+                            (0..size).map(|i| group_member(kind, mode, i)).collect();
+                        let jobs: Vec<(&Program, &[Tensor])> = members
+                            .iter()
+                            .map(|(p, x)| (p, std::slice::from_ref(x)))
+                            .collect();
+                        let mut cache = TableCache::new();
+                        let staged = run_staged(&jobs, &cfg, par, &mut cache).unwrap();
+                        let is_gemm = matches!(
+                            kind,
+                            Kind::GemmRight | Kind::GemmRightSparse | Kind::GemmLeft
+                        );
+                        assert_eq!(
+                            staged.stages,
+                            [StageGroups {
+                                stage: 0,
+                                ops: size,
+                                groups: 1,
+                                gemm_groups: usize::from(is_gemm),
+                                nonlinear_groups: usize::from(!is_gemm),
+                            }],
+                            "{case}"
+                        );
+                        assert_eq!(triple(&staged.batched), batched[size - 1], "{case}");
+                        for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
+                            let alone = run_staged(&[*job], &cfg, par, &mut cache).unwrap();
+                            let alone = &alone.runs[0];
+                            assert_eq!(run.output.dims(), alone.output.dims(), "{case} #{i}");
+                            assert_eq!(bits(&run.output), bits(&alone.output), "{case} #{i}");
+                            assert_eq!(run.op_stats, alone.op_stats, "{case} #{i}");
+                            assert_eq!(triple(&run.op_stats[0]), solo[i], "{case} #{i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn members_sharing_a_weight_keep_their_own_bias() {
+        // Dense and sparse: two programs over one weight with different
+        // biases coalesce into one kernel call, and each gets the
+        // product plus its own bias — checked against the reference
+        // kernel, not just against the executor's own solo path.
+        for kind in [Kind::GemmRight, Kind::GemmRightSparse] {
+            let (p0, x0) = group_member(kind, EvalMode::Exact, 0);
+            let (p1, x1) = group_member(kind, EvalMode::Exact, 1);
+            let staged = run_staged(
+                &[
+                    (&p0, std::slice::from_ref(&x0)),
+                    (&p1, std::slice::from_ref(&x1)),
+                ],
+                &ArrayConfig::new(8, 16),
+                Parallelism::Sequential,
+                &mut TableCache::new(),
+            )
+            .unwrap();
+            assert_eq!(staged.gemm_groups, 1, "{kind:?}");
+            for (run, (p, x)) in staged.runs.iter().zip([(&p0, &x0), (&p1, &x1)]) {
+                let Op::Gemm {
+                    bias: Some(bias), ..
+                } = &p.nodes()[0].op
+                else {
+                    unreachable!("group_member gives every GEMM a bias")
+                };
+                let mut expect = gemm::matmul(x, &p.consts()[0]).unwrap();
+                for row in expect.as_mut_slice().chunks_mut(bias.len()) {
+                    for (v, b) in row.iter_mut().zip(bias) {
+                        *v += b;
+                    }
+                }
+                assert_eq!(run.output, expect, "{kind:?}");
+            }
+            assert_ne!(staged.runs[0].output.row(0), staged.runs[1].output.row(0));
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 
-use crate::program::{GemmSparsity, Op, OpNode, Operand, Precision, Program};
+use crate::program::{same_tensor, GemmSparsity, Op, OpNode, Operand, Precision, Program};
 use onesa_sim::ArrayConfig;
 use onesa_tensor::Result;
 
@@ -419,14 +419,6 @@ fn share_common_subexpressions(program: &Program) -> Result<(Program, usize)> {
         })
         .collect();
     Ok((rebuild(program, actions)?, removed))
-}
-
-fn same_tensor(x: &onesa_tensor::Tensor, y: &onesa_tensor::Tensor) -> bool {
-    x.dims() == y.dims()
-        && x.as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
 /// Attaches a [`GemmSparsity`] attribute to every dense GEMM whose

@@ -290,6 +290,14 @@ pub struct OpNode {
 /// A compiled whole-network request: program inputs, constants and a
 /// topologically-ordered op list. See the [crate docs](crate) for the
 /// execution model and a worked construction example.
+///
+/// A `Program` value is **sealed**: built
+/// ([`ProgramBuilder::finish`]), re-targeted
+/// ([`Program::with_granularity`], [`Program::with_input_shapes`]) or
+/// decoded (`wire::decode_program`), it passed [`Program::validate`]
+/// once and is immutable afterwards. The executor and the engines
+/// therefore never re-validate a program; they check only the tensors a
+/// caller hands them ([`Program::check_inputs`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     name: String,
@@ -546,6 +554,10 @@ impl Program {
     /// inference across all nodes, mode sanity (a positive, finite
     /// CPWL granularity) and — under a CPWL mode — table coverage of
     /// every nonlinear op (see `TableSet::supports`).
+    ///
+    /// Every constructor runs this before handing a program out, so on a
+    /// `Program` a caller holds it always succeeds; it stays public as
+    /// the statement of what "sealed" guarantees.
     ///
     /// # Errors
     ///
@@ -952,14 +964,37 @@ impl Program {
         h
     }
 
+    /// Checks caller-supplied `inputs` against the input slots: one
+    /// tensor per slot, each with the slot's declared dims. The program
+    /// itself is sealed — [`ProgramBuilder::finish`], the re-targeting
+    /// constructors and the wire decoder all validate, and nothing
+    /// mutates a program afterwards — so this is the only check left to
+    /// make before a run.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::InvalidArgument`] on a wrong input count,
+    /// [`TensorError::ShapeMismatch`] naming the first ill-shaped input.
+    pub fn check_inputs(&self, inputs: &[Tensor]) -> Result<()> {
+        if inputs.len() != self.input_shapes.len() {
+            return Err(TensorError::InvalidArgument("program input count mismatch"));
+        }
+        for (t, expect) in inputs.iter().zip(&self.input_shapes) {
+            if t.dims() != expect.as_slice() {
+                return Err(shape_err(t.dims(), expect, "Program::check_inputs"));
+            }
+        }
+        Ok(())
+    }
+
     /// Executes the program solo (a one-program staged run on the
     /// default array configuration): the path `onesa-nn`'s `logits` /
     /// `predict` / `pooled_features` wrappers take after compiling.
     ///
     /// # Errors
     ///
-    /// Validation errors, input-shape mismatches, or table-construction
-    /// failures for the program's granularity.
+    /// Input count or shape mismatches, or table-construction failures
+    /// for the program's granularity.
     pub fn run(
         &self,
         inputs: &[Tensor],
@@ -1218,6 +1253,16 @@ pub fn tensor_fingerprint(t: &Tensor) -> u64 {
         h = (h ^ u64::from(v.to_bits())).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// The exact compare behind a [`tensor_fingerprint`] bucket: same dims,
+/// same value bit patterns.
+pub(crate) fn same_tensor(x: &Tensor, y: &Tensor) -> bool {
+    x.dims() == y.dims()
+        && x.as_slice()
+            .iter()
+            .zip(y.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
 #[cfg(test)]

@@ -646,9 +646,11 @@ pub fn get_eval_mode(r: &mut WireReader<'_>) -> WireResult<EvalMode> {
     }
 }
 
-/// Writes a [`NonlinearFn`].
-pub fn put_nonlinear(w: &mut WireWriter, f: NonlinearFn) {
-    let tag: u8 = match f {
+/// The wire tag of a [`NonlinearFn`] and, for the two parameterised
+/// variants, its parameter. The staged scheduler hashes the same pair
+/// into its nonlinear group keys.
+pub(crate) fn nonlinear_tag(f: NonlinearFn) -> (u8, Option<f32>) {
+    let tag = match f {
         NonlinearFn::Gelu => 0,
         NonlinearFn::Erf => 1,
         NonlinearFn::Exp => 2,
@@ -670,10 +672,19 @@ pub fn put_nonlinear(w: &mut WireWriter, f: NonlinearFn) {
         // it can ship.
         _ => unreachable!("NonlinearFn variant without a wire tag"),
     };
+    let param = match f {
+        NonlinearFn::Elu(a) | NonlinearFn::LeakyRelu(a) => Some(a),
+        _ => None,
+    };
+    (tag, param)
+}
+
+/// Writes a [`NonlinearFn`].
+pub fn put_nonlinear(w: &mut WireWriter, f: NonlinearFn) {
+    let (tag, param) = nonlinear_tag(f);
     w.put_u8(tag);
-    match f {
-        NonlinearFn::Elu(a) | NonlinearFn::LeakyRelu(a) => w.put_f32(a),
-        _ => {}
+    if let Some(a) = param {
+        w.put_f32(a);
     }
 }
 

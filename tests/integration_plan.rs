@@ -492,7 +492,7 @@ fn program_request_rejected_at_admission_does_not_poison_the_window() {
     ))
     .unwrap();
     let program = cnn.compile((&mode, (8, 8))).unwrap();
-    // Wrong input shape: rejected by the admitter's validator.
+    // Wrong input shape: rejected by the admitter's input check.
     let bad = pool
         .submit(Request::program(
             program.clone(),
