@@ -3,10 +3,9 @@
 //! Each `*_report` function regenerates one artefact of the evaluation
 //! section (§V, Figs 1/8/9/10, Tables I–V) as formatted text; the
 //! `src/bin/*` binaries are thin wrappers
-//! (`cargo run -p onesa-bench --release --bin table4`). The Criterion
-//! benches under `benches/` measure the simulator and the serving layer,
-//! and the `gemm_parallel` bin emits the committed
-//! `BENCH_gemm_parallel.json` perf baseline.
+//! (`cargo run -p onesa-bench --release --bin table4`). The
+//! `gemm_parallel`, `sparse_gemm` and `program_optimizer` bins emit the
+//! committed `BENCH_*.json` kernel and compiler baselines.
 //!
 //! # Example
 //!

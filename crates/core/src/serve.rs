@@ -2257,7 +2257,15 @@ fn degrade_submission(
         granularity: target,
         quantize,
     };
-    let Ok(recompiled) = recompile.get_or_compile(mode, &[], program.fingerprint(), || {
+    // A stateless program's fingerprint ignores its input shapes, so the
+    // memo is keyed on them too (each shape behind its rank): one model
+    // compiled at two sequence lengths is two recompiles.
+    let geometry: Vec<usize> = program
+        .input_shapes()
+        .iter()
+        .flat_map(|shape| std::iter::once(shape.len()).chain(shape.iter().copied()))
+        .collect();
+    let Ok(recompiled) = recompile.get_or_compile(mode, &geometry, program.fingerprint(), || {
         program.with_granularity(target)
     }) else {
         return false; // undegradable (should not happen past start validation)
@@ -2878,6 +2886,12 @@ mod tests {
             Parallelism::Sequential,
         ))
         .unwrap()
+    }
+
+    /// The bit patterns of `tensors`, for `to_bits()`-exact comparison.
+    fn bits(tensors: &[Tensor]) -> Vec<u32> {
+        let values = tensors.iter().flat_map(|t| t.as_slice());
+        values.map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -3547,6 +3561,57 @@ mod tests {
     }
 
     #[test]
+    fn degrade_memo_keeps_equal_fingerprints_of_different_shapes_apart() {
+        // Regression: a stateless program's fingerprint ignores its input
+        // shapes, so BERT compiled at 6 and at 8 tokens — and two bare
+        // GELUs of different shapes — hash alike. The recompile memo once
+        // handed the second the first one's program, and the shape
+        // mismatch failed every ticket of the window.
+        use onesa_nn::models::{SmallCnn, TinyBert};
+        use onesa_plan::Compile;
+        let mode = onesa_nn::InferenceMode::cpwl(0.25).unwrap();
+        let bert = TinyBert::new(5, 32, 12, 2, 2);
+        let [short, long] = [6, 8].map(|n| bert.compile((&mode, n)).unwrap());
+        assert_eq!(short.fingerprint(), long.fingerprint());
+        let cnn = SmallCnn::new(7, 1, 3).compile((&mode, (8, 8))).unwrap();
+        let ids = |n: usize| TinyBert::ids_tensor(&(0..n).collect::<Vec<_>>());
+        let mut rng = Pcg32::seed_from_u64(56);
+        let requests = [
+            Request::program(short, vec![ids(6)]),
+            Request::program(long, vec![ids(8)]),
+            Request::program(cnn, vec![rng.randn(&[1, 8, 8], 1.0)]),
+            Request::nonlinear(NonlinearFn::Gelu, rng.randn(&[2, 3], 1.5)),
+            Request::nonlinear(NonlinearFn::Gelu, rng.randn(&[4, 5], 1.5)),
+        ];
+        let engine = ServeEngine::start(
+            ServeConfig::uniform(1, ArrayConfig::new(8, 16), Parallelism::Sequential)
+                .with_degrade(DegradePolicy::new(vec![0.5, 1.0]).with_depth_threshold(0))
+                .start_paused(),
+        )
+        .unwrap();
+        let tickets = requests.clone().map(|r| engine.submit(r).unwrap());
+        engine.resume();
+        for (i, (ticket, mut request)) in tickets.into_iter().zip(requests).enumerate() {
+            let served = ticket.wait().expect("no ticket of the window fails");
+            let rung = served.degrade.expect("depth 0 degrades everything").served;
+            // The oracle: the request's own program compiled at the
+            // served rung, run alone.
+            request.lower(0.25).unwrap();
+            let (program, inputs) = request.as_program().unwrap();
+            let coarse = program.with_granularity(rung).unwrap();
+            let mut tables = onesa_plan::TableCache::new();
+            let solo = coarse.run(inputs, Parallelism::Sequential, &mut tables);
+            assert_eq!(
+                bits(&[served.output]),
+                bits(&[solo.unwrap().output]),
+                "request {i}"
+            );
+        }
+        let summary = engine.finish().unwrap();
+        assert_eq!((summary.report.requests, summary.degraded), (5, 5));
+    }
+
+    #[test]
     fn size_capped_window_budget_counts_recompiled_macs() {
         // Regression: the window-fill degrade runs *before* budget
         // accounting, so a size-capped window is charged the degraded
@@ -3691,6 +3756,41 @@ mod tests {
         let _ = ok.finish().unwrap();
     }
 
+    /// The low-load comparison: twelve CNN requests, one at a time (so
+    /// one per window), through a 4-shard energy-aware pool under `policy`.
+    fn trickle(policy: PoolPolicy) -> (Vec<Tensor>, ServeSummary) {
+        use onesa_plan::Compile;
+        let mode = onesa_nn::InferenceMode::cpwl(0.25).unwrap();
+        let cnn = onesa_nn::models::SmallCnn::new(7, 1, 4);
+        let program = cnn.compile((&mode, (8, 8))).unwrap();
+        let mut rng = Pcg32::seed_from_u64(2026);
+        let engine = ServeEngine::start(
+            ServeConfig::uniform(4, ArrayConfig::new(8, 16), Parallelism::Sequential)
+                .with_admission(AdmissionPolicy::Fifo { window: 2 })
+                .with_routing(RoutePolicy::EnergyAware)
+                .with_pool(policy),
+        )
+        .unwrap();
+        let outputs = (0..12)
+            .map(|_| {
+                let x = rng.randn(&[1, 8, 8], 1.0);
+                let ticket = engine.submit_program(program.clone(), vec![x]).unwrap();
+                ticket.wait().unwrap().output
+            })
+            .collect();
+        (outputs, engine.finish().unwrap())
+    }
+
+    /// `[active, idle, off]` shard-windows, then `[power-ups, power-downs]`.
+    fn power_counts(p: &PowerSummary) -> ([u64; 3], [u64; 2]) {
+        let windows = [
+            p.active_shard_windows,
+            p.idle_shard_windows,
+            p.off_shard_windows,
+        ];
+        (windows, [p.power_ups, p.power_downs])
+    }
+
     #[test]
     fn elastic_pool_powers_shards_up_and_down() {
         let mut rng = Pcg32::seed_from_u64(53);
@@ -3740,37 +3840,35 @@ mod tests {
         assert!(p.active_shard_windows >= 1);
         assert!(p.modeled_joules > 0.0);
         assert!(format!("{summary}").contains("power-down"));
+
+        // At low load the three shards past `min_active` never power up:
+        // 12 active and 36 off shard-windows where the always-on pool
+        // pays for 48, a 70.8% energy saving (0.155 mJ against 0.532 mJ)
+        // with no output changed.
+        let (fixed_out, fixed) = trickle(PoolPolicy::AlwaysOn);
+        let (elastic_out, elastic) = trickle(PoolPolicy::Elastic {
+            min_active: 1,
+            scale_up_depth: 4,
+            idle_windows: 1,
+        });
+        assert_eq!(bits(&elastic_out), bits(&fixed_out));
+        let p = elastic.power;
+        assert_eq!(power_counts(&p), ([12, 0, 36], [0, 0]));
+        assert_eq!(p.modeled_joules, 0.00015531722499771605);
+        assert!(p.modeled_joules <= fixed.power.modeled_joules);
     }
 
     #[test]
     fn always_on_pool_accounts_every_shard_window() {
-        let mut rng = Pcg32::seed_from_u64(54);
-        let engine = pool(2);
-        let tickets: Vec<Ticket> = (0..4)
-            .map(|_| {
-                engine
-                    .submit(Request::gemm(
-                        rng.randn(&[2, 4], 1.0),
-                        rng.randn(&[4, 2], 1.0),
-                    ))
-                    .unwrap()
-            })
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        let summary = engine.finish().unwrap();
+        let (_, summary) = trickle(PoolPolicy::AlwaysOn);
+        assert_eq!(summary.windows, 12);
         let p = summary.power;
-        assert_eq!(
-            p.active_shard_windows,
-            2 * summary.windows as u64,
-            "always-on: every shard is active for every window"
-        );
-        assert_eq!(p.idle_shard_windows, 0);
-        assert_eq!(p.off_shard_windows, 0);
-        assert_eq!(p.power_ups, 0);
-        assert_eq!(p.power_downs, 0);
-        assert!(p.modeled_joules > 0.0);
+        // Always-on: every shard is active for every window.
+        assert_eq!(power_counts(&p), ([48, 0, 0], [0, 0]));
+        // Which shard serves a request follows host timing (a shard's
+        // load is released after its reply), and with it the order a
+        // window's terms are summed in: held to 1e-12, not to the bit.
+        assert!((p.modeled_joules / 0.0005322134136369481 - 1.0).abs() < 1e-12);
         assert!(summary.modeled_joules_per_request() > 0.0);
         assert!(format!("{summary}").contains("power:"));
     }

@@ -7,7 +7,8 @@
 //!
 //! * **no degradable request is ever dropped** — every CPWL program
 //!   ticket resolves `Ok` while the ladder has a coarser rung, even
-//!   when submitted with a deadline that is already in the past;
+//!   when submitted with a deadline that is already in the past, and
+//!   whatever mix of input shapes shares the window;
 //! * **served == exact + degraded** — the finish summary's request
 //!   count splits exactly into undegraded outcomes plus outcomes
 //!   carrying [`DegradeInfo`], and [`ServeSummary::degraded`] agrees;
@@ -41,7 +42,7 @@ const REQUESTED_G: f32 = 0.25;
 const LADDER: [f32; 2] = [0.5, 1.0];
 
 /// A tiny CPWL MLP (GEMM → Gelu → GEMM) compiled at the requested
-/// granularity; weights are fixed so every case shares one program.
+/// granularity; weights are fixed so every case shares one fingerprint.
 fn mlp() -> Program {
     let mut rng = Pcg32::seed_from_u64(7);
     let w1 = rng.randn(&[6, 4], 1.0);
@@ -84,19 +85,23 @@ fn prefill_program() -> Program {
 
 /// One randomly generated submission: a CPWL program (degradable) or a
 /// plain GEMM (not), with no deadline, an already-expired one, or a
-/// far-future one.
+/// far-future one. A program request re-targets the shared MLP at its
+/// own row count — same fingerprint, different input shape.
 #[derive(Debug, Clone, Copy)]
 struct Req {
     degradable: bool,
     deadline: Option<u64>,
+    rows: usize,
 }
 
 fn req_strategy() -> impl Strategy<Value = Req> {
     let degradable = prop_oneof![Just(true), Just(false)];
     let deadline = prop_oneof![Just(None), Just(Some(0u64)), Just(Some(u64::MAX - 1))];
-    (degradable, deadline).prop_map(|(degradable, deadline)| Req {
+    let rows = prop_oneof![Just(2usize), Just(3), Just(5)];
+    (degradable, deadline, rows).prop_map(|(degradable, deadline, rows)| Req {
         degradable,
         deadline,
+        rows,
     })
 }
 
@@ -129,8 +134,9 @@ fn run_case(
     pool: PoolPolicy,
     sessions: usize,
 ) {
-    let program = mlp();
-    let x = Pcg32::seed_from_u64(11).randn(&[2, 6], 1.0);
+    let mlp = mlp();
+    let program = |rows: usize| mlp.with_input_shapes(vec![vec![rows, 6]]).unwrap();
+    let x = |rows: usize| Pcg32::seed_from_u64(11).randn(&[rows, 6], 1.0);
     let engine = ServeEngine::start(
         ServeConfig::uniform(shards, ArrayConfig::new(8, 16), Parallelism::Sequential)
             .with_admission(AdmissionPolicy::Deadline {
@@ -151,7 +157,7 @@ fn run_case(
         .iter()
         .map(|&r| {
             let (request, want) = if r.degradable {
-                (Request::program(program.clone(), vec![x.clone()]), None)
+                (Request::program(program(r.rows), vec![x(r.rows)]), None)
             } else {
                 let a = rng.randn(&[2, 4], 1.0);
                 let b = rng.randn(&[4, 2], 1.0);
@@ -191,25 +197,21 @@ fn run_case(
         }
     }
 
-    // Solo oracles per served granularity, compiled directly (not via
-    // the ladder) — the bit-identicality reference.
-    let mut oracles: HashMap<u32, Tensor> = HashMap::new();
-    let mut oracle = |g: f32| -> Tensor {
+    // Solo oracles per served granularity and row count, compiled
+    // directly (not via the ladder) — the bit-identicality reference.
+    let mut oracles: HashMap<(u32, usize), Tensor> = HashMap::new();
+    let mut oracle = |g: f32, rows: usize| -> Tensor {
         oracles
-            .entry(g.to_bits())
+            .entry((g.to_bits(), rows))
             .or_insert_with(|| {
                 let p = if g == REQUESTED_G {
-                    program.clone()
+                    program(rows)
                 } else {
-                    program.with_granularity(g).unwrap()
+                    program(rows).with_granularity(g).unwrap()
                 };
-                p.run(
-                    std::slice::from_ref(&x),
-                    Parallelism::Sequential,
-                    &mut TableCache::new(),
-                )
-                .unwrap()
-                .output
+                p.run(&[x(rows)], Parallelism::Sequential, &mut TableCache::new())
+                    .unwrap()
+                    .output
             })
             .clone()
     };
@@ -246,7 +248,7 @@ fn run_case(
                         }
                         assert_eq!(
                             outcome.output,
-                            oracle(d.served),
+                            oracle(d.served, r.rows),
                             "degraded output must be bit-identical to the solo \
                              oracle at granularity {}",
                             d.served
@@ -255,7 +257,7 @@ fn run_case(
                     }
                     None => {
                         assert_ne!(r.deadline, Some(0), "an expired program must degrade");
-                        assert_eq!(outcome.output, oracle(REQUESTED_G));
+                        assert_eq!(outcome.output, oracle(REQUESTED_G, r.rows));
                         served_exact += 1;
                     }
                 }

@@ -732,8 +732,8 @@ impl Program {
     }
 
     /// Total modeled array work in MAC-equivalents — the admission and
-    /// routing weight of a whole-network request (the program analogue
-    /// of `Request::modeled_macs`). Cached at build time.
+    /// routing weight of every request, since a bare GEMM or nonlinear
+    /// lowers to a one-op program. Cached at build time.
     ///
     /// The weight is the per-op MAC count of [`Program::op_stats`] plus,
     /// under a CPWL mode, the L3 table-preload footprint: two words
@@ -1242,8 +1242,8 @@ pub(crate) fn fnv_u64(h: u64, v: u64) -> u64 {
 }
 
 /// Cheap content hash (FNV-1a over dims and value bit patterns) used to
-/// bucket constant tensors before exact equality checks — the same
-/// scheme `onesa_core::batch` uses for shared-weight coalescing.
+/// bucket constant tensors before exact equality checks — what the
+/// staged executor groups shared-weight GEMMs by.
 pub fn tensor_fingerprint(t: &Tensor) -> u64 {
     let mut h = FNV_OFFSET;
     for d in t.dims() {

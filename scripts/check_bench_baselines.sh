@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
-# Holds the deterministic fields of the onesa-bench baseline bins to
-# their committed BENCH_*.json: runs each bin (all five by default, or
-# the ones named), drops the host-dependent fields (wall_*,
-# *_us_per_call, setup_speedup, host_workers) from both sides and diffs
-# the rest. Run from the repository root.
+# Holds the deterministic fields of an onesa-bench baseline bin to its
+# committed BENCH_*.json: runs each bin (program_optimizer by default, or
+# the ones named), drops the host-dependent fields (*_us_per_call,
+# setup_speedup) from both sides and diffs the rest. Run from the
+# repository root.
 set -euo pipefail
 
 bins=("$@")
 if [ ${#bins[@]} -eq 0 ]; then
-  bins=(program_optimizer program_serving serving_async serving_decode serving_overload)
+  bins=(program_optimizer)
 fi
 
 strip_host_fields() {
-  sed -E 's/"(wall_[a-z0-9_]*|[a-z0-9_]*_us_per_call|setup_speedup|host_workers)": [-+0-9.e]+,? ?//g'
+  sed -E 's/"([a-z0-9_]*_us_per_call|setup_speedup)": [-+0-9.e]+,? ?//g'
 }
 
 status=0

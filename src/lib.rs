@@ -18,7 +18,7 @@
 //! * [`nn`] — layers, models, training and CPWL inference (Table III);
 //! * [`baselines`] — published baseline processors (Table IV);
 //! * [`core`] — the [`OneSa`] engine lowering whole workloads;
-//! * `bench` (dev) — table/figure report generators and Criterion benches.
+//! * `bench` (dev) — table/figure report generators and baseline bins.
 //!
 //! # Example
 //!

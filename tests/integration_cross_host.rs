@@ -133,6 +133,44 @@ fn run_pool(
     (outputs, pool.finish().unwrap())
 }
 
+/// Holds a 24-request mix — 12 GEMMs over two shared weights, 6
+/// nonlinears over two functions, 6 submissions of one compiled CNN — on
+/// a 2-shard round-robin `Fifo{8}` pool to its pinned numbers. The
+/// modeled makespan is pinned absolutely, hence `to_bits()`-equal across
+/// every backend this runs on: the wire moves bits, not math. `cache` is
+/// the `(full, ref, bytes saved)` split: round-robin hands each shard one
+/// GEMM weight, one function and the CNN, so a socket backend pays 6
+/// full sends and 18 fingerprint references.
+fn assert_pinned_mix(backend: ShardBackend, cache: (usize, usize, u64)) {
+    let mut rng = Pcg32::seed_from_u64(2027);
+    let weights = [64, 96].map(|n| rng.randn(&[128, n], 1.0));
+    let mut requests = Vec::new();
+    for i in 0..12 {
+        let a = rng.randn(&[8 + (i % 4) * 8, 128], 1.0);
+        requests.push(Request::gemm(a, weights[i % 2].clone()));
+    }
+    for i in 0..6 {
+        let func = [NonlinearFn::Gelu, NonlinearFn::Sigmoid][i % 2];
+        requests.push(Request::nonlinear(func, rng.randn(&[16, 32], 1.5)));
+    }
+    let mode = InferenceMode::cpwl(0.25).unwrap();
+    let program = SmallCnn::new(7, 1, 4).compile((&mode, (8, 8))).unwrap();
+    for _ in 0..6 {
+        let x = rng.randn(&[1, 8, 8], 1.0);
+        requests.push(Request::program(program.clone(), vec![x]));
+    }
+    let config = ServeConfig::uniform(2, ArrayConfig::new(8, 16), Parallelism::Sequential)
+        .with_admission(AdmissionPolicy::Fifo { window: 8 })
+        .with_routing(RoutePolicy::RoundRobin)
+        .start_paused()
+        .with_backend(backend);
+    let (_, summary) = run_pool(config, requests);
+    assert_eq!(summary.report.requests, 24);
+    assert_eq!(summary.report.batched_seconds, 3.4655e-5);
+    let c = summary.wire_cache;
+    assert_eq!((c.full_sends, c.ref_sends, c.const_bytes_saved), cache);
+}
+
 #[test]
 fn process_pool_bit_identical_for_every_admission_and_routing() {
     let routings = [
@@ -155,7 +193,7 @@ fn process_pool_bit_identical_for_every_admission_and_routing() {
                 .with_admission(admission)
                 .with_routing(routing)
                 .start_paused();
-            let (in_proc, _) = run_pool(base.clone(), requests.clone());
+            let (in_proc, local) = run_pool(base.clone(), requests.clone());
             let (remote, summary) = run_pool(
                 base.with_backend(process_backend(Transport::Unix)),
                 requests,
@@ -166,6 +204,16 @@ fn process_pool_bit_identical_for_every_admission_and_routing() {
                 assert_bits_eq(&format!("cross-host {label}"), &remote[i], want);
             }
             assert_eq!(summary.failovers, 0, "{routing:?}/{admission:?}");
+            // The array model cannot see the process boundary. (Least-
+            // loaded routes on live shard load, which follows host
+            // timing once a backlog spans several windows.)
+            if !matches!(routing, RoutePolicy::LeastLoaded) {
+                assert_eq!(
+                    summary.report.batched_seconds.to_bits(),
+                    local.report.batched_seconds.to_bits(),
+                    "{routing:?}/{admission:?}: modeled makespan"
+                );
+            }
             // Every request crosses the wire as a program, and the 14
             // of them have five fingerprints between them (two GEMM
             // weights, two functions, one CNN): each of the two shards
@@ -183,6 +231,8 @@ fn process_pool_bit_identical_for_every_admission_and_routing() {
             }
         }
     }
+    assert_pinned_mix(ShardBackend::InProcess, (0, 0, 0));
+    assert_pinned_mix(process_backend(Transport::Unix), (6, 18, 429_696));
 }
 
 /// Regression: a stateless program's fingerprint ignores its input
@@ -246,6 +296,7 @@ fn tcp_transport_matches_unix_transport() {
     }
     assert_eq!(summary.report.requests, expected.len());
     assert_eq!(summary.failovers, 0);
+    assert_pinned_mix(process_backend(Transport::Tcp), (6, 18, 429_696));
 }
 
 #[test]

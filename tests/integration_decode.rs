@@ -9,7 +9,9 @@
 //! Coverage:
 //!
 //! * every [`InterleavePolicy`] × admission policy × routing policy
-//!   combination, at 1, 2 and 4 shards, on the in-process backend;
+//!   combination, at 1, 2 and 4 shards, on the in-process backend —
+//!   plus the coalescing win itself, staged rounds against windows of
+//!   one step, with group counts and the modeled clock pinned exactly;
 //! * the same policy grid on the `Process` backend (real spawned
 //!   `onesa-shard-worker` processes over Unix sockets), with the shard
 //!   counts cycled across the grid so each count runs multi-process;
@@ -51,7 +53,9 @@ fn process_backend() -> ShardBackend {
 /// continuous-batching style: all sessions prefill in one wave, then
 /// every decode round submits one step per live session before waiting
 /// any of them — so each admission window sees steps from many
-/// sessions and can coalesce their shared-weight GEMMs.
+/// sessions and can coalesce their shared-weight GEMMs. A pool that
+/// starts paused is staged throughout: each wave is submitted behind the
+/// closed gate, so it closes as exactly one window on any host.
 fn generate_via_pool(
     lm: &TinyCausalLm,
     mode: &InferenceMode,
@@ -59,7 +63,19 @@ fn generate_via_pool(
     n: usize,
     cfg: ServeConfig,
 ) -> (Vec<Vec<usize>>, ServeSummary) {
+    let staged = cfg.paused;
     let engine = ServeEngine::start(cfg).unwrap();
+    let wait_wave = |tickets: Vec<Ticket>| -> Vec<usize> {
+        engine.resume(); // a no-op unless staged
+        let tokens = tickets
+            .into_iter()
+            .map(|t| argmax(&t.wait().unwrap().output.into_vec()))
+            .collect();
+        if staged {
+            engine.pause();
+        }
+        tokens
+    };
     let sessions: Vec<SessionId> = prompts.iter().map(|_| engine.open_session()).collect();
     let tickets: Vec<Ticket> = prompts
         .iter()
@@ -71,10 +87,7 @@ fn generate_via_pool(
                 .unwrap()
         })
         .collect();
-    let mut next: Vec<usize> = tickets
-        .into_iter()
-        .map(|t| argmax(&t.wait().unwrap().output.into_vec()))
-        .collect();
+    let mut next = wait_wave(tickets);
     let mut out: Vec<Vec<usize>> = next.iter().map(|&t| vec![t]).collect();
     for _ in 1..n {
         let tickets: Vec<Ticket> = sessions
@@ -88,10 +101,9 @@ fn generate_via_pool(
                     .unwrap()
             })
             .collect();
-        for (i, t) in tickets.into_iter().enumerate() {
-            let tok = argmax(&t.wait().unwrap().output.into_vec());
-            next[i] = tok;
-            out[i].push(tok);
+        next = wait_wave(tickets);
+        for (stream, &tok) in out.iter_mut().zip(&next) {
+            stream.push(tok);
         }
     }
     for (p, &sid) in prompts.iter().zip(&sessions) {
@@ -181,6 +193,51 @@ fn in_process_batched_generation_matches_direct_for_every_policy_combo() {
             check_summary(&summary, &prompts, n, &label);
         }
     }
+
+    // The coalescing win continuous batching exists for, on eight
+    // sessions x six tokens through one shard: every round staged into
+    // one window, against windows of one step, where nothing batches.
+    // A round's shared-weight GEMMs collapse to one group per weight;
+    // only the per-session attention GEMMs stay apart. Group counts,
+    // windows and the modeled clock are deterministic and pinned
+    // exactly: 40 decode tokens in 0.212 ms of array time instead of
+    // 0.654 ms is 189 k against 61 k modeled tokens/s.
+    let prompts: Vec<Vec<usize>> = (0..8)
+        .map(|s| (0..3).map(|i| (s * 7 + i * 3) % lm.vocab()).collect())
+        .collect();
+    let n = 6;
+    let want: Vec<Vec<usize>> = prompts
+        .iter()
+        .map(|p| lm.generate_direct(p, n, &mode))
+        .collect();
+    // (admission window, GEMM groups, windows, modeled makespan in seconds)
+    let pinned = [
+        (16, 462, 6, 0.00021202),
+        (1, 1008, 48, 0.0006539199999999998),
+    ];
+    for (window, groups, windows, makespan) in pinned {
+        let label = format!("window of {window}");
+        let cfg = ServeConfig::uniform(1, ArrayConfig::new(8, 16), Parallelism::Sequential)
+            .with_admission(AdmissionPolicy::Fifo { window })
+            .with_routing(RoutePolicy::WeightAffinity)
+            .with_interleave(InterleavePolicy::DecodeFirst)
+            .start_paused();
+        let (got, summary) = generate_via_pool(&lm, &mode, &prompts, n, cfg);
+        assert_eq!(got, want, "{label}: generation diverged from direct");
+        check_summary(&summary, &prompts, n, &label);
+        assert_eq!(summary.report.gemm_groups, groups, "{label}");
+        assert_eq!(summary.windows, windows, "{label}");
+        assert_eq!(summary.report.batched_seconds, makespan, "{label}");
+        // A decode step's own modeled latency does not depend on what
+        // it shared a window with.
+        let (p50, p95) = (
+            summary.decode.latency_percentile(50.0),
+            summary.decode.latency_percentile(95.0),
+        );
+        assert_eq!((p50, p95), (1.357e-5, 1.359e-5), "{label}");
+    }
+    // The headline floor: batching at least halves the kernel launches.
+    assert!(pinned[1].1 >= 2 * pinned[0].1);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Integration suite for degrade-don't-drop overload serving: the chaos
-//! path (worker death in the middle of a degraded window) and the
-//! accuracy contract of the degrade ladder.
+//! path (worker death in the middle of a degraded window), the
+//! saturation sweep and the accuracy contract of the degrade ladder.
 //!
 //! 1. **Chaos** — a Process-backend pool is saturated with CPWL program
 //!    requests whose deadlines are already in the past, so every window
@@ -9,7 +9,14 @@
 //!    must re-execute on survivors **at the same degraded granularity**,
 //!    bit-identical to the solo oracle compiled directly at that rung,
 //!    with exactly one failover recorded and nothing expired.
-//! 2. **Accuracy regression** — degraded CNN / BERT / causal-LM outputs
+//! 2. **Saturation sweep** — one staged burst of twelve CNN requests on
+//!    a 2-shard drop-on-expiry pool, 0 / 6 / 12 of them already past
+//!    their deadline when the gate opens. Without a ladder exactly
+//!    those expire; with one, nothing ever does — they are served at
+//!    the coarsest rung, bit-identical to a solo run compiled there.
+//!    Counts, the modeled makespan and the modeled energy per request
+//!    are deterministic and pinned exactly.
+//! 3. **Accuracy regression** — degraded CNN / BERT / causal-LM outputs
 //!    served through the ladder stay within documented per-granularity
 //!    error bounds of the Exact oracle, and top-1 agreement stays above
 //!    a pinned floor across the whole ladder. The bounds follow the
@@ -24,7 +31,7 @@ use std::path::PathBuf;
 
 use onesa_core::plan::{Compile, TableCache};
 use onesa_core::serve::{
-    AdmissionPolicy, DegradeInfo, DegradePolicy, RoutePolicy, ServeConfig, ServeEngine,
+    AdmissionPolicy, DegradeInfo, DegradePolicy, RoutePolicy, ServeConfig, ServeEngine, ServeError,
     ShardBackend, Ticket,
 };
 use onesa_core::{Parallelism, ProcessConfig, Program, Request, Transport};
@@ -129,6 +136,95 @@ fn killed_worker_mid_degraded_window_fails_over_at_the_same_rung() {
         requeued > 0,
         "shard 0's degraded windows must re-run elsewhere"
     );
+}
+
+// -- the saturation sweep ---------------------------------------------
+
+#[test]
+fn ladder_serves_the_whole_burst_the_baseline_drops_at_pinned_cost() {
+    let mode = InferenceMode::cpwl(0.25).unwrap();
+    let program = SmallCnn::new(7, 1, 4).compile((&mode, (8, 8))).unwrap();
+    let coarse = program.with_granularity(1.0).unwrap();
+    let mut rng = Pcg32::seed_from_u64(2026);
+    let xs: Vec<Tensor> = (0..12).map(|_| rng.randn(&[1, 8, 8], 1.0)).collect();
+    // (past deadline, ladder, (served, expired, degraded), (makespan in
+    // seconds, joules per request)); goodput is `served / makespan`,
+    // 363 k/s for a full burst. A half-degraded burst is the slowest:
+    // fine and coarse requests share no table, so fewer nonlinear
+    // stages coalesce.
+    let full = (3.3045e-5, 1.1957296765179e-5);
+    let rescued = DegradeInfo {
+        requested: 0.25,
+        served: 1.0,
+        rungs: 2,
+    };
+    for (past, ladder, counts, modeled) in [
+        (0, false, (12, 0, 0), full),
+        (0, true, (12, 0, 0), full),
+        (6, false, (6, 6, 0), (1.7095e-5, 1.2285898537833666e-5)),
+        (
+            6,
+            true,
+            (12, 0, 6),
+            (3.3285000000000004e-5, 1.2026173992635002e-5),
+        ),
+        (12, false, (0, 12, 0), (0.0, 0.0)),
+        (12, true, (12, 0, 12), full),
+    ] {
+        let label = format!("{past} past deadline, ladder {ladder}");
+        let mut cfg = ServeConfig::uniform(2, ArrayConfig::new(8, 16), Parallelism::Sequential)
+            .with_admission(AdmissionPolicy::Deadline {
+                window: 4,
+                drop_expired: true,
+            })
+            .start_paused();
+        if ladder {
+            cfg = cfg.with_degrade(DegradePolicy::new(vec![0.5, 1.0]));
+        }
+        let pool = ServeEngine::start(cfg).unwrap();
+        let tickets: Vec<Ticket> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                let request = Request::program(program.clone(), vec![x.clone()]);
+                if i < past {
+                    pool.submit_with_deadline(request, 0).unwrap()
+                } else {
+                    pool.submit(request).unwrap()
+                }
+            })
+            .collect();
+        // Let the admission clock pass deadline 0 before opening the gate.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        pool.resume();
+        let mut cache = TableCache::new();
+        for (i, (t, x)) in tickets.into_iter().zip(&xs).enumerate() {
+            let served = match t.wait() {
+                Ok(served) => served,
+                Err(ServeError::DeadlineExpired { .. }) if !ladder && i < past => continue,
+                Err(e) => panic!("{label}, request {i}: {e:?}"),
+            };
+            let want = (ladder && i < past).then_some(rescued);
+            assert_eq!(served.degrade, want, "{label}, request {i}");
+            let oracle = if want.is_some() { &coarse } else { &program };
+            let solo = oracle
+                .run(std::slice::from_ref(x), Parallelism::Sequential, &mut cache)
+                .unwrap();
+            assert_bits_eq(
+                &format!("{label}, request {i}"),
+                &served.output,
+                &solo.output,
+            );
+        }
+        let s = pool.finish().unwrap();
+        assert_eq!(
+            (s.report.requests, s.expired, s.degraded),
+            counts,
+            "{label}"
+        );
+        let got = (s.report.batched_seconds, s.modeled_joules_per_request());
+        assert_eq!(got, modeled, "{label}");
+    }
 }
 
 // -- accuracy regression across the ladder ----------------------------

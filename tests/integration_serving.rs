@@ -358,6 +358,53 @@ fn least_loaded_balances_and_sharding_cuts_makespan() {
         "expected ~4x from 4 shards, got {:.2}x",
         summary.modeled_speedup()
     );
+
+    // Shard-count scaling on the 48-request mix `examples/sharded_serving.rs`
+    // serves (36 GEMMs over three shared weights, 12 nonlinears over two
+    // functions), pre-loaded as one window; everything modeled is
+    // deterministic and pinned exactly.
+    let mut rng = Pcg32::seed_from_u64(2026);
+    let weights = [128, 64, 96].map(|n| rng.randn(&[256, n], 1.0));
+    let mut mix = Vec::new();
+    for i in 0..36 {
+        let a = rng.randn(&[16 + (i % 5) * 16, 256], 1.0);
+        mix.push(Request::gemm(a, weights[i % 3].clone()));
+    }
+    for i in 0..12 {
+        let func = [NonlinearFn::Gelu, NonlinearFn::Sigmoid][i % 2];
+        let x = rng.randn(&[32 + (i % 4) * 16, 64], 1.5);
+        mix.push(Request::nonlinear(func, x));
+    }
+    // (shards, GEMM groups, array makespan in seconds, batching speedup):
+    // 48 requests in 0.230 / 0.128 / 0.076 ms is 209 k / 375 k / 635 k
+    // modeled requests per second, 1.79x and 3.04x the one-shard pool.
+    let pinned = [
+        (1, 3, 0.00022985, 1.1126821840330654),
+        (2, 6, 0.00012809, 1.9966429854008905),
+        (4, 12, 7.561e-5, 3.3824890887448755),
+    ];
+    for (shards, gemm_groups, makespan, speedup) in pinned {
+        let pool = ServeEngine::start(
+            ServeConfig::uniform(shards, ArrayConfig::new(8, 16), Parallelism::Sequential)
+                .with_admission(AdmissionPolicy::Fifo { window: 64 })
+                .with_routing(RoutePolicy::LeastLoaded)
+                .start_paused(),
+        )
+        .unwrap();
+        let tickets: Vec<Ticket> = mix
+            .iter()
+            .map(|r| pool.submit(r.clone()).unwrap())
+            .collect();
+        let summary = pool.finish().unwrap(); // opens the gate itself
+        assert!(tickets.into_iter().all(|t| t.wait().is_ok()));
+        assert_eq!(summary.report.requests, 48, "{shards} shards");
+        assert_eq!(summary.windows, 1, "{shards} shards");
+        assert_eq!(summary.report.gemm_groups, gemm_groups, "{shards} shards");
+        assert_eq!(summary.report.batched_seconds, makespan, "{shards} shards");
+        assert_eq!(summary.modeled_speedup(), speedup, "{shards} shards");
+    }
+    // The headline floor: four shards clear 1.5x the one-shard pool.
+    assert!(pinned[0].2 / pinned[2].2 >= 1.5);
 }
 
 #[test]
