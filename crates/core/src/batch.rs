@@ -410,14 +410,20 @@ impl ServingReport {
     /// Simulated per-request latency percentile (`q` in `0..=100`),
     /// nearest-rank over the served queue.
     pub fn latency_percentile(&self, q: f64) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        nearest_rank(&self.latencies, q)
     }
+}
+
+/// Nearest-rank percentile (`q` in `0..=100`) of simulated latencies;
+/// 0.0 for an empty run.
+pub(crate) fn nearest_rank(latencies: &[f64], q: f64) -> f64 {
+    if latencies.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = latencies.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 impl fmt::Display for ServingReport {
@@ -595,20 +601,6 @@ impl BatchEngine {
         request.check(self.granularity)
     }
 
-    /// [`BatchEngine::run`]'s front door for one queue entry: the
-    /// admission check, then the entry's table set — a granularity the
-    /// table builder rejects (a sealed program's is only known to be
-    /// positive and finite) must fail here, with the queue still
-    /// intact. The cache is persistent, so across runs each granularity
-    /// is built at most once.
-    fn admit(&mut self, request: &mut Request) -> Result<()> {
-        request.check(self.granularity)?;
-        if let Some(g) = request.lowered_program().mode().granularity() {
-            self.plan_tables.get(g)?;
-        }
-        Ok(())
-    }
-
     /// Serves the whole queue: lowers every request to a program, runs
     /// them stage by stage through [`plan::run_staged`] — which
     /// coalesces compatible ops across requests at every stage and
@@ -625,15 +617,36 @@ impl BatchEngine {
         // One malformed request must not discard the others: every
         // entry passes the front door before the queue drains.
         let mut queue = std::mem::take(&mut self.queue);
-        if let Err(e) = queue.iter_mut().try_for_each(|entry| self.admit(entry)) {
+        let granularity = self.granularity;
+        let run = queue
+            .iter_mut()
+            .try_for_each(|entry| entry.check(granularity))
+            .and_then(|()| self.run_lowered(&queue.iter().collect::<Vec<_>>()));
+        if run.is_err() {
             self.queue = queue;
-            return Err(e);
+        }
+        run
+    }
+
+    /// [`BatchEngine::run`] over requests that stay with their owner and
+    /// already passed a front door ([`Request::check`]) — how a
+    /// `serve` shard executes a window.
+    pub(crate) fn run_lowered(&mut self, requests: &[&Request]) -> Result<BatchRun> {
+        // The rest of the front door: every request's table set. A
+        // granularity the table builder rejects (a sealed program's is
+        // only known to be positive and finite) must fail here, before
+        // anything runs. The cache is persistent, so across runs each
+        // granularity is built at most once.
+        for request in requests {
+            if let Some(g) = request.lowered_program().mode().granularity() {
+                self.plan_tables.get(g)?;
+            }
         }
         let start = Instant::now();
         let cfg = self.engine.config().clone();
         let idle = ExecStats::new(&cfg, Default::default(), 0, 0);
 
-        let jobs: Vec<(&Program, &[Tensor])> = queue.iter().map(Request::lowered).collect();
+        let jobs: Vec<(&Program, &[Tensor])> = requests.iter().map(|r| r.lowered()).collect();
         let mut opt = OptTotals::default();
         let mut blocks = (0u64, 0u64);
         for (program, _) in &jobs {

@@ -53,11 +53,6 @@ impl OneSa {
         self.par
     }
 
-    /// Changes the host-execution policy in place.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
-    }
-
     /// FPGA resource cost of this design point.
     pub fn cost(&self) -> ModuleCost {
         self.cost

@@ -7,10 +7,31 @@
 //! batching windows under a configurable [`AdmissionPolicy`], and a
 //! shard pool of `N` worker shards — each one a `(OneSa, BatchEngine,
 //! Parallelism)` triple standing in for one simulated systolic array —
-//! fed through a pluggable [`RoutePolicy`]. This is the scale-out rung
-//! the ROADMAP names after PR 2's synchronous batching: one workload,
-//! many arrays, in the spirit of FlexSA's sub-array partitioning and
-//! ArrayFlex's per-workload reconfiguration.
+//! fed through a pluggable [`RoutePolicy`]: one workload, many arrays,
+//! in the spirit of FlexSA's sub-array partitioning and ArrayFlex's
+//! per-workload reconfiguration.
+//!
+//! # Modules
+//!
+//! Each decision of the serving path has one owner; this file holds the
+//! public configuration and reporting types, the client, the engine's
+//! start / finish, and the `Job` record every hop carries:
+//!
+//! * `session` — the host-resident session table (KV tensors, pinning,
+//!   eviction), [`Phase`] / [`InterleavePolicy`] and the in-window
+//!   prefill/decode ordering.
+//! * `admit` — [`AdmissionPolicy`] (when a window closes), deadline
+//!   expiry, the [`DegradePolicy`] ladder, and the admission thread's
+//!   loop, which only orchestrates the other modules.
+//! * `route` — [`RoutePolicy`] and the `Router` state machine: one
+//!   `pick` per request (pinned session, then shard specialization,
+//!   then the policy over the powered shards).
+//! * `power` — [`PoolPolicy`] and the `PowerStates` state machine
+//!   (wake, scale-up, settle) together with the modeled energy
+//!   accounting computed from its per-window log ([`PowerSummary`]).
+//! * `shard` — where a window executes (in-process engine or worker
+//!   process, with failover) and the per-shard thread that answers
+//!   tickets ([`ShardStats`]).
 //!
 //! # Request lifecycle
 //!
@@ -18,17 +39,17 @@
 //!  client threads                admission thread              shard threads
 //!  ──────────────                ────────────────              ─────────────
 //!  submit(Request) ──► bounded MPSC queue ──► admit: lower to a Program
-//!        │            (backpressure: send     + validate (front door)
-//!        ▼             blocks when full)            │
-//!     Ticket                                  batching window ──► router
-//!        │                                   (FIFO / EDF /         │
-//!        │                                    size-capped)         ▼
+//!   = one Job         (backpressure: send     + validate (front door)
+//!        │             blocks when full)            │
+//!        ▼                                    batching window ──► Router::pick
+//!     Ticket                                 (FIFO / EDF /     over PowerStates
+//!        │                                    size-capped)         │
 //!        │                                                per-shard channel
 //!        │                                                         │
-//!        │                                    ShardExec::run_window: BatchEngine::run
+//!        │                                    ShardExec::run_window: the BatchEngine
 //!        │                                    here, or in the shard's worker process
 //!        ▼                                                         │
-//!  Ticket::wait ◄───────────── per-request reply channel ◄─────────┘
+//!  Ticket::wait ◄────────────── the Job's reply channel ◄──────────┘
 //!
 //!  finish() ──► drains the queue, joins every worker, aggregates the
 //!               shards into a ServingReport + per-shard ShardStats
@@ -48,7 +69,7 @@
 //!
 //! * a bare nonlinear's admission weight is its program's
 //!   `modeled_macs` — its op's MACs (two per element in the cost model)
-//!   plus the table preload — where it used to be its element count;
+//!   plus the table preload;
 //! * under a configured [`DegradePolicy`] a bare nonlinear is
 //!   degradable (and, under a matching [`ShardSpec::granularity`],
 //!   steerable) like any other CPWL program. Bare GEMMs are
@@ -84,8 +105,7 @@
 //!   [`AdmissionPolicy::Deadline`] with `drop_expired`, requests
 //!   already past their deadline at window close resolve with
 //!   [`ServeError::DeadlineExpired`] instead of dispatching (counted in
-//!   [`ServeSummary::expired`]) — the ROADMAP's drop-on-expiry
-//!   admission rung.
+//!   [`ServeSummary::expired`]).
 //!
 //! # Whole-network program tickets
 //!
@@ -124,18 +144,32 @@
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 
-use crate::batch::{BatchEngine, BatchRun, Request, ServingReport};
+mod admit;
+mod power;
+mod route;
+mod session;
+mod shard;
+
+pub use admit::{AdmissionPolicy, DegradeInfo, DegradePolicy};
+pub use power::{PoolPolicy, PowerSummary, ShardPower};
+pub use route::RoutePolicy;
+pub use session::{InterleavePolicy, Phase, PhaseStats, SessionId, SessionSummary};
+pub use shard::ShardStats;
+
+use crate::batch::{BatchEngine, Request, ServingReport};
 use crate::engine::OneSa;
 use crate::net::{self, ProcessConfig, WeightCacheStats};
-use onesa_plan::{CompileCache, EvalMode, OptTotals};
-use onesa_resources::array::ArrayResources;
-use onesa_resources::power::PowerModel;
-use onesa_resources::{Design, ModuleCost};
+use admit::{admitter_loop, AdmitOut, AdmitterCtx};
+use onesa_plan::{CompileCache, OptTotals};
 use onesa_sim::{ArrayConfig, ExecStats};
 use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::{Tensor, TensorError};
+use power::PowerStates;
+use route::Router;
+use session::{SessionState, SessionTable, SessionTag};
+use shard::{shard_loop, ReqRecord, ShardExec, ShardOut};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -148,507 +182,6 @@ pub type TicketId = u64;
 /// before admission stalls on it (bounded backpressure between the
 /// admitter and a slow shard).
 const SHARD_CHANNEL_DEPTH: usize = 2;
-
-/// How the admission thread closes a batching window.
-///
-/// A window opens when the first waiting request is picked up and is
-/// filled greedily from whatever else has already arrived — admission
-/// never waits for stragglers, so a lightly loaded pool degenerates to
-/// request-at-a-time serving and a busy one to large coalesced batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Dispatch in arrival order; close the window after `window`
-    /// requests (`0` is treated as `1`).
-    Fifo {
-        /// Maximum requests per window.
-        window: usize,
-    },
-    /// Like [`AdmissionPolicy::Fifo`], but the admitted window is
-    /// dispatched earliest-deadline-first. Requests without a deadline
-    /// sort last; ties keep arrival order (the sort is stable).
-    ///
-    /// With `drop_expired` off, the deadline is a pure priority key —
-    /// nothing is dropped on a miss. With it on, deadlines are absolute
-    /// **microseconds since [`ServeEngine::start`]**: a request already
-    /// past its deadline when its window closes resolves its ticket
-    /// with [`ServeError::DeadlineExpired`] instead of dispatching, and
-    /// is counted in [`ServeSummary::expired`].
-    Deadline {
-        /// Maximum requests per window.
-        window: usize,
-        /// Drop (rather than merely deprioritize) expired requests.
-        drop_expired: bool,
-    },
-    /// Close the window once its accumulated modeled work (the admitted
-    /// programs' `Program::modeled_macs`) reaches `max_macs`, so one window
-    /// never holds more array work than a target batch budget.
-    SizeCapped {
-        /// Modeled-MAC budget per window.
-        max_macs: u64,
-    },
-}
-
-impl Default for AdmissionPolicy {
-    /// FIFO with a 64-request window.
-    fn default() -> Self {
-        AdmissionPolicy::Fifo { window: 64 }
-    }
-}
-
-/// How an admitted request picks its shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutePolicy {
-    /// Strict rotation over the shards.
-    #[default]
-    RoundRobin,
-    /// The shard with the least outstanding modeled work (queued plus
-    /// executing, in `Program::modeled_macs` units; ties pick the
-    /// lowest shard index).
-    LeastLoaded,
-    /// Requests whose programs have equal `Program::fingerprint`s —
-    /// GEMMs against the same weight matrix, nonlinears of the same
-    /// function, whole networks compiled from the same model — land on
-    /// the same shard, so sharding does not break [`crate::batch`]'s
-    /// coalescing (shared weights still load once *per shard that sees
-    /// them*, and with affinity routing that is one shard).
-    WeightAffinity,
-    /// The powered shard that would finish this request for the least
-    /// additional modeled energy: each shard's full-activity energy per
-    /// MAC (its [`PowerModel`] power over its peak MAC rate) weighs its
-    /// outstanding work plus this request; ties pick the lowest shard
-    /// index. On a homogeneous pool this degenerates to
-    /// [`RoutePolicy::LeastLoaded`]; on a heterogeneous one it steers
-    /// work toward the more efficient arrays first.
-    EnergyAware,
-}
-
-/// When and how the admitter trades accuracy for survival under
-/// overload: instead of letting a queued CPWL program request expire
-/// (or letting a deep queue grow its latency unboundedly), the request
-/// is **re-compiled at a coarser CPWL granularity** — fewer table
-/// segments, a cheaper table-staging footprint, the accuracy/latency
-/// knob the paper itself highlights — and served. The recompile rides
-/// [`CompileCache`] (keyed on the coarser mode + the source program's
-/// fingerprint), and the shard's per-granularity plan `TableCache`
-/// builds each rung's tables at most once.
-///
-/// Two trigger points:
-///
-/// * **Window fill.** While the admitter fills a window, a CPWL program
-///   request degrades one ladder rung if the submission queue behind it
-///   is at least [`DegradePolicy::depth_threshold`] deep, or its
-///   deadline slack has shrunk below [`DegradePolicy::slack_us`]. The
-///   window's work budget ([`AdmissionPolicy::SizeCapped`]) counts the
-///   *recompiled* program's modeled MACs.
-/// * **Expiry rescue.** Under [`AdmissionPolicy::Deadline`] with
-///   `drop_expired`, a CPWL program request already past its deadline
-///   jumps to the **coarsest** rung and dispatches instead of resolving
-///   [`ServeError::DeadlineExpired`]. Only non-degradable requests
-///   (exact-mode programs, which is what GEMM requests lower to) or
-///   requests already at the coarsest rung still expire.
-///
-/// Degraded outputs stay bit-identical to a solo run of the same
-/// program compiled directly at the served granularity — degrading
-/// changes *which* program runs, never how it runs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradePolicy {
-    /// Fallback granularities, finest first, each strictly coarser
-    /// (larger) than the one before; requests degrade along it rung by
-    /// rung. Must be non-empty.
-    pub ladder: Vec<f32>,
-    /// Submission-queue depth at which window fill degrades a request
-    /// one rung (`usize::MAX` — the [`DegradePolicy::new`] default —
-    /// disables pressure degrading; `0` degrades every request).
-    pub depth_threshold: usize,
-    /// Deadline slack (µs) below which window fill degrades a
-    /// deadline-carrying request one rung (`0`, the default, disables
-    /// the slack trigger).
-    pub slack_us: u64,
-}
-
-impl DegradePolicy {
-    /// A ladder-only policy: no pressure or slack triggers, just the
-    /// expiry rescue (degrade-don't-drop).
-    pub fn new(ladder: Vec<f32>) -> Self {
-        DegradePolicy {
-            ladder,
-            depth_threshold: usize::MAX,
-            slack_us: 0,
-        }
-    }
-
-    /// Replaces the queue-depth trigger.
-    pub fn with_depth_threshold(mut self, depth: usize) -> Self {
-        self.depth_threshold = depth;
-        self
-    }
-
-    /// Replaces the deadline-slack trigger.
-    pub fn with_slack_us(mut self, slack_us: u64) -> Self {
-        self.slack_us = slack_us;
-        self
-    }
-}
-
-/// How a degraded request was actually served, riding its
-/// [`ServedOutcome`]. `None` on an outcome means the request ran
-/// exactly as submitted.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradeInfo {
-    /// CPWL granularity the program was compiled at when submitted.
-    pub requested: f32,
-    /// Coarser granularity it was re-compiled to and served at.
-    pub served: f32,
-    /// Ladder rungs between the two (the number of
-    /// [`DegradePolicy::ladder`] entries in `(requested, served]`).
-    pub rungs: usize,
-}
-
-/// Power state of one shard in the pool, driven per admission window by
-/// [`PoolPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPower {
-    /// Powered and routable.
-    Active,
-    /// Draining toward power-off: the router no longer targets it, but
-    /// its in-flight windows finish (and it still burns idle power), so
-    /// no admitted work is ever lost to a power-down.
-    Idle,
-    /// Powered down: consumes no modeled energy and receives no work
-    /// until queue pressure (or a pinned session) re-activates it.
-    Off,
-}
-
-/// How the pool manages shard power across the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoolPolicy {
-    /// Every shard stays [`ShardPower::Active`] for the whole run (the
-    /// default).
-    #[default]
-    AlwaysOn,
-    /// Closed-loop elasticity against the admission queue: shards past
-    /// `min_active` start [`ShardPower::Off`]; a backlog powers one up
-    /// per window; a shard that routes nothing for `idle_windows`
-    /// consecutive windows drains ([`ShardPower::Idle`]) and powers off
-    /// once its channel and outstanding work are empty. A session
-    /// pinned to a parked shard re-activates it — pinning always wins.
-    Elastic {
-        /// Shards kept active at all times (clamped to `1..=pool`).
-        min_active: usize,
-        /// Submission-queue depth (beyond the closing window) at which
-        /// one more shard powers up.
-        scale_up_depth: usize,
-        /// Consecutive windows a drained shard must sit unused before
-        /// it starts draining toward [`ShardPower::Off`].
-        idle_windows: usize,
-    },
-}
-
-/// Modeled energy accounting of one engine lifetime
-/// ([`ServeSummary::power`]). Every admission window is costed over its
-/// modeled duration (the longest batch any shard executed for it):
-/// an executing shard pays [`PowerModel`] energy at its batch's actual
-/// utilization plus idle power for the window's remainder, a powered
-/// but idle shard pays idle power for the whole window, and an
-/// [`ShardPower::Off`] shard pays nothing. Deterministic — it is built
-/// from simulated batch seconds, not host wall-clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PowerSummary {
-    /// Modeled joules the pool consumed across all windows.
-    pub modeled_joules: f64,
-    /// Shard-windows spent [`ShardPower::Active`].
-    pub active_shard_windows: u64,
-    /// Shard-windows spent [`ShardPower::Idle`] (draining).
-    pub idle_shard_windows: u64,
-    /// Shard-windows spent [`ShardPower::Off`].
-    pub off_shard_windows: u64,
-    /// `Off → Active` transitions (scale-ups and pinned-session
-    /// re-powers).
-    pub power_ups: u64,
-    /// `Idle → Off` transitions (completed drains).
-    pub power_downs: u64,
-}
-
-/// Identifier of a decoding session (from [`ServeClient::open_session`]).
-pub type SessionId = u64;
-
-/// Which autoregressive phase a session-tagged request is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// The prompt pass: one program over the whole prompt that produces
-    /// the session's initial KV cache.
-    Prefill,
-    /// One token step against the session-resident KV cache.
-    Decode,
-}
-
-/// How a closed admission window orders prefill and decode steps before
-/// routing. Reordering happens *within* one window (after the deadline
-/// sort, which it preserves within each phase class) and never changes
-/// any request's output — only which requests share a shard batch, and
-/// therefore the continuous-batching coalescing opportunities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InterleavePolicy {
-    /// Keep arrival order: prefill and decode steps mix freely (the
-    /// default).
-    #[default]
-    Mixed,
-    /// Prompt passes dispatch ahead of decode steps — favors time to
-    /// first token for newly admitted sessions.
-    PrefillFirst,
-    /// Decode steps dispatch ahead of prompt passes — favors inter-token
-    /// latency of already-running sessions.
-    DecodeFirst,
-}
-
-/// Lifetime counters of the session table, reported in
-/// [`ServeSummary::sessions`]. `live` counts entries still resident at
-/// finish — an evicted session's KV tensors are freed at eviction, so
-/// `opened == closed + evicted_deadline + evicted_overflow + live`
-/// always holds (no orphaned cache entries).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionSummary {
-    /// Sessions opened over the engine lifetime.
-    pub opened: u64,
-    /// Sessions the client closed ([`ServeClient::close_session`]).
-    pub closed: u64,
-    /// Whole sessions evicted because a step expired under
-    /// [`AdmissionPolicy::Deadline`] with `drop_expired` — the KV
-    /// tensors are freed with the entry, not just the in-flight step.
-    pub evicted_deadline: u64,
-    /// Sessions evicted least-recently-used to admit a new one past
-    /// [`ServeConfig::session_capacity`].
-    pub evicted_overflow: u64,
-    /// Sessions still resident when the engine finished.
-    pub live: u64,
-}
-
-/// Latency/throughput accounting of one phase ([`ServeSummary::prefill`]
-/// / [`ServeSummary::decode`]). Only session-tagged requests are
-/// counted; sessionless tickets belong to neither phase.
-#[derive(Debug, Clone, Default)]
-pub struct PhaseStats {
-    /// Requests served in this phase.
-    pub requests: usize,
-    /// Tokens those requests covered: the prompt length for a prefill,
-    /// one per decode step.
-    pub tokens: u64,
-    /// Simulated per-request latencies in seconds, ordered by ticket id.
-    pub latencies: Vec<f64>,
-}
-
-impl PhaseStats {
-    /// Nearest-rank latency percentile (`q` in `0..=100`) over this
-    /// phase's requests; 0.0 when the phase served nothing.
-    pub fn latency_percentile(&self, q: f64) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
-    }
-
-    /// Tokens per second against the given wall-clock interval.
-    pub fn tokens_per_second(&self, wall_seconds: f64) -> f64 {
-        if wall_seconds > 0.0 {
-            self.tokens as f64 / wall_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// One live decoding session: host-resident KV tensors plus scheduling
-/// state. The tensors are whatever the session's programs declare as
-/// session outputs — for `TinyCausalLm`, per-layer `[ctx, d]` K and V
-/// matrices, K then V in block order.
-#[derive(Debug)]
-struct SessionState {
-    /// Current per-layer cache tensors (empty until prefill completes).
-    kv: Vec<Tensor>,
-    /// The shard the session's first step landed on; every later step
-    /// routes here so the session's weight state stays shard-local.
-    shard: Option<usize>,
-    /// A step is queued or executing: the session admits one step at a
-    /// time, which is what keeps cache read-modify-write linearizable.
-    in_flight: bool,
-    /// LRU clock value of the last checkout (overflow eviction key).
-    last_used: u64,
-    /// Decode steps completed (== tokens generated so far).
-    tokens: u64,
-}
-
-#[derive(Debug, Default)]
-struct SessionTableInner {
-    map: std::collections::HashMap<SessionId, SessionState>,
-    next: SessionId,
-    clock: u64,
-    opened: u64,
-    closed: u64,
-    evicted_deadline: u64,
-    evicted_overflow: u64,
-}
-
-/// The host-side session table, shared by clients (checkout at submit),
-/// the admitter (pinning, deadline eviction) and the shard workers
-/// (write-back before the ticket reply).
-#[derive(Debug)]
-struct SessionTable {
-    inner: Mutex<SessionTableInner>,
-    capacity: usize,
-}
-
-impl SessionTable {
-    fn new(capacity: usize) -> Self {
-        SessionTable {
-            inner: Mutex::new(SessionTableInner::default()),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SessionTableInner> {
-        self.inner.lock().expect("session table lock")
-    }
-
-    /// Opens a session, evicting the least-recently-used idle session
-    /// first if the table is at capacity (an in-flight session is never
-    /// evicted — its write-back is pending; if every resident session is
-    /// in flight the table temporarily exceeds capacity instead).
-    fn open(&self) -> SessionId {
-        let mut t = self.lock();
-        if t.map.len() >= self.capacity {
-            let victim = t
-                .map
-                .iter()
-                .filter(|(_, s)| !s.in_flight)
-                .min_by_key(|(id, s)| (s.last_used, **id))
-                .map(|(id, _)| *id);
-            if let Some(id) = victim {
-                t.map.remove(&id);
-                t.evicted_overflow += 1;
-            }
-        }
-        let id = t.next;
-        t.next += 1;
-        t.opened += 1;
-        let clock = t.clock;
-        t.clock += 1;
-        t.map.insert(
-            id,
-            SessionState {
-                kv: Vec::new(),
-                shard: None,
-                in_flight: false,
-                last_used: clock,
-                tokens: 0,
-            },
-        );
-        id
-    }
-
-    fn close(&self, id: SessionId) -> bool {
-        let mut t = self.lock();
-        let existed = t.map.remove(&id).is_some();
-        if existed {
-            t.closed += 1;
-        }
-        existed
-    }
-
-    /// Marks the session in flight and returns a clone of its KV
-    /// tensors for input binding.
-    fn checkout(&self, id: SessionId) -> Result<Vec<Tensor>, ServeError> {
-        let mut t = self.lock();
-        let clock = t.clock;
-        t.clock += 1;
-        let s = t.map.get_mut(&id).ok_or(ServeError::SessionUnknown(id))?;
-        if s.in_flight {
-            return Err(ServeError::SessionBusy(id));
-        }
-        s.in_flight = true;
-        s.last_used = clock;
-        Ok(s.kv.clone())
-    }
-
-    /// Installs a completed step's session outputs and reopens the
-    /// session for its next step. A session evicted or closed while the
-    /// step was in flight is left gone — the stale tensors are dropped.
-    fn writeback(&self, id: SessionId, kv: Vec<Tensor>, phase: Phase) {
-        let mut t = self.lock();
-        if let Some(s) = t.map.get_mut(&id) {
-            s.kv = kv;
-            s.in_flight = false;
-            if phase == Phase::Decode {
-                s.tokens += 1;
-            }
-        }
-    }
-
-    /// Clears the in-flight marker without touching the cache (error
-    /// paths: validation rejection, shard failure, queue teardown).
-    fn release(&self, id: SessionId) {
-        let mut t = self.lock();
-        if let Some(s) = t.map.get_mut(&id) {
-            s.in_flight = false;
-        }
-    }
-
-    fn pin_of(&self, id: SessionId) -> Option<usize> {
-        self.lock().map.get(&id).and_then(|s| s.shard)
-    }
-
-    fn set_pin(&self, id: SessionId, shard: usize) {
-        let mut t = self.lock();
-        if let Some(s) = t.map.get_mut(&id) {
-            if s.shard.is_none() {
-                s.shard = Some(shard);
-            }
-        }
-    }
-
-    /// Evicts the whole session because one of its steps expired: the
-    /// entry — KV tensors included — is freed, not just the in-flight
-    /// step (the regression pinned by
-    /// `deadline_expiry_evicts_the_whole_session`).
-    fn evict_deadline(&self, id: SessionId) {
-        let mut t = self.lock();
-        if t.map.remove(&id).is_some() {
-            t.evicted_deadline += 1;
-        }
-    }
-
-    fn kv(&self, id: SessionId) -> Option<Vec<Tensor>> {
-        self.lock().map.get(&id).map(|s| s.kv.clone())
-    }
-
-    fn context_rows(&self, id: SessionId) -> Option<usize> {
-        self.lock()
-            .map
-            .get(&id)
-            .map(|s| s.kv.first().map_or(0, |t| t.dims()[0]))
-    }
-
-    fn tokens(&self, id: SessionId) -> Option<u64> {
-        self.lock().map.get(&id).map(|s| s.tokens)
-    }
-
-    fn live(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    fn summary(&self) -> SessionSummary {
-        let t = self.lock();
-        SessionSummary {
-            opened: t.opened,
-            closed: t.closed,
-            evicted_deadline: t.evicted_deadline,
-            evicted_overflow: t.evicted_overflow,
-            live: t.map.len() as u64,
-        }
-    }
-}
 
 /// One simulated array in the pool: an [`ArrayConfig`] plus the host
 /// execution policy its kernels run under.
@@ -957,58 +490,6 @@ impl Ticket {
     }
 }
 
-/// Everything a shard did over one engine lifetime.
-#[derive(Debug, Clone, Default)]
-pub struct ShardStats {
-    /// Shard index (position in [`ServeConfig::shards`]).
-    pub shard: usize,
-    /// Requests this shard served.
-    pub requests: usize,
-    /// Dispatched batches this shard executed.
-    pub batches: usize,
-    /// Coalesced GEMM kernel calls across those batches.
-    pub gemm_groups: usize,
-    /// Coalesced IPF + MHP passes across those batches.
-    pub nonlinear_groups: usize,
-    /// Multiply-accumulates this shard performed.
-    pub macs: u64,
-    /// Simulated array seconds this shard's batched schedules took. The
-    /// maximum across shards is the pool's makespan.
-    pub array_seconds: f64,
-    /// Host seconds this shard's worker spent executing batches.
-    pub busy_seconds: f64,
-    /// `busy_seconds` over the engine's wall lifetime: the fraction of
-    /// time this shard's worker was doing work rather than waiting.
-    pub occupancy: f64,
-    /// Most batches ever observed waiting in this shard's channel at
-    /// once (peak queue depth behind the router): at most the channel
-    /// bound plus the one batch the admitter may be blocked handing
-    /// over.
-    pub peak_queue_depth: usize,
-    /// Optimizer pass totals of the program requests this shard served
-    /// (see `ServingReport::opt`).
-    pub opt: OptTotals,
-    /// Weight column blocks the sparse GEMM kernel skipped on this
-    /// shard (see `ServingReport::blocks_skipped`).
-    pub blocks_skipped: u64,
-    /// Total column blocks of the sparsity-attributed GEMMs this shard
-    /// served (see `ServingReport::blocks_total`).
-    pub blocks_total: u64,
-    /// Process backend only: this shard's worker process died
-    /// (EOF/ping timeout) during the run and its in-flight windows were
-    /// requeued on surviving shards.
-    pub worker_lost: bool,
-    /// Process backend only: requests this shard's thread re-executed on
-    /// *another* shard's worker after a connection failed (its own
-    /// worker's, or a dead peer it was asked to cover for).
-    pub requeued: usize,
-    /// Process backend only: weight-cache accounting of this shard's
-    /// worker connection — how often program consts actually crossed
-    /// the wire. All zeros for in-process shards (consts never leave
-    /// the address space) and for workers that died before shutdown.
-    pub wire_cache: WeightCacheStats,
-}
-
 /// Aggregate result of one [`ServeEngine`] lifetime.
 #[derive(Debug, Clone)]
 #[must_use = "a ServeSummary is the engine's only aggregate report — dropping it discards the run's accounting"]
@@ -1208,22 +689,18 @@ impl fmt::Display for ServeSummary {
 
 /// What clients push into the submission queue.
 enum Msg {
-    Work(Submission),
+    Work(Job),
     /// Sent by `finish`: dispatch the backlog, then stop. Lets the
     /// engine shut down without waiting for every cloned client to drop.
     Drain,
 }
 
-/// Session tag riding on a submission: which session, which phase, and
-/// how many tokens the step covers (prompt length / 1).
-#[derive(Debug, Clone, Copy)]
-struct SessionTag {
-    id: SessionId,
-    phase: Phase,
-    tokens: u64,
-}
-
-struct Submission {
+/// One request, from [`ServeClient::make`] to its reply: the record the
+/// submission queue, the admission window and the shard channel all
+/// carry. The client fills what it knows at submission, the admitter
+/// `dispatch_seq` and `window` at routing (and `degrade` if it re-compiles
+/// the request), the shard `queue_seconds` at pickup.
+struct Job {
     ticket: TicketId,
     deadline: Option<u64>,
     submitted_at: Instant,
@@ -1232,23 +709,27 @@ struct Submission {
     /// Set once the admitter re-compiles the request at a coarser
     /// granularity; later degrades extend it (`requested` is sticky).
     degrade: Option<DegradeInfo>,
-    reply: Sender<Result<ServedOutcome, ServeError>>,
-}
-
-struct WorkItem {
-    ticket: TicketId,
+    /// Global dispatch position ([`ServedOutcome::dispatch_seq`]).
     dispatch_seq: u64,
-    /// Index of the admission window that dispatched this item (the
+    /// Index of the admission window that dispatched the job (the
     /// per-window energy accounting key).
     window: usize,
-    submitted_at: Instant,
-    request: Request,
-    session: Option<SessionTag>,
-    degrade: Option<DegradeInfo>,
+    /// [`ServedOutcome::queue_seconds`].
+    queue_seconds: f64,
     reply: Sender<Result<ServedOutcome, ServeError>>,
 }
 
-type ShardBatch = Vec<WorkItem>;
+impl Job {
+    /// Resolves the ticket with `error` and reopens the job's session
+    /// for its next step (validation rejection, shard failure, queue
+    /// teardown).
+    fn fail(&self, sessions: &SessionTable, error: ServeError) {
+        if let Some(tag) = self.session {
+            sessions.release(tag.id);
+        }
+        let _ = self.reply.send(Err(error));
+    }
+}
 
 /// Current/peak gauge for a bounded queue.
 #[derive(Debug, Default)]
@@ -1303,22 +784,16 @@ impl Gate {
         }
     }
 
-    fn open(&self) {
-        let mut open = self.open.lock().expect("gate lock");
-        *open = true;
+    /// Opens or closes the gate, waking the admitter either way (it
+    /// re-checks the flag).
+    fn set(&self, open: bool) {
+        *self.open.lock().expect("gate lock") = open;
         self.cv.notify_all();
     }
 
-    fn close(&self) {
-        let mut open = self.open.lock().expect("gate lock");
-        *open = false;
-    }
-
     fn wait_open(&self) {
-        let mut open = self.open.lock().expect("gate lock");
-        while !*open {
-            open = self.cv.wait(open).expect("gate lock");
-        }
+        let open = self.open.lock().expect("gate lock");
+        let _open = self.cv.wait_while(open, |open| !*open).expect("gate lock");
     }
 }
 
@@ -1339,17 +814,20 @@ impl ServeClient {
         request: Request,
         deadline: Option<u64>,
         session: Option<SessionTag>,
-    ) -> (Submission, Ticket) {
+    ) -> (Job, Ticket) {
         let id = self.next.fetch_add(1, Ordering::SeqCst);
         let (reply, rx) = mpsc::channel();
         (
-            Submission {
+            Job {
                 ticket: id,
                 deadline,
                 submitted_at: Instant::now(),
                 request,
                 session,
                 degrade: None,
+                dispatch_seq: 0,
+                window: 0,
+                queue_seconds: 0.0,
                 reply,
             },
             Ticket { id, rx },
@@ -1362,7 +840,7 @@ impl ServeClient {
     ///
     /// [`ServeError::QueueClosed`] after [`ServeEngine::finish`].
     pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
-        self.submit_inner(request, None)
+        self.submit_tagged(request, None, None)
     }
 
     /// Submits with a deadline priority key (smaller = more urgent; any
@@ -1377,11 +855,27 @@ impl ServeClient {
         request: Request,
         deadline: u64,
     ) -> Result<Ticket, ServeError> {
-        self.submit_inner(request, Some(deadline))
+        self.submit_tagged(request, Some(deadline), None)
     }
 
-    fn submit_inner(&self, request: Request, deadline: Option<u64>) -> Result<Ticket, ServeError> {
-        self.submit_tagged(request, deadline, None)
+    /// Puts `job` into the submission queue through `send`
+    /// (`SyncSender::send` to wait for room, `SyncSender::try_send` to
+    /// fail fast) with the depth gauge in step: the count rises before
+    /// the send so the admitter's decrement can never underflow it, and
+    /// a rejected send is taken back without registering as observed
+    /// depth.
+    fn enqueue<E>(
+        &self,
+        send: impl FnOnce(&SyncSender<Msg>, Msg) -> Result<(), E>,
+        job: Job,
+    ) -> Result<(), E> {
+        self.depth.inc_tentative();
+        let sent = send(&self.tx, Msg::Work(job));
+        match sent {
+            Ok(()) => self.depth.record_peak(),
+            Err(_) => self.depth.dec(),
+        }
+        sent
     }
 
     fn submit_tagged(
@@ -1390,15 +884,10 @@ impl ServeClient {
         deadline: Option<u64>,
         session: Option<SessionTag>,
     ) -> Result<Ticket, ServeError> {
-        let (sub, ticket) = self.make(request, deadline, session);
-        self.depth.inc_tentative();
-        match self.tx.send(Msg::Work(sub)) {
-            Ok(()) => {
-                self.depth.record_peak();
-                Ok(ticket)
-            }
+        let (job, ticket) = self.make(request, deadline, session);
+        match self.enqueue(SyncSender::send, job) {
+            Ok(()) => Ok(ticket),
             Err(_) => {
-                self.depth.dec();
                 if let Some(tag) = session {
                     self.sessions.release(tag.id);
                 }
@@ -1415,20 +904,12 @@ impl ServeClient {
     /// [`TrySubmitError::Full`] at capacity, [`TrySubmitError::Closed`]
     /// after [`ServeEngine::finish`]; both return the request.
     pub fn try_submit(&self, request: Request) -> Result<Ticket, TrySubmitError> {
-        let (sub, ticket) = self.make(request, None, None);
-        self.depth.inc_tentative();
-        match self.tx.try_send(Msg::Work(sub)) {
-            Ok(()) => {
-                self.depth.record_peak();
-                Ok(ticket)
-            }
-            Err(TrySendError::Full(Msg::Work(sub))) => {
-                self.depth.dec();
-                Err(TrySubmitError::Full(sub.request))
-            }
-            Err(TrySendError::Disconnected(Msg::Work(sub))) => {
-                self.depth.dec();
-                Err(TrySubmitError::Closed(sub.request))
+        let (job, ticket) = self.make(request, None, None);
+        match self.enqueue(SyncSender::try_send, job) {
+            Ok(()) => Ok(ticket),
+            Err(TrySendError::Full(Msg::Work(job))) => Err(TrySubmitError::Full(job.request)),
+            Err(TrySendError::Disconnected(Msg::Work(job))) => {
+                Err(TrySubmitError::Closed(job.request))
             }
             Err(_) => unreachable!("clients only send Work messages"),
         }
@@ -1504,16 +985,8 @@ impl ServeClient {
         prompt_tokens: usize,
         deadline: Option<u64>,
     ) -> Result<Ticket, ServeError> {
-        let _ = self.sessions.checkout(id)?; // a prefill binds no cache
-        self.submit_tagged(
-            Request::program(program, inputs),
-            deadline,
-            Some(SessionTag {
-                id,
-                phase: Phase::Prefill,
-                tokens: prompt_tokens as u64,
-            }),
-        )
+        let tokens = prompt_tokens as u64;
+        self.submit_step(id, Phase::Prefill, tokens, program, inputs, deadline)
     }
 
     /// Submits one decode step: the session's current KV tensors are
@@ -1549,36 +1022,44 @@ impl ServeClient {
         step_inputs: Vec<Tensor>,
         deadline: Option<u64>,
     ) -> Result<Ticket, ServeError> {
-        let kv = self.sessions.checkout(id)?;
-        let mut inputs = step_inputs;
-        inputs.extend(kv);
-        self.submit_tagged(
-            Request::program(program, inputs),
-            deadline,
-            Some(SessionTag {
-                id,
-                phase: Phase::Decode,
-                tokens: 1,
-            }),
-        )
+        self.submit_step(id, Phase::Decode, 1, program, step_inputs, deadline)
+    }
+
+    /// One session step of either phase: checks the session out (one
+    /// step in flight at a time), binds what the phase binds after the
+    /// caller's inputs — the KV cache for a decode step, nothing for a
+    /// prefill — and submits the tagged request.
+    fn submit_step(
+        &self,
+        id: SessionId,
+        phase: Phase,
+        tokens: u64,
+        program: crate::Program,
+        mut inputs: Vec<Tensor>,
+        deadline: Option<u64>,
+    ) -> Result<Ticket, ServeError> {
+        inputs.extend(self.sessions.checkout(id, phase)?);
+        let tag = SessionTag { id, phase, tokens };
+        self.submit_tagged(Request::program(program, inputs), deadline, Some(tag))
     }
 
     /// The session's current KV tensors (a clone), in the program's
     /// session-output order. `None` if the session is gone; empty before
     /// its prefill completes.
     pub fn session_kv(&self, id: SessionId) -> Option<Vec<Tensor>> {
-        self.sessions.kv(id)
+        self.sessions.peek(id, |s| s.kv.clone())
     }
 
     /// Rows of the session's first cache tensor — the attended context
     /// length. `None` if the session is gone, 0 before prefill.
     pub fn session_context_rows(&self, id: SessionId) -> Option<usize> {
-        self.sessions.context_rows(id)
+        let rows = |s: &SessionState| s.kv.first().map_or(0, |t| t.dims()[0]);
+        self.sessions.peek(id, rows)
     }
 
     /// Decode steps the session has completed (tokens generated).
     pub fn session_tokens(&self, id: SessionId) -> Option<u64> {
-        self.sessions.tokens(id)
+        self.sessions.peek(id, |s| s.tokens)
     }
 
     /// Sessions currently resident in the table.
@@ -1591,87 +1072,16 @@ impl ServeClient {
 // the engine
 // ---------------------------------------------------------------------
 
-/// Per-request accounting a shard sends back at shutdown (the outcome
-/// itself went to the ticket).
-struct ReqRecord {
-    ticket: TicketId,
-    seconds: f64,
-    macs: u64,
-    nonlinear_evals: u64,
-    /// Session phase of the request (`None` for plain requests).
-    phase: Option<Phase>,
-    /// Tokens the request covered (0 for plain requests).
-    tokens: u64,
-}
-
-/// Modeled execution of one admission window on one shard, for the
-/// energy accounting in `ServeEngine::shutdown`.
-struct WindowRecord {
-    window: usize,
-    seconds: f64,
-    macs: u64,
-}
-
-struct ShardOut {
-    stats: ShardStats,
-    records: Vec<ReqRecord>,
-    window_records: Vec<WindowRecord>,
-}
-
-/// Per-shard power-model constants, precomputed at `start`.
-#[derive(Debug)]
-struct ShardPowerSpec {
-    model: PowerModel,
-    cost: ModuleCost,
-    peak_macs_per_second: f64,
-}
-
-impl ShardPowerSpec {
-    fn new(config: &ArrayConfig) -> Self {
-        ShardPowerSpec {
-            model: PowerModel::virtex7(),
-            cost: ArrayResources::calibrated().total(Design::OneSa, config.dim, config.macs_per_pe),
-            peak_macs_per_second: config.peak_macs_per_cycle() as f64 * config.clock_mhz * 1e6,
-        }
-    }
-
-    /// Modeled joules one MAC costs at full activity — the
-    /// [`RoutePolicy::EnergyAware`] weight.
-    fn energy_per_mac(&self) -> f64 {
-        self.model.power_at_utilization(&self.cost, 1.0) / self.peak_macs_per_second
-    }
-
-    /// Modeled watts while powered but executing nothing.
-    fn idle_watts(&self) -> f64 {
-        self.model.power_at_utilization(&self.cost, 0.0)
-    }
-}
-
 /// The asynchronous sharded serving engine. See the [module docs](self).
 #[derive(Debug)]
 pub struct ServeEngine {
     client: ServeClient,
     gate: Arc<Gate>,
     started: Instant,
-    n_shards: usize,
     admitter: Option<JoinHandle<AdmitOut>>,
     workers: Vec<JoinHandle<ShardOut>>,
     /// Process backend: one pid per shard; empty in-process.
     worker_pids: Vec<u32>,
-    sessions: Arc<SessionTable>,
-    /// Per-shard power-model constants for the energy accounting.
-    power_specs: Vec<ShardPowerSpec>,
-}
-
-/// What the admission thread reports at shutdown.
-struct AdmitOut {
-    windows: usize,
-    expired: usize,
-    degraded: usize,
-    /// Per-window snapshot of every shard's power state at dispatch.
-    power_log: Vec<Vec<ShardPower>>,
-    power_ups: u64,
-    power_downs: u64,
 }
 
 impl ServeEngine {
@@ -1711,9 +1121,10 @@ impl ServeEngine {
         let gate = Arc::new(Gate::new(!cfg.paused));
         let sessions = Arc::new(SessionTable::new(cfg.session_capacity));
         let queue_depth = Arc::new(DepthGauge::default());
-        let loads: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
         let shard_depths: Vec<Arc<DepthGauge>> =
             (0..n).map(|_| Arc::new(DepthGauge::default())).collect();
+        let engine_of =
+            |spec: &ShardSpec| OneSa::with_parallelism(spec.config.clone(), spec.parallelism);
 
         let mut worker_pids = Vec::new();
         let execs: Vec<ShardExec> = match &cfg.backend {
@@ -1721,11 +1132,8 @@ impl ServeEngine {
                 .shards
                 .iter()
                 .map(|spec| {
-                    BatchEngine::new(
-                        OneSa::with_parallelism(spec.config.clone(), spec.parallelism),
-                        cfg.granularity,
-                    )
-                    .map(|engine| ShardExec::Local(Box::new(engine)))
+                    BatchEngine::new(engine_of(spec), cfg.granularity)
+                        .map(|engine| ShardExec::Local(Box::new(engine)))
                 })
                 .collect::<Result<_, _>>()?,
             ShardBackend::Process(pcfg) => {
@@ -1754,60 +1162,45 @@ impl ServeEngine {
                     worker_pids.push(handle.pid());
                     conns.push(Arc::new(Mutex::new(Some(handle))));
                 }
-                let alive: Vec<Arc<AtomicBool>> =
-                    (0..n).map(|_| Arc::new(AtomicBool::new(true))).collect();
-                (0..n)
-                    .map(|_| ShardExec::Remote {
-                        conns: conns.clone(),
-                        alive: alive.clone(),
-                    })
-                    .collect()
+                (0..n).map(|_| ShardExec::Remote(conns.clone())).collect()
             }
         };
+        // Whichever backend executes, the admitter models each shard's
+        // power and energy from an engine of the shard's own design.
+        let power = PowerStates::new(cfg.pool, cfg.shards.iter().map(engine_of).collect());
+        let router = Router::new(
+            cfg.routing,
+            power.energy_per_mac(),
+            cfg.shards.iter().map(|s| s.granularity).collect(),
+        );
         let mut shard_txs = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         for (i, exec) in execs.into_iter().enumerate() {
-            let (btx, rx) = mpsc::sync_channel::<ShardBatch>(SHARD_CHANNEL_DEPTH);
+            let (btx, rx) = mpsc::sync_channel::<Vec<Job>>(SHARD_CHANNEL_DEPTH);
             shard_txs.push(btx);
-            let ctx = ShardCtx {
-                shard: i,
-                rx,
-                exec,
-                load: Arc::clone(&loads[i]),
-                depth: Arc::clone(&shard_depths[i]),
-                sessions: Arc::clone(&sessions),
-            };
+            let load = router.load_handle(i);
+            let depth = Arc::clone(&shard_depths[i]);
+            let sessions = Arc::clone(&sessions);
             let handle = thread::Builder::new()
                 .name(format!("onesa-shard-{i}"))
-                .spawn(move || shard_loop(ctx))
+                .spawn(move || shard_loop(i, rx, exec, load, depth, sessions))
                 .expect("spawn shard worker");
             workers.push(handle);
         }
 
-        let power_specs: Vec<ShardPowerSpec> = cfg
-            .shards
-            .iter()
-            .map(|spec| ShardPowerSpec::new(&spec.config))
-            .collect();
         let admitter = {
             let ctx = AdmitterCtx {
                 rx,
                 shard_txs,
                 shard_depths,
-                loads,
-                admission: cfg.admission,
-                routing: cfg.routing,
-                interleave: cfg.interleave,
-                degrade: cfg.degrade.clone(),
-                pool: cfg.pool,
-                energy_per_mac: power_specs.iter().map(|s| s.energy_per_mac()).collect(),
-                specialization: cfg.shards.iter().map(|s| s.granularity).collect(),
                 recompile: CompileCache::new(),
+                router,
+                power,
                 gate: Arc::clone(&gate),
                 queue_depth: Arc::clone(&queue_depth),
-                granularity: cfg.granularity,
                 epoch: Instant::now(),
                 sessions: Arc::clone(&sessions),
+                cfg,
             };
             thread::Builder::new()
                 .name("onesa-admitter".to_string())
@@ -1820,16 +1213,13 @@ impl ServeEngine {
                 tx,
                 next: Arc::new(AtomicU64::new(0)),
                 depth: queue_depth,
-                sessions: Arc::clone(&sessions),
+                sessions,
             },
             gate,
             started: Instant::now(),
-            n_shards: n,
             admitter: Some(admitter),
             workers,
             worker_pids,
-            sessions,
-            power_specs,
         })
     }
 
@@ -1842,7 +1232,7 @@ impl ServeEngine {
 
     /// Number of shards in the pool.
     pub fn shards(&self) -> usize {
-        self.n_shards
+        self.workers.len()
     }
 
     /// A cloneable submission handle for producer threads.
@@ -1853,7 +1243,7 @@ impl ServeEngine {
     /// Opens the admission gate of a [`ServeConfig::paused`] engine
     /// (idempotent).
     pub fn resume(&self) {
-        self.gate.open();
+        self.gate.set(true);
     }
 
     /// Closes the admission gate again, so a wave of submissions can be
@@ -1868,7 +1258,7 @@ impl ServeEngine {
     /// of a round alone. [`ServeEngine::finish`] reopens the gate, so a
     /// paused engine still drains.
     pub fn pause(&self) {
-        self.gate.close();
+        self.gate.set(false);
     }
 
     /// See [`ServeClient::submit`].
@@ -2046,31 +1436,17 @@ impl ServeEngine {
 
     fn shutdown(&mut self) -> Result<ServeSummary, ServeError> {
         let admitter = self.admitter.take().ok_or(ServeError::QueueClosed)?;
-        self.gate.open();
+        self.gate.set(true);
         // Ask the admitter to dispatch whatever is queued and stop; if it
         // is already gone the join below reports it.
         let _ = self.client.tx.send(Msg::Drain);
         let admitted = admitter.join().map_err(|_| ServeError::WorkerLost)?;
-        let mut outs: Vec<ShardOut> = Vec::with_capacity(self.workers.len());
-        for handle in self.workers.drain(..) {
-            outs.push(handle.join().map_err(|_| ServeError::WorkerLost)?);
-        }
-        let wall_seconds = self.started.elapsed().as_secs_f64();
-
-        let n_windows = admitted.power_log.len();
         let mut records: Vec<ReqRecord> = Vec::new();
-        let mut shards: Vec<ShardStats> = Vec::with_capacity(outs.len());
-        // Per (shard, window) modeled batch seconds and MACs, for the
-        // energy accounting below.
-        let mut exec: Vec<Vec<(f64, u64)>> = vec![vec![(0.0, 0); n_windows]; outs.len()];
-        for mut out in outs {
-            for rec in &out.window_records {
-                if rec.window < n_windows {
-                    let slot = &mut exec[out.stats.shard][rec.window];
-                    slot.0 += rec.seconds;
-                    slot.1 += rec.macs;
-                }
-            }
+        let mut shards: Vec<ShardStats> = Vec::with_capacity(self.workers.len());
+        let mut executed = Vec::with_capacity(self.workers.len());
+        for handle in self.workers.drain(..) {
+            let mut out = handle.join().map_err(|_| ServeError::WorkerLost)?;
+            executed.push(out.window_records);
             // The first shard's buffer becomes the merged one: a
             // one-shard pool never holds its records twice.
             if records.is_empty() {
@@ -2078,72 +1454,33 @@ impl ServeEngine {
             } else {
                 records.append(&mut out.records);
             }
-            out.stats.occupancy = if wall_seconds > 0.0 {
-                out.stats.busy_seconds / wall_seconds
-            } else {
-                0.0
-            };
             shards.push(out.stats);
         }
+        let wall_seconds = self.started.elapsed().as_secs_f64();
         // Tickets are unique, so the in-place unstable sort orders them
         // exactly as a stable one would, without its scratch buffer.
         records.sort_unstable_by_key(|r| r.ticket);
 
-        // Modeled pool energy: each window lasts as long as its longest
-        // shard batch; executing shards pay utilization-scaled power for
-        // their batch plus idle power for the remainder, powered idle
-        // shards pay idle power throughout, Off shards pay nothing.
-        let mut power = PowerSummary {
-            power_ups: admitted.power_ups,
-            power_downs: admitted.power_downs,
-            ..PowerSummary::default()
-        };
-        for (w, states) in admitted.power_log.iter().enumerate() {
-            let window_seconds = (0..states.len())
-                .map(|s| exec[s][w].0)
-                .fold(0.0f64, f64::max);
-            for (s, state) in states.iter().enumerate() {
-                let spec = &self.power_specs[s];
-                match state {
-                    ShardPower::Off => power.off_shard_windows += 1,
-                    ShardPower::Active | ShardPower::Idle => {
-                        if *state == ShardPower::Active {
-                            power.active_shard_windows += 1;
-                        } else {
-                            power.idle_shard_windows += 1;
-                        }
-                        let (seconds, macs) = exec[s][w];
-                        if seconds > 0.0 {
-                            let utilization = macs as f64 / (seconds * spec.peak_macs_per_second);
-                            power.modeled_joules +=
-                                spec.model.energy_joules(&spec.cost, seconds, utilization);
-                            power.modeled_joules +=
-                                spec.idle_watts() * (window_seconds - seconds).max(0.0);
-                        } else {
-                            power.modeled_joules += spec.idle_watts() * window_seconds;
-                        }
-                    }
-                }
-            }
-        }
-
         let mut prefill = PhaseStats::default();
         let mut decode = PhaseStats::default();
         for r in &records {
-            let bucket = match r.phase {
-                Some(Phase::Prefill) => &mut prefill,
-                Some(Phase::Decode) => &mut decode,
-                None => continue,
+            let Some(tag) = r.session else { continue };
+            let bucket = match tag.phase {
+                Phase::Prefill => &mut prefill,
+                Phase::Decode => &mut decode,
             };
             bucket.requests += 1;
-            bucket.tokens += r.tokens;
+            bucket.tokens += tag.tokens;
             bucket.latencies.push(r.seconds);
         }
 
         let mut opt = OptTotals::default();
         let mut wire_cache = WeightCacheStats::default();
         let mut failovers = 0usize;
-        for s in &shards {
+        for s in &mut shards {
+            if wall_seconds > 0.0 {
+                s.occupancy = s.busy_seconds / wall_seconds;
+            }
             opt.merge(&s.opt);
             wire_cache.merge(&s.wire_cache);
             failovers += usize::from(s.worker_lost);
@@ -2168,13 +1505,13 @@ impl ServeEngine {
             windows: admitted.windows,
             expired: admitted.expired,
             degraded: admitted.degraded,
-            power,
+            power: admitted.power.summary(&executed),
             peak_queue_depth: self.client.depth.peak(),
             failovers,
             wire_cache,
             prefill,
             decode,
-            sessions: self.sessions.summary(),
+            sessions: self.client.sessions.summary(),
         })
     }
 }
@@ -2187,689 +1524,6 @@ impl Drop for ServeEngine {
             let _ = self.shutdown();
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// worker threads
-// ---------------------------------------------------------------------
-
-struct AdmitterCtx {
-    rx: Receiver<Msg>,
-    shard_txs: Vec<SyncSender<ShardBatch>>,
-    shard_depths: Vec<Arc<DepthGauge>>,
-    loads: Vec<Arc<AtomicU64>>,
-    admission: AdmissionPolicy,
-    routing: RoutePolicy,
-    interleave: InterleavePolicy,
-    degrade: Option<DegradePolicy>,
-    pool: PoolPolicy,
-    /// Per-shard modeled joules per MAC at full activity
-    /// ([`RoutePolicy::EnergyAware`]'s weight).
-    energy_per_mac: Vec<f64>,
-    /// Per-shard granularity specialization ([`ShardSpec::granularity`]).
-    specialization: Vec<Option<f32>>,
-    /// Memo of degrade recompiles, keyed on the coarser mode + the
-    /// source program's fingerprint: each (program, rung) pair is
-    /// re-compiled at most once per engine lifetime.
-    recompile: CompileCache,
-    gate: Arc<Gate>,
-    queue_depth: Arc<DepthGauge>,
-    /// The granularity bare nonlinear requests lower to
-    /// ([`ServeConfig::granularity`], every shard engine's own).
-    granularity: f32,
-    /// Epoch of the drop-on-expiry deadline clock.
-    epoch: Instant,
-    sessions: Arc<SessionTable>,
-}
-
-/// Re-compiles a queued CPWL program request one ladder rung coarser
-/// (or, for the expiry rescue, at the coarsest rung), swapping the
-/// recompiled program into the submission so every later consumer — the
-/// size-capped window budget, least-loaded/energy-aware routing, the
-/// shard — sees the *degraded* request's modeled MACs. Returns whether
-/// the request changed; exact-mode programs (GEMM requests among
-/// them) and requests already at (or past) the target rung are left
-/// untouched.
-fn degrade_submission(
-    sub: &mut Submission,
-    policy: &DegradePolicy,
-    recompile: &CompileCache,
-    to_coarsest: bool,
-) -> bool {
-    let program = sub.request.lowered_program();
-    let EvalMode::Cpwl {
-        granularity: current,
-        quantize,
-    } = program.mode()
-    else {
-        return false;
-    };
-    let target = if to_coarsest {
-        policy.ladder.last().copied()
-    } else {
-        policy.ladder.iter().copied().find(|&g| g > current)
-    };
-    let Some(target) = target else { return false };
-    if target <= current {
-        return false;
-    }
-    let mode = EvalMode::Cpwl {
-        granularity: target,
-        quantize,
-    };
-    // A stateless program's fingerprint ignores its input shapes, so the
-    // memo is keyed on them too (each shape behind its rank): one model
-    // compiled at two sequence lengths is two recompiles.
-    let geometry: Vec<usize> = program
-        .input_shapes()
-        .iter()
-        .flat_map(|shape| std::iter::once(shape.len()).chain(shape.iter().copied()))
-        .collect();
-    let Ok(recompiled) = recompile.get_or_compile(mode, &geometry, program.fingerprint(), || {
-        program.with_granularity(target)
-    }) else {
-        return false; // undegradable (should not happen past start validation)
-    };
-    let requested = sub.degrade.map_or(current, |d| d.requested);
-    let rungs = policy
-        .ladder
-        .iter()
-        .filter(|&&g| g > requested && g <= target)
-        .count();
-    sub.request.replace_program((*recompiled).clone());
-    sub.degrade = Some(DegradeInfo {
-        requested,
-        served: target,
-        rungs,
-    });
-    true
-}
-
-/// The [`ShardSpec::granularity`] routing preference: the lowest-index
-/// powered shard specialized for this request's CPWL granularity.
-fn specialized_shard(
-    request: &Request,
-    specialization: &[Option<f32>],
-    power: &[ShardPower],
-) -> Option<usize> {
-    let g = request.lowered_program().mode().granularity()?;
-    specialization
-        .iter()
-        .zip(power)
-        .position(|(spec, p)| *p == ShardPower::Active && *spec == Some(g))
-}
-
-/// Returns the windows dispatched, requests expired/degraded and the
-/// power-state log.
-fn admitter_loop(ctx: AdmitterCtx) -> AdmitOut {
-    ctx.gate.wait_open();
-    let n = ctx.shard_txs.len();
-    let mut windows = 0usize;
-    let mut expired = 0usize;
-    let mut degraded = 0usize;
-    let mut rr = 0usize;
-    let mut dispatch_seq = 0u64;
-    let mut draining = false;
-    // Shard power states, driven per window by the pool policy. Under
-    // `AlwaysOn` every shard is routable for the whole run; `Elastic`
-    // parks everything past `min_active` until queue pressure (or a
-    // pinned session) powers it up.
-    let mut power: Vec<ShardPower> = match ctx.pool {
-        PoolPolicy::AlwaysOn => vec![ShardPower::Active; n],
-        PoolPolicy::Elastic { min_active, .. } => {
-            let min_active = min_active.clamp(1, n);
-            (0..n)
-                .map(|i| {
-                    if i < min_active {
-                        ShardPower::Active
-                    } else {
-                        ShardPower::Off
-                    }
-                })
-                .collect()
-        }
-    };
-    let mut surplus = vec![0usize; n];
-    let mut power_log: Vec<Vec<ShardPower>> = Vec::new();
-    let mut power_ups = 0u64;
-    let mut power_downs = 0u64;
-    // The front door: lower the request to a program and check its
-    // inputs. A malformed request is rejected here: its ticket resolves
-    // with the validation error and it never reaches a shard.
-    let admit = |mut sub: Submission| -> Option<Submission> {
-        match sub.request.check(ctx.granularity) {
-            Ok(()) => Some(sub),
-            Err(e) => {
-                if let Some(tag) = sub.session {
-                    ctx.sessions.release(tag.id);
-                }
-                let _ = sub.reply.send(Err(ServeError::Exec(e)));
-                None
-            }
-        }
-    };
-    // Window-fill pressure degrade: under queue-depth or deadline-slack
-    // pressure, a CPWL program request admits one rung coarser. Runs
-    // *before* the window budget accounting below, so a size-capped
-    // window's `work` counts the recompiled program's modeled MACs.
-    let pressure_degrade = |sub: &mut Submission| {
-        let Some(policy) = &ctx.degrade else { return };
-        let deep = ctx.queue_depth.current() >= policy.depth_threshold;
-        let tight = policy.slack_us > 0
-            && sub.deadline.is_some_and(|d| {
-                d.saturating_sub(ctx.epoch.elapsed().as_micros() as u64) < policy.slack_us
-            });
-        if deep || tight {
-            let _ = degrade_submission(sub, policy, &ctx.recompile, false);
-        }
-    };
-    loop {
-        // Window head: block for it normally; after a Drain marker only
-        // the backlog is served.
-        let head = if draining {
-            match ctx.rx.try_recv() {
-                Ok(m) => m,
-                Err(_) => break,
-            }
-        } else {
-            match ctx.rx.recv() {
-                Ok(m) => m,
-                Err(_) => break, // every client dropped
-            }
-        };
-        let head = match head {
-            Msg::Work(sub) => sub,
-            Msg::Drain => {
-                draining = true;
-                continue;
-            }
-        };
-        ctx.queue_depth.dec();
-        // A paused gate holds the window here, head in hand, until the
-        // client finishes staging its wave (see [`ServeEngine::pause`]).
-        ctx.gate.wait_open();
-        // Only *admitted* requests consume the window budget — a
-        // rejected request must not close a size-capped window early
-        // and split the valid requests' coalescing opportunity.
-        let mut work = 0u64;
-        let mut window: Vec<Submission> = Vec::new();
-        if let Some(mut sub) = admit(head) {
-            pressure_degrade(&mut sub);
-            work += sub.request.lowered_program().modeled_macs();
-            window.push(sub);
-        }
-        // Fill greedily from what has already arrived — never wait for
-        // stragglers (they catch the next window).
-        while !window_full(ctx.admission, window.len(), work) {
-            match ctx.rx.try_recv() {
-                Ok(Msg::Work(sub)) => {
-                    ctx.queue_depth.dec();
-                    if let Some(mut sub) = admit(sub) {
-                        pressure_degrade(&mut sub);
-                        work += sub.request.lowered_program().modeled_macs();
-                        window.push(sub);
-                    }
-                }
-                Ok(Msg::Drain) => draining = true,
-                Err(_) => break,
-            }
-        }
-        if window.is_empty() {
-            continue; // everything was rejected at validation
-        }
-        windows += 1;
-        if let AdmissionPolicy::Deadline { drop_expired, .. } = ctx.admission {
-            if drop_expired {
-                // Drop-on-expiry: anything already past its deadline at
-                // window close resolves as expired instead of running —
-                // unless the degrade ladder can rescue it at the
-                // coarsest rung (degrade-don't-drop): a late answer at
-                // reduced accuracy beats no answer, and the session's
-                // KV cache survives.
-                let now_us = ctx.epoch.elapsed().as_micros() as u64;
-                window.retain_mut(|s| match s.deadline {
-                    Some(d) if d < now_us => {
-                        if let Some(policy) = &ctx.degrade {
-                            if degrade_submission(s, policy, &ctx.recompile, true) {
-                                return true;
-                            }
-                        }
-                        expired += 1;
-                        // An expired step takes its whole session with
-                        // it: the KV cache is useless once the stream
-                        // misses its deadline, so evict rather than
-                        // strand the tensors until overflow pressure.
-                        if let Some(tag) = s.session {
-                            ctx.sessions.evict_deadline(tag.id);
-                        }
-                        let _ = s.reply.send(Err(ServeError::DeadlineExpired {
-                            deadline_us: d,
-                            now_us,
-                        }));
-                        false
-                    }
-                    _ => true,
-                });
-            }
-            // Stable: equal deadlines (and the no-deadline tail) keep
-            // arrival order.
-            window.sort_by_key(|s| s.deadline.unwrap_or(u64::MAX));
-        }
-        interleave_window(ctx.interleave, &mut window);
-
-        // Elastic scale-up: a backlog still queued behind this window
-        // powers one more shard up before routing sees the window.
-        if let PoolPolicy::Elastic { scale_up_depth, .. } = ctx.pool {
-            if ctx.queue_depth.current() >= scale_up_depth.max(1) {
-                if let Some(s) = power.iter().position(|p| *p != ShardPower::Active) {
-                    if power[s] == ShardPower::Off {
-                        power_ups += 1;
-                    }
-                    power[s] = ShardPower::Active;
-                }
-            }
-        }
-
-        let mut per_shard: Vec<ShardBatch> = (0..n).map(|_| Vec::new()).collect();
-        for sub in window {
-            // A session is pinned to the shard that served its prefill:
-            // later steps must land where the policy first put it, or
-            // WeightAffinity-per-context-length would scatter one
-            // stream's steps (and its write-back ordering) across the
-            // pool.
-            let pinned = sub.session.and_then(|t| ctx.sessions.pin_of(t.id));
-            if let Some(p) = pinned {
-                // Pinning wins over power management: a parked shard
-                // re-powers rather than scattering a session's steps.
-                if power[p] != ShardPower::Active {
-                    if power[p] == ShardPower::Off {
-                        power_ups += 1;
-                    }
-                    power[p] = ShardPower::Active;
-                }
-            }
-            let shard = pinned
-                .or_else(|| specialized_shard(&sub.request, &ctx.specialization, &power))
-                .unwrap_or_else(|| {
-                    // The general policies route over the *powered*
-                    // shards only (there is always at least one).
-                    let active: Vec<usize> = power
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| **p == ShardPower::Active)
-                        .map(|(i, _)| i)
-                        .collect();
-                    match ctx.routing {
-                        RoutePolicy::RoundRobin => {
-                            let s = active[rr % active.len()];
-                            rr += 1;
-                            s
-                        }
-                        RoutePolicy::LeastLoaded => active
-                            .iter()
-                            .copied()
-                            .min_by_key(|&i| (ctx.loads[i].load(Ordering::Relaxed), i))
-                            .unwrap_or(0),
-                        RoutePolicy::WeightAffinity => {
-                            active[(sub.request.lowered_program().fingerprint()
-                                % active.len() as u64) as usize]
-                        }
-                        RoutePolicy::EnergyAware => {
-                            let macs = sub.request.lowered_program().modeled_macs();
-                            let joules = |i: usize| {
-                                ctx.energy_per_mac[i]
-                                    * (ctx.loads[i].load(Ordering::Relaxed) + macs) as f64
-                            };
-                            active
-                                .iter()
-                                .copied()
-                                .min_by(|&a, &b| joules(a).total_cmp(&joules(b)))
-                                .unwrap_or(0)
-                        }
-                    }
-                });
-            if let Some(tag) = sub.session {
-                ctx.sessions.set_pin(tag.id, shard);
-            }
-            degraded += usize::from(sub.degrade.is_some());
-            ctx.loads[shard].fetch_add(
-                sub.request.lowered_program().modeled_macs(),
-                Ordering::Relaxed,
-            );
-            per_shard[shard].push(WorkItem {
-                ticket: sub.ticket,
-                dispatch_seq,
-                window: windows - 1,
-                submitted_at: sub.submitted_at,
-                request: sub.request,
-                degrade: sub.degrade,
-                reply: sub.reply,
-                session: sub.session,
-            });
-            dispatch_seq += 1;
-        }
-
-        // Elastic scale-down, drain-before-power-down: an Active shard
-        // that routed nothing and holds no outstanding work ages toward
-        // Idle (unroutable, still powered); an Idle shard powers off
-        // only once its channel and modeled load are both empty, so no
-        // admitted window is ever lost to a power transition.
-        if let PoolPolicy::Elastic {
-            min_active,
-            idle_windows,
-            ..
-        } = ctx.pool
-        {
-            let min_active = min_active.clamp(1, n);
-            for s in 0..n {
-                let drained =
-                    ctx.loads[s].load(Ordering::Relaxed) == 0 && ctx.shard_depths[s].current() == 0;
-                match power[s] {
-                    ShardPower::Idle if drained => {
-                        power[s] = ShardPower::Off;
-                        power_downs += 1;
-                    }
-                    ShardPower::Active => {
-                        if per_shard[s].is_empty() && drained {
-                            surplus[s] += 1;
-                        } else {
-                            surplus[s] = 0;
-                        }
-                        let routable = power.iter().filter(|p| **p == ShardPower::Active).count();
-                        if surplus[s] >= idle_windows.max(1) && routable > min_active {
-                            power[s] = ShardPower::Idle;
-                            surplus[s] = 0;
-                        }
-                    }
-                    _ => surplus[s] = 0,
-                }
-            }
-        }
-        power_log.push(power.clone());
-
-        for (i, batch) in per_shard.into_iter().enumerate() {
-            if !batch.is_empty() {
-                ctx.shard_depths[i].inc();
-                // A full shard channel blocks admission here — bounded
-                // backpressure toward the submission queue.
-                let _ = ctx.shard_txs[i].send(batch);
-            }
-        }
-    }
-    // A submit() racing with finish() can slip a request into the
-    // channel buffer after the drain pass above decided to stop. Reject
-    // such stragglers explicitly so their tickets resolve as QueueClosed
-    // rather than a silent drop.
-    while let Ok(msg) = ctx.rx.try_recv() {
-        if let Msg::Work(sub) = msg {
-            ctx.queue_depth.dec();
-            if let Some(tag) = sub.session {
-                ctx.sessions.release(tag.id);
-            }
-            let _ = sub.reply.send(Err(ServeError::QueueClosed));
-        }
-    }
-    AdmitOut {
-        windows,
-        expired,
-        degraded,
-        power_log,
-        power_ups,
-        power_downs,
-    }
-}
-
-/// Reorders an admission window by phase class. Stable sorts keep
-/// deadline (or arrival) order within a class, so the policy only
-/// decides which phase's requests front the window — with it, prefill
-/// bursts can't starve in-flight decode streams (or vice versa).
-/// Sessionless requests sort with prefill.
-fn interleave_window(policy: InterleavePolicy, window: &mut [Submission]) {
-    let is_decode = |s: &Submission| matches!(s.session.map(|t| t.phase), Some(Phase::Decode));
-    match policy {
-        InterleavePolicy::Mixed => {}
-        InterleavePolicy::PrefillFirst => window.sort_by_key(|s| u8::from(is_decode(s))),
-        InterleavePolicy::DecodeFirst => window.sort_by_key(|s| u8::from(!is_decode(s))),
-    }
-}
-
-fn window_full(policy: AdmissionPolicy, len: usize, work: u64) -> bool {
-    match policy {
-        AdmissionPolicy::Fifo { window } | AdmissionPolicy::Deadline { window, .. } => {
-            len >= window.max(1)
-        }
-        AdmissionPolicy::SizeCapped { max_macs } => work >= max_macs.max(1),
-    }
-}
-
-/// Where a shard's windows execute. Both backends run the same
-/// `BatchEngine` over the same lowered requests and hand back the same
-/// [`BatchRun`], so [`shard_loop`] does one accounting for both.
-enum ShardExec {
-    /// On this thread, on the shard's own engine.
-    Local(Box<BatchEngine>),
-    /// On a worker process behind the wire. Every shard sees every
-    /// worker connection (each behind its own mutex) so a shard whose
-    /// worker dies can re-execute its in-flight window on a survivor
-    /// without routing back through the admitter.
-    Remote {
-        conns: Vec<Arc<Mutex<Option<net::WorkerHandle>>>>,
-        alive: Vec<Arc<AtomicBool>>,
-    },
-}
-
-impl ShardExec {
-    /// Executes one window for `shard`, returning the run and the index
-    /// of the shard whose engine executed it.
-    ///
-    /// **Failover.** Execution is pure (no side effects beyond the
-    /// reply), so a window that was in flight to a worker that died —
-    /// EOF, `EPIPE`, a failed handshake frame — simply re-runs on the
-    /// next alive shard's worker, in ring order from `shard`. The dead
-    /// worker is marked so every shard routes around it. Only if *no*
-    /// worker survives does the window fail [`ServeError::WorkerLost`].
-    fn run_window(
-        &mut self,
-        shard: usize,
-        window: Vec<(TicketId, Request)>,
-    ) -> Result<(BatchRun, usize), ServeError> {
-        match self {
-            ShardExec::Local(engine) => {
-                for (_, request) in window {
-                    engine.submit(request);
-                }
-                // The admitter's check should make a failure
-                // unreachable; recover anyway: fail the batch, leave
-                // the shard serviceable.
-                engine.run().map(|run| (run, shard)).map_err(|e| {
-                    engine.clear();
-                    ServeError::Exec(e)
-                })
-            }
-            ShardExec::Remote { conns, alive } => {
-                let items: Vec<(TicketId, &Request)> =
-                    window.iter().map(|(ticket, r)| (*ticket, r)).collect();
-                let n = conns.len();
-                for target in (0..n).map(|k| (shard + k) % n) {
-                    if !alive[target].load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    let mut slot = conns[target].lock().expect("worker conn lock");
-                    let Some(conn) = slot.as_mut() else {
-                        continue;
-                    };
-                    match conn.run_window(&items) {
-                        Ok(net::WindowReply::Done(run)) => return Ok((run, target)),
-                        Ok(net::WindowReply::Failed(msg)) => {
-                            // The worker's engine rejected the batch and
-                            // recovered — deterministic, so re-running
-                            // elsewhere would fail identically.
-                            // Pre-validation at admission makes this
-                            // near-unreachable; surface it without
-                            // killing the worker.
-                            eprintln!("onesa-serve: shard {target} batch failed remotely: {msg}");
-                            return Err(ServeError::Exec(TensorError::InvalidArgument(
-                                "worker reported a batch execution error (see stderr)",
-                            )));
-                        }
-                        Err(_) => {
-                            // Dead worker: mark it, reap the process
-                            // (dropping the handle kills it if needed)
-                            // and try the next shard in the ring with
-                            // the same window.
-                            alive[target].store(false, Ordering::SeqCst);
-                            *slot = None;
-                        }
-                    }
-                }
-                Err(ServeError::WorkerLost)
-            }
-        }
-    }
-
-    /// The admitter is gone: retires `shard`'s worker process (if it
-    /// survived), keeping its weight-cache accounting.
-    fn retire(self, shard: usize, stats: &mut ShardStats) {
-        if let ShardExec::Remote { conns, alive } = self {
-            if let Some(conn) = conns[shard].lock().expect("worker conn lock").take() {
-                stats.wire_cache = conn.cache;
-                conn.shutdown();
-            }
-            stats.worker_lost = !alive[shard].load(Ordering::SeqCst);
-        }
-    }
-}
-
-/// Plumbing of one shard's thread.
-struct ShardCtx {
-    shard: usize,
-    rx: Receiver<ShardBatch>,
-    exec: ShardExec,
-    load: Arc<AtomicU64>,
-    depth: Arc<DepthGauge>,
-    sessions: Arc<SessionTable>,
-}
-
-/// One shard's thread, for either backend: receives windows from the
-/// admitter, executes each through [`ShardExec::run_window`] and
-/// answers its tickets. A window that re-ran on another shard's worker
-/// counts into [`ShardStats::requeued`], this shard's own worker's
-/// death into [`ShardStats::worker_lost`] → [`ServeSummary::failovers`].
-fn shard_loop(mut ctx: ShardCtx) -> ShardOut {
-    /// What a work item keeps once its request went to the engine.
-    struct PendingReply {
-        ticket: TicketId,
-        dispatch_seq: u64,
-        queue_seconds: f64,
-        degrade: Option<DegradeInfo>,
-        reply: Sender<Result<ServedOutcome, ServeError>>,
-        session: Option<SessionTag>,
-    }
-
-    let shard = ctx.shard;
-    let mut out = ShardOut {
-        stats: ShardStats {
-            shard,
-            ..ShardStats::default()
-        },
-        records: Vec::new(),
-        window_records: Vec::new(),
-    };
-    while let Ok(batch) = ctx.rx.recv() {
-        ctx.depth.dec();
-        let batch_macs: u64 = batch
-            .iter()
-            .map(|w| w.request.lowered_program().modeled_macs())
-            .sum();
-        let batch_window = batch.first().map_or(0, |w| w.window);
-        let t0 = Instant::now();
-        // Queueing delay ends here: what follows — `BatchEngine::run`,
-        // or the wire round trip around it — is the execution.
-        let (window, pending): (Vec<_>, Vec<_>) = batch
-            .into_iter()
-            .map(|item| {
-                let pending = PendingReply {
-                    ticket: item.ticket,
-                    dispatch_seq: item.dispatch_seq,
-                    queue_seconds: item.submitted_at.elapsed().as_secs_f64(),
-                    degrade: item.degrade,
-                    reply: item.reply,
-                    session: item.session,
-                };
-                ((item.ticket, item.request), pending)
-            })
-            .unzip();
-        match ctx.exec.run_window(shard, window) {
-            Ok((run, served_by)) => {
-                out.stats.batches += 1;
-                out.stats.requests += run.report.requests;
-                out.stats.gemm_groups += run.report.gemm_groups;
-                out.stats.nonlinear_groups += run.report.nonlinear_groups;
-                out.stats.macs += run.report.total_macs;
-                out.stats.array_seconds += run.report.batched_seconds;
-                out.stats.opt.merge(&run.report.opt);
-                out.stats.blocks_skipped += run.report.blocks_skipped;
-                out.stats.blocks_total += run.report.blocks_total;
-                if served_by != shard {
-                    out.stats.requeued += run.report.requests;
-                }
-                // Energy is attributed to this shard even after a
-                // failover — the window was admitted and powered here;
-                // which surviving worker's process hosted the
-                // re-execution is a host detail the modeled accounting
-                // deliberately ignores.
-                out.window_records.push(WindowRecord {
-                    window: batch_window,
-                    seconds: run.report.batched_seconds,
-                    macs: run.report.total_macs,
-                });
-                for (p, outcome) in pending.into_iter().zip(run.outcomes) {
-                    // Write the grown KV cache back *before* the ticket
-                    // resolves, so a caller chaining decode steps on the
-                    // ticket's completion always reads the new context.
-                    // The KV lives host-side, so a worker death between
-                    // steps loses nothing a survivor can't recompute
-                    // from the same inputs.
-                    if let Some(tag) = p.session {
-                        ctx.sessions
-                            .writeback(tag.id, outcome.session_outputs, tag.phase);
-                    }
-                    out.records.push(ReqRecord {
-                        ticket: p.ticket,
-                        seconds: outcome.stats.seconds(),
-                        macs: outcome.stats.macs,
-                        nonlinear_evals: outcome.stats.nonlinear_evals,
-                        phase: p.session.map(|t| t.phase),
-                        tokens: p.session.map_or(0, |t| t.tokens),
-                    });
-                    let _ = p.reply.send(Ok(ServedOutcome {
-                        ticket: p.ticket,
-                        shard: served_by,
-                        dispatch_seq: p.dispatch_seq,
-                        output: outcome.output,
-                        stats: outcome.stats,
-                        op_stats: outcome.op_stats,
-                        queue_seconds: p.queue_seconds,
-                        degrade: p.degrade,
-                    }));
-                }
-            }
-            Err(e) => {
-                for p in pending {
-                    if let Some(tag) = p.session {
-                        ctx.sessions.release(tag.id);
-                    }
-                    let _ = p.reply.send(Err(e.clone()));
-                }
-            }
-        }
-        out.stats.busy_seconds += t0.elapsed().as_secs_f64();
-        ctx.load.fetch_sub(batch_macs, Ordering::Relaxed);
-        out.stats.peak_queue_depth = ctx.depth.peak();
-    }
-    ctx.exec.retire(shard, &mut out.stats);
-    out.stats.peak_queue_depth = ctx.depth.peak();
-    out
 }
 
 #[cfg(test)]
@@ -3398,49 +2052,6 @@ mod tests {
         t.wait().unwrap();
         assert_eq!(engine.session_context_rows(id), Some(2));
         let _ = engine.finish().unwrap();
-    }
-
-    #[test]
-    fn interleave_window_orders_phases() {
-        let mk = |ticket: u64, phase: Option<Phase>| -> Submission {
-            let (reply, _rx) = mpsc::channel();
-            let mut rng = Pcg32::seed_from_u64(ticket);
-            Submission {
-                ticket,
-                deadline: None,
-                submitted_at: Instant::now(),
-                request: Request::gemm(rng.randn(&[1, 2], 1.0), rng.randn(&[2, 1], 1.0)),
-                session: phase.map(|p| SessionTag {
-                    id: ticket,
-                    phase: p,
-                    tokens: 1,
-                }),
-                degrade: None,
-                reply,
-            }
-        };
-        let order = |w: &[Submission]| w.iter().map(|s| s.ticket).collect::<Vec<_>>();
-        let fresh = || {
-            vec![
-                mk(0, Some(Phase::Decode)),
-                mk(1, None),
-                mk(2, Some(Phase::Prefill)),
-                mk(3, Some(Phase::Decode)),
-            ]
-        };
-
-        let mut w = fresh();
-        interleave_window(InterleavePolicy::Mixed, &mut w);
-        assert_eq!(order(&w), [0, 1, 2, 3]);
-
-        // Stable within each class: arrival order is preserved.
-        let mut w = fresh();
-        interleave_window(InterleavePolicy::PrefillFirst, &mut w);
-        assert_eq!(order(&w), [1, 2, 0, 3]);
-
-        let mut w = fresh();
-        interleave_window(InterleavePolicy::DecodeFirst, &mut w);
-        assert_eq!(order(&w), [0, 3, 1, 2]);
     }
 
     #[test]

@@ -160,15 +160,6 @@ impl PwlTable {
         (self.k[s], self.b[s])
     }
 
-    /// Quantized chord parameters of segment `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn params_q(&self, s: usize) -> (i16, i16) {
-        (self.k_q[s], self.b_q[s])
-    }
-
     /// Evaluates the approximation at `x` (float path).
     pub fn eval(&self, x: f32) -> f32 {
         let s = self.segment_index(x);

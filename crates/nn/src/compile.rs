@@ -265,7 +265,15 @@ impl TinyBert {
         // and the optimizer elides the duplicates (see `boundary`).
         let mut h_at_boundary = true;
         for block in &self.blocks {
-            h = compile_block(&mut b, block, h, h_at_boundary, mode, self.d);
+            h = compile_block(
+                &mut b,
+                block,
+                h,
+                h_at_boundary,
+                mode,
+                self.d,
+                Attention::Full,
+            );
             h_at_boundary = false;
         }
         let pooled = b.push(Op::Pool(PoolKind::MeanRows), &[h]);
@@ -274,93 +282,6 @@ impl TinyBert {
             linear(&mut b, &self.head, pooled);
         }
         b.finish()
-    }
-}
-
-/// One post-norm encoder block (mirrors `EncoderBlock::infer`):
-/// head-sliced attention with scaled table-lowered softmax, residual
-/// adds with INT16 boundaries, layer norms, GELU feed-forward.
-fn compile_block(
-    b: &mut ProgramBuilder,
-    blk: &EncoderBlock,
-    x_pre: Operand,
-    x_at_boundary: bool,
-    mode: &InferenceMode,
-    d: usize,
-) -> Operand {
-    // When the block input sits on an INT16 boundary, each of its four
-    // consumers loads it through its own round trip (deterministic, so
-    // bit-identical to one shared boundary; the optimizer dedups).
-    let use_x = |b: &mut ProgramBuilder| -> Operand {
-        if x_at_boundary {
-            boundary(b, mode, x_pre)
-        } else {
-            x_pre
-        }
-    };
-    let heads = blk.attn.heads();
-    let dk = d / heads;
-    let xq = use_x(b);
-    let q = linear(b, &blk.attn.wq, xq);
-    let xk = use_x(b);
-    let k = linear(b, &blk.attn.wk, xk);
-    let xv = use_x(b);
-    let v = linear(b, &blk.attn.wv, xv);
-    let mut ctxs = Vec::with_capacity(heads);
-    for head in 0..heads {
-        let start = head * dk;
-        let qh = b.push(Op::SliceCols { start, len: dk }, &[q]);
-        let kh = b.push(Op::SliceCols { start, len: dk }, &[k]);
-        let vh = b.push(Op::SliceCols { start, len: dk }, &[v]);
-        let kt = b.push(Op::Transpose, &[kh]);
-        let scores = b.push(
-            Op::Gemm {
-                bias: None,
-                sparsity: None,
-            },
-            &[qh, kt],
-        );
-        let scaled = b.push(Op::Scale(1.0 / (dk as f32).sqrt()), &[scores]);
-        let p = b.push(Op::Softmax, &[scaled]);
-        ctxs.push(b.push(
-            Op::Gemm {
-                bias: None,
-                sparsity: None,
-            },
-            &[p, vh],
-        ));
-    }
-    let concat = b.push(Op::ConcatCols, &ctxs);
-    let a = linear(b, &blk.attn.wo, concat);
-    let x_res = use_x(b);
-    let sum1 = b.push(Op::Add, &[x_res, a]);
-    let sum1 = boundary(b, mode, sum1);
-    let h = b.push(
-        Op::LayerNorm {
-            gamma: blk.ln1.gamma.value.as_slice().to_vec(),
-            beta: blk.ln1.beta.value.as_slice().to_vec(),
-            eps: blk.ln1.eps(),
-        },
-        &[sum1],
-    );
-    let f1 = linear(b, &blk.ff1, h);
-    let g = b.push(Op::Nonlinear(NonlinearFn::Gelu), &[f1]);
-    let f = linear(b, &blk.ff2, g);
-    let sum2 = b.push(Op::Add, &[h, f]);
-    let sum2 = boundary(b, mode, sum2);
-    b.push(
-        Op::LayerNorm {
-            gamma: blk.ln2.gamma.value.as_slice().to_vec(),
-            beta: blk.ln2.beta.value.as_slice().to_vec(),
-            eps: blk.ln2.eps(),
-        },
-        &[sum2],
-    )
-}
-
-impl Compile<(&InferenceMode, usize)> for TinyBert {
-    fn compile(&self, (mode, seq_len): (&InferenceMode, usize)) -> Result<Program> {
-        self.network_program(mode, seq_len)
     }
 }
 
@@ -379,16 +300,21 @@ fn causal_boundary(b: &mut ProgramBuilder, mode: &InferenceMode, x: Operand) -> 
     }
 }
 
-/// What a causal block's attention attends over.
-enum CausalAttn {
-    /// Prefill: self-attention over the whole prompt under the causal
-    /// prefix mask; the raw K/V projections become the session cache.
-    Prefill,
-    /// One decode step: the cached `[ctx, d]` K/V enter as session
-    /// inputs, the new token's projections append via `ConcatRows`, and
-    /// the single query row sees the full grown context with a plain
-    /// softmax (the last causal row IS the full row).
-    Decode {
+/// What a transformer block's attention attends over.
+enum Attention {
+    /// The encoder: bidirectional self-attention under a plain softmax,
+    /// with the tensor-wide [`boundary`] at every INT16 crossing.
+    Full,
+    /// Causal prefill: self-attention over the whole prompt under the
+    /// causal prefix mask; the raw K/V projections become the session
+    /// cache.
+    CausalPrefill,
+    /// One causal decode step: the cached `[ctx, d]` K/V enter as
+    /// session inputs, the new token's projections append via
+    /// `ConcatRows`, and the single query row sees the full grown
+    /// context with a plain softmax (the last causal row IS the full
+    /// row).
+    CausalDecode {
         /// The layer's cached K rows.
         k_cache: Operand,
         /// The layer's cached V rows.
@@ -396,23 +322,32 @@ enum CausalAttn {
     },
 }
 
-/// One causal decoder block (mirrors the causal arm of
-/// `EncoderBlock::infer_with`): as [`compile_block`], but the softmax is
-/// prefix-masked (prefill) or full-row over the grown context (decode),
-/// K/V tensors are marked as session outputs — K then V, in block order
-/// — and every INT16 boundary is the row-wise [`causal_boundary`].
-fn compile_causal_block(
+/// One post-norm transformer block (mirrors `EncoderBlock::infer` and
+/// the causal arm of `EncoderBlock::infer_with`): head-sliced attention
+/// with scaled table-lowered softmax, residual adds with INT16
+/// boundaries, layer norms, GELU feed-forward. The causal kinds mask
+/// the softmax (prefill) or attend the grown context (decode), mark
+/// their K/V tensors as session outputs — K then V, in block order —
+/// and make every INT16 boundary the row-wise [`causal_boundary`].
+fn compile_block(
     b: &mut ProgramBuilder,
     blk: &EncoderBlock,
     x_pre: Operand,
     x_at_boundary: bool,
     mode: &InferenceMode,
     d: usize,
-    attn: CausalAttn,
+    attn: Attention,
 ) -> Operand {
+    let bound = match attn {
+        Attention::Full => boundary,
+        _ => causal_boundary,
+    };
+    // When the block input sits on an INT16 boundary, each of its four
+    // consumers loads it through its own round trip (deterministic, so
+    // bit-identical to one shared boundary; the optimizer dedups).
     let use_x = |b: &mut ProgramBuilder| -> Operand {
         if x_at_boundary {
-            causal_boundary(b, mode, x_pre)
+            bound(b, mode, x_pre)
         } else {
             x_pre
         }
@@ -425,18 +360,19 @@ fn compile_causal_block(
     let k = linear(b, &blk.attn.wk, xk);
     let xv = use_x(b);
     let v = linear(b, &blk.attn.wv, xv);
-    let (k_full, v_full, causal) = match attn {
-        CausalAttn::Prefill => {
+    let (k_full, v_full, softmax) = match attn {
+        Attention::Full => (k, v, Op::Softmax),
+        Attention::CausalPrefill => {
             b.mark_session_output(k);
             b.mark_session_output(v);
-            (k, v, true)
+            (k, v, Op::CausalSoftmax { offset: 0 })
         }
-        CausalAttn::Decode { k_cache, v_cache } => {
+        Attention::CausalDecode { k_cache, v_cache } => {
             let kf = b.push(Op::ConcatRows, &[k_cache, k]);
             let vf = b.push(Op::ConcatRows, &[v_cache, v]);
             b.mark_session_output(kf);
             b.mark_session_output(vf);
-            (kf, vf, false)
+            (kf, vf, Op::Softmax)
         }
     };
     let mut ctxs = Vec::with_capacity(heads);
@@ -454,11 +390,7 @@ fn compile_causal_block(
             &[qh, kt],
         );
         let scaled = b.push(Op::Scale(1.0 / (dk as f32).sqrt()), &[scores]);
-        let p = if causal {
-            b.push(Op::CausalSoftmax { offset: 0 }, &[scaled])
-        } else {
-            b.push(Op::Softmax, &[scaled])
-        };
+        let p = b.push(softmax.clone(), &[scaled]);
         ctxs.push(b.push(
             Op::Gemm {
                 bias: None,
@@ -471,7 +403,7 @@ fn compile_causal_block(
     let a = linear(b, &blk.attn.wo, concat);
     let x_res = use_x(b);
     let sum1 = b.push(Op::Add, &[x_res, a]);
-    let sum1 = causal_boundary(b, mode, sum1);
+    let sum1 = bound(b, mode, sum1);
     let h = b.push(
         Op::LayerNorm {
             gamma: blk.ln1.gamma.value.as_slice().to_vec(),
@@ -484,7 +416,7 @@ fn compile_causal_block(
     let g = b.push(Op::Nonlinear(NonlinearFn::Gelu), &[f1]);
     let f = linear(b, &blk.ff2, g);
     let sum2 = b.push(Op::Add, &[h, f]);
-    let sum2 = causal_boundary(b, mode, sum2);
+    let sum2 = bound(b, mode, sum2);
     b.push(
         Op::LayerNorm {
             gamma: blk.ln2.gamma.value.as_slice().to_vec(),
@@ -493,6 +425,12 @@ fn compile_causal_block(
         },
         &[sum2],
     )
+}
+
+impl Compile<(&InferenceMode, usize)> for TinyBert {
+    fn compile(&self, (mode, seq_len): (&InferenceMode, usize)) -> Result<Program> {
+        self.network_program(mode, seq_len)
+    }
 }
 
 impl TinyCausalLm {
@@ -527,14 +465,14 @@ impl TinyCausalLm {
         let mut h = b.push(Op::Embed, &[ids, table, pos]);
         let mut h_at_boundary = true;
         for block in &self.blocks {
-            h = compile_causal_block(
+            h = compile_block(
                 &mut b,
                 block,
                 h,
                 h_at_boundary,
                 mode,
                 self.d,
-                CausalAttn::Prefill,
+                Attention::CausalPrefill,
             );
             h_at_boundary = false;
         }
@@ -580,14 +518,14 @@ impl TinyCausalLm {
         let mut h = b.push(Op::EmbedAt { offset: ctx }, &[ids, table, pos]);
         let mut h_at_boundary = true;
         for (block, (k_cache, v_cache)) in self.blocks.iter().zip(kv) {
-            h = compile_causal_block(
+            h = compile_block(
                 &mut b,
                 block,
                 h,
                 h_at_boundary,
                 mode,
                 self.d,
-                CausalAttn::Decode { k_cache, v_cache },
+                Attention::CausalDecode { k_cache, v_cache },
             );
             h_at_boundary = false;
         }
@@ -848,5 +786,49 @@ mod tests {
         let b = lm.compiled_decode(&mode, 7);
         assert_eq!(a.nodes().len(), b.nodes().len());
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn compiled_program_fingerprints_are_pinned() {
+        // `Program::fingerprint` hashes the mode, every node's op and
+        // operands in order, and every constant: equal literals mean the
+        // block compiler emits node-for-node the programs it always did.
+        // Columns: BERT network (seq 8), then causal prefill (5 tokens)
+        // and decode (ctx 5) for the tied and the untied LM head.
+        let bert = TinyBert::new(5, 32, 12, 2, 2);
+        let tied = TinyCausalLm::new(9, 24, 16, 2, true);
+        let untied = TinyCausalLm::new(9, 24, 16, 2, false);
+        let pinned: [(InferenceMode, [u64; 5]); 2] = [
+            (
+                InferenceMode::Exact,
+                [
+                    0x7b168d64b73b560b,
+                    0xa6c7ea717a96f946,
+                    0xc45db430b51640e5,
+                    0xf0798698d7324796,
+                    0x3b92350b76e541a9,
+                ],
+            ),
+            (
+                InferenceMode::cpwl(0.25).unwrap(),
+                [
+                    0xb7ad944846a38768,
+                    0x9766cb894a5efb5f,
+                    0x3d8793b0b9f5ab9f,
+                    0xebb18d3211a2faef,
+                    0xe6586fbad991bbbb,
+                ],
+            ),
+        ];
+        for (mode, want) in pinned {
+            let got = [
+                bert.network_program(&mode, 8).unwrap().fingerprint(),
+                tied.prefill_program(&mode, 5).unwrap().fingerprint(),
+                tied.decode_program(&mode, 5).unwrap().fingerprint(),
+                untied.prefill_program(&mode, 5).unwrap().fingerprint(),
+                untied.decode_program(&mode, 5).unwrap().fingerprint(),
+            ];
+            assert_eq!(got, want, "{}", mode.label());
+        }
     }
 }

@@ -83,9 +83,9 @@ pub enum InferenceMode {
     /// CPWL tables at one granularity, optionally with INT16 activation
     /// quantization (the paper's configuration).
     Cpwl {
-        /// Shared table set (`Arc`: cloning a mode — which every
-        /// compiled-inference call used to do implicitly via table-cache
-        /// seeding — is a refcount bump, never a copy of the tables).
+        /// Shared table set (`Arc`: cloning a mode, or seeding an
+        /// executor's table cache from it, is a refcount bump, never a
+        /// copy of the tables).
         tables: Arc<TableSet>,
         /// Round-trip activations through INT16 at layer boundaries.
         quantize: bool,
@@ -126,16 +126,6 @@ impl InferenceMode {
                 granularity: tables.granularity(),
                 quantize: *quantize,
             },
-        }
-    }
-
-    /// The mode's CPWL table set (`None` for [`InferenceMode::Exact`]).
-    /// Program executors seed their `onesa_plan::TableCache` from this
-    /// so compiled inference reuses the tables the mode already built.
-    pub fn table_set(&self) -> Option<&TableSet> {
-        match self {
-            InferenceMode::Exact => None,
-            InferenceMode::Cpwl { tables, .. } => Some(tables),
         }
     }
 

@@ -231,8 +231,8 @@ impl SmallCnn {
     /// call (`onesa_core::serve::ServeEngine::classify_batch`), with
     /// `features(x) · W + b` bit-identical to [`SmallCnn::logits`].
     ///
-    /// Since the Program-IR refactor this compiles the feature subgraph
-    /// to an `onesa_plan::Program` and runs it — bit-identical to
+    /// This compiles the feature subgraph to an `onesa_plan::Program`
+    /// and runs it — bit-identical to
     /// [`SmallCnn::pooled_features_direct`] (locked by test).
     /// Compilation is memoized per (mode, geometry) and the program is
     /// optimized at the bit-identical default level, so repeated calls
@@ -534,8 +534,8 @@ impl TinyBert {
     /// serving systems split here so a batch's head GEMMs coalesce into
     /// one kernel call against the shared head weights.
     ///
-    /// Since the Program-IR refactor this compiles the encoder subgraph
-    /// to an `onesa_plan::Program` and runs it — bit-identical to
+    /// This compiles the encoder subgraph to an `onesa_plan::Program`
+    /// and runs it — bit-identical to
     /// [`TinyBert::pooled_features_direct`] (locked by test).
     /// Compilation is memoized per (mode, sequence length) — see
     /// [`TinyBert::compile_cache`].
@@ -794,11 +794,6 @@ impl TinyCausalLm {
     /// cache tensors: K then V per block).
     pub fn layer_count(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Whether the LM head shares the embedding table.
-    pub fn is_tied(&self) -> bool {
-        self.head.is_none()
     }
 
     /// Token indices as the `[1, len]` tensor a compiled program's

@@ -754,22 +754,12 @@ fn exec_single(
             }
             Ok(out)
         }
-        Op::Embed => {
-            let (_, l) = ins[0].shape().as_matrix()?;
-            let d = ins[1].dims()[1];
-            let mut out = Tensor::zeros(&[l, d]);
-            for i in 0..l {
-                let id = ins[0].as_slice()[i] as usize;
-                let tok = ins[1].row(id)?;
-                let pos = ins[2].row(i)?;
-                let row = out.row_mut(i)?;
-                for j in 0..d {
-                    row[j] = tok[j] + pos[j];
-                }
-            }
-            Ok(out)
-        }
-        Op::EmbedAt { offset } => {
+        Op::Embed | Op::EmbedAt { .. } => {
+            // `Embed` is `EmbedAt` from position 0.
+            let offset = match node.op {
+                Op::EmbedAt { offset } => offset,
+                _ => 0,
+            };
             let (_, l) = ins[0].shape().as_matrix()?;
             let d = ins[1].dims()[1];
             let mut out = Tensor::zeros(&[l, d]);

@@ -57,7 +57,6 @@
 //! ```
 
 use crate::program::{same_tensor, GemmSparsity, Op, OpNode, Operand, Precision, Program};
-use onesa_sim::ArrayConfig;
 use onesa_tensor::Result;
 
 /// Column-block width the `prune-pack` pass scans const GEMM weights
@@ -566,14 +565,6 @@ fn eliminate_dead_slots(program: &Program) -> Result<(Program, usize)> {
         })
         .collect();
     Ok((rebuild(program, actions)?, removed))
-}
-
-/// Convenience for benches and docs: op count, modeled MACs and the
-/// modeled solo seconds of a program on `cfg`.
-pub fn program_cost(program: &Program, cfg: &ArrayConfig) -> Result<(usize, u64, f64)> {
-    let stats = program.op_stats(cfg)?;
-    let seconds: f64 = stats.iter().map(|s| s.seconds()).sum();
-    Ok((program.stages(), program.modeled_macs(), seconds))
 }
 
 #[cfg(test)]

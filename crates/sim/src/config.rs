@@ -146,11 +146,6 @@ impl ArrayConfig {
     pub fn peak_gnfs(&self) -> f64 {
         (self.dim * self.mhp_elems_per_pe_per_cycle()) as f64 * self.clock_mhz * 1e6 / 1e9
     }
-
-    /// Seconds per clock cycle.
-    pub fn cycle_seconds(&self) -> f64 {
-        1.0 / (self.clock_mhz * 1e6)
-    }
 }
 
 impl Default for ArrayConfig {

@@ -56,11 +56,6 @@ impl QFormat {
         self.to_f32(i16::MAX)
     }
 
-    /// Smallest (most negative) representable value.
-    pub fn min_value(&self) -> f32 {
-        self.to_f32(i16::MIN)
-    }
-
     /// Converts an `f32` to fixed point with round-to-nearest and
     /// saturation at the `i16` range.
     pub fn from_f32(&self, x: f32) -> i16 {

@@ -13,262 +13,182 @@
 
 use crate::{Result, Tensor, TensorError};
 
-/// An INT16-quantized tensor with one symmetric scale factor.
-///
-/// Real value = `scale * q` for each stored `i16` element `q`.
-///
-/// # Example
-///
-/// ```
-/// use onesa_tensor::{Tensor, quant::QuantTensor};
-///
-/// let t = Tensor::from_vec(vec![-1.0, 0.5, 2.0], &[3])?;
-/// let q = QuantTensor::quantize(&t);
-/// let back = q.dequantize();
-/// for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
-///     assert!((a - b).abs() < 1e-3);
-/// }
-/// # Ok::<(), onesa_tensor::TensorError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantTensor {
-    dims: Vec<usize>,
-    data: Vec<i16>,
-    scale: f32,
-}
+/// Defines a symmetric per-tensor quantized tensor type over one integer
+/// width, and its integer GEMM — the one implementation behind both
+/// precision rungs.
+macro_rules! quant_tensor {
+    (
+        $(#[$tensor_doc:meta])* $name:ident($int:ty);
+        $(#[$matmul_doc:meta])* $matmul:ident
+    ) => {
+        $(#[$tensor_doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name {
+            dims: Vec<usize>,
+            data: Vec<$int>,
+            scale: f32,
+        }
 
-impl QuantTensor {
-    /// Quantizes a float tensor symmetrically so its absolute maximum maps
-    /// to `i16::MAX`. An all-zero tensor gets scale `1.0`.
-    pub fn quantize(t: &Tensor) -> Self {
-        let max_abs = t.as_slice().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-        let scale = if max_abs == 0.0 {
-            1.0
-        } else {
-            max_abs / i16::MAX as f32
-        };
-        Self::quantize_with_scale(t, scale)
-    }
-
-    /// Quantizes with an explicit scale (values saturate at the i16 range).
-    pub fn quantize_with_scale(t: &Tensor, scale: f32) -> Self {
-        let data = t
-            .as_slice()
-            .iter()
-            .map(|&x| {
-                let q = (x / scale).round();
-                if q >= i16::MAX as f32 {
-                    i16::MAX
-                } else if q <= i16::MIN as f32 {
-                    i16::MIN
+        impl $name {
+            /// Quantizes a float tensor symmetrically so its absolute
+            /// maximum maps to the integer type's `MAX`. An all-zero
+            /// tensor gets scale `1.0`.
+            pub fn quantize(t: &Tensor) -> Self {
+                let max_abs = t.as_slice().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+                let scale = if max_abs == 0.0 {
+                    1.0
                 } else {
-                    q as i16
-                }
-            })
-            .collect();
-        QuantTensor {
-            dims: t.dims().to_vec(),
-            data,
-            scale,
-        }
-    }
-
-    /// Reconstructs the float tensor `scale * q`.
-    pub fn dequantize(&self) -> Tensor {
-        let data = self.data.iter().map(|&q| q as f32 * self.scale).collect();
-        Tensor::from_vec(data, &self.dims).expect("shape preserved by construction")
-    }
-
-    /// The quantization scale.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// The dimensions, outermost first.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// Borrow the raw `i16` values.
-    pub fn as_slice(&self) -> &[i16] {
-        &self.data
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the tensor holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-}
-
-/// Integer GEMM `A · B` with `i64` accumulation, dequantized on the way
-/// out — functionally what the INT16 array computes for one tile.
-///
-/// # Errors
-///
-/// Returns shape errors as in [`crate::gemm::matmul`].
-pub fn quant_matmul(a: &QuantTensor, b: &QuantTensor) -> Result<Tensor> {
-    if a.dims.len() != 2 || b.dims.len() != 2 {
-        return Err(TensorError::NotAMatrix {
-            rank: a.dims.len().max(b.dims.len()),
-        });
-    }
-    let (m, k) = (a.dims[0], a.dims[1]);
-    let (k2, n) = (b.dims[0], b.dims[1]);
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims.clone(),
-            rhs: b.dims.clone(),
-            op: "quant_matmul",
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    let scale = a.scale * b.scale;
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0i64;
-            for p in 0..k {
-                acc += a.data[i * k + p] as i64 * b.data[p * n + j] as i64;
+                    max_abs / <$int>::MAX as f32
+                };
+                Self::quantize_with_scale(t, scale)
             }
-            out.as_mut_slice()[i * n + j] = acc as f32 * scale;
-        }
-    }
-    Ok(out)
-}
 
-/// An INT8-quantized tensor with one symmetric scale factor — the
-/// precision rung below [`QuantTensor`]. Real value = `scale * q` for
-/// each stored `i8` element `q`.
-///
-/// The scheme is deterministic: quantization is a pure function of the
-/// input bits (scale from the absolute maximum, round-to-nearest with
-/// saturation), so two round trips of the same tensor are bit-identical.
-///
-/// # Example
-///
-/// ```
-/// use onesa_tensor::{Tensor, quant::QuantTensor8};
-///
-/// let t = Tensor::from_vec(vec![-1.0, 0.5, 2.0], &[3])?;
-/// let q = QuantTensor8::quantize(&t);
-/// let back = q.dequantize();
-/// for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
-///     assert!((a - b).abs() < 2.0 / 127.0);
-/// }
-/// # Ok::<(), onesa_tensor::TensorError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantTensor8 {
-    dims: Vec<usize>,
-    data: Vec<i8>,
-    scale: f32,
-}
-
-impl QuantTensor8 {
-    /// Quantizes a float tensor symmetrically so its absolute maximum maps
-    /// to `i8::MAX`. An all-zero tensor gets scale `1.0`.
-    pub fn quantize(t: &Tensor) -> Self {
-        let max_abs = t.as_slice().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-        let scale = if max_abs == 0.0 {
-            1.0
-        } else {
-            max_abs / i8::MAX as f32
-        };
-        Self::quantize_with_scale(t, scale)
-    }
-
-    /// Quantizes with an explicit scale (values saturate at the i8 range).
-    pub fn quantize_with_scale(t: &Tensor, scale: f32) -> Self {
-        let data = t
-            .as_slice()
-            .iter()
-            .map(|&x| {
-                let q = (x / scale).round();
-                if q >= i8::MAX as f32 {
-                    i8::MAX
-                } else if q <= i8::MIN as f32 {
-                    i8::MIN
-                } else {
-                    q as i8
+            /// Quantizes with an explicit scale (values saturate at the
+            /// integer range).
+            pub fn quantize_with_scale(t: &Tensor, scale: f32) -> Self {
+                let data = t
+                    .as_slice()
+                    .iter()
+                    .map(|&x| {
+                        let q = (x / scale).round();
+                        if q >= <$int>::MAX as f32 {
+                            <$int>::MAX
+                        } else if q <= <$int>::MIN as f32 {
+                            <$int>::MIN
+                        } else {
+                            q as $int
+                        }
+                    })
+                    .collect();
+                $name {
+                    dims: t.dims().to_vec(),
+                    data,
+                    scale,
                 }
-            })
-            .collect();
-        QuantTensor8 {
-            dims: t.dims().to_vec(),
-            data,
-            scale,
+            }
+
+            /// Reconstructs the float tensor `scale * q`.
+            pub fn dequantize(&self) -> Tensor {
+                let data = self.data.iter().map(|&q| q as f32 * self.scale).collect();
+                Tensor::from_vec(data, &self.dims).expect("shape preserved by construction")
+            }
+
+            /// The quantization scale.
+            pub fn scale(&self) -> f32 {
+                self.scale
+            }
+
+            /// The dimensions, outermost first.
+            pub fn dims(&self) -> &[usize] {
+                &self.dims
+            }
+
+            /// Borrow the raw integer values.
+            pub fn as_slice(&self) -> &[$int] {
+                &self.data
+            }
+
+            /// Number of elements.
+            pub fn len(&self) -> usize {
+                self.data.len()
+            }
+
+            /// Whether the tensor holds no elements.
+            pub fn is_empty(&self) -> bool {
+                self.data.is_empty()
+            }
         }
-    }
 
-    /// Reconstructs the float tensor `scale * q`.
-    pub fn dequantize(&self) -> Tensor {
-        let data = self.data.iter().map(|&q| q as f32 * self.scale).collect();
-        Tensor::from_vec(data, &self.dims).expect("shape preserved by construction")
-    }
-
-    /// The quantization scale.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// The dimensions, outermost first.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// Borrow the raw `i8` values.
-    pub fn as_slice(&self) -> &[i8] {
-        &self.data
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the tensor holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
+        $(#[$matmul_doc])*
+        pub fn $matmul(a: &$name, b: &$name) -> Result<Tensor> {
+            if a.dims.len() != 2 || b.dims.len() != 2 {
+                return Err(TensorError::NotAMatrix {
+                    rank: a.dims.len().max(b.dims.len()),
+                });
+            }
+            let (m, k) = (a.dims[0], a.dims[1]);
+            let (k2, n) = (b.dims[0], b.dims[1]);
+            if k != k2 {
+                return Err(TensorError::ShapeMismatch {
+                    lhs: a.dims.clone(),
+                    rhs: b.dims.clone(),
+                    op: stringify!($matmul),
+                });
+            }
+            let mut out = Tensor::zeros(&[m, n]);
+            let scale = a.scale * b.scale;
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0i64;
+                    for p in 0..k {
+                        acc += a.data[i * k + p] as i64 * b.data[p * n + j] as i64;
+                    }
+                    out.as_mut_slice()[i * n + j] = acc as f32 * scale;
+                }
+            }
+            Ok(out)
+        }
+    };
 }
 
-/// Integer GEMM `A · B` over INT8 operands with `i64` accumulation,
-/// dequantized on the way out — the INT8 analogue of [`quant_matmul`].
-///
-/// # Errors
-///
-/// Returns shape errors as in [`crate::gemm::matmul`].
-pub fn quant_matmul8(a: &QuantTensor8, b: &QuantTensor8) -> Result<Tensor> {
-    if a.dims.len() != 2 || b.dims.len() != 2 {
-        return Err(TensorError::NotAMatrix {
-            rank: a.dims.len().max(b.dims.len()),
-        });
-    }
-    let (m, k) = (a.dims[0], a.dims[1]);
-    let (k2, n) = (b.dims[0], b.dims[1]);
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims.clone(),
-            rhs: b.dims.clone(),
-            op: "quant_matmul8",
-        });
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    let scale = a.scale * b.scale;
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0i64;
-            for p in 0..k {
-                acc += a.data[i * k + p] as i64 * b.data[p * n + j] as i64;
-            }
-            out.as_mut_slice()[i * n + j] = acc as f32 * scale;
-        }
-    }
-    Ok(out)
+quant_tensor! {
+    /// An INT16-quantized tensor with one symmetric scale factor.
+    ///
+    /// Real value = `scale * q` for each stored `i16` element `q`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use onesa_tensor::{Tensor, quant::QuantTensor};
+    ///
+    /// let t = Tensor::from_vec(vec![-1.0, 0.5, 2.0], &[3])?;
+    /// let q = QuantTensor::quantize(&t);
+    /// let back = q.dequantize();
+    /// for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
+    ///     assert!((a - b).abs() < 1e-3);
+    /// }
+    /// # Ok::<(), onesa_tensor::TensorError>(())
+    /// ```
+    QuantTensor(i16);
+    /// Integer GEMM `A · B` with `i64` accumulation, dequantized on the way
+    /// out — functionally what the INT16 array computes for one tile.
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors as in [`crate::gemm::matmul`].
+    quant_matmul
+}
+
+quant_tensor! {
+    /// An INT8-quantized tensor with one symmetric scale factor — the
+    /// precision rung below [`QuantTensor`]. Real value = `scale * q` for
+    /// each stored `i8` element `q`.
+    ///
+    /// The scheme is deterministic: quantization is a pure function of the
+    /// input bits (scale from the absolute maximum, round-to-nearest with
+    /// saturation), so two round trips of the same tensor are bit-identical.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use onesa_tensor::{Tensor, quant::QuantTensor8};
+    ///
+    /// let t = Tensor::from_vec(vec![-1.0, 0.5, 2.0], &[3])?;
+    /// let q = QuantTensor8::quantize(&t);
+    /// let back = q.dequantize();
+    /// for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
+    ///     assert!((a - b).abs() < 2.0 / 127.0);
+    /// }
+    /// # Ok::<(), onesa_tensor::TensorError>(())
+    /// ```
+    QuantTensor8(i8);
+    /// Integer GEMM `A · B` over INT8 operands with `i64` accumulation,
+    /// dequantized on the way out — the INT8 analogue of [`quant_matmul`].
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors as in [`crate::gemm::matmul`].
+    quant_matmul8
 }
 
 /// Quantization error statistics for a round trip through INT16.

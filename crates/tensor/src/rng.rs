@@ -101,11 +101,6 @@ impl Pcg32 {
         }
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.normal()
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -118,13 +113,6 @@ impl Pcg32 {
     pub fn randn(&mut self, dims: &[usize], std: f32) -> Tensor {
         let volume: usize = dims.iter().product();
         let data = (0..volume).map(|_| self.normal() * std).collect();
-        Tensor::from_vec(data, dims).expect("volume matches by construction")
-    }
-
-    /// Tensor of i.i.d. uniform entries in `[lo, hi)`.
-    pub fn rand_uniform(&mut self, dims: &[usize], lo: f32, hi: f32) -> Tensor {
-        let volume: usize = dims.iter().product();
-        let data = (0..volume).map(|_| self.uniform(lo, hi)).collect();
         Tensor::from_vec(data, dims).expect("volume matches by construction")
     }
 }

@@ -11,8 +11,9 @@
 //!
 //! * **modeled throughput** — requests per simulated-array-second of the
 //!   pool's makespan (the busiest shard; the arrays run concurrently).
-//!   Deterministic, and the quantity `BENCH_serving_async.json` pins:
-//!   4 shards must clear ≥1.5× the 1-shard pool (it lands near 4×).
+//!   Deterministic, and the quantity
+//!   `integration_serving::least_loaded_balances_and_sharding_cuts_makespan`
+//!   pins: 4 shards must clear ≥1.5× the 1-shard pool (it lands near 4×).
 //! * **host wall-clock** — machine-dependent; shard workers are real
 //!   threads, so this follows core count (≈1× on a 1-core host).
 //!
