@@ -12,14 +12,22 @@
 //! four), `speedup_packed` (`gemm::matmul` vs
 //! `parallel::matmul(Sequential)`) and, per serving shape,
 //! `packed_over_reference` (a time ratio, lower is better). The bin
-//! asserts its own floor so the CI bench-smoke job enforces it: on no
+//! asserts its own floors so the CI bench-smoke job enforces them: on no
 //! serving shape is the packed kernel more than 10% slower than the
-//! reference loop.
+//! reference loop — and that includes the `zero_fraction` rows, which run
+//! the CNN's and the GCN's products on the left operands traffic really
+//! has (a ReLU-masked activation map, about half exact zeros; the GCN's
+//! normalized adjacency `Â`, about 95%, packed once as the program
+//! constant it is). Zeros in `A` must cost nothing: the masked operand
+//! runs within 10% of the dense one, and `Â` in at most 0.35× the dense
+//! time and half the reference loop's.
 
 use onesa_bench::time_best;
+use onesa_data::{Difficulty, GraphDataset};
 use onesa_tensor::gemm;
-use onesa_tensor::parallel::{self, Parallelism};
+use onesa_tensor::parallel::{self, PackedLhs, Parallelism};
 use onesa_tensor::rng::Pcg32;
+use onesa_tensor::Tensor;
 use std::hint::black_box;
 
 /// The `(m, k, n)` products the benchmark workloads reduce to: coalesced
@@ -45,19 +53,53 @@ fn serving_shapes() -> Vec<(usize, usize, usize)> {
     shapes
 }
 
-/// Best seconds per call of `f` and of `g`, each sample timing `calls`
+/// One serving shape timed on one left operand: `(reference, packed,
+/// dense)` best seconds per call — the reference loop and the packed
+/// kernel on `a`, and the packed kernel on `dense`, a zero-free activation
+/// of the same shape — ~1 ms of work per sample whatever the shape.
+/// `constant` says how traffic meets `a`: an activation is packed by every
+/// call (`parallel::matmul`), a program constant once, outside the timed
+/// region (`parallel::matmul_packed`, as `onesa-plan` runs it). Asserts
+/// the floor every row of this file is held to.
+fn time_shape(a: &Tensor, dense: &Tensor, b: &Tensor, what: &str, constant: bool) -> [f64; 3] {
+    let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
+    let calls = ((1e7 / (m * k * n) as f64) as usize).clamp(1, 20_000);
+    let once = constant.then(|| PackedLhs::pack(a).expect("matrix"));
+    let packed = |a: &Tensor| parallel::matmul(a, b, Parallelism::Sequential).expect("matmul");
+    let times = time_alternating(
+        calls,
+        [
+            &mut || gemm::matmul(a, b).expect("matmul"),
+            &mut || match &once {
+                Some(a) => parallel::matmul_packed(a, b, Parallelism::Sequential).expect("matmul"),
+                None => packed(a),
+            },
+            &mut || packed(dense),
+        ],
+    );
+    let ratio = times[1] / times[0];
+    assert!(
+        ratio <= 1.10,
+        "{m}x{k}x{n} {what}: packed kernel {ratio:.2}x the reference loop's time, limit 1.10"
+    );
+    times
+}
+
+/// Best seconds per call of each of `fs`, each sample timing `calls`
 /// back-to-back calls (so sub-microsecond kernels are not lost in timer
-/// resolution) and the two sides alternating sample by sample (so a
-/// noisy stretch of the host lands on both, not on one side of a ratio).
-fn time_pair<T, U>(calls: usize, mut f: impl FnMut() -> T, mut g: impl FnMut() -> U) -> (f64, f64) {
-    let (mut best_f, mut best_g) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..15 {
-        let (_, s) = time_best(1, || (0..calls).for_each(|_| drop(black_box(f()))));
-        best_f = best_f.min(s / calls as f64);
-        let (_, s) = time_best(1, || (0..calls).for_each(|_| drop(black_box(g()))));
-        best_g = best_g.min(s / calls as f64);
+/// resolution) and the sides alternating sample by sample (so a noisy
+/// stretch of the host lands on all of them, not on one side of a ratio).
+fn time_alternating<const N: usize>(calls: usize, fs: [&mut dyn FnMut() -> Tensor; N]) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for round in 0..25 {
+        // Forwards, then backwards: whatever a side inherits from the one
+        // before it (cache contents, allocator state) is shared out too.
+        for i in (0..N).map(|j| if round % 2 == 0 { j } else { N - 1 - j }) {
+            let (_, s) = time_best(1, || (0..calls).for_each(|_| drop(black_box(fs[i]()))));
+            best[i] = best[i].min(s / calls as f64);
+        }
     }
-    (best_f, best_g)
+    best
 }
 
 fn main() {
@@ -107,18 +149,8 @@ fn main() {
         let a = rng.randn(&[m, k], 1.0);
         let b = rng.randn(&[k, n], 1.0);
         let flop = 2.0 * (m * k * n) as f64;
-        // ~1 ms of work per sample whatever the shape.
-        let calls = ((2e7 / flop) as usize).clamp(1, 20_000);
-        let (reference, packed) = time_pair(
-            calls,
-            || gemm::matmul(&a, &b).expect("matmul"),
-            || parallel::matmul(&a, &b, Parallelism::Sequential).expect("matmul"),
-        );
+        let [reference, packed, _] = time_shape(&a, &a, &b, "dense", false);
         let ratio = packed / reference;
-        assert!(
-            ratio <= 1.10,
-            "{m}x{k}x{n}: packed kernel {ratio:.2}x the reference loop's time, limit 1.10"
-        );
         println!("    {{");
         println!("      \"m\": {m}, \"k\": {k}, \"n\": {n},");
         println!(
@@ -132,6 +164,65 @@ fn main() {
             ratio
         );
         println!("    }}{}", if idx + 1 < shapes.len() { "," } else { "" });
+    }
+    println!("  ],");
+    // The same kernel on the left operands traffic has: the CNN's two
+    // im2col products after a ReLU (activations, packed per call), the
+    // GCN's `Â·XW` on the benchmark's own graph (`Â` is a program
+    // constant, packed once). `packed_over_dense` is against the dense
+    // activation of the same shape, timed sample by sample beside it.
+    println!("  \"zero_fraction\": [");
+    let a_hat = GraphDataset::generate("bench", 1, Difficulty::medium(7), 420, 32, 0.16).a_hat;
+    let cases = [
+        (1024, 72, 16, None),
+        (256, 144, 16, None),
+        (420, 420, 64, Some(a_hat)),
+    ];
+    for (idx, (m, k, n, sparse)) in cases.into_iter().enumerate() {
+        let dense = rng.randn(&[m, k], 1.0);
+        let b = rng.randn(&[k, n], 1.0);
+        let mut operands = vec![
+            ("dense", dense.clone()),
+            ("relu_masked", dense.map(|v| v.max(0.0))),
+        ];
+        operands.extend(sparse.map(|a| ("a_hat", a)));
+        for (which, (label, a)) in operands.iter().enumerate() {
+            let zeros = a.as_slice().iter().filter(|v| **v == 0.0).count();
+            let constant = *label == "a_hat";
+            let [reference, packed, dense_packed] = time_shape(a, &dense, &b, label, constant);
+            let over_dense = packed / dense_packed;
+            match *label {
+                "relu_masked" => assert!(
+                    over_dense <= 1.10,
+                    "{m}x{k}x{n}: a ReLU-masked A runs {over_dense:.2}x the dense time, limit 1.10"
+                ),
+                "a_hat" => assert!(
+                    over_dense <= 0.35 && packed / reference <= 0.5,
+                    "{m}x{k}x{n}: A-hat runs {over_dense:.2}x the dense time (limit 0.35), {:.2}x the reference loop's (limit 0.5)",
+                    packed / reference
+                ),
+                _ => {}
+            }
+            println!("    {{");
+            println!("      \"m\": {m}, \"k\": {k}, \"n\": {n}, \"a\": \"{label}\",");
+            println!(
+                "      \"zero_fraction\": {:.3}, \"packed_once\": {},",
+                zeros as f64 / a.len() as f64,
+                constant
+            );
+            println!(
+                "      \"reference_us\": {:.2}, \"packed_us\": {:.2},",
+                reference * 1e6,
+                packed * 1e6
+            );
+            println!(
+                "      \"packed_over_reference\": {:.2}, \"packed_over_dense\": {:.2}",
+                packed / reference,
+                over_dense
+            );
+            let last = idx == 2 && which + 1 == operands.len();
+            println!("    }}{}", if last { "" } else { "," });
+        }
     }
     println!("  ]");
     println!("}}");

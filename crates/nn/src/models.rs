@@ -13,7 +13,7 @@ use crate::layers::{
 use crate::train::TrainConfig;
 use onesa_data::text::TextTask;
 use onesa_data::{GraphDataset, ImageDataset, TextDataset};
-use onesa_plan::{tensor_fingerprint, CompileCache, OptLevel, Program};
+use onesa_plan::{same_tensor, tensor_fingerprint, CompileCache, Op, Operand, OptLevel, Program};
 use onesa_tensor::im2col::Conv2dGeometry;
 use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::quant::QuantTensor;
@@ -939,6 +939,18 @@ impl TinyCausalLm {
     }
 }
 
+/// The propagation matrix a compiled GCN program multiplies by: the
+/// constant left operand of its `Â · (…)` products.
+fn propagation_matrix(program: &Program) -> Option<&Tensor> {
+    program
+        .nodes()
+        .iter()
+        .find_map(|node| match (&node.op, node.inputs[0]) {
+            (Op::Gemm { .. }, Operand::Const(c)) => Some(program.consts()[c].as_ref()),
+            _ => None,
+        })
+}
+
 /// Two-layer Kipf–Welling GCN: `softmax(Â · ReLU(Â X W₁) · W₂)`.
 #[derive(Debug, Clone)]
 pub struct Gcn {
@@ -1023,18 +1035,22 @@ impl Gcn {
     /// graph (`softmax` excluded, as in training) to an
     /// `onesa_plan::Program` and runs it — bit-identical to
     /// [`Gcn::logits_direct`] (locked by test). Compilation is memoized
-    /// per (mode, graph shape, Â fingerprint) — see
-    /// [`Gcn::compile_cache`].
+    /// per (mode, graph shape, Â) — see [`Gcn::compile_cache`].
     pub fn logits(&self, g: &GraphDataset, mode: &InferenceMode) -> Tensor {
         // The propagation matrix Â is baked into the program as a
         // constant, so it is part of the cache key (two graphs with the
-        // same shape must not share a compilation).
-        let salt = tensor_fingerprint(&g.a_hat);
+        // same shape must not share a compilation). A hit is confirmed
+        // against the copy of Â the cached program holds — it stops at the
+        // first difference and is exact; Â is hashed only to key a miss.
         let program = self
             .cache
-            .get_or_compile(mode.eval_mode(), g.x.dims(), salt, || {
-                self.network_program(mode, g)?.optimize(OptLevel::default())
-            })
+            .get_or_compile_matching(
+                mode.eval_mode(),
+                g.x.dims(),
+                |cached| propagation_matrix(cached).is_some_and(|a| same_tensor(a, &g.a_hat)),
+                || tensor_fingerprint(&g.a_hat),
+                || self.network_program(mode, g)?.optimize(OptLevel::default()),
+            )
             .expect("GCN graph compiles");
         crate::compile::run_compiled(&program, std::slice::from_ref(&g.x), mode)
     }
@@ -1240,6 +1256,31 @@ mod tests {
         assert_ne!(l1, l2);
         assert_eq!(l1, model.logits_direct(&g1, &mode));
         assert_eq!(l2, model.logits_direct(&g2, &mode));
+    }
+
+    #[test]
+    fn gcn_cache_tells_graphs_apart_by_one_element() {
+        // The hit test compares the cached program's Â with the caller's
+        // bit for bit: one edge weight (even its sign bit) is a new graph.
+        let g1 = GraphDataset::generate("a", 4, Difficulty::easy(3), 20, 6, 0.3);
+        let model = Gcn::new(6, 6, 8, 3);
+        let mode = InferenceMode::Exact;
+        let _ = model.logits(&g1, &mode);
+        let _ = model.logits(&g1, &mode);
+        let cache = model.compile_cache();
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        let mut g2 = g1.clone();
+        let last = g2.a_hat.len() - 1;
+        g2.a_hat.as_mut_slice()[last] += 0.125;
+        let mut g3 = g1.clone();
+        let zero = g3.a_hat.as_slice().iter().position(|v| *v == 0.0).unwrap();
+        g3.a_hat.as_mut_slice()[zero] = -0.0;
+        for g in [&g2, &g3] {
+            assert_eq!(model.logits(g, &mode), model.logits_direct(g, &mode));
+        }
+        assert_eq!((cache.hits(), cache.misses()), (1, 3));
+        let _ = model.logits(&g2, &mode);
+        assert_eq!((cache.hits(), cache.misses()), (2, 3));
     }
 
     #[test]

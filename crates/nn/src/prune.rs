@@ -246,4 +246,38 @@ mod tests {
         // on the pruned weights.
         assert_eq!(model.logits(&g, &mode), model.logits_direct(&g, &mode));
     }
+
+    #[test]
+    fn pruned_gcn_packs_each_constant_once_per_compiled_program() {
+        use onesa_plan::{wire, Program};
+        let g = GraphDataset::generate("t", 4, Difficulty::easy(3), 45, 8, 0.3);
+        let mut model = Gcn::new(6, 8, 2 * PRUNE_BLOCK_COLS, 3);
+        model.prune_hidden(0.5).unwrap();
+        let mode = InferenceMode::cpwl(0.25).unwrap();
+        let want = model.logits_direct(&g, &mode);
+        for _ in 0..5 {
+            assert_eq!(model.logits(&g, &mode), want);
+        }
+        // Five runs, each under a table cache of its own, through the one
+        // cached program: Â (read by two GEMMs) and the sparse W₁ were
+        // each packed once, into slots every clone sees.
+        let cache = model.compile_cache();
+        assert_eq!((cache.misses(), cache.hits()), (1, 4));
+        let cached = || -> Result<Program> { unreachable!("a hit compiles nothing") };
+        let program = cache
+            .get_or_compile_matching(mode.eval_mode(), g.x.dims(), |_| true, || 0, cached)
+            .unwrap();
+        assert_eq!(program.sparse_blocks(), (1, 2));
+        assert_eq!(program.packed_consts(), 2);
+        let clone = Program::clone(&program);
+        assert_eq!(clone.packed_consts(), 2);
+        // The wire carries no pack: a decoded program is equal, starts
+        // empty, and packs for itself on its first run.
+        let decoded = wire::decode_program(&wire::encode_program(&program)).unwrap();
+        assert_eq!(decoded, *program);
+        assert_eq!(decoded.packed_consts(), 0);
+        let x = std::slice::from_ref(&g.x);
+        assert_eq!(crate::compile::run_compiled(&decoded, x, &mode), want);
+        assert_eq!((decoded.packed_consts(), program.packed_consts()), (2, 2));
+    }
 }

@@ -37,8 +37,8 @@ use std::sync::{Arc, Mutex};
 
 /// One cache key: evaluation mode, input geometry and a caller-chosen
 /// salt (models use it to separate network/feature subgraphs, and the
-/// GCN folds its graph's Â fingerprint in).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// GCN's is its graph's Â fingerprint).
+#[derive(Debug, Clone)]
 struct Key {
     mode: u64,
     geometry: Vec<usize>,
@@ -87,19 +87,59 @@ impl CompileCache {
         salt: u64,
         build: impl FnOnce() -> Result<Program>,
     ) -> Result<Arc<Program>> {
-        let key = Key {
-            mode: mode.cache_key(),
-            geometry: geometry.to_vec(),
-            salt,
-        };
+        self.lookup(mode, geometry, |cached, _| cached == salt, || salt, build)
+    }
+
+    /// [`CompileCache::get_or_compile`] for a program that bakes in a
+    /// tensor too large to hash on every call (a GCN's `Â`): an entry for
+    /// `(mode, geometry)` is a hit when `same(program)` confirms it — an
+    /// early-exit compare against the constant the program already holds,
+    /// exact where a fingerprint is only probable — and `salt`, the
+    /// tensor's fingerprint, is computed on a miss alone, to key the new
+    /// entry.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `build` reports; failed builds are not cached.
+    pub fn get_or_compile_matching(
+        &self,
+        mode: EvalMode,
+        geometry: &[usize],
+        same: impl Fn(&Program) -> bool,
+        salt: impl FnOnce() -> u64,
+        build: impl FnOnce() -> Result<Program>,
+    ) -> Result<Arc<Program>> {
+        self.lookup(mode, geometry, |_, program| same(program), salt, build)
+    }
+
+    /// The one lookup: the first `(mode, geometry)` entry that `hit`
+    /// accepts (given its salt and program), else `build`'s result, stored
+    /// under `salt()`.
+    fn lookup(
+        &self,
+        mode: EvalMode,
+        geometry: &[usize],
+        hit: impl Fn(u64, &Program) -> bool,
+        salt: impl FnOnce() -> u64,
+        build: impl FnOnce() -> Result<Program>,
+    ) -> Result<Arc<Program>> {
+        let mode = mode.cache_key();
         let mut entries = self.entries.lock().expect("cache lock");
-        if let Some((_, program)) = entries.iter().find(|(k, _)| *k == key) {
+        if let Some((_, program)) = entries
+            .iter()
+            .find(|(k, program)| k.mode == mode && k.geometry == geometry && hit(k.salt, program))
+        {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(program));
         }
         // Build under the lock: concurrent first requests for one
         // geometry compile once, not racily twice.
         let program = Arc::new(build()?);
+        let key = Key {
+            mode,
+            geometry: geometry.to_vec(),
+            salt: salt(),
+        };
         entries.push((key, Arc::clone(&program)));
         self.misses.fetch_add(1, Ordering::Relaxed);
         Ok(program)
@@ -196,6 +236,35 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &s));
         assert_eq!(cache.misses(), 5);
         assert_eq!(cache.hits(), 0);
+    }
+
+    #[test]
+    fn matching_lookup_confirms_by_program_and_salts_only_a_miss() {
+        let cache = CompileCache::new();
+        let salted = std::cell::Cell::new(0);
+        let get = |rows: usize| {
+            cache
+                .get_or_compile_matching(
+                    EvalMode::Exact,
+                    &[2, 4],
+                    |p| p.input_shapes()[0][0] == rows,
+                    || {
+                        salted.set(salted.get() + 1);
+                        rows as u64
+                    },
+                    || build(rows),
+                )
+                .unwrap()
+        };
+        let a = get(2);
+        let b = get(3); // same key geometry, rejected by `same`
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &get(2)));
+        assert!(Arc::ptr_eq(&b, &get(3)));
+        assert_eq!((cache.hits(), cache.misses(), salted.get()), (2, 2, 2));
+        // The entries are keyed like any other: the salted door finds them.
+        let again = cache.get_or_compile(EvalMode::Exact, &[2, 4], 3, || build(9));
+        assert!(Arc::ptr_eq(&b, &again.unwrap()));
     }
 
     #[test]

@@ -10,8 +10,7 @@ use onesa_cpwl::NonlinearFn;
 use onesa_sim::{ArrayConfig, CycleBreakdown, ExecStats};
 use onesa_tensor::parallel::{self, Parallelism};
 use onesa_tensor::quant::{QuantTensor, QuantTensor8};
-use onesa_tensor::sparse::SparseTensor;
-use onesa_tensor::{im2col, Result, Tensor, TensorError};
+use onesa_tensor::{im2col, sparse, Result, Tensor, TensorError};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -24,10 +23,6 @@ use std::sync::Arc;
 pub struct TableCache {
     sets: Vec<Arc<TableSet>>,
     builds: usize,
-    /// Packed sparse weights keyed by `(weight fingerprint, block_cols)`
-    /// so a sparse-attributed GEMM packs its constant once per cache,
-    /// not once per run. `Arc`-shared like the table sets.
-    packs: Vec<(u64, usize, Arc<SparseTensor>)>,
 }
 
 impl TableCache {
@@ -89,30 +84,6 @@ impl TableCache {
     /// matter how many runs it serves.
     pub fn builds(&self) -> usize {
         self.builds
-    }
-
-    /// The packed form of sparse-attributed GEMM weight `w` at
-    /// `block_cols`, packing it on first use. Keyed by the weight's
-    /// content fingerprint `fp` (the one its program recorded at build
-    /// time), so programs cloned from a cached compile (which share
-    /// their consts) and even distinct programs with bit-identical
-    /// weights all hit the same pack.
-    pub(crate) fn packed(
-        &mut self,
-        w: &Tensor,
-        fp: u64,
-        block_cols: usize,
-    ) -> Result<Arc<SparseTensor>> {
-        if let Some((_, _, p)) = self
-            .packs
-            .iter()
-            .find(|(f, b, _)| *f == fp && *b == block_cols)
-        {
-            return Ok(Arc::clone(p));
-        }
-        let packed = Arc::new(SparseTensor::from_dense(w, block_cols)?);
-        self.packs.push((fp, block_cols, Arc::clone(&packed)));
-        Ok(packed)
     }
 }
 
@@ -614,15 +585,17 @@ fn exec_single(
 ) -> Result<Tensor> {
     let mode = program.mode();
     match &node.op {
-        Op::Gemm { sparsity, .. } => match sparsity {
-            Some(s) => {
-                let Operand::Const(c) = node.inputs[1] else {
-                    unreachable!("a sealed program's sparse weight is a constant")
-                };
-                let packed = tables.packed(ins[1], program.const_fingerprint(c), s.block_cols)?;
-                onesa_tensor::sparse::matmul(ins[0], &packed, par)
+        // A constant operand the kernel wants packed — a sparse weight, a
+        // left matrix — is packed once per program, not once per run.
+        Op::Gemm { sparsity, .. } => match (sparsity, node.inputs[0], node.inputs[1]) {
+            (Some(s), _, Operand::Const(c)) => {
+                sparse::matmul(ins[0], &program.packed_sparse(c, s.block_cols), par)
             }
-            None => parallel::matmul(ins[0], ins[1], par),
+            (Some(_), ..) => unreachable!("a sealed program's sparse weight is a constant"),
+            (None, Operand::Const(c), _) => {
+                parallel::matmul_packed(program.packed_lhs(c), ins[1], par)
+            }
+            (None, ..) => parallel::matmul(ins[0], ins[1], par),
         },
         Op::Nonlinear(func) => match mode {
             EvalMode::Exact => Ok(ins[0].map(|v| func.eval(v))),
@@ -953,6 +926,52 @@ mod tests {
     }
 
     #[test]
+    fn constant_left_operand_packs_once_for_runs_clones_and_retargets() {
+        // Â with real zeros in it, read by two GEMMs of one program.
+        let mut rng = Pcg32::seed_from_u64(21);
+        let a_hat = rng.randn(&[9, 9], 1.0).map(|v| v.max(0.0));
+        let build = || {
+            let mut b = Program::builder("gcn-ish", EvalMode::Exact);
+            let x = b.input(&[9, 5]);
+            let a = b.constant(a_hat.clone());
+            let gemm = Op::Gemm {
+                bias: None,
+                sparsity: None,
+            };
+            let ax = b.push(gemm.clone(), &[a, x]);
+            b.push(gemm, &[a, ax]);
+            b.finish().unwrap()
+        };
+        let program = build();
+        let clone = program.clone();
+        assert_eq!(program.packed_consts(), 0, "nothing is packed until a run");
+        let x = rng.randn(&[9, 5], 1.0);
+        let want = gemm::matmul(&a_hat, &gemm::matmul(&a_hat, &x).unwrap()).unwrap();
+        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            // A fresh table cache per run, as the nn wrappers hand over.
+            let run = program.run(std::slice::from_ref(&x), par, &mut TableCache::new());
+            assert_eq!(run.unwrap().output, want, "{}", par.label());
+        }
+        assert_eq!(program.packed_consts(), 1);
+        // Clones and re-targetings keep the constants, so they keep the
+        // pack; an equal program built apart has its own, still empty —
+        // and is equal all the same.
+        assert_eq!(clone.packed_consts(), 1);
+        let wide = program.with_input_shapes(vec![vec![9, 7]]).unwrap();
+        assert_eq!(wide.packed_consts(), 1);
+        let x7 = rng.randn(&[9, 7], 1.0);
+        let run = wide.run(
+            std::slice::from_ref(&x7),
+            Parallelism::Sequential,
+            &mut TableCache::new(),
+        );
+        let want7 = gemm::matmul(&a_hat, &gemm::matmul(&a_hat, &x7).unwrap()).unwrap();
+        assert_eq!(run.unwrap().output, want7);
+        let apart = build();
+        assert_eq!((apart.packed_consts(), apart == program), (0, true));
+    }
+
+    #[test]
     fn distinct_weights_and_modes_do_not_coalesce() {
         let mut rng = Pcg32::seed_from_u64(4);
         let w1 = rng.randn(&[6, 4], 1.0);
@@ -1063,8 +1082,40 @@ mod tests {
             // Sparse credit shows up in the solo stats.
             assert!(s.op_stats[0].macs < d.op_stats[0].macs);
         }
-        // Both runs hit the one packed weight (same fingerprint).
-        assert_eq!(cache.packs.len(), 1);
+        // Every run hit the one pack its program holds.
+        assert_eq!((dense.packed_consts(), sparse.packed_consts()), (0, 1));
+    }
+
+    #[test]
+    fn one_weight_read_at_two_block_widths_stays_correct() {
+        // The shared slot holds the first width asked for; the other GEMM
+        // packs its own copy rather than sweep a mismatched payload.
+        let (w, _, _) = sparse_pair();
+        let mut b = Program::builder("sp2", EvalMode::Exact);
+        let x = b.input(&[3, 6]);
+        let wc = b.constant(w.clone());
+        let at = |block_cols: usize| Op::Gemm {
+            bias: None,
+            sparsity: Some(GemmSparsity {
+                block_cols,
+                nnz_blocks: 16 / block_cols,
+                total_blocks: 32 / block_cols,
+                nnz_cols: 16,
+            }),
+        };
+        let wide = b.push(at(16), &[x, wc]);
+        let narrow = b.push(at(8), &[x, wc]);
+        b.push(Op::Add, &[wide, narrow]);
+        let program = b.finish().unwrap();
+        let x = Pcg32::seed_from_u64(9).randn(&[3, 6], 1.0);
+        let run = program.run(
+            std::slice::from_ref(&x),
+            Parallelism::Sequential,
+            &mut TableCache::new(),
+        );
+        let xw = gemm::matmul(&x, &w).unwrap();
+        assert_eq!(run.unwrap().output, xw.add(&xw).unwrap());
+        assert_eq!(program.packed_consts(), 1);
     }
 
     #[test]

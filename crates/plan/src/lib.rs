@@ -81,8 +81,8 @@ pub use cache::CompileCache;
 pub use exec::{run_staged, ProgramRun, StageGroups, StagedRun, TableCache};
 pub use opt::{OptLevel, OptReport, OptTotals, PassStats, PRUNE_BLOCK_COLS};
 pub use program::{
-    tensor_fingerprint, EvalMode, GemmSparsity, Op, OpNode, Operand, PoolKind, Precision, Program,
-    ProgramBuilder,
+    same_tensor, tensor_fingerprint, EvalMode, GemmSparsity, Op, OpNode, Operand, PoolKind,
+    Precision, Program, ProgramBuilder,
 };
 
 /// A model that can compile itself into a [`Program`].

@@ -7,8 +7,12 @@ use onesa_resources::power::PowerModel;
 use onesa_resources::Design;
 use onesa_sim::{analytic, ArrayConfig, CycleBreakdown, ExecStats};
 use onesa_tensor::im2col::Conv2dGeometry;
+use onesa_tensor::parallel::PackedLhs;
+use onesa_tensor::sparse::SparseTensor;
 use onesa_tensor::{Result, Tensor, TensorError};
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// How a program evaluates its nonlinear operations — the compile-time
 /// image of `onesa_nn::infer::InferenceMode` (the IR sits below `nn` in
@@ -307,10 +311,13 @@ pub struct Program {
     /// layer does once per request — is O(ops), not O(weights).
     consts: Vec<Arc<Tensor>>,
     /// [`tensor_fingerprint`] of each constant, hashed once when the
-    /// program is built: the program fingerprint, the staged
-    /// scheduler's weight-group keys and the packed-weight cache all
-    /// read these instead of rehashing the weights.
+    /// program is built: the program fingerprint and the staged
+    /// scheduler's weight-group keys read these instead of rehashing the
+    /// weights.
     const_fingerprints: Vec<u64>,
+    /// The kernel-ready form of each constant a GEMM multiplies by,
+    /// built by the first run that needs it and shared by every clone.
+    packs: ConstPacks,
     nodes: Vec<OpNode>,
     /// Input-slot indices holding session-resident state (per-layer KV
     /// tensors), in session-state order. Empty for stateless programs.
@@ -327,6 +334,49 @@ pub struct Program {
     /// Pass accounting of the optimizer run that produced this program
     /// (`None` for a freshly-emitted, unoptimized program).
     pub(crate) opt: Option<OptReport>,
+}
+
+/// One lazily-filled slot per constant for the packed form the GEMM
+/// kernels consume: a [`PackedLhs`] for a constant left operand (a GCN's
+/// `Â`), a [`SparseTensor`] for a sparsity-attributed weight. A pack is a
+/// pure function of its constant, so it is neither part of a program's
+/// identity (every `ConstPacks` compares equal) nor of its wire form (a
+/// decoded program starts empty and packs on its first run); clones of a
+/// program — and its re-targetings, which keep the constants — share the
+/// slots, so a constant is packed at most once per compiled program
+/// however many requests, shards or threads run it.
+#[derive(Clone)]
+struct ConstPacks(Arc<[ConstPack]>);
+
+#[derive(Default)]
+struct ConstPack {
+    lhs: OnceLock<PackedLhs>,
+    sparse: OnceLock<SparseTensor>,
+}
+
+impl ConstPacks {
+    fn new(consts: usize) -> Self {
+        ConstPacks((0..consts).map(|_| ConstPack::default()).collect())
+    }
+
+    fn built(&self) -> usize {
+        let filled = |p: &ConstPack| {
+            usize::from(p.lhs.get().is_some()) + usize::from(p.sparse.get().is_some())
+        };
+        self.0.iter().map(filled).sum()
+    }
+}
+
+impl PartialEq for ConstPacks {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for ConstPacks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ConstPacks({} built)", self.built())
+    }
 }
 
 /// Incrementally builds a [`Program`]; see [`Program::builder`].
@@ -437,6 +487,7 @@ impl ProgramBuilder {
             mode: self.mode,
             input_shapes: self.input_shapes,
             const_fingerprints: self.consts.iter().map(|t| tensor_fingerprint(t)).collect(),
+            packs: ConstPacks::new(self.consts.len()),
             consts: self.consts,
             nodes: self.nodes,
             session_inputs: self.session_inputs,
@@ -498,6 +549,38 @@ impl Program {
     /// Panics if `index` is not a registered constant.
     pub fn const_fingerprint(&self, index: usize) -> u64 {
         self.const_fingerprints[index]
+    }
+
+    /// Constant `index` packed as a GEMM's left operand — packed by the
+    /// first caller, shared with every clone of the program afterwards.
+    pub(crate) fn packed_lhs(&self, index: usize) -> &PackedLhs {
+        self.packs.0[index].lhs.get_or_init(|| {
+            PackedLhs::pack(&self.consts[index]).expect("a sealed GEMM's operand is a matrix")
+        })
+    }
+
+    /// Constant `index` packed as a column-block sparse weight at
+    /// `block_cols`, shared like [`Program::packed_lhs`]. (A second GEMM
+    /// reading the same constant at another block width — no compiler
+    /// emits one — packs its own copy per run.)
+    pub(crate) fn packed_sparse(&self, index: usize, block_cols: usize) -> Cow<'_, SparseTensor> {
+        let pack = || {
+            SparseTensor::from_dense(&self.consts[index], block_cols)
+                .expect("a sealed sparse GEMM's weight is a matrix, its block width positive")
+        };
+        let shared = self.packs.0[index].sparse.get_or_init(pack);
+        if shared.block_cols() == block_cols {
+            Cow::Borrowed(shared)
+        } else {
+            Cow::Owned(pack())
+        }
+    }
+
+    /// How many constant packs this program (with its clones) has built
+    /// so far — one per constant left operand and per sparse weight its
+    /// runs have reached, however many runs there were.
+    pub fn packed_consts(&self) -> usize {
+        self.packs.built()
     }
 
     /// Pass accounting of the [`Program::optimize`](crate::opt) run that
@@ -833,6 +916,7 @@ impl Program {
             input_shapes,
             consts: self.consts.clone(),
             const_fingerprints: self.const_fingerprints.clone(),
+            packs: self.packs.clone(),
             nodes: self.nodes.clone(),
             session_inputs: self.session_inputs.clone(),
             session_outputs: self.session_outputs.clone(),
@@ -1255,14 +1339,23 @@ pub fn tensor_fingerprint(t: &Tensor) -> u64 {
     h
 }
 
-/// The exact compare behind a [`tensor_fingerprint`] bucket: same dims,
-/// same value bit patterns.
-pub(crate) fn same_tensor(x: &Tensor, y: &Tensor) -> bool {
+/// Whether two tensors are the same shape and bit pattern (`-0.0` is not
+/// `+0.0`, a NaN equals itself) — the exact check behind every
+/// fingerprint-keyed merge and cache hit. Compared 64 elements at a time:
+/// each chunk without a branch, stopping at the first chunk that differs.
+pub fn same_tensor(x: &Tensor, y: &Tensor) -> bool {
+    let differ = |(a, b): (&[f32], &[f32])| {
+        a.iter()
+            .zip(b)
+            .fold(0, |bits, (a, b)| bits | (a.to_bits() ^ b.to_bits()))
+            != 0
+    };
     x.dims() == y.dims()
-        && x.as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
+        && !x
+            .as_slice()
+            .chunks(64)
+            .zip(y.as_slice().chunks(64))
+            .any(differ)
 }
 
 #[cfg(test)]

@@ -77,28 +77,39 @@ pub fn im2col(input: &Tensor, geo: &Conv2dGeometry) -> Result<Tensor> {
     let patch = geo.patch_len();
     let mut out = Tensor::zeros(&[oh * ow, patch]);
     let data = input.as_slice();
-    let k = geo.kernel;
-    let pad = geo.padding as isize;
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = oy * ow + ox;
-            let base_y = (oy * geo.stride) as isize - pad;
-            let base_x = (ox * geo.stride) as isize - pad;
-            for ch in 0..c {
-                for ky in 0..k {
-                    let iy = base_y + ky as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..k {
-                        let ix = base_x + kx as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        let col = ch * k * k + ky * k + kx;
-                        let v = data[ch * h * w + iy as usize * w + ix as usize];
-                        out.as_mut_slice()[row * patch + col] = v;
-                    }
+    let cols = out.as_mut_slice();
+    let (k, pad, stride) = (geo.kernel, geo.padding, geo.stride);
+    // Where each patch element sits in the input relative to its window's
+    // origin in *padded* coordinates; `shift` takes the padding back off.
+    // A window that lies wholly inside the image — almost all of them —
+    // is one flat gather through this table, no test per tap.
+    let taps: Vec<usize> = (0..patch)
+        .map(|i| (i / (k * k)) * h * w + (i / k % k) * w + i % k)
+        .collect();
+    let shift = pad * w + pad;
+    // The taps of a window starting at padded coordinate `at` that land
+    // inside an axis of `extent` pixels, clipped once per output pixel.
+    // Whatever is clipped away keeps the zero the matrix starts with.
+    let clip = |at: usize, extent: usize| {
+        let lo = pad.saturating_sub(at).min(k);
+        lo..(extent + pad).saturating_sub(at).min(k).max(lo)
+    };
+    for (pixel, row) in cols.chunks_exact_mut(patch.max(1)).enumerate() {
+        let (oy, ox) = (pixel / ow, pixel % ow);
+        let (kys, kxs) = (clip(oy * stride, h), clip(ox * stride, w));
+        let origin = oy * stride * w + ox * stride;
+        if kys.len() == k && kxs.len() == k {
+            let window = &data[origin - shift..];
+            for (v, &tap) in row.iter_mut().zip(&taps) {
+                *v = window[tap];
+            }
+            continue;
+        }
+        for ch in 0..c {
+            for ky in kys.clone() {
+                for kx in kxs.clone() {
+                    let i = (ch * k + ky) * k + kx;
+                    row[i] = data[origin + taps[i] - shift];
                 }
             }
         }
@@ -258,6 +269,68 @@ mod tests {
         // First patch is the top-left corner: padded row and column are 0.
         let first = cols.row(0).unwrap();
         assert_eq!(first, &[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 5.0, 6.0]);
+    }
+
+    /// The loop `im2col` replaced: one bounds-tested store per tap.
+    fn im2col_by_taps(input: &Tensor, geo: &Conv2dGeometry) -> Tensor {
+        let (c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
+        let (oh, ow) = geo.output_hw(h, w).unwrap();
+        let (k, patch) = (geo.kernel, geo.patch_len());
+        let mut out = Tensor::zeros(&[oh * ow, patch]);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                for ch in 0..c {
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let iy = (oy * geo.stride + ky) as isize - geo.padding as isize;
+                            let ix = (ox * geo.stride + kx) as isize - geo.padding as isize;
+                            if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            out.as_mut_slice()[(oy * ow + ox) * patch + ch * k * k + ky * k + kx] =
+                                input.as_slice()[ch * h * w + iy as usize * w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every geometry — strides, paddings wider than the kernel,
+        /// windows that hang off an edge, 1-pixel images — unrolls to the
+        /// same bits as the tap-by-tap loop, and multiplies out to the
+        /// direct convolution.
+        #[test]
+        fn prop_im2col_matches_tap_loop_and_direct_conv(
+            (c, h, w) in (1usize..4, 1usize..12, 1usize..12),
+            (k, stride, pad) in (1usize..5, 1usize..4, 0usize..6),
+            seed in 0u64..1 << 32,
+        ) {
+            let g = geo(c, 2, k, stride, pad);
+            prop_assume!(g.output_hw(h, w).is_ok());
+            let mut rng = crate::rng::Pcg32::seed_from_u64(seed);
+            let input = rng.randn(&[c, h, w], 1.0);
+            let cols = im2col(&input, &g).unwrap();
+            let want = im2col_by_taps(&input, &g);
+            prop_assert_eq!(cols.dims(), want.dims());
+            for (a, b) in cols.as_slice().iter().zip(want.as_slice()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            let weight = rng.randn(&[2, g.patch_len()], 1.0);
+            let (oh, ow) = g.output_hw(h, w).unwrap();
+            let prod = gemm::matmul(&cols, &weight.transpose().unwrap()).unwrap();
+            let folded = col2im_output(&prod, 2, oh, ow).unwrap();
+            let direct = conv2d_direct(&input, &weight, &g).unwrap();
+            for (a, b) in folded.as_slice().iter().zip(direct.as_slice()) {
+                prop_assert!((a - b).abs() < 1e-3, "{} vs {}", a, b);
+            }
+        }
     }
 
     #[test]

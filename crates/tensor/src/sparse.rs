@@ -7,8 +7,8 @@
 //! exactly the sub-matrix the packed dense kernel would have swept had
 //! the zero panels never existed, so [`matmul`] hands the payload and its
 //! column map to the *same* sweep [`crate::parallel::matmul`] runs —
-//! dense is its identity-map case — which scatters each output column
-//! back to its true position. Zero blocks are never packed, never swept,
+//! dense is its identity-map case — which stores each run of surviving
+//! columns back at its true position. Zero blocks are never packed, never swept,
 //! never touched.
 //!
 //! # Bit-identical by construction
@@ -24,9 +24,10 @@
 //! (a `-0.0` keeps its block in the payload), which also makes
 //! [`SparseTensor::to_dense`] a lossless bit-exact round trip. Surviving
 //! columns run the identical packed-microkernel op sequence as the dense
-//! backend, so for finite inputs the whole product is bit-identical to
-//! dense-times-dense under every [`Parallelism`] setting — the same
-//! finite-input caveat as the dense kernel's own `A == 0.0` skip.
+//! backend — which is bit-identical to the reference for every input (see
+//! [`crate::parallel`]) — so for a finite `A` the whole product is
+//! bit-identical to dense-times-dense under every [`Parallelism`] setting
+//! (a non-finite `a` would turn a dropped column's `a·0` into NaN).
 //!
 //! # Example
 //!
@@ -50,7 +51,7 @@
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 
-use crate::parallel::{gemm_sweep, Parallelism};
+use crate::parallel::{gemm_sweep, PackedLhs, Parallelism};
 use crate::{Result, Tensor, TensorError};
 
 /// A `rows × cols` matrix whose zero column-blocks are stored as a
@@ -228,7 +229,7 @@ impl SparseTensor {
 ///
 /// Shape errors as in [`crate::gemm::matmul`].
 pub fn matmul(a: &Tensor, b: &SparseTensor, par: Parallelism) -> Result<Tensor> {
-    let (m, k) = a.shape().as_matrix()?;
+    let (_, k) = a.shape().as_matrix()?;
     if k != b.rows {
         return Err(TensorError::ShapeMismatch {
             lhs: a.dims().to_vec(),
@@ -236,15 +237,8 @@ pub fn matmul(a: &Tensor, b: &SparseTensor, par: Parallelism) -> Result<Tensor> 
             op: "sparse::matmul",
         });
     }
-    Ok(gemm_sweep(
-        a.as_slice(),
-        m,
-        k,
-        &b.payload,
-        Some(&b.col_map),
-        b.cols,
-        par,
-    ))
+    let a = PackedLhs::pack_with(a, false)?;
+    Ok(gemm_sweep(&a, &b.payload, Some(&b.col_map), b.cols, par))
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Property-based tests for the tensor substrate.
 
 use onesa_tensor::fixed::QFormat;
-use onesa_tensor::parallel::{self, Parallelism};
+use onesa_tensor::parallel::{self, PackedLhs, Parallelism};
 use onesa_tensor::quant::{self, QuantTensor};
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::sparse::{self, SparseTensor};
@@ -71,6 +71,87 @@ fn gemm_case() -> impl Strategy<Value = GemmCase> {
         })
 }
 
+/// What the packed kernel leans on when it multiplies by `A`'s zeros
+/// instead of branching around them: a left operand whose zero fraction
+/// runs from none to all (with `-0.0` entries, whole zero rows and whole
+/// zero four-row blocks), against a `B` that is clean, or holds `±inf` /
+/// `NaN` (where `0·b` is not `±0`), or — like `A` itself, one case in
+/// four — values small enough for a product to underflow to `-0.0`.
+#[derive(Debug)]
+struct ZeroCase {
+    a: Tensor,
+    b: Tensor,
+    block_cols: usize,
+    /// Rows of `a` that are entirely `±0.0`.
+    zero_rows: Vec<usize>,
+    /// Whether `b` is finite (so an all-zero row of `a` yields `+0.0`s).
+    finite_b: bool,
+}
+
+fn zero_case() -> impl Strategy<Value = ZeroCase> {
+    (
+        1usize..=41,
+        1usize..=400,
+        1usize..=70,
+        (0usize..5, 0usize..4, 0usize..4),
+        0u64..1 << 32,
+    )
+        .prop_map(|(m, k, n, (zeros, b_kind, a_kind), seed)| {
+            let mut rng = Pcg32::seed_from_u64(seed);
+            let zero_fraction = [0.0, 0.05, 0.5, 0.95, 1.0][zeros];
+            let mut a = rng.randn(&[m, k], 1.0);
+            for v in a.as_mut_slice() {
+                if rng.next_f32() < zero_fraction {
+                    *v = if rng.next_u32() % 4 == 0 { -0.0 } else { 0.0 };
+                } else if a_kind == 0 && rng.next_u32() % 8 == 0 {
+                    *v *= 1e-30;
+                }
+            }
+            // A whole zero row block, and a zero row somewhere else.
+            let mut zero_rows: Vec<usize> = Vec::new();
+            if m >= 8 {
+                let blk = rng.below((m / 4) as u32) as usize;
+                zero_rows.extend(blk * 4..blk * 4 + 4);
+            }
+            zero_rows.push(rng.below(m as u32) as usize);
+            for &i in &zero_rows {
+                a.as_mut_slice()[i * k..(i + 1) * k].fill(0.0);
+            }
+            if zero_fraction == 1.0 {
+                zero_rows = (0..m).collect();
+            }
+            let mut b = rng.randn(&[k, n], 1.0);
+            for v in b.as_mut_slice() {
+                match (b_kind, rng.next_u32() % 16) {
+                    (1, 0) => *v = f32::INFINITY,
+                    (1, 1) => *v = f32::NEG_INFINITY,
+                    (1, 2) => *v = f32::NAN,
+                    (2, 0..=3) => *v *= 1e-30,
+                    (_, 4) => *v = 0.0,
+                    (_, 5) => *v = -0.0,
+                    _ => {}
+                }
+            }
+            // Column blocks for the sparse entry point to drop.
+            let block_cols = 1 + rng.below(20) as usize;
+            for j0 in (0..n).step_by(block_cols) {
+                if rng.next_u32() % 3 == 0 {
+                    let j1 = n.min(j0 + block_cols);
+                    for row in b.as_mut_slice().chunks_exact_mut(n) {
+                        row[j0..j1].fill(0.0);
+                    }
+                }
+            }
+            ZeroCase {
+                a,
+                b,
+                block_cols,
+                zero_rows,
+                finite_b: b_kind != 1,
+            }
+        })
+}
+
 fn assert_bit_identical(got: &Tensor, want: &Tensor) {
     assert_eq!(got.dims(), want.dims());
     for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
@@ -98,6 +179,31 @@ proptest! {
         ] {
             assert_bit_identical(&parallel::matmul(&case.a, &case.b, par).unwrap(), &dense);
             assert_bit_identical(&sparse::matmul(&case.a, &packed, par).unwrap(), &pruned);
+        }
+    }
+
+    /// Zeros in `A` change no bit, whatever their share and whatever `B`
+    /// holds: the kernel that multiplies by them and the kernel that
+    /// skips them are chosen from the operands alone, and both equal the
+    /// reference loop — through `matmul`, through a pre-packed `A`, and
+    /// through `sparse::matmul`'s payload and column map.
+    #[test]
+    fn zeros_in_a_change_no_bit(case in zero_case()) {
+        let want = gemm::matmul(&case.a, &case.b).unwrap();
+        if case.finite_b {
+            let n = case.b.dims()[1];
+            for &i in &case.zero_rows {
+                for v in &want.as_slice()[i * n..(i + 1) * n] {
+                    prop_assert_eq!(v.to_bits(), 0, "a zero row of A stays +0.0");
+                }
+            }
+        }
+        let packed_a = PackedLhs::pack(&case.a).unwrap();
+        let sparse_b = SparseTensor::from_dense(&case.b, case.block_cols).unwrap();
+        for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
+            assert_bit_identical(&parallel::matmul(&case.a, &case.b, par).unwrap(), &want);
+            assert_bit_identical(&parallel::matmul_packed(&packed_a, &case.b, par).unwrap(), &want);
+            assert_bit_identical(&sparse::matmul(&case.a, &sparse_b, par).unwrap(), &want);
         }
     }
 
