@@ -22,13 +22,12 @@
 //! runs within 10% of the dense one, and `Â` in at most 0.35× the dense
 //! time and half the reference loop's.
 
-use onesa_bench::time_best;
+use onesa_bench::{time_alternating, time_best};
 use onesa_data::{Difficulty, GraphDataset};
 use onesa_tensor::gemm;
 use onesa_tensor::parallel::{self, PackedLhs, Parallelism};
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::Tensor;
-use std::hint::black_box;
 
 /// The `(m, k, n)` products the benchmark workloads reduce to: coalesced
 /// and solo GEMM requests against 256-deep weights, the CNN's im2col
@@ -83,23 +82,6 @@ fn time_shape(a: &Tensor, dense: &Tensor, b: &Tensor, what: &str, constant: bool
         "{m}x{k}x{n} {what}: packed kernel {ratio:.2}x the reference loop's time, limit 1.10"
     );
     times
-}
-
-/// Best seconds per call of each of `fs`, each sample timing `calls`
-/// back-to-back calls (so sub-microsecond kernels are not lost in timer
-/// resolution) and the sides alternating sample by sample (so a noisy
-/// stretch of the host lands on all of them, not on one side of a ratio).
-fn time_alternating<const N: usize>(calls: usize, fs: [&mut dyn FnMut() -> Tensor; N]) -> [f64; N] {
-    let mut best = [f64::INFINITY; N];
-    for round in 0..25 {
-        // Forwards, then backwards: whatever a side inherits from the one
-        // before it (cache contents, allocator state) is shared out too.
-        for i in (0..N).map(|j| if round % 2 == 0 { j } else { N - 1 - j }) {
-            let (_, s) = time_best(1, || (0..calls).for_each(|_| drop(black_box(fs[i]()))));
-            best[i] = best[i].min(s / calls as f64);
-        }
-    }
-    best
 }
 
 fn main() {

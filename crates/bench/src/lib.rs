@@ -4,8 +4,8 @@
 //! section (§V, Figs 1/8/9/10, Tables I–V) as formatted text; the
 //! `src/bin/*` binaries are thin wrappers
 //! (`cargo run -p onesa-bench --release --bin table4`). The
-//! `gemm_parallel`, `sparse_gemm` and `program_optimizer` bins emit the
-//! committed `BENCH_*.json` kernel and compiler baselines.
+//! `gemm_parallel`, `sparse_gemm`, `cpwl_sweep` and `program_optimizer`
+//! bins emit the committed `BENCH_*.json` kernel and compiler baselines.
 //!
 //! # Example
 //!
@@ -30,7 +30,9 @@ use onesa_resources::modules::{l3_cost, pe_cost};
 use onesa_resources::power::PowerModel;
 use onesa_resources::Design;
 use onesa_sim::{analytic, ArrayConfig, BufferSizes};
+use onesa_tensor::Tensor;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Best wall-seconds over `reps` calls of `f` (after one discarded
@@ -49,6 +51,26 @@ pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     (out, best)
+}
+
+/// Best seconds per call of each of `fs`, each sample timing `calls`
+/// back-to-back calls (so sub-microsecond kernels are not lost in timer
+/// resolution) and the sides alternating sample by sample (so a noisy
+/// stretch of the host lands on all of them, not on one side of a ratio).
+pub fn time_alternating<const N: usize>(
+    calls: usize,
+    fs: [&mut dyn FnMut() -> Tensor; N],
+) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for round in 0..25 {
+        // Forwards, then backwards: whatever a side inherits from the one
+        // before it (cache contents, allocator state) is shared out too.
+        for i in (0..N).map(|j| if round % 2 == 0 { j } else { N - 1 - j }) {
+            let (_, s) = time_best(1, || (0..calls).for_each(|_| drop(black_box(fs[i]()))));
+            best[i] = best[i].min(s / calls as f64);
+        }
+    }
+    best
 }
 
 /// Fig 1: op-class breakdown of a CIFAR-10 ResNet and a BERT encoder.

@@ -84,7 +84,7 @@ impl OneSa {
     /// Shape errors from the underlying tensor ops.
     pub fn nonlinear(&self, table: &PwlTable, x: &Tensor) -> Result<(Tensor, ExecStats)> {
         let (m, n) = matrix_or_row(x);
-        let out = table.eval_tensor(x)?;
+        let out = table.eval_tensor_par(x, self.par);
         Ok((out, analytic::nonlinear_stats(&self.cfg, m, n)))
     }
 

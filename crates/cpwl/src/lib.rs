@@ -13,6 +13,12 @@
 //!    Parameter Fetching),
 //! 3. evaluate `Y = X ⊙ K + B` (Matrix Hadamard Product).
 //!
+//! [`PwlTable::ipf`] materialises steps 1–2 as the simulator consumes
+//! them; what the host *serves* is the three steps fused into one
+//! vectorised sweep over slices ([`PwlTable::eval_slice`], behind
+//! [`PwlTable::eval_tensor`] and every [`ops::TableSet`] operator),
+//! bit-identical to the step-by-step form.
+//!
 //! # Example
 //!
 //! ```
@@ -37,7 +43,7 @@ pub mod ops;
 
 pub use error::CpwlError;
 pub use functions::NonlinearFn;
-pub use table::{IpfOutput, PwlTable, PwlTableBuilder, SegmentIndexer};
+pub use table::{IpfOutput, PwlTable, PwlTableBuilder, SegmentIndexer, MAX_SEGMENTS};
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, CpwlError>;

@@ -8,6 +8,14 @@
 //! executes natively. This module provides the functional (value-level)
 //! form used by the accuracy experiments; `onesa-core` replays exactly
 //! the same step sequence on the cycle-level simulator.
+//!
+//! On the host every IPF + MHP pair here is the table's fused sweep
+//! (see [`crate::PwlTable::eval_slice`]): the pointwise operators
+//! allocate their output and run it, and [`TableSet::softmax_rows`] is
+//! one output buffer its rows are reduced, swept and scaled in —
+//! [`TableSet::softmax_row`], which the executor's causal softmax calls
+//! on each row's visible prefix. The values, and their bits, are those of
+//! the step-by-step lowering the doc comments list.
 
 use crate::{NonlinearFn, PwlTable, Result};
 use onesa_tensor::{gemm, Tensor};
@@ -179,19 +187,25 @@ impl TableSet {
     ///
     /// Returns a tensor error if `x` is not a matrix.
     pub fn softmax_rows(&self, x: &Tensor) -> Result<Tensor> {
-        let maxes = gemm::row_maxes(x)?;
         let (_, n) = x.shape().as_matrix()?;
-        let mut shifted = x.clone();
-        for (i, &mx) in maxes.iter().enumerate() {
-            let row = &mut shifted.as_mut_slice()[i * n..(i + 1) * n];
-            for v in row {
-                *v -= mx;
-            }
+        let mut out = x.clone();
+        for row in out.as_mut_slice().chunks_mut(n.max(1)) {
+            self.softmax_row(row);
         }
-        let expd = self.exp.eval_tensor(&shifted)?;
-        let sums = gemm::row_sums(&expd)?;
-        let inv: Vec<f32> = sums.iter().map(|&s| self.reciprocal.eval(s)).collect();
-        Ok(gemm::row_scale(&expd, &inv)?)
+        Ok(out)
+    }
+
+    /// The six steps of [`TableSet::softmax_rows`] on one row, in place.
+    pub fn softmax_row(&self, row: &mut [f32]) {
+        let max = gemm::row_max(row);
+        for v in row.iter_mut() {
+            *v -= max;
+        }
+        self.exp.eval_in_place(row);
+        let inv = self.reciprocal.eval(row.iter().sum());
+        for v in row {
+            *v *= inv;
+        }
     }
 
     /// Row-wise layer normalization lowered to array events:
@@ -291,21 +305,25 @@ impl TableSet {
 ///
 /// Returns a tensor error if `x` is not a matrix.
 pub fn softmax_rows_exact(x: &Tensor) -> Result<Tensor> {
-    let (m, n) = x.shape().as_matrix()?;
+    let (_, n) = x.shape().as_matrix()?;
     let mut out = x.clone();
-    for i in 0..m {
-        let row = &mut out.as_mut_slice()[i * n..(i + 1) * n];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
+    for row in out.as_mut_slice().chunks_mut(n.max(1)) {
+        softmax_row_exact(row);
     }
     Ok(out)
+}
+
+/// [`softmax_rows_exact`] on one row, in place.
+pub fn softmax_row_exact(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= sum;
+    }
 }
 
 /// Exact row-wise layer normalization (reference).

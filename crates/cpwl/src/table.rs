@@ -1,8 +1,43 @@
 //! CPWL tables: construction, segment addressing, capping and evaluation.
+//!
+//! # The sweep: the host's IPF + MHP
+//!
+//! On the array a nonlinear function is two passes — Intermediate
+//! Parameter Fetching gathers `K` and `B`, one Matrix Hadamard Product
+//! computes `X ⊙ K + B`. On the host both are **one sweep over slices**
+//! ([`PwlTable::eval_slice`], its in-place form and the affine-folded
+//! [`PwlTable::eval_affine_slice`]): per element, index the segment,
+//! gather `(k, b)`, multiply, add, store. Nothing but the output is
+//! written; [`PwlTable::eval_tensor`] is "allocate the output, run the
+//! sweep". The materialised form ([`PwlTable::ipf`] → [`IpfOutput`] →
+//! `gemm::mhp`) is what the simulator's L3 addressing model and its
+//! capped-fraction probe consume, and the reference the sweep equals bit
+//! for bit.
+//!
+//! Two choices keep that equality while letting the compiler vectorise
+//! the loop:
+//!
+//! * **Capping happens before the index is formed**, on the float:
+//!   `floor((x − x_min) / seg_len)` is clamped to `[0, n − 1]` with
+//!   `f32::max` / `f32::min` — `NaN` goes to segment 0 and `±inf` to the
+//!   caps, exactly as the scalar path's saturating `as i64` then
+//!   `clamp` does — and only then turned into an integer, by adding 2²³
+//!   and reading the mantissa. That conversion is exact for an integral
+//!   float in `[0, 2²³)`; [`PwlTableBuilder::build`] refuses tables past
+//!   [`MAX_SEGMENTS`], far inside it. (A float → int `as` cast saturates,
+//!   which LLVM lowers to a compare and branch per lane.)
+//! * **`x * k + b` is a multiply and an add, not `mul_add`**: that is
+//!   what [`PwlTable::eval`] and `gemm::mhp` compute, Rust contracts
+//!   nothing, and a fused form would round once where they round twice.
 
 use crate::{CpwlError, NonlinearFn, Result};
 use onesa_tensor::fixed::QFormat;
-use onesa_tensor::{gemm, Tensor};
+use onesa_tensor::parallel::{self, Parallelism};
+use onesa_tensor::Tensor;
+
+/// The most segments a table can hold: the L3 data-addressing module's
+/// segment address — and [`IpfOutput::segments`] — is 16 bits wide.
+pub const MAX_SEGMENTS: usize = 1 << 16;
 
 /// How segment indices are computed from inputs.
 ///
@@ -193,14 +228,110 @@ impl PwlTable {
         }
     }
 
-    /// Full three-step evaluation of a tensor: IPF then MHP.
+    /// Full three-step evaluation of a tensor — IPF then MHP, as one
+    /// fused sweep on the calling thread. Bit-identical to
+    /// `gemm::mhp(x, &ipf.k, &ipf.b)` over [`PwlTable::ipf`]'s output.
     ///
     /// # Errors
     ///
-    /// Propagates tensor shape errors (none occur for well-formed input).
+    /// None today; the `Result` is the signature callers compiled against.
     pub fn eval_tensor(&self, x: &Tensor) -> Result<Tensor> {
-        let ipf = self.ipf(x);
-        Ok(gemm::mhp(x, &ipf.k, &ipf.b)?)
+        Ok(self.eval_tensor_par(x, Parallelism::Sequential))
+    }
+
+    /// [`PwlTable::eval_tensor`] split across `par`'s workers where
+    /// `parallel::mhp` splits (see [`parallel::for_each_chunk`]);
+    /// bit-identical to it under every setting.
+    pub fn eval_tensor_par(&self, x: &Tensor, par: Parallelism) -> Tensor {
+        let mut out = Tensor::zeros(x.dims());
+        let xv = x.as_slice();
+        parallel::for_each_chunk(out.as_mut_slice(), par, |lo, chunk| {
+            self.eval_slice(&xv[lo..lo + chunk.len()], chunk);
+        });
+        out
+    }
+
+    /// The fused sweep — the host's IPF + MHP in one pass:
+    /// `out[i] = x[i] * k[s] + b[s]` with `s` the capped segment of
+    /// `x[i]`, a multiply and an add as in `gemm::mhp` (never `mul_add`),
+    /// bit-identical to the materialised [`PwlTable::ipf`] → `gemm::mhp`
+    /// pair for every input, `NaN` and infinities included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn eval_slice(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), out.len(), "sweep input and output lengths");
+        let lanes = Lanes::of(self);
+        for (o, &v) in out.iter_mut().zip(x) {
+            let (k, b) = lanes.fetch(v);
+            *o = v * k + b;
+        }
+    }
+
+    /// [`PwlTable::eval_slice`] over its own input.
+    pub fn eval_in_place(&self, x: &mut [f32]) {
+        let lanes = Lanes::of(self);
+        for v in x {
+            let (k, b) = lanes.fetch(*v);
+            *v = *v * k + b;
+        }
+    }
+
+    /// The sweep behind an affine map: evaluates `f(kc·x + bc)` as one
+    /// MHP over `x` itself — the segment is indexed on `kc·x + bc` and
+    /// `(kc, bc)` are folded into the fetched pair, `k' = k·kc`,
+    /// `b' = b + k·bc`, `out = x·k' + b'`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn eval_affine_slice(&self, kc: f32, bc: f32, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), out.len(), "sweep input and output lengths");
+        let lanes = Lanes::of(self);
+        for (o, &v) in out.iter_mut().zip(x) {
+            let (k, b) = lanes.fetch(v * kc + bc);
+            *o = v * (k * kc) + (b + k * bc);
+        }
+    }
+}
+
+/// What one lane of the sweep reads, borrowed from the table once per
+/// call so the loop body indexes two equal-length slices and nothing else.
+struct Lanes<'t> {
+    k: &'t [f32],
+    b: &'t [f32],
+    x_min: f32,
+    seg_len: f32,
+}
+
+impl<'t> Lanes<'t> {
+    fn of(table: &'t PwlTable) -> Self {
+        // What makes `fetch`'s `s.min(top)` an in-bounds index in the
+        // compiler's eyes too: the loop vectorises only without the check.
+        assert!(!table.k.is_empty(), "a built table has a segment");
+        Lanes {
+            k: &table.k,
+            b: &table.b[..table.k.len()],
+            x_min: table.x_min,
+            seg_len: table.seg_len,
+        }
+    }
+
+    /// `(k, b)` of the capped segment `t` falls in — IPF for one element,
+    /// branch-free: the same index [`PwlTable::segment_index`] returns.
+    #[inline(always)]
+    fn fetch(&self, t: f32) -> (f32, f32) {
+        let top = self.k.len() - 1;
+        let capped = ((t - self.x_min) / self.seg_len)
+            .floor()
+            .max(0.0)
+            .min(top as f32);
+        // An integral float in [0, 2²³) plus 2²³ has itself as mantissa.
+        let s = ((capped + 8_388_608.0).to_bits() & 0x007f_ffff) as usize;
+        // No-op on the value; lets the compiler drop both bounds checks.
+        let s = s.min(top);
+        (self.k[s], self.b[s])
     }
 }
 
@@ -236,7 +367,7 @@ impl PwlTableBuilder {
     }
 
     /// Caps the number of segments (models the finite L3 k/b buffers;
-    /// default 4096).
+    /// default 4096). Whatever is asked, [`MAX_SEGMENTS`] is the ceiling.
     pub fn max_segments(mut self, cap: usize) -> Self {
         self.max_segments = cap;
         self
@@ -249,7 +380,7 @@ impl PwlTableBuilder {
     /// * [`CpwlError::InvalidGranularity`] for non-positive granularity,
     /// * [`CpwlError::InvalidRange`] for an empty range,
     /// * [`CpwlError::TooManySegments`] when the range/granularity imply
-    ///   more segments than the cap,
+    ///   more segments than the cap, or than [`MAX_SEGMENTS`],
     /// * [`CpwlError::NonFiniteSample`] if the function is singular inside
     ///   the range.
     pub fn build(self) -> Result<PwlTable> {
@@ -262,11 +393,9 @@ impl PwlTableBuilder {
             return Err(CpwlError::InvalidRange { lo, hi });
         }
         let n = (((hi - lo) / g).round() as usize).max(1);
-        if n > self.max_segments {
-            return Err(CpwlError::TooManySegments {
-                requested: n,
-                cap: self.max_segments,
-            });
+        let cap = self.max_segments.min(MAX_SEGMENTS);
+        if n > cap {
+            return Err(CpwlError::TooManySegments { requested: n, cap });
         }
         let mut k = Vec::with_capacity(n);
         let mut b = Vec::with_capacity(n);

@@ -157,7 +157,7 @@ impl InferenceMode {
     /// INT16 round trip at a layer boundary (identity when disabled).
     pub fn boundary(&self, x: &Tensor) -> Tensor {
         match self {
-            InferenceMode::Cpwl { quantize: true, .. } => QuantTensor::quantize(x).dequantize(),
+            InferenceMode::Cpwl { quantize: true, .. } => QuantTensor::round_trip(x),
             _ => x.clone(),
         }
     }
@@ -183,6 +183,14 @@ impl InferenceMode {
         match self {
             InferenceMode::Exact => ops::softmax_rows_exact(x).expect("matrix"),
             InferenceMode::Cpwl { tables, .. } => tables.softmax_rows(x).expect("matrix"),
+        }
+    }
+
+    /// [`InferenceMode::softmax_rows`] on one row, in place.
+    pub(crate) fn softmax_row(&self, row: &mut [f32]) {
+        match self {
+            InferenceMode::Exact => ops::softmax_row_exact(row),
+            InferenceMode::Cpwl { tables, .. } => tables.softmax_row(row),
         }
     }
 

@@ -664,15 +664,15 @@ pub(crate) fn causal_softmax_rows(mode: &InferenceMode, scores: &Tensor) -> Tens
     );
     let offset = n - m;
     let mut out = Tensor::zeros(&[m, n]);
-    for i in 0..m {
-        let visible = offset + i + 1;
-        let prefix = Tensor::from_vec(
-            scores.as_slice()[i * n..i * n + visible].to_vec(),
-            &[1, visible],
-        )
-        .expect("length matches");
-        let p = mode.softmax_rows(&prefix);
-        out.as_mut_slice()[i * n..i * n + visible].copy_from_slice(p.as_slice());
+    for (i, (row, src)) in out
+        .as_mut_slice()
+        .chunks_mut(n.max(1))
+        .zip(scores.as_slice().chunks(n.max(1)))
+        .enumerate()
+    {
+        let row = &mut row[..offset + i + 1];
+        row.copy_from_slice(&src[..row.len()]);
+        mode.softmax_row(row);
     }
     out
 }
@@ -687,15 +687,7 @@ pub(crate) fn causal_softmax_rows(mode: &InferenceMode, scores: &Tensor) -> Tens
 pub(crate) fn boundary_rows(mode: &InferenceMode, x: &Tensor) -> Tensor {
     match mode {
         InferenceMode::Cpwl { quantize: true, .. } => {
-            let (m, n) = x.shape().as_matrix().expect("matrix");
-            let mut out = Tensor::zeros(&[m, n]);
-            for i in 0..m {
-                let row = Tensor::from_vec(x.as_slice()[i * n..(i + 1) * n].to_vec(), &[1, n])
-                    .expect("length matches");
-                let q = QuantTensor::quantize(&row).dequantize();
-                out.as_mut_slice()[i * n..(i + 1) * n].copy_from_slice(q.as_slice());
-            }
-            out
+            QuantTensor::round_trip_rows(x).expect("matrix")
         }
         _ => x.clone(),
     }

@@ -561,13 +561,32 @@ fn table_for(
         .ok_or(TensorError::InvalidArgument("function not in table set"))
 }
 
-/// Row-wise softmax under `mode` — `Op::Softmax` over a group's stacked
-/// rows, `Op::CausalSoftmax` over each row's visible prefix.
-fn softmax_rows(x: &Tensor, mode: EvalMode, tables: &mut TableCache) -> Result<Tensor> {
-    Ok(match mode {
-        EvalMode::Exact => ops::softmax_rows_exact(x)?,
-        EvalMode::Cpwl { granularity, .. } => tables.get(granularity)?.softmax_rows(x)?,
-    })
+/// Row-wise softmax of `x` under `mode`. `causal: None` is `Op::Softmax`
+/// over whole rows; `Some(offset)` is `Op::CausalSoftmax`, row `i` seeing
+/// its prefix `0 ..= offset + i` and holding exact `0.0` beyond it — both
+/// through the one row routine.
+fn softmax_rows(
+    x: &Tensor,
+    mode: EvalMode,
+    tables: &mut TableCache,
+    causal: Option<usize>,
+) -> Result<Tensor> {
+    let (m, n) = x.shape().as_matrix()?;
+    let set = match mode {
+        EvalMode::Exact => None,
+        EvalMode::Cpwl { granularity, .. } => Some(tables.get(granularity)?),
+    };
+    let mut out = Tensor::zeros(&[m, n]);
+    let rows = out.as_mut_slice().chunks_mut(n.max(1));
+    for (i, (row, src)) in rows.zip(x.as_slice().chunks(n.max(1))).enumerate() {
+        let row = &mut row[..causal.map_or(n, |offset| offset + i + 1)];
+        row.copy_from_slice(&src[..row.len()]);
+        match set {
+            Some(set) => set.softmax_row(row),
+            None => ops::softmax_row_exact(row),
+        }
+    }
+    Ok(out)
 }
 
 /// Executes `node`'s op on resolved inputs: the one kernel site of every
@@ -600,11 +619,10 @@ fn exec_single(
         Op::Nonlinear(func) => match mode {
             EvalMode::Exact => Ok(ins[0].map(|v| func.eval(v))),
             EvalMode::Cpwl { granularity, .. } => {
-                let ipf = table_for(tables, granularity, *func)?.ipf(ins[0]);
-                parallel::mhp(ins[0], &ipf.k, &ipf.b, par)
+                Ok(table_for(tables, granularity, *func)?.eval_tensor_par(ins[0], par))
             }
         },
-        Op::Softmax => softmax_rows(ins[0], mode, tables),
+        Op::Softmax => softmax_rows(ins[0], mode, tables, None),
         Op::LayerNorm { gamma, beta, eps } => Ok(match mode {
             EvalMode::Exact => ops::layernorm_rows_exact(ins[0], gamma, beta, *eps)?,
             EvalMode::Cpwl { granularity, .. } => tables
@@ -615,62 +633,61 @@ fn exec_single(
         Op::Col2im { channels, oh, ow } => im2col::col2im_output(ins[0], *channels, *oh, *ow),
         Op::Add => ins[0].add(ins[1]),
         Op::Affine { k, b } => {
-            let dims = ins[0].dims();
-            let (c, h, w) = (dims[0], dims[1], dims[2]);
             let mut y = ins[0].clone();
-            for ch in 0..c {
-                for v in &mut y.as_mut_slice()[ch * h * w..(ch + 1) * h * w] {
-                    *v = *v * k[ch] + b[ch];
+            let planes = y.as_mut_slice().chunks_mut(plane_len(ins[0]));
+            for (plane, (k, b)) in planes.zip(k.iter().zip(b)) {
+                for v in plane {
+                    *v = *v * k + b;
                 }
             }
             Ok(y)
         }
-        Op::AffineNonlinear { k, b, func } => {
-            // One MHP pass: the IPF stage indexes the table on the
-            // affine output t = k·x + b and folds (k, b) into the
-            // fetched segment parameters, so the array evaluates
-            // f(k·x + b) as a single x ⊙ k' + b' sweep.
-            let dims = ins[0].dims();
-            let (c, h, w) = (dims[0], dims[1], dims[2]);
-            let mut t = ins[0].clone();
-            for ch in 0..c {
-                for v in &mut t.as_mut_slice()[ch * h * w..(ch + 1) * h * w] {
-                    *v = *v * k[ch] + b[ch];
-                }
-            }
-            match mode {
-                EvalMode::Exact => Ok(t.map(|v| func.eval(v))),
-                EvalMode::Cpwl { granularity, .. } => {
-                    let ipf = table_for(tables, granularity, *func)?.ipf(&t);
-                    let mut kk = ipf.k;
-                    let mut bb = ipf.b;
-                    for ch in 0..c {
-                        for i in ch * h * w..(ch + 1) * h * w {
-                            let seg_k = kk.as_slice()[i];
-                            kk.as_mut_slice()[i] = seg_k * k[ch];
-                            bb.as_mut_slice()[i] += seg_k * b[ch];
-                        }
+        Op::AffineNonlinear { k, b, func } => match mode {
+            EvalMode::Exact => {
+                let mut y = ins[0].clone();
+                let planes = y.as_mut_slice().chunks_mut(plane_len(ins[0]));
+                for (plane, (k, b)) in planes.zip(k.iter().zip(b)) {
+                    for v in plane {
+                        *v = func.eval(*v * k + b);
                     }
-                    parallel::mhp(ins[0], &kk, &bb, par)
                 }
+                Ok(y)
             }
-        }
+            EvalMode::Cpwl { granularity, .. } => {
+                // One MHP pass: the IPF stage indexes the table on the
+                // affine output t = k·x + b and folds (k, b) into the
+                // fetched segment parameters, so the array evaluates
+                // f(k·x + b) as a single x ⊙ k' + b' sweep.
+                let table = table_for(tables, granularity, *func)?;
+                let plane = plane_len(ins[0]);
+                let mut y = Tensor::zeros(ins[0].dims());
+                let planes = y.as_mut_slice().chunks_mut(plane);
+                let planes = planes.zip(ins[0].as_slice().chunks(plane));
+                for ((out, x), (&k, &b)) in planes.zip(k.iter().zip(b)) {
+                    parallel::for_each_chunk(out, par, |lo, chunk| {
+                        table.eval_affine_slice(k, b, &x[lo..lo + chunk.len()], chunk);
+                    });
+                }
+                Ok(y)
+            }
+        },
         Op::Scale(f) => Ok(ins[0].scale(*f)),
         Op::Transpose => ins[0].transpose(),
         Op::SliceCols { start, len } => {
             let (m, n) = ins[0].shape().as_matrix()?;
             let mut out = Tensor::zeros(&[m, *len]);
-            for i in 0..m {
-                for j in 0..*len {
-                    out.as_mut_slice()[i * len + j] = ins[0].as_slice()[i * n + start + j];
-                }
+            let rows = out.as_mut_slice().chunks_mut((*len).max(1));
+            for (row, src) in rows.zip(ins[0].as_slice().chunks(n.max(1))) {
+                row.copy_from_slice(&src[*start..start + len]);
             }
             Ok(out)
         }
         Op::ConcatCols => {
             // Accumulate into zeros exactly like the attention layer's
             // head_write (`+=` into a zero matrix), so merged heads are
-            // bit-identical to the direct path.
+            // bit-identical to the direct path. Not a row copy: `+0.0 +
+            // -0.0` is `+0.0`, so the `+=` turns a `-0.0` into `+0.0`
+            // where a copy would keep its sign.
             let (m, _) = ins[0].shape().as_matrix()?;
             let total: usize = ins.iter().map(|t| t.dims()[1]).sum();
             let mut out = Tensor::zeros(&[m, total]);
@@ -702,30 +719,22 @@ fn exec_single(
         Op::Pool(PoolKind::MeanRows) => {
             let (l, d) = ins[0].shape().as_matrix()?;
             let mut pooled = Tensor::zeros(&[1, d]);
-            for i in 0..l {
-                for j in 0..d {
-                    pooled.as_mut_slice()[j] += ins[0].as_slice()[i * d + j] / l as f32;
+            for row in ins[0].as_slice().chunks(d.max(1)) {
+                for (p, v) in pooled.as_mut_slice().iter_mut().zip(row) {
+                    *p += v / l as f32;
                 }
             }
             Ok(pooled)
         }
         Op::Quantize { precision } => Ok(match precision {
-            Precision::Int16 => QuantTensor::quantize(ins[0]).dequantize(),
-            Precision::Int8 => QuantTensor8::quantize(ins[0]).dequantize(),
+            Precision::Int16 => QuantTensor::round_trip(ins[0]),
+            Precision::Int8 => QuantTensor8::round_trip(ins[0]),
         }),
         Op::QuantizeRows => {
             // Each row round-trips through INT16 with its own scale, so
             // the result for row i is a pure function of row i — the
             // row-decomposability the KV-cache decode path relies on.
-            let (m, n) = ins[0].shape().as_matrix()?;
-            let mut out = Tensor::zeros(&[m, n]);
-            for i in 0..m {
-                let row =
-                    Tensor::from_vec(ins[0].as_slice()[i * n..(i + 1) * n].to_vec(), &[1, n])?;
-                let q = QuantTensor::quantize(&row).dequantize();
-                out.as_mut_slice()[i * n..(i + 1) * n].copy_from_slice(q.as_slice());
-            }
-            Ok(out)
+            QuantTensor::round_trip_rows(ins[0])
         }
         Op::Embed | Op::EmbedAt { .. } => {
             // `Embed` is `EmbedAt` from position 0.
@@ -762,20 +771,15 @@ fn exec_single(
             // over that prefix would use, and writes exact 0.0 beyond it
             // — so a prefill's row is bit-identical to a later decode
             // step's full-row softmax at the same context length.
-            let (m, n) = ins[0].shape().as_matrix()?;
-            let mut out = Tensor::zeros(&[m, n]);
-            for i in 0..m {
-                let visible = offset + i + 1;
-                let prefix = Tensor::from_vec(
-                    ins[0].as_slice()[i * n..i * n + visible].to_vec(),
-                    &[1, visible],
-                )?;
-                let soft = softmax_rows(&prefix, mode, tables)?;
-                out.as_mut_slice()[i * n..i * n + visible].copy_from_slice(soft.as_slice());
-            }
-            Ok(out)
+            softmax_rows(ins[0], mode, tables, Some(*offset))
         }
     }
+}
+
+/// Elements per channel of a `[C, H, W]` tensor — the `chunks` size that
+/// walks it plane by plane (1 for an empty plane: `chunks(0)` panics).
+fn plane_len(t: &Tensor) -> usize {
+    (t.dims()[1] * t.dims()[2]).max(1)
 }
 
 #[cfg(test)]
@@ -1396,5 +1400,162 @@ mod tests {
         assert_eq!(y16, QuantTensor::quantize(&x).dequantize());
         assert_eq!(y8, QuantTensor8::quantize(&x).dequantize());
         assert_ne!(y16, y8, "the rungs round differently");
+    }
+
+    /// Runs a one-op program over `x`.
+    fn run_op(op: Op, mode: EvalMode, x: &Tensor, par: Parallelism) -> Tensor {
+        let mut b = Program::builder("one-op", mode);
+        let i = b.input(x.dims());
+        b.push(op, &[i]);
+        let p = b.finish().unwrap();
+        p.run(std::slice::from_ref(x), par, &mut TableCache::new())
+            .unwrap()
+            .output
+    }
+
+    fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.dims(), want.dims(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    /// `AffineNonlinear` as it ran before the sweep fused it: the affine
+    /// map, IPF on its output, `(k, b)` folded into the gathered
+    /// matrices, one MHP over the op's input.
+    fn affine_nonlinear_three_pass(x: &Tensor, k: &[f32], b: &[f32], func: NonlinearFn) -> Tensor {
+        let plane = x.dims()[1] * x.dims()[2];
+        let tables = TableSet::for_granularity(0.25).unwrap();
+        let mut t = x.clone();
+        for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+            *v = *v * k[i / plane] + b[i / plane];
+        }
+        let ipf = tables.table(func).unwrap().ipf(&t);
+        let (mut kk, mut bb) = (ipf.k, ipf.b);
+        for i in 0..x.len() {
+            let seg_k = kk.as_slice()[i];
+            kk.as_mut_slice()[i] = seg_k * k[i / plane];
+            bb.as_mut_slice()[i] += seg_k * b[i / plane];
+        }
+        gemm::mhp(x, &kk, &bb).unwrap()
+    }
+
+    #[test]
+    fn affine_nonlinear_sweep_equals_its_three_pass_body() {
+        let mut rng = Pcg32::seed_from_u64(10);
+        // 2 × 4 900 elements: each channel's plane is past the thread split.
+        for dims in [[1usize, 1, 1], [2, 3, 5], [4, 8, 8], [2, 70, 70]] {
+            let mut x = rng.randn(&dims, 3.0);
+            for (i, v) in [f32::NAN, f32::INFINITY, -0.0, -1e30]
+                .into_iter()
+                .enumerate()
+            {
+                if let Some(slot) = x.as_mut_slice().get_mut(i * 7 + 1) {
+                    *slot = v;
+                }
+            }
+            let k: Vec<f32> = rng.randn(&[dims[0]], 1.0).as_slice().to_vec();
+            let b: Vec<f32> = rng.randn(&[dims[0]], 2.0).as_slice().to_vec();
+            for func in [NonlinearFn::Relu, NonlinearFn::Gelu, NonlinearFn::Sigmoid] {
+                let want = affine_nonlinear_three_pass(&x, &k, &b, func);
+                for par in [
+                    Parallelism::Sequential,
+                    Parallelism::Threads(2),
+                    Parallelism::Auto,
+                ] {
+                    let op = Op::AffineNonlinear {
+                        k: k.clone(),
+                        b: b.clone(),
+                        func,
+                    };
+                    let got = run_op(op, cpwl(), &x, par);
+                    assert_same_bits(&got, &want, &format!("{dims:?} {func} {par:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_pool_and_affine_keep_their_element_order() {
+        let mut rng = Pcg32::seed_from_u64(11);
+        let x = rng.randn(&[5, 9], 1.0);
+        let got = run_op(
+            Op::SliceCols { start: 2, len: 4 },
+            EvalMode::Exact,
+            &x,
+            Parallelism::Sequential,
+        );
+        assert_eq!(got.dims(), &[5, 4]);
+        for i in 0..5 {
+            assert_eq!(got.row(i).unwrap(), &x.row(i).unwrap()[2..6]);
+        }
+        let got = run_op(
+            Op::Pool(PoolKind::MeanRows),
+            EvalMode::Exact,
+            &x,
+            Parallelism::Sequential,
+        );
+        let mut want = vec![0.0f32; 9];
+        for i in 0..5 {
+            for (j, w) in want.iter_mut().enumerate() {
+                *w += x.as_slice()[i * 9 + j] / 5.0;
+            }
+        }
+        assert_same_bits(&got, &Tensor::from_vec(want, &[1, 9]).unwrap(), "mean rows");
+        let img = rng.randn(&[3, 4, 5], 1.0);
+        let (k, b) = (vec![0.5f32, -2.0, 3.0], vec![1.0f32, 0.25, -0.5]);
+        let got = run_op(
+            Op::Affine {
+                k: k.clone(),
+                b: b.clone(),
+            },
+            EvalMode::Exact,
+            &img,
+            Parallelism::Sequential,
+        );
+        for (i, (g, v)) in got.iter().zip(img.iter()).enumerate() {
+            assert_eq!(g.to_bits(), (v * k[i / 20] + b[i / 20]).to_bits());
+        }
+    }
+
+    #[test]
+    fn quantize_rows_and_causal_softmax_are_row_functions() {
+        let mut rng = Pcg32::seed_from_u64(12);
+        let x = rng.randn(&[6, 6], 2.0);
+        let got = run_op(Op::QuantizeRows, cpwl(), &x, Parallelism::Sequential);
+        let tables = TableSet::for_granularity(0.25).unwrap();
+        for i in 0..6 {
+            let row = Tensor::from_vec(x.row(i).unwrap().to_vec(), &[1, 6]).unwrap();
+            let want = QuantTensor::quantize(&row).dequantize();
+            assert_same_bits(
+                &Tensor::from_vec(got.row(i).unwrap().to_vec(), &[1, 6]).unwrap(),
+                &want,
+                "quantize rows",
+            );
+        }
+        // Row i of a causal softmax is a plain softmax over its prefix,
+        // under either mode, and exact zero beyond it.
+        for mode in [EvalMode::Exact, cpwl()] {
+            let op = Op::CausalSoftmax { offset: 2 };
+            let scores = rng.randn(&[4, 6], 2.0);
+            let got = run_op(op, mode, &scores, Parallelism::Sequential);
+            for i in 0..4 {
+                let visible = 2 + i + 1;
+                let prefix =
+                    Tensor::from_vec(scores.row(i).unwrap()[..visible].to_vec(), &[1, visible])
+                        .unwrap();
+                let want = match mode {
+                    EvalMode::Exact => ops::softmax_rows_exact(&prefix).unwrap(),
+                    EvalMode::Cpwl { .. } => tables.softmax_rows(&prefix).unwrap(),
+                };
+                let row = got.row(i).unwrap();
+                assert_same_bits(
+                    &Tensor::from_vec(row[..visible].to_vec(), &[1, visible]).unwrap(),
+                    &want,
+                    "causal prefix",
+                );
+                assert!(row[visible..].iter().all(|v| v.to_bits() == 0));
+            }
+        }
     }
 }

@@ -173,15 +173,15 @@ pub fn row_sums(x: &Tensor) -> Result<Vec<f32>> {
 /// Returns [`TensorError::NotAMatrix`] for non-matrices.
 pub fn row_maxes(x: &Tensor) -> Result<Vec<f32>> {
     let (m, n) = x.shape().as_matrix()?;
-    let mut maxes = vec![f32::NEG_INFINITY; m];
-    for (i, max) in maxes.iter_mut().enumerate() {
-        for &v in &x.as_slice()[i * n..(i + 1) * n] {
-            if v > *max {
-                *max = v;
-            }
-        }
-    }
-    Ok(maxes)
+    let rows = (0..m).map(|i| row_max(&x.as_slice()[i * n..(i + 1) * n]));
+    Ok(rows.collect())
+}
+
+/// The maximum of one row, as [`row_maxes`] reduces it: left to right,
+/// `NaN`s skipped, `-inf` for an empty row — and, of two zeros, the first.
+pub fn row_max(row: &[f32]) -> f32 {
+    row.iter()
+        .fold(f32::NEG_INFINITY, |max, &v| if v > max { v } else { max })
 }
 
 #[cfg(test)]

@@ -412,28 +412,54 @@ pub fn mhp(x: &Tensor, k: &Tensor, b: &Tensor, par: Parallelism) -> Result<Tenso
             op: "parallel::mhp",
         });
     }
-    let workers = par.worker_count().min(x.len().max(1));
-    if workers <= 1 || x.len() < 4096 {
+    if pointwise_workers(x.len(), par) <= 1 {
         return gemm::mhp(x, k, b);
     }
     let mut out = Tensor::zeros(x.dims());
-    let chunk = x.len().div_ceil(workers);
-    let xv = x.as_slice();
-    let kv = k.as_slice();
-    let bv = b.as_slice();
-    thread::scope(|scope| {
-        for (w, ochunk) in out.as_mut_slice().chunks_mut(chunk).enumerate() {
-            let lo = w * chunk;
-            let hi = lo + ochunk.len();
-            let (xc, kc, bc) = (&xv[lo..hi], &kv[lo..hi], &bv[lo..hi]);
-            scope.spawn(move || {
-                for (((o, &xi), &ki), &bi) in ochunk.iter_mut().zip(xc).zip(kc).zip(bc) {
-                    *o = xi * ki + bi;
-                }
-            });
+    let (xv, kv, bv) = (x.as_slice(), k.as_slice(), b.as_slice());
+    for_each_chunk(out.as_mut_slice(), par, |lo, chunk| {
+        let hi = lo + chunk.len();
+        let operands = xv[lo..hi].iter().zip(&kv[lo..hi]).zip(&bv[lo..hi]);
+        for (o, ((&xi, &ki), &bi)) in chunk.iter_mut().zip(operands) {
+            *o = xi * ki + bi;
         }
     });
     Ok(out)
+}
+
+/// How many workers a pointwise sweep over `len` elements is split
+/// across: `par`'s, or one below 4 096 elements — less work than spawning
+/// a thread costs.
+fn pointwise_workers(len: usize, par: Parallelism) -> usize {
+    if len < 4096 {
+        1
+    } else {
+        par.worker_count()
+    }
+}
+
+/// The thread split of every pointwise sweep ([`mhp`], the fused CPWL
+/// evaluation in `onesa-cpwl`): calls `f(offset, chunk)` on disjoint,
+/// near-equal chunks of `out`, one per worker (of `par`'s; one worker
+/// below 4 096 elements, and then `f` runs on the calling thread),
+/// `offset` being the chunk's position in `out`. `f` must compute each
+/// element from its own index alone, so the split never shows in the
+/// result.
+pub fn for_each_chunk<F>(out: &mut [f32], par: Parallelism, f: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    let workers = pointwise_workers(out.len(), par);
+    if workers <= 1 {
+        return f(0, out);
+    }
+    let len = out.len().div_ceil(workers);
+    thread::scope(|scope| {
+        for (w, chunk) in out.chunks_mut(len).enumerate() {
+            let f = &f;
+            scope.spawn(move || f(w * len, chunk));
+        }
+    });
 }
 
 /// Computes the rows of `C` that `c` holds — whole row blocks of `a`

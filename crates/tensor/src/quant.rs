@@ -10,6 +10,28 @@
 //! symmetric scheme at an 8-bit range, for activation round trips where
 //! a model tolerates the coarser step (the mobile-CNN operating point of
 //! the structured-sparse low-precision literature).
+//!
+//! # One branch-free loop
+//!
+//! A layer boundary quantizes and at once dequantizes, so the served
+//! form is the round trip ([`QuantTensor::round_trip`],
+//! [`QuantTensor::round_trip_slice`] per row slice): scale from the
+//! absolute maximum, then one pass that never builds the integer tensor.
+//! It and `quantize` share the per-element steps, written so the compiler
+//! vectorises them and so every bit equals the scalar definition
+//! (`round()`, compare-and-saturate, `as` cast):
+//!
+//! * **Rounding** — ties away from zero — is
+//!   `trunc(v + copysign(0.49999997, v))`, the constant being the float
+//!   just below one half (see `round_ties_away`).
+//! * **Saturation** is a float `max` / `min` against the integer range;
+//!   the value converted afterwards is integral and in range, so the
+//!   integer form reads it out of the mantissa of `1.5·2²³ + r` instead
+//!   of through a saturating (branching) `as` cast.
+//! * **Two special cases of `as`** are reproduced by hand: `NaN → 0`, a
+//!   select on `is_nan`, and `-0.0 → +0.0` — a small negative rounds to
+//!   `-0.0`, the integer `0` has no sign — which the round trip gets by
+//!   adding `+0.0` before it multiplies the scale back in.
 
 use crate::{Result, Tensor, TensorError};
 
@@ -34,13 +56,30 @@ macro_rules! quant_tensor {
             /// maximum maps to the integer type's `MAX`. An all-zero
             /// tensor gets scale `1.0`.
             pub fn quantize(t: &Tensor) -> Self {
-                let max_abs = t.as_slice().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-                let scale = if max_abs == 0.0 {
+                Self::quantize_with_scale(t, Self::scale_for(t.as_slice()))
+            }
+
+            /// The symmetric scale of `x`: its absolute maximum (`NaN`s
+            /// ignored) over the integer type's `MAX`, `1.0` if that
+            /// maximum is zero.
+            fn scale_for(x: &[f32]) -> f32 {
+                let max_abs = max_abs(x);
+                if max_abs == 0.0 {
                     1.0
                 } else {
                     max_abs / <$int>::MAX as f32
-                };
-                Self::quantize_with_scale(t, scale)
+                }
+            }
+
+            /// `x / scale` rounded to the nearest integer (ties away
+            /// from zero), saturated at the integer range, `NaN` → 0 —
+            /// still a float, and `-0.0` where a small negative rounded
+            /// up to zero.
+            #[inline(always)]
+            fn round_sat(x: f32, scale: f32) -> f32 {
+                let r = round_ties_away(x / scale);
+                let r = if r.is_nan() { 0.0 } else { r };
+                r.max(<$int>::MIN as f32).min(<$int>::MAX as f32)
             }
 
             /// Quantizes with an explicit scale (values saturate at the
@@ -49,22 +88,58 @@ macro_rules! quant_tensor {
                 let data = t
                     .as_slice()
                     .iter()
-                    .map(|&x| {
-                        let q = (x / scale).round();
-                        if q >= <$int>::MAX as f32 {
-                            <$int>::MAX
-                        } else if q <= <$int>::MIN as f32 {
-                            <$int>::MIN
-                        } else {
-                            q as $int
-                        }
-                    })
+                    // The low bits of `1.5·2²³ + r` are `r` in two's
+                    // complement for any integer `|r| < 2²²`; an `as`
+                    // cast from the float would saturate, and that is a
+                    // branch per lane.
+                    .map(|&x| (Self::round_sat(x, scale) + 12_582_912.0).to_bits() as $int)
                     .collect();
                 $name {
                     dims: t.dims().to_vec(),
                     data,
                     scale,
                 }
+            }
+
+            /// The quantize → dequantize round trip of `x` at its own
+            /// symmetric scale, written to `out` without materialising
+            /// the integers: bit-identical to
+            /// `quantize(x).dequantize()`.
+            ///
+            /// # Panics
+            ///
+            /// Panics if the slices differ in length.
+            pub fn round_trip_slice(x: &[f32], out: &mut [f32]) {
+                assert_eq!(x.len(), out.len(), "round trip input and output lengths");
+                let scale = Self::scale_for(x);
+                for (o, &v) in out.iter_mut().zip(x) {
+                    // `+ 0.0` is the integer's view of `-0.0`.
+                    *o = (Self::round_sat(v, scale) + 0.0) * scale;
+                }
+            }
+
+            /// [`Self::round_trip_slice`] over a whole tensor.
+            pub fn round_trip(t: &Tensor) -> Tensor {
+                let mut out = Tensor::zeros(t.dims());
+                Self::round_trip_slice(t.as_slice(), out.as_mut_slice());
+                out
+            }
+
+            /// [`Self::round_trip_slice`] over each row of a matrix, every
+            /// row at its own scale — so row `i` of the result is a
+            /// function of row `i` alone.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`TensorError::NotAMatrix`] for non-matrices.
+            pub fn round_trip_rows(t: &Tensor) -> Result<Tensor> {
+                let (_, n) = t.shape().as_matrix()?;
+                let mut out = Tensor::zeros(t.dims());
+                let rows = out.as_mut_slice().chunks_mut(n.max(1));
+                for (row, src) in rows.zip(t.as_slice().chunks(n.max(1))) {
+                    Self::round_trip_slice(src, row);
+                }
+                Ok(out)
             }
 
             /// Reconstructs the float tensor `scale * q`.
@@ -129,6 +204,37 @@ macro_rules! quant_tensor {
             Ok(out)
         }
     };
+}
+
+/// The largest `|v|` in `x`, `NaN`s ignored, `+0.0` when there is none:
+/// `x.fold(0.0, |m, v| m.max(v.abs()))`. Non-`NaN` magnitudes order like
+/// their bit patterns, so this is an integer maximum — order-independent,
+/// hence vectorisable, with the same bits whatever the order.
+fn max_abs(x: &[f32]) -> f32 {
+    let magnitude = |v: &f32| match v.to_bits() & 0x7fff_ffff {
+        nan if nan > 0x7f80_0000 => 0,
+        m => m,
+    };
+    let mut lanes = [0u32; 16];
+    let mut chunks = x.chunks_exact(lanes.len());
+    for chunk in &mut chunks {
+        for (lane, v) in lanes.iter_mut().zip(chunk) {
+            *lane = (*lane).max(magnitude(v));
+        }
+    }
+    let tail = chunks.remainder().iter().map(magnitude);
+    f32::from_bits(tail.chain(lanes).max().unwrap_or(0))
+}
+
+/// `v.round()` — nearest integer, ties away from zero — as
+/// `trunc(v + copysign(0.5⁻, v))` with `0.5⁻ = 0.49999997`, the float
+/// just below one half: a tie `n + 0.5` plus `0.5⁻` rounds up to `n + 1`,
+/// the float just below a tie stays below `n + 1`, and from 2²³ on every
+/// float is an integer the addition leaves alone. Straight-line, where
+/// `round()` is a call.
+#[inline(always)]
+fn round_ties_away(v: f32) -> f32 {
+    (v + 0.499_999_97f32.copysign(v)).trunc()
 }
 
 quant_tensor! {

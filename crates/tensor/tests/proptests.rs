@@ -2,7 +2,7 @@
 
 use onesa_tensor::fixed::QFormat;
 use onesa_tensor::parallel::{self, PackedLhs, Parallelism};
-use onesa_tensor::quant::{self, QuantTensor};
+use onesa_tensor::quant::{self, QuantTensor, QuantTensor8};
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::sparse::{self, SparseTensor};
 use onesa_tensor::{gemm, Tensor};
@@ -303,4 +303,212 @@ proptest! {
         let expect = ((q.to_f32(xq) - x_min) / seg).floor() as i32;
         prop_assert_eq!(got, expect);
     }
+}
+
+/// Symmetric quantization as the scheme defines it, one element at a time
+/// — a `round()`, a compare-and-saturate, an `as` cast — for an integer
+/// type given by its range: the reference the vectorised `quantize` and
+/// the fused round trip must equal bit for bit.
+fn quantize_reference(x: &[f32], scale: f32, min: f32, max: f32) -> Vec<i32> {
+    x.iter()
+        .map(|&v| {
+            let q = (v / scale).round();
+            if q >= max {
+                max as i32
+            } else if q <= min {
+                min as i32
+            } else {
+                q as i32
+            }
+        })
+        .collect()
+}
+
+fn scale_reference(x: &[f32], max: f32) -> f32 {
+    let max_abs = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    if max_abs == 0.0 {
+        1.0
+    } else {
+        max_abs / max
+    }
+}
+
+/// `got == want`, naming the first element that differs (the vectors run
+/// to 200 000 elements: a plain `assert_eq!` would print them whole).
+fn assert_same<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T], x: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+        panic!(
+            "{what}: element {i} (x = {:e}): got {:?}, want {:?}",
+            x[i], got[i], want[i]
+        );
+    }
+}
+
+/// Every half-integer tie in `±limit`, each with the float just below and
+/// just above it — where round-half-away-from-zero and its branch-free
+/// form could part ways.
+fn ties_with_neighbours(limit: i32) -> Vec<f32> {
+    (-limit..limit)
+        .flat_map(|n| {
+            let tie = n as f32 + 0.5;
+            let step = if tie > 0.0 { 1 } else { -1 };
+            let bits = tie.to_bits() as i32;
+            [
+                f32::from_bits((bits - step) as u32),
+                tie,
+                f32::from_bits((bits + step) as u32),
+            ]
+        })
+        .collect()
+}
+
+/// Checks one precision's `quantize_with_scale`, `quantize`,
+/// `dequantize`, `round_trip` and `round_trip_rows` against the scalar
+/// definition on `x`.
+macro_rules! assert_quant_matches_reference {
+    ($ty:ty, $int:ty, $x:expr, $what:expr) => {{
+        let x: &[f32] = $x;
+        let (min, max) = (<$int>::MIN as f32, <$int>::MAX as f32);
+        let t = Tensor::from_vec(x.to_vec(), &[x.len()]).unwrap();
+        let scale = scale_reference(x, max);
+        let ints = quantize_reference(x, scale, min, max);
+        let q = <$ty>::quantize(&t);
+        assert_eq!(q.scale().to_bits(), scale.to_bits(), "{}: scale", $what);
+        let got: Vec<i32> = q.as_slice().iter().map(|&v| i32::from(v)).collect();
+        assert_same(&got, &ints, x, &format!("{}: integers", $what));
+        let want: Vec<u32> = ints.iter().map(|&q| (q as f32 * scale).to_bits()).collect();
+        let bits = |t: &Tensor| t.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        assert_same(
+            &bits(&q.dequantize()),
+            &want,
+            x,
+            &format!("{}: dequantize", $what),
+        );
+        let round_trip = bits(&<$ty>::round_trip(&t));
+        assert_same(&round_trip, &want, x, &format!("{}: round trip", $what));
+        let row = t.reshape(&[1, x.len()]).unwrap();
+        let rows = <$ty>::round_trip_rows(&row).unwrap();
+        assert_same(
+            &bits(&rows),
+            &want,
+            x,
+            &format!("{}: one-row round trip", $what),
+        );
+    }};
+}
+
+/// The vectorised quantizer rounds, saturates and converts exactly as the
+/// scalar definition does, at any explicit scale: every tie in ±35 000 —
+/// past both ends of the INT16 range, far past INT8's — with its float
+/// neighbours.
+#[test]
+fn quantize_with_scale_matches_the_definition_on_every_tie() {
+    let ties = ties_with_neighbours(35_000);
+    let t = Tensor::from_vec(ties.clone(), &[ties.len()]).unwrap();
+    for scale in [1.0f32, 0.5, 3.0, 0.37, 1e-3, 40_000.0] {
+        let q16 = QuantTensor::quantize_with_scale(&t, scale);
+        let want = quantize_reference(&ties, scale, i16::MIN as f32, i16::MAX as f32);
+        let got: Vec<i32> = q16.as_slice().iter().map(|&v| i32::from(v)).collect();
+        assert_same(&got, &want, &ties, &format!("int16 at scale {scale}"));
+        let q8 = QuantTensor8::quantize_with_scale(&t, scale);
+        let want = quantize_reference(&ties, scale, i8::MIN as f32, i8::MAX as f32);
+        let got: Vec<i32> = q8.as_slice().iter().map(|&v| i32::from(v)).collect();
+        assert_same(&got, &want, &ties, &format!("int8 at scale {scale}"));
+    }
+    assert_eq!(
+        QuantTensor::quantize_with_scale(&t, 1.0).as_slice()[0],
+        i16::MIN
+    );
+    assert_eq!(
+        QuantTensor8::quantize_with_scale(&t, 1.0).as_slice()[0],
+        i8::MIN
+    );
+}
+
+/// `round_trip` never builds the integer tensor and still equals
+/// `quantize(..).dequantize()` — and both equal the definition — on the
+/// inputs that could tell them apart.
+#[test]
+fn quant_round_trip_equals_quantize_then_dequantize() {
+    // Ties inside the range, the range's own maximum planted so the scale
+    // is exactly 1.0 and every tie stays a tie after the divide.
+    let mut ties16 = ties_with_neighbours(32_767);
+    ties16.push(32_767.0);
+    assert_eq!(scale_reference(&ties16, i16::MAX as f32), 1.0);
+    assert_quant_matches_reference!(QuantTensor, i16, &ties16, "int16 ties");
+    let mut ties8 = ties_with_neighbours(127);
+    ties8.push(-127.0);
+    assert_eq!(scale_reference(&ties8, i8::MAX as f32), 1.0);
+    assert_quant_matches_reference!(QuantTensor8, i8, &ties8, "int8 ties");
+
+    let mut rng = Pcg32::seed_from_u64(0x0A17);
+    let mut cases: Vec<(String, Vec<f32>)> = vec![
+        ("empty".into(), vec![]),
+        ("all zero".into(), vec![0.0; 37]),
+        ("signed zeros".into(), vec![-0.0, 0.0, -0.0]),
+        ("nan".into(), vec![1.0, f32::NAN, -2.5, 0.1, -f32::NAN]),
+        ("all nan".into(), vec![f32::NAN; 5]),
+        (
+            "inf".into(),
+            vec![1.0, f32::INFINITY, -3.0, 0.0, -0.0, f32::NAN],
+        ),
+        ("-inf".into(), vec![f32::NEG_INFINITY, 2.0, -0.0]),
+        ("both inf".into(), vec![f32::NEG_INFINITY, f32::INFINITY]),
+        ("huge".into(), vec![3e38, -3e38, 1e30, -1.0, 0.3]),
+        ("subnormal".into(), vec![1e-40, -1e-40, 1e-45, 0.0]),
+        (
+            "tiny".into(),
+            vec![f32::MIN_POSITIVE, -f32::MIN_POSITIVE * 3.0],
+        ),
+        // -0.3 / scale rounds to -0.0: the integer 0, hence +0.0 back.
+        ("rounds to -0".into(), vec![-1e-6, 100.0, -0.0, -0.004]),
+        (
+            "saturates".into(),
+            vec![-1.0, 1.0, 0.999_999_9, -0.999_999_9],
+        ),
+    ];
+    for len in 0..=70 {
+        let noise = rng.randn(&[len], 2.0).as_slice().to_vec();
+        cases.push((format!("noise {len}"), noise));
+    }
+    for (what, x) in &cases {
+        assert_quant_matches_reference!(QuantTensor, i16, x, what);
+        assert_quant_matches_reference!(QuantTensor8, i8, x, what);
+    }
+}
+
+/// `round_trip_rows` gives each row the bits its own one-row tensor gets:
+/// a row's result is a function of that row alone.
+#[test]
+fn quant_round_trip_rows_equals_the_per_row_tensor_form() {
+    let mut rng = Pcg32::seed_from_u64(0x0B0B);
+    for (m, n) in [
+        (1usize, 1usize),
+        (3, 7),
+        (5, 16),
+        (4, 33),
+        (9, 64),
+        (2, 0),
+        (0, 4),
+    ] {
+        let mut x = rng.randn(&[m, n], 1.5);
+        if let Some(v) = x.as_mut_slice().get_mut(n / 2) {
+            *v = f32::NAN;
+        }
+        if m > 2 {
+            x.as_mut_slice()[2 * n..3 * n].fill(0.0);
+        }
+        let got = QuantTensor::round_trip_rows(&x).unwrap();
+        assert_eq!(got.dims(), x.dims());
+        for i in 0..m {
+            let row = Tensor::from_vec(x.as_slice()[i * n..(i + 1) * n].to_vec(), &[1, n]).unwrap();
+            let want = QuantTensor::quantize(&row).dequantize();
+            let got = &got.as_slice()[i * n..(i + 1) * n];
+            for (g, w) in got.iter().zip(want.as_slice()) {
+                assert_eq!(g.to_bits(), w.to_bits(), "{m}x{n} row {i}: {g} vs {w}");
+            }
+        }
+    }
+    assert!(QuantTensor::round_trip_rows(&Tensor::zeros(&[4])).is_err());
 }
