@@ -25,6 +25,7 @@
 use onesa_bench::{time_alternating, time_best};
 use onesa_data::{Difficulty, GraphDataset};
 use onesa_tensor::gemm;
+use onesa_tensor::im2col::{self, Conv2dGeometry};
 use onesa_tensor::parallel::{self, PackedLhs, Parallelism};
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::Tensor;
@@ -206,6 +207,100 @@ fn main() {
             println!("    }}{}", if last { "" } else { "," });
         }
     }
+    println!("  ],");
+    println!("  \"conv\": [");
+    let convs = conv_shapes();
+    for (idx, &(c, h, stride, masked)) in convs.iter().enumerate() {
+        let [reference, conv] = time_conv(&mut rng, c, h, stride, masked);
+        let floor = if h == 32 { 2.5 } else { 1.5 };
+        let speedup = reference / conv;
+        assert!(
+            speedup >= floor,
+            "[{c},{h},{h}] stride {stride}: conv2d {speedup:.2}x the im2col path, floor {floor}"
+        );
+        println!("    {{");
+        println!("      \"c\": {c}, \"h\": {h}, \"w\": {h}, \"cout\": 8, \"kernel\": 3, \"stride\": {stride}, \"padding\": 1, \"relu_masked\": {masked},");
+        println!(
+            "      \"im2col_path_us\": {:.2}, \"conv2d_us\": {:.2}, \"speedup\": {:.2}",
+            reference * 1e6,
+            conv * 1e6,
+            speedup
+        );
+        println!("    }}{}", if idx + 1 < convs.len() { "," } else { "" });
+    }
     println!("  ]");
     println!("}}");
+}
+
+/// `(channels, side, stride, relu_masked)` of the convolutions the
+/// benchmark's CNN runs — its stem at 32×32 and 16×16, its 8-channel body
+/// on a post-ReLU map — plus one stride-2 layer.
+fn conv_shapes() -> Vec<(usize, usize, usize, bool)> {
+    vec![
+        (3, 32, 1, false),
+        (8, 32, 1, true),
+        (3, 16, 1, false),
+        (8, 16, 1, true),
+        (8, 32, 2, true),
+    ]
+}
+
+/// One 3×3, padding-1, 8-output-channel convolution with a per-channel
+/// bias: `(im2col path, conv2d)` best seconds per call. The im2col path is
+/// what the executor ran before `conv2d` — `im2col`, `parallel::matmul`
+/// against the `[C·9, 8]` weight, the bias on every row, `col2im_output`;
+/// `conv2d` gets the weight packed once, outside the timed region, as a
+/// program constant is. The two outputs are checked `to_bits()`-equal
+/// before either is timed.
+fn time_conv(rng: &mut Pcg32, c: usize, side: usize, stride: usize, masked: bool) -> [f64; 2] {
+    let geo = Conv2dGeometry {
+        in_channels: c,
+        out_channels: 8,
+        kernel: 3,
+        stride,
+        padding: 1,
+    };
+    let mut x = rng.randn(&[c, side, side], 1.0);
+    if masked {
+        x = x.map(|v| v.max(0.0));
+    }
+    let w = rng.randn(&[8, geo.patch_len()], 0.5);
+    let wt = w.transpose().expect("matrix");
+    let bias = rng.randn(&[8], 0.1).into_vec();
+    let packed = PackedLhs::pack(&w).expect("matrix");
+    let (oh, ow) = geo.output_hw(side, side).expect("geometry fits");
+    let reference = || {
+        let cols = im2col::im2col(&x, &geo).expect("geometry fits");
+        let mut prod = parallel::matmul(&cols, &wt, Parallelism::Sequential).expect("matmul");
+        for row in prod.as_mut_slice().chunks_mut(8) {
+            for (v, b) in row.iter_mut().zip(&bias) {
+                *v += b;
+            }
+        }
+        im2col::col2im_output(&prod, 8, oh, ow).expect("shapes agree")
+    };
+    let conv = || {
+        let maps = parallel::conv2d(&packed, &[&x], &geo, Parallelism::Sequential);
+        let maps = maps.expect("shapes agree").expect("safe operands");
+        let mut map = maps.into_iter().next().expect("one image, one map");
+        for (plane, b) in map.as_mut_slice().chunks_mut(oh * ow).zip(&bias) {
+            for v in plane {
+                *v += b;
+            }
+        }
+        map
+    };
+    let bits = |t: Tensor| {
+        t.into_vec()
+            .into_iter()
+            .map(f32::to_bits)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        bits(reference()),
+        bits(conv()),
+        "[{c},{side},{side}] stride {stride}"
+    );
+    let calls = (2e6 / (oh * ow * geo.patch_len() * 8) as f64).clamp(1.0, 2_000.0) as usize;
+    time_alternating(calls, [&mut || reference(), &mut || conv()])
 }

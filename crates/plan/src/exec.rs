@@ -2,8 +2,8 @@
 //! multi-program scheduler with per-stage cross-program coalescing.
 
 use crate::program::{
-    fnv_u64, op_cost, same_tensor, EvalMode, Op, OpNode, Operand, PoolKind, Precision, Program,
-    FNV_OFFSET,
+    fnv_u64, op_cost, same_tensor, ConvChain, EvalMode, Op, OpNode, Operand, PoolKind, Precision,
+    Program, FNV_OFFSET,
 };
 use onesa_cpwl::ops::{self, TableSet};
 use onesa_cpwl::NonlinearFn;
@@ -131,6 +131,10 @@ pub struct StagedRun {
     pub gemm_groups: usize,
     /// Total IPF + MHP passes across all stages.
     pub nonlinear_groups: usize,
+    /// Of the GEMM groups, those that ran an `Im2col` → `Gemm` → `Col2im`
+    /// chain as one convolution sweep; every other GEMM group ran its own
+    /// kernel.
+    pub conv_sweeps: usize,
 }
 
 /// Per-job runtime state.
@@ -139,7 +143,8 @@ struct JobState<'a> {
     /// The caller's tensors behind the input slots — read in place,
     /// never copied.
     inputs: &'a [Tensor],
-    /// One slot per executed op, after the input slots.
+    /// One slot per executed op, after the input slots. A convolution
+    /// chain's `Im2col` slot stays `None` unless a fallback needs it.
     outputs: Vec<Option<Tensor>>,
     op_stats: Vec<ExecStats>,
 }
@@ -209,7 +214,7 @@ pub fn run_staged(
     let max_stages = states.iter().map(|s| s.program.stages()).max().unwrap_or(0);
     let mut stages: Vec<StageGroups> = Vec::with_capacity(max_stages);
     let mut batched = ExecStats::new(cfg, CycleBreakdown::default(), 0, 0);
-    let (mut total_gemm, mut total_nl) = (0usize, 0usize);
+    let (mut total_gemm, mut total_nl, mut conv_sweeps) = (0usize, 0usize, 0usize);
 
     for stage in 0..max_stages {
         // Members: every job whose program still has an op at this stage.
@@ -234,7 +239,14 @@ pub fn run_staged(
 
         let (mut stage_gemm, mut stage_nl) = (0usize, 0usize);
         for (key, ids) in &groups {
-            let produced = exec_group(key, ids, &states, stage, cfg, par, tables)?;
+            let produced = match conv_links(ids, &mut states, stage, cfg, par)? {
+                Some(produced) => {
+                    let op = &states[ids[0]].program.nodes()[stage].op;
+                    conv_sweeps += usize::from(matches!(op, Op::Gemm { .. }));
+                    produced
+                }
+                None => exec_group(key, ids, &states, stage, cfg, par, tables)?,
+            };
             match states[ids[0]].program.nodes()[stage].op {
                 Op::Gemm { .. } => stage_gemm += 1,
                 Op::Nonlinear(_) | Op::Softmax | Op::LayerNorm { .. } => stage_nl += 1,
@@ -242,7 +254,7 @@ pub fn run_staged(
             }
             batched = batched.merged(&produced.batched);
             for (j, out, solo) in produced.outputs {
-                states[j].outputs[stage] = Some(out);
+                states[j].outputs[stage] = out;
                 states[j].op_stats.push(solo);
             }
         }
@@ -282,6 +294,7 @@ pub fn run_staged(
         batched,
         gemm_groups: total_gemm,
         nonlinear_groups: total_nl,
+        conv_sweeps,
     })
 }
 
@@ -380,8 +393,9 @@ fn func_hash(func: NonlinearFn) -> u64 {
 
 /// What one group execution produces.
 struct GroupOut {
-    /// `(job, output, solo stats)` per member.
-    outputs: Vec<(usize, Tensor, ExecStats)>,
+    /// `(job, output, solo stats)` per member; `None` leaves the member's
+    /// slot unmaterialised.
+    outputs: Vec<(usize, Option<Tensor>, ExecStats)>,
     /// Modeled stats of the one coalesced kernel this group ran.
     batched: ExecStats,
 }
@@ -543,10 +557,149 @@ fn exec_group(
             }
             let in0 = states[j].resolve(member.inputs[0]).dims();
             let solo = op_cost(&member.op, in0, out.dims(), cfg);
-            (j, out, solo)
+            (j, Some(out), solo)
         })
         .collect();
     Ok(GroupOut { outputs, batched })
+}
+
+/// Runs the group `ids` at `stage` as a link of a convolution chain
+/// ([`Program::conv_chain`]) where it can: a chain's `Im2col` leaves its
+/// slot unmaterialised; a `Gemm` group whose members are all chains over
+/// one geometry runs as one [`parallel::conv2d`] sweep, each member's
+/// product landing as its `[cout, oh, ow]` map; and the `Col2im` of a chain
+/// that ran that way is a reshape — the map moves into its slot.
+/// Everything reported is computed from shapes, exactly as the three
+/// kernels report it, and the outputs are theirs bit for bit (see
+/// `onesa_tensor::parallel`, "Three sources of `B`").
+///
+/// `None` means: run the group through [`exec_group`] as usual. A `Gemm`
+/// group that cannot take the sweep — a member outside a chain, members
+/// unrolling with different geometries, or operands the sweep declines —
+/// first gets back every patch matrix its members' `Im2col`s deferred.
+fn conv_links(
+    ids: &[usize],
+    states: &mut [JobState],
+    stage: usize,
+    cfg: &ArrayConfig,
+    par: Parallelism,
+) -> Result<Option<GroupOut>> {
+    let chain = |state: &JobState| state.program.conv_chain(stage);
+    let first = &states[ids[0]];
+    let node = &first.program.nodes()[stage];
+    let solo = |j: usize, out: Option<Tensor>, stats: ExecStats| GroupOut {
+        outputs: vec![(j, out, stats.clone())],
+        batched: stats,
+    };
+    match node.op {
+        Op::Im2col(geo) if chain(first).is_some() => {
+            let x = first.resolve(node.inputs[0]).dims();
+            let cols = [geo.output_pixels(x[1], x[2])?, geo.patch_len()];
+            Ok(Some(solo(ids[0], None, op_cost(&node.op, x, &cols, cfg))))
+        }
+        Op::Col2im { .. } => {
+            let Some(link) = chain(first) else {
+                return Ok(None);
+            };
+            let state = &mut states[ids[0]];
+            let slot = &mut state.outputs[link.gemm];
+            // A product of rank 3 is a map the sweep made; a matrix means
+            // this chain fell back, and its `Col2im` runs as usual.
+            if slot.as_ref().map_or(true, |t| t.dims().len() != 3) {
+                return Ok(None);
+            }
+            let map = slot.take().expect("checked above");
+            let (cout, pixels) = (map.dims()[0], map.dims()[1] * map.dims()[2]);
+            let stats = op_cost(&node.op, &[pixels, cout], map.dims(), cfg);
+            Ok(Some(solo(ids[0], Some(map), stats)))
+        }
+        Op::Gemm { .. } => {
+            let chains: Option<Vec<ConvChain>> = ids.iter().map(|&j| chain(&states[j])).collect();
+            if let Some(chains) = &chains {
+                if let Some(produced) = conv_group(ids, chains, states, stage, cfg, par)? {
+                    return Ok(Some(produced));
+                }
+            }
+            for &j in ids {
+                let state = &mut states[j];
+                let Some(link) = chain(state) else {
+                    continue;
+                };
+                let im2col = &state.program.nodes()[link.im2col];
+                let Op::Im2col(geo) = im2col.op else {
+                    unreachable!("a chain starts at an Im2col")
+                };
+                if state.outputs[link.im2col].is_none() {
+                    let cols = im2col::im2col(state.resolve(im2col.inputs[0]), &geo)?;
+                    state.outputs[link.im2col] = Some(cols);
+                }
+            }
+            Ok(None)
+        }
+        _ => Ok(None),
+    }
+}
+
+/// A `Gemm` group of convolution chains as one [`parallel::conv2d`] sweep
+/// over every member's image, against the first member's packed weight
+/// (`keys_truly_equal` vouched for the rest), each member's own bias
+/// added per channel plane. `None` if the members unroll with different
+/// geometries or the sweep declines their operands.
+fn conv_group(
+    ids: &[usize],
+    chains: &[ConvChain],
+    states: &[JobState],
+    stage: usize,
+    cfg: &ArrayConfig,
+    par: Parallelism,
+) -> Result<Option<GroupOut>> {
+    let first = &states[ids[0]];
+    let im2col = |j: usize, link: &ConvChain| &states[j].program.nodes()[link.im2col];
+    let Op::Im2col(geo) = im2col(ids[0], &chains[0]).op else {
+        unreachable!("a chain starts at an Im2col")
+    };
+    let mut images = Vec::with_capacity(ids.len());
+    for (&j, link) in ids.iter().zip(chains) {
+        let node = im2col(j, link);
+        if node.op != Op::Im2col(geo) {
+            return Ok(None);
+        }
+        images.push(states[j].resolve(node.inputs[0]));
+    }
+    let node = &first.program.nodes()[stage];
+    let Operand::Const(w) = node.inputs[1] else {
+        unreachable!("a chain's GEMM multiplies by a constant")
+    };
+    let Some(maps) = parallel::conv2d(first.program.packed_conv(w), &images, &geo, par)? else {
+        return Ok(None);
+    };
+    // The costs of the GEMMs this sweep stands for: `[pixels, C·k·k]`
+    // patch matrices times the `[C·k·k, cout]` weight, row-stacked.
+    let (k, cout) = (geo.patch_len(), first.program.consts()[w].dims()[1]);
+    let pixels = |map: &Tensor| map.dims()[1] * map.dims()[2];
+    let total: usize = maps.iter().map(pixels).sum();
+    let batched = op_cost(&node.op, &[total, k], &[total, cout], cfg);
+    let outputs = ids
+        .iter()
+        .zip(maps)
+        .map(|(&j, mut map)| {
+            let member = &states[j].program.nodes()[stage];
+            let p = pixels(&map);
+            if let Op::Gemm {
+                bias: Some(bias), ..
+            } = &member.op
+            {
+                for (plane, b) in map.as_mut_slice().chunks_mut(p).zip(bias) {
+                    for v in plane {
+                        *v += b;
+                    }
+                }
+            }
+            let solo = op_cost(&member.op, &[p, k], &[p, cout], cfg);
+            (j, Some(map), solo)
+        })
+        .collect();
+    Ok(Some(GroupOut { outputs, batched }))
 }
 
 /// The table `func` evaluates through at `granularity`.
@@ -593,8 +746,10 @@ fn softmax_rows(
 /// op, reached through [`exec_group`] with a group's stacked operand or
 /// a solo member's own, and kept op-for-op identical to the direct model
 /// code it replaces (see `onesa-nn`'s `*_direct` reference
-/// implementations). A GEMM's bias is *not* added here — it belongs to
-/// the member, not the group, so [`exec_group`] adds it after the split.
+/// implementations). The one exception is a convolution chain run as one
+/// sweep, whose three links [`conv_links`] stands in for. A GEMM's bias
+/// is *not* added here — it belongs to the member, not the group, so
+/// [`exec_group`] adds it after the split.
 fn exec_single(
     program: &Program,
     node: &OpNode,
@@ -787,6 +942,7 @@ mod tests {
     use super::*;
     use crate::program::GemmSparsity;
     use onesa_tensor::gemm;
+    use onesa_tensor::im2col::Conv2dGeometry;
     use onesa_tensor::rng::Pcg32;
 
     fn cpwl() -> EvalMode {
@@ -1373,6 +1529,193 @@ mod tests {
                 assert_eq!(run.output, expect, "{kind:?}");
             }
             assert_ne!(staged.runs[0].output.row(0), staged.runs[1].output.row(0));
+        }
+    }
+
+    /// The geometry of [`conv_member`]: 3 → 5 channels (a ragged row block
+    /// of the weight), 3×3, padding 1.
+    const CONV: Conv2dGeometry = Conv2dGeometry {
+        in_channels: 3,
+        out_channels: 5,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
+
+    /// Member `i` of a convolution group, as the compilers emit one —
+    /// `Im2col` → `Gemm` against the one shared `[27, 5]` weight with the
+    /// member's own bias → `Col2im` — over a ReLU-masked `[3, side, side]`
+    /// image.
+    fn conv_member(side: usize, i: usize) -> (Program, Tensor) {
+        let wt = Pcg32::seed_from_u64(60).randn(&[CONV.patch_len(), 5], 1.0);
+        let bias = (0..5).map(|c| (i + 1) as f32 * 0.25 - c as f32).collect();
+        let (oh, ow) = CONV.output_hw(side, side).unwrap();
+        let mut b = Program::builder("conv", EvalMode::Exact);
+        let x = b.input(&[3, side, side]);
+        let w = b.constant(wt);
+        let cols = b.push(Op::Im2col(CONV), &[x]);
+        let gemm = Op::Gemm {
+            bias: Some(bias),
+            sparsity: None,
+        };
+        let prod = b.push(gemm, &[cols, w]);
+        b.push(
+            Op::Col2im {
+                channels: 5,
+                oh,
+                ow,
+            },
+            &[prod],
+        );
+        let seed = 70 + i as u64;
+        let input = Pcg32::seed_from_u64(seed).randn(&[3, side, side], 1.0);
+        (b.finish().unwrap(), input.map(|v| v.max(0.0)))
+    }
+
+    /// What a convolution member computes, kernel by kernel: `im2col`, the
+    /// reference GEMM, the bias on every row, `col2im_output`.
+    fn conv_reference(program: &Program, x: &Tensor) -> Tensor {
+        let Op::Gemm {
+            bias: Some(bias), ..
+        } = &program.nodes()[1].op
+        else {
+            unreachable!("conv_member's GEMM has a bias")
+        };
+        let cols = im2col::im2col(x, &CONV).unwrap();
+        let mut prod = gemm::matmul(&cols, &program.consts()[0]).unwrap();
+        for row in prod.as_mut_slice().chunks_mut(5) {
+            for (v, b) in row.iter_mut().zip(bias) {
+                *v += b;
+            }
+        }
+        let (oh, ow) = CONV.output_hw(x.dims()[1], x.dims()[2]).unwrap();
+        im2col::col2im_output(&prod, 5, oh, ow).unwrap()
+    }
+
+    /// Recorded at the commit before convolution chains ran as one sweep:
+    /// the staged `batched` triple of a group of 1..=4 [`conv_member`]s, the
+    /// members' images alternating 9×9 and 5×5.
+    const CONV_GOLDEN: [Triple; 4] = [
+        (200, 10_935, 0),
+        (248, 14_310, 0),
+        (408, 25_245, 0),
+        (456, 28_620, 0),
+    ];
+
+    #[test]
+    fn conv_chains_run_as_one_sweep_with_unchanged_results_and_accounting() {
+        let cfg = ArrayConfig::new(8, 16);
+        let triple = |s: &ExecStats| (s.cycles(), s.macs, s.nonlinear_evals);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for size in 1..=4usize {
+            // The last member's image carries a NaN: the sweep declines it,
+            // and the whole group runs the three kernels.
+            for poisoned in [false, true] {
+                let mut members: Vec<(Program, Tensor)> =
+                    (0..size).map(|i| conv_member([9, 5][i % 2], i)).collect();
+                if poisoned {
+                    members[size - 1].1.as_mut_slice()[7] = f32::NAN;
+                }
+                let jobs: Vec<(&Program, &[Tensor])> = members
+                    .iter()
+                    .map(|(p, x)| (p, std::slice::from_ref(x)))
+                    .collect();
+                for par in [
+                    Parallelism::Sequential,
+                    Parallelism::Threads(2),
+                    Parallelism::Auto,
+                ] {
+                    let case = format!("x{size} poisoned={poisoned} {}", par.label());
+                    let staged = run_staged(&jobs, &cfg, par, &mut TableCache::new()).unwrap();
+                    let sweeps = usize::from(!poisoned);
+                    assert_eq!(staged.conv_sweeps, sweeps, "{case}: one sweep per group");
+                    let stage = |stage, groups, gemm_groups| StageGroups {
+                        stage,
+                        ops: size,
+                        groups,
+                        gemm_groups,
+                        nonlinear_groups: 0,
+                    };
+                    let want = [stage(0, size, 0), stage(1, 1, 1), stage(2, size, 0)];
+                    assert_eq!(staged.stages, want, "{case}");
+                    assert_eq!(triple(&staged.batched), CONV_GOLDEN[size - 1], "{case}");
+                    for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
+                        let alone = run_staged(&[*job], &cfg, par, &mut TableCache::new());
+                        let alone = &alone.unwrap().runs[0];
+                        let want = conv_reference(job.0, &job.1[0]);
+                        assert_eq!(run.output.dims(), want.dims(), "{case} #{i}");
+                        assert_eq!(bits(&run.output), bits(&want), "{case} #{i}");
+                        assert_eq!(bits(&alone.output), bits(&want), "{case} #{i}");
+                        assert_eq!(run.op_stats, job.0.op_stats(&cfg).unwrap(), "{case} #{i}");
+                        assert_eq!(alone.op_stats, run.op_stats, "{case} #{i}");
+                    }
+                }
+                // Every member packed its weight for the sweep, once.
+                assert!(members.iter().all(|(p, _)| p.packed_consts() == 1));
+            }
+        }
+    }
+
+    #[test]
+    fn convolutions_outside_a_chain_still_materialise() {
+        let (chain, x) = conv_member(6, 0);
+        let w = chain.consts()[0].as_ref().clone();
+        let gemm = || Op::Gemm {
+            bias: None,
+            sparsity: None,
+        };
+        let col2im = Op::Col2im {
+            channels: 5,
+            oh: 6,
+            ow: 6,
+        };
+        let cols = im2col::im2col(&x, &CONV).unwrap();
+        let map = im2col::col2im_output(&gemm::matmul(&cols, &w).unwrap(), 5, 6, 6).unwrap();
+        let mut programs: Vec<(&str, Program, Tensor)> = Vec::new();
+        // One unroll read by two GEMMs — what `cse` leaves of a duplicate.
+        let mut b = Program::builder("shared unroll", EvalMode::Exact);
+        let i = b.input(&[3, 6, 6]);
+        let wc = b.constant(w.clone());
+        let c = b.push(Op::Im2col(CONV), &[i]);
+        let (g1, g2) = (b.push(gemm(), &[c, wc]), b.push(gemm(), &[c, wc]));
+        let (f1, f2) = (b.push(col2im.clone(), &[g1]), b.push(col2im.clone(), &[g2]));
+        b.push(Op::Add, &[f1, f2]);
+        programs.push(("shared", b.finish().unwrap(), map.add(&map).unwrap()));
+        // The unroll is the program's output.
+        let mut b = Program::builder("unroll out", EvalMode::Exact);
+        let i = b.input(&[3, 6, 6]);
+        b.push(Op::Im2col(CONV), &[i]);
+        programs.push(("output", b.finish().unwrap(), cols.clone()));
+        // The product feeds a nonlinear, not a `Col2im`.
+        let mut b = Program::builder("unroll relu", EvalMode::Exact);
+        let i = b.input(&[3, 6, 6]);
+        let wc = b.constant(w.clone());
+        let c = b.push(Op::Im2col(CONV), &[i]);
+        let g = b.push(gemm(), &[c, wc]);
+        b.push(Op::Nonlinear(NonlinearFn::Relu), &[g]);
+        let relu = gemm::matmul(&cols, &w).unwrap();
+        programs.push(("relu", b.finish().unwrap(), relu.map(|v| v.max(0.0))));
+        // A full chain whose unroll is written back to a session.
+        let mut b = Program::builder("unroll kept", EvalMode::Exact);
+        let i = b.input(&[3, 6, 6]);
+        let wc = b.constant(w.clone());
+        let c = b.push(Op::Im2col(CONV), &[i]);
+        b.mark_session_output(c);
+        let g = b.push(gemm(), &[c, wc]);
+        b.push(col2im, &[g]);
+        programs.push(("session", b.finish().unwrap(), map));
+        assert!(chain.conv_chain(1).is_some());
+        for (what, program, want) in &programs {
+            assert!((0..program.stages()).all(|s| program.conv_chain(s).is_none()));
+            for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+                let run = program.run(std::slice::from_ref(&x), par, &mut TableCache::new());
+                let run = run.unwrap();
+                assert_same_bits(&run.output, want, what);
+                if *what == "session" {
+                    assert_same_bits(&run.session_outputs[0], &cols, what);
+                }
+            }
+            assert_eq!(program.packed_consts(), 0, "{what}");
         }
     }
 

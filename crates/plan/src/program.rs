@@ -331,14 +331,33 @@ pub struct Program {
     /// immutable once built.
     fingerprint: u64,
     modeled_macs: u64,
+    /// The program's convolution chains, derived when it is sealed and
+    /// shared by its clones.
+    conv_chains: Arc<[ConvChain]>,
     /// Pass accounting of the optimizer run that produced this program
     /// (`None` for a freshly-emitted, unoptimized program).
     pub(crate) opt: Option<OptReport>,
 }
 
+/// An `Im2col` → `Gemm` → `Col2im` chain — a convolution as the compilers
+/// emit it — that the executor may run as one
+/// `onesa_tensor::parallel::conv2d` sweep, by the node indices of its three
+/// links. The `Gemm` is dense and multiplies the patch matrix (its left
+/// operand) by a constant; the patch matrix and the product are each read
+/// exactly once, by the next link, and neither is a session output, so no
+/// one but the chain ever sees them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConvChain {
+    pub(crate) im2col: usize,
+    pub(crate) gemm: usize,
+    pub(crate) col2im: usize,
+}
+
 /// One lazily-filled slot per constant for the packed form the GEMM
 /// kernels consume: a [`PackedLhs`] for a constant left operand (a GCN's
-/// `Â`), a [`SparseTensor`] for a sparsity-attributed weight. A pack is a
+/// `Â`), a [`SparseTensor`] for a sparsity-attributed weight, and — for a
+/// convolution's `[C·k·k, cout]` weight — its transpose packed as the left
+/// operand of the convolution sweep. A pack is a
 /// pure function of its constant, so it is neither part of a program's
 /// identity (every `ConstPacks` compares equal) nor of its wire form (a
 /// decoded program starts empty and packs on its first run); clones of a
@@ -352,6 +371,7 @@ struct ConstPacks(Arc<[ConstPack]>);
 struct ConstPack {
     lhs: OnceLock<PackedLhs>,
     sparse: OnceLock<SparseTensor>,
+    conv: OnceLock<PackedLhs>,
 }
 
 impl ConstPacks {
@@ -361,7 +381,9 @@ impl ConstPacks {
 
     fn built(&self) -> usize {
         let filled = |p: &ConstPack| {
-            usize::from(p.lhs.get().is_some()) + usize::from(p.sparse.get().is_some())
+            usize::from(p.lhs.get().is_some())
+                + usize::from(p.sparse.get().is_some())
+                + usize::from(p.conv.get().is_some())
         };
         self.0.iter().map(filled).sum()
     }
@@ -494,6 +516,7 @@ impl ProgramBuilder {
             session_outputs: self.session_outputs,
             fingerprint: 0,
             modeled_macs: 0,
+            conv_chains: Arc::new([]),
             opt: None,
         };
         program.seal()?;
@@ -576,9 +599,27 @@ impl Program {
         }
     }
 
+    /// Constant `index`, a convolution's `[C·k·k, cout]` weight, transposed
+    /// and packed as the left operand of the convolution sweep — shared
+    /// like [`Program::packed_lhs`].
+    pub(crate) fn packed_conv(&self, index: usize) -> &PackedLhs {
+        self.packs.0[index].conv.get_or_init(|| {
+            let w = self.consts[index].transpose();
+            PackedLhs::pack(&w.expect("a sealed GEMM's weight is a matrix"))
+                .expect("a transposed matrix is a matrix")
+        })
+    }
+
+    /// The convolution chain node `stage` is a link of, if any.
+    pub(crate) fn conv_chain(&self, stage: usize) -> Option<ConvChain> {
+        let links = |c: &&ConvChain| [c.im2col, c.gemm, c.col2im].contains(&stage);
+        self.conv_chains.iter().find(links).copied()
+    }
+
     /// How many constant packs this program (with its clones) has built
-    /// so far — one per constant left operand and per sparse weight its
-    /// runs have reached, however many runs there were.
+    /// so far — one per constant left operand, per sparse weight and per
+    /// convolution weight its runs have reached, however many runs there
+    /// were.
     pub fn packed_consts(&self) -> usize {
         self.packs.built()
     }
@@ -864,7 +905,52 @@ impl Program {
             .map(|s| s.macs)
             .sum();
         self.modeled_macs = op_macs + self.staging_macs();
+        self.conv_chains = self.derive_conv_chains().into();
         Ok(())
+    }
+
+    /// Every [`ConvChain`] of the op list (see there for the conditions).
+    fn derive_conv_chains(&self) -> Vec<ConvChain> {
+        let base = self.input_shapes.len();
+        let mut reads = vec![0usize; base + self.nodes.len()];
+        for node in &self.nodes {
+            for operand in &node.inputs {
+                if let Operand::Slot(s) = *operand {
+                    reads[s] += 1;
+                }
+            }
+        }
+        // A slot only its next link reads, and not written back to a session.
+        let private = |slot: usize| reads[slot] == 1 && !self.session_outputs.contains(&slot);
+        let mut chains = Vec::new();
+        for (gemm, node) in self.nodes.iter().enumerate() {
+            let Op::Gemm { sparsity: None, .. } = node.op else {
+                continue;
+            };
+            let [Operand::Slot(cols), Operand::Const(_)] = node.inputs[..] else {
+                continue;
+            };
+            let is_im2col = |&i: &usize| matches!(self.nodes[i].op, Op::Im2col(_));
+            let Some(im2col) = cols.checked_sub(base).filter(is_im2col) else {
+                continue;
+            };
+            if !(private(cols) && private(base + gemm)) {
+                continue;
+            }
+            let product = [Operand::Slot(base + gemm)];
+            let col2im = self
+                .nodes
+                .iter()
+                .position(|n| matches!(n.op, Op::Col2im { .. }) && n.inputs[..] == product[..]);
+            if let Some(col2im) = col2im {
+                chains.push(ConvChain {
+                    im2col,
+                    gemm,
+                    col2im,
+                });
+            }
+        }
+        chains
     }
 
     /// Re-compiles the program at a different CPWL granularity — the
@@ -922,6 +1008,7 @@ impl Program {
             session_outputs: self.session_outputs.clone(),
             fingerprint: 0,
             modeled_macs: 0,
+            conv_chains: Arc::new([]),
             opt: self.opt.clone(),
         };
         program.seal()?;
@@ -1129,17 +1216,21 @@ fn infer_shape(op: &Op, ins: &[&[usize]]) -> Result<Vec<usize>> {
             }
             Ok(ins[0].to_vec())
         }
+        // Geometry arrives from untrusted wire bytes too: its arithmetic is
+        // checked, so a hostile program fails typed here, never overflows.
         Op::Im2col(geo) => match *ins[0] {
             [c, h, w] if c == geo.in_channels => {
-                let (oh, ow) = geo.output_hw(h, w)?;
-                Ok(vec![oh * ow, geo.patch_len()])
+                Ok(vec![geo.output_pixels(h, w)?, geo.checked_patch_len()?])
             }
             _ => Err(shape_err(ins[0], &[geo.in_channels, 0, 0], "plan::Im2col")),
         },
         Op::Col2im { channels, oh, ow } => {
             let (rows, ch) = matrix(ins[0])?;
-            if rows != oh * ow || ch != *channels {
-                return Err(shape_err(ins[0], &[oh * ow, *channels], "plan::Col2im"));
+            let pixels = oh
+                .checked_mul(*ow)
+                .ok_or(TensorError::InvalidArgument("Col2im pixel count overflows"))?;
+            if rows != pixels || ch != *channels {
+                return Err(shape_err(ins[0], &[pixels, *channels], "plan::Col2im"));
             }
             Ok(vec![*channels, *oh, *ow])
         }
@@ -1629,6 +1720,101 @@ mod tests {
         let shapes = p.slot_shapes().unwrap();
         assert_eq!(shapes[1], vec![16, geo.patch_len()]);
         assert_eq!(shapes[3], vec![3, 4, 4]);
+    }
+
+    #[test]
+    fn hostile_conv_geometry_fails_typed_and_never_panics() {
+        let geo = |in_channels, kernel, stride, padding| Conv2dGeometry {
+            in_channels,
+            out_channels: 3,
+            kernel,
+            stride,
+            padding,
+        };
+        let im2col = |g: Conv2dGeometry| {
+            let mut b = Program::builder("hostile", EvalMode::Exact);
+            let x = b.input(&[g.in_channels, 4, 4]);
+            b.push(Op::Im2col(g), &[x]);
+            b.finish()
+        };
+        for g in [
+            geo(2, 3, 1, 1 << 63),       // the padded size overflows
+            geo(2, 1 << 33, 1, 1 << 33), // oh · ow and C·k·k overflow
+            geo(1 << 62, 3, 1, 1),       // C·k·k overflows
+            geo(2, 0, 1, 1),             // no kernel
+            geo(2, 3, 0, 1),             // no stride
+            geo(2, usize::MAX, 1, 0),    // the kernel does not fit
+        ] {
+            let err = im2col(g).unwrap_err();
+            assert!(
+                matches!(err, TensorError::InvalidArgument(_)),
+                "{g:?}: {err}"
+            );
+        }
+        // A `Col2im` whose pixel count overflows.
+        let mut b = Program::builder("hostile", EvalMode::Exact);
+        let x = b.input(&[16, 3]);
+        let col2im = Op::Col2im {
+            channels: 3,
+            oh: 1 << 33,
+            ow: 1 << 33,
+        };
+        b.push(col2im, &[x]);
+        assert!(matches!(b.finish(), Err(TensorError::InvalidArgument(_))));
+    }
+
+    #[test]
+    fn conv_chains_are_the_compilers_convolutions_only() {
+        let geo = Conv2dGeometry {
+            in_channels: 2,
+            out_channels: 3,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let gemm = || Op::Gemm {
+            bias: None,
+            sparsity: None,
+        };
+        let col2im = Op::Col2im {
+            channels: 3,
+            oh: 4,
+            ow: 4,
+        };
+        let wide = Conv2dGeometry {
+            in_channels: 3,
+            ..geo
+        };
+        let mut b = Program::builder("convs", EvalMode::Exact);
+        let x = b.input(&[2, 4, 4]);
+        let w = b.constant(Tensor::zeros(&[geo.patch_len(), 3]));
+        let w3 = b.constant(Tensor::zeros(&[wide.patch_len(), 3]));
+        // Nodes 0-2: a chain. Nodes 3-6: a product read twice, no chain.
+        let c = b.push(Op::Im2col(geo), &[x]);
+        let g = b.push(gemm(), &[c, w]);
+        let f = b.push(col2im.clone(), &[g]);
+        let c = b.push(Op::Im2col(wide), &[f]);
+        let g = b.push(gemm(), &[c, w3]);
+        b.push(col2im, &[g]);
+        b.push(Op::Nonlinear(NonlinearFn::Relu), &[g]);
+        let p = b.finish().unwrap();
+        let chain = ConvChain {
+            im2col: 0,
+            gemm: 1,
+            col2im: 2,
+        };
+        let links: Vec<_> = (0..p.stages()).map(|s| p.conv_chain(s)).collect();
+        assert_eq!(
+            links,
+            [Some(chain); 3]
+                .into_iter()
+                .chain([None; 4])
+                .collect::<Vec<_>>()
+        );
+        // Clones share the derivation; a re-targeting derives it again.
+        assert!(Arc::ptr_eq(&p.conv_chains, &p.clone().conv_chains));
+        let wide = p.with_input_shapes(vec![vec![2, 4, 4]]).unwrap();
+        assert_eq!(wide.conv_chain(1), Some(chain));
     }
 
     /// A weight whose second 4-column block is all zero, plus the

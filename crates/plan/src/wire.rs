@@ -1434,6 +1434,37 @@ mod tests {
     }
 
     #[test]
+    fn hostile_conv_geometry_is_rejected_not_a_panic() {
+        let geo = Conv2dGeometry {
+            in_channels: 1,
+            out_channels: 2,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let mut b = Program::builder("conv", EvalMode::Exact);
+        let x = b.input(&[1, 4, 4]);
+        b.push(Op::Im2col(geo), &[x]);
+        let bytes = encode_program(&b.finish().unwrap());
+        let field = |v: usize| (v as u64).to_le_bytes();
+        let encoded: Vec<u8> = [1, 2, 3, 1, 1].into_iter().flat_map(field).collect();
+        let at = bytes
+            .windows(encoded.len())
+            .position(|w| w == encoded)
+            .expect("the geometry is on the wire");
+        for (kernel, padding) in [(3, 1 << 63), (1 << 33, 1 << 33), (0, 1)] {
+            let mut hostile = bytes.clone();
+            hostile[at + 16..at + 24].copy_from_slice(&field(kernel));
+            hostile[at + 32..at + 40].copy_from_slice(&field(padding));
+            let err = decode_program(&hostile).unwrap_err();
+            assert!(
+                matches!(err, WireError::Rejected(TensorError::InvalidArgument(_))),
+                "kernel {kernel}, padding {padding}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn missing_section_is_typed() {
         let mut f = FrameBuilder::new(KIND_PROGRAM);
         f.section(SEC_PROG_META, Vec::new());

@@ -5,6 +5,15 @@
 //! matrix multiply — exactly the transformation the paper assumes when it
 //! says "linear computations can be succinctly expressed as general matrix
 //! multiplications".
+//!
+//! The patch matrix stays the array's view of a convolution — what the
+//! modeled clock costs and what the reference oracles (`Conv2d::infer`,
+//! the `*_direct` models) multiply — and `Op::Im2col` still builds it
+//! wherever a program reads it as a value. The served path does not:
+//! `onesa-plan` runs an `Im2col` → `Gemm` → `Col2im` chain as one
+//! [`parallel::conv2d`](crate::parallel::conv2d) sweep, which reads each
+//! line of the transposed patch matrix in place, from one zero-padded copy
+//! of the image.
 
 use crate::{Result, Tensor, TensorError};
 
@@ -28,14 +37,23 @@ impl Conv2dGeometry {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] if the stride is zero or
-    /// the kernel does not fit the padded input.
+    /// Returns [`TensorError::InvalidArgument`] if the stride or the
+    /// kernel is zero, the padded input size overflows `usize`, or the
+    /// kernel does not fit the padded input.
     pub fn output_hw(&self, h: usize, w: usize) -> Result<(usize, usize)> {
         if self.stride == 0 {
             return Err(TensorError::InvalidArgument("stride must be nonzero"));
         }
-        let ph = h + 2 * self.padding;
-        let pw = w + 2 * self.padding;
+        if self.kernel == 0 {
+            return Err(TensorError::InvalidArgument("kernel must be nonzero"));
+        }
+        let padded = |x: usize| {
+            self.padding
+                .checked_mul(2)
+                .and_then(|p| x.checked_add(p))
+                .ok_or(TensorError::InvalidArgument("padded input size overflows"))
+        };
+        let (ph, pw) = (padded(h)?, padded(w)?);
         if ph < self.kernel || pw < self.kernel {
             return Err(TensorError::InvalidArgument(
                 "kernel larger than padded input",
@@ -48,8 +66,38 @@ impl Conv2dGeometry {
     }
 
     /// Rows of the im2col matrix (= patch volume `Cin·k·k`).
+    ///
+    /// # Panics
+    ///
+    /// Panics in a debug build if the volume overflows `usize`; a caller
+    /// holding an untrusted geometry uses
+    /// [`Conv2dGeometry::checked_patch_len`].
     pub fn patch_len(&self) -> usize {
         self.in_channels * self.kernel * self.kernel
+    }
+
+    /// [`Conv2dGeometry::patch_len`], checked.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::InvalidArgument`] if `Cin·k·k` overflows `usize`.
+    pub fn checked_patch_len(&self) -> Result<usize> {
+        self.kernel
+            .checked_mul(self.kernel)
+            .and_then(|kk| kk.checked_mul(self.in_channels))
+            .ok_or(TensorError::InvalidArgument("patch volume overflows"))
+    }
+
+    /// Output pixels `oh · ow` for an `h × w` input, checked.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Conv2dGeometry::output_hw`], and
+    /// [`TensorError::InvalidArgument`] if the product overflows `usize`.
+    pub fn output_pixels(&self, h: usize, w: usize) -> Result<usize> {
+        let (oh, ow) = self.output_hw(h, w)?;
+        oh.checked_mul(ow)
+            .ok_or(TensorError::InvalidArgument("output pixel count overflows"))
     }
 }
 
@@ -73,9 +121,9 @@ pub fn im2col(input: &Tensor, geo: &Conv2dGeometry) -> Result<Tensor> {
         });
     }
     let (c, h, w) = (dims[0], dims[1], dims[2]);
-    let (oh, ow) = geo.output_hw(h, w)?;
-    let patch = geo.patch_len();
-    let mut out = Tensor::zeros(&[oh * ow, patch]);
+    let ow = geo.output_hw(h, w)?.1;
+    let patch = geo.checked_patch_len()?;
+    let mut out = Tensor::zeros(&[geo.output_pixels(h, w)?, patch]);
     let data = input.as_slice();
     let cols = out.as_mut_slice();
     let (k, pad, stride) = (geo.kernel, geo.padding, geo.stride);
@@ -125,10 +173,10 @@ pub fn im2col(input: &Tensor, geo: &Conv2dGeometry) -> Result<Tensor> {
 /// Returns a shape error if `cols` does not match the given geometry.
 pub fn col2im_output(cols: &Tensor, out_channels: usize, oh: usize, ow: usize) -> Result<Tensor> {
     let (rows, ch) = cols.shape().as_matrix()?;
-    if rows != oh * ow || ch != out_channels {
+    if oh.checked_mul(ow) != Some(rows) || ch != out_channels {
         return Err(TensorError::ShapeMismatch {
             lhs: cols.dims().to_vec(),
-            rhs: vec![oh * ow, out_channels],
+            rhs: vec![oh, ow, out_channels],
             op: "col2im_output",
         });
     }
@@ -210,6 +258,24 @@ mod tests {
         assert_eq!(g2.output_hw(8, 8).unwrap(), (4, 4));
         assert!(geo(1, 1, 3, 0, 0).output_hw(8, 8).is_err());
         assert!(geo(1, 1, 9, 1, 0).output_hw(8, 8).is_err());
+    }
+
+    #[test]
+    fn hostile_geometry_is_an_error_not_an_overflow() {
+        assert!(geo(1, 1, 0, 1, 0).output_hw(8, 8).is_err());
+        assert!(geo(1, 1, 3, 1, 1 << 63).output_hw(8, 8).is_err());
+        assert!(geo(1, 1, 3, 1, usize::MAX / 2).output_hw(8, 8).is_err());
+        let huge = geo(1 << 62, 1, 1 << 33, 1, 1 << 33);
+        assert_eq!(
+            huge.output_hw(8, 8).unwrap(),
+            ((1 << 33) + 9, (1 << 33) + 9)
+        );
+        assert!(huge.output_pixels(8, 8).is_err());
+        assert!(huge.checked_patch_len().is_err());
+        assert_eq!(geo(3, 8, 3, 1, 1).checked_patch_len().unwrap(), 27);
+        assert_eq!(geo(3, 8, 3, 2, 1).output_pixels(8, 8).unwrap(), 16);
+        let cols = Tensor::zeros(&[4, 3]);
+        assert!(col2im_output(&cols, 3, 1 << 33, 1 << 33).is_err());
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The [`gemm`] module defines *what* the array computes; this
 //! module computes the same values *fast* on the host CPU so the engine can
 //! serve real traffic. One packed GEMM sweep serves every entry point —
-//! [`matmul`] under every [`Parallelism`] setting and
-//! [`sparse::matmul`](crate::sparse::matmul) over its payload — built from
-//! three ideas, mirroring how throughput is obtained in systolic-array
-//! designs themselves:
+//! [`matmul`] under every [`Parallelism`] setting,
+//! [`sparse::matmul`](crate::sparse::matmul) over its payload and
+//! [`conv2d`] over image patches — built from three ideas, mirroring how
+//! throughput is obtained in systolic-array designs themselves:
 //!
 //! 1. **Cache/register blocking** — `B` is packed into column panels that
 //!    a register-tiled microkernel sweeps, exactly the output-stationary
@@ -68,6 +68,37 @@
 //! shape space, zero fractions from none to all, signed zeros, non-finite
 //! and underflowing values.
 //!
+//! # Three sources of `B`, one sweep
+//!
+//! The sweep walks `B` one `KC × NR` panel at a time, every row block of
+//! `A` reading each panel line while it is cache-hot, and the three entry
+//! points differ only in where a panel line is: the rows of a dense `B`,
+//! packed into a small buffer; the payload of a block-sparse one, packed
+//! the same way, whose column map sends each run of surviving columns to
+//! its place in `C`; or, for [`conv2d`], **image patches**. A convolution
+//! runs with its kernel weight `W = [cout, C·k·k]` as the packed left
+//! operand and the transposed im2col matrix as `B` — row `(c, ky, kx)` is
+//! that tap of every output pixel — so the wide axis is the pixels, not
+//! the few output channels. That `B` is never built. Each image is copied
+//! once, zero-padded and split into its stride phases, so that tap `(c,
+//! ky, kx)` of `NR` consecutive output pixels is one contiguous run of the
+//! copy (the few pixels a row's end adds are computed and never stored);
+//! the kernel reads every line in place through a per-image tap-offset
+//! table, and nothing is gathered per panel. Images that share one weight
+//! add their pixels as further columns of the one sweep.
+//!
+//! The reference for [`conv2d`] is `im2col` → `matmul(cols, Wᵀ)` →
+//! `col2im_output`: the argument above with `A` and `B` swapped. Each
+//! output element is still one ascending-`k` chain of fused multiply-adds,
+//! and `fma` is symmetric in its multiplicands, so the chains differ only
+//! in which zero steps they take: the reference skips a patch zero that
+//! the no-skip body multiplies, and compacting `W`'s all-zero lines drops
+//! products the reference performs. Both are the identity under the same
+//! test — every image and `W` finite, every non-zero magnitude at least
+//! `2⁻⁵⁰` — and there is no skip body to fall back on (it would skip
+//! `W`'s zeros, not the patches'), so [`conv2d`] checks that test, with
+//! `W`'s half recorded when it was packed, and otherwise declines.
+//!
 //! # Example
 //!
 //! ```
@@ -81,6 +112,7 @@
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 
+use crate::im2col::Conv2dGeometry;
 use crate::{gemm, Result, Tensor, TensorError};
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -95,7 +127,8 @@ const MR: usize = 4;
 const NR: usize = 48;
 /// K-blocking depth: one `KC × NR` packed panel is 24 KiB — it lives in
 /// L1 while every row block sweeps it, and it is the only buffer besides
-/// the packed `A` rows a call allocates.
+/// the packed `A` rows a call allocates (a convolution allocates none, and
+/// one padded copy per image instead).
 const KC: usize = 128;
 /// `f32`s per cache line.
 const LINE: usize = 16;
@@ -187,6 +220,10 @@ pub struct PackedLhs {
     /// magnitude — this operand's half of the test that lets the kernel
     /// multiply by its zeros instead of branching around them.
     safe: bool,
+    /// Whether every element is finite — the other half [`conv2d`] needs
+    /// of its weight, whose zero lines are dropped where the reference
+    /// multiplies them by the patches.
+    finite: bool,
 }
 
 // A line's k offset is stored in one byte.
@@ -203,15 +240,24 @@ const SAFE_MIN: u32 = (127 - 50) << 23;
 /// `+inf` as `f32` bits with the sign cleared.
 const INF: u32 = 0xff << 23;
 
-/// Whether every element is zero or has a magnitude (as `f32` bits) in
-/// `SAFE_MIN..below`. An `A` passes `u32::MAX` — its non-finite elements
-/// are multiplied on both paths alike, only its zeros are in question —
-/// and a `B` passes [`INF`], so that `0·b` is `±0`.
-fn magnitudes_safe(values: &[f32], below: u32) -> bool {
-    values.iter().fold(true, |ok, v| {
+/// `(safe, finite)`: whether every element is zero or at least
+/// [`SAFE_MIN`] in magnitude, and whether every element is finite. An `A`
+/// needs only the first — its non-finite elements are multiplied on both
+/// paths alike, only its zeros are in question — and a `B` both, so that
+/// `0·b` is `±0`.
+fn magnitudes(values: &[f32]) -> (bool, bool) {
+    values.iter().fold((true, true), |(safe, finite), v| {
         let mag = v.to_bits() & !(1 << 31);
-        ok & ((mag == 0) | (SAFE_MIN..below).contains(&mag))
+        (
+            safe & ((mag == 0) | (mag >= SAFE_MIN)),
+            finite & (mag < INF),
+        )
     })
+}
+
+/// Whether `values` pass the whole test a `B` is held to.
+fn safe_and_finite(values: &[f32]) -> bool {
+    magnitudes(values) == (true, true)
 }
 
 impl PackedLhs {
@@ -302,13 +348,15 @@ impl PackedLhs {
         }
         lines.truncate(at * MR);
         offs.truncate(at);
+        let (safe, finite) = magnitudes(a);
         Ok(PackedLhs {
             m,
             k,
             spans,
             lines,
             offs,
-            safe: magnitudes_safe(a, u32::MAX),
+            safe,
+            finite,
         })
     }
 }
@@ -347,35 +395,372 @@ pub fn matmul_packed(a: &PackedLhs, b: &Tensor, par: Parallelism) -> Result<Tens
             op: "parallel::matmul",
         });
     }
-    Ok(gemm_sweep(a, b.as_slice(), None, n, par))
+    let b = Rhs::Rows {
+        values: b.as_slice(),
+        cols: n,
+        cmap: None,
+    };
+    Ok(gemm_sweep(a, b, n, par))
 }
 
-/// The one GEMM sweep behind [`matmul`] and [`crate::sparse::matmul`]:
-/// `C = A · B` for a packed `A` and a row-major `B` with `a.k` rows,
-/// split into disjoint panels of row blocks across `par`'s workers.
+/// A convolution as one sweep with the kernel weight on the left: per
+/// `[C, H, W]` image, the `[cout, oh, ow]` feature map that
+/// [`im2col`](crate::im2col::im2col) → [`matmul`]`(cols, Wᵀ)` →
+/// [`col2im_output`](crate::im2col::col2im_output) produces, with no patch
+/// matrix, no per-call pack and no transpose. `w` is the weight `W =
+/// [cout, C·k·k]`, packed once by its owner ([`PackedLhs::pack`]); the
+/// output pixels of every image are the sweep's columns, side by side, so
+/// a group of images sharing one weight is one sweep (see "Three sources
+/// of `B`" in the [module docs](self)). No bias is added.
 ///
-/// Column `j` of `B` lands in column `cmap[j]` of the `n`-wide result;
-/// `None` is the identity map of a dense `B`. A block-sparse `B` passes its
-/// payload and the payload → output column map, and the output columns no
-/// payload column maps to keep the `+0.0` they are initialized with.
+/// Returns `Ok(None)` — declines, computing nothing — unless every image
+/// and `w` are finite with every non-zero magnitude at least `2⁻⁵⁰`; when
+/// it does not decline, every map is bit-identical to the reference under
+/// every [`Parallelism`] setting. Only the operands' values decide.
+///
+/// # Errors
+///
+/// [`TensorError::ShapeMismatch`] if `w` is not `C·k·k` deep or an image is
+/// not `[C, H, W]` with `C = geo.in_channels`; invalid-argument errors from
+/// [`Conv2dGeometry::output_hw`] and its checked companions.
+pub fn conv2d(
+    w: &PackedLhs,
+    images: &[&Tensor],
+    geo: &Conv2dGeometry,
+    par: Parallelism,
+) -> Result<Option<Vec<Tensor>>> {
+    let shape_err = |rhs: &[usize]| TensorError::ShapeMismatch {
+        lhs: vec![w.m, w.k],
+        rhs: rhs.to_vec(),
+        op: "parallel::conv2d",
+    };
+    if w.k != geo.checked_patch_len()? {
+        return Err(shape_err(&[geo.in_channels, geo.kernel, geo.kernel]));
+    }
+    let mut maps = Vec::with_capacity(images.len());
+    let mut n = 0usize;
+    for image in images {
+        let &[c, h, width] = image.dims() else {
+            return Err(shape_err(image.dims()));
+        };
+        if c != geo.in_channels {
+            return Err(shape_err(image.dims()));
+        }
+        let (oh, ow) = geo.output_hw(h, width)?;
+        n = n
+            .checked_add(geo.output_pixels(h, width)?)
+            .ok_or(TensorError::InvalidArgument("output pixel count overflows"))?;
+        maps.push((oh, ow));
+    }
+    if !(w.safe && w.finite && images.iter().all(|x| safe_and_finite(x.as_slice()))) {
+        return Ok(None);
+    }
+    let patches = Patches::new(geo, images)?;
+    let out = gemm_sweep(w, Rhs::Patches(&patches), n, par);
+    if let [(oh, ow)] = maps[..] {
+        return Ok(Some(vec![Tensor::from_vec(
+            out.into_vec(),
+            &[w.m, oh, ow],
+        )?]));
+    }
+    // Each image's map is its own stretch of every row of the result.
+    let mut off = 0;
+    let split = maps.iter().map(|&(oh, ow)| {
+        let pixels = oh * ow;
+        let mut vals = Vec::with_capacity(w.m * pixels);
+        for row in out.as_slice().chunks_exact(n) {
+            vals.extend_from_slice(&row[off..off + pixels]);
+        }
+        off += pixels;
+        Tensor::from_vec(vals, &[w.m, oh, ow])
+    });
+    split.collect::<Result<_>>().map(Some)
+}
+
+/// Where the sweep's right operand `B` — `a.k` rows by the result's `n`
+/// columns — comes from. The sources differ only in where a panel's lines
+/// are (see "Three sources of `B`" in the [module docs](self)).
+#[derive(Clone, Copy)]
+pub(crate) enum Rhs<'a> {
+    /// A row-major matrix of `cols` columns whose column `j` lands in
+    /// result column `cmap[j]`. `None` is the identity map of a dense `B`;
+    /// a block-sparse `B` passes its payload and the payload → result
+    /// column map, and the result columns nothing maps to keep the `+0.0`
+    /// they are initialized with.
+    Rows {
+        values: &'a [f32],
+        cols: usize,
+        cmap: Option<&'a [usize]>,
+    },
+    /// The transposed patch matrix of [`conv2d`]'s images.
+    Patches(&'a Patches),
+}
+
+impl<'a> Rhs<'a> {
+    /// How many column panels the sweep cuts `B` into.
+    fn panels(self) -> usize {
+        match self {
+            Rhs::Rows { cols, .. } => cols.div_ceil(NR),
+            Rhs::Patches(p) => p.panels.len(),
+        }
+    }
+
+    /// How many lanes of panel `i` the kernel computes on (at most
+    /// [`NR`]); [`Rhs::runs`] says which of them it stores.
+    fn width(self, i: usize) -> usize {
+        match self {
+            Rhs::Rows { cols, .. } => NR.min(cols - i * NR),
+            Rhs::Patches(p) => p.panel_width(i),
+        }
+    }
+
+    /// Where panel `i`'s lanes land in the result: one run for a dense
+    /// `B`; for a sparse one, one per stretch of the map that no pruned
+    /// block interrupts; for patches, one per output row the panel meets.
+    fn runs(self, i: usize, runs: &mut Vec<Run>) {
+        runs.clear();
+        let (j0, width) = (i * NR, self.width(i));
+        match self {
+            Rhs::Rows { cmap: None, .. } => runs.push(Run {
+                at: 0,
+                col: j0,
+                len: width,
+            }),
+            Rhs::Rows {
+                cmap: Some(map), ..
+            } => {
+                let map = &map[j0..j0 + width];
+                let mut at = 0;
+                for p in 1..=width {
+                    if p == width || map[p] != map[p - 1] + 1 {
+                        runs.push(Run {
+                            at,
+                            col: map[at],
+                            len: p - at,
+                        });
+                        at = p;
+                    }
+                }
+            }
+            Rhs::Patches(p) => p.runs(i, runs),
+        }
+    }
+
+    /// Rows `k0..k0 + kc` of panel `i`, `w` lanes each, where the kernel
+    /// reads them. A matrix is packed into `buf`, line after line (lanes
+    /// past the panel's width keep whatever an earlier panel left there:
+    /// the kernel computes on them and never stores them); patches are read
+    /// where they lie.
+    fn lines<'s>(self, i: usize, k0: usize, kc: usize, w: usize, buf: &'s mut [f32]) -> Lines<'s>
+    where
+        'a: 's,
+    {
+        match self {
+            Rhs::Rows { values, cols, .. } => {
+                let (j0, width) = (i * NR, self.width(i));
+                for (p, line) in buf.chunks_exact_mut(w).take(kc).enumerate() {
+                    let row = (k0 + p) * cols + j0;
+                    line[..width].copy_from_slice(&values[row..row + width]);
+                }
+                Lines {
+                    values: buf,
+                    taps: &[],
+                }
+            }
+            Rhs::Patches(p) => p.lines(i, k0, kc),
+        }
+    }
+}
+
+/// One k-block of a panel's `B` lines as the microkernel finds them: line
+/// `off` starts at `off · W` of `values` — a packed panel, lines back to
+/// back — or, through a tap table, at `taps[off]`.
+struct Lines<'s> {
+    values: &'s [f32],
+    taps: &'s [usize],
+}
+
+/// The transposed im2col matrix of [`conv2d`]'s images, never built: row
+/// `(c, ky, kx)` holds that tap of every output pixel, the images' pixels
+/// side by side.
+///
+/// Each image is copied once, zero-padded and split into its stride phases
+/// ([`Phases`]), a layout in which output pixel `(oy, ox)` is *virtual
+/// pixel* `oy·pitch + ox` and tap `t` of every virtual pixel `q` sits at
+/// `taps[t] + q`. A panel is [`NR`] consecutive virtual pixels, so each of
+/// its lines is one contiguous run of that copy: the kernel reads it in
+/// place through the image's tap-offset table, and nothing is gathered.
+/// The `pitch − ow` virtual pixels at the end of each row are computed on
+/// and never stored.
+pub(crate) struct Patches {
+    images: Vec<Phases>,
+    /// `(image, first virtual pixel)` of each panel.
+    panels: Vec<(usize, usize)>,
+}
+
+/// One image of [`Patches`].
+struct Phases {
+    /// Channel `c`'s phase `(ry, rx)` is a `rows × pitch` plane whose
+    /// element `[a][b]` is the zero-padded image's pixel `(s·a + ry, s·b +
+    /// rx)`, for the `min(s, k)²` phases some tap reads; then [`NR`]
+    /// floats of `+0.0` for the lanes a last panel computes past the end.
+    values: Vec<f32>,
+    /// Where tap `t`'s line for virtual pixel 0 starts in `values`.
+    taps: Vec<usize>,
+    /// Virtual pixels per output row: output pixel `(oy, ox)` is virtual
+    /// pixel `oy · pitch + ox`.
+    pitch: usize,
+    /// Output height and width.
+    oh: usize,
+    ow: usize,
+    /// The result column of the image's first output pixel.
+    col: usize,
+}
+
+impl Phases {
+    /// Virtual pixels up to and including the last output pixel.
+    fn extent(&self) -> usize {
+        (self.oh - 1) * self.pitch + self.ow
+    }
+}
+
+impl Patches {
+    /// The patches of `images` (already checked against `geo`).
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::InvalidArgument`] if a phase-split copy's size
+    /// overflows `usize`.
+    fn new(geo: &Conv2dGeometry, images: &[&Tensor]) -> Result<Self> {
+        let (k, s, pad) = (geo.kernel, geo.stride, geo.padding);
+        let phases = s.min(k);
+        let overflow = || TensorError::InvalidArgument("phase-split image size overflows");
+        let mut col = 0;
+        let mut split = Vec::with_capacity(images.len());
+        for image in images {
+            let &[c, h, w] = image.dims() else {
+                unreachable!("conv2d checked every image is [C, H, W]")
+            };
+            let (oh, ow) = geo.output_hw(h, w)?;
+            // `output_hw` checked that the padded sizes fit.
+            let (rows, pitch) = ((h + 2 * pad).div_ceil(s), (w + 2 * pad).div_ceil(s));
+            let plane = rows.checked_mul(pitch).ok_or_else(overflow)?;
+            let len = [c, phases, phases, plane]
+                .into_iter()
+                .try_fold(1usize, usize::checked_mul)
+                .and_then(|v| v.checked_add(NR))
+                .ok_or_else(overflow)?;
+            let mut values = vec![0.0f32; len];
+            let src = image.as_slice();
+            let channels = values[..len - NR].chunks_exact_mut(phases * phases * plane);
+            for (c, planes) in channels.enumerate() {
+                for (phase, dst) in planes.chunks_exact_mut(plane).enumerate() {
+                    let (ry, rx) = (phase / phases, phase % phases);
+                    // Phase columns `b` whose padded column `s·b + rx` is
+                    // inside the image.
+                    let lo = pad.saturating_sub(rx).div_ceil(s);
+                    let hi = (w + pad).saturating_sub(rx).div_ceil(s).max(lo);
+                    for (a, dst) in dst.chunks_exact_mut(pitch).enumerate() {
+                        let iy = (s * a + ry).checked_sub(pad);
+                        let Some(iy) = iy.filter(|&iy| iy < h && lo < hi) else {
+                            continue;
+                        };
+                        let row = &src[(c * h + iy) * w + s * lo + rx - pad..];
+                        if s == 1 {
+                            dst[lo..hi].copy_from_slice(&row[..hi - lo]);
+                        } else {
+                            for (d, &v) in dst[lo..hi].iter_mut().zip(row.iter().step_by(s)) {
+                                *d = v;
+                            }
+                        }
+                    }
+                }
+            }
+            let taps = (0..geo.patch_len())
+                .map(|t| {
+                    let (c, ky, kx) = (t / (k * k), t / k % k, t % k);
+                    let phase = (c * phases + ky % s) * phases + kx % s;
+                    phase * plane + ky / s * pitch + kx / s
+                })
+                .collect();
+            let phases = Phases {
+                values,
+                taps,
+                pitch,
+                oh,
+                ow,
+                col,
+            };
+            col += oh * ow;
+            split.push(phases);
+        }
+        let panels = split
+            .iter()
+            .enumerate()
+            .flat_map(|(image, p)| (0..p.extent()).step_by(NR).map(move |q| (image, q)))
+            .collect();
+        Ok(Patches {
+            images: split,
+            panels,
+        })
+    }
+
+    fn panel_width(&self, i: usize) -> usize {
+        let (image, q0) = self.panels[i];
+        NR.min(self.images[image].extent() - q0)
+    }
+
+    /// One run per output row that panel `i`'s virtual pixels meet.
+    fn runs(&self, i: usize, runs: &mut Vec<Run>) {
+        let (image, q0) = self.panels[i];
+        let Phases { pitch, ow, col, .. } = self.images[image];
+        let end = q0 + self.panel_width(i);
+        for oy in q0 / pitch..end.div_ceil(pitch) {
+            let row = oy * pitch;
+            let (lo, hi) = (q0.max(row), end.min(row + ow));
+            if lo < hi {
+                runs.push(Run {
+                    at: lo - q0,
+                    col: col + oy * ow + lo - row,
+                    len: hi - lo,
+                });
+            }
+        }
+    }
+
+    /// Panel `i`'s taps `k0..k0 + kc`: its image's phase-split copy, read
+    /// through the image's tap table from the panel's first virtual pixel.
+    fn lines(&self, i: usize, k0: usize, kc: usize) -> Lines<'_> {
+        let (image, q0) = self.panels[i];
+        let phases = &self.images[image];
+        Lines {
+            values: &phases.values[q0..],
+            taps: &phases.taps[k0..k0 + kc],
+        }
+    }
+}
+
+/// The one GEMM sweep behind [`matmul`], [`crate::sparse::matmul`] and
+/// [`conv2d`]: `C = A · B` for a packed `A` and a `B` of `a.k` rows from
+/// any [`Rhs`] source, into an `n`-wide result, split into disjoint panels
+/// of row blocks across `par`'s workers.
 ///
 /// The operands decide which of the microkernel's two bodies runs, once
 /// per call: the one that multiplies by `A`'s zeros whenever that is the
 /// identity (see "Bit-identical by construction" in the
 /// [module docs](self)), the one that branches around them otherwise.
-pub(crate) fn gemm_sweep(
-    a: &PackedLhs,
-    b: &[f32],
-    cmap: Option<&[usize]>,
-    n: usize,
-    par: Parallelism,
-) -> Tensor {
+/// Patches always take the first: [`conv2d`] checked the stronger test
+/// before it swept.
+pub(crate) fn gemm_sweep(a: &PackedLhs, b: Rhs<'_>, n: usize, par: Parallelism) -> Tensor {
     let mut out = Tensor::zeros(&[a.m, n]);
-    let skip = !(a.safe && magnitudes_safe(b, INF));
+    let skip = match b {
+        Rhs::Rows { values, .. } => !(a.safe && safe_and_finite(values)),
+        Rhs::Patches(_) => false,
+    };
     let blocks = a.m.div_ceil(MR);
     let workers = par.worker_count().min(blocks.max(1));
     if workers <= 1 || blocks < 2 {
-        panel_rows(a, 0, b, cmap, out.as_mut_slice(), n, skip);
+        panel_rows(a, 0, b, out.as_mut_slice(), n, skip);
         return out;
     }
     // Split C into near-equal disjoint panels of whole row blocks, one per
@@ -391,7 +776,7 @@ pub(crate) fn gemm_sweep(
             let rows = (mine * MR).min(a.m - blk0 * MR);
             let (panel, tail) = rest.split_at_mut(rows * n);
             rest = tail;
-            scope.spawn(move || panel_rows(a, blk0, b, cmap, panel, n, skip));
+            scope.spawn(move || panel_rows(a, blk0, b, panel, n, skip));
             blk0 += mine;
         }
     });
@@ -463,8 +848,8 @@ where
 }
 
 /// Computes the rows of `C` that `c` holds — whole row blocks of `a`
-/// starting at block `blk0` (the last may be ragged) — with `b`, `cmap`
-/// and `skip` as in [`gemm_sweep`].
+/// starting at block `blk0` (the last may be ragged) — with `b` and
+/// `skip` as in [`gemm_sweep`].
 ///
 /// `B` is consumed one column panel of up to [`NR`] columns at a time,
 /// `KC` rows deep, BLIS-style and independently by each worker (the
@@ -474,77 +859,42 @@ where
 /// the narrowest of 16 / 32 / 48 lanes that covers it, so a narrow product
 /// (or the tail of a wide one) does not pay for a `4 × 48` tile it leaves
 /// mostly empty.
-fn panel_rows(
-    a: &PackedLhs,
-    blk0: usize,
-    b: &[f32],
-    cmap: Option<&[usize]>,
-    c: &mut [f32],
-    n: usize,
-    skip: bool,
-) {
-    let nb = cmap.map_or(n, <[usize]>::len);
+fn panel_rows(a: &PackedLhs, blk0: usize, b: Rhs<'_>, c: &mut [f32], n: usize, skip: bool) {
     let kblocks = a.k.div_ceil(KC);
-    // The kernel reads the panel one 64-byte vector at a time; start it
-    // on a cache line so no read straddles two (the allocator promises
-    // 16 bytes, and which residue it hands out varies call to call).
-    let len = KC.min(a.k) * lanes(nb.min(NR));
+    // A matrix is packed panel by panel into one buffer (patches are read
+    // where they lie). The kernel reads it one 64-byte vector at a time;
+    // start it on a cache line so no read straddles two (the allocator
+    // promises 16 bytes, and which residue it hands out varies call to
+    // call).
+    let len = match b {
+        Rhs::Rows { cols, .. } => KC.min(a.k) * lanes(cols.min(NR)),
+        Rhs::Patches(_) => 0,
+    };
     let mut buf = vec![0.0f32; len + LINE];
     let skew = buf.as_ptr().align_offset(LINE * 4) % LINE;
     let panel = &mut buf[skew..skew + len];
     let mut runs = Vec::new();
-    for j0 in (0..nb).step_by(NR) {
-        let width = NR.min(nb - j0);
-        let w = lanes(width);
-        let kernel: Microkernel = match (w, skip) {
-            (16, false) => microkernel::<16, false>,
-            (32, false) => microkernel::<32, false>,
-            (_, false) => microkernel::<NR, false>,
-            (16, true) => microkernel::<16, true>,
-            (32, true) => microkernel::<32, true>,
-            (_, true) => microkernel::<NR, true>,
+    for i in 0..b.panels() {
+        let w = lanes(b.width(i));
+        let kernel = match (b, skip) {
+            (Rhs::Patches(_), _) => microkernel_for::<false, true>(w),
+            (_, false) => microkernel_for::<false, false>(w),
+            (_, true) => microkernel_for::<true, false>(w),
         };
-        // Where this panel's columns land in C: one run for a dense B;
-        // for a sparse one, one per stretch of the map that no pruned
-        // block interrupts.
-        runs.clear();
-        match cmap.map(|map| &map[j0..j0 + width]) {
-            None => runs.push(Run {
-                at: 0,
-                col: j0,
-                len: width,
-            }),
-            Some(map) => {
-                let mut at = 0;
-                for p in 1..=width {
-                    if p == width || map[p] != map[p - 1] + 1 {
-                        runs.push(Run {
-                            at,
-                            col: map[at],
-                            len: p - at,
-                        });
-                        at = p;
-                    }
-                }
-            }
-        }
+        b.runs(i, &mut runs);
         for kb in 0..kblocks {
             let k0 = kb * KC;
             let kc = KC.min(a.k - k0);
-            // Lanes past `width` keep whatever an earlier panel left
-            // there: the kernel computes on them and never stores them.
-            for (p, line) in panel.chunks_exact_mut(w).take(kc).enumerate() {
-                let row = (k0 + p) * nb + j0;
-                line[..width].copy_from_slice(&b[row..row + width]);
-            }
-            for (i, crows) in c.chunks_mut(MR * n).enumerate() {
-                let span = (blk0 + i) * kblocks + kb;
+            let lines = b.lines(i, k0, kc, w, panel);
+            for (blk, crows) in c.chunks_mut(MR * n).enumerate() {
+                let span = (blk0 + blk) * kblocks + kb;
                 let (lo, hi) = (a.spans[span], a.spans[span + 1]);
                 if lo < hi {
                     kernel(
                         &a.lines[lo * MR..hi * MR],
                         &a.offs[lo..hi],
-                        &panel[..kc * w],
+                        lines.values,
+                        lines.taps,
                         crows,
                         n,
                         &runs,
@@ -574,12 +924,24 @@ struct Run {
 }
 
 /// The signature every instance of [`microkernel`] shares.
-type Microkernel = fn(&[f32], &[u8], &[f32], &mut [f32], usize, &[Run]);
+type Microkernel = fn(&[f32], &[u8], &[f32], &[usize], &mut [f32], usize, &[Run]);
+
+/// The instance of [`microkernel`] for a `w`-lane panel.
+fn microkernel_for<const SKIP: bool, const TAPS: bool>(w: usize) -> Microkernel {
+    match w {
+        16 => microkernel::<16, SKIP, TAPS>,
+        32 => microkernel::<32, SKIP, TAPS>,
+        _ => microkernel::<NR, SKIP, TAPS>,
+    }
+}
 
 /// The register-tiled inner kernel: an `MR × W` block of `C` held in
 /// accumulators across the retained lines of one (row block, k-block)
-/// pair of the packed `A` (`alines`: `MR` values per line, `offs`: the
-/// line of `bpanel` each one multiplies; `bpanel`: `kc × W`).
+/// pair of the packed `A` (`alines`: `MR` values per line, `offs`: each
+/// one's k offset in the block), each multiplying the `W`-lane line of `B`
+/// at that offset: of `values`, a packed panel, or — if `TAPS` — through
+/// the tap table, as [`Lines`] describes. (The two travel as separate
+/// arguments: passed as one `Lines`, the loop is no longer vectorised.)
 ///
 /// The block's running totals are *resumed from* `C` and checkpointed
 /// back to it between k-blocks, so each output element experiences one
@@ -593,10 +955,11 @@ type Microkernel = fn(&[f32], &[u8], &[f32], &mut [f32], usize, &[Run]);
 /// loop body has no data-dependent branch: a zero in a live line is
 /// multiplied like any other value, which [`gemm_sweep`] allows only when
 /// that returns the accumulator bit for bit.
-fn microkernel<const W: usize, const SKIP: bool>(
+fn microkernel<const W: usize, const SKIP: bool, const TAPS: bool>(
     alines: &[f32],
     offs: &[u8],
-    bpanel: &[f32],
+    values: &[f32],
+    taps: &[usize],
     crows: &mut [f32],
     n: usize,
     runs: &[Run],
@@ -609,8 +972,9 @@ fn microkernel<const W: usize, const SKIP: bool>(
     }
     for (arow, &off) in alines.chunks_exact(MR).zip(offs) {
         let arow: &[f32; MR] = arow.try_into().expect("A block line");
-        let off = usize::from(off) * W;
-        let brow: &[f32; W] = bpanel[off..off + W].try_into().expect("panel line");
+        let off = usize::from(off);
+        let start = if TAPS { taps[off] } else { off * W };
+        let brow: &[f32; W] = values[start..start + W].try_into().expect("panel line");
         for r in 0..MR {
             let arp = arow[r];
             // The reference kernel's skip: an exact zero in A contributes
@@ -786,6 +1150,36 @@ mod tests {
                 assert_bit_identical(&mhp(&x, &k, &b, par).unwrap(), &reference);
             }
         }
+    }
+
+    #[test]
+    fn conv2d_checks_shapes_before_values() {
+        let geo = Conv2dGeometry {
+            in_channels: 2,
+            out_channels: 3,
+            kernel: 3,
+            stride: 2,
+            padding: 1,
+        };
+        let w = PackedLhs::pack(&Pcg32::seed_from_u64(9).randn(&[3, 18], 1.0)).unwrap();
+        let x = Pcg32::seed_from_u64(10).randn(&[2, 5, 7], 1.0);
+        let run =
+            |images: &[&Tensor], w: &PackedLhs| conv2d(w, images, &geo, Parallelism::Sequential);
+        let maps = run(&[&x, &x], &w).unwrap().unwrap();
+        assert_eq!(maps.len(), 2);
+        assert_eq!(maps[0].dims(), &[3, 3, 4]);
+        assert_eq!(maps[0], maps[1]);
+        assert!(run(&[], &w).unwrap().unwrap().is_empty());
+        // Shape errors win over a declining value.
+        let mut nan = Tensor::zeros(&[3, 5, 7]);
+        nan.as_mut_slice()[0] = f32::NAN;
+        assert!(run(&[&x, &nan], &w).is_err());
+        assert!(run(&[&Tensor::zeros(&[2, 35])], &w).is_err());
+        let shallow = PackedLhs::pack(&Tensor::zeros(&[3, 9])).unwrap();
+        assert!(run(&[&x], &shallow).is_err());
+        assert!(run(&[&x, &Tensor::zeros(&[2, 1, 1])], &w)
+            .unwrap()
+            .is_some());
     }
 
     #[test]

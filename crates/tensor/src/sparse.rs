@@ -51,7 +51,7 @@
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 
-use crate::parallel::{gemm_sweep, PackedLhs, Parallelism};
+use crate::parallel::{gemm_sweep, PackedLhs, Parallelism, Rhs};
 use crate::{Result, Tensor, TensorError};
 
 /// A `rows × cols` matrix whose zero column-blocks are stored as a
@@ -238,7 +238,12 @@ pub fn matmul(a: &Tensor, b: &SparseTensor, par: Parallelism) -> Result<Tensor> 
         });
     }
     let a = PackedLhs::pack_with(a, false)?;
-    Ok(gemm_sweep(&a, &b.payload, Some(&b.col_map), b.cols, par))
+    let payload = Rhs::Rows {
+        values: &b.payload,
+        cols: b.col_map.len(),
+        cmap: Some(&b.col_map),
+    };
+    Ok(gemm_sweep(&a, payload, b.cols, par))
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Property-based tests for the tensor substrate.
 
 use onesa_tensor::fixed::QFormat;
+use onesa_tensor::im2col::{self, Conv2dGeometry};
 use onesa_tensor::parallel::{self, PackedLhs, Parallelism};
 use onesa_tensor::quant::{self, QuantTensor, QuantTensor8};
 use onesa_tensor::rng::Pcg32;
@@ -152,6 +153,77 @@ fn zero_case() -> impl Strategy<Value = ZeroCase> {
         })
 }
 
+/// One group of convolutions over `parallel::conv2d`'s space: `C·k·k` on
+/// both sides of the 128-deep k-block (`cin` up to 17 at `k = 3`), strides
+/// 1–3, paddings up to `k + 1`, `cout` 1–13 (ragged row blocks), and 1–4
+/// images of different sizes from 1×1 to 40×40 sharing the weight (panels
+/// of every width, ragged last panels). Values come plain, ReLU-masked,
+/// INT16-round-tripped, or with planted `±0.0`; the weight has planted
+/// zeros and whole zero taps (dropped lines of the pack).
+#[derive(Debug)]
+struct ConvCase {
+    geo: Conv2dGeometry,
+    w: Tensor,
+    images: Vec<Tensor>,
+}
+
+fn conv_case() -> impl Strategy<Value = ConvCase> {
+    (
+        (1usize..=17, 1usize..=4, 1usize..=3, 0usize..=5),
+        (1usize..=13, 1usize..=4, 0usize..4),
+        0u64..1 << 32,
+    )
+        .prop_map(|((cin, k, stride, pad), (cout, count, kind), seed)| {
+            let mut rng = Pcg32::seed_from_u64(seed);
+            let geo = Conv2dGeometry {
+                in_channels: cin,
+                out_channels: cout,
+                kernel: k,
+                stride,
+                padding: pad.min(k + 1),
+            };
+            let smallest = k.saturating_sub(2 * geo.padding).max(1);
+            let images = (0..count)
+                .map(|_| {
+                    let mut side = || smallest.max(1 + rng.below(40) as usize);
+                    let (h, w) = (side(), side());
+                    let x = rng.randn(&[cin, h, w], 1.0);
+                    match kind {
+                        0 => x,
+                        1 => x.map(|v| v.max(0.0)),
+                        2 => QuantTensor::round_trip(&x),
+                        _ => x.map(|v| match v.to_bits() % 5 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => v,
+                        }),
+                    }
+                })
+                .collect();
+            let mut w = rng.randn(&[cout, geo.patch_len()], 1.0);
+            let patch = geo.patch_len();
+            let dead_tap = rng.below(patch as u32) as usize;
+            for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
+                match rng.next_u32() % 16 {
+                    _ if i % patch == dead_tap => *v = 0.0,
+                    0 => *v = 0.0,
+                    1 => *v = -0.0,
+                    _ => {}
+                }
+            }
+            ConvCase { geo, w, images }
+        })
+}
+
+/// `im2col` → `gemm::matmul(cols, Wᵀ)` → `col2im_output`: the reference
+/// `parallel::conv2d` must equal.
+fn conv_reference(image: &Tensor, w: &Tensor, geo: &Conv2dGeometry) -> Tensor {
+    let (oh, ow) = geo.output_hw(image.dims()[1], image.dims()[2]).unwrap();
+    let cols = im2col::im2col(image, geo).unwrap();
+    let prod = gemm::matmul(&cols, &w.transpose().unwrap()).unwrap();
+    im2col::col2im_output(&prod, w.dims()[0], oh, ow).unwrap()
+}
+
 fn assert_bit_identical(got: &Tensor, want: &Tensor) {
     assert_eq!(got.dims(), want.dims());
     for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
@@ -204,6 +276,54 @@ proptest! {
             assert_bit_identical(&parallel::matmul(&case.a, &case.b, par).unwrap(), &want);
             assert_bit_identical(&parallel::matmul_packed(&packed_a, &case.b, par).unwrap(), &want);
             assert_bit_identical(&sparse::matmul(&case.a, &sparse_b, par).unwrap(), &want);
+        }
+    }
+
+    /// The convolution sweep — weight on the left, patches gathered from
+    /// the images — equals the im2col reference bit for bit, for a lone
+    /// image and for a group sharing the weight, under every
+    /// `Parallelism`.
+    #[test]
+    fn conv2d_equals_im2col_gemm_col2im(case in conv_case()) {
+        let packed = PackedLhs::pack(&case.w).unwrap();
+        let images: Vec<&Tensor> = case.images.iter().collect();
+        let want: Vec<Tensor> =
+            images.iter().map(|x| conv_reference(x, &case.w, &case.geo)).collect();
+        for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
+            let group = parallel::conv2d(&packed, &images, &case.geo, par).unwrap();
+            let group = group.expect("finite operands above 2^-50 never decline");
+            prop_assert_eq!(group.len(), want.len());
+            for (got, want) in group.iter().zip(&want) {
+                assert_bit_identical(got, want);
+            }
+            let solo = parallel::conv2d(&packed, &images[..1], &case.geo, par).unwrap();
+            assert_bit_identical(&solo.unwrap()[0], &want[0]);
+        }
+    }
+
+    /// A `NaN`, a `±inf` or a subnormal anywhere in one image or in the
+    /// weight makes the sweep decline, for the whole group.
+    #[test]
+    fn conv2d_declines_unless_every_operand_is_safe(
+        case in conv_case(),
+        (poison, target, at) in (0usize..4, 0usize..5, 0u64..1 << 32),
+    ) {
+        let value = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40][poison];
+        let (mut w, mut images) = (case.w, case.images);
+        let victim = match target {
+            0 => &mut w,
+            i => {
+                let i = (i - 1) % images.len();
+                &mut images[i]
+            }
+        };
+        let len = victim.len() as u64;
+        victim.as_mut_slice()[(at % len) as usize] = value;
+        let packed = PackedLhs::pack(&w).unwrap();
+        let images: Vec<&Tensor> = images.iter().collect();
+        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let got = parallel::conv2d(&packed, &images, &case.geo, par).unwrap();
+            prop_assert!(got.is_none(), "{} planted in operand {}", value, target);
         }
     }
 

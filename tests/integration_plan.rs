@@ -521,3 +521,110 @@ fn program_request_rejected_at_admission_does_not_poison_the_window() {
     let summary = pool.finish().unwrap();
     assert_eq!(summary.report.requests, 1);
 }
+
+/// `(kernel groups summed over stages, GEMM groups, nonlinear groups,
+/// batched (cycles, MACs, nonlinear evaluations))` of a staged group of
+/// 1..=4 `Standard`-optimized `SmallCnn::new(11, 3, 10)` programs whose
+/// images alternate 32×32 and 16×16, per mode — recorded at the commit
+/// before convolution chains ran as one sweep, where `Im2col`, `Gemm` and
+/// `Col2im` were three kernels.
+type Accounting = (usize, usize, usize, (u64, u64, u64));
+const CNN_GOLDEN: [[Accounting; 4]; 2] = [
+    [
+        (18, 4, 3, (14_940, 1_523_792, 24_576)),
+        (29, 4, 3, (18_669, 1_904_800, 30_720)),
+        (40, 4, 3, (33_366, 3_428_592, 55_296)),
+        (51, 4, 3, (37_095, 3_809_600, 61_440)),
+    ],
+    [
+        (24, 4, 3, (14_940, 1_523_792, 24_576)),
+        (41, 4, 3, (18_669, 1_904_800, 30_720)),
+        (58, 4, 3, (33_366, 3_428_592, 55_296)),
+        (75, 4, 3, (37_095, 3_809_600, 61_440)),
+    ],
+];
+
+#[test]
+fn staged_cnn_convolutions_match_solo_and_direct_runs_with_unchanged_accounting() {
+    // The served CNN at both resolutions of the benchmark, staged in mixed
+    // groups: its three convolutions run as one sweep per group — unless a
+    // member's image carries a NaN. In the exact mode the NaN reaches the
+    // first convolution, whose group then runs im2col + GEMM + col2im; the
+    // INT16 boundary of the quantized mode zeroes it before that.
+    let cnn = SmallCnn::new(11, 3, 10);
+    let cfg = ArrayConfig::new(8, 16);
+    let mut rng = Pcg32::seed_from_u64(26);
+    let images: Vec<Tensor> = [32, 16, 32, 16]
+        .iter()
+        .map(|&side| rng.randn(&[3, side, side], 1.0))
+        .collect();
+    let triple = |s: &onesa_sim::ExecStats| (s.cycles(), s.macs, s.nonlinear_evals);
+    for (mode, golden) in [InferenceMode::Exact, InferenceMode::cpwl(0.25).unwrap()]
+        .iter()
+        .zip(CNN_GOLDEN)
+    {
+        let compile = |side: usize| {
+            cnn.compile_optimized((mode, (side, side)), OptLevel::Standard)
+                .unwrap()
+        };
+        let programs = [compile(32), compile(16)];
+        for size in 1..=4usize {
+            for poisoned in [false, true] {
+                let mut xs = images[..size].to_vec();
+                if poisoned {
+                    xs[size - 1].as_mut_slice()[100] = f32::NAN;
+                }
+                let jobs: Vec<(&onesa_core::Program, &[Tensor])> = xs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, x)| (&programs[i % 2], std::slice::from_ref(x)))
+                    .collect();
+                for par in parallelisms() {
+                    let case = format!(
+                        "{} x{size} poisoned={poisoned} {}",
+                        mode.label(),
+                        par.label()
+                    );
+                    let staged =
+                        onesa_core::plan::run_staged(&jobs, &cfg, par, &mut TableCache::new())
+                            .unwrap();
+                    let groups: usize = staged.stages.iter().map(|s| s.groups).sum();
+                    let accounting = (
+                        groups,
+                        staged.gemm_groups,
+                        staged.nonlinear_groups,
+                        triple(&staged.batched),
+                    );
+                    assert_eq!(accounting, golden[size - 1], "{case}");
+                    // Three convolutions, one sweep each — but the exact
+                    // mode's NaN sends the first back to the three kernels.
+                    let exact = matches!(mode, InferenceMode::Exact);
+                    let sweeps = if poisoned && exact { 2 } else { 3 };
+                    assert_eq!(staged.conv_sweeps, sweeps, "{case}");
+                    for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
+                        let label = format!("{case} #{i}");
+                        let alone = onesa_core::plan::run_staged(
+                            &[*job],
+                            &cfg,
+                            par,
+                            &mut TableCache::new(),
+                        )
+                        .unwrap();
+                        assert_bits_eq(
+                            &label,
+                            run.output.as_slice(),
+                            alone.runs[0].output.as_slice(),
+                        );
+                        assert_bits_eq(
+                            &label,
+                            run.output.as_slice(),
+                            &cnn.logits_direct(&job.1[0], mode),
+                        );
+                        assert_eq!(run.op_stats, job.0.op_stats(&cfg).unwrap(), "{label}");
+                        assert_eq!(run.op_stats, alone.runs[0].op_stats, "{label}");
+                    }
+                }
+            }
+        }
+    }
+}
