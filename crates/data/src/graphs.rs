@@ -5,6 +5,7 @@
 use crate::Difficulty;
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::Tensor;
+use std::sync::Arc;
 
 /// A node-classification graph dataset.
 #[derive(Debug, Clone)]
@@ -20,8 +21,12 @@ pub struct GraphDataset {
     /// Node feature matrix `[nodes, features]`.
     pub x: Tensor,
     /// Symmetrically normalized adjacency with self-loops,
-    /// `D^{-1/2} (A + I) D^{-1/2}`, stored dense `[nodes, nodes]`.
-    pub a_hat: Tensor,
+    /// `D^{-1/2} (A + I) D^{-1/2}`, stored dense `[nodes, nodes]`. Shared:
+    /// every clone of the dataset — one graph carrying many feature sets —
+    /// holds the one tensor, and a model that compiles `Â` into a program
+    /// recognises it there by identity. Edit a clone's through
+    /// [`Arc::make_mut`], which copies it first.
+    pub a_hat: Arc<Tensor>,
     /// Node labels.
     pub y: Vec<usize>,
     /// Indices of training nodes.
@@ -107,7 +112,7 @@ impl GraphDataset {
             features,
             classes,
             x,
-            a_hat: Tensor::from_vec(a_hat, &[nodes, nodes]).expect("square"),
+            a_hat: Arc::new(Tensor::from_vec(a_hat, &[nodes, nodes]).expect("square")),
             y,
             train_idx,
             test_idx,
@@ -209,6 +214,19 @@ mod tests {
         let b = GraphDataset::generate("t", 5, Difficulty::easy(3), 20, 4, 0.3);
         assert_eq!(a.a_hat, b.a_hat);
         assert_eq!(a.x, b.x);
+    }
+
+    #[test]
+    fn clones_share_a_hat_until_one_is_edited() {
+        let a = GraphDataset::generate("t", 6, Difficulty::easy(3), 20, 4, 0.3);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.a_hat, &b.a_hat));
+        Arc::make_mut(&mut b.a_hat).as_mut_slice()[0] += 1.0;
+        assert!(!Arc::ptr_eq(&a.a_hat, &b.a_hat));
+        assert_eq!(
+            a.a_hat,
+            GraphDataset::generate("t", 6, Difficulty::easy(3), 20, 4, 0.3).a_hat
+        );
     }
 
     #[test]

@@ -555,7 +555,9 @@ impl Gcn {
         let x = boundary(&mut b, mode, x0);
         let w1 = b.constant(self.w1.value.clone());
         let w2 = b.constant(self.w2.value.clone());
-        let a_hat = b.constant(g.a_hat.clone());
+        // The dataset's own Â, not a copy: the cached program is then
+        // recognised by identity on every call that passes the graph.
+        let a_hat = b.constant_shared(std::sync::Arc::clone(&g.a_hat));
         let xw = b.push(
             Op::Gemm {
                 bias: None,

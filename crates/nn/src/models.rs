@@ -13,7 +13,7 @@ use crate::layers::{
 use crate::train::TrainConfig;
 use onesa_data::text::TextTask;
 use onesa_data::{GraphDataset, ImageDataset, TextDataset};
-use onesa_plan::{same_tensor, tensor_fingerprint, CompileCache, Op, Operand, OptLevel, Program};
+use onesa_plan::{same_tensor, CompileCache, Op, Operand, OptLevel, Program};
 use onesa_tensor::im2col::Conv2dGeometry;
 use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::quant::QuantTensor;
@@ -949,8 +949,8 @@ pub struct Gcn {
     pub(crate) w1: Param,
     pub(crate) w2: Param,
     hidden: usize,
-    /// Memoized compiled programs keyed on (mode, node/feature counts,
-    /// Â fingerprint); cleared by [`Gcn::fit`].
+    /// Memoized compiled programs keyed on (mode, node/feature counts)
+    /// and confirmed against their Â; cleared by [`Gcn::fit`].
     cache: CompileCache,
 }
 
@@ -1030,17 +1030,18 @@ impl Gcn {
     /// per (mode, graph shape, Â) — see [`Gcn::compile_cache`].
     pub fn logits(&self, g: &GraphDataset, mode: &InferenceMode) -> Tensor {
         // The propagation matrix Â is baked into the program as a
-        // constant, so it is part of the cache key (two graphs with the
-        // same shape must not share a compilation). A hit is confirmed
-        // against the copy of Â the cached program holds — it stops at the
-        // first difference and is exact; Â is hashed only to key a miss.
+        // constant — the dataset's own `Arc`, shared — so it is part of
+        // the cache key (two graphs with the same shape must not share a
+        // compilation). A hit is confirmed against the Â the cached
+        // program holds: O(1) when it is the caller's (every clone of the
+        // dataset it was compiled from), an exact early-exit compare for
+        // an equal graph allocated apart. Nothing is hashed.
         let program = self
             .cache
             .get_or_compile_matching(
                 mode.eval_mode(),
                 g.x.dims(),
                 |cached| propagation_matrix(cached).is_some_and(|a| same_tensor(a, &g.a_hat)),
-                || tensor_fingerprint(&g.a_hat),
                 || self.network_program(mode, g)?.optimize(OptLevel::default()),
             )
             .expect("GCN graph compiles");
@@ -1243,7 +1244,7 @@ mod tests {
         let mode = InferenceMode::Exact;
         let l1 = model.logits(&g1, &mode);
         let l2 = model.logits(&g2, &mode);
-        // Same shapes, different Â: the salt must keep them apart.
+        // Same shapes, different Â: the hit test must keep them apart.
         assert_eq!(model.compile_cache().misses(), 2);
         assert_ne!(l1, l2);
         assert_eq!(l1, model.logits_direct(&g1, &mode));
@@ -1263,16 +1264,107 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         let mut g2 = g1.clone();
         let last = g2.a_hat.len() - 1;
-        g2.a_hat.as_mut_slice()[last] += 0.125;
+        Arc::make_mut(&mut g2.a_hat).as_mut_slice()[last] += 0.125;
         let mut g3 = g1.clone();
         let zero = g3.a_hat.as_slice().iter().position(|v| *v == 0.0).unwrap();
-        g3.a_hat.as_mut_slice()[zero] = -0.0;
+        Arc::make_mut(&mut g3.a_hat).as_mut_slice()[zero] = -0.0;
         for g in [&g2, &g3] {
             assert_eq!(model.logits(g, &mode), model.logits_direct(g, &mode));
         }
         assert_eq!((cache.hits(), cache.misses()), (1, 3));
         let _ = model.logits(&g2, &mode);
         assert_eq!((cache.hits(), cache.misses()), (2, 3));
+    }
+
+    /// 16 clones of one `sbm_graph`, each with features of its own — one
+    /// graph carrying many feature sets, as the benchmark serves its graph.
+    fn graph_clones(base: &GraphDataset) -> Vec<GraphDataset> {
+        let mut rng = onesa_tensor::rng::Pcg32::seed_from_u64(9);
+        (0..16)
+            .map(|_| {
+                let mut g = base.clone();
+                g.x = rng.randn(&[120, 8], 1.0);
+                g
+            })
+            .collect()
+    }
+
+    /// 120 nodes in 7 communities, 8 features.
+    fn sbm_graph() -> GraphDataset {
+        GraphDataset::generate("t", 7, Difficulty::medium(7), 120, 8, 0.16)
+    }
+
+    #[test]
+    fn gcn_clones_share_one_a_hat_and_one_compiled_program() {
+        let base = sbm_graph();
+        let model = Gcn::new(6, 8, 16, 7);
+        let mode = InferenceMode::cpwl(0.25).unwrap();
+        for g in &graph_clones(&base) {
+            assert!(Arc::ptr_eq(&g.a_hat, &base.a_hat));
+            assert_eq!(model.logits(g, &mode), model.logits_direct(g, &mode));
+        }
+        let cache = model.compile_cache();
+        assert_eq!((cache.misses(), cache.hits()), (1, 15));
+        // An equal Â allocated apart is found by the full compare.
+        let apart = sbm_graph();
+        assert!(!Arc::ptr_eq(&apart.a_hat, &base.a_hat));
+        assert_eq!(
+            model.logits(&apart, &mode),
+            model.logits_direct(&apart, &mode)
+        );
+        assert_eq!((cache.misses(), cache.hits()), (1, 16));
+        // The compiled program's Â is the dataset's, not a copy of it.
+        let compiled =
+            || -> onesa_tensor::Result<Program> { unreachable!("a hit compiles nothing") };
+        let program = cache
+            .get_or_compile_matching(mode.eval_mode(), &[120, 8], |_| true, compiled)
+            .unwrap();
+        assert!(program.consts().iter().any(|c| Arc::ptr_eq(c, &base.a_hat)));
+    }
+
+    #[test]
+    fn an_edited_clone_compiles_its_own_program_and_leaves_the_shared_a_hat_alone() {
+        let base = sbm_graph();
+        let model = Gcn::new(6, 8, 16, 7);
+        let mode = InferenceMode::Exact;
+        let want = model.logits_direct(&base, &mode);
+        assert_eq!(model.logits(&base, &mode), want);
+        let pristine = base.a_hat.as_ref().clone();
+        // The two edits the one-element test plants, made through the
+        // clones' shared Â.
+        let mut bumped = base.clone();
+        let last = bumped.a_hat.len() - 1;
+        Arc::make_mut(&mut bumped.a_hat).as_mut_slice()[last] += 0.125;
+        let mut signed = base.clone();
+        let zero = signed
+            .a_hat
+            .as_slice()
+            .iter()
+            .position(|v| v.to_bits() == 0);
+        Arc::make_mut(&mut signed.a_hat).as_mut_slice()[zero.unwrap()] = -0.0;
+        for g in [&bumped, &signed] {
+            assert!(!Arc::ptr_eq(&g.a_hat, &base.a_hat));
+            assert_eq!(model.logits(g, &mode), model.logits_direct(g, &mode));
+        }
+        let cache = model.compile_cache();
+        assert_eq!((cache.misses(), cache.hits()), (3, 0));
+        assert!(
+            same_tensor(&base.a_hat, &pristine),
+            "the original's Â is untouched"
+        );
+        assert_eq!(model.logits(&base, &mode), want);
+        assert_eq!((cache.misses(), cache.hits()), (3, 1));
+    }
+
+    #[test]
+    fn the_benchmark_graphs_a_hat_packs_by_rows() {
+        // `infer_library`'s graph (420 nodes, 7 communities, 32 features)
+        // at the seeds its runs use.
+        for seed in 1..=10 {
+            let g = GraphDataset::generate("bench", seed, Difficulty::medium(7), 420, 32, 0.16);
+            let packed = onesa_tensor::parallel::PackedLhs::pack(&g.a_hat).unwrap();
+            assert!(packed.by_rows(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -265,7 +265,7 @@ mod tests {
         assert_eq!((cache.misses(), cache.hits()), (1, 4));
         let cached = || -> Result<Program> { unreachable!("a hit compiles nothing") };
         let program = cache
-            .get_or_compile_matching(mode.eval_mode(), g.x.dims(), |_| true, || 0, cached)
+            .get_or_compile_matching(mode.eval_mode(), g.x.dims(), |_| true, cached)
             .unwrap();
         assert_eq!(program.sparse_blocks(), (1, 2));
         assert_eq!(program.packed_consts(), 2);

@@ -36,13 +36,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One cache key: evaluation mode, input geometry and a caller-chosen
-/// salt (models use it to separate network/feature subgraphs, and the
-/// GCN's is its graph's Â fingerprint).
+/// salt (models use it to separate network/feature subgraphs). An entry
+/// stored by [`CompileCache::get_or_compile_matching`] has no salt: only
+/// its own `same` test finds it.
 #[derive(Debug, Clone)]
 struct Key {
     mode: u64,
     geometry: Vec<usize>,
-    salt: u64,
+    salt: Option<u64>,
 }
 
 /// A thread-safe memo of compiled programs. See the module docs above.
@@ -87,16 +88,18 @@ impl CompileCache {
         salt: u64,
         build: impl FnOnce() -> Result<Program>,
     ) -> Result<Arc<Program>> {
-        self.lookup(mode, geometry, |cached, _| cached == salt, || salt, build)
+        let salt = Some(salt);
+        self.lookup(mode, geometry, |cached, _| cached == salt, salt, build)
     }
 
     /// [`CompileCache::get_or_compile`] for a program that bakes in a
     /// tensor too large to hash on every call (a GCN's `Â`): an entry for
     /// `(mode, geometry)` is a hit when `same(program)` confirms it — an
-    /// early-exit compare against the constant the program already holds,
-    /// exact where a fingerprint is only probable — and `salt`, the
-    /// tensor's fingerprint, is computed on a miss alone, to key the new
-    /// entry.
+    /// exact compare against the constant the program already holds, O(1)
+    /// when that constant *is* the caller's tensor (shared through an
+    /// `Arc`), an early-exit compare otherwise. Nothing is hashed; the new
+    /// entry of a miss is stored without a salt, so only a matching lookup
+    /// ever finds it.
     ///
     /// # Errors
     ///
@@ -106,21 +109,21 @@ impl CompileCache {
         mode: EvalMode,
         geometry: &[usize],
         same: impl Fn(&Program) -> bool,
-        salt: impl FnOnce() -> u64,
         build: impl FnOnce() -> Result<Program>,
     ) -> Result<Arc<Program>> {
-        self.lookup(mode, geometry, |_, program| same(program), salt, build)
+        let hit = |salt: Option<u64>, program: &Program| salt.is_none() && same(program);
+        self.lookup(mode, geometry, hit, None, build)
     }
 
     /// The one lookup: the first `(mode, geometry)` entry that `hit`
     /// accepts (given its salt and program), else `build`'s result, stored
-    /// under `salt()`.
+    /// under `salt`.
     fn lookup(
         &self,
         mode: EvalMode,
         geometry: &[usize],
-        hit: impl Fn(u64, &Program) -> bool,
-        salt: impl FnOnce() -> u64,
+        hit: impl Fn(Option<u64>, &Program) -> bool,
+        salt: Option<u64>,
         build: impl FnOnce() -> Result<Program>,
     ) -> Result<Arc<Program>> {
         let mode = mode.cache_key();
@@ -138,7 +141,7 @@ impl CompileCache {
         let key = Key {
             mode,
             geometry: geometry.to_vec(),
-            salt: salt(),
+            salt,
         };
         entries.push((key, Arc::clone(&program)));
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -239,19 +242,14 @@ mod tests {
     }
 
     #[test]
-    fn matching_lookup_confirms_by_program_and_salts_only_a_miss() {
+    fn matching_lookup_confirms_by_program_alone() {
         let cache = CompileCache::new();
-        let salted = std::cell::Cell::new(0);
         let get = |rows: usize| {
             cache
                 .get_or_compile_matching(
                     EvalMode::Exact,
                     &[2, 4],
                     |p| p.input_shapes()[0][0] == rows,
-                    || {
-                        salted.set(salted.get() + 1);
-                        rows as u64
-                    },
                     || build(rows),
                 )
                 .unwrap()
@@ -261,10 +259,20 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&a, &get(2)));
         assert!(Arc::ptr_eq(&b, &get(3)));
-        assert_eq!((cache.hits(), cache.misses(), salted.get()), (2, 2, 2));
-        // The entries are keyed like any other: the salted door finds them.
-        let again = cache.get_or_compile(EvalMode::Exact, &[2, 4], 3, || build(9));
-        assert!(Arc::ptr_eq(&b, &again.unwrap()));
+        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+        // A matching entry has no salt, so no salted lookup meets it, and
+        // a salted entry is invisible to a matching lookup.
+        let salted = cache
+            .get_or_compile(EvalMode::Exact, &[2, 4], 3, || build(3))
+            .unwrap();
+        assert!(!Arc::ptr_eq(&b, &salted));
+        assert!(Arc::ptr_eq(&b, &get(3)));
+        let fresh = CompileCache::new();
+        let _ = fresh.get_or_compile(EvalMode::Exact, &[2, 4], 0, || build(2));
+        let matched =
+            fresh.get_or_compile_matching(EvalMode::Exact, &[2, 4], |_| true, || build(2));
+        assert_eq!((fresh.hits(), fresh.misses(), fresh.len()), (0, 2, 2));
+        assert!(matched.is_ok());
     }
 
     #[test]

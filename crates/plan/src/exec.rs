@@ -943,6 +943,7 @@ mod tests {
     use crate::program::GemmSparsity;
     use onesa_tensor::gemm;
     use onesa_tensor::im2col::Conv2dGeometry;
+    use onesa_tensor::parallel::PackedLhs;
     use onesa_tensor::rng::Pcg32;
 
     fn cpwl() -> EvalMode {
@@ -1548,6 +1549,11 @@ mod tests {
     /// image.
     fn conv_member(side: usize, i: usize) -> (Program, Tensor) {
         let wt = Pcg32::seed_from_u64(60).randn(&[CONV.patch_len(), 5], 1.0);
+        conv_member_with(wt, side, i)
+    }
+
+    /// [`conv_member`] with the weight `wt` in place of the shared one.
+    fn conv_member_with(wt: Tensor, side: usize, i: usize) -> (Program, Tensor) {
         let bias = (0..5).map(|c| (i + 1) as f32 * 0.25 - c as f32).collect();
         let (oh, ow) = CONV.output_hw(side, side).unwrap();
         let mut b = Program::builder("conv", EvalMode::Exact);
@@ -1654,6 +1660,33 @@ mod tests {
                 assert!(members.iter().all(|(p, _)| p.packed_consts() == 1));
             }
         }
+    }
+
+    #[test]
+    fn a_sparse_convolution_weight_still_packs_by_lines_for_the_sweep() {
+        // One tap per output channel: packed as a plain left operand this
+        // weight takes rows, a layout the convolution sweep does not read.
+        let mut wt = Tensor::zeros(&[CONV.patch_len(), 5]);
+        for c in 0..5 {
+            wt.as_mut_slice()[(4 * c + 1) * 5 + c] = 0.5 + c as f32;
+        }
+        assert!(PackedLhs::pack(&wt.transpose().unwrap()).unwrap().by_rows());
+        let (program, x) = conv_member_with(wt, 7, 0);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let job = (&program, std::slice::from_ref(&x));
+            let staged = run_staged(
+                &[job],
+                &ArrayConfig::new(8, 16),
+                par,
+                &mut TableCache::new(),
+            );
+            let staged = staged.unwrap();
+            assert_eq!(staged.conv_sweeps, 1, "{}", par.label());
+            let want = conv_reference(&program, &x);
+            assert_eq!(bits(&staged.runs[0].output), bits(&want), "{}", par.label());
+        }
+        assert!(!program.packed_conv(0).by_rows());
     }
 
     #[test]

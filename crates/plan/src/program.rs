@@ -600,12 +600,13 @@ impl Program {
     }
 
     /// Constant `index`, a convolution's `[C·k·k, cout]` weight, transposed
-    /// and packed as the left operand of the convolution sweep — shared
-    /// like [`Program::packed_lhs`].
+    /// and packed as the left operand of the convolution sweep — in lines
+    /// whatever its density, the layout that sweep reads — and shared like
+    /// [`Program::packed_lhs`].
     pub(crate) fn packed_conv(&self, index: usize) -> &PackedLhs {
         self.packs.0[index].conv.get_or_init(|| {
             let w = self.consts[index].transpose();
-            PackedLhs::pack(&w.expect("a sealed GEMM's weight is a matrix"))
+            PackedLhs::pack_lines(&w.expect("a sealed GEMM's weight is a matrix"))
                 .expect("a transposed matrix is a matrix")
         })
     }
@@ -1432,8 +1433,11 @@ pub fn tensor_fingerprint(t: &Tensor) -> u64 {
 
 /// Whether two tensors are the same shape and bit pattern (`-0.0` is not
 /// `+0.0`, a NaN equals itself) — the exact check behind every
-/// fingerprint-keyed merge and cache hit. Compared 64 elements at a time:
-/// each chunk without a branch, stopping at the first chunk that differs.
+/// fingerprint-keyed merge and cache hit. One tensor is itself: an
+/// `Arc`-shared constant (a dataset's `Â` in every program compiled from
+/// it) is recognised by its address, in O(1). Two allocations are compared
+/// 64 elements at a time: each chunk without a branch, stopping at the
+/// first chunk that differs.
 pub fn same_tensor(x: &Tensor, y: &Tensor) -> bool {
     let differ = |(a, b): (&[f32], &[f32])| {
         a.iter()
@@ -1441,12 +1445,13 @@ pub fn same_tensor(x: &Tensor, y: &Tensor) -> bool {
             .fold(0, |bits, (a, b)| bits | (a.to_bits() ^ b.to_bits()))
             != 0
     };
-    x.dims() == y.dims()
-        && !x
-            .as_slice()
-            .chunks(64)
-            .zip(y.as_slice().chunks(64))
-            .any(differ)
+    std::ptr::eq(x, y)
+        || x.dims() == y.dims()
+            && !x
+                .as_slice()
+                .chunks(64)
+                .zip(y.as_slice().chunks(64))
+                .any(differ)
 }
 
 #[cfg(test)]
@@ -1932,5 +1937,22 @@ mod tests {
             quant(Precision::Int8).fingerprint(),
             "precision rung must be fingerprint-visible"
         );
+    }
+
+    #[test]
+    fn same_tensor_is_identity_first_then_every_bit() {
+        let mut t = Pcg32::seed_from_u64(4).randn(&[3, 70], 1.0);
+        t.as_mut_slice()[5] = f32::NAN;
+        t.as_mut_slice()[6] = -0.0;
+        assert!(same_tensor(&t, &t));
+        let copy = t.clone();
+        assert!(same_tensor(&t, &copy), "a NaN equals itself bit for bit");
+        let mut signed = t.clone();
+        signed.as_mut_slice()[6] = 0.0;
+        assert!(!same_tensor(&t, &signed), "-0.0 is not +0.0");
+        let mut last = t.clone();
+        last.as_mut_slice()[209] += 0.125;
+        assert!(!same_tensor(&t, &last));
+        assert!(!same_tensor(&t, &t.reshape(&[70, 3]).unwrap()));
     }
 }

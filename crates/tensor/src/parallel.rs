@@ -5,8 +5,10 @@
 //! serve real traffic. One packed GEMM sweep serves every entry point —
 //! [`matmul`] under every [`Parallelism`] setting,
 //! [`sparse::matmul`](crate::sparse::matmul) over its payload and
-//! [`conv2d`] over image patches — built from three ideas, mirroring how
-//! throughput is obtained in systolic-array designs themselves:
+//! [`conv2d`] over image patches; only a left operand packed by rows
+//! (idea 2) has a kernel of its own, under the same thread split — built
+//! from three ideas, mirroring how throughput is obtained in systolic-array
+//! designs themselves:
 //!
 //! 1. **Cache/register blocking** — `B` is packed into column panels that
 //!    a register-tiled microkernel sweeps, exactly the output-stationary
@@ -22,11 +24,19 @@
 //!    and the microkernel walks the kept lines without a data-dependent
 //!    branch, so a zero inside a live line mispredicts nothing. The pack
 //!    is a value: whoever multiplies one `A` many times packs it once
-//!    ([`matmul_packed`]).
+//!    ([`matmul_packed`]). A pack made for reuse may instead keep **rows**:
+//!    each row's non-zeros as `(value, k)` pairs, multiplied one row at a
+//!    time with the row's `W`-lane slice of `C` in registers and `B`'s rows
+//!    read in place. Scattered zeros rarely empty a whole four-row line —
+//!    a GCN's `Â`, 5.2 % non-zero, keeps 19.4 % of its lines, 3.7
+//!    multiply-adds per non-zero — so such an operand pays by its
+//!    non-zeros alone. The pack picks the layout from its own counts (see
+//!    [`PackedLhs::pack`]).
 //! 3. **Row-panel threading** — the output matrix is split into disjoint
 //!    panels of row blocks, one per worker, executed under
 //!    [`std::thread::scope`] (no external dependencies).
-//!    [`Parallelism::Sequential`] is the one-worker case of the same sweep.
+//!    [`Parallelism::Sequential`] is the one-worker case of the same split,
+//!    which both layouts share.
 //!
 //! # Bit-identical by construction
 //!
@@ -67,6 +77,13 @@
 //! across thread counts 1/2/4, and the crate's proptests across the whole
 //! shape space, zero fractions from none to all, signed zeros, non-finite
 //! and underflowing values.
+//!
+//! The rows layout needs no such test. A row keeps exactly the `A[i][k]`
+//! for which `A[i][k] != 0.0` — the steps the reference does not skip, so
+//! `-0.0` is dropped and `NaN` kept — in ascending `k`, and each of the
+//! row's outputs is one accumulator that starts at `+0.0` and takes one
+//! fused multiply-add per kept step: the reference's own chain, step for
+//! step, for **every** input, with nothing to fall back on.
 //!
 //! # Three sources of `B`, one sweep
 //!
@@ -193,19 +210,37 @@ impl Parallelism {
     }
 }
 
-/// A GEMM's left operand, packed once for the microkernel: `MR`-row
-/// blocks by `KC`-deep k-blocks, each holding only the k-lines on which
-/// *some* row of the block is non-zero, with each line's k offset beside
-/// it. A line of `MR` zeros contributes no operation to any output, so it
-/// is never stored, never streamed and never multiplied — a GCN's `Â`
-/// keeps under a fifth of its lines — while a dense operand keeps them
-/// all and pays one offset byte per line.
+/// A GEMM's left operand, packed once for the kernels, in one of two
+/// layouts:
+///
+/// * **lines** — `MR`-row blocks by `KC`-deep k-blocks, each holding only
+///   the k-lines on which *some* row of the block is non-zero, with each
+///   line's k offset beside it. A line of `MR` zeros contributes no
+///   operation to any output, so it is never stored, never streamed and
+///   never multiplied, while a dense operand keeps every line and pays
+///   one offset byte per line. The microkernel multiplies a kept line's
+///   zeros like any other value, so a scattered zero still costs a
+///   multiply-add: a GCN's `Â` (5.2 % non-zero) keeps 19.4 % of its
+///   lines, 3.7 multiply-adds per non-zero.
+/// * **rows** — each row's non-zeros as `(value, k)` pairs in ascending
+///   `k`, multiplied one pair at a time: the product costs one
+///   multiply-add per non-zero and per column, and nothing else.
 ///
 /// Packing costs `O(m·k)` against the product's `O(m·k·n)`; a caller
 /// that multiplies one left operand many times (`onesa-plan` holds one
 /// per program constant) packs it once and calls [`matmul_packed`].
 #[derive(Debug, Clone)]
-pub struct PackedLhs {
+pub struct PackedLhs(Layout);
+
+#[derive(Debug, Clone)]
+enum Layout {
+    Lines(LinePack),
+    Rows(RowPack),
+}
+
+/// The lines layout of a [`PackedLhs`]; the one [`gemm_sweep`] reads.
+#[derive(Debug, Clone)]
+pub(crate) struct LinePack {
     m: usize,
     k: usize,
     /// Lines `spans[i]..spans[i + 1]` belong to (row block, k-block) pair
@@ -260,16 +295,103 @@ fn safe_and_finite(values: &[f32]) -> bool {
     magnitudes(values) == (true, true)
 }
 
+/// What one non-zero costs the rows kernel, in the line kernel's
+/// multiply-adds: the line kernel shares each `B` line it loads across
+/// `MR` rows and runs `MR` independent chains, the rows kernel loads one
+/// line per multiply-add and runs one chain per lane. Measured on random
+/// masks at `420 × 420 × 64`, each layout forced, the rows kernel takes
+/// 0.55× the lines kernel's time at 25 % density, where the lines cost
+/// 2.74 multiply-adds per non-zero, 0.68× at 35 % (2.34), 0.95× at 50 %
+/// (1.88) and 1.41× at 75 % (1.33): one rows step costs 1.5–1.9 line
+/// steps, and the layouts cross near 50 %. `gemm_parallel`'s `density`
+/// section holds the choice this makes to within 10 % of the lines
+/// layout at 2–100 %.
+const ROW_COST: usize = 2;
+
 impl PackedLhs {
-    /// Packs a matrix for reuse, dropping its all-zero lines.
+    /// Packs a matrix for reuse, in whichever layout multiplies it in less
+    /// time: rows when `2 · nnz < 4 · kept lines`, lines otherwise — a
+    /// fixed comparison of the operand's own counts, its non-zeros and the
+    /// lines of four it keeps, weighted by what one step of each kernel
+    /// costs. A dense operand (every line kept, four non-zeros each) keeps
+    /// lines, and so does a large ReLU-masked one (15 of 16 lines kept, 2.1
+    /// non-zeros each); a GCN's `Â` (9 142 non-zeros against 8 555 lines of
+    /// four) takes rows, and runs in under a third of the lines kernel's
+    /// time.
     ///
     /// # Errors
     ///
     /// [`TensorError::NotAMatrix`] for non-2-D input.
     pub fn pack(a: &Tensor) -> Result<Self> {
-        Self::pack_with(a, true)
+        let lines = LinePack::pack(a, true)?;
+        let nnz = a.as_slice().iter().filter(|v| **v != 0.0).count();
+        let rows_cost = nnz.saturating_mul(ROW_COST);
+        if rows_cost < lines.offs.len() * MR && u32::try_from(lines.k).is_ok() {
+            return Ok(PackedLhs(Layout::Rows(RowPack::pack(a, nnz))));
+        }
+        Ok(PackedLhs(Layout::Lines(lines)))
     }
 
+    /// Packs a matrix for reuse in the lines layout whatever its counts,
+    /// dropping its all-zero lines — the layout [`conv2d`] reads its weight
+    /// in.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::NotAMatrix`] for non-2-D input.
+    pub fn pack_lines(a: &Tensor) -> Result<Self> {
+        LinePack::pack(a, true).map(|lines| PackedLhs(Layout::Lines(lines)))
+    }
+
+    /// Whether the pack keeps rows (rather than lines).
+    pub fn by_rows(&self) -> bool {
+        matches!(self.0, Layout::Rows(_))
+    }
+
+    /// The packed matrix's `(rows, columns)`.
+    fn dims(&self) -> (usize, usize) {
+        match &self.0 {
+            Layout::Lines(a) => (a.m, a.k),
+            Layout::Rows(a) => (a.m, a.k),
+        }
+    }
+}
+
+/// The rows layout of a [`PackedLhs`].
+#[derive(Debug, Clone)]
+struct RowPack {
+    m: usize,
+    k: usize,
+    /// Row `i`'s non-zeros are `entries[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    /// `(A[i][k], k)` for every `A[i][k] != 0.0`, row by row, each row in
+    /// ascending `k`.
+    entries: Vec<(f32, u32)>,
+}
+
+impl RowPack {
+    /// Packs the `nnz` non-zeros of matrix `a` (whose `k` fits `u32`).
+    fn pack(a: &Tensor, nnz: usize) -> Self {
+        let (m, k) = (a.dims()[0], a.dims()[1]);
+        let mut starts = Vec::with_capacity(m + 1);
+        let mut entries = Vec::with_capacity(nnz);
+        starts.push(0);
+        for i in 0..m {
+            let row = &a.as_slice()[i * k..(i + 1) * k];
+            let kept = (0u32..).zip(row).filter(|(_, v)| **v != 0.0);
+            entries.extend(kept.map(|(p, &v)| (v, p)));
+            starts.push(entries.len());
+        }
+        RowPack {
+            m,
+            k,
+            starts,
+            entries,
+        }
+    }
+}
+
+impl LinePack {
     /// Packs `a` one k-block of a row block at a time. The four rows are
     /// interleaved into lines (a transpose the compiler does in shuffles);
     /// with `compact`, a k-block that has a dead line goes through a
@@ -287,7 +409,7 @@ impl PackedLhs {
     /// # Errors
     ///
     /// [`TensorError::NotAMatrix`] for non-2-D input.
-    pub(crate) fn pack_with(a: &Tensor, compact: bool) -> Result<Self> {
+    pub(crate) fn pack(a: &Tensor, compact: bool) -> Result<Self> {
         let (m, k) = a.shape().as_matrix()?;
         let a = a.as_slice();
         const ZEROS: [f32; KC] = [0.0; KC];
@@ -349,7 +471,7 @@ impl PackedLhs {
         lines.truncate(at * MR);
         offs.truncate(at);
         let (safe, finite) = magnitudes(a);
-        Ok(PackedLhs {
+        Ok(LinePack {
             m,
             k,
             spans,
@@ -377,30 +499,38 @@ pub fn matmul(a: &Tensor, b: &Tensor, par: Parallelism) -> Result<Tensor> {
     if m < MR {
         return gemm::matmul(a, b);
     }
-    matmul_packed(&PackedLhs::pack_with(a, false)?, b, par)
+    let a = PackedLhs(Layout::Lines(LinePack::pack(a, false)?));
+    matmul_packed(&a, b, par)
 }
 
 /// [`matmul`] for a left operand that is already packed — bit-identical
-/// to it, and to [`gemm::matmul`] on the matrix `a` was packed from.
+/// to it, and to [`gemm::matmul`] on the matrix `a` was packed from, in
+/// either layout.
 ///
 /// # Errors
 ///
 /// Shape errors as in [`gemm::matmul`].
 pub fn matmul_packed(a: &PackedLhs, b: &Tensor, par: Parallelism) -> Result<Tensor> {
     let (k, n) = b.shape().as_matrix()?;
-    if a.k != k {
+    let (m, ak) = a.dims();
+    if ak != k {
         return Err(TensorError::ShapeMismatch {
-            lhs: vec![a.m, a.k],
+            lhs: vec![m, ak],
             rhs: b.dims().to_vec(),
             op: "parallel::matmul",
         });
     }
-    let b = Rhs::Rows {
-        values: b.as_slice(),
-        cols: n,
-        cmap: None,
-    };
-    Ok(gemm_sweep(a, b, n, par))
+    Ok(match &a.0 {
+        Layout::Lines(a) => {
+            let b = Rhs::Rows {
+                values: b.as_slice(),
+                cols: n,
+                cmap: None,
+            };
+            gemm_sweep(a, b, n, par)
+        }
+        Layout::Rows(a) => rows_sweep(a, b.as_slice(), n, par),
+    })
 }
 
 /// A convolution as one sweep with the kernel weight on the left: per
@@ -408,15 +538,16 @@ pub fn matmul_packed(a: &PackedLhs, b: &Tensor, par: Parallelism) -> Result<Tens
 /// [`im2col`](crate::im2col::im2col) → [`matmul`]`(cols, Wᵀ)` →
 /// [`col2im_output`](crate::im2col::col2im_output) produces, with no patch
 /// matrix, no per-call pack and no transpose. `w` is the weight `W =
-/// [cout, C·k·k]`, packed once by its owner ([`PackedLhs::pack`]); the
-/// output pixels of every image are the sweep's columns, side by side, so
-/// a group of images sharing one weight is one sweep (see "Three sources
-/// of `B`" in the [module docs](self)). No bias is added.
+/// [cout, C·k·k]`, packed once by its owner ([`PackedLhs::pack_lines`]);
+/// the output pixels of every image are the sweep's columns, side by side,
+/// so a group of images sharing one weight is one sweep (see "Three
+/// sources of `B`" in the [module docs](self)). No bias is added.
 ///
-/// Returns `Ok(None)` — declines, computing nothing — unless every image
-/// and `w` are finite with every non-zero magnitude at least `2⁻⁵⁰`; when
-/// it does not decline, every map is bit-identical to the reference under
-/// every [`Parallelism`] setting. Only the operands' values decide.
+/// Returns `Ok(None)` — declines, computing nothing — unless `w` keeps
+/// lines and every image and `w` are finite with every non-zero magnitude
+/// at least `2⁻⁵⁰`; when it does not decline, every map is bit-identical
+/// to the reference under every [`Parallelism`] setting. Only the
+/// operands' values and `w`'s layout decide.
 ///
 /// # Errors
 ///
@@ -429,12 +560,13 @@ pub fn conv2d(
     geo: &Conv2dGeometry,
     par: Parallelism,
 ) -> Result<Option<Vec<Tensor>>> {
+    let (m, k) = w.dims();
     let shape_err = |rhs: &[usize]| TensorError::ShapeMismatch {
-        lhs: vec![w.m, w.k],
+        lhs: vec![m, k],
         rhs: rhs.to_vec(),
         op: "parallel::conv2d",
     };
-    if w.k != geo.checked_patch_len()? {
+    if k != geo.checked_patch_len()? {
         return Err(shape_err(&[geo.in_channels, geo.kernel, geo.kernel]));
     }
     let mut maps = Vec::with_capacity(images.len());
@@ -452,27 +584,27 @@ pub fn conv2d(
             .ok_or(TensorError::InvalidArgument("output pixel count overflows"))?;
         maps.push((oh, ow));
     }
+    let Layout::Lines(w) = &w.0 else {
+        return Ok(None);
+    };
     if !(w.safe && w.finite && images.iter().all(|x| safe_and_finite(x.as_slice()))) {
         return Ok(None);
     }
     let patches = Patches::new(geo, images)?;
     let out = gemm_sweep(w, Rhs::Patches(&patches), n, par);
     if let [(oh, ow)] = maps[..] {
-        return Ok(Some(vec![Tensor::from_vec(
-            out.into_vec(),
-            &[w.m, oh, ow],
-        )?]));
+        return Ok(Some(vec![Tensor::from_vec(out.into_vec(), &[m, oh, ow])?]));
     }
     // Each image's map is its own stretch of every row of the result.
     let mut off = 0;
     let split = maps.iter().map(|&(oh, ow)| {
         let pixels = oh * ow;
-        let mut vals = Vec::with_capacity(w.m * pixels);
+        let mut vals = Vec::with_capacity(m * pixels);
         for row in out.as_slice().chunks_exact(n) {
             vals.extend_from_slice(&row[off..off + pixels]);
         }
         off += pixels;
-        Tensor::from_vec(vals, &[w.m, oh, ow])
+        Tensor::from_vec(vals, &[m, oh, ow])
     });
     split.collect::<Result<_>>().map(Some)
 }
@@ -751,36 +883,126 @@ impl Patches {
 /// [module docs](self)), the one that branches around them otherwise.
 /// Patches always take the first: [`conv2d`] checked the stronger test
 /// before it swept.
-pub(crate) fn gemm_sweep(a: &PackedLhs, b: Rhs<'_>, n: usize, par: Parallelism) -> Tensor {
+pub(crate) fn gemm_sweep(a: &LinePack, b: Rhs<'_>, n: usize, par: Parallelism) -> Tensor {
     let mut out = Tensor::zeros(&[a.m, n]);
     let skip = match b {
         Rhs::Rows { values, .. } => !(a.safe && safe_and_finite(values)),
         Rhs::Patches(_) => false,
     };
-    let blocks = a.m.div_ceil(MR);
+    for_each_row_panel(out.as_mut_slice(), a.m, n, par, |row0, panel| {
+        panel_rows(a, row0 / MR, b, panel, n, skip)
+    });
+    out
+}
+
+/// The row-panel thread split both layouts' sweeps share: `c`, `m` rows
+/// of `n`, cut into near-equal disjoint panels of whole `MR`-row blocks
+/// (the last may be ragged), one per worker of `par`; `f(row0, panel)`
+/// computes the rows from `row0` on that `panel` holds. Each worker owns
+/// a contiguous `&mut` slice of the output, so no synchronization is
+/// needed beyond the scope join; one worker runs `f` on the calling
+/// thread.
+fn for_each_row_panel<F>(c: &mut [f32], m: usize, n: usize, par: Parallelism, f: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    let blocks = m.div_ceil(MR);
     let workers = par.worker_count().min(blocks.max(1));
-    if workers <= 1 || blocks < 2 {
-        panel_rows(a, 0, b, out.as_mut_slice(), n, skip);
-        return out;
+    if workers <= 1 {
+        return f(0, c);
     }
-    // Split C into near-equal disjoint panels of whole row blocks, one per
-    // worker. Each worker owns a contiguous `&mut` slice of the output, so
-    // no synchronization is needed beyond the scope join.
     let base = blocks / workers;
     let extra = blocks % workers;
     thread::scope(|scope| {
-        let mut rest = out.as_mut_slice();
-        let mut blk0 = 0;
+        let mut rest = c;
+        let mut row0 = 0;
         for w in 0..workers {
-            let mine = base + usize::from(w < extra);
-            let rows = (mine * MR).min(a.m - blk0 * MR);
+            let rows = ((base + usize::from(w < extra)) * MR).min(m - row0);
             let (panel, tail) = rest.split_at_mut(rows * n);
             rest = tail;
-            scope.spawn(move || panel_rows(a, blk0, b, panel, n, skip));
-            blk0 += mine;
+            let f = &f;
+            scope.spawn(move || f(row0, panel));
+            row0 += rows;
+        }
+    });
+}
+
+/// Lanes of the rows kernel's widest pass: four 512-bit accumulators, so
+/// one pass covers a GCN's 64 hidden features.
+const RW: usize = 64;
+
+/// `C = A · B` for a rows-packed `A` and a row-major `B` of `n` columns,
+/// split across `par`'s workers as [`gemm_sweep`] splits its row blocks.
+/// Each worker's rows are computed [`RW`] lanes at a time by
+/// [`rows_kernel`], which reads whole 64-byte vectors of `B`'s rows: in
+/// place when `n` is a whole number of vectors and `B` starts on a cache
+/// line, else from one copy that does, each row padded to the next vector
+/// (its extra lanes are computed on and never stored). A `B` off its cache
+/// line would split every vector read across two lines — 1.8× the time on
+/// a GCN's `Â · XW` — and the allocator promises 16 bytes.
+fn rows_sweep(a: &RowPack, b: &[f32], n: usize, par: Parallelism) -> Tensor {
+    let mut out = Tensor::zeros(&[a.m, n]);
+    if n == 0 {
+        return out;
+    }
+    let stride = n.next_multiple_of(LINE);
+    let copy: Vec<f32>;
+    let b = if stride == n && b.as_ptr().align_offset(LINE * 4) == 0 {
+        b
+    } else {
+        let len = a.k * stride;
+        let mut buf = vec![0.0f32; len + LINE];
+        let skew = buf.as_ptr().align_offset(LINE * 4) % LINE;
+        for (dst, src) in buf[skew..].chunks_exact_mut(stride).zip(b.chunks_exact(n)) {
+            dst[..n].copy_from_slice(src);
+        }
+        copy = buf;
+        &copy[skew..skew + len]
+    };
+    for_each_row_panel(out.as_mut_slice(), a.m, n, par, |row0, panel| {
+        let starts = &a.starts[row0..=row0 + panel.len() / n];
+        for j0 in (0..n).step_by(RW) {
+            let kernel = match (stride - j0).min(RW) {
+                16 => rows_kernel::<16>,
+                32 => rows_kernel::<32>,
+                48 => rows_kernel::<48>,
+                _ => rows_kernel::<RW>,
+            };
+            kernel(starts, &a.entries, b, stride, j0, panel, n);
         }
     });
     out
+}
+
+/// Lanes `j0..j0 + W` of the rows of `C` that `c` holds (`n` wide; only
+/// its lanes under `n` are stored), the rows' non-zeros being
+/// `entries[starts[i]..starts[i + 1]]`: per row, `W` accumulators that
+/// start at `+0.0` and take one fused multiply-add per `(value, k)`,
+/// against row `k` of `B` (rows `stride` apart) — each element the
+/// reference's own chain (see "Bit-identical by construction" in the
+/// [module docs](self)). The row loop lives inside the kernel: called once
+/// per row, the kernel was 1.25× slower on a GCN's `Â · HW`.
+fn rows_kernel<const W: usize>(
+    starts: &[usize],
+    entries: &[(f32, u32)],
+    b: &[f32],
+    stride: usize,
+    j0: usize,
+    c: &mut [f32],
+    n: usize,
+) {
+    let lanes = W.min(n - j0);
+    for (crow, span) in c.chunks_exact_mut(n).zip(starts.windows(2)) {
+        let mut acc = [0.0f32; W];
+        for &(v, p) in &entries[span[0]..span[1]] {
+            let start = p as usize * stride + j0;
+            let brow: &[f32; W] = b[start..start + W].try_into().expect("B row lanes");
+            for j in 0..W {
+                acc[j] = v.mul_add(brow[j], acc[j]);
+            }
+        }
+        crow[j0..j0 + lanes].copy_from_slice(&acc[..lanes]);
+    }
 }
 
 /// Matrix Hadamard Product `Y = X ⊙ K + B` under the given parallelism
@@ -859,7 +1081,7 @@ where
 /// the narrowest of 16 / 32 / 48 lanes that covers it, so a narrow product
 /// (or the tail of a wide one) does not pay for a `4 × 48` tile it leaves
 /// mostly empty.
-fn panel_rows(a: &PackedLhs, blk0: usize, b: Rhs<'_>, c: &mut [f32], n: usize, skip: bool) {
+fn panel_rows(a: &LinePack, blk0: usize, b: Rhs<'_>, c: &mut [f32], n: usize, skip: bool) {
     let kblocks = a.k.div_ceil(KC);
     // A matrix is packed panel by panel into one buffer (patches are read
     // where they lie). The kernel reads it one 64-byte vector at a time;
@@ -1098,25 +1320,80 @@ mod tests {
         }
         a.as_mut_slice()[5 * 130 + 129] = f32::NAN;
         a.as_mut_slice()[2 * 130 + 4] = -0.0;
-        let packed = PackedLhs::pack(&a).unwrap();
+        let line_pack = |a: &Tensor| match PackedLhs::pack_lines(a).unwrap().0 {
+            Layout::Lines(lines) => lines,
+            Layout::Rows(_) => unreachable!("pack_lines keeps lines"),
+        };
+        let packed = line_pack(&a);
         assert_eq!((packed.m, packed.k), (6, 130));
         assert_eq!(packed.spans, [0, 64, 65, 65, 66]);
         assert_eq!(packed.offs[..3], [1, 3, 5]);
         assert_eq!(packed.offs[64..], [1, 1]);
         assert_eq!(packed.lines[..4], [0.0, -1.5, 0.0, 0.0]);
-        let dense = PackedLhs::pack(&Tensor::from_vec(vec![1.0; 7 * 3], &[7, 3]).unwrap()).unwrap();
+        let dense = line_pack(&Tensor::from_vec(vec![1.0; 7 * 3], &[7, 3]).unwrap());
         assert_eq!(dense.offs, [0, 1, 2, 0, 1, 2]);
-        assert!(PackedLhs::pack(&Tensor::zeros(&[9, 5]))
-            .unwrap()
-            .offs
-            .is_empty());
-        assert!(PackedLhs::pack(&Tensor::zeros(&[4])).is_err());
+        assert!(line_pack(&Tensor::zeros(&[9, 5])).offs.is_empty());
+        assert!(PackedLhs::pack_lines(&Tensor::zeros(&[4])).is_err());
         let b = Pcg32::seed_from_u64(8).randn(&[130, 33], 1.0);
+        let packed = PackedLhs(Layout::Lines(packed));
         assert_bit_identical(
             &matmul_packed(&packed, &b, Parallelism::Threads(2)).unwrap(),
             &gemm::matmul(&a, &b).unwrap(),
         );
         assert!(matmul_packed(&packed, &Tensor::zeros(&[129, 3]), Parallelism::Auto).is_err());
+    }
+
+    #[test]
+    fn pack_keeps_rows_when_they_take_fewer_steps() {
+        // Row 1 holds 65 values, row 4 a NaN and a -0.0 the reference
+        // skips: 66 non-zeros against 66 kept lines of four.
+        let mut a = Tensor::zeros(&[6, 130]);
+        for p in (1..130).step_by(2) {
+            a.as_mut_slice()[130 + p] = -1.5;
+        }
+        a.as_mut_slice()[4 * 130 + 129] = f32::NAN;
+        a.as_mut_slice()[4 * 130 + 4] = -0.0;
+        let packed = PackedLhs::pack(&a).unwrap();
+        let Layout::Rows(rows) = &packed.0 else {
+            panic!("66 non-zeros in 66 lines of four take rows");
+        };
+        assert_eq!((rows.m, rows.k), (6, 130));
+        assert_eq!(rows.starts, [0, 0, 65, 65, 65, 66, 66]);
+        assert_eq!(rows.entries[..2], [(-1.5, 1), (-1.5, 3)]);
+        assert_eq!(rows.entries[65].1, 129);
+        assert!(rows.entries[65].0.is_nan());
+        let mut rng = Pcg32::seed_from_u64(8);
+        for n in [0, 1, 7, 16, 33, 64, 100, 128] {
+            let b = rng.randn(&[130, n], 1.0);
+            for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+                assert_bit_identical(
+                    &matmul_packed(&packed, &b, par).unwrap(),
+                    &gemm::matmul(&a, &b).unwrap(),
+                );
+            }
+        }
+        assert!(matmul_packed(&packed, &Tensor::zeros(&[129, 3]), Parallelism::Auto).is_err());
+        // A dense operand, or one that is a quarter zeros, keeps lines.
+        let dense = rng.randn(&[9, 20], 1.0);
+        assert!(!PackedLhs::pack(&dense).unwrap().by_rows());
+        let quarter = dense.map(|v| if v < -0.67 { 0.0 } else { v });
+        assert!(!PackedLhs::pack(&quarter).unwrap().by_rows());
+        assert!(!PackedLhs::pack(&Tensor::zeros(&[0, 3])).unwrap().by_rows());
+        // A rows pack is not a convolution weight: conv2d declines it.
+        let geo = Conv2dGeometry {
+            in_channels: 4,
+            out_channels: 6,
+            kernel: 1,
+            stride: 1,
+            padding: 0,
+        };
+        let w = Tensor::from_vec((0..24).map(|i| f32::from(i % 5 == 0)).collect(), &[6, 4]);
+        let w = w.unwrap();
+        let image = rng.randn(&[4, 3, 3], 1.0);
+        let conv = |w: &PackedLhs| conv2d(w, &[&image], &geo, Parallelism::Sequential).unwrap();
+        assert!(PackedLhs::pack(&w).unwrap().by_rows());
+        assert!(conv(&PackedLhs::pack(&w).unwrap()).is_none());
+        assert!(conv(&PackedLhs::pack_lines(&w).unwrap()).is_some());
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 
-use crate::parallel::{gemm_sweep, PackedLhs, Parallelism, Rhs};
+use crate::parallel::{gemm_sweep, LinePack, Parallelism, Rhs};
 use crate::{Result, Tensor, TensorError};
 
 /// A `rows × cols` matrix whose zero column-blocks are stored as a
@@ -237,7 +237,7 @@ pub fn matmul(a: &Tensor, b: &SparseTensor, par: Parallelism) -> Result<Tensor> 
             op: "sparse::matmul",
         });
     }
-    let a = PackedLhs::pack_with(a, false)?;
+    let a = LinePack::pack(a, false)?;
     let payload = Rhs::Rows {
         values: &b.payload,
         cols: b.col_map.len(),

@@ -153,6 +153,69 @@ fn zero_case() -> impl Strategy<Value = ZeroCase> {
         })
 }
 
+/// A left operand for the rows layout over its whole space: `m` 0–40, `k`
+/// 0–300 (across the 128-deep k-block of the lines layout), `n` 0–70 (one
+/// case in four `n = 7`, a GCN's class count) and densities 0–100 %. The
+/// mask is random, or one non-zero per line of four (every kept line
+/// holds one value), or a single row: the last two always pack by rows
+/// while anything is non-zero. Zeros come as `+0.0` and `-0.0`; half the
+/// cases plant `NaN`, `±inf` or the subnormal `1e-40` in `A`, and half in
+/// `B`.
+#[derive(Debug)]
+struct RowsCase {
+    a: Tensor,
+    b: Tensor,
+    /// Whether the mask makes `PackedLhs::pack` take rows.
+    rows: bool,
+}
+
+fn rows_case() -> impl Strategy<Value = RowsCase> {
+    (
+        (0usize..=40, 0usize..=300, 0usize..=70, 0usize..4),
+        (0usize..7, 0usize..3, 0usize..8, 0usize..8),
+        0u64..1 << 32,
+    )
+        .prop_map(
+            |((m, k, n, n_kind), (density, mask, a_poison, b_poison), seed)| {
+                let mut rng = Pcg32::seed_from_u64(seed);
+                let density = [0.0, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0][density];
+                let m = if mask == 2 { 1 } else { m };
+                let n = if n_kind == 0 { 7 } else { n };
+                let mut a = rng.randn(&[m, k], 1.0);
+                let owner: Vec<usize> = (0..m.div_ceil(4) * k)
+                    .map(|_| rng.below(4) as usize)
+                    .collect();
+                for (idx, v) in a.as_mut_slice().iter_mut().enumerate() {
+                    let (i, p) = (idx / k, idx % k);
+                    let kept =
+                        rng.next_f32() < density && (mask != 1 || owner[i / 4 * k + p] == i % 4);
+                    if !kept {
+                        *v = if rng.next_u32() % 3 == 0 { -0.0 } else { 0.0 };
+                    }
+                }
+                // Poison replaces values of `A` that are already non-zero,
+                // so the mask — and the layout it implies — stays.
+                let poison = |t: &mut Tensor, kind: usize, rng: &mut Pcg32| {
+                    let values = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40];
+                    let Some(&value) = values.get(kind) else {
+                        return;
+                    };
+                    let live: Vec<usize> =
+                        (0..t.len()).filter(|&i| t.as_slice()[i] != 0.0).collect();
+                    for _ in 0..3.min(live.len()) {
+                        let at = live[rng.below(live.len() as u32) as usize];
+                        t.as_mut_slice()[at] = value;
+                    }
+                };
+                poison(&mut a, a_poison, &mut rng);
+                let mut b = rng.randn(&[k, n], 1.0);
+                poison(&mut b, b_poison, &mut rng);
+                let rows = mask != 0 && a.as_slice().iter().any(|v| *v != 0.0);
+                RowsCase { a, b, rows }
+            },
+        )
+}
+
 /// One group of convolutions over `parallel::conv2d`'s space: `C·k·k` on
 /// both sides of the 128-deep k-block (`cin` up to 17 at `k = 3`), strides
 /// 1–3, paddings up to `k + 1`, `cout` 1–13 (ragged row blocks), and 1–4
@@ -279,13 +342,46 @@ proptest! {
         }
     }
 
+    /// A pre-packed `A` equals the reference loop in whichever layout the
+    /// pack chose, under every `Parallelism` — the rows layout with no
+    /// value test at all: `-0.0` skipped, `NaN`, `±inf` and subnormals
+    /// multiplied exactly where the reference multiplies them.
+    #[test]
+    fn rows_pack_equals_the_reference_for_every_input(case in rows_case()) {
+        let want = gemm::matmul(&case.a, &case.b).unwrap();
+        let packed = PackedLhs::pack(&case.a).unwrap();
+        if case.rows {
+            prop_assert!(packed.by_rows(), "one non-zero per kept line packs by rows");
+        }
+        for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
+            assert_bit_identical(&parallel::matmul_packed(&packed, &case.b, par).unwrap(), &want);
+        }
+    }
+
+    /// The layout follows the operand's counts: a dense constant keeps
+    /// lines, and so does a ReLU-masked one large enough for its counts to
+    /// sit near their means (2.1 non-zeros per kept line against the rows
+    /// layout's break-even of 2); `pack_lines` keeps lines at any density.
+    #[test]
+    fn dense_and_relu_masked_constants_keep_lines(
+        (m, k, seed) in (64usize..=128, 256usize..=420, 0u64..1 << 32),
+    ) {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let dense = rng.randn(&[m, k], 1.0);
+        prop_assert!(!PackedLhs::pack(&dense).unwrap().by_rows());
+        let masked = dense.map(|v| v.max(0.0));
+        prop_assert!(!PackedLhs::pack(&masked).unwrap().by_rows());
+        let sparse = dense.map(|v| if v > 2.0 { v } else { 0.0 });
+        prop_assert!(!PackedLhs::pack_lines(&sparse).unwrap().by_rows());
+    }
+
     /// The convolution sweep — weight on the left, patches gathered from
     /// the images — equals the im2col reference bit for bit, for a lone
     /// image and for a group sharing the weight, under every
     /// `Parallelism`.
     #[test]
     fn conv2d_equals_im2col_gemm_col2im(case in conv_case()) {
-        let packed = PackedLhs::pack(&case.w).unwrap();
+        let packed = PackedLhs::pack_lines(&case.w).unwrap();
         let images: Vec<&Tensor> = case.images.iter().collect();
         let want: Vec<Tensor> =
             images.iter().map(|x| conv_reference(x, &case.w, &case.geo)).collect();
@@ -319,7 +415,7 @@ proptest! {
         };
         let len = victim.len() as u64;
         victim.as_mut_slice()[(at % len) as usize] = value;
-        let packed = PackedLhs::pack(&w).unwrap();
+        let packed = PackedLhs::pack_lines(&w).unwrap();
         let images: Vec<&Tensor> = images.iter().collect();
         for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
             let got = parallel::conv2d(&packed, &images, &case.geo, par).unwrap();

@@ -4,7 +4,7 @@
 //! the array.
 //!
 //! ```sh
-//! cargo run --release -p onesa-core --example bert_inference
+//! cargo run --release --example bert_inference
 //! ```
 
 use onesa_core::OneSa;

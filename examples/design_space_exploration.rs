@@ -5,7 +5,7 @@
 //! spot" conclusion.
 //!
 //! ```sh
-//! cargo run --release -p onesa-core --example design_space_exploration
+//! cargo run --release --example design_space_exploration
 //! ```
 
 use onesa_core::OneSa;

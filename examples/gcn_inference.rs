@@ -4,7 +4,7 @@
 //! noise remains).
 //!
 //! ```sh
-//! cargo run --release -p onesa-core --example gcn_inference
+//! cargo run --release --example gcn_inference
 //! ```
 
 use onesa_core::OneSa;

@@ -1,7 +1,7 @@
 //! Quickstart: evaluate a nonlinear function on the ONE-SA array.
 //!
 //! ```sh
-//! cargo run -p onesa-core --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 //!
 //! Shows the paper's three-step CPWL flow on real data: build a table,

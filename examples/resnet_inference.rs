@@ -4,7 +4,7 @@
 //! real ResNet-50 would take on the array.
 //!
 //! ```sh
-//! cargo run --release -p onesa-core --example resnet_inference
+//! cargo run --release --example resnet_inference
 //! ```
 
 use onesa_core::OneSa;

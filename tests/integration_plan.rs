@@ -22,6 +22,7 @@ use onesa_data::Difficulty;
 use onesa_nn::models::{Gcn, SmallCnn, TinyBert};
 use onesa_nn::InferenceMode;
 use onesa_sim::ArrayConfig;
+use onesa_tensor::parallel::PackedLhs;
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::Tensor;
 
@@ -623,6 +624,80 @@ fn staged_cnn_convolutions_match_solo_and_direct_runs_with_unchanged_accounting(
                         assert_eq!(run.op_stats, job.0.op_stats(&cfg).unwrap(), "{label}");
                         assert_eq!(run.op_stats, alone.runs[0].op_stats, "{label}");
                     }
+                }
+            }
+        }
+    }
+}
+
+/// `(GEMM groups, batched (cycles, MACs, nonlinear evaluations))` of a
+/// staged group of 1..=4 `Standard`-optimized GCN programs — the
+/// benchmark's model shape and its pruned twin, alternating — each
+/// compiled from its own clone of one 120-node graph, in either mode;
+/// recorded at the commit before a dataset's clones shared one `Â`, when
+/// every program held a copy of its own. One group after the first adds
+/// the pruned twin's sparse `X · W₁`; its `Â` products stack beside the
+/// others' as columns of one `GemmLeft` group.
+const GCN_GOLDEN: [(usize, (u64, u64, u64)); 4] = [
+    (4, (5_733, 1_152_960, 7_680)),
+    (5, (9_914, 2_275_200, 15_360)),
+    (5, (15_135, 3_428_160, 23_040)),
+    (5, (19_481, 4_550_400, 30_720)),
+];
+
+#[test]
+fn staged_gcn_programs_from_graph_clones_match_solo_and_direct_runs() {
+    let gcn = Gcn::new(13, 8, 64, 7);
+    let mut pruned = gcn.clone();
+    pruned.prune_hidden(0.5).unwrap();
+    let models = [&gcn, &pruned];
+    let base = onesa_data::GraphDataset::generate("t", 7, Difficulty::medium(7), 120, 8, 0.16);
+    // Its `Â` multiplies by rows: solo at `n = 64` and `7`, stacked up to
+    // `4 · 64`.
+    assert!(PackedLhs::pack(&base.a_hat).unwrap().by_rows());
+    let mut rng = Pcg32::seed_from_u64(27);
+    let graphs: Vec<onesa_data::GraphDataset> = (0..4)
+        .map(|_| {
+            let mut g = base.clone();
+            g.x = rng.randn(&[120, 8], 1.0);
+            g
+        })
+        .collect();
+    let cfg = ArrayConfig::new(8, 16);
+    let triple = |s: &onesa_sim::ExecStats| (s.cycles(), s.macs, s.nonlinear_evals);
+    for mode in &[InferenceMode::Exact, InferenceMode::cpwl(0.25).unwrap()] {
+        let programs: Vec<onesa_core::Program> = graphs
+            .iter()
+            .enumerate()
+            .map(|(i, g)| {
+                models[i % 2]
+                    .compile_optimized((mode, g), OptLevel::Standard)
+                    .unwrap()
+            })
+            .collect();
+        let direct: Vec<Tensor> = graphs
+            .iter()
+            .enumerate()
+            .map(|(i, g)| models[i % 2].logits_direct(g, mode))
+            .collect();
+        for size in 1..=4usize {
+            let jobs: Vec<(&onesa_core::Program, &[Tensor])> = (0..size)
+                .map(|i| (&programs[i], std::slice::from_ref(&graphs[i].x)))
+                .collect();
+            for par in parallelisms() {
+                let case = format!("{} x{size} {}", mode.label(), par.label());
+                let staged =
+                    onesa_core::plan::run_staged(&jobs, &cfg, par, &mut TableCache::new()).unwrap();
+                let accounting = (staged.gemm_groups, triple(&staged.batched));
+                assert_eq!(accounting, GCN_GOLDEN[size - 1], "{case}");
+                for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
+                    let label = format!("{case} #{i}");
+                    let alone =
+                        onesa_core::plan::run_staged(&[*job], &cfg, par, &mut TableCache::new())
+                            .unwrap();
+                    let output = run.output.as_slice();
+                    assert_bits_eq(&label, output, alone.runs[0].output.as_slice());
+                    assert_bits_eq(&label, output, direct[i].as_slice());
                 }
             }
         }
