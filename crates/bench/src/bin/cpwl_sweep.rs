@@ -6,7 +6,7 @@
 //! cargo run --release -q -p onesa-bench --bin cpwl_sweep > BENCH_cpwl_sweep.json
 //! ```
 //!
-//! Three sections, every row a pair timed sample by sample beside each
+//! Four sections, every row a pair timed sample by sample beside each
 //! other (`onesa_bench::time_alternating`):
 //!
 //! * `sweep` — the fused `PwlTable::eval_tensor` against the materialised
@@ -20,15 +20,24 @@
 //!   dequantize, which is what served traffic ran before the sweep — and
 //!   against `quantize().dequantize()`, which shares the round trip's
 //!   vectorised loop and differs from it by the integer tensor alone.
-//! * `softmax` — `TableSet::softmax_rows` (one buffer) against the six
-//!   steps run one whole-matrix pass each.
+//! * `softmax` — `TableSet::softmax_rows` (one buffer, sixteen rows
+//!   reduced side by side) against `TableSet::softmax_row` on one row
+//!   after another, and against the six steps run one whole-matrix pass
+//!   each, at 64 × 64 (BERT's attention scores) and 8 × 64.
+//! * `layernorm` — `TableSet::layernorm_rows` against the same steps one
+//!   row at a time, as it ran before its rows were reduced side by side,
+//!   at 64 × 32, 8 × 32 and 420 × 64.
 //!
 //! Wall-clock numbers are machine-dependent; the ratios are what the bin
 //! asserts, so CI's bench-smoke job enforces them: from 4 096 elements up
 //! the fused sweep runs at least 2.5× faster than `ipf` + `mhp` and the
 //! round trip at least 2.5× faster than the scalar definition; at no size
 //! — 64 elements included — is either slower than what it replaced, nor
-//! the round trip slower than `quantize().dequantize()`. The `*_gelem_s`
+//! the round trip slower than `quantize().dequantize()`. Sixteen rows side
+//! by side run a softmax at least 1.6× faster than one row at a time at
+//! 64 rows and a layer norm at least 2.5× faster from 64 rows; at 8 rows
+//! neither is slower, nor is the softmax slower than the six passes. Every
+//! pair is checked `to_bits()`-equal before it is timed. The `*_gelem_s`
 //! columns are context, not floors.
 
 use onesa_bench::time_alternating;
@@ -67,6 +76,49 @@ fn softmax_stepwise(tables: &TableSet, x: &Tensor) -> Tensor {
         .map(|&s| reciprocal.eval(s))
         .collect();
     gemm::row_scale(&expd, &inv).expect("matrix")
+}
+
+/// The softmax one row after another: each row's six steps, its two
+/// reductions one serial chain each.
+fn softmax_row_at_a_time(tables: &TableSet, x: &Tensor) -> Tensor {
+    let mut out = x.clone();
+    for row in out.as_mut_slice().chunks_mut(x.dims()[1]) {
+        tables.softmax_row(row);
+    }
+    out
+}
+
+/// The layer norm one row after another, as `layernorm_rows` ran before
+/// its rows were reduced side by side.
+fn layernorm_row_at_a_time(tables: &TableSet, x: &Tensor, gamma: &[f32], beta: &[f32]) -> Tensor {
+    let n = x.dims()[1];
+    let rsqrt = tables.table(NonlinearFn::Rsqrt).expect("tabulated");
+    let mut out = x.clone();
+    for row in out.as_mut_slice().chunks_mut(n) {
+        let mean: f32 = row.iter().sum::<f32>() / n as f32;
+        for v in row.iter_mut() {
+            *v -= mean;
+        }
+        let var: f32 = row.iter().map(|&v| v * v).sum::<f32>() / n as f32;
+        let inv_std = rsqrt.eval(var + LN_EPS);
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = *v * inv_std * gamma[j] + beta[j];
+        }
+    }
+    out
+}
+
+/// The layer norm's `ε`, as BERT's blocks set it.
+const LN_EPS: f32 = 1e-5;
+
+/// The speed-up sixteen rows side by side are held to over one row at a
+/// time, at `rows` rows: `at_64` from 64 rows up, parity below.
+fn rows_floor(rows: usize, at_64: f64) -> f64 {
+    if rows >= 64 {
+        at_64
+    } else {
+        1.0
+    }
 }
 
 /// Symmetric quantization as defined, one element at a time, for an
@@ -220,17 +272,55 @@ fn main() {
     println!("{}", rows.join(",\n"));
     println!("  ],");
 
-    let x = rng.randn(&[64, 64], 2.0);
-    let one_buffer = || tables.softmax_rows(&x).expect("matrix");
-    assert_same_bits(&softmax_stepwise(&tables, &x), &one_buffer(), "softmax");
-    let times = time_alternating(
-        calls(x.len()),
-        [&mut || softmax_stepwise(&tables, &x), &mut || one_buffer()],
-    );
     println!("  \"softmax\": [");
-    let names = ["stepwise", "one_buffer"];
-    let head = "\"rows\": 64, \"cols\": 64";
-    println!("{}", row(head, x.len(), times, names, 1.0));
+    let mut rows = Vec::new();
+    for m in [64, 8] {
+        let x = rng.randn(&[m, 64], 2.0);
+        let one_buffer = || tables.softmax_rows(&x).expect("matrix");
+        assert_same_bits(&softmax_stepwise(&tables, &x), &one_buffer(), "softmax");
+        let by_row = softmax_row_at_a_time(&tables, &x);
+        assert_same_bits(&by_row, &one_buffer(), "softmax");
+        let [stepwise, by_row, fast] = time_alternating(
+            calls(x.len()),
+            [
+                &mut || softmax_stepwise(&tables, &x),
+                &mut || softmax_row_at_a_time(&tables, &x),
+                &mut || one_buffer(),
+            ],
+        );
+        assert!(
+            fast <= stepwise,
+            "softmax at {m} rows: one buffer is slower than six passes"
+        );
+        let head = format!(
+            "\"rows\": {m}, \"cols\": 64, \"stepwise_us\": {:.3}",
+            stepwise * 1e6
+        );
+        let (names, floor) = (["row_at_a_time", "one_buffer"], rows_floor(m, 1.6));
+        rows.push(row(&head, x.len(), [by_row, fast], names, floor));
+    }
+    println!("{}", rows.join(",\n"));
+    println!("  ],");
+
+    println!("  \"layernorm\": [");
+    let mut rows = Vec::new();
+    for (m, n) in [(64, 32), (8, 32), (420, 64)] {
+        let x = rng.randn(&[m, n], 1.5);
+        let gamma = rng.randn(&[n], 1.0).into_vec();
+        let beta = rng.randn(&[n], 0.5).into_vec();
+        let blocked = || {
+            tables
+                .layernorm_rows(&x, &gamma, &beta, LN_EPS)
+                .expect("shapes agree")
+        };
+        let by_row = || layernorm_row_at_a_time(&tables, &x, &gamma, &beta);
+        assert_same_bits(&by_row(), &blocked(), "layernorm");
+        let times = time_alternating(calls(x.len()), [&mut || by_row(), &mut || blocked()]);
+        let head = format!("\"rows\": {m}, \"cols\": {n}");
+        let names = ["row_at_a_time", "blocked"];
+        rows.push(row(&head, x.len(), times, names, rows_floor(m, 2.5)));
+    }
+    println!("{}", rows.join(",\n"));
     println!("  ]");
     println!("}}");
 }

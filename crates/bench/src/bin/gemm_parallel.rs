@@ -14,7 +14,11 @@
 //! `packed_over_reference` (a time ratio, lower is better). The bin
 //! asserts its own floors so the CI bench-smoke job enforces them: on no
 //! serving shape is the packed kernel more than 10% slower than the
-//! reference loop — and that includes the `zero_fraction` rows, which run
+//! reference loop, nor is `parallel::matmul` — which reads its left
+//! operand where it lies — slower than packing that operand in lines on
+//! every call and sweeping the pack (`packed_over_pack_and_sweep`; a pack
+//! made once, `prepacked_us`, is context) — and that includes the
+//! `zero_fraction` rows, which run
 //! the CNN's and the GCN's products on the left operands traffic really
 //! has (a ReLU-masked activation map, about half exact zeros; the GCN's
 //! normalized adjacency `Â`, about 95%, packed once as the program
@@ -60,10 +64,10 @@ fn serving_shapes() -> Vec<(usize, usize, usize)> {
 /// dense)` best seconds per call — the reference loop and the packed
 /// kernel on `a`, and the packed kernel on `dense`, a zero-free activation
 /// of the same shape — ~1 ms of work per sample whatever the shape.
-/// `constant` says how traffic meets `a`: an activation is packed by every
-/// call (`parallel::matmul`), a program constant once, outside the timed
-/// region (`parallel::matmul_packed`, as `onesa-plan` runs it). Asserts
-/// the floor every row of this file is held to.
+/// `constant` says how traffic meets `a`: an activation is read in place by
+/// every call (`parallel::matmul`), a program constant is packed once,
+/// outside the timed region (`parallel::matmul_packed`, as `onesa-plan`
+/// runs it). Asserts the floor every row of this file is held to.
 fn time_shape(a: &Tensor, dense: &Tensor, b: &Tensor, what: &str, constant: bool) -> [f64; 3] {
     let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
     let calls = ((1e7 / (m * k * n) as f64) as usize).clamp(1, 20_000);
@@ -88,11 +92,63 @@ fn time_shape(a: &Tensor, dense: &Tensor, b: &Tensor, what: &str, constant: bool
     times
 }
 
+/// A result's bit patterns, for the `to_bits()` checks before timing.
+fn bits(t: Tensor) -> Vec<u32> {
+    t.into_vec().into_iter().map(f32::to_bits).collect()
+}
+
+/// One serving shape four ways: `(reference, per call, pack and sweep,
+/// prepacked)` best seconds per call — the reference loop;
+/// `parallel::matmul`, which reads `a` where it lies; `a` packed in lines
+/// on every call and swept (`PackedLhs::pack_lines` + `matmul_packed`,
+/// what `parallel::matmul` ran before it read `a` in place); and `a`
+/// packed in lines once, outside the timed region. The four results are
+/// checked `to_bits()`-equal first. Asserts the two floors every serving
+/// shape is held to.
+fn time_serving(a: &Tensor, b: &Tensor) -> [f64; 4] {
+    let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
+    let calls = ((1e7 / (m * k * n) as f64) as usize).clamp(1, 20_000);
+    let once = PackedLhs::pack_lines(a).expect("matrix");
+    let seq = Parallelism::Sequential;
+    let pack_and_sweep = || {
+        let packed = PackedLhs::pack_lines(a).expect("matrix");
+        parallel::matmul_packed(&packed, b, seq).expect("matmul")
+    };
+    let want = bits(gemm::matmul(a, b).expect("matmul"));
+    assert!(
+        bits(parallel::matmul(a, b, seq).expect("matmul")) == want
+            && bits(pack_and_sweep()) == want
+            && bits(parallel::matmul_packed(&once, b, seq).expect("matmul")) == want,
+        "{m}x{k}x{n}: the four forms differ"
+    );
+    let times = time_alternating(
+        calls,
+        [
+            &mut || gemm::matmul(a, b).expect("matmul"),
+            &mut || parallel::matmul(a, b, seq).expect("matmul"),
+            &mut || pack_and_sweep(),
+            &mut || parallel::matmul_packed(&once, b, seq).expect("matmul"),
+        ],
+    );
+    let [reference, per_call, packing, _] = times;
+    assert!(
+        per_call / reference <= 1.10,
+        "{m}x{k}x{n}: packed kernel {:.2}x the reference loop's time, limit 1.10",
+        per_call / reference
+    );
+    assert!(
+        per_call <= packing,
+        "{m}x{k}x{n}: reading A in place takes {:.2}x the time of packing it, limit 1.00",
+        per_call / packing
+    );
+    times
+}
+
 /// One constant left operand three ways: `(per call, lines, packed)`
-/// best seconds per call — `parallel::matmul`, which packs `a` on every
-/// call; `a` packed once in lines (`PackedLhs::pack_lines`); and `a` packed
-/// once in the layout `PackedLhs::pack` picks, the way `onesa-plan` runs
-/// a program constant.
+/// best seconds per call — `parallel::matmul`, which reads `a` where it
+/// lies on every call; `a` packed once in lines (`PackedLhs::pack_lines`);
+/// and `a` packed once in the layout `PackedLhs::pack` picks, the way
+/// `onesa-plan` runs a program constant.
 fn time_density(a: &Tensor, b: &Tensor) -> [f64; 3] {
     let lines = PackedLhs::pack_lines(a).expect("matrix");
     let packed = PackedLhs::pack(a).expect("matrix");
@@ -155,7 +211,7 @@ fn main() {
         let a = rng.randn(&[m, k], 1.0);
         let b = rng.randn(&[k, n], 1.0);
         let flop = 2.0 * (m * k * n) as f64;
-        let [reference, packed, _] = time_shape(&a, &a, &b, "dense", false);
+        let [reference, packed, pack_and_sweep, prepacked] = time_serving(&a, &b);
         let ratio = packed / reference;
         println!("    {{");
         println!("      \"m\": {m}, \"k\": {k}, \"n\": {n},");
@@ -165,9 +221,15 @@ fn main() {
             packed * 1e6
         );
         println!(
-            "      \"packed_gflops\": {:.2}, \"packed_over_reference\": {:.2}",
+            "      \"pack_and_sweep_us\": {:.2}, \"prepacked_us\": {:.2},",
+            pack_and_sweep * 1e6,
+            prepacked * 1e6
+        );
+        println!(
+            "      \"packed_gflops\": {:.2}, \"packed_over_reference\": {:.2}, \"packed_over_pack_and_sweep\": {:.2}",
             flop / packed / 1e9,
-            ratio
+            ratio,
+            packed / pack_and_sweep
         );
         println!("    }}{}", if idx + 1 < shapes.len() { "," } else { "" });
     }
@@ -278,20 +340,30 @@ fn main() {
     println!("  \"conv\": [");
     let convs = conv_shapes();
     for (idx, &(c, h, stride, masked)) in convs.iter().enumerate() {
-        let [reference, conv] = time_conv(&mut rng, c, h, stride, masked);
+        let [reference, in_place, conv] = time_conv(&mut rng, c, h, stride, masked);
         let floor = if h == 32 { 2.5 } else { 1.5 };
         let speedup = reference / conv;
         assert!(
             speedup >= floor,
             "[{c},{h},{h}] stride {stride}: conv2d {speedup:.2}x the im2col path, floor {floor}"
         );
+        assert!(
+            in_place / conv >= 1.5,
+            "[{c},{h},{h}] stride {stride}: conv2d {:.2}x the in-place im2col path, floor 1.5",
+            in_place / conv
+        );
         println!("    {{");
         println!("      \"c\": {c}, \"h\": {h}, \"w\": {h}, \"cout\": 8, \"kernel\": 3, \"stride\": {stride}, \"padding\": 1, \"relu_masked\": {masked},");
         println!(
-            "      \"im2col_path_us\": {:.2}, \"conv2d_us\": {:.2}, \"speedup\": {:.2}",
+            "      \"im2col_path_us\": {:.2}, \"im2col_in_place_us\": {:.2}, \"conv2d_us\": {:.2},",
             reference * 1e6,
-            conv * 1e6,
-            speedup
+            in_place * 1e6,
+            conv * 1e6
+        );
+        println!(
+            "      \"speedup\": {:.2}, \"speedup_in_place\": {:.2}",
+            speedup,
+            in_place / conv
         );
         println!("    }}{}", if idx + 1 < convs.len() { "," } else { "" });
     }
@@ -313,13 +385,16 @@ fn conv_shapes() -> Vec<(usize, usize, usize, bool)> {
 }
 
 /// One 3×3, padding-1, 8-output-channel convolution with a per-channel
-/// bias: `(im2col path, conv2d)` best seconds per call. The im2col path is
-/// what the executor ran before `conv2d` — `im2col`, `parallel::matmul`
-/// against the `[C·9, 8]` weight, the bias on every row, `col2im_output`;
-/// `conv2d` gets the weight packed once, outside the timed region, as a
-/// program constant is. The two outputs are checked `to_bits()`-equal
-/// before either is timed.
-fn time_conv(rng: &mut Pcg32, c: usize, side: usize, stride: usize, masked: bool) -> [f64; 2] {
+/// bias: `(im2col path, im2col path in place, conv2d)` best seconds per
+/// call. The im2col path is what the executor ran before `conv2d` —
+/// `im2col`, the patch matrix packed in lines and swept against the
+/// `[C·9, 8]` weight (the pack `parallel::matmul` made on every call until
+/// it read its left operand in place), the bias on every row,
+/// `col2im_output`; the in-place path is the same with `parallel::matmul`
+/// as it runs now. `conv2d` gets the weight packed once, outside the timed
+/// region, as a program constant is. The three outputs are checked
+/// `to_bits()`-equal before any is timed.
+fn time_conv(rng: &mut Pcg32, c: usize, side: usize, stride: usize, masked: bool) -> [f64; 3] {
     let geo = Conv2dGeometry {
         in_channels: c,
         out_channels: 8,
@@ -336,9 +411,17 @@ fn time_conv(rng: &mut Pcg32, c: usize, side: usize, stride: usize, masked: bool
     let bias = rng.randn(&[8], 0.1).into_vec();
     let packed = PackedLhs::pack_lines(&w).expect("matrix");
     let (oh, ow) = geo.output_hw(side, side).expect("geometry fits");
-    let reference = || {
+    let reference = |pack: bool| {
         let cols = im2col::im2col(&x, &geo).expect("geometry fits");
-        let mut prod = parallel::matmul(&cols, &wt, Parallelism::Sequential).expect("matmul");
+        let seq = Parallelism::Sequential;
+        let prod = match pack {
+            true => {
+                let packed = PackedLhs::pack_lines(&cols).expect("matrix");
+                parallel::matmul_packed(&packed, &wt, seq)
+            }
+            false => parallel::matmul(&cols, &wt, seq),
+        };
+        let mut prod = prod.expect("matmul");
         for row in prod.as_mut_slice().chunks_mut(8) {
             for (v, b) in row.iter_mut().zip(&bias) {
                 *v += b;
@@ -357,17 +440,18 @@ fn time_conv(rng: &mut Pcg32, c: usize, side: usize, stride: usize, masked: bool
         }
         map
     };
-    let bits = |t: Tensor| {
-        t.into_vec()
-            .into_iter()
-            .map(f32::to_bits)
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(
-        bits(reference()),
-        bits(conv()),
-        "[{c},{side},{side}] stride {stride}"
+    let want = bits(conv());
+    assert!(
+        bits(reference(true)) == want && bits(reference(false)) == want,
+        "[{c},{side},{side}] stride {stride}: the three forms differ"
     );
     let calls = (2e6 / (oh * ow * geo.patch_len() * 8) as f64).clamp(1.0, 2_000.0) as usize;
-    time_alternating(calls, [&mut || reference(), &mut || conv()])
+    time_alternating(
+        calls,
+        [
+            &mut || reference(true),
+            &mut || reference(false),
+            &mut || conv(),
+        ],
+    )
 }

@@ -11,14 +11,27 @@
 //!
 //! On the host every IPF + MHP pair here is the table's fused sweep
 //! (see [`crate::PwlTable::eval_slice`]): the pointwise operators
-//! allocate their output and run it, and [`TableSet::softmax_rows`] is
-//! one output buffer its rows are reduced, swept and scaled in —
-//! [`TableSet::softmax_row`], which the executor's causal softmax calls
-//! on each row's visible prefix. The values, and their bits, are those of
-//! the step-by-step lowering the doc comments list.
+//! allocate their output and run it, and [`TableSet::softmax_rows`] and
+//! [`TableSet::layernorm_rows`] are one output buffer their rows are
+//! reduced, swept and scaled in.
+//!
+//! A reduction runs sixteen rows side by side ([`gemm::fold_rows`]) — the
+//! host's version of the array's `X · 1`, with every row's accumulator in
+//! flight at once instead of one row's chain after another — and the
+//! pointwise steps between reductions sweep the whole block, the
+//! reciprocal or `rsqrt` once over its sixteen row values. Each row's
+//! reduction is still its own left-to-right chain, so the values, and
+//! their bits, are those of the step-by-step lowering the doc comments
+//! list. [`TableSet::softmax_row`], which the executor's causal softmax
+//! calls on each row's visible prefix, is the same steps one row at a
+//! time.
 
 use crate::{NonlinearFn, PwlTable, Result};
 use onesa_tensor::{gemm, Tensor};
+
+/// Rows a softmax or layer-norm block reduces side by side: the lanes of
+/// one [`gemm::fold_rows`].
+const BLOCK: usize = 16;
 
 /// A cached set of CPWL tables at one shared granularity — the paper's
 /// per-network "approximation granularity setting".
@@ -183,19 +196,47 @@ impl TableSet {
     /// 5. `1/sum` via IPF + MHP,
     /// 6. row scale (MHP).
     ///
+    /// Rows run sixteen side by side (see the [module docs](self)), with
+    /// the bits of [`TableSet::softmax_row`] on each.
+    ///
     /// # Errors
     ///
     /// Returns a tensor error if `x` is not a matrix.
     pub fn softmax_rows(&self, x: &Tensor) -> Result<Tensor> {
         let (_, n) = x.shape().as_matrix()?;
         let mut out = x.clone();
-        for row in out.as_mut_slice().chunks_mut(n.max(1)) {
-            self.softmax_row(row);
+        for block in out.as_mut_slice().chunks_mut(BLOCK * n.max(1)) {
+            self.softmax_block(block, n);
         }
         Ok(out)
     }
 
-    /// The six steps of [`TableSet::softmax_rows`] on one row, in place.
+    /// The six steps of [`TableSet::softmax_rows`] on one block of at most
+    /// [`BLOCK`] rows of `n` (`n > 0`), in place: each reduction is one
+    /// [`gemm::fold_rows`], each pointwise step one pass over the block.
+    fn softmax_block(&self, block: &mut [f32], n: usize) {
+        let mut max = [f32::NEG_INFINITY; BLOCK];
+        gemm::fold_rows(block, n, &mut max, |m, v| if v > m { v } else { m });
+        for (row, max) in block.chunks_exact_mut(n).zip(max) {
+            for v in row {
+                *v -= max;
+            }
+        }
+        self.exp.eval_in_place(block);
+        let mut sum = [-0.0f32; BLOCK];
+        gemm::fold_rows(block, n, &mut sum, |s, v| s + v);
+        let rows = block.len() / n;
+        let mut inv = [0.0f32; BLOCK];
+        self.reciprocal.eval_slice(&sum[..rows], &mut inv[..rows]);
+        for (row, inv) in block.chunks_exact_mut(n).zip(inv) {
+            for v in row {
+                *v *= inv;
+            }
+        }
+    }
+
+    /// The six steps of [`TableSet::softmax_rows`] on one row, in place —
+    /// the same values, one row's chains at a time.
     pub fn softmax_row(&self, row: &mut [f32]) {
         let max = gemm::row_max(row);
         for v in row.iter_mut() {
@@ -216,6 +257,10 @@ impl TableSet {
     /// 4. row mean of squares via GEMM (exact variance),
     /// 5. `1/√(var+ε)` via IPF + MHP,
     /// 6. scale + affine (`γ`, `β`) via MHPs.
+    ///
+    /// Sixteen rows run side by side, as in [`TableSet::softmax_rows`];
+    /// each row's sums start at `-0.0` and run left to right, so the
+    /// result is that of the same steps taken one row at a time.
     ///
     /// # Errors
     ///
@@ -239,16 +284,27 @@ impl TableSet {
             ));
         }
         let mut out = x.clone();
-        for i in 0..m {
-            let row = &mut out.as_mut_slice()[i * n..(i + 1) * n];
-            let mean: f32 = row.iter().sum::<f32>() / n as f32;
-            for v in row.iter_mut() {
-                *v -= mean;
+        for block in out.as_mut_slice().chunks_mut(BLOCK * n.max(1)) {
+            let rows = block.len() / n;
+            let mut sum = [-0.0f32; BLOCK];
+            gemm::fold_rows(block, n, &mut sum, |s, v| s + v);
+            for (row, sum) in block.chunks_exact_mut(n).zip(sum) {
+                let mean = sum / n as f32;
+                for v in row {
+                    *v -= mean;
+                }
             }
-            let var: f32 = row.iter().map(|&v| v * v).sum::<f32>() / n as f32;
-            let inv_std = self.rsqrt.eval(var + eps);
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = *v * inv_std * gamma[j] + beta[j];
+            let mut var = [-0.0f32; BLOCK];
+            gemm::fold_rows(block, n, &mut var, |s, v| s + v * v);
+            for v in &mut var[..rows] {
+                *v = *v / n as f32 + eps;
+            }
+            let mut inv_std = [0.0f32; BLOCK];
+            self.rsqrt.eval_slice(&var[..rows], &mut inv_std[..rows]);
+            for (row, inv_std) in block.chunks_exact_mut(n).zip(inv_std) {
+                for ((v, g), b) in row.iter_mut().zip(gamma).zip(beta) {
+                    *v = *v * inv_std * g + b;
+                }
             }
         }
         Ok(out)

@@ -145,10 +145,34 @@ fn softmax_rows_stepwise(tables: &TableSet, x: &Tensor) -> Tensor {
     gemm::row_scale(&expd, &inv).unwrap()
 }
 
+/// Overwrites `row` with hostile row number `kind % 4`: one holding `NaN`,
+/// one holding `+inf` and `-inf`, one whose maximum is `-0.0` (ahead of a
+/// `+0.0`), and one of `-inf` alone.
+fn plant_hostile_row(row: &mut [f32], kind: usize) {
+    let n = row.len();
+    match kind % 4 {
+        0 => row[n / 2] = f32::NAN,
+        1 => {
+            row[0] = f32::INFINITY;
+            row[n - 1] = f32::NEG_INFINITY;
+        }
+        2 => {
+            for v in row.iter_mut() {
+                *v = -v.abs() - 1.0;
+            }
+            row[n / 3] = -0.0;
+            row[n - 1] = 0.0;
+        }
+        _ => row.fill(f32::NEG_INFINITY),
+    }
+}
+
 /// One buffer or six passes, `softmax_rows` yields the same bits — on
 /// noise, on rows one wide, on rows whose maximum is `-0.0` (the shift
 /// then adds `+0.0`, flipping the sign of a `-0.0` entry), on rows holding
-/// `NaN` and infinities — and its row helper is the same routine.
+/// `NaN` and infinities — and its row helper is the same routine. Matrices
+/// of 15 to 64 rows fill and straddle the sixteen-row blocks the rows are
+/// reduced in, with hostile rows in lanes 0, 7 and 15 of each block.
 #[test]
 fn softmax_rows_equals_the_stepwise_lowering() {
     let mut rng = Pcg32::seed_from_u64(0x50F7);
@@ -164,6 +188,15 @@ fn softmax_rows_equals_the_stepwise_lowering() {
         for (m, n) in [(5, 1), (1, 1), (3, 17), (7, 64), (2, 130)] {
             cases.push(rng.randn(&[m, n], 3.0));
         }
+        for (m, n) in [(15, 9), (16, 64), (17, 3), (33, 17), (64, 64), (16, 1)] {
+            let mut x = rng.randn(&[m, n], 3.0);
+            for (i, row) in x.as_mut_slice().chunks_mut(n).enumerate() {
+                if [0, 7, 15].contains(&(i % 16)) {
+                    plant_hostile_row(row, i / 7 + m);
+                }
+            }
+            cases.push(x);
+        }
         for x in &cases {
             let want = softmax_rows_stepwise(&tables, x);
             let got = tables.softmax_rows(x).unwrap();
@@ -176,6 +209,85 @@ fn softmax_rows_equals_the_stepwise_lowering() {
                 tables.softmax_row(row);
             }
             assert_same_bits(by_row.as_slice(), want.as_slice(), &what);
+        }
+    }
+}
+
+/// The layer-norm lowering one row at a time, each row's two sums a
+/// serial `iter().sum()` — `layernorm_rows` as it was written before its
+/// rows were reduced side by side.
+fn layernorm_rows_row_at_a_time(
+    tables: &TableSet,
+    x: &Tensor,
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+) -> Tensor {
+    let (m, n) = x.shape().as_matrix().unwrap();
+    let rsqrt = tables.table(NonlinearFn::Rsqrt).unwrap();
+    let mut out = x.clone();
+    for i in 0..m {
+        let row = &mut out.as_mut_slice()[i * n..(i + 1) * n];
+        let mean: f32 = row.iter().sum::<f32>() / n as f32;
+        for v in row.iter_mut() {
+            *v -= mean;
+        }
+        let var: f32 = row.iter().map(|&v| v * v).sum::<f32>() / n as f32;
+        let inv_std = rsqrt.eval(var + eps);
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = *v * inv_std * gamma[j] + beta[j];
+        }
+    }
+    out
+}
+
+/// Sixteen rows side by side or one at a time, `layernorm_rows` yields the
+/// same bits: every row count from 1 to 40 and 64 (whole, partial and
+/// straddled blocks) at widths from 1 to 70, `γ` / `β` holding `0.0` and
+/// `-0.0`, inputs holding `NaN`, `±inf`, the subnormal `1e-40` and rows of
+/// `-0.0` alone — whose sum is `-0.0` only from a `-0.0` start, and whose
+/// sign then reaches the output through a `-0.0` in `β` — for `ε` of 0 and
+/// `1e-5` at three granularities.
+#[test]
+fn layernorm_rows_equals_the_row_at_a_time_lowering() {
+    let mut rng = Pcg32::seed_from_u64(0x1A7E);
+    let tables: Vec<TableSet> = [0.0625f32, 0.25, 0.75]
+        .iter()
+        .map(|&g| TableSet::for_granularity(g).unwrap())
+        .collect();
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40];
+    for m in (1..=40).chain([64]) {
+        for n in 1..=70 {
+            let mut x = rng.randn(&[m, n], 2.0);
+            for (i, row) in x.as_mut_slice().chunks_mut(n).enumerate() {
+                match (i + n) % 7 {
+                    0 => row.fill(-0.0),
+                    1 => row[(i * 5) % n] = specials[(i + m) % specials.len()],
+                    _ => {}
+                }
+            }
+            let signed = |v: f32, rng: &mut Pcg32| match rng.below(6) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => v,
+            };
+            let gamma: Vec<f32> = rng
+                .randn(&[n], 1.0)
+                .iter()
+                .map(|&v| signed(v, &mut rng))
+                .collect();
+            let beta: Vec<f32> = rng
+                .randn(&[n], 1.0)
+                .iter()
+                .map(|&v| signed(v, &mut rng))
+                .collect();
+            let set = &tables[(m + n) % tables.len()];
+            for eps in [0.0f32, 1e-5] {
+                let want = layernorm_rows_row_at_a_time(set, &x, &gamma, &beta, eps);
+                let got = set.layernorm_rows(&x, &gamma, &beta, eps).unwrap();
+                let what = format!("g={} {m}x{n} eps={eps}", set.granularity());
+                assert_same_bits(got.as_slice(), want.as_slice(), &what);
+            }
         }
     }
 }

@@ -10,7 +10,7 @@ use onesa_cpwl::NonlinearFn;
 use onesa_sim::{ArrayConfig, CycleBreakdown, ExecStats};
 use onesa_tensor::parallel::{self, Parallelism};
 use onesa_tensor::quant::{QuantTensor, QuantTensor8};
-use onesa_tensor::{im2col, sparse, Result, Tensor, TensorError};
+use onesa_tensor::{gemm, im2col, sparse, Result, Tensor, TensorError};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -716,8 +716,9 @@ fn table_for(
 
 /// Row-wise softmax of `x` under `mode`. `causal: None` is `Op::Softmax`
 /// over whole rows; `Some(offset)` is `Op::CausalSoftmax`, row `i` seeing
-/// its prefix `0 ..= offset + i` and holding exact `0.0` beyond it — both
-/// through the one row routine.
+/// its prefix `0 ..= offset + i` and holding exact `0.0` beyond it. Whole
+/// CPWL rows run sixteen side by side (`TableSet::softmax_rows`); every
+/// other case runs the one row routine, whose bits those are.
 fn softmax_rows(
     x: &Tensor,
     mode: EvalMode,
@@ -729,6 +730,9 @@ fn softmax_rows(
         EvalMode::Exact => None,
         EvalMode::Cpwl { granularity, .. } => Some(tables.get(granularity)?),
     };
+    if let (Some(set), None) = (set, causal) {
+        return Ok(set.softmax_rows(x)?);
+    }
     let mut out = Tensor::zeros(&[m, n]);
     let rows = out.as_mut_slice().chunks_mut(n.max(1));
     for (i, (row, src)) in rows.zip(x.as_slice().chunks(n.max(1))).enumerate() {
@@ -859,16 +863,20 @@ fn exec_single(
             Ok(out)
         }
         Op::Pool(PoolKind::GlobalAvg) => {
+            // Each channel's plane summed from `-0.0` left to right, as
+            // `iter().sum()` sums it, sixteen planes side by side.
             let dims = ins[0].dims();
-            let (c, h, w) = (dims[0], dims[1], dims[2]);
-            let pooled: Vec<f32> = (0..c)
-                .map(|ch| {
-                    ins[0].as_slice()[ch * h * w..(ch + 1) * h * w]
-                        .iter()
-                        .sum::<f32>()
-                        / (h * w) as f32
-                })
-                .collect();
+            let (c, plane) = (dims[0], dims[1] * dims[2]);
+            let mut pooled = vec![-0.0f32; c];
+            let blocks = ins[0].as_slice().chunks(16 * plane.max(1));
+            for (sums, block) in pooled.chunks_mut(16).zip(blocks) {
+                let mut acc = [-0.0f32; 16];
+                gemm::fold_rows(block, plane, &mut acc, |s, v| s + v);
+                sums.copy_from_slice(&acc[..sums.len()]);
+            }
+            for v in &mut pooled {
+                *v /= plane as f32;
+            }
             Tensor::from_vec(pooled, &[1, c])
         }
         Op::Pool(PoolKind::MeanRows) => {
@@ -941,7 +949,6 @@ fn plane_len(t: &Tensor) -> usize {
 mod tests {
     use super::*;
     use crate::program::GemmSparsity;
-    use onesa_tensor::gemm;
     use onesa_tensor::im2col::Conv2dGeometry;
     use onesa_tensor::parallel::PackedLhs;
     use onesa_tensor::rng::Pcg32;
@@ -1891,6 +1898,100 @@ mod tests {
         );
         for (i, (g, v)) in got.iter().zip(img.iter()).enumerate() {
             assert_eq!(g.to_bits(), (v * k[i / 20] + b[i / 20]).to_bits());
+        }
+    }
+
+    #[test]
+    fn global_avg_pool_is_each_planes_serial_sum() {
+        let mut rng = Pcg32::seed_from_u64(13);
+        for c in 1..=40 {
+            for (h, w) in [(1, 1), (3, 5), (4, 4)] {
+                let plane = h * w;
+                let mut x = rng.randn(&[c, h, w], 1.0);
+                for (ch, p) in x.as_mut_slice().chunks_mut(plane).enumerate() {
+                    match (ch + c) % 5 {
+                        0 => p.fill(-0.0),
+                        1 => p[ch % plane] = [f32::NAN, f32::INFINITY][ch % 2],
+                        _ => {}
+                    }
+                }
+                let got = run_op(
+                    Op::Pool(PoolKind::GlobalAvg),
+                    EvalMode::Exact,
+                    &x,
+                    Parallelism::Sequential,
+                );
+                let want: Vec<f32> = x
+                    .as_slice()
+                    .chunks(plane)
+                    .map(|p| p.iter().sum::<f32>() / plane as f32)
+                    .collect();
+                let want = Tensor::from_vec(want, &[1, c]).unwrap();
+                assert_same_bits(&got, &want, &format!("{c}x{h}x{w}"));
+            }
+        }
+    }
+
+    #[test]
+    fn staged_softmax_and_layernorm_blocks_straddle_members_unchanged() {
+        // Members of 5, 7, 9 and 16 rows stack into 37: the 16-row blocks
+        // the reductions run in cut across members.
+        let gamma: Vec<f32> = (0..6).map(|c| 1.0 - c as f32 * 0.5).collect();
+        let beta: Vec<f32> = (0..6).map(|c| [0.25, -0.0, 0.0][c % 3]).collect();
+        let ops = [
+            (Op::Softmax, 7),
+            (
+                Op::LayerNorm {
+                    gamma,
+                    beta,
+                    eps: 1e-5,
+                },
+                6,
+            ),
+        ];
+        let cfg = ArrayConfig::new(8, 16);
+        for (op, n) in ops {
+            for mode in [EvalMode::Exact, cpwl()] {
+                let members: Vec<(Program, Tensor)> = [5usize, 7, 9, 16]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &rows)| {
+                        let mut b = Program::builder("member", mode);
+                        let x = b.input(&[rows, n]);
+                        b.push(op.clone(), &[x]);
+                        let mut input = Pcg32::seed_from_u64(80 + i as u64).randn(&[rows, n], 2.0);
+                        input.as_mut_slice()[n..2 * n].fill(-0.0);
+                        input.as_mut_slice()[3 * n + 1] = f32::NAN;
+                        (b.finish().unwrap(), input)
+                    })
+                    .collect();
+                let jobs: Vec<(&Program, &[Tensor])> = members
+                    .iter()
+                    .map(|(p, x)| (p, std::slice::from_ref(x)))
+                    .collect();
+                let mut cache = TableCache::new();
+                let staged = run_staged(&jobs, &cfg, Parallelism::Sequential, &mut cache).unwrap();
+                assert_eq!(staged.stages[0].groups, 1, "{op:?} {mode:?}");
+                for (i, (run, (p, x))) in staged.runs.iter().zip(&members).enumerate() {
+                    let case = format!("{op:?} {mode:?} #{i}");
+                    let solo = p.run(std::slice::from_ref(x), Parallelism::Sequential, &mut cache);
+                    assert_same_bits(&run.output, &solo.unwrap().output, &case);
+                    let want = match (&op, mode) {
+                        (Op::Softmax, EvalMode::Exact) => ops::softmax_rows_exact(x).unwrap(),
+                        (Op::Softmax, _) => cache.get(0.25).unwrap().softmax_rows(x).unwrap(),
+                        (Op::LayerNorm { gamma, beta, eps }, EvalMode::Exact) => {
+                            ops::layernorm_rows_exact(x, gamma, beta, *eps).unwrap()
+                        }
+                        (Op::LayerNorm { gamma, beta, eps }, _) => cache
+                            .get(0.25)
+                            .unwrap()
+                            .layernorm_rows(x, gamma, beta, *eps)
+                            .unwrap(),
+                        _ => unreachable!("two ops"),
+                    };
+                    assert_same_bits(&run.output, &want, &case);
+                }
+            }
         }
     }
 

@@ -152,36 +152,117 @@ pub fn row_scale(x: &Tensor, s: &[f32]) -> Result<Tensor> {
 }
 
 /// Row-wise sums of a matrix (`X · 1`), the reduction GEMM used in the
-/// softmax and layer-norm lowerings.
+/// softmax and layer-norm lowerings: each row's sum is
+/// `row.iter().sum::<f32>()` — a left-to-right chain of additions from
+/// `-0.0`, so an all-`-0.0` row sums to `-0.0` — sixteen rows at a time
+/// through [`fold_rows`].
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::NotAMatrix`] for non-matrices.
 pub fn row_sums(x: &Tensor) -> Result<Vec<f32>> {
-    let (m, n) = x.shape().as_matrix()?;
-    let mut sums = vec![0.0f32; m];
-    for (i, sum) in sums.iter_mut().enumerate() {
-        *sum = x.as_slice()[i * n..(i + 1) * n].iter().sum();
-    }
-    Ok(sums)
+    fold_matrix_rows(x, -0.0, |sum, v| sum + v)
 }
 
-/// Row-wise maxima of a matrix, used for numerically-stable softmax.
+/// Row-wise maxima of a matrix, used for numerically-stable softmax: each
+/// row's [`row_max`], sixteen rows at a time through [`fold_rows`].
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::NotAMatrix`] for non-matrices.
 pub fn row_maxes(x: &Tensor) -> Result<Vec<f32>> {
-    let (m, n) = x.shape().as_matrix()?;
-    let rows = (0..m).map(|i| row_max(&x.as_slice()[i * n..(i + 1) * n]));
-    Ok(rows.collect())
+    fold_matrix_rows(x, f32::NEG_INFINITY, max_step)
 }
 
 /// The maximum of one row, as [`row_maxes`] reduces it: left to right,
 /// `NaN`s skipped, `-inf` for an empty row — and, of two zeros, the first.
 pub fn row_max(row: &[f32]) -> f32 {
     row.iter()
-        .fold(f32::NEG_INFINITY, |max, &v| if v > max { v } else { max })
+        .fold(f32::NEG_INFINITY, |max, &v| max_step(max, v))
+}
+
+/// One step of [`row_max`].
+fn max_step(max: f32, v: f32) -> f32 {
+    if v > max {
+        v
+    } else {
+        max
+    }
+}
+
+/// Rows one [`fold_rows`] call reduces side by side.
+const FOLD_ROWS: usize = 16;
+/// Columns one row's chain advances before the next row's takes its turn:
+/// one bounds check per step, and sixteen chains of eight in flight. (On
+/// an AVX-512 Xeon a sum over 64 × 64 took 0.19 ns per element at 8
+/// against 0.32 row by row; 4 and 16 were no faster, and 16 slowed the
+/// maximum.)
+const FOLD_STEP: usize = 8;
+
+/// Folds up to sixteen rows side by side — the host's `X · 1`, every row's
+/// accumulator in flight at once. `block` holds `block.len() / n` rows of
+/// `n` (at most sixteen), and row `r`'s accumulator becomes
+/// `f(…f(f(acc[r], x[r][0]), x[r][1])…, x[r][n − 1])`: the row's own
+/// serial fold, one column at a time in ascending order, bit for bit.
+/// Lanes past the block's rows are left as they are.
+///
+/// What changes is only the schedule. A row's fold is one dependency
+/// chain, a latency per element; here each row advances a few columns and
+/// hands over to the next, so sixteen independent chains overlap. Start
+/// values are the caller's: `-0.0` for a sum (where
+/// `Iterator::sum::<f32>` starts), `-inf` for a maximum.
+///
+/// # Panics
+///
+/// Panics unless `block` is a whole number of rows of `n`, at most
+/// sixteen of them (an `n` of zero takes an empty block).
+///
+/// # Example
+///
+/// ```
+/// use onesa_tensor::gemm;
+///
+/// let block = [1.0, 2.0, 3.0, -4.0, 5.0, -6.0];
+/// let mut sums = [-0.0f32; 16];
+/// gemm::fold_rows(&block, 3, &mut sums, |s, v| s + v);
+/// assert_eq!(sums[..2], [6.0, -5.0]);
+/// assert!(sums[2].is_sign_negative()); // untouched
+/// ```
+pub fn fold_rows(block: &[f32], n: usize, acc: &mut [f32; FOLD_ROWS], f: impl Fn(f32, f32) -> f32) {
+    if n == 0 {
+        assert!(block.is_empty(), "rows of no columns hold nothing");
+        return;
+    }
+    let rows = block.chunks_exact(n);
+    assert!(
+        rows.remainder().is_empty() && rows.len() <= FOLD_ROWS,
+        "a fold takes whole rows, at most {FOLD_ROWS} of them"
+    );
+    let whole = n - n % FOLD_STEP;
+    for j0 in (0..whole).step_by(FOLD_STEP) {
+        for (a, row) in acc.iter_mut().zip(block.chunks_exact(n)) {
+            let step: &[f32; FOLD_STEP] = row[j0..j0 + FOLD_STEP].try_into().expect("a step");
+            *a = step.iter().fold(*a, |a, &v| f(a, v));
+        }
+    }
+    for (a, row) in acc.iter_mut().zip(block.chunks_exact(n)) {
+        *a = row[whole..].iter().fold(*a, |a, &v| f(a, v));
+    }
+}
+
+/// Every row of matrix `x` folded from `start` by `f`, [`FOLD_ROWS`] rows
+/// at a time.
+fn fold_matrix_rows(x: &Tensor, start: f32, f: impl Fn(f32, f32) -> f32) -> Result<Vec<f32>> {
+    let (m, n) = x.shape().as_matrix()?;
+    let mut out = vec![start; m];
+    // No columns, no steps: every row keeps its start.
+    let blocks = x.as_slice().chunks(FOLD_ROWS * n.max(1));
+    for (folds, block) in out.chunks_mut(FOLD_ROWS).zip(blocks) {
+        let mut acc = [start; FOLD_ROWS];
+        fold_rows(block, n, &mut acc, &f);
+        folds.copy_from_slice(&acc[..folds.len()]);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -243,6 +324,68 @@ mod tests {
         assert_eq!(row_maxes(&x).unwrap(), vec![3.0, 5.0]);
         let scaled = row_scale(&x, &[2.0, 0.5]).unwrap();
         assert_eq!(scaled.as_slice(), &[2.0, 4.0, 6.0, -2.0, 2.5, -3.0]);
+    }
+
+    #[test]
+    fn fold_rows_is_each_rows_serial_fold() {
+        // An order-sensitive step: any reordering of a row's columns, or
+        // of which row a column feeds, changes the bits.
+        let step = |a: f32, v: f32| a * 0.75 + v;
+        let hostile = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e-40];
+        let mut rng = crate::rng::Pcg32::seed_from_u64(17);
+        for rows in 0..=16 {
+            for n in [0, 1, 7, 8, 9, 16, 31] {
+                let mut x = rng.randn(&[rows * n], 1.0).into_vec();
+                for (i, v) in hostile.iter().enumerate() {
+                    if let Some(slot) = x.get_mut(i * 5 + 3) {
+                        *slot = *v;
+                    }
+                }
+                let start = rng.randn(&[16], 1.0).into_vec();
+                let mut acc: [f32; 16] = start.clone().try_into().unwrap();
+                fold_rows(&x, n, &mut acc, step);
+                for r in 0..16 {
+                    let want = match r < rows {
+                        true => x[r * n..(r + 1) * n]
+                            .iter()
+                            .fold(start[r], |a, &v| step(a, v)),
+                        false => start[r],
+                    };
+                    assert_eq!(acc[r].to_bits(), want.to_bits(), "{rows}x{n} row {r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_sums_and_maxes_are_the_serial_chains() {
+        let mut rng = crate::rng::Pcg32::seed_from_u64(18);
+        for (m, n) in [(0, 3), (3, 0), (1, 1), (15, 9), (16, 8), (17, 33), (40, 70)] {
+            let mut x = rng.randn(&[m, n], 2.0);
+            if m > 2 && n > 0 {
+                // An all-`-0.0` row sums to `-0.0`; of zeros, the first is
+                // the maximum; NaN is skipped by the maximum.
+                x.as_mut_slice()[n..2 * n].fill(-0.0);
+                x.as_mut_slice()[2 * n] = f32::NAN;
+            }
+            let rows: Vec<&[f32]> = x.as_slice().chunks(n.max(1)).collect();
+            let sums: Vec<u32> = (0..m)
+                .map(|i| {
+                    rows.get(i)
+                        .map_or(-0.0, |r| r.iter().sum::<f32>())
+                        .to_bits()
+                })
+                .collect();
+            let maxes: Vec<u32> = (0..m)
+                .map(|i| row_max(rows.get(i).copied().unwrap_or(&[])).to_bits())
+                .collect();
+            let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(row_sums(&x).unwrap()), sums, "{m}x{n}");
+            assert_eq!(bits(row_maxes(&x).unwrap()), maxes, "{m}x{n}");
+            if m > 2 && n > 0 {
+                assert_eq!(row_sums(&x).unwrap()[1].to_bits(), (-0.0f32).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The [`gemm`] module defines *what* the array computes; this
 //! module computes the same values *fast* on the host CPU so the engine can
-//! serve real traffic. One packed GEMM sweep serves every entry point —
-//! [`matmul`] under every [`Parallelism`] setting,
+//! serve real traffic. One GEMM sweep serves every entry point —
+//! [`matmul`] under every [`Parallelism`] setting, [`matmul_packed`],
 //! [`sparse::matmul`](crate::sparse::matmul) over its payload and
 //! [`conv2d`] over image patches; only a left operand packed by rows
 //! (idea 2) has a kernel of its own, under the same thread split — built
@@ -18,13 +18,16 @@
 //!    48 + 16, `n = 8` one 16-lane pass), and the last `m % 4` rows ride
 //!    a zero-padded row block.
 //! 2. **Zeros in `A` cost nothing** — real left operands are full of exact
-//!    zeros (a post-ReLU map, im2col padding, a GCN's `Â`). `A` is packed
-//!    into a [`PackedLhs`]: four-row blocks that keep only the k-lines on
-//!    which some row is non-zero, so an all-zero line is never streamed,
-//!    and the microkernel walks the kept lines without a data-dependent
-//!    branch, so a zero inside a live line mispredicts nothing. The pack
-//!    is a value: whoever multiplies one `A` many times packs it once
-//!    ([`matmul_packed`]). A pack made for reuse may instead keep **rows**:
+//!    zeros (a post-ReLU map, im2col padding, a GCN's `Â`). The microkernel
+//!    walks `A`'s lines without a data-dependent branch, so a zero
+//!    mispredicts nothing. A reused operand is packed once
+//!    ([`matmul_packed`]), and a per-call operand is read where it lies:
+//!    [`matmul`] hands the sweep each row block's four rows in place, and
+//!    the microkernel broadcasts `A[i][p]` from them as it does from a
+//!    packed line — interleaving an operand the sweep then reads once or
+//!    twice cost more than it saved. A pack is a [`PackedLhs`]: four-row
+//!    blocks that keep only the k-lines on which some row is non-zero, so
+//!    an all-zero line is never streamed. It may instead keep **rows**:
 //!    each row's non-zeros as `(value, k)` pairs, multiplied one row at a
 //!    time with the row's `W`-lane slice of `C` in registers and `B`'s rows
 //!    read in place. Scattered zeros rarely empty a whole four-row line —
@@ -48,9 +51,10 @@
 //! and which vector lane* performs a given output element, never the
 //! floating-point op sequence behind it.
 //!
-//! The kernel does not branch on `A[i][k] == 0.0`; it never sees a line
-//! whose four rows are all zero, and on the others it performs the step
-//! the reference skips — which is the identity exactly when both hold:
+//! The kernel does not branch on `A[i][k] == 0.0`; it never sees a packed
+//! line whose four rows are all zero, and on the others — and on every
+//! line of an `A` read in place — it performs the step the reference skips,
+//! which is the identity exactly when both hold:
 //!
 //! * **The accumulator is not `-0.0`.** `fma(±0, b, acc)` with a finite
 //!   `b` adds `±0` to `acc`: any non-zero, infinite or NaN `acc` comes back
@@ -66,8 +70,9 @@
 //!   zero.
 //! * **`B` is finite**, so `0·b` is `±0` and not the NaN of `0·inf`.
 //!
-//! [`PackedLhs`] records `A`'s half of that test when it packs; the sweep
-//! scans `B` once per call. If either fails — a `B` holding `±inf` or
+//! [`PackedLhs`] records `A`'s half of that test when it packs, an `A`
+//! read in place is scanned once per call, and so is `B`. If either half
+//! fails — a `B` holding `±inf` or
 //! `NaN`, an operand with non-zero values under `2⁻⁵⁰` — the same kernel
 //! runs with the reference's skip compiled in (a const generic of it), so
 //! results are bit-identical to the reference for **every** input and
@@ -143,9 +148,10 @@ const MR: usize = 4;
 /// inside the vector register file.
 const NR: usize = 48;
 /// K-blocking depth: one `KC × NR` packed panel is 24 KiB — it lives in
-/// L1 while every row block sweeps it, and it is the only buffer besides
-/// the packed `A` rows a call allocates (a convolution allocates none, and
-/// one padded copy per image instead).
+/// L1 while every row block sweeps it, and it is the only buffer a call
+/// allocates besides the zero-padded last row block of an `A` read in
+/// place (a convolution allocates none, and one padded copy per image
+/// instead).
 const KC: usize = 128;
 /// `f32`s per cache line.
 const LINE: usize = 16;
@@ -226,9 +232,12 @@ impl Parallelism {
 ///   `k`, multiplied one pair at a time: the product costs one
 ///   multiply-add per non-zero and per column, and nothing else.
 ///
-/// Packing costs `O(m·k)` against the product's `O(m·k·n)`; a caller
-/// that multiplies one left operand many times (`onesa-plan` holds one
-/// per program constant) packs it once and calls [`matmul_packed`].
+/// A pack is made for reuse: a caller that multiplies one left operand
+/// many times (`onesa-plan` holds one per program constant and one per
+/// convolution weight) packs it once and calls [`matmul_packed`]. An
+/// operand multiplied once goes to [`matmul`], which reads it where it
+/// lies — packing it would interleave it for a sweep that reads it once
+/// or twice.
 #[derive(Debug, Clone)]
 pub struct PackedLhs(Layout);
 
@@ -238,7 +247,8 @@ enum Layout {
     Rows(RowPack),
 }
 
-/// The lines layout of a [`PackedLhs`]; the one [`gemm_sweep`] reads.
+/// The lines layout of a [`PackedLhs`]: the packed `A` [`gemm_sweep`]
+/// reads ([`Lhs::Packed`]).
 #[derive(Debug, Clone)]
 pub(crate) struct LinePack {
     m: usize,
@@ -323,7 +333,7 @@ impl PackedLhs {
     ///
     /// [`TensorError::NotAMatrix`] for non-2-D input.
     pub fn pack(a: &Tensor) -> Result<Self> {
-        let lines = LinePack::pack(a, true)?;
+        let lines = LinePack::pack(a)?;
         let nnz = a.as_slice().iter().filter(|v| **v != 0.0).count();
         let rows_cost = nnz.saturating_mul(ROW_COST);
         if rows_cost < lines.offs.len() * MR && u32::try_from(lines.k).is_ok() {
@@ -340,7 +350,7 @@ impl PackedLhs {
     ///
     /// [`TensorError::NotAMatrix`] for non-2-D input.
     pub fn pack_lines(a: &Tensor) -> Result<Self> {
-        LinePack::pack(a, true).map(|lines| PackedLhs(Layout::Lines(lines)))
+        LinePack::pack(a).map(|lines| PackedLhs(Layout::Lines(lines)))
     }
 
     /// Whether the pack keeps rows (rather than lines).
@@ -391,37 +401,35 @@ impl RowPack {
     }
 }
 
+/// The k offsets of a k-block's lines when every line is there: a dense
+/// block's, and every block's of an `A` read in place.
+const IOTA: [u8; KC] = {
+    let mut iota = [0; KC];
+    let mut p = 0;
+    while p < KC {
+        iota[p] = p as u8;
+        p += 1;
+    }
+    iota
+};
+
 impl LinePack {
     /// Packs `a` one k-block of a row block at a time. The four rows are
     /// interleaved into lines (a transpose the compiler does in shuffles);
-    /// with `compact`, a k-block that has a dead line goes through a
-    /// scratch tile and is compacted from there — each line is copied to
-    /// the cursor and the cursor advances by whether the line was live. No
-    /// loop has a data-dependent branch inside it, so a half-zero operand
-    /// mispredicts nothing.
-    ///
-    /// Compaction is a serial pass over the lines, worth its cost only
-    /// when the pack is reused: [`PackedLhs::pack`] compacts, the pack
-    /// [`matmul`] makes for one call keeps every line (its zeros still
-    /// cost no branch, and a ReLU-masked activation packs as fast as a
-    /// dense one).
+    /// a k-block that has a dead line goes through a scratch tile and is
+    /// compacted from there — each line is copied to the cursor and the
+    /// cursor advances by whether the line was live. No loop has a
+    /// data-dependent branch inside it, so a half-zero operand mispredicts
+    /// nothing. Compaction is a serial pass over the lines, worth its cost
+    /// because a pack is made only to be reused.
     ///
     /// # Errors
     ///
     /// [`TensorError::NotAMatrix`] for non-2-D input.
-    pub(crate) fn pack(a: &Tensor, compact: bool) -> Result<Self> {
+    fn pack(a: &Tensor) -> Result<Self> {
         let (m, k) = a.shape().as_matrix()?;
         let a = a.as_slice();
         const ZEROS: [f32; KC] = [0.0; KC];
-        const IOTA: [u8; KC] = {
-            let mut iota = [0; KC];
-            let mut p = 0;
-            while p < KC {
-                iota[p] = p as u8;
-                p += 1;
-            }
-            iota
-        };
         let blocks = m.div_ceil(MR);
         let mut lines = vec![0.0f32; blocks * k * MR];
         let mut offs = vec![0u8; blocks * k];
@@ -446,10 +454,8 @@ impl LinePack {
                     }
                 };
                 let mut live = [1u8; KC];
-                if compact {
-                    for (live, (((&a0, &a1), &a2), &a3)) in live.iter_mut().zip(quads()) {
-                        *live = u8::from((a0 != 0.0) | (a1 != 0.0) | (a2 != 0.0) | (a3 != 0.0));
-                    }
+                for (live, (((&a0, &a1), &a2), &a3)) in live.iter_mut().zip(quads()) {
+                    *live = u8::from((a0 != 0.0) | (a1 != 0.0) | (a2 != 0.0) | (a3 != 0.0));
                 }
                 if !live[..kc].contains(&0) {
                     interleave(&mut lines[at * MR..(at + kc) * MR]);
@@ -485,22 +491,48 @@ impl LinePack {
 
 /// Computes `A · B` under the given parallelism setting.
 ///
-/// Every setting runs the same packed kernel — [`Parallelism`] only picks
-/// how many threads share its row panels — and every result is
-/// bit-identical to [`gemm::matmul`]. Products with fewer than `MR` rows
-/// (single-token decode steps) have no row block to amortize packing over
+/// Every setting runs the same sweep — [`Parallelism`] only picks how many
+/// threads share its row panels — and every result is bit-identical to
+/// [`gemm::matmul`]. `a` is read where it lies, four rows at a time, and
+/// is not packed: an operand multiplied once would pay for a pack it
+/// reads once (see "Zeros in `A`" in the [module docs](self)). Products
+/// with fewer than `MR` rows (single-token decode steps) fill less than
+/// one register tile, whose padding rows the sweep would compute and drop,
 /// and go to the reference loop directly; that cut-off reads `m` alone.
 ///
 /// # Errors
 ///
 /// Shape errors as in [`gemm::matmul`].
 pub fn matmul(a: &Tensor, b: &Tensor, par: Parallelism) -> Result<Tensor> {
-    let (m, _) = a.shape().as_matrix()?;
+    let (m, k) = a.shape().as_matrix()?;
     if m < MR {
         return gemm::matmul(a, b);
     }
-    let a = PackedLhs(Layout::Lines(LinePack::pack(a, false)?));
-    matmul_packed(&a, b, par)
+    let n = rhs_cols(m, k, b, "parallel::matmul")?;
+    let a = Lhs::InPlace {
+        values: a.as_slice(),
+        m,
+        k,
+    };
+    Ok(gemm_sweep(a, Rhs::dense(b), n, par))
+}
+
+/// The column count of a `B` that an `m × k` left operand multiplies.
+///
+/// # Errors
+///
+/// [`TensorError::NotAMatrix`] or [`TensorError::ShapeMismatch`] (naming
+/// `op`).
+fn rhs_cols(m: usize, k: usize, b: &Tensor, op: &'static str) -> Result<usize> {
+    let (bk, n) = b.shape().as_matrix()?;
+    if bk != k {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![m, k],
+            rhs: b.dims().to_vec(),
+            op,
+        });
+    }
+    Ok(n)
 }
 
 /// [`matmul`] for a left operand that is already packed — bit-identical
@@ -511,24 +543,10 @@ pub fn matmul(a: &Tensor, b: &Tensor, par: Parallelism) -> Result<Tensor> {
 ///
 /// Shape errors as in [`gemm::matmul`].
 pub fn matmul_packed(a: &PackedLhs, b: &Tensor, par: Parallelism) -> Result<Tensor> {
-    let (k, n) = b.shape().as_matrix()?;
-    let (m, ak) = a.dims();
-    if ak != k {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![m, ak],
-            rhs: b.dims().to_vec(),
-            op: "parallel::matmul",
-        });
-    }
+    let (m, k) = a.dims();
+    let n = rhs_cols(m, k, b, "parallel::matmul")?;
     Ok(match &a.0 {
-        Layout::Lines(a) => {
-            let b = Rhs::Rows {
-                values: b.as_slice(),
-                cols: n,
-                cmap: None,
-            };
-            gemm_sweep(a, b, n, par)
-        }
+        Layout::Lines(a) => gemm_sweep(Lhs::Packed(a), Rhs::dense(b), n, par),
         Layout::Rows(a) => rows_sweep(a, b.as_slice(), n, par),
     })
 }
@@ -591,7 +609,7 @@ pub fn conv2d(
         return Ok(None);
     }
     let patches = Patches::new(geo, images)?;
-    let out = gemm_sweep(w, Rhs::Patches(&patches), n, par);
+    let out = gemm_sweep(Lhs::Packed(w), Rhs::Patches(&patches), n, par);
     if let [(oh, ow)] = maps[..] {
         return Ok(Some(vec![Tensor::from_vec(out.into_vec(), &[m, oh, ow])?]));
     }
@@ -629,6 +647,15 @@ pub(crate) enum Rhs<'a> {
 }
 
 impl<'a> Rhs<'a> {
+    /// A dense matrix: its own columns, in place.
+    fn dense(b: &'a Tensor) -> Self {
+        Rhs::Rows {
+            values: b.as_slice(),
+            cols: b.dims()[1],
+            cmap: None,
+        }
+    }
+
     /// How many column panels the sweep cuts `B` into.
     fn panels(self) -> usize {
         match self {
@@ -872,10 +899,62 @@ impl Patches {
     }
 }
 
-/// The one GEMM sweep behind [`matmul`], [`crate::sparse::matmul`] and
-/// [`conv2d`]: `C = A · B` for a packed `A` and a `B` of `a.k` rows from
-/// any [`Rhs`] source, into an `n`-wide result, split into disjoint panels
-/// of row blocks across `par`'s workers.
+/// Where the sweep's left operand `A` — `m` rows by `k` — comes from: a
+/// [`LinePack`] made once for reuse (a program constant, a convolution
+/// weight), or a row-major matrix read where it lies (an activation,
+/// multiplied once). The sweep finds a row block's k-block of lines in
+/// either, and the microkernel reads a line's `MR` values from the pack's
+/// interleaved line or from the block's `MR` row slices.
+#[derive(Clone, Copy)]
+pub(crate) enum Lhs<'a> {
+    Packed(&'a LinePack),
+    InPlace {
+        values: &'a [f32],
+        m: usize,
+        k: usize,
+    },
+}
+
+impl Lhs<'_> {
+    fn dims(self) -> (usize, usize) {
+        match self {
+            Lhs::Packed(a) => (a.m, a.k),
+            Lhs::InPlace { m, k, .. } => (m, k),
+        }
+    }
+
+    /// `A`'s half of the zero-multiplying test (see "Bit-identical by
+    /// construction" in the [module docs](self)): recorded by the pack, or
+    /// one fold over a matrix read in place.
+    fn safe(self) -> bool {
+        match self {
+            Lhs::Packed(a) => a.safe,
+            Lhs::InPlace { values, .. } => magnitudes(values).0,
+        }
+    }
+
+    /// The last `m % MR` rows of a matrix read in place, zero-padded to a
+    /// whole row block (empty when there are none, or for a pack, whose
+    /// last block is padded already): the rows the microkernel finds past
+    /// `m`, computed on and never stored.
+    fn tail(self) -> Vec<f32> {
+        match self {
+            Lhs::InPlace { values, m, k } if m % MR != 0 => {
+                let mut tail = vec![0.0f32; MR * k];
+                let live = &values[(m - m % MR) * k..];
+                tail[..live.len()].copy_from_slice(live);
+                tail
+            }
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// The one GEMM sweep behind [`matmul`], [`matmul_packed`],
+/// [`crate::sparse::matmul`] and [`conv2d`]: `C = A · B` for an `A` from
+/// either [`Lhs`] source and a `B` of `k` rows from any [`Rhs`] source,
+/// into an `n`-wide result, split into disjoint panels of row blocks
+/// across `par`'s workers.
 ///
 /// The operands decide which of the microkernel's two bodies runs, once
 /// per call: the one that multiplies by `A`'s zeros whenever that is the
@@ -883,14 +962,16 @@ impl Patches {
 /// [module docs](self)), the one that branches around them otherwise.
 /// Patches always take the first: [`conv2d`] checked the stronger test
 /// before it swept.
-pub(crate) fn gemm_sweep(a: &LinePack, b: Rhs<'_>, n: usize, par: Parallelism) -> Tensor {
-    let mut out = Tensor::zeros(&[a.m, n]);
+pub(crate) fn gemm_sweep(a: Lhs<'_>, b: Rhs<'_>, n: usize, par: Parallelism) -> Tensor {
+    let (m, _) = a.dims();
+    let mut out = Tensor::zeros(&[m, n]);
     let skip = match b {
-        Rhs::Rows { values, .. } => !(a.safe && safe_and_finite(values)),
+        Rhs::Rows { values, .. } => !(a.safe() && safe_and_finite(values)),
         Rhs::Patches(_) => false,
     };
-    for_each_row_panel(out.as_mut_slice(), a.m, n, par, |row0, panel| {
-        panel_rows(a, row0 / MR, b, panel, n, skip)
+    let tail = a.tail();
+    for_each_row_panel(out.as_mut_slice(), m, n, par, |row0, panel| {
+        panel_rows(a, &tail, row0 / MR, b, panel, n, skip)
     });
     out
 }
@@ -981,7 +1062,11 @@ fn rows_sweep(a: &RowPack, b: &[f32], n: usize, par: Parallelism) -> Tensor {
 /// against row `k` of `B` (rows `stride` apart) — each element the
 /// reference's own chain (see "Bit-identical by construction" in the
 /// [module docs](self)). The row loop lives inside the kernel: called once
-/// per row, the kernel was 1.25× slower on a GCN's `Â · HW`.
+/// per row, the kernel was 1.25× slower on a GCN's `Â · HW`. Rows go two
+/// at a time, their steps alternating while both have some left: the two
+/// chains are independent, so one's multiply-add hides the other's
+/// latency, which a narrow pass (one vector of accumulators per row, a
+/// GCN's seven classes) is otherwise bound by.
 fn rows_kernel<const W: usize>(
     starts: &[usize],
     entries: &[(f32, u32)],
@@ -992,16 +1077,40 @@ fn rows_kernel<const W: usize>(
     n: usize,
 ) {
     let lanes = W.min(n - j0);
-    for (crow, span) in c.chunks_exact_mut(n).zip(starts.windows(2)) {
-        let mut acc = [0.0f32; W];
-        for &(v, p) in &entries[span[0]..span[1]] {
-            let start = p as usize * stride + j0;
-            let brow: &[f32; W] = b[start..start + W].try_into().expect("B row lanes");
-            for j in 0..W {
-                acc[j] = v.mul_add(brow[j], acc[j]);
-            }
+    let b = &b[j0..];
+    for (i, pair) in c.chunks_mut(2 * n).enumerate() {
+        // A last row on its own pairs with no steps.
+        let kept = |r: usize| match starts.get(2 * i + r + 1) {
+            Some(&end) => &entries[starts[2 * i + r]..end],
+            None => &[],
+        };
+        let (kept0, kept1) = (kept(0), kept(1));
+        let (mut acc0, mut acc1) = ([0.0f32; W], [0.0f32; W]);
+        for (&e0, &e1) in kept0.iter().zip(kept1) {
+            rows_step(&mut acc0, e0, b, stride);
+            rows_step(&mut acc1, e1, b, stride);
         }
-        crow[j0..j0 + lanes].copy_from_slice(&acc[..lanes]);
+        let both = kept0.len().min(kept1.len());
+        for &e in &kept0[both..] {
+            rows_step(&mut acc0, e, b, stride);
+        }
+        for &e in &kept1[both..] {
+            rows_step(&mut acc1, e, b, stride);
+        }
+        for (crow, acc) in pair.chunks_exact_mut(n).zip([acc0, acc1]) {
+            crow[j0..j0 + lanes].copy_from_slice(&acc[..lanes]);
+        }
+    }
+}
+
+/// One step of a row's chain in [`rows_kernel`]: its next `(value, k)`
+/// times the `W` lanes of `B`'s row `k` (rows `stride` apart in `b`).
+#[inline(always)]
+fn rows_step<const W: usize>(acc: &mut [f32; W], (v, p): (f32, u32), b: &[f32], stride: usize) {
+    let start = p as usize * stride;
+    let brow: &[f32; W] = b[start..start + W].try_into().expect("B row lanes");
+    for j in 0..W {
+        acc[j] = v.mul_add(brow[j], acc[j]);
     }
 }
 
@@ -1070,8 +1179,9 @@ where
 }
 
 /// Computes the rows of `C` that `c` holds — whole row blocks of `a`
-/// starting at block `blk0` (the last may be ragged) — with `b` and
-/// `skip` as in [`gemm_sweep`].
+/// starting at block `blk0` (the last may be ragged, and of an in-place
+/// `a` is read from `tail`, its [`Lhs::tail`]) — with `b` and `skip` as in
+/// [`gemm_sweep`].
 ///
 /// `B` is consumed one column panel of up to [`NR`] columns at a time,
 /// `KC` rows deep, BLIS-style and independently by each worker (the
@@ -1081,15 +1191,24 @@ where
 /// the narrowest of 16 / 32 / 48 lanes that covers it, so a narrow product
 /// (or the tail of a wide one) does not pay for a `4 × 48` tile it leaves
 /// mostly empty.
-fn panel_rows(a: &LinePack, blk0: usize, b: Rhs<'_>, c: &mut [f32], n: usize, skip: bool) {
-    let kblocks = a.k.div_ceil(KC);
+fn panel_rows(
+    a: Lhs<'_>,
+    tail: &[f32],
+    blk0: usize,
+    b: Rhs<'_>,
+    c: &mut [f32],
+    n: usize,
+    skip: bool,
+) {
+    let (m, k) = a.dims();
+    let kblocks = k.div_ceil(KC);
     // A matrix is packed panel by panel into one buffer (patches are read
     // where they lie). The kernel reads it one 64-byte vector at a time;
     // start it on a cache line so no read straddles two (the allocator
     // promises 16 bytes, and which residue it hands out varies call to
     // call).
     let len = match b {
-        Rhs::Rows { cols, .. } => KC.min(a.k) * lanes(cols.min(NR)),
+        Rhs::Rows { cols, .. } => KC.min(k) * lanes(cols.min(NR)),
         Rhs::Patches(_) => 0,
     };
     let mut buf = vec![0.0f32; len + LINE];
@@ -1098,29 +1217,37 @@ fn panel_rows(a: &LinePack, blk0: usize, b: Rhs<'_>, c: &mut [f32], n: usize, sk
     let mut runs = Vec::new();
     for i in 0..b.panels() {
         let w = lanes(b.width(i));
-        let kernel = match (b, skip) {
-            (Rhs::Patches(_), _) => microkernel_for::<false, true>(w),
-            (_, false) => microkernel_for::<false, false>(w),
-            (_, true) => microkernel_for::<true, false>(w),
+        let kernel = match (a, b, skip) {
+            (_, Rhs::Patches(_), _) => microkernel_for::<false, true, false>(w),
+            (Lhs::Packed(_), _, false) => microkernel_for::<false, false, false>(w),
+            (Lhs::Packed(_), _, true) => microkernel_for::<true, false, false>(w),
+            (Lhs::InPlace { .. }, _, false) => microkernel_for::<false, false, true>(w),
+            (Lhs::InPlace { .. }, _, true) => microkernel_for::<true, false, true>(w),
         };
         b.runs(i, &mut runs);
         for kb in 0..kblocks {
             let k0 = kb * KC;
-            let kc = KC.min(a.k - k0);
+            let kc = KC.min(k - k0);
             let lines = b.lines(i, k0, kc, w, panel);
             for (blk, crows) in c.chunks_mut(MR * n).enumerate() {
-                let span = (blk0 + blk) * kblocks + kb;
-                let (lo, hi) = (a.spans[span], a.spans[span + 1]);
-                if lo < hi {
-                    kernel(
-                        &a.lines[lo * MR..hi * MR],
-                        &a.offs[lo..hi],
-                        lines.values,
-                        lines.taps,
-                        crows,
-                        n,
-                        &runs,
-                    );
+                let blk = blk0 + blk;
+                // The block's k-block of `A` lines, and their k offsets.
+                let (alines, offs) = match a {
+                    Lhs::Packed(a) => {
+                        let span = blk * kblocks + kb;
+                        let (lo, hi) = (a.spans[span], a.spans[span + 1]);
+                        (&a.lines[lo * MR..hi * MR], &a.offs[lo..hi])
+                    }
+                    Lhs::InPlace { values, .. } => {
+                        let rows = match (blk + 1) * MR {
+                            end if end <= m => &values[blk * MR * k..end * k],
+                            _ => tail,
+                        };
+                        (&rows[k0..], &IOTA[..kc])
+                    }
+                };
+                if !offs.is_empty() {
+                    kernel(alines, k, offs, lines.values, lines.taps, crows, n, &runs);
                 }
             }
         }
@@ -1146,24 +1273,29 @@ struct Run {
 }
 
 /// The signature every instance of [`microkernel`] shares.
-type Microkernel = fn(&[f32], &[u8], &[f32], &[usize], &mut [f32], usize, &[Run]);
+type Microkernel = fn(&[f32], usize, &[u8], &[f32], &[usize], &mut [f32], usize, &[Run]);
 
 /// The instance of [`microkernel`] for a `w`-lane panel.
-fn microkernel_for<const SKIP: bool, const TAPS: bool>(w: usize) -> Microkernel {
+fn microkernel_for<const SKIP: bool, const TAPS: bool, const IN_PLACE: bool>(
+    w: usize,
+) -> Microkernel {
     match w {
-        16 => microkernel::<16, SKIP, TAPS>,
-        32 => microkernel::<32, SKIP, TAPS>,
-        _ => microkernel::<NR, SKIP, TAPS>,
+        16 => microkernel::<16, SKIP, TAPS, IN_PLACE>,
+        32 => microkernel::<32, SKIP, TAPS, IN_PLACE>,
+        _ => microkernel::<NR, SKIP, TAPS, IN_PLACE>,
     }
 }
 
 /// The register-tiled inner kernel: an `MR × W` block of `C` held in
-/// accumulators across the retained lines of one (row block, k-block)
-/// pair of the packed `A` (`alines`: `MR` values per line, `offs`: each
-/// one's k offset in the block), each multiplying the `W`-lane line of `B`
-/// at that offset: of `values`, a packed panel, or — if `TAPS` — through
-/// the tap table, as [`Lines`] describes. (The two travel as separate
-/// arguments: passed as one `Lines`, the loop is no longer vectorised.)
+/// accumulators across the lines of one (row block, k-block) pair of `A`
+/// (`offs`: each line's k offset in the block), each multiplying the
+/// `W`-lane line of `B` at that offset: of `values`, a packed panel, or —
+/// if `TAPS` — through the tap table, as [`Lines`] describes. A line of
+/// `A` is `MR` values side by side in `alines`, a pack's retained line,
+/// or — if `IN_PLACE` — element `p` of the block's `MR` rows, which start
+/// `stride` apart in `alines` (and `offs` is `0, 1, 2, …`). (The operands
+/// travel as separate arguments: passed as one `Lines`, the loop is no
+/// longer vectorised.)
 ///
 /// The block's running totals are *resumed from* `C` and checkpointed
 /// back to it between k-blocks, so each output element experiences one
@@ -1177,8 +1309,10 @@ fn microkernel_for<const SKIP: bool, const TAPS: bool>(w: usize) -> Microkernel 
 /// loop body has no data-dependent branch: a zero in a live line is
 /// multiplied like any other value, which [`gemm_sweep`] allows only when
 /// that returns the accumulator bit for bit.
-fn microkernel<const W: usize, const SKIP: bool, const TAPS: bool>(
+#[allow(clippy::too_many_arguments)]
+fn microkernel<const W: usize, const SKIP: bool, const TAPS: bool, const IN_PLACE: bool>(
     alines: &[f32],
+    stride: usize,
     offs: &[u8],
     values: &[f32],
     taps: &[usize],
@@ -1192,13 +1326,28 @@ fn microkernel<const W: usize, const SKIP: bool, const TAPS: bool>(
             accr[at..at + len].copy_from_slice(&crow[col..col + len]);
         }
     }
-    for (arow, &off) in alines.chunks_exact(MR).zip(offs) {
-        let arow: &[f32; MR] = arow.try_into().expect("A block line");
+    // Rows sliced to the block's line count up front, so that reading line
+    // `p` checks no bound. (In place, `packed` walks `alines` one value at
+    // a time, only to be zipped.)
+    let lines = offs.len();
+    let rows: [&[f32]; MR] = match IN_PLACE {
+        true => std::array::from_fn(|r| &alines[r * stride..r * stride + lines]),
+        false => [&[]; MR],
+    };
+    let packed = alines.chunks_exact(if IN_PLACE { 1 } else { MR });
+    for (p, (&off, line)) in offs.iter().zip(packed).enumerate() {
         let off = usize::from(off);
         let start = if TAPS { taps[off] } else { off * W };
         let brow: &[f32; W] = values[start..start + W].try_into().expect("panel line");
         for r in 0..MR {
-            let arp = arow[r];
+            // Read where it is used, so that the load is the broadcast's
+            // own operand: loaded into a register first, every broadcast
+            // takes a shuffle port from the multiply-adds (0.75× speed on
+            // AVX-512).
+            let arp = match IN_PLACE {
+                true => rows[r][p],
+                false => line[r],
+            };
             // The reference kernel's skip: an exact zero in A contributes
             // no operation at all.
             if SKIP && arp == 0.0 {
@@ -1294,10 +1443,12 @@ mod tests {
         // The one way an accumulator becomes -0.0: a negative product too
         // small for the smallest subnormal. Multiplying the zero of A that
         // follows would turn it into +0.0; the reference skips it. (Odd
-        // rows keep that zero's line live.)
+        // rows keep that zero's line live.) In the last case only A holds
+        // a value under 2^-50, so only A's half of the test can catch it.
         let tiny_a = ([-1e-30, 0.0], vec![1e-30, 1.0]);
         let tiny_b = ([-0.25, 0.0], vec![f32::from_bits(1), 1.0]);
-        for (row, col) in [tiny_a, tiny_b] {
+        let only_a = ([-1e-40, 0.0], vec![1e-10, 1.0]);
+        for (row, col) in [tiny_a, tiny_b, only_a] {
             let a = Tensor::from_vec([row, [1.0, 1.0]].concat().repeat(3), &[6, 2]).unwrap();
             let b = Tensor::from_vec(col, &[2, 1]).unwrap();
             let reference = gemm::matmul(&a, &b).unwrap();

@@ -51,7 +51,7 @@
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 
-use crate::parallel::{gemm_sweep, LinePack, Parallelism, Rhs};
+use crate::parallel::{gemm_sweep, Lhs, Parallelism, Rhs};
 use crate::{Result, Tensor, TensorError};
 
 /// A `rows × cols` matrix whose zero column-blocks are stored as a
@@ -229,7 +229,7 @@ impl SparseTensor {
 ///
 /// Shape errors as in [`crate::gemm::matmul`].
 pub fn matmul(a: &Tensor, b: &SparseTensor, par: Parallelism) -> Result<Tensor> {
-    let (_, k) = a.shape().as_matrix()?;
+    let (m, k) = a.shape().as_matrix()?;
     if k != b.rows {
         return Err(TensorError::ShapeMismatch {
             lhs: a.dims().to_vec(),
@@ -237,13 +237,17 @@ pub fn matmul(a: &Tensor, b: &SparseTensor, par: Parallelism) -> Result<Tensor> 
             op: "sparse::matmul",
         });
     }
-    let a = LinePack::pack(a, false)?;
+    let a = Lhs::InPlace {
+        values: a.as_slice(),
+        m,
+        k,
+    };
     let payload = Rhs::Rows {
         values: &b.payload,
         cols: b.col_map.len(),
         cmap: Some(&b.col_map),
     };
-    Ok(gemm_sweep(&a, payload, b.cols, par))
+    Ok(gemm_sweep(a, payload, b.cols, par))
 }
 
 #[cfg(test)]

@@ -77,7 +77,9 @@ fn gemm_case() -> impl Strategy<Value = GemmCase> {
 /// runs from none to all (with `-0.0` entries, whole zero rows and whole
 /// zero four-row blocks), against a `B` that is clean, or holds `±inf` /
 /// `NaN` (where `0·b` is not `±0`), or — like `A` itself, one case in
-/// four — values small enough for a product to underflow to `-0.0`.
+/// four — values small enough for a product to underflow to `-0.0`. One
+/// case in four plants `NaN` and `±inf` in `A`, which both kernel bodies
+/// multiply alike.
 #[derive(Debug)]
 struct ZeroCase {
     a: Tensor,
@@ -87,6 +89,8 @@ struct ZeroCase {
     zero_rows: Vec<usize>,
     /// Whether `b` is finite (so an all-zero row of `a` yields `+0.0`s).
     finite_b: bool,
+    /// Whether `a` is finite (so a pruned column of `b` yields `+0.0`s).
+    finite_a: bool,
 }
 
 fn zero_case() -> impl Strategy<Value = ZeroCase> {
@@ -101,11 +105,14 @@ fn zero_case() -> impl Strategy<Value = ZeroCase> {
             let mut rng = Pcg32::seed_from_u64(seed);
             let zero_fraction = [0.0, 0.05, 0.5, 0.95, 1.0][zeros];
             let mut a = rng.randn(&[m, k], 1.0);
+            let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
             for v in a.as_mut_slice() {
                 if rng.next_f32() < zero_fraction {
                     *v = if rng.next_u32() % 4 == 0 { -0.0 } else { 0.0 };
                 } else if a_kind == 0 && rng.next_u32() % 8 == 0 {
                     *v *= 1e-30;
+                } else if a_kind == 1 && rng.next_u32() % 16 == 0 {
+                    *v = poison[rng.below(3) as usize];
                 }
             }
             // A whole zero row block, and a zero row somewhere else.
@@ -143,12 +150,14 @@ fn zero_case() -> impl Strategy<Value = ZeroCase> {
                     }
                 }
             }
+            let finite_a = a.as_slice().iter().all(|v| v.is_finite());
             ZeroCase {
                 a,
                 b,
                 block_cols,
                 zero_rows,
                 finite_b: b_kind != 1,
+                finite_a,
             }
         })
 }
@@ -317,10 +326,11 @@ proptest! {
         }
     }
 
-    /// Zeros in `A` change no bit, whatever their share and whatever `B`
-    /// holds: the kernel that multiplies by them and the kernel that
+    /// Zeros in `A` change no bit, whatever their share and whatever `A`
+    /// and `B` hold: the kernel that multiplies by them and the kernel that
     /// skips them are chosen from the operands alone, and both equal the
     /// reference loop — through `matmul`, through a pre-packed `A`, and
+    /// (for a finite `A`, whose products with a pruned column are `+0.0`)
     /// through `sparse::matmul`'s payload and column map.
     #[test]
     fn zeros_in_a_change_no_bit(case in zero_case()) {
@@ -338,7 +348,24 @@ proptest! {
         for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
             assert_bit_identical(&parallel::matmul(&case.a, &case.b, par).unwrap(), &want);
             assert_bit_identical(&parallel::matmul_packed(&packed_a, &case.b, par).unwrap(), &want);
-            assert_bit_identical(&sparse::matmul(&case.a, &sparse_b, par).unwrap(), &want);
+            if case.finite_a {
+                assert_bit_identical(&sparse::matmul(&case.a, &sparse_b, par).unwrap(), &want);
+            }
+        }
+    }
+
+    /// A left operand read in place equals the same operand packed in
+    /// lines, and both equal the reference loop, under every
+    /// `Parallelism`: over every `m % 4` tail (the in-place sweep's
+    /// zero-padded last block), the `m < 4` cut-off to the reference loop,
+    /// and k-blocks of every depth.
+    #[test]
+    fn in_place_a_equals_its_line_pack_and_the_reference(case in gemm_case()) {
+        let want = gemm::matmul(&case.a, &case.b).unwrap();
+        let lines = PackedLhs::pack_lines(&case.a).unwrap();
+        for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
+            assert_bit_identical(&parallel::matmul(&case.a, &case.b, par).unwrap(), &want);
+            assert_bit_identical(&parallel::matmul_packed(&lines, &case.b, par).unwrap(), &want);
         }
     }
 
