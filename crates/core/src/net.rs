@@ -67,9 +67,9 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use onesa_plan::wire::{self, FrameBuilder, FrameView, WireError, WireReader, WireWriter};
-use onesa_plan::{OptTotals, Program, StageGroups};
-use onesa_sim::ArrayConfig;
+use onesa_plan::wire::{self, FrameBuilder, FrameView, Wire, WireError, WireReader};
+use onesa_plan::{wire_layout, OptTotals, Program, StageGroups};
+use onesa_sim::{ArrayConfig, ExecStats};
 use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::Tensor;
 
@@ -278,18 +278,18 @@ fn read_frame(stream: &mut Stream) -> io::Result<Vec<u8>> {
 }
 
 /// Builds a single-body-section message frame.
-fn message(kind: u16, body: WireWriter) -> Vec<u8> {
+fn message(kind: u16, body: Vec<u8>) -> Vec<u8> {
     let mut f = FrameBuilder::new(kind);
-    f.section(SEC_BODY, body.into_bytes());
+    f.section(SEC_BODY, body);
     f.encode()
 }
 
 fn empty_message(kind: u16) -> Vec<u8> {
-    message(kind, WireWriter::new())
+    message(kind, Vec::new())
 }
 
 // ---------------------------------------------------------------------
-// request / outcome codecs (built on onesa-plan's wire primitives)
+// request / outcome codecs (built on onesa-plan's wire schema)
 // ---------------------------------------------------------------------
 
 /// Request tags. Every request crosses the wire as a program; tags 0
@@ -301,7 +301,7 @@ const REQ_PROGRAM_REF: u8 = 3;
 /// Writes one lowered request, consulting (and updating) the per-worker
 /// shipped-fingerprint set: known programs go out as const-free deltas.
 fn put_request(
-    w: &mut WireWriter,
+    w: &mut Vec<u8>,
     program: &Program,
     inputs: &[Tensor],
     shipped: &mut HashSet<u64>,
@@ -309,8 +309,8 @@ fn put_request(
 ) {
     let fp = program.fingerprint();
     if shipped.contains(&fp) {
-        w.put_u8(REQ_PROGRAM_REF);
-        w.put_u64(fp);
+        REQ_PROGRAM_REF.put(w);
+        fp.put(w);
         stats.ref_sends += 1;
         stats.const_bytes_saved += program
             .consts()
@@ -318,17 +318,14 @@ fn put_request(
             .map(|c| c.as_slice().len() as u64 * 4)
             .sum::<u64>();
     } else {
-        w.put_u8(REQ_PROGRAM_FULL);
+        REQ_PROGRAM_FULL.put(w);
         let frame = wire::encode_program(program);
-        w.put_usize(frame.len());
-        w.put_bytes(&frame);
+        frame.len().put(w);
+        w.extend_from_slice(&frame);
         shipped.insert(fp);
         stats.full_sends += 1;
     }
-    w.put_usize(inputs.len());
-    for t in inputs {
-        wire::put_tensor(w, t);
-    }
+    Tensor::put_seq(inputs, w);
 }
 
 /// Reads one request on the worker, resolving program refs against (and
@@ -345,28 +342,21 @@ fn get_request(
     r: &mut WireReader<'_>,
     cache: &mut HashMap<u64, Program>,
 ) -> Result<Request, WireError> {
-    let fp = match r.get_u8()? {
+    let fp = match u8::get(r)? {
         REQ_PROGRAM_FULL => {
-            let len = r.get_usize()?;
+            let len = usize::get(r)?;
             let program = wire::decode_program(r.get_bytes(len)?)?;
             let fp = program.fingerprint();
             cache.insert(fp, program);
             fp
         }
-        REQ_PROGRAM_REF => r.get_u64()?,
+        REQ_PROGRAM_REF => u64::get(r)?,
         _ => return Err(WireError::Corrupt("unknown request tag")),
     };
     let cached = cache
         .get(&fp)
         .ok_or(WireError::Corrupt("program ref to unshipped fingerprint"))?;
-    let n = r.get_usize()?;
-    if n > 4096 {
-        return Err(WireError::Corrupt("input count exceeds cap"));
-    }
-    let mut inputs = Vec::with_capacity(n);
-    for _ in 0..n {
-        inputs.push(wire::get_tensor(r)?);
-    }
+    let inputs = Vec::<Tensor>::get(r)?;
     let fits = inputs
         .iter()
         .map(Tensor::dims)
@@ -394,125 +384,66 @@ pub enum WindowReply {
     Failed(String),
 }
 
-/// Writes a worker's [`BatchRun`], each outcome under the ticket the
-/// host attached to its request. The report's `requests` and
-/// `latencies` are not sent: they restate the outcomes.
-fn put_window_result(w: &mut WireWriter, tickets: &[u64], run: &BatchRun) {
-    w.put_usize(run.outcomes.len());
-    for (ticket, o) in tickets.iter().zip(&run.outcomes) {
-        w.put_u64(*ticket);
-        wire::put_tensor(w, &o.output);
-        wire::put_exec_stats(w, &o.stats);
-        w.put_usize(o.op_stats.len());
-        for s in &o.op_stats {
-            wire::put_exec_stats(w, s);
-        }
-        w.put_usize(o.session_outputs.len());
-        for t in &o.session_outputs {
-            wire::put_tensor(w, t);
-        }
+// The reply to a window is the worker's whole `BatchRun`. On the wire an
+// outcome's `id` is the ticket the host attached to its request (the
+// host checks the echo and restores the batch index), and the report's
+// `requests` and `latencies` are not sent: they restate the outcomes.
+wire_layout! {
+    struct RequestOutcome {
+        id: usize,
+        output: Tensor,
+        stats: ExecStats,
+        op_stats: Vec<ExecStats>,
+        session_outputs: Vec<Tensor>,
     }
-    let report = &run.report;
-    w.put_usize(report.gemm_groups);
-    w.put_usize(report.nonlinear_groups);
-    w.put_u64(report.total_macs);
-    w.put_u64(report.total_nonlinear_evals);
-    w.put_f64(report.wall_seconds);
-    w.put_f64(report.batched_seconds);
-    w.put_f64(report.unbatched_seconds);
-    w.put_usize(report.opt.elided);
-    w.put_usize(report.opt.shared);
-    w.put_usize(report.opt.fused);
-    w.put_usize(report.opt.dead);
-    w.put_usize(report.opt.pruned);
-    w.put_u64(report.blocks_skipped);
-    w.put_u64(report.blocks_total);
-    w.put_usize(run.program_stages.len());
-    for s in &run.program_stages {
-        for v in [s.stage, s.ops, s.groups, s.gemm_groups, s.nonlinear_groups] {
-            w.put_usize(v);
-        }
+
+    struct ServingReport {
+        requests = 0,
+        latencies = Vec::new(),
+        gemm_groups: usize,
+        nonlinear_groups: usize,
+        total_macs: u64,
+        total_nonlinear_evals: u64,
+        wall_seconds: f64,
+        batched_seconds: f64,
+        unbatched_seconds: f64,
+        opt: OptTotals,
+        blocks_skipped: u64,
+        blocks_total: u64,
     }
+
+    struct BatchRun { outcomes: Vec<RequestOutcome>, report: ServingReport, program_stages: Vec<StageGroups> }
+}
+
+/// Encodes a worker's [`BatchRun`], each outcome under the ticket the
+/// host attached to its request.
+fn put_window_result(tickets: &[u64], mut run: BatchRun) -> Vec<u8> {
+    for (o, &ticket) in run.outcomes.iter_mut().zip(tickets) {
+        o.id = ticket as usize;
+    }
+    let mut w = Vec::new();
+    run.put(&mut w);
+    w
 }
 
 /// Reads the reply to a window sent under `tickets`: the worker must
 /// echo them, one outcome each, in order.
 fn get_window_result(r: &mut WireReader<'_>, tickets: &[u64]) -> Result<BatchRun, WireError> {
-    if r.get_usize()? != tickets.len() {
+    let mut run = BatchRun::get(r)?;
+    if run.outcomes.len() != tickets.len() {
         return Err(WireError::Corrupt(
             "worker answered a different outcome count",
         ));
     }
-    let mut outcomes = Vec::with_capacity(tickets.len());
-    for (id, &ticket) in tickets.iter().enumerate() {
-        if r.get_u64()? != ticket {
+    for (id, (o, &ticket)) in run.outcomes.iter_mut().zip(tickets).enumerate() {
+        if o.id as u64 != ticket {
             return Err(WireError::Corrupt("worker answered a different ticket"));
         }
-        let output = wire::get_tensor(r)?;
-        let stats = wire::get_exec_stats(r)?;
-        let n_ops = r.get_usize()?;
-        if n_ops > 1_048_576 {
-            return Err(WireError::Corrupt("op-stat count exceeds cap"));
-        }
-        let mut op_stats = Vec::with_capacity(n_ops);
-        for _ in 0..n_ops {
-            op_stats.push(wire::get_exec_stats(r)?);
-        }
-        let n_sess = r.get_usize()?;
-        if n_sess > 4096 {
-            return Err(WireError::Corrupt("session output count exceeds cap"));
-        }
-        let mut session_outputs = Vec::with_capacity(n_sess);
-        for _ in 0..n_sess {
-            session_outputs.push(wire::get_tensor(r)?);
-        }
-        outcomes.push(RequestOutcome {
-            id,
-            output,
-            stats,
-            op_stats,
-            session_outputs,
-        });
+        o.id = id;
     }
-    let report = ServingReport {
-        requests: outcomes.len(),
-        latencies: outcomes.iter().map(|o| o.stats.seconds()).collect(),
-        gemm_groups: r.get_usize()?,
-        nonlinear_groups: r.get_usize()?,
-        total_macs: r.get_u64()?,
-        total_nonlinear_evals: r.get_u64()?,
-        wall_seconds: r.get_f64()?,
-        batched_seconds: r.get_f64()?,
-        unbatched_seconds: r.get_f64()?,
-        opt: OptTotals {
-            elided: r.get_usize()?,
-            shared: r.get_usize()?,
-            fused: r.get_usize()?,
-            dead: r.get_usize()?,
-            pruned: r.get_usize()?,
-        },
-        blocks_skipped: r.get_u64()?,
-        blocks_total: r.get_u64()?,
-    };
-    let n_stages = r.get_usize()?;
-    if n_stages > 1_048_576 {
-        return Err(WireError::Corrupt("stage count exceeds cap"));
-    }
-    let mut program_stages = Vec::with_capacity(n_stages);
-    for _ in 0..n_stages {
-        program_stages.push(StageGroups {
-            stage: r.get_usize()?,
-            ops: r.get_usize()?,
-            groups: r.get_usize()?,
-            gemm_groups: r.get_usize()?,
-            nonlinear_groups: r.get_usize()?,
-        });
-    }
-    Ok(BatchRun {
-        outcomes,
-        report,
-        program_stages,
-    })
+    run.report.requests = run.outcomes.len();
+    run.report.latencies = run.outcomes.iter().map(|o| o.stats.seconds()).collect();
+    Ok(run)
 }
 
 // ---------------------------------------------------------------------
@@ -679,7 +610,7 @@ impl WorkerHandle {
             ));
         }
         let mut body = WireReader::new(view.section(SEC_BODY).map_err(wire_to_io)?);
-        let version = body.get_u16().map_err(wire_to_io)?;
+        let version = u16::get(&mut body).map_err(wire_to_io)?;
         if version != wire::VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -690,10 +621,10 @@ impl WorkerHandle {
             ));
         }
 
-        let mut cfg = WireWriter::new();
-        cfg.put_f32(granularity);
-        wire::put_array_config(&mut cfg, config);
-        wire::put_parallelism(&mut cfg, parallelism);
+        let mut cfg = Vec::new();
+        granularity.put(&mut cfg);
+        config.put(&mut cfg);
+        parallelism.put(&mut cfg);
         write_frame(&mut handle.stream, &message(KIND_CONFIGURE, cfg))?;
 
         let ready = read_frame(&mut handle.stream)?;
@@ -726,10 +657,10 @@ impl WorkerHandle {
     /// Any socket or decode failure — after which the worker must be
     /// considered dead (the caller fails over).
     pub fn run_window(&mut self, items: &[(u64, &Request)]) -> io::Result<WindowReply> {
-        let mut body = WireWriter::new();
-        body.put_usize(items.len());
+        let mut body = Vec::new();
+        items.len().put(&mut body);
         for (ticket, request) in items {
-            body.put_u64(*ticket);
+            ticket.put(&mut body);
             let mut bare;
             let (program, inputs) = match request.as_program() {
                 Some(lowered) => lowered,
@@ -761,7 +692,7 @@ impl WorkerHandle {
                 Ok(WindowReply::Done(run))
             }
             KIND_WINDOW_ERROR => {
-                let msg = body.get_str().map_err(wire_to_io)?;
+                let msg = String::get(&mut body).map_err(wire_to_io)?;
                 Ok(WindowReply::Failed(msg))
             }
             _ => Err(io::Error::new(
@@ -869,8 +800,8 @@ pub fn worker_main(args: impl Iterator<Item = String>) -> Result<(), String> {
         return Err(format!("bad --connect spec `{connect}`"));
     };
 
-    let mut hello = WireWriter::new();
-    hello.put_u16(wire::VERSION);
+    let mut hello = Vec::new();
+    wire::VERSION.put(&mut hello);
     write_frame(&mut stream, &message(KIND_HELLO, hello)).map_err(|e| format!("hello: {e}"))?;
 
     let cfg_frame = read_frame(&mut stream).map_err(|e| format!("read configure: {e}"))?;
@@ -883,9 +814,9 @@ pub fn worker_main(args: impl Iterator<Item = String>) -> Result<(), String> {
             .map_err(|e| format!("configure body: {e}"))?,
     );
     let (granularity, config, parallelism) = (|| -> Result<_, WireError> {
-        let g = body.get_f32()?;
-        let c = wire::get_array_config(&mut body)?;
-        let p = wire::get_parallelism(&mut body)?;
+        let g = f32::get(&mut body)?;
+        let c = ArrayConfig::get(&mut body)?;
+        let p = Parallelism::get(&mut body)?;
         body.expect_end()?;
         Ok((g, c, p))
     })()
@@ -935,19 +866,17 @@ fn serve_window(
 ) -> Vec<u8> {
     let fail = |engine: &mut BatchEngine, msg: String| {
         engine.clear();
-        let mut w = WireWriter::new();
-        w.put_str(&msg);
+        let mut w = Vec::new();
+        msg.put(&mut w);
         message(KIND_WINDOW_ERROR, w)
     };
 
     let mut tickets: Vec<u64> = Vec::new();
     let decoded = (|| -> Result<(), WireError> {
-        let n = body.get_usize()?;
-        if n > 1_048_576 {
-            return Err(WireError::Corrupt("window item count exceeds cap"));
-        }
+        // Each item is at least a ticket and a request tag.
+        let n = body.get_len(9)?;
         for _ in 0..n {
-            let ticket = body.get_u64()?;
+            let ticket = u64::get(body)?;
             // Decoding sealed the program; `engine.run` checks the
             // decoded inputs against it.
             engine.submit(get_request(body, programs)?);
@@ -960,11 +889,7 @@ fn serve_window(
     }
 
     match engine.run() {
-        Ok(run) => {
-            let mut w = WireWriter::new();
-            put_window_result(&mut w, &tickets, &run);
-            message(KIND_OUTCOMES, w)
-        }
+        Ok(run) => message(KIND_OUTCOMES, put_window_result(&tickets, run)),
         Err(e) => fail(engine, format!("batch execution failed: {e}")),
     }
 }
@@ -995,7 +920,7 @@ mod tests {
 
     /// Lowers a request the way `run_window` does and writes it.
     fn put_lowered(
-        w: &mut WireWriter,
+        w: &mut Vec<u8>,
         mut request: Request,
         shipped: &mut HashSet<u64>,
         stats: &mut WeightCacheStats,
@@ -1031,7 +956,7 @@ mod tests {
         ];
         let mut shipped = HashSet::new();
         let mut stats = WeightCacheStats::default();
-        let mut w = WireWriter::new();
+        let mut w = Vec::new();
         let sent: Vec<Request> = reqs
             .into_iter()
             .map(|r| put_lowered(&mut w, r, &mut shipped, &mut stats))
@@ -1042,7 +967,7 @@ mod tests {
         assert_eq!(stats.const_bytes_saved, 4 * 2 * 4 + 3 * 2 * 4);
         assert!((stats.hit_ratio() - 0.4).abs() < 1e-12);
 
-        let bytes = w.into_bytes();
+        let bytes = w;
         let mut r = WireReader::new(&bytes);
         let mut cache = HashMap::new();
         let back: Vec<Request> = sent
@@ -1064,12 +989,36 @@ mod tests {
     }
 
     #[test]
+    fn programs_differing_only_in_a_nan_payload_each_ship_in_full() {
+        let payloads = [0x7fc0_0001, 0x7fc0_0002];
+        let mut shipped = HashSet::new();
+        let mut stats = WeightCacheStats::default();
+        let mut w = Vec::new();
+        for bits in payloads {
+            let mut b = Program::builder("nan", EvalMode::Exact);
+            let x = b.input(&[1, 4]);
+            b.push(Op::Scale(f32::from_bits(bits)), &[x]);
+            let request = Request::program(b.finish().unwrap(), vec![Tensor::zeros(&[1, 4])]);
+            put_lowered(&mut w, request, &mut shipped, &mut stats);
+        }
+        // A ref would have run the first payload in place of the second.
+        assert_eq!((stats.full_sends, stats.ref_sends), (2, 0));
+        let mut r = WireReader::new(&w);
+        let mut cache = HashMap::new();
+        for bits in payloads {
+            let back = get_request(&mut r, &mut cache).unwrap();
+            assert!(matches!(back.lowered_program().nodes()[0].op,
+                Op::Scale(c) if c.to_bits() == bits));
+        }
+    }
+
+    #[test]
     fn program_ref_without_prior_full_send_is_corrupt() {
-        let mut w = WireWriter::new();
-        w.put_u8(REQ_PROGRAM_REF);
-        w.put_u64(0xdead_beef);
-        w.put_usize(0);
-        let bytes = w.into_bytes();
+        let mut w = Vec::new();
+        REQ_PROGRAM_REF.put(&mut w);
+        0xdead_beefu64.put(&mut w);
+        0usize.put(&mut w);
+        let bytes = w;
         let mut cache = HashMap::new();
         assert!(matches!(
             get_request(&mut WireReader::new(&bytes), &mut cache),
@@ -1082,15 +1031,15 @@ mod tests {
         let mut rng = Pcg32::seed_from_u64(8);
         // The removed bare-request tags, with the payloads they used to
         // carry: tag 0 = GEMM (two tensors), tag 1 = nonlinear.
-        let mut gemm = WireWriter::new();
-        gemm.put_u8(0);
-        wire::put_tensor(&mut gemm, &rng.randn(&[2, 3], 1.0));
-        wire::put_tensor(&mut gemm, &rng.randn(&[3, 2], 1.0));
-        let mut nonlinear = WireWriter::new();
-        nonlinear.put_u8(1);
-        wire::put_nonlinear(&mut nonlinear, NonlinearFn::Gelu);
-        wire::put_tensor(&mut nonlinear, &rng.randn(&[2, 2], 1.0));
-        for bytes in [gemm.into_bytes(), nonlinear.into_bytes(), vec![0xff]] {
+        let mut gemm = Vec::new();
+        0u8.put(&mut gemm);
+        rng.randn(&[2, 3], 1.0).put(&mut gemm);
+        rng.randn(&[3, 2], 1.0).put(&mut gemm);
+        let mut nonlinear = Vec::new();
+        1u8.put(&mut nonlinear);
+        NonlinearFn::Gelu.put(&mut nonlinear);
+        rng.randn(&[2, 2], 1.0).put(&mut nonlinear);
+        for bytes in [gemm, nonlinear, vec![0xff]] {
             assert!(matches!(
                 get_request(&mut WireReader::new(&bytes), &mut HashMap::new()),
                 Err(WireError::Corrupt("unknown request tag"))
@@ -1101,18 +1050,18 @@ mod tests {
         // the wrong inner dimension) is corrupt too, not a re-target.
         let mut shipped = HashSet::new();
         let mut stats = WeightCacheStats::default();
-        let mut w = WireWriter::new();
+        let mut w = Vec::new();
         let sent = put_lowered(
             &mut w,
             Request::gemm(rng.randn(&[2, 3], 1.0), rng.randn(&[3, 2], 1.0)),
             &mut shipped,
             &mut stats,
         );
-        w.put_u8(REQ_PROGRAM_REF);
-        w.put_u64(sent.lowered_program().fingerprint());
-        w.put_usize(1);
-        wire::put_tensor(&mut w, &rng.randn(&[2, 4], 1.0));
-        let bytes = w.into_bytes();
+        REQ_PROGRAM_REF.put(&mut w);
+        sent.lowered_program().fingerprint().put(&mut w);
+        1usize.put(&mut w);
+        rng.randn(&[2, 4], 1.0).put(&mut w);
+        let bytes = w;
         let mut r = WireReader::new(&bytes);
         let mut cache = HashMap::new();
         get_request(&mut r, &mut cache).unwrap();
@@ -1123,11 +1072,11 @@ mod tests {
 
         // Through the worker's window loop the same bytes become a
         // WindowError frame and the engine stays serviceable.
-        let mut window = WireWriter::new();
-        window.put_usize(1);
-        window.put_u64(7);
-        window.put_u8(0);
-        let bytes = window.into_bytes();
+        let mut window = Vec::new();
+        1usize.put(&mut window);
+        7u64.put(&mut window);
+        0u8.put(&mut window);
+        let bytes = window;
         let mut engine = BatchEngine::new(OneSa::new(ArrayConfig::new(4, 4)), 0.25).unwrap();
         let reply = serve_window(&mut WireReader::new(&bytes), &mut engine, &mut cache);
         assert_eq!(FrameView::parse(&reply).unwrap().kind(), KIND_WINDOW_ERROR);
@@ -1192,9 +1141,7 @@ mod tests {
 
     /// Every field of a worker's `BatchRun` survives the wire.
     fn assert_run_round_trips(run: &BatchRun, tickets: &[u64]) {
-        let mut w = WireWriter::new();
-        put_window_result(&mut w, tickets, run);
-        let bytes = w.into_bytes();
+        let bytes = put_window_result(tickets, run.clone());
         let mut r = WireReader::new(&bytes);
         let back = get_window_result(&mut r, tickets).unwrap();
         r.expect_end().unwrap();
@@ -1304,7 +1251,7 @@ mod tests {
             }
             let mut shipped = HashSet::new();
             let mut stats = WeightCacheStats::default();
-            let mut w = WireWriter::new();
+            let mut w = Vec::new();
             let sent: Vec<Request> = reqs
                 .into_iter()
                 .map(|r| put_lowered(&mut w, r, &mut shipped, &mut stats))
@@ -1312,7 +1259,7 @@ mod tests {
             let distinct = usize::from(n_gemm > 0) + n_nl.min(2) + usize::from(n_prog > 0);
             prop_assert_eq!(stats.full_sends, distinct);
             prop_assert_eq!(stats.ref_sends, sent.len() - distinct);
-            let bytes = w.into_bytes();
+            let bytes = w;
             let mut r = WireReader::new(&bytes);
             let mut cache = HashMap::new();
             for req in &sent {

@@ -2,9 +2,10 @@
 //! multi-program scheduler with per-stage cross-program coalescing.
 
 use crate::program::{
-    fnv_u64, op_cost, same_tensor, ConvChain, EvalMode, Op, OpNode, Operand, PoolKind, Precision,
-    Program, FNV_OFFSET,
+    fnv_u64, op_cost, same_tensor, ConvChain, EvalMode, FnvSink, Op, OpNode, Operand, PoolKind,
+    Precision, Program, FNV_OFFSET,
 };
+use crate::wire::Wire;
 use onesa_cpwl::ops::{self, TableSet};
 use onesa_cpwl::NonlinearFn;
 use onesa_sim::{ArrayConfig, CycleBreakdown, ExecStats};
@@ -383,12 +384,13 @@ fn same_f32s(x: &[f32], y: &[f32]) -> bool {
     x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
-/// Hashes the function's wire tag and parameter bits (the exact `f == g`
-/// compare in [`keys_truly_equal`] stands behind it).
+/// Hashes the function's wire encoding, tag and parameter bits, without
+/// allocating (the exact `f == g` compare in [`keys_truly_equal`] stands
+/// behind it).
 fn func_hash(func: NonlinearFn) -> u64 {
-    let (tag, param) = crate::wire::nonlinear_tag(func);
-    let h = fnv_u64(FNV_OFFSET, u64::from(tag));
-    fnv_u64(h, param.map_or(0, |a| u64::from(a.to_bits())))
+    let mut h = FnvSink(FNV_OFFSET);
+    func.put(&mut h);
+    h.0
 }
 
 /// What one group execution produces.

@@ -57,6 +57,7 @@
 //! ```
 
 use crate::program::{same_tensor, GemmSparsity, Op, OpNode, Operand, Precision, Program};
+use crate::wire::Wire;
 use onesa_tensor::Result;
 
 /// Column-block width the `prune-pack` pass scans const GEMM weights
@@ -361,8 +362,9 @@ fn elide_duplicate_quantizes(program: &Program) -> Result<(Program, usize)> {
 /// repeated `Im2col` of the same slot, and any cascade the first
 /// sharing exposes. Operand equality looks through constants, so two
 /// separately-registered but bit-identical weight tensors share too.
-/// Bit-identical: a shared op is literally the same deterministic
-/// computation.
+/// Payloads compare by their wire encoding, which tells NaN payloads
+/// apart where `Debug` prints every NaN alike. Bit-identical: a shared
+/// op is literally the same deterministic computation.
 fn share_common_subexpressions(program: &Program) -> Result<(Program, usize)> {
     let n_in = program.n_inputs();
     let last = program.stages() - 1;
@@ -384,7 +386,7 @@ fn share_common_subexpressions(program: &Program) -> Result<(Program, usize)> {
 
     // Intra-pass aliasing so cascaded duplicates collapse in one sweep.
     let mut alias: Vec<usize> = (0..n_in + program.stages()).collect();
-    let mut seen: Vec<(String, Vec<Operand>, usize)> = Vec::new();
+    let mut seen: Vec<(Vec<u8>, Vec<Operand>, usize)> = Vec::new();
     let mut removed = 0usize;
     let actions: Vec<Action> = program
         .nodes()
@@ -399,7 +401,8 @@ fn share_common_subexpressions(program: &Program) -> Result<(Program, usize)> {
                     Operand::Const(c) => Operand::Const(canon[c]),
                 })
                 .collect();
-            let key = format!("{:?}", node.op);
+            let mut key = Vec::new();
+            node.op.put(&mut key);
             if i != last {
                 if let Some((_, _, prev_out)) = seen
                     .iter()
@@ -742,6 +745,27 @@ mod tests {
         assert_eq!(
             run(&p, std::slice::from_ref(&x)),
             run(&o, std::slice::from_ref(&x))
+        );
+    }
+
+    #[test]
+    fn cse_keeps_ops_that_differ_only_in_a_nan_payload() {
+        // `Debug` prints both scales as `Scale(NaN)`; the products carry
+        // different payloads, so sharing them would change the output.
+        let mut b = Program::builder("nan-cse", EvalMode::Exact);
+        let x = b.input(&[2, 3]);
+        let s1 = b.push(Op::Scale(f32::from_bits(0x7fc0_0001)), &[x]);
+        let s2 = b.push(Op::Scale(f32::from_bits(0x7fc0_0002)), &[x]);
+        b.push(Op::ConcatCols, &[s1, s2]);
+        let p = b.finish().unwrap();
+        let o = p.optimize(OptLevel::Standard).unwrap();
+        assert_eq!(o.opt_report().unwrap().totals.shared, 0);
+        assert_eq!(o.stages(), 3);
+        let x = Pcg32::seed_from_u64(3).randn(&[2, 3], 1.0);
+        let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(run(&p, std::slice::from_ref(&x))),
+            bits(run(&o, std::slice::from_ref(&x)))
         );
     }
 

@@ -1,6 +1,7 @@
 //! The Program IR: ops, slots, shape inference, validation and costing.
 
 use crate::opt::OptReport;
+use crate::wire::{Wire, WireSink};
 use onesa_cpwl::NonlinearFn;
 use onesa_resources::array::ArrayResources;
 use onesa_resources::power::PowerModel;
@@ -1096,8 +1097,19 @@ impl Program {
         let mut h = FNV_OFFSET;
         h = fnv_u64(h, self.mode.coalesce_key());
         for node in &self.nodes {
-            for byte in Self::op_fingerprint_repr(&node.op).bytes() {
+            let repr = Self::op_fingerprint_repr(&node.op);
+            for byte in repr.bytes() {
                 h = fnv_u64(h, u64::from(byte));
+            }
+            // `Debug` prints every NaN as `NaN`, whatever its payload,
+            // and no op, field or function name contains `NaN`. An op
+            // whose rendering does mixes in its exact wire encoding too,
+            // so programs that differ only in a NaN payload fingerprint
+            // apart, and every NaN-free fingerprint stays as it was.
+            if repr.contains("NaN") {
+                let mut sink = FnvSink(h);
+                node.op.put(&mut sink);
+                h = sink.0;
             }
             for operand in &node.inputs {
                 h = fnv_u64(
@@ -1417,6 +1429,19 @@ pub(crate) fn fnv_u64(h: u64, v: u64) -> u64 {
     h
 }
 
+/// A [`WireSink`] that hashes what is written instead of storing it
+/// (one [`fnv_u64`] step per byte): an allocation-free key over a
+/// value's wire encoding.
+pub(crate) struct FnvSink(pub(crate) u64);
+
+impl WireSink for FnvSink {
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = fnv_u64(self.0, u64::from(b));
+        }
+    }
+}
+
 /// Cheap content hash (FNV-1a over dims and value bit patterns) used to
 /// bucket constant tensors before exact equality checks — what the
 /// staged executor groups shared-weight GEMMs by.
@@ -1669,6 +1694,22 @@ mod tests {
             quantize: true,
         });
         assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
+    fn nan_payloads_fingerprint_apart() {
+        let scaled = |bits: u32| {
+            let mut b = Program::builder("nan", EvalMode::Exact);
+            let x = b.input(&[2, 3]);
+            b.push(Op::Scale(f32::from_bits(bits)), &[x]);
+            b.finish().unwrap()
+        };
+        let (a, b) = (scaled(0x7fc0_0001), scaled(0x7fc0_0002));
+        // The two ops render identically under `Debug`, yet they
+        // compute different bits.
+        assert_eq!(format!("{:?}", a.nodes()), format!("{:?}", b.nodes()));
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.fingerprint(), scaled(0x7fc0_0001).fingerprint());
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! serving transport.
 //!
 //! The repository builds with no network access, so there is no serde,
-//! no bincode — every byte here is written and read by hand. The format
-//! is designed around three constraints:
+//! no bincode. The format is designed around three constraints:
 //!
 //! * **Bit-identicality.** `f32` payloads travel as little-endian
 //!   [`f32::to_bits`] words, so a decoded tensor is bit-identical to the
@@ -12,9 +11,9 @@
 //!   repository tests against (NaN payloads and signed zeros included).
 //! * **Versioned framing.** Every frame starts with a 4-byte magic, a
 //!   format version and a *section table* (id, offset, length per
-//!   section), so a reader can locate the sections it knows and a future
-//!   format revision can add sections without breaking old payloads.
-//!   Unknown versions and malformed frames surface as a typed
+//!   section), so a reader can locate the sections it knows. Host and
+//!   worker are always one build, so a reader accepts exactly
+//!   [`VERSION`]. Other versions and malformed frames surface as a typed
 //!   [`WireError`], never a panic.
 //! * **Zero-copy-friendly tensor payloads.** A tensor's elements are one
 //!   contiguous little-endian `f32` run in a dedicated section, aligned
@@ -33,6 +32,22 @@
 //! All integers are little-endian. `kind` identifies the payload
 //! ([`KIND_TENSOR`], [`KIND_PROGRAM`]; `onesa-core`'s transport claims
 //! kinds ≥ `0x0100` for its protocol messages).
+//!
+//! # The schema: each layout written once
+//!
+//! Every value on the wire implements [`Wire`]: [`Wire::put`] writes it
+//! into a [`WireSink`] and [`Wire::get`] reads it back off a
+//! [`WireReader`]. Primitives, `Option<T>`, length-prefixed `Vec<T>` and
+//! [`Tensor`] implement it here by hand. Every other layout — every
+//! [`Op`] with its tag, [`NonlinearFn`], [`EvalMode`], [`ArrayConfig`],
+//! [`ExecStats`], the optimizer report, the transport's window reply —
+//! is one line of a [`wire_layout!`](crate::wire_layout) table, which
+//! generates both directions. The encoder and the decoder cannot
+//! disagree about a layout, because there is only one.
+//!
+//! The same encoding keys the optimizer's common-subexpression pass and
+//! the staged scheduler's nonlinear groups, so "equal" there means equal
+//! on the wire, NaN payloads included.
 //!
 //! # Programs on the wire
 //!
@@ -71,21 +86,23 @@ use onesa_tensor::im2col::Conv2dGeometry;
 use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::{Tensor, TensorError};
 
+use crate::exec::StageGroups;
 use crate::opt::{OptLevel, OptReport, OptTotals, PassStats};
-use crate::program::{EvalMode, GemmSparsity, Op, Operand, PoolKind, Precision, Program};
+use crate::program::{EvalMode, GemmSparsity, Op, OpNode, Operand, PoolKind, Precision, Program};
 
 /// Leading 4 bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"OSAW";
 
-/// Current format version. Bump only with a decode-compat plan: old
-/// readers reject newer frames with [`WireError::UnsupportedVersion`].
+/// The format version. A reader accepts exactly this version and
+/// rejects every other one with [`WireError::UnsupportedVersion`]:
+/// host and worker are always the same build (the worker is spawned
+/// from the tree) and nothing persists frames. Any layout change bumps
+/// it.
 ///
-/// * v1 — initial format.
+/// * v1 — initial format. No longer read.
 /// * v2 — sparse-GEMM attribute (op tag 20), INT8 quantize boundary
 ///   (op tag 21), `prune-pack` pass stats and the `pruned` counter in
-///   the optimizer-report tail. v1 frames still decode: their ops are
-///   the dense/INT16 tags and their report tail is read without the
-///   `pruned` field.
+///   the optimizer-report tail.
 pub const VERSION: u16 = 2;
 
 /// Frame kind: a standalone tensor ([`encode_tensor`]).
@@ -97,6 +114,11 @@ pub const KIND_PROGRAM: u16 = 0x0002;
 /// enough that a corrupt count cannot drive a large allocation.
 const MAX_SECTIONS: u32 = 4096;
 
+/// Hard cap on the length of any sequence but an `f32` run (whose
+/// bytes bound it one for one): a corrupt count cannot make a decoder
+/// allocate much more than the bytes it was handed.
+const MAX_SEQ: usize = 1 << 20;
+
 /// Everything that can go wrong while decoding wire bytes. Decoding
 /// never panics on malformed input; it returns one of these.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,14 +128,15 @@ pub enum WireError {
         /// What was found instead.
         found: [u8; 4],
     },
-    /// The frame's format version is newer than this reader supports.
+    /// The frame's format version is not the one this build reads.
     UnsupportedVersion {
         /// Version recorded in the frame.
         found: u16,
-        /// Highest version this build understands ([`VERSION`]).
+        /// The one version this build reads ([`VERSION`]).
         supported: u16,
     },
-    /// The buffer ended before a read completed.
+    /// The buffer ended before a read completed, or holds fewer bytes
+    /// than a sequence's count says follow.
     Truncated {
         /// Bytes the read needed.
         needed: usize,
@@ -147,7 +170,7 @@ impl fmt::Display for WireError {
             WireError::BadMagic { found } => write!(f, "bad frame magic {found:?}"),
             WireError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported wire format version {found} (this build reads <= {supported})"
+                "unsupported wire format version {found} (this build reads {supported})"
             ),
             WireError::Truncated { needed, have } => {
                 write!(f, "truncated frame: needed {needed} bytes, have {have}")
@@ -176,106 +199,89 @@ impl From<TensorError> for WireError {
 pub type WireResult<T> = std::result::Result<T, WireError>;
 
 // ---------------------------------------------------------------------------
-// Primitive writer / reader
+// The Wire trait
 // ---------------------------------------------------------------------------
 
-/// Appends little-endian primitives to a growable byte buffer.
-#[derive(Debug, Default)]
-pub struct WireWriter {
-    buf: Vec<u8>,
+/// Where [`Wire::put`] writes: a frame body (`Vec<u8>`), or anything
+/// else that consumes bytes in order — the program fingerprint and the
+/// staged scheduler hash an encoding without storing it.
+pub trait WireSink {
+    /// Appends `bytes`.
+    fn put_bytes(&mut self, bytes: &[u8]);
+
+    /// Announces that about `additional` more bytes follow.
+    fn reserve(&mut self, _additional: usize) {}
 }
 
-impl WireWriter {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Self::default()
+// `#[inline]`: every `put` is generic over its sink, so it is compiled in
+// the caller's crate, and without the attribute each field it writes is
+// an out-of-line call back into this one.
+impl WireSink for Vec<u8> {
+    #[inline]
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 
-    /// Bytes written so far.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
+    #[inline]
+    fn reserve(&mut self, additional: usize) {
+        Vec::reserve(self, additional);
     }
+}
 
-    /// Consumes the writer, returning its buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
+/// A value with one wire layout, from which both directions follow.
+///
+/// Implemented by hand for primitives (little-endian; `usize` travels
+/// as a `u64`, `bool` as one strict byte, floats as bit patterns),
+/// `Option<T>` (a `0`/`1` byte, then the value), `Vec<T>` (a `usize`
+/// count, then the items), `Arc<T>` (as `T`) and [`Tensor`]; every
+/// other layout is a [`wire_layout!`](crate::wire_layout) table.
+pub trait Wire: Sized {
+    /// Fewest bytes any value of the type occupies on the wire — what
+    /// lets a sequence decoder reject an impossible count before it
+    /// allocates.
+    const MIN_LEN: usize;
 
-    /// Number of bytes written.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
+    /// The tag bytes an enum layout assigns, in table order (empty for
+    /// every other layout): what a test walks to cover every tag.
+    const TAGS: &'static [u8] = &[];
 
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
+    /// Writes the value.
+    fn put(&self, w: &mut impl WireSink);
 
-    /// Writes one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
+    /// Reads a value written by [`Wire::put`].
+    ///
+    /// # Errors
+    ///
+    /// A typed [`WireError`] on malformed bytes, never a panic.
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self>;
 
-    /// Writes a `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a `usize` as a `u64` (the wire has one integer width).
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Writes a bool as one strict byte (0 or 1).
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    /// Writes an `f32` as its little-endian bit pattern —
-    /// bit-identical round trips, NaNs and signed zeros included.
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
-    /// Writes an `f64` as its little-endian bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Writes a length-prefixed `f32` run as contiguous LE bit patterns.
-    pub fn put_f32_slice(&mut self, vs: &[f32]) {
-        self.put_usize(vs.len());
-        self.buf.reserve(vs.len() * 4);
-        for v in vs {
-            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+    /// Writes `items` as a `Vec<Self>`: the count, then each item.
+    fn put_seq(items: &[Self], w: &mut impl WireSink) {
+        items.len().put(w);
+        for item in items {
+            item.put(w);
         }
     }
 
-    /// Writes raw bytes with no length prefix (section bodies).
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+    /// Reads what [`Wire::put_seq`] wrote. The count is checked against
+    /// the remaining bytes ([`WireReader::get_len`]) before anything is
+    /// allocated.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Wire::get`].
+    fn get_seq(r: &mut WireReader<'_>) -> WireResult<Vec<Self>> {
+        let n = r.get_len(Self::MIN_LEN)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(Self::get(r)?);
+        }
+        Ok(out)
     }
 }
 
-/// Reads little-endian primitives off a byte slice, tracking position.
-/// Every read checks bounds and returns [`WireError::Truncated`] rather
-/// than panicking.
+/// Reads a frame body front to back. Every read checks bounds and
+/// returns [`WireError::Truncated`] rather than panicking.
 #[derive(Debug, Clone)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
@@ -303,7 +309,8 @@ impl<'a> WireReader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> WireResult<&'a [u8]> {
+    /// Reads `n` raw bytes, borrowed (a nested frame, a section body).
+    pub fn get_bytes(&mut self, n: usize) -> WireResult<&'a [u8]> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
                 needed: n,
@@ -315,81 +322,530 @@ impl<'a> WireReader<'a> {
         Ok(out)
     }
 
-    /// Reads one byte.
-    pub fn get_u8(&mut self) -> WireResult<u8> {
-        Ok(self.take(1)?[0])
+    /// Reads a sequence count and rejects one the remaining bytes cannot
+    /// hold at `min_len` bytes per item ([`WireError::Truncated`]), or
+    /// one above the sequence cap ([`WireError::Corrupt`]) — before the
+    /// caller allocates for it.
+    pub fn get_len(&mut self, min_len: usize) -> WireResult<usize> {
+        let n = usize::get(self)?;
+        if n > MAX_SEQ {
+            return Err(WireError::Corrupt("sequence count exceeds cap"));
+        }
+        let needed = n * min_len.max(1);
+        if needed > self.remaining() {
+            return Err(WireError::Truncated {
+                needed,
+                have: self.remaining(),
+            });
+        }
+        Ok(n)
     }
 
-    /// Reads a `u16`.
-    pub fn get_u16(&mut self) -> WireResult<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+    fn array<const N: usize>(&mut self) -> WireResult<[u8; N]> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.get_bytes(N)?);
+        Ok(out)
+    }
+}
+
+macro_rules! little_endian {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+
+            fn put(&self, w: &mut impl WireSink) {
+                w.put_bytes(&self.to_le_bytes());
+            }
+
+            fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+
+// `f64::from_le_bytes` is `from_bits`: NaN payloads survive.
+little_endian!(u8, u16, u32, u64, f64);
+
+/// The wire has one integer width: a `usize` travels as a `u64`, and
+/// one the host cannot hold is corruption.
+impl Wire for usize {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, w: &mut impl WireSink) {
+        (*self as u64).put(w);
     }
 
-    /// Reads a `u32`.
-    pub fn get_u32(&mut self) -> WireResult<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        usize::try_from(u64::get(r)?).map_err(|_| WireError::Corrupt("length exceeds usize"))
+    }
+}
+
+impl Wire for bool {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, w: &mut impl WireSink) {
+        u8::from(*self).put(w);
     }
 
-    /// Reads a `u64`.
-    pub fn get_u64(&mut self) -> WireResult<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Reads a wire `u64` into a `usize`, rejecting values that do not
-    /// fit the host.
-    pub fn get_usize(&mut self) -> WireResult<usize> {
-        usize::try_from(self.get_u64()?).map_err(|_| WireError::Corrupt("length exceeds usize"))
-    }
-
-    /// Reads a strict bool (0 or 1; anything else is corruption).
-    pub fn get_bool(&mut self) -> WireResult<bool> {
-        match self.get_u8()? {
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        match u8::get(r)? {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(WireError::Corrupt("bool byte is neither 0 nor 1")),
         }
     }
+}
 
-    /// Reads an `f32` from its bit pattern.
-    pub fn get_f32(&mut self) -> WireResult<f32> {
-        Ok(f32::from_bits(self.get_u32()?))
+/// Bit patterns, NaN payloads and signed zeros included. A run of them
+/// (every `Vec<f32>`, every tensor's elements) is one reserve on the
+/// way out and one length check on the way in.
+impl Wire for f32 {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, w: &mut impl WireSink) {
+        self.to_bits().put(w);
     }
 
-    /// Reads an `f64` from its bit pattern.
-    pub fn get_f64(&mut self) -> WireResult<f64> {
-        Ok(f64::from_bits(self.get_u64()?))
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        Ok(f32::from_le_bytes(r.array()?))
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> WireResult<String> {
-        let len = self.get_usize()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Corrupt("string is not UTF-8"))
+    fn put_seq(items: &[f32], w: &mut impl WireSink) {
+        items.len().put(w);
+        put_f32_run(items, w);
     }
 
-    /// Reads a length-prefixed `f32` run. The byte length is validated
-    /// against the remaining buffer *before* any allocation, so a
-    /// corrupt length cannot drive an oversized `Vec`.
-    pub fn get_f32_vec(&mut self) -> WireResult<Vec<f32>> {
-        let len = self.get_usize()?;
-        let bytes = len
+    fn get_seq(r: &mut WireReader<'_>) -> WireResult<Vec<f32>> {
+        let n = usize::get(r)?;
+        let bytes = n
             .checked_mul(4)
             .ok_or(WireError::Corrupt("f32 run length overflows"))?;
-        let raw = self.take(bytes)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-            .collect())
+        Ok(f32_run(r.get_bytes(bytes)?))
+    }
+}
+
+fn put_f32_run(vs: &[f32], w: &mut impl WireSink) {
+    w.reserve(vs.len() * 4);
+    // A stack block at a time: the conversion is a straight copy the
+    // compiler vectorises, and the sink sees one call per 64 values
+    // instead of one capacity check per value.
+    let mut block = [0u8; 256];
+    for run in vs.chunks(64) {
+        for (b, v) in block.chunks_exact_mut(4).zip(run) {
+            b.copy_from_slice(&v.to_bits().to_le_bytes());
+        }
+        w.put_bytes(&block[..4 * run.len()]);
+    }
+}
+
+fn f32_run(bytes: &[u8]) -> Vec<f32> {
+    bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect()
+}
+
+fn put_str(s: &str, w: &mut impl WireSink) {
+    s.len().put(w);
+    w.put_bytes(s.as_bytes());
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, w: &mut impl WireSink) {
+        put_str(self, w);
     }
 
-    /// Reads `n` raw bytes.
-    pub fn get_bytes(&mut self, n: usize) -> WireResult<&'a [u8]> {
-        self.take(n)
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        let n = usize::get(r)?;
+        String::from_utf8(r.get_bytes(n)?.to_vec())
+            .map_err(|_| WireError::Corrupt("string is not UTF-8"))
+    }
+}
+
+/// The optimizer's pass names: the only `&'static str` on the wire.
+const PASS_NAMES: [&str; 5] = [
+    "quantize-elision",
+    "cse",
+    "prune-pack",
+    "fusion",
+    "dead-slot",
+];
+
+/// A [`PassStats::pass`] name. Decoding maps the wire string back onto
+/// the known statics, so the round trip preserves the exact type; an
+/// unknown name is corruption (the set only grows with the version).
+impl Wire for &'static str {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, w: &mut impl WireSink) {
+        put_str(self, w);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        let n = usize::get(r)?;
+        let name = r.get_bytes(n)?;
+        PASS_NAMES
+            .into_iter()
+            .find(|p| p.as_bytes() == name)
+            .ok_or(WireError::Corrupt("unknown optimizer pass name"))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, w: &mut impl WireSink) {
+        match self {
+            None => 0u8.put(w),
+            Some(v) => {
+                1u8.put(w);
+                v.put(w);
+            }
+        }
+    }
+
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            _ => Err(WireError::Corrupt("unknown Option tag")),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, w: &mut impl WireSink) {
+        T::put_seq(self, w);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        T::get_seq(r)
+    }
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+
+    fn put(&self, w: &mut impl WireSink) {
+        (**self).put(w);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        T::get(r).map(Arc::new)
+    }
+}
+
+/// Dims as a `u32` rank (at most 8) and one `usize` per axis.
+fn put_dims(dims: &[usize], w: &mut impl WireSink) {
+    (dims.len() as u32).put(w);
+    for d in dims {
+        d.put(w);
+    }
+}
+
+/// Reads [`put_dims`]' layout, rejecting a rank above 8 and a volume
+/// that overflows `usize`.
+fn get_dims(r: &mut WireReader<'_>) -> WireResult<Vec<usize>> {
+    let rank = u32::get(r)?;
+    if rank > 8 {
+        return Err(WireError::Corrupt("rank exceeds 8"));
+    }
+    let dims = (0..rank)
+        .map(|_| usize::get(r))
+        .collect::<WireResult<Vec<usize>>>()?;
+    dims.iter()
+        .try_fold(1usize, |v, &d| v.checked_mul(d))
+        .ok_or(WireError::Corrupt("tensor volume overflows"))?;
+    Ok(dims)
+}
+
+/// A tensor inline: its dims, then its elements as one `f32` run,
+/// checked against the dims product.
+impl Wire for Tensor {
+    const MIN_LEN: usize = 4 + 8;
+
+    fn put(&self, w: &mut impl WireSink) {
+        put_dims(self.dims(), w);
+        f32::put_seq(self.as_slice(), w);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        let dims = get_dims(r)?;
+        Tensor::from_vec(Vec::get(r)?, &dims).map_err(WireError::from)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The schema macro
+// ---------------------------------------------------------------------------
+
+/// Declares wire layouts: each entry implements [`Wire`](crate::wire::Wire)
+/// for an existing type, `put` and `get` both generated from the one
+/// line, so they cannot drift apart.
+///
+/// ```text
+/// struct Name { field: Type, …, derived = expr, … }
+/// enum Name { tag => Unit, tag => Tuple(Type), tag => Struct { field: Type, … }, … }
+/// #[non_exhaustive] enum Name { … }       // a foreign non-exhaustive enum
+/// ```
+///
+/// * A **struct** writes its typed fields in table order. A field
+///   written `derived = expr` is not on the wire: decoding fills it with
+///   `expr` and the caller restores it from what was sent.
+/// * An **enum** writes one tag byte, then the variant's typed fields in
+///   order. A struct variant may pin a field by its tag instead of
+///   sending it — `field = path` (a value that is both a pattern and an
+///   expression, like `None` or `Precision::Int8`) — so one variant can
+///   own several tags keyed on an attribute; `field: Type => Some`
+///   sends the payload of an `Option` whose presence the tag records.
+///   An unknown tag byte decodes to
+///   [`WireError::Corrupt`](crate::wire::WireError::Corrupt);
+///   [`Wire::TAGS`](crate::wire::Wire::TAGS) lists the assigned ones. A
+///   `#[non_exhaustive]` foreign enum panics on a variant the table
+///   lacks.
+///
+/// Field types must implement `Wire`; `MIN_LEN` is derived from them.
+/// The encoder is one `match`, so a variant the table misses, or an
+/// attribute value no pinned tag covers, is a compile error.
+///
+/// ```
+/// use onesa_plan::wire::{Wire, WireReader};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Window { start: u64, rows: Vec<f32>, cached: bool }
+/// #[derive(Debug, PartialEq)]
+/// enum Shape { Point, Line(f32), Box { w: u32, h: u32, lid: Option<bool> } }
+///
+/// onesa_plan::wire_layout! {
+///     struct Window { start: u64, rows: Vec<f32>, cached = false }
+///     enum Shape {
+///         0 => Point,
+///         1 => Line(f32),
+///         7 => Box { w: u32, h: u32, lid = None },
+///         8 => Box { w: u32, h: u32, lid: bool => Some },
+///     }
+/// }
+///
+/// let mut bytes = Vec::new();
+/// Window { start: 3, rows: vec![-0.0], cached: true }.put(&mut bytes);
+/// let back = Window::get(&mut WireReader::new(&bytes)).unwrap();
+/// assert_eq!(back, Window { start: 3, rows: vec![-0.0], cached: false });
+///
+/// let mut bytes = Vec::new();
+/// Shape::Box { w: 2, h: 1, lid: Some(true) }.put(&mut bytes);
+/// assert_eq!(bytes, [8, 2, 0, 0, 0, 1, 0, 0, 0, 1]);
+/// assert_eq!(Shape::TAGS, &[0, 1, 7, 8]);
+/// assert!(Shape::get(&mut WireReader::new(&[2])).is_err());
+/// ```
+#[macro_export]
+macro_rules! wire_layout {
+    () => {};
+    (
+        struct $T:ident { $($f:ident $(: $ty:ty)? $(= $derived:expr)?),* $(,)? }
+        $($rest:tt)*
+    ) => {
+        impl $crate::wire::Wire for $T {
+            const MIN_LEN: usize = 0 $($(+ <$ty as $crate::wire::Wire>::MIN_LEN)?)*;
+
+            fn put(&self, w: &mut impl $crate::wire::WireSink) {
+                $($(<$ty as $crate::wire::Wire>::put(&self.$f, w);)?)*
+            }
+
+            fn get(r: &mut $crate::wire::WireReader<'_>) -> $crate::wire::WireResult<Self> {
+                Ok($T { $($f: $crate::wire_layout!(@get r $(: $ty)? $(= $derived)?)),* })
+            }
+        }
+        $crate::wire_layout!($($rest)*);
+    };
+    (#[non_exhaustive] enum $T:ident { $($body:tt)* } $($rest:tt)*) => {
+        $crate::wire_layout!(@enum $T { $($body)* } [
+            _ => unreachable!(concat!(stringify!($T), " variant without a wire tag")),
+        ]);
+        $crate::wire_layout!($($rest)*);
+    };
+    (enum $T:ident { $($body:tt)* } $($rest:tt)*) => {
+        $crate::wire_layout!(@enum $T { $($body)* } []);
+        $crate::wire_layout!($($rest)*);
+    };
+    (@enum $T:ident {
+        $($tag:literal => $V:ident $(($ty:ty))? $({
+            $($f:ident $(: $fty:ty)? $(=> $wrap:ident)? $(= $pin:path)?),* $(,)?
+        })?),* $(,)?
+    } [$($other:tt)*]) => {
+        impl $crate::wire::Wire for $T {
+            const MIN_LEN: usize = {
+                let payloads = [$(0 $(+ <$ty as $crate::wire::Wire>::MIN_LEN)?
+                    $($($(+ <$fty as $crate::wire::Wire>::MIN_LEN)?)*)?),*];
+                let (mut min, mut i) = (usize::MAX, 0);
+                while i < payloads.len() {
+                    min = if payloads[i] < min { payloads[i] } else { min };
+                    i += 1;
+                }
+                1 + min
+            };
+
+            const TAGS: &'static [u8] = &[$($tag),*];
+
+            fn put(&self, w: &mut impl $crate::wire::WireSink) {
+                match self {
+                    $($T::$V $(($crate::wire_layout!(@bind x: $ty)))?
+                        $({ $($f: $crate::wire_layout!(@bind $f $(=> $wrap)? $(= $pin)?)),* })? => {
+                        <u8 as $crate::wire::Wire>::put(&$tag, w);
+                        $(<$ty as $crate::wire::Wire>::put(x, w);)?
+                        $($($(<$fty as $crate::wire::Wire>::put($f, w);)?)*)?
+                    })*
+                    $($other)*
+                }
+            }
+
+            fn get(r: &mut $crate::wire::WireReader<'_>) -> $crate::wire::WireResult<Self> {
+                Ok(match <u8 as $crate::wire::Wire>::get(r)? {
+                    $($tag => $T::$V $((<$ty as $crate::wire::Wire>::get(r)?))? $({ $($f:
+                        $crate::wire_layout!(@field r $(: $fty)? $(=> $wrap)? $(= $pin)?)),*
+                    })?,)*
+                    _ => {
+                        let what = concat!("unknown ", stringify!($T), " tag");
+                        return Err($crate::wire::WireError::Corrupt(what));
+                    }
+                })
+            }
+        }
+    };
+    (@get $r:ident : $ty:ty) => { <$ty as $crate::wire::Wire>::get($r)? };
+    (@get $r:ident = $derived:expr) => { $derived };
+    (@bind $x:ident : $ty:ty) => { $x };
+    (@bind $f:ident) => { $f };
+    (@bind $f:ident => $wrap:ident) => { $wrap($f) };
+    (@bind $f:ident = $pin:path) => { $pin };
+    (@field $r:ident : $ty:ty => $wrap:ident) => { $wrap(<$ty as $crate::wire::Wire>::get($r)?) };
+    (@field $r:ident : $ty:ty) => { <$ty as $crate::wire::Wire>::get($r)? };
+    (@field $r:ident = $pin:path) => { $pin };
+}
+
+// ---------------------------------------------------------------------------
+// The layouts
+// ---------------------------------------------------------------------------
+
+wire_layout! {
+    enum EvalMode { 0 => Exact, 1 => Cpwl { granularity: f32, quantize: bool } }
+
+    // `NonlinearFn` is #[non_exhaustive]: a new function needs a tag
+    // here (and a version bump) before it can ship.
+    #[non_exhaustive]
+    enum NonlinearFn {
+        0 => Gelu,
+        1 => Erf,
+        2 => Exp,
+        3 => Sigmoid,
+        4 => Tanh,
+        5 => Silu,
+        6 => Softplus,
+        7 => Mish,
+        8 => Elu(f32),
+        9 => LeakyRelu(f32),
+        10 => Relu,
+        11 => Sqrt,
+        12 => Rsqrt,
+        13 => Reciprocal,
+        14 => Ln,
+        15 => Square,
+    }
+
+    // The transport's Configure message: the worker's host-execution
+    // policy and the array every shard prices cycles on.
+    enum Parallelism { 0 => Sequential, 1 => Threads(usize), 2 => Auto }
+
+    enum ParamStaging { 0 => Fused, 1 => Dram }
+
+    struct BufferSizes { l3_bytes: usize, l2_bytes: usize, pe_out_bytes: usize, l1_bytes: usize }
+
+    struct ArrayConfig {
+        dim: usize,
+        macs_per_pe: usize,
+        clock_mhz: f64,
+        w_out_fifo: usize,
+        w_dram: usize,
+        ipf_pipeline_latency: usize,
+        staging: ParamStaging,
+        buffers: BufferSizes,
+    }
+
+    // Per-request outcomes travel back from the worker with their full
+    // cycle breakdown.
+    struct CycleBreakdown { skew: u64, compute: u64, drain: u64, ipf: u64, dram_stall: u64 }
+
+    struct ExecStats { breakdown: CycleBreakdown, macs: u64, nonlinear_evals: u64, clock_mhz: f64 }
+
+    struct StageGroups {
+        stage: usize,
+        ops: usize,
+        groups: usize,
+        gemm_groups: usize,
+        nonlinear_groups: usize,
+    }
+
+    enum Operand { 0 => Slot(usize), 1 => Const(usize) }
+
+    enum PoolKind { 0 => GlobalAvg, 1 => MeanRows }
+
+    struct Conv2dGeometry {
+        in_channels: usize,
+        out_channels: usize,
+        kernel: usize,
+        stride: usize,
+        padding: usize,
+    }
+
+    struct GemmSparsity { block_cols: usize, nnz_blocks: usize, total_blocks: usize, nnz_cols: usize }
+
+    // Dense GEMMs and INT16 boundaries keep their v1 tags; the sparse
+    // attribute and the INT8 rung arrived in v2 as tags 20 and 21.
+    enum Op {
+        0 => Gemm { bias: Option<Vec<f32>>, sparsity = None },
+        1 => Nonlinear(NonlinearFn),
+        2 => Softmax,
+        3 => LayerNorm { gamma: Vec<f32>, beta: Vec<f32>, eps: f32 },
+        4 => Im2col(Conv2dGeometry),
+        5 => Col2im { channels: usize, oh: usize, ow: usize },
+        6 => Add,
+        7 => Affine { k: Vec<f32>, b: Vec<f32> },
+        8 => Scale(f32),
+        9 => AffineNonlinear { k: Vec<f32>, b: Vec<f32>, func: NonlinearFn },
+        10 => Transpose,
+        11 => SliceCols { start: usize, len: usize },
+        12 => ConcatCols,
+        13 => Pool(PoolKind),
+        14 => Quantize { precision = Precision::Int16 },
+        15 => Embed,
+        16 => ConcatRows,
+        17 => CausalSoftmax { offset: usize },
+        18 => EmbedAt { offset: usize },
+        19 => QuantizeRows,
+        20 => Gemm { bias: Option<Vec<f32>>, sparsity: GemmSparsity => Some },
+        21 => Quantize { precision = Precision::Int8 },
+    }
+
+    struct OpNode { op: Op, inputs: Vec<Operand> }
+
+    enum OptLevel { 0 => None, 1 => Standard, 2 => Fusion }
+
+    struct PassStats { pass: &'static str, removed: usize }
+
+    struct OptTotals { elided: usize, shared: usize, fused: usize, dead: usize, pruned: usize }
+
+    struct OptReport {
+        level: OptLevel,
+        ops_before: usize,
+        ops_after: usize,
+        macs_before: u64,
+        macs_after: u64,
+        passes: Vec<PassStats>,
+        totals: OptTotals,
     }
 }
 
@@ -426,22 +882,22 @@ impl FrameBuilder {
 
     /// Serializes header, section table and body into one buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.put_bytes(&MAGIC);
-        w.put_u16(VERSION);
-        w.put_u16(self.kind);
-        w.put_u32(self.sections.len() as u32);
+        let mut w = Vec::new();
+        w.extend_from_slice(&MAGIC);
+        VERSION.put(&mut w);
+        self.kind.put(&mut w);
+        (self.sections.len() as u32).put(&mut w);
         let mut offset = 0u64;
         for (id, body) in &self.sections {
-            w.put_u32(*id);
-            w.put_u64(offset);
-            w.put_u64(body.len() as u64);
+            id.put(&mut w);
+            offset.put(&mut w);
+            (body.len() as u64).put(&mut w);
             offset += body.len() as u64;
         }
         for (_, body) in &self.sections {
-            w.put_bytes(body);
+            w.extend_from_slice(body);
         }
-        w.into_bytes()
+        w
     }
 }
 
@@ -450,44 +906,37 @@ impl FrameBuilder {
 /// in place.
 #[derive(Debug)]
 pub struct FrameView<'a> {
-    version: u16,
     kind: u16,
     sections: Vec<(u32, &'a [u8])>,
 }
 
 impl<'a> FrameView<'a> {
-    /// Parses and bounds-checks a frame. Rejects bad magic, newer
-    /// format versions, truncated tables and out-of-range section
-    /// extents with a typed [`WireError`].
+    /// Parses and bounds-checks a frame. Rejects bad magic, any format
+    /// version but [`VERSION`], truncated tables and out-of-range
+    /// section extents with a typed [`WireError`].
     pub fn parse(bytes: &'a [u8]) -> WireResult<Self> {
         let mut r = WireReader::new(bytes);
-        let magic = r.get_bytes(4)?;
+        let magic: [u8; 4] = r.array()?;
         if magic != MAGIC {
-            return Err(WireError::BadMagic {
-                found: [magic[0], magic[1], magic[2], magic[3]],
-            });
+            return Err(WireError::BadMagic { found: magic });
         }
-        let version = r.get_u16()?;
-        if version > VERSION {
+        let version = u16::get(&mut r)?;
+        if version != VERSION {
             return Err(WireError::UnsupportedVersion {
                 found: version,
                 supported: VERSION,
             });
         }
-        let kind = r.get_u16()?;
-        let n = r.get_u32()?;
+        let kind = u16::get(&mut r)?;
+        let n = u32::get(&mut r)?;
         if n > MAX_SECTIONS {
             return Err(WireError::Corrupt("section count exceeds cap"));
         }
         let mut table = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            let id = r.get_u32()?;
-            let offset = r.get_usize()?;
-            let len = r.get_usize()?;
-            table.push((id, offset, len));
+            table.push((u32::get(&mut r)?, usize::get(&mut r)?, usize::get(&mut r)?));
         }
-        let body_start = bytes.len() - r.remaining();
-        let body = &bytes[body_start..];
+        let body = &bytes[bytes.len() - r.remaining()..];
         let mut sections = Vec::with_capacity(table.len());
         for (id, offset, len) in table {
             let end = offset
@@ -501,18 +950,7 @@ impl<'a> FrameView<'a> {
             }
             sections.push((id, &body[offset..end]));
         }
-        Ok(Self {
-            version,
-            kind,
-            sections,
-        })
-    }
-
-    /// The format version the frame was written at (≤ [`VERSION`] —
-    /// newer frames are rejected at parse). Decoders branch on this for
-    /// fields added in later versions.
-    pub fn version(&self) -> u16 {
-        self.version
+        Ok(Self { kind, sections })
     }
 
     /// The frame's kind tag.
@@ -539,47 +977,17 @@ const SEC_TENSOR_META: u32 = 1;
 /// Section id: contiguous little-endian `f32` element run.
 const SEC_TENSOR_DATA: u32 = 2;
 
-/// Writes a tensor inline (dims, then elements as LE bit patterns).
-pub fn put_tensor(w: &mut WireWriter, t: &Tensor) {
-    w.put_u32(t.dims().len() as u32);
-    for d in t.dims() {
-        w.put_usize(*d);
-    }
-    w.put_f32_slice(t.as_slice());
-}
-
-/// Reads a tensor written by [`put_tensor`]. The element count is
-/// validated against both the dims product and the remaining bytes.
-pub fn get_tensor(r: &mut WireReader<'_>) -> WireResult<Tensor> {
-    let rank = r.get_u32()?;
-    if rank > 8 {
-        return Err(WireError::Corrupt("tensor rank exceeds 8"));
-    }
-    let mut dims = Vec::with_capacity(rank as usize);
-    for _ in 0..rank {
-        dims.push(r.get_usize()?);
-    }
-    let data = r.get_f32_vec()?;
-    Tensor::from_vec(data, &dims).map_err(WireError::from)
-}
-
 /// Encodes one standalone tensor frame ([`KIND_TENSOR`]): metadata and
 /// the raw element run in separate sections so a reader can view the
 /// payload zero-copy.
 pub fn encode_tensor(t: &Tensor) -> Vec<u8> {
-    let mut meta = WireWriter::new();
-    meta.put_u32(t.dims().len() as u32);
-    for d in t.dims() {
-        meta.put_usize(*d);
-    }
-    let mut data = WireWriter::new();
-    data.buf.reserve(t.as_slice().len() * 4);
-    for v in t.as_slice() {
-        data.put_u32(v.to_bits());
-    }
+    let mut meta = Vec::new();
+    put_dims(t.dims(), &mut meta);
+    let mut data = Vec::new();
+    put_f32_run(t.as_slice(), &mut data);
     let mut f = FrameBuilder::new(KIND_TENSOR);
-    f.section(SEC_TENSOR_META, meta.into_bytes());
-    f.section(SEC_TENSOR_DATA, data.into_bytes());
+    f.section(SEC_TENSOR_META, meta);
+    f.section(SEC_TENSOR_DATA, data);
     f.encode()
 }
 
@@ -590,514 +998,18 @@ pub fn decode_tensor(bytes: &[u8]) -> WireResult<Tensor> {
         return Err(WireError::Corrupt("frame kind is not tensor"));
     }
     let mut meta = WireReader::new(frame.section(SEC_TENSOR_META)?);
-    let rank = meta.get_u32()?;
-    if rank > 8 {
-        return Err(WireError::Corrupt("tensor rank exceeds 8"));
-    }
-    let mut dims = Vec::with_capacity(rank as usize);
-    let mut volume = 1usize;
-    for _ in 0..rank {
-        let d = meta.get_usize()?;
-        volume = volume
-            .checked_mul(d)
-            .ok_or(WireError::Corrupt("tensor volume overflows"))?;
-        dims.push(d);
-    }
+    let dims = get_dims(&mut meta)?;
     meta.expect_end()?;
     let payload = frame.section(SEC_TENSOR_DATA)?;
-    if payload.len() != volume * 4 {
+    if dims.iter().product::<usize>().checked_mul(4) != Some(payload.len()) {
         return Err(WireError::Corrupt("tensor payload length != dims product"));
     }
-    let data = payload
-        .chunks_exact(4)
-        .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-        .collect();
-    Tensor::from_vec(data, &dims).map_err(WireError::from)
+    Tensor::from_vec(f32_run(payload), &dims).map_err(WireError::from)
 }
 
 // ---------------------------------------------------------------------------
-// Scalar enums shared with the transport
+// Programs
 // ---------------------------------------------------------------------------
-
-/// Writes an [`EvalMode`].
-pub fn put_eval_mode(w: &mut WireWriter, mode: EvalMode) {
-    match mode {
-        EvalMode::Exact => w.put_u8(0),
-        EvalMode::Cpwl {
-            granularity,
-            quantize,
-        } => {
-            w.put_u8(1);
-            w.put_f32(granularity);
-            w.put_bool(quantize);
-        }
-    }
-}
-
-/// Reads an [`EvalMode`].
-pub fn get_eval_mode(r: &mut WireReader<'_>) -> WireResult<EvalMode> {
-    match r.get_u8()? {
-        0 => Ok(EvalMode::Exact),
-        1 => Ok(EvalMode::Cpwl {
-            granularity: r.get_f32()?,
-            quantize: r.get_bool()?,
-        }),
-        _ => Err(WireError::Corrupt("unknown EvalMode tag")),
-    }
-}
-
-/// The wire tag of a [`NonlinearFn`] and, for the two parameterised
-/// variants, its parameter. The staged scheduler hashes the same pair
-/// into its nonlinear group keys.
-pub(crate) fn nonlinear_tag(f: NonlinearFn) -> (u8, Option<f32>) {
-    let tag = match f {
-        NonlinearFn::Gelu => 0,
-        NonlinearFn::Erf => 1,
-        NonlinearFn::Exp => 2,
-        NonlinearFn::Sigmoid => 3,
-        NonlinearFn::Tanh => 4,
-        NonlinearFn::Silu => 5,
-        NonlinearFn::Softplus => 6,
-        NonlinearFn::Mish => 7,
-        NonlinearFn::Elu(_) => 8,
-        NonlinearFn::LeakyRelu(_) => 9,
-        NonlinearFn::Relu => 10,
-        NonlinearFn::Sqrt => 11,
-        NonlinearFn::Rsqrt => 12,
-        NonlinearFn::Reciprocal => 13,
-        NonlinearFn::Ln => 14,
-        NonlinearFn::Square => 15,
-        // `NonlinearFn` is #[non_exhaustive]; a new variant must be
-        // assigned a wire tag (and a format-version plan) here before
-        // it can ship.
-        _ => unreachable!("NonlinearFn variant without a wire tag"),
-    };
-    let param = match f {
-        NonlinearFn::Elu(a) | NonlinearFn::LeakyRelu(a) => Some(a),
-        _ => None,
-    };
-    (tag, param)
-}
-
-/// Writes a [`NonlinearFn`].
-pub fn put_nonlinear(w: &mut WireWriter, f: NonlinearFn) {
-    let (tag, param) = nonlinear_tag(f);
-    w.put_u8(tag);
-    if let Some(a) = param {
-        w.put_f32(a);
-    }
-}
-
-/// Reads a [`NonlinearFn`].
-pub fn get_nonlinear(r: &mut WireReader<'_>) -> WireResult<NonlinearFn> {
-    Ok(match r.get_u8()? {
-        0 => NonlinearFn::Gelu,
-        1 => NonlinearFn::Erf,
-        2 => NonlinearFn::Exp,
-        3 => NonlinearFn::Sigmoid,
-        4 => NonlinearFn::Tanh,
-        5 => NonlinearFn::Silu,
-        6 => NonlinearFn::Softplus,
-        7 => NonlinearFn::Mish,
-        8 => NonlinearFn::Elu(r.get_f32()?),
-        9 => NonlinearFn::LeakyRelu(r.get_f32()?),
-        10 => NonlinearFn::Relu,
-        11 => NonlinearFn::Sqrt,
-        12 => NonlinearFn::Rsqrt,
-        13 => NonlinearFn::Reciprocal,
-        14 => NonlinearFn::Ln,
-        15 => NonlinearFn::Square,
-        _ => return Err(WireError::Corrupt("unknown NonlinearFn tag")),
-    })
-}
-
-/// Writes a [`Parallelism`] policy (the transport's Configure message
-/// carries the worker's host-execution policy).
-pub fn put_parallelism(w: &mut WireWriter, p: Parallelism) {
-    match p {
-        Parallelism::Sequential => w.put_u8(0),
-        Parallelism::Threads(n) => {
-            w.put_u8(1);
-            w.put_usize(n);
-        }
-        Parallelism::Auto => w.put_u8(2),
-    }
-}
-
-/// Reads a [`Parallelism`] policy.
-pub fn get_parallelism(r: &mut WireReader<'_>) -> WireResult<Parallelism> {
-    Ok(match r.get_u8()? {
-        0 => Parallelism::Sequential,
-        1 => Parallelism::Threads(r.get_usize()?),
-        2 => Parallelism::Auto,
-        _ => return Err(WireError::Corrupt("unknown Parallelism tag")),
-    })
-}
-
-/// Writes an [`ArrayConfig`] (shipped once per worker at configure
-/// time, so every shard prices cycles identically).
-pub fn put_array_config(w: &mut WireWriter, c: &ArrayConfig) {
-    w.put_usize(c.dim);
-    w.put_usize(c.macs_per_pe);
-    w.put_f64(c.clock_mhz);
-    w.put_usize(c.w_out_fifo);
-    w.put_usize(c.w_dram);
-    w.put_usize(c.ipf_pipeline_latency);
-    w.put_u8(match c.staging {
-        ParamStaging::Fused => 0,
-        ParamStaging::Dram => 1,
-    });
-    w.put_usize(c.buffers.l3_bytes);
-    w.put_usize(c.buffers.l2_bytes);
-    w.put_usize(c.buffers.pe_out_bytes);
-    w.put_usize(c.buffers.l1_bytes);
-}
-
-/// Reads an [`ArrayConfig`].
-pub fn get_array_config(r: &mut WireReader<'_>) -> WireResult<ArrayConfig> {
-    Ok(ArrayConfig {
-        dim: r.get_usize()?,
-        macs_per_pe: r.get_usize()?,
-        clock_mhz: r.get_f64()?,
-        w_out_fifo: r.get_usize()?,
-        w_dram: r.get_usize()?,
-        ipf_pipeline_latency: r.get_usize()?,
-        staging: match r.get_u8()? {
-            0 => ParamStaging::Fused,
-            1 => ParamStaging::Dram,
-            _ => return Err(WireError::Corrupt("unknown ParamStaging tag")),
-        },
-        buffers: BufferSizes {
-            l3_bytes: r.get_usize()?,
-            l2_bytes: r.get_usize()?,
-            pe_out_bytes: r.get_usize()?,
-            l1_bytes: r.get_usize()?,
-        },
-    })
-}
-
-/// Writes an [`ExecStats`] (per-request outcomes travel back from the
-/// worker with their full cycle breakdown).
-pub fn put_exec_stats(w: &mut WireWriter, s: &ExecStats) {
-    w.put_u64(s.breakdown.skew);
-    w.put_u64(s.breakdown.compute);
-    w.put_u64(s.breakdown.drain);
-    w.put_u64(s.breakdown.ipf);
-    w.put_u64(s.breakdown.dram_stall);
-    w.put_u64(s.macs);
-    w.put_u64(s.nonlinear_evals);
-    w.put_f64(s.clock_mhz);
-}
-
-/// Reads an [`ExecStats`].
-pub fn get_exec_stats(r: &mut WireReader<'_>) -> WireResult<ExecStats> {
-    Ok(ExecStats {
-        breakdown: CycleBreakdown {
-            skew: r.get_u64()?,
-            compute: r.get_u64()?,
-            drain: r.get_u64()?,
-            ipf: r.get_u64()?,
-            dram_stall: r.get_u64()?,
-        },
-        macs: r.get_u64()?,
-        nonlinear_evals: r.get_u64()?,
-        clock_mhz: r.get_f64()?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Ops and programs
-// ---------------------------------------------------------------------------
-
-fn put_operand(w: &mut WireWriter, o: Operand) {
-    match o {
-        Operand::Slot(i) => {
-            w.put_u8(0);
-            w.put_usize(i);
-        }
-        Operand::Const(i) => {
-            w.put_u8(1);
-            w.put_usize(i);
-        }
-    }
-}
-
-fn get_operand(r: &mut WireReader<'_>) -> WireResult<Operand> {
-    Ok(match r.get_u8()? {
-        0 => Operand::Slot(r.get_usize()?),
-        1 => Operand::Const(r.get_usize()?),
-        _ => return Err(WireError::Corrupt("unknown Operand tag")),
-    })
-}
-
-fn put_opt_bias(w: &mut WireWriter, bias: &Option<Vec<f32>>) {
-    match bias {
-        None => w.put_u8(0),
-        Some(b) => {
-            w.put_u8(1);
-            w.put_f32_slice(b);
-        }
-    }
-}
-
-fn get_opt_bias(r: &mut WireReader<'_>) -> WireResult<Option<Vec<f32>>> {
-    match r.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.get_f32_vec()?)),
-        _ => Err(WireError::Corrupt("unknown Option tag")),
-    }
-}
-
-fn put_op(w: &mut WireWriter, op: &Op) {
-    match op {
-        // Dense GEMMs keep the v1 tag so pre-sparsity fixtures decode
-        // unchanged; a sparse attribute moves the op to tag 20 (v2).
-        Op::Gemm {
-            bias,
-            sparsity: None,
-        } => {
-            w.put_u8(0);
-            put_opt_bias(w, bias);
-        }
-        Op::Gemm {
-            bias,
-            sparsity: Some(s),
-        } => {
-            w.put_u8(20);
-            put_opt_bias(w, bias);
-            w.put_usize(s.block_cols);
-            w.put_usize(s.nnz_blocks);
-            w.put_usize(s.total_blocks);
-            w.put_usize(s.nnz_cols);
-        }
-        Op::Nonlinear(f) => {
-            w.put_u8(1);
-            put_nonlinear(w, *f);
-        }
-        Op::Softmax => w.put_u8(2),
-        Op::LayerNorm { gamma, beta, eps } => {
-            w.put_u8(3);
-            w.put_f32_slice(gamma);
-            w.put_f32_slice(beta);
-            w.put_f32(*eps);
-        }
-        Op::Im2col(g) => {
-            w.put_u8(4);
-            w.put_usize(g.in_channels);
-            w.put_usize(g.out_channels);
-            w.put_usize(g.kernel);
-            w.put_usize(g.stride);
-            w.put_usize(g.padding);
-        }
-        Op::Col2im { channels, oh, ow } => {
-            w.put_u8(5);
-            w.put_usize(*channels);
-            w.put_usize(*oh);
-            w.put_usize(*ow);
-        }
-        Op::Add => w.put_u8(6),
-        Op::Affine { k, b } => {
-            w.put_u8(7);
-            w.put_f32_slice(k);
-            w.put_f32_slice(b);
-        }
-        Op::Scale(c) => {
-            w.put_u8(8);
-            w.put_f32(*c);
-        }
-        Op::AffineNonlinear { k, b, func } => {
-            w.put_u8(9);
-            w.put_f32_slice(k);
-            w.put_f32_slice(b);
-            put_nonlinear(w, *func);
-        }
-        Op::Transpose => w.put_u8(10),
-        Op::SliceCols { start, len } => {
-            w.put_u8(11);
-            w.put_usize(*start);
-            w.put_usize(*len);
-        }
-        Op::ConcatCols => w.put_u8(12),
-        Op::Pool(kind) => {
-            w.put_u8(13);
-            w.put_u8(match kind {
-                PoolKind::GlobalAvg => 0,
-                PoolKind::MeanRows => 1,
-            });
-        }
-        // The INT16 boundary keeps the v1 tag; INT8 is tag 21 (v2).
-        Op::Quantize {
-            precision: Precision::Int16,
-        } => w.put_u8(14),
-        Op::Quantize {
-            precision: Precision::Int8,
-        } => w.put_u8(21),
-        Op::Embed => w.put_u8(15),
-        Op::ConcatRows => w.put_u8(16),
-        Op::CausalSoftmax { offset } => {
-            w.put_u8(17);
-            w.put_usize(*offset);
-        }
-        Op::EmbedAt { offset } => {
-            w.put_u8(18);
-            w.put_usize(*offset);
-        }
-        Op::QuantizeRows => w.put_u8(19),
-    }
-}
-
-fn get_op(r: &mut WireReader<'_>) -> WireResult<Op> {
-    Ok(match r.get_u8()? {
-        0 => Op::Gemm {
-            bias: get_opt_bias(r)?,
-            sparsity: None,
-        },
-        1 => Op::Nonlinear(get_nonlinear(r)?),
-        2 => Op::Softmax,
-        3 => Op::LayerNorm {
-            gamma: r.get_f32_vec()?,
-            beta: r.get_f32_vec()?,
-            eps: r.get_f32()?,
-        },
-        4 => Op::Im2col(Conv2dGeometry {
-            in_channels: r.get_usize()?,
-            out_channels: r.get_usize()?,
-            kernel: r.get_usize()?,
-            stride: r.get_usize()?,
-            padding: r.get_usize()?,
-        }),
-        5 => Op::Col2im {
-            channels: r.get_usize()?,
-            oh: r.get_usize()?,
-            ow: r.get_usize()?,
-        },
-        6 => Op::Add,
-        7 => Op::Affine {
-            k: r.get_f32_vec()?,
-            b: r.get_f32_vec()?,
-        },
-        8 => Op::Scale(r.get_f32()?),
-        9 => Op::AffineNonlinear {
-            k: r.get_f32_vec()?,
-            b: r.get_f32_vec()?,
-            func: get_nonlinear(r)?,
-        },
-        10 => Op::Transpose,
-        11 => Op::SliceCols {
-            start: r.get_usize()?,
-            len: r.get_usize()?,
-        },
-        12 => Op::ConcatCols,
-        13 => Op::Pool(match r.get_u8()? {
-            0 => PoolKind::GlobalAvg,
-            1 => PoolKind::MeanRows,
-            _ => return Err(WireError::Corrupt("unknown PoolKind tag")),
-        }),
-        14 => Op::Quantize {
-            precision: Precision::Int16,
-        },
-        15 => Op::Embed,
-        16 => Op::ConcatRows,
-        17 => Op::CausalSoftmax {
-            offset: r.get_usize()?,
-        },
-        18 => Op::EmbedAt {
-            offset: r.get_usize()?,
-        },
-        19 => Op::QuantizeRows,
-        20 => Op::Gemm {
-            bias: get_opt_bias(r)?,
-            sparsity: Some(GemmSparsity {
-                block_cols: r.get_usize()?,
-                nnz_blocks: r.get_usize()?,
-                total_blocks: r.get_usize()?,
-                nnz_cols: r.get_usize()?,
-            }),
-        },
-        21 => Op::Quantize {
-            precision: Precision::Int8,
-        },
-        _ => return Err(WireError::Corrupt("unknown Op tag")),
-    })
-}
-
-fn put_opt_report(w: &mut WireWriter, report: &OptReport) {
-    w.put_u8(match report.level {
-        OptLevel::None => 0,
-        OptLevel::Standard => 1,
-        OptLevel::Fusion => 2,
-    });
-    w.put_usize(report.ops_before);
-    w.put_usize(report.ops_after);
-    w.put_u64(report.macs_before);
-    w.put_u64(report.macs_after);
-    w.put_usize(report.passes.len());
-    for p in &report.passes {
-        w.put_str(p.pass);
-        w.put_usize(p.removed);
-    }
-    w.put_usize(report.totals.elided);
-    w.put_usize(report.totals.shared);
-    w.put_usize(report.totals.fused);
-    w.put_usize(report.totals.dead);
-    w.put_usize(report.totals.pruned); // v2 tail field
-}
-
-/// The optimizer's pass names are `&'static str`; decoding maps wire
-/// strings back onto the known statics so the round trip preserves the
-/// exact type. An unknown name is corruption (the set only grows with
-/// the format version).
-fn intern_pass_name(name: &str) -> WireResult<&'static str> {
-    match name {
-        "quantize-elision" => Ok("quantize-elision"),
-        "cse" => Ok("cse"),
-        "prune-pack" => Ok("prune-pack"),
-        "fusion" => Ok("fusion"),
-        "dead-slot" => Ok("dead-slot"),
-        _ => Err(WireError::Corrupt("unknown optimizer pass name")),
-    }
-}
-
-fn get_opt_report(r: &mut WireReader<'_>, version: u16) -> WireResult<OptReport> {
-    let level = match r.get_u8()? {
-        0 => OptLevel::None,
-        1 => OptLevel::Standard,
-        2 => OptLevel::Fusion,
-        _ => return Err(WireError::Corrupt("unknown OptLevel tag")),
-    };
-    let ops_before = r.get_usize()?;
-    let ops_after = r.get_usize()?;
-    let macs_before = r.get_u64()?;
-    let macs_after = r.get_u64()?;
-    let n_passes = r.get_usize()?;
-    if n_passes > 64 {
-        return Err(WireError::Corrupt("pass count exceeds cap"));
-    }
-    let mut passes = Vec::with_capacity(n_passes);
-    for _ in 0..n_passes {
-        let name = r.get_str()?;
-        passes.push(PassStats {
-            pass: intern_pass_name(&name)?,
-            removed: r.get_usize()?,
-        });
-    }
-    Ok(OptReport {
-        level,
-        ops_before,
-        ops_after,
-        macs_before,
-        macs_after,
-        passes,
-        totals: OptTotals {
-            elided: r.get_usize()?,
-            shared: r.get_usize()?,
-            fused: r.get_usize()?,
-            dead: r.get_usize()?,
-            // v1 frames predate the prune-pack pass: no field, no work.
-            pruned: if version >= 2 { r.get_usize()? } else { 0 },
-        },
-    })
-}
 
 /// Section id: program name, mode, input shapes, fingerprint, report.
 const SEC_PROG_META: u32 = 1;
@@ -1106,8 +1018,7 @@ const SEC_PROG_NODES: u32 = 2;
 /// Section id: the constant pool (weights), tensors back to back.
 const SEC_PROG_CONSTS: u32 = 3;
 /// Section id: session wiring (session input indices + output slots).
-/// Optional — stateless programs omit it, so pre-session frames (and
-/// their golden fixtures) decode unchanged.
+/// Optional — stateless programs omit it.
 const SEC_PROG_SESSION: u32 = 4;
 
 /// Encodes a whole program as one [`KIND_PROGRAM`] frame: metadata, op
@@ -1115,56 +1026,30 @@ const SEC_PROG_SESSION: u32 = 4;
 /// fingerprint rides in the metadata section and is re-checked on
 /// decode.
 pub fn encode_program(p: &Program) -> Vec<u8> {
-    let mut meta = WireWriter::new();
-    meta.put_str(p.name());
-    put_eval_mode(&mut meta, p.mode());
-    meta.put_usize(p.input_shapes().len());
+    let mut meta = Vec::new();
+    put_str(p.name(), &mut meta);
+    p.mode().put(&mut meta);
+    p.input_shapes().len().put(&mut meta);
     for shape in p.input_shapes() {
-        meta.put_u32(shape.len() as u32);
-        for d in shape {
-            meta.put_usize(*d);
-        }
+        put_dims(shape, &mut meta);
     }
-    meta.put_u64(p.fingerprint());
-    match p.opt_report() {
-        None => meta.put_u8(0),
-        Some(report) => {
-            meta.put_u8(1);
-            put_opt_report(&mut meta, report);
-        }
-    }
+    p.fingerprint().put(&mut meta);
+    p.opt.put(&mut meta);
 
-    let mut nodes = WireWriter::new();
-    nodes.put_usize(p.nodes().len());
-    for node in p.nodes() {
-        put_op(&mut nodes, &node.op);
-        nodes.put_usize(node.inputs.len());
-        for operand in &node.inputs {
-            put_operand(&mut nodes, *operand);
-        }
-    }
-
-    let mut consts = WireWriter::new();
-    consts.put_usize(p.consts().len());
-    for c in p.consts() {
-        put_tensor(&mut consts, c);
-    }
+    let mut nodes = Vec::new();
+    OpNode::put_seq(p.nodes(), &mut nodes);
+    let mut consts = Vec::new();
+    Arc::<Tensor>::put_seq(p.consts(), &mut consts);
 
     let mut f = FrameBuilder::new(KIND_PROGRAM);
-    f.section(SEC_PROG_META, meta.into_bytes());
-    f.section(SEC_PROG_NODES, nodes.into_bytes());
-    f.section(SEC_PROG_CONSTS, consts.into_bytes());
+    f.section(SEC_PROG_META, meta);
+    f.section(SEC_PROG_NODES, nodes);
+    f.section(SEC_PROG_CONSTS, consts);
     if p.is_session() {
-        let mut session = WireWriter::new();
-        session.put_usize(p.session_inputs().len());
-        for &i in p.session_inputs() {
-            session.put_usize(i);
-        }
-        session.put_usize(p.session_outputs().len());
-        for &s in p.session_outputs() {
-            session.put_usize(s);
-        }
-        f.section(SEC_PROG_SESSION, session.into_bytes());
+        let mut session = Vec::new();
+        usize::put_seq(p.session_inputs(), &mut session);
+        usize::put_seq(p.session_outputs(), &mut session);
+        f.section(SEC_PROG_SESSION, session);
     }
     f.encode()
 }
@@ -1189,59 +1074,25 @@ pub fn decode_program(bytes: &[u8]) -> WireResult<Program> {
     }
 
     let mut meta = WireReader::new(frame.section(SEC_PROG_META)?);
-    let name = meta.get_str()?;
-    let mode = get_eval_mode(&mut meta)?;
-    let n_inputs = meta.get_usize()?;
-    if n_inputs > 4096 {
-        return Err(WireError::Corrupt("input count exceeds cap"));
-    }
-    let mut builder = Program::builder(&name, mode);
+    let name = String::get(&mut meta)?;
+    let mut builder = Program::builder(&name, EvalMode::get(&mut meta)?);
+    let n_inputs = meta.get_len(4)?;
     for _ in 0..n_inputs {
-        let rank = meta.get_u32()?;
-        if rank > 8 {
-            return Err(WireError::Corrupt("input rank exceeds 8"));
-        }
-        let mut shape = Vec::with_capacity(rank as usize);
-        for _ in 0..rank {
-            shape.push(meta.get_usize()?);
-        }
-        builder.input(&shape);
+        builder.input(&get_dims(&mut meta)?);
     }
-    let fingerprint = meta.get_u64()?;
-    let opt = match meta.get_u8()? {
-        0 => None,
-        1 => Some(get_opt_report(&mut meta, frame.version())?),
-        _ => return Err(WireError::Corrupt("unknown Option tag")),
-    };
+    let fingerprint = u64::get(&mut meta)?;
+    let opt = Option::<OptReport>::get(&mut meta)?;
     meta.expect_end()?;
 
     let mut consts = WireReader::new(frame.section(SEC_PROG_CONSTS)?);
-    let n_consts = consts.get_usize()?;
-    if n_consts > 65_536 {
-        return Err(WireError::Corrupt("const count exceeds cap"));
-    }
-    for _ in 0..n_consts {
-        let t = get_tensor(&mut consts)?;
-        builder.constant_shared(Arc::new(t));
+    for t in Vec::<Arc<Tensor>>::get(&mut consts)? {
+        builder.constant_shared(t);
     }
     consts.expect_end()?;
 
     let mut nodes = WireReader::new(frame.section(SEC_PROG_NODES)?);
-    let n_nodes = nodes.get_usize()?;
-    if n_nodes > 1_048_576 {
-        return Err(WireError::Corrupt("node count exceeds cap"));
-    }
-    for _ in 0..n_nodes {
-        let op = get_op(&mut nodes)?;
-        let n_operands = nodes.get_usize()?;
-        if n_operands > 4096 {
-            return Err(WireError::Corrupt("operand count exceeds cap"));
-        }
-        let mut operands = Vec::with_capacity(n_operands);
-        for _ in 0..n_operands {
-            operands.push(get_operand(&mut nodes)?);
-        }
-        builder.push(op, &operands);
+    for node in Vec::<OpNode>::get(&mut nodes)? {
+        builder.push(node.op, &node.inputs);
     }
     nodes.expect_end()?;
 
@@ -1249,19 +1100,10 @@ pub fn decode_program(bytes: &[u8]) -> WireResult<Program> {
     match frame.section(SEC_PROG_SESSION) {
         Ok(body) => {
             let mut session = WireReader::new(body);
-            let n_in_session = session.get_usize()?;
-            if n_in_session > 4096 {
-                return Err(WireError::Corrupt("session input count exceeds cap"));
+            for i in Vec::<usize>::get(&mut session)? {
+                builder.mark_session_input(Operand::Slot(i));
             }
-            for _ in 0..n_in_session {
-                builder.mark_session_input(Operand::Slot(session.get_usize()?));
-            }
-            let n_out_session = session.get_usize()?;
-            if n_out_session > 4096 {
-                return Err(WireError::Corrupt("session output count exceeds cap"));
-            }
-            for _ in 0..n_out_session {
-                let slot = session.get_usize()?;
+            for slot in Vec::<usize>::get(&mut session)? {
                 if slot < n_inputs {
                     return Err(WireError::Corrupt("session output names an input slot"));
                 }
@@ -1292,6 +1134,7 @@ mod tests {
     use super::*;
     use crate::OptLevel;
     use onesa_tensor::rng::Pcg32;
+    use std::fmt::Debug;
 
     fn sample_tensor() -> Tensor {
         Tensor::from_vec(vec![1.5, -0.0, f32::NAN, 3.25e-12, -7.0, 42.0], &[2, 3]).unwrap()
@@ -1326,6 +1169,20 @@ mod tests {
         b.finish().unwrap()
     }
 
+    fn encoded<T: Wire>(v: &T) -> Vec<u8> {
+        let mut w = Vec::new();
+        v.put(&mut w);
+        w
+    }
+
+    /// Decodes exactly `bytes` as one `T`.
+    fn decoded<T: Wire>(bytes: &[u8]) -> T {
+        let mut r = WireReader::new(bytes);
+        let v = T::get(&mut r).unwrap();
+        r.expect_end().unwrap();
+        v
+    }
+
     #[test]
     fn tensor_round_trip_is_bit_identical() {
         let t = sample_tensor();
@@ -1341,12 +1198,7 @@ mod tests {
     #[test]
     fn inline_tensor_round_trip() {
         let t = sample_tensor();
-        let mut w = WireWriter::new();
-        put_tensor(&mut w, &t);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        let back = get_tensor(&mut r).unwrap();
-        r.expect_end().unwrap();
+        let back: Tensor = decoded(&encoded(&t));
         assert_eq!(
             back.as_slice()
                 .iter()
@@ -1500,20 +1352,17 @@ mod tests {
 
     #[test]
     fn strict_bool_and_unknown_tags_are_corrupt() {
-        let mut w = WireWriter::new();
-        w.put_u8(2);
-        let bytes = w.into_bytes();
         assert!(matches!(
-            WireReader::new(&bytes).get_bool(),
+            bool::get(&mut WireReader::new(&[2])),
             Err(WireError::Corrupt(_))
         ));
         assert!(matches!(
-            get_nonlinear(&mut WireReader::new(&[99])),
-            Err(WireError::Corrupt(_))
+            NonlinearFn::get(&mut WireReader::new(&[99])),
+            Err(WireError::Corrupt("unknown NonlinearFn tag"))
         ));
         assert!(matches!(
-            get_op(&mut WireReader::new(&[200])),
-            Err(WireError::Corrupt(_))
+            Op::get(&mut WireReader::new(&[200])),
+            Err(WireError::Corrupt("unknown Op tag"))
         ));
     }
 
@@ -1531,19 +1380,112 @@ mod tests {
             nonlinear_evals: 789,
             clock_mhz: 200.0,
         };
-        let mut w = WireWriter::new();
-        put_exec_stats(&mut w, &stats);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(get_exec_stats(&mut r).unwrap(), stats);
-        r.expect_end().unwrap();
-
+        assert_eq!(decoded::<ExecStats>(&encoded(&stats)), stats);
         let cfg = ArrayConfig::default();
-        let mut w = WireWriter::new();
-        put_array_config(&mut w, &cfg);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(get_array_config(&mut r).unwrap(), cfg);
-        r.expect_end().unwrap();
+        assert_eq!(decoded::<ArrayConfig>(&encoded(&cfg)), cfg);
+        // The derived minimum is the fixed width of these layouts.
+        assert_eq!(ExecStats::MIN_LEN, encoded(&stats).len());
+        assert_eq!(ArrayConfig::MIN_LEN, encoded(&cfg).len());
+    }
+
+    #[test]
+    fn impossible_sequence_counts_fail_before_allocating() {
+        // A count of 2⁶⁰ operands in a 9-byte buffer: refused up front.
+        let mut bytes = encoded(&(1usize << 60));
+        bytes.push(0);
+        assert!(matches!(
+            Vec::<Operand>::get(&mut WireReader::new(&bytes)),
+            Err(WireError::Corrupt("sequence count exceeds cap"))
+        ));
+        // Under the cap, but more than the remaining bytes can hold.
+        let mut bytes = encoded(&1000usize);
+        bytes.extend([0; 9 * 999]);
+        assert_eq!(
+            Vec::<Operand>::get(&mut WireReader::new(&bytes)),
+            Err(WireError::Truncated {
+                needed: 9000,
+                have: 8991
+            })
+        );
+    }
+
+    /// Decodes one `T` whose first byte is `tag`, answering every short
+    /// read the decoder makes with a value of that width — a byte of `1`
+    /// (a present `Option`, a `true`, an enum's second variant), a
+    /// `u64` count or attribute of `1`, and a four-byte word alternately
+    /// a NaN with a payload and `-0.0` — until it succeeds. Returns the
+    /// value and the exact bytes it decoded from.
+    fn example<T: Wire>(tag: u8) -> (T, Vec<u8>) {
+        let mut bytes = vec![tag];
+        let mut nan = true;
+        loop {
+            match T::get(&mut WireReader::new(&bytes)) {
+                Ok(v) => return (v, bytes),
+                Err(WireError::Truncated { needed, have }) => match needed - have {
+                    1 => bytes.push(1),
+                    4 => {
+                        let word = if nan {
+                            0x7fc0_0001
+                        } else {
+                            (-0.0f32).to_bits()
+                        };
+                        bytes.extend(word.to_le_bytes());
+                        nan = !nan;
+                    }
+                    8 => bytes.extend(1u64.to_le_bytes()),
+                    width => panic!("tag {tag}: no example for a {width}-byte read"),
+                },
+                Err(e) => panic!("tag {tag}: {e}"),
+            }
+        }
+    }
+
+    /// Walks an enum layout's own tag list: every tag's example
+    /// round-trips and re-encodes byte-equal, and every other byte is a
+    /// corrupt tag.
+    fn check_schema<T: Wire + Debug>() {
+        let tags = T::TAGS;
+        assert!(!tags.is_empty());
+        for (i, tag) in tags.iter().enumerate() {
+            assert!(!tags[..i].contains(tag), "tag {tag} assigned twice");
+            let (value, bytes) = example::<T>(*tag);
+            assert_eq!(encoded(&value), bytes, "tag {tag}: {value:?}");
+            assert_eq!(encoded(&decoded::<T>(&bytes)), bytes, "tag {tag}");
+            assert!(bytes.len() >= T::MIN_LEN, "tag {tag}");
+        }
+        for byte in (0..=u8::MAX).filter(|b| !tags.contains(b)) {
+            let err = T::get(&mut WireReader::new(&[byte; 64])).unwrap_err();
+            assert!(matches!(err, WireError::Corrupt(_)), "byte {byte}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn every_schema_tag_round_trips_and_every_other_byte_is_corrupt() {
+        check_schema::<Op>();
+        check_schema::<NonlinearFn>();
+        check_schema::<EvalMode>();
+        check_schema::<Operand>();
+        check_schema::<PoolKind>();
+        check_schema::<Parallelism>();
+        check_schema::<ParamStaging>();
+        check_schema::<OptLevel>();
+        // The attribute-dependent tags decode to the attribute they pin.
+        assert!(matches!(
+            example::<Op>(20).0,
+            Op::Gemm {
+                sparsity: Some(_),
+                ..
+            }
+        ));
+        assert!(matches!(
+            example::<Op>(21).0,
+            Op::Quantize {
+                precision: Precision::Int8
+            }
+        ));
+        // And the payload bits the examples carry survive.
+        let (scale, bytes) = example::<Op>(8);
+        assert!(matches!(scale, Op::Scale(c) if c.to_bits() == 0x7fc0_0001));
+        assert_eq!(encoded(&decoded::<Op>(&bytes)), bytes);
     }
 }

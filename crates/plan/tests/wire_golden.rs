@@ -1,24 +1,21 @@
 //! Golden-frame tests for the wire format: committed byte fixtures
-//! (`tests/fixtures/*.bin`) pin the **exact** encoding of the current
-//! format version (`*_v2.bin`), and the `*_v1.bin` fixtures from the
-//! previous version stay committed to prove old frames keep decoding.
+//! (`tests/fixtures/*_v2.bin`) pin the **exact** encoding of the
+//! current format version.
 //!
 //! Two directions are locked in:
 //!
-//! * **encode compatibility** — today's encoder reproduces the
-//!   committed bytes exactly. Any codec change that alters the stream,
-//!   however innocent, fails here and forces a deliberate
-//!   format-version bump (plus fresh fixtures) instead of a silent
-//!   break.
-//! * **decode compatibility** — today's decoder accepts the committed
-//!   bytes of the current *and all previous* versions and reconstructs
-//!   semantically identical values, which is what keeps old peers
-//!   talking to new hosts across a version bump.
+//! * **encode** — today's encoder reproduces the committed bytes
+//!   exactly. Any codec change that alters the stream, however
+//!   innocent, fails here and forces a deliberate format-version bump
+//!   (plus fresh fixtures) instead of a silent break.
+//! * **decode** — today's decoder accepts the committed bytes and
+//!   reconstructs semantically identical values.
 //!
-//! Negative cases prove malformed frames surface as typed
-//! [`WireError`]s, never panics: truncation at every prefix length, a
-//! wrong magic, a bumped format version, and a corrupted payload bit
-//! (fingerprint mismatch).
+//! Host and worker are always one build, so a frame of any other
+//! version is refused, typed. Negative cases prove malformed frames
+//! surface as typed [`WireError`]s, never panics: truncation at every
+//! prefix length, a wrong magic, a bumped or an older format version,
+//! and a corrupted payload bit (fingerprint mismatch).
 //!
 //! Regenerating (only with a conscious version bump):
 //! `ONESA_BLESS_FIXTURES=1 cargo test -p onesa-plan --test wire_golden`.
@@ -311,35 +308,6 @@ fn sparse_program_fixture_is_byte_exact_and_decodes() {
     assert_eq!(back.modeled_macs(), p.modeled_macs());
 }
 
-/// Every byte of the previous version's committed frames must keep
-/// decoding under the v2 reader: v1 op tags map onto the dense/INT16
-/// forms and the v1 optimizer-report tail reads with zero `pruned`
-/// rewrites. Re-encoding a decoded v1 program at v2 preserves its
-/// fingerprint end to end.
-#[test]
-fn v1_fixtures_from_the_previous_version_still_decode() {
-    let bytes = std::fs::read(fixture_path("tensor_v1.bin")).unwrap();
-    let t = wire::decode_tensor(&bytes).expect("v1 tensor frame decodes");
-    for (a, b) in golden_tensor().as_slice().iter().zip(t.as_slice()) {
-        assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-    }
-    for name in [
-        "program_v1.bin",
-        "program_opt_v1.bin",
-        "program_decode_v1.bin",
-    ] {
-        let bytes = std::fs::read(fixture_path(name)).unwrap();
-        let p = wire::decode_program(&bytes)
-            .unwrap_or_else(|e| panic!("{name}: v1 frame must decode ({e})"));
-        let back = wire::decode_program(&wire::encode_program(&p)).unwrap();
-        assert_eq!(back.fingerprint(), p.fingerprint(), "{name}");
-        assert_eq!(back, p, "{name}");
-    }
-    let bytes = std::fs::read(fixture_path("program_opt_v1.bin")).unwrap();
-    let p = wire::decode_program(&bytes).unwrap();
-    assert_eq!(p.opt_report().unwrap().totals.pruned, 0);
-}
-
 #[test]
 fn corrupted_sparse_fixture_errors_and_never_panics() {
     // Flip every single byte of the sparse frame in turn: a corrupted
@@ -418,17 +386,18 @@ fn bad_magic_is_a_typed_error() {
 
 #[test]
 fn bumped_format_version_is_rejected_not_panicked() {
-    let mut bytes = std::fs::read(fixture_path("program_v2.bin")).unwrap();
-    // Version field sits right after the 4-byte magic, little-endian.
-    let future = (wire::VERSION + 1).to_le_bytes();
-    bytes[4] = future[0];
-    bytes[5] = future[1];
-    match wire::decode_program(&bytes) {
-        Err(WireError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, wire::VERSION + 1);
-            assert_eq!(supported, wire::VERSION);
+    // A newer frame and one from the previous version alike.
+    for version in [wire::VERSION + 1, wire::VERSION - 1] {
+        let mut bytes = std::fs::read(fixture_path("program_v2.bin")).unwrap();
+        // Version field sits right after the 4-byte magic, little-endian.
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        match wire::decode_program(&bytes) {
+            Err(WireError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, version);
+                assert_eq!(supported, wire::VERSION);
+            }
+            other => panic!("v{version}: expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 
