@@ -415,13 +415,15 @@ impl ServingReport {
 }
 
 /// Nearest-rank percentile (`q` in `0..=100`) of simulated latencies;
-/// 0.0 for an empty run.
+/// 0.0 for an empty run. The latencies are public fields a caller (or a
+/// worker's decoded reply) may fill with anything, so the sort is total:
+/// a NaN ranks above every number instead of panicking.
 pub(crate) fn nearest_rank(latencies: &[f64], q: f64) -> f64 {
     if latencies.is_empty() {
         return 0.0;
     }
     let mut sorted = latencies.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    sorted.sort_by(f64::total_cmp);
     let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
@@ -798,6 +800,31 @@ mod tests {
         assert_eq!(r.latency_percentile(99.0), 0.0);
         assert!(r.wall_rps().is_finite());
         assert!(!format!("{r}").contains("NaN"));
+    }
+
+    #[test]
+    fn a_nan_latency_ranks_last_instead_of_panicking() {
+        // Both public latency vectors accept any f64 (a worker's reply
+        // rebuilds them from wire bytes); a NaN sorts above every number.
+        let latencies = vec![f64::NAN, 1.0, 2.0];
+        let mut report = BatchEngine::new(engine(), 0.25)
+            .unwrap()
+            .run()
+            .unwrap()
+            .report;
+        report.latencies = latencies.clone();
+        let phase = crate::serve::PhaseStats {
+            latencies,
+            ..Default::default()
+        };
+        let qs = [0.0, 50.0, 100.0];
+        for [p0, p50, p100] in [
+            qs.map(|q| report.latency_percentile(q)),
+            qs.map(|q| phase.latency_percentile(q)),
+        ] {
+            assert_eq!((p0, p50), (1.0, 2.0));
+            assert!(p100.is_nan());
+        }
     }
 
     #[test]

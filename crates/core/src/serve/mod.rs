@@ -24,8 +24,8 @@
 //!   expiry, the [`DegradePolicy`] ladder, and the admission thread's
 //!   loop, which only orchestrates the other modules.
 //! * `route` — [`RoutePolicy`] and the `Router` state machine: one
-//!   `pick` per request (pinned session, then shard specialization,
-//!   then the policy over the powered shards).
+//!   `pick` per request (pinned session, then the policy over the
+//!   powered shards).
 //! * `power` — [`PoolPolicy`] and the `PowerStates` state machine
 //!   (wake, scale-up, settle) together with the modeled energy
 //!   accounting computed from its per-window log ([`PowerSummary`]).
@@ -62,19 +62,18 @@
 //! [`ServeConfig::granularity`]. From there on **every request is a
 //! program**: the window budget and the load-aware routers weigh it by
 //! `Program::modeled_macs`, the affinity router keys on
-//! `Program::fingerprint`, the degrade ladder and the shard
-//! specialization read `Program::mode`, the process backend ships it
-//! through the weight-cache protocol, and one shard loop answers its
-//! ticket whichever backend ran it. Two consequences are deliberate:
+//! `Program::fingerprint`, the degrade ladder reads `Program::mode`,
+//! the process backend ships it through the weight-cache protocol, and
+//! one shard loop answers its ticket whichever backend ran it. Two
+//! consequences are deliberate:
 //!
 //! * a bare nonlinear's admission weight is its program's
 //!   `modeled_macs` — its op's MACs (two per element in the cost model)
 //!   plus the table preload;
 //! * under a configured [`DegradePolicy`] a bare nonlinear is
-//!   degradable (and, under a matching [`ShardSpec::granularity`],
-//!   steerable) like any other CPWL program. Bare GEMMs are
-//!   exact-mode programs and stay non-degradable: under drop-on-expiry
-//!   they are the requests that can still expire.
+//!   degradable like any other CPWL program. Bare GEMMs are exact-mode
+//!   programs and stay non-degradable: under drop-on-expiry they are the
+//!   requests that can still expire.
 //!
 //! # Guarantees
 //!
@@ -191,14 +190,6 @@ pub struct ShardSpec {
     pub config: ArrayConfig,
     /// Host backend policy for this shard's kernels.
     pub parallelism: Parallelism,
-    /// Routing specialization: CPWL program requests compiled at this
-    /// granularity prefer this shard (after session pinning, before the
-    /// general [`RoutePolicy`]), so an SLO class — say, degraded bulk
-    /// traffic at a coarse rung — clusters on designated shards, keeps
-    /// their per-granularity table caches warm and stays out of the
-    /// fine-granularity shards' queues. Purely a routing hint: it never
-    /// changes any request's output.
-    pub granularity: Option<f32>,
 }
 
 /// How the pool's shards execute: as threads in this process, or as
@@ -267,7 +258,6 @@ impl ServeConfig {
                 .map(|_| ShardSpec {
                     config: config.clone(),
                     parallelism,
-                    granularity: None,
                 })
                 .collect(),
             granularity: 0.25,
@@ -335,16 +325,6 @@ impl ServeConfig {
     /// Replaces the shard power policy (see [`PoolPolicy`]).
     pub fn with_pool(mut self, pool: PoolPolicy) -> Self {
         self.pool = pool;
-        self
-    }
-
-    /// Marks shard `index` as specialized for CPWL programs compiled at
-    /// `granularity` (see [`ShardSpec::granularity`]). Out-of-range
-    /// indices are ignored.
-    pub fn with_shard_granularity(mut self, index: usize, granularity: f32) -> Self {
-        if let Some(spec) = self.shards.get_mut(index) {
-            spec.granularity = Some(granularity);
-        }
         self
     }
 }
@@ -1168,11 +1148,7 @@ impl ServeEngine {
         // Whichever backend executes, the admitter models each shard's
         // power and energy from an engine of the shard's own design.
         let power = PowerStates::new(cfg.pool, cfg.shards.iter().map(engine_of).collect());
-        let router = Router::new(
-            cfg.routing,
-            power.energy_per_mac(),
-            cfg.shards.iter().map(|s| s.granularity).collect(),
-        );
+        let router = Router::new(cfg.routing, power.energy_per_mac());
         let mut shard_txs = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         for (i, exec) in execs.into_iter().enumerate() {
@@ -1373,53 +1349,6 @@ impl ServeEngine {
     /// See [`ServeClient::live_sessions`].
     pub fn live_sessions(&self) -> usize {
         self.client.live_sessions()
-    }
-
-    /// Routes a batch of pooled feature vectors through the pool as
-    /// shared-weight classifier GEMMs and adds `bias`, exactly the final
-    /// layer of `onesa_nn`'s models: sample `i`'s row is bit-identical
-    /// to `Linear::infer` on feature `i`. Under
-    /// [`RoutePolicy::WeightAffinity`] every sample lands on one shard
-    /// and coalesces into a single kernel call. This is how
-    /// `onesa_nn::models::{SmallCnn, TinyBert}` batch inference routes
-    /// through the pool (see their `pooled_features` / `classifier`
-    /// accessors and `examples/sharded_serving.rs`).
-    ///
-    /// The engine must be running (not paused): this method submits the
-    /// whole batch and then waits for it.
-    ///
-    /// Each sample is a separate serving request, which is the point of
-    /// the demonstration — the pool, not the caller, does the
-    /// coalescing. That also means `weights` is cloned per sample; for
-    /// very large batches against a big classifier, pre-stack the
-    /// features into one `[B, channels]` [`Request::gemm`] instead (the
-    /// row-stacking is exactly what the engine would do).
-    ///
-    /// # Errors
-    ///
-    /// Submission and execution errors as in [`ServeClient::submit`] and
-    /// [`Ticket::wait`].
-    pub fn classify_batch(
-        &self,
-        features: &[Tensor],
-        weights: &Tensor,
-        bias: &[f32],
-    ) -> Result<Vec<Vec<f32>>, ServeError> {
-        let tickets: Vec<Ticket> = features
-            .iter()
-            .map(|f| self.submit(Request::gemm(f.clone(), weights.clone())))
-            .collect::<Result<_, _>>()?;
-        tickets
-            .into_iter()
-            .map(|t| {
-                let served = t.wait()?;
-                let mut row = served.output.into_vec();
-                for (v, b) in row.iter_mut().zip(bias) {
-                    *v += *b;
-                }
-                Ok(row)
-            })
-            .collect()
     }
 
     /// Closes the queue, dispatches the backlog, joins every worker and
@@ -2624,42 +2553,6 @@ mod tests {
         engine.resume();
         let shards = [d, s1, s2].map(|t| t.wait().unwrap().shard);
         assert_eq!(shards, [0, 1, 1]);
-        let _ = engine.finish().unwrap();
-    }
-
-    #[test]
-    fn granularity_specialized_shard_attracts_matching_programs() {
-        // Specialization is a pure routing hint: programs at the
-        // specialized granularity cluster on that shard, and their
-        // outputs stay bit-identical to a solo run.
-        let (program, x) = mlp(0.25, 56);
-        let engine = ServeEngine::start(
-            ServeConfig::uniform(2, ArrayConfig::new(8, 16), Parallelism::Sequential)
-                .with_shard_granularity(1, 0.25)
-                .start_paused(),
-        )
-        .unwrap();
-        let tickets: Vec<Ticket> = (0..3)
-            .map(|_| {
-                engine
-                    .submit_program(program.clone(), vec![x.clone()])
-                    .unwrap()
-            })
-            .collect();
-        engine.resume();
-        let solo = program
-            .run(
-                std::slice::from_ref(&x),
-                Parallelism::Sequential,
-                &mut onesa_plan::TableCache::new(),
-            )
-            .unwrap();
-        for t in tickets {
-            let served = t.wait().unwrap();
-            assert_eq!(served.shard, 1, "programs cluster on the specialized shard");
-            assert_eq!(served.output, solo.output);
-            assert_eq!(served.degrade, None);
-        }
         let _ = engine.finish().unwrap();
     }
 }

@@ -37,8 +37,8 @@ pub enum RoutePolicy {
 }
 
 /// Routing state of one pool: the policy, its round-robin cursor, every
-/// shard's outstanding modeled work and the two per-shard constants the
-/// policies weigh.
+/// shard's outstanding modeled work and the per-shard energy the
+/// [`RoutePolicy::EnergyAware`] policy weighs.
 #[derive(Debug)]
 pub(super) struct Router {
     policy: RoutePolicy,
@@ -51,25 +51,17 @@ pub(super) struct Router {
     /// Per-shard modeled joules per MAC at full activity
     /// ([`RoutePolicy::EnergyAware`]'s weight).
     energy_per_mac: Vec<f64>,
-    /// Per-shard granularity specialization
-    /// ([`ShardSpec::granularity`](super::ShardSpec::granularity)).
-    specialization: Vec<Option<f32>>,
 }
 
 impl Router {
     /// A router over `energy_per_mac.len()` shards with nothing
     /// outstanding.
-    pub(super) fn new(
-        policy: RoutePolicy,
-        energy_per_mac: Vec<f64>,
-        specialization: Vec<Option<f32>>,
-    ) -> Self {
+    pub(super) fn new(policy: RoutePolicy, energy_per_mac: Vec<f64>) -> Self {
         Router {
             policy,
             cursor: 0,
             loads: energy_per_mac.iter().map(|_| Arc::default()).collect(),
             energy_per_mac,
-            specialization,
         }
     }
 
@@ -91,9 +83,7 @@ impl Router {
     ///    or WeightAffinity-per-context-length would scatter one
     ///    stream's steps (and its write-back ordering) across the pool.
     ///    The caller wakes a parked pinned shard first.
-    /// 2. The lowest-index powered shard specialized for the program's
-    ///    CPWL granularity.
-    /// 3. The policy, over the *powered* shards only (`power` always
+    /// 2. The policy, over the *powered* shards only (`power` always
     ///    holds at least one [`ShardPower::Active`]).
     pub(super) fn pick(
         &mut self,
@@ -102,41 +92,34 @@ impl Router {
         power: &[ShardPower],
     ) -> usize {
         let macs = program.modeled_macs();
-        let shard = pinned
-            .or_else(|| {
-                let g = program.mode().granularity()?;
-                (0..power.len())
-                    .find(|&i| power[i] == ShardPower::Active && self.specialization[i] == Some(g))
-            })
-            .unwrap_or_else(|| {
-                let active: Vec<usize> = (0..power.len())
-                    .filter(|&i| power[i] == ShardPower::Active)
-                    .collect();
-                match self.policy {
-                    RoutePolicy::RoundRobin => {
-                        let s = active[self.cursor % active.len()];
-                        self.cursor += 1;
-                        s
-                    }
-                    RoutePolicy::LeastLoaded => active
+        let shard = pinned.unwrap_or_else(|| {
+            let active: Vec<usize> = (0..power.len())
+                .filter(|&i| power[i] == ShardPower::Active)
+                .collect();
+            match self.policy {
+                RoutePolicy::RoundRobin => {
+                    let s = active[self.cursor % active.len()];
+                    self.cursor += 1;
+                    s
+                }
+                RoutePolicy::LeastLoaded => active
+                    .iter()
+                    .copied()
+                    .min_by_key(|&i| (self.load(i), i))
+                    .unwrap_or(0),
+                RoutePolicy::WeightAffinity => {
+                    active[(program.fingerprint() % active.len() as u64) as usize]
+                }
+                RoutePolicy::EnergyAware => {
+                    let joules = |i: usize| self.energy_per_mac[i] * (self.load(i) + macs) as f64;
+                    active
                         .iter()
                         .copied()
-                        .min_by_key(|&i| (self.load(i), i))
-                        .unwrap_or(0),
-                    RoutePolicy::WeightAffinity => {
-                        active[(program.fingerprint() % active.len() as u64) as usize]
-                    }
-                    RoutePolicy::EnergyAware => {
-                        let joules =
-                            |i: usize| self.energy_per_mac[i] * (self.load(i) + macs) as f64;
-                        active
-                            .iter()
-                            .copied()
-                            .min_by(|&a, &b| joules(a).total_cmp(&joules(b)))
-                            .unwrap_or(0)
-                    }
+                        .min_by(|&a, &b| joules(a).total_cmp(&joules(b)))
+                        .unwrap_or(0)
                 }
-            });
+            }
+        });
         self.loads[shard].fetch_add(macs, Ordering::Relaxed);
         shard
     }
@@ -146,7 +129,6 @@ impl Router {
 mod tests {
     use super::ShardPower::{Active, Idle, Off};
     use super::*;
-    use onesa_cpwl::NonlinearFn;
     use onesa_plan::{EvalMode, Op};
     use onesa_tensor::rng::Pcg32;
 
@@ -166,20 +148,8 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// A one-op CPWL program compiled at `granularity`.
-    fn gelu(granularity: f32) -> Program {
-        let mode = EvalMode::Cpwl {
-            granularity,
-            quantize: false,
-        };
-        let mut b = Program::builder("route-gelu", mode);
-        let x = b.input(&[2, 8]);
-        b.push(Op::Nonlinear(NonlinearFn::Gelu), &[x]);
-        b.finish().unwrap()
-    }
-
     fn router(policy: RoutePolicy, shards: usize) -> Router {
-        Router::new(policy, vec![1.0; shards], vec![None; shards])
+        Router::new(policy, vec![1.0; shards])
     }
 
     /// Every power mask over four shards with at least one Active; the
@@ -246,33 +216,21 @@ mod tests {
     }
 
     #[test]
-    fn a_pinned_session_beats_a_specialization_beats_the_policy() {
-        let (fine, coarse) = (gelu(0.25), gelu(1.0));
-        let mut r = Router::new(
-            RoutePolicy::RoundRobin,
-            vec![1.0; 4],
-            vec![None, None, Some(1.0), Some(1.0)],
-        );
+    fn a_pinned_session_beats_the_policy() {
+        let (a, b) = (gemm(1, 2), gemm(2, 3));
+        let mut r = router(RoutePolicy::RoundRobin, 4);
         let all = [Active; 4];
         // The policy alone: rotation from shard 0.
-        assert_eq!(r.pick(&fine, None, &all), 0);
-        assert_eq!(r.pick(&gemm(1, 2), None, &all), 1);
-        // A matching granularity goes to the lowest-index specialized
-        // shard and leaves the rotation where it was.
-        assert_eq!(r.pick(&coarse, None, &all), 2);
-        assert_eq!(r.pick(&fine, None, &all), 2);
-        // A pin wins over both, even onto a shard the policy would skip.
-        assert_eq!(r.pick(&coarse, Some(1), &all), 1);
-        assert_eq!(r.pick(&fine, Some(3), &all), 3);
-        // An unpowered specialized shard is passed over for the next
-        // one; with none powered the policy decides.
-        assert_eq!(r.pick(&coarse, None, &[Active, Active, Idle, Active]), 3);
-        assert_eq!(r.pick(&coarse, None, &[Active, Active, Off, Idle]), 1);
+        assert_eq!(r.pick(&a, None, &all), 0);
+        assert_eq!(r.pick(&b, None, &all), 1);
+        // A pin wins over the policy, even onto a shard the policy would
+        // skip, and leaves the rotation where it was.
+        assert_eq!(r.pick(&b, Some(1), &all), 1);
+        assert_eq!(r.pick(&a, Some(3), &all), 3);
+        assert_eq!(r.pick(&b, None, &all), 2);
         // Every pick charged its program's work to the shard it chose.
         let charged: u64 = (0..4).map(|s| r.load(s)).sum();
-        let routed = [&fine, &coarse, &fine, &coarse, &fine, &coarse, &coarse];
-        let want: u64 = routed.iter().map(|p| p.modeled_macs()).sum();
-        assert_eq!(charged, want + gemm(1, 2).modeled_macs());
+        assert_eq!(charged, 2 * a.modeled_macs() + 3 * b.modeled_macs());
     }
 
     #[test]
@@ -290,7 +248,7 @@ mod tests {
         // until its outstanding energy reaches what shard 0 would spend
         // on one — 0.25 * (k + 1) * macs against 1.0 * macs — and the
         // exact tie at k = 3 goes to the lower index.
-        let mut r = Router::new(RoutePolicy::EnergyAware, vec![1.0, 0.25], vec![None; 2]);
+        let mut r = Router::new(RoutePolicy::EnergyAware, vec![1.0, 0.25]);
         let picks: Vec<usize> = (0..5).map(|_| r.pick(&p, None, &[Active; 2])).collect();
         assert_eq!(picks, [1, 1, 1, 0, 1]);
         assert_eq!((r.load(0), r.load(1)), (macs, 4 * macs));

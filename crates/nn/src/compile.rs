@@ -119,32 +119,12 @@ fn linear(b: &mut ProgramBuilder, l: &Linear, x: Operand) -> Operand {
 }
 
 impl SmallCnn {
-    /// Compiles everything up to (and excluding) the classifier.
-    pub(crate) fn features_program(
-        &self,
-        mode: &InferenceMode,
-        h: usize,
-        w: usize,
-    ) -> Result<Program> {
-        self.build_program(mode, h, w, false)
-    }
-
     /// Compiles the whole network, classifier included.
     pub(crate) fn network_program(
         &self,
         mode: &InferenceMode,
         h: usize,
         w: usize,
-    ) -> Result<Program> {
-        self.build_program(mode, h, w, true)
-    }
-
-    fn build_program(
-        &self,
-        mode: &InferenceMode,
-        h: usize,
-        w: usize,
-        with_classifier: bool,
     ) -> Result<Program> {
         // im2col + GEMM against the transposed flattened kernel + bias +
         // col2im (mirrors `Conv2d::infer`).
@@ -186,14 +166,7 @@ impl SmallCnn {
             b.push(Op::Affine { k, b: bias }, &[x])
         };
 
-        let mut b = Program::builder(
-            if with_classifier {
-                "small_cnn"
-            } else {
-                "small_cnn.features"
-            },
-            mode.eval_mode(),
-        );
+        let mut b = Program::builder("small_cnn", mode.eval_mode());
         let x0 = b.input(&[self.conv1.geo.in_channels, h, w]);
         let x = boundary(&mut b, mode, x0);
         let a = conv(&mut b, &self.conv1, x, h, w)?;
@@ -219,9 +192,7 @@ impl SmallCnn {
         let res = b.push(Op::Nonlinear(NonlinearFn::Relu), &[res]);
         let res = boundary(&mut b, mode, res);
         let pooled = b.push(Op::Pool(PoolKind::GlobalAvg), &[res]);
-        if with_classifier {
-            linear(&mut b, &self.fc, pooled);
-        }
+        linear(&mut b, &self.fc, pooled);
         b.finish()
     }
 }
@@ -233,28 +204,9 @@ impl Compile<(&InferenceMode, (usize, usize))> for SmallCnn {
 }
 
 impl TinyBert {
-    pub(crate) fn features_program(&self, mode: &InferenceMode, seq_len: usize) -> Result<Program> {
-        self.build_program(mode, seq_len, false)
-    }
-
+    /// Compiles the whole network, head included.
     pub(crate) fn network_program(&self, mode: &InferenceMode, seq_len: usize) -> Result<Program> {
-        self.build_program(mode, seq_len, true)
-    }
-
-    fn build_program(
-        &self,
-        mode: &InferenceMode,
-        seq_len: usize,
-        with_head: bool,
-    ) -> Result<Program> {
-        let mut b = Program::builder(
-            if with_head {
-                "tiny_bert"
-            } else {
-                "tiny_bert.features"
-            },
-            mode.eval_mode(),
-        );
+        let mut b = Program::builder("tiny_bert", mode.eval_mode());
         let ids = b.input(&[1, seq_len]);
         let table = b.constant(self.emb.table.value.clone());
         let pos = b.constant(self.emb.pos.value.clone());
@@ -278,9 +230,7 @@ impl TinyBert {
         }
         let pooled = b.push(Op::Pool(PoolKind::MeanRows), &[h]);
         let pooled = boundary(&mut b, mode, pooled);
-        if with_head {
-            linear(&mut b, &self.head, pooled);
-        }
+        linear(&mut b, &self.head, pooled);
         b.finish()
     }
 }
@@ -624,12 +574,6 @@ mod tests {
                 "{}",
                 mode.label()
             );
-            assert_eq!(
-                cnn.pooled_features(&x, &mode),
-                cnn.pooled_features_direct(&x, &mode),
-                "{}",
-                mode.label()
-            );
         }
     }
 
@@ -641,12 +585,6 @@ mod tests {
             assert_eq!(
                 bert.predict(&seq, &mode),
                 bert.predict_direct(&seq, &mode),
-                "{}",
-                mode.label()
-            );
-            assert_eq!(
-                bert.pooled_features(&seq, &mode),
-                bert.pooled_features_direct(&seq, &mode),
                 "{}",
                 mode.label()
             );

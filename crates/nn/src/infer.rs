@@ -6,73 +6,17 @@
 //! `onesa-cpwl`) and, when `quantize` is set, round-trips activations
 //! through symmetric INT16 at every layer boundary — the paper's
 //! evaluation precision.
+//!
+//! A mode decides how one evaluation computes, not how many run at once:
+//! a batch of inferences is a batch of compiled network programs (see
+//! [`crate::compile`]) that `onesa_core`'s `BatchEngine` / `ServeEngine`
+//! coalesce stage by stage.
 
 use onesa_cpwl::ops::{self, TableSet};
 use onesa_cpwl::{CpwlError, NonlinearFn};
-use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::quant::QuantTensor;
 use onesa_tensor::Tensor;
 use std::sync::Arc;
-use std::thread;
-
-/// Runs an inference function over a batch of inputs, fanned out across
-/// worker threads.
-///
-/// Inputs are split into contiguous chunks, one per worker, and results
-/// are returned **in input order**. Each sample goes through exactly the
-/// same computation as a solo call of `f`, so batched results are
-/// bit-identical to `inputs.iter().map(f)` for every [`Parallelism`]
-/// setting — the property `tests/integration_parallel.rs` locks in.
-///
-/// This is the batched-inference entry point the serving layer
-/// (`onesa_core::BatchEngine`, the `serving_throughput` example) builds
-/// on; models expose shaped wrappers over it
-/// ([`SmallCnn::logits_batch`](crate::models::SmallCnn::logits_batch),
-/// [`TinyBert::predict_batch`](crate::models::TinyBert::predict_batch)).
-/// For asynchronous sharded serving, the models also split inference at
-/// the classifier boundary
-/// ([`SmallCnn::pooled_features`](crate::models::SmallCnn::pooled_features)
-/// plus `classifier()`, likewise on `TinyBert`) so
-/// `onesa_core::serve::ServeEngine::classify_batch` can route a whole
-/// batch's final shared-weight GEMMs through the admission queue and
-/// shard pool, coalescing them into one kernel call — see
-/// `examples/sharded_serving.rs`.
-///
-/// # Example
-///
-/// ```
-/// use onesa_nn::infer::infer_batch;
-/// use onesa_tensor::parallel::Parallelism;
-///
-/// let inputs = vec![1.0f32, 2.0, 3.0, 4.0];
-/// let squares = infer_batch(Parallelism::Threads(2), &inputs, |x| x * x);
-/// assert_eq!(squares, vec![1.0, 4.0, 9.0, 16.0]);
-/// ```
-pub fn infer_batch<I, O, F>(par: Parallelism, inputs: &[I], f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let workers = par.worker_count().min(inputs.len().max(1));
-    if workers <= 1 {
-        return inputs.iter().map(&f).collect();
-    }
-    let chunk = inputs.len().div_ceil(workers);
-    let f = &f;
-    let mut chunks: Vec<Vec<O>> = Vec::new();
-    thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .chunks(chunk)
-            .map(|c| scope.spawn(move || c.iter().map(f).collect::<Vec<O>>()))
-            .collect();
-        chunks = handles
-            .into_iter()
-            .map(|h| h.join().expect("inference worker panicked"))
-            .collect();
-    });
-    chunks.into_iter().flatten().collect()
-}
 
 /// How a model evaluates its nonlinear operations at inference time.
 #[derive(Debug, Clone, Default)]

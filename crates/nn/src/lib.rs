@@ -18,15 +18,14 @@
 //! * [`profile`] / [`workloads`] — op-class accounting and the real
 //!   ResNet-50 / BERT-base / GCN layer shapes behind Fig 1 and Table IV.
 //!
-//! Batched inference for the serving layer goes through
-//! [`infer::infer_batch`], which fans per-sample inference across worker
-//! threads with results bit-identical to a sequential loop.
-//!
-//! Whole networks also compile to `onesa_plan::Program` operator graphs
-//! (see [`compile`]): every model implements `onesa_plan::Compile`, and
-//! the `logits`/`predict`/`pooled_features` entry points are thin
-//! compile-and-run wrappers over the emitted programs (bit-identical to
-//! the retained `*_direct` layer-by-layer reference paths).
+//! Whole networks compile to `onesa_plan::Program` operator graphs (see
+//! [`compile`]): every model implements `onesa_plan::Compile`, and the
+//! `logits`/`predict` entry points are thin compile-and-run wrappers over
+//! the emitted programs (bit-identical to the retained `*_direct`
+//! layer-by-layer reference paths). That program is also the only way to
+//! serve a model: a batch of inferences is a batch of programs submitted
+//! to `onesa_core`'s `BatchEngine` / `ServeEngine`, which coalesce them
+//! stage by stage.
 //!
 //! # Example
 //!

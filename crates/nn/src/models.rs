@@ -15,20 +15,17 @@ use onesa_data::text::TextTask;
 use onesa_data::{GraphDataset, ImageDataset, TextDataset};
 use onesa_plan::{same_tensor, CompileCache, Op, Operand, OptLevel, Program};
 use onesa_tensor::im2col::Conv2dGeometry;
-use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::quant::QuantTensor;
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::{gemm, stats, Tensor};
 use std::sync::Arc;
 
-/// Compile-cache salts separating a model's whole-network and
-/// feature-subgraph programs (they share the same mode + geometry key).
+/// Compile-cache salt of a model's whole-network program.
 const SALT_NETWORK: u64 = 0;
-const SALT_FEATURES: u64 = 1;
 /// Salts separating a causal LM's prefill and per-context decode
 /// programs (keyed on the same mode + length geometry).
-const SALT_PREFILL: u64 = 2;
-const SALT_DECODE: u64 = 3;
+const SALT_PREFILL: u64 = 1;
+const SALT_DECODE: u64 = 2;
 
 fn global_avg_pool(x: &Tensor) -> Vec<f32> {
     let dims = x.dims();
@@ -224,36 +221,26 @@ impl SmallCnn {
         loss
     }
 
-    /// The pooled `[1, channels]` feature vector the classifier consumes:
-    /// everything in [`SmallCnn::logits`] up to (but excluding) the final
-    /// linear layer. Serving systems use this split to route the final
-    /// shared-weight GEMM of a whole batch through one coalesced kernel
-    /// call (`onesa_core::serve::ServeEngine::classify_batch`), with
-    /// `features(x) · W + b` bit-identical to [`SmallCnn::logits`].
-    ///
-    /// This compiles the feature subgraph to an `onesa_plan::Program`
-    /// and runs it — bit-identical to
-    /// [`SmallCnn::pooled_features_direct`] (locked by test).
-    /// Compilation is memoized per (mode, geometry) and the program is
-    /// optimized at the bit-identical default level, so repeated calls
-    /// clone a cheap `Arc`-backed program instead of re-emitting the
-    /// graph and re-copying the weights.
-    pub fn pooled_features(&self, x: &Tensor, mode: &InferenceMode) -> Tensor {
+    /// Logits for one sample under an inference mode: compiles the whole
+    /// network (convolutions, folded batch norms, residual, pooling and
+    /// classifier) to an `onesa_plan::Program` and runs it —
+    /// bit-identical to [`SmallCnn::logits_direct`] (locked by test).
+    /// Compilation is memoized per (mode, geometry) — see
+    /// [`SmallCnn::compile_cache`].
+    pub fn logits(&self, x: &Tensor, mode: &InferenceMode) -> Vec<f32> {
         let dims = x.dims();
         let program = self
             .cache
-            .get_or_compile(mode.eval_mode(), dims, SALT_FEATURES, || {
-                self.features_program(mode, dims[1], dims[2])?
+            .get_or_compile(mode.eval_mode(), dims, SALT_NETWORK, || {
+                self.network_program(mode, dims[1], dims[2])?
                     .optimize(OptLevel::default())
             })
-            .expect("CNN feature graph compiles");
-        crate::compile::run_compiled(&program, std::slice::from_ref(x), mode)
+            .expect("CNN graph compiles");
+        crate::compile::run_compiled(&program, std::slice::from_ref(x), mode).into_vec()
     }
 
-    /// Layer-by-layer reference implementation of
-    /// [`SmallCnn::pooled_features`] — the direct path the compiled
-    /// program is tested bit-identical against.
-    pub fn pooled_features_direct(&self, x: &Tensor, mode: &InferenceMode) -> Tensor {
+    /// Layer-by-layer reference implementation of [`SmallCnn::logits`].
+    pub fn logits_direct(&self, x: &Tensor, mode: &InferenceMode) -> Vec<f32> {
         let x = mode.boundary(x);
         let a = mode.boundary(&self.conv1.infer(&x));
         let (k1, b1) = mode.batchnorm_fold(
@@ -285,51 +272,8 @@ impl SmallCnn {
         let cb = mode.batchnorm_apply(&c, &k3, &b3);
         let res = mode.relu(&cb.add(&r).expect("same shape"));
         let pooled = global_avg_pool(&mode.boundary(&res));
-        Tensor::from_vec(pooled, &[1, self.channels]).expect("length matches")
-    }
-
-    /// The final linear classifier (weights `[channels, classes]`, bias
-    /// `[classes]`) applied to [`SmallCnn::pooled_features`].
-    pub fn classifier(&self) -> &Linear {
-        &self.fc
-    }
-
-    /// Logits for one sample under an inference mode: compiles the whole
-    /// network (convolutions, folded batch norms, residual, pooling and
-    /// classifier) to an `onesa_plan::Program` and runs it —
-    /// bit-identical to [`SmallCnn::logits_direct`] (locked by test).
-    /// Compilation is memoized per (mode, geometry) — see
-    /// [`SmallCnn::compile_cache`].
-    pub fn logits(&self, x: &Tensor, mode: &InferenceMode) -> Vec<f32> {
-        let dims = x.dims();
-        let program = self
-            .cache
-            .get_or_compile(mode.eval_mode(), dims, SALT_NETWORK, || {
-                self.network_program(mode, dims[1], dims[2])?
-                    .optimize(OptLevel::default())
-            })
-            .expect("CNN graph compiles");
-        crate::compile::run_compiled(&program, std::slice::from_ref(x), mode).into_vec()
-    }
-
-    /// Layer-by-layer reference implementation of [`SmallCnn::logits`].
-    pub fn logits_direct(&self, x: &Tensor, mode: &InferenceMode) -> Vec<f32> {
-        self.fc
-            .infer(&self.pooled_features_direct(x, mode))
-            .into_vec()
-    }
-
-    /// Logits for a batch of samples, fanned out across worker threads
-    /// via [`infer::infer_batch`](crate::infer::infer_batch); results are
-    /// in input order and bit-identical to per-sample [`SmallCnn::logits`]
-    /// calls.
-    pub fn logits_batch(
-        &self,
-        xs: &[Tensor],
-        mode: &InferenceMode,
-        par: Parallelism,
-    ) -> Vec<Vec<f32>> {
-        crate::infer::infer_batch(par, xs, |x| self.logits(x, mode))
+        let pooled = Tensor::from_vec(pooled, &[1, self.channels]).expect("length matches");
+        self.fc.infer(&pooled).into_vec()
     }
 
     /// Test-set accuracy under an inference mode.
@@ -527,52 +471,6 @@ impl TinyBert {
         loss
     }
 
-    /// The mean-pooled `[1, d]` encoder output the head consumes:
-    /// everything in [`TinyBert::predict`] up to (but excluding) the
-    /// final linear head, including the INT16 boundary round-trip. As
-    /// with [`SmallCnn::pooled_features`](crate::models::SmallCnn::pooled_features),
-    /// serving systems split here so a batch's head GEMMs coalesce into
-    /// one kernel call against the shared head weights.
-    ///
-    /// This compiles the encoder subgraph to an `onesa_plan::Program`
-    /// and runs it — bit-identical to
-    /// [`TinyBert::pooled_features_direct`] (locked by test).
-    /// Compilation is memoized per (mode, sequence length) — see
-    /// [`TinyBert::compile_cache`].
-    pub fn pooled_features(&self, seq: &[usize], mode: &InferenceMode) -> Tensor {
-        let program = self
-            .cache
-            .get_or_compile(mode.eval_mode(), &[seq.len()], SALT_FEATURES, || {
-                self.features_program(mode, seq.len())?
-                    .optimize(OptLevel::default())
-            })
-            .expect("encoder graph compiles");
-        crate::compile::run_compiled(&program, &[Self::ids_tensor(seq)], mode)
-    }
-
-    /// Layer-by-layer reference implementation of
-    /// [`TinyBert::pooled_features`].
-    pub fn pooled_features_direct(&self, seq: &[usize], mode: &InferenceMode) -> Tensor {
-        let mut h = mode.boundary(&self.emb.infer(seq));
-        for b in &self.blocks {
-            h = b.infer(&h, mode);
-        }
-        let l = seq.len();
-        let mut pooled = Tensor::zeros(&[1, self.d]);
-        for i in 0..l {
-            for j in 0..self.d {
-                pooled.as_mut_slice()[j] += h.as_slice()[i * self.d + j] / l as f32;
-            }
-        }
-        mode.boundary(&pooled)
-    }
-
-    /// The final linear head (weights `[d, outputs]`, bias `[outputs]`)
-    /// applied to [`TinyBert::pooled_features`].
-    pub fn classifier(&self) -> &Linear {
-        &self.head
-    }
-
     /// Head outputs for one sequence under an inference mode: compiles
     /// the whole network (embedding, encoder blocks, mean-pooling and
     /// head) to an `onesa_plan::Program` and runs it — bit-identical to
@@ -592,9 +490,18 @@ impl TinyBert {
 
     /// Layer-by-layer reference implementation of [`TinyBert::predict`].
     pub fn predict_direct(&self, seq: &[usize], mode: &InferenceMode) -> Vec<f32> {
-        self.head
-            .infer(&self.pooled_features_direct(seq, mode))
-            .into_vec()
+        let mut h = mode.boundary(&self.emb.infer(seq));
+        for b in &self.blocks {
+            h = b.infer(&h, mode);
+        }
+        let l = seq.len();
+        let mut pooled = Tensor::zeros(&[1, self.d]);
+        for i in 0..l {
+            for j in 0..self.d {
+                pooled.as_mut_slice()[j] += h.as_slice()[i * self.d + j] / l as f32;
+            }
+        }
+        self.head.infer(&mode.boundary(&pooled)).into_vec()
     }
 
     /// Token indices as the `[1, len]` tensor a compiled program's
@@ -602,19 +509,6 @@ impl TinyBert {
     pub fn ids_tensor(seq: &[usize]) -> Tensor {
         Tensor::from_vec(seq.iter().map(|&i| i as f32).collect(), &[1, seq.len()])
             .expect("length matches")
-    }
-
-    /// Head outputs for a batch of sequences, fanned out across worker
-    /// threads via [`infer::infer_batch`](crate::infer::infer_batch);
-    /// results are in input order and bit-identical to per-sequence
-    /// [`TinyBert::predict`] calls.
-    pub fn predict_batch(
-        &self,
-        seqs: &[Vec<usize>],
-        mode: &InferenceMode,
-        par: Parallelism,
-    ) -> Vec<Vec<f32>> {
-        crate::infer::infer_batch(par, seqs, |seq| self.predict(seq, mode))
     }
 
     /// Task metric on the test split: accuracy for classification,
@@ -1189,12 +1083,9 @@ mod tests {
         let big = rng.randn(&[1, 10, 10], 1.0);
         let _ = model.logits(&big, &mode);
         assert_eq!(model.compile_cache().misses(), 2);
-        // The feature subgraph is a separate entry from the network.
-        let _ = model.pooled_features(&x, &mode);
-        assert_eq!(model.compile_cache().misses(), 3);
         // Exact mode is another key.
         let _ = model.logits(&x, &InferenceMode::Exact);
-        assert_eq!(model.compile_cache().misses(), 4);
+        assert_eq!(model.compile_cache().misses(), 3);
     }
 
     #[test]

@@ -37,9 +37,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One cache key: evaluation mode, input geometry and a caller-chosen
-/// salt (models use it to separate network/feature subgraphs). An entry
-/// stored by [`CompileCache::get_or_compile_matching`] has no salt: only
-/// its own `same` test finds it.
+/// salt (a causal LM uses it to separate its prefill and decode
+/// programs). An entry stored by
+/// [`CompileCache::get_or_compile_matching`] has no salt: only its own
+/// `same` test finds it.
 #[derive(Debug, Clone)]
 struct Key {
     mode: u64,

@@ -1170,7 +1170,7 @@ impl Program {
 
     /// Executes the program solo (a one-program staged run on the
     /// default array configuration): the path `onesa-nn`'s `logits` /
-    /// `predict` / `pooled_features` wrappers take after compiling.
+    /// `predict` wrappers take after compiling.
     ///
     /// # Errors
     ///

@@ -20,12 +20,13 @@
 //! Every output is checked bit-identical to the single-shard sequential
 //! reference before anything is reported.
 //!
-//! Part 2 routes real model inference through the pool: a batch of
-//! `SmallCnn` images is split at the classifier boundary
-//! (`pooled_features` + `classifier`), and the final shared-weight GEMMs
-//! go through the admission queue, land on one shard under
-//! weight-affinity routing, and coalesce into a single kernel call.
+//! Part 2 serves real model inference through the pool: each `SmallCnn`
+//! image is one ticket carrying the whole compiled network program. The
+//! programs share one fingerprint, so weight-affinity routing lands them
+//! on one shard, where every shared-weight stage — the three convolutions
+//! and the classifier — coalesces into a single kernel call.
 
+use onesa_core::plan::{Compile, OptLevel};
 use onesa_core::serve::{AdmissionPolicy, RoutePolicy, ServeConfig, ServeEngine, Ticket};
 use onesa_core::{Parallelism, Request};
 use onesa_cpwl::ops::TableSet;
@@ -150,35 +151,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\n== Model batch inference through the pool ==");
-    // Split SmallCnn at the classifier boundary and serve the final
-    // shared-weight GEMMs of the whole batch through a 4-shard pool.
+    // Serve a batch of SmallCnn images through a 4-shard pool, one
+    // compiled whole-network program per image.
     let mode = InferenceMode::cpwl(0.25)?;
     let cnn = SmallCnn::new(7, 2, 4);
+    let program = cnn.compile_optimized((&mode, (8, 8)), OptLevel::default())?;
     let mut rng = Pcg32::seed_from_u64(77);
     let images: Vec<Tensor> = (0..8).map(|_| rng.randn(&[2, 8, 8], 1.0)).collect();
-    let feats: Vec<Tensor> = images
-        .iter()
-        .map(|x| cnn.pooled_features(x, &mode))
-        .collect();
     let pool = ServeEngine::start(
         ServeConfig::uniform(4, ArrayConfig::new(8, 16), Parallelism::Threads(1))
-            .with_routing(RoutePolicy::WeightAffinity),
+            .with_routing(RoutePolicy::WeightAffinity)
+            .start_paused(),
     )?;
-    let fc = cnn.classifier();
-    let logits = pool.classify_batch(&feats, &fc.w.value, fc.b.value.as_slice())?;
-    for (x, served) in images.iter().zip(&logits) {
+    let tickets: Vec<Ticket> = images
+        .iter()
+        .map(|x| {
+            pool.submit_program(program.clone(), vec![x.clone()])
+                .expect("queue open")
+        })
+        .collect();
+    pool.resume();
+    for (x, ticket) in images.iter().zip(tickets) {
         assert_eq!(
-            served,
-            &cnn.logits(x, &mode),
+            ticket.wait().expect("program served").output.into_vec(),
+            cnn.logits(x, &mode),
             "pool-served logits must be bit-identical to per-sample inference"
         );
     }
     let summary = pool.finish().expect("pool drains cleanly");
     println!(
-        "{} images, {} classifier GEMMs -> {} coalesced kernel call(s) under \
-         weight-affinity routing; logits bit-identical to per-sample inference",
+        "{} images -> {} GEMM kernel calls (three convolutions and the classifier, \
+         each coalesced across the batch under weight-affinity routing); logits \
+         bit-identical to per-sample inference",
         images.len(),
-        summary.report.requests,
         summary.report.gemm_groups
     );
     Ok(())

@@ -1,13 +1,10 @@
 //! Parallel-backend integration: every execution policy — thread counts
-//! 1/2/4, `Auto`, batched serving, batched model inference — must be
+//! 1/2/4, `Auto`, batched serving — must be
 //! **bit-identical** to its sequential counterpart. Host parallelism is a
 //! speed knob, never a numerics knob.
 
 use onesa_core::{BatchEngine, OneSa, Parallelism, Request};
 use onesa_cpwl::NonlinearFn;
-use onesa_nn::infer::infer_batch;
-use onesa_nn::models::{SmallCnn, TinyBert};
-use onesa_nn::InferenceMode;
 use onesa_sim::ArrayConfig;
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::{gemm, parallel, Tensor};
@@ -136,48 +133,5 @@ fn batch_engine_bit_identical_to_solo_requests() {
             assert_bit_identical(&format!("batched gelu #{i} {}", par.label()), got, &want);
         }
         assert!(run.report.batching_speedup() >= 1.0);
-    }
-}
-
-#[test]
-fn infer_batch_bit_identical_to_sequential_inference() {
-    let mode = InferenceMode::cpwl(0.25).unwrap();
-    let cnn = SmallCnn::new(11, 1, 4);
-    let mut rng = Pcg32::seed_from_u64(6);
-    let images: Vec<Tensor> = (0..6).map(|_| rng.randn(&[1, 12, 12], 1.0)).collect();
-    let sequential: Vec<Vec<f32>> = images.iter().map(|x| cnn.logits(x, &mode)).collect();
-    for par in THREAD_COUNTS {
-        let batched = cnn.logits_batch(&images, &mode, par);
-        assert_eq!(batched.len(), sequential.len());
-        for (i, (b, s)) in batched.iter().zip(&sequential).enumerate() {
-            for (x, y) in b.iter().zip(s) {
-                assert_eq!(x.to_bits(), y.to_bits(), "cnn sample {i} ({})", par.label());
-            }
-        }
-    }
-
-    let bert = TinyBert::new(13, 48, 10, 2, 1);
-    let seqs: Vec<Vec<usize>> = (0..5)
-        .map(|i| (0..8).map(|t| (i * 7 + t * 3) % 48).collect())
-        .collect();
-    let sequential: Vec<Vec<f32>> = seqs.iter().map(|s| bert.predict(s, &mode)).collect();
-    for par in THREAD_COUNTS {
-        let batched = bert.predict_batch(&seqs, &mode, par);
-        for (i, (b, s)) in batched.iter().zip(&sequential).enumerate() {
-            for (x, y) in b.iter().zip(s) {
-                assert_eq!(x.to_bits(), y.to_bits(), "bert seq {i} ({})", par.label());
-            }
-        }
-    }
-}
-
-#[test]
-fn infer_batch_generic_preserves_order_and_length() {
-    for len in [0usize, 1, 3, 17] {
-        let inputs: Vec<usize> = (0..len).collect();
-        for par in THREAD_COUNTS {
-            let out = infer_batch(par, &inputs, |&i| i * 10);
-            assert_eq!(out, inputs.iter().map(|&i| i * 10).collect::<Vec<_>>());
-        }
     }
 }

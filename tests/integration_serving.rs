@@ -20,15 +20,16 @@
 //! `finish()` open the gate — the whole backlog then dispatches as
 //! deterministic windows regardless of host timing.
 
+use onesa_core::plan::{Compile, OptLevel};
 use onesa_core::serve::{
     AdmissionPolicy, InterleavePolicy, PoolPolicy, RoutePolicy, ServeConfig, ServeEngine,
     ShardBackend, ShardSpec, Ticket, TrySubmitError,
 };
-use onesa_core::{Parallelism, Request};
+use onesa_core::{BatchEngine, OneSa, Parallelism, Program, Request};
 use onesa_cpwl::ops::TableSet;
 use onesa_cpwl::NonlinearFn;
 use onesa_nn::infer::InferenceMode;
-use onesa_nn::models::{SmallCnn, TinyBert};
+use onesa_nn::models::TinyBert;
 use onesa_sim::ArrayConfig;
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::{gemm, Tensor};
@@ -138,17 +139,14 @@ fn heterogeneous_shards_still_bit_identical() {
             ShardSpec {
                 config: ArrayConfig::new(4, 16),
                 parallelism: Parallelism::Sequential,
-                granularity: None,
             },
             ShardSpec {
                 config: ArrayConfig::new(8, 16),
                 parallelism: Parallelism::Threads(2),
-                granularity: None,
             },
             ShardSpec {
                 config: ArrayConfig::new(16, 8),
                 parallelism: Parallelism::Auto,
-                granularity: None,
             },
         ],
         granularity: 0.25,
@@ -447,50 +445,97 @@ fn concurrent_clients_all_get_served() {
 
 #[test]
 fn model_batch_inference_routes_through_the_pool() {
-    // The nn models split at the classifier boundary so the final
-    // shared-weight GEMMs of a whole batch go through the admission
-    // queue, coalesce on one shard, and still answer bit-identically to
-    // per-sample inference.
+    // A model is served as its compiled network program. Ten TinyBert
+    // sequences of 3 to 7 tokens, two per length, fill one window of a
+    // two-shard weight-affinity pool. A program's fingerprint ignores its
+    // input length, so every length lands on one shard, where programs of
+    // different lengths share every weight and table and the staged
+    // scheduler coalesces them.
     let mode = InferenceMode::cpwl(0.25).unwrap();
+    let bert = TinyBert::new(41, 30, 8, 3, 1);
+    let seqs: Vec<Vec<usize>> = (0..10)
+        .map(|i| (0..3 + i % 5).map(|t| (7 * i + t) % 30).collect())
+        .collect();
+    let jobs: Vec<(Program, Vec<Tensor>)> = seqs
+        .iter()
+        .map(|s| {
+            let program = bert
+                .compile_optimized((&mode, s.len()), OptLevel::default())
+                .unwrap();
+            (program, vec![TinyBert::ids_tensor(s)])
+        })
+        .collect();
+    assert!(jobs
+        .iter()
+        .all(|(p, _)| p.fingerprint() == jobs[0].0.fingerprint()));
     let pool = ServeEngine::start(
-        ServeConfig::uniform(3, ArrayConfig::new(8, 16), Parallelism::Sequential)
-            .with_routing(RoutePolicy::WeightAffinity),
+        ServeConfig::uniform(2, ArrayConfig::new(8, 16), Parallelism::Sequential)
+            .with_admission(AdmissionPolicy::Fifo { window: 16 })
+            .with_routing(RoutePolicy::WeightAffinity)
+            .start_paused(),
     )
     .unwrap();
-
-    let cnn = SmallCnn::new(31, 2, 4);
-    let mut rng = Pcg32::seed_from_u64(37);
-    let images: Vec<Tensor> = (0..6).map(|_| rng.randn(&[2, 8, 8], 1.0)).collect();
-    let feats: Vec<Tensor> = images
+    let tickets: Vec<Ticket> = jobs
         .iter()
-        .map(|x| cnn.pooled_features(x, &mode))
+        .map(|(p, x)| pool.submit_program(p.clone(), x.clone()).unwrap())
         .collect();
-    let fc = cnn.classifier();
-    let served = pool
-        .classify_batch(&feats, &fc.w.value, fc.b.value.as_slice())
-        .unwrap();
-    for (i, (got, x)) in served.iter().zip(&images).enumerate() {
-        assert_eq!(got, &cnn.logits(x, &mode), "cnn sample {i}");
+    pool.resume();
+    let mut shards = Vec::new();
+    for (i, (t, s)) in tickets.into_iter().zip(&seqs).enumerate() {
+        let served = t.wait().unwrap();
+        let want = bert.predict(s, &mode);
+        assert_eq!(served.output.len(), want.len());
+        for (g, w) in served.output.as_slice().iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "sequence {i}: {g} vs {w}");
+        }
+        shards.push(served.shard);
     }
-
-    let bert = TinyBert::new(41, 30, 8, 3, 1);
-    let seqs: Vec<Vec<usize>> = (0..5)
-        .map(|i| (0..(3 + i % 5)).map(|t| (7 * i + t) % 30).collect())
-        .collect();
-    let feats: Vec<Tensor> = seqs
-        .iter()
-        .map(|s| bert.pooled_features(s, &mode))
-        .collect();
-    let head = bert.classifier();
-    let served = pool
-        .classify_batch(&feats, &head.w.value, head.b.value.as_slice())
-        .unwrap();
-    for (i, (got, s)) in served.iter().zip(&seqs).enumerate() {
-        assert_eq!(got, &bert.predict(s, &mode), "bert sequence {i}");
-    }
-
+    assert!(shards.iter().all(|&s| s == shards[0]), "{shards:?}");
     let summary = pool.finish().unwrap();
-    assert_eq!(summary.report.requests, 11);
+
+    // Which stages coalesced: the window replayed through one shard's
+    // engine, which reports per-stage groups. Every shared-weight GEMM —
+    // the Q, K and V projections (stages 2-4), the attention output
+    // projection (22), both feed-forward GEMMs (26, 28) and the head
+    // (34) — and every shared-table pass — both layer norms (25, 31) and
+    // the GELU (27) — runs ten programs as one group. Each head's softmax
+    // (11, 19) runs one group per length. The four attention GEMMs of
+    // dynamic operands (9, 12, 17, 20) stay ten groups each.
+    let mut engine = BatchEngine::new(OneSa::new(ArrayConfig::new(8, 16)), 0.25).unwrap();
+    for (p, x) in &jobs {
+        engine.submit_program(p.clone(), x.clone()).unwrap();
+    }
+    let run = engine.run().unwrap();
+    let coalesced: Vec<(usize, usize)> = run
+        .program_stages
+        .iter()
+        .filter(|st| st.groups < st.ops)
+        .map(|st| (st.stage, st.groups))
+        .collect();
+    assert_eq!(
+        coalesced,
+        [
+            (2, 1),
+            (3, 1),
+            (4, 1),
+            (11, 5),
+            (19, 5),
+            (22, 1),
+            (25, 1),
+            (26, 1),
+            (27, 1),
+            (28, 1),
+            (31, 1),
+            (34, 1)
+        ]
+    );
+    // 7 shared-weight GEMM groups + 4 x 10 attention GEMMs; 2 x 5
+    // softmax groups + 2 layer norms + 1 GELU. The pool ran the same.
+    let groups = (run.report.gemm_groups, run.report.nonlinear_groups);
+    assert_eq!(groups, (47, 13));
+    let report = &summary.report;
+    assert_eq!((report.gemm_groups, report.nonlinear_groups), groups);
+    assert_eq!((summary.windows, report.requests), (1, 10));
 }
 
 #[test]
