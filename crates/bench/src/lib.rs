@@ -600,8 +600,11 @@ mod tests {
             fig1_report(),
             table1_report(),
             table2_report(),
+            table4_report(),
             table5_report(),
+            fig8_report(),
             fig9_report(),
+            fig10_report(),
         ] {
             assert!(r.len() > 100, "{r}");
         }

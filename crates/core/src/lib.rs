@@ -3,13 +3,13 @@
 //! capped piecewise linearization lowered to Intermediate Parameter
 //! Fetching + Matrix Hadamard Products.
 //!
-//! [`OneSa`] ties the repository together: it owns an array
-//! configuration ([`onesa_sim::ArrayConfig`]), its FPGA cost
-//! ([`onesa_resources`]) and power model, executes tensors *functionally*
-//! (producing real values, checked against the reference kernels) while
-//! accounting cycles, and lowers whole-network [`Workload`]s into
+//! [`OneSa`] is a design point: an array configuration
+//! ([`onesa_sim::ArrayConfig`]) with its FPGA cost ([`onesa_resources`])
+//! and power model, which lowers whole-network [`Workload`]s into
 //! execution reports — the machinery behind the paper's Fig 8, Fig 10
-//! and Table IV.
+//! and Table IV. Tensors execute one way, as [`Program`]s: a
+//! [`BatchEngine`] runs a queue of them on one array, and a
+//! [`ServeEngine`] puts a live, sharded front door on top.
 //!
 //! # Example
 //!
@@ -56,6 +56,6 @@ pub use onesa_tensor::parallel::Parallelism;
 pub use report::ExecutionReport;
 pub use serve::{
     AdmissionPolicy, DegradeInfo, DegradePolicy, PoolPolicy, PowerSummary, RoutePolicy,
-    ServeClient, ServeConfig, ServeEngine, ServeError, ServeSummary, ServedOutcome, ShardBackend,
-    ShardPower, ShardSpec, ShardStats, Ticket, TicketId, TrySubmitError,
+    ServeConfig, ServeEngine, ServeError, ServeSummary, ServedOutcome, ShardBackend, ShardPower,
+    ShardSpec, ShardStats, Ticket, TicketId, TrySubmitError,
 };

@@ -468,7 +468,6 @@ pub struct WorkerHandle {
     shipped: HashSet<u64>,
     /// Weight-cache accounting for this connection.
     pub cache: WeightCacheStats,
-    socket_path: Option<PathBuf>,
     /// The granularity the worker's engine was configured with — what
     /// [`WorkerHandle::run_window`] lowers a bare nonlinear request at.
     granularity: f32,
@@ -527,55 +526,62 @@ impl WorkerHandle {
             Listener::Unix(_, path) => format!("unix:{}", path.display()),
         };
 
-        let mut child = Command::new(&worker_path)
-            .arg("--connect")
-            .arg(&connect_spec)
-            .arg("--shard")
-            .arg(shard.to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .spawn()?;
-
         // Accept with a deadline, bailing out early if the child exits
         // (wrong binary, bad args) instead of hanging on accept().
-        let accept_deadline = Instant::now() + SPAWN_TIMEOUT;
-        let stream = loop {
-            let accepted = match &listener {
-                Listener::Tcp(l) => {
-                    l.set_nonblocking(true)?;
-                    l.accept().map(|(s, _)| Stream::Tcp(s))
-                }
-                Listener::Unix(l, _) => {
-                    l.set_nonblocking(true)?;
-                    l.accept().map(|(s, _)| Stream::Unix(s))
-                }
-            };
-            match accepted {
-                Ok(s) => break s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if let Some(status) = child.try_wait()? {
-                        return Err(io::Error::new(
-                            io::ErrorKind::BrokenPipe,
-                            format!("shard worker exited before connecting: {status}"),
-                        ));
+        let connected = (|| {
+            let mut child = Command::new(&worker_path)
+                .arg("--connect")
+                .arg(&connect_spec)
+                .arg("--shard")
+                .arg(shard.to_string())
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .spawn()?;
+            let accept_deadline = Instant::now() + SPAWN_TIMEOUT;
+            loop {
+                let accepted = match &listener {
+                    Listener::Tcp(l) => {
+                        l.set_nonblocking(true)?;
+                        l.accept().map(|(s, _)| Stream::Tcp(s))
                     }
-                    if Instant::now() > accept_deadline {
+                    Listener::Unix(l, _) => {
+                        l.set_nonblocking(true)?;
+                        l.accept().map(|(s, _)| Stream::Unix(s))
+                    }
+                };
+                match accepted {
+                    Ok(s) => break Ok((child, s)),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        if let Some(status) = child.try_wait()? {
+                            return Err(io::Error::new(
+                                io::ErrorKind::BrokenPipe,
+                                format!("shard worker exited before connecting: {status}"),
+                            ));
+                        }
+                        if Instant::now() > accept_deadline {
+                            let _ = child.kill();
+                            let _ = child.wait();
+                            return Err(io::Error::new(
+                                io::ErrorKind::TimedOut,
+                                "shard worker did not connect in time",
+                            ));
+                        }
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    Err(e) => {
                         let _ = child.kill();
                         let _ = child.wait();
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "shard worker did not connect in time",
-                        ));
+                        return Err(e);
                     }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(e);
                 }
             }
-        };
+        })();
+        // A connected Unix stream no longer needs its path: unlink it
+        // whatever the accept loop returned.
+        if let Listener::Unix(_, path) = &listener {
+            let _ = std::fs::remove_file(path);
+        }
+        let (child, stream) = connected?;
         match &stream {
             Stream::Tcp(s) => {
                 s.set_nonblocking(false)?;
@@ -585,17 +591,11 @@ impl WorkerHandle {
             }
             Stream::Unix(s) => s.set_nonblocking(false)?,
         }
-        let socket_path = match listener {
-            Listener::Unix(_, path) => Some(path),
-            Listener::Tcp(_) => None,
-        };
-
         let mut handle = WorkerHandle {
             child,
             stream,
             shipped: HashSet::new(),
             cache: WeightCacheStats::default(),
-            socket_path,
             granularity,
         };
 
@@ -746,16 +746,12 @@ impl WorkerHandle {
 }
 
 impl Drop for WorkerHandle {
-    /// Last-resort reap: kill the child if it is still running and
-    /// remove the Unix socket file.
+    /// Last-resort reap: kill the child if it is still running.
     fn drop(&mut self) {
         if let Ok(None) = self.child.try_wait() {
             let _ = self.child.kill();
         }
         let _ = self.child.wait();
-        if let Some(path) = &self.socket_path {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
@@ -1205,6 +1201,51 @@ mod tests {
         assert!(worker_main(std::iter::empty()).is_err());
         assert!(worker_main(["--connect".to_string(), "bogus:x".to_string()].into_iter()).is_err());
         assert!(worker_main(["--frobnicate".to_string()].into_iter()).is_err());
+    }
+
+    /// Spawns `worker` for `shard` over a Unix socket, expecting the
+    /// spawn to fail, and returns the socket files the attempt left in
+    /// the temp dir. Each test passes its own shard number, so tests
+    /// running in parallel never see each other's files.
+    fn failed_spawn_leftovers(shard: usize, worker: &str) -> Vec<PathBuf> {
+        let worker = PathBuf::from(worker);
+        let cfg = ArrayConfig::new(8, 16);
+        let spawned = WorkerHandle::spawn(
+            shard,
+            Transport::Unix,
+            Some(&worker),
+            &cfg,
+            Parallelism::Sequential,
+            0.25,
+        );
+        assert!(spawned.is_err(), "{worker:?} must not handshake");
+        let prefix = format!("onesa-worker-{}-{shard}-", std::process::id());
+        let entries = std::fs::read_dir(std::env::temp_dir()).unwrap();
+        let paths = entries.map(|e| e.unwrap().path());
+        paths
+            .filter(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with(&prefix)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_worker_that_cannot_start_leaves_no_socket_file() {
+        assert_eq!(
+            failed_spawn_leftovers(9001, "/nonexistent"),
+            Vec::<PathBuf>::new()
+        );
+    }
+
+    #[test]
+    fn a_worker_that_exits_before_connecting_leaves_no_socket_file() {
+        assert_eq!(
+            failed_spawn_leftovers(9002, "/bin/true"),
+            Vec::<PathBuf>::new()
+        );
     }
 
     use proptest::prelude::*;

@@ -7,7 +7,7 @@
 use super::power::PowerStates;
 use super::route::Router;
 use super::session::{interleave_window, SessionTable, SessionTag};
-use super::{DepthGauge, Gate, Job, Msg, ServeConfig, ServeError};
+use super::{DepthGauge, Gate, Job, ServeConfig, ServeError};
 use onesa_plan::{CompileCache, EvalMode};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
@@ -134,7 +134,7 @@ pub struct DegradeInfo {
 
 /// Everything the admission thread owns.
 pub(super) struct AdmitterCtx {
-    pub(super) rx: Receiver<Msg>,
+    pub(super) rx: Receiver<Job>,
     pub(super) shard_txs: Vec<SyncSender<Vec<Job>>>,
     pub(super) shard_depths: Vec<Arc<DepthGauge>>,
     /// The engine's configuration: the admission, interleave and
@@ -304,23 +304,9 @@ pub(super) fn admitter_loop(mut ctx: AdmitterCtx) -> AdmitOut {
     let mut expired = 0usize;
     let mut degraded = 0usize;
     let mut dispatch_seq = 0u64;
-    let mut draining = false;
-    loop {
-        // Window head: block for it normally; after a Drain marker only
-        // the backlog is served.
-        let head = if draining {
-            ctx.rx.try_recv().ok()
-        } else {
-            ctx.rx.recv().ok() // `None`: every client dropped
-        };
-        let head = match head {
-            Some(Msg::Work(job)) => job,
-            Some(Msg::Drain) => {
-                draining = true;
-                continue;
-            }
-            None => break,
-        };
+    // Window head: `recv` fails only once `finish` has dropped the
+    // engine's sender and the backlog is drained.
+    while let Ok(head) = ctx.rx.recv() {
         ctx.queue_depth.dec();
         // A paused gate holds the window here, head in hand, until the
         // client finishes staging its wave (see
@@ -332,14 +318,9 @@ pub(super) fn admitter_loop(mut ctx: AdmitterCtx) -> AdmitOut {
         // Fill greedily from what has already arrived — never wait for
         // stragglers (they catch the next window).
         while !window_full(ctx.cfg.admission, window.len(), work) {
-            match ctx.rx.try_recv() {
-                Ok(Msg::Work(job)) => {
-                    ctx.queue_depth.dec();
-                    ctx.admit(job, &mut window, &mut work);
-                }
-                Ok(Msg::Drain) => draining = true,
-                Err(_) => break,
-            }
+            let Ok(job) = ctx.rx.try_recv() else { break };
+            ctx.queue_depth.dec();
+            ctx.admit(job, &mut window, &mut work);
         }
         if window.is_empty() {
             continue; // everything was rejected at validation
@@ -386,16 +367,6 @@ pub(super) fn admitter_loop(mut ctx: AdmitterCtx) -> AdmitOut {
                 // backpressure toward the submission queue.
                 let _ = ctx.shard_txs[i].send(batch);
             }
-        }
-    }
-    // A submit() racing with finish() can slip a request into the
-    // channel buffer after the drain pass above decided to stop. Reject
-    // such stragglers explicitly so their tickets resolve as QueueClosed
-    // rather than a silent drop.
-    while let Ok(msg) = ctx.rx.try_recv() {
-        if let Msg::Work(job) = msg {
-            ctx.queue_depth.dec();
-            job.fail(&ctx.sessions, ServeError::QueueClosed);
         }
     }
     AdmitOut {

@@ -14,8 +14,8 @@
 //! # Modules
 //!
 //! Each decision of the serving path has one owner; this file holds the
-//! public configuration and reporting types, the client, the engine's
-//! start / finish, and the `Job` record every hop carries:
+//! public configuration and reporting types, the engine's submission
+//! methods, its start / finish, and the `Job` record every hop carries:
 //!
 //! * `session` — the host-resident session table (KV tensors, pinning,
 //!   eviction), [`Phase`] / [`InterleavePolicy`] and the in-window
@@ -51,8 +51,9 @@
 //!        ▼                                                         │
 //!  Ticket::wait ◄────────────── the Job's reply channel ◄──────────┘
 //!
-//!  finish() ──► drains the queue, joins every worker, aggregates the
-//!               shards into a ServingReport + per-shard ShardStats
+//!  finish() ──► closes the queue (the admitter drains the backlog),
+//!               joins every worker, aggregates the shards into a
+//!               ServingReport + per-shard ShardStats
 //! ```
 //!
 //! A client may submit a GEMM, a nonlinear evaluation or a compiled
@@ -88,7 +89,7 @@
 //!   deadline policy deliberately reorders it (observable through
 //!   [`ServedOutcome::dispatch_seq`]).
 //! * **Backpressure.** The submission queue is bounded:
-//!   [`ServeClient::submit`] blocks and [`ServeClient::try_submit`]
+//!   [`ServeEngine::submit`] blocks and [`ServeEngine::try_submit`]
 //!   returns the request back once `queue_capacity` requests are
 //!   waiting, so producers can never outrun the pool unboundedly. The
 //!   per-shard channels are bounded too, which stalls admission (not
@@ -159,6 +160,7 @@ use crate::batch::{BatchEngine, Request, ServingReport};
 use crate::engine::OneSa;
 use crate::net::{self, ProcessConfig, WeightCacheStats};
 use admit::{admitter_loop, AdmitOut, AdmitterCtx};
+use onesa_cpwl::ops::TableSet;
 use onesa_plan::{CompileCache, OptTotals};
 use onesa_sim::{ArrayConfig, ExecStats};
 use onesa_tensor::parallel::Parallelism;
@@ -221,7 +223,7 @@ pub struct ServeConfig {
     pub granularity: f32,
     /// Bound of the submission queue (`0` is treated as `1`):
     /// submissions beyond it block (or fail, for
-    /// [`ServeClient::try_submit`]) until admission catches up.
+    /// [`ServeEngine::try_submit`]) until admission catches up.
     pub queue_capacity: usize,
     /// Window-closing policy of the admission thread.
     pub admission: AdmissionPolicy,
@@ -332,8 +334,8 @@ impl ServeConfig {
 /// Errors of the serving layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// The engine was finished (or dropped): the submission queue no
-    /// longer accepts requests.
+    /// The submission queue no longer accepts requests: the admission
+    /// thread is gone.
     QueueClosed,
     /// The request failed validation or execution on its shard.
     Exec(TensorError),
@@ -433,7 +435,7 @@ pub struct ServedOutcome {
     pub degrade: Option<DegradeInfo>,
 }
 
-/// Handle to one in-flight request (from [`ServeClient::submit`]).
+/// Handle to one in-flight request (from [`ServeEngine::submit`]).
 ///
 /// Results are buffered: waiting after [`ServeEngine::finish`] still
 /// returns the outcome.
@@ -667,17 +669,9 @@ impl fmt::Display for ServeSummary {
 // internal plumbing
 // ---------------------------------------------------------------------
 
-/// What clients push into the submission queue.
-enum Msg {
-    Work(Job),
-    /// Sent by `finish`: dispatch the backlog, then stop. Lets the
-    /// engine shut down without waiting for every cloned client to drop.
-    Drain,
-}
-
-/// One request, from [`ServeClient::make`] to its reply: the record the
+/// One request, from submission to its reply: the record the
 /// submission queue, the admission window and the shard channel all
-/// carry. The client fills what it knows at submission, the admitter
+/// carry. The submitter fills what it knows, the admitter
 /// `dispatch_seq` and `window` at routing (and `degrade` if it re-compiles
 /// the request), the shard `queue_seconds` at pickup.
 struct Job {
@@ -701,8 +695,7 @@ struct Job {
 
 impl Job {
     /// Resolves the ticket with `error` and reopens the job's session
-    /// for its next step (validation rejection, shard failure, queue
-    /// teardown).
+    /// for its next step (validation rejection, shard failure).
     fn fail(&self, sessions: &SessionTable, error: ServeError) {
         if let Some(tag) = self.session {
             sessions.release(tag.id);
@@ -777,285 +770,22 @@ impl Gate {
     }
 }
 
-/// Cloneable submission handle; every clone shares the same bounded
-/// queue and ticket sequence, so any number of producer threads can feed
-/// one pool.
-#[derive(Debug, Clone)]
-pub struct ServeClient {
-    tx: SyncSender<Msg>,
-    next: Arc<AtomicU64>,
-    depth: Arc<DepthGauge>,
-    sessions: Arc<SessionTable>,
-}
-
-impl ServeClient {
-    fn make(
-        &self,
-        request: Request,
-        deadline: Option<u64>,
-        session: Option<SessionTag>,
-    ) -> (Job, Ticket) {
-        let id = self.next.fetch_add(1, Ordering::SeqCst);
-        let (reply, rx) = mpsc::channel();
-        (
-            Job {
-                ticket: id,
-                deadline,
-                submitted_at: Instant::now(),
-                request,
-                session,
-                degrade: None,
-                dispatch_seq: 0,
-                window: 0,
-                queue_seconds: 0.0,
-                reply,
-            },
-            Ticket { id, rx },
-        )
-    }
-
-    /// Submits a request, blocking while the queue is at capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::QueueClosed`] after [`ServeEngine::finish`].
-    pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
-        self.submit_tagged(request, None, None)
-    }
-
-    /// Submits with a deadline priority key (smaller = more urgent; any
-    /// unit, typically µs since an epoch the caller picks). Only the
-    /// [`AdmissionPolicy::Deadline`] policy reads it.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::QueueClosed`] after [`ServeEngine::finish`].
-    pub fn submit_with_deadline(
-        &self,
-        request: Request,
-        deadline: u64,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_tagged(request, Some(deadline), None)
-    }
-
-    /// Puts `job` into the submission queue through `send`
-    /// (`SyncSender::send` to wait for room, `SyncSender::try_send` to
-    /// fail fast) with the depth gauge in step: the count rises before
-    /// the send so the admitter's decrement can never underflow it, and
-    /// a rejected send is taken back without registering as observed
-    /// depth.
-    fn enqueue<E>(
-        &self,
-        send: impl FnOnce(&SyncSender<Msg>, Msg) -> Result<(), E>,
-        job: Job,
-    ) -> Result<(), E> {
-        self.depth.inc_tentative();
-        let sent = send(&self.tx, Msg::Work(job));
-        match sent {
-            Ok(()) => self.depth.record_peak(),
-            Err(_) => self.depth.dec(),
-        }
-        sent
-    }
-
-    fn submit_tagged(
-        &self,
-        request: Request,
-        deadline: Option<u64>,
-        session: Option<SessionTag>,
-    ) -> Result<Ticket, ServeError> {
-        let (job, ticket) = self.make(request, deadline, session);
-        match self.enqueue(SyncSender::send, job) {
-            Ok(()) => Ok(ticket),
-            Err(_) => {
-                if let Some(tag) = session {
-                    self.sessions.release(tag.id);
-                }
-                Err(ServeError::QueueClosed)
-            }
-        }
-    }
-
-    /// Non-blocking submit: fails fast with the request handed back when
-    /// the queue is full (backpressure signal) or closed.
-    ///
-    /// # Errors
-    ///
-    /// [`TrySubmitError::Full`] at capacity, [`TrySubmitError::Closed`]
-    /// after [`ServeEngine::finish`]; both return the request.
-    pub fn try_submit(&self, request: Request) -> Result<Ticket, TrySubmitError> {
-        let (job, ticket) = self.make(request, None, None);
-        match self.enqueue(SyncSender::try_send, job) {
-            Ok(()) => Ok(ticket),
-            Err(TrySendError::Full(Msg::Work(job))) => Err(TrySubmitError::Full(job.request)),
-            Err(TrySendError::Disconnected(Msg::Work(job))) => {
-                Err(TrySubmitError::Closed(job.request))
-            }
-            Err(_) => unreachable!("clients only send Work messages"),
-        }
-    }
-
-    /// Submits a compiled whole-network program as one request (see
-    /// [`ServeEngine::submit_program`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ServeClient::submit`].
-    pub fn submit_program(
-        &self,
-        program: crate::Program,
-        inputs: Vec<Tensor>,
-    ) -> Result<Ticket, ServeError> {
-        self.submit(Request::program(program, inputs))
-    }
-
-    /// Requests currently waiting in the submission queue.
-    pub fn queued(&self) -> usize {
-        self.depth.current()
-    }
-
-    // -- decoding sessions ------------------------------------------------
-
-    /// Opens a decoding session: an entry in the host-resident session
-    /// table that will hold the session's KV tensors across admission
-    /// windows until [`ServeClient::close_session`] or eviction. At
-    /// [`ServeConfig::session_capacity`] the least-recently-used idle
-    /// session is evicted to make room.
-    pub fn open_session(&self) -> SessionId {
-        self.sessions.open()
-    }
-
-    /// Closes a session, freeing its KV tensors. Returns whether the
-    /// session was still resident (false: already closed or evicted).
-    pub fn close_session(&self, id: SessionId) -> bool {
-        self.sessions.close(id)
-    }
-
-    /// Submits a session's prompt pass: a session-bearing program (its
-    /// session outputs become the cache) over the whole prompt.
-    /// `prompt_tokens` is the prompt length, counted into
-    /// [`PhaseStats::tokens`]. The session admits one step at a time.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::SessionUnknown`] / [`ServeError::SessionBusy`] at
-    /// the table, otherwise as for [`ServeClient::submit`].
-    pub fn submit_prefill(
-        &self,
-        id: SessionId,
-        program: crate::Program,
-        inputs: Vec<Tensor>,
-        prompt_tokens: usize,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_prefill_with_deadline(id, program, inputs, prompt_tokens, None)
-    }
-
-    /// [`ServeClient::submit_prefill`] with a deadline priority key
-    /// (see [`ServeClient::submit_with_deadline`]; under drop-on-expiry
-    /// an expired step evicts the **whole session**).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ServeClient::submit_prefill`].
-    pub fn submit_prefill_with_deadline(
-        &self,
-        id: SessionId,
-        program: crate::Program,
-        inputs: Vec<Tensor>,
-        prompt_tokens: usize,
-        deadline: Option<u64>,
-    ) -> Result<Ticket, ServeError> {
-        let tokens = prompt_tokens as u64;
-        self.submit_step(id, Phase::Prefill, tokens, program, inputs, deadline)
-    }
-
-    /// Submits one decode step: the session's current KV tensors are
-    /// bound as the program's session inputs **after** `step_inputs`
-    /// (matching `Program::session_input` declaration order), and the
-    /// step's session outputs are written back into the table before
-    /// the ticket resolves — so a caller that has seen the reply can
-    /// immediately submit the next step.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ServeClient::submit_prefill`].
-    pub fn submit_decode(
-        &self,
-        id: SessionId,
-        program: crate::Program,
-        step_inputs: Vec<Tensor>,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_decode_with_deadline(id, program, step_inputs, None)
-    }
-
-    /// [`ServeClient::submit_decode`] with a deadline priority key
-    /// (see [`ServeClient::submit_with_deadline`]; under drop-on-expiry
-    /// an expired step evicts the **whole session**).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ServeClient::submit_prefill`].
-    pub fn submit_decode_with_deadline(
-        &self,
-        id: SessionId,
-        program: crate::Program,
-        step_inputs: Vec<Tensor>,
-        deadline: Option<u64>,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_step(id, Phase::Decode, 1, program, step_inputs, deadline)
-    }
-
-    /// One session step of either phase: checks the session out (one
-    /// step in flight at a time), binds what the phase binds after the
-    /// caller's inputs — the KV cache for a decode step, nothing for a
-    /// prefill — and submits the tagged request.
-    fn submit_step(
-        &self,
-        id: SessionId,
-        phase: Phase,
-        tokens: u64,
-        program: crate::Program,
-        mut inputs: Vec<Tensor>,
-        deadline: Option<u64>,
-    ) -> Result<Ticket, ServeError> {
-        inputs.extend(self.sessions.checkout(id, phase)?);
-        let tag = SessionTag { id, phase, tokens };
-        self.submit_tagged(Request::program(program, inputs), deadline, Some(tag))
-    }
-
-    /// The session's current KV tensors (a clone), in the program's
-    /// session-output order. `None` if the session is gone; empty before
-    /// its prefill completes.
-    pub fn session_kv(&self, id: SessionId) -> Option<Vec<Tensor>> {
-        self.sessions.peek(id, |s| s.kv.clone())
-    }
-
-    /// Rows of the session's first cache tensor — the attended context
-    /// length. `None` if the session is gone, 0 before prefill.
-    pub fn session_context_rows(&self, id: SessionId) -> Option<usize> {
-        let rows = |s: &SessionState| s.kv.first().map_or(0, |t| t.dims()[0]);
-        self.sessions.peek(id, rows)
-    }
-
-    /// Decode steps the session has completed (tokens generated).
-    pub fn session_tokens(&self, id: SessionId) -> Option<u64> {
-        self.sessions.peek(id, |s| s.tokens)
-    }
-
-    /// Sessions currently resident in the table.
-    pub fn live_sessions(&self) -> usize {
-        self.sessions.live()
-    }
-}
-
 // ---------------------------------------------------------------------
 // the engine
 // ---------------------------------------------------------------------
 
-/// The asynchronous sharded serving engine. See the [module docs](self).
+/// The asynchronous sharded serving engine and its one submission
+/// handle: producer threads share it by reference (it is `Send + Sync`;
+/// see `std::thread::scope`), so every producer feeds the same bounded
+/// queue and ticket sequence. See the [module docs](self).
 #[derive(Debug)]
 pub struct ServeEngine {
-    client: ServeClient,
+    /// The submission queue's only sender. `finish` drops it, which
+    /// closes admission once the admitter has drained the backlog.
+    tx: Option<SyncSender<Job>>,
+    next: AtomicU64,
+    depth: Arc<DepthGauge>,
+    sessions: Arc<SessionTable>,
     gate: Arc<Gate>,
     started: Instant,
     admitter: Option<JoinHandle<AdmitOut>>,
@@ -1079,6 +809,10 @@ impl ServeEngine {
                 "serve pool needs at least one shard",
             ));
         }
+        // Checked here, before either backend builds anything: behind a
+        // worker process it would surface only as a failed spawn.
+        TableSet::for_granularity(cfg.granularity)
+            .map_err(|_| TensorError::InvalidArgument("invalid CPWL granularity"))?;
         if let Some(policy) = &cfg.degrade {
             if policy.ladder.is_empty() {
                 return Err(TensorError::InvalidArgument(
@@ -1097,7 +831,7 @@ impl ServeEngine {
         }
         let n = cfg.shards.len();
 
-        let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.queue_capacity.max(1));
+        let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_capacity.max(1));
         let gate = Arc::new(Gate::new(!cfg.paused));
         let sessions = Arc::new(SessionTable::new(cfg.session_capacity));
         let queue_depth = Arc::new(DepthGauge::default());
@@ -1185,12 +919,10 @@ impl ServeEngine {
         };
 
         Ok(ServeEngine {
-            client: ServeClient {
-                tx,
-                next: Arc::new(AtomicU64::new(0)),
-                depth: queue_depth,
-                sessions,
-            },
+            tx: Some(tx),
+            next: AtomicU64::new(0),
+            depth: queue_depth,
+            sessions,
             gate,
             started: Instant::now(),
             admitter: Some(admitter),
@@ -1209,11 +941,6 @@ impl ServeEngine {
     /// Number of shards in the pool.
     pub fn shards(&self) -> usize {
         self.workers.len()
-    }
-
-    /// A cloneable submission handle for producer threads.
-    pub fn client(&self) -> ServeClient {
-        self.client.clone()
     }
 
     /// Opens the admission gate of a [`ServeConfig::paused`] engine
@@ -1237,35 +964,44 @@ impl ServeEngine {
         self.gate.set(false);
     }
 
-    /// See [`ServeClient::submit`].
+    /// Submits a request, blocking while the queue is at capacity.
     ///
     /// # Errors
     ///
-    /// As for [`ServeClient::submit`].
+    /// [`ServeError::QueueClosed`] if the admission thread is gone.
     pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
-        self.client.submit(request)
+        self.submit_tagged(request, None, None)
     }
 
-    /// See [`ServeClient::submit_with_deadline`].
+    /// Submits with a deadline priority key (smaller = more urgent; any
+    /// unit, typically µs since an epoch the caller picks). Only the
+    /// [`AdmissionPolicy::Deadline`] policy reads it.
     ///
     /// # Errors
     ///
-    /// As for [`ServeClient::submit_with_deadline`].
+    /// As for [`ServeEngine::submit`].
     pub fn submit_with_deadline(
         &self,
         request: Request,
         deadline: u64,
     ) -> Result<Ticket, ServeError> {
-        self.client.submit_with_deadline(request, deadline)
+        self.submit_tagged(request, Some(deadline), None)
     }
 
-    /// See [`ServeClient::try_submit`].
+    /// Non-blocking submit: fails fast with the request handed back when
+    /// the queue is full (backpressure signal) or closed.
     ///
     /// # Errors
     ///
-    /// As for [`ServeClient::try_submit`].
+    /// [`TrySubmitError::Full`] at capacity, [`TrySubmitError::Closed`]
+    /// if the admission thread is gone; both return the request.
     pub fn try_submit(&self, request: Request) -> Result<Ticket, TrySubmitError> {
-        self.client.try_submit(request)
+        let (job, ticket) = self.make(request, None, None);
+        match self.enqueue(SyncSender::try_send, job) {
+            Ok(()) => Ok(ticket),
+            Err(TrySendError::Full(job)) => Err(TrySubmitError::Full(job.request)),
+            Err(TrySendError::Disconnected(job)) => Err(TrySubmitError::Closed(job.request)),
+        }
     }
 
     /// Submits a compiled whole-network program as one request: it
@@ -1277,35 +1013,46 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// As for [`ServeClient::submit`].
+    /// As for [`ServeEngine::submit`].
     pub fn submit_program(
         &self,
         program: crate::Program,
         inputs: Vec<Tensor>,
     ) -> Result<Ticket, ServeError> {
-        self.client.submit_program(program, inputs)
+        self.submit(Request::program(program, inputs))
     }
 
     /// Requests currently waiting in the submission queue.
     pub fn pending(&self) -> usize {
-        self.client.queued()
+        self.depth.current()
     }
 
-    /// See [`ServeClient::open_session`].
+    // -- decoding sessions ------------------------------------------------
+
+    /// Opens a decoding session: an entry in the host-resident session
+    /// table that will hold the session's KV tensors across admission
+    /// windows until [`ServeEngine::close_session`] or eviction. At
+    /// [`ServeConfig::session_capacity`] the least-recently-used idle
+    /// session is evicted to make room.
     pub fn open_session(&self) -> SessionId {
-        self.client.open_session()
+        self.sessions.open()
     }
 
-    /// See [`ServeClient::close_session`].
+    /// Closes a session, freeing its KV tensors. Returns whether the
+    /// session was still resident (false: already closed or evicted).
     pub fn close_session(&self, id: SessionId) -> bool {
-        self.client.close_session(id)
+        self.sessions.close(id)
     }
 
-    /// See [`ServeClient::submit_prefill`].
+    /// Submits a session's prompt pass: a session-bearing program (its
+    /// session outputs become the cache) over the whole prompt.
+    /// `prompt_tokens` is the prompt length, counted into
+    /// [`PhaseStats::tokens`]. The session admits one step at a time.
     ///
     /// # Errors
     ///
-    /// As for [`ServeClient::submit_prefill`].
+    /// [`ServeError::SessionUnknown`] / [`ServeError::SessionBusy`] at
+    /// the table, otherwise as for [`ServeEngine::submit`].
     pub fn submit_prefill(
         &self,
         id: SessionId,
@@ -1313,42 +1060,154 @@ impl ServeEngine {
         inputs: Vec<Tensor>,
         prompt_tokens: usize,
     ) -> Result<Ticket, ServeError> {
-        self.client
-            .submit_prefill(id, program, inputs, prompt_tokens)
+        let tokens = prompt_tokens as u64;
+        self.submit_step(id, Phase::Prefill, tokens, program, inputs, None)
     }
 
-    /// See [`ServeClient::submit_decode`].
+    /// Submits one decode step: the session's current KV tensors are
+    /// bound as the program's session inputs **after** `step_inputs`
+    /// (matching `Program::session_input` declaration order), and the
+    /// step's session outputs are written back into the table before
+    /// the ticket resolves — so a caller that has seen the reply can
+    /// immediately submit the next step.
     ///
     /// # Errors
     ///
-    /// As for [`ServeClient::submit_decode`].
+    /// As for [`ServeEngine::submit_prefill`].
     pub fn submit_decode(
         &self,
         id: SessionId,
         program: crate::Program,
         step_inputs: Vec<Tensor>,
     ) -> Result<Ticket, ServeError> {
-        self.client.submit_decode(id, program, step_inputs)
+        self.submit_decode_with_deadline(id, program, step_inputs, None)
     }
 
-    /// See [`ServeClient::session_kv`].
+    /// [`ServeEngine::submit_decode`] with a deadline priority key
+    /// (see [`ServeEngine::submit_with_deadline`]; under drop-on-expiry
+    /// an expired step evicts the **whole session**).
+    ///
+    /// # Errors
+    ///
+    /// As for [`ServeEngine::submit_prefill`].
+    pub fn submit_decode_with_deadline(
+        &self,
+        id: SessionId,
+        program: crate::Program,
+        step_inputs: Vec<Tensor>,
+        deadline: Option<u64>,
+    ) -> Result<Ticket, ServeError> {
+        self.submit_step(id, Phase::Decode, 1, program, step_inputs, deadline)
+    }
+
+    /// The session's current KV tensors (a clone), in the program's
+    /// session-output order. `None` if the session is gone; empty before
+    /// its prefill completes.
     pub fn session_kv(&self, id: SessionId) -> Option<Vec<Tensor>> {
-        self.client.session_kv(id)
+        self.sessions.peek(id, |s| s.kv.clone())
     }
 
-    /// See [`ServeClient::session_context_rows`].
+    /// Rows of the session's first cache tensor — the attended context
+    /// length. `None` if the session is gone, 0 before prefill.
     pub fn session_context_rows(&self, id: SessionId) -> Option<usize> {
-        self.client.session_context_rows(id)
+        let rows = |s: &SessionState| s.kv.first().map_or(0, |t| t.dims()[0]);
+        self.sessions.peek(id, rows)
     }
 
-    /// See [`ServeClient::session_tokens`].
+    /// Decode steps the session has completed (tokens generated).
     pub fn session_tokens(&self, id: SessionId) -> Option<u64> {
-        self.client.session_tokens(id)
+        self.sessions.peek(id, |s| s.tokens)
     }
 
-    /// See [`ServeClient::live_sessions`].
+    /// Sessions currently resident in the table.
     pub fn live_sessions(&self) -> usize {
-        self.client.live_sessions()
+        self.sessions.live()
+    }
+
+    // -- submission plumbing ----------------------------------------------
+
+    fn make(
+        &self,
+        request: Request,
+        deadline: Option<u64>,
+        session: Option<SessionTag>,
+    ) -> (Job, Ticket) {
+        let id = self.next.fetch_add(1, Ordering::SeqCst);
+        let (reply, rx) = mpsc::channel();
+        (
+            Job {
+                ticket: id,
+                deadline,
+                submitted_at: Instant::now(),
+                request,
+                session,
+                degrade: None,
+                dispatch_seq: 0,
+                window: 0,
+                queue_seconds: 0.0,
+                reply,
+            },
+            Ticket { id, rx },
+        )
+    }
+
+    /// Puts `job` into the submission queue through `send`
+    /// (`SyncSender::send` to wait for room, `SyncSender::try_send` to
+    /// fail fast) with the depth gauge in step: the count rises before
+    /// the send so the admitter's decrement can never underflow it, and
+    /// a rejected send is taken back without registering as observed
+    /// depth.
+    fn enqueue<E>(
+        &self,
+        send: impl FnOnce(&SyncSender<Job>, Job) -> Result<(), E>,
+        job: Job,
+    ) -> Result<(), E> {
+        // Only `finish` (which takes the engine by value) and `drop` take
+        // the sender, so every submission still finds it.
+        let tx = self.tx.as_ref().expect("the sender lives until finish");
+        self.depth.inc_tentative();
+        let sent = send(tx, job);
+        match sent {
+            Ok(()) => self.depth.record_peak(),
+            Err(_) => self.depth.dec(),
+        }
+        sent
+    }
+
+    fn submit_tagged(
+        &self,
+        request: Request,
+        deadline: Option<u64>,
+        session: Option<SessionTag>,
+    ) -> Result<Ticket, ServeError> {
+        let (job, ticket) = self.make(request, deadline, session);
+        match self.enqueue(SyncSender::send, job) {
+            Ok(()) => Ok(ticket),
+            Err(_) => {
+                if let Some(tag) = session {
+                    self.sessions.release(tag.id);
+                }
+                Err(ServeError::QueueClosed)
+            }
+        }
+    }
+
+    /// One session step of either phase: checks the session out (one
+    /// step in flight at a time), binds what the phase binds after the
+    /// caller's inputs — the KV cache for a decode step, nothing for a
+    /// prefill — and submits the tagged request.
+    fn submit_step(
+        &self,
+        id: SessionId,
+        phase: Phase,
+        tokens: u64,
+        program: crate::Program,
+        mut inputs: Vec<Tensor>,
+        deadline: Option<u64>,
+    ) -> Result<Ticket, ServeError> {
+        inputs.extend(self.sessions.checkout(id, phase)?);
+        let tag = SessionTag { id, phase, tokens };
+        self.submit_tagged(Request::program(program, inputs), deadline, Some(tag))
     }
 
     /// Closes the queue, dispatches the backlog, joins every worker and
@@ -1366,9 +1225,10 @@ impl ServeEngine {
     fn shutdown(&mut self) -> Result<ServeSummary, ServeError> {
         let admitter = self.admitter.take().ok_or(ServeError::QueueClosed)?;
         self.gate.set(true);
-        // Ask the admitter to dispatch whatever is queued and stop; if it
-        // is already gone the join below reports it.
-        let _ = self.client.tx.send(Msg::Drain);
+        // Dropping the only sender closes the queue: the admitter
+        // dispatches whatever is still queued, then its `recv` fails and
+        // it stops. If it is already gone the join below reports it.
+        self.tx = None;
         let admitted = admitter.join().map_err(|_| ServeError::WorkerLost)?;
         let mut records: Vec<ReqRecord> = Vec::new();
         let mut shards: Vec<ShardStats> = Vec::with_capacity(self.workers.len());
@@ -1445,12 +1305,12 @@ impl ServeEngine {
             expired: admitted.expired,
             degraded: admitted.degraded,
             power: admitted.power.summary(&executed),
-            peak_queue_depth: self.client.depth.peak(),
+            peak_queue_depth: self.depth.peak(),
             failovers,
             wire_cache,
             prefill,
             decode,
-            sessions: self.client.sessions.summary(),
+            sessions: self.sessions.summary(),
         })
     }
 }
@@ -1745,20 +1605,31 @@ mod tests {
         assert_eq!(summary.report.requests, 2); // the bad one never served
     }
 
+    // Producer threads share one engine by reference.
+    const _: () = {
+        const fn send_sync<T: Send + Sync>() {}
+        send_sync::<ServeEngine>();
+    };
+
     #[test]
-    fn submit_after_finish_is_rejected() {
-        let engine = pool(1);
-        let client = engine.client();
-        let _ = engine.finish().unwrap();
-        let mut rng = Pcg32::seed_from_u64(4);
-        let req = Request::gemm(rng.randn(&[2, 4], 1.0), rng.randn(&[4, 2], 1.0));
-        assert_eq!(
-            client.submit(req.clone()).unwrap_err(),
-            ServeError::QueueClosed
-        );
-        match client.try_submit(req) {
-            Err(TrySubmitError::Closed(_)) => {}
-            other => panic!("expected Closed, got {other:?}"),
+    fn invalid_granularity_is_rejected_before_any_backend_builds() {
+        let in_process = ServeConfig {
+            granularity: 0.0,
+            ..ServeConfig::uniform(1, ArrayConfig::new(8, 16), Parallelism::Sequential)
+        };
+        // The worker path does not exist: reaching the spawn would fail
+        // with a spawn error instead.
+        let process = in_process
+            .clone()
+            .with_backend(ShardBackend::Process(ProcessConfig {
+                transport: net::Transport::Unix,
+                worker: Some("/nonexistent".into()),
+            }));
+        for cfg in [in_process, process] {
+            assert_eq!(
+                ServeEngine::start(cfg).err(),
+                Some(TensorError::InvalidArgument("invalid CPWL granularity"))
+            );
         }
     }
 
@@ -1903,7 +1774,6 @@ mod tests {
 
         // Deadline 0 µs is already past when the window closes.
         let t = engine
-            .client()
             .submit_decode_with_deadline(
                 id,
                 cache_decode(2, d),

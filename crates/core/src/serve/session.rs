@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
 /// Identifier of a decoding session (from
-/// [`ServeClient::open_session`](super::ServeClient::open_session)).
+/// [`ServeEngine::open_session`](super::ServeEngine::open_session)).
 pub type SessionId = u64;
 
 /// Which autoregressive phase a session-tagged request is in.
@@ -53,9 +53,9 @@ pub enum InterleavePolicy {
 pub struct SessionSummary {
     /// Sessions opened over the engine lifetime.
     pub opened: u64,
-    /// Sessions the client closed ([`ServeClient::close_session`]).
+    /// Sessions the client closed ([`ServeEngine::close_session`]).
     ///
-    /// [`ServeClient::close_session`]: super::ServeClient::close_session
+    /// [`ServeEngine::close_session`]: super::ServeEngine::close_session
     pub closed: u64,
     /// Whole sessions evicted because a step expired under
     /// [`AdmissionPolicy::Deadline`] with `drop_expired` — the KV

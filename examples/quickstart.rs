@@ -5,23 +5,26 @@
 //! ```
 //!
 //! Shows the paper's three-step CPWL flow on real data: build a table,
-//! run Intermediate Parameter Fetching + a Matrix Hadamard Product
-//! through the engine, and compare against the exact function — then run
-//! a GEMM on the same fabric.
+//! submit a GELU request that runs as Intermediate Parameter Fetching +
+//! a Matrix Hadamard Product on the array, and compare against the exact
+//! function — then run a GEMM request on the same fabric. Both requests
+//! go through a [`BatchEngine`], the one way tensors execute.
 
-use onesa_core::OneSa;
+use onesa_core::{BatchEngine, OneSa, Request};
 use onesa_cpwl::{NonlinearFn, PwlTable};
 use onesa_sim::ArrayConfig;
 use onesa_tensor::rng::Pcg32;
-use onesa_tensor::Tensor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's evaluation design point: 8×8 PEs, 16 MACs each.
     let engine = OneSa::new(ArrayConfig::new(8, 16));
     println!("ONE-SA engine: {:?} PEs, {} MACs/PE", 64, 16);
     println!("FPGA cost: {:?}", engine.cost());
+    let peak_gops = engine.config().peak_gops();
+    let mut serving = BatchEngine::new(engine, 0.25)?;
 
-    // 1. Capped piecewise linearization of GELU at granularity 0.25.
+    // 1. Capped piecewise linearization of GELU at granularity 0.25 (the
+    //    table the engine's requests evaluate through).
     let table = PwlTable::builder(NonlinearFn::Gelu)
         .granularity(0.25)
         .build()?;
@@ -35,7 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Evaluate a batch of activations through IPF + MHP.
     let mut rng = Pcg32::seed_from_u64(7);
     let x = rng.randn(&[64, 64], 1.5);
-    let (y, stats) = engine.nonlinear(&table, &x)?;
+    serving.submit(Request::nonlinear(NonlinearFn::Gelu, x.clone()));
+    let nonlinear = serving.run()?.outcomes.remove(0);
+    let (y, stats) = (nonlinear.output, nonlinear.stats);
     let worst = x
         .as_slice()
         .iter()
@@ -54,14 +59,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. The same fabric runs GEMM natively.
     let a = rng.randn(&[128, 96], 1.0);
     let b = rng.randn(&[96, 64], 1.0);
-    let (c, gstats) = engine.gemm(&a, &b)?;
+    serving.submit(Request::gemm(a, b));
+    let product = serving.run()?.outcomes.remove(0);
+    let (c, gstats) = (product.output, product.stats);
     println!(
-        "\nGEMM 128x96x64 → C {}: {} cycles, {:.1} GOPS (peak {:.1})",
+        "\nGEMM 128x96x64 → C {}: {} cycles, {:.1} GOPS (peak {peak_gops:.1})",
         c.shape(),
         gstats.cycles(),
         gstats.gops(),
-        engine.config().peak_gops()
     );
-    let _ = Tensor::zeros(&[1]);
     Ok(())
 }

@@ -17,7 +17,7 @@
 //! * [`data`] — deterministic synthetic datasets for the accuracy study;
 //! * [`nn`] — layers, models, training and CPWL inference (Table III);
 //! * [`baselines`] — published baseline processors (Table IV);
-//! * [`core`] — the [`OneSa`] engine lowering whole workloads;
+//! * [`core`] — the [`OneSa`] design point lowering whole workloads;
 //! * `bench` (dev) — table/figure report generators and baseline bins.
 //!
 //! # Example

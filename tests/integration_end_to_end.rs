@@ -1,39 +1,36 @@
-//! End-to-end integration: the engine's functional results equal the
-//! CPWL reference ops, and whole-workload reports behave like the
+//! End-to-end integration: the CPWL lowerings stay close to the exact
+//! ops and cost array cycles, and whole-workload reports behave like the
 //! paper's evaluation.
 
 use onesa_core::{split_accelerator_cycles, OneSa};
 use onesa_cpwl::ops::{self, TableSet};
 use onesa_nn::workloads;
-use onesa_sim::{ArrayConfig, ParamStaging};
+use onesa_sim::{analytic, ArrayConfig, ParamStaging};
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::stats;
 
 #[test]
 fn engine_softmax_equals_lowered_reference_and_is_close_to_exact() {
-    let engine = OneSa::default();
     let tables = TableSet::for_granularity(0.25).unwrap();
     let x = Pcg32::seed_from_u64(1).randn(&[16, 24], 2.0);
-    let (y, s) = engine.softmax_rows(&tables, &x).unwrap();
-    let lowered = tables.softmax_rows(&x).unwrap();
-    assert_eq!(y, lowered);
+    let y = tables.softmax_rows(&x).unwrap();
     let exact = ops::softmax_rows_exact(&x).unwrap();
     assert!(stats::rms_diff(y.as_slice(), exact.as_slice()) < 0.01);
+    let s = analytic::softmax_stats(&ArrayConfig::default(), 16, 24);
     assert!(s.cycles() > 0 && s.nonlinear_evals > 0);
 }
 
 #[test]
 fn engine_layernorm_equals_lowered_reference() {
-    let engine = OneSa::default();
     let tables = TableSet::for_granularity(0.25).unwrap();
     let x = Pcg32::seed_from_u64(2).randn(&[8, 32], 1.5);
     let gamma = vec![1.0f32; 32];
     let beta = vec![0.0f32; 32];
-    let (y, _) = engine
-        .layernorm_rows(&tables, &x, &gamma, &beta, 1e-5)
-        .unwrap();
-    let reference = tables.layernorm_rows(&x, &gamma, &beta, 1e-5).unwrap();
-    assert_eq!(y, reference);
+    let y = tables.layernorm_rows(&x, &gamma, &beta, 1e-5).unwrap();
+    let exact = ops::layernorm_rows_exact(&x, &gamma, &beta, 1e-5).unwrap();
+    assert!(stats::rms_diff(y.as_slice(), exact.as_slice()) < 0.05);
+    let s = analytic::norm_stats(&ArrayConfig::default(), 8, 32);
+    assert!(s.cycles() > 0 && s.nonlinear_evals > 0);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use onesa_core::{BatchEngine, OneSa, Parallelism, Request};
 use onesa_cpwl::NonlinearFn;
-use onesa_sim::ArrayConfig;
+use onesa_sim::{ArrayConfig, ExecStats};
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::{gemm, parallel, Tensor};
 
@@ -87,27 +87,12 @@ fn parallel_mhp_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn engine_gemm_bit_identical_across_thread_counts() {
-    let mut rng = Pcg32::seed_from_u64(4);
-    let a = rng.randn(&[30, 17], 1.0);
-    let b = rng.randn(&[17, 26], 1.0);
-    let (reference, ref_stats) = OneSa::new(ArrayConfig::new(8, 16)).gemm(&a, &b).unwrap();
-    for par in THREAD_COUNTS {
-        let engine = OneSa::with_parallelism(ArrayConfig::new(8, 16), par);
-        let (out, stats) = engine.gemm(&a, &b).unwrap();
-        assert_bit_identical(&format!("engine gemm {}", par.label()), &out, &reference);
-        // Simulated array cycles describe the workload, not the host.
-        assert_eq!(stats, ref_stats);
-    }
-}
-
-#[test]
 fn batch_engine_bit_identical_to_solo_requests() {
     let mut rng = Pcg32::seed_from_u64(5);
     let w = rng.randn(&[24, 18], 1.0);
-    let solo = OneSa::new(ArrayConfig::new(8, 16));
     let gemm_inputs: Vec<Tensor> = (0..4).map(|i| rng.randn(&[3 + 4 * i, 24], 1.0)).collect();
     let nl_inputs: Vec<Tensor> = (0..3).map(|i| rng.randn(&[5, 6 + i], 1.5)).collect();
+    let mut first_stats: Option<Vec<ExecStats>> = None;
     for par in THREAD_COUNTS {
         let engine = OneSa::with_parallelism(ArrayConfig::new(8, 16), par);
         let mut serving = BatchEngine::new(engine, 0.25).unwrap();
@@ -119,7 +104,7 @@ fn batch_engine_bit_identical_to_solo_requests() {
         }
         let run = serving.run().unwrap();
         for (i, a) in gemm_inputs.iter().enumerate() {
-            let (want, _) = solo.gemm(a, &w).unwrap();
+            let want = gemm::matmul(a, &w).unwrap();
             assert_bit_identical(
                 &format!("batched gemm #{i} {}", par.label()),
                 &run.outcomes[i].output,
@@ -133,5 +118,9 @@ fn batch_engine_bit_identical_to_solo_requests() {
             assert_bit_identical(&format!("batched gelu #{i} {}", par.label()), got, &want);
         }
         assert!(run.report.batching_speedup() >= 1.0);
+        // Simulated array stats describe the workload, not the host.
+        let stats: Vec<ExecStats> = run.outcomes.iter().map(|o| o.stats.clone()).collect();
+        let want = first_stats.get_or_insert_with(|| stats.clone());
+        assert_eq!(&stats, want, "stats {}", par.label());
     }
 }

@@ -412,29 +412,28 @@ fn concurrent_clients_all_get_served() {
             .with_queue_capacity(8),
     )
     .unwrap();
-    let producers: Vec<_> = (0..4)
-        .map(|p| {
-            let client = pool.client();
-            std::thread::spawn(move || {
+    // Every producer borrows the one engine; the scope joins them all
+    // before `finish` can take it.
+    std::thread::scope(|scope| {
+        for p in 0..4 {
+            let pool = &pool;
+            scope.spawn(move || {
                 let mut rng = Pcg32::seed_from_u64(100 + p);
                 let w = rng.randn(&[12, 5], 1.0);
                 let mut pairs = Vec::new();
                 for _ in 0..8 {
                     let a = rng.randn(&[3, 12], 1.0);
                     let want = gemm::matmul(&a, &w).unwrap();
-                    let ticket = client.submit(Request::gemm(a, w.clone())).unwrap();
+                    let ticket = pool.submit(Request::gemm(a, w.clone())).unwrap();
                     pairs.push((ticket, want));
                 }
                 for (i, (ticket, want)) in pairs.into_iter().enumerate() {
                     let served = ticket.wait().unwrap();
                     assert_bits_eq(&format!("producer {p} request {i}"), &served.output, &want);
                 }
-            })
-        })
-        .collect();
-    for h in producers {
-        h.join().unwrap();
-    }
+            });
+        }
+    });
     let summary = pool.finish().unwrap();
     assert_eq!(summary.report.requests, 32);
     assert!(summary.report.latencies.iter().all(|l| l.is_finite()));
