@@ -210,7 +210,7 @@ impl TinyBert {
         let ids = b.input(&[1, seq_len]);
         let table = b.constant(self.emb.table.value.clone());
         let pos = b.constant(self.emb.pos.value.clone());
-        let mut h = b.push(Op::Embed, &[ids, table, pos]);
+        let mut h = b.push(Op::EmbedAt { offset: 0 }, &[ids, table, pos]);
         // The embedding output crosses an INT16 boundary into the first
         // block's four consumers (Q/K/V projections + residual add);
         // `compile_block` emits one load-side round trip per consumer
@@ -412,7 +412,7 @@ impl TinyCausalLm {
         let ids = b.input(&[1, len]);
         let table = b.constant(self.emb.table.value.clone());
         let pos = b.constant(self.emb.pos.value.clone());
-        let mut h = b.push(Op::Embed, &[ids, table, pos]);
+        let mut h = b.push(Op::EmbedAt { offset: 0 }, &[ids, table, pos]);
         let mut h_at_boundary = true;
         for block in &self.blocks {
             h = compile_block(
@@ -742,21 +742,21 @@ mod tests {
             (
                 InferenceMode::Exact,
                 [
-                    0x7b168d64b73b560b,
-                    0xa6c7ea717a96f946,
-                    0xc45db430b51640e5,
-                    0xf0798698d7324796,
-                    0x3b92350b76e541a9,
+                    0xf2ff535ac3301ed3,
+                    0xe9827147e955ac96,
+                    0xae20bf68e74c9ac8,
+                    0xa4bbb01f9b565b10,
+                    0xf51f87db35cea20e,
                 ],
             ),
             (
                 InferenceMode::cpwl(0.25).unwrap(),
                 [
-                    0xb7ad944846a38768,
-                    0x9766cb894a5efb5f,
-                    0x3d8793b0b9f5ab9f,
-                    0xebb18d3211a2faef,
-                    0xe6586fbad991bbbb,
+                    0x0852f890928c2e10,
+                    0xc9927d31f215fff3,
+                    0x376ab34d504bbd70,
+                    0x5ca72a694cb54875,
+                    0x24f4fcd01b18ab36,
                 ],
             ),
         ];

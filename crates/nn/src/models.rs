@@ -505,7 +505,7 @@ impl TinyBert {
     }
 
     /// Token indices as the `[1, len]` tensor a compiled program's
-    /// `Embed` op consumes (indices are exactly representable in f32).
+    /// `EmbedAt` op consumes (indices are exactly representable in f32).
     pub fn ids_tensor(seq: &[usize]) -> Tensor {
         Tensor::from_vec(seq.iter().map(|&i| i as f32).collect(), &[1, seq.len()])
             .expect("length matches")
@@ -683,7 +683,7 @@ impl TinyCausalLm {
     }
 
     /// Token indices as the `[1, len]` tensor a compiled program's
-    /// `Embed`/`EmbedAt` op consumes.
+    /// `EmbedAt` op consumes.
     pub fn ids_tensor(seq: &[usize]) -> Tensor {
         Tensor::from_vec(seq.iter().map(|&i| i as f32).collect(), &[1, seq.len()])
             .expect("length matches")

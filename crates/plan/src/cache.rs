@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 /// `same` test finds it.
 #[derive(Debug, Clone)]
 struct Key {
-    mode: u64,
+    mode: EvalMode,
     geometry: Vec<usize>,
     salt: Option<u64>,
 }
@@ -128,7 +128,6 @@ impl CompileCache {
         salt: Option<u64>,
         build: impl FnOnce() -> Result<Program>,
     ) -> Result<Arc<Program>> {
-        let mode = mode.cache_key();
         let mut entries = self.entries.lock().expect("cache lock");
         if let Some((_, program)) = entries
             .iter()

@@ -16,10 +16,9 @@
 //! the [`ProgramRun`].
 
 use crate::program::{
-    fnv_u64, op_cost, same_tensor, ConvChain, EvalMode, FnvSink, Op, OpNode, Operand, PoolKind,
-    Precision, Program, FNV_OFFSET,
+    hash_encoding, op_cost, same_tensor, ConvChain, EvalMode, Op, OpNode, Operand, PoolKind,
+    Precision, Program,
 };
-use crate::wire::Wire;
 use onesa_cpwl::ops::{self, TableSet};
 use onesa_cpwl::NonlinearFn;
 use onesa_sim::{ArrayConfig, CycleBreakdown, ExecStats};
@@ -479,27 +478,17 @@ fn group_key(program: &Program, shapes: &[Vec<usize>], node: &OpNode) -> GroupKe
                 // Mix the sparsity attribute into the key: a sparse and
                 // a dense GEMM over the same weight run different
                 // kernels and must never coalesce into one group.
-                let mut h = program.const_fingerprint(c);
-                if let Some(s) = sparsity {
-                    for v in [1, s.block_cols, s.nnz_blocks, s.total_blocks, s.nnz_cols] {
-                        h = fnv_u64(h, v as u64);
-                    }
-                }
-                GroupKey::GemmRight(h)
+                GroupKey::GemmRight(hash_encoding(program.const_fingerprint(c), sparsity))
             }
             (Operand::Const(c), Operand::Slot(_)) => {
                 GroupKey::GemmLeft(program.const_fingerprint(c))
             }
             _ => GroupKey::Solo,
         },
-        Op::Nonlinear(func) => GroupKey::Nonlinear(mode ^ func_hash(*func)),
+        Op::Nonlinear(func) => GroupKey::Nonlinear(hash_encoding(mode, func)),
         Op::Softmax => GroupKey::Softmax(mode, width(node.inputs[0])),
-        Op::LayerNorm { gamma, beta, eps } => {
-            let mut h = mode;
-            for v in gamma.iter().chain(beta).chain(std::iter::once(eps)) {
-                h = fnv_u64(h, u64::from(v.to_bits()));
-            }
-            GroupKey::LayerNorm(h, width(node.inputs[0]))
+        Op::LayerNorm { .. } => {
+            GroupKey::LayerNorm(hash_encoding(mode, &node.op), width(node.inputs[0]))
         }
         _ => GroupKey::Solo,
     }
@@ -515,31 +504,21 @@ fn member_key(state: &JobState, stage: usize) -> GroupKey {
     match &node.op {
         Op::Gemm { sparsity, .. } => match (node.inputs[0], node.inputs[1]) {
             (Operand::Slot(_), Operand::Const(c)) => {
-                let mut h = state.program.const_fingerprint(c);
-                if let Some(s) = sparsity {
-                    for v in [1, s.block_cols, s.nnz_blocks, s.total_blocks, s.nnz_cols] {
-                        h = fnv_u64(h, v as u64);
-                    }
-                }
-                GroupKey::GemmRight(h)
+                GroupKey::GemmRight(hash_encoding(state.program.const_fingerprint(c), sparsity))
             }
             (Operand::Const(c), Operand::Slot(_)) => {
                 GroupKey::GemmLeft(state.program.const_fingerprint(c))
             }
             _ => GroupKey::Solo,
         },
-        Op::Nonlinear(func) => GroupKey::Nonlinear(mode ^ func_hash(*func)),
+        Op::Nonlinear(func) => GroupKey::Nonlinear(hash_encoding(mode, func)),
         Op::Softmax => {
             let n = state.resolve(node.inputs[0]).dims()[1];
             GroupKey::Softmax(mode, n)
         }
-        Op::LayerNorm { gamma, beta, eps } => {
-            let mut h = mode;
-            for v in gamma.iter().chain(beta).chain(std::iter::once(eps)) {
-                h = fnv_u64(h, u64::from(v.to_bits()));
-            }
+        Op::LayerNorm { .. } => {
             let n = state.resolve(node.inputs[0]).dims()[1];
-            GroupKey::LayerNorm(h, n)
+            GroupKey::LayerNorm(hash_encoding(mode, &node.op), n)
         }
         _ => GroupKey::Solo,
     }
@@ -584,15 +563,6 @@ fn keys_truly_equal(states: &[JobState], stage: usize, first: usize, candidate: 
 
 fn same_f32s(x: &[f32], y: &[f32]) -> bool {
     x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
-}
-
-/// Hashes the function's wire encoding, tag and parameter bits, without
-/// allocating (the exact `f == g` compare in [`keys_truly_equal`] stands
-/// behind it).
-fn func_hash(func: NonlinearFn) -> u64 {
-    let mut h = FnvSink(FNV_OFFSET);
-    func.put(&mut h);
-    h.0
 }
 
 /// The axis along which a group's members stack into one operand.
@@ -1090,18 +1060,18 @@ fn exec_single(
             // row-decomposability the KV-cache decode path relies on.
             QuantTensor::round_trip_rows(ins[0])
         }
-        Op::Embed | Op::EmbedAt { .. } => {
-            // `Embed` is `EmbedAt` from position 0.
-            let offset = match node.op {
-                Op::EmbedAt { offset } => offset,
-                _ => 0,
-            };
+        Op::EmbedAt { offset } => {
             let (_, l) = ins[0].shape().as_matrix()?;
             let d = ins[1].dims()[1];
             let mut out = Tensor::zeros(&[l, d]);
             for i in 0..l {
-                let id = ins[0].as_slice()[i] as usize;
-                let tok = ins[1].row(id)?;
+                let id = ins[0].as_slice()[i];
+                if !(id >= 0.0 && id.fract() == 0.0) {
+                    return Err(TensorError::InvalidArgument(
+                        "token id is not a non-negative integer",
+                    ));
+                }
+                let tok = ins[1].row(id as usize)?;
                 let pos = ins[2].row(offset + i)?;
                 let row = out.row_mut(i)?;
                 for j in 0..d {
@@ -2224,6 +2194,36 @@ mod tests {
                 );
                 assert!(row[visible..].iter().all(|v| v.to_bits() == 0));
             }
+        }
+    }
+
+    #[test]
+    fn embed_reads_only_exact_non_negative_integer_token_ids() {
+        let mut rng = Pcg32::seed_from_u64(13);
+        let (table, pos) = (rng.randn(&[4, 3], 1.0), rng.randn(&[6, 3], 1.0));
+        let mut b = Program::builder("embed", EvalMode::Exact);
+        let ids = b.input(&[1, 2]);
+        let (t, p) = (b.constant(table.clone()), b.constant(pos.clone()));
+        b.push(Op::EmbedAt { offset: 1 }, &[ids, t, p]);
+        let program = b.finish().unwrap();
+        let embed = |id: f32| {
+            let ids = Tensor::from_vec(vec![2.0, id], &[1, 2]).unwrap();
+            program.run(&[ids], Parallelism::Sequential, &mut TableCache::new())
+        };
+        let out = embed(-0.0).unwrap().output;
+        let want: Vec<f32> = [(2, 1), (0, 2)]
+            .into_iter()
+            .flat_map(|(tok, at)| {
+                let (t, p) = (table.row(tok).unwrap(), pos.row(at).unwrap());
+                t.iter().zip(p).map(|(t, p)| t + p).collect::<Vec<_>>()
+            })
+            .collect();
+        assert_same_bits(&out, &Tensor::from_vec(want, &[2, 3]).unwrap(), "embed");
+        for id in [0.5, -1.0, f32::NAN, f32::INFINITY] {
+            assert!(
+                matches!(embed(id), Err(TensorError::InvalidArgument(_))),
+                "token id {id}"
+            );
         }
     }
 

@@ -51,19 +51,6 @@ impl EvalMode {
             EvalMode::Cpwl { granularity, .. } => 2 | (u64::from(granularity.to_bits()) << 8),
         }
     }
-
-    /// Compile-cache key: unlike [`EvalMode::coalesce_key`] this also
-    /// distinguishes the `quantize` flag, because quantized and
-    /// unquantized programs at the same granularity emit different ops.
-    pub(crate) fn cache_key(&self) -> u64 {
-        match self {
-            EvalMode::Exact => 0,
-            EvalMode::Cpwl {
-                granularity,
-                quantize,
-            } => 1 | (u64::from(*quantize) << 1) | (u64::from(granularity.to_bits()) << 8),
-        }
-    }
 }
 
 /// Where an op reads a value from.
@@ -232,13 +219,11 @@ pub enum Op {
         precision: Precision,
     },
     /// Embedding lookup: inputs `[ids, table, pos]` where `ids` is a
-    /// `[1, L]` tensor of token indices and `table`/`pos` are the
-    /// `[vocab, D]` / `[max_len, D]` tables; output `[L, D]` sums token
-    /// and positional rows.
-    Embed,
-    /// Embedding lookup at a positional offset: as [`Op::Embed`] but row
-    /// `i` adds positional row `offset + i` — the decode-step form,
-    /// where the single new token sits at absolute position `ctx`.
+    /// `[1, L]` tensor of token indices (exact non-negative integers) and
+    /// `table`/`pos` are the `[vocab, D]` / `[max_len, D]` tables; output
+    /// row `i` sums token row `ids[i]` and positional row `offset + i`.
+    /// A whole prompt embeds from `offset` 0; a decode step's single new
+    /// token sits at absolute position `ctx`.
     EmbedAt {
         /// Absolute position of the first input token.
         offset: usize,
@@ -275,7 +260,7 @@ impl Op {
     fn arity(&self) -> Option<usize> {
         match self {
             Op::Gemm { .. } | Op::Add => Some(2),
-            Op::Embed | Op::EmbedAt { .. } => Some(3),
+            Op::EmbedAt { .. } => Some(3),
             Op::ConcatCols | Op::ConcatRows => None,
             _ => Some(1),
         }
@@ -1043,32 +1028,16 @@ impl Program {
         Ok(self.op_energy(cfg)?.iter().sum())
     }
 
-    /// Structural fingerprint: programs compiled from the same model
-    /// under the same mode hash identically, so the serving layer's
-    /// weight-affinity router keeps them on one shard where their
-    /// per-stage GEMMs and tables coalesce. Cached at build time.
+    /// Structural fingerprint: an FNV hash of the program's wire encoding
+    /// — its mode, its op list with every operand, each constant's
+    /// [`tensor_fingerprint`] and, for a session program, its input
+    /// shapes and session wiring; never its name. Programs compiled from
+    /// the same model under the same mode hash identically, so the
+    /// serving layer's weight-affinity router keeps them on one shard
+    /// where their per-stage GEMMs and tables coalesce. Cached at build
+    /// time.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The textual op rendering the fingerprint hashes. Ops that predate
-    /// the sparsity/precision attributes render exactly as their old
-    /// derived `Debug` output did, so every fingerprint minted before
-    /// the attributes existed — including the committed wire golden
-    /// fixtures — survives the enum growing fields. Sparse GEMMs and
-    /// non-INT16 boundaries render their full (new) debug form, which
-    /// keeps them fingerprint-distinct from their dense/INT16 shapes.
-    fn op_fingerprint_repr(op: &Op) -> String {
-        match op {
-            Op::Gemm {
-                bias,
-                sparsity: None,
-            } => format!("Gemm {{ bias: {bias:?} }}"),
-            Op::Quantize {
-                precision: Precision::Int16,
-            } => "Quantize".to_string(),
-            _ => format!("{op:?}"),
-        }
     }
 
     /// Column-block totals over the program's sparse GEMMs: `(skipped,
@@ -1091,58 +1060,21 @@ impl Program {
     }
 
     fn compute_fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv_u64(h, self.mode.coalesce_key());
-        for node in self.nodes.iter() {
-            let repr = Self::op_fingerprint_repr(&node.op);
-            for byte in repr.bytes() {
-                h = fnv_u64(h, u64::from(byte));
-            }
-            // `Debug` prints every NaN as `NaN`, whatever its payload,
-            // and no op, field or function name contains `NaN`. An op
-            // whose rendering does mixes in its exact wire encoding too,
-            // so programs that differ only in a NaN payload fingerprint
-            // apart, and every NaN-free fingerprint stays as it was.
-            if repr.contains("NaN") {
-                let mut sink = FnvSink(h);
-                node.op.put(&mut sink);
-                h = sink.0;
-            }
-            for operand in &node.inputs {
-                h = fnv_u64(
-                    h,
-                    match *operand {
-                        Operand::Slot(s) => 0x5105_0000 | s as u64,
-                        Operand::Const(c) => 0xC025_0000 | c as u64,
-                    },
-                );
-            }
-        }
-        for &fp in self.const_fingerprints.iter() {
-            h = fnv_u64(h, fp);
-        }
+        let mut h = FnvSink(FNV_OFFSET);
+        self.mode.put(&mut h);
+        OpNode::put_seq(&self.nodes, &mut h);
+        u64::put_seq(&self.const_fingerprints, &mut h);
         // Session-bearing programs (per-context decode steps) share one
-        // op list across context lengths, so the structural hash above
-        // would alias them in fingerprint-keyed program caches; mix the
-        // input shapes and session wiring in — but only for session
-        // programs, so every stateless fingerprint (and its golden
-        // fixture) stays stable.
+        // op list across context lengths, so they also hash their input
+        // shapes and session wiring. A stateless program does not: a
+        // shard worker re-targets one shipped weight to every row count
+        // under the one fingerprint it was sent with.
         if self.is_session() {
-            h = fnv_u64(h, 0x5E55_0000);
-            for shape in self.input_shapes.iter() {
-                h = fnv_u64(h, 0x5A4E_0000 | shape.len() as u64);
-                for &d in shape {
-                    h = fnv_u64(h, d as u64);
-                }
-            }
-            for &i in self.session_inputs.iter() {
-                h = fnv_u64(h, 0x5E51_0000 | i as u64);
-            }
-            for &s in self.session_outputs.iter() {
-                h = fnv_u64(h, 0x5E50_0000 | s as u64);
-            }
+            Vec::<usize>::put_seq(&self.input_shapes, &mut h);
+            usize::put_seq(&self.session_inputs, &mut h);
+            usize::put_seq(&self.session_outputs, &mut h);
         }
-        h
+        h.0
     }
 
     /// Checks caller-supplied `inputs` against the input slots: one
@@ -1265,8 +1197,9 @@ fn infer_shape(op: &Op, ins: &[&[usize]]) -> Result<Vec<usize>> {
         }
         Op::SliceCols { start, len } => {
             let (m, n) = matrix(ins[0])?;
-            if start + len > n || *len == 0 {
-                return Err(shape_err(ins[0], &[m, start + len], "plan::SliceCols"));
+            let end = checked_sum(*start, *len, "SliceCols range overflows")?;
+            if end > n || *len == 0 {
+                return Err(shape_err(ins[0], &[m, end], "plan::SliceCols"));
             }
             Ok(vec![m, *len])
         }
@@ -1277,7 +1210,7 @@ fn infer_shape(op: &Op, ins: &[&[usize]]) -> Result<Vec<usize>> {
                 if mi != m {
                     return Err(shape_err(ins[0], dims, "plan::ConcatCols"));
                 }
-                total += ni;
+                total = checked_sum(total, ni, "ConcatCols width overflows")?;
             }
             Ok(vec![m, total])
         }
@@ -1289,20 +1222,12 @@ fn infer_shape(op: &Op, ins: &[&[usize]]) -> Result<Vec<usize>> {
             let (_, d) = matrix(ins[0])?;
             Ok(vec![1, d])
         }
-        Op::Embed => {
-            let (one, l) = matrix(ins[0])?;
-            let (_, d) = matrix(ins[1])?;
-            let (max_len, d2) = matrix(ins[2])?;
-            if one != 1 || d != d2 || l > max_len {
-                return Err(shape_err(ins[0], ins[1], "plan::Embed"));
-            }
-            Ok(vec![l, d])
-        }
         Op::EmbedAt { offset } => {
             let (one, l) = matrix(ins[0])?;
             let (_, d) = matrix(ins[1])?;
             let (max_len, d2) = matrix(ins[2])?;
-            if one != 1 || d != d2 || l + offset > max_len {
+            let end = checked_sum(l, *offset, "EmbedAt position overflows")?;
+            if one != 1 || d != d2 || end > max_len {
                 return Err(shape_err(ins[0], ins[2], "plan::EmbedAt"));
             }
             Ok(vec![l, d])
@@ -1314,18 +1239,25 @@ fn infer_shape(op: &Op, ins: &[&[usize]]) -> Result<Vec<usize>> {
                 if ni != n {
                     return Err(shape_err(ins[0], dims, "plan::ConcatRows"));
                 }
-                total += mi;
+                total = checked_sum(total, mi, "ConcatRows height overflows")?;
             }
             Ok(vec![total, n])
         }
         Op::CausalSoftmax { offset } => {
             let (m, n) = matrix(ins[0])?;
-            if offset + m != n {
-                return Err(shape_err(&[m, offset + m], &[m, n], "plan::CausalSoftmax"));
+            let width = checked_sum(*offset, m, "CausalSoftmax width overflows")?;
+            if width != n {
+                return Err(shape_err(&[m, width], &[m, n], "plan::CausalSoftmax"));
             }
             Ok(ins[0].to_vec())
         }
     }
+}
+
+/// `a + b` for [`infer_shape`]: attributes and shapes arrive from
+/// untrusted wire bytes too, so a sum that overflows is a typed error.
+fn checked_sum(a: usize, b: usize, what: &'static str) -> Result<usize> {
+    a.checked_add(b).ok_or(TensorError::InvalidArgument(what))
 }
 
 fn shape_err(lhs: &[usize], rhs: &[usize], op: &'static str) -> TensorError {
@@ -1410,15 +1342,14 @@ pub(crate) fn op_cost(op: &Op, in0: &[usize], out: &[usize], cfg: &ArrayConfig) 
         | Op::ConcatRows
         | Op::Quantize { .. }
         | Op::QuantizeRows
-        | Op::Embed
         | Op::EmbedAt { .. } => ExecStats::new(cfg, CycleBreakdown::default(), 0, 0),
     }
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-pub(crate) fn fnv_u64(h: u64, v: u64) -> u64 {
+fn fnv_u64(h: u64, v: u64) -> u64 {
     let mut h = h;
     for i in 0..8 {
         h = (h ^ ((v >> (8 * i)) & 0xff)).wrapping_mul(FNV_PRIME);
@@ -1429,7 +1360,7 @@ pub(crate) fn fnv_u64(h: u64, v: u64) -> u64 {
 /// A [`WireSink`] that hashes what is written instead of storing it
 /// (one [`fnv_u64`] step per byte): an allocation-free key over a
 /// value's wire encoding.
-pub(crate) struct FnvSink(pub(crate) u64);
+struct FnvSink(u64);
 
 impl WireSink for FnvSink {
     fn put_bytes(&mut self, bytes: &[u8]) {
@@ -1437,6 +1368,14 @@ impl WireSink for FnvSink {
             self.0 = fnv_u64(self.0, u64::from(b));
         }
     }
+}
+
+/// `seed` extended by `value`'s wire encoding: the staged scheduler's
+/// coalescing keys, exact comparisons behind them.
+pub(crate) fn hash_encoding(seed: u64, value: &impl Wire) -> u64 {
+    let mut h = FnvSink(seed);
+    value.put(&mut h);
+    h.0
 }
 
 /// Cheap content hash (FNV-1a over dims and value bit patterns) used to
@@ -1707,6 +1646,43 @@ mod tests {
         assert_eq!(format!("{:?}", a.nodes()), format!("{:?}", b.nodes()));
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.fingerprint(), scaled(0x7fc0_0001).fingerprint());
+    }
+
+    #[test]
+    fn fingerprints_hash_the_encoding_but_not_the_name_or_a_stateless_shape() {
+        let cpwl = |quantize| EvalMode::Cpwl {
+            granularity: 0.25,
+            quantize,
+        };
+        assert_ne!(
+            mlp(cpwl(true)).fingerprint(),
+            mlp(cpwl(false)).fingerprint()
+        );
+        let embed = |name: &str, offset| {
+            let mut b = Program::builder(name, EvalMode::Exact);
+            let ids = b.input(&[1, 2]);
+            let table = b.constant(Tensor::zeros(&[4, 3]));
+            let pos = b.constant(Tensor::zeros(&[8, 3]));
+            b.push(Op::EmbedAt { offset }, &[ids, table, pos]);
+            b.finish().unwrap()
+        };
+        assert_ne!(embed("e", 0).fingerprint(), embed("e", 1).fingerprint());
+        assert_eq!(embed("e", 0).fingerprint(), embed("f", 0).fingerprint());
+        // A shard worker re-targets one shipped weight to every row count
+        // under the fingerprint it was sent with; a session program's
+        // shapes are its context length, so they count.
+        let p = mlp(EvalMode::Exact);
+        let taller = p.with_input_shapes(vec![vec![5, 6]]).unwrap();
+        assert_eq!(taller.fingerprint(), p.fingerprint());
+        let session = |ctx| {
+            let mut b = Program::builder("kv", EvalMode::Exact);
+            let x = b.input(&[1, 3]);
+            let cache = b.session_input(&[ctx, 3]);
+            let grown = b.push(Op::ConcatRows, &[cache, x]);
+            b.mark_session_output(grown);
+            b.finish().unwrap()
+        };
+        assert_ne!(session(2).fingerprint(), session(3).fingerprint());
     }
 
     #[test]

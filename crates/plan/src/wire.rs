@@ -45,9 +45,9 @@
 //! generates both directions. The encoder and the decoder cannot
 //! disagree about a layout, because there is only one.
 //!
-//! The same encoding keys the optimizer's common-subexpression pass and
-//! the staged scheduler's nonlinear groups, so "equal" there means equal
-//! on the wire, NaN payloads included.
+//! The same encoding is the program fingerprint and keys the optimizer's
+//! common-subexpression pass and the staged scheduler's groups, so
+//! "equal" there means equal on the wire, NaN payloads included.
 //!
 //! # Programs on the wire
 //!
@@ -99,11 +99,15 @@ pub const MAGIC: [u8; 4] = *b"OSAW";
 /// from the tree) and nothing persists frames. Any layout change bumps
 /// it.
 ///
-/// * v1 — initial format. No longer read.
+/// * v1 — initial format.
 /// * v2 — sparse-GEMM attribute (op tag 20), INT8 quantize boundary
 ///   (op tag 21), `prune-pack` pass stats and the `pruned` counter in
 ///   the optimizer-report tail.
-pub const VERSION: u16 = 2;
+/// * v3 — one tag per op: `Gemm` (tag 0) sends its optional sparsity
+///   attribute and `Quantize` (tag 14) its [`Precision`]; tags 15
+///   (`Embed`, now `EmbedAt { offset: 0 }`), 20 and 21 are gone. The
+///   program fingerprint hashes this encoding.
+pub const VERSION: u16 = 3;
 
 /// Frame kind: a standalone tensor ([`encode_tensor`]).
 pub const KIND_TENSOR: u16 = 0x0001;
@@ -598,20 +602,15 @@ impl Wire for Tensor {
 ///   written `derived = expr` is not on the wire: decoding fills it with
 ///   `expr` and the caller restores it from what was sent.
 /// * An **enum** writes one tag byte, then the variant's typed fields in
-///   order. A struct variant may pin a field by its tag instead of
-///   sending it — `field = path` (a value that is both a pattern and an
-///   expression, like `None` or `Precision::Int8`) — so one variant can
-///   own several tags keyed on an attribute; `field: Type => Some`
-///   sends the payload of an `Option` whose presence the tag records.
-///   An unknown tag byte decodes to
+///   order. An unknown tag byte decodes to
 ///   [`WireError::Corrupt`](crate::wire::WireError::Corrupt);
 ///   [`Wire::TAGS`](crate::wire::Wire::TAGS) lists the assigned ones. A
 ///   `#[non_exhaustive]` foreign enum panics on a variant the table
 ///   lacks.
 ///
 /// Field types must implement `Wire`; `MIN_LEN` is derived from them.
-/// The encoder is one `match`, so a variant the table misses, or an
-/// attribute value no pinned tag covers, is a compile error.
+/// The encoder is one `match`, so a variant the table misses is a
+/// compile error.
 ///
 /// ```
 /// use onesa_plan::wire::{Wire, WireReader};
@@ -619,16 +618,11 @@ impl Wire for Tensor {
 /// #[derive(Debug, PartialEq)]
 /// struct Window { start: u64, rows: Vec<f32>, cached: bool }
 /// #[derive(Debug, PartialEq)]
-/// enum Shape { Point, Line(f32), Box { w: u32, h: u32, lid: Option<bool> } }
+/// enum Shape { Point, Line(f32), Box { w: u32, h: u32 } }
 ///
 /// onesa_plan::wire_layout! {
 ///     struct Window { start: u64, rows: Vec<f32>, cached = false }
-///     enum Shape {
-///         0 => Point,
-///         1 => Line(f32),
-///         7 => Box { w: u32, h: u32, lid = None },
-///         8 => Box { w: u32, h: u32, lid: bool => Some },
-///     }
+///     enum Shape { 0 => Point, 1 => Line(f32), 7 => Box { w: u32, h: u32 } }
 /// }
 ///
 /// let mut bytes = Vec::new();
@@ -637,9 +631,9 @@ impl Wire for Tensor {
 /// assert_eq!(back, Window { start: 3, rows: vec![-0.0], cached: false });
 ///
 /// let mut bytes = Vec::new();
-/// Shape::Box { w: 2, h: 1, lid: Some(true) }.put(&mut bytes);
-/// assert_eq!(bytes, [8, 2, 0, 0, 0, 1, 0, 0, 0, 1]);
-/// assert_eq!(Shape::TAGS, &[0, 1, 7, 8]);
+/// Shape::Box { w: 2, h: 1 }.put(&mut bytes);
+/// assert_eq!(bytes, [7, 2, 0, 0, 0, 1, 0, 0, 0]);
+/// assert_eq!(Shape::TAGS, &[0, 1, 7]);
 /// assert!(Shape::get(&mut WireReader::new(&[2])).is_err());
 /// ```
 #[macro_export]
@@ -673,14 +667,12 @@ macro_rules! wire_layout {
         $crate::wire_layout!($($rest)*);
     };
     (@enum $T:ident {
-        $($tag:literal => $V:ident $(($ty:ty))? $({
-            $($f:ident $(: $fty:ty)? $(=> $wrap:ident)? $(= $pin:path)?),* $(,)?
-        })?),* $(,)?
+        $($tag:literal => $V:ident $(($ty:ty))? $({ $($f:ident : $fty:ty),* $(,)? })?),* $(,)?
     } [$($other:tt)*]) => {
         impl $crate::wire::Wire for $T {
             const MIN_LEN: usize = {
                 let payloads = [$(0 $(+ <$ty as $crate::wire::Wire>::MIN_LEN)?
-                    $($($(+ <$fty as $crate::wire::Wire>::MIN_LEN)?)*)?),*];
+                    $($(+ <$fty as $crate::wire::Wire>::MIN_LEN)*)?),*];
                 let (mut min, mut i) = (usize::MAX, 0);
                 while i < payloads.len() {
                     min = if payloads[i] < min { payloads[i] } else { min };
@@ -693,11 +685,10 @@ macro_rules! wire_layout {
 
             fn put(&self, w: &mut impl $crate::wire::WireSink) {
                 match self {
-                    $($T::$V $(($crate::wire_layout!(@bind x: $ty)))?
-                        $({ $($f: $crate::wire_layout!(@bind $f $(=> $wrap)? $(= $pin)?)),* })? => {
+                    $($T::$V $(($crate::wire_layout!(@bind x: $ty)))? $({ $($f),* })? => {
                         <u8 as $crate::wire::Wire>::put(&$tag, w);
                         $(<$ty as $crate::wire::Wire>::put(x, w);)?
-                        $($($(<$fty as $crate::wire::Wire>::put($f, w);)?)*)?
+                        $($(<$fty as $crate::wire::Wire>::put($f, w);)*)?
                     })*
                     $($other)*
                 }
@@ -705,9 +696,8 @@ macro_rules! wire_layout {
 
             fn get(r: &mut $crate::wire::WireReader<'_>) -> $crate::wire::WireResult<Self> {
                 Ok(match <u8 as $crate::wire::Wire>::get(r)? {
-                    $($tag => $T::$V $((<$ty as $crate::wire::Wire>::get(r)?))? $({ $($f:
-                        $crate::wire_layout!(@field r $(: $fty)? $(=> $wrap)? $(= $pin)?)),*
-                    })?,)*
+                    $($tag => $T::$V $((<$ty as $crate::wire::Wire>::get(r)?))?
+                        $({ $($f: <$fty as $crate::wire::Wire>::get(r)?),* })?,)*
                     _ => {
                         let what = concat!("unknown ", stringify!($T), " tag");
                         return Err($crate::wire::WireError::Corrupt(what));
@@ -719,12 +709,6 @@ macro_rules! wire_layout {
     (@get $r:ident : $ty:ty) => { <$ty as $crate::wire::Wire>::get($r)? };
     (@get $r:ident = $derived:expr) => { $derived };
     (@bind $x:ident : $ty:ty) => { $x };
-    (@bind $f:ident) => { $f };
-    (@bind $f:ident => $wrap:ident) => { $wrap($f) };
-    (@bind $f:ident = $pin:path) => { $pin };
-    (@field $r:ident : $ty:ty => $wrap:ident) => { $wrap(<$ty as $crate::wire::Wire>::get($r)?) };
-    (@field $r:ident : $ty:ty) => { <$ty as $crate::wire::Wire>::get($r)? };
-    (@field $r:ident = $pin:path) => { $pin };
 }
 
 // ---------------------------------------------------------------------------
@@ -803,10 +787,10 @@ wire_layout! {
 
     struct GemmSparsity { block_cols: usize, nnz_blocks: usize, total_blocks: usize, nnz_cols: usize }
 
-    // Dense GEMMs and INT16 boundaries keep their v1 tags; the sparse
-    // attribute and the INT8 rung arrived in v2 as tags 20 and 21.
+    enum Precision { 0 => Int16, 1 => Int8 }
+
     enum Op {
-        0 => Gemm { bias: Option<Vec<f32>>, sparsity = None },
+        0 => Gemm { bias: Option<Vec<f32>>, sparsity: Option<GemmSparsity> },
         1 => Nonlinear(NonlinearFn),
         2 => Softmax,
         3 => LayerNorm { gamma: Vec<f32>, beta: Vec<f32>, eps: f32 },
@@ -820,14 +804,11 @@ wire_layout! {
         11 => SliceCols { start: usize, len: usize },
         12 => ConcatCols,
         13 => Pool(PoolKind),
-        14 => Quantize { precision = Precision::Int16 },
-        15 => Embed,
+        14 => Quantize { precision: Precision },
         16 => ConcatRows,
         17 => CausalSoftmax { offset: usize },
         18 => EmbedAt { offset: usize },
         19 => QuantizeRows,
-        20 => Gemm { bias: Option<Vec<f32>>, sparsity: GemmSparsity => Some },
-        21 => Quantize { precision = Precision::Int8 },
     }
 
     struct OpNode { op: Op, inputs: Vec<Operand> }
@@ -1316,6 +1297,60 @@ mod tests {
         }
     }
 
+    /// A program frame holding exactly `inputs` and `nodes` over no
+    /// constants, written without the builder's validation the way
+    /// hostile bytes would be.
+    fn raw_program_frame(inputs: &[Vec<usize>], nodes: &[OpNode]) -> Vec<u8> {
+        let mut meta = Vec::new();
+        put_str("raw", &mut meta);
+        EvalMode::Exact.put(&mut meta);
+        inputs.len().put(&mut meta);
+        for shape in inputs {
+            put_dims(shape, &mut meta);
+        }
+        0u64.put(&mut meta);
+        None::<Arc<OptReport>>.put(&mut meta);
+        let mut body = Vec::new();
+        OpNode::put_seq(nodes, &mut body);
+        let mut f = FrameBuilder::new(KIND_PROGRAM);
+        f.section(SEC_PROG_META, meta);
+        f.section(SEC_PROG_NODES, body);
+        f.section(SEC_PROG_CONSTS, encoded(&Vec::<Arc<Tensor>>::new()));
+        f.encode()
+    }
+
+    #[test]
+    fn overflowing_op_attributes_fail_typed_through_finish_and_decode() {
+        let max = usize::MAX;
+        let cases = [
+            (vec![vec![2, 4]], Op::SliceCols { start: max, len: 2 }),
+            (vec![vec![3, 1]], Op::CausalSoftmax { offset: max - 1 }),
+            (
+                vec![vec![1, 2], vec![4, 3], vec![4, 3]],
+                Op::EmbedAt { offset: max },
+            ),
+            (vec![vec![1, max], vec![1, 2]], Op::ConcatCols),
+            (vec![vec![max, 1], vec![2, 1]], Op::ConcatRows),
+        ];
+        for (inputs, op) in cases {
+            let what = format!("{op:?}");
+            let mut b = Program::builder("overflow", EvalMode::Exact);
+            let slots: Vec<Operand> = inputs.iter().map(|s| b.input(s)).collect();
+            b.push(op.clone(), &slots);
+            let err = b.finish().unwrap_err();
+            assert!(
+                matches!(err, TensorError::InvalidArgument(_)),
+                "{what}: {err}"
+            );
+            let node = OpNode { op, inputs: slots };
+            let err = decode_program(&raw_program_frame(&inputs, &[node])).unwrap_err();
+            assert!(
+                matches!(err, WireError::Rejected(TensorError::InvalidArgument(_))),
+                "{what}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn missing_section_is_typed() {
         let mut f = FrameBuilder::new(KIND_PROGRAM);
@@ -1469,21 +1504,8 @@ mod tests {
         check_schema::<Parallelism>();
         check_schema::<ParamStaging>();
         check_schema::<OptLevel>();
-        // The attribute-dependent tags decode to the attribute they pin.
-        assert!(matches!(
-            example::<Op>(20).0,
-            Op::Gemm {
-                sparsity: Some(_),
-                ..
-            }
-        ));
-        assert!(matches!(
-            example::<Op>(21).0,
-            Op::Quantize {
-                precision: Precision::Int8
-            }
-        ));
-        // And the payload bits the examples carry survive.
+        check_schema::<Precision>();
+        // The payload bits the examples carry survive.
         let (scale, bytes) = example::<Op>(8);
         assert!(matches!(scale, Op::Scale(c) if c.to_bits() == 0x7fc0_0001));
         assert_eq!(encoded(&decoded::<Op>(&bytes)), bytes);

@@ -187,7 +187,7 @@ fn kitchen_sink(mode: EvalMode, c: usize, h: usize, func: NonlinearFn, seed: u64
     // transpose pair, self-add, scale, slice/concat, mean-rows pool.
     let table = b.constant(rng.randn(&[vocab, d], 1.0));
     let pos = b.constant(rng.randn(&[max_len, d], 1.0));
-    let e = b.push(Op::Embed, &[ids, table, pos]);
+    let e = b.push(Op::EmbedAt { offset: 0 }, &[ids, table, pos]);
     let ln = b.push(
         Op::LayerNorm {
             gamma: vec![1.0; d],

@@ -1,6 +1,6 @@
 //! Golden-frame tests for the wire format: committed byte fixtures
-//! (`tests/fixtures/*_v2.bin`) pin the **exact** encoding of the
-//! current format version.
+//! (`tests/fixtures/*_v{N}.bin`, `N` = [`wire::VERSION`]) pin the
+//! **exact** encoding of the current format version.
 //!
 //! Two directions are locked in:
 //!
@@ -17,8 +17,10 @@
 //! prefix length, a wrong magic, a bumped or an older format version,
 //! and a corrupted payload bit (fingerprint mismatch).
 //!
-//! Regenerating (only with a conscious version bump):
-//! `ONESA_BLESS_FIXTURES=1 cargo test -p onesa-plan --test wire_golden`.
+//! Regenerating (only with a conscious version bump): delete the previous
+//! version's fixtures, run
+//! `ONESA_BLESS_FIXTURES=1 cargo test -p onesa-plan --test wire_golden`
+//! (its readers race its writers), then run it again without the variable.
 
 use onesa_cpwl::NonlinearFn;
 use onesa_plan::wire::{self, WireError};
@@ -27,10 +29,23 @@ use onesa_tensor::rng::Pcg32;
 use onesa_tensor::Tensor;
 use std::path::PathBuf;
 
+/// The fixtures, by the name each file carries before its version.
+const FIXTURES: [&str; 5] = [
+    "tensor",
+    "program",
+    "program_opt",
+    "program_decode",
+    "program_sparse",
+];
+
+fn fixture_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
+
+/// The current version's fixture `name`: `program` is `program_v3.bin`
+/// at version 3.
 fn fixture_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
+    fixture_dir().join(format!("{name}_v{}.bin", wire::VERSION))
 }
 
 /// Compares `encoded` against the committed fixture, or rewrites the
@@ -209,10 +224,10 @@ fn golden_optimized() -> Program {
     b.finish().unwrap().optimize(OptLevel::Standard).unwrap()
 }
 
-/// The sparsity/precision fixture (new in v2): a pruned weight whose
-/// zero column-blocks the `prune-pack` pass rewrites to a sparse GEMM
-/// attribute (op tag 20), plus an INT8 boundary (op tag 21) — every
-/// byte of the new attributes pinned exactly.
+/// The sparsity/precision fixture: a pruned weight whose zero
+/// column-blocks the `prune-pack` pass rewrites to a sparse GEMM
+/// attribute, plus an INT8 boundary — every byte of both attributes
+/// pinned exactly.
 fn golden_sparse() -> Program {
     let mut rng = Pcg32::seed_from_u64(11);
     let mut w = rng.randn(&[8, 48], 1.0);
@@ -250,7 +265,7 @@ fn golden_sparse() -> Program {
 #[test]
 fn tensor_fixture_is_byte_exact_and_decodes() {
     let t = golden_tensor();
-    let committed = check_golden("tensor_v2.bin", &wire::encode_tensor(&t));
+    let committed = check_golden("tensor", &wire::encode_tensor(&t));
     let back = wire::decode_tensor(&committed).expect("committed tensor frame decodes");
     assert_eq!(back.dims(), t.dims());
     for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
@@ -261,7 +276,7 @@ fn tensor_fixture_is_byte_exact_and_decodes() {
 #[test]
 fn program_fixture_is_byte_exact_and_decodes() {
     let p = golden_program();
-    let committed = check_golden("program_v2.bin", &wire::encode_program(&p));
+    let committed = check_golden("program", &wire::encode_program(&p));
     let back = wire::decode_program(&committed).expect("committed program frame decodes");
     assert_eq!(back.fingerprint(), p.fingerprint());
     assert_eq!(back.name(), "golden-mlp");
@@ -272,7 +287,7 @@ fn program_fixture_is_byte_exact_and_decodes() {
 #[test]
 fn optimized_program_fixture_keeps_its_report() {
     let p = golden_optimized();
-    let committed = check_golden("program_opt_v2.bin", &wire::encode_program(&p));
+    let committed = check_golden("program_opt", &wire::encode_program(&p));
     let back = wire::decode_program(&committed).expect("committed frame decodes");
     assert_eq!(back.fingerprint(), p.fingerprint());
     let report = back.opt_report().expect("opt report survives the wire");
@@ -282,7 +297,7 @@ fn optimized_program_fixture_keeps_its_report() {
 #[test]
 fn decode_program_fixture_is_byte_exact_and_decodes() {
     let p = golden_decode_program();
-    let committed = check_golden("program_decode_v2.bin", &wire::encode_program(&p));
+    let committed = check_golden("program_decode", &wire::encode_program(&p));
     let back = wire::decode_program(&committed).expect("committed decode frame decodes");
     assert_eq!(back.fingerprint(), p.fingerprint());
     assert_eq!(back.name(), "golden-decode");
@@ -300,7 +315,7 @@ fn sparse_program_fixture_is_byte_exact_and_decodes() {
         1,
         "prune-pack rewrote the zero-blocked GEMM"
     );
-    let committed = check_golden("program_sparse_v2.bin", &wire::encode_program(&p));
+    let committed = check_golden("program_sparse", &wire::encode_program(&p));
     let back = wire::decode_program(&committed).expect("sparse frame decodes");
     assert_eq!(back.fingerprint(), p.fingerprint());
     assert_eq!(back, p, "sparsity + precision attributes survive exactly");
@@ -314,7 +329,7 @@ fn corrupted_sparse_fixture_errors_and_never_panics() {
     // sparsity attribute must fail typed (the validator re-scans the
     // weight; the fingerprint covers the rest) — never a panic, never a
     // silently different program.
-    let bytes = std::fs::read(fixture_path("program_sparse_v2.bin")).unwrap();
+    let bytes = std::fs::read(fixture_path("program_sparse")).unwrap();
     let original = wire::decode_program(&bytes).unwrap();
     for i in 0..bytes.len() {
         let mut corrupt = bytes.clone();
@@ -330,14 +345,20 @@ fn corrupted_sparse_fixture_errors_and_never_panics() {
 }
 
 #[test]
+fn the_fixtures_are_the_current_versions_and_nothing_else() {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(fixture_dir())
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    found.sort();
+    let mut want: Vec<PathBuf> = FIXTURES.into_iter().map(fixture_path).collect();
+    want.sort();
+    assert_eq!(found, want);
+}
+
+#[test]
 fn truncated_fixture_frames_error_and_never_panic() {
-    for name in [
-        "tensor_v2.bin",
-        "program_v2.bin",
-        "program_opt_v2.bin",
-        "program_decode_v2.bin",
-        "program_sparse_v2.bin",
-    ] {
+    for name in FIXTURES {
         let bytes = std::fs::read(fixture_path(name)).unwrap();
         for cut in 0..bytes.len() {
             let r = if name.starts_with("tensor") {
@@ -359,7 +380,7 @@ fn corrupted_decode_fixture_errors_and_never_panics() {
     // structural damage, const damage and session-section damage must
     // all surface as typed errors or decode to the identical program —
     // never a panic, never a silently different session contract.
-    let bytes = std::fs::read(fixture_path("program_decode_v2.bin")).unwrap();
+    let bytes = std::fs::read(fixture_path("program_decode")).unwrap();
     let original = wire::decode_program(&bytes).unwrap();
     for i in 0..bytes.len() {
         let mut corrupt = bytes.clone();
@@ -376,7 +397,7 @@ fn corrupted_decode_fixture_errors_and_never_panics() {
 
 #[test]
 fn bad_magic_is_a_typed_error() {
-    let mut bytes = std::fs::read(fixture_path("program_v2.bin")).unwrap();
+    let mut bytes = std::fs::read(fixture_path("program")).unwrap();
     bytes[0] = b'X';
     match wire::decode_program(&bytes) {
         Err(WireError::BadMagic { found }) => assert_eq!(found[0], b'X'),
@@ -388,7 +409,7 @@ fn bad_magic_is_a_typed_error() {
 fn bumped_format_version_is_rejected_not_panicked() {
     // A newer frame and one from the previous version alike.
     for version in [wire::VERSION + 1, wire::VERSION - 1] {
-        let mut bytes = std::fs::read(fixture_path("program_v2.bin")).unwrap();
+        let mut bytes = std::fs::read(fixture_path("program")).unwrap();
         // Version field sits right after the 4-byte magic, little-endian.
         bytes[4..6].copy_from_slice(&version.to_le_bytes());
         match wire::decode_program(&bytes) {
@@ -403,7 +424,7 @@ fn bumped_format_version_is_rejected_not_panicked() {
 
 #[test]
 fn corrupted_const_payload_trips_the_fingerprint_check() {
-    let bytes = std::fs::read(fixture_path("program_v2.bin")).unwrap();
+    let bytes = std::fs::read(fixture_path("program")).unwrap();
     // Flip one bit in the last const f32 (the tail of the consts
     // section): structure still parses, semantics changed — the
     // recomputed fingerprint must disagree with the recorded one.
