@@ -14,11 +14,12 @@
 //!
 //! # Protocol
 //!
-//! Every message is one `onesa-plan` wire frame, length-prefixed on the
-//! stream (`u32` LE). Handshake, then windows:
+//! Every message is one `onesa-plan` wire frame — a header naming the
+//! format version and the message kind, then the message's values —
+//! length-prefixed on the stream (`u32` LE). Handshake, then windows:
 //!
 //! ```text
-//! worker → host   Hello      { wire format version }
+//! worker → host   Hello      {}        (the header carries the version)
 //! host → worker   Configure  { granularity, ArrayConfig, Parallelism }
 //! worker → host   Ready      {}
 //! host → worker   Window     { n × (ticket, program | program ref, inputs) }
@@ -39,17 +40,19 @@
 //!
 //! Program consts (the weights) dominate request bytes. The host keeps,
 //! per worker, the set of program fingerprints it has already shipped:
-//! the first request for a program sends the **full** frame (consts
+//! the first request for a program sends the **full** program (consts
 //! included) and later requests send a *const-free delta* — just the
-//! fingerprint plus the input tensors. The worker caches decoded
-//! programs by fingerprint (consts `Arc`-shared, so the cache holds one
-//! copy of each weight set). A stateless program's fingerprint ignores
-//! its input shapes, so one entry serves a ref at any shape the op list
-//! accepts — every `[rows, k] · W` GEMM against one `W` — by
-//! re-targeting the cached program at the shapes of the inputs that
-//! came with the ref. [`WeightCacheStats`] counts both kinds of send
-//! and the const bytes the refs avoided; the serve layer surfaces them
-//! per shard.
+//! fingerprint plus the input tensors. A window's sends count, and its
+//! new fingerprints become refs, only once the worker answers it with
+//! `Outcomes`: a window that fails may not have reached the worker's
+//! cache. The worker caches decoded programs by fingerprint (consts
+//! `Arc`-shared, so the cache holds one copy of each weight set). A
+//! stateless program's fingerprint ignores its input shapes, so one
+//! entry serves a ref at any shape the op list accepts — every
+//! `[rows, k] · W` GEMM against one `W` — by re-targeting the cached
+//! program at the shapes of the inputs that came with the ref.
+//! [`WeightCacheStats`] counts both kinds of send and the const bytes
+//! the refs avoided; the serve layer surfaces them per shard.
 //!
 //! # Worker death
 //!
@@ -67,7 +70,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use onesa_plan::wire::{self, FrameBuilder, FrameView, Wire, WireError, WireReader};
+use onesa_plan::wire::{self, Wire, WireError, WireReader};
 use onesa_plan::{wire_layout, OptTotals, Program, StageGroups};
 use onesa_sim::{ArrayConfig, ExecStats};
 use onesa_tensor::parallel::Parallelism;
@@ -196,9 +199,6 @@ const KIND_PONG: u16 = 0x0106;
 const KIND_SHUTDOWN: u16 = 0x0107;
 const KIND_WINDOW_ERROR: u16 = 0x0108;
 
-/// Section id used for a message's single body section.
-const SEC_BODY: u32 = 1;
-
 /// Refuse frames above this size — a corrupt length prefix must not
 /// drive a giant allocation. 1 GiB comfortably holds any real window.
 const MAX_FRAME_BYTES: u32 = 1 << 30;
@@ -277,15 +277,15 @@ fn read_frame(stream: &mut Stream) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Builds a single-body-section message frame.
-fn message(kind: u16, body: Vec<u8>) -> Vec<u8> {
-    let mut f = FrameBuilder::new(kind);
-    f.section(SEC_BODY, body);
-    f.encode()
-}
-
-fn empty_message(kind: u16) -> Vec<u8> {
-    message(kind, Vec::new())
+/// Reads one message with an empty body, refusing any kind but `kind`
+/// with `unexpected`.
+fn read_signal(stream: &mut Stream, kind: u16, unexpected: &'static str) -> io::Result<()> {
+    let frame = read_frame(stream)?;
+    let (found, body) = wire::open(&frame).map_err(wire_to_io)?;
+    if found != kind {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, unexpected));
+    }
+    body.expect_end().map_err(wire_to_io)
 }
 
 // ---------------------------------------------------------------------
@@ -298,32 +298,40 @@ fn empty_message(kind: u16) -> Vec<u8> {
 const REQ_PROGRAM_FULL: u8 = 2;
 const REQ_PROGRAM_REF: u8 = 3;
 
-/// Writes one lowered request, consulting (and updating) the per-worker
-/// shipped-fingerprint set: known programs go out as const-free deltas.
+/// What one window sends: the fingerprints it ships in full and its
+/// cache counters, committed to the connection only once the worker
+/// answers the window with `Outcomes`.
+#[derive(Debug, Default)]
+struct WindowSends {
+    full: HashSet<u64>,
+    stats: WeightCacheStats,
+}
+
+/// Writes one lowered request. A program the worker already holds — in
+/// `shipped`, or sent in full earlier in this window — goes out as a
+/// const-free delta.
 fn put_request(
     w: &mut Vec<u8>,
     program: &Program,
     inputs: &[Tensor],
-    shipped: &mut HashSet<u64>,
-    stats: &mut WeightCacheStats,
+    shipped: &HashSet<u64>,
+    sends: &mut WindowSends,
 ) {
     let fp = program.fingerprint();
-    if shipped.contains(&fp) {
+    if shipped.contains(&fp) || sends.full.contains(&fp) {
         REQ_PROGRAM_REF.put(w);
         fp.put(w);
-        stats.ref_sends += 1;
-        stats.const_bytes_saved += program
+        sends.stats.ref_sends += 1;
+        sends.stats.const_bytes_saved += program
             .consts()
             .iter()
             .map(|c| c.as_slice().len() as u64 * 4)
             .sum::<u64>();
     } else {
         REQ_PROGRAM_FULL.put(w);
-        let frame = wire::encode_program(program);
-        frame.len().put(w);
-        w.extend_from_slice(&frame);
-        shipped.insert(fp);
-        stats.full_sends += 1;
+        program.put(w);
+        sends.full.insert(fp);
+        sends.stats.full_sends += 1;
     }
     Tensor::put_seq(inputs, w);
 }
@@ -344,8 +352,7 @@ fn get_request(
 ) -> Result<Request, WireError> {
     let fp = match u8::get(r)? {
         REQ_PROGRAM_FULL => {
-            let len = usize::get(r)?;
-            let program = wire::decode_program(r.get_bytes(len)?)?;
+            let program = Program::get(r)?;
             let fp = program.fingerprint();
             cache.insert(fp, program);
             fp
@@ -415,21 +422,20 @@ wire_layout! {
     struct BatchRun { outcomes: Vec<RequestOutcome>, report: ServingReport, program_stages: Vec<StageGroups> }
 }
 
-/// Encodes a worker's [`BatchRun`], each outcome under the ticket the
+/// Writes a worker's [`BatchRun`], each outcome under the ticket the
 /// host attached to its request.
-fn put_window_result(tickets: &[u64], mut run: BatchRun) -> Vec<u8> {
+fn put_window_result(tickets: &[u64], mut run: BatchRun, w: &mut Vec<u8>) {
     for (o, &ticket) in run.outcomes.iter_mut().zip(tickets) {
         o.id = ticket as usize;
     }
-    let mut w = Vec::new();
-    run.put(&mut w);
-    w
+    run.put(w);
 }
 
-/// Reads the reply to a window sent under `tickets`: the worker must
-/// echo them, one outcome each, in order.
+/// Reads the reply to a window sent under `tickets`, to the end of the
+/// body: the worker must echo them, one outcome each, in order.
 fn get_window_result(r: &mut WireReader<'_>, tickets: &[u64]) -> Result<BatchRun, WireError> {
     let mut run = BatchRun::get(r)?;
+    r.expect_end()?;
     if run.outcomes.len() != tickets.len() {
         return Err(WireError::Corrupt(
             "worker answered a different outcome count",
@@ -601,40 +607,20 @@ impl WorkerHandle {
 
         // Handshake (bounded: a wedged worker must not hang start()).
         handle.stream.set_read_timeout(Some(SPAWN_TIMEOUT))?;
-        let hello = read_frame(&mut handle.stream)?;
-        let view = FrameView::parse(&hello).map_err(wire_to_io)?;
-        if view.kind() != KIND_HELLO {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "worker did not open with Hello",
-            ));
-        }
-        let mut body = WireReader::new(view.section(SEC_BODY).map_err(wire_to_io)?);
-        let version = u16::get(&mut body).map_err(wire_to_io)?;
-        if version != wire::VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "worker speaks wire format v{version}, host speaks v{}",
-                    wire::VERSION
-                ),
-            ));
-        }
-
-        let mut cfg = Vec::new();
+        // A worker of another format version fails here: `wire::open`
+        // refuses its Hello's header.
+        let stream = &mut handle.stream;
+        read_signal(stream, KIND_HELLO, "worker did not open with Hello")?;
+        let mut cfg = wire::frame(KIND_CONFIGURE);
         granularity.put(&mut cfg);
         config.put(&mut cfg);
         parallelism.put(&mut cfg);
-        write_frame(&mut handle.stream, &message(KIND_CONFIGURE, cfg))?;
-
-        let ready = read_frame(&mut handle.stream)?;
-        let view = FrameView::parse(&ready).map_err(wire_to_io)?;
-        if view.kind() != KIND_READY {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "worker did not answer Configure with Ready",
-            ));
-        }
+        write_frame(stream, &cfg)?;
+        read_signal(
+            stream,
+            KIND_READY,
+            "worker did not answer Configure with Ready",
+        )?;
         handle.stream.set_read_timeout(None)?;
         Ok(handle)
     }
@@ -650,17 +636,19 @@ impl WorkerHandle {
     /// its request; the weights are `Arc`-shared, not copied), so its
     /// weights cross the wire once per worker like any program's. A
     /// request that does not lower fails the window before anything is
-    /// sent, as the worker's engine would have.
+    /// sent, as the worker's engine would have. The weight cache learns
+    /// the window's sends only from a worker's `Outcomes`.
     ///
     /// # Errors
     ///
     /// Any socket or decode failure — after which the worker must be
     /// considered dead (the caller fails over).
     pub fn run_window(&mut self, items: &[(u64, &Request)]) -> io::Result<WindowReply> {
-        let mut body = Vec::new();
-        items.len().put(&mut body);
+        let mut window = wire::frame(KIND_WINDOW);
+        let mut sends = WindowSends::default();
+        items.len().put(&mut window);
         for (ticket, request) in items {
-            ticket.put(&mut body);
+            ticket.put(&mut window);
             let mut bare;
             let (program, inputs) = match request.as_program() {
                 Some(lowered) => lowered,
@@ -672,23 +660,18 @@ impl WorkerHandle {
                     bare.lowered()
                 }
             };
-            put_request(
-                &mut body,
-                program,
-                inputs,
-                &mut self.shipped,
-                &mut self.cache,
-            );
+            put_request(&mut window, program, inputs, &self.shipped, &mut sends);
         }
-        write_frame(&mut self.stream, &message(KIND_WINDOW, body))?;
+        write_frame(&mut self.stream, &window)?;
 
         let reply = read_frame(&mut self.stream)?;
-        let view = FrameView::parse(&reply).map_err(wire_to_io)?;
-        let mut body = WireReader::new(view.section(SEC_BODY).map_err(wire_to_io)?);
-        match view.kind() {
+        let (kind, mut body) = wire::open(&reply).map_err(wire_to_io)?;
+        match kind {
             KIND_OUTCOMES => {
                 let tickets: Vec<u64> = items.iter().map(|(ticket, _)| *ticket).collect();
                 let run = get_window_result(&mut body, &tickets).map_err(wire_to_io)?;
+                self.shipped.extend(sends.full);
+                self.cache.merge(&sends.stats);
                 Ok(WindowReply::Done(run))
             }
             KIND_WINDOW_ERROR => {
@@ -708,26 +691,16 @@ impl WorkerHandle {
     ///
     /// Socket failure or timeout — the worker is dead or wedged.
     pub fn ping(&mut self, timeout: Duration) -> io::Result<()> {
-        write_frame(&mut self.stream, &empty_message(KIND_PING))?;
+        write_frame(&mut self.stream, &wire::frame(KIND_PING))?;
         self.stream.set_read_timeout(Some(timeout))?;
-        let result = (|| {
-            let reply = read_frame(&mut self.stream)?;
-            let view = FrameView::parse(&reply).map_err(wire_to_io)?;
-            if view.kind() != KIND_PONG {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "unexpected reply to Ping",
-                ));
-            }
-            Ok(())
-        })();
+        let result = read_signal(&mut self.stream, KIND_PONG, "unexpected reply to Ping");
         let _ = self.stream.set_read_timeout(None);
         result
     }
 
     /// Asks the worker to exit and reaps it (bounded wait, then kill).
     pub fn shutdown(mut self) {
-        let _ = write_frame(&mut self.stream, &empty_message(KIND_SHUTDOWN));
+        let _ = write_frame(&mut self.stream, &wire::frame(KIND_SHUTDOWN));
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             match self.child.try_wait() {
@@ -796,19 +769,13 @@ pub fn worker_main(args: impl Iterator<Item = String>) -> Result<(), String> {
         return Err(format!("bad --connect spec `{connect}`"));
     };
 
-    let mut hello = Vec::new();
-    wire::VERSION.put(&mut hello);
-    write_frame(&mut stream, &message(KIND_HELLO, hello)).map_err(|e| format!("hello: {e}"))?;
+    write_frame(&mut stream, &wire::frame(KIND_HELLO)).map_err(|e| format!("hello: {e}"))?;
 
     let cfg_frame = read_frame(&mut stream).map_err(|e| format!("read configure: {e}"))?;
-    let view = FrameView::parse(&cfg_frame).map_err(|e| format!("parse configure: {e}"))?;
-    if view.kind() != KIND_CONFIGURE {
+    let (kind, mut body) = wire::open(&cfg_frame).map_err(|e| format!("parse configure: {e}"))?;
+    if kind != KIND_CONFIGURE {
         return Err("expected Configure after Hello".into());
     }
-    let mut body = WireReader::new(
-        view.section(SEC_BODY)
-            .map_err(|e| format!("configure body: {e}"))?,
-    );
     let (granularity, config, parallelism) = (|| -> Result<_, WireError> {
         let g = f32::get(&mut body)?;
         let c = ArrayConfig::get(&mut body)?;
@@ -822,7 +789,7 @@ pub fn worker_main(args: impl Iterator<Item = String>) -> Result<(), String> {
     // identical table set, bit-identical outputs.
     let mut engine = BatchEngine::new(OneSa::with_parallelism(config, parallelism), granularity)
         .map_err(|e| format!("build engine: {e}"))?;
-    write_frame(&mut stream, &empty_message(KIND_READY)).map_err(|e| format!("ready: {e}"))?;
+    write_frame(&mut stream, &wire::frame(KIND_READY)).map_err(|e| format!("ready: {e}"))?;
 
     let mut programs: HashMap<u64, Program> = HashMap::new();
     loop {
@@ -832,22 +799,18 @@ pub fn worker_main(args: impl Iterator<Item = String>) -> Result<(), String> {
             // its host.
             Err(_) => return Ok(()),
         };
-        let view = FrameView::parse(&frame).map_err(|e| format!("parse message: {e}"))?;
-        match view.kind() {
+        let (kind, mut body) = wire::open(&frame).map_err(|e| format!("parse message: {e}"))?;
+        match kind {
             KIND_SHUTDOWN => return Ok(()),
             KIND_PING => {
-                write_frame(&mut stream, &empty_message(KIND_PONG))
+                write_frame(&mut stream, &wire::frame(KIND_PONG))
                     .map_err(|e| format!("pong: {e}"))?;
             }
             KIND_WINDOW => {
-                let mut body = WireReader::new(
-                    view.section(SEC_BODY)
-                        .map_err(|e| format!("window body: {e}"))?,
-                );
                 let reply = serve_window(&mut body, &mut engine, &mut programs);
                 write_frame(&mut stream, &reply).map_err(|e| format!("outcomes: {e}"))?;
             }
-            _ => return Err(format!("unexpected message kind {:#06x}", view.kind())),
+            _ => return Err(format!("unexpected message kind {kind:#06x}")),
         }
     }
 }
@@ -862,9 +825,9 @@ fn serve_window(
 ) -> Vec<u8> {
     let fail = |engine: &mut BatchEngine, msg: String| {
         engine.clear();
-        let mut w = Vec::new();
+        let mut w = wire::frame(KIND_WINDOW_ERROR);
         msg.put(&mut w);
-        message(KIND_WINDOW_ERROR, w)
+        w
     };
 
     let mut tickets: Vec<u64> = Vec::new();
@@ -885,7 +848,11 @@ fn serve_window(
     }
 
     match engine.run() {
-        Ok(run) => message(KIND_OUTCOMES, put_window_result(&tickets, run)),
+        Ok(run) => {
+            let mut w = wire::frame(KIND_OUTCOMES);
+            put_window_result(&tickets, run, &mut w);
+            w
+        }
         Err(e) => fail(engine, format!("batch execution failed: {e}")),
     }
 }
@@ -914,16 +881,12 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// Lowers a request the way `run_window` does and writes it.
-    fn put_lowered(
-        w: &mut Vec<u8>,
-        mut request: Request,
-        shipped: &mut HashSet<u64>,
-        stats: &mut WeightCacheStats,
-    ) -> Request {
+    /// Lowers a request the way `run_window` does and writes it as part
+    /// of one window to a worker that holds nothing yet.
+    fn put_lowered(w: &mut Vec<u8>, mut request: Request, sends: &mut WindowSends) -> Request {
         request.lower(0.25).unwrap();
         let (program, inputs) = request.lowered();
-        put_request(w, program, inputs, shipped, stats);
+        put_request(w, program, inputs, &HashSet::new(), sends);
         request
     }
 
@@ -950,14 +913,14 @@ mod tests {
             // input shapes, so this goes out as a ref.
             Request::gemm(rng.randn(&[5, 3], 1.0), w.clone()),
         ];
-        let mut shipped = HashSet::new();
-        let mut stats = WeightCacheStats::default();
+        let mut sends = WindowSends::default();
         let mut w = Vec::new();
         let sent: Vec<Request> = reqs
             .into_iter()
-            .map(|r| put_lowered(&mut w, r, &mut shipped, &mut stats))
+            .map(|r| put_lowered(&mut w, r, &mut sends))
             .collect();
         // The second program send and the second GEMM rode the cache.
+        let stats = sends.stats;
         assert_eq!(stats.full_sends, 3);
         assert_eq!(stats.ref_sends, 2);
         assert_eq!(stats.const_bytes_saved, 4 * 2 * 4 + 3 * 2 * 4);
@@ -987,18 +950,17 @@ mod tests {
     #[test]
     fn programs_differing_only_in_a_nan_payload_each_ship_in_full() {
         let payloads = [0x7fc0_0001, 0x7fc0_0002];
-        let mut shipped = HashSet::new();
-        let mut stats = WeightCacheStats::default();
+        let mut sends = WindowSends::default();
         let mut w = Vec::new();
         for bits in payloads {
             let mut b = Program::builder("nan", EvalMode::Exact);
             let x = b.input(&[1, 4]);
             b.push(Op::Scale(f32::from_bits(bits)), &[x]);
             let request = Request::program(b.finish().unwrap(), vec![Tensor::zeros(&[1, 4])]);
-            put_lowered(&mut w, request, &mut shipped, &mut stats);
+            put_lowered(&mut w, request, &mut sends);
         }
         // A ref would have run the first payload in place of the second.
-        assert_eq!((stats.full_sends, stats.ref_sends), (2, 0));
+        assert_eq!((sends.stats.full_sends, sends.stats.ref_sends), (2, 0));
         let mut r = WireReader::new(&w);
         let mut cache = HashMap::new();
         for bits in payloads {
@@ -1044,14 +1006,11 @@ mod tests {
 
         // A ref whose inputs the cached program cannot take (a GEMM fed
         // the wrong inner dimension) is corrupt too, not a re-target.
-        let mut shipped = HashSet::new();
-        let mut stats = WeightCacheStats::default();
         let mut w = Vec::new();
         let sent = put_lowered(
             &mut w,
             Request::gemm(rng.randn(&[2, 3], 1.0), rng.randn(&[3, 2], 1.0)),
-            &mut shipped,
-            &mut stats,
+            &mut WindowSends::default(),
         );
         REQ_PROGRAM_REF.put(&mut w);
         sent.lowered_program().fingerprint().put(&mut w);
@@ -1075,7 +1034,7 @@ mod tests {
         let bytes = window;
         let mut engine = BatchEngine::new(OneSa::new(ArrayConfig::new(4, 4)), 0.25).unwrap();
         let reply = serve_window(&mut WireReader::new(&bytes), &mut engine, &mut cache);
-        assert_eq!(FrameView::parse(&reply).unwrap().kind(), KIND_WINDOW_ERROR);
+        assert_eq!(wire::open(&reply).unwrap().0, KIND_WINDOW_ERROR);
         assert_eq!(engine.pending(), 0);
     }
 
@@ -1137,7 +1096,8 @@ mod tests {
 
     /// Every field of a worker's `BatchRun` survives the wire.
     fn assert_run_round_trips(run: &BatchRun, tickets: &[u64]) {
-        let bytes = put_window_result(tickets, run.clone());
+        let mut bytes = Vec::new();
+        put_window_result(tickets, run.clone(), &mut bytes);
         let mut r = WireReader::new(&bytes);
         let back = get_window_result(&mut r, tickets).unwrap();
         r.expect_end().unwrap();
@@ -1290,16 +1250,15 @@ mod tests {
             for _ in 0..n_prog {
                 reqs.push(Request::program(program.clone(), vec![rng.randn(&[1, 4], 1.0)]));
             }
-            let mut shipped = HashSet::new();
-            let mut stats = WeightCacheStats::default();
+            let mut sends = WindowSends::default();
             let mut w = Vec::new();
             let sent: Vec<Request> = reqs
                 .into_iter()
-                .map(|r| put_lowered(&mut w, r, &mut shipped, &mut stats))
+                .map(|r| put_lowered(&mut w, r, &mut sends))
                 .collect();
             let distinct = usize::from(n_gemm > 0) + n_nl.min(2) + usize::from(n_prog > 0);
-            prop_assert_eq!(stats.full_sends, distinct);
-            prop_assert_eq!(stats.ref_sends, sent.len() - distinct);
+            prop_assert_eq!(sends.stats.full_sends, distinct);
+            prop_assert_eq!(sends.stats.ref_sends, sent.len() - distinct);
             let bytes = w;
             let mut r = WireReader::new(&bytes);
             let mut cache = HashMap::new();

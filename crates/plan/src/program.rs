@@ -664,9 +664,10 @@ impl Program {
 
     /// Validates the whole program: every op's arity, operand indices
     /// (slots must be program inputs or *earlier* op outputs), shape
-    /// inference across all nodes, mode sanity (a positive, finite
-    /// CPWL granularity) and — under a CPWL mode — table coverage of
-    /// every nonlinear op (see `TableSet::supports`).
+    /// inference across all nodes, at most 2³² elements per slot and
+    /// constant, mode sanity (a positive, finite CPWL granularity) and —
+    /// under a CPWL mode — table coverage of every nonlinear op (see
+    /// `TableSet::supports`).
     ///
     /// Every constructor runs this before handing a program out, so on a
     /// `Program` a caller holds it always succeeds; it stays public as
@@ -780,7 +781,15 @@ impl Program {
                 ));
             }
         }
-        self.slot_shapes()
+        let shapes = self.slot_shapes()?;
+        let consts = self.consts.iter().map(|c| c.dims());
+        let mut every = shapes.iter().map(Vec::as_slice).chain(consts);
+        if !every.all(within_cap) {
+            return Err(TensorError::InvalidArgument(
+                "program slot or constant exceeds 2^32 elements",
+            ));
+        }
+        Ok(shapes)
     }
 
     /// Infers the shape of every slot (inputs first, then one per op).
@@ -894,12 +903,15 @@ impl Program {
         self.fingerprint = self.compute_fingerprint();
         self.plan = Arc::new(Plan::derive(self, shapes));
         // MAC counts depend only on shapes, not on the array config.
-        let op_macs: u64 = self
+        self.modeled_macs = self
             .op_stats(&ArrayConfig::default())?
             .iter()
             .map(|s| s.macs)
-            .sum();
-        self.modeled_macs = op_macs + self.staging_macs();
+            .chain([self.staging_macs()])
+            .try_fold(0u64, u64::checked_add)
+            .ok_or(TensorError::InvalidArgument(
+                "program modeled MACs overflow",
+            ))?;
         Ok(())
     }
 
@@ -1252,6 +1264,17 @@ fn infer_shape(op: &Op, ins: &[&[usize]]) -> Result<Vec<usize>> {
             Ok(ins[0].to_vec())
         }
     }
+}
+
+/// Most elements a program slot or constant may hold. Shapes arrive
+/// from untrusted wire bytes too; at 2³² a GEMM's `m·k·n` stays below
+/// √(mk · kn · mn) ≤ 2⁴⁸, so the cost model's `u64` arithmetic cannot
+/// overflow on any op.
+const MAX_ELEMS: u64 = 1 << 32;
+
+fn within_cap(dims: &[usize]) -> bool {
+    let volume = dims.iter().try_fold(1u64, |v, &d| v.checked_mul(d as u64));
+    volume.is_some_and(|v| v <= MAX_ELEMS)
 }
 
 /// `a + b` for [`infer_shape`]: attributes and shapes arrive from

@@ -18,9 +18,11 @@
 //! and a corrupted payload bit (fingerprint mismatch).
 //!
 //! Regenerating (only with a conscious version bump): delete the previous
-//! version's fixtures, run
+//! version's fixtures and run
 //! `ONESA_BLESS_FIXTURES=1 cargo test -p onesa-plan --test wire_golden`
-//! (its readers race its writers), then run it again without the variable.
+//! once. Under the variable every test reads the freshly encoded frames
+//! ([`fixture`]) instead of the files the run is rewriting, so one run
+//! blesses and checks.
 
 use onesa_cpwl::NonlinearFn;
 use onesa_plan::wire::{self, WireError};
@@ -42,22 +44,48 @@ fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
-/// The current version's fixture `name`: `program` is `program_v3.bin`
-/// at version 3.
+/// The current version's fixture `name`: `program` is `program_v4.bin`
+/// at version 4.
 fn fixture_path(name: &str) -> PathBuf {
     fixture_dir().join(format!("{name}_v{}.bin", wire::VERSION))
 }
 
-/// Compares `encoded` against the committed fixture, or rewrites the
-/// fixture when `ONESA_BLESS_FIXTURES` is set (version-bump workflow).
-fn check_golden(name: &str, encoded: &[u8]) -> Vec<u8> {
-    let path = fixture_path(name);
-    if std::env::var_os("ONESA_BLESS_FIXTURES").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, encoded).unwrap();
+fn blessing() -> bool {
+    std::env::var_os("ONESA_BLESS_FIXTURES").is_some()
+}
+
+/// Today's encoder's frame for fixture `name`.
+fn golden(name: &str) -> Vec<u8> {
+    match name {
+        "tensor" => wire::encode_tensor(&golden_tensor()),
+        "program" => wire::encode_program(&golden_program()),
+        "program_opt" => wire::encode_program(&golden_optimized()),
+        "program_decode" => wire::encode_program(&golden_decode_program()),
+        "program_sparse" => wire::encode_program(&golden_sparse()),
+        _ => panic!("no fixture named {name}"),
     }
-    let committed = std::fs::read(&path)
-        .unwrap_or_else(|e| panic!("fixture {name} unreadable ({e}); bless it first"));
+}
+
+/// The committed frame of fixture `name` — or, while blessing, today's
+/// encoding of it, so no test reads a file the run is rewriting.
+fn fixture(name: &str) -> Vec<u8> {
+    if blessing() {
+        return golden(name);
+    }
+    std::fs::read(fixture_path(name))
+        .unwrap_or_else(|e| panic!("fixture {name} unreadable ({e}); bless it first"))
+}
+
+/// Compares today's encoding of fixture `name` against the committed
+/// one and returns the committed bytes; rewrites the file first when
+/// `ONESA_BLESS_FIXTURES` is set (version-bump workflow).
+fn check_golden(name: &str) -> Vec<u8> {
+    let encoded = golden(name);
+    if blessing() {
+        std::fs::create_dir_all(fixture_dir()).unwrap();
+        std::fs::write(fixture_path(name), &encoded).unwrap();
+    }
+    let committed = fixture(name);
     assert_eq!(
         committed,
         encoded,
@@ -121,8 +149,8 @@ fn golden_program() -> Program {
 /// The decode-step fixture: a session/cache-bearing frame — K/V session
 /// inputs, `EmbedAt` at a context offset, per-row quantization,
 /// `ConcatRows` cache appends marked as session outputs, causal softmax
-/// — so the optional session section and every KV-cache op tag are
-/// pinned byte-exactly.
+/// — so the session lists and every KV-cache op tag are pinned
+/// byte-exactly.
 fn golden_decode_program() -> Program {
     let mut rng = Pcg32::seed_from_u64(9);
     let (ctx, d, vocab, max_len) = (3, 4, 6, 12);
@@ -180,7 +208,7 @@ fn golden_decode_program() -> Program {
     b.finish().unwrap()
 }
 
-/// The optimized-program fixture: carries an `OptReport` section.
+/// The optimized-program fixture: carries an `OptReport`.
 fn golden_optimized() -> Program {
     let mut rng = Pcg32::seed_from_u64(7);
     let w = rng.randn(&[4, 3], 1.0);
@@ -265,7 +293,7 @@ fn golden_sparse() -> Program {
 #[test]
 fn tensor_fixture_is_byte_exact_and_decodes() {
     let t = golden_tensor();
-    let committed = check_golden("tensor", &wire::encode_tensor(&t));
+    let committed = check_golden("tensor");
     let back = wire::decode_tensor(&committed).expect("committed tensor frame decodes");
     assert_eq!(back.dims(), t.dims());
     for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
@@ -276,7 +304,7 @@ fn tensor_fixture_is_byte_exact_and_decodes() {
 #[test]
 fn program_fixture_is_byte_exact_and_decodes() {
     let p = golden_program();
-    let committed = check_golden("program", &wire::encode_program(&p));
+    let committed = check_golden("program");
     let back = wire::decode_program(&committed).expect("committed program frame decodes");
     assert_eq!(back.fingerprint(), p.fingerprint());
     assert_eq!(back.name(), "golden-mlp");
@@ -287,7 +315,7 @@ fn program_fixture_is_byte_exact_and_decodes() {
 #[test]
 fn optimized_program_fixture_keeps_its_report() {
     let p = golden_optimized();
-    let committed = check_golden("program_opt", &wire::encode_program(&p));
+    let committed = check_golden("program_opt");
     let back = wire::decode_program(&committed).expect("committed frame decodes");
     assert_eq!(back.fingerprint(), p.fingerprint());
     let report = back.opt_report().expect("opt report survives the wire");
@@ -297,11 +325,11 @@ fn optimized_program_fixture_keeps_its_report() {
 #[test]
 fn decode_program_fixture_is_byte_exact_and_decodes() {
     let p = golden_decode_program();
-    let committed = check_golden("program_decode", &wire::encode_program(&p));
+    let committed = check_golden("program_decode");
     let back = wire::decode_program(&committed).expect("committed decode frame decodes");
     assert_eq!(back.fingerprint(), p.fingerprint());
     assert_eq!(back.name(), "golden-decode");
-    assert!(back.is_session(), "session section survives the wire");
+    assert!(back.is_session(), "session wiring survives the wire");
     assert_eq!(back.session_inputs(), p.session_inputs());
     assert_eq!(back.session_outputs(), p.session_outputs());
     assert_eq!(back.modeled_macs(), p.modeled_macs());
@@ -315,7 +343,7 @@ fn sparse_program_fixture_is_byte_exact_and_decodes() {
         1,
         "prune-pack rewrote the zero-blocked GEMM"
     );
-    let committed = check_golden("program_sparse", &wire::encode_program(&p));
+    let committed = check_golden("program_sparse");
     let back = wire::decode_program(&committed).expect("sparse frame decodes");
     assert_eq!(back.fingerprint(), p.fingerprint());
     assert_eq!(back, p, "sparsity + precision attributes survive exactly");
@@ -329,7 +357,7 @@ fn corrupted_sparse_fixture_errors_and_never_panics() {
     // sparsity attribute must fail typed (the validator re-scans the
     // weight; the fingerprint covers the rest) — never a panic, never a
     // silently different program.
-    let bytes = std::fs::read(fixture_path("program_sparse")).unwrap();
+    let bytes = fixture("program_sparse");
     let original = wire::decode_program(&bytes).unwrap();
     for i in 0..bytes.len() {
         let mut corrupt = bytes.clone();
@@ -359,16 +387,21 @@ fn the_fixtures_are_the_current_versions_and_nothing_else() {
 #[test]
 fn truncated_fixture_frames_error_and_never_panic() {
     for name in FIXTURES {
-        let bytes = std::fs::read(fixture_path(name)).unwrap();
-        for cut in 0..bytes.len() {
-            let r = if name.starts_with("tensor") {
-                wire::decode_tensor(&bytes[..cut]).map(drop)
+        let bytes = fixture(name);
+        // Every proper prefix, and the whole frame plus one byte.
+        let padded = [&bytes[..], &[0]].concat();
+        let prefixes = (0..bytes.len()).map(|cut| &bytes[..cut]);
+        for frame in prefixes.chain([&padded[..]]) {
+            let r = if name == "tensor" {
+                wire::decode_tensor(frame).map(drop)
             } else {
-                wire::decode_program(&bytes[..cut]).map(drop)
+                wire::decode_program(frame).map(drop)
             };
             assert!(
                 r.is_err(),
-                "{name} truncated to {cut} bytes must not decode"
+                "{name} as {} of its {} bytes must not decode",
+                frame.len(),
+                bytes.len()
             );
         }
     }
@@ -377,10 +410,10 @@ fn truncated_fixture_frames_error_and_never_panic() {
 #[test]
 fn corrupted_decode_fixture_errors_and_never_panics() {
     // Flip every single byte of the session-bearing frame in turn:
-    // structural damage, const damage and session-section damage must
+    // structural damage, const damage and session-wiring damage must
     // all surface as typed errors or decode to the identical program —
     // never a panic, never a silently different session contract.
-    let bytes = std::fs::read(fixture_path("program_decode")).unwrap();
+    let bytes = fixture("program_decode");
     let original = wire::decode_program(&bytes).unwrap();
     for i in 0..bytes.len() {
         let mut corrupt = bytes.clone();
@@ -397,7 +430,7 @@ fn corrupted_decode_fixture_errors_and_never_panics() {
 
 #[test]
 fn bad_magic_is_a_typed_error() {
-    let mut bytes = std::fs::read(fixture_path("program")).unwrap();
+    let mut bytes = fixture("program");
     bytes[0] = b'X';
     match wire::decode_program(&bytes) {
         Err(WireError::BadMagic { found }) => assert_eq!(found[0], b'X'),
@@ -409,7 +442,7 @@ fn bad_magic_is_a_typed_error() {
 fn bumped_format_version_is_rejected_not_panicked() {
     // A newer frame and one from the previous version alike.
     for version in [wire::VERSION + 1, wire::VERSION - 1] {
-        let mut bytes = std::fs::read(fixture_path("program")).unwrap();
+        let mut bytes = fixture("program");
         // Version field sits right after the 4-byte magic, little-endian.
         bytes[4..6].copy_from_slice(&version.to_le_bytes());
         match wire::decode_program(&bytes) {
@@ -424,9 +457,9 @@ fn bumped_format_version_is_rejected_not_panicked() {
 
 #[test]
 fn corrupted_const_payload_trips_the_fingerprint_check() {
-    let bytes = std::fs::read(fixture_path("program")).unwrap();
-    // Flip one bit in the last const f32 (the tail of the consts
-    // section): structure still parses, semantics changed — the
+    let bytes = fixture("program");
+    // Flip one bit in the last const f32 (the constant pool ends the
+    // frame): structure still parses, semantics changed — the
     // recomputed fingerprint must disagree with the recorded one.
     let mut corrupt = bytes.clone();
     let last = corrupt.len() - 1;

@@ -13,7 +13,8 @@
 //! 2. **Weight-cache protocol** — a program's constants cross the wire
 //!    once per (shard, fingerprint); repeat submissions — at any input
 //!    shape the program accepts — ship fingerprint-only deltas,
-//!    observable in [`ServeSummary::wire_cache`].
+//!    observable in [`ServeSummary::wire_cache`]. A window that fails
+//!    teaches the cache nothing.
 //! 3. **Fault tolerance** — killing a worker process mid-run loses no
 //!    ticket: its windows re-execute on surviving shards (execution is
 //!    pure, so the retry is safe), outputs stay bit-identical, and the
@@ -30,11 +31,12 @@
 
 use std::path::PathBuf;
 
+use onesa_core::net::{WindowReply, WorkerHandle};
 use onesa_core::plan::{Compile, TableCache};
 use onesa_core::serve::{
     AdmissionPolicy, RoutePolicy, ServeConfig, ServeEngine, ShardBackend, Ticket, TrySubmitError,
 };
-use onesa_core::{Parallelism, ProcessConfig, Request, Transport};
+use onesa_core::{Parallelism, ProcessConfig, Request, Transport, WeightCacheStats};
 use onesa_cpwl::ops::TableSet;
 use onesa_cpwl::NonlinearFn;
 use onesa_nn::infer::InferenceMode;
@@ -282,6 +284,38 @@ fn one_cached_weight_serves_every_row_count() {
     let cache = summary.wire_cache;
     assert_eq!((cache.full_sends, cache.ref_sends), (1, 3));
     assert_eq!(cache.const_bytes_saved, 3 * 6 * 4 * 4);
+}
+
+/// Regression: a window that fails on the host before it is sent — one
+/// of its requests does not lower — teaches the weight cache nothing.
+/// The good program it would have shipped in full ships in full with the
+/// next window, instead of as a ref the worker never received.
+#[test]
+fn a_window_that_fails_before_sending_ships_nothing_to_the_cache() {
+    let worker = PathBuf::from(env!("CARGO_BIN_EXE_onesa-shard-worker"));
+    let cfg = ArrayConfig::new(8, 16);
+    let par = Parallelism::Sequential;
+    let mut handle = WorkerHandle::spawn(0, Transport::Unix, Some(&worker), &cfg, par, 0.25)
+        .expect("worker spawns");
+    let mut rng = Pcg32::seed_from_u64(71);
+    let (a, w) = (rng.randn(&[2, 4], 1.0), rng.randn(&[4, 3], 1.0));
+    let good = Request::gemm(a.clone(), w.clone());
+    // Inner dimensions disagree: the request does not lower.
+    let bad = Request::gemm(rng.randn(&[2, 5], 1.0), w.clone());
+
+    let reply = handle.run_window(&[(0, &good), (1, &bad)]).unwrap();
+    assert!(matches!(reply, WindowReply::Failed(_)), "{reply:?}");
+    let untouched = handle.cache;
+    match handle.run_window(&[(2, &good)]).unwrap() {
+        WindowReply::Done(run) => {
+            let want = gemm::matmul(&a, &w).unwrap();
+            assert_bits_eq("the retried GEMM", &run.outcomes[0].output, &want);
+        }
+        WindowReply::Failed(e) => panic!("the retried window failed: {e}"),
+    }
+    assert_eq!(untouched, WeightCacheStats::default());
+    assert_eq!((handle.cache.full_sends, handle.cache.ref_sends), (1, 0));
+    handle.shutdown();
 }
 
 #[test]
