@@ -6,52 +6,38 @@
 //! cargo run --release -q -p onesa-bench --bin program_optimizer > BENCH_program_optimizer.json
 //! ```
 //!
-//! The headlines are deterministic on any host: pre/post op counts and
-//! modeled MACs per [`onesa_core::plan::OptLevel`], with per-pass
-//! elision/share/fusion counts. The `*_us_per_call` setup timings
+//! The headlines are deterministic on any host: pre/post op counts,
+//! modeled MACs and the per-pass [`onesa_core::plan::OptTotals`] of
+//! each program as served (optimized at the default
+//! [`onesa_core::plan::OptLevel`]). The `*_us_per_call` setup timings
 //! follow the build machine — `setup_speedup` (recompile ÷ cached) is
 //! the tracked ratio.
 
-use onesa_core::plan::{Compile, OptLevel, OptReport, Program};
-use onesa_nn::models::{Gcn, SmallCnn, TinyBert};
+use onesa_core::plan::{Compile, OptLevel, Program};
+use onesa_nn::models::{Gcn, SmallCnn, TinyBert, TinyCausalLm};
 use onesa_nn::InferenceMode;
 use onesa_tensor::rng::Pcg32;
 use std::time::Instant;
 
-fn passes_json(report: &OptReport) -> String {
-    let fields: Vec<String> = report
-        .passes
-        .iter()
-        .map(|p| format!("\"{}\": {}", p.pass, p.removed))
-        .collect();
-    format!("{{{}}}", fields.join(", "))
-}
-
-fn program_entry(name: &str, raw: &Program, last: bool) {
-    let std = raw.optimize(OptLevel::Standard).expect("optimizes");
-    let fused = raw.optimize(OptLevel::Fusion).expect("optimizes");
-    let std_report = std.opt_report().expect("report");
-    let fused_report = fused.opt_report().expect("report");
+/// One `programs` row for a served (optimized) program.
+fn program_entry(name: &str, served: &Program, last: bool) {
+    let report = served.opt_report().expect("served programs are optimized");
+    let t = report.totals;
     println!("    {{");
     println!("      \"program\": \"{name}\",");
     println!(
-        "      \"ops\": {{\"unoptimized\": {}, \"standard\": {}, \"fusion\": {}}},",
-        raw.stages(),
-        std.stages(),
-        fused.stages()
+        "      \"ops\": {{\"unoptimized\": {}, \"standard\": {}}}, \"modeled_macs\": {},",
+        report.ops_before,
+        served.stages(),
+        served.modeled_macs()
     );
     println!(
-        "      \"modeled_macs\": {{\"unoptimized\": {}, \"standard\": {}, \"fusion\": {}}},",
-        raw.modeled_macs(),
-        std.modeled_macs(),
-        fused.modeled_macs()
+        "      \"passes\": {{\"cse\": {}, \"prune-pack\": {}, \"dead-slot\": {}}},",
+        t.shared, t.pruned, t.dead
     );
-    println!("      \"passes_standard\": {},", passes_json(std_report));
-    println!("      \"passes_fusion\": {},", passes_json(fused_report));
     println!(
-        "      \"op_cut_standard\": {:.4}, \"op_cut_fusion\": {:.4}",
-        std_report.ops_removed_fraction(),
-        fused_report.ops_removed_fraction()
+        "      \"op_cut_standard\": {:.4}",
+        report.ops_removed_fraction()
     );
     println!("    }}{}", if last { "" } else { "," });
 }
@@ -64,6 +50,8 @@ fn main() {
         onesa_data::GraphDataset::generate("bench", 4, onesa_data::Difficulty::easy(3), 20, 6, 0.3);
     let gcn = Gcn::new(6, 6, 8, 3);
     let seq: Vec<usize> = vec![3, 1, 4, 1, 5, 9, 2, 6];
+    // The decoder `serve_decode` serves.
+    let lm = TinyCausalLm::new(2027, 64, 32, 2, true);
 
     println!("{{");
     println!("  \"bench\": \"program_optimizer\",");
@@ -72,19 +60,33 @@ fn main() {
     );
     println!("  \"mode\": \"cpwl(0.25,int16)\",");
     println!("  \"programs\": [");
+    let optimized = |p: onesa_tensor::Result<Program>| {
+        p.and_then(|p| p.optimize(OptLevel::default()))
+            .expect("compiles and optimizes")
+    };
     program_entry(
         "small_cnn 8x8",
-        &cnn.compile((&mode, (8, 8))).expect("CNN compiles"),
+        &optimized(cnn.compile((&mode, (8, 8)))),
         false,
     );
     program_entry(
         "tiny_bert L=8 x2 blocks",
-        &bert.compile((&mode, seq.len())).expect("BERT compiles"),
+        &optimized(bert.compile((&mode, seq.len()))),
         false,
     );
     program_entry(
         "gcn 20 nodes",
-        &gcn.compile((&mode, &graph)).expect("GCN compiles"),
+        &optimized(gcn.compile((&mode, &graph))),
+        false,
+    );
+    program_entry(
+        "tiny_causal_lm prefill 8 tokens",
+        &lm.compiled_prefill(&mode, 8),
+        false,
+    );
+    program_entry(
+        "tiny_causal_lm decode ctx 8",
+        &lm.compiled_decode(&mode, 8),
         true,
     );
     println!("  ],");

@@ -448,8 +448,8 @@ impl fmt::Display for ServingReport {
         if self.opt.removed() > 0 {
             writeln!(
                 f,
-                "optimizer: {} boundaries elided, {} ops shared, {} fused, {} dead",
-                self.opt.elided, self.opt.shared, self.opt.fused, self.opt.dead
+                "optimizer: {} ops shared, {} dead",
+                self.opt.shared, self.opt.dead
             )?;
         }
         if self.blocks_total > 0 {
@@ -1221,9 +1221,9 @@ mod tests {
                 .unwrap();
         }
         let run = serving.run().unwrap();
-        // Two requests of a program with 1 elision + 1 CSE share each.
-        assert_eq!(run.report.opt.elided, 2);
-        assert_eq!(run.report.opt.shared, 2);
+        // Two requests of a program with 2 CSE shares each (the
+        // duplicate boundary, then the GEMM it exposes).
+        assert_eq!(run.report.opt.shared, 4);
         assert!(format!("{}", run.report).contains("optimizer:"));
 
         // Unoptimized programs report zero totals (and no report line).

@@ -1069,11 +1069,9 @@ mod tests {
             nonlinear_groups: seed as usize % 3,
             latencies: outcomes.iter().map(|o| o.stats.seconds()).collect(),
             opt: OptTotals {
-                elided: 1,
                 shared: 2,
-                fused: 0,
-                dead: 3,
                 pruned: 4,
+                dead: 3,
             },
             blocks_skipped: seed % 16,
             blocks_total: 16 + seed % 16,

@@ -90,8 +90,8 @@ pub fn run_compiled_full(program: &Program, inputs: &[Tensor], mode: &InferenceM
 /// projections plus residual): each pass re-reads the INT16 scratchpad,
 /// so the naive emission carries one load-side round trip per read.
 /// Because the round trip is deterministic, the duplicates are
-/// bit-identical to a single boundary — and the optimizer's
-/// `quantize-elision` pass ([`onesa_plan::opt`]) collapses them, which
+/// bit-identical to a single boundary — and the optimizer's `cse`
+/// pass ([`onesa_plan::opt`]) shares them, which
 /// is why the serving wrappers run programs at
 /// [`OptLevel::Standard`](onesa_plan::OptLevel).
 fn boundary(b: &mut ProgramBuilder, mode: &InferenceMode, x: Operand) -> Operand {
@@ -176,7 +176,7 @@ impl SmallCnn {
         // The stem's activation crosses an INT16 boundary into TWO
         // consumers — conv2 and the residual add — so the conservative
         // emission carries one load-side round trip per consumer (the
-        // optimizer elides the duplicate; see `boundary`).
+        // optimizer's `cse` shares the duplicate; see `boundary`).
         let r = boundary(&mut b, mode, r_pre);
         let r_skip = boundary(&mut b, mode, r_pre);
         let (h1, w1) = self.conv1.geo.output_hw(h, w)?;
@@ -214,7 +214,8 @@ impl TinyBert {
         // The embedding output crosses an INT16 boundary into the first
         // block's four consumers (Q/K/V projections + residual add);
         // `compile_block` emits one load-side round trip per consumer
-        // and the optimizer elides the duplicates (see `boundary`).
+        // and the optimizer's `cse` shares the duplicates (see
+        // `boundary`).
         let mut h_at_boundary = true;
         for block in &self.blocks {
             h = compile_block(
@@ -732,17 +733,39 @@ mod tests {
     fn compiled_program_fingerprints_are_pinned() {
         // `Program::fingerprint` hashes the mode, every node's op and
         // operands in order, and every constant: equal literals mean the
-        // block compiler emits node-for-node the programs it always did.
-        // Columns: BERT network (seq 8), then causal prefill (5 tokens)
-        // and decode (ctx 5) for the tied and the untied LM head.
+        // compilers and the optimizer produce node-for-node the programs
+        // they always did.
+        use onesa_plan::{OptLevel, PRUNE_BLOCK_COLS};
+        let cnn = SmallCnn::new(11, 1, 3);
         let bert = TinyBert::new(5, 32, 12, 2, 2);
+        let g = onesa_data::GraphDataset::generate("t", 4, Difficulty::easy(3), 20, 6, 0.3);
+        let gcn = Gcn::new(6, 6, 8, 3);
+        let pg = onesa_data::GraphDataset::generate("t", 4, Difficulty::easy(3), 45, 8, 0.3);
+        let mut pruned = Gcn::new(6, 8, 2 * PRUNE_BLOCK_COLS, 3);
+        pruned.prune_hidden(0.5).unwrap();
         let tied = TinyCausalLm::new(9, 24, 16, 2, true);
         let untied = TinyCausalLm::new(9, 24, 16, 2, false);
-        let pinned: [(InferenceMode, [u64; 5]); 2] = [
+        // Per mode, the emissions — BERT network (seq 8), then causal
+        // prefill (5 tokens) and decode (ctx 5) for the tied and the
+        // untied LM head — and the served programs, each emission after
+        // `optimize(OptLevel::default())` as the compile caches store
+        // it: CNN (8×8), BERT, GCN, pruned GCN, then the same four
+        // causal programs.
+        let pinned: [(InferenceMode, [u64; 5], [u64; 8]); 2] = [
             (
                 InferenceMode::Exact,
                 [
                     0xf2ff535ac3301ed3,
+                    0xe9827147e955ac96,
+                    0xae20bf68e74c9ac8,
+                    0xa4bbb01f9b565b10,
+                    0xf51f87db35cea20e,
+                ],
+                [
+                    0xe9e8b339008a6bd9,
+                    0xf2ff535ac3301ed3,
+                    0x69b273a2caa2441e,
+                    0x3ff63460aa8d93ad,
                     0xe9827147e955ac96,
                     0xae20bf68e74c9ac8,
                     0xa4bbb01f9b565b10,
@@ -758,9 +781,19 @@ mod tests {
                     0x5ca72a694cb54875,
                     0x24f4fcd01b18ab36,
                 ],
+                [
+                    0xe91ce28e5045fb01,
+                    0xcbef7fcde2c0721a,
+                    0xad12524ba96391a6,
+                    0x8e344c71eb1087d5,
+                    0x560ee40e3d704447,
+                    0x22910dece7dacfeb,
+                    0xc0605e9034544d01,
+                    0x7f87853dc06e10ad,
+                ],
             ),
         ];
-        for (mode, want) in pinned {
+        for (mode, emitted, served) in pinned {
             let got = [
                 bert.network_program(&mode, 8).unwrap().fingerprint(),
                 tied.prefill_program(&mode, 5).unwrap().fingerprint(),
@@ -768,7 +801,19 @@ mod tests {
                 untied.prefill_program(&mode, 5).unwrap().fingerprint(),
                 untied.decode_program(&mode, 5).unwrap().fingerprint(),
             ];
-            assert_eq!(got, want, "{}", mode.label());
+            assert_eq!(got, emitted, "{}", mode.label());
+            let opt = |p: Result<Program>| p.unwrap().optimize(OptLevel::default()).unwrap();
+            let got = [
+                opt(cnn.compile((&mode, (8, 8)))).fingerprint(),
+                opt(bert.compile((&mode, 8))).fingerprint(),
+                opt(gcn.compile((&mode, &g))).fingerprint(),
+                opt(pruned.compile((&mode, &pg))).fingerprint(),
+                tied.compiled_prefill(&mode, 5).fingerprint(),
+                tied.compiled_decode(&mode, 5).fingerprint(),
+                untied.compiled_prefill(&mode, 5).fingerprint(),
+                untied.compiled_decode(&mode, 5).fingerprint(),
+            ];
+            assert_eq!(got, served, "served {}", mode.label());
         }
     }
 }

@@ -21,13 +21,13 @@
 //!   shared-weight classifier.
 //!
 //! Between emission and execution sits the **optimizer** ([`opt`]): an
-//! ordered pass pipeline behind [`OptLevel`] (duplicate-boundary
-//! elision, common-subexpression sharing, opt-in Affine+Nonlinear
-//! fusion, dead-slot sweep) whose default level is bit-identical to the
-//! raw emission. Compilation is memoized through [`CompileCache`], and a
-//! program's op list, [`Program::consts`] and execution plan are
-//! `Arc`-shared, so cloning a compiled program — which the serving layer
-//! does once per request — copies no op and no weight data.
+//! ordered pass pipeline behind [`OptLevel`] (`cse`, which also shares
+//! duplicate boundaries; `prune-pack`; the dead-slot sweep) that is
+//! bit-identical to the raw emission. Compilation is memoized through
+//! [`CompileCache`], and a program's op list, [`Program::consts`] and
+//! execution plan are `Arc`-shared, so cloning a compiled program —
+//! which the serving layer does once per request — copies no op and no
+//! weight data.
 //!
 //! The IR sits *below* `onesa-nn` in the crate DAG so models can emit
 //! programs (via [`Compile`]) while `onesa-core` re-exports everything
@@ -79,7 +79,7 @@ pub mod wire;
 
 pub use cache::CompileCache;
 pub use exec::{run_staged, ProgramRun, StageGroups, StagedRun, TableCache};
-pub use opt::{OptLevel, OptReport, OptTotals, PassStats, PRUNE_BLOCK_COLS};
+pub use opt::{OptLevel, OptReport, OptTotals, PRUNE_BLOCK_COLS};
 pub use program::{
     same_tensor, tensor_fingerprint, EvalMode, GemmSparsity, Op, OpNode, Operand, PoolKind,
     Precision, Program, ProgramBuilder,

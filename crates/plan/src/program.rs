@@ -185,8 +185,8 @@ pub enum Op {
     /// A per-channel affine followed by a pointwise nonlinear, executed
     /// as **one** MHP pass: the IPF stage folds the affine's `(k, b)`
     /// into the table segment parameters, so the array evaluates
-    /// `f(k·x + b)` without a separate affine pass. Only the optimizer's
-    /// fusion pass ([`crate::opt::OptLevel::Fusion`]) emits this op — it
+    /// `f(k·x + b)` without a separate affine pass. No compiler or
+    /// optimizer pass emits this op; it is built by hand. It
     /// reassociates the multiply-add chain, so CPWL results may differ
     /// from the unfused pair by a few ULPs (exact mode is unchanged).
     AffineNonlinear {

@@ -84,7 +84,7 @@ use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::{Tensor, TensorError};
 
 use crate::exec::StageGroups;
-use crate::opt::{OptLevel, OptReport, OptTotals, PassStats};
+use crate::opt::{OptLevel, OptReport, OptTotals};
 use crate::program::{EvalMode, GemmSparsity, Op, OpNode, Operand, PoolKind, Precision, Program};
 
 /// Leading 4 bytes of every frame.
@@ -109,7 +109,12 @@ pub const MAGIC: [u8; 4] = *b"OSAW";
 ///   frame's the [`Program`] layout (session lists always present, empty
 ///   for a stateless program), and the transport's window carries a
 ///   full program inline instead of a nested frame.
-pub const VERSION: u16 = 4;
+/// * v5 — one optimizer level and a report of what the program cannot
+///   tell: [`OptLevel`] loses tag 2 (`Fusion`); [`OptReport`] is
+///   `{ level, ops_before, totals }` (the pass list, the op count after
+///   and both MAC counts are gone) and [`OptTotals`] is
+///   `{ shared, pruned, dead }`.
+pub const VERSION: u16 = 5;
 
 /// Frame kind: a standalone tensor ([`encode_tensor`]).
 pub const KIND_TENSOR: u16 = 0x0001;
@@ -462,35 +467,6 @@ impl Wire for String {
     }
 }
 
-/// The optimizer's pass names: the only `&'static str` on the wire.
-const PASS_NAMES: [&str; 5] = [
-    "quantize-elision",
-    "cse",
-    "prune-pack",
-    "fusion",
-    "dead-slot",
-];
-
-/// A [`PassStats::pass`] name. Decoding maps the wire string back onto
-/// the known statics, so the round trip preserves the exact type; an
-/// unknown name is corruption (the set only grows with the version).
-impl Wire for &'static str {
-    const MIN_LEN: usize = 8;
-
-    fn put(&self, w: &mut impl WireSink) {
-        put_str(self, w);
-    }
-
-    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
-        let n = usize::get(r)?;
-        let name = r.get_bytes(n)?;
-        PASS_NAMES
-            .into_iter()
-            .find(|p| p.as_bytes() == name)
-            .ok_or(WireError::Corrupt("unknown optimizer pass name"))
-    }
-}
-
 impl<T: Wire> Wire for Option<T> {
     const MIN_LEN: usize = 1;
 
@@ -806,21 +782,11 @@ wire_layout! {
 
     struct OpNode { op: Op, inputs: Vec<Operand> }
 
-    enum OptLevel { 0 => None, 1 => Standard, 2 => Fusion }
+    enum OptLevel { 0 => None, 1 => Standard }
 
-    struct PassStats { pass: &'static str, removed: usize }
+    struct OptTotals { shared: usize, pruned: usize, dead: usize }
 
-    struct OptTotals { elided: usize, shared: usize, fused: usize, dead: usize, pruned: usize }
-
-    struct OptReport {
-        level: OptLevel,
-        ops_before: usize,
-        ops_after: usize,
-        macs_before: u64,
-        macs_after: u64,
-        passes: Vec<PassStats>,
-        totals: OptTotals,
-    }
+    struct OptReport { level: OptLevel, ops_before: usize, totals: OptTotals }
 }
 
 /// A whole program: name, mode, input shapes, the recorded fingerprint

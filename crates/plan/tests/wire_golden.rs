@@ -44,8 +44,8 @@ fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
-/// The current version's fixture `name`: `program` is `program_v4.bin`
-/// at version 4.
+/// The current version's fixture `name`: `program` is `program_v5.bin`
+/// at version 5.
 fn fixture_path(name: &str) -> PathBuf {
     fixture_dir().join(format!("{name}_v{}.bin", wire::VERSION))
 }

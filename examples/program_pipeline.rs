@@ -10,8 +10,8 @@
 //!
 //! 1. compiles a residual CNN and a transformer encoder to
 //!    `onesa_core::plan::Program`s (via `onesa_nn`'s `Compile` impls)
-//!    and runs the optimizer pipeline over them, printing each pass's
-//!    `PassStats` (boundary elisions, CSE shares, fusions),
+//!    and runs the optimizer pipeline over them, printing its
+//!    `OptTotals` (CSE shares, pruned GEMMs, dead ops),
 //! 2. submits several instances of each to one `BatchEngine` and shows
 //!    the per-stage kernel-group accounting — shared-weight GEMM
 //!    stacking and shared-table IPF concatenation collapse each stage's
@@ -54,42 +54,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The serving wrappers run the bit-identical Standard level; the
-    // opt-in Fusion level additionally folds Affine+ReLU pairs into
-    // single MHP passes (reassociates — within 1e-6, not bit-exact).
+    // The serving wrappers run the bit-identical Standard level.
     let cnn_program = cnn_raw.optimize(OptLevel::Standard)?;
     let bert_program = bert_raw.optimize(OptLevel::Standard)?;
-    println!("\noptimizer pass stats (PassStats, ops removed per pass):");
-    for (raw, level) in [
-        (&cnn_raw, OptLevel::Standard),
-        (&cnn_raw, OptLevel::Fusion),
-        (&bert_raw, OptLevel::Standard),
-    ] {
-        let optimized = raw.optimize(level)?;
+    println!("\noptimizer totals (OptTotals, per pass):");
+    for (raw, optimized) in [(&cnn_raw, &cnn_program), (&bert_raw, &bert_program)] {
         let report = optimized.opt_report().expect("optimize records a report");
-        let passes: Vec<String> = report
-            .passes
-            .iter()
-            .map(|p| format!("{}={}", p.pass, p.removed))
-            .collect();
+        let t = report.totals;
         println!(
-            "  {:<12} [{:<8}] {:>2} -> {:>2} ops ({:>4.1}% cut): {}",
+            "  {:<12} {:>2} -> {:>2} ops ({:>4.1}% cut): cse={}, prune-pack={}, dead-slot={}",
             raw.name(),
-            level.label(),
             report.ops_before,
-            report.ops_after,
+            optimized.stages(),
             report.ops_removed_fraction() * 100.0,
-            passes.join(", ")
+            t.shared,
+            t.pruned,
+            t.dead
         );
     }
-    // The >=10% op cut needs the opt-in Fusion level; the bit-identical
-    // Standard level that serving runs contributes the 4% elision.
-    let fused = cnn_raw.optimize(OptLevel::Fusion)?;
-    assert!(
-        fused.opt_report().expect("report").ops_removed_fraction() >= 0.10,
-        "fusion level must cut >=10% of the CNN's ops"
-    );
-    assert!(fused.modeled_macs() < cnn_raw.modeled_macs());
+    // `cse` shares the CNN's duplicated residual-skip boundary.
+    assert_eq!((cnn_raw.stages(), cnn_program.stages()), (25, 24));
 
     // Repeated wrapper calls hit the model's CompileCache: no re-emit,
     // no weight copies — just an Arc clone per request.
