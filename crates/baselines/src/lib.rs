@@ -19,9 +19,10 @@
 //!
 //! ```
 //! use onesa_baselines::{cpu_i7_11700, table4_baselines};
+//! use onesa_nn::workloads::ModelFamily;
 //!
 //! let cpu = cpu_i7_11700();
-//! assert!(cpu.power_w > 0.0 && cpu.cnn_gops.is_some());
+//! assert!(cpu.power_w > 0.0 && cpu.gops_for(ModelFamily::Cnn).is_some());
 //! // Table IV compares seven baseline devices.
 //! assert_eq!(table4_baselines().len(), 7);
 //! ```
@@ -37,16 +38,16 @@ pub struct Processor {
     /// Device name as it appears in Table IV.
     pub name: &'static str,
     /// Technology node in nanometres.
-    pub tech_nm: u32,
+    pub(crate) tech_nm: u32,
     /// Board/package power in watts.
     pub power_w: f64,
     /// Sustained throughput (GOPS, 1 op = 1 MAC) per family; `None`
     /// where the device does not support the family.
-    pub cnn_gops: Option<f64>,
+    pub(crate) cnn_gops: Option<f64>,
     /// Transformer throughput.
-    pub transformer_gops: Option<f64>,
+    pub(crate) transformer_gops: Option<f64>,
     /// GNN throughput.
-    pub gnn_gops: Option<f64>,
+    pub(crate) gnn_gops: Option<f64>,
 }
 
 impl Processor {
@@ -69,12 +70,6 @@ impl Processor {
     /// Throughput per watt for a family (the paper's efficiency metric).
     pub fn gops_per_watt(&self, family: ModelFamily) -> Option<f64> {
         Some(self.gops_for(family)? / self.power_w)
-    }
-
-    /// Whether the device runs all three families (the flexibility the
-    /// paper claims only ONE-SA and general-purpose processors have).
-    pub fn is_flexible(&self) -> bool {
-        self.cnn_gops.is_some() && self.transformer_gops.is_some() && self.gnn_gops.is_some()
     }
 }
 
@@ -205,10 +200,13 @@ mod tests {
 
     #[test]
     fn flexibility_flags() {
-        assert!(cpu_i7_11700().is_flexible());
-        assert!(gpu_3090ti().is_flexible());
-        assert!(!angel_eye().is_flexible());
-        assert!(!ftrans().is_flexible());
+        // Flexible: the device runs all three families.
+        let families = [ModelFamily::Cnn, ModelFamily::Transformer, ModelFamily::Gnn];
+        let flexible = |p: Processor| families.iter().all(|&f| p.gops_for(f).is_some());
+        assert!(flexible(cpu_i7_11700()));
+        assert!(flexible(gpu_3090ti()));
+        assert!(!flexible(angel_eye()));
+        assert!(!flexible(ftrans()));
     }
 
     #[test]

@@ -153,8 +153,7 @@ pub type RequestId = usize;
 /// Callers build one with [`Request::gemm`], [`Request::nonlinear`] or
 /// [`Request::program`]; the first two are shorthands that
 /// [`Request::lower`] turns into one-op programs at the front door of
-/// every engine, so past it there is one request kind (see the
-/// [module docs](self)).
+/// every engine, so past it there is one request kind.
 #[derive(Debug, Clone)]
 pub struct Request {
     work: Work,
@@ -297,7 +296,7 @@ impl Request {
 #[derive(Debug, Clone)]
 pub struct RequestOutcome {
     /// The id [`BatchEngine::submit`] returned.
-    pub id: RequestId,
+    pub(crate) id: RequestId,
     /// The request's output tensor (bit-identical to a solo run).
     pub output: Tensor,
     /// Simulated array stats for this request run alone (the merge of
@@ -311,7 +310,7 @@ pub struct RequestOutcome {
     /// program's `session_outputs` order. Empty for stateless programs.
     /// The serving layer ([`crate::serve`]) writes these back into the
     /// session table.
-    pub session_outputs: Vec<Tensor>,
+    pub(crate) session_outputs: Vec<Tensor>,
 }
 
 /// Aggregate statistics of one [`BatchEngine::run`] (or, aggregated
@@ -357,7 +356,6 @@ pub struct ServingReport {
     /// order (entry `i` belongs to the request [`BatchEngine::submit`]
     /// returned id `i` for; serve-aggregated reports order by ticket id
     /// over the successfully served requests, omitting rejected ones).
-    /// Input to [`ServingReport::latency_percentile`].
     pub latencies: Vec<f64>,
     /// Optimizer pass totals of the run's requests, summed from each
     /// program's `OptReport` (all zero when the queue held no optimized
@@ -381,7 +379,7 @@ pub struct ServingReport {
 
 impl ServingReport {
     /// Requests per second against host wall-clock time.
-    pub fn wall_rps(&self) -> f64 {
+    pub(crate) fn wall_rps(&self) -> f64 {
         if self.wall_seconds > 0.0 {
             self.requests as f64 / self.wall_seconds
         } else {
@@ -390,7 +388,7 @@ impl ServingReport {
     }
 
     /// Sustained GOPS of the simulated array over the batched schedule.
-    pub fn batched_gops(&self) -> f64 {
+    pub(crate) fn batched_gops(&self) -> f64 {
         if self.batched_seconds > 0.0 {
             self.total_macs as f64 / self.batched_seconds / 1e9
         } else {
@@ -409,7 +407,7 @@ impl ServingReport {
 
     /// Simulated per-request latency percentile (`q` in `0..=100`),
     /// nearest-rank over the served queue.
-    pub fn latency_percentile(&self, q: f64) -> f64 {
+    pub(crate) fn latency_percentile(&self, q: f64) -> f64 {
         nearest_rank(&self.latencies, q)
     }
 }
@@ -486,8 +484,6 @@ pub struct BatchRun {
 }
 
 /// A request queue in front of a [`OneSa`] engine.
-///
-/// See the [module docs](self) for the serving model.
 #[derive(Debug, Clone)]
 pub struct BatchEngine {
     engine: OneSa,
@@ -524,25 +520,9 @@ impl BatchEngine {
         })
     }
 
-    /// The engine's persistent per-granularity table cache (seeded with
-    /// the engine's own set; reused across every run).
-    pub fn table_cache(&self) -> &TableCache {
-        &self.plan_tables
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &OneSa {
-        &self.engine
-    }
-
     /// Number of requests waiting in the queue.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// The CPWL granularity the engine's table set was built at.
-    pub fn granularity(&self) -> f32 {
-        self.granularity
     }
 
     /// Enqueues a request, returning its id (its submission index).
@@ -561,8 +541,8 @@ impl BatchEngine {
     ///
     /// # Errors
     ///
-    /// The same errors [`BatchEngine::validate`] reports; the queue is
-    /// untouched on error.
+    /// The admission errors [`BatchEngine::run`] would report for this
+    /// request; the queue is untouched on error.
     pub fn submit_checked(&mut self, mut request: Request) -> Result<RequestId> {
         self.validate(&mut request)?;
         Ok(self.submit(request))
@@ -580,7 +560,7 @@ impl BatchEngine {
     /// Drops every pending request, returning how many were discarded.
     /// The serving layer uses this to recover a shard after rejecting a
     /// malformed batch without replaying its queue.
-    pub fn clear(&mut self) -> usize {
+    pub(crate) fn clear(&mut self) -> usize {
         let n = self.queue.len();
         self.queue.clear();
         n
@@ -599,7 +579,7 @@ impl BatchEngine {
     ///
     /// The same errors [`BatchEngine::run`] would report for the
     /// request. A request that fails to lower is left as it was.
-    pub fn validate(&self, request: &mut Request) -> Result<()> {
+    pub(crate) fn validate(&self, request: &mut Request) -> Result<()> {
         request.check(self.granularity)
     }
 
@@ -976,7 +956,7 @@ mod tests {
     #[test]
     fn validate_and_clear() {
         let mut serving = BatchEngine::new(engine(), 0.25).unwrap();
-        assert_eq!(serving.granularity(), 0.25);
+        assert_eq!(serving.granularity, 0.25);
         let mut good = Request::gemm(Tensor::zeros(&[2, 3]), Tensor::zeros(&[3, 5]));
         let mut bad = Request::gemm(Tensor::zeros(&[2, 3]), Tensor::zeros(&[4, 5]));
         assert!(serving.validate(&mut good).is_ok());
@@ -1153,7 +1133,7 @@ mod tests {
             b.finish().unwrap()
         };
         let mut serving = BatchEngine::new(engine(), 0.25).unwrap();
-        assert_eq!(serving.table_cache().builds(), 0); // engine set was seeded
+        assert_eq!(serving.plan_tables.builds(), 0); // engine set was seeded
         for _ in 0..3 {
             serving
                 .submit_program(program.clone(), vec![rng.randn(&[2, 6], 1.0)])
@@ -1161,11 +1141,11 @@ mod tests {
             let _ = serving.run().unwrap();
         }
         assert_eq!(
-            serving.table_cache().builds(),
+            serving.plan_tables.builds(),
             1,
             "per-granularity tables must persist across runs"
         );
-        assert_eq!(serving.table_cache().len(), 2); // 0.25 seeded + 0.5 built
+        assert_eq!(serving.plan_tables.len(), 2); // 0.25 seeded + 0.5 built
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl OneSa {
     }
 
     /// Modelled power at a given utilization.
-    pub fn power_watts(&self, utilization: f64) -> f64 {
+    pub(crate) fn power_watts(&self, utilization: f64) -> f64 {
         self.power.power_at_utilization(&self.cost, utilization)
     }
 
@@ -81,7 +81,6 @@ impl OneSa {
             workload: w.name.clone(),
             stats,
             config: self.cfg.clone(),
-            cost: self.cost,
             power_w: self.power.power_at_utilization(&self.cost, utilization),
         }
     }

@@ -31,7 +31,7 @@ mod engine;
 mod flex;
 mod report;
 
-pub mod batch;
+mod batch;
 pub mod net;
 pub mod serve;
 

@@ -94,16 +94,6 @@ pub enum Transport {
     Tcp,
 }
 
-impl Transport {
-    /// Human-readable name (`"unix"` / `"tcp"`), used in bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Transport::Unix => "unix",
-            Transport::Tcp => "tcp",
-        }
-    }
-}
-
 /// Configuration of the multi-process shard backend
 /// (`crate::serve::ShardBackend::Process`).
 #[derive(Debug, Clone, Default)]
@@ -176,7 +166,7 @@ impl WeightCacheStats {
     }
 
     /// Accumulates another connection's counters.
-    pub fn merge(&mut self, other: &WeightCacheStats) {
+    pub(crate) fn merge(&mut self, other: &WeightCacheStats) {
         self.full_sends += other.full_sends;
         self.ref_sends += other.ref_sends;
         self.const_bytes_saved += other.const_bytes_saved;
@@ -626,7 +616,7 @@ impl WorkerHandle {
     }
 
     /// The worker process id (what a chaos test kills).
-    pub fn pid(&self) -> u32 {
+    pub(crate) fn pid(&self) -> u32 {
         self.child.id()
     }
 

@@ -1,20 +1,17 @@
 //! Execution reports: latency, throughput, power and efficiency of one
 //! workload on one array configuration.
 
-use onesa_resources::ModuleCost;
 use onesa_sim::{ArrayConfig, ExecStats};
 
 /// The result of running a workload on the engine.
 #[derive(Debug, Clone)]
 pub struct ExecutionReport {
     /// Workload name.
-    pub workload: String,
+    pub(crate) workload: String,
     /// Aggregated execution statistics.
     pub stats: ExecStats,
     /// Array configuration used.
-    pub config: ArrayConfig,
-    /// FPGA resource cost of the design.
-    pub cost: ModuleCost,
+    pub(crate) config: ArrayConfig,
     /// Modelled power draw during the run (W).
     pub power_w: f64,
 }
@@ -38,11 +35,6 @@ impl ExecutionReport {
     /// Throughput per watt (the paper's efficiency metric, `1/W`).
     pub fn gops_per_watt(&self) -> f64 {
         self.gops() / self.power_w
-    }
-
-    /// Energy for the run in joules.
-    pub fn energy_j(&self) -> f64 {
-        self.power_w * self.stats.seconds()
     }
 }
 
@@ -85,14 +77,12 @@ mod tests {
             workload: "test".into(),
             stats,
             config: cfg,
-            cost: ModuleCost::new(1, 1, 1, 1),
             power_w: 8.0,
         };
         // 200k cycles at 200 MHz = 1 ms.
         assert!((report.latency_ms() - 1.0).abs() < 1e-9);
         assert!((report.gops() - 204.8).abs() < 1e-6);
         assert!((report.gops_per_watt() - 25.6).abs() < 1e-6);
-        assert!((report.energy_j() - 8.0e-3).abs() < 1e-9);
         assert!(report.to_string().contains("GOPS"));
     }
 }

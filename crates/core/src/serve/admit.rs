@@ -76,7 +76,7 @@ impl Default for AdmissionPolicy {
 ///
 /// * **Window fill.** While the admitter fills a window, a CPWL program
 ///   request degrades one ladder rung if the submission queue behind it
-///   is at least [`DegradePolicy::depth_threshold`] deep. The window's
+///   is at least the policy's depth threshold deep. The window's
 ///   work budget ([`AdmissionPolicy::SizeCapped`]) counts the
 ///   *recompiled* program's modeled MACs.
 /// * **Expiry rescue.** Under [`AdmissionPolicy::Deadline`] with
@@ -94,11 +94,11 @@ pub struct DegradePolicy {
     /// Fallback granularities, finest first, each strictly coarser
     /// (larger) than the one before; requests degrade along it rung by
     /// rung. Must be non-empty.
-    pub ladder: Vec<f32>,
+    pub(crate) ladder: Vec<f32>,
     /// Submission-queue depth at which window fill degrades a request
     /// one rung (`usize::MAX` — the [`DegradePolicy::new`] default —
     /// disables pressure degrading; `0` degrades every request).
-    pub depth_threshold: usize,
+    pub(crate) depth_threshold: usize,
 }
 
 impl DegradePolicy {
@@ -127,8 +127,8 @@ pub struct DegradeInfo {
     pub requested: f32,
     /// Coarser granularity it was re-compiled to and served at.
     pub served: f32,
-    /// Ladder rungs between the two (the number of
-    /// [`DegradePolicy::ladder`] entries in `(requested, served]`).
+    /// Ladder rungs between the two (the number of degrade-ladder
+    /// entries in `(requested, served]`).
     pub rungs: usize,
 }
 

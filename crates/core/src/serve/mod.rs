@@ -81,7 +81,7 @@
 //! * **Bit-identicality.** Outputs are bit-identical to running every
 //!   request alone on one sequential array, for every shard count,
 //!   admission policy and routing policy — coalescing never changes a
-//!   request's floating-point op sequence (see [`crate::batch`]), and
+//!   request's floating-point op sequence (see [`crate::BatchEngine`]), and
 //!   sharding only changes *which* engine runs it.
 //! * **Per-ticket ordering.** Ticket ids are assigned in submission
 //!   order and every [`ServedOutcome`] carries the id of the request it
@@ -171,7 +171,7 @@ use session::{SessionState, SessionTable, SessionTag};
 use shard::{shard_loop, ReqRecord, ShardExec, ShardOut};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
@@ -209,8 +209,8 @@ pub enum ShardBackend {
     /// One `onesa-shard-worker` process per shard, connected over a
     /// Unix-domain or TCP socket (see [`crate::net`]). Adds worker-death
     /// failover: a window in flight to a dead worker requeues on a
-    /// surviving shard, and [`ShardStats::worker_lost`] /
-    /// [`ServeSummary::failovers`] record the event.
+    /// surviving shard, and [`ServeSummary::failovers`] records the
+    /// event.
     Process(ProcessConfig),
 }
 
@@ -461,15 +461,6 @@ impl Ticket {
     pub fn wait(self) -> Result<ServedOutcome, ServeError> {
         self.rx.recv().map_err(|_| ServeError::WorkerLost)?
     }
-
-    /// Non-blocking poll: `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<ServedOutcome, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(ServeError::WorkerLost)),
-        }
-    }
 }
 
 /// Aggregate result of one [`ServeEngine`] lifetime.
@@ -513,7 +504,7 @@ pub struct ServeSummary {
     /// the run (each one's in-flight windows requeued on survivors).
     pub failovers: usize,
     /// Process backend only: pool-wide weight-cache accounting (the
-    /// per-shard [`ShardStats::wire_cache`] counters merged).
+    /// per-shard counters merged).
     pub wire_cache: WeightCacheStats,
     /// Latency/throughput accounting of the prompt passes of decoding
     /// sessions (empty for a session-free run).
@@ -538,7 +529,7 @@ impl ServeSummary {
 
     /// Generated tokens per host wall-clock second across every
     /// session's decode steps (0.0 for a session-free run).
-    pub fn decode_tokens_per_second(&self) -> f64 {
+    pub(crate) fn decode_tokens_per_second(&self) -> f64 {
         self.decode.tokens_per_second(self.report.wall_seconds)
     }
 
@@ -938,11 +929,6 @@ impl ServeEngine {
         &self.worker_pids
     }
 
-    /// Number of shards in the pool.
-    pub fn shards(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Opens the admission gate of a [`ServeConfig::paused`] engine
     /// (idempotent).
     pub fn resume(&self) {
@@ -1090,7 +1076,7 @@ impl ServeEngine {
     /// # Errors
     ///
     /// As for [`ServeEngine::submit_prefill`].
-    pub fn submit_decode_with_deadline(
+    pub(crate) fn submit_decode_with_deadline(
         &self,
         id: SessionId,
         program: crate::Program,
@@ -1117,11 +1103,6 @@ impl ServeEngine {
     /// Decode steps the session has completed (tokens generated).
     pub fn session_tokens(&self, id: SessionId) -> Option<u64> {
         self.sessions.peek(id, |s| s.tokens)
-    }
-
-    /// Sessions currently resident in the table.
-    pub fn live_sessions(&self) -> usize {
-        self.sessions.live()
     }
 
     // -- submission plumbing ----------------------------------------------
@@ -1331,6 +1312,7 @@ mod tests {
     use onesa_cpwl::NonlinearFn;
     use onesa_tensor::gemm;
     use onesa_tensor::rng::Pcg32;
+    use std::sync::mpsc::TryRecvError;
 
     fn pool(shards: usize) -> ServeEngine {
         ServeEngine::start(ServeConfig::uniform(
@@ -1376,10 +1358,11 @@ mod tests {
             .unwrap();
         // Poll until served (single shard, tiny request).
         let served = loop {
-            if let Some(r) = ticket.try_wait() {
-                break r.unwrap();
+            match ticket.rx.try_recv() {
+                Ok(r) => break r.unwrap(),
+                Err(TryRecvError::Empty) => thread::yield_now(),
+                Err(TryRecvError::Disconnected) => panic!("pool died before answering"),
             }
-            thread::yield_now();
         };
         let tables = onesa_cpwl::ops::TableSet::for_granularity(0.25).unwrap();
         assert_eq!(served.output, tables.gelu(&x).unwrap());
@@ -1703,7 +1686,7 @@ mod tests {
         let engine = pool(2);
 
         let id = engine.open_session();
-        assert_eq!(engine.live_sessions(), 1);
+        assert_eq!(engine.sessions.summary().live, 1);
         assert_eq!(engine.session_context_rows(id), Some(0));
         engine
             .submit_prefill(id, cache_prefill(3, d), vec![prompt.clone()], 3)
@@ -1732,7 +1715,7 @@ mod tests {
 
         assert!(engine.close_session(id));
         assert!(!engine.close_session(id));
-        assert_eq!(engine.live_sessions(), 0);
+        assert_eq!(engine.sessions.summary().live, 0);
 
         let summary = engine.finish().unwrap();
         assert_eq!(summary.sessions.opened, 1);
@@ -1786,7 +1769,7 @@ mod tests {
             other => panic!("expected DeadlineExpired, got {other:?}"),
         }
         assert!(engine.session_kv(id).is_none(), "session must be evicted");
-        assert_eq!(engine.live_sessions(), 0);
+        assert_eq!(engine.sessions.summary().live, 0);
         match engine.submit_decode(id, cache_decode(2, d), vec![rng.randn(&[1, d], 1.0)]) {
             Err(ServeError::SessionUnknown(evicted)) => assert_eq!(evicted, id),
             other => panic!("expected SessionUnknown, got {other:?}"),
@@ -1821,7 +1804,7 @@ mod tests {
         let a = engine.open_session();
         let b = engine.open_session();
         let c = engine.open_session();
-        assert_eq!(engine.live_sessions(), 2);
+        assert_eq!(engine.sessions.summary().live, 2);
         assert!(
             engine.session_kv(a).is_none(),
             "oldest idle session evicted"

@@ -68,9 +68,9 @@ pub struct PowerSummary {
     pub off_shard_windows: u64,
     /// `Off → Active` transitions (scale-ups and pinned-session
     /// re-powers).
-    pub power_ups: u64,
+    pub(crate) power_ups: u64,
     /// `Idle → Off` transitions (completed drains).
-    pub power_downs: u64,
+    pub(crate) power_downs: u64,
 }
 
 /// Modeled execution of one admission window on one shard — what the

@@ -20,7 +20,7 @@ pub enum RoutePolicy {
     /// Requests whose programs have equal `Program::fingerprint`s —
     /// GEMMs against the same weight matrix, nonlinears of the same
     /// function, whole networks compiled from the same model — land on
-    /// the same shard, so sharding does not break [`crate::batch`]'s
+    /// the same shard, so sharding does not break [`crate::BatchEngine`]'s
     /// coalescing (shared weights still load once *per shard that sees
     /// them*, and with affinity routing that is one shard).
     WeightAffinity,

@@ -86,7 +86,7 @@ pub struct PhaseStats {
     /// one per decode step.
     pub tokens: u64,
     /// Simulated per-request latencies in seconds, ordered by ticket id.
-    pub latencies: Vec<f64>,
+    pub(crate) latencies: Vec<f64>,
 }
 
 impl PhaseStats {
@@ -97,7 +97,7 @@ impl PhaseStats {
     }
 
     /// Tokens per second against the given wall-clock interval.
-    pub fn tokens_per_second(&self, wall_seconds: f64) -> f64 {
+    pub(crate) fn tokens_per_second(&self, wall_seconds: f64) -> f64 {
         if wall_seconds > 0.0 {
             self.tokens as f64 / wall_seconds
         } else {
@@ -268,10 +268,6 @@ impl SessionTable {
     /// Reads from session `id` under the lock; `None` if it is gone.
     pub(super) fn peek<R>(&self, id: SessionId, f: impl FnOnce(&SessionState) -> R) -> Option<R> {
         self.lock().map.get(&id).map(f)
-    }
-
-    pub(super) fn live(&self) -> usize {
-        self.lock().map.len()
     }
 
     pub(super) fn summary(&self) -> SessionSummary {

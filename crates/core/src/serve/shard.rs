@@ -26,9 +26,9 @@ pub struct ShardStats {
     /// Dispatched batches this shard executed.
     pub batches: usize,
     /// Coalesced GEMM kernel calls across those batches.
-    pub gemm_groups: usize,
+    pub(crate) gemm_groups: usize,
     /// Coalesced IPF + MHP passes across those batches.
-    pub nonlinear_groups: usize,
+    pub(crate) nonlinear_groups: usize,
     /// Multiply-accumulates this shard performed.
     pub macs: u64,
     /// Simulated array seconds this shard's batched schedules took. The
@@ -46,17 +46,17 @@ pub struct ShardStats {
     pub peak_queue_depth: usize,
     /// Optimizer pass totals of the program requests this shard served
     /// (see `ServingReport::opt`).
-    pub opt: OptTotals,
+    pub(crate) opt: OptTotals,
     /// Weight column blocks the sparse GEMM kernel skipped on this
     /// shard (see `ServingReport::blocks_skipped`).
-    pub blocks_skipped: u64,
+    pub(crate) blocks_skipped: u64,
     /// Total column blocks of the sparsity-attributed GEMMs this shard
     /// served (see `ServingReport::blocks_total`).
-    pub blocks_total: u64,
+    pub(crate) blocks_total: u64,
     /// Process backend only: this shard's worker process died
     /// (EOF/ping timeout) during the run and its in-flight windows were
     /// requeued on surviving shards.
-    pub worker_lost: bool,
+    pub(crate) worker_lost: bool,
     /// Process backend only: requests this shard's thread re-executed on
     /// *another* shard's worker after a connection failed (its own
     /// worker's, or a dead peer it was asked to cover for).
@@ -65,7 +65,7 @@ pub struct ShardStats {
     /// worker connection — how often program consts actually crossed
     /// the wire. All zeros for in-process shards (consts never leave
     /// the address space) and for workers that died before shutdown.
-    pub wire_cache: WeightCacheStats,
+    pub(crate) wire_cache: WeightCacheStats,
 }
 
 /// Per-request accounting a shard sends back at shutdown (the outcome

@@ -5,7 +5,7 @@
 //! approximation error so the end-to-end results can be sanity-checked
 //! against first principles (chord error of a C² function is `≈ M₂·g²/8`).
 
-use crate::{NonlinearFn, PwlTable, Result};
+use crate::PwlTable;
 
 /// Scalar approximation error statistics over a sampling of the range.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -75,33 +75,23 @@ pub fn capped_error(table: &PwlTable, span: f32, samples: usize) -> ApproxError 
     }
 }
 
-/// Sweeps a list of granularities and reports the in-range error of each
-/// — the scalar-level counterpart of the paper's Table III columns.
-///
-/// # Errors
-///
-/// Propagates table-construction failures.
-pub fn sweep(
-    func: NonlinearFn,
-    granularities: &[f32],
-    samples: usize,
-) -> Result<Vec<(f32, ApproxError)>> {
-    granularities
-        .iter()
-        .map(|&g| {
-            let table = PwlTable::builder(func).granularity(g).build()?;
-            Ok((g, measure(&table, samples)))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NonlinearFn;
 
     #[test]
     fn error_grows_with_granularity() {
-        let sweep = sweep(NonlinearFn::Gelu, &[0.1, 0.25, 0.5, 1.0], 2000).unwrap();
+        let sweep: Vec<(f32, ApproxError)> = [0.1, 0.25, 0.5, 1.0]
+            .into_iter()
+            .map(|g| {
+                let table = PwlTable::builder(NonlinearFn::Gelu)
+                    .granularity(g)
+                    .build()
+                    .unwrap();
+                (g, measure(&table, 2000))
+            })
+            .collect();
         for w in sweep.windows(2) {
             assert!(
                 w[0].1.max_abs <= w[1].1.max_abs + 1e-6,

@@ -98,7 +98,7 @@ impl NonlinearFn {
     /// Outside the range the boundary chord extrapolates; the defaults are
     /// chosen so that extrapolation matches the asymptote (identity for
     /// GELU/SiLU above, zero below; saturation for sigmoid/tanh; …).
-    pub fn default_range(&self) -> (f32, f32) {
+    pub(crate) fn default_range(&self) -> (f32, f32) {
         match *self {
             NonlinearFn::Gelu | NonlinearFn::Silu | NonlinearFn::Mish => (-4.0, 4.0),
             NonlinearFn::Erf | NonlinearFn::Tanh => (-4.0, 4.0),
@@ -116,7 +116,7 @@ impl NonlinearFn {
     }
 
     /// Short stable name (used in reports and table caches).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match *self {
             NonlinearFn::Gelu => "gelu",
             NonlinearFn::Erf => "erf",

@@ -15,8 +15,8 @@
 //!
 //! [`PwlTable::ipf`] materialises steps 1–2 as the simulator consumes
 //! them; what the host *serves* is the three steps fused into one
-//! vectorised sweep over slices ([`PwlTable::eval_slice`], behind
-//! [`PwlTable::eval_tensor`] and every [`ops::TableSet`] operator),
+//! vectorised sweep over slices (behind [`PwlTable::eval_tensor`],
+//! [`PwlTable::eval_in_place`] and every [`ops::TableSet`] operator),
 //! bit-identical to the step-by-step form.
 //!
 //! # Example
@@ -38,7 +38,6 @@ mod functions;
 mod table;
 
 pub mod analysis;
-pub mod granularity;
 pub mod ops;
 
 pub use error::CpwlError;

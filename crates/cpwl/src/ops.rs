@@ -1,6 +1,5 @@
 //! Matrix-level CPWL operators and the lowering of composite nonlinear
-//! ops (softmax, layer norm, batch norm) into the paper's architecture
-//! events.
+//! ops (softmax, layer norm) into the paper's architecture events.
 //!
 //! The decomposition mirrors §III of the paper: every *pointwise*
 //! nonlinearity becomes IPF + MHP; every *reduction* is a GEMM against a
@@ -10,7 +9,7 @@
 //! the same step sequence on the cycle-level simulator.
 //!
 //! On the host every IPF + MHP pair here is the table's fused sweep
-//! (see [`crate::PwlTable::eval_slice`]): the pointwise operators
+//! (see [`crate::PwlTable::eval_in_place`]): the pointwise operators
 //! allocate their output and run it, and [`TableSet::softmax_rows`] and
 //! [`TableSet::layernorm_rows`] are one output buffer their rows are
 //! reduced, swept and scaled in.
@@ -169,24 +168,6 @@ impl TableSet {
         self.relu.eval_tensor(x)
     }
 
-    /// Tanh over a tensor (IPF + MHP).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor shape errors.
-    pub fn tanh(&self, x: &Tensor) -> Result<Tensor> {
-        self.tanh.eval_tensor(x)
-    }
-
-    /// Sigmoid over a tensor (IPF + MHP).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor shape errors.
-    pub fn sigmoid(&self, x: &Tensor) -> Result<Tensor> {
-        self.sigmoid.eval_tensor(x)
-    }
-
     /// Row-wise softmax lowered to array events:
     ///
     /// 1. row max (reduction; exact),
@@ -305,50 +286,6 @@ impl TableSet {
                 for ((v, g), b) in row.iter_mut().zip(gamma).zip(beta) {
                     *v = *v * inv_std * g + b;
                 }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Inference-time batch normalization: with running statistics folded
-    /// into a per-channel affine, the op is a single MHP
-    /// (`y = x ⊙ k + b` with `k = γ/√(σ²+ε)`, `b = β − μ·k`).
-    ///
-    /// `x` is `[rows, channels]`; statistics are per channel.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor error on mismatched channel counts.
-    pub fn batchnorm_rows(
-        &self,
-        x: &Tensor,
-        mean: &[f32],
-        var: &[f32],
-        gamma: &[f32],
-        beta: &[f32],
-        eps: f32,
-    ) -> Result<Tensor> {
-        let (m, n) = x.shape().as_matrix()?;
-        if mean.len() != n || var.len() != n || gamma.len() != n || beta.len() != n {
-            return Err(crate::CpwlError::Tensor(
-                onesa_tensor::TensorError::ShapeMismatch {
-                    lhs: vec![m, n],
-                    rhs: vec![mean.len()],
-                    op: "batchnorm_rows",
-                },
-            ));
-        }
-        // Fold stats into (k, b); the rsqrt itself goes through CPWL so a
-        // coarse granularity degrades batch-norm too, as in the paper.
-        let k: Vec<f32> = (0..n)
-            .map(|j| gamma[j] * self.rsqrt.eval(var[j] + eps))
-            .collect();
-        let b: Vec<f32> = (0..n).map(|j| beta[j] - mean[j] * k[j]).collect();
-        let mut out = x.clone();
-        for i in 0..m {
-            let row = &mut out.as_mut_slice()[i * n..(i + 1) * n];
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = *v * k[j] + b[j];
             }
         }
         Ok(out)
@@ -476,27 +413,11 @@ mod tests {
     }
 
     #[test]
-    fn batchnorm_folds_to_affine() {
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        let tables = TableSet::for_granularity(0.0625).unwrap();
-        let y = tables
-            .batchnorm_rows(&x, &[0.0, 1.0], &[1.0, 4.0], &[1.0, 1.0], &[0.0, 0.0], 0.0)
-            .unwrap();
-        // Channel 0: (x-0)/1; channel 1: (x-1)/2.
-        assert!((y.at(&[0, 0]).unwrap() - 1.0).abs() < 0.02);
-        assert!((y.at(&[0, 1]).unwrap() - 0.5).abs() < 0.02);
-        assert!((y.at(&[1, 1]).unwrap() - 1.5).abs() < 0.02);
-    }
-
-    #[test]
     fn shape_validation() {
         let x = Tensor::zeros(&[2, 3]);
         let tables = TableSet::for_granularity(0.25).unwrap();
         assert!(tables
             .layernorm_rows(&x, &[1.0; 2], &[0.0; 3], 1e-5)
-            .is_err());
-        assert!(tables
-            .batchnorm_rows(&x, &[0.0; 3], &[1.0; 3], &[1.0; 3], &[0.0; 2], 1e-5)
             .is_err());
     }
 

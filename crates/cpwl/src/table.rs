@@ -118,13 +118,12 @@ impl PwlTable {
             func,
             granularity: 0.25,
             range: None,
-            qformat: QFormat::default(),
             max_segments: 4096,
         }
     }
 
     /// The approximated function.
-    pub fn func(&self) -> NonlinearFn {
+    pub(crate) fn func(&self) -> NonlinearFn {
         self.func
     }
 
@@ -161,7 +160,7 @@ impl PwlTable {
 
     /// Uncapped segment index — what the data-shift module produces before
     /// the scale module intervenes. Negative below the range.
-    pub fn raw_segment_index(&self, x: f32) -> i64 {
+    pub(crate) fn raw_segment_index(&self, x: f32) -> i64 {
         ((x - self.x_min) / self.seg_len).floor() as i64
     }
 
@@ -260,7 +259,7 @@ impl PwlTable {
     /// # Panics
     ///
     /// Panics if the slices differ in length.
-    pub fn eval_slice(&self, x: &[f32], out: &mut [f32]) {
+    pub(crate) fn eval_slice(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), out.len(), "sweep input and output lengths");
         let lanes = Lanes::of(self);
         for (o, &v) in out.iter_mut().zip(x) {
@@ -269,7 +268,7 @@ impl PwlTable {
         }
     }
 
-    /// [`PwlTable::eval_slice`] over its own input.
+    /// The fused sweep (IPF + MHP in one pass) over `x`, in place.
     pub fn eval_in_place(&self, x: &mut [f32]) {
         let lanes = Lanes::of(self);
         for v in x {
@@ -341,7 +340,6 @@ pub struct PwlTableBuilder {
     func: NonlinearFn,
     granularity: f32,
     range: Option<(f32, f32)>,
-    qformat: QFormat,
     max_segments: usize,
 }
 
@@ -353,16 +351,10 @@ impl PwlTableBuilder {
         self
     }
 
-    /// Overrides the approximation range (default:
-    /// [`NonlinearFn::default_range`]).
+    /// Overrides the approximation range (default: the function's own
+    /// default range).
     pub fn range(mut self, lo: f32, hi: f32) -> Self {
         self.range = Some((lo, hi));
-        self
-    }
-
-    /// Sets the Q-format of the INT16 parameter copies (default Q7.8).
-    pub fn qformat(mut self, q: QFormat) -> Self {
-        self.qformat = q;
         self
     }
 
@@ -414,15 +406,16 @@ impl PwlTableBuilder {
             k.push(slope);
             b.push(y0 - slope * x0);
         }
+        let qformat = QFormat::default();
         let indexer = match pow2_log(g) {
-            Some(log2_seg) if self.qformat.frac_bits() as i32 + log2_seg as i32 >= 0 => {
+            Some(log2_seg) if qformat.frac_bits() as i32 + log2_seg as i32 >= 0 => {
                 SegmentIndexer::Shift { log2_seg }
             }
             _ => SegmentIndexer::Divide { seg_len: g },
         };
-        let k_q = k.iter().map(|&v| self.qformat.from_f32(v)).collect();
-        let b_q = b.iter().map(|&v| self.qformat.from_f32(v)).collect();
-        let x_min_q = self.qformat.from_f32(lo);
+        let k_q = k.iter().map(|&v| qformat.from_f32(v)).collect();
+        let b_q = b.iter().map(|&v| qformat.from_f32(v)).collect();
+        let x_min_q = qformat.from_f32(lo);
         Ok(PwlTable {
             func: self.func,
             x_min: lo,
@@ -431,7 +424,7 @@ impl PwlTableBuilder {
             indexer,
             k,
             b,
-            qformat: self.qformat,
+            qformat,
             k_q,
             b_q,
             x_min_q,

@@ -28,8 +28,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod graphs;
-pub mod images;
+mod graphs;
+mod images;
 pub mod text;
 
 pub use graphs::GraphDataset;

@@ -108,7 +108,7 @@ impl TextDataset {
 
     /// Generates a regression dataset: the target is the fraction of
     /// marker tokens in the sequence, observed with label noise.
-    pub fn regression(
+    pub(crate) fn regression(
         name: &str,
         seed: u64,
         difficulty: Difficulty,

@@ -54,7 +54,7 @@ use onesa_tensor::{Result, Tensor};
 ///
 /// Panics if the program fails to execute — compiled programs are
 /// validated at build time, so this indicates a compiler bug.
-pub fn run_compiled(program: &Program, inputs: &[Tensor], mode: &InferenceMode) -> Tensor {
+pub(crate) fn run_compiled(program: &Program, inputs: &[Tensor], mode: &InferenceMode) -> Tensor {
     run_compiled_full(program, inputs, mode).output
 }
 
@@ -66,7 +66,11 @@ pub fn run_compiled(program: &Program, inputs: &[Tensor], mode: &InferenceMode) 
 ///
 /// Panics if the program fails to execute — compiled programs are
 /// validated at build time, so this indicates a compiler bug.
-pub fn run_compiled_full(program: &Program, inputs: &[Tensor], mode: &InferenceMode) -> ProgramRun {
+pub(crate) fn run_compiled_full(
+    program: &Program,
+    inputs: &[Tensor],
+    mode: &InferenceMode,
+) -> ProgramRun {
     let mut cache = TableCache::new();
     if let Some(tables) = mode.shared_table_set() {
         // Zero-copy: the mode's tables are Arc-shared into the cache.
@@ -651,6 +655,21 @@ mod tests {
         }
     }
 
+    /// Greedy generation of `n` tokens through the compiled KV-cache
+    /// path: one prefill over the prompt, then one single-token decode
+    /// step per output token.
+    fn generate(lm: &TinyCausalLm, prompt: &[usize], n: usize, mode: &InferenceMode) -> Vec<usize> {
+        let argmax = |l: &[f32]| onesa_tensor::stats::argmax(l).expect("non-empty vocabulary");
+        let (logits, mut kv) = lm.prefill(prompt, mode);
+        let mut out = vec![argmax(&logits)];
+        while out.len() < n {
+            let (logits, grown) = lm.decode_step(out[out.len() - 1], &kv, mode);
+            kv = grown;
+            out.push(argmax(&logits));
+        }
+        out
+    }
+
     #[test]
     fn causal_lm_cached_generation_bit_identical_to_direct() {
         // The decode oracle recomputes the whole sequence from scratch
@@ -662,7 +681,7 @@ mod tests {
             let prompt = [3usize, 1, 4, 1, 5];
             for mode in modes() {
                 assert_eq!(
-                    lm.generate(&prompt, 6, &mode),
+                    generate(&lm, &prompt, 6, &mode),
                     lm.generate_direct(&prompt, 6, &mode),
                     "tied={tied} {}",
                     mode.label()
@@ -683,7 +702,7 @@ mod tests {
                 "{}",
                 mode.label()
             );
-            assert_eq!(kv.len(), 2 * lm.layer_count());
+            assert_eq!(kv.len(), 2 * lm.blocks.len());
             let mut seq = prompt.to_vec();
             for _ in 0..4 {
                 let next = onesa_tensor::stats::argmax(&logits).expect("non-empty vocabulary");
@@ -693,7 +712,7 @@ mod tests {
                 kv = nkv;
                 // Cache length tracks the number of attended tokens.
                 for t in &kv {
-                    assert_eq!(t.dims(), &[seq.len(), lm.width()]);
+                    assert_eq!(t.dims(), &[seq.len(), lm.d]);
                 }
                 let logits = l;
                 let _ = &logits;
@@ -708,12 +727,12 @@ mod tests {
         let prog = lm.compiled_prefill(&mode, 5);
         assert!(prog.is_session());
         assert!(prog.session_inputs().is_empty());
-        assert_eq!(prog.session_outputs().len(), 2 * lm.layer_count());
+        assert_eq!(prog.session_outputs().len(), 2 * lm.blocks.len());
 
         let dec = lm.compiled_decode(&mode, 5);
         assert!(dec.is_session());
-        assert_eq!(dec.session_inputs().len(), 2 * lm.layer_count());
-        assert_eq!(dec.session_outputs().len(), 2 * lm.layer_count());
+        assert_eq!(dec.session_inputs().len(), 2 * lm.blocks.len());
+        assert_eq!(dec.session_outputs().len(), 2 * lm.blocks.len());
     }
 
     #[test]

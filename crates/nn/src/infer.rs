@@ -8,8 +8,8 @@
 //! evaluation precision.
 //!
 //! A mode decides how one evaluation computes, not how many run at once:
-//! a batch of inferences is a batch of compiled network programs (see
-//! [`crate::compile`]) that `onesa_core`'s `BatchEngine` / `ServeEngine`
+//! a batch of inferences is a batch of compiled network programs (each
+//! model's `onesa_plan::Compile` impl) that `onesa_core`'s `BatchEngine` / `ServeEngine`
 //! coalesce stage by stage.
 
 use onesa_cpwl::ops::{self, TableSet};
@@ -62,7 +62,7 @@ impl InferenceMode {
     }
 
     /// The compile-time image of this mode for the Program IR: what
-    /// [`crate::compile`] stamps onto emitted `onesa_plan::Program`s.
+    /// each model's `onesa_plan::Compile` impl stamps onto emitted `onesa_plan::Program`s.
     pub fn eval_mode(&self) -> onesa_plan::EvalMode {
         match self {
             InferenceMode::Exact => onesa_plan::EvalMode::Exact,
@@ -107,7 +107,7 @@ impl InferenceMode {
     }
 
     /// ReLU under this mode.
-    pub fn relu(&self, x: &Tensor) -> Tensor {
+    pub(crate) fn relu(&self, x: &Tensor) -> Tensor {
         match self {
             InferenceMode::Exact => x.map(|v| v.max(0.0)),
             InferenceMode::Cpwl { tables, .. } => tables.relu(x).expect("shape preserved"),
@@ -153,7 +153,7 @@ impl InferenceMode {
     /// Per-channel batch-norm folding coefficients `(k, b)` such that
     /// `y = k·x + b`. The `1/√(σ²+ε)` goes through the rsqrt table in
     /// CPWL mode — the only place inference-time batch norm is nonlinear.
-    pub fn batchnorm_fold(
+    pub(crate) fn batchnorm_fold(
         &self,
         mean: &[f32],
         var: &[f32],
@@ -179,7 +179,7 @@ impl InferenceMode {
 
     /// Applies folded batch norm to a `[C, H, W]` sample (a single MHP on
     /// the array).
-    pub fn batchnorm_apply(&self, x: &Tensor, k: &[f32], b: &[f32]) -> Tensor {
+    pub(crate) fn batchnorm_apply(&self, x: &Tensor, k: &[f32], b: &[f32]) -> Tensor {
         let dims = x.dims();
         let (c, h, w) = (dims[0], dims[1], dims[2]);
         let mut y = x.clone();

@@ -25,7 +25,7 @@ pub struct Param {
 
 impl Param {
     /// Wraps an initial value.
-    pub fn new(value: Tensor) -> Self {
+    pub(crate) fn new(value: Tensor) -> Self {
         let dims = value.dims().to_vec();
         Param {
             value,
@@ -36,12 +36,12 @@ impl Param {
     }
 
     /// Clears the accumulated gradient.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grad = Tensor::zeros(self.grad.dims());
     }
 
     /// One Adam update with bias correction at step `t` (1-based).
-    pub fn adam_step(&mut self, lr: f32, t: usize) {
+    pub(crate) fn adam_step(&mut self, lr: f32, t: usize) {
         const B1: f32 = 0.9;
         const B2: f32 = 0.999;
         const EPS: f32 = 1e-8;
@@ -70,7 +70,7 @@ pub struct Linear {
     /// Weight `[in, out]`.
     pub w: Param,
     /// Bias `[out]`.
-    pub b: Param,
+    pub(crate) b: Param,
     cache_x: Option<Tensor>,
 }
 
@@ -133,7 +133,7 @@ impl Linear {
     }
 
     /// Adam step on both parameters.
-    pub fn step(&mut self, lr: f32, t: usize) {
+    pub(crate) fn step(&mut self, lr: f32, t: usize) {
         self.w.adam_step(lr, t);
         self.b.adam_step(lr, t);
         self.w.zero_grad();
@@ -145,11 +145,11 @@ impl Linear {
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     /// Geometry (channels, kernel, stride, padding).
-    pub geo: Conv2dGeometry,
+    pub(crate) geo: Conv2dGeometry,
     /// Flattened kernel `[out_channels, in_channels·k·k]`.
     pub w: Param,
     /// Per-output-channel bias.
-    pub b: Param,
+    pub(crate) b: Param,
     cache: Vec<(Tensor, usize, usize)>, // (cols, oh, ow) per sample
     input_hw: (usize, usize),
 }
@@ -262,7 +262,7 @@ impl Conv2d {
     }
 
     /// Adam step; clears gradients and caches.
-    pub fn step(&mut self, lr: f32, t: usize) {
+    pub(crate) fn step(&mut self, lr: f32, t: usize) {
         self.w.adam_step(lr, t);
         self.b.adam_step(lr, t);
         self.w.zero_grad();
@@ -278,11 +278,11 @@ pub struct BatchNorm2d {
     /// Scale γ per channel.
     pub gamma: Param,
     /// Shift β per channel.
-    pub beta: Param,
+    pub(crate) beta: Param,
     /// Running mean (inference).
-    pub running_mean: Vec<f32>,
+    pub(crate) running_mean: Vec<f32>,
     /// Running variance (inference).
-    pub running_var: Vec<f32>,
+    pub(crate) running_var: Vec<f32>,
     eps: f32,
     momentum: f32,
     cache: Option<(Vec<Tensor>, Vec<f32>, Vec<f32>)>, // x̂ per sample, mean, var
@@ -303,7 +303,7 @@ impl BatchNorm2d {
     }
 
     /// Epsilon used in normalization.
-    pub fn eps(&self) -> f32 {
+    pub(crate) fn eps(&self) -> f32 {
         self.eps
     }
 
@@ -421,7 +421,7 @@ impl BatchNorm2d {
     }
 
     /// Adam step on γ/β.
-    pub fn step(&mut self, lr: f32, t: usize) {
+    pub(crate) fn step(&mut self, lr: f32, t: usize) {
         self.gamma.adam_step(lr, t);
         self.beta.adam_step(lr, t);
         self.gamma.zero_grad();
@@ -452,7 +452,7 @@ impl LayerNorm {
     }
 
     /// Epsilon used in normalization.
-    pub fn eps(&self) -> f32 {
+    pub(crate) fn eps(&self) -> f32 {
         self.eps
     }
 
@@ -514,7 +514,7 @@ impl LayerNorm {
     }
 
     /// Adam step on γ/β.
-    pub fn step(&mut self, lr: f32, t: usize) {
+    pub(crate) fn step(&mut self, lr: f32, t: usize) {
         self.gamma.adam_step(lr, t);
         self.beta.adam_step(lr, t);
         self.gamma.zero_grad();
@@ -528,7 +528,7 @@ pub struct Embedding {
     /// Token table `[vocab, d]`.
     pub table: Param,
     /// Positional table `[max_len, d]`.
-    pub pos: Param,
+    pub(crate) pos: Param,
     cache_ids: Vec<usize>,
 }
 
@@ -576,7 +576,7 @@ impl Embedding {
     }
 
     /// Adam step.
-    pub fn step(&mut self, lr: f32, t: usize) {
+    pub(crate) fn step(&mut self, lr: f32, t: usize) {
         self.table.adam_step(lr, t);
         self.pos.adam_step(lr, t);
         self.table.zero_grad();
@@ -588,13 +588,13 @@ impl Embedding {
 #[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
     /// Query projection.
-    pub wq: Linear,
+    pub(crate) wq: Linear,
     /// Key projection.
-    pub wk: Linear,
+    pub(crate) wk: Linear,
     /// Value projection.
-    pub wv: Linear,
+    pub(crate) wv: Linear,
     /// Output projection.
-    pub wo: Linear,
+    pub(crate) wo: Linear,
     heads: usize,
     cache: Option<AttnCache>,
 }
@@ -627,7 +627,7 @@ impl MultiHeadAttention {
     }
 
     /// Number of heads.
-    pub fn heads(&self) -> usize {
+    pub(crate) fn heads(&self) -> usize {
         self.heads
     }
 
@@ -744,7 +744,7 @@ impl MultiHeadAttention {
     }
 
     /// Adam step on all projections.
-    pub fn step(&mut self, lr: f32, t: usize) {
+    pub(crate) fn step(&mut self, lr: f32, t: usize) {
         self.wq.step(lr, t);
         self.wk.step(lr, t);
         self.wv.step(lr, t);
@@ -832,7 +832,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
 }
 
 /// Mean-squared-error loss: returns `(loss, dpred)`.
-pub fn mse(pred: &Tensor, target: &[f32]) -> (f32, Tensor) {
+pub(crate) fn mse(pred: &Tensor, target: &[f32]) -> (f32, Tensor) {
     let n = pred.len() as f32;
     let mut loss = 0.0f32;
     let mut d = pred.clone();

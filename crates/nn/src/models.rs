@@ -386,7 +386,6 @@ pub struct TinyBert {
     pub(crate) blocks: Vec<EncoderBlock>,
     pub(crate) head: Linear,
     pub(crate) d: usize,
-    outputs: usize,
     /// Memoized compiled programs keyed on (mode, sequence length);
     /// cleared by [`TinyBert::fit`].
     cache: CompileCache,
@@ -407,7 +406,6 @@ impl TinyBert {
                 .collect(),
             head: Linear::new(&mut rng, d, outputs),
             d,
-            outputs,
             cache: CompileCache::new(),
         }
     }
@@ -535,11 +533,6 @@ impl TinyBert {
             }
         }
     }
-
-    /// Number of head outputs.
-    pub fn outputs(&self) -> usize {
-        self.outputs
-    }
 }
 
 /// Row-wise causal softmax: row `i` of an `[M, N]` score matrix (with
@@ -600,7 +593,7 @@ pub(crate) fn boundary_rows(mode: &InferenceMode, x: &Tensor) -> Tensor {
 ///   [`TinyCausalLm::generate_direct`]) recomputes the whole prefix from
 ///   scratch at every step — the decode-correctness reference;
 /// * the compiled KV-cache path ([`TinyCausalLm::prefill`],
-///   [`TinyCausalLm::decode_step`], [`TinyCausalLm::generate`]) compiles
+///   [`TinyCausalLm::decode_step`]) compiles
 ///   the prompt pass and each per-context decode step to
 ///   session-carrying `onesa_plan::Program`s whose per-layer K/V
 ///   tensors persist between steps (and, under
@@ -666,22 +659,6 @@ impl TinyCausalLm {
         self.vocab
     }
 
-    /// Longest supported context (positional-table length).
-    pub fn max_len(&self) -> usize {
-        self.max_len
-    }
-
-    /// Model width `d` (each cached K/V tensor is `[ctx, d]`).
-    pub fn width(&self) -> usize {
-        self.d
-    }
-
-    /// Number of transformer blocks (the session carries `2 × layers`
-    /// cache tensors: K then V per block).
-    pub fn layer_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Token indices as the `[1, len]` tensor a compiled program's
     /// `EmbedAt` op consumes.
     pub fn ids_tensor(seq: &[usize]) -> Tensor {
@@ -725,8 +702,8 @@ impl TinyCausalLm {
     }
 
     /// Greedy generation of `n` tokens after `prompt`, recomputing from
-    /// scratch at every step (no KV cache) — the reference
-    /// [`TinyCausalLm::generate`] must match bit for bit.
+    /// scratch at every step (no KV cache) — the reference a prefill
+    /// followed by one decode step per token must match bit for bit.
     pub fn generate_direct(&self, prompt: &[usize], n: usize, mode: &InferenceMode) -> Vec<usize> {
         assert!(
             prompt.len() + n <= self.max_len,
@@ -798,31 +775,6 @@ impl TinyCausalLm {
         let run = crate::compile::run_compiled_full(&program, &inputs, mode);
         (run.output.into_vec(), run.session_outputs)
     }
-
-    /// Greedy generation of `n` tokens through the compiled KV-cache
-    /// path: one prefill over the prompt, then one single-token decode
-    /// step per output token. Bit-identical to
-    /// [`TinyCausalLm::generate_direct`] (locked by test).
-    pub fn generate(&self, prompt: &[usize], n: usize, mode: &InferenceMode) -> Vec<usize> {
-        assert!(
-            prompt.len() + n <= self.max_len,
-            "prompt + generation exceeds max_len"
-        );
-        let mut out = Vec::with_capacity(n);
-        if n == 0 {
-            return out;
-        }
-        let (logits, mut kv) = self.prefill(prompt, mode);
-        let mut next = stats::argmax(&logits).expect("non-empty vocabulary");
-        out.push(next);
-        for _ in 1..n {
-            let (logits, grown) = self.decode_step(next, &kv, mode);
-            kv = grown;
-            next = stats::argmax(&logits).expect("non-empty vocabulary");
-            out.push(next);
-        }
-        out
-    }
 }
 
 /// The propagation matrix a compiled GCN program multiplies by: the
@@ -842,7 +794,6 @@ fn propagation_matrix(program: &Program) -> Option<&Tensor> {
 pub struct Gcn {
     pub(crate) w1: Param,
     pub(crate) w2: Param,
-    hidden: usize,
     /// Memoized compiled programs keyed on (mode, node/feature counts)
     /// and confirmed against their Â; cleared by [`Gcn::fit`].
     cache: CompileCache,
@@ -855,7 +806,6 @@ impl Gcn {
         Gcn {
             w1: Param::new(rng.randn(&[features, hidden], (2.0 / features as f32).sqrt())),
             w2: Param::new(rng.randn(&[hidden, classes], (2.0 / hidden as f32).sqrt())),
-            hidden,
             cache: CompileCache::new(),
         }
     }
@@ -964,11 +914,6 @@ impl Gcn {
             }
         }
         correct as f32 / g.test_idx.len().max(1) as f32
-    }
-
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
     }
 }
 

@@ -45,7 +45,7 @@ impl std::fmt::Display for OpClass {
 /// mean/var accumulation (3) + normalize (2) + affine (2) ≈ 7 (unfused
 /// inference, as a general-purpose profiler sees it); GELU ≈ 8 (erf
 /// polynomial); ReLU = 1.
-pub fn ops_per_element(class: OpClass, gelu_like: bool) -> u64 {
+pub(crate) fn ops_per_element(class: OpClass, gelu_like: bool) -> u64 {
     match class {
         OpClass::Gemm => 1, // per MAC
         OpClass::Multiply => 1,
@@ -70,12 +70,12 @@ pub struct OpCounts {
 
 impl OpCounts {
     /// Empty counter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         OpCounts::default()
     }
 
     /// Adds `ops` operations of `class`.
-    pub fn add(&mut self, class: OpClass, ops: u64) {
+    pub(crate) fn add(&mut self, class: OpClass, ops: u64) {
         *self.counts.entry(class).or_insert(0) += ops;
     }
 
@@ -85,7 +85,7 @@ impl OpCounts {
     }
 
     /// Operations of one class.
-    pub fn of(&self, class: OpClass) -> u64 {
+    pub(crate) fn of(&self, class: OpClass) -> u64 {
         self.counts.get(&class).copied().unwrap_or(0)
     }
 
@@ -97,11 +97,6 @@ impl OpCounts {
         } else {
             self.of(class) as f64 / total as f64 * 100.0
         }
-    }
-
-    /// Iterates `(class, count)` in a stable order.
-    pub fn iter(&self) -> impl Iterator<Item = (OpClass, u64)> + '_ {
-        self.counts.iter().map(|(&k, &v)| (k, v))
     }
 }
 
@@ -148,6 +143,6 @@ mod tests {
         c.add(OpClass::Gemm, 10);
         c.add(OpClass::Gemm, 5);
         assert_eq!(c.of(OpClass::Gemm), 15);
-        assert_eq!(c.iter().count(), 1);
+        assert_eq!(c.counts.len(), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Magnitude-based structured pruning: zeroing whole weight column
 //! blocks so the program optimizer's prune-pack pass
-//! ([`onesa_plan::opt`]) can attach a sparsity attribute and the
+//! ([`onesa_plan::OptLevel::Standard`]) can attach a sparsity attribute and the
 //! sparse GEMM kernel ([`onesa_tensor::sparse`]) can skip the work.
 //!
 //! The pruning granularity is the same
@@ -25,7 +25,7 @@ use onesa_tensor::{Result, Tensor, TensorError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PruneReport {
     /// Block width the matrix was pruned at (columns per block).
-    pub block_cols: usize,
+    pub(crate) block_cols: usize,
     /// Column blocks zeroed by this call (blocks that were *already*
     /// all-zero count as zeroed: they are part of the pruned set the
     /// keep fraction describes).

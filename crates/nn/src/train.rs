@@ -27,25 +27,3 @@ impl Default for TrainConfig {
         }
     }
 }
-
-impl TrainConfig {
-    /// A faster configuration for CI/tests.
-    pub fn quick() -> Self {
-        TrainConfig {
-            epochs: 4,
-            lr: 5e-3,
-            batch_size: 16,
-            seed: 42,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_is_shorter() {
-        assert!(TrainConfig::quick().epochs < TrainConfig::default().epochs);
-    }
-}

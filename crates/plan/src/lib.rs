@@ -20,7 +20,7 @@
 //!   program scheduler — the whole network coalesces, not just the final
 //!   shared-weight classifier.
 //!
-//! Between emission and execution sits the **optimizer** ([`opt`]): an
+//! Between emission and execution sits the **optimizer**: an
 //! ordered pass pipeline behind [`OptLevel`] (`cse`, which also shares
 //! duplicate boundaries; `prune-pack`; the dead-slot sweep) that is
 //! bit-identical to the raw emission. Compilation is memoized through
@@ -73,7 +73,7 @@
 
 mod cache;
 mod exec;
-pub mod opt;
+mod opt;
 mod program;
 pub mod wire;
 
@@ -102,7 +102,7 @@ pub trait Compile<Ctx> {
     fn compile(&self, ctx: Ctx) -> onesa_tensor::Result<Program>;
 
     /// Compiles and runs the optimizer pipeline at `level` (see
-    /// [`opt`]): what the serving-side wrappers call, usually through a
+    /// [`OptLevel`]): what the serving-side wrappers call, usually through a
     /// [`CompileCache`].
     ///
     /// # Errors

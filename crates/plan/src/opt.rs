@@ -111,7 +111,7 @@ impl OptTotals {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptReport {
     /// The level the pipeline ran at.
-    pub level: OptLevel,
+    pub(crate) level: OptLevel,
     /// Op count of the program as emitted.
     pub ops_before: usize,
     /// What each pass did.

@@ -97,17 +97,8 @@ pub struct GemmSparsity {
 }
 
 impl GemmSparsity {
-    /// Fraction of column blocks holding data.
-    pub fn density(&self) -> f64 {
-        if self.total_blocks == 0 {
-            1.0
-        } else {
-            self.nnz_blocks as f64 / self.total_blocks as f64
-        }
-    }
-
     /// Column blocks the kernel skips entirely.
-    pub fn skipped_blocks(&self) -> usize {
+    pub(crate) fn skipped_blocks(&self) -> usize {
         self.total_blocks - self.nnz_blocks
     }
 }
@@ -442,7 +433,7 @@ impl ProgramBuilder {
     /// # Panics
     ///
     /// Panics on a `Const` operand.
-    pub fn mark_session_input(&mut self, x: Operand) {
+    pub(crate) fn mark_session_input(&mut self, x: Operand) {
         match x {
             Operand::Slot(s) => self.session_inputs.push(s),
             Operand::Const(_) => panic!("session inputs must be slots"),
@@ -538,7 +529,7 @@ impl Program {
     }
 
     /// Number of program inputs.
-    pub fn n_inputs(&self) -> usize {
+    pub(crate) fn n_inputs(&self) -> usize {
         self.input_shapes.len()
     }
 
@@ -559,7 +550,7 @@ impl Program {
     /// # Panics
     ///
     /// Panics if `index` is not a registered constant.
-    pub fn const_fingerprint(&self, index: usize) -> u64 {
+    pub(crate) fn const_fingerprint(&self, index: usize) -> u64 {
         self.const_fingerprints[index]
     }
 
@@ -619,7 +610,7 @@ impl Program {
         self.packs.built()
     }
 
-    /// Pass accounting of the [`Program::optimize`](crate::opt) run that
+    /// Pass accounting of the [`Program::optimize`] run that
     /// produced this program; `None` for an unoptimized program. The
     /// batch/serve engines roll these totals into their
     /// `ServingReport`s.
@@ -876,7 +867,7 @@ impl Program {
     /// The CPWL table-preload MAC-equivalents folded into
     /// [`Program::modeled_macs`]: `2 · segments(func, g)` summed over
     /// every table-staging op. Zero for exact-mode programs.
-    pub fn staging_macs(&self) -> u64 {
+    pub(crate) fn staging_macs(&self) -> u64 {
         let Some(g) = self.mode.granularity() else {
             return 0;
         };
@@ -1020,7 +1011,7 @@ impl Program {
     /// # Errors
     ///
     /// As for [`Program::validate`].
-    pub fn op_energy(&self, cfg: &ArrayConfig) -> Result<Vec<f64>> {
+    pub(crate) fn op_energy(&self, cfg: &ArrayConfig) -> Result<Vec<f64>> {
         let model = PowerModel::virtex7();
         let cost = ArrayResources::calibrated().total(Design::OneSa, cfg.dim, cfg.macs_per_pe);
         Ok(self
@@ -1031,7 +1022,7 @@ impl Program {
     }
 
     /// Total modeled energy in joules of a solo run on `cfg`
-    /// (the sum of [`Program::op_energy`]).
+    /// (the sum of its ops' energies).
     ///
     /// # Errors
     ///

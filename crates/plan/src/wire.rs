@@ -21,7 +21,7 @@
 //! ```
 //!
 //! All integers are little-endian. `kind` identifies the body
-//! ([`KIND_TENSOR`], [`KIND_PROGRAM`]; `onesa-core`'s transport claims
+//! (`0x0001` a tensor, `0x0002` a program; `onesa-core`'s transport claims
 //! kinds ≥ `0x0100` for its protocol messages), and the body is the
 //! kind's values in their [`Wire`] layouts, back to back, to the last
 //! byte: [`frame`] writes the header and [`open`] checks it. A decoder
@@ -88,7 +88,7 @@ use crate::opt::{OptLevel, OptReport, OptTotals};
 use crate::program::{EvalMode, GemmSparsity, Op, OpNode, Operand, PoolKind, Precision, Program};
 
 /// Leading 4 bytes of every frame.
-pub const MAGIC: [u8; 4] = *b"OSAW";
+pub(crate) const MAGIC: [u8; 4] = *b"OSAW";
 
 /// The format version. A reader accepts exactly this version and
 /// rejects every other one with [`WireError::UnsupportedVersion`]:
@@ -117,9 +117,9 @@ pub const MAGIC: [u8; 4] = *b"OSAW";
 pub const VERSION: u16 = 5;
 
 /// Frame kind: a standalone tensor ([`encode_tensor`]).
-pub const KIND_TENSOR: u16 = 0x0001;
+pub(crate) const KIND_TENSOR: u16 = 0x0001;
 /// Frame kind: a whole program ([`encode_program`]).
-pub const KIND_PROGRAM: u16 = 0x0002;
+pub(crate) const KIND_PROGRAM: u16 = 0x0002;
 
 /// Hard cap on the length of any sequence but an `f32` run (whose
 /// bytes bound it one for one): a corrupt count cannot make a decoder
@@ -130,7 +130,7 @@ const MAX_SEQ: usize = 1 << 20;
 /// never panics on malformed input; it returns one of these.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireError {
-    /// The first four bytes are not [`MAGIC`].
+    /// The first four bytes are not the magic `"OSAW"`.
     BadMagic {
         /// What was found instead.
         found: [u8; 4],
@@ -297,7 +297,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -312,7 +312,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads `n` raw bytes, borrowed (a string's bytes, an `f32` run).
-    pub fn get_bytes(&mut self, n: usize) -> WireResult<&'a [u8]> {
+    pub(crate) fn get_bytes(&mut self, n: usize) -> WireResult<&'a [u8]> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
                 needed: n,
@@ -860,7 +860,7 @@ impl Wire for Program {
 // Frames
 // ---------------------------------------------------------------------------
 
-/// A frame of `kind` holding only its header — [`MAGIC`], [`VERSION`],
+/// A frame of `kind` holding only its header — the magic, [`VERSION`],
 /// `kind` — for the caller to append the body to.
 pub fn frame(kind: u16) -> Vec<u8> {
     let mut w = MAGIC.to_vec();
@@ -913,7 +913,7 @@ fn decode<T: Wire>(bytes: &[u8], kind: u16, wrong_kind: &'static str) -> WireRes
     Ok(value)
 }
 
-/// Encodes one standalone tensor frame ([`KIND_TENSOR`]).
+/// Encodes one standalone tensor frame (kind `0x0001`).
 pub fn encode_tensor(t: &Tensor) -> Vec<u8> {
     encode(KIND_TENSOR, t)
 }
@@ -928,7 +928,7 @@ pub fn decode_tensor(bytes: &[u8]) -> WireResult<Tensor> {
     decode(bytes, KIND_TENSOR, "frame kind is not tensor")
 }
 
-/// Encodes a whole program as one [`KIND_PROGRAM`] frame; the program's
+/// Encodes a whole program as one frame (kind `0x0002`); the program's
 /// fingerprint rides along and is re-checked on decode.
 pub fn encode_program(p: &Program) -> Vec<u8> {
     encode(KIND_PROGRAM, p)

@@ -68,7 +68,7 @@ impl ArrayResources {
 
     /// Interconnect/L2/controller overhead (beyond PEs and L3s) for a
     /// `dim × dim` array.
-    pub fn overhead(&self, dim: usize) -> ModuleCost {
+    pub(crate) fn overhead(&self, dim: usize) -> ModuleCost {
         let x = dim as f64;
         ModuleCost {
             bram: self.bram_overhead.eval_count(x),

@@ -5,11 +5,11 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quadratic {
     /// Constant term.
-    pub a: f64,
+    pub(crate) a: f64,
     /// Linear coefficient.
-    pub b: f64,
+    pub(crate) b: f64,
     /// Quadratic coefficient.
-    pub c: f64,
+    pub(crate) c: f64,
 }
 
 impl Quadratic {
@@ -18,7 +18,7 @@ impl Quadratic {
     /// # Panics
     ///
     /// Panics if two abscissae coincide.
-    pub fn through(p1: (f64, f64), p2: (f64, f64), p3: (f64, f64)) -> Self {
+    pub(crate) fn through(p1: (f64, f64), p2: (f64, f64), p3: (f64, f64)) -> Self {
         let (x1, y1) = p1;
         let (x2, y2) = p2;
         let (x3, y3) = p3;
@@ -37,13 +37,13 @@ impl Quadratic {
     }
 
     /// Evaluates the polynomial.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         self.a + self.b * x + self.c * x * x
     }
 
     /// Evaluates, clamped below at zero and rounded to the nearest
     /// integer — resource counts cannot be negative.
-    pub fn eval_count(&self, x: f64) -> u64 {
+    pub(crate) fn eval_count(&self, x: f64) -> u64 {
         self.eval(x).max(0.0).round() as u64
     }
 }

@@ -30,7 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod array;
-pub mod fit;
+mod fit;
 pub mod modules;
 pub mod power;
 

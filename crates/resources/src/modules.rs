@@ -68,19 +68,12 @@ impl Mul<u64> for ModuleCost {
 // ------- Table I anchors (measured at 16 MACs per PE) -------
 
 /// L3 buffer of the conventional array (Table I row "L3 / SA").
-pub const L3_SA: ModuleCost = ModuleCost::new(0, 174, 566, 0);
+pub(crate) const L3_SA: ModuleCost = ModuleCost::new(0, 174, 566, 0);
 
 /// L3 buffer with the ONE-SA data-addressing modules (Table I row
 /// "L3 / ONE-SA"): +2 BRAM (k/b buffers), 4.87× LUTs (replicated lookup
 /// lanes), 1.14× FFs (FIFOs and pipeline registers).
-pub const L3_ONESA: ModuleCost = ModuleCost::new(2, 1021, 1209, 0);
-
-/// PE of the conventional array at 16 MACs (Table I row "PE / SA").
-pub const PE_SA_16: ModuleCost = ModuleCost::new(1, 824, 1862, 16);
-
-/// ONE-SA PE at 16 MACs (Table I row "PE / ONE-SA"): identical BRAM/DSP,
-/// +2 LUTs, +518 FFs for control logics C1/C2 and the new data path.
-pub const PE_ONESA_16: ModuleCost = ModuleCost::new(1, 826, 2380, 16);
+pub(crate) const L3_ONESA: ModuleCost = ModuleCost::new(2, 1021, 1209, 0);
 
 // ------- MAC scaling (Fig 9) -------
 // The PE splits into a MAC-independent base (registers, control,
@@ -127,6 +120,13 @@ pub fn l3_cost(design: Design) -> ModuleCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// PE of the conventional array at 16 MACs (Table I row "PE / SA").
+    const PE_SA_16: ModuleCost = ModuleCost::new(1, 824, 1862, 16);
+
+    /// ONE-SA PE at 16 MACs (Table I row "PE / ONE-SA"): identical BRAM/DSP,
+    /// +2 LUTs, +518 FFs for control logics C1/C2 and the new data path.
+    const PE_ONESA_16: ModuleCost = ModuleCost::new(1, 826, 2380, 16);
 
     #[test]
     fn pe_cost_reproduces_table1_at_16_macs() {

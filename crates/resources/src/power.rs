@@ -16,13 +16,13 @@ pub struct PowerModel {
     /// Device static power (W) — Virtex-7 class.
     pub static_w: f64,
     /// Watts per active DSP slice.
-    pub dsp_w: f64,
+    pub(crate) dsp_w: f64,
     /// Watts per BRAM tile.
-    pub bram_w: f64,
+    pub(crate) bram_w: f64,
     /// Watts per LUT.
-    pub lut_w: f64,
+    pub(crate) lut_w: f64,
     /// Watts per flip-flop.
-    pub ff_w: f64,
+    pub(crate) ff_w: f64,
 }
 
 impl PowerModel {

@@ -70,7 +70,7 @@ pub fn mhp_breakdown(cfg: &ArrayConfig, m: usize, n: usize) -> CycleBreakdown {
 /// Cycle breakdown of a full nonlinear pass over an `M×N` tensor:
 /// IPF (pipelined against the MHP; only the pipeline latency and any
 /// staging cost are exposed) plus the MHP itself plus the DRAM roofline.
-pub fn nonlinear_breakdown(cfg: &ArrayConfig, m: usize, n: usize) -> CycleBreakdown {
+pub(crate) fn nonlinear_breakdown(cfg: &ArrayConfig, m: usize, n: usize) -> CycleBreakdown {
     let e = m as u64 * n as u64;
     let mut breakdown = mhp_breakdown(cfg, m, n);
     breakdown.ipf = cfg.ipf_pipeline_latency as u64 + crate::ipf::staging_cycles(cfg, e);
@@ -178,7 +178,7 @@ mod tests {
         // transmitting results. Our model lands in the same regime.
         let cfg = ArrayConfig::new(16, 16);
         let b = gemm_breakdown(&cfg, 32, 32, 32);
-        let f = b.drain_fraction();
+        let f = b.drain as f64 / b.total() as f64;
         assert!(
             (0.70..0.95).contains(&f),
             "drain fraction {f} out of the cliff regime; breakdown {b:?}"

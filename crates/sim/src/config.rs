@@ -71,7 +71,6 @@ impl Default for BufferSizes {
 /// use onesa_sim::ArrayConfig;
 ///
 /// let cfg = ArrayConfig::new(16, 16); // 16×16 PEs à 16 MACs
-/// assert_eq!(cfg.pe_count(), 256);
 /// assert_eq!(cfg.peak_macs_per_cycle(), 4096);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -121,7 +120,7 @@ impl ArrayConfig {
     }
 
     /// Number of PEs (`D²`).
-    pub fn pe_count(&self) -> usize {
+    pub(crate) fn pe_count(&self) -> usize {
         self.dim * self.dim
     }
 
@@ -138,7 +137,7 @@ impl ArrayConfig {
 
     /// Elements each diagonal PE consumes per cycle during MHP: every
     /// element needs two MACs (`x·k` and `1·b`), so `T/2` (min 1).
-    pub fn mhp_elems_per_pe_per_cycle(&self) -> usize {
+    pub(crate) fn mhp_elems_per_pe_per_cycle(&self) -> usize {
         (self.macs_per_pe / 2).max(1)
     }
 

@@ -11,14 +11,14 @@ use crate::ArrayConfig;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramModel {
     /// Sustained bandwidth in INT16 elements per array cycle.
-    pub elems_per_cycle: usize,
+    pub(crate) elems_per_cycle: usize,
     /// First-access latency in cycles.
-    pub latency_cycles: u64,
+    pub(crate) latency_cycles: u64,
 }
 
 impl DramModel {
     /// Builds the model from an array configuration.
-    pub fn from_config(cfg: &ArrayConfig) -> Self {
+    pub(crate) fn from_config(cfg: &ArrayConfig) -> Self {
         DramModel {
             elems_per_cycle: cfg.w_dram.max(1),
             latency_cycles: 40,
@@ -27,7 +27,7 @@ impl DramModel {
 
     /// Cycles to move `elems` elements (one direction), including the
     /// initial latency.
-    pub fn transfer_cycles(&self, elems: u64) -> u64 {
+    pub(crate) fn transfer_cycles(&self, elems: u64) -> u64 {
         if elems == 0 {
             return 0;
         }
@@ -36,7 +36,7 @@ impl DramModel {
 
     /// Stall cycles a schedule must add so that its total runtime covers
     /// the DRAM traffic: `max(0, transfer - overlapped_cycles)`.
-    pub fn stall_cycles(&self, traffic_elems: u64, overlapped_cycles: u64) -> u64 {
+    pub(crate) fn stall_cycles(&self, traffic_elems: u64, overlapped_cycles: u64) -> u64 {
         self.transfer_cycles(traffic_elems)
             .saturating_sub(overlapped_cycles)
     }
@@ -46,7 +46,7 @@ impl DramModel {
 /// `C` written once — ideal inter-tile reuse, with operand stripes
 /// streamed through the L3 buffers (the high-performance design of the
 /// paper's reference \[6\] that ONE-SA's auxiliary circuitry follows).
-pub fn gemm_traffic_elems(_cfg: &ArrayConfig, m: usize, k: usize, n: usize) -> u64 {
+pub(crate) fn gemm_traffic_elems(_cfg: &ArrayConfig, m: usize, k: usize, n: usize) -> u64 {
     (m as u64 * k as u64) + (k as u64 * n as u64) + (m as u64 * n as u64)
 }
 
@@ -58,7 +58,7 @@ pub fn gemm_traffic_elems(_cfg: &ArrayConfig, m: usize, k: usize, n: usize) -> u
 /// traffic. With [`crate::ParamStaging::Dram`] the literal §IV-A flow is
 /// modelled: `X` read (e), `K`/`B` written then re-read (4e), `X` re-read
 /// for the MHP (e) and `Y` written (e) — `7e` total.
-pub fn nonlinear_traffic_elems(cfg: &ArrayConfig, e: u64) -> u64 {
+pub(crate) fn nonlinear_traffic_elems(cfg: &ArrayConfig, e: u64) -> u64 {
     match cfg.staging {
         crate::ParamStaging::Fused => 0,
         crate::ParamStaging::Dram => 7 * e,

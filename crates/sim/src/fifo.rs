@@ -15,18 +15,16 @@
 /// ```
 /// use onesa_sim::fifo::Fifo;
 ///
-/// let mut f: Fifo<i16> = Fifo::new("k", 4);
+/// let mut f: Fifo<i16> = Fifo::new(4);
 /// assert!(f.push(7).is_ok());
 /// assert_eq!(f.pop(), Some(7));
 /// assert_eq!(f.pop(), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fifo<T> {
-    name: &'static str,
     capacity: usize,
     items: std::collections::VecDeque<T>,
     high_water: usize,
-    total_pushes: u64,
     rejected_pushes: u64,
 }
 
@@ -49,40 +47,18 @@ impl<T> Fifo<T> {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(name: &'static str, capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "fifo capacity must be positive");
         Fifo {
-            name,
             capacity,
             items: std::collections::VecDeque::with_capacity(capacity),
             high_water: 0,
-            total_pushes: 0,
             rejected_pushes: 0,
         }
     }
 
-    /// The FIFO's name (for reports).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the FIFO is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Whether the FIFO is full (producer must stall).
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.items.len() == self.capacity
     }
 
@@ -97,7 +73,6 @@ impl<T> Fifo<T> {
             return Err(FifoFull(value));
         }
         self.items.push_back(value);
-        self.total_pushes += 1;
         self.high_water = self.high_water.max(self.items.len());
         Ok(())
     }
@@ -112,51 +87,9 @@ impl<T> Fifo<T> {
         self.high_water
     }
 
-    /// Accepted pushes.
-    pub fn total_pushes(&self) -> u64 {
-        self.total_pushes
-    }
-
     /// Rejected (backpressured) pushes.
     pub fn rejected_pushes(&self) -> u64 {
         self.rejected_pushes
-    }
-}
-
-/// The FIFO complement of the L3 data-addressing module (Fig 5), sized
-/// in INT16 entries from the Table V L3 budget.
-#[derive(Debug, Clone)]
-pub struct AddressingFifos {
-    /// Output matrix stream in front of the shift module.
-    pub c_fifo: Fifo<i16>,
-    /// Slope stream behind the k buffer.
-    pub k_fifo: Fifo<i16>,
-    /// Intercept stream behind the b buffer (the figure's "Reg FIFO").
-    pub reg_fifo: Fifo<i16>,
-}
-
-impl AddressingFifos {
-    /// Builds the three FIFOs with `depth` entries each.
-    pub fn new(depth: usize) -> Self {
-        AddressingFifos {
-            c_fifo: Fifo::new("C", depth),
-            k_fifo: Fifo::new("k", depth),
-            reg_fifo: Fifo::new("Reg", depth),
-        }
-    }
-
-    /// Streams one already-addressed element through: the input value
-    /// drains from the C FIFO while its looked-up `(k, b)` pair enters
-    /// the parameter FIFOs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backpressure from either parameter FIFO.
-    pub fn advance(&mut self, k: i16, b: i16) -> Result<(), FifoFull<i16>> {
-        let _ = self.c_fifo.pop();
-        self.k_fifo.push(k)?;
-        self.reg_fifo.push(b)?;
-        Ok(())
     }
 }
 
@@ -166,7 +99,7 @@ mod tests {
 
     #[test]
     fn fifo_order_and_capacity() {
-        let mut f: Fifo<u32> = Fifo::new("t", 2);
+        let mut f: Fifo<u32> = Fifo::new(2);
         assert!(f.push(1).is_ok());
         assert!(f.push(2).is_ok());
         assert_eq!(f.push(3), Err(FifoFull(3)));
@@ -174,12 +107,11 @@ mod tests {
         assert_eq!(f.pop(), Some(2));
         assert_eq!(f.pop(), None);
         assert_eq!(f.rejected_pushes(), 1);
-        assert_eq!(f.total_pushes(), 2);
     }
 
     #[test]
     fn high_water_tracks_peak() {
-        let mut f: Fifo<u32> = Fifo::new("t", 8);
+        let mut f: Fifo<u32> = Fifo::new(8);
         for i in 0..5 {
             f.push(i).unwrap();
         }
@@ -187,25 +119,7 @@ mod tests {
             f.pop();
         }
         assert_eq!(f.high_water(), 5);
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn addressing_fifos_stream_pairs() {
-        let mut a = AddressingFifos::new(16);
-        for i in 0..10 {
-            a.c_fifo.push(i).unwrap();
-        }
-        for i in 0..10 {
-            a.advance(i, -i).unwrap();
-        }
-        assert_eq!(a.k_fifo.len(), 10);
-        assert_eq!(a.reg_fifo.len(), 10);
-        assert!(a.c_fifo.is_empty());
-        assert_eq!(a.k_fifo.pop(), Some(0));
-        assert_eq!(a.reg_fifo.pop(), Some(0));
-        assert_eq!(a.k_fifo.pop(), Some(1));
-        assert_eq!(a.reg_fifo.pop(), Some(-1));
+        assert_eq!(f.pop(), None);
     }
 
     #[test]
@@ -213,19 +127,16 @@ mod tests {
         // 0.28 KB L3 ≈ 143 INT16 entries; one 8×8 tile's k stream (64
         // entries) fits with double-buffering headroom.
         let depth = 287 / 2 / 2; // bytes → entries, halved for k/b split
-        let mut a = AddressingFifos::new(depth);
+        let mut k_fifo: Fifo<i16> = Fifo::new(depth);
         for i in 0..64 {
-            a.c_fifo.push(i).unwrap();
+            assert!(k_fifo.push(i).is_ok(), "entry {i}");
         }
-        for i in 0..64 {
-            assert!(a.advance(i, i).is_ok(), "entry {i}");
-        }
-        assert!(a.k_fifo.high_water() <= depth);
+        assert!(k_fifo.high_water() <= depth);
     }
 
     #[test]
     #[should_panic]
     fn zero_capacity_panics() {
-        let _: Fifo<u8> = Fifo::new("t", 0);
+        let _: Fifo<u8> = Fifo::new(0);
     }
 }

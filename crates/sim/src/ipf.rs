@@ -1,12 +1,13 @@
-//! The L3-buffer modules that implement Intermediate Parameter Fetching
-//! (paper Fig 5) and the data-rearrange stage (paper Fig 6).
+//! The L3-buffer module that implements Intermediate Parameter Fetching
+//! (paper Fig 5).
 //!
 //! The addressing pipeline is: data **shift** (segment index by right
 //! shift when the granularity is a power of two), **scale** (cap the
 //! index into the preloaded range), **lookup** in the `k`/`b` buffers,
-//! then out through the `k`/`Reg` FIFOs. The rearrange stage packs each
-//! `k` with its `b` into one stream and each `x` with the constant `1`
-//! into the other, because the array has only two input channels.
+//! then out through the `k`/`Reg` FIFOs. The data-rearrange stage of
+//! Fig 6 — each `k` paired with its `b`, each `x` with the constant `1`,
+//! because the array has only two input channels — is the pair streams
+//! [`crate::array::SystolicArray::mhp_row_tile`] feeds its PEs.
 
 use crate::stats::CycleBreakdown;
 use crate::{ArrayConfig, ParamStaging};
@@ -16,7 +17,7 @@ use onesa_tensor::Tensor;
 /// Event-level model of the L3 data-addressing module.
 ///
 /// Functionally it produces exactly [`PwlTable::ipf`]; its value is the
-/// cycle accounting and the FIFO/occupancy bookkeeping.
+/// cycle accounting.
 #[derive(Debug)]
 pub struct L3Addressing<'t> {
     table: &'t PwlTable,
@@ -27,8 +28,6 @@ pub struct L3Addressing<'t> {
     lanes: usize,
     /// Pipeline latency: shift → scale → lookup → FIFO.
     latency: u64,
-    capped_lookups: u64,
-    total_lookups: u64,
 }
 
 impl<'t> L3Addressing<'t> {
@@ -41,22 +40,6 @@ impl<'t> L3Addressing<'t> {
             table,
             lanes: (cfg.dim * cfg.mhp_elems_per_pe_per_cycle()).max(1),
             latency: cfg.ipf_pipeline_latency as u64,
-            capped_lookups: 0,
-            total_lookups: 0,
-        }
-    }
-
-    /// Lookup lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Fraction of lookups that hit the cap (scale module interventions).
-    pub fn capped_fraction(&self) -> f64 {
-        if self.total_lookups == 0 {
-            0.0
-        } else {
-            self.capped_lookups as f64 / self.total_lookups as f64
         }
     }
 
@@ -65,14 +48,6 @@ impl<'t> L3Addressing<'t> {
     /// cost of the pass.
     pub fn process(&mut self, x: &Tensor) -> (IpfOutput, CycleBreakdown) {
         let out = self.table.ipf(x);
-        let n = self.table.n_segments() as i64;
-        for &v in x.iter() {
-            let raw = self.table.raw_segment_index(v);
-            if raw < 0 || raw >= n {
-                self.capped_lookups += 1;
-            }
-            self.total_lookups += 1;
-        }
         let cycles = self.latency + (x.len() as u64).div_ceil(self.lanes as u64);
         (
             out,
@@ -84,30 +59,12 @@ impl<'t> L3Addressing<'t> {
     }
 }
 
-/// The data-rearrange module: packs parameter and input streams for the
-/// two physical input channels (paper Fig 6).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DataRearrange;
-
-impl DataRearrange {
-    /// Merges `k` and `b` rows into a single `(k, b)` stream.
-    pub fn merge_kb(k: &[f32], b: &[f32]) -> Vec<(f32, f32)> {
-        k.iter().zip(b.iter()).map(|(&kv, &bv)| (kv, bv)).collect()
-    }
-
-    /// Pairs every `x` with the constant `1` so the PE's two-MAC dot
-    /// product computes `k·x + b·1`.
-    pub fn pair_x(x: &[f32]) -> Vec<(f32, f32)> {
-        x.iter().map(|&v| (v, 1.0)).collect()
-    }
-}
-
 /// Cycle cost of staging IPF parameters for the following MHP, depending
 /// on the staging policy: fused staging only pays the pipeline latency
 /// (the lanes keep up with the array); DRAM staging serializes a full
 /// write + read-back of `K` and `B` (4·E elements) through the DRAM
 /// channel, exactly as §IV-A describes.
-pub fn staging_cycles(cfg: &ArrayConfig, elems: u64) -> u64 {
+pub(crate) fn staging_cycles(cfg: &ArrayConfig, elems: u64) -> u64 {
     match cfg.staging {
         ParamStaging::Fused => 0,
         ParamStaging::Dram => {
@@ -138,16 +95,16 @@ mod tests {
         let (out, cycles) = addr.process(&x);
         assert_eq!(out, t.ipf(&x));
         assert!(cycles.ipf >= cfg.ipf_pipeline_latency as u64);
-        // Two of four inputs were outside the range.
-        assert!((addr.capped_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn lanes_match_mhp_consumption() {
         let cfg = ArrayConfig::new(16, 16);
         let t = table();
-        let addr = L3Addressing::new(&cfg, &t);
-        assert_eq!(addr.lanes(), 16 * 8);
+        let mut addr = L3Addressing::new(&cfg, &t);
+        // 16 diagonal PEs × 8 elements each: 256 elements take two cycles.
+        let (_, cycles) = addr.process(&Tensor::zeros(&[16, 16]));
+        assert_eq!(cycles.ipf, cfg.ipf_pipeline_latency as u64 + 2);
     }
 
     #[test]
@@ -158,20 +115,6 @@ mod tests {
         let x = Tensor::zeros(&[16, 16]); // 256 elements
         let (_, cycles) = addr.process(&x);
         assert_eq!(cycles.ipf, cfg.ipf_pipeline_latency as u64 + 256 / 8);
-    }
-
-    #[test]
-    fn rearrange_streams() {
-        let k = [1.0, 2.0];
-        let b = [0.5, -0.5];
-        assert_eq!(
-            DataRearrange::merge_kb(&k, &b),
-            vec![(1.0, 0.5), (2.0, -0.5)]
-        );
-        assert_eq!(
-            DataRearrange::pair_x(&[3.0, 4.0]),
-            vec![(3.0, 1.0), (4.0, 1.0)]
-        );
     }
 
     #[test]

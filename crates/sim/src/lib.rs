@@ -3,11 +3,11 @@
 //! The simulator models the microarchitecture of the paper's §III–IV:
 //!
 //! * a `D × D` grid of processing elements, each with a `T`-wide MAC
-//!   vector and a multi-layer accumulator ([`pe`]);
-//! * the three-level buffer hierarchy and the DRAM channel ([`config`],
-//!   [`dram`]);
-//! * the L3 data-addressing and data-rearrange modules that implement
-//!   Intermediate Parameter Fetching ([`ipf`]);
+//!   vector and a multi-layer accumulator;
+//! * the three-level buffer hierarchy and the DRAM channel
+//!   ([`ArrayConfig`], [`BufferSizes`]);
+//! * the L3 data-addressing module that implements Intermediate
+//!   Parameter Fetching ([`ipf`]);
 //! * the GEMM dataflow (output-stationary, `T`-wide K streaming) and the
 //!   MHP dataflow (diagonal computation PEs, off-diagonal transmission
 //!   PEs) — both event-driven ([`mod@array`]) and in closed form
@@ -33,12 +33,12 @@
 
 pub mod analytic;
 pub mod array;
-pub mod config;
-pub mod dram;
+mod config;
+mod dram;
 pub mod fifo;
 pub mod ipf;
-pub mod pe;
-pub mod stats;
+mod pe;
+mod stats;
 
 pub use config::{ArrayConfig, BufferSizes, ParamStaging};
 pub use stats::{CycleBreakdown, ExecStats};

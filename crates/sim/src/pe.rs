@@ -27,18 +27,6 @@ pub enum PeMode {
     MhpTransmit,
 }
 
-impl PeMode {
-    /// State of control logic C1 (forwarding path).
-    pub fn c1(&self) -> bool {
-        matches!(self, PeMode::Gemm | PeMode::MhpTransmit)
-    }
-
-    /// State of control logic C2 (local compute path).
-    pub fn c2(&self) -> bool {
-        matches!(self, PeMode::Gemm | PeMode::MhpCompute)
-    }
-}
-
 /// A `T`-wide data chunk travelling through the array.
 pub type Chunk = Vec<f32>;
 
@@ -58,47 +46,34 @@ pub struct Pe {
     x_reg: Option<PairChunk>,
     kb_reg: Option<PairChunk>,
     y_reg: Option<Chunk>,
-    /// MACs performed since the last reset (for utilization accounting).
-    macs: u64,
 }
 
 impl Pe {
     /// Creates a PE in the given mode.
-    pub fn new(mode: PeMode) -> Self {
+    pub(crate) fn new(mode: PeMode) -> Self {
         Pe {
             mode,
             ..Pe::default()
         }
     }
 
-    /// Current mode.
-    pub fn mode(&self) -> PeMode {
-        self.mode
-    }
-
     /// Reconfigures the PE (flushes all lane registers).
-    pub fn set_mode(&mut self, mode: PeMode) {
+    pub(crate) fn set_mode(&mut self, mode: PeMode) {
         *self = Pe {
             mode,
             acc: self.acc,
-            macs: self.macs,
             ..Pe::default()
         };
     }
 
     /// Accumulator value (the output-stationary `C` element).
-    pub fn acc(&self) -> f32 {
+    pub(crate) fn acc(&self) -> f32 {
         self.acc
     }
 
     /// Clears the accumulator before a new output tile.
-    pub fn clear_acc(&mut self) {
+    pub(crate) fn clear_acc(&mut self) {
         self.acc = 0.0;
-    }
-
-    /// Total MACs performed.
-    pub fn macs(&self) -> u64 {
-        self.macs
     }
 
     /// GEMM-mode cycle: returns the chunks forwarded to the east and
@@ -106,7 +81,7 @@ impl Pe {
     /// inputs and accumulates their dot product.
     ///
     /// Returns `(east, south, macs_this_cycle)`.
-    pub fn step_gemm(
+    pub(crate) fn step_gemm(
         &mut self,
         a_in: Option<Chunk>,
         b_in: Option<Chunk>,
@@ -125,7 +100,6 @@ impl Pe {
             }
             self.acc += dot;
             done = a.len() as u64;
-            self.macs += done;
         }
         (east, south, done)
     }
@@ -139,7 +113,7 @@ impl Pe {
     /// # Panics
     ///
     /// Panics (debug) if called on a PE in [`PeMode::Gemm`].
-    pub fn step_mhp(
+    pub(crate) fn step_mhp(
         &mut self,
         x_in: Option<PairChunk>,
         kb_in: Option<PairChunk>,
@@ -171,7 +145,6 @@ impl Pe {
                         .map(|(&(x, one), &(k, b))| k * x + b * one)
                         .collect();
                     done = 2 * y.len() as u64;
-                    self.macs += done;
                     self.y_reg = Some(y);
                 }
                 // y_in must not collide: only the diagonal emits per column.
@@ -188,13 +161,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn control_logic_matches_paper_table() {
-        assert!(PeMode::Gemm.c1() && PeMode::Gemm.c2());
-        assert!(!PeMode::MhpCompute.c1() && PeMode::MhpCompute.c2());
-        assert!(PeMode::MhpTransmit.c1() && !PeMode::MhpTransmit.c2());
-    }
-
-    #[test]
     fn gemm_step_forwards_with_one_cycle_delay() {
         let mut pe = Pe::new(PeMode::Gemm);
         let (e0, s0, _) = pe.step_gemm(Some(vec![1.0, 2.0]), Some(vec![3.0, 4.0]));
@@ -207,10 +173,10 @@ mod tests {
     #[test]
     fn gemm_accumulates_dot_products() {
         let mut pe = Pe::new(PeMode::Gemm);
-        pe.step_gemm(Some(vec![1.0, 2.0]), Some(vec![3.0, 4.0])); // 11
-        pe.step_gemm(Some(vec![0.5]), Some(vec![2.0])); // 1
+        let (_, _, m0) = pe.step_gemm(Some(vec![1.0, 2.0]), Some(vec![3.0, 4.0])); // 11
+        let (_, _, m1) = pe.step_gemm(Some(vec![0.5]), Some(vec![2.0])); // 1
         assert_eq!(pe.acc(), 12.0);
-        assert_eq!(pe.macs(), 3);
+        assert_eq!(m0 + m1, 3);
         pe.clear_acc();
         assert_eq!(pe.acc(), 0.0);
     }

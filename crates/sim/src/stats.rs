@@ -29,18 +29,8 @@ impl CycleBreakdown {
         self.skew + self.compute + self.drain + self.ipf + self.dram_stall
     }
 
-    /// Fraction of cycles spent transmitting results (the paper's
-    /// "throughput cliff" metric: 84.8 % for a 32×32 input on 16×16 PEs).
-    pub fn drain_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.drain as f64 / self.total() as f64
-        }
-    }
-
     /// Sums two breakdowns phase by phase.
-    pub fn merged(&self, other: &CycleBreakdown) -> CycleBreakdown {
+    pub(crate) fn merged(&self, other: &CycleBreakdown) -> CycleBreakdown {
         CycleBreakdown {
             skew: self.skew + other.skew,
             compute: self.compute + other.compute,
@@ -142,8 +132,7 @@ mod tests {
     fn totals_and_fractions() {
         let b = bd(10, 30, 60);
         assert_eq!(b.total(), 100);
-        assert!((b.drain_fraction() - 0.6).abs() < 1e-12);
-        assert_eq!(CycleBreakdown::default().drain_fraction(), 0.0);
+        assert_eq!(CycleBreakdown::default().total(), 0);
     }
 
     #[test]

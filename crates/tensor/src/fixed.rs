@@ -75,24 +75,6 @@ impl QFormat {
         x as f32 / (1i32 << self.frac_bits) as f32
     }
 
-    /// Saturating fixed-point addition.
-    pub fn add(&self, a: i16, b: i16) -> i16 {
-        a.saturating_add(b)
-    }
-
-    /// Fixed-point multiplication with a widening `i32` intermediate,
-    /// rounding and saturation — the operation one DSP slice performs.
-    pub fn mul(&self, a: i16, b: i16) -> i16 {
-        let wide = a as i32 * b as i32;
-        let half = 1i32 << (self.frac_bits.max(1) - 1);
-        let rounded = if self.frac_bits == 0 {
-            wide
-        } else {
-            (wide + half) >> self.frac_bits
-        };
-        saturate_i32(rounded)
-    }
-
     /// Fused multiply-add `a*b + c` with a single widening intermediate,
     /// matching the PE's MAC unit.
     pub fn mac(&self, a: i16, b: i16, c: i16) -> i16 {
@@ -165,8 +147,8 @@ mod tests {
         let q = QFormat::new(8);
         assert_eq!(q.from_f32(1e9), i16::MAX);
         assert_eq!(q.from_f32(-1e9), i16::MIN);
-        assert_eq!(q.add(i16::MAX, 1), i16::MAX);
-        assert_eq!(q.mul(i16::MAX, i16::MAX), i16::MAX);
+        assert_eq!(q.mac(i16::MAX, i16::MAX, 0), i16::MAX);
+        assert_eq!(q.mac(0, 0, i16::MIN), i16::MIN);
     }
 
     #[test]
@@ -174,7 +156,7 @@ mod tests {
         let q = QFormat::new(10);
         let cases = [(1.5f32, 2.25f32), (-3.0, 0.5), (0.125, 0.125), (-1.0, -1.0)];
         for (a, b) in cases {
-            let got = q.to_f32(q.mul(q.from_f32(a), q.from_f32(b)));
+            let got = q.to_f32(q.mac(q.from_f32(a), q.from_f32(b), 0));
             assert!((got - a * b).abs() <= q.resolution(), "{a}*{b}: {got}");
         }
     }
@@ -183,7 +165,7 @@ mod tests {
     fn mac_matches_mul_then_add() {
         let q = QFormat::new(8);
         let (a, b, c) = (q.from_f32(1.25), q.from_f32(-2.5), q.from_f32(0.75));
-        assert_eq!(q.mac(a, b, c), q.add(q.mul(a, b), c));
+        assert_eq!(q.to_f32(q.mac(a, b, c)), 1.25 * -2.5 + 0.75);
     }
 
     #[test]

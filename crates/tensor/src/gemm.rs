@@ -52,7 +52,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 ///
 /// Shape errors as in [`matmul`]; additionally the output must be `M×N`.
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
+pub(crate) fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     let (m, k) = a.shape().as_matrix()?;
     let (k2, n) = b.shape().as_matrix()?;
     let (om, on) = out.shape().as_matrix()?;

@@ -15,7 +15,7 @@
 //!
 //! A layer boundary quantizes and at once dequantizes, so the served
 //! form is the round trip ([`QuantTensor::round_trip`],
-//! [`QuantTensor::round_trip_slice`] per row slice): scale from the
+//! [`QuantTensor::round_trip_rows`] per row): scale from the
 //! absolute maximum, then one pass that never builds the integer tensor.
 //! It and `quantize` share the per-element steps, written so the compiler
 //! vectorises them and so every bit equals the scalar definition
@@ -109,7 +109,7 @@ macro_rules! quant_tensor {
             /// # Panics
             ///
             /// Panics if the slices differ in length.
-            pub fn round_trip_slice(x: &[f32], out: &mut [f32]) {
+            pub(crate) fn round_trip_slice(x: &[f32], out: &mut [f32]) {
                 assert_eq!(x.len(), out.len(), "round trip input and output lengths");
                 let scale = Self::scale_for(x);
                 for (o, &v) in out.iter_mut().zip(x) {
@@ -118,14 +118,16 @@ macro_rules! quant_tensor {
                 }
             }
 
-            /// [`Self::round_trip_slice`] over a whole tensor.
+            /// The quantize → dequantize round trip of `t` at its own
+            /// symmetric scale, without materialising the integers:
+            /// bit-identical to `quantize(t).dequantize()`.
             pub fn round_trip(t: &Tensor) -> Tensor {
                 let mut out = Tensor::zeros(t.dims());
                 Self::round_trip_slice(t.as_slice(), out.as_mut_slice());
                 out
             }
 
-            /// [`Self::round_trip_slice`] over each row of a matrix, every
+            /// [`Self::round_trip`] over each row of a matrix, every
             /// row at its own scale — so row `i` of the result is a
             /// function of row `i` alone.
             ///
@@ -153,24 +155,9 @@ macro_rules! quant_tensor {
                 self.scale
             }
 
-            /// The dimensions, outermost first.
-            pub fn dims(&self) -> &[usize] {
-                &self.dims
-            }
-
             /// Borrow the raw integer values.
             pub fn as_slice(&self) -> &[$int] {
                 &self.data
-            }
-
-            /// Number of elements.
-            pub fn len(&self) -> usize {
-                self.data.len()
-            }
-
-            /// Whether the tensor holds no elements.
-            pub fn is_empty(&self) -> bool {
-                self.data.is_empty()
             }
         }
 
@@ -302,32 +289,13 @@ quant_tensor! {
 pub struct QuantError {
     /// Maximum absolute error.
     pub max_abs: f32,
-    /// Root-mean-square error.
-    pub rms: f32,
 }
 
 /// Measures the round-trip error of symmetric INT16 quantization on `t`.
 pub fn round_trip_error(t: &Tensor) -> QuantError {
-    error_between(t, &QuantTensor::quantize(t).dequantize())
-}
-
-/// Measures the round-trip error of symmetric INT8 quantization on `t`.
-pub fn round_trip_error8(t: &Tensor) -> QuantError {
-    error_between(t, &QuantTensor8::quantize(t).dequantize())
-}
-
-fn error_between(t: &Tensor, back: &Tensor) -> QuantError {
-    let mut max_abs = 0.0f32;
-    let mut sq = 0.0f64;
-    for (&a, &b) in t.as_slice().iter().zip(back.as_slice()) {
-        let e = (a - b).abs();
-        max_abs = max_abs.max(e);
-        sq += (e as f64) * (e as f64);
-    }
-    let n = t.len().max(1);
+    let back = QuantTensor::quantize(t).dequantize();
     QuantError {
-        max_abs,
-        rms: ((sq / n as f64) as f32).sqrt(),
+        max_abs: crate::stats::max_abs_diff(t.as_slice(), back.as_slice()),
     }
 }
 
@@ -335,6 +303,7 @@ fn error_between(t: &Tensor, back: &Tensor) -> QuantError {
 mod tests {
     use super::*;
     use crate::gemm;
+    use crate::stats::max_abs_diff;
 
     #[test]
     fn quantize_zero_tensor() {
@@ -395,15 +364,15 @@ mod tests {
         )
         .unwrap();
         let q = QuantTensor8::quantize(&t);
-        assert_eq!(q.dims(), t.dims());
-        assert_eq!(q.len(), 64);
-        assert!(!q.is_empty());
-        let err = round_trip_error8(&t);
-        assert!(err.max_abs <= q.scale() * 0.5 + 1e-7, "{err:?}");
+        let back = q.dequantize();
+        assert_eq!(back.dims(), t.dims());
+        assert_eq!(q.as_slice().len(), 64);
+        let err = max_abs_diff(t.as_slice(), back.as_slice());
+        assert!(err <= q.scale() * 0.5 + 1e-7, "{err}");
         // INT8 is a strictly coarser rung: its worst-case step is the
         // INT16 step scaled by the range ratio.
         let err16 = round_trip_error(&t);
-        assert!(err16.max_abs <= err.max_abs + 1e-7);
+        assert!(err16.max_abs <= err + 1e-7);
         // Zero tensor and saturation behave as the INT16 scheme does.
         assert_eq!(QuantTensor8::quantize(&Tensor::zeros(&[4])).scale(), 1.0);
         let big = Tensor::from_vec(vec![100.0, -100.0], &[2]).unwrap();
@@ -451,8 +420,8 @@ mod tests {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
             // Error bound: half a step at the tensor's scale.
-            let err = round_trip_error8(&t);
-            prop_assert!(err.max_abs <= q1.scale() * 0.5 + 1e-6);
+            let err = max_abs_diff(t.as_slice(), b1.as_slice());
+            prop_assert!(err <= q1.scale() * 0.5 + 1e-6);
         }
     }
 }

@@ -8,12 +8,13 @@ use crate::TensorError;
 /// # Example
 ///
 /// ```
-/// use onesa_tensor::Shape;
+/// use onesa_tensor::Tensor;
 ///
-/// let s = Shape::new(&[2, 3, 4]);
-/// assert_eq!(s.volume(), 24);
-/// assert_eq!(s.rank(), 3);
-/// assert_eq!(s.strides(), vec![12, 4, 1]);
+/// let t = Tensor::zeros(&[2, 3]);
+/// assert_eq!(t.shape().dims(), &[2, 3]);
+/// assert_eq!(t.shape().as_matrix()?, (2, 3));
+/// assert!(Tensor::zeros(&[2, 3, 4]).shape().as_matrix().is_err());
+/// # Ok::<(), onesa_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
@@ -22,15 +23,10 @@ pub struct Shape {
 
 impl Shape {
     /// Creates a shape from a slice of dimensions.
-    pub fn new(dims: &[usize]) -> Self {
+    pub(crate) fn new(dims: &[usize]) -> Self {
         Shape {
             dims: dims.to_vec(),
         }
-    }
-
-    /// The number of dimensions.
-    pub fn rank(&self) -> usize {
-        self.dims.len()
     }
 
     /// The dimensions, outermost first.
@@ -39,12 +35,12 @@ impl Shape {
     }
 
     /// Total number of elements (product of all dimensions).
-    pub fn volume(&self) -> usize {
+    pub(crate) fn volume(&self) -> usize {
         self.dims.iter().product()
     }
 
     /// Row-major strides for this shape.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.dims.len()];
         for i in (0..self.dims.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];
@@ -58,7 +54,7 @@ impl Shape {
     ///
     /// Returns [`TensorError::IndexOutOfBounds`] if `index` has the wrong
     /// rank or any coordinate exceeds its dimension.
-    pub fn offset(&self, index: &[usize]) -> Result<usize, TensorError> {
+    pub(crate) fn offset(&self, index: &[usize]) -> Result<usize, TensorError> {
         if index.len() != self.dims.len() {
             return Err(TensorError::IndexOutOfBounds {
                 index: index.len(),
@@ -135,7 +131,6 @@ mod tests {
         let s = Shape::new(&[2, 3, 4]);
         assert_eq!(s.volume(), 24);
         assert_eq!(s.strides(), vec![12, 4, 1]);
-        assert_eq!(s.rank(), 3);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Structured pruning zeroes whole **column blocks** of a weight matrix
 //! (groups of `block_cols` adjacent output columns). [`SparseTensor`]
-//! stores such a matrix as a block bitmap plus a packed payload: the
-//! dense matrix with its zero column-blocks deleted. The payload is
+//! stores such a matrix as a packed payload — the dense matrix with its
+//! zero column-blocks deleted — plus the map from payload column to
+//! original column. The payload is
 //! exactly the sub-matrix the packed dense kernel would have swept had
 //! the zero panels never existed, so [`matmul`] hands the payload and its
 //! column map to the *same* sweep [`crate::parallel::matmul`] runs —
@@ -21,8 +22,9 @@
 //! `-0.0` — exact cancellation rounds to `+0.0`), so the reference
 //! produces exactly the `+0.0` the sparse kernel leaves in place. A
 //! block counts as zero only when every element is bit-pattern `+0.0`
-//! (a `-0.0` keeps its block in the payload), which also makes
-//! [`SparseTensor::to_dense`] a lossless bit-exact round trip. Surviving
+//! (a `-0.0` keeps its block in the payload), which also makes the
+//! packing lossless: scattering the payload back through the column map
+//! rebuilds the dense matrix bit-exactly. Surviving
 //! columns run the identical packed-microkernel op sequence as the dense
 //! backend — which is bit-identical to the reference for every input (see
 //! [`crate::parallel`]) — so for a finite `A` the whole product is
@@ -44,8 +46,7 @@
 //!     }
 //! }
 //! let sb = SparseTensor::from_dense(&b, 16)?;
-//! assert_eq!(sb.nnz_blocks(), 2);
-//! assert_eq!(sb.to_dense(), b); // lossless
+//! assert_eq!(sb.nnz_cols(), 32); // two 16-wide blocks survive
 //! let fast = onesa_tensor::sparse::matmul(&a, &sb, Parallelism::Auto)?;
 //! assert_eq!(fast, gemm::matmul(&a, &b)?); // bit-identical
 //! # Ok::<(), onesa_tensor::TensorError>(())
@@ -54,17 +55,13 @@
 use crate::parallel::{gemm_sweep, Lhs, Parallelism, Rhs};
 use crate::{Result, Tensor, TensorError};
 
-/// A `rows × cols` matrix whose zero column-blocks are stored as a
-/// bitmap instead of data. See the [module docs](self) for the layout
+/// A `rows × cols` matrix whose zero column-blocks are not stored. See the [module docs](self) for the layout
 /// and the bit-identicality contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseTensor {
     rows: usize,
     cols: usize,
     block_cols: usize,
-    /// `bitmap[b]` is `true` iff column block `b` holds any non-`+0.0`
-    /// bit pattern. Length [`SparseTensor::total_blocks`].
-    bitmap: Vec<bool>,
     /// The dense matrix with zero column-blocks deleted: `rows ×
     /// nnz_cols`, row-major — byte-for-byte what the packed kernel
     /// sweeps.
@@ -111,9 +108,8 @@ pub fn column_block_stats(t: &Tensor, block_cols: usize) -> Result<(usize, usize
 
 impl SparseTensor {
     /// Packs a dense matrix at the given column-block width. Blocks in
-    /// which every element is bit-pattern `+0.0` are recorded only in
-    /// the bitmap; all other blocks are copied bit-exactly into the
-    /// payload.
+    /// which every element is bit-pattern `+0.0` are dropped; all other
+    /// blocks are copied bit-exactly into the payload.
     ///
     /// # Errors
     ///
@@ -127,9 +123,8 @@ impl SparseTensor {
         }
         let total = cols.div_ceil(block_cols);
         let data = t.as_slice();
-        let mut bitmap = vec![false; total];
         let mut col_map = Vec::new();
-        for (b, live_flag) in bitmap.iter_mut().enumerate() {
+        for b in 0..total {
             let j0 = b * block_cols;
             let width = block_cols.min(cols - j0);
             let live = (0..rows).any(|i| {
@@ -138,7 +133,6 @@ impl SparseTensor {
                     .any(|v| v.to_bits() != 0)
             });
             if live {
-                *live_flag = true;
                 col_map.extend(j0..j0 + width);
             }
         }
@@ -155,24 +149,9 @@ impl SparseTensor {
             rows,
             cols,
             block_cols,
-            bitmap,
             payload,
             col_map,
         })
-    }
-
-    /// Reconstructs the dense matrix, bit-exactly.
-    pub fn to_dense(&self) -> Tensor {
-        let mut out = Tensor::zeros(&[self.rows, self.cols]);
-        let data = out.as_mut_slice();
-        let nnz = self.col_map.len();
-        for i in 0..self.rows {
-            let src = &self.payload[i * nnz..(i + 1) * nnz];
-            for (&v, &j) in src.iter().zip(&self.col_map) {
-                data[i * self.cols + j] = v;
-            }
-        }
-        out
     }
 
     /// Row count (the GEMM's inner dimension).
@@ -190,35 +169,15 @@ impl SparseTensor {
         self.block_cols
     }
 
-    /// Number of column blocks holding data.
-    pub fn nnz_blocks(&self) -> usize {
-        self.bitmap.iter().filter(|&&b| b).count()
-    }
-
-    /// Total number of column blocks (`ceil(cols / block_cols)`).
-    pub fn total_blocks(&self) -> usize {
-        self.bitmap.len()
-    }
-
     /// Number of surviving columns in the payload.
     pub fn nnz_cols(&self) -> usize {
         self.col_map.len()
     }
-
-    /// Fraction of column blocks holding data (`1.0` for an empty
-    /// block grid).
-    pub fn density(&self) -> f64 {
-        if self.bitmap.is_empty() {
-            1.0
-        } else {
-            self.nnz_blocks() as f64 / self.total_blocks() as f64
-        }
-    }
 }
 
 /// Computes `A · B` for a column-block sparse `B` under the given
-/// parallelism setting — bit-identical to the dense product of
-/// `A · B.to_dense()` for every setting (see the [module docs](self)).
+/// parallelism setting — bit-identical to the dense product `A · B` of
+/// the matrix `B` was packed from, for every setting (see the [module docs](self)).
 ///
 /// Zero blocks are skipped entirely: the kernel packs and sweeps only
 /// the payload, so the MAC count scales with
@@ -263,6 +222,20 @@ mod tests {
         }
     }
 
+    /// Reconstructs the dense matrix from the payload, bit-exactly.
+    fn to_dense(sb: &SparseTensor) -> Tensor {
+        let mut out = Tensor::zeros(&[sb.rows, sb.cols]);
+        let data = out.as_mut_slice();
+        let nnz = sb.col_map.len();
+        for i in 0..sb.rows {
+            let src = &sb.payload[i * nnz..(i + 1) * nnz];
+            for (&v, &j) in src.iter().zip(&sb.col_map) {
+                data[i * sb.cols + j] = v;
+            }
+        }
+        out
+    }
+
     /// Zeroes the column blocks of `b` whose index is not in `keep`.
     fn prune_blocks(b: &mut Tensor, block_cols: usize, keep: impl Fn(usize) -> bool) {
         let (rows, cols) = b.shape().as_matrix().unwrap();
@@ -283,8 +256,7 @@ mod tests {
             let mut b = rng.randn(&[k, n], 1.0);
             prune_blocks(&mut b, bc, |blk| blk % 2 == 0);
             let sb = SparseTensor::from_dense(&b, bc).unwrap();
-            assert_bit_identical(&sb.to_dense(), &b);
-            assert_eq!(sb.total_blocks(), n.div_ceil(bc));
+            assert_bit_identical(&to_dense(&sb), &b);
         }
     }
 
@@ -295,8 +267,8 @@ mod tests {
         let mut b = Tensor::zeros(&[2, 8]);
         b.as_mut_slice()[5] = -0.0;
         let sb = SparseTensor::from_dense(&b, 4).unwrap();
-        assert_eq!(sb.nnz_blocks(), 1);
-        let back = sb.to_dense();
+        assert_eq!(sb.nnz_cols(), 4);
+        let back = to_dense(&sb);
         assert_bit_identical(&back, &b);
         assert!(back.as_slice()[5].is_sign_negative());
     }
@@ -309,10 +281,7 @@ mod tests {
         let sb = SparseTensor::from_dense(&b, 16).unwrap();
         let (nnz, total, cols) = column_block_stats(&b, 16).unwrap();
         assert_eq!((nnz, total, cols), (2, 4, 16 + 2)); // edge block is 2 wide
-        assert_eq!(sb.nnz_blocks(), nnz);
-        assert_eq!(sb.total_blocks(), total);
         assert_eq!(sb.nnz_cols(), cols);
-        assert!((sb.density() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -375,7 +344,7 @@ mod tests {
         let a = Pcg32::seed_from_u64(2).randn(&[9, 12], 1.0);
         let b = Tensor::zeros(&[12, 20]);
         let sb = SparseTensor::from_dense(&b, 8).unwrap();
-        assert_eq!(sb.nnz_blocks(), 0);
+        assert_eq!(sb.nnz_cols(), 0);
         let out = matmul(&a, &sb, Parallelism::Auto).unwrap();
         assert_bit_identical(&out, &gemm::matmul(&a, &b).unwrap());
     }
@@ -415,10 +384,8 @@ mod tests {
         #[test]
         fn prop_pack_unpack_lossless((_a, b, bc) in sparse_case()) {
             let sb = SparseTensor::from_dense(&b, bc).unwrap();
-            assert_bit_identical(&sb.to_dense(), &b);
-            let (nnz, total, cols) = column_block_stats(&b, bc).unwrap();
-            prop_assert_eq!(sb.nnz_blocks(), nnz);
-            prop_assert_eq!(sb.total_blocks(), total);
+            assert_bit_identical(&to_dense(&sb), &b);
+            let (_, _, cols) = column_block_stats(&b, bc).unwrap();
             prop_assert_eq!(sb.nnz_cols(), cols);
         }
 

@@ -1,8 +1,6 @@
 //! Error metrics and small statistics helpers shared by the accuracy
 //! experiments and the approximation-quality analyses.
 
-use crate::Tensor;
-
 /// Maximum absolute elementwise difference between two equally-sized
 /// slices (`0` when either slice is empty).
 pub fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
@@ -24,14 +22,6 @@ pub fn rms_diff(a: &[f32], b: &[f32]) -> f32 {
     ((sq / a.len() as f64) as f32).sqrt()
 }
 
-/// Mean absolute elementwise difference (`0` when empty).
-pub fn mean_abs_diff(a: &[f32], b: &[f32]) -> f32 {
-    if a.is_empty() {
-        return 0.0;
-    }
-    a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).sum::<f32>() / a.len() as f32
-}
-
 /// Index of the maximum element (`None` for an empty slice; ties resolve
 /// to the first maximum).
 pub fn argmax(xs: &[f32]) -> Option<usize> {
@@ -43,27 +33,6 @@ pub fn argmax(xs: &[f32]) -> Option<usize> {
         }
     }
     best.map(|(i, _)| i)
-}
-
-/// Classification accuracy of row-wise argmax predictions on a logits
-/// matrix against integer labels.
-///
-/// Returns `0.0` for an empty label set.
-pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
-    let dims = logits.dims();
-    if dims.len() != 2 || labels.is_empty() {
-        return 0.0;
-    }
-    let (rows, cols) = (dims[0], dims[1]);
-    let n = rows.min(labels.len());
-    let mut correct = 0usize;
-    for (r, &label) in labels.iter().take(n).enumerate() {
-        let row = &logits.as_slice()[r * cols..(r + 1) * cols];
-        if argmax(row) == Some(label) {
-            correct += 1;
-        }
-    }
-    correct as f32 / n as f32
 }
 
 /// Pearson correlation coefficient between two equal-length slices
@@ -91,28 +60,6 @@ pub fn pearson(a: &[f32], b: &[f32]) -> f32 {
     (cov / (va.sqrt() * vb.sqrt())) as f32
 }
 
-/// Matthews correlation coefficient for binary predictions, the CoLA-style
-/// metric (`0` for degenerate confusion matrices).
-pub fn matthews(preds: &[usize], labels: &[usize]) -> f32 {
-    let n = preds.len().min(labels.len());
-    let (mut tp, mut tn, mut fp, mut fneg) = (0f64, 0f64, 0f64, 0f64);
-    for i in 0..n {
-        match (preds[i], labels[i]) {
-            (1, 1) => tp += 1.0,
-            (0, 0) => tn += 1.0,
-            (1, 0) => fp += 1.0,
-            (0, 1) => fneg += 1.0,
-            _ => {}
-        }
-    }
-    let denom = ((tp + fp) * (tp + fneg) * (tn + fp) * (tn + fneg)).sqrt();
-    if denom == 0.0 {
-        0.0
-    } else {
-        ((tp * tn - fp * fneg) / denom) as f32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,7 +69,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [1.5, 2.0, 1.0];
         assert_eq!(max_abs_diff(&a, &b), 2.0);
-        assert!((mean_abs_diff(&a, &b) - (0.5 + 0.0 + 2.0) / 3.0).abs() < 1e-6);
         let rms = rms_diff(&a, &b);
         assert!((rms - ((0.25 + 4.0) / 3.0f32).sqrt()).abs() < 1e-6);
         assert_eq!(max_abs_diff(&[], &[]), 0.0);
@@ -137,13 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_counts_correct_rows() {
-        let logits = Tensor::from_vec(vec![0.9, 0.1, 0.2, 0.8, 0.6, 0.4], &[3, 2]).unwrap();
-        assert_eq!(accuracy(&logits, &[0, 1, 1]), 2.0 / 3.0);
-        assert_eq!(accuracy(&logits, &[0, 1, 0]), 1.0);
-    }
-
-    #[test]
     fn pearson_perfect_and_anti() {
         let a = [1.0, 2.0, 3.0, 4.0];
         let b = [2.0, 4.0, 6.0, 8.0];
@@ -151,12 +90,5 @@ mod tests {
         let c = [8.0, 6.0, 4.0, 2.0];
         assert!((pearson(&a, &c) + 1.0).abs() < 1e-6);
         assert_eq!(pearson(&a, &[1.0, 1.0, 1.0, 1.0]), 0.0);
-    }
-
-    #[test]
-    fn matthews_known_cases() {
-        assert!((matthews(&[1, 0, 1, 0], &[1, 0, 1, 0]) - 1.0).abs() < 1e-6);
-        assert!((matthews(&[0, 1, 0, 1], &[1, 0, 1, 0]) + 1.0).abs() < 1e-6);
-        assert_eq!(matthews(&[1, 1, 1, 1], &[1, 0, 1, 0]), 0.0);
     }
 }

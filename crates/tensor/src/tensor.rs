@@ -214,30 +214,6 @@ impl Tensor {
         self.map(|x| x * s)
     }
 
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements (0 for an empty tensor).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// Maximum element (negative infinity for an empty tensor).
-    pub fn max(&self) -> f32 {
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Minimum element (positive infinity for an empty tensor).
-    pub fn min(&self) -> f32 {
-        self.data.iter().copied().fold(f32::INFINITY, f32::min)
-    }
-
     /// Transposes a matrix.
     ///
     /// # Errors
@@ -379,7 +355,7 @@ mod tests {
         let i = Tensor::eye(3);
         assert_eq!(i.at(&[0, 0]).unwrap(), 1.0);
         assert_eq!(i.at(&[0, 1]).unwrap(), 0.0);
-        assert_eq!(i.sum(), 3.0);
+        assert_eq!(i.as_slice().iter().sum::<f32>(), 3.0);
     }
 
     #[test]
@@ -406,15 +382,6 @@ mod tests {
         assert_eq!(t.dims(), &[3, 2]);
         assert_eq!(t.at(&[2, 1]).unwrap(), 5.0);
         assert_eq!(t.transpose().unwrap(), a);
-    }
-
-    #[test]
-    fn reductions() {
-        let a = Tensor::from_vec(vec![-1.0, 4.0, 2.0, -5.0], &[4]).unwrap();
-        assert_eq!(a.sum(), 0.0);
-        assert_eq!(a.mean(), 0.0);
-        assert_eq!(a.max(), 4.0);
-        assert_eq!(a.min(), -5.0);
     }
 
     #[test]

@@ -94,7 +94,7 @@ fn empty_workload_report_is_zero() {
 fn fifo_backpressure_round_trip() {
     // A producer streaming faster than the consumer must see rejections,
     // and every rejected value must be retriable without loss.
-    let mut f: Fifo<u32> = Fifo::new("stress", 4);
+    let mut f: Fifo<u32> = Fifo::new(4);
     let mut consumed = Vec::new();
     let mut pending: Option<u32> = None;
     let mut next = 0u32;
