@@ -37,8 +37,6 @@ use onesa_nn::workloads::{ModelFamily, Workload};
 pub struct Processor {
     /// Device name as it appears in Table IV.
     pub name: &'static str,
-    /// Technology node in nanometres.
-    pub(crate) tech_nm: u32,
     /// Board/package power in watts.
     pub power_w: f64,
     /// Sustained throughput (GOPS, 1 op = 1 MAC) per family; `None`
@@ -78,7 +76,6 @@ impl Processor {
 pub fn cpu_i7_11700() -> Processor {
     Processor {
         name: "Intel CPU i7-11700",
-        tech_nm: 14,
         power_w: 112.0,
         cnn_gops: Some(93.51),
         transformer_gops: Some(119.77),
@@ -90,7 +87,6 @@ pub fn cpu_i7_11700() -> Processor {
 pub fn gpu_3090ti() -> Processor {
     Processor {
         name: "NVIDIA GPU 3090Ti",
-        tech_nm: 8,
         power_w: 131.0,
         cnn_gops: Some(633.99),
         transformer_gops: Some(691.81),
@@ -102,7 +98,6 @@ pub fn gpu_3090ti() -> Processor {
 pub fn soc_agx_orin() -> Processor {
     Processor {
         name: "NVIDIA SoC AGX ORIN",
-        tech_nm: 12,
         power_w: 14.0,
         cnn_gops: Some(245.38),
         transformer_gops: Some(255.57),
@@ -114,7 +109,6 @@ pub fn soc_agx_orin() -> Processor {
 pub fn angel_eye() -> Processor {
     Processor {
         name: "Zynq Z-7020 Angel-eye",
-        tech_nm: 28,
         power_w: 3.5,
         cnn_gops: Some(84.3),
         transformer_gops: None,
@@ -127,7 +121,6 @@ pub fn angel_eye() -> Processor {
 pub fn vgg16_accel() -> Processor {
     Processor {
         name: "Virtex7 VGG16",
-        tech_nm: 28,
         power_w: 10.81,
         cnn_gops: Some(202.42),
         transformer_gops: None,
@@ -139,7 +132,6 @@ pub fn vgg16_accel() -> Processor {
 pub fn npe() -> Processor {
     Processor {
         name: "Zynq Z-7100 NPE",
-        tech_nm: 28,
         power_w: 20.0,
         cnn_gops: None,
         transformer_gops: Some(405.30),
@@ -152,7 +144,6 @@ pub fn npe() -> Processor {
 pub fn ftrans() -> Processor {
     Processor {
         name: "Virtex UltraScale+ FTRANS",
-        tech_nm: 16,
         power_w: 25.0,
         cnn_gops: None,
         transformer_gops: Some(559.85),

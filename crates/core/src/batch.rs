@@ -140,6 +140,7 @@ use onesa_cpwl::NonlinearFn;
 use onesa_plan::{self as plan, EvalMode, Op, OptTotals, Program, StageGroups, TableCache};
 use onesa_sim::ExecStats;
 use onesa_tensor::{Result, Tensor, TensorError};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -346,17 +347,25 @@ pub struct ServingReport {
     /// reports aggregated across shards/windows by [`crate::serve`] sum
     /// the groups of every shard-batch, so a weight served by several
     /// shards (or in several windows) counts once per kernel call, not
-    /// once overall.
+    /// once overall. Only [`Op::Gemm`] groups count: an [`Op::Attention`]
+    /// group's per-head GEMMs are each member's own and never coalesce,
+    /// so they are charged in [`ServingReport::batched_seconds`] but not
+    /// counted here.
     pub gemm_groups: usize,
-    /// Number of coalesced IPF + MHP passes: nonlinear ops of one stage
-    /// sharing a function and granularity count once (per run, with the
-    /// same aggregation caveat as [`ServingReport::gemm_groups`]).
+    /// Number of coalesced IPF + MHP passes of the single-op nonlinear
+    /// stages ([`Op::Nonlinear`], [`Op::Softmax`], [`Op::LayerNorm`]):
+    /// ops of one stage sharing a function and granularity count once
+    /// (per run, with the same aggregation caveat as
+    /// [`ServingReport::gemm_groups`]). An unmasked [`Op::Attention`]
+    /// group runs one coalesced softmax pass per head, which
+    /// [`ServingReport::batched_seconds`] charges but this count leaves
+    /// out: it counts groups, and an attention group is a group of
+    /// neither kind.
     pub nonlinear_groups: usize,
-    /// Per-request simulated latencies in seconds, indexed by submission
-    /// order (entry `i` belongs to the request [`BatchEngine::submit`]
-    /// returned id `i` for; serve-aggregated reports order by ticket id
-    /// over the successfully served requests, omitting rejected ones).
-    pub latencies: Vec<f64>,
+    /// Per-request simulated latencies in seconds, as a multiset over the
+    /// served requests (serve-aggregated reports omit rejected ones; each
+    /// request's own latency is its outcome's `stats`).
+    pub latencies: Latencies,
     /// Optimizer pass totals of the run's requests, summed from each
     /// program's `OptReport` (all zero when the queue held no optimized
     /// programs). The counts are per *request*: one cached
@@ -408,22 +417,107 @@ impl ServingReport {
     /// Simulated per-request latency percentile (`q` in `0..=100`),
     /// nearest-rank over the served queue.
     pub(crate) fn latency_percentile(&self, q: f64) -> f64 {
-        nearest_rank(&self.latencies, q)
+        self.latencies.percentile(q)
     }
 }
 
-/// Nearest-rank percentile (`q` in `0..=100`) of simulated latencies;
-/// 0.0 for an empty run. The latencies are public fields a caller (or a
-/// worker's decoded reply) may fill with anything, so the sort is total:
-/// a NaN ranks above every number instead of panicking.
-pub(crate) fn nearest_rank(latencies: &[f64], q: f64) -> f64 {
-    if latencies.is_empty() {
-        return 0.0;
+/// Simulated per-request latencies as an exact multiset: each distinct
+/// value — by bit pattern — held once with the number of requests that
+/// took it, ordered as [`f64::total_cmp`] orders them. A modeled latency
+/// is a deterministic function of a program's shapes, so an engine
+/// serving a few shapes holds a few entries however many requests it
+/// serves, and the nearest-rank percentiles are still those of the full
+/// list. The order is total: a NaN (the values are whatever a caller or a
+/// worker's decoded reply put there) ranks above every number.
+#[derive(Clone, Default, PartialEq)]
+pub struct Latencies(BTreeMap<i64, u64>);
+
+/// The bits of an `f64` as a key that sorts as [`f64::total_cmp`] sorts
+/// the values — a negative value's magnitude bits flipped, the map
+/// `total_cmp` itself applies — and back: the map is its own inverse.
+fn total_order(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+impl Latencies {
+    /// Counts `count` more requests of `seconds`.
+    fn add(&mut self, seconds: f64, count: u64) {
+        *self
+            .0
+            .entry(total_order(seconds.to_bits() as i64))
+            .or_default() += count;
     }
-    let mut sorted = latencies.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+
+    /// Each distinct value and its count, in ascending order.
+    fn entries(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        let value = |key: i64| f64::from_bits(total_order(key) as u64);
+        self.0.iter().map(move |(&key, &count)| (value(key), count))
+    }
+
+    /// Counts one request of `seconds`.
+    pub(crate) fn push(&mut self, seconds: f64) {
+        self.add(seconds, 1);
+    }
+
+    /// Counts every request `other` counts.
+    pub(crate) fn merge(&mut self, other: &Latencies) {
+        for (seconds, count) in other.entries() {
+            self.add(seconds, count);
+        }
+    }
+
+    /// Requests counted.
+    pub fn len(&self) -> usize {
+        self.0.values().map(|&count| count as usize).sum()
+    }
+
+    /// Whether no request is counted.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Distinct values held: the multiset's size in memory.
+    pub fn distinct(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Nearest-rank percentile (`q` in `0..=100`) of the counted
+    /// latencies: the value at rank `⌈q/100 · len⌉` (at least 1) of their
+    /// ascending list; 0.0 when none is counted.
+    pub fn percentile(&self, q: f64) -> f64 {
+        let len = self.len();
+        let rank = (((q / 100.0) * len as f64).ceil() as usize).clamp(1, len.max(1));
+        let mut seen = 0;
+        for (seconds, count) in self.entries() {
+            seen += count as usize;
+            if seen >= rank {
+                return seconds;
+            }
+        }
+        0.0
+    }
+
+    /// The counted latencies' sum: each distinct value times its count,
+    /// added in ascending order.
+    pub(crate) fn total(&self) -> f64 {
+        self.entries().map(|(v, count)| v * count as f64).sum()
+    }
+}
+
+impl fmt::Debug for Latencies {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.entries()).finish()
+    }
+}
+
+impl FromIterator<f64> for Latencies {
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
+        let mut latencies = Latencies::default();
+        for seconds in iter {
+            latencies.push(seconds);
+        }
+        latencies
+    }
 }
 
 impl fmt::Display for ServingReport {
@@ -760,7 +854,7 @@ mod tests {
         let p99 = r.latency_percentile(99.0);
         assert!(p50 > 0.0 && p99 >= p50);
         // The 64-row request dominates the tail.
-        assert!((p99 - r.latencies[3]).abs() < 1e-12);
+        assert_eq!(p99, run.outcomes[3].stats.seconds());
         assert!(!format!("{r}").is_empty());
     }
 
@@ -784,9 +878,9 @@ mod tests {
 
     #[test]
     fn a_nan_latency_ranks_last_instead_of_panicking() {
-        // Both public latency vectors accept any f64 (a worker's reply
+        // Both public latency sets accept any f64 (a worker's reply
         // rebuilds them from wire bytes); a NaN sorts above every number.
-        let latencies = vec![f64::NAN, 1.0, 2.0];
+        let latencies: Latencies = [f64::NAN, 1.0, 2.0].into_iter().collect();
         let mut report = BatchEngine::new(engine(), 0.25)
             .unwrap()
             .run()
@@ -808,6 +902,32 @@ mod tests {
     }
 
     #[test]
+    fn latencies_rank_as_a_sorted_list_of_every_request_would() {
+        // Signed zeros, negatives, infinities, a NaN and repeats: each
+        // percentile is the full list's nearest rank, bit for bit.
+        let list = [
+            2.0,
+            -0.0,
+            f64::NAN,
+            -1.0,
+            0.0,
+            2.0,
+            f64::NEG_INFINITY,
+            2.0,
+            0.5,
+        ];
+        let latencies: Latencies = list.into_iter().collect();
+        assert_eq!((latencies.len(), latencies.distinct()), (9, 7));
+        let mut sorted = list.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        for q in [0.0, 10.0, 25.0, 50.0, 66.0, 67.0, 90.0, 100.0] {
+            let rank = ((q / 100.0) * 9.0_f64).ceil() as usize;
+            let want = sorted[rank.clamp(1, 9) - 1];
+            assert_eq!(latencies.percentile(q).to_bits(), want.to_bits(), "p{q}");
+        }
+    }
+
+    #[test]
     fn single_request_batch_has_unit_speedup() {
         let mut rng = Pcg32::seed_from_u64(11);
         let mut serving = BatchEngine::new(engine(), 0.25).unwrap();
@@ -822,7 +942,7 @@ mod tests {
         assert_eq!(r.gemm_groups, 1);
         assert!((r.batching_speedup() - 1.0).abs() < 1e-12);
         assert_eq!(r.latencies.len(), 1);
-        assert!((r.latency_percentile(50.0) - r.latencies[0]).abs() < 1e-18);
+        assert_eq!(r.latency_percentile(50.0), run.outcomes[0].stats.seconds());
         assert_eq!(run.outcomes[0].output, gemm::matmul(&a, &w).unwrap());
     }
 

@@ -46,7 +46,9 @@ pub mod plan {
     pub use onesa_plan::*;
 }
 
-pub use batch::{BatchEngine, BatchRun, Request, RequestId, RequestOutcome, ServingReport};
+pub use batch::{
+    BatchEngine, BatchRun, Latencies, Request, RequestId, RequestOutcome, ServingReport,
+};
 pub use engine::OneSa;
 pub use flex::split_accelerator_cycles;
 pub use net::{default_worker_path, ProcessConfig, Transport, WeightCacheStats};

@@ -76,7 +76,7 @@ use onesa_sim::{ArrayConfig, ExecStats};
 use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::Tensor;
 
-use crate::batch::{BatchEngine, BatchRun, Request, RequestOutcome, ServingReport};
+use crate::batch::{BatchEngine, BatchRun, Latencies, Request, RequestOutcome, ServingReport};
 use crate::engine::OneSa;
 
 // ---------------------------------------------------------------------
@@ -396,7 +396,7 @@ wire_layout! {
 
     struct ServingReport {
         requests = 0,
-        latencies = Vec::new(),
+        latencies = Latencies::default(),
         gemm_groups: usize,
         nonlinear_groups: usize,
         total_macs: u64,

@@ -156,7 +156,7 @@ pub use route::RoutePolicy;
 pub use session::{InterleavePolicy, Phase, PhaseStats, SessionId, SessionSummary};
 pub use shard::ShardStats;
 
-use crate::batch::{BatchEngine, Request, ServingReport};
+use crate::batch::{BatchEngine, Latencies, Request, ServingReport};
 use crate::engine::OneSa;
 use crate::net::{self, ProcessConfig, WeightCacheStats};
 use admit::{admitter_loop, AdmitOut, AdmitterCtx};
@@ -168,7 +168,7 @@ use onesa_tensor::{Tensor, TensorError};
 use power::PowerStates;
 use route::Router;
 use session::{SessionState, SessionTable, SessionTag};
-use shard::{shard_loop, ReqRecord, ShardExec, ShardOut};
+use shard::{shard_loop, ShardExec, ShardOut};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
@@ -471,11 +471,10 @@ pub struct ServeSummary {
     /// `batched_seconds` is the **makespan** (busiest shard — the
     /// simulated arrays run concurrently), `unbatched_seconds` the cost
     /// of serving every request alone on a single array, and
-    /// `latencies` are ordered by ticket id over the *successfully
-    /// served* requests (rejected requests produce no latency entry, so
-    /// after a failure entry `i` no longer equals ticket `i`). The
-    /// group counts are summed across shard-batches — see
-    /// [`ServingReport::gemm_groups`].
+    /// `latencies` count the *successfully served* requests (rejected
+    /// requests produce no latency), one entry per distinct value however
+    /// long the engine runs. The group counts are summed across
+    /// shard-batches — see [`ServingReport::gemm_groups`].
     pub report: ServingReport,
     /// Per-shard occupancy, throughput and queue statistics.
     pub shards: Vec<ShardStats>,
@@ -1211,41 +1210,30 @@ impl ServeEngine {
         // it stops. If it is already gone the join below reports it.
         self.tx = None;
         let admitted = admitter.join().map_err(|_| ServeError::WorkerLost)?;
-        let mut records: Vec<ReqRecord> = Vec::new();
+        let mut plain = Latencies::default();
         let mut shards: Vec<ShardStats> = Vec::with_capacity(self.workers.len());
         let mut executed = Vec::with_capacity(self.workers.len());
         let mut prefill = PhaseStats::default();
         let mut decode = PhaseStats::default();
         let mut nonlinear_evals = 0u64;
         for handle in self.workers.drain(..) {
-            let mut out = handle.join().map_err(|_| ServeError::WorkerLost)?;
+            let out = handle.join().map_err(|_| ServeError::WorkerLost)?;
             executed.push(out.window_records);
             prefill.tokens += out.prefill_tokens;
             decode.tokens += out.decode_tokens;
             nonlinear_evals += out.nonlinear_evals;
-            // The first shard's buffer becomes the merged one: a
-            // one-shard pool never holds its records twice.
-            if records.is_empty() {
-                records = std::mem::take(&mut out.records);
-            } else {
-                records.append(&mut out.records);
-            }
+            let [none, prefills, decodes] = &out.latencies;
+            plain.merge(none);
+            prefill.latencies.merge(prefills);
+            decode.latencies.merge(decodes);
             shards.push(out.stats);
         }
         let wall_seconds = self.started.elapsed().as_secs_f64();
-        // Tickets are unique, so the in-place unstable sort orders them
-        // exactly as a stable one would, without its scratch buffer.
-        records.sort_unstable_by_key(|r| r.key);
-
-        for r in &records {
-            let bucket = match r.phase() {
-                Some(Phase::Prefill) => &mut prefill,
-                Some(Phase::Decode) => &mut decode,
-                None => continue,
-            };
-            bucket.requests += 1;
-            bucket.latencies.push(r.seconds);
-        }
+        prefill.requests = prefill.latencies.len();
+        decode.requests = decode.latencies.len();
+        let mut latencies = plain;
+        latencies.merge(&prefill.latencies);
+        latencies.merge(&decode.latencies);
 
         let mut opt = OptTotals::default();
         let mut wire_cache = WeightCacheStats::default();
@@ -1258,18 +1246,11 @@ impl ServeEngine {
             wire_cache.merge(&s.wire_cache);
             failovers += usize::from(s.worker_lost);
         }
-        let requests = records.len();
-        let unbatched_seconds = records.iter().map(|r| r.seconds).sum();
-        // The latencies take over the records' buffer (std collects a
-        // `vec::IntoIter` map in place) and hand back the half they do
-        // not fill, so the run's largest buffer is never held twice.
-        let mut latencies: Vec<f64> = records.into_iter().map(|r| r.seconds).collect();
-        latencies.shrink_to_fit();
         let report = ServingReport {
-            requests,
+            requests: latencies.len(),
             wall_seconds,
             batched_seconds: shards.iter().map(|s| s.array_seconds).fold(0.0, f64::max),
-            unbatched_seconds,
+            unbatched_seconds: latencies.total(),
             total_macs: shards.iter().map(|s| s.macs).sum(),
             total_nonlinear_evals: nonlinear_evals,
             gemm_groups: shards.iter().map(|s| s.gemm_groups).sum(),

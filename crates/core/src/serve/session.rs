@@ -4,7 +4,7 @@
 //! window.
 
 use super::{Job, ServeError};
-use crate::batch::nearest_rank;
+use crate::batch::Latencies;
 use onesa_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
@@ -85,15 +85,15 @@ pub struct PhaseStats {
     /// Tokens those requests covered: the prompt length for a prefill,
     /// one per decode step.
     pub tokens: u64,
-    /// Simulated per-request latencies in seconds, ordered by ticket id.
-    pub(crate) latencies: Vec<f64>,
+    /// Simulated per-request latencies in seconds.
+    pub(crate) latencies: Latencies,
 }
 
 impl PhaseStats {
     /// Nearest-rank latency percentile (`q` in `0..=100`) over this
     /// phase's requests; 0.0 when the phase served nothing.
     pub fn latency_percentile(&self, q: f64) -> f64 {
-        nearest_rank(&self.latencies, q)
+        self.latencies.percentile(q)
     }
 
     /// Tokens per second against the given wall-clock interval.

@@ -6,7 +6,7 @@
 use super::power::WindowRecord;
 use super::session::{Phase, SessionTable};
 use super::{DepthGauge, Job, ServeError, ServedOutcome, TicketId};
-use crate::batch::{BatchEngine, BatchRun, Request};
+use crate::batch::{BatchEngine, BatchRun, Latencies, Request};
 use crate::net::{self, WeightCacheStats};
 use onesa_plan::OptTotals;
 use onesa_tensor::TensorError;
@@ -68,47 +68,15 @@ pub struct ShardStats {
     pub(crate) wire_cache: WeightCacheStats,
 }
 
-/// Per-request accounting a shard sends back at shutdown (the outcome
-/// itself went to the ticket). A shard keeps one per request it serves,
-/// so it holds only what the summary's ticket-ordered latencies need, in
-/// 16 bytes — the ticket and the session phase packed into one key that
-/// sorts by ticket — and every other per-request figure is summed as it
-/// comes.
-pub(super) struct ReqRecord {
-    /// `ticket << 2` | 0 (no session), 1 (prefill) or 2 (decode). Tickets
-    /// count up from 0, so the shift never drops a bit.
-    pub(super) key: u64,
-    pub(super) seconds: f64,
-}
-
-impl ReqRecord {
-    fn new(ticket: TicketId, phase: Option<Phase>, seconds: f64) -> Self {
-        let phase = match phase {
-            None => 0,
-            Some(Phase::Prefill) => 1,
-            Some(Phase::Decode) => 2,
-        };
-        ReqRecord {
-            key: ticket << 2 | phase,
-            seconds,
-        }
-    }
-
-    /// The request's session phase (`None` for plain requests).
-    pub(super) fn phase(&self) -> Option<Phase> {
-        match self.key & 3 {
-            1 => Some(Phase::Prefill),
-            2 => Some(Phase::Decode),
-            _ => None,
-        }
-    }
-}
-
 /// What a shard's thread hands back when the pool shuts down.
 #[derive(Default)]
 pub(super) struct ShardOut {
     pub(super) stats: ShardStats,
-    pub(super) records: Vec<ReqRecord>,
+    /// The simulated latencies of the requests this shard served, by
+    /// session phase: none, prefill, decode. The outcomes themselves went
+    /// to the tickets, and every other per-request figure is summed as it
+    /// comes.
+    pub(super) latencies: [Latencies; 3],
     pub(super) window_records: Vec<WindowRecord>,
     /// Nonlinear evaluations across the requests this shard served.
     pub(super) nonlinear_evals: u64,
@@ -277,9 +245,12 @@ pub(super) fn shard_loop(
                         } += tag.tokens;
                     }
                     out.nonlinear_evals += outcome.stats.nonlinear_evals;
-                    let phase = job.session.map(|tag| tag.phase);
-                    out.records
-                        .push(ReqRecord::new(job.ticket, phase, outcome.stats.seconds()));
+                    let phase = match job.session.map(|tag| tag.phase) {
+                        None => 0,
+                        Some(Phase::Prefill) => 1,
+                        Some(Phase::Decode) => 2,
+                    };
+                    out.latencies[phase].push(outcome.stats.seconds());
                     let _ = job.reply.send(Ok(ServedOutcome {
                         ticket: job.ticket,
                         shard: served_by,

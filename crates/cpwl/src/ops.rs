@@ -186,10 +186,15 @@ impl TableSet {
     pub fn softmax_rows(&self, x: &Tensor) -> Result<Tensor> {
         let (_, n) = x.shape().as_matrix()?;
         let mut out = x.clone();
-        for block in out.as_mut_slice().chunks_mut(BLOCK * n.max(1)) {
+        self.softmax_rows_in_place(out.as_mut_slice(), n);
+        Ok(out)
+    }
+
+    /// [`TableSet::softmax_rows`] in place over `rows`, whole rows of `n`.
+    pub fn softmax_rows_in_place(&self, rows: &mut [f32], n: usize) {
+        for block in rows.chunks_mut(BLOCK * n.max(1)) {
             self.softmax_block(block, n);
         }
-        Ok(out)
     }
 
     /// The six steps of [`TableSet::softmax_rows`] on one block of at most

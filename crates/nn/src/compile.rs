@@ -3,7 +3,7 @@
 //! Every model family implements [`Compile`]: it walks its own layers
 //! and emits a [`Program`] that replays the inference math op for op —
 //! im2col + GEMM + col2im for convolutions, folded batch-norm affines,
-//! head-sliced attention with table-lowered softmax, CPWL nonlinears
+//! one attention op per layer with table-lowered softmax, CPWL nonlinears
 //! and INT16 `Quantize` boundaries exactly where the chosen
 //! [`InferenceMode`] applies them. Running the compiled program is
 //! **bit-identical** to the model's `*_direct` layer-by-layer path for
@@ -278,10 +278,11 @@ enum Attention {
 }
 
 /// One post-norm transformer block (mirrors `EncoderBlock::infer` and
-/// the causal arm of `EncoderBlock::infer_with`): head-sliced attention
-/// with scaled table-lowered softmax, residual adds with INT16
-/// boundaries, layer norms, GELU feed-forward. The causal kinds mask
-/// the softmax (prefill) or attend the grown context (decode), mark
+/// the causal arm of `EncoderBlock::infer_with`): one [`Op::Attention`]
+/// over the Q/K/V projections (scaled, table-lowered softmax per head),
+/// residual adds with INT16 boundaries, layer norms, GELU feed-forward.
+/// The causal kinds mask the attention (prefill) or attend the grown
+/// context unmasked (decode), mark
 /// their K/V tensors as session outputs — K then V, in block order —
 /// and make every INT16 boundary the row-wise [`causal_boundary`].
 fn compile_block(
@@ -315,47 +316,28 @@ fn compile_block(
     let k = linear(b, &blk.attn.wk, xk);
     let xv = use_x(b);
     let v = linear(b, &blk.attn.wv, xv);
-    let (k_full, v_full, softmax) = match attn {
-        Attention::Full => (k, v, Op::Softmax),
+    let (k_full, v_full, causal) = match attn {
+        Attention::Full => (k, v, false),
         Attention::CausalPrefill => {
             b.mark_session_output(k);
             b.mark_session_output(v);
-            (k, v, Op::CausalSoftmax { offset: 0 })
+            (k, v, true)
         }
         Attention::CausalDecode { k_cache, v_cache } => {
             let kf = b.push(Op::ConcatRows, &[k_cache, k]);
             let vf = b.push(Op::ConcatRows, &[v_cache, v]);
             b.mark_session_output(kf);
             b.mark_session_output(vf);
-            (kf, vf, Op::Softmax)
+            (kf, vf, false)
         }
     };
-    let mut ctxs = Vec::with_capacity(heads);
-    for head in 0..heads {
-        let start = head * dk;
-        let qh = b.push(Op::SliceCols { start, len: dk }, &[q]);
-        let kh = b.push(Op::SliceCols { start, len: dk }, &[k_full]);
-        let vh = b.push(Op::SliceCols { start, len: dk }, &[v_full]);
-        let kt = b.push(Op::Transpose, &[kh]);
-        let scores = b.push(
-            Op::Gemm {
-                bias: None,
-                sparsity: None,
-            },
-            &[qh, kt],
-        );
-        let scaled = b.push(Op::Scale(1.0 / (dk as f32).sqrt()), &[scores]);
-        let p = b.push(softmax.clone(), &[scaled]);
-        ctxs.push(b.push(
-            Op::Gemm {
-                bias: None,
-                sparsity: None,
-            },
-            &[p, vh],
-        ));
-    }
-    let concat = b.push(Op::ConcatCols, &ctxs);
-    let a = linear(b, &blk.attn.wo, concat);
+    let attention = Op::Attention {
+        heads,
+        scale: 1.0 / (dk as f32).sqrt(),
+        causal,
+    };
+    let ctx = b.push(attention, &[q, k_full, v_full]);
+    let a = linear(b, &blk.attn.wo, ctx);
     let x_res = use_x(b);
     let sum1 = b.push(Op::Add, &[x_res, a]);
     let sum1 = bound(b, mode, sum1);
@@ -774,41 +756,41 @@ mod tests {
             (
                 InferenceMode::Exact,
                 [
-                    0xf2ff535ac3301ed3,
-                    0xe9827147e955ac96,
-                    0xae20bf68e74c9ac8,
-                    0xa4bbb01f9b565b10,
-                    0xf51f87db35cea20e,
+                    0xbaa18afd8ebd3257,
+                    0x78117beaf673b7f2,
+                    0x032553807d64eec6,
+                    0xc1a651114009beb4,
+                    0xb5520250e71d1dc0,
                 ],
                 [
                     0xe9e8b339008a6bd9,
-                    0xf2ff535ac3301ed3,
+                    0xbaa18afd8ebd3257,
                     0x69b273a2caa2441e,
                     0x3ff63460aa8d93ad,
-                    0xe9827147e955ac96,
-                    0xae20bf68e74c9ac8,
-                    0xa4bbb01f9b565b10,
-                    0xf51f87db35cea20e,
+                    0x78117beaf673b7f2,
+                    0x032553807d64eec6,
+                    0xc1a651114009beb4,
+                    0xb5520250e71d1dc0,
                 ],
             ),
             (
                 InferenceMode::cpwl(0.25).unwrap(),
                 [
-                    0x0852f890928c2e10,
-                    0xc9927d31f215fff3,
-                    0x376ab34d504bbd70,
-                    0x5ca72a694cb54875,
-                    0x24f4fcd01b18ab36,
+                    0xdce3930b22390ef6,
+                    0x97a9c8a170fc5b15,
+                    0xa7daa356172ac89f,
+                    0x66e382c8dba84693,
+                    0x1a494d1cac431219,
                 ],
                 [
                     0xe91ce28e5045fb01,
-                    0xcbef7fcde2c0721a,
+                    0x228a09bf966d8ff8,
                     0xad12524ba96391a6,
                     0x8e344c71eb1087d5,
-                    0x560ee40e3d704447,
-                    0x22910dece7dacfeb,
-                    0xc0605e9034544d01,
-                    0x7f87853dc06e10ad,
+                    0xe19f75761983a465,
+                    0x078bb8737bfa59cb,
+                    0x1d91f88e79aa49a3,
+                    0x8aba3427ee940c8d,
                 ],
             ),
         ];

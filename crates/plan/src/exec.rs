@@ -4,11 +4,12 @@
 //! What the scheduler needs to know about a program's op list is worked
 //! out once, when the program is sealed, into its [`Plan`]: every slot's
 //! shape, every op's coalescing key (static: the mode, the constants'
-//! fingerprints, γ / β / ε and the widths of softmax and layer-norm
-//! rows all belong to the sealed program), every op's convolution chain,
-//! and when each op's output dies. [`run_staged`] then groups a stage's
-//! members by their planned keys in index buffers it reuses from stage to
-//! stage, and drops each intermediate after its last reader. The liveness
+//! fingerprints, γ / β / ε, the widths of softmax and layer-norm rows
+//! and attention's key rows all belong to the sealed program), every
+//! op's convolution chain, and when each op's output dies. [`run_staged`]
+//! then groups a stage's members by their planned keys in index buffers
+//! it reuses from stage to stage, and drops each intermediate after its
+//! last reader. The liveness
 //! rule: an op's output dies after the last stage that reads it — where
 //! a convolution chain's GEMM stage counts as a reader of the chain's
 //! image, which a declined sweep unrolls there — and the program's output
@@ -16,15 +17,15 @@
 //! the [`ProgramRun`].
 
 use crate::program::{
-    hash_encoding, op_cost, same_tensor, ConvChain, EvalMode, Op, OpNode, Operand, PoolKind,
-    Precision, Program,
+    attention_member_cost, attention_softmax_cost, hash_encoding, op_cost, same_tensor, ConvChain,
+    EvalMode, Op, OpNode, Operand, PoolKind, Precision, Program,
 };
 use onesa_cpwl::ops::{self, TableSet};
 use onesa_cpwl::NonlinearFn;
 use onesa_sim::{ArrayConfig, CycleBreakdown, ExecStats};
 use onesa_tensor::parallel::{self, Parallelism};
 use onesa_tensor::quant::{QuantTensor, QuantTensor8};
-use onesa_tensor::{gemm, im2col, sparse, Result, Tensor, TensorError};
+use onesa_tensor::{attention, gemm, im2col, sparse, Result, Tensor, TensorError};
 use std::sync::Arc;
 
 /// Lazily-built CPWL table sets keyed by granularity, shared across
@@ -294,6 +295,10 @@ enum GroupKey {
     Softmax(u64, usize),
     /// Row-wise layer-norm sharing (eval mode, γ/β/ε, width): row-stack.
     LayerNorm(u64, usize),
+    /// Unmasked attention sharing (eval mode and op, key rows): each
+    /// member runs alone, and every head's softmax pass is credited once
+    /// over all members' query rows.
+    Attention(u64, usize),
     /// Everything else executes per program.
     Solo,
 }
@@ -309,7 +314,7 @@ impl GroupKey {
             }
             GroupKey::GemmLeft(_) => Some((Axis::Cols, 1)),
             GroupKey::Nonlinear(_) => Some((Axis::Flat, 0)),
-            GroupKey::Solo => None,
+            GroupKey::Attention(..) | GroupKey::Solo => None,
         }
     }
 }
@@ -428,12 +433,16 @@ pub fn run_staged(
                 _ => {}
             }
             let is_gemm = matches!(op, Op::Gemm { .. });
-            let produced = match conv_links(ids, &mut states, stage, cfg, par)? {
-                Some(produced) => {
-                    conv_sweeps += usize::from(is_gemm);
-                    produced
+            let produced = if matches!(op, Op::Attention { .. }) {
+                exec_attention(ids, &mut states, stage, cfg, par, tables)?
+            } else {
+                match conv_links(ids, &mut states, stage, cfg, par)? {
+                    Some(produced) => {
+                        conv_sweeps += usize::from(is_gemm);
+                        produced
+                    }
+                    None => exec_group(key, ids, &mut states, stage, cfg, par, tables)?,
                 }
-                None => exec_group(key, ids, &mut states, stage, cfg, par, tables)?,
             };
             batched = batched.merged(&produced);
         }
@@ -468,10 +477,11 @@ pub fn run_staged(
 /// shapes `shapes`.
 fn group_key(program: &Program, shapes: &[Vec<usize>], node: &OpNode) -> GroupKey {
     let mode = program.mode().coalesce_key();
-    let width = |operand: Operand| match operand {
-        Operand::Slot(s) => shapes[s][1],
-        Operand::Const(c) => program.consts()[c].dims()[1],
+    let dims = |operand: Operand| match operand {
+        Operand::Slot(s) => &shapes[s][..],
+        Operand::Const(c) => program.consts()[c].dims(),
     };
+    let width = |operand: Operand| dims(operand)[1];
     match &node.op {
         Op::Gemm { sparsity, .. } => match (node.inputs[0], node.inputs[1]) {
             (Operand::Slot(_), Operand::Const(c)) => {
@@ -489,6 +499,9 @@ fn group_key(program: &Program, shapes: &[Vec<usize>], node: &OpNode) -> GroupKe
         Op::Softmax => GroupKey::Softmax(mode, width(node.inputs[0])),
         Op::LayerNorm { .. } => {
             GroupKey::LayerNorm(hash_encoding(mode, &node.op), width(node.inputs[0]))
+        }
+        Op::Attention { causal: false, .. } => {
+            GroupKey::Attention(hash_encoding(mode, &node.op), dims(node.inputs[1])[0])
         }
         _ => GroupKey::Solo,
     }
@@ -519,6 +532,10 @@ fn member_key(state: &JobState, stage: usize) -> GroupKey {
         Op::LayerNorm { .. } => {
             let n = state.resolve(node.inputs[0]).dims()[1];
             GroupKey::LayerNorm(hash_encoding(mode, &node.op), n)
+        }
+        Op::Attention { causal: false, .. } => {
+            let n = state.resolve(node.inputs[1]).dims()[0];
+            GroupKey::Attention(hash_encoding(mode, &node.op), n)
         }
         _ => GroupKey::Solo,
     }
@@ -557,6 +574,18 @@ fn keys_truly_equal(states: &[JobState], stage: usize, first: usize, candidate: 
                 eps: e2,
             },
         ) => same_f32s(gamma, g2) && same_f32s(beta, b2) && eps.to_bits() == e2.to_bits(),
+        (
+            Op::Attention {
+                heads,
+                scale,
+                causal,
+            },
+            Op::Attention {
+                heads: h2,
+                scale: s2,
+                causal: c2,
+            },
+        ) => heads == h2 && scale.to_bits() == s2.to_bits() && causal == c2,
         _ => false,
     }
 }
@@ -641,7 +670,7 @@ fn scatter(axis: Axis, product: &Tensor, parts: &[&Tensor]) -> Result<Vec<Tensor
 }
 
 /// Operands a group's kernel call borrows into an array: every op but a
-/// `ConcatCols` / `ConcatRows` of more than this many parts.
+/// `ConcatRows` of more than this many parts.
 const INLINE_OPERANDS: usize = 4;
 
 /// Runs one group as gather → kernel → scatter, writes every member's
@@ -702,7 +731,7 @@ fn exec_group(
         GroupKey::Nonlinear(_) => &row[..],
         _ => ins[0].dims(),
     };
-    let batched = op_cost(&node.op, in0, product.dims(), cfg);
+    let batched = op_cost(&node.op, &[in0], product.dims(), cfg);
     match stacking {
         Some((axis, _)) => {
             let shares = scatter(axis, &product, &parts)?;
@@ -713,6 +742,37 @@ fn exec_group(
         None => store(&mut states[ids[0]], stage, product),
     }
     Ok(batched)
+}
+
+/// Runs an attention group: each member's [`Op::Attention`] over its own
+/// operands, credited as the per-head composition it stands for — each
+/// member's GEMMs and scale passes alone, and one softmax pass per head
+/// over every member's query rows, stacked (an unmasked group's members
+/// share their key-row count; a causal op is a group of one).
+fn exec_attention(
+    ids: &[usize],
+    states: &mut [JobState],
+    stage: usize,
+    cfg: &ArrayConfig,
+    par: Parallelism,
+    tables: &mut TableCache,
+) -> Result<ExecStats> {
+    let Op::Attention { heads, .. } = states[ids[0]].program.nodes()[stage].op else {
+        unreachable!("an attention group runs attention")
+    };
+    let mut batched = ExecStats::new(cfg, CycleBreakdown::default(), 0, 0);
+    let (mut rows, mut kv_rows) = (0, 0);
+    for &j in ids {
+        let state = &states[j];
+        let node = &state.program.nodes()[stage];
+        let ins = [0, 1, 2].map(|i| state.resolve(node.inputs[i]));
+        let (m, d, n) = (ins[0].dims()[0], ins[0].dims()[1], ins[1].dims()[0]);
+        let out = exec_single(state.program, node, &ins, par, tables)?;
+        batched = batched.merged(&attention_member_cost(cfg, heads, m, n, d));
+        (rows, kv_rows) = (rows + m, n);
+        store(&mut states[j], stage, out);
+    }
+    Ok(batched.merged(&attention_softmax_cost(cfg, heads, rows, kv_rows)))
 }
 
 /// Writes `out` into the slot of the member's op at `stage`, adding — for
@@ -759,7 +819,7 @@ fn conv_links(
         Op::Im2col(geo) if chain(first).is_some() => {
             let x = first.resolve(node.inputs[0]).dims();
             let cols = [geo.output_pixels(x[1], x[2])?, geo.patch_len()];
-            Ok(Some(op_cost(&node.op, x, &cols, cfg)))
+            Ok(Some(op_cost(&node.op, &[x], &cols, cfg)))
         }
         Op::Col2im { .. } => {
             let Some(link) = chain(first) else {
@@ -775,7 +835,7 @@ fn conv_links(
             }
             let map = slot.take().expect("checked above");
             let (cout, pixels) = (map.dims()[0], map.dims()[1] * map.dims()[2]);
-            let stats = op_cost(&col2im, &[pixels, cout], map.dims(), cfg);
+            let stats = op_cost(&col2im, &[&[pixels, cout]], map.dims(), cfg);
             state.outputs[stage] = Some(map);
             Ok(Some(stats))
         }
@@ -844,7 +904,7 @@ fn conv_group(
     let (k, cout) = (geo.patch_len(), first.program.consts()[w].dims()[1]);
     let pixels = |map: &Tensor| map.dims()[1] * map.dims()[2];
     let total: usize = maps.iter().map(pixels).sum();
-    let batched = op_cost(&node.op, &[total, k], &[total, cout], cfg);
+    let batched = op_cost(&node.op, &[&[total, k]], &[total, cout], cfg);
     for (&j, mut map) in ids.iter().zip(maps) {
         let state = &mut states[j];
         if let Op::Gemm {
@@ -909,9 +969,9 @@ fn softmax_rows(
 
 /// Executes `node`'s op on resolved inputs: the one kernel site of every
 /// op, reached through [`exec_group`] with a group's stacked operand or
-/// a solo member's own, and kept op-for-op identical to the direct model
-/// code it replaces (see `onesa-nn`'s `*_direct` reference
-/// implementations). The one exception is a convolution chain run as one
+/// a solo member's own (through [`exec_attention`], member by member),
+/// and kept op-for-op identical to the direct model code it replaces (see
+/// `onesa-nn`'s `*_direct` reference implementations). The one exception is a convolution chain run as one
 /// sweep, whose three links [`conv_links`] stands in for. A GEMM's bias
 /// is *not* added here — it belongs to the member, not the group, so
 /// [`exec_group`] adds it after the split.
@@ -1002,27 +1062,6 @@ fn exec_single(
             }
             Ok(out)
         }
-        Op::ConcatCols => {
-            // Accumulate into zeros exactly like the attention layer's
-            // head_write (`+=` into a zero matrix), so merged heads are
-            // bit-identical to the direct path. Not a row copy: `+0.0 +
-            // -0.0` is `+0.0`, so the `+=` turns a `-0.0` into `+0.0`
-            // where a copy would keep its sign.
-            let (m, _) = ins[0].shape().as_matrix()?;
-            let total: usize = ins.iter().map(|t| t.dims()[1]).sum();
-            let mut out = Tensor::zeros(&[m, total]);
-            let mut off = 0usize;
-            for part in ins {
-                let ni = part.dims()[1];
-                for i in 0..m {
-                    for j in 0..ni {
-                        out.as_mut_slice()[i * total + off + j] += part.as_slice()[i * ni + j];
-                    }
-                }
-                off += ni;
-            }
-            Ok(out)
-        }
         Op::Pool(PoolKind::GlobalAvg) => {
             // Each channel's plane summed from `-0.0` left to right, as
             // `iter().sum()` sums it, sixteen planes side by side.
@@ -1096,6 +1135,28 @@ fn exec_single(
             // — so a prefill's row is bit-identical to a later decode
             // step's full-row softmax at the same context length.
             softmax_rows(ins[0], mode, tables, Some(*offset))
+        }
+        Op::Attention {
+            heads,
+            scale,
+            causal,
+        } => {
+            let set = match mode {
+                EvalMode::Exact => None,
+                EvalMode::Cpwl { granularity, .. } => Some(tables.get(granularity)?),
+            };
+            // The rows' softmax as `Op::Softmax` runs it; a causal row goes
+            // alone, and one row of the block routine is the row routine's
+            // bits, as `Op::CausalSoftmax` computes them. The kernel merges
+            // heads with a `+=` into zeros, like the attention layer's
+            // `head_write`, so the merged heads are bit-identical to the
+            // direct path.
+            let softmax = |rows: &mut [f32], n: usize| match set {
+                Some(set) => set.softmax_rows_in_place(rows, n),
+                None => rows.chunks_mut(n).for_each(ops::softmax_row_exact),
+            };
+            let [q, k, v] = [ins[0], ins[1], ins[2]];
+            attention::attention(q, k, v, *heads, *scale, *causal, par, softmax)
         }
     }
 }

@@ -589,7 +589,7 @@ mod tests {
         let x = b.input(&[2, 3]);
         let s1 = b.push(Op::Scale(f32::from_bits(0x7fc0_0001)), &[x]);
         let s2 = b.push(Op::Scale(f32::from_bits(0x7fc0_0002)), &[x]);
-        b.push(Op::ConcatCols, &[s1, s2]);
+        b.push(Op::ConcatRows, &[s1, s2]);
         let p = b.finish().unwrap();
         let o = p.optimize(OptLevel::Standard).unwrap();
         assert_eq!(o.opt_report().unwrap().totals.shared, 0);

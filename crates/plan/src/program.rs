@@ -117,7 +117,8 @@ pub enum PoolKind {
 ///
 /// The set covers everything the repository's three model families need
 /// end to end. GEMM-bearing ops run on the array natively; `Nonlinear`,
-/// `Softmax` and `LayerNorm` lower to IPF + MHP passes per the paper;
+/// `Softmax` and `LayerNorm` lower to IPF + MHP passes per the paper,
+/// and `Attention` to per-head GEMMs around a softmax lowering;
 /// `Affine`/`Scale`/`Add` are bare MHP passes; the rest are data-layout
 /// movements costed at zero array cycles.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,7 +172,7 @@ pub enum Op {
         /// Per-channel shift.
         b: Vec<f32>,
     },
-    /// Uniform scaling `y = c·x` (attention's `1/√d_k`).
+    /// Uniform scaling `y = c·x`. No compiler emits it.
     Scale(f32),
     /// A per-channel affine followed by a pointwise nonlinear, executed
     /// as **one** MHP pass: the IPF stage folds the affine's `(k, b)`
@@ -197,9 +198,6 @@ pub enum Op {
         /// Number of columns.
         len: usize,
     },
-    /// Concatenates same-height matrices column-wise (head merging).
-    /// Any number of inputs.
-    ConcatCols,
     /// A pooling reduction (see [`PoolKind`]).
     Pool(PoolKind),
     /// Quantize→dequantize round trip at a layer boundary, at the
@@ -228,8 +226,8 @@ pub enum Op {
     /// `i` softmaxes columns `0 ..= offset + i` (its own and all earlier
     /// positions) and writes exact `0.0` elsewhere. Masked entries never
     /// enter the lowering, so each visible prefix is bit-identical to a
-    /// plain [`Op::Softmax`] over that prefix alone — the property the
-    /// KV-cache decode path's correctness rests on.
+    /// plain [`Op::Softmax`] over that prefix alone. No compiler emits it
+    /// ([`Op::Attention`] masks its own scores the same way).
     CausalSoftmax {
         /// Number of context columns preceding the first query row's own
         /// position (`0` for pure prefill).
@@ -244,6 +242,25 @@ pub enum Op {
     /// recompute-from-scratch run bit for bit at any context length. The
     /// causal-LM compiler emits this at every layer boundary.
     QuantizeRows,
+    /// Multi-head scaled dot-product attention over inputs `[q, k, v]`: a
+    /// `[M, D]` query against `[N, D]` keys and values, output `[M, D]`
+    /// whose head-`h` columns are `softmax(q_h · k_hᵀ · scale) · v_h` over
+    /// that head's `D / heads` columns (`onesa_tensor::attention`). Under
+    /// `causal`, query row `i` sees key rows `0 ..= (N − M) + i` — the
+    /// first `N − M` are context ahead of the first query row — and each
+    /// visible prefix is softmaxed alone, as [`Op::CausalSoftmax`] does;
+    /// a prompt's prefill is `N = M`. Bit-identical to slicing the heads,
+    /// the two GEMMs, the scale, the row softmax and a `+=` merge. On the
+    /// array, per head: two GEMMs, an MHP scale pass and the softmax
+    /// lowering.
+    Attention {
+        /// Number of heads; divides `D`.
+        heads: usize,
+        /// The scores' scale (the compilers emit `1/√(D/heads)`).
+        scale: f32,
+        /// Whether query rows see only their own and earlier positions.
+        causal: bool,
+    },
 }
 
 impl Op {
@@ -251,8 +268,8 @@ impl Op {
     fn arity(&self) -> Option<usize> {
         match self {
             Op::Gemm { .. } | Op::Add => Some(2),
-            Op::EmbedAt { .. } => Some(3),
-            Op::ConcatCols | Op::ConcatRows => None,
+            Op::EmbedAt { .. } | Op::Attention { .. } => Some(3),
+            Op::ConcatRows => None,
             _ => Some(1),
         }
     }
@@ -834,19 +851,18 @@ impl Program {
     pub fn op_stats(&self, cfg: &ArrayConfig) -> Result<Vec<ExecStats>> {
         let shapes = &self.plan.shapes;
         let base = self.input_shapes.len();
-        Ok(self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                let in0 = match node.inputs.first() {
-                    Some(&Operand::Slot(s)) => &shapes[s][..],
-                    Some(&Operand::Const(c)) => self.consts[c].dims(),
-                    None => &[],
-                };
-                op_cost(&node.op, in0, &shapes[base + i], cfg)
-            })
-            .collect())
+        let dims = |operand: &Operand| match *operand {
+            Operand::Slot(s) => &shapes[s][..],
+            Operand::Const(c) => self.consts[c].dims(),
+        };
+        let mut ins: Vec<&[usize]> = Vec::new();
+        let mut stats = Vec::with_capacity(self.nodes.len());
+        for (i, node) in self.nodes.iter().enumerate() {
+            ins.clear();
+            ins.extend(node.inputs.iter().map(dims));
+            stats.push(op_cost(&node.op, &ins, &shapes[base + i], cfg));
+        }
+        Ok(stats)
     }
 
     /// Total modeled array work in MAC-equivalents — the admission and
@@ -880,6 +896,10 @@ impl Program {
                 Op::Nonlinear(func) | Op::AffineNonlinear { func, .. } => preload(func),
                 Op::Softmax | Op::CausalSoftmax { .. } => {
                     preload(NonlinearFn::Exp) + preload(NonlinearFn::Reciprocal)
+                }
+                // Every head's softmax stages its tables.
+                Op::Attention { heads, .. } => {
+                    heads as u64 * (preload(NonlinearFn::Exp) + preload(NonlinearFn::Reciprocal))
                 }
                 Op::LayerNorm { .. } => preload(NonlinearFn::Rsqrt),
                 _ => 0,
@@ -1206,17 +1226,6 @@ fn infer_shape(op: &Op, ins: &[&[usize]]) -> Result<Vec<usize>> {
             }
             Ok(vec![m, *len])
         }
-        Op::ConcatCols => {
-            let (m, mut total) = matrix(ins[0])?;
-            for dims in &ins[1..] {
-                let (mi, ni) = matrix(dims)?;
-                if mi != m {
-                    return Err(shape_err(ins[0], dims, "plan::ConcatCols"));
-                }
-                total = checked_sum(total, ni, "ConcatCols width overflows")?;
-            }
-            Ok(vec![m, total])
-        }
         Op::Pool(PoolKind::GlobalAvg) => match *ins[0] {
             [c, _, _] => Ok(vec![1, c]),
             _ => Err(TensorError::NotAMatrix { rank: ins[0].len() }),
@@ -1254,6 +1263,26 @@ fn infer_shape(op: &Op, ins: &[&[usize]]) -> Result<Vec<usize>> {
             }
             Ok(ins[0].to_vec())
         }
+        Op::Attention { heads, causal, .. } => {
+            let (m, d) = matrix(ins[0])?;
+            let (n, kd) = matrix(ins[1])?;
+            if kd != d || ins[2] != ins[1] || (*causal && n < m) {
+                return Err(shape_err(ins[0], ins[1], "plan::Attention"));
+            }
+            if *heads == 0 || d % heads != 0 {
+                return Err(TensorError::InvalidArgument(
+                    "attention heads must divide the model width",
+                ));
+            }
+            // Every head's `[M, N]` scores, together, within a slot's cap:
+            // the cost model's `u64` arithmetic then cannot overflow.
+            if !within_cap(&[*heads, m, n]) {
+                return Err(TensorError::InvalidArgument(
+                    "attention scores exceed 2^32 elements",
+                ));
+            }
+            Ok(vec![m, d])
+        }
     }
 }
 
@@ -1282,13 +1311,16 @@ fn shape_err(lhs: &[usize], rhs: &[usize], op: &'static str) -> TensorError {
     }
 }
 
-/// Modeled solo cost of one op. GEMM-bearing ops use the tiled GEMM
-/// model; nonlinears an IPF + MHP pass; softmax/layer-norm their
-/// composite lowerings; `Affine`/`Scale`/`Add` a bare MHP pass; pooling
-/// a GEMM against a constant mean vector; pure data movements
+/// Modeled solo cost of one op whose inputs have the shapes `ins` (an
+/// op's first input is all any op but [`Op::Attention`] reads). GEMM-bearing
+/// ops use the tiled GEMM model; nonlinears an IPF + MHP pass;
+/// softmax/layer-norm their composite lowerings; attention its per-head
+/// GEMMs, scale pass and softmax; `Affine`/`Scale`/`Add` a bare MHP pass;
+/// pooling a GEMM against a constant mean vector; pure data movements
 /// (im2col/col2im/transpose/slice/concat/quantize/embed) cost zero
 /// array cycles.
-pub(crate) fn op_cost(op: &Op, in0: &[usize], out: &[usize], cfg: &ArrayConfig) -> ExecStats {
+pub(crate) fn op_cost(op: &Op, ins: &[&[usize]], out: &[usize], cfg: &ArrayConfig) -> ExecStats {
+    let in0 = ins[0];
     let mat_or_row = |dims: &[usize]| -> (usize, usize) {
         match dims {
             [m, n] => (*m, *n),
@@ -1334,6 +1366,11 @@ pub(crate) fn op_cost(op: &Op, in0: &[usize], out: &[usize], cfg: &ArrayConfig) 
             let (m, n) = mat_or_row(in0);
             analytic::norm_stats(cfg, m, n)
         }
+        Op::Attention { heads, .. } => {
+            let ((m, d), n) = (mat_or_row(in0), ins[1][0]);
+            attention_member_cost(cfg, *heads, m, n, d)
+                .merged(&attention_softmax_cost(cfg, *heads, m, n))
+        }
         Op::Add | Op::Scale(_) | Op::Affine { .. } => {
             let (m, n) = mat_or_row(in0);
             analytic::mhp_pass_stats(cfg, m, n)
@@ -1352,12 +1389,48 @@ pub(crate) fn op_cost(op: &Op, in0: &[usize], out: &[usize], cfg: &ArrayConfig) 
         | Op::Col2im { .. }
         | Op::Transpose
         | Op::SliceCols { .. }
-        | Op::ConcatCols
         | Op::ConcatRows
         | Op::Quantize { .. }
         | Op::QuantizeRows
         | Op::EmbedAt { .. } => ExecStats::new(cfg, CycleBreakdown::default(), 0, 0),
     }
+}
+
+/// What an [`Op::Attention`] costs per member, less its softmax passes:
+/// every head's `[M, D/heads] · [D/heads, N]` scores GEMM, its `[M, N]`
+/// scale pass and its `[M, N] · [N, D/heads]` context GEMM — the ops the
+/// per-head composition runs alone, and so never shares with another
+/// program.
+pub(crate) fn attention_member_cost(
+    cfg: &ArrayConfig,
+    heads: usize,
+    m: usize,
+    n: usize,
+    d: usize,
+) -> ExecStats {
+    let dk = d / heads;
+    let scores = analytic::gemm_stats(cfg, m, dk, n);
+    let scale = analytic::mhp_pass_stats(cfg, m, n);
+    let context = analytic::gemm_stats(cfg, m, n, dk);
+    per_head(cfg, heads, &scores.merged(&scale).merged(&context))
+}
+
+/// The softmax passes of an [`Op::Attention`] over `rows` query rows of
+/// `n` scores: one per head. Coalesced members stack their rows into the
+/// one pass, as stacked [`Op::Softmax`] rows share one.
+pub(crate) fn attention_softmax_cost(
+    cfg: &ArrayConfig,
+    heads: usize,
+    rows: usize,
+    n: usize,
+) -> ExecStats {
+    per_head(cfg, heads, &analytic::softmax_stats(cfg, rows, n))
+}
+
+/// `heads` runs of `one` back to back.
+fn per_head(cfg: &ArrayConfig, heads: usize, one: &ExecStats) -> ExecStats {
+    let none = ExecStats::new(cfg, CycleBreakdown::default(), 0, 0);
+    (0..heads).fold(none, |acc, _| acc.merged(one))
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

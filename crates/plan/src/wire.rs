@@ -114,7 +114,10 @@ pub(crate) const MAGIC: [u8; 4] = *b"OSAW";
 ///   `{ level, ops_before, totals }` (the pass list, the op count after
 ///   and both MAC counts are gone) and [`OptTotals`] is
 ///   `{ shared, pruned, dead }`.
-pub const VERSION: u16 = 5;
+/// * v6 — attention is one op: [`Op`] gains `Attention { heads, scale,
+///   causal }` (tag 22; the retired tags 20 and 21 stay unused) and loses
+///   `ConcatCols` (tag 12).
+pub const VERSION: u16 = 6;
 
 /// Frame kind: a standalone tensor ([`encode_tensor`]).
 pub(crate) const KIND_TENSOR: u16 = 0x0001;
@@ -771,13 +774,13 @@ wire_layout! {
         9 => AffineNonlinear { k: Vec<f32>, b: Vec<f32>, func: NonlinearFn },
         10 => Transpose,
         11 => SliceCols { start: usize, len: usize },
-        12 => ConcatCols,
         13 => Pool(PoolKind),
         14 => Quantize { precision: Precision },
         16 => ConcatRows,
         17 => CausalSoftmax { offset: usize },
         18 => EmbedAt { offset: usize },
         19 => QuantizeRows,
+        22 => Attention { heads: usize, scale: f32, causal: bool },
     }
 
     struct OpNode { op: Op, inputs: Vec<Operand> }
@@ -1162,7 +1165,23 @@ mod tests {
                 vec![vec![1, 2], vec![4, 3], vec![4, 3]],
                 Op::EmbedAt { offset: max },
             ),
-            (vec![vec![1, max], vec![1, 2]], Op::ConcatCols),
+            // Every dimension fits, but the heads' scores together do not.
+            (
+                vec![vec![1 << 16, 2], vec![1 << 17, 2], vec![1 << 17, 2]],
+                Op::Attention {
+                    heads: 2,
+                    scale: 1.0,
+                    causal: false,
+                },
+            ),
+            (
+                vec![vec![1, 2], vec![1, 2], vec![1, 2]],
+                Op::Attention {
+                    heads: 0,
+                    scale: 1.0,
+                    causal: true,
+                },
+            ),
             (vec![vec![max, 1], vec![2, 1]], Op::ConcatRows),
             // 2⁶² elements: a shape no op overflows, but the cost model would.
             (vec![vec![1 << 31, 1 << 31]], Op::Softmax),

@@ -169,7 +169,8 @@ fn kitchen_sink(mode: EvalMode, c: usize, h: usize, func: NonlinearFn, seed: u64
     );
     let pooled = b.push(Op::Pool(PoolKind::GlobalAvg), &[ci]);
     // Token branch: embed → layer norm → softmax → nonlinear → a
-    // transpose pair, self-add, scale, slice/concat, mean-rows pool.
+    // transpose pair, self-add, scale, a causal softmax over square
+    // scores, self-attention, slice, mean-rows pool.
     let table = b.constant(rng.randn(&[vocab, d], 1.0));
     let pos = b.constant(rng.randn(&[max_len, d], 1.0));
     let e = b.push(Op::EmbedAt { offset: 0 }, &[ids, table, pos]);
@@ -187,32 +188,35 @@ fn kitchen_sink(mode: EvalMode, c: usize, h: usize, func: NonlinearFn, seed: u64
     let t2 = b.push(Op::Transpose, &[t]);
     let add = b.push(Op::Add, &[nl, t2]);
     let sc = b.push(Op::Scale(0.7), &[add]);
+    let gemm = Op::Gemm {
+        bias: None,
+        sparsity: None,
+    };
+    let scores = b.push(gemm.clone(), &[nl, t]);
+    let cs = b.push(Op::CausalSoftmax { offset: 0 }, &[scores]);
+    let mixed = b.push(gemm.clone(), &[cs, sc]);
+    let att = b.push(
+        Op::Attention {
+            heads: d,
+            scale: 0.5,
+            causal: true,
+        },
+        &[mixed, nl, add],
+    );
     let s1 = b.push(
         Op::SliceCols {
             start: 0,
             len: d - 2,
         },
-        &[sc],
+        &[att],
     );
-    let s2 = b.push(
-        Op::SliceCols {
-            start: d - 2,
-            len: 2,
-        },
-        &[sc],
-    );
-    let cc = b.push(Op::ConcatCols, &[s1, s2]);
-    let mr = b.push(Op::Pool(PoolKind::MeanRows), &[cc]);
-    // Merge and classify.
-    let merged = b.push(Op::ConcatCols, &[pooled, mr]);
-    let wf = b.constant(rng.randn(&[ch + d, 2], 1.0));
-    b.push(
-        Op::Gemm {
-            bias: None,
-            sparsity: None,
-        },
-        &[merged, wf],
-    );
+    let mr = b.push(Op::Pool(PoolKind::MeanRows), &[s1]);
+    // Classify each branch and add the logits.
+    let (wi, wt) = (rng.randn(&[ch, 2], 1.0), rng.randn(&[d - 2, 2], 1.0));
+    let (wi, wt) = (b.constant(wi), b.constant(wt));
+    let li = b.push(gemm.clone(), &[pooled, wi]);
+    let lt = b.push(gemm, &[mr, wt]);
+    b.push(Op::Add, &[li, lt]);
     b.finish().expect("kitchen-sink builds")
 }
 
@@ -227,8 +231,9 @@ fn kitchen_sink_inputs(c: usize, h: usize, seed: u64) -> Vec<Tensor> {
 /// A hand-rolled KV-cache decode step at context `ctx` — the
 /// session-bearing frame shape the serving layer ships: session inputs
 /// (K/V caches), `EmbedAt` at the context offset, per-row quantization,
-/// `ConcatRows` cache appends marked as session outputs, and a causal
-/// softmax over the grown context.
+/// `ConcatRows` cache appends marked as session outputs, and attention
+/// over the grown context twice: op by op through a causal softmax at
+/// the context offset, and as one attention op.
 fn session_decode_program(mode: EvalMode, ctx: usize, d: usize, seed: u64) -> Program {
     let mut rng = Pcg32::seed_from_u64(seed);
     let (vocab, max_len) = (6, 16);
@@ -260,23 +265,22 @@ fn session_decode_program(mode: EvalMode, ctx: usize, d: usize, seed: u64) -> Pr
     let v_full = b.push(Op::ConcatRows, &[v_cache, v_new]);
     b.mark_session_output(k_full);
     b.mark_session_output(v_full);
+    let gemm = Op::Gemm {
+        bias: None,
+        sparsity: None,
+    };
     let kt = b.push(Op::Transpose, &[k_full]);
-    let scores = b.push(
-        Op::Gemm {
-            bias: None,
-            sparsity: None,
-        },
-        &[q, kt],
-    );
+    let scores = b.push(gemm.clone(), &[q, kt]);
     let sc = b.push(Op::Scale(0.5), &[scores]);
-    let att = b.push(Op::CausalSoftmax { offset: ctx }, &[sc]);
-    b.push(
-        Op::Gemm {
-            bias: None,
-            sparsity: None,
-        },
-        &[att, v_full],
-    );
+    let probs = b.push(Op::CausalSoftmax { offset: ctx }, &[sc]);
+    let composed = b.push(gemm, &[probs, v_full]);
+    let attention = Op::Attention {
+        heads: if d % 2 == 0 { 2 } else { 1 },
+        scale: 0.5,
+        causal: false,
+    };
+    let fused = b.push(attention, &[q, k_full, v_full]);
+    b.push(Op::Add, &[composed, fused]);
     b.finish().expect("decode step builds")
 }
 
@@ -343,9 +347,200 @@ fn assert_programs_bit_identical(a: &Program, b: &Program, inputs: &[Tensor]) {
     }
 }
 
+/// One [`Op::Attention`] case: `heads` heads of `dk` columns, `m` query
+/// rows against `m + extra` key rows, values drawn so that every branch
+/// of the kernels' zero handling shows — exact zeros of both signs at
+/// `zero_pct` % density, magnitudes under 2⁻⁵⁰, and (by `special`) an
+/// infinity or a NaN planted down one column of K or V — which a zero
+/// query element or a masked probability must skip, not multiply — or
+/// every value of V the negative
+/// smallest subnormal — whose products with probabilities under ½
+/// underflow, leaving `-0.0` contexts for the merge to make `+0.0`.
+#[derive(Debug, Clone)]
+struct AttentionCase {
+    heads: usize,
+    scale: f32,
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+}
+
+fn attention_case(
+    heads: usize,
+    dk: usize,
+    m: usize,
+    extra: usize,
+    zero_pct: u32,
+    special: u32,
+    seed: u64,
+) -> AttentionCase {
+    let mut rng = Pcg32::seed_from_u64(seed);
+    let (d, n) = (heads * dk, m + extra);
+    let mut draw = |rows: usize| {
+        let mut t = rng.randn(&[rows, d], 1.5);
+        for v in t.as_mut_slice() {
+            match rng.next_u32() % 100 {
+                r if r < zero_pct => *v = if r % 2 == 0 { 0.0 } else { -0.0 },
+                _ if rng.next_u32() % 16 == 0 => *v *= 2f32.powi(-60),
+                _ => {}
+            }
+        }
+        t
+    };
+    let (q, mut k, mut v) = (draw(m), draw(n), draw(n));
+    let col = (seed as usize) % d;
+    let plant = |t: &mut Tensor, value: f32| {
+        for row in t.as_mut_slice().chunks_mut(d) {
+            row[col] = value;
+        }
+    };
+    match special {
+        1 => plant(&mut k, f32::INFINITY),
+        2 => plant(&mut v, f32::NEG_INFINITY),
+        3 => plant(&mut v, f32::NAN),
+        4 => v.as_mut_slice().fill(-f32::from_bits(1)),
+        _ => {}
+    }
+    AttentionCase {
+        heads,
+        scale: 1.0 / (dk as f32).sqrt(),
+        q,
+        k,
+        v,
+    }
+}
+
+/// The per-head composition an [`Op::Attention`] stands for, op by op as
+/// `MultiHeadAttention::forward_with` runs it: slice each head's
+/// columns, `gemm::matmul` the query by the transposed keys, scale,
+/// softmax the rows — the table routine over whole rows, or each causal
+/// row's visible prefix through the row routine, exact `0.0` beyond —
+/// `gemm::matmul` by the values, and `+=` into a zeroed output.
+fn attention_reference(case: &AttentionCase, mode: EvalMode, causal: bool) -> Tensor {
+    use onesa_cpwl::ops::{self, TableSet};
+    use onesa_tensor::gemm;
+    let (m, d) = (case.q.dims()[0], case.q.dims()[1]);
+    let n = case.k.dims()[0];
+    let dk = d / case.heads;
+    let set = mode
+        .granularity()
+        .map(|g| TableSet::for_granularity(g).expect("table set"));
+    let head = |x: &Tensor, h: usize| {
+        let rows = x
+            .as_slice()
+            .chunks(d)
+            .flat_map(|r| &r[h * dk..(h + 1) * dk]);
+        Tensor::from_vec(rows.copied().collect(), &[x.dims()[0], dk]).unwrap()
+    };
+    let mut out = Tensor::zeros(&[m, d]);
+    for h in 0..case.heads {
+        let kt = head(&case.k, h).transpose().unwrap();
+        let scores = gemm::matmul(&head(&case.q, h), &kt)
+            .unwrap()
+            .scale(case.scale);
+        let p = match (&set, causal) {
+            (Some(set), false) => set.softmax_rows(&scores).unwrap(),
+            (None, false) => ops::softmax_rows_exact(&scores).unwrap(),
+            (_, true) => {
+                let mut p = Tensor::zeros(&[m, n]);
+                let rows = p.as_mut_slice().chunks_mut(n);
+                for (i, (row, src)) in rows.zip(scores.as_slice().chunks(n)).enumerate() {
+                    let row = &mut row[..n - m + i + 1];
+                    row.copy_from_slice(&src[..row.len()]);
+                    match &set {
+                        Some(set) => set.softmax_row(row),
+                        None => ops::softmax_row_exact(row),
+                    }
+                }
+                p
+            }
+        };
+        let ctx = gemm::matmul(&p, &head(&case.v, h)).unwrap();
+        for i in 0..m {
+            for j in 0..dk {
+                out.as_mut_slice()[i * d + h * dk + j] += ctx.as_slice()[i * dk + j];
+            }
+        }
+    }
+    out
+}
+
+/// A program of one [`Op::Attention`] over `case`'s shapes.
+fn attention_program(case: &AttentionCase, mode: EvalMode, causal: bool) -> Program {
+    let mut b = Program::builder("prop-attention", mode);
+    let ins = [&case.q, &case.k, &case.v].map(|t| b.input(t.dims()));
+    let op = Op::Attention {
+        heads: case.heads,
+        scale: case.scale,
+        causal,
+    };
+    b.push(op, &ins);
+    b.finish().expect("attention program builds")
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     // Pinned case count: CI runs are deterministic and reproducible.
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// [`Op::Attention`] is bit-identical to its per-head composition
+    /// under both modes and both masks, across the in-place (under four
+    /// query rows) and swept kernels, zeros of both signs at every
+    /// density, tiny magnitudes and non-finite keys or values; and an
+    /// unmasked group of batch-mates — same heads and key rows, their own
+    /// query rows and values — runs as one group, each member's output
+    /// the one it has alone.
+    #[test]
+    fn attention_is_bit_identical_to_its_per_head_composition(
+        mode in mode_strategy(),
+        heads in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+        dk in 1usize..=12,
+        m in prop_oneof![1usize..4, 4usize..=20],
+        extra in 0usize..=20,
+        zero_pct in prop_oneof![Just(0u32), Just(100u32), 0u32..=100],
+        special in 0u32..5,
+        causal in prop_oneof![Just(false), Just(true)],
+        mates in 1usize..4,
+        seed in 0u64..1 << 32,
+    ) {
+        let case = attention_case(heads, dk, m, extra, zero_pct, special, seed);
+        let program = attention_program(&case, mode, causal);
+        let inputs = [case.q.clone(), case.k.clone(), case.v.clone()];
+        let solo = program
+            .run(&inputs, Parallelism::Threads(2), &mut TableCache::new())
+            .expect("attention runs")
+            .output;
+        prop_assert_eq!(bits(&solo), bits(&attention_reference(&case, mode, causal)));
+
+        // Batch-mates: the same op over the same key rows, fresh values.
+        let cases: Vec<AttentionCase> = (0..mates)
+            .map(|i| {
+                let rows = 1 + (seed as usize >> (8 * i)) % (m + extra);
+                attention_case(heads, dk, rows, m + extra - rows, zero_pct, special, seed ^ (i as u64 + 1))
+            })
+            .chain([case])
+            .collect();
+        let programs: Vec<Program> = cases.iter().map(|c| attention_program(c, mode, causal)).collect();
+        let inputs: Vec<[Tensor; 3]> = cases
+            .iter()
+            .map(|c| [c.q.clone(), c.k.clone(), c.v.clone()])
+            .collect();
+        let jobs: Vec<(&Program, &[Tensor])> =
+            programs.iter().zip(&inputs).map(|(p, x)| (p, &x[..])).collect();
+        let mut tables = TableCache::new();
+        let cfg = onesa_sim::ArrayConfig::new(8, 16);
+        let staged = onesa_plan::run_staged(&jobs, &cfg, Parallelism::Sequential, &mut tables)
+            .expect("group runs");
+        let groups = if causal { cases.len() } else { 1 };
+        prop_assert_eq!(staged.stages[0].groups, groups);
+        for ((run, p), x) in staged.runs.iter().zip(&programs).zip(&inputs) {
+            let alone = p.run(x, Parallelism::Sequential, &mut tables).expect("member runs");
+            prop_assert_eq!(bits(&run.output), bits(&alone.output));
+        }
+    }
 
     /// Standard-level optimization is bit-identical over randomized
     /// geometries and modes, and actually removes the emitted

@@ -14,6 +14,8 @@
 //!   to the dense kernels on the same values).
 //! * [`fixed`] — Q-format fixed-point scalar arithmetic used by the
 //!   shift-based segment addressing of the L3 buffer.
+//! * [`attention`] — multi-head scaled dot-product attention as one
+//!   kernel, bit-identical to its per-head GEMM / softmax composition.
 //! * [`parallel`] — the cache-blocked, multi-threaded execution backend
 //!   behind the serving layer (bit-identical to the reference kernels).
 //! * [`rng`] — a small deterministic PRNG (PCG-32) so every experiment in
@@ -38,6 +40,7 @@ mod error;
 mod shape;
 mod tensor;
 
+pub mod attention;
 pub mod fixed;
 pub mod gemm;
 pub mod im2col;

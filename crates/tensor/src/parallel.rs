@@ -141,7 +141,7 @@ use std::sync::OnceLock;
 use std::thread;
 
 /// How many rows of `C` one microkernel call produces.
-const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Widest microkernel (three 512-bit vectors of `f32`) and the column
 /// step of the panel sweep; a panel narrower than this runs at 16 or 32
 /// lanes. The `MR × NR` accumulator tile plus one panel line stay well
