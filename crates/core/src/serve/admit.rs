@@ -4,7 +4,7 @@
 //! loop, which orchestrates the window through the session table, the
 //! power states and the router.
 
-use super::power::PowerStates;
+use super::power::{PowerStates, WindowReport};
 use super::route::Router;
 use super::session::{interleave_window, SessionTable, SessionTag};
 use super::{DepthGauge, Gate, Job, ServeConfig, ServeError};
@@ -147,6 +147,8 @@ pub(super) struct AdmitterCtx {
     pub(super) recompile: CompileCache,
     pub(super) router: Router,
     pub(super) power: PowerStates,
+    /// The shards' reports of the windows they ran, for `power`.
+    pub(super) reports: Receiver<WindowReport>,
     pub(super) gate: Arc<Gate>,
     pub(super) queue_depth: Arc<DepthGauge>,
     /// Epoch of the drop-on-expiry deadline clock.
@@ -159,8 +161,11 @@ pub(super) struct AdmitOut {
     pub(super) windows: usize,
     pub(super) expired: usize,
     pub(super) degraded: usize,
-    /// The power states with their per-window log and counters.
+    /// The power states, every window folded that all its shards had
+    /// reported.
     pub(super) power: PowerStates,
+    /// The reports still to come: shards may still be running windows.
+    pub(super) reports: Receiver<WindowReport>,
 }
 
 fn window_full(policy: AdmissionPolicy, len: usize, work: u64) -> bool {
@@ -295,9 +300,10 @@ impl AdmitterCtx {
     }
 }
 
-/// The admission thread: closes windows until the queue drains, then
-/// reports the windows dispatched, the requests expired and degraded
-/// and the power states with their log.
+/// The admission thread: closes windows until the queue drains, folding
+/// the shards' window reports into the power accounting as they arrive,
+/// then reports the windows dispatched, the requests expired and
+/// degraded and the power states.
 pub(super) fn admitter_loop(mut ctx: AdmitterCtx) -> AdmitOut {
     ctx.gate.wait_open();
     let mut windows = 0usize;
@@ -368,11 +374,15 @@ pub(super) fn admitter_loop(mut ctx: AdmitterCtx) -> AdmitOut {
                 let _ = ctx.shard_txs[i].send(batch);
             }
         }
+        for report in ctx.reports.try_iter() {
+            ctx.power.report(report);
+        }
     }
     AdmitOut {
         windows,
         expired,
         degraded,
         power: ctx.power,
+        reports: ctx.reports,
     }
 }

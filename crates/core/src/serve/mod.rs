@@ -28,7 +28,8 @@
 //!   powered shards).
 //! * `power` — [`PoolPolicy`] and the `PowerStates` state machine
 //!   (wake, scale-up, settle) together with the modeled energy
-//!   accounting computed from its per-window log ([`PowerSummary`]).
+//!   accounting ([`PowerSummary`]), which folds each window once every
+//!   shard it was routed to has reported it.
 //! * `shard` — where a window executes (in-process engine or worker
 //!   process, with failover) and the per-shard thread that answers
 //!   tickets ([`ShardStats`]).
@@ -875,15 +876,17 @@ impl ServeEngine {
         let router = Router::new(cfg.routing, power.energy_per_mac());
         let mut shard_txs = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
+        let (report_tx, reports) = mpsc::channel();
         for (i, exec) in execs.into_iter().enumerate() {
             let (btx, rx) = mpsc::sync_channel::<Vec<Job>>(SHARD_CHANNEL_DEPTH);
             shard_txs.push(btx);
             let load = router.load_handle(i);
             let depth = Arc::clone(&shard_depths[i]);
             let sessions = Arc::clone(&sessions);
+            let report_tx = report_tx.clone();
             let handle = thread::Builder::new()
                 .name(format!("onesa-shard-{i}"))
-                .spawn(move || shard_loop(i, rx, exec, load, depth, sessions))
+                .spawn(move || shard_loop(i, rx, exec, load, depth, sessions, report_tx))
                 .expect("spawn shard worker");
             workers.push(handle);
         }
@@ -896,6 +899,7 @@ impl ServeEngine {
                 recompile: CompileCache::new(),
                 router,
                 power,
+                reports,
                 gate: Arc::clone(&gate),
                 queue_depth: Arc::clone(&queue_depth),
                 epoch: Instant::now(),
@@ -1209,16 +1213,14 @@ impl ServeEngine {
         // dispatches whatever is still queued, then its `recv` fails and
         // it stops. If it is already gone the join below reports it.
         self.tx = None;
-        let admitted = admitter.join().map_err(|_| ServeError::WorkerLost)?;
+        let mut admitted = admitter.join().map_err(|_| ServeError::WorkerLost)?;
         let mut plain = Latencies::default();
         let mut shards: Vec<ShardStats> = Vec::with_capacity(self.workers.len());
-        let mut executed = Vec::with_capacity(self.workers.len());
         let mut prefill = PhaseStats::default();
         let mut decode = PhaseStats::default();
         let mut nonlinear_evals = 0u64;
         for handle in self.workers.drain(..) {
             let out = handle.join().map_err(|_| ServeError::WorkerLost)?;
-            executed.push(out.window_records);
             prefill.tokens += out.prefill_tokens;
             decode.tokens += out.decode_tokens;
             nonlinear_evals += out.nonlinear_evals;
@@ -1227,6 +1229,10 @@ impl ServeEngine {
             prefill.latencies.merge(prefills);
             decode.latencies.merge(decodes);
             shards.push(out.stats);
+        }
+        // Every shard has stopped: the last windows' reports are in.
+        for report in admitted.reports.try_iter() {
+            admitted.power.report(report);
         }
         let wall_seconds = self.started.elapsed().as_secs_f64();
         prefill.requests = prefill.latencies.len();
@@ -1266,7 +1272,7 @@ impl ServeEngine {
             windows: admitted.windows,
             expired: admitted.expired,
             degraded: admitted.degraded,
-            power: admitted.power.summary(&executed),
+            power: admitted.power.summary(),
             peak_queue_depth: self.depth.peak(),
             failovers,
             wire_cache,

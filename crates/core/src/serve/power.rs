@@ -1,9 +1,10 @@
 //! Shard power management: the [`PoolPolicy`] state machine over the
 //! pool's [`ShardPower`] states ([`PowerStates`], a plain value the
 //! admission thread drives once per window) and the modeled energy
-//! accounting computed from the per-window log it keeps.
+//! accounting, folded window by window as the shards report.
 
 use crate::engine::OneSa;
+use std::collections::VecDeque;
 
 /// Power state of one shard in the pool, driven per admission window by
 /// [`PoolPolicy`].
@@ -73,12 +74,19 @@ pub struct PowerSummary {
     pub(crate) power_downs: u64,
 }
 
-/// Modeled execution of one admission window on one shard — what the
-/// shard's thread reports for the energy accounting.
-pub(super) struct WindowRecord {
-    pub(super) window: usize,
-    pub(super) seconds: f64,
-    pub(super) macs: u64,
+/// What a shard reports of each window it ran, as the window closes:
+/// `(window, shard, modeled seconds, MACs)` — zeros for a failed window.
+pub(super) type WindowReport = (usize, usize, f64, u64);
+
+/// A window routed but not yet folded into the energy totals.
+#[derive(Debug)]
+struct OpenWindow {
+    /// Every shard's state as the window dispatched.
+    states: Vec<ShardPower>,
+    /// Per shard: the modeled seconds and MACs it reported.
+    executed: Vec<(f64, u64)>,
+    /// Shards the window was routed to that have not reported yet.
+    waiting: usize,
 }
 
 /// Peak MAC rate of a shard's array.
@@ -102,11 +110,14 @@ pub(super) struct PowerStates {
     states: Vec<ShardPower>,
     /// Consecutive windows each Active shard has sat unused and drained.
     surplus: Vec<usize>,
-    /// Every shard's state as each window dispatched: one row of
-    /// `states.len()` per window.
-    log: Vec<ShardPower>,
-    /// The transition counters (`power_ups`, `power_downs`); the rest
-    /// is filled in at [`PowerStates::summary`].
+    /// Windows routed but not yet folded, oldest first: a window folds
+    /// once every shard it was routed to has reported, and windows fold
+    /// in order, so only the windows still in flight are held.
+    open: VecDeque<OpenWindow>,
+    /// Windows folded so far: `open[0]` is window `folded`.
+    folded: usize,
+    /// The transition counters, shard-window counts and joules of every
+    /// folded window.
     totals: PowerSummary,
 }
 
@@ -124,7 +135,8 @@ impl PowerStates {
             engines,
             states,
             surplus: vec![0; n],
-            log: Vec::new(),
+            open: VecDeque::new(),
+            folded: 0,
             totals: PowerSummary::default(),
         }
     }
@@ -166,8 +178,9 @@ impl PowerStates {
         }
     }
 
-    /// Closes a window's power accounting once it is routed: elastic
-    /// scale-down, then one log row. Drain-before-power-down: an Active
+    /// Closes a window's power states once it is routed: elastic
+    /// scale-down, then the window opens for its shards' reports, waiting
+    /// on every shard `routed` something. Drain-before-power-down: an Active
     /// shard that `routed` nothing this window and is `drained` (no
     /// queued batch, no outstanding work) ages toward Idle (unroutable,
     /// still powered); an Idle shard powers off only once drained, so no
@@ -210,51 +223,72 @@ impl PowerStates {
                 }
             }
         }
-        self.log.extend_from_slice(&self.states);
+        let n = self.states.len();
+        self.open.push_back(OpenWindow {
+            states: self.states.clone(),
+            executed: vec![(0.0, 0); n],
+            waiting: (0..n).filter(|&s| routed(s)).count(),
+        });
+        self.fold_ready();
     }
 
-    /// The run's [`PowerSummary`], from the window log and what every
-    /// shard executed (`executed[shard]`). Each window lasts as long as
-    /// its longest shard batch; executing shards pay utilization-scaled
-    /// power for their batch plus idle power for the remainder, powered
-    /// idle shards pay idle power throughout, Off shards pay nothing.
-    pub(super) fn summary(&self, executed: &[Vec<WindowRecord>]) -> PowerSummary {
-        // Per (shard, window) modeled batch seconds and MACs.
-        let windows = self.log.chunks(self.states.len());
-        let mut exec = vec![vec![(0.0f64, 0u64); windows.len()]; executed.len()];
-        for (slots, records) in exec.iter_mut().zip(executed) {
-            for rec in records {
-                if let Some(slot) = slots.get_mut(rec.window) {
-                    slot.0 += rec.seconds;
-                    slot.1 += rec.macs;
+    /// Takes a shard's report of a window it ran, and folds every window
+    /// whose shards have all reported, in window order.
+    pub(super) fn report(&mut self, (window, shard, seconds, macs): WindowReport) {
+        let open = window.checked_sub(self.folded);
+        if let Some(open) = open.and_then(|w| self.open.get_mut(w)) {
+            open.executed[shard].0 += seconds;
+            open.executed[shard].1 += macs;
+            open.waiting = open.waiting.saturating_sub(1);
+        }
+        self.fold_ready();
+    }
+
+    /// Folds the oldest windows while nothing is left to wait for.
+    fn fold_ready(&mut self) {
+        while self.open.front().is_some_and(|w| w.waiting == 0) {
+            let window = self.open.pop_front().expect("checked above");
+            self.fold(window);
+        }
+    }
+
+    /// Adds one window to the totals. It lasts as long as its longest
+    /// shard batch; executing shards pay utilization-scaled power for
+    /// their batch plus idle power for the remainder, powered idle shards
+    /// pay idle power throughout, Off shards pay nothing.
+    fn fold(&mut self, window: OpenWindow) {
+        let power = &mut self.totals;
+        let window_seconds = window.executed.iter().map(|e| e.0).fold(0.0f64, f64::max);
+        for (s, state) in window.states.iter().enumerate() {
+            match state {
+                ShardPower::Off => {
+                    power.off_shard_windows += 1;
+                    continue;
                 }
+                ShardPower::Active => power.active_shard_windows += 1,
+                ShardPower::Idle => power.idle_shard_windows += 1,
+            }
+            let engine = &self.engines[s];
+            let idle_watts = engine.power_watts(0.0);
+            let (seconds, macs) = window.executed[s];
+            if seconds > 0.0 {
+                let utilization = macs as f64 / (seconds * peak_macs_per_second(engine));
+                power.modeled_joules += engine.power_watts(utilization) * seconds;
+                power.modeled_joules += idle_watts * (window_seconds - seconds).max(0.0);
+            } else {
+                power.modeled_joules += idle_watts * window_seconds;
             }
         }
-        let mut power = self.totals;
-        for (w, states) in windows.enumerate() {
-            let window_seconds = exec.iter().map(|slots| slots[w].0).fold(0.0f64, f64::max);
-            for (s, state) in states.iter().enumerate() {
-                match state {
-                    ShardPower::Off => {
-                        power.off_shard_windows += 1;
-                        continue;
-                    }
-                    ShardPower::Active => power.active_shard_windows += 1,
-                    ShardPower::Idle => power.idle_shard_windows += 1,
-                }
-                let engine = &self.engines[s];
-                let idle_watts = engine.power_watts(0.0);
-                let (seconds, macs) = exec[s][w];
-                if seconds > 0.0 {
-                    let utilization = macs as f64 / (seconds * peak_macs_per_second(engine));
-                    power.modeled_joules += engine.power_watts(utilization) * seconds;
-                    power.modeled_joules += idle_watts * (window_seconds - seconds).max(0.0);
-                } else {
-                    power.modeled_joules += idle_watts * window_seconds;
-                }
-            }
+        self.folded += 1;
+    }
+
+    /// The run's [`PowerSummary`], once every shard has stopped: a window
+    /// still open folds with what its shards reported.
+    pub(super) fn summary(mut self) -> PowerSummary {
+        while let Some(window) = self.open.pop_front() {
+            self.fold(window);
         }
-        power
+        self.totals
     }
 }
 
@@ -285,8 +319,89 @@ mod tests {
         prop_oneof![Just(PoolPolicy::AlwaysOn), elastic]
     }
 
+    /// One shard's run of a window: modeled seconds, MACs, how many
+    /// windows later its report arrives, and whether the run failed.
+    type RunDraw = (f64, u64, usize, bool);
+
+    fn run_strategy() -> impl Strategy<Value = RunDraw> {
+        let failed = prop_oneof![Just(true), Just(false), Just(false)];
+        (0.0f64..3e-6, 0u64..50_000, 0usize..4, failed)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn windows_fold_in_order_as_late_reports_arrive(
+            shards in 1usize..6,
+            policy in policy_strategy(),
+            windows in proptest::collection::vec(
+                (
+                    window_strategy(),
+                    proptest::collection::vec(run_strategy(), 5),
+                ),
+                1..40,
+            ),
+        ) {
+            let mut power = PowerStates::new(policy, vec![OneSa::default(); shards]);
+            // Every window as it dispatched — the shards' states and runs —
+            // joined only at the end: the reference the folds must equal.
+            let mut log: Vec<OpenWindow> = Vec::new();
+            let mut in_flight: Vec<(usize, WindowReport)> = Vec::new();
+            for (w, ((depth, _, routes, drains), runs)) in windows.iter().enumerate() {
+                power.scale_up(*depth);
+                let before = power.states().to_vec();
+                let routed = |s: usize| before[s] == Active && routes[s];
+                power.settle(routed, |s| drains[s]);
+                let mut executed = vec![(0.0, 0); shards];
+                for s in (0..shards).filter(|&s| routed(s)) {
+                    let (seconds, macs, delay, failed) = runs[s];
+                    executed[s] = if failed { (0.0, 0) } else { (seconds, macs) };
+                    in_flight.push((w + delay, (w, s, executed[s].0, executed[s].1)));
+                }
+                log.push(OpenWindow {
+                    states: power.states().to_vec(),
+                    executed,
+                    waiting: 0,
+                });
+                // The reports due by now, the latest shard's first.
+                let (due, later): (Vec<_>, Vec<_>) =
+                    in_flight.into_iter().partition(|(at, _)| *at <= w);
+                in_flight = later;
+                for (_, report) in due.into_iter().rev() {
+                    power.report(report);
+                }
+                // Only windows whose reports are still in flight stay open.
+                prop_assert!(power.open.len() <= 4, "{} open", power.open.len());
+            }
+            for (_, report) in in_flight {
+                power.report(report);
+            }
+            prop_assert!(power.open.is_empty());
+            let summary = power.summary();
+
+            let engine = OneSa::default();
+            let (idle_watts, peak) = (engine.power_watts(0.0), peak_macs_per_second(&engine));
+            let mut joules = 0.0f64;
+            for OpenWindow { states, executed, .. } in &log {
+                let window_seconds = executed.iter().map(|e| e.0).fold(0.0f64, f64::max);
+                for (s, _) in states.iter().enumerate().filter(|(_, p)| **p != Off) {
+                    let (seconds, macs) = executed[s];
+                    if seconds > 0.0 {
+                        let utilization = macs as f64 / (seconds * peak);
+                        joules += engine.power_watts(utilization) * seconds;
+                        joules += idle_watts * (window_seconds - seconds).max(0.0);
+                    } else {
+                        joules += idle_watts * window_seconds;
+                    }
+                }
+            }
+            prop_assert_eq!(summary.modeled_joules.to_bits(), joules.to_bits());
+            let rows = summary.active_shard_windows
+                + summary.idle_shard_windows
+                + summary.off_shard_windows;
+            prop_assert_eq!(rows, (windows.len() * shards) as u64);
+        }
 
         #[test]
         fn power_states_hold_their_invariants_over_random_windows(
@@ -347,10 +462,9 @@ mod tests {
                 prop_assert!(routable(&power) >= floor);
             }
 
-            let executed: Vec<Vec<WindowRecord>> = (0..shards).map(|_| Vec::new()).collect();
-            let summary = power.summary(&executed);
+            let summary = power.summary();
             // `Off -> Active` and `Idle -> Off` are the only transitions
-            // counted, one log row per window, nothing executed costs
+            // counted, every shard-window once, nothing executed costs
             // nothing.
             prop_assert_eq!((summary.power_ups, summary.power_downs), (ups, downs));
             let rows = summary.active_shard_windows

@@ -3,7 +3,7 @@
 //! thread that answers its tickets ([`shard_loop`]) and what it reports
 //! ([`ShardStats`]).
 
-use super::power::WindowRecord;
+use super::power::WindowReport;
 use super::session::{Phase, SessionTable};
 use super::{DepthGauge, Job, ServeError, ServedOutcome, TicketId};
 use crate::batch::{BatchEngine, BatchRun, Latencies, Request};
@@ -11,7 +11,7 @@ use crate::net::{self, WeightCacheStats};
 use onesa_plan::OptTotals;
 use onesa_tensor::TensorError;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -77,7 +77,6 @@ pub(super) struct ShardOut {
     /// to the tickets, and every other per-request figure is summed as it
     /// comes.
     pub(super) latencies: [Latencies; 3],
-    pub(super) window_records: Vec<WindowRecord>,
     /// Nonlinear evaluations across the requests this shard served.
     pub(super) nonlinear_evals: u64,
     /// Tokens this shard's prefill and decode steps covered.
@@ -177,9 +176,11 @@ impl ShardExec {
 }
 
 /// One shard's thread, for either backend: receives windows from the
-/// admitter, executes each through [`ShardExec::run_window`] and
-/// answers its tickets; `load` is the shard's outstanding-work counter
-/// the router charges, `depth` the gauge of its channel. A window that
+/// admitter, executes each through [`ShardExec::run_window`], reports
+/// the window's modeled seconds and MACs to the admitter's power
+/// accounting on `reports` as it closes, and answers its tickets; `load`
+/// is the shard's outstanding-work counter the router charges, `depth`
+/// the gauge of its channel. A window that
 /// re-ran on another shard's worker counts into
 /// [`ShardStats::requeued`], this shard's own worker's death into
 /// [`ShardStats::worker_lost`] →
@@ -191,6 +192,7 @@ pub(super) fn shard_loop(
     load: Arc<AtomicU64>,
     depth: Arc<DepthGauge>,
     sessions: Arc<SessionTable>,
+    reports: Sender<WindowReport>,
 ) -> ShardOut {
     let mut out = ShardOut::default();
     out.stats.shard = shard;
@@ -206,7 +208,17 @@ pub(super) fn shard_loop(
         for job in &mut batch {
             job.queue_seconds = job.submitted_at.elapsed().as_secs_f64();
         }
-        match exec.run_window(shard, &batch) {
+        let result = exec.run_window(shard, &batch);
+        // Energy is attributed to this shard even after a failover — the
+        // window was admitted and powered here; which surviving worker's
+        // process hosted the re-execution is a host detail the modeled
+        // accounting deliberately ignores. A failed window ran nothing.
+        let (seconds, macs) = match &result {
+            Ok((run, _)) => (run.report.batched_seconds, run.report.total_macs),
+            Err(_) => (0.0, 0),
+        };
+        let _ = reports.send((batch[0].window, shard, seconds, macs));
+        match result {
             Ok((run, served_by)) => {
                 out.stats.batches += 1;
                 out.stats.requests += run.report.requests;
@@ -220,16 +232,6 @@ pub(super) fn shard_loop(
                 if served_by != shard {
                     out.stats.requeued += run.report.requests;
                 }
-                // Energy is attributed to this shard even after a
-                // failover — the window was admitted and powered here;
-                // which surviving worker's process hosted the
-                // re-execution is a host detail the modeled accounting
-                // deliberately ignores.
-                out.window_records.push(WindowRecord {
-                    window: batch.first().map_or(0, |job| job.window),
-                    seconds: run.report.batched_seconds,
-                    macs: run.report.total_macs,
-                });
                 for (job, outcome) in batch.into_iter().zip(run.outcomes) {
                     // Write the grown KV cache back *before* the ticket
                     // resolves, so a caller chaining decode steps on the

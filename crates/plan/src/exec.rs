@@ -4,17 +4,26 @@
 //! What the scheduler needs to know about a program's op list is worked
 //! out once, when the program is sealed, into its [`Plan`]: every slot's
 //! shape, every op's coalescing key (static: the mode, the constants'
-//! fingerprints, γ / β / ε, the widths of softmax and layer-norm rows
-//! and attention's key rows all belong to the sealed program), every
-//! op's convolution chain, and when each op's output dies. [`run_staged`]
-//! then groups a stage's members by their planned keys in index buffers
-//! it reuses from stage to stage, and drops each intermediate after its
-//! last reader. The liveness
+//! fingerprints, γ / β / ε, the widths of softmax, layer-norm, row-quantize
+//! and add rows and attention's key rows all belong to the sealed
+//! program), every op's convolution chain, when each op's output dies, and
+//! — on first use per array configuration — the program's solo op stats.
+//! [`run_staged`] then groups a stage's members by their planned keys in
+//! index buffers it reuses from stage to stage, and drops each
+//! intermediate after its last reader. The liveness
 //! rule: an op's output dies after the last stage that reads it — where
 //! a convolution chain's GEMM stage counts as a reader of the chain's
 //! image, which a declined sweep unrolls there — and the program's output
 //! and its session outputs never die; they move out of their slots into
 //! the [`ProgramRun`].
+//!
+//! A slot holds a `Value`: a tensor of the member's own, or its rows of
+//! a row-stacked group's product. Such a group keeps its product as one
+//! block, and the next row-stacked group whose members' operands are
+//! exactly that block's rows, in member order, reads it in place; so a
+//! window's members stay stacked from stage to stage as their rows stream
+//! through one array. Whatever needs one member's value alone copies its
+//! rows out of the block once.
 
 use crate::program::{
     attention_member_cost, attention_softmax_cost, hash_encoding, op_cost, same_tensor, ConvChain,
@@ -26,7 +35,9 @@ use onesa_sim::{ArrayConfig, CycleBreakdown, ExecStats};
 use onesa_tensor::parallel::{self, Parallelism};
 use onesa_tensor::quant::{QuantTensor, QuantTensor8};
 use onesa_tensor::{attention, gemm, im2col, sparse, Result, Tensor, TensorError};
-use std::sync::Arc;
+use std::ops::Range;
+use std::rc::Rc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Lazily-built CPWL table sets keyed by granularity, shared across
 /// programs (and across `BatchEngine` runs, which own one cache per
@@ -167,6 +178,25 @@ pub(crate) struct Plan {
     /// later op reads it, and it is neither the program's output nor a
     /// session output. Sorted by stage.
     drops: Vec<(usize, usize)>,
+    /// The program's solo op stats per array configuration, computed on
+    /// first use: a staged run hands every member a copy.
+    solo_stats: SoloStats,
+}
+
+/// At most this many array configurations keep their solo op stats in a
+/// [`Plan`]; another configuration's are computed on every call.
+const SOLO_STATS_CONFIGS: usize = 4;
+
+/// The solo op stats a [`Plan`] has computed, per array configuration.
+/// A pure function of the sealed program, so not part of its identity:
+/// every `SoloStats` compares equal.
+#[derive(Debug, Default)]
+struct SoloStats(Mutex<Vec<(ArrayConfig, Vec<ExecStats>)>>);
+
+impl PartialEq for SoloStats {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl Plan {
@@ -208,7 +238,31 @@ impl Plan {
             chains: (0..nodes.len()).map(link).collect(),
             drops,
             shapes,
+            solo_stats: SoloStats::default(),
         }
+    }
+
+    /// The solo op stats on `cfg`, as `compute` works them out: cached for
+    /// the first few configurations asked for.
+    pub(crate) fn solo_stats(
+        &self,
+        cfg: &ArrayConfig,
+        compute: impl FnOnce() -> Vec<ExecStats>,
+    ) -> Vec<ExecStats> {
+        // A poisoned lock still holds whole entries: each is pushed built.
+        let mut cached = self
+            .solo_stats
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, stats)) = cached.iter().find(|(c, _)| c == cfg) {
+            return stats.clone();
+        }
+        let stats = compute();
+        if cached.len() < SOLO_STATS_CONFIGS {
+            cached.push((cfg.clone(), stats.clone()));
+        }
+        stats
     }
 
     /// The convolution chain op `stage` is a link of, if any.
@@ -225,6 +279,53 @@ fn slot_op(operand: Operand, base: usize) -> Option<usize> {
     }
 }
 
+/// What a slot holds.
+enum Value {
+    /// A tensor of the member's own.
+    Own(Tensor),
+    /// Rows `start .. start + len` of a row-stacked group's product, which
+    /// the group's members share.
+    Rows {
+        block: Rc<Tensor>,
+        start: usize,
+        len: usize,
+    },
+}
+
+impl Value {
+    /// The value's elements in row-major order: rows are a slice of their
+    /// block.
+    fn data(&self) -> &[f32] {
+        match self {
+            Value::Own(t) => t.as_slice(),
+            Value::Rows { block, start, len } => {
+                let width = block.dims()[1];
+                &block.as_slice()[start * width..(start + len) * width]
+            }
+        }
+    }
+
+    /// The value as a tensor of the member's own, its rows copied out of
+    /// their block.
+    fn into_tensor(self) -> Tensor {
+        match self {
+            Value::Own(t) => t,
+            rows => rows.to_tensor(),
+        }
+    }
+
+    /// A copy of the value as a tensor of its own.
+    fn to_tensor(&self) -> Tensor {
+        match self {
+            Value::Own(t) => t.clone(),
+            Value::Rows { block, len, .. } => {
+                Tensor::from_vec(self.data().to_vec(), &[*len, block.dims()[1]])
+                    .expect("rows of a matrix")
+            }
+        }
+    }
+}
+
 /// Per-job runtime state.
 struct JobState<'a> {
     program: &'a Program,
@@ -234,19 +335,59 @@ struct JobState<'a> {
     /// One slot per executed op, after the input slots. A convolution
     /// chain's `Im2col` slot stays `None` unless a fallback needs it, and
     /// a slot is emptied again once its value is dead.
-    outputs: Vec<Option<Tensor>>,
+    outputs: Vec<Option<Value>>,
     /// How many of the plan's `drops` have been made.
     dropped: usize,
 }
 
 impl JobState<'_> {
+    /// The value of the op `operand` is the output of, if it is one.
+    fn value(&self, operand: Operand) -> Option<&Value> {
+        let op = slot_op(operand, self.inputs.len())?;
+        Some(self.outputs[op].as_ref().expect("slot written before read"))
+    }
+
+    /// `operand` as a tensor: an input, a constant or a value of the
+    /// member's own — rows are copied out of their block ([`JobState::own`])
+    /// before a lone read.
     fn resolve(&self, operand: Operand) -> &Tensor {
+        match (operand, self.value(operand)) {
+            (_, Some(Value::Own(t))) => t,
+            (_, Some(Value::Rows { .. })) => unreachable!("rows are copied out before a lone read"),
+            (Operand::Slot(s), None) => &self.inputs[s],
+            (Operand::Const(c), None) => self.program.consts()[c].as_ref(),
+        }
+    }
+
+    /// `operand`'s elements in row-major order, wherever they lie.
+    fn data(&self, operand: Operand) -> &[f32] {
+        match self.value(operand) {
+            Some(value) => value.data(),
+            None => self.resolve(operand).as_slice(),
+        }
+    }
+
+    /// `operand`'s planned shape.
+    fn dims(&self, operand: Operand) -> &[usize] {
         match operand {
-            Operand::Slot(s) => match s.checked_sub(self.inputs.len()) {
-                None => &self.inputs[s],
-                Some(op) => self.outputs[op].as_ref().expect("slot written before read"),
-            },
-            Operand::Const(c) => self.program.consts()[c].as_ref(),
+            Operand::Slot(s) => &self.program.plan().shapes[s],
+            Operand::Const(c) => self.program.consts()[c].dims(),
+        }
+    }
+
+    /// The planned shape of the member's output at `stage`.
+    fn out_dims(&self, stage: usize) -> &[usize] {
+        &self.program.plan().shapes[self.inputs.len() + stage]
+    }
+
+    /// Copies `operand`'s rows out of their block, once: every later
+    /// reader reads the member's own tensor.
+    fn own(&mut self, operand: Operand) {
+        if let Some(op) = slot_op(operand, self.inputs.len()) {
+            let slot = &mut self.outputs[op];
+            if let Some(Value::Rows { .. }) = slot {
+                *slot = slot.take().map(|rows| Value::Own(rows.into_tensor()));
+            }
         }
     }
 
@@ -260,22 +401,24 @@ impl JobState<'_> {
     }
 
     /// The program's result. The output moves out of the last slot and
-    /// each session output out of its own; a session output that *is*
-    /// the last slot is copied first.
+    /// each session output out of its own, rows copied out of their
+    /// block; a session output that *is* the last slot is copied first.
     fn finish(mut self, cfg: &ArrayConfig) -> Result<ProgramRun> {
         let last = self.outputs.len() - 1;
         let mut session_outputs = Vec::with_capacity(self.program.session_outputs().len());
         for &slot in self.program.session_outputs() {
             // A sealed program's session outputs are distinct op slots.
             let op = slot - self.inputs.len();
-            session_outputs.push(if op == last {
-                self.resolve(Operand::Slot(slot)).clone()
+            let value = if op == last {
+                self.outputs[op].as_ref().map(Value::to_tensor)
             } else {
-                self.outputs[op].take().expect("session output written")
-            });
+                self.outputs[op].take().map(Value::into_tensor)
+            };
+            session_outputs.push(value.expect("session output written"));
         }
+        let output = self.outputs.pop().flatten().expect("program executed");
         Ok(ProgramRun {
-            output: self.outputs.pop().flatten().expect("program executed"),
+            output: output.into_tensor(),
             session_outputs,
             op_stats: self.program.op_stats(cfg)?,
         })
@@ -289,12 +432,17 @@ enum GroupKey {
     GemmRight(u64),
     /// GEMM with a shared constant left operand: column-stack.
     GemmLeft(u64),
-    /// Pointwise nonlinear sharing (function, eval mode): concatenate.
+    /// Pointwise nonlinear sharing (function, eval mode): row-stack
+    /// matrices of one width, concatenate anything else.
     Nonlinear(u64),
     /// Row-wise softmax sharing (eval mode, width): row-stack.
     Softmax(u64, usize),
     /// Row-wise layer-norm sharing (eval mode, γ/β/ε, width): row-stack.
     LayerNorm(u64, usize),
+    /// Row-wise INT16 round trip of rows of one width: row-stack.
+    QuantizeRows(usize),
+    /// Elementwise sum of two matrices of one width: row-stack both.
+    Add(usize),
     /// Unmasked attention sharing (eval mode and op, key rows): each
     /// member runs alone, and every head's softmax pass is credited once
     /// over all members' query rows.
@@ -304,16 +452,19 @@ enum GroupKey {
 }
 
 impl GroupKey {
-    /// Which operand differs per member, and the axis it stacks along: a
+    /// Which operands differ per member, and the axis they stack along: a
     /// shared right matrix takes row-stacked activations, a shared left
-    /// one (a GCN's Â) column-stacked ones. `None` for a solo op.
-    fn stacking(self) -> Option<(Axis, usize)> {
+    /// one (a GCN's Â) column-stacked ones, and a row-wise op stacks every
+    /// operand it has. `None` for a solo op.
+    fn stacking(self) -> Option<(Axis, Range<usize>)> {
         match self {
-            GroupKey::GemmRight(_) | GroupKey::Softmax(..) | GroupKey::LayerNorm(..) => {
-                Some((Axis::Rows, 0))
-            }
-            GroupKey::GemmLeft(_) => Some((Axis::Cols, 1)),
-            GroupKey::Nonlinear(_) => Some((Axis::Flat, 0)),
+            GroupKey::GemmRight(_)
+            | GroupKey::Softmax(..)
+            | GroupKey::LayerNorm(..)
+            | GroupKey::QuantizeRows(_) => Some((Axis::Rows, 0..1)),
+            GroupKey::Add(_) => Some((Axis::Rows, 0..2)),
+            GroupKey::GemmLeft(_) => Some((Axis::Cols, 1..2)),
+            GroupKey::Nonlinear(_) => Some((Axis::Flat, 0..1)),
             GroupKey::Attention(..) | GroupKey::Solo => None,
         }
     }
@@ -336,8 +487,9 @@ struct Groups {
 impl Groups {
     /// Groups the members of `stage` — every job whose program still has
     /// an op there — by their planned keys, verifying exact equality of
-    /// shared constants and parameters behind the hash. A solo op is a
-    /// group of its own without a search.
+    /// shared constants and parameters behind the hash unless both members
+    /// run clones of one sealed program. A solo op is a group of its own
+    /// without a search.
     fn collect(&mut self, states: &[JobState], stage: usize) {
         self.heads.clear();
         self.members.clear();
@@ -347,12 +499,16 @@ impl Groups {
             };
             #[cfg(debug_assertions)]
             assert_eq!(key, member_key(state, stage), "planned key, stage {stage}");
+            // Clones of one sealed program share its plan, and with it
+            // every constant and parameter behind the key.
+            let peer_of = |&(k, first): &(GroupKey, usize)| {
+                k == key
+                    && (std::ptr::eq(states[first].program.plan(), state.program.plan())
+                        || keys_truly_equal(states, stage, first, j))
+            };
             let peer = match key {
                 GroupKey::Solo => None,
-                _ => self
-                    .heads
-                    .iter()
-                    .position(|&(k, first)| k == key && keys_truly_equal(states, stage, first, j)),
+                _ => self.heads.iter().position(peer_of),
             };
             let g = peer.unwrap_or_else(|| {
                 self.heads.push((key, j));
@@ -410,7 +566,7 @@ pub fn run_staged(
         states.push(JobState {
             program,
             inputs,
-            outputs: vec![None; program.stages()],
+            outputs: (0..program.stages()).map(|_| None).collect(),
             dropped: 0,
         });
     }
@@ -500,6 +656,8 @@ fn group_key(program: &Program, shapes: &[Vec<usize>], node: &OpNode) -> GroupKe
         Op::LayerNorm { .. } => {
             GroupKey::LayerNorm(hash_encoding(mode, &node.op), width(node.inputs[0]))
         }
+        Op::QuantizeRows => GroupKey::QuantizeRows(width(node.inputs[0])),
+        Op::Add if dims(node.inputs[0]).len() == 2 => GroupKey::Add(width(node.inputs[0])),
         Op::Attention { causal: false, .. } => {
             GroupKey::Attention(hash_encoding(mode, &node.op), dims(node.inputs[1])[0])
         }
@@ -514,6 +672,11 @@ fn group_key(program: &Program, shapes: &[Vec<usize>], node: &OpNode) -> GroupKe
 fn member_key(state: &JobState, stage: usize) -> GroupKey {
     let node = &state.program.nodes()[stage];
     let mode = state.program.mode().coalesce_key();
+    // The shape of the value an operand holds.
+    let held = |operand: Operand| match state.value(operand) {
+        Some(Value::Rows { block, len, .. }) => vec![*len, block.dims()[1]],
+        _ => state.resolve(operand).dims().to_vec(),
+    };
     match &node.op {
         Op::Gemm { sparsity, .. } => match (node.inputs[0], node.inputs[1]) {
             (Operand::Slot(_), Operand::Const(c)) => {
@@ -525,17 +688,17 @@ fn member_key(state: &JobState, stage: usize) -> GroupKey {
             _ => GroupKey::Solo,
         },
         Op::Nonlinear(func) => GroupKey::Nonlinear(hash_encoding(mode, func)),
-        Op::Softmax => {
-            let n = state.resolve(node.inputs[0]).dims()[1];
-            GroupKey::Softmax(mode, n)
-        }
+        Op::Softmax => GroupKey::Softmax(mode, held(node.inputs[0])[1]),
         Op::LayerNorm { .. } => {
-            let n = state.resolve(node.inputs[0]).dims()[1];
-            GroupKey::LayerNorm(hash_encoding(mode, &node.op), n)
+            GroupKey::LayerNorm(hash_encoding(mode, &node.op), held(node.inputs[0])[1])
         }
+        Op::QuantizeRows => GroupKey::QuantizeRows(held(node.inputs[0])[1]),
+        Op::Add => match held(node.inputs[0])[..] {
+            [_, n] => GroupKey::Add(n),
+            _ => GroupKey::Solo,
+        },
         Op::Attention { causal: false, .. } => {
-            let n = state.resolve(node.inputs[1]).dims()[0];
-            GroupKey::Attention(hash_encoding(mode, &node.op), n)
+            GroupKey::Attention(hash_encoding(mode, &node.op), held(node.inputs[1])[0])
         }
         _ => GroupKey::Solo,
     }
@@ -565,7 +728,9 @@ fn keys_truly_equal(states: &[JobState], stage: usize, first: usize, candidate: 
             }
         }
         (Op::Nonlinear(f), Op::Nonlinear(g)) => f == g,
-        (Op::Softmax, Op::Softmax) => true,
+        (Op::Softmax, Op::Softmax) | (Op::QuantizeRows, Op::QuantizeRows) | (Op::Add, Op::Add) => {
+            true
+        }
         (
             Op::LayerNorm { gamma, beta, eps },
             Op::LayerNorm {
@@ -605,31 +770,46 @@ enum Axis {
     Flat,
 }
 
-/// Gather: the one operand a group's kernel reads — every member's
-/// `parts` entry stacked along `axis`.
-fn gather(axis: Axis, parts: &[&Tensor]) -> Result<Tensor> {
+/// Every member's `side` operand of the group `ids` at `stage`: its
+/// elements wherever they lie, and its planned shape.
+fn parts<'s>(
+    ids: &[usize],
+    states: &'s [JobState],
+    stage: usize,
+    side: usize,
+) -> Vec<(&'s [f32], &'s [usize])> {
+    ids.iter()
+        .map(|&j| {
+            let operand = states[j].program.nodes()[stage].inputs[side];
+            (states[j].data(operand), states[j].dims(operand))
+        })
+        .collect()
+}
+
+/// Gather: the one operand a group's kernel reads — every member's part
+/// stacked along `axis`.
+fn gather(axis: Axis, parts: &[(&[f32], &[usize])]) -> Result<Tensor> {
     match axis {
         Axis::Rows | Axis::Flat => {
-            let mut vals = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-            for part in parts {
-                vals.extend_from_slice(part.as_slice());
+            let mut vals = Vec::with_capacity(parts.iter().map(|(data, _)| data.len()).sum());
+            for (data, _) in parts {
+                vals.extend_from_slice(data);
             }
-            let width = match axis {
-                Axis::Rows => parts[0].dims()[1],
-                _ => vals.len(),
+            let dims = match axis {
+                Axis::Rows => [parts.iter().map(|(_, dims)| dims[0]).sum(), parts[0].1[1]],
+                _ => [1, vals.len()],
             };
-            let height = vals.len() / width;
-            Tensor::from_vec(vals, &[height, width])
+            Tensor::from_vec(vals, &dims)
         }
         Axis::Cols => {
-            let k = parts[0].dims()[0];
-            let total_n: usize = parts.iter().map(|p| p.dims()[1]).sum();
+            let k = parts[0].1[0];
+            let total_n: usize = parts.iter().map(|(_, dims)| dims[1]).sum();
             let mut vals = vec![0.0f32; k * total_n];
             for (r, row) in vals.chunks_mut(total_n).enumerate() {
                 let mut off = 0usize;
-                for part in parts {
-                    let nj = part.dims()[1];
-                    row[off..off + nj].copy_from_slice(&part.as_slice()[r * nj..(r + 1) * nj]);
+                for (data, dims) in parts {
+                    let nj = dims[1];
+                    row[off..off + nj].copy_from_slice(&data[r * nj..(r + 1) * nj]);
                     off += nj;
                 }
             }
@@ -638,26 +818,17 @@ fn gather(axis: Axis, parts: &[&Tensor]) -> Result<Tensor> {
     }
 }
 
-/// Scatter: each member's share of the group's `product`, in member
-/// order — the rows, columns or elements its `parts` entry contributed
-/// to [`gather`].
-fn scatter(axis: Axis, product: &Tensor, parts: &[&Tensor]) -> Result<Vec<Tensor>> {
+/// Scatter: each member's share of a column-stacked or flattened group's
+/// `product`, in member order — the columns or elements its part
+/// contributed to [`gather`], in its part's shape.
+fn scatter(axis: Axis, product: &Tensor, parts: &[(&[f32], &[usize])]) -> Result<Vec<Tensor>> {
     let all = product.as_slice();
     let mut off = 0usize;
     parts
         .iter()
-        .map(|part| match axis {
-            Axis::Rows => {
-                let (m, n) = (part.dims()[0], product.dims()[1]);
-                off += m * n;
-                Tensor::from_vec(all[off - m * n..off].to_vec(), &[m, n])
-            }
-            Axis::Flat => {
-                off += part.len();
-                Tensor::from_vec(all[off - part.len()..off].to_vec(), part.dims())
-            }
+        .map(|(data, dims)| match axis {
             Axis::Cols => {
-                let (m, total_n, nj) = (product.dims()[0], product.dims()[1], part.dims()[1]);
+                let (m, total_n, nj) = (product.dims()[0], product.dims()[1], dims[1]);
                 let mut vals = Vec::with_capacity(m * nj);
                 for row in all.chunks(total_n) {
                     vals.extend_from_slice(&row[off..off + nj]);
@@ -665,24 +836,24 @@ fn scatter(axis: Axis, product: &Tensor, parts: &[&Tensor]) -> Result<Vec<Tensor
                 off += nj;
                 Tensor::from_vec(vals, &[m, nj])
             }
+            _ => {
+                off += data.len();
+                Tensor::from_vec(all[off - data.len()..off].to_vec(), dims)
+            }
         })
         .collect()
 }
 
-/// Operands a group's kernel call borrows into an array: every op but a
-/// `ConcatRows` of more than this many parts.
-const INLINE_OPERANDS: usize = 4;
-
-/// Runs one group as gather → kernel → scatter, writes every member's
-/// output into its slot and returns the modeled stats of the one kernel
-/// call. The group's shared operands and parameters are its first
-/// member's (`keys_truly_equal` vouched for the rest); the one operand
-/// that differs per member is stacked along the key's axis,
-/// [`exec_single`] runs once over it, and every member gets its slice
-/// back plus — for a GEMM — its *own* bias (each output element is an
-/// independent dot product plus that add, so this is bit-identical to
-/// the member run alone). A group of one stacks nothing: its kernel reads
-/// the operand where it lies, and the product moves into the slot whole.
+/// Runs one group and returns the modeled stats of its one kernel call.
+/// The group's shared operands and parameters are its first member's
+/// (`keys_truly_equal` vouched for the rest); the operands that differ
+/// per member are stacked along the key's axis and [`exec_single`] runs
+/// once over them. Every member's output is its share of the product plus
+/// — for a GEMM — its *own* bias (each output element is an independent
+/// dot product plus that add, so this is bit-identical to the member run
+/// alone). Row-stacked members — and a nonlinear's, when they are
+/// matrices of one width — run through [`exec_rows`], the rest as gather →
+/// kernel → scatter; a group of one runs [`exec_alone`].
 fn exec_group(
     key: GroupKey,
     ids: &[usize],
@@ -692,63 +863,202 @@ fn exec_group(
     par: Parallelism,
     tables: &mut TableCache,
 ) -> Result<ExecStats> {
-    let first = &states[ids[0]];
-    let node = &first.program.nodes()[stage];
-    let stacking = key.stacking().filter(|_| ids.len() > 1);
-    let parts: Vec<&Tensor> = match stacking {
-        Some((_, side)) => ids
-            .iter()
-            .map(|&j| states[j].resolve(states[j].program.nodes()[stage].inputs[side]))
-            .collect(),
-        None => Vec::new(),
+    let Some((axis, sides)) = key.stacking().filter(|_| ids.len() > 1) else {
+        return exec_alone(ids[0], states, stage, cfg, par, tables);
     };
-    let stacked;
-    // The operands, borrowed into an array; only a variadic op wider than
-    // it collects them.
-    let mut inline = [first.resolve(node.inputs[0]); INLINE_OPERANDS];
-    let mut wide: Vec<&Tensor>;
-    let ins: &mut [&Tensor] = match node.inputs.len() {
-        n if n <= INLINE_OPERANDS => {
-            for (slot, &operand) in inline.iter_mut().zip(&node.inputs) {
-                *slot = first.resolve(operand);
-            }
-            &mut inline[..n]
-        }
-        _ => {
-            wide = node.inputs.iter().map(|&op| first.resolve(op)).collect();
-            &mut wide
-        }
+    let width = |j: usize| match states[j].dims(states[j].program.nodes()[stage].inputs[0]) {
+        [_, n] => Some(*n),
+        _ => None,
     };
-    if let Some((axis, side)) = stacking {
-        stacked = gather(axis, &parts)?;
-        ins[side] = &stacked;
+    let rows = match axis {
+        Axis::Rows => true,
+        Axis::Flat => width(ids[0]).is_some() && ids.iter().all(|&j| width(j) == width(ids[0])),
+        Axis::Cols => false,
+    };
+    if rows {
+        return exec_rows(key, sides, ids, states, stage, cfg, par, tables);
     }
-    let product = exec_single(first.program, node, ins, par, tables)?;
-    // A nonlinear is costed as the one `[1, total]` row the array sweeps,
-    // whatever shape a lone member's operand has.
-    let row = [1, ins[0].len()];
-    let in0 = match key {
-        GroupKey::Nonlinear(_) => &row[..],
-        _ => ins[0].dims(),
-    };
-    let batched = op_cost(&node.op, &[in0], product.dims(), cfg);
-    match stacking {
-        Some((axis, _)) => {
-            let shares = scatter(axis, &product, &parts)?;
-            for (&j, share) in ids.iter().zip(shares) {
-                store(&mut states[j], stage, share);
-            }
-        }
-        None => store(&mut states[ids[0]], stage, product),
+    let side = sides.start;
+    let parts = parts(ids, states, stage, side);
+    let (first, program) = (&states[ids[0]], states[ids[0]].program);
+    let node = &program.nodes()[stage];
+    let stacked = gather(axis, &parts)?;
+    let mut ins = [&stacked, &stacked];
+    if side == 1 {
+        ins[0] = first.resolve(node.inputs[0]);
+    }
+    let ins = &ins[..node.inputs.len()];
+    let product = exec_single(program, node, ins, par, tables)?;
+    // A nonlinear is costed as the one `[1, total]` row the array sweeps.
+    let batched = op_cost(&node.op, &[ins[0].dims()], product.dims(), cfg);
+    let shares = scatter(axis, &product, &parts)?;
+    for (&j, share) in ids.iter().zip(shares) {
+        store(&mut states[j], stage, share);
     }
     Ok(batched)
 }
 
+/// The block a row-stacked group's `side` operands lie in, if they are
+/// exactly its rows, member after member: the kernel reads it in place.
+fn block_in_place<'s>(
+    ids: &[usize],
+    states: &'s [JobState],
+    stage: usize,
+    side: usize,
+) -> Option<&'s Tensor> {
+    let (mut block, mut next): (Option<&Rc<Tensor>>, usize) = (None, 0);
+    for &j in ids {
+        let operand = states[j].program.nodes()[stage].inputs[side];
+        let Some(Value::Rows {
+            block: b,
+            start,
+            len,
+        }) = states[j].value(operand)
+        else {
+            return None;
+        };
+        if *start != next || block.is_some_and(|block| !Rc::ptr_eq(block, b)) {
+            return None;
+        }
+        (block, next) = (Some(b), next + len);
+    }
+    block.filter(|b| b.dims()[0] == next).map(|b| &**b)
+}
+
+/// Runs a row-stacked group of several members. Each stacked operand is
+/// the block its members' rows already lie in ([`block_in_place`]), or
+/// else their rows gathered; the kernel runs once, and its product stays
+/// one block: each member's own GEMM bias is added on its rows, and its
+/// slot holds those rows. A row-stacked `Add` is credited as its members'
+/// solo passes, the sum of their costs.
+#[allow(clippy::too_many_arguments)]
+fn exec_rows(
+    key: GroupKey,
+    sides: Range<usize>,
+    ids: &[usize],
+    states: &mut [JobState],
+    stage: usize,
+    cfg: &ArrayConfig,
+    par: Parallelism,
+    tables: &mut TableCache,
+) -> Result<ExecStats> {
+    let (first, program) = (&states[ids[0]], states[ids[0]].program);
+    let node = &program.nodes()[stage];
+    let blocks = [0, 1].map(|side| {
+        let stacked = sides.contains(&side);
+        stacked
+            .then(|| block_in_place(ids, states, stage, side))
+            .flatten()
+    });
+    let mut gathered: [Option<Tensor>; 2] = [None, None];
+    for side in sides.clone().filter(|&side| blocks[side].is_none()) {
+        gathered[side] = Some(gather(Axis::Rows, &parts(ids, states, stage, side))?);
+    }
+    let in0 = match (blocks[0], &gathered[0]) {
+        (Some(block), _) => block.dims(),
+        (None, Some(rows)) => rows.dims(),
+        (None, None) => first.resolve(node.inputs[0]).dims(),
+    };
+    let in0 = [in0[0], in0[1]];
+    let mut product = match (&node.op, gathered[0].take()) {
+        // The group owns the rows it gathered, and nothing else reads
+        // them: a nonlinear sweeps them in place.
+        (Op::Nonlinear(func), Some(mut rows)) => {
+            sweep_in_place(program.mode(), *func, &mut rows, par, tables)?;
+            rows
+        }
+        (_, rows) => {
+            gathered[0] = rows;
+            let operand = |side: usize| match (blocks[side], &gathered[side]) {
+                (Some(block), _) => block,
+                (None, Some(rows)) => rows,
+                (None, None) => first.resolve(node.inputs[side]),
+            };
+            let ins = [operand(0), operand(node.inputs.len() - 1)];
+            exec_single(program, node, &ins[..node.inputs.len()], par, tables)?
+        }
+    };
+    let batched = match key {
+        GroupKey::Add(_) => ids.iter().fold(
+            ExecStats::new(cfg, CycleBreakdown::default(), 0, 0),
+            |sum, &j| {
+                let dims = states[j].out_dims(stage);
+                sum.merged(&op_cost(&node.op, &[dims], dims, cfg))
+            },
+        ),
+        // A nonlinear is costed as the one `[1, total]` row the array sweeps.
+        GroupKey::Nonlinear(_) => op_cost(&node.op, &[&[1, in0[0] * in0[1]]], &in0, cfg),
+        _ => op_cost(&node.op, &[&in0], product.dims(), cfg),
+    };
+    let width = product.dims()[1];
+    let mut start = 0;
+    for &j in ids {
+        let len = states[j].out_dims(stage)[0];
+        let rows = &mut product.as_mut_slice()[start * width..(start + len) * width];
+        add_bias(&states[j].program.nodes()[stage].op, rows);
+        start += len;
+    }
+    let block = Rc::new(product);
+    let mut start = 0;
+    for &j in ids {
+        let len = states[j].out_dims(stage)[0];
+        let block = Rc::clone(&block);
+        states[j].outputs[stage] = Some(Value::Rows { block, start, len });
+        start += len;
+    }
+    Ok(batched)
+}
+
+/// Runs a group of one — a solo op, or the only member of its key — on
+/// the member's own operands: rows are copied out of their block first,
+/// once, except by a `ConcatRows`, which reads every part where it lies.
+fn exec_alone(
+    j: usize,
+    states: &mut [JobState],
+    stage: usize,
+    cfg: &ArrayConfig,
+    par: Parallelism,
+    tables: &mut TableCache,
+) -> Result<ExecStats> {
+    let state = &mut states[j];
+    let program = state.program;
+    let node = &program.nodes()[stage];
+    let product = if let Op::ConcatRows = node.op {
+        let mut vals = Vec::with_capacity(state.out_dims(stage).iter().product());
+        for &operand in &node.inputs {
+            vals.extend_from_slice(state.data(operand));
+        }
+        Tensor::from_vec(vals, state.out_dims(stage))?
+    } else {
+        for &operand in &node.inputs {
+            state.own(operand);
+        }
+        // Every op but `ConcatRows` has at most three operands.
+        let mut ins = [state.resolve(node.inputs[0]); 3];
+        for (slot, &operand) in ins.iter_mut().zip(&node.inputs) {
+            *slot = state.resolve(operand);
+        }
+        exec_single(program, node, &ins[..node.inputs.len()], par, tables)?
+    };
+    // A nonlinear is costed as the one `[1, total]` row the array sweeps,
+    // whatever shape its operand has.
+    let in0 = state.dims(node.inputs[0]);
+    let row = [1, in0.iter().product()];
+    let in0 = match node.op {
+        Op::Nonlinear(_) => &row[..],
+        _ => in0,
+    };
+    let batched = op_cost(&node.op, &[in0], product.dims(), cfg);
+    store(state, stage, product);
+    Ok(batched)
+}
+
 /// Runs an attention group: each member's [`Op::Attention`] over its own
-/// operands, credited as the per-head composition it stands for — each
-/// member's GEMMs and scale passes alone, and one softmax pass per head
-/// over every member's query rows, stacked (an unmasked group's members
-/// share their key-row count; a causal op is a group of one).
+/// operands (rows copied out of their block once), credited as the
+/// per-head composition it stands for — each member's GEMMs and scale
+/// passes alone, and one softmax pass per head over every member's query
+/// rows, stacked (an unmasked group's members share their key-row count;
+/// a causal op is a group of one).
 fn exec_attention(
     ids: &[usize],
     states: &mut [JobState],
@@ -763,32 +1073,40 @@ fn exec_attention(
     let mut batched = ExecStats::new(cfg, CycleBreakdown::default(), 0, 0);
     let (mut rows, mut kv_rows) = (0, 0);
     for &j in ids {
-        let state = &states[j];
+        let state = &mut states[j];
         let node = &state.program.nodes()[stage];
+        for &operand in &node.inputs {
+            state.own(operand);
+        }
         let ins = [0, 1, 2].map(|i| state.resolve(node.inputs[i]));
         let (m, d, n) = (ins[0].dims()[0], ins[0].dims()[1], ins[1].dims()[0]);
         let out = exec_single(state.program, node, &ins, par, tables)?;
         batched = batched.merged(&attention_member_cost(cfg, heads, m, n, d));
         (rows, kv_rows) = (rows + m, n);
-        store(&mut states[j], stage, out);
+        store(state, stage, out);
     }
     Ok(batched.merged(&attention_softmax_cost(cfg, heads, rows, kv_rows)))
 }
 
-/// Writes `out` into the slot of the member's op at `stage`, adding — for
-/// a GEMM — the member's own bias to every row.
-fn store(state: &mut JobState, stage: usize, mut out: Tensor) {
+/// Adds — for a GEMM with a bias — the bias to every row of `rows`.
+fn add_bias(op: &Op, rows: &mut [f32]) {
     if let Op::Gemm {
         bias: Some(bias), ..
-    } = &state.program.nodes()[stage].op
+    } = op
     {
-        for row in out.as_mut_slice().chunks_mut(bias.len()) {
+        for row in rows.chunks_mut(bias.len().max(1)) {
             for (v, b) in row.iter_mut().zip(bias) {
                 *v += b;
             }
         }
     }
-    state.outputs[stage] = Some(out);
+}
+
+/// Writes `out` into the slot of the member's op at `stage`, adding — for
+/// a GEMM — the member's own bias to every row.
+fn store(state: &mut JobState, stage: usize, mut out: Tensor) {
+    add_bias(&state.program.nodes()[stage].op, out.as_mut_slice());
+    state.outputs[stage] = Some(Value::Own(out));
 }
 
 /// Runs the group `ids` at `stage` as a link of a convolution chain
@@ -817,7 +1135,7 @@ fn conv_links(
     let node = &first.program.nodes()[stage];
     match node.op {
         Op::Im2col(geo) if chain(first).is_some() => {
-            let x = first.resolve(node.inputs[0]).dims();
+            let x = first.dims(node.inputs[0]);
             let cols = [geo.output_pixels(x[1], x[2])?, geo.patch_len()];
             Ok(Some(op_cost(&node.op, &[x], &cols, cfg)))
         }
@@ -830,13 +1148,15 @@ fn conv_links(
             let slot = &mut state.outputs[link.gemm];
             // A product of rank 3 is a map the sweep made; a matrix means
             // this chain fell back, and its `Col2im` runs as usual.
-            if slot.as_ref().map_or(true, |t| t.dims().len() != 3) {
+            if !matches!(slot, Some(Value::Own(t)) if t.dims().len() == 3) {
                 return Ok(None);
             }
-            let map = slot.take().expect("checked above");
+            let Some(Value::Own(map)) = slot.take() else {
+                unreachable!("checked above")
+            };
             let (cout, pixels) = (map.dims()[0], map.dims()[1] * map.dims()[2]);
             let stats = op_cost(&col2im, &[&[pixels, cout]], map.dims(), cfg);
-            state.outputs[stage] = Some(map);
+            state.outputs[stage] = Some(Value::Own(map));
             Ok(Some(stats))
         }
         Op::Gemm { .. } => {
@@ -857,7 +1177,7 @@ fn conv_links(
                 };
                 if state.outputs[link.im2col].is_none() {
                     let cols = im2col::im2col(state.resolve(im2col.inputs[0]), &geo)?;
-                    state.outputs[link.im2col] = Some(cols);
+                    state.outputs[link.im2col] = Some(Value::Own(cols));
                 }
             }
             Ok(None)
@@ -918,7 +1238,7 @@ fn conv_group(
                 }
             }
         }
-        state.outputs[stage] = Some(map);
+        state.outputs[stage] = Some(Value::Own(map));
     }
     Ok(Some(batched))
 }
@@ -968,13 +1288,15 @@ fn softmax_rows(
 }
 
 /// Executes `node`'s op on resolved inputs: the one kernel site of every
-/// op, reached through [`exec_group`] with a group's stacked operand or
-/// a solo member's own (through [`exec_attention`], member by member),
+/// op, reached through [`exec_group`] with a group's stacked operands or
+/// a lone member's own (through [`exec_attention`], member by member),
 /// and kept op-for-op identical to the direct model code it replaces (see
-/// `onesa-nn`'s `*_direct` reference implementations). The one exception is a convolution chain run as one
-/// sweep, whose three links [`conv_links`] stands in for. A GEMM's bias
-/// is *not* added here — it belongs to the member, not the group, so
-/// [`exec_group`] adds it after the split.
+/// `onesa-nn`'s `*_direct` reference implementations). The exceptions are
+/// a convolution chain run as one sweep, whose three links [`conv_links`]
+/// stands in for, and `ConcatRows`, which [`exec_alone`] assembles from
+/// its parts where they lie. A GEMM's bias is *not* added here — it
+/// belongs to the member, not the group, so [`exec_group`] adds it to the
+/// member's share.
 fn exec_single(
     program: &Program,
     node: &OpNode,
@@ -1119,15 +1441,7 @@ fn exec_single(
             }
             Ok(out)
         }
-        Op::ConcatRows => {
-            let (_, n) = ins[0].shape().as_matrix()?;
-            let total: usize = ins.iter().map(|t| t.dims()[0]).sum();
-            let mut vals = Vec::with_capacity(total * n);
-            for part in ins {
-                vals.extend_from_slice(part.as_slice());
-            }
-            Tensor::from_vec(vals, &[total, n])
-        }
+        Op::ConcatRows => unreachable!("a ConcatRows reads its parts where they lie"),
         Op::CausalSoftmax { offset } => {
             // Row i softmaxes its visible prefix `0 ..= offset + i`
             // through the SAME row-softmax routine a plain `Op::Softmax`
@@ -1159,6 +1473,26 @@ fn exec_single(
             attention::attention(q, k, v, *heads, *scale, *causal, par, softmax)
         }
     }
+}
+
+/// `func` over every element of `x`, in place, as [`exec_single`]'s
+/// `Nonlinear` arm evaluates it into a new tensor: element for element the
+/// same sweep.
+fn sweep_in_place(
+    mode: EvalMode,
+    func: NonlinearFn,
+    x: &mut Tensor,
+    par: Parallelism,
+    tables: &mut TableCache,
+) -> Result<()> {
+    match mode {
+        EvalMode::Exact => x.as_mut_slice().iter_mut().for_each(|v| *v = func.eval(*v)),
+        EvalMode::Cpwl { granularity, .. } => {
+            let table = table_for(tables, granularity, func)?;
+            parallel::for_each_chunk(x.as_mut_slice(), par, |_, chunk| table.eval_in_place(chunk));
+        }
+    }
+    Ok(())
 }
 
 /// Elements per channel of a `[C, H, W]` tensor — the `chunks` size that
@@ -2157,7 +2491,8 @@ mod tests {
     #[test]
     fn staged_softmax_and_layernorm_blocks_straddle_members_unchanged() {
         // Members of 5, 7, 9 and 16 rows stack into 37: the 16-row blocks
-        // the reductions run in cut across members.
+        // the reductions run in cut across members. A nonlinear over the
+        // gathered rows sweeps them in place.
         let gamma: Vec<f32> = (0..6).map(|c| 1.0 - c as f32 * 0.5).collect();
         let beta: Vec<f32> = (0..6).map(|c| [0.25, -0.0, 0.0][c % 3]).collect();
         let ops = [
@@ -2170,6 +2505,7 @@ mod tests {
                 },
                 6,
             ),
+            (Op::Nonlinear(NonlinearFn::Sigmoid), 6),
         ];
         let cfg = ArrayConfig::new(8, 16);
         for (op, n) in ops {
@@ -2209,7 +2545,15 @@ mod tests {
                             .unwrap()
                             .layernorm_rows(x, gamma, beta, *eps)
                             .unwrap(),
-                        _ => unreachable!("two ops"),
+                        (Op::Nonlinear(f), EvalMode::Exact) => x.map(|v| f.eval(v)),
+                        (Op::Nonlinear(f), _) => cache
+                            .get(0.25)
+                            .unwrap()
+                            .table(*f)
+                            .unwrap()
+                            .eval_tensor(x)
+                            .unwrap(),
+                        _ => unreachable!("three ops"),
                     };
                     assert_same_bits(&run.output, &want, &case);
                 }
@@ -2426,10 +2770,12 @@ mod tests {
             gemm_groups,
             nonlinear_groups,
         };
+        // Stage 2: the two `chained` members' `Add`s row-stack into one
+        // group beside the convolution's GEMM.
         let want = [
             stage(0, 4, 4, 0, 0),
             stage(1, 3, 2, 0, 1),
-            stage(2, 3, 3, 1, 0),
+            stage(2, 3, 2, 1, 0),
             stage(3, 3, 3, 0, 0),
         ];
         assert_eq!(staged.stages, want);

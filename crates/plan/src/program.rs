@@ -849,6 +849,11 @@ impl Program {
     ///
     /// As for [`Program::validate`].
     pub fn op_stats(&self, cfg: &ArrayConfig) -> Result<Vec<ExecStats>> {
+        Ok(self.plan.solo_stats(cfg, || self.solo_op_stats(cfg)))
+    }
+
+    /// [`Program::op_stats`], worked out op by op.
+    fn solo_op_stats(&self, cfg: &ArrayConfig) -> Vec<ExecStats> {
         let shapes = &self.plan.shapes;
         let base = self.input_shapes.len();
         let dims = |operand: &Operand| match *operand {
@@ -862,7 +867,7 @@ impl Program {
             ins.extend(node.inputs.iter().map(dims));
             stats.push(op_cost(&node.op, &ins, &shapes[base + i], cfg));
         }
-        Ok(stats)
+        stats
     }
 
     /// Total modeled array work in MAC-equivalents — the admission and

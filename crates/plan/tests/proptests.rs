@@ -478,6 +478,126 @@ fn attention_program(case: &AttentionCase, mode: EvalMode, causal: bool) -> Prog
     b.finish().expect("attention program builds")
 }
 
+/// Width of the activations in [`chain_program`]: two attention heads of
+/// four columns.
+const CHAIN_D: usize = 8;
+
+/// One member of a row-stacked window: its activation rows, its session
+/// cache rows, after which link of the chain each reader reads it
+/// (`ConcatRows`, `Attention`, `Quantize`; 5 is none), its nonlinear and
+/// the seed of its own GEMM biases.
+#[derive(Debug, Clone)]
+struct ChainRecipe {
+    rows: usize,
+    ctx: usize,
+    readers: [usize; 3],
+    func: NonlinearFn,
+    bias_seed: u64,
+}
+
+impl ChainRecipe {
+    /// A recipe drawn from `seed`.
+    fn drawn(seed: u64) -> ChainRecipe {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let funcs = [NonlinearFn::Gelu, NonlinearFn::Relu, NonlinearFn::Sigmoid];
+        ChainRecipe {
+            rows: 1 + rng.below(5) as usize,
+            ctx: 1 + rng.below(4) as usize,
+            readers: [0; 3].map(|_| rng.below(6) as usize),
+            func: funcs[rng.below(3) as usize],
+            bias_seed: u64::from(rng.next_u32()),
+        }
+    }
+}
+
+/// A GEMM → `Add` → `QuantizeRows` → `LayerNorm` → `Nonlinear` chain over
+/// `[rows, CHAIN_D]` activations and a closing GEMM. Every member shares
+/// the two weights and the layer norm's parameters, and has its own
+/// biases. After its drawn link each reader reads the chain: a
+/// `ConcatRows` onto the session cache (a session output), an unmasked
+/// `Attention` over it (or over the chain itself) added back in, and a
+/// tensor-wide INT16 `Quantize` added back in.
+fn chain_program(r: &ChainRecipe, mode: EvalMode) -> Program {
+    let d = CHAIN_D;
+    let mut b = Program::builder("prop-rows", mode);
+    let x = b.input(&[r.rows, d]);
+    let cache = b.session_input(&[r.ctx, d]);
+    let mut rng = Pcg32::seed_from_u64(7);
+    let (w1, w2) = (rng.randn(&[d, d], 0.5), rng.randn(&[d, d], 0.5));
+    let (w1, w2) = (b.constant(w1), b.constant(w2));
+    let gamma: Vec<f32> = (0..d).map(|c| 1.0 + c as f32 * 0.125).collect();
+    let beta: Vec<f32> = (0..d).map(|c| [0.25, -0.0, 0.0][c % 3]).collect();
+    let mut biases = Pcg32::seed_from_u64(r.bias_seed);
+    let mut gemm = || Op::Gemm {
+        bias: Some(biases.randn(&[d], 1.0).as_slice().to_vec()),
+        sparsity: None,
+    };
+    let (mut cur, mut kv) = (x, None);
+    for link in 0..5 {
+        cur = match link {
+            0 => b.push(gemm(), &[cur, w1]),
+            1 => b.push(Op::Add, &[cur, x]),
+            2 => b.push(Op::QuantizeRows, &[cur]),
+            3 => {
+                let (gamma, beta) = (gamma.clone(), beta.clone());
+                b.push(
+                    Op::LayerNorm {
+                        gamma,
+                        beta,
+                        eps: 1e-5,
+                    },
+                    &[cur],
+                )
+            }
+            _ => b.push(Op::Nonlinear(r.func), &[cur]),
+        };
+        if r.readers[0] == link {
+            let grown = b.push(Op::ConcatRows, &[cache, cur]);
+            b.mark_session_output(grown);
+            kv = Some(grown);
+        }
+        if r.readers[1] == link {
+            let kv = kv.unwrap_or(cur);
+            let attention = Op::Attention {
+                heads: 2,
+                scale: 0.5,
+                causal: false,
+            };
+            let a = b.push(attention, &[cur, kv, kv]);
+            cur = b.push(Op::Add, &[cur, a]);
+        }
+        if r.readers[2] == link {
+            let int16 = Op::Quantize {
+                precision: Precision::Int16,
+            };
+            let q = b.push(int16, &[cur]);
+            cur = b.push(Op::Add, &[q, cur]);
+        }
+    }
+    b.push(gemm(), &[cur, w2]);
+    b.finish().expect("chain program builds")
+}
+
+/// `[rows, CHAIN_D]` values with zeros of both signs and magnitudes under
+/// 2⁻⁵⁰ sprinkled in, and — for `nan` — one NaN with a payload.
+fn hostile_rows(rows: usize, nan: bool, seed: u64) -> Tensor {
+    let mut rng = Pcg32::seed_from_u64(seed);
+    let mut t = rng.randn(&[rows, CHAIN_D], 1.5);
+    for v in t.as_mut_slice() {
+        match rng.below(8) {
+            0 => *v = 0.0,
+            1 => *v = -0.0,
+            2 => *v *= 2f32.powi(-60),
+            _ => {}
+        }
+    }
+    if nan {
+        let at = rng.below(t.len() as u32) as usize;
+        t.as_mut_slice()[at] = f32::from_bits(0x7fc0_0000 | (rng.next_u32() & 0x3f_ffff));
+    }
+    t
+}
+
 fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
@@ -539,6 +659,64 @@ proptest! {
         for ((run, p), x) in staged.runs.iter().zip(&programs).zip(&inputs) {
             let alone = p.run(x, Parallelism::Sequential, &mut tables).expect("member runs");
             prop_assert_eq!(bits(&run.output), bits(&alone.output));
+        }
+    }
+
+    /// A window of row-stacked members — clones of one program beside
+    /// programs of their own, each a GEMM → `Add` → `QuantizeRows` →
+    /// `LayerNorm` → `Nonlinear` chain with `ConcatRows`, `Attention` and
+    /// `Quantize` readers drawn in between — runs every member exactly as
+    /// it runs alone: output, session outputs and op stats, bit for bit,
+    /// over random row counts, zeros of both signs, tiny magnitudes and
+    /// NaN payloads. Stacked groups hand their product on as one block,
+    /// read in place by the next group when its members are the block's
+    /// rows in order and gathered when they are not.
+    #[test]
+    fn row_stacked_windows_are_bit_identical_to_solo_runs(
+        mode in mode_strategy(),
+        base in 0u64..1 << 32,
+        kinds in proptest::collection::vec(0u32..3, 2..=6),
+        nan in prop_oneof![Just(false), Just(false), Just(true)],
+        seed in 0u64..1 << 32,
+    ) {
+        // Two in three members run a clone of the base program.
+        let base = chain_program(&ChainRecipe::drawn(base), mode);
+        let programs: Vec<Program> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| match kind {
+                0 | 1 => base.clone(),
+                _ => chain_program(&ChainRecipe::drawn(seed ^ (i as u64 + 1) << 40), mode),
+            })
+            .collect();
+        let inputs: Vec<[Tensor; 2]> = programs
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let [x, cache] = [0, 1].map(|k| p.input_shapes()[k][0]);
+                let member = seed.wrapping_mul(31) + 2 * i as u64;
+                let nan_at = nan && i == 0;
+                [hostile_rows(x, nan_at, member), hostile_rows(cache, false, member + 1)]
+            })
+            .collect();
+        let jobs: Vec<(&Program, &[Tensor])> =
+            programs.iter().zip(&inputs).map(|(p, x)| (p, &x[..])).collect();
+        let cfg = onesa_sim::ArrayConfig::new(8, 16);
+        let mut tables = TableCache::new();
+        let staged = onesa_plan::run_staged(&jobs, &cfg, Parallelism::Sequential, &mut tables)
+            .expect("window runs");
+        // Every member opens with a GEMM against the one shared weight.
+        prop_assert_eq!(staged.stages[0].groups, 1);
+        for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
+            let alone = onesa_plan::run_staged(&[*job], &cfg, Parallelism::Sequential, &mut tables)
+                .expect("member runs");
+            let alone = &alone.runs[0];
+            prop_assert_eq!(bits(&run.output), bits(&alone.output), "member {}", i);
+            prop_assert_eq!(run.session_outputs.len(), alone.session_outputs.len());
+            for (got, want) in run.session_outputs.iter().zip(&alone.session_outputs) {
+                prop_assert_eq!(bits(got), bits(want), "member {} session output", i);
+            }
+            prop_assert_eq!(&run.op_stats, &alone.op_stats, "member {}", i);
         }
     }
 

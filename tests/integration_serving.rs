@@ -539,10 +539,11 @@ fn model_batch_inference_routes_through_the_pool() {
     // engine, which reports per-stage groups. Every shared-weight GEMM —
     // the Q, K and V projections (stages 2-4), the attention output
     // projection (6), both feed-forward GEMMs (10, 12) and the head
-    // (18) — and every shared-table pass — both layer norms (9, 15) and
-    // the GELU (11) — runs ten programs as one group. The attention (5)
-    // runs one group per length: each member alone, its heads' softmax
-    // passes credited once over the group's rows.
+    // (18) — every shared-table pass — both layer norms (9, 15) and
+    // the GELU (11) — and both residual adds (7, 13) run ten programs as
+    // one row-stacked group. The attention (5) runs one group per length:
+    // each member alone, its heads' softmax passes credited once over the
+    // group's rows.
     let mut engine = BatchEngine::new(OneSa::new(ArrayConfig::new(8, 16)), 0.25).unwrap();
     for (p, x) in &jobs {
         engine.submit_program(p.clone(), x.clone()).unwrap();
@@ -562,16 +563,18 @@ fn model_batch_inference_routes_through_the_pool() {
             (4, 1),
             (5, 5),
             (6, 1),
+            (7, 1),
             (9, 1),
             (10, 1),
             (11, 1),
             (12, 1),
+            (13, 1),
             (15, 1),
             (18, 1)
         ]
     );
     // 7 shared-weight GEMM groups; 2 layer norms + 1 GELU. The attention
-    // counts as neither. The pool ran the same.
+    // and the adds count as neither. The pool ran the same.
     let groups = (run.report.gemm_groups, run.report.nonlinear_groups);
     assert_eq!(groups, (7, 3));
     let report = &summary.report;
