@@ -44,9 +44,10 @@
 //! 2. **Execution.** Each coalesced group runs through the engine's
 //!    parallel backend ([`onesa_tensor::parallel`]), which spreads row
 //!    panels across worker threads.
-//! 3. **Accounting.** Every request gets back its own output tensor,
-//!    the per-op [`ExecStats`] of its program run alone
-//!    ([`RequestOutcome::op_stats`]) and their merge; per-stage
+//! 3. **Accounting.** Every request gets back its own output tensor
+//!    and the [`ExecStats`] of its program run alone
+//!    ([`RequestOutcome::stats`]; the per-op split is the program's own
+//!    [`Program::op_stats`]); per-stage
 //!    accounting lands in [`BatchRun::program_stages`]; the whole run
 //!    is summarized in a [`ServingReport`] with aggregate throughput
 //!    and latency percentiles, including the cycles the array saves by
@@ -137,7 +138,7 @@
 use crate::engine::OneSa;
 use onesa_cpwl::ops::TableSet;
 use onesa_cpwl::NonlinearFn;
-use onesa_plan::{self as plan, EvalMode, Op, OptTotals, Program, StageGroups, TableCache};
+use onesa_plan::{self as plan, EvalMode, Op, Program, StageGroups, TableCache};
 use onesa_sim::ExecStats;
 use onesa_tensor::{Result, Tensor, TensorError};
 use std::collections::BTreeMap;
@@ -300,12 +301,9 @@ pub struct RequestOutcome {
     pub(crate) id: RequestId,
     /// The request's output tensor (bit-identical to a solo run).
     pub output: Tensor,
-    /// Simulated array stats for this request run alone (the merge of
-    /// [`RequestOutcome::op_stats`]).
+    /// Simulated array stats for this request run alone
+    /// ([`Program::solo_stats`]).
     pub stats: ExecStats,
-    /// Per-op solo stats of the request's program, in stage order (one
-    /// entry for a lowered GEMM or nonlinear).
-    pub op_stats: Vec<ExecStats>,
     /// Session-state tensors the request's program produced (the grown
     /// per-layer KV caches of a decoder prefill/decode step), in the
     /// program's `session_outputs` order. Empty for stateless programs.
@@ -366,24 +364,6 @@ pub struct ServingReport {
     /// served requests (serve-aggregated reports omit rejected ones; each
     /// request's own latency is its outcome's `stats`).
     pub latencies: Latencies,
-    /// Optimizer pass totals of the run's requests, summed from each
-    /// program's `OptReport` (all zero when the queue held no optimized
-    /// programs). The counts are per *request*: one cached
-    /// program served N times contributes N times, which is the point —
-    /// they measure work the optimizer saved this run.
-    pub opt: OptTotals,
-    /// Weight column blocks the sparsity-aware GEMM kernel skipped
-    /// across the run's requests, summed from each program's
-    /// [`Program::sparse_blocks`](onesa_plan::Program::sparse_blocks).
-    /// Per *request*, like [`ServingReport::opt`]: a pruned program
-    /// served N times credits its skipped blocks N times — work the
-    /// prune-pack pass saved this run. Zero when no served program
-    /// carried a sparsity attribute.
-    pub blocks_skipped: u64,
-    /// Total weight column blocks of the sparsity-attributed GEMMs the
-    /// run served (the denominator of the skip fraction; dense GEMMs
-    /// contribute nothing to either count).
-    pub blocks_total: u64,
 }
 
 impl ServingReport {
@@ -537,22 +517,6 @@ impl fmt::Display for ServingReport {
             self.batching_speedup(),
             self.batched_gops()
         )?;
-        if self.opt.removed() > 0 {
-            writeln!(
-                f,
-                "optimizer: {} ops shared, {} dead",
-                self.opt.shared, self.opt.dead
-            )?;
-        }
-        if self.blocks_total > 0 {
-            writeln!(
-                f,
-                "sparsity: skipped {} of {} weight column blocks ({:.0}%)",
-                self.blocks_skipped,
-                self.blocks_total,
-                100.0 * self.blocks_skipped as f64 / self.blocks_total as f64
-            )?;
-        }
         write!(
             f,
             "latency p50/p95/p99: {:.1} / {:.1} / {:.1} us",
@@ -723,37 +687,26 @@ impl BatchEngine {
         let idle = ExecStats::new(&cfg, Default::default(), 0, 0);
 
         let jobs: Vec<(&Program, &[Tensor])> = requests.iter().map(|r| r.lowered()).collect();
-        let mut opt = OptTotals::default();
-        let mut blocks = (0u64, 0u64);
-        for (program, _) in &jobs {
-            if let Some(report) = program.opt_report() {
-                opt.merge(&report.totals);
-            }
-            let (skipped, total) = program.sparse_blocks();
-            blocks.0 += skipped;
-            blocks.1 += total;
-        }
         let staged = plan::run_staged(
             &jobs,
             &cfg,
             self.engine.parallelism(),
             &mut self.plan_tables,
         )?;
-        let outcomes: Vec<RequestOutcome> = staged
+        let outcomes = staged
             .runs
             .into_iter()
+            .zip(&jobs)
             .enumerate()
-            .map(|(id, run)| RequestOutcome {
-                id,
-                output: run.output,
-                stats: run
-                    .op_stats
-                    .iter()
-                    .fold(idle.clone(), |acc, s| acc.merged(s)),
-                op_stats: run.op_stats,
-                session_outputs: run.session_outputs,
+            .map(|(id, (run, (program, _)))| {
+                Ok(RequestOutcome {
+                    id,
+                    output: run.output,
+                    stats: program.solo_stats(&cfg)?,
+                    session_outputs: run.session_outputs,
+                })
             })
-            .collect();
+            .collect::<Result<Vec<_>>>()?;
 
         let wall_seconds = start.elapsed().as_secs_f64();
         let unbatched = outcomes.iter().fold(idle, |acc, o| acc.merged(&o.stats));
@@ -767,9 +720,6 @@ impl BatchEngine {
             gemm_groups: staged.gemm_groups,
             nonlinear_groups: staged.nonlinear_groups,
             latencies: outcomes.iter().map(|o| o.stats.seconds()).collect(),
-            opt,
-            blocks_skipped: blocks.0,
-            blocks_total: blocks.1,
         };
         Ok(BatchRun {
             outcomes,
@@ -1154,13 +1104,13 @@ mod tests {
         serving.submit(Request::gemm(a.clone(), w1.clone()));
         serving.submit(Request::gemm(a.clone(), other.clone()));
         let run = serving.run().unwrap();
+        let solo_stats = program.solo_stats(serving.engine.config()).unwrap();
         for (i, solo) in solos.iter().enumerate() {
             assert_eq!(&run.outcomes[i].output, solo);
-            assert_eq!(run.outcomes[i].op_stats.len(), 3);
+            assert_eq!(run.outcomes[i].stats, solo_stats);
         }
         assert_eq!(run.outcomes[3].output, gemm::matmul(&a, &w1).unwrap());
         assert_eq!(run.outcomes[4].output, gemm::matmul(&a, &other).unwrap());
-        assert_eq!(run.outcomes[3].op_stats.len(), 1);
         // The bare GEMM is a one-op program, so it shares the kernel
         // group of the three programs' stage-0 GEMMs against w1; the
         // other weight is a group of its own. The later stages collapse
@@ -1266,74 +1216,6 @@ mod tests {
             "per-granularity tables must persist across runs"
         );
         assert_eq!(serving.plan_tables.len(), 2); // 0.25 seeded + 0.5 built
-    }
-
-    #[test]
-    fn optimizer_totals_roll_into_the_serving_report() {
-        use onesa_plan::{EvalMode, Op, OptLevel, Precision};
-        let mut rng = Pcg32::seed_from_u64(43);
-        let w = rng.randn(&[4, 3], 1.0);
-        // A conservatively-emitted program: duplicate Quantize + a
-        // duplicate const-operand GEMM for the optimizer to clean up.
-        let mut b = Program::builder(
-            "dup",
-            EvalMode::Cpwl {
-                granularity: 0.25,
-                quantize: true,
-            },
-        );
-        let x = b.input(&[2, 4]);
-        let q1 = b.push(
-            Op::Quantize {
-                precision: Precision::Int16,
-            },
-            &[x],
-        );
-        let q2 = b.push(
-            Op::Quantize {
-                precision: Precision::Int16,
-            },
-            &[x],
-        );
-        let c = b.constant(w);
-        let g1 = b.push(
-            Op::Gemm {
-                bias: None,
-                sparsity: None,
-            },
-            &[q1, c],
-        );
-        let g2 = b.push(
-            Op::Gemm {
-                bias: None,
-                sparsity: None,
-            },
-            &[q2, c],
-        );
-        b.push(Op::Add, &[g1, g2]);
-        let raw = b.finish().unwrap();
-        let optimized = raw.optimize(OptLevel::Standard).unwrap();
-
-        let mut serving = BatchEngine::new(engine(), 0.25).unwrap();
-        for _ in 0..2 {
-            serving
-                .submit_program(optimized.clone(), vec![rng.randn(&[2, 4], 1.0)])
-                .unwrap();
-        }
-        let run = serving.run().unwrap();
-        // Two requests of a program with 2 CSE shares each (the
-        // duplicate boundary, then the GEMM it exposes).
-        assert_eq!(run.report.opt.shared, 4);
-        assert!(format!("{}", run.report).contains("optimizer:"));
-
-        // Unoptimized programs report zero totals (and no report line).
-        let mut plain = BatchEngine::new(engine(), 0.25).unwrap();
-        plain
-            .submit_program(raw, vec![rng.randn(&[2, 4], 1.0)])
-            .unwrap();
-        let run = plain.run().unwrap();
-        assert_eq!(run.report.opt.removed(), 0);
-        assert!(!format!("{}", run.report).contains("optimizer:"));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! host → worker   Configure  { granularity, ArrayConfig, Parallelism }
 //! worker → host   Ready      {}
 //! host → worker   Window     { n × (ticket, program | program ref, inputs) }
-//! worker → host   Outcomes   { n × (ticket, output, stats, op_stats, session
-//!                              outputs), report, per-stage groups }
+//! worker → host   Outcomes   { n × (ticket, output, stats, session outputs),
+//!                              report, per-stage groups }
 //!              or WindowError{ message }          (batch failed; engine cleared)
 //! host → worker   Ping       {}        worker → host  Pong {}
 //! host → worker   Shutdown   {}        (worker exits 0)
@@ -71,7 +71,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use onesa_plan::wire::{self, Wire, WireError, WireReader};
-use onesa_plan::{wire_layout, OptTotals, Program, StageGroups};
+use onesa_plan::{wire_layout, Program, StageGroups};
 use onesa_sim::{ArrayConfig, ExecStats};
 use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::Tensor;
@@ -390,7 +390,6 @@ wire_layout! {
         id: usize,
         output: Tensor,
         stats: ExecStats,
-        op_stats: Vec<ExecStats>,
         session_outputs: Vec<Tensor>,
     }
 
@@ -404,9 +403,6 @@ wire_layout! {
         wall_seconds: f64,
         batched_seconds: f64,
         unbatched_seconds: f64,
-        opt: OptTotals,
-        blocks_skipped: u64,
-        blocks_total: u64,
     }
 
     struct BatchRun { outcomes: Vec<RequestOutcome>, report: ServingReport, program_stages: Vec<StageGroups> }
@@ -945,7 +941,12 @@ mod tests {
         for bits in payloads {
             let mut b = Program::builder("nan", EvalMode::Exact);
             let x = b.input(&[1, 4]);
-            b.push(Op::Scale(f32::from_bits(bits)), &[x]);
+            let norm = Op::LayerNorm {
+                gamma: vec![1.0; 4],
+                beta: vec![0.0; 4],
+                eps: f32::from_bits(bits),
+            };
+            b.push(norm, &[x]);
             let request = Request::program(b.finish().unwrap(), vec![Tensor::zeros(&[1, 4])]);
             put_lowered(&mut w, request, &mut sends);
         }
@@ -956,7 +957,7 @@ mod tests {
         for bits in payloads {
             let back = get_request(&mut r, &mut cache).unwrap();
             assert!(matches!(back.lowered_program().nodes()[0].op,
-                Op::Scale(c) if c.to_bits() == bits));
+                Op::LayerNorm { eps, .. } if eps.to_bits() == bits));
         }
     }
 
@@ -1040,8 +1041,7 @@ mod tests {
                 RequestOutcome {
                     id: i,
                     output: rng.randn(&[1 + i % 3, 2], 1.0),
-                    stats: stats.clone(),
-                    op_stats: vec![stats; i % 3],
+                    stats,
                     session_outputs: (0..i % 4)
                         .map(|l| rng.randn(&[1 + i, 2 + l % 2], 1.0))
                         .collect(),
@@ -1058,13 +1058,6 @@ mod tests {
             gemm_groups: seed as usize % 7,
             nonlinear_groups: seed as usize % 3,
             latencies: outcomes.iter().map(|o| o.stats.seconds()).collect(),
-            opt: OptTotals {
-                shared: 2,
-                pruned: 4,
-                dead: 3,
-            },
-            blocks_skipped: seed % 16,
-            blocks_total: 16 + seed % 16,
         };
         let program_stages = (0..seed as usize % 3)
             .map(|stage| StageGroups {
@@ -1094,7 +1087,6 @@ mod tests {
             assert_eq!(a.id, b.id);
             assert_tensor_bits_eq(&a.output, &b.output);
             assert_eq!(a.stats, b.stats);
-            assert_eq!(a.op_stats, b.op_stats);
             assert_eq!(a.session_outputs.len(), b.session_outputs.len());
             for (s, t) in a.session_outputs.iter().zip(&b.session_outputs) {
                 assert_tensor_bits_eq(s, t);
@@ -1118,11 +1110,6 @@ mod tests {
         ] {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        assert_eq!(a.opt, b.opt);
-        assert_eq!(
-            (a.blocks_skipped, a.blocks_total),
-            (b.blocks_skipped, b.blocks_total)
-        );
         assert_eq!(run.program_stages, back.program_stages);
 
         // A reply under other tickets (or another count) is refused.
@@ -1258,7 +1245,7 @@ mod tests {
         }
 
         /// Randomized outcome frames round trip every field — tickets,
-        /// output bits, per-op stats, the report, the stage accounting.
+        /// output bits, solo stats, the report, the stage accounting.
         #[test]
         fn outcome_frames_round_trip(
             n in 0usize..6,

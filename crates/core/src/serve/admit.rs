@@ -6,7 +6,7 @@
 
 use super::power::{PowerStates, WindowReport};
 use super::route::Router;
-use super::session::{interleave_window, SessionTable, SessionTag};
+use super::session::{SessionTable, SessionTag};
 use super::{DepthGauge, Gate, Job, ServeConfig, ServeError};
 use onesa_plan::{CompileCache, EvalMode};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -137,8 +137,7 @@ pub(super) struct AdmitterCtx {
     pub(super) rx: Receiver<Job>,
     pub(super) shard_txs: Vec<SyncSender<Vec<Job>>>,
     pub(super) shard_depths: Vec<Arc<DepthGauge>>,
-    /// The engine's configuration: the admission, interleave and
-    /// degrade policies, and the granularity bare nonlinear requests
+    /// The engine's configuration: the admission and degrade policies, and the granularity bare nonlinear requests
     /// lower to (every shard engine's own).
     pub(super) cfg: ServeConfig,
     /// Memo of degrade recompiles, keyed on the coarser mode + the
@@ -340,7 +339,6 @@ pub(super) fn admitter_loop(mut ctx: AdmitterCtx) -> AdmitOut {
             // arrival order.
             window.sort_by_key(|job| job.deadline.unwrap_or(u64::MAX));
         }
-        interleave_window(ctx.cfg.interleave, &mut window);
 
         ctx.power.scale_up(ctx.queue_depth.current());
         let mut per_shard: Vec<Vec<Job>> = ctx.shard_txs.iter().map(|_| Vec::new()).collect();

@@ -18,8 +18,7 @@
 //! methods, its start / finish, and the `Job` record every hop carries:
 //!
 //! * `session` — the host-resident session table (KV tensors, pinning,
-//!   eviction), [`Phase`] / [`InterleavePolicy`] and the in-window
-//!   prefill/decode ordering.
+//!   eviction) and [`Phase`].
 //! * `admit` — [`AdmissionPolicy`] (when a window closes), deadline
 //!   expiry, the [`DegradePolicy`] ladder, and the admission thread's
 //!   loop, which only orchestrates the other modules.
@@ -117,9 +116,9 @@
 //! one ticket, and concurrent programs on a shard — lowered GEMMs and
 //! nonlinears among them — coalesce **at every stage** through
 //! `BatchEngine`'s staged scheduler (shared-weight row-stacking and
-//! shared-table concatenation per layer). [`ServedOutcome::op_stats`]
-//! returns the per-op [`ExecStats`], which roll into the summary's
-//! [`ServingReport`] totals.
+//! shared-table concatenation per layer). [`ServedOutcome::stats`]
+//! returns the request's solo [`ExecStats`], which roll into the
+//! summary's [`ServingReport`] totals.
 //!
 //! # Example
 //!
@@ -154,7 +153,7 @@ mod shard;
 pub use admit::{AdmissionPolicy, DegradeInfo, DegradePolicy};
 pub use power::{PoolPolicy, PowerSummary, ShardPower};
 pub use route::RoutePolicy;
-pub use session::{InterleavePolicy, Phase, PhaseStats, SessionId, SessionSummary};
+pub use session::{Phase, PhaseStats, SessionId, SessionSummary};
 pub use shard::ShardStats;
 
 use crate::batch::{BatchEngine, Latencies, Request, ServingReport};
@@ -162,7 +161,7 @@ use crate::engine::OneSa;
 use crate::net::{self, ProcessConfig, WeightCacheStats};
 use admit::{admitter_loop, AdmitOut, AdmitterCtx};
 use onesa_cpwl::ops::TableSet;
-use onesa_plan::{CompileCache, OptTotals};
+use onesa_plan::CompileCache;
 use onesa_sim::{ArrayConfig, ExecStats};
 use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::{Tensor, TensorError};
@@ -237,9 +236,6 @@ pub struct ServeConfig {
     pub paused: bool,
     /// Where shards run: in-process threads or spawned worker processes.
     pub backend: ShardBackend,
-    /// How a closed window orders prefill vs decode steps before
-    /// routing (see [`InterleavePolicy`]).
-    pub interleave: InterleavePolicy,
     /// Most sessions resident at once (`0` is treated as `1`): opening
     /// one past the cap evicts the least-recently-used idle session,
     /// counted in [`SessionSummary::evicted_overflow`].
@@ -269,7 +265,6 @@ impl ServeConfig {
             routing: RoutePolicy::default(),
             paused: false,
             backend: ShardBackend::default(),
-            interleave: InterleavePolicy::default(),
             session_capacity: 64,
             degrade: None,
             pool: PoolPolicy::default(),
@@ -304,12 +299,6 @@ impl ServeConfig {
     /// Replaces the shard backend (see [`ShardBackend`]).
     pub fn with_backend(mut self, backend: ShardBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Replaces the prefill/decode interleave policy.
-    pub fn with_interleave(mut self, interleave: InterleavePolicy) -> Self {
-        self.interleave = interleave;
         self
     }
 
@@ -420,12 +409,9 @@ pub struct ServedOutcome {
     pub dispatch_seq: u64,
     /// The request's output, bit-identical to a solo sequential run.
     pub output: Tensor,
-    /// Simulated array stats of the request run alone (the merge of
-    /// [`ServedOutcome::op_stats`]).
+    /// Simulated array stats of the request run alone (see
+    /// [`Program::solo_stats`](onesa_plan::Program::solo_stats)).
     pub stats: ExecStats,
-    /// Per-op solo stats of the request's program, in stage order (one
-    /// entry for a GEMM or nonlinear request).
-    pub op_stats: Vec<ExecStats>,
     /// Host seconds between submission and the start of the executing
     /// batch (admission + routing + shard queueing delay).
     pub queue_seconds: f64,
@@ -998,7 +984,7 @@ impl ServeEngine {
     /// other, coalescing stage by stage with concurrent programs on its
     /// shard (use [`RoutePolicy::WeightAffinity`] to keep same-model
     /// programs together). The ticket's [`ServedOutcome`] carries the
-    /// final output plus per-op [`ExecStats`].
+    /// final output plus its solo [`ExecStats`].
     ///
     /// # Errors
     ///
@@ -1241,14 +1227,12 @@ impl ServeEngine {
         latencies.merge(&prefill.latencies);
         latencies.merge(&decode.latencies);
 
-        let mut opt = OptTotals::default();
         let mut wire_cache = WeightCacheStats::default();
         let mut failovers = 0usize;
         for s in &mut shards {
             if wall_seconds > 0.0 {
                 s.occupancy = s.busy_seconds / wall_seconds;
             }
-            opt.merge(&s.opt);
             wire_cache.merge(&s.wire_cache);
             failovers += usize::from(s.worker_lost);
         }
@@ -1262,9 +1246,6 @@ impl ServeEngine {
             gemm_groups: shards.iter().map(|s| s.gemm_groups).sum(),
             nonlinear_groups: shards.iter().map(|s| s.nonlinear_groups).sum(),
             latencies,
-            opt,
-            blocks_skipped: shards.iter().map(|s| s.blocks_skipped).sum(),
-            blocks_total: shards.iter().map(|s| s.blocks_total).sum(),
         };
         Ok(ServeSummary {
             report,
@@ -1398,6 +1379,9 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        // MAC counts follow the shapes alone, not the array.
+        let op_stats = program.op_stats(&ArrayConfig::default()).unwrap();
+        assert_eq!(op_stats.len(), 3);
         let mut executed_macs = 0u64;
         for (t, x) in tickets.into_iter().zip(&xs) {
             let served = t.wait().unwrap();
@@ -1409,10 +1393,9 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(served.output, solo.output);
-            assert_eq!(served.op_stats.len(), 3);
             assert_eq!(
                 served.stats.macs,
-                solo.op_stats.iter().map(|s| s.macs).sum::<u64>()
+                op_stats.iter().map(|s| s.macs).sum::<u64>()
             );
             executed_macs += served.stats.macs;
         }
@@ -1611,7 +1594,6 @@ mod tests {
             queue_capacity: 4,
             admission: AdmissionPolicy::default(),
             routing: RoutePolicy::default(),
-            interleave: InterleavePolicy::default(),
             session_capacity: 64,
             paused: false,
             backend: ShardBackend::InProcess,
@@ -1641,26 +1623,26 @@ mod tests {
 
     // -- decoding sessions ------------------------------------------------
 
-    /// Minimal session-bearing prefill: scales the prompt rows by 2 and
+    /// Minimal session-bearing prefill: doubles the prompt rows and
     /// declares the result as the cache.
     fn cache_prefill(rows: usize, d: usize) -> crate::Program {
         use onesa_plan::{EvalMode, Op, Program};
         let mut b = Program::builder("cache-prefill", EvalMode::Exact);
         let x = b.input(&[rows, d]);
-        let cache = b.push(Op::Scale(2.0), &[x]);
+        let cache = b.push(Op::Add, &[x, x]);
         b.mark_session_output(cache);
         b.finish().unwrap()
     }
 
-    /// Matching decode step at context `ctx`: appends one scaled row to
+    /// Matching decode step at context `ctx`: appends one doubled row to
     /// the session cache.
     fn cache_decode(ctx: usize, d: usize) -> crate::Program {
         use onesa_plan::{EvalMode, Op, Program};
         let mut b = Program::builder("cache-decode", EvalMode::Exact);
         let x = b.input(&[1, d]);
         let cache = b.session_input(&[ctx, d]);
-        let scaled = b.push(Op::Scale(2.0), &[x]);
-        let grown = b.push(Op::ConcatRows, &[cache, scaled]);
+        let doubled = b.push(Op::Add, &[x, x]);
+        let grown = b.push(Op::ConcatRows, &[cache, doubled]);
         b.mark_session_output(grown);
         b.finish().unwrap()
     }
@@ -2343,7 +2325,7 @@ mod tests {
 
         // Size-capped admission: the budget fits exactly two *credited*
         // programs per window (dense-costed accounting would close the
-        // window after one), and the summary surfaces the skip totals.
+        // window after one).
         let engine = ServeEngine::start(
             ServeConfig::uniform(1, ArrayConfig::new(8, 16), Parallelism::Sequential)
                 .with_admission(AdmissionPolicy::SizeCapped {
@@ -2368,11 +2350,6 @@ mod tests {
             summary.windows, 2,
             "sparse credit packs two pruned programs per window"
         );
-        assert_eq!(
-            (summary.report.blocks_skipped, summary.report.blocks_total),
-            (6, 12)
-        );
-        assert!(format!("{}", summary.report).contains("sparsity: skipped 6 of 12"));
 
         // Energy-aware routing: after the dense program lands on shard
         // 0, both pruned programs prefer shard 1 — its outstanding

@@ -1,9 +1,8 @@
 //! Decoding sessions: the host-resident [`SessionTable`] holding each
-//! session's KV tensors across admission windows, the phase tag a
-//! session step carries, and the prefill/decode interleave of a closed
-//! window.
+//! session's KV tensors across admission windows, and the phase tag a
+//! session step carries.
 
-use super::{Job, ServeError};
+use super::ServeError;
 use crate::batch::Latencies;
 use onesa_tensor::Tensor;
 use std::collections::HashMap;
@@ -21,25 +20,6 @@ pub enum Phase {
     Prefill,
     /// One token step against the session-resident KV cache.
     Decode,
-}
-
-/// How a closed admission window orders prefill and decode steps before
-/// routing. Reordering happens *within* one window (after the deadline
-/// sort, which it preserves within each phase class) and never changes
-/// any request's output — only which requests share a shard batch, and
-/// therefore the continuous-batching coalescing opportunities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InterleavePolicy {
-    /// Keep arrival order: prefill and decode steps mix freely (the
-    /// default).
-    #[default]
-    Mixed,
-    /// Prompt passes dispatch ahead of decode steps — favors time to
-    /// first token for newly admitted sessions.
-    PrefillFirst,
-    /// Decode steps dispatch ahead of prompt passes — favors inter-token
-    /// latency of already-running sessions.
-    DecodeFirst,
 }
 
 /// Lifetime counters of the session table, reported in
@@ -106,7 +86,7 @@ impl PhaseStats {
     }
 }
 
-/// Session tag riding on a [`Job`]: which session, which phase, and
+/// Session tag riding on a [`Job`](super::Job): which session, which phase, and
 /// how many tokens the step covers (prompt length / 1).
 #[derive(Debug, Clone, Copy)]
 pub(super) struct SessionTag {
@@ -276,74 +256,5 @@ impl SessionTable {
             live: t.map.len() as u64,
             ..t.counters
         }
-    }
-}
-
-/// Reorders an admission window by phase class. Stable sorts keep
-/// deadline (or arrival) order within a class, so the policy only
-/// decides which phase's requests front the window — with it, prefill
-/// bursts can't starve in-flight decode streams (or vice versa).
-/// Sessionless requests sort with prefill.
-pub(super) fn interleave_window(policy: InterleavePolicy, window: &mut [Job]) {
-    let is_decode = |s: &Job| matches!(s.session.map(|t| t.phase), Some(Phase::Decode));
-    match policy {
-        InterleavePolicy::Mixed => {}
-        InterleavePolicy::PrefillFirst => window.sort_by_key(|s| u8::from(is_decode(s))),
-        InterleavePolicy::DecodeFirst => window.sort_by_key(|s| u8::from(!is_decode(s))),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::batch::Request;
-    use onesa_tensor::rng::Pcg32;
-    use std::sync::mpsc;
-    use std::time::Instant;
-
-    #[test]
-    fn interleave_window_orders_phases() {
-        let mk = |ticket: u64, phase: Option<Phase>| -> Job {
-            let (reply, _rx) = mpsc::channel();
-            let mut rng = Pcg32::seed_from_u64(ticket);
-            Job {
-                ticket,
-                deadline: None,
-                submitted_at: Instant::now(),
-                request: Request::gemm(rng.randn(&[1, 2], 1.0), rng.randn(&[2, 1], 1.0)),
-                session: phase.map(|p| SessionTag {
-                    id: ticket,
-                    phase: p,
-                    tokens: 1,
-                }),
-                degrade: None,
-                dispatch_seq: 0,
-                window: 0,
-                queue_seconds: 0.0,
-                reply,
-            }
-        };
-        let order = |w: &[Job]| w.iter().map(|s| s.ticket).collect::<Vec<_>>();
-        let fresh = || {
-            vec![
-                mk(0, Some(Phase::Decode)),
-                mk(1, None),
-                mk(2, Some(Phase::Prefill)),
-                mk(3, Some(Phase::Decode)),
-            ]
-        };
-
-        let mut w = fresh();
-        interleave_window(InterleavePolicy::Mixed, &mut w);
-        assert_eq!(order(&w), [0, 1, 2, 3]);
-
-        // Stable within each class: arrival order is preserved.
-        let mut w = fresh();
-        interleave_window(InterleavePolicy::PrefillFirst, &mut w);
-        assert_eq!(order(&w), [1, 2, 0, 3]);
-
-        let mut w = fresh();
-        interleave_window(InterleavePolicy::DecodeFirst, &mut w);
-        assert_eq!(order(&w), [0, 3, 1, 2]);
     }
 }

@@ -8,7 +8,6 @@ use super::session::{Phase, SessionTable};
 use super::{DepthGauge, Job, ServeError, ServedOutcome, TicketId};
 use crate::batch::{BatchEngine, BatchRun, Latencies, Request};
 use crate::net::{self, WeightCacheStats};
-use onesa_plan::OptTotals;
 use onesa_tensor::TensorError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -44,15 +43,6 @@ pub struct ShardStats {
     /// bound plus the one batch the admitter may be blocked handing
     /// over.
     pub peak_queue_depth: usize,
-    /// Optimizer pass totals of the program requests this shard served
-    /// (see `ServingReport::opt`).
-    pub(crate) opt: OptTotals,
-    /// Weight column blocks the sparse GEMM kernel skipped on this
-    /// shard (see `ServingReport::blocks_skipped`).
-    pub(crate) blocks_skipped: u64,
-    /// Total column blocks of the sparsity-attributed GEMMs this shard
-    /// served (see `ServingReport::blocks_total`).
-    pub(crate) blocks_total: u64,
     /// Process backend only: this shard's worker process died
     /// (EOF/ping timeout) during the run and its in-flight windows were
     /// requeued on surviving shards.
@@ -226,9 +216,6 @@ pub(super) fn shard_loop(
                 out.stats.nonlinear_groups += run.report.nonlinear_groups;
                 out.stats.macs += run.report.total_macs;
                 out.stats.array_seconds += run.report.batched_seconds;
-                out.stats.opt.merge(&run.report.opt);
-                out.stats.blocks_skipped += run.report.blocks_skipped;
-                out.stats.blocks_total += run.report.blocks_total;
                 if served_by != shard {
                     out.stats.requeued += run.report.requests;
                 }
@@ -259,7 +246,6 @@ pub(super) fn shard_loop(
                         dispatch_seq: job.dispatch_seq,
                         output: outcome.output,
                         stats: outcome.stats,
-                        op_stats: outcome.op_stats,
                         queue_seconds: job.queue_seconds,
                         degrade: job.degrade,
                     }));

@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use onesa_core::serve::{AdmissionPolicy, InterleavePolicy, ServeConfig, ServeEngine, SessionId};
+use onesa_core::serve::{AdmissionPolicy, ServeConfig, ServeEngine, SessionId};
 use onesa_core::{Parallelism, Program};
 use onesa_plan::{EvalMode, Op};
 use onesa_sim::ArrayConfig;
@@ -78,7 +78,8 @@ fn marker_row(id: SessionId, step: usize) -> Tensor {
 fn prefill_program() -> Program {
     let mut b = Program::builder("sess-prop-prefill", EvalMode::Exact);
     let x = b.input(&[1, D]);
-    let y = b.push(Op::Scale(1.0), &[x]);
+    let zero = b.constant(Tensor::zeros(&[1, D]));
+    let y = b.push(Op::Add, &[x, zero]);
     b.mark_session_output(y);
     b.finish().unwrap()
 }
@@ -89,7 +90,8 @@ fn decode_program(ctx: usize) -> Program {
     let mut b = Program::builder("sess-prop-decode", EvalMode::Exact);
     let x = b.input(&[1, D]);
     let cache = b.session_input(&[ctx, D]);
-    let s = b.push(Op::Scale(1.0), &[x]);
+    let zero = b.constant(Tensor::zeros(&[1, D]));
+    let s = b.push(Op::Add, &[x, zero]);
     let grown = b.push(Op::ConcatRows, &[cache, s]);
     b.mark_session_output(grown);
     b.finish().unwrap()
@@ -214,10 +216,9 @@ impl Driver {
     }
 }
 
-fn run_scenario(actions: Vec<Action>, shards: usize, interleave: InterleavePolicy) {
+fn run_scenario(actions: Vec<Action>, shards: usize) {
     let cfg = ServeConfig::uniform(shards, ArrayConfig::new(8, 16), Parallelism::Sequential)
         .with_admission(AdmissionPolicy::Fifo { window: 3 })
-        .with_interleave(interleave)
         .with_session_capacity(SESSION_CAPACITY);
     let mut d = Driver {
         engine: ServeEngine::start(cfg).unwrap(),
@@ -279,12 +280,7 @@ proptest! {
     fn session_lifecycle_holds_its_invariants(
         actions in proptest::collection::vec(action_strategy(), 1..40),
         shards in 1usize..=3,
-        interleave in prop_oneof![
-            Just(InterleavePolicy::Mixed),
-            Just(InterleavePolicy::PrefillFirst),
-            Just(InterleavePolicy::DecodeFirst),
-        ],
     ) {
-        run_scenario(actions, shards, interleave);
+        run_scenario(actions, shards);
     }
 }

@@ -122,8 +122,6 @@ pub struct ProgramRun {
     /// stateless programs. The serving layer writes these back to the
     /// owning session.
     pub session_outputs: Vec<Tensor>,
-    /// Modeled solo [`ExecStats`] of every op, in stage order.
-    pub op_stats: Vec<ExecStats>,
 }
 
 /// Coalescing accounting for one stage of a staged run.
@@ -146,7 +144,7 @@ pub struct StageGroups {
 /// Everything [`run_staged`] produces.
 #[derive(Debug, Clone)]
 pub struct StagedRun {
-    /// Per-program outputs and op stats, in job order.
+    /// Per-program outputs, in job order.
     pub runs: Vec<ProgramRun>,
     /// Per-stage coalescing accounting.
     pub stages: Vec<StageGroups>,
@@ -179,7 +177,7 @@ pub(crate) struct Plan {
     /// session output. Sorted by stage.
     drops: Vec<(usize, usize)>,
     /// The program's solo op stats per array configuration, computed on
-    /// first use: a staged run hands every member a copy.
+    /// first use: every request a serving run completes reads their total.
     solo_stats: SoloStats,
 }
 
@@ -242,13 +240,14 @@ impl Plan {
         }
     }
 
-    /// The solo op stats on `cfg`, as `compute` works them out: cached for
-    /// the first few configurations asked for.
-    pub(crate) fn solo_stats(
+    /// What `read` makes of the solo op stats on `cfg`, as `compute`
+    /// works them out: cached for the first few configurations asked for.
+    pub(crate) fn read_solo_stats<R>(
         &self,
         cfg: &ArrayConfig,
         compute: impl FnOnce() -> Vec<ExecStats>,
-    ) -> Vec<ExecStats> {
+        read: impl FnOnce(&[ExecStats]) -> R,
+    ) -> R {
         // A poisoned lock still holds whole entries: each is pushed built.
         let mut cached = self
             .solo_stats
@@ -256,13 +255,14 @@ impl Plan {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if let Some((_, stats)) = cached.iter().find(|(c, _)| c == cfg) {
-            return stats.clone();
+            return read(stats);
         }
         let stats = compute();
+        let out = read(&stats);
         if cached.len() < SOLO_STATS_CONFIGS {
-            cached.push((cfg.clone(), stats.clone()));
+            cached.push((cfg.clone(), stats));
         }
-        stats
+        out
     }
 
     /// The convolution chain op `stage` is a link of, if any.
@@ -403,7 +403,7 @@ impl JobState<'_> {
     /// The program's result. The output moves out of the last slot and
     /// each session output out of its own, rows copied out of their
     /// block; a session output that *is* the last slot is copied first.
-    fn finish(mut self, cfg: &ArrayConfig) -> Result<ProgramRun> {
+    fn finish(mut self) -> ProgramRun {
         let last = self.outputs.len() - 1;
         let mut session_outputs = Vec::with_capacity(self.program.session_outputs().len());
         for &slot in self.program.session_outputs() {
@@ -417,11 +417,10 @@ impl JobState<'_> {
             session_outputs.push(value.expect("session output written"));
         }
         let output = self.outputs.pop().flatten().expect("program executed");
-        Ok(ProgramRun {
+        ProgramRun {
             output: output.into_tensor(),
             session_outputs,
-            op_stats: self.program.op_stats(cfg)?,
-        })
+        }
     }
 }
 
@@ -617,10 +616,7 @@ pub fn run_staged(
     }
 
     Ok(StagedRun {
-        runs: states
-            .into_iter()
-            .map(|s| s.finish(cfg))
-            .collect::<Result<_>>()?,
+        runs: states.into_iter().map(JobState::finish).collect(),
         stages,
         batched,
         gemm_groups: total_gemm,
@@ -1011,7 +1007,8 @@ fn exec_rows(
 
 /// Runs a group of one — a solo op, or the only member of its key — on
 /// the member's own operands: rows are copied out of their block first,
-/// once, except by a `ConcatRows`, which reads every part where it lies.
+/// once, except by a `ConcatRows` or a `SliceRows`, which read their
+/// rows where they lie.
 fn exec_alone(
     j: usize,
     states: &mut [JobState],
@@ -1023,22 +1020,30 @@ fn exec_alone(
     let state = &mut states[j];
     let program = state.program;
     let node = &program.nodes()[stage];
-    let product = if let Op::ConcatRows = node.op {
-        let mut vals = Vec::with_capacity(state.out_dims(stage).iter().product());
-        for &operand in &node.inputs {
-            vals.extend_from_slice(state.data(operand));
+    let product = match node.op {
+        Op::ConcatRows => {
+            let mut vals = Vec::with_capacity(state.out_dims(stage).iter().product());
+            for &operand in &node.inputs {
+                vals.extend_from_slice(state.data(operand));
+            }
+            Tensor::from_vec(vals, state.out_dims(stage))?
         }
-        Tensor::from_vec(vals, state.out_dims(stage))?
-    } else {
-        for &operand in &node.inputs {
-            state.own(operand);
+        Op::SliceRows { start, len } => {
+            let width = state.out_dims(stage)[1];
+            let rows = &state.data(node.inputs[0])[start * width..(start + len) * width];
+            Tensor::from_vec(rows.to_vec(), state.out_dims(stage))?
         }
-        // Every op but `ConcatRows` has at most three operands.
-        let mut ins = [state.resolve(node.inputs[0]); 3];
-        for (slot, &operand) in ins.iter_mut().zip(&node.inputs) {
-            *slot = state.resolve(operand);
+        _ => {
+            for &operand in &node.inputs {
+                state.own(operand);
+            }
+            // Every op but `ConcatRows` has at most three operands.
+            let mut ins = [state.resolve(node.inputs[0]); 3];
+            for (slot, &operand) in ins.iter_mut().zip(&node.inputs) {
+                *slot = state.resolve(operand);
+            }
+            exec_single(program, node, &ins[..node.inputs.len()], par, tables)?
         }
-        exec_single(program, node, &ins[..node.inputs.len()], par, tables)?
     };
     // A nonlinear is costed as the one `[1, total]` row the array sweeps,
     // whatever shape its operand has.
@@ -1293,8 +1298,8 @@ fn softmax_rows(
 /// and kept op-for-op identical to the direct model code it replaces (see
 /// `onesa-nn`'s `*_direct` reference implementations). The exceptions are
 /// a convolution chain run as one sweep, whose three links [`conv_links`]
-/// stands in for, and `ConcatRows`, which [`exec_alone`] assembles from
-/// its parts where they lie. A GEMM's bias is *not* added here — it
+/// stands in for, and `ConcatRows` and `SliceRows`, which [`exec_alone`]
+/// copies from their rows where they lie. A GEMM's bias is *not* added here — it
 /// belongs to the member, not the group, so [`exec_group`] adds it to the
 /// member's share.
 fn exec_single(
@@ -1373,17 +1378,6 @@ fn exec_single(
                 Ok(y)
             }
         },
-        Op::Scale(f) => Ok(ins[0].scale(*f)),
-        Op::Transpose => ins[0].transpose(),
-        Op::SliceCols { start, len } => {
-            let (m, n) = ins[0].shape().as_matrix()?;
-            let mut out = Tensor::zeros(&[m, *len]);
-            let rows = out.as_mut_slice().chunks_mut((*len).max(1));
-            for (row, src) in rows.zip(ins[0].as_slice().chunks(n.max(1))) {
-                row.copy_from_slice(&src[*start..start + len]);
-            }
-            Ok(out)
-        }
         Op::Pool(PoolKind::GlobalAvg) => {
             // Each channel's plane summed from `-0.0` left to right, as
             // `iter().sum()` sums it, sixteen planes side by side.
@@ -1441,7 +1435,9 @@ fn exec_single(
             }
             Ok(out)
         }
-        Op::ConcatRows => unreachable!("a ConcatRows reads its parts where they lie"),
+        Op::ConcatRows | Op::SliceRows { .. } => {
+            unreachable!("a row copy reads its rows where they lie")
+        }
         Op::CausalSoftmax { offset } => {
             // Row i softmaxes its visible prefix `0 ..= offset + i`
             // through the SAME row-softmax routine a plain `Op::Softmax`
@@ -1561,7 +1557,6 @@ mod tests {
             };
             let expect = gemm::matmul(&g, &w2).unwrap();
             assert_eq!(run.output, expect, "{mode:?}");
-            assert_eq!(run.op_stats.len(), 3);
         }
     }
 
@@ -1803,9 +1798,10 @@ mod tests {
                 .unwrap();
             assert_eq!(d.output, s.output, "{}", par.label());
             assert_eq!(d.output, gemm::matmul(&x, &w).unwrap());
-            // Sparse credit shows up in the solo stats.
-            assert!(s.op_stats[0].macs < d.op_stats[0].macs);
         }
+        // Sparse credit shows up in the solo stats.
+        let macs = |p: &Program| p.op_stats(&ArrayConfig::default()).unwrap()[0].macs;
+        assert!(macs(&sparse) < macs(&dense));
         // Every run hit the one pack its program holds.
         assert_eq!((dense.packed_consts(), sparse.packed_consts()), (0, 1));
     }
@@ -2048,8 +2044,8 @@ mod tests {
                             let alone = &alone.runs[0];
                             assert_eq!(run.output.dims(), alone.output.dims(), "{case} #{i}");
                             assert_eq!(bits(&run.output), bits(&alone.output), "{case} #{i}");
-                            assert_eq!(run.op_stats, alone.op_stats, "{case} #{i}");
-                            assert_eq!(triple(&run.op_stats[0]), solo[i], "{case} #{i}");
+                            let op_stats = job.0.op_stats(&cfg).unwrap();
+                            assert_eq!(triple(&op_stats[0]), solo[i], "{case} #{i}");
                         }
                     }
                 }
@@ -2215,8 +2211,6 @@ mod tests {
                         assert_eq!(run.output.dims(), want.dims(), "{case} #{i}");
                         assert_eq!(bits(&run.output), bits(&want), "{case} #{i}");
                         assert_eq!(bits(&alone.output), bits(&want), "{case} #{i}");
-                        assert_eq!(run.op_stats, job.0.op_stats(&cfg).unwrap(), "{case} #{i}");
-                        assert_eq!(alone.op_stats, run.op_stats, "{case} #{i}");
                     }
                 }
                 // Every member packed its weight for the sweep, once.
@@ -2419,15 +2413,13 @@ mod tests {
         let mut rng = Pcg32::seed_from_u64(11);
         let x = rng.randn(&[5, 9], 1.0);
         let got = run_op(
-            Op::SliceCols { start: 2, len: 4 },
+            Op::SliceRows { start: 2, len: 2 },
             EvalMode::Exact,
             &x,
             Parallelism::Sequential,
         );
-        assert_eq!(got.dims(), &[5, 4]);
-        for i in 0..5 {
-            assert_eq!(got.row(i).unwrap(), &x.row(i).unwrap()[2..6]);
-        }
+        assert_eq!(got.dims(), &[2, 9]);
+        assert_eq!(got.as_slice(), &x.as_slice()[2 * 9..4 * 9]);
         let got = run_op(
             Op::Pool(PoolKind::MeanRows),
             EvalMode::Exact,
@@ -2641,10 +2633,10 @@ mod tests {
             let mut b = Program::builder("kv", EvalMode::Exact);
             let x = b.input(&[3, 4]);
             let cache = b.session_input(&[2, 4]);
-            let scaled = b.push(Op::Scale(2.0), &[x]);
-            let grown = b.push(Op::ConcatRows, &[cache, scaled]);
-            let sum = b.push(Op::Add, &[scaled, scaled]);
-            for out in [scaled, grown, sum] {
+            let doubled = b.push(Op::Add, &[x, x]);
+            let grown = b.push(Op::ConcatRows, &[cache, doubled]);
+            let sum = b.push(Op::Add, &[doubled, doubled]);
+            for out in [doubled, grown, sum] {
                 b.mark_session_output(out);
             }
             b
@@ -2663,14 +2655,14 @@ mod tests {
         let cfg = ArrayConfig::new(8, 16);
         let staged = run_staged(&jobs, &cfg, Parallelism::Sequential, &mut TableCache::new());
         for (run, [x, cache]) in staged.unwrap().runs.iter().zip(&members) {
-            let scaled = x.scale(2.0);
+            let doubled = x.add(x).unwrap();
             let mut grown = cache.as_slice().to_vec();
-            grown.extend_from_slice(scaled.as_slice());
+            grown.extend_from_slice(doubled.as_slice());
             let grown = Tensor::from_vec(grown, &[5, 4]).unwrap();
-            let sum = scaled.add(&scaled).unwrap();
+            let sum = doubled.add(&doubled).unwrap();
             assert_same_bits(&run.output, &sum, "output");
             assert_eq!(run.session_outputs.len(), 3);
-            for (got, want) in run.session_outputs.iter().zip([&scaled, &grown, &sum]) {
+            for (got, want) in run.session_outputs.iter().zip([&doubled, &grown, &sum]) {
                 assert_same_bits(got, want, "session output");
             }
         }
@@ -2717,13 +2709,16 @@ mod tests {
     #[test]
     fn dead_values_drop_only_after_their_last_reader() {
         // Four ops: `a` is read by two later ops, `b` is a session output,
-        // `c` feeds the output `d`.
+        // `c` feeds the output `d`. A quantize round trip is a solo op.
+        let quantize = || Op::Quantize {
+            precision: Precision::Int16,
+        };
         let mut bld = Program::builder("liveness", EvalMode::Exact);
         let x = bld.input(&[3, 4]);
-        let a = bld.push(Op::Scale(2.0), &[x]);
+        let a = bld.push(quantize(), &[x]);
         let b = bld.push(Op::Nonlinear(NonlinearFn::Relu), &[a]);
         let c = bld.push(Op::Add, &[a, b]);
-        bld.push(Op::Scale(0.5), &[c]);
+        bld.push(quantize(), &[c]);
         bld.mark_session_output(b);
         let chained = bld.finish().unwrap();
         assert_eq!(chained.plan().drops, [(2, 0), (3, 2)]);
@@ -2734,7 +2729,11 @@ mod tests {
         let mut bld = Program::builder("conv over an op", EvalMode::Exact);
         let image = bld.input(&[3, 5, 5]);
         let w = bld.constant(conv.consts()[0].as_ref().clone());
-        let copy = bld.push(Op::Scale(1.0), &[image]);
+        let identity = Op::Affine {
+            k: vec![1.0; 3],
+            b: vec![0.0; 3],
+        };
+        let copy = bld.push(identity, &[image]);
         let cols = bld.push(Op::Im2col(CONV), &[copy]);
         let prod = bld.push(conv.nodes()[1].op.clone(), &[cols, w]);
         bld.push(conv.nodes()[2].op.clone(), &[prod]);
@@ -2749,7 +2748,7 @@ mod tests {
         let short = {
             let mut bld = Program::builder("short", EvalMode::Exact);
             let x = bld.input(&[3, 4]);
-            bld.push(Op::Scale(3.0), &[x]);
+            bld.push(quantize(), &[x]);
             bld.finish().unwrap()
         };
         let (x1, x2) = (rng.randn(&[3, 4], 1.0), rng.randn(&[3, 4], 1.0));
@@ -2787,19 +2786,18 @@ mod tests {
             for (got, want) in run.session_outputs.iter().zip(&alone.session_outputs) {
                 assert_same_bits(got, want, &format!("member {i} session output"));
             }
-            assert_eq!(run.op_stats, alone.op_stats, "member {i}");
         }
         assert_same_bits(
             &staged.runs[1].output,
             &conv_reference(&conv, &poisoned),
             "conv",
         );
-        let a = x2.scale(2.0);
+        let a = QuantTensor::round_trip(&x2);
         let b = a.map(|v| v.max(0.0));
         assert_same_bits(&staged.runs[3].session_outputs[0], &b, "relu");
         assert_same_bits(
             &staged.runs[3].output,
-            &a.add(&b).unwrap().scale(0.5),
+            &QuantTensor::round_trip(&a.add(&b).unwrap()),
             "chained",
         );
     }

@@ -64,7 +64,8 @@
 //! let input = Pcg32::seed_from_u64(8).randn(&[2, 16], 1.0);
 //! let run = program.run(&[input], Parallelism::Sequential, &mut TableCache::new())?;
 //! assert_eq!(run.output.dims(), &[2, 4]);
-//! assert_eq!(run.op_stats.len(), 3);            // one ExecStats per op
+//! let cfg = onesa_sim::ArrayConfig::default();
+//! assert_eq!(program.op_stats(&cfg)?.len(), 3); // one ExecStats per op
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 

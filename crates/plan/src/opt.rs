@@ -17,8 +17,8 @@
 //! exactly what the emission did on every input (a shared op is a
 //! literal re-execution of the same deterministic computation). The
 //! run is summarized in an [`OptReport`] carried by the optimized
-//! program ([`Program::opt_report`]), whose [`OptTotals`] the
-//! batch/serve engines roll into their `ServingReport`s.
+//! program ([`Program::opt_report`]): its [`OptTotals`] count what each
+//! pass did.
 //!
 //! # Example
 //!
@@ -79,8 +79,7 @@ impl OptLevel {
     }
 }
 
-/// Aggregate optimizer counters, one per pass (and, in the serving
-/// layer, summed across the program requests of a run).
+/// Aggregate optimizer counters, one per pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OptTotals {
     /// Ops shared by common-subexpression elimination.
@@ -92,16 +91,9 @@ pub struct OptTotals {
 }
 
 impl OptTotals {
-    /// Accumulates another total into this one.
-    pub fn merge(&mut self, other: &OptTotals) {
-        self.shared += other.shared;
-        self.pruned += other.pruned;
-        self.dead += other.dead;
-    }
-
     /// Total ops removed across all passes (`prune-pack` rewrites, it
     /// removes nothing).
-    pub fn removed(&self) -> usize {
+    pub(crate) fn removed(&self) -> usize {
         self.shared + self.dead
     }
 }
@@ -527,7 +519,7 @@ mod tests {
             },
             &[q1],
         );
-        b.push(Op::Scale(2.0), &[q2]);
+        b.push(Op::Add, &[q2, q2]);
         let p = b.finish().unwrap();
         let o = p.optimize(OptLevel::Standard).unwrap();
         assert_eq!(o.stages(), 3);
@@ -583,12 +575,17 @@ mod tests {
 
     #[test]
     fn cse_keeps_ops_that_differ_only_in_a_nan_payload() {
-        // `Debug` prints both scales as `Scale(NaN)`; the products carry
+        // `Debug` prints both epsilons as `NaN`; the outputs carry
         // different payloads, so sharing them would change the output.
         let mut b = Program::builder("nan-cse", EvalMode::Exact);
         let x = b.input(&[2, 3]);
-        let s1 = b.push(Op::Scale(f32::from_bits(0x7fc0_0001)), &[x]);
-        let s2 = b.push(Op::Scale(f32::from_bits(0x7fc0_0002)), &[x]);
+        let norm = |bits: u32| Op::LayerNorm {
+            gamma: vec![1.0; 3],
+            beta: vec![0.0; 3],
+            eps: f32::from_bits(bits),
+        };
+        let s1 = b.push(norm(0x7fc0_0001), &[x]);
+        let s2 = b.push(norm(0x7fc0_0002), &[x]);
         b.push(Op::ConcatRows, &[s1, s2]);
         let p = b.finish().unwrap();
         let o = p.optimize(OptLevel::Standard).unwrap();
@@ -615,7 +612,7 @@ mod tests {
             },
             &[x],
         );
-        let s = b.push(Op::Scale(3.0), &[q1]);
+        let s = b.push(Op::Add, &[q1, q1]);
         let _ = s;
         b.push(
             Op::Quantize {
@@ -630,7 +627,7 @@ mod tests {
             run(&p, std::slice::from_ref(&x)),
             run(&o, std::slice::from_ref(&x))
         );
-        // The Scale (and the Quantize only it consumed) became dead and
+        // The Add (and the Quantize only it consumed) became dead and
         // were swept; the final Quantize survives as the output.
         assert_eq!(o.opt_report().unwrap().totals.dead, 2);
         assert_eq!(o.stages(), 1);
@@ -642,8 +639,8 @@ mod tests {
         // second onto the first would list one slot twice.
         let mut b = Program::builder("twin-sessions", EvalMode::Exact);
         let x = b.input(&[2, 3]);
-        let s1 = b.push(Op::Scale(2.0), &[x]);
-        let s2 = b.push(Op::Scale(2.0), &[x]);
+        let s1 = b.push(Op::Add, &[x, x]);
+        let s2 = b.push(Op::Add, &[x, x]);
         b.mark_session_output(s1);
         b.mark_session_output(s2);
         b.push(Op::Add, &[s1, s2]);
@@ -683,8 +680,8 @@ mod tests {
             },
             &[x, w1],
         );
-        let _unused2 = b.push(Op::Transpose, &[x]);
-        b.push(Op::Scale(2.0), &[x]);
+        let _unused2 = b.push(Op::SliceRows { start: 1, len: 1 }, &[x]);
+        b.push(Op::Add, &[x, x]);
         let p = b.finish().unwrap();
         let o = p.optimize(OptLevel::Standard).unwrap();
         assert_eq!(o.stages(), 1);

@@ -119,7 +119,7 @@ pub enum PoolKind {
 /// end to end. GEMM-bearing ops run on the array natively; `Nonlinear`,
 /// `Softmax` and `LayerNorm` lower to IPF + MHP passes per the paper,
 /// and `Attention` to per-head GEMMs around a softmax lowering;
-/// `Affine`/`Scale`/`Add` are bare MHP passes; the rest are data-layout
+/// `Affine`/`Add` are bare MHP passes; the rest are data-layout
 /// movements costed at zero array cycles.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
@@ -172,8 +172,6 @@ pub enum Op {
         /// Per-channel shift.
         b: Vec<f32>,
     },
-    /// Uniform scaling `y = c·x`. No compiler emits it.
-    Scale(f32),
     /// A per-channel affine followed by a pointwise nonlinear, executed
     /// as **one** MHP pass: the IPF stage folds the affine's `(k, b)`
     /// into the table segment parameters, so the array evaluates
@@ -188,15 +186,6 @@ pub enum Op {
         b: Vec<f32>,
         /// The nonlinear applied to the affine output.
         func: NonlinearFn,
-    },
-    /// Matrix transpose.
-    Transpose,
-    /// Copies columns `start .. start+len` of a matrix (head slicing).
-    SliceCols {
-        /// First column.
-        start: usize,
-        /// Number of columns.
-        len: usize,
     },
     /// A pooling reduction (see [`PoolKind`]).
     Pool(PoolKind),
@@ -216,6 +205,14 @@ pub enum Op {
     EmbedAt {
         /// Absolute position of the first input token.
         offset: usize,
+    },
+    /// Copies rows `start .. start+len` of a matrix (a prefill's last-row
+    /// pick: only the final position feeds the LM head).
+    SliceRows {
+        /// First row.
+        start: usize,
+        /// Number of rows.
+        len: usize,
     },
     /// Concatenates same-width matrices row-wise (KV-cache append: a
     /// session's cached `[ctx, D]` rows followed by the step's new
@@ -628,9 +625,7 @@ impl Program {
     }
 
     /// Pass accounting of the [`Program::optimize`] run that
-    /// produced this program; `None` for an unoptimized program. The
-    /// batch/serve engines roll these totals into their
-    /// `ServingReport`s.
+    /// produced this program; `None` for an unoptimized program.
     pub fn opt_report(&self) -> Option<&OptReport> {
         self.opt.as_deref()
     }
@@ -849,7 +844,24 @@ impl Program {
     ///
     /// As for [`Program::validate`].
     pub fn op_stats(&self, cfg: &ArrayConfig) -> Result<Vec<ExecStats>> {
-        Ok(self.plan.solo_stats(cfg, || self.solo_op_stats(cfg)))
+        Ok(self
+            .plan
+            .read_solo_stats(cfg, || self.solo_op_stats(cfg), <[_]>::to_vec))
+    }
+
+    /// Modeled execution statistics of a *solo* run on `cfg`: the merge
+    /// of [`Program::op_stats`], read without copying them.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Program::validate`].
+    pub fn solo_stats(&self, cfg: &ArrayConfig) -> Result<ExecStats> {
+        let idle = ExecStats::new(cfg, CycleBreakdown::default(), 0, 0);
+        Ok(self.plan.read_solo_stats(
+            cfg,
+            || self.solo_op_stats(cfg),
+            |ops| ops.iter().fold(idle, |acc, s| acc.merged(s)),
+        ))
     }
 
     /// [`Program::op_stats`], worked out op by op.
@@ -1070,8 +1082,7 @@ impl Program {
 
     /// Column-block totals over the program's sparse GEMMs: `(skipped,
     /// total)` blocks. `(0, 0)` for a program with no sparsity
-    /// attributes — the serving layer folds these into its
-    /// `ServingReport` blocks-skipped accounting.
+    /// attributes.
     pub fn sparse_blocks(&self) -> (u64, u64) {
         let mut skipped = 0u64;
         let mut total = 0u64;
@@ -1218,18 +1229,13 @@ fn infer_shape(op: &Op, ins: &[&[usize]]) -> Result<Vec<usize>> {
             [c, h, w] if k.len() == c && b.len() == c => Ok(vec![c, h, w]),
             _ => Err(shape_err(ins[0], &[k.len(), 0, 0], "plan::AffineNonlinear")),
         },
-        Op::Scale(_) => Ok(ins[0].to_vec()),
-        Op::Transpose => {
+        Op::SliceRows { start, len } => {
             let (m, n) = matrix(ins[0])?;
-            Ok(vec![n, m])
-        }
-        Op::SliceCols { start, len } => {
-            let (m, n) = matrix(ins[0])?;
-            let end = checked_sum(*start, *len, "SliceCols range overflows")?;
-            if end > n || *len == 0 {
-                return Err(shape_err(ins[0], &[m, end], "plan::SliceCols"));
+            let end = checked_sum(*start, *len, "SliceRows range overflows")?;
+            if end > m || *len == 0 {
+                return Err(shape_err(ins[0], &[end, n], "plan::SliceRows"));
             }
-            Ok(vec![m, *len])
+            Ok(vec![*len, n])
         }
         Op::Pool(PoolKind::GlobalAvg) => match *ins[0] {
             [c, _, _] => Ok(vec![1, c]),
@@ -1320,10 +1326,9 @@ fn shape_err(lhs: &[usize], rhs: &[usize], op: &'static str) -> TensorError {
 /// op's first input is all any op but [`Op::Attention`] reads). GEMM-bearing
 /// ops use the tiled GEMM model; nonlinears an IPF + MHP pass;
 /// softmax/layer-norm their composite lowerings; attention its per-head
-/// GEMMs, scale pass and softmax; `Affine`/`Scale`/`Add` a bare MHP pass;
+/// GEMMs, scale pass and softmax; `Affine`/`Add` a bare MHP pass;
 /// pooling a GEMM against a constant mean vector; pure data movements
-/// (im2col/col2im/transpose/slice/concat/quantize/embed) cost zero
-/// array cycles.
+/// (im2col/col2im/slice/concat/quantize/embed) cost zero array cycles.
 pub(crate) fn op_cost(op: &Op, ins: &[&[usize]], out: &[usize], cfg: &ArrayConfig) -> ExecStats {
     let in0 = ins[0];
     let mat_or_row = |dims: &[usize]| -> (usize, usize) {
@@ -1376,7 +1381,7 @@ pub(crate) fn op_cost(op: &Op, ins: &[&[usize]], out: &[usize], cfg: &ArrayConfi
             attention_member_cost(cfg, *heads, m, n, d)
                 .merged(&attention_softmax_cost(cfg, *heads, m, n))
         }
-        Op::Add | Op::Scale(_) | Op::Affine { .. } => {
+        Op::Add | Op::Affine { .. } => {
             let (m, n) = mat_or_row(in0);
             analytic::mhp_pass_stats(cfg, m, n)
         }
@@ -1392,8 +1397,7 @@ pub(crate) fn op_cost(op: &Op, ins: &[&[usize]], out: &[usize], cfg: &ArrayConfi
         }
         Op::Im2col(_)
         | Op::Col2im { .. }
-        | Op::Transpose
-        | Op::SliceCols { .. }
+        | Op::SliceRows { .. }
         | Op::ConcatRows
         | Op::Quantize { .. }
         | Op::QuantizeRows
@@ -1726,18 +1730,23 @@ mod tests {
 
     #[test]
     fn nan_payloads_fingerprint_apart() {
-        let scaled = |bits: u32| {
+        let normed = |bits: u32| {
             let mut b = Program::builder("nan", EvalMode::Exact);
             let x = b.input(&[2, 3]);
-            b.push(Op::Scale(f32::from_bits(bits)), &[x]);
+            let op = Op::LayerNorm {
+                gamma: vec![1.0; 3],
+                beta: vec![0.0; 3],
+                eps: f32::from_bits(bits),
+            };
+            b.push(op, &[x]);
             b.finish().unwrap()
         };
-        let (a, b) = (scaled(0x7fc0_0001), scaled(0x7fc0_0002));
+        let (a, b) = (normed(0x7fc0_0001), normed(0x7fc0_0002));
         // The two ops render identically under `Debug`, yet they
         // compute different bits.
         assert_eq!(format!("{:?}", a.nodes()), format!("{:?}", b.nodes()));
         assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint(), scaled(0x7fc0_0001).fingerprint());
+        assert_eq!(a.fingerprint(), normed(0x7fc0_0001).fingerprint());
     }
 
     #[test]

@@ -117,7 +117,11 @@ pub(crate) const MAGIC: [u8; 4] = *b"OSAW";
 /// * v6 — attention is one op: [`Op`] gains `Attention { heads, scale,
 ///   causal }` (tag 22; the retired tags 20 and 21 stay unused) and loses
 ///   `ConcatCols` (tag 12).
-pub const VERSION: u16 = 6;
+/// * v7 — the op set is the emitted set: [`Op`] loses `Scale` (tag 8),
+///   `Transpose` (tag 10) and `SliceCols` (tag 11) and gains `SliceRows
+///   { start, len }` (tag 23); the transport's outcome loses its per-op
+///   stats and its report the optimizer and sparse-block totals.
+pub const VERSION: u16 = 7;
 
 /// Frame kind: a standalone tensor ([`encode_tensor`]).
 pub(crate) const KIND_TENSOR: u16 = 0x0001;
@@ -770,10 +774,7 @@ wire_layout! {
         5 => Col2im { channels: usize, oh: usize, ow: usize },
         6 => Add,
         7 => Affine { k: Vec<f32>, b: Vec<f32> },
-        8 => Scale(f32),
         9 => AffineNonlinear { k: Vec<f32>, b: Vec<f32>, func: NonlinearFn },
-        10 => Transpose,
-        11 => SliceCols { start: usize, len: usize },
         13 => Pool(PoolKind),
         14 => Quantize { precision: Precision },
         16 => ConcatRows,
@@ -781,6 +782,7 @@ wire_layout! {
         18 => EmbedAt { offset: usize },
         19 => QuantizeRows,
         22 => Attention { heads: usize, scale: f32, causal: bool },
+        23 => SliceRows { start: usize, len: usize },
     }
 
     struct OpNode { op: Op, inputs: Vec<Operand> }
@@ -1159,7 +1161,7 @@ mod tests {
     fn overflowing_op_attributes_fail_typed_through_finish_and_decode() {
         let max = usize::MAX;
         let cases = [
-            (vec![vec![2, 4]], Op::SliceCols { start: max, len: 2 }),
+            (vec![vec![4, 2]], Op::SliceRows { start: max, len: 2 }),
             (vec![vec![3, 1]], Op::CausalSoftmax { offset: max - 1 }),
             (
                 vec![vec![1, 2], vec![4, 3], vec![4, 3]],
@@ -1335,8 +1337,8 @@ mod tests {
         check_schema::<OptLevel>();
         check_schema::<Precision>();
         // The payload bits the examples carry survive.
-        let (scale, bytes) = example::<Op>(8);
-        assert!(matches!(scale, Op::Scale(c) if c.to_bits() == 0x7fc0_0001));
+        let (attention, bytes) = example::<Op>(22);
+        assert!(matches!(attention, Op::Attention { scale, .. } if scale.to_bits() == 0x7fc0_0001));
         assert_eq!(encoded(&decoded::<Op>(&bytes)), bytes);
     }
 }

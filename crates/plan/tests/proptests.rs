@@ -168,9 +168,9 @@ fn kitchen_sink(mode: EvalMode, c: usize, h: usize, func: NonlinearFn, seed: u64
         &[g],
     );
     let pooled = b.push(Op::Pool(PoolKind::GlobalAvg), &[ci]);
-    // Token branch: embed → layer norm → softmax → nonlinear → a
-    // transpose pair, self-add, scale, a causal softmax over square
-    // scores, self-attention, slice, mean-rows pool.
+    // Token branch: embed → layer norm → softmax → nonlinear → add, a
+    // causal softmax over square scores, self-attention, a row slice,
+    // mean-rows pool.
     let table = b.constant(rng.randn(&[vocab, d], 1.0));
     let pos = b.constant(rng.randn(&[max_len, d], 1.0));
     let e = b.push(Op::EmbedAt { offset: 0 }, &[ids, table, pos]);
@@ -184,17 +184,15 @@ fn kitchen_sink(mode: EvalMode, c: usize, h: usize, func: NonlinearFn, seed: u64
     );
     let sm = b.push(Op::Softmax, &[ln]);
     let nl = b.push(Op::Nonlinear(func), &[sm]);
-    let t = b.push(Op::Transpose, &[nl]);
-    let t2 = b.push(Op::Transpose, &[t]);
-    let add = b.push(Op::Add, &[nl, t2]);
-    let sc = b.push(Op::Scale(0.7), &[add]);
+    let add = b.push(Op::Add, &[nl, sm]);
     let gemm = Op::Gemm {
         bias: None,
         sparsity: None,
     };
-    let scores = b.push(gemm.clone(), &[nl, t]);
+    let wk = b.constant(rng.randn(&[d, l], 1.0));
+    let scores = b.push(gemm.clone(), &[nl, wk]);
     let cs = b.push(Op::CausalSoftmax { offset: 0 }, &[scores]);
-    let mixed = b.push(gemm.clone(), &[cs, sc]);
+    let mixed = b.push(gemm.clone(), &[cs, add]);
     let att = b.push(
         Op::Attention {
             heads: d,
@@ -204,15 +202,15 @@ fn kitchen_sink(mode: EvalMode, c: usize, h: usize, func: NonlinearFn, seed: u64
         &[mixed, nl, add],
     );
     let s1 = b.push(
-        Op::SliceCols {
-            start: 0,
-            len: d - 2,
+        Op::SliceRows {
+            start: 1,
+            len: l - 1,
         },
         &[att],
     );
     let mr = b.push(Op::Pool(PoolKind::MeanRows), &[s1]);
     // Classify each branch and add the logits.
-    let (wi, wt) = (rng.randn(&[ch, 2], 1.0), rng.randn(&[d - 2, 2], 1.0));
+    let (wi, wt) = (rng.randn(&[ch, 2], 1.0), rng.randn(&[d, 2], 1.0));
     let (wi, wt) = (b.constant(wi), b.constant(wt));
     let li = b.push(gemm.clone(), &[pooled, wi]);
     let lt = b.push(gemm, &[mr, wt]);
@@ -231,9 +229,9 @@ fn kitchen_sink_inputs(c: usize, h: usize, seed: u64) -> Vec<Tensor> {
 /// A hand-rolled KV-cache decode step at context `ctx` — the
 /// session-bearing frame shape the serving layer ships: session inputs
 /// (K/V caches), `EmbedAt` at the context offset, per-row quantization,
-/// `ConcatRows` cache appends marked as session outputs, and attention
-/// over the grown context twice: op by op through a causal softmax at
-/// the context offset, and as one attention op.
+/// `ConcatRows` cache appends marked as session outputs, attention over
+/// the grown context twice — causal and unmasked — and the grown key
+/// cache's newest row picked out.
 fn session_decode_program(mode: EvalMode, ctx: usize, d: usize, seed: u64) -> Program {
     let mut rng = Pcg32::seed_from_u64(seed);
     let (vocab, max_len) = (6, 16);
@@ -265,22 +263,17 @@ fn session_decode_program(mode: EvalMode, ctx: usize, d: usize, seed: u64) -> Pr
     let v_full = b.push(Op::ConcatRows, &[v_cache, v_new]);
     b.mark_session_output(k_full);
     b.mark_session_output(v_full);
-    let gemm = Op::Gemm {
-        bias: None,
-        sparsity: None,
-    };
-    let kt = b.push(Op::Transpose, &[k_full]);
-    let scores = b.push(gemm.clone(), &[q, kt]);
-    let sc = b.push(Op::Scale(0.5), &[scores]);
-    let probs = b.push(Op::CausalSoftmax { offset: ctx }, &[sc]);
-    let composed = b.push(gemm, &[probs, v_full]);
-    let attention = Op::Attention {
-        heads: if d % 2 == 0 { 2 } else { 1 },
+    let attention = |heads, causal| Op::Attention {
+        heads,
         scale: 0.5,
-        causal: false,
+        causal,
     };
-    let fused = b.push(attention, &[q, k_full, v_full]);
-    b.push(Op::Add, &[composed, fused]);
+    let causal = b.push(attention(1, true), &[q, k_full, v_full]);
+    let heads = if d % 2 == 0 { 2 } else { 1 };
+    let plain = b.push(attention(heads, false), &[q, k_full, v_full]);
+    let both = b.push(Op::Add, &[causal, plain]);
+    let newest = b.push(Op::SliceRows { start: ctx, len: 1 }, &[k_full]);
+    b.push(Op::Add, &[both, newest]);
     b.finish().expect("decode step builds")
 }
 
@@ -716,7 +709,6 @@ proptest! {
             for (got, want) in run.session_outputs.iter().zip(&alone.session_outputs) {
                 prop_assert_eq!(bits(got), bits(want), "member {} session output", i);
             }
-            prop_assert_eq!(&run.op_stats, &alone.op_stats, "member {}", i);
         }
     }
 

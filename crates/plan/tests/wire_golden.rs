@@ -44,8 +44,8 @@ fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
-/// The current version's fixture `name`: `program` is `program_v6.bin`
-/// at version 6.
+/// The current version's fixture `name`: `program` is `program_v7.bin`
+/// at version 7.
 fn fixture_path(name: &str) -> PathBuf {
     fixture_dir().join(format!("{name}_v{}.bin", wire::VERSION))
 }
@@ -148,11 +148,10 @@ fn golden_program() -> Program {
 
 /// The decode-step fixture: a session/cache-bearing frame — K/V session
 /// inputs, `EmbedAt` at a context offset, per-row quantization,
-/// `ConcatRows` cache appends marked as session outputs, then attention
-/// over the grown context both op by op (transpose, scores, scale,
-/// causal softmax at the context offset, `· V`) and as one attention op
-/// — so the session lists and every KV-cache and attention op tag are
-/// pinned byte-exactly.
+/// `ConcatRows` cache appends marked as session outputs, attention over
+/// the grown context, and a causal softmax over the grown keys whose
+/// newest row `SliceRows` picks out — so the session lists and every
+/// KV-cache, attention and row-pick op tag are pinned byte-exactly.
 fn golden_decode_program() -> Program {
     let mut rng = Pcg32::seed_from_u64(9);
     let (ctx, d, vocab, max_len) = (3, 4, 6, 12);
@@ -190,22 +189,15 @@ fn golden_decode_program() -> Program {
     let v_full = b.push(Op::ConcatRows, &[v_cache, v_new]);
     b.mark_session_output(k_full);
     b.mark_session_output(v_full);
-    let gemm = Op::Gemm {
-        bias: None,
-        sparsity: None,
-    };
-    let kt = b.push(Op::Transpose, &[k_full]);
-    let scores = b.push(gemm.clone(), &[q, kt]);
-    let sc = b.push(Op::Scale(0.5), &[scores]);
-    let probs = b.push(Op::CausalSoftmax { offset: ctx }, &[sc]);
-    let composed = b.push(gemm, &[probs, v_full]);
     let attention = Op::Attention {
         heads: 2,
         scale: 0.5,
-        causal: false,
+        causal: true,
     };
-    let fused = b.push(attention, &[q, k_full, v_full]);
-    b.push(Op::Add, &[composed, fused]);
+    let context = b.push(attention, &[q, k_full, v_full]);
+    let probs = b.push(Op::CausalSoftmax { offset: 0 }, &[k_full]);
+    let newest = b.push(Op::SliceRows { start: ctx, len: 1 }, &[probs]);
+    b.push(Op::Add, &[context, newest]);
     b.finish().unwrap()
 }
 

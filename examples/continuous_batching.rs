@@ -23,8 +23,7 @@
 //!   nothing orphaned.
 
 use onesa_core::serve::{
-    AdmissionPolicy, InterleavePolicy, RoutePolicy, ServeConfig, ServeEngine, ServeSummary,
-    SessionId, Ticket,
+    AdmissionPolicy, RoutePolicy, ServeConfig, ServeEngine, ServeSummary, SessionId, Ticket,
 };
 use onesa_core::{Parallelism, Program};
 use onesa_nn::infer::InferenceMode;
@@ -42,8 +41,7 @@ fn engine(window: usize) -> ServeEngine {
     ServeEngine::start(
         ServeConfig::uniform(1, ArrayConfig::new(8, 16), Parallelism::Sequential)
             .with_admission(AdmissionPolicy::Fifo { window })
-            .with_routing(RoutePolicy::WeightAffinity)
-            .with_interleave(InterleavePolicy::DecodeFirst),
+            .with_routing(RoutePolicy::WeightAffinity),
     )
     .expect("pool starts")
 }

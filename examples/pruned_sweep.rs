@@ -14,8 +14,7 @@
 //! * top-1 agreement against the unpruned model is printed and pinned
 //!   (the run is fully seeded, so the bounds are exact floors — the
 //!   same pattern as the degrade ladder's bit-identity pins);
-//! * a served batch surfaces the skipped blocks in its
-//!   `ServingReport`.
+//! * a served batch returns the pruned model's logits bit for bit.
 //!
 //! Like granularity degradation, pruning changes *which* program runs,
 //! never how it runs: pruned logits stay bit-identical to the direct
@@ -73,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut pruned = model.clone();
         let report = pruned.prune_hidden(keep)?;
         let program = pruned.compile((&mode, &g))?.optimize(OptLevel::Standard)?;
-        let (skipped, total) = program.sparse_blocks();
+        let (skipped, _) = program.sparse_blocks();
         assert_eq!(
             (report.blocks_zeroed as u64, skipped),
             (report.blocks_zeroed as u64, report.blocks_zeroed as u64),
@@ -102,17 +101,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "keep={keep}: agreement {agree:.2} fell below the pinned floor {floor}"
         );
 
-        // Serve the pruned program: the report surfaces the skip.
+        // Serve the pruned program: the same logits come back.
         let mut engine = BatchEngine::new(
             OneSa::with_parallelism(ArrayConfig::new(8, 16), Parallelism::Sequential),
             0.25,
         )?;
         engine.submit(Request::program(program, vec![g.x.clone()]));
         let run = engine.run()?;
-        assert_eq!(
-            (run.report.blocks_skipped, run.report.blocks_total),
-            (skipped, total)
-        );
+        assert_eq!(run.outcomes[0].output, logits);
 
         println!(
             "keep {:>4.2}: {}/{} blocks live, modeled MACs {:>5.1}% of dense, \

@@ -8,8 +8,8 @@
 //!
 //! Coverage:
 //!
-//! * every [`InterleavePolicy`] × admission policy × routing policy
-//!   combination, at 1, 2 and 4 shards, on the in-process backend —
+//! * every admission policy × routing policy combination, at 1, 2 and
+//!   4 shards, on the in-process backend —
 //!   plus the coalescing win itself, staged rounds against windows of
 //!   one step, with group counts and the modeled clock pinned exactly;
 //! * the same policy grid on the `Process` backend (real spawned
@@ -28,8 +28,7 @@
 use std::path::PathBuf;
 
 use onesa_core::serve::{
-    AdmissionPolicy, InterleavePolicy, RoutePolicy, ServeConfig, ServeEngine, SessionId,
-    ShardBackend, Ticket,
+    AdmissionPolicy, RoutePolicy, ServeConfig, ServeEngine, SessionId, ShardBackend, Ticket,
 };
 use onesa_core::{Parallelism, ProcessConfig, Program, ServeSummary, Transport};
 use onesa_nn::infer::InferenceMode;
@@ -118,12 +117,7 @@ fn generate_via_pool(
     (out, engine.finish().unwrap())
 }
 
-fn policy_grid() -> Vec<(InterleavePolicy, AdmissionPolicy, RoutePolicy)> {
-    let interleaves = [
-        InterleavePolicy::Mixed,
-        InterleavePolicy::PrefillFirst,
-        InterleavePolicy::DecodeFirst,
-    ];
+fn policy_grid() -> Vec<(AdmissionPolicy, RoutePolicy)> {
     let admissions = [
         AdmissionPolicy::Fifo { window: 3 },
         AdmissionPolicy::Deadline {
@@ -138,11 +132,9 @@ fn policy_grid() -> Vec<(InterleavePolicy, AdmissionPolicy, RoutePolicy)> {
         RoutePolicy::WeightAffinity,
     ];
     let mut grid = Vec::new();
-    for i in interleaves {
-        for a in admissions {
-            for r in routings {
-                grid.push((i, a, r));
-            }
+    for a in admissions {
+        for r in routings {
+            grid.push((a, r));
         }
     }
     grid
@@ -177,14 +169,13 @@ fn in_process_batched_generation_matches_direct_for_every_policy_combo() {
         .iter()
         .map(|p| lm.generate_direct(p, n, &mode))
         .collect();
-    for (interleave, admission, routing) in policy_grid() {
+    for (admission, routing) in policy_grid() {
         for shards in [1usize, 2, 4] {
-            let label = format!("{interleave:?}/{admission:?}/{routing:?}/{shards} shards");
+            let label = format!("{admission:?}/{routing:?}/{shards} shards");
             let cfg =
                 ServeConfig::uniform(shards, ArrayConfig::new(8, 16), Parallelism::Sequential)
                     .with_admission(admission)
-                    .with_routing(routing)
-                    .with_interleave(interleave);
+                    .with_routing(routing);
             let (got, summary) = generate_via_pool(&lm, &mode, &prompts, n, cfg);
             assert_eq!(
                 got, want,
@@ -218,7 +209,6 @@ fn in_process_batched_generation_matches_direct_for_every_policy_combo() {
         let cfg = ServeConfig::uniform(1, ArrayConfig::new(8, 16), Parallelism::Sequential)
             .with_admission(AdmissionPolicy::Fifo { window })
             .with_routing(RoutePolicy::WeightAffinity)
-            .with_interleave(InterleavePolicy::DecodeFirst)
             .start_paused();
         let (got, summary) = generate_via_pool(&lm, &mode, &prompts, n, cfg);
         assert_eq!(got, want, "{label}: generation diverged from direct");
@@ -251,13 +241,12 @@ fn process_backend_batched_generation_matches_direct_across_policies() {
         .iter()
         .map(|p| lm.generate_direct(p, n, &mode))
         .collect();
-    for (i, (interleave, admission, routing)) in policy_grid().into_iter().enumerate() {
+    for (i, (admission, routing)) in policy_grid().into_iter().enumerate() {
         let shards = [1usize, 2, 4][i % 3];
-        let label = format!("{interleave:?}/{admission:?}/{routing:?}/{shards} shards");
+        let label = format!("{admission:?}/{routing:?}/{shards} shards");
         let cfg = ServeConfig::uniform(shards, ArrayConfig::new(8, 16), Parallelism::Sequential)
             .with_admission(admission)
             .with_routing(routing)
-            .with_interleave(interleave)
             .with_backend(process_backend());
         let (got, summary) = generate_via_pool(&lm, &mode, &prompts, n, cfg);
         assert_eq!(got, want, "{label}: cross-host generation diverged");
@@ -282,8 +271,7 @@ fn every_inference_mode_matches_direct_on_both_backends() {
             .map(|p| lm.generate_direct(p, n, mode))
             .collect();
         let base = ServeConfig::uniform(2, ArrayConfig::new(8, 16), Parallelism::Sequential)
-            .with_routing(RoutePolicy::WeightAffinity)
-            .with_interleave(InterleavePolicy::DecodeFirst);
+            .with_routing(RoutePolicy::WeightAffinity);
         let (in_proc, _) = generate_via_pool(&lm, mode, &prompts, n, base.clone());
         assert_eq!(in_proc, want, "{}: in-process diverged", mode.label());
         let (remote, _) =

@@ -22,8 +22,8 @@
 
 use onesa_core::plan::{Compile, OptLevel};
 use onesa_core::serve::{
-    AdmissionPolicy, InterleavePolicy, PoolPolicy, RoutePolicy, ServeConfig, ServeEngine,
-    ShardBackend, ShardSpec, Ticket, TrySubmitError,
+    AdmissionPolicy, PoolPolicy, RoutePolicy, ServeConfig, ServeEngine, ShardBackend, ShardSpec,
+    Ticket, TrySubmitError,
 };
 use onesa_core::{BatchEngine, OneSa, Parallelism, Program, Request};
 use onesa_cpwl::ops::TableSet;
@@ -153,7 +153,6 @@ fn heterogeneous_shards_still_bit_identical() {
         queue_capacity: 64,
         admission: AdmissionPolicy::Fifo { window: 6 },
         routing: RoutePolicy::RoundRobin,
-        interleave: InterleavePolicy::default(),
         paused: false,
         backend: ShardBackend::InProcess,
         session_capacity: 64,
