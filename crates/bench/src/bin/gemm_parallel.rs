@@ -27,10 +27,18 @@
 //! 0.15× the dense time at `n = 64`, 0.12× at `n = 7`, and half the
 //! reference loop's. The `density` rows sweep a constant operand's
 //! density from 2% to 100% and hold the pack's layout choice to within
-//! 10% of the lines layout at every density.
+//! 10% of the lines layout at every density. The 256-deep serving rows
+//! also time `onesa_plan::tensor_fingerprint` of their `[256, n]` weight
+//! (`fingerprint_us`) — the one weight hash a GEMM request pays when it
+//! is lowered on admission — and hold it to at most 0.75× the packed
+//! GEMM (`fingerprint_over_packed`): admitting a request must not cost
+//! more than serving it.
+
+use std::hint::black_box;
 
 use onesa_bench::{time_alternating, time_best};
 use onesa_data::{Difficulty, GraphDataset};
+use onesa_plan::tensor_fingerprint;
 use onesa_tensor::gemm;
 use onesa_tensor::im2col::{self, Conv2dGeometry};
 use onesa_tensor::parallel::{self, PackedLhs, Parallelism};
@@ -92,20 +100,27 @@ fn time_shape(a: &Tensor, dense: &Tensor, b: &Tensor, what: &str, constant: bool
     times
 }
 
+/// Keeps a timed call's result observable whatever its type.
+fn sink<T>(out: T) {
+    black_box(out);
+}
+
 /// A result's bit patterns, for the `to_bits()` checks before timing.
 fn bits(t: Tensor) -> Vec<u32> {
     t.into_vec().into_iter().map(f32::to_bits).collect()
 }
 
-/// One serving shape four ways: `(reference, per call, pack and sweep,
-/// prepacked)` best seconds per call — the reference loop;
-/// `parallel::matmul`, which reads `a` where it lies; `a` packed in lines
-/// on every call and swept (`PackedLhs::pack_lines` + `matmul_packed`,
-/// what `parallel::matmul` ran before it read `a` in place); and `a`
-/// packed in lines once, outside the timed region. The four results are
-/// checked `to_bits()`-equal first. Asserts the two floors every serving
-/// shape is held to.
-fn time_serving(a: &Tensor, b: &Tensor) -> [f64; 4] {
+/// One serving shape four ways, and the hash of its weight: `(reference,
+/// per call, pack and sweep, prepacked, fingerprint)` best seconds per
+/// call — the reference loop; `parallel::matmul`, which reads `a` where
+/// it lies; `a` packed in lines on every call and swept
+/// (`PackedLhs::pack_lines` + `matmul_packed`, what `parallel::matmul`
+/// ran before it read `a` in place); `a` packed in lines once, outside
+/// the timed region; and `tensor_fingerprint(b)`, alternating with the
+/// four so a noisy stretch of the host lands on both sides of its ratio.
+/// The four products are checked `to_bits()`-equal first. Asserts the two
+/// floors every serving shape is held to.
+fn time_serving(a: &Tensor, b: &Tensor) -> [f64; 5] {
     let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
     let calls = ((1e7 / (m * k * n) as f64) as usize).clamp(1, 20_000);
     let once = PackedLhs::pack_lines(a).expect("matrix");
@@ -124,13 +139,14 @@ fn time_serving(a: &Tensor, b: &Tensor) -> [f64; 4] {
     let times = time_alternating(
         calls,
         [
-            &mut || gemm::matmul(a, b).expect("matmul"),
-            &mut || parallel::matmul(a, b, seq).expect("matmul"),
-            &mut || pack_and_sweep(),
-            &mut || parallel::matmul_packed(&once, b, seq).expect("matmul"),
+            &mut || sink(gemm::matmul(a, b).expect("matmul")),
+            &mut || sink(parallel::matmul(a, b, seq).expect("matmul")),
+            &mut || sink(pack_and_sweep()),
+            &mut || sink(parallel::matmul_packed(&once, b, seq).expect("matmul")),
+            &mut || sink(tensor_fingerprint(b)),
         ],
     );
-    let [reference, per_call, packing, _] = times;
+    let [reference, per_call, packing, _, _] = times;
     assert!(
         per_call / reference <= 1.10,
         "{m}x{k}x{n}: packed kernel {:.2}x the reference loop's time, limit 1.10",
@@ -211,7 +227,7 @@ fn main() {
         let a = rng.randn(&[m, k], 1.0);
         let b = rng.randn(&[k, n], 1.0);
         let flop = 2.0 * (m * k * n) as f64;
-        let [reference, packed, pack_and_sweep, prepacked] = time_serving(&a, &b);
+        let [reference, packed, pack_and_sweep, prepacked, fingerprint] = time_serving(&a, &b);
         let ratio = packed / reference;
         println!("    {{");
         println!("      \"m\": {m}, \"k\": {k}, \"n\": {n},");
@@ -225,13 +241,24 @@ fn main() {
             pack_and_sweep * 1e6,
             prepacked * 1e6
         );
-        println!(
+        print!(
             "      \"packed_gflops\": {:.2}, \"packed_over_reference\": {:.2}, \"packed_over_pack_and_sweep\": {:.2}",
             flop / packed / 1e9,
             ratio,
             packed / pack_and_sweep
         );
-        println!("    }}{}", if idx + 1 < shapes.len() { "," } else { "" });
+        if k == 256 {
+            let over = fingerprint / packed;
+            assert!(
+                over <= 0.75,
+                "{m}x{k}x{n}: hashing the weight takes {over:.2}x the packed GEMM's time, limit 0.75"
+            );
+            print!(
+                ",\n      \"fingerprint_us\": {:.2}, \"fingerprint_over_packed\": {over:.2}",
+                fingerprint * 1e6
+            );
+        }
+        println!("\n    }}{}", if idx + 1 < shapes.len() { "," } else { "" });
     }
     println!("  ],");
     // The same kernel on the left operands traffic has: the CNN's two

@@ -30,7 +30,6 @@ use onesa_resources::modules::{l3_cost, pe_cost};
 use onesa_resources::power::PowerModel;
 use onesa_resources::Design;
 use onesa_sim::{analytic, ArrayConfig, BufferSizes};
-use onesa_tensor::Tensor;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -57,9 +56,9 @@ pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
 /// back-to-back calls (so sub-microsecond kernels are not lost in timer
 /// resolution) and the sides alternating sample by sample (so a noisy
 /// stretch of the host lands on all of them, not on one side of a ratio).
-pub fn time_alternating<const N: usize>(
+pub fn time_alternating<T, const N: usize>(
     calls: usize,
-    fs: [&mut dyn FnMut() -> Tensor; N],
+    fs: [&mut dyn FnMut() -> T; N],
 ) -> [f64; N] {
     let mut best = [f64::INFINITY; N];
     for round in 0..25 {

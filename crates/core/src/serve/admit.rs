@@ -9,16 +9,21 @@ use super::route::Router;
 use super::session::{SessionTable, SessionTag};
 use super::{DepthGauge, Gate, Job, ServeConfig, ServeError};
 use onesa_plan::{CompileCache, EvalMode};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How the admission thread closes a batching window.
 ///
 /// A window opens when the first waiting request is picked up and is
 /// filled greedily from whatever else has already arrived — admission
-/// never waits for stragglers, so a lightly loaded pool degenerates to
-/// request-at-a-time serving and a busy one to large coalesced batches.
+/// never waits for stragglers while a shard could take the window at
+/// once, so a lightly loaded pool degenerates to request-at-a-time
+/// serving and a busy one to large coalesced batches. While every shard
+/// still has a window queued, one closed now could not start before
+/// those anyway: it stays open to new arrivals until a shard takes its
+/// queued window (or the policy's limit closes it), so how full a window
+/// gets under load follows the shards' pace, not the admitter's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Dispatch in arrival order; close the window after `window`
@@ -167,6 +172,11 @@ pub(super) struct AdmitOut {
     pub(super) reports: Receiver<WindowReport>,
 }
 
+/// How long a held window (see [`AdmissionPolicy`]) waits for an
+/// arrival before the admitter looks again whether a shard has taken its
+/// queued window.
+const HOLD_POLL: Duration = Duration::from_micros(50);
+
 fn window_full(policy: AdmissionPolicy, len: usize, work: u64) -> bool {
     match policy {
         AdmissionPolicy::Fifo { window } | AdmissionPolicy::Deadline { window, .. } => {
@@ -177,6 +187,13 @@ fn window_full(policy: AdmissionPolicy, len: usize, work: u64) -> bool {
 }
 
 impl AdmitterCtx {
+    /// Whether every shard has a dispatched window it has not yet taken
+    /// up, and admission is open: the condition under which the window
+    /// being filled is held open for arrivals.
+    fn shards_backlogged(&self) -> bool {
+        self.gate.is_open() && self.shard_depths.iter().all(|d| d.current() > 0)
+    }
+
     /// Re-compiles a queued CPWL program request one ladder rung coarser
     /// (or, for the expiry rescue, at the coarsest rung), swapping the
     /// recompiled program into the job so every later consumer — the
@@ -320,10 +337,21 @@ pub(super) fn admitter_loop(mut ctx: AdmitterCtx) -> AdmitOut {
         let mut work = 0u64;
         let mut window: Vec<Job> = Vec::new();
         ctx.admit(head, &mut window, &mut work);
-        // Fill greedily from what has already arrived — never wait for
-        // stragglers (they catch the next window).
+        // Fill greedily from what has already arrived; wait for
+        // stragglers only while every shard still has a window queued
+        // (see `AdmissionPolicy`), else they catch the next window.
         while !window_full(ctx.cfg.admission, window.len(), work) {
-            let Ok(job) = ctx.rx.try_recv() else { break };
+            let job = match ctx.rx.try_recv() {
+                Ok(job) => job,
+                Err(TryRecvError::Empty) if ctx.shards_backlogged() => {
+                    match ctx.rx.recv_timeout(HOLD_POLL) {
+                        Ok(job) => job,
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        Err(RecvTimeoutError::Disconnected) => break,
+                    }
+                }
+                Err(_) => break,
+            };
             ctx.queue_depth.dec();
             ctx.admit(job, &mut window, &mut work);
         }

@@ -741,6 +741,10 @@ impl Gate {
         self.cv.notify_all();
     }
 
+    fn is_open(&self) -> bool {
+        *self.open.lock().expect("gate lock")
+    }
+
     fn wait_open(&self) {
         let open = self.open.lock().expect("gate lock");
         let _open = self.cv.wait_while(open, |open| !*open).expect("gate lock");
@@ -1849,6 +1853,43 @@ mod tests {
             summary.report.gemm_groups, 2,
             "each wave's shared-weight GEMMs coalesce into one group"
         );
+    }
+
+    #[test]
+    fn a_window_stays_open_while_every_shard_has_one_queued() {
+        // One shard, kept busy by a large GEMM (a quarter second or more
+        // on one thread in either build). A second request's window then
+        // waits in the shard's channel, so the four requests that follow
+        // are held in one window, which closes full: three windows in
+        // all, where closing at each momentarily empty queue would cut
+        // the four apart.
+        let mut rng = Pcg32::seed_from_u64(43);
+        let engine = ServeEngine::start(
+            ServeConfig::uniform(1, ArrayConfig::new(4, 4), Parallelism::Sequential)
+                .with_admission(AdmissionPolicy::Fifo { window: 4 }),
+        )
+        .unwrap();
+        let n = if cfg!(debug_assertions) { 320 } else { 2048 };
+        let big = rng.randn(&[n, n], 1.0);
+        let settle = || std::thread::sleep(std::time::Duration::from_millis(50));
+        let mut tickets = vec![engine.submit(Request::gemm(big.clone(), big)).unwrap()];
+        settle(); // the shard is running the large GEMM
+        let w = rng.randn(&[4, 3], 1.0);
+        let mut small = || Request::gemm(rng.randn(&[2, 4], 1.0), w.clone());
+        tickets.push(engine.submit(small()).unwrap());
+        settle(); // its window waits in the shard's channel
+        for _ in 0..4 {
+            tickets.push(engine.submit(small()).unwrap());
+        }
+        for t in tickets {
+            t.wait().unwrap();
+        }
+        let summary = engine.finish().unwrap();
+        assert_eq!(
+            summary.windows, 3,
+            "the four held requests share one window"
+        );
+        assert_eq!(summary.report.gemm_groups, 3);
     }
 
     /// A tiny CPWL MLP (GEMM → Gelu → GEMM) for the degrade tests, plus

@@ -809,41 +809,41 @@ mod tests {
             (
                 InferenceMode::Exact,
                 [
-                    0xbaa18afd8ebd3257,
-                    0xa4a59f6db44ff2cf,
-                    0x032553807d64eec6,
-                    0x04bc1a27b63c6109,
-                    0xb5520250e71d1dc0,
+                    0x04878bed1c0140f1,
+                    0x7a6f70396c1a1e2f,
+                    0xfe5b3925def7ad8e,
+                    0xd9d755322c25001c,
+                    0x3d273161903a436d,
                 ],
                 [
-                    0xe9e8b339008a6bd9,
-                    0xbaa18afd8ebd3257,
-                    0x69b273a2caa2441e,
-                    0x3ff63460aa8d93ad,
-                    0xa4a59f6db44ff2cf,
-                    0x032553807d64eec6,
-                    0x04bc1a27b63c6109,
-                    0xb5520250e71d1dc0,
+                    0xa2949b216f6193ae,
+                    0x04878bed1c0140f1,
+                    0x01df1c599549e93c,
+                    0x46a48aded641e297,
+                    0x7a6f70396c1a1e2f,
+                    0xfe5b3925def7ad8e,
+                    0xd9d755322c25001c,
+                    0x3d273161903a436d,
                 ],
             ),
             (
                 InferenceMode::cpwl(0.25).unwrap(),
                 [
-                    0xdce3930b22390ef6,
-                    0x59fba9147e9e54aa,
-                    0xa7daa356172ac89f,
-                    0xa130aa738850382c,
-                    0x1a494d1cac431219,
+                    0x859e32f6e52743c2,
+                    0x7fe4ac999e9a533c,
+                    0x17e196cafd1e0d33,
+                    0xd14bc91b4d73b5e7,
+                    0x5616568f5ce869d4,
                 ],
                 [
-                    0xe91ce28e5045fb01,
-                    0x228a09bf966d8ff8,
-                    0xad12524ba96391a6,
-                    0x8e344c71eb1087d5,
-                    0x3fd07e749772aa18,
-                    0x078bb8737bfa59cb,
-                    0x265944763557f35e,
-                    0x8aba3427ee940c8d,
+                    0x5ce773abb8e15d70,
+                    0x6515433dcb98519a,
+                    0x466e8db38b07bbf8,
+                    0x1307335a456e5aa3,
+                    0x21881bd18fe1bc4e,
+                    0x97337f371fe45901,
+                    0x288f5bd25a46c031,
+                    0x4409103bba6e467a,
                 ],
             ),
         ];

@@ -95,7 +95,9 @@ impl CompileCache {
     }
 
     /// [`CompileCache::get_or_compile`] for a program that bakes in a
-    /// tensor too large to hash on every call (a GCN's `Â`): an entry for
+    /// tensor too large to hash on every call (a GCN's 420 × 420 `Â`
+    /// costs [`crate::tensor_fingerprint`] ~23 µs even at its 64 lanes'
+    /// memory speed, where a shared `Arc` is recognised in O(1)): an entry for
     /// `(mode, geometry)` is a hit when `same(program)` confirms it — an
     /// exact compare against the constant the program already holds, O(1)
     /// when that constant *is* the caller's tensor (shared through an

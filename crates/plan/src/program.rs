@@ -1068,7 +1068,7 @@ impl Program {
         Ok(self.op_energy(cfg)?.iter().sum())
     }
 
-    /// Structural fingerprint: an FNV hash of the program's wire encoding
+    /// Structural fingerprint: an FNV-1a hash of the program's wire encoding
     /// — its mode, its op list with every operand, each constant's
     /// [`tensor_fingerprint`] and, for a session program, its input
     /// shapes and session wiring; never its name. Programs compiled from
@@ -1445,24 +1445,21 @@ fn per_head(cfg: &ArrayConfig, heads: usize, one: &ExecStats) -> ExecStats {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for i in 0..8 {
-        h = (h ^ ((v >> (8 * i)) & 0xff)).wrapping_mul(FNV_PRIME);
-    }
-    h
+/// One FNV-1a step: `h` absorbs `v`. A bijection in `h` for a fixed `v`
+/// and in `v` for a fixed `h` (the prime is odd), so a chain of steps
+/// tells apart any two equally long inputs that differ in one value.
+fn fnv_step(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(FNV_PRIME)
 }
 
 /// A [`WireSink`] that hashes what is written instead of storing it
-/// (one [`fnv_u64`] step per byte): an allocation-free key over a
+/// (FNV-1a, one [`fnv_step`] per byte): an allocation-free key over a
 /// value's wire encoding.
 struct FnvSink(u64);
 
 impl WireSink for FnvSink {
     fn put_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = fnv_u64(self.0, u64::from(b));
-        }
+        self.0 = bytes.iter().fold(self.0, |h, &b| fnv_step(h, u64::from(b)));
     }
 }
 
@@ -1474,18 +1471,41 @@ pub(crate) fn hash_encoding(seed: u64, value: &impl Wire) -> u64 {
     h.0
 }
 
-/// Cheap content hash (FNV-1a over dims and value bit patterns) used to
-/// bucket constant tensors before exact equality checks — what the
-/// staged executor groups shared-weight GEMMs by.
+/// The independent FNV-1a chains [`tensor_fingerprint`] spreads a
+/// tensor's values over.
+const LANES: usize = 64;
+
+/// Cheap content hash used to bucket constant tensors before exact
+/// equality checks — what the staged executor groups shared-weight GEMMs
+/// by, and what a lowered GEMM request pays once for its weight. FNV-1a
+/// over the dims, then value `i`'s bit pattern into lane `i % 64` of 64
+/// independent FNV-1a chains (no chain waits on another's multiply, so
+/// the loop vectorises and runs at about memory speed), then the
+/// `len % 64` trailing values into the dims' chain, which finally
+/// absorbs the 64 lanes in order. Every step is a bijection in its
+/// state and in its value, so two tensors of one rank and length that
+/// differ in a single value or a single dim always hash apart. A pure
+/// function of the dims and the bit patterns: the same on every platform
+/// and alignment, as the wire's recorded program fingerprints need. A
+/// `[256, 128]` weight hashes in ~5 µs, under a 16-row GEMM against it.
 pub fn tensor_fingerprint(t: &Tensor) -> u64 {
-    let mut h = FNV_OFFSET;
-    for d in t.dims() {
-        h = (h ^ *d as u64).wrapping_mul(FNV_PRIME);
+    let h = t
+        .dims()
+        .iter()
+        .fold(FNV_OFFSET, |h, &d| fnv_step(h, d as u64));
+    let values = t.as_slice().chunks_exact(LANES);
+    let tail = values.remainder();
+    let mut lanes = [FNV_OFFSET; LANES];
+    for chunk in values {
+        let chunk: &[f32; LANES] = chunk.try_into().expect("chunks_exact");
+        for (lane, v) in lanes.iter_mut().zip(chunk) {
+            *lane = fnv_step(*lane, u64::from(v.to_bits()));
+        }
     }
-    for v in t.as_slice() {
-        h = (h ^ u64::from(v.to_bits())).wrapping_mul(FNV_PRIME);
-    }
-    h
+    let h = tail
+        .iter()
+        .fold(h, |h, v| fnv_step(h, u64::from(v.to_bits())));
+    lanes.iter().fold(h, |h, &lane| fnv_step(h, lane))
 }
 
 /// Whether two tensors are the same shape and bit pattern (`-0.0` is not
@@ -2072,5 +2092,26 @@ mod tests {
         last.as_mut_slice()[209] += 0.125;
         assert!(!same_tensor(&t, &last));
         assert!(!same_tensor(&t, &t.reshape(&[70, 3]).unwrap()));
+    }
+
+    #[test]
+    fn tensor_fingerprint_reads_contents_and_shape_not_the_allocation() {
+        let t = Pcg32::seed_from_u64(9).randn(&[2, 3], 1.0);
+        let copy = Tensor::from_vec(t.as_slice().to_vec(), &[2, 3]).unwrap();
+        assert_ne!(t.as_slice().as_ptr(), copy.as_slice().as_ptr());
+        assert_eq!(tensor_fingerprint(&t), tensor_fingerprint(&copy));
+        let turned = t.reshape(&[3, 2]).unwrap();
+        assert_ne!(tensor_fingerprint(&t), tensor_fingerprint(&turned));
+    }
+
+    #[test]
+    fn tensor_fingerprint_is_pinned() {
+        // Three full 64-value chunks and a 5-value tail, every value's bits
+        // distinct: a change to the hash (lane count, order, tail or
+        // fold) moves this literal, and with it every recorded program
+        // fingerprint on the wire.
+        let values = (0..197u16).map(|i| f32::from(i) * 0.5 - 7.0).collect();
+        let t = Tensor::from_vec(values, &[197]).unwrap();
+        assert_eq!(tensor_fingerprint(&t), 0x441a_3644_dc36_a3a0);
     }
 }

@@ -121,7 +121,11 @@ pub(crate) const MAGIC: [u8; 4] = *b"OSAW";
 ///   `Transpose` (tag 10) and `SliceCols` (tag 11) and gains `SliceRows
 ///   { start, len }` (tag 23); the transport's outcome loses its per-op
 ///   stats and its report the optimizer and sparse-block totals.
-pub const VERSION: u16 = 7;
+/// * v8 — no layout change; the fingerprint a program frame records is
+///   the new hash: a constant's [`crate::tensor_fingerprint`] runs 64
+///   independent lanes and the encoding's hash takes one FNV-1a step per
+///   byte.
+pub const VERSION: u16 = 8;
 
 /// Frame kind: a standalone tensor ([`encode_tensor`]).
 pub(crate) const KIND_TENSOR: u16 = 0x0001;

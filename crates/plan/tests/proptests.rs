@@ -9,12 +9,14 @@
 //!   programs — every `f32` bit (NaN payloads, signed zeros,
 //!   subnormals) and the program fingerprint survive the round trip,
 //!   and re-encoding the decoded value reproduces the original bytes
-//!   (the encoding is canonical).
+//!   (the encoding is canonical);
+//! * `tensor_fingerprint` tells apart two tensors that differ in one bit
+//!   of one value or of one dim, at every tail length of its 64 lanes.
 
 use onesa_cpwl::NonlinearFn;
 use onesa_plan::{
-    wire, CompileCache, EvalMode, Op, OptLevel, PoolKind, Precision, Program, TableCache,
-    PRUNE_BLOCK_COLS,
+    tensor_fingerprint, wire, CompileCache, EvalMode, Op, OptLevel, PoolKind, Precision, Program,
+    TableCache, PRUNE_BLOCK_COLS,
 };
 use onesa_tensor::im2col::Conv2dGeometry;
 use onesa_tensor::parallel::Parallelism;
@@ -595,6 +597,19 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// `len` arbitrary bit patterns (NaN payloads, infinities, subnormals
+/// and signed zeros included) shaped `[len]`, `[1, len]` or `[len, 1]`
+/// by `shape`.
+fn raw_tensor(len: usize, shape: u32, rng: &mut Pcg32) -> Tensor {
+    let values = (0..len).map(|_| f32::from_bits(rng.next_u32())).collect();
+    let dims = match shape {
+        0 => vec![len],
+        1 => vec![1, len],
+        _ => vec![len, 1],
+    };
+    Tensor::from_vec(values, &dims).expect("volume matches")
+}
+
 proptest! {
     // Pinned case count: CI runs are deterministic and reproducible.
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -765,6 +780,37 @@ proptest! {
             .expect("compiles");
         prop_assert!(!std::sync::Arc::ptr_eq(&a, &g));
         prop_assert_eq!(cache.misses(), 2);
+    }
+
+    /// One flipped bit — of any value, or of a dim's low bits (the
+    /// values then cut or zero-padded to the new volume) — changes
+    /// [`tensor_fingerprint`], at every length from empty to three full
+    /// 64-value chunks and one over, so every tail length is covered.
+    #[test]
+    fn tensor_fingerprint_sees_every_single_bit_flip(
+        seed in 0u64..1_000_000,
+        shape in 0u32..3,
+    ) {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        for len in 0..=3 * 64 + 1 {
+            let t = raw_tensor(len, shape, &mut rng);
+            let h = tensor_fingerprint(&t);
+            if len > 0 {
+                let mut flipped = t.clone();
+                let at = rng.below(len as u32) as usize;
+                let v = &mut flipped.as_mut_slice()[at];
+                *v = f32::from_bits(v.to_bits() ^ 1 << rng.below(32));
+                prop_assert_ne!(tensor_fingerprint(&flipped), h, "len {} value {}", len, at);
+            }
+            let mut dims = t.dims().to_vec();
+            let axis = rng.below(dims.len() as u32) as usize;
+            dims[axis] ^= 1 << rng.below(3);
+            let volume = dims.iter().product();
+            let mut values = t.as_slice().to_vec();
+            values.resize(volume, 0.0);
+            let reshaped = Tensor::from_vec(values, &dims).expect("volume matches");
+            prop_assert_ne!(tensor_fingerprint(&reshaped), h, "{:?} -> {:?}", t.dims(), dims);
+        }
     }
 
     /// Tensor wire round trips are the identity on every bit — NaN

@@ -14,7 +14,8 @@
 //!   one step, with group counts and the modeled clock pinned exactly;
 //! * the same policy grid on the `Process` backend (real spawned
 //!   `onesa-shard-worker` processes over Unix sockets), with the shard
-//!   counts cycled across the grid so each count runs multi-process;
+//!   counts laid over the grid as a Latin square, so every admission and
+//!   every routing policy runs at 1, 2 and 4 shards;
 //! * every [`InferenceMode`] (exact, CPWL quantized, CPWL unquantized)
 //!   on both backends;
 //! * a chaos test: SIGKILL a worker process *mid-decode* — the host
@@ -231,8 +232,10 @@ fn in_process_batched_generation_matches_direct_for_every_policy_combo() {
 #[test]
 fn process_backend_batched_generation_matches_direct_across_policies() {
     // Untied head here (the in-process grid runs tied), so both LM-head
-    // forms cross the wire. Shard counts cycle 1/2/4 across the grid —
-    // every policy combo runs multi-process, every count is covered.
+    // forms cross the wire. Shard counts form a Latin square over the
+    // 3 × 3 grid (`i` is `3 · admission + routing`): every admission
+    // and every routing policy meets 1, 2 and 4 shards, so each runs
+    // multi-process twice, in the same 9 runs.
     let lm = TinyCausalLm::new(12, 20, 16, 2, false);
     let mode = InferenceMode::cpwl(0.25).unwrap();
     let prompts: Vec<Vec<usize>> = vec![vec![4, 2, 8], vec![1, 6]];
@@ -242,7 +245,7 @@ fn process_backend_batched_generation_matches_direct_across_policies() {
         .map(|p| lm.generate_direct(p, n, &mode))
         .collect();
     for (i, (admission, routing)) in policy_grid().into_iter().enumerate() {
-        let shards = [1usize, 2, 4][i % 3];
+        let shards = [1usize, 2, 4][(i + i / 3) % 3];
         let label = format!("{admission:?}/{routing:?}/{shards} shards");
         let cfg = ServeConfig::uniform(shards, ArrayConfig::new(8, 16), Parallelism::Sequential)
             .with_admission(admission)
