@@ -282,7 +282,7 @@ fn main() {
             ("relu_masked", dense.map(|v| v.max(0.0))),
         ];
         if gcn {
-            operands.push(("a_hat", a_hat.as_ref().clone()));
+            operands.push(("a_hat", a_hat.clone()));
         }
         for (which, (label, a)) in operands.iter().enumerate() {
             let zeros = a.as_slice().iter().filter(|v| **v == 0.0).count();

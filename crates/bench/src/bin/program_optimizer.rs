@@ -92,9 +92,10 @@ fn main() {
     println!("  ],");
 
     // ---- per-request setup: recompile-every-call (PR-4) vs cached ----
-    // The recompile path re-emits the operator graph and deep-copies
-    // every weight into Program::consts on each call; the cached path
-    // clones an Arc-backed program out of the model's CompileCache.
+    // The recompile path re-emits the operator graph, re-registers every
+    // weight in Program::consts (sharing its storage) and re-hashes it on
+    // each call; the cached path clones an Arc-backed program out of the
+    // model's CompileCache.
     let calls = 200usize;
     let t0 = Instant::now();
     for _ in 0..calls {

@@ -17,11 +17,13 @@
 //! [`crate::net::WorkerHandle::run_window`]):
 //!
 //! * `Request::gemm(a, W)` → an [`EvalMode::Exact`] program whose one
-//!   op is `input · W`, with `W` an `Arc`-shared constant (never
-//!   copied, hashed once when the program is built — the request's one
-//!   weight hash, whose 64 independent lanes run at about memory speed:
-//!   ~5 µs for a `[256, 128]` weight, a fraction of even a 16-row GEMM
-//!   against it);
+//!   op is `input · W`, with `W` a constant on the caller's storage (a
+//!   [`Tensor`] clone shares its buffer, so a weight sent again is never
+//!   copied; it is hashed once when the program is built — the request's
+//!   one weight hash, whose 64 independent lanes run at about memory
+//!   speed: ~5 µs for a `[256, 128]` weight, a fraction of even a 16-row
+//!   GEMM against it — and a group member on its leader's buffer joins
+//!   the group without a second read);
 //! * `Request::nonlinear(f, x)` → an [`EvalMode::Cpwl`] program at the
 //!   engine's granularity whose one op is `f(input)`.
 //!
@@ -146,7 +148,6 @@ use onesa_sim::ExecStats;
 use onesa_tensor::{Result, Tensor, TensorError};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Identifier handed back by [`BatchEngine::submit`].
@@ -169,9 +170,9 @@ pub struct Request {
 /// [`Request::lower`] look at this.
 #[derive(Debug, Clone)]
 enum Work {
-    /// `inputs[0] · weights`. `Arc`-held so lowering registers the
-    /// weights as a program constant without copying them.
-    Gemm(Arc<Tensor>),
+    /// `inputs[0] · weights`. Lowering registers a clone of the weights
+    /// as a program constant, which shares their storage.
+    Gemm(Tensor),
     /// A pointwise evaluation of `inputs[0]` through the CPWL tables.
     Nonlinear(NonlinearFn),
     /// A compiled operator graph (boxed to keep the request small).
@@ -184,7 +185,7 @@ impl Request {
     /// as its constant.
     pub fn gemm(a: Tensor, b: Tensor) -> Self {
         Request {
-            work: Work::Gemm(Arc::new(b)),
+            work: Work::Gemm(b),
             inputs: vec![a],
         }
     }
@@ -211,8 +212,8 @@ impl Request {
     /// Lowers the request in place to the one kind the engines execute:
     /// a [`Program`] plus its inputs. A program request is already
     /// there; a GEMM becomes an exact-mode program whose only op
-    /// multiplies the input by the (shared, never copied) weight
-    /// constant, and a nonlinear a CPWL-mode program at `granularity`
+    /// multiplies the input by the weight constant (on the weights'
+    /// storage, never copied), and a nonlinear a CPWL-mode program at `granularity`
     /// whose only op evaluates the function. Building the program
     /// validates it and hashes a GEMM's weights — the one weight hash
     /// the request costs end to end; the scheduler and the wire cache
@@ -230,7 +231,7 @@ impl Request {
             Work::Gemm(weights) => {
                 let mut b = Program::builder("gemm", EvalMode::Exact);
                 let a = b.input(self.inputs[0].dims());
-                let w = b.constant_shared(Arc::clone(weights));
+                let w = b.constant(weights.clone());
                 b.push(
                     Op::Gemm {
                         bias: None,
@@ -739,6 +740,7 @@ mod tests {
     use onesa_tensor::gemm;
     use onesa_tensor::parallel::Parallelism;
     use onesa_tensor::rng::Pcg32;
+    use std::sync::Arc;
 
     fn engine() -> OneSa {
         OneSa::with_parallelism(ArrayConfig::new(8, 16), Parallelism::Threads(2))
@@ -1029,21 +1031,22 @@ mod tests {
     #[test]
     fn equal_weights_in_distinct_allocations_share_one_gemm_group() {
         // The weights span one full 64-value hash chunk and a tail; the
-        // two copies are equal bit for bit but never the same `Arc`, so
-        // only the lowered fingerprint and the exact compare behind it
-        // can put them in one group. A copy one bit off is its own group.
+        // two copies are equal bit for bit but never one buffer, so only
+        // the lowered fingerprint and the exact compare behind it can put
+        // them in one group. A copy one bit off is its own group.
         let mut rng = Pcg32::seed_from_u64(15);
         let w = rng.randn(&[12, 10], 1.0);
         let mut off = w.clone();
         off.as_mut_slice()[100] = f32::from_bits(off.as_slice()[100].to_bits() ^ 1);
         let mut lowered = |w: &Tensor| {
-            let mut r = Request::gemm(rng.randn(&[3, 12], 1.0), w.clone());
+            let copy = Tensor::from_vec(w.as_slice().to_vec(), w.dims()).unwrap();
+            let mut r = Request::gemm(rng.randn(&[3, 12], 1.0), copy);
             r.lower(0.25).unwrap();
             r
         };
         let (a, b, c) = (lowered(&w), lowered(&w), lowered(&off));
         let (pa, pb) = (a.lowered_program(), b.lowered_program());
-        assert!(!Arc::ptr_eq(&pa.consts()[0], &pb.consts()[0]));
+        assert!(!pa.consts()[0].shares_storage(&pb.consts()[0]));
         assert_eq!(pa.fingerprint(), pb.fingerprint());
         assert_ne!(pa.fingerprint(), c.lowered_program().fingerprint());
         let mut serving = BatchEngine::new(engine(), 0.25).unwrap();
@@ -1053,6 +1056,28 @@ mod tests {
         serving.submit(lowered(&w));
         serving.submit(c);
         assert_eq!(serving.run().unwrap().report.gemm_groups, 2);
+    }
+
+    #[test]
+    fn clones_of_one_weight_lower_onto_its_storage_and_run_as_one_gemm_group() {
+        let mut rng = Pcg32::seed_from_u64(16);
+        let w = rng.randn(&[12, 10], 1.0);
+        let mut lowered = || {
+            let mut r = Request::gemm(rng.randn(&[3, 12], 1.0), w.clone());
+            r.lower(0.25).unwrap();
+            r
+        };
+        let (a, b) = (lowered(), lowered());
+        let (wa, wb) = (
+            &a.lowered_program().consts()[0],
+            &b.lowered_program().consts()[0],
+        );
+        assert!(wa.shares_storage(wb) && wa.shares_storage(&w));
+        assert_eq!(wa.as_slice().as_ptr(), w.as_slice().as_ptr());
+        let mut serving = BatchEngine::new(engine(), 0.25).unwrap();
+        serving.submit(a);
+        serving.submit(b);
+        assert_eq!(serving.run().unwrap().report.gemm_groups, 1);
     }
 
     #[test]

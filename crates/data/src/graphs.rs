@@ -5,7 +5,6 @@
 use crate::Difficulty;
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::Tensor;
-use std::sync::Arc;
 
 /// A node-classification graph dataset.
 #[derive(Debug, Clone)]
@@ -23,10 +22,10 @@ pub struct GraphDataset {
     /// Symmetrically normalized adjacency with self-loops,
     /// `D^{-1/2} (A + I) D^{-1/2}`, stored dense `[nodes, nodes]`. Shared:
     /// every clone of the dataset — one graph carrying many feature sets —
-    /// holds the one tensor, and a model that compiles `Â` into a program
-    /// recognises it there by identity. Edit a clone's through
-    /// [`Arc::make_mut`], which copies it first.
-    pub a_hat: Arc<Tensor>,
+    /// holds one buffer ([`Tensor::shares_storage`]), and a model that
+    /// compiles `Â` into a program recognises it there in O(1). Editing a
+    /// clone's through [`Tensor::as_mut_slice`] copies it first.
+    pub a_hat: Tensor,
     /// Node labels.
     pub y: Vec<usize>,
     /// Indices of training nodes.
@@ -112,7 +111,7 @@ impl GraphDataset {
             features,
             classes,
             x,
-            a_hat: Arc::new(Tensor::from_vec(a_hat, &[nodes, nodes]).expect("square")),
+            a_hat: Tensor::from_vec(a_hat, &[nodes, nodes]).expect("square"),
             y,
             train_idx,
             test_idx,
@@ -220,9 +219,9 @@ mod tests {
     fn clones_share_a_hat_until_one_is_edited() {
         let a = GraphDataset::generate("t", 6, Difficulty::easy(3), 20, 4, 0.3);
         let mut b = a.clone();
-        assert!(Arc::ptr_eq(&a.a_hat, &b.a_hat));
-        Arc::make_mut(&mut b.a_hat).as_mut_slice()[0] += 1.0;
-        assert!(!Arc::ptr_eq(&a.a_hat, &b.a_hat));
+        assert!(a.a_hat.shares_storage(&b.a_hat));
+        b.a_hat.as_mut_slice()[0] += 1.0;
+        assert!(!a.a_hat.shares_storage(&b.a_hat));
         assert_eq!(
             a.a_hat,
             GraphDataset::generate("t", 6, Difficulty::easy(3), 20, 4, 0.3).a_hat

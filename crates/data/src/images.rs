@@ -51,6 +51,7 @@ impl ImageDataset {
                 let py = rng.uniform(0.0, std::f32::consts::TAU);
                 let amp = rng.uniform(0.8, 1.2);
                 let mut t = Tensor::zeros(&[c, h, w]);
+                let dst = t.as_mut_slice();
                 for ch in 0..c {
                     let chp = ch as f32 * 0.7;
                     for y in 0..h {
@@ -60,7 +61,7 @@ impl ImageDataset {
                                     .cos()
                                     + (fy * y as f32 / h as f32 * std::f32::consts::TAU + py)
                                         .sin());
-                            t.set(&[ch, y, x], v).expect("in bounds");
+                            dst[(ch * h + y) * w + x] = v;
                         }
                     }
                 }

@@ -123,9 +123,10 @@ impl Linear {
         let dw = gemm::matmul(&xt, dy).expect("shapes agree");
         self.w.grad = self.w.grad.add(&dw).expect("same shape");
         let (m, n) = dy.shape().as_matrix().expect("matrix");
+        let db = self.b.grad.as_mut_slice();
         for i in 0..m {
-            for j in 0..n {
-                self.b.grad.as_mut_slice()[j] += dy.as_slice()[i * n + j];
+            for (g, d) in db.iter_mut().zip(&dy.as_slice()[i * n..(i + 1) * n]) {
+                *g += d;
             }
         }
         let wt = self.w.value.transpose().expect("matrix");
@@ -178,9 +179,10 @@ impl Conv2d {
         let wt = self.w.value.transpose().expect("matrix");
         let mut prod = gemm::matmul(&cols, &wt).expect("shapes agree");
         let (m, n) = prod.shape().as_matrix().expect("matrix");
+        let dst = prod.as_mut_slice();
         for i in 0..m {
             for j in 0..n {
-                prod.as_mut_slice()[i * n + j] += self.b.value.as_slice()[j];
+                dst[i * n + j] += self.b.value.as_slice()[j];
             }
         }
         self.cache.push((cols, oh, ow));
@@ -196,9 +198,10 @@ impl Conv2d {
         let wt = self.w.value.transpose().expect("matrix");
         let mut prod = gemm::matmul(&cols, &wt).expect("shapes agree");
         let (m, n) = prod.shape().as_matrix().expect("matrix");
+        let dst = prod.as_mut_slice();
         for i in 0..m {
             for j in 0..n {
-                prod.as_mut_slice()[i * n + j] += self.b.value.as_slice()[j];
+                dst[i * n + j] += self.b.value.as_slice()[j];
             }
         }
         im2col::col2im_output(&prod, self.geo.out_channels, oh, ow).expect("consistent")
@@ -214,18 +217,20 @@ impl Conv2d {
         let oc = self.geo.out_channels;
         // dy: [oc, oh, ow] → dprod: [oh·ow, oc]
         let mut dprod = Tensor::zeros(&[oh * ow, oc]);
+        let dst = dprod.as_mut_slice();
         for ch in 0..oc {
             for p in 0..oh * ow {
-                dprod.as_mut_slice()[p * oc + ch] = dy.as_slice()[ch * oh * ow + p];
+                dst[p * oc + ch] = dy.as_slice()[ch * oh * ow + p];
             }
         }
         // dW = dprodᵀ · cols ;  db = colsum dprod ; dcols = dprod · W
         let dpt = dprod.transpose().expect("matrix");
         let dw = gemm::matmul(&dpt, &cols).expect("shapes agree");
         self.w.grad = self.w.grad.add(&dw).expect("same shape");
+        let db = self.b.grad.as_mut_slice();
         for p in 0..oh * ow {
-            for ch in 0..oc {
-                self.b.grad.as_mut_slice()[ch] += dprod.as_slice()[p * oc + ch];
+            for (g, d) in db.iter_mut().zip(&dprod.as_slice()[p * oc..(p + 1) * oc]) {
+                *g += d;
             }
         }
         let dcols = gemm::matmul(&dprod, &self.w.value).expect("shapes agree");
@@ -235,6 +240,7 @@ impl Conv2d {
         let k = self.geo.kernel;
         let pad = self.geo.padding as isize;
         let mut dx = Tensor::zeros(&[c, h, w]);
+        let dst = dx.as_mut_slice();
         let patch = self.geo.patch_len();
         for oy in 0..oh {
             for ox in 0..ow {
@@ -251,7 +257,7 @@ impl Conv2d {
                                 continue;
                             }
                             let col = ch * k * k + ky * k + kx;
-                            dx.as_mut_slice()[ch * h * w + iy as usize * w + ix as usize] +=
+                            dst[ch * h * w + iy as usize * w + ix as usize] +=
                                 dcols.as_slice()[row * patch + col];
                         }
                     }
@@ -396,9 +402,13 @@ impl BatchNorm2d {
                 }
             }
         }
+        let (dg, db) = (
+            self.gamma.grad.as_mut_slice(),
+            self.beta.grad.as_mut_slice(),
+        );
         for ch in 0..c {
-            self.gamma.grad.as_mut_slice()[ch] += dgamma[ch];
-            self.beta.grad.as_mut_slice()[ch] += dbeta[ch];
+            dg[ch] += dgamma[ch];
+            db[ch] += dbeta[ch];
         }
         dys.iter()
             .zip(&xhats)
@@ -492,14 +502,18 @@ impl LayerNorm {
         let (m, n) = dy.shape().as_matrix().expect("matrix");
         let mut dx = dy.clone();
         assert_eq!(inv_stds.len(), m, "cached forward batch vs dy rows");
+        let (dg, db) = (
+            self.gamma.grad.as_mut_slice(),
+            self.beta.grad.as_mut_slice(),
+        );
         for (i, &inv_std) in inv_stds.iter().enumerate() {
             let dyr = &dy.as_slice()[i * n..(i + 1) * n];
             let xr = &xhat.as_slice()[i * n..(i + 1) * n];
             let mut sum_dxhat = 0.0f32;
             let mut sum_dxhat_xhat = 0.0f32;
             for j in 0..n {
-                self.gamma.grad.as_mut_slice()[j] += dyr[j] * xr[j];
-                self.beta.grad.as_mut_slice()[j] += dyr[j];
+                dg[j] += dyr[j] * xr[j];
+                db[j] += dyr[j];
                 let dxh = dyr[j] * self.gamma.value.as_slice()[j];
                 sum_dxhat += dxh;
                 sum_dxhat_xhat += dxh * xr[j];
@@ -566,11 +580,12 @@ impl Embedding {
     /// Backward: scatter-adds into the tables.
     pub fn backward(&mut self, dy: &Tensor) {
         let d = self.table.value.dims()[1];
+        let (dt, dp) = (self.table.grad.as_mut_slice(), self.pos.grad.as_mut_slice());
         for (i, &id) in self.cache_ids.iter().enumerate() {
             for j in 0..d {
                 let g = dy.as_slice()[i * d + j];
-                self.table.grad.as_mut_slice()[id * d + j] += g;
-                self.pos.grad.as_mut_slice()[i * d + j] += g;
+                dt[id * d + j] += g;
+                dp[i * d + j] += g;
             }
         }
     }
@@ -634,9 +649,10 @@ impl MultiHeadAttention {
     fn head_slice(x: &Tensor, head: usize, dk: usize) -> Tensor {
         let (l, _d) = x.shape().as_matrix().expect("matrix");
         let mut out = Tensor::zeros(&[l, dk]);
+        let dst = out.as_mut_slice();
         for i in 0..l {
             for j in 0..dk {
-                out.as_mut_slice()[i * dk + j] = x.as_slice()[i * x.dims()[1] + head * dk + j];
+                dst[i * dk + j] = x.as_slice()[i * x.dims()[1] + head * dk + j];
             }
         }
         out
@@ -644,9 +660,10 @@ impl MultiHeadAttention {
 
     fn head_write(x: &mut Tensor, head: usize, dk: usize, part: &Tensor) {
         let (l, d) = x.shape().as_matrix().expect("matrix");
+        let dst = x.as_mut_slice();
         for i in 0..l {
             for j in 0..dk {
-                x.as_mut_slice()[i * d + head * dk + j] += part.as_slice()[i * dk + j];
+                dst[i * d + head * dk + j] += part.as_slice()[i * dk + j];
             }
         }
     }
@@ -823,10 +840,11 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
     assert_eq!(labels.len(), m, "one label per logit row");
     let mut loss = 0.0f32;
     let mut dl = probs.clone();
+    let dst = dl.as_mut_slice();
     for (i, &label) in labels.iter().enumerate() {
         let p = probs.as_slice()[i * n + label].max(1e-12);
         loss -= p.ln();
-        dl.as_mut_slice()[i * n + label] -= 1.0;
+        dst[i * n + label] -= 1.0;
     }
     (loss / m as f32, dl.scale(1.0 / m as f32))
 }

@@ -440,9 +440,13 @@ impl TinyBert {
         let l = seq.len();
         // Mean pool.
         let mut pooled = Tensor::zeros(&[1, self.d]);
+        let dst = pooled.as_mut_slice();
         for i in 0..l {
-            for j in 0..self.d {
-                pooled.as_mut_slice()[j] += h.as_slice()[i * self.d + j] / l as f32;
+            for (p, v) in dst
+                .iter_mut()
+                .zip(&h.as_slice()[i * self.d..(i + 1) * self.d])
+            {
+                *p += v / l as f32;
             }
         }
         let out = self.head.forward(&pooled);
@@ -452,9 +456,10 @@ impl TinyBert {
         };
         let dpooled = self.head.backward(&dout);
         let mut dh = Tensor::zeros(&[l, self.d]);
+        let dst = dh.as_mut_slice();
         for i in 0..l {
             for j in 0..self.d {
-                dh.as_mut_slice()[i * self.d + j] = dpooled.as_slice()[j] / l as f32;
+                dst[i * self.d + j] = dpooled.as_slice()[j] / l as f32;
             }
         }
         for b in self.blocks.iter_mut().rev() {
@@ -494,9 +499,13 @@ impl TinyBert {
         }
         let l = seq.len();
         let mut pooled = Tensor::zeros(&[1, self.d]);
+        let dst = pooled.as_mut_slice();
         for i in 0..l {
-            for j in 0..self.d {
-                pooled.as_mut_slice()[j] += h.as_slice()[i * self.d + j] / l as f32;
+            for (p, v) in dst
+                .iter_mut()
+                .zip(&h.as_slice()[i * self.d..(i + 1) * self.d])
+            {
+                *p += v / l as f32;
             }
         }
         self.head.infer(&mode.boundary(&pooled)).into_vec()
@@ -835,13 +844,14 @@ impl Gcn {
             let (n, c) = z2.shape().as_matrix().expect("matrix");
             let probs = onesa_cpwl::ops::softmax_rows_exact(&z2).expect("matrix");
             let mut dz2 = Tensor::zeros(&[n, c]);
+            let dst = dz2.as_mut_slice();
             let m = g.train_idx.len() as f32;
             let mut loss = 0.0f32;
             for &i in &g.train_idx {
                 let p = probs.as_slice()[i * c + g.y[i]].max(1e-12);
                 loss -= p.ln() / m;
                 for j in 0..c {
-                    dz2.as_mut_slice()[i * c + j] =
+                    dst[i * c + j] =
                         (probs.as_slice()[i * c + j] - if j == g.y[i] { 1.0 } else { 0.0 }) / m;
                 }
             }
@@ -874,7 +884,7 @@ impl Gcn {
     /// per (mode, graph shape, Â) — see [`Gcn::compile_cache`].
     pub fn logits(&self, g: &GraphDataset, mode: &InferenceMode) -> Tensor {
         // The propagation matrix Â is baked into the program as a
-        // constant — the dataset's own `Arc`, shared — so it is part of
+        // constant — on the dataset's own storage — so it is part of
         // the cache key (two graphs with the same shape must not share a
         // compilation). A hit is confirmed against the Â the cached
         // program holds: O(1) when it is the caller's (every clone of the
@@ -1100,10 +1110,10 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         let mut g2 = g1.clone();
         let last = g2.a_hat.len() - 1;
-        Arc::make_mut(&mut g2.a_hat).as_mut_slice()[last] += 0.125;
+        g2.a_hat.as_mut_slice()[last] += 0.125;
         let mut g3 = g1.clone();
         let zero = g3.a_hat.as_slice().iter().position(|v| *v == 0.0).unwrap();
-        Arc::make_mut(&mut g3.a_hat).as_mut_slice()[zero] = -0.0;
+        g3.a_hat.as_mut_slice()[zero] = -0.0;
         for g in [&g2, &g3] {
             assert_eq!(model.logits(g, &mode), model.logits_direct(g, &mode));
         }
@@ -1136,14 +1146,14 @@ mod tests {
         let model = Gcn::new(6, 8, 16, 7);
         let mode = InferenceMode::cpwl(0.25).unwrap();
         for g in &graph_clones(&base) {
-            assert!(Arc::ptr_eq(&g.a_hat, &base.a_hat));
+            assert!(g.a_hat.shares_storage(&base.a_hat));
             assert_eq!(model.logits(g, &mode), model.logits_direct(g, &mode));
         }
         let cache = model.compile_cache();
         assert_eq!((cache.misses(), cache.hits()), (1, 15));
         // An equal Â allocated apart is found by the full compare.
         let apart = sbm_graph();
-        assert!(!Arc::ptr_eq(&apart.a_hat, &base.a_hat));
+        assert!(!apart.a_hat.shares_storage(&base.a_hat));
         assert_eq!(
             model.logits(&apart, &mode),
             model.logits_direct(&apart, &mode)
@@ -1155,7 +1165,10 @@ mod tests {
         let program = cache
             .get_or_compile_matching(mode.eval_mode(), &[120, 8], |_| true, compiled)
             .unwrap();
-        assert!(program.consts().iter().any(|c| Arc::ptr_eq(c, &base.a_hat)));
+        assert!(program
+            .consts()
+            .iter()
+            .any(|c| c.shares_storage(&base.a_hat)));
     }
 
     #[test]
@@ -1165,21 +1178,21 @@ mod tests {
         let mode = InferenceMode::Exact;
         let want = model.logits_direct(&base, &mode);
         assert_eq!(model.logits(&base, &mode), want);
-        let pristine = base.a_hat.as_ref().clone();
+        let pristine = Tensor::from_vec(base.a_hat.as_slice().to_vec(), base.a_hat.dims()).unwrap();
         // The two edits the one-element test plants, made through the
         // clones' shared Â.
         let mut bumped = base.clone();
         let last = bumped.a_hat.len() - 1;
-        Arc::make_mut(&mut bumped.a_hat).as_mut_slice()[last] += 0.125;
+        bumped.a_hat.as_mut_slice()[last] += 0.125;
         let mut signed = base.clone();
         let zero = signed
             .a_hat
             .as_slice()
             .iter()
             .position(|v| v.to_bits() == 0);
-        Arc::make_mut(&mut signed.a_hat).as_mut_slice()[zero.unwrap()] = -0.0;
+        signed.a_hat.as_mut_slice()[zero.unwrap()] = -0.0;
         for g in [&bumped, &signed] {
-            assert!(!Arc::ptr_eq(&g.a_hat, &base.a_hat));
+            assert!(!g.a_hat.shares_storage(&base.a_hat));
             assert_eq!(model.logits(g, &mode), model.logits_direct(g, &mode));
         }
         let cache = model.compile_cache();

@@ -97,11 +97,12 @@ impl CompileCache {
     /// [`CompileCache::get_or_compile`] for a program that bakes in a
     /// tensor too large to hash on every call (a GCN's 420 × 420 `Â`
     /// costs [`crate::tensor_fingerprint`] ~23 µs even at its 64 lanes'
-    /// memory speed, where a shared `Arc` is recognised in O(1)): an entry for
-    /// `(mode, geometry)` is a hit when `same(program)` confirms it — an
+    /// memory speed, where shared storage is recognised in O(1)): an entry
+    /// for `(mode, geometry)` is a hit when `same(program)` confirms it — an
     /// exact compare against the constant the program already holds, O(1)
-    /// when that constant *is* the caller's tensor (shared through an
-    /// `Arc`), an early-exit compare otherwise. Nothing is hashed; the new
+    /// when that constant shares the caller's tensor's storage (it was
+    /// compiled from a clone of it; see [`crate::same_tensor`]), an
+    /// early-exit compare otherwise. Nothing is hashed; the new
     /// entry of a miss is stored without a salt, so only a matching lookup
     /// ever finds it.
     ///

@@ -468,15 +468,17 @@ impl ProgramBuilder {
         }
     }
 
-    /// Registers a compile-time constant tensor, returning its operand.
+    /// Registers a compile-time constant tensor, returning its operand. A
+    /// clone of a tensor the caller holds shares its storage, so
+    /// registering one copies no data.
     pub fn constant(&mut self, t: Tensor) -> Operand {
         self.constant_shared(Arc::new(t))
     }
 
-    /// Registers an already-shared constant without copying its data —
-    /// the zero-copy path compilers and the optimizer use to carry
-    /// weights from one program into another.
-    pub fn constant_shared(&mut self, t: Arc<Tensor>) -> Operand {
+    /// Registers an already-shared constant, keeping its `Arc` — the path
+    /// the optimizer and the wire decoder use to carry a constant from one
+    /// program into another with its identity.
+    pub(crate) fn constant_shared(&mut self, t: Arc<Tensor>) -> Operand {
         self.consts.push(t);
         Operand::Const(self.consts.len() - 1)
     }
@@ -1510,11 +1512,12 @@ pub fn tensor_fingerprint(t: &Tensor) -> u64 {
 
 /// Whether two tensors are the same shape and bit pattern (`-0.0` is not
 /// `+0.0`, a NaN equals itself) — the exact check behind every
-/// fingerprint-keyed merge and cache hit. One tensor is itself: an
-/// `Arc`-shared constant (a dataset's `Â` in every program compiled from
-/// it) is recognised by its address, in O(1). Two allocations are compared
-/// 64 elements at a time: each chunk without a branch, stopping at the
-/// first chunk that differs.
+/// fingerprint-keyed merge and cache hit. Dims are compared first, since a
+/// reshape shares its source's storage under other dims. Two tensors on one
+/// buffer ([`Tensor::shares_storage`]: clones of one weight, a dataset's
+/// `Â` in every program compiled from it) are then equal in O(1). Two
+/// buffers are compared 64 elements at a time: each chunk without a
+/// branch, stopping at the first chunk that differs.
 pub fn same_tensor(x: &Tensor, y: &Tensor) -> bool {
     let differ = |(a, b): (&[f32], &[f32])| {
         a.iter()
@@ -1522,13 +1525,13 @@ pub fn same_tensor(x: &Tensor, y: &Tensor) -> bool {
             .fold(0, |bits, (a, b)| bits | (a.to_bits() ^ b.to_bits()))
             != 0
     };
-    std::ptr::eq(x, y)
-        || x.dims() == y.dims()
-            && !x
+    x.dims() == y.dims()
+        && (x.shares_storage(y)
+            || !x
                 .as_slice()
                 .chunks(64)
                 .zip(y.as_slice().chunks(64))
-                .any(differ)
+                .any(differ))
 }
 
 #[cfg(test)]
@@ -2080,10 +2083,13 @@ mod tests {
     #[test]
     fn same_tensor_is_identity_first_then_every_bit() {
         let mut t = Pcg32::seed_from_u64(4).randn(&[3, 70], 1.0);
-        t.as_mut_slice()[5] = f32::NAN;
-        t.as_mut_slice()[6] = -0.0;
+        let data = t.as_mut_slice();
+        data[5] = f32::NAN;
+        data[6] = -0.0;
         assert!(same_tensor(&t, &t));
-        let copy = t.clone();
+        assert!(same_tensor(&t, &t.clone()));
+        let copy = Tensor::from_vec(t.as_slice().to_vec(), t.dims()).unwrap();
+        assert!(!copy.shares_storage(&t));
         assert!(same_tensor(&t, &copy), "a NaN equals itself bit for bit");
         let mut signed = t.clone();
         signed.as_mut_slice()[6] = 0.0;
@@ -2091,7 +2097,18 @@ mod tests {
         let mut last = t.clone();
         last.as_mut_slice()[209] += 0.125;
         assert!(!same_tensor(&t, &last));
-        assert!(!same_tensor(&t, &t.reshape(&[70, 3]).unwrap()));
+        // A reshape shares the storage under other dims: not the same tensor.
+        let view = t.reshape(&[70, 3]).unwrap();
+        assert!(view.shares_storage(&t));
+        assert!(!same_tensor(&t, &view));
+        // An edited clone owns a copy, so it is compared bit for bit: equal
+        // once the edit is undone, unequal while it stands.
+        let mut edited = t.clone();
+        edited.as_mut_slice()[0] += 1.0;
+        assert!(!edited.shares_storage(&t));
+        assert!(!same_tensor(&t, &edited));
+        edited.as_mut_slice()[0] = t.as_slice()[0];
+        assert!(same_tensor(&t, &edited));
     }
 
     #[test]

@@ -135,9 +135,10 @@ impl SystolicArray {
         // column per cycle → D cycles), then leave through the output
         // FIFO at `w_out_fifo` elements per cycle.
         let mut output = Tensor::zeros(&[m.max(1), n.max(1)]);
+        let dst = output.as_mut_slice();
         for i in 0..m {
             for j in 0..n {
-                output.set(&[i, j], self.grid[i * d + j].acc())?;
+                dst[i * n + j] = self.grid[i * d + j].acc();
             }
         }
         let col_drain = d as u64;
@@ -261,11 +262,10 @@ impl SystolicArray {
         }
 
         let mut output = Tensor::zeros(&[r.max(1), n.max(1)]);
-        for (col, vals) in collected.iter().enumerate().take(r) {
+        let rows = output.as_mut_slice().chunks_mut(n.max(1));
+        for (col, (row, vals)) in rows.zip(&collected).enumerate().take(r) {
             debug_assert_eq!(vals.len(), n, "column {col} drained {} of {n}", vals.len());
-            for (jj, &v) in vals.iter().enumerate() {
-                output.set(&[col, jj], v)?;
-            }
+            row[..vals.len()].copy_from_slice(vals);
         }
 
         Ok(TileRun {

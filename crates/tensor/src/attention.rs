@@ -258,6 +258,7 @@ mod tests {
             Tensor::from_vec(vals.copied().collect(), &[rows, dk]).unwrap()
         };
         let mut out = Tensor::zeros(&[m, d]);
+        let dst = out.as_mut_slice();
         for h in 0..heads {
             let kt = cols(k, h).transpose().unwrap();
             let mut s = gemm::matmul(&cols(q, h), &kt).unwrap().scale(0.5);
@@ -269,7 +270,7 @@ mod tests {
             let ctx = gemm::matmul(&s, &cols(v, h)).unwrap();
             for i in 0..m {
                 for j in 0..dk {
-                    out.as_mut_slice()[i * d + h * dk + j] += ctx.as_slice()[i * dk + j];
+                    dst[i * d + h * dk + j] += ctx.as_slice()[i * dk + j];
                 }
             }
         }

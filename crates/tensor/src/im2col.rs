@@ -181,9 +181,10 @@ pub fn col2im_output(cols: &Tensor, out_channels: usize, oh: usize, ow: usize) -
         });
     }
     let mut out = Tensor::zeros(&[out_channels, oh, ow]);
+    let (dst, src) = (out.as_mut_slice(), cols.as_slice());
     for r in 0..rows {
         for c in 0..ch {
-            out.as_mut_slice()[c * oh * ow + r] = cols.as_slice()[r * ch + c];
+            dst[c * oh * ow + r] = src[r * ch + c];
         }
     }
     Ok(out)
@@ -207,6 +208,7 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, geo: &Conv2dGeometry) -> R
     let k = geo.kernel;
     let pad = geo.padding as isize;
     let mut out = Tensor::zeros(&[geo.out_channels, oh, ow]);
+    let dst = out.as_mut_slice();
     for oc in 0..geo.out_channels {
         for oy in 0..oh {
             for ox in 0..ow {
@@ -228,7 +230,7 @@ pub fn conv2d_direct(input: &Tensor, weight: &Tensor, geo: &Conv2dGeometry) -> R
                         }
                     }
                 }
-                out.as_mut_slice()[oc * oh * ow + oy * ow + ox] = acc;
+                dst[oc * oh * ow + oy * ow + ox] = acc;
             }
         }
     }
@@ -343,6 +345,7 @@ mod tests {
         let (oh, ow) = geo.output_hw(h, w).unwrap();
         let (k, patch) = (geo.kernel, geo.patch_len());
         let mut out = Tensor::zeros(&[oh * ow, patch]);
+        let dst = out.as_mut_slice();
         for oy in 0..oh {
             for ox in 0..ow {
                 for ch in 0..c {
@@ -353,7 +356,7 @@ mod tests {
                             if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
                                 continue;
                             }
-                            out.as_mut_slice()[(oy * ow + ox) * patch + ch * k * k + ky * k + kx] =
+                            dst[(oy * ow + ox) * patch + ch * k * k + ky * k + kx] =
                                 input.as_slice()[ch * h * w + iy as usize * w + ix as usize];
                         }
                     }

@@ -179,13 +179,14 @@ macro_rules! quant_tensor {
             }
             let mut out = Tensor::zeros(&[m, n]);
             let scale = a.scale * b.scale;
+            let dst = out.as_mut_slice();
             for i in 0..m {
                 for j in 0..n {
                     let mut acc = 0i64;
                     for p in 0..k {
                         acc += a.data[i * k + p] as i64 * b.data[p * n + j] as i64;
                     }
-                    out.as_mut_slice()[i * n + j] = acc as f32 * scale;
+                    dst[i * n + j] = acc as f32 * scale;
                 }
             }
             Ok(out)

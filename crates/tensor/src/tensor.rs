@@ -1,10 +1,23 @@
 use crate::{Result, Shape, TensorError};
+use std::sync::Arc;
 
 /// A dense, row-major tensor of `f32` values.
 ///
 /// `Tensor` is the workhorse value type of the reproduction: network
 /// activations, weights, CPWL parameter matrices (`K`, `B`) and simulator
 /// payloads are all `Tensor`s.
+///
+/// # Shared storage
+///
+/// The elements live in one reference-counted buffer, copied on write.
+/// [`Clone`] and [`Tensor::reshape`] bump the count and copy nothing, so a
+/// weight handed to many requests, programs and dataset clones is one
+/// buffer. Every mutator ([`Tensor::as_mut_slice`], [`Tensor::set`],
+/// [`Tensor::row_mut`], [`Tensor::tile_write`]) first makes the buffer
+/// unique: it copies it when another tensor still shares it, and leaves it
+/// in place otherwise. That check is an atomic operation, so a loop that
+/// writes element by element takes one `&mut [f32]` before it starts.
+/// [`Tensor::shares_storage`] tells whether two tensors hold one buffer.
 ///
 /// # Example
 ///
@@ -20,7 +33,7 @@ use crate::{Result, Shape, TensorError};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
@@ -38,7 +51,10 @@ impl Tensor {
                 expected: shape.volume(),
             });
         }
-        Ok(Tensor { shape, data })
+        Ok(Tensor {
+            shape,
+            data: Arc::new(data),
+        })
     }
 
     /// Creates a tensor of zeros.
@@ -47,7 +63,7 @@ impl Tensor {
         let volume = shape.volume();
         Tensor {
             shape,
-            data: vec![0.0; volume],
+            data: Arc::new(vec![0.0; volume]),
         }
     }
 
@@ -62,15 +78,16 @@ impl Tensor {
         let volume = shape.volume();
         Tensor {
             shape,
-            data: vec![value; volume],
+            data: Arc::new(vec![value; volume]),
         }
     }
 
     /// Creates the `n × n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Tensor::zeros(&[n, n]);
+        let data = t.as_mut_slice();
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            data[i * n + i] = 1.0;
         }
         t
     }
@@ -100,14 +117,23 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutably borrow the underlying row-major data.
+    /// Mutably borrow the underlying row-major data, first copying it if
+    /// another tensor shares it.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor and returns its raw data.
+    /// Consumes the tensor and returns its raw data: its own buffer when no
+    /// other tensor shares it, a copy otherwise.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| shared.as_ref().clone())
+    }
+
+    /// Whether `self` and `other` hold one buffer (one is a clone or a
+    /// reshape of the other, and neither has been written since). Tensors
+    /// sharing storage hold equal elements, though their dims may differ.
+    pub fn shares_storage(&self, other: &Tensor) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// Element at a multi-dimensional index.
@@ -126,11 +152,12 @@ impl Tensor {
     /// Returns [`TensorError::IndexOutOfBounds`] on bad indices.
     pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
         let off = self.shape.offset(index)?;
-        self.data[off] = value;
+        self.as_mut_slice()[off] = value;
         Ok(())
     }
 
-    /// Reinterprets the tensor with a new shape of identical volume.
+    /// Reinterprets the tensor with a new shape of identical volume. The
+    /// result shares this tensor's storage.
     ///
     /// # Errors
     ///
@@ -145,7 +172,7 @@ impl Tensor {
         }
         Ok(Tensor {
             shape,
-            data: self.data.clone(),
+            data: Arc::clone(&self.data),
         })
     }
 
@@ -153,7 +180,7 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Tensor {
             shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data: Arc::new(self.data.iter().map(|&x| f(x)).collect()),
         }
     }
 
@@ -178,7 +205,7 @@ impl Tensor {
             .collect();
         Ok(Tensor {
             shape: self.shape.clone(),
-            data,
+            data: Arc::new(data),
         })
     }
 
@@ -222,9 +249,10 @@ impl Tensor {
     pub fn transpose(&self) -> Result<Self> {
         let (rows, cols) = self.shape.as_matrix()?;
         let mut out = Tensor::zeros(&[cols, rows]);
+        let dst = out.as_mut_slice();
         for r in 0..rows {
             for c in 0..cols {
-                out.data[c * rows + r] = self.data[r * cols + c];
+                dst[c * rows + r] = self.data[r * cols + c];
             }
         }
         Ok(out)
@@ -260,7 +288,7 @@ impl Tensor {
                 bound: rows,
             });
         }
-        Ok(&mut self.data[r * cols..(r + 1) * cols])
+        Ok(&mut self.as_mut_slice()[r * cols..(r + 1) * cols])
     }
 
     /// Extracts a rectangular sub-matrix `[r0..r0+h, c0..c0+w]`, zero padded
@@ -275,6 +303,7 @@ impl Tensor {
     pub fn tile_padded(&self, r0: usize, c0: usize, h: usize, w: usize) -> Result<Self> {
         let (rows, cols) = self.shape.as_matrix()?;
         let mut out = Tensor::zeros(&[h, w]);
+        let dst = out.as_mut_slice();
         for r in 0..h {
             if r0 + r >= rows {
                 break;
@@ -283,7 +312,7 @@ impl Tensor {
                 if c0 + c >= cols {
                     break;
                 }
-                out.data[r * w + c] = self.data[(r0 + r) * cols + (c0 + c)];
+                dst[r * w + c] = self.data[(r0 + r) * cols + (c0 + c)];
             }
         }
         Ok(out)
@@ -299,6 +328,7 @@ impl Tensor {
     pub fn tile_write(&mut self, r0: usize, c0: usize, tile: &Tensor) -> Result<()> {
         let (rows, cols) = self.shape.as_matrix()?;
         let (h, w) = tile.shape.as_matrix()?;
+        let dst = self.as_mut_slice();
         for r in 0..h {
             if r0 + r >= rows {
                 break;
@@ -307,7 +337,7 @@ impl Tensor {
                 if c0 + c >= cols {
                     break;
                 }
-                self.data[(r0 + r) * cols + (c0 + c)] = tile.data[r * w + c];
+                dst[(r0 + r) * cols + (c0 + c)] = tile.data[r * w + c];
             }
         }
         Ok(())
@@ -409,6 +439,31 @@ mod tests {
         let a = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]).unwrap();
         assert_eq!(a.row(1).unwrap(), &[3.0, 4.0, 5.0]);
         assert!(a.row(2).is_err());
+    }
+
+    #[test]
+    fn clone_and_reshape_share_the_buffer_and_copy_nothing() {
+        let a = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]).unwrap();
+        let b = a.clone();
+        let view = a.reshape(&[3, 2]).unwrap();
+        for t in [&b, &view] {
+            assert!(t.shares_storage(&a));
+            assert_eq!(t.as_slice().as_ptr(), a.as_slice().as_ptr());
+        }
+        assert!(!a.shares_storage(&Tensor::zeros(&[2, 3])));
+    }
+
+    #[test]
+    fn into_vec_moves_a_unique_buffer_and_copies_a_shared_one() {
+        let a = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]).unwrap();
+        let ptr = a.as_slice().as_ptr();
+        let b = a.clone();
+        let copied = a.into_vec();
+        assert_ne!(copied.as_ptr(), ptr);
+        assert_eq!(copied, b.as_slice());
+        let moved = b.into_vec();
+        assert_eq!(moved.as_ptr(), ptr);
+        assert_eq!(moved, copied);
     }
 
     #[test]

@@ -546,6 +546,41 @@ proptest! {
         let expect = ((q.to_f32(xq) - x_min) / seg).floor() as i32;
         prop_assert_eq!(got, expect);
     }
+
+    /// Copy-on-write: after `b = a.clone()`, a write to either side through
+    /// any mutator lands on that side alone and leaves the other side
+    /// bit for bit as it was.
+    #[test]
+    fn a_write_to_either_clone_leaves_the_other_untouched(
+        t in small_matrix(12), pick in 0usize..1 << 16, v in -100.0f32..100.0
+    ) {
+        let (rows, cols) = (t.dims()[0], t.dims()[1]);
+        let (r, c) = (pick / cols % rows, pick % cols);
+        let bits = |x: &Tensor| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let before = bits(&t);
+        let writes: [fn(&mut Tensor, usize, usize, f32); 4] = [
+            |x, r, c, v| {
+                let n = x.dims()[1];
+                x.as_mut_slice()[r * n + c] = v;
+            },
+            |x, r, c, v| x.set(&[r, c], v).unwrap(),
+            |x, r, c, v| x.row_mut(r).unwrap()[c] = v,
+            |x, r, c, v| x.tile_write(r, c, &Tensor::filled(&[1, 1], v)).unwrap(),
+        ];
+        for write in writes {
+            for write_the_clone in [false, true] {
+                let mut a = t.clone();
+                let mut b = a.clone();
+                prop_assert!(a.shares_storage(&b));
+                let (written, other) = if write_the_clone { (&mut b, &a) } else { (&mut a, &b) };
+                write(written, r, c, v);
+                prop_assert!(!written.shares_storage(other));
+                prop_assert_eq!(bits(other), before.clone());
+                prop_assert_eq!(written.as_slice()[r * cols + c].to_bits(), v.to_bits());
+            }
+        }
+        prop_assert_eq!(bits(&t), before);
+    }
 }
 
 /// Symmetric quantization as the scheme defines it, one element at a time
