@@ -37,10 +37,12 @@
 //! by side run a softmax at least 1.6× faster than one row at a time at
 //! 64 rows and a layer norm at least 2.5× faster from 64 rows; at 8 rows
 //! neither is slower, nor is the softmax slower than the six passes. Every
-//! pair is checked `to_bits()`-equal before it is timed. The `*_gelem_s`
-//! columns are context, not floors.
+//! pair is checked `to_bits()`-equal before it is timed. Each floor judges
+//! the median of independent ratios (`onesa_bench::Timings::ratio`), and
+//! so does each `speedup` column; the `*_us` columns are best times. The
+//! `*_gelem_s` columns are context, not floors.
 
-use onesa_bench::time_alternating;
+use onesa_bench::{time_alternating, Timings};
 use onesa_cpwl::ops::TableSet;
 use onesa_cpwl::{NonlinearFn, PwlTable};
 use onesa_tensor::quant::{QuantTensor, QuantTensor8};
@@ -161,9 +163,18 @@ fn floor(len: usize) -> f64 {
     }
 }
 
-/// One JSON row of a `(slow, fast)` pair, once its speed-up clears `floor`.
-fn row(head: &str, len: usize, [slow, fast]: [f64; 2], names: [&str; 2], floor: f64) -> String {
-    let ratio = slow / fast;
+/// One JSON row of sides `slow` and `fast` of `times`, once the speed-up
+/// of `fast` over `slow` clears `floor`.
+fn row<const N: usize>(
+    head: &str,
+    len: usize,
+    times: &Timings<N>,
+    [slow, fast]: [usize; 2],
+    names: [&str; 2],
+    floor: f64,
+) -> String {
+    let ratio = times.ratio(slow, fast);
+    let (slow, fast) = (times.best()[slow], times.best()[fast]);
     assert!(
         ratio >= floor,
         "{head} at {len} elements: {} is {ratio:.2}x faster than {}, floor {floor}",
@@ -216,7 +227,8 @@ fn main() {
             rows.push(row(
                 &what,
                 len,
-                times,
+                &times,
+                [0, 1],
                 ["materialised", "fused"],
                 floor(len),
             ));
@@ -249,7 +261,7 @@ fn main() {
         for (name, min, max, round_trip, two_step) in precisions {
             assert_same_bits(&two_step_scalar(&x, min, max), &round_trip(&x), name);
             assert_same_bits(&two_step(&x), &round_trip(&x), name);
-            let [scalar, two, one] = time_alternating(
+            let times = time_alternating(
                 calls(len),
                 [
                     &mut || two_step_scalar(&x, min, max),
@@ -257,16 +269,17 @@ fn main() {
                     &mut || round_trip(&x),
                 ],
             );
+            let over_two_step = times.ratio(2, 1);
             assert!(
-                one <= two * 1.10,
-                "{name} at {len} elements: the round trip is slower than quantize + dequantize"
+                over_two_step <= 1.10,
+                "{name} at {len} elements: the round trip takes {over_two_step:.2}x the time of quantize + dequantize, limit 1.10"
             );
             let head = format!(
                 "\"precision\": \"{name}\", \"two_step_us\": {:.3}",
-                two * 1e6
+                times.best()[1] * 1e6
             );
             let names = ["scalar", "round_trip"];
-            rows.push(row(&head, len, [scalar, one], names, floor(len)));
+            rows.push(row(&head, len, &times, [0, 2], names, floor(len)));
         }
     }
     println!("{}", rows.join(",\n"));
@@ -280,7 +293,7 @@ fn main() {
         assert_same_bits(&softmax_stepwise(&tables, &x), &one_buffer(), "softmax");
         let by_row = softmax_row_at_a_time(&tables, &x);
         assert_same_bits(&by_row, &one_buffer(), "softmax");
-        let [stepwise, by_row, fast] = time_alternating(
+        let times = time_alternating(
             calls(x.len()),
             [
                 &mut || softmax_stepwise(&tables, &x),
@@ -289,15 +302,15 @@ fn main() {
             ],
         );
         assert!(
-            fast <= stepwise,
+            times.ratio(2, 0) <= 1.0,
             "softmax at {m} rows: one buffer is slower than six passes"
         );
         let head = format!(
             "\"rows\": {m}, \"cols\": 64, \"stepwise_us\": {:.3}",
-            stepwise * 1e6
+            times.best()[0] * 1e6
         );
         let (names, floor) = (["row_at_a_time", "one_buffer"], rows_floor(m, 1.6));
-        rows.push(row(&head, x.len(), [by_row, fast], names, floor));
+        rows.push(row(&head, x.len(), &times, [1, 2], names, floor));
     }
     println!("{}", rows.join(",\n"));
     println!("  ],");
@@ -318,7 +331,14 @@ fn main() {
         let times = time_alternating(calls(x.len()), [&mut || by_row(), &mut || blocked()]);
         let head = format!("\"rows\": {m}, \"cols\": {n}");
         let names = ["row_at_a_time", "blocked"];
-        rows.push(row(&head, x.len(), times, names, rows_floor(m, 2.5)));
+        rows.push(row(
+            &head,
+            x.len(),
+            &times,
+            [0, 1],
+            names,
+            rows_floor(m, 2.5),
+        ));
     }
     println!("{}", rows.join(",\n"));
     println!("  ]");

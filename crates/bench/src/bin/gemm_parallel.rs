@@ -11,8 +11,13 @@
 //! the ratios are the stable quantity: `speedup_threads4` (one thread vs
 //! four), `speedup_packed` (`gemm::matmul` vs
 //! `parallel::matmul(Sequential)`) and, per serving shape,
-//! `packed_over_reference` (a time ratio, lower is better). The bin
-//! asserts its own floors so the CI bench-smoke job enforces them: on no
+//! `packed_over_reference` (a time ratio, lower is better). Every ratio
+//! of a timed row is the median of three independent ratios, each from
+//! its own interleaved group of the alternating samples
+//! (`onesa_bench::Timings::ratio`), so one noisy stretch of the host
+//! cannot flip a floor; the `*_us` columns are best times. The bin
+//! asserts its own floors on those ratios so the CI bench-smoke job
+//! enforces them: on no
 //! serving shape is the packed kernel more than 10% slower than the
 //! reference loop, nor is `parallel::matmul` — which reads its left
 //! operand where it lies — slower than packing that operand in lines on
@@ -36,7 +41,7 @@
 
 use std::hint::black_box;
 
-use onesa_bench::{time_alternating, time_best};
+use onesa_bench::{time_alternating, time_best, Timings};
 use onesa_data::{Difficulty, GraphDataset};
 use onesa_plan::tensor_fingerprint;
 use onesa_tensor::gemm;
@@ -69,14 +74,14 @@ fn serving_shapes() -> Vec<(usize, usize, usize)> {
 }
 
 /// One serving shape timed on one left operand: `(reference, packed,
-/// dense)` best seconds per call — the reference loop and the packed
+/// dense)` seconds per call — the reference loop and the packed
 /// kernel on `a`, and the packed kernel on `dense`, a zero-free activation
 /// of the same shape — ~1 ms of work per sample whatever the shape.
 /// `constant` says how traffic meets `a`: an activation is read in place by
 /// every call (`parallel::matmul`), a program constant is packed once,
 /// outside the timed region (`parallel::matmul_packed`, as `onesa-plan`
 /// runs it). Asserts the floor every row of this file is held to.
-fn time_shape(a: &Tensor, dense: &Tensor, b: &Tensor, what: &str, constant: bool) -> [f64; 3] {
+fn time_shape(a: &Tensor, dense: &Tensor, b: &Tensor, what: &str, constant: bool) -> Timings<3> {
     let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
     let calls = ((1e7 / (m * k * n) as f64) as usize).clamp(1, 20_000);
     let once = constant.then(|| PackedLhs::pack(a).expect("matrix"));
@@ -92,7 +97,7 @@ fn time_shape(a: &Tensor, dense: &Tensor, b: &Tensor, what: &str, constant: bool
             &mut || packed(dense),
         ],
     );
-    let ratio = times[1] / times[0];
+    let ratio = times.ratio(1, 0);
     assert!(
         ratio <= 1.10,
         "{m}x{k}x{n} {what}: packed kernel {ratio:.2}x the reference loop's time, limit 1.10"
@@ -111,8 +116,8 @@ fn bits(t: Tensor) -> Vec<u32> {
 }
 
 /// One serving shape four ways, and the hash of its weight: `(reference,
-/// per call, pack and sweep, prepacked, fingerprint)` best seconds per
-/// call — the reference loop; `parallel::matmul`, which reads `a` where
+/// per call, pack and sweep, prepacked, fingerprint)` seconds per call —
+/// the reference loop; `parallel::matmul`, which reads `a` where
 /// it lies; `a` packed in lines on every call and swept
 /// (`PackedLhs::pack_lines` + `matmul_packed`, what `parallel::matmul`
 /// ran before it read `a` in place); `a` packed in lines once, outside
@@ -120,7 +125,7 @@ fn bits(t: Tensor) -> Vec<u32> {
 /// four so a noisy stretch of the host lands on both sides of its ratio.
 /// The four products are checked `to_bits()`-equal first. Asserts the two
 /// floors every serving shape is held to.
-fn time_serving(a: &Tensor, b: &Tensor) -> [f64; 5] {
+fn time_serving(a: &Tensor, b: &Tensor) -> Timings<5> {
     let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
     let calls = ((1e7 / (m * k * n) as f64) as usize).clamp(1, 20_000);
     let once = PackedLhs::pack_lines(a).expect("matrix");
@@ -146,26 +151,24 @@ fn time_serving(a: &Tensor, b: &Tensor) -> [f64; 5] {
             &mut || sink(tensor_fingerprint(b)),
         ],
     );
-    let [reference, per_call, packing, _, _] = times;
+    let (over_reference, over_packing) = (times.ratio(1, 0), times.ratio(1, 2));
     assert!(
-        per_call / reference <= 1.10,
-        "{m}x{k}x{n}: packed kernel {:.2}x the reference loop's time, limit 1.10",
-        per_call / reference
+        over_reference <= 1.10,
+        "{m}x{k}x{n}: packed kernel {over_reference:.2}x the reference loop's time, limit 1.10"
     );
     assert!(
-        per_call <= packing,
-        "{m}x{k}x{n}: reading A in place takes {:.2}x the time of packing it, limit 1.00",
-        per_call / packing
+        over_packing <= 1.0,
+        "{m}x{k}x{n}: reading A in place takes {over_packing:.2}x the time of packing it, limit 1.00"
     );
     times
 }
 
 /// One constant left operand three ways: `(per call, lines, packed)`
-/// best seconds per call — `parallel::matmul`, which reads `a` where it
+/// seconds per call — `parallel::matmul`, which reads `a` where it
 /// lies on every call; `a` packed once in lines (`PackedLhs::pack_lines`);
 /// and `a` packed once in the layout `PackedLhs::pack` picks, the way
 /// `onesa-plan` runs a program constant.
-fn time_density(a: &Tensor, b: &Tensor) -> [f64; 3] {
+fn time_density(a: &Tensor, b: &Tensor) -> Timings<3> {
     let lines = PackedLhs::pack_lines(a).expect("matrix");
     let packed = PackedLhs::pack(a).expect("matrix");
     let run =
@@ -227,8 +230,8 @@ fn main() {
         let a = rng.randn(&[m, k], 1.0);
         let b = rng.randn(&[k, n], 1.0);
         let flop = 2.0 * (m * k * n) as f64;
-        let [reference, packed, pack_and_sweep, prepacked, fingerprint] = time_serving(&a, &b);
-        let ratio = packed / reference;
+        let times = time_serving(&a, &b);
+        let [reference, packed, pack_and_sweep, prepacked, fingerprint] = times.best();
         println!("    {{");
         println!("      \"m\": {m}, \"k\": {k}, \"n\": {n},");
         println!(
@@ -244,11 +247,11 @@ fn main() {
         print!(
             "      \"packed_gflops\": {:.2}, \"packed_over_reference\": {:.2}, \"packed_over_pack_and_sweep\": {:.2}",
             flop / packed / 1e9,
-            ratio,
-            packed / pack_and_sweep
+            times.ratio(1, 0),
+            times.ratio(1, 2)
         );
         if k == 256 {
-            let over = fingerprint / packed;
+            let over = times.ratio(4, 1);
             assert!(
                 over <= 0.75,
                 "{m}x{k}x{n}: hashing the weight takes {over:.2}x the packed GEMM's time, limit 0.75"
@@ -287,8 +290,9 @@ fn main() {
         for (which, (label, a)) in operands.iter().enumerate() {
             let zeros = a.as_slice().iter().filter(|v| **v == 0.0).count();
             let constant = *label == "a_hat";
-            let [reference, packed, dense_packed] = time_shape(a, &dense, &b, label, constant);
-            let over_dense = packed / dense_packed;
+            let times = time_shape(a, &dense, &b, label, constant);
+            let [reference, packed, _] = times.best();
+            let (over_dense, over_reference) = (times.ratio(1, 2), times.ratio(1, 0));
             match *label {
                 "relu_masked" => assert!(
                     over_dense <= 1.10,
@@ -297,9 +301,8 @@ fn main() {
                 "a_hat" => {
                     let limit = if n == 64 { 0.15 } else { 0.12 };
                     assert!(
-                        over_dense <= limit && packed / reference <= 0.5,
-                        "{m}x{k}x{n}: A-hat runs {over_dense:.2}x the dense time (limit {limit}), {:.2}x the reference loop's (limit 0.5)",
-                        packed / reference
+                        over_dense <= limit && over_reference <= 0.5,
+                        "{m}x{k}x{n}: A-hat runs {over_dense:.2}x the dense time (limit {limit}), {over_reference:.2}x the reference loop's (limit 0.5)"
                     );
                 }
                 _ => {}
@@ -317,9 +320,7 @@ fn main() {
                 packed * 1e6
             );
             println!(
-                "      \"packed_over_reference\": {:.2}, \"packed_over_dense\": {:.2}",
-                packed / reference,
-                over_dense
+                "      \"packed_over_reference\": {over_reference:.2}, \"packed_over_dense\": {over_dense:.2}"
             );
             let last = idx + 1 == cases.len() && which + 1 == operands.len();
             println!("    }}{}", if last { "" } else { "," });
@@ -338,13 +339,14 @@ fn main() {
             }
         }
         let b = rng.randn(&[420, 64], 1.0);
-        let [per_call, lines, packed] = time_density(&a, &b);
+        let times = time_density(&a, &b);
+        let [per_call, lines, packed] = times.best();
         let layout = if PackedLhs::pack(&a).expect("matrix").by_rows() {
             "rows"
         } else {
             "lines"
         };
-        let over_lines = packed / lines;
+        let over_lines = times.ratio(2, 1);
         assert!(
             over_lines <= 1.10,
             "density {density}: the {layout} pack runs {over_lines:.2}x the lines pack's time, limit 1.10"
@@ -359,7 +361,7 @@ fn main() {
         );
         println!(
             "      \"packed_over_per_call\": {:.2}, \"packed_over_lines\": {over_lines:.2}",
-            packed / per_call
+            times.ratio(2, 0)
         );
         println!("    }}{}", if idx + 1 < densities.len() { "," } else { "" });
     }
@@ -367,17 +369,17 @@ fn main() {
     println!("  \"conv\": [");
     let convs = conv_shapes();
     for (idx, &(c, h, stride, masked)) in convs.iter().enumerate() {
-        let [reference, in_place, conv] = time_conv(&mut rng, c, h, stride, masked);
+        let times = time_conv(&mut rng, c, h, stride, masked);
+        let [reference, in_place, conv] = times.best();
         let floor = if h == 32 { 2.5 } else { 1.5 };
-        let speedup = reference / conv;
+        let (speedup, speedup_in_place) = (times.ratio(0, 2), times.ratio(1, 2));
         assert!(
             speedup >= floor,
             "[{c},{h},{h}] stride {stride}: conv2d {speedup:.2}x the im2col path, floor {floor}"
         );
         assert!(
-            in_place / conv >= 1.5,
-            "[{c},{h},{h}] stride {stride}: conv2d {:.2}x the in-place im2col path, floor 1.5",
-            in_place / conv
+            speedup_in_place >= 1.5,
+            "[{c},{h},{h}] stride {stride}: conv2d {speedup_in_place:.2}x the in-place im2col path, floor 1.5"
         );
         println!("    {{");
         println!("      \"c\": {c}, \"h\": {h}, \"w\": {h}, \"cout\": 8, \"kernel\": 3, \"stride\": {stride}, \"padding\": 1, \"relu_masked\": {masked},");
@@ -387,11 +389,7 @@ fn main() {
             in_place * 1e6,
             conv * 1e6
         );
-        println!(
-            "      \"speedup\": {:.2}, \"speedup_in_place\": {:.2}",
-            speedup,
-            in_place / conv
-        );
+        println!("      \"speedup\": {speedup:.2}, \"speedup_in_place\": {speedup_in_place:.2}");
         println!("    }}{}", if idx + 1 < convs.len() { "," } else { "" });
     }
     println!("  ]");
@@ -412,8 +410,7 @@ fn conv_shapes() -> Vec<(usize, usize, usize, bool)> {
 }
 
 /// One 3×3, padding-1, 8-output-channel convolution with a per-channel
-/// bias: `(im2col path, im2col path in place, conv2d)` best seconds per
-/// call. The im2col path is what the executor ran before `conv2d` —
+/// bias: `(im2col path, im2col path in place, conv2d)` seconds per call. The im2col path is what the executor ran before `conv2d` —
 /// `im2col`, the patch matrix packed in lines and swept against the
 /// `[C·9, 8]` weight (the pack `parallel::matmul` made on every call until
 /// it read its left operand in place), the bias on every row,
@@ -421,7 +418,7 @@ fn conv_shapes() -> Vec<(usize, usize, usize, bool)> {
 /// as it runs now. `conv2d` gets the weight packed once, outside the timed
 /// region, as a program constant is. The three outputs are checked
 /// `to_bits()`-equal before any is timed.
-fn time_conv(rng: &mut Pcg32, c: usize, side: usize, stride: usize, masked: bool) -> [f64; 3] {
+fn time_conv(rng: &mut Pcg32, c: usize, side: usize, stride: usize, masked: bool) -> Timings<3> {
     let geo = Conv2dGeometry {
         in_channels: c,
         out_channels: 8,

@@ -12,8 +12,10 @@
 //! `mac_credit` column are the stable quantities. Both sides run the one
 //! packed kernel of `onesa_tensor::parallel` on one thread — dense over
 //! the whole weight, sparse over its payload — so the ratio is the gain
-//! from skipping blocks and nothing else. The bin asserts its own
-//! acceptance floor so the CI bench-smoke job enforces it:
+//! from skipping blocks and nothing else. `speedup_sparse` is the median
+//! of three independent ratios, each from its own interleaved group of the
+//! alternating samples (`onesa_bench::Timings::ratio`). The bin asserts
+//! its own acceptance floor on it so the CI bench-smoke job enforces it:
 //!
 //! * at block density 1 (nothing to skip) sparse is within ±15% of dense
 //!   at every size — a mismatched baseline cannot come back unnoticed;
@@ -25,7 +27,7 @@
 //!   takes off `modeled_macs`) is at least the measured block-skip
 //!   fraction — admission budgets never under-credit pruned work.
 
-use onesa_bench::time_best;
+use onesa_bench::time_rounds;
 use onesa_plan::PRUNE_BLOCK_COLS;
 use onesa_tensor::parallel::{self, Parallelism};
 use onesa_tensor::rng::Pcg32;
@@ -82,11 +84,9 @@ fn main() {
             // of the host lands on both, not on one side of the ratio; more
             // samples at the small sizes, where one call is short enough
             // for a single preemption to double it.
-            let (mut dense_s, mut sparse_s) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..16 * (512 / d).pow(2) {
-                dense_s = dense_s.min(time_best(1, dense).1);
-                sparse_s = sparse_s.min(time_best(1, sparse).1);
-            }
+            let rounds = 3 * 16 * (512 / d).pow(2);
+            let times = time_rounds(rounds, 1, [&mut || dense(), &mut || sparse()]);
+            let [dense_s, sparse_s] = times.best();
             // Skipped share of the modeled cost vs of the blocks: the
             // plan layer credits macs by nnz_cols, so the credit can
             // only exceed the block fraction (ragged last block).
@@ -96,7 +96,7 @@ fn main() {
                 mac_credit + 1e-12 >= block_skip,
                 "modeled credit {mac_credit} under-credits skip fraction {block_skip}"
             );
-            let speedup = dense_s / sparse_s;
+            let speedup = times.ratio(0, 1);
             if density == 1.0 {
                 // Nothing to skip: both sides must be the same kernel
                 // doing the same work, or every other row of this file

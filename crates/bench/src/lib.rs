@@ -52,16 +52,54 @@ pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (out, best)
 }
 
-/// Best seconds per call of each of `fs`, each sample timing `calls`
-/// back-to-back calls (so sub-microsecond kernels are not lost in timer
-/// resolution) and the sides alternating sample by sample (so a noisy
-/// stretch of the host lands on all of them, not on one side of a ratio).
-pub fn time_alternating<T, const N: usize>(
+/// Groups a run of [`time_rounds`] splits its rounds into: each group's
+/// best times give one ratio, and a floor judges the median of them.
+const GROUPS: usize = 3;
+
+/// Seconds per call of `N` sides timed side by side (see
+/// [`time_rounds`]), kept per group of interleaved rounds.
+pub struct Timings<const N: usize> {
+    /// Each group's best seconds per call of each side.
+    groups: [[f64; N]; GROUPS],
+}
+
+impl<const N: usize> Timings<N> {
+    /// Best seconds per call of each side over every round.
+    pub fn best(&self) -> [f64; N] {
+        let min = |i: usize| {
+            self.groups
+                .iter()
+                .map(|g| g[i])
+                .fold(f64::INFINITY, f64::min)
+        };
+        std::array::from_fn(min)
+    }
+
+    /// Side `i`'s time over side `j`'s, as a floor judges it: the median
+    /// of the groups' ratios. Each group is an independent measurement of
+    /// the same ratio, timed across the whole run, so one lucky or
+    /// unlucky stretch of the host moves one group, not the verdict.
+    pub fn ratio(&self, i: usize, j: usize) -> f64 {
+        let mut ratios = self.groups.map(|g| g[i] / g[j]);
+        ratios.sort_by(f64::total_cmp);
+        ratios[GROUPS / 2]
+    }
+}
+
+/// Times each of `fs` side by side over `rounds` rounds, each sample
+/// timing `calls` back-to-back calls (so sub-microsecond kernels are not
+/// lost in timer resolution) and the sides alternating sample by sample
+/// (so a noisy stretch of the host lands on all of them, not on one side
+/// of a ratio). Round `r` counts toward group `r % GROUPS`: the groups
+/// interleave, and each keeps its own best time per side.
+pub fn time_rounds<T, const N: usize>(
+    rounds: usize,
     calls: usize,
     fs: [&mut dyn FnMut() -> T; N],
-) -> [f64; N] {
-    let mut best = [f64::INFINITY; N];
-    for round in 0..25 {
+) -> Timings<N> {
+    let mut groups = [[f64::INFINITY; N]; GROUPS];
+    for round in 0..rounds.max(GROUPS) {
+        let best = &mut groups[round % GROUPS];
         // Forwards, then backwards: whatever a side inherits from the one
         // before it (cache contents, allocator state) is shared out too.
         for i in (0..N).map(|j| if round % 2 == 0 { j } else { N - 1 - j }) {
@@ -69,7 +107,17 @@ pub fn time_alternating<T, const N: usize>(
             best[i] = best[i].min(s / calls as f64);
         }
     }
-    best
+    Timings { groups }
+}
+
+/// [`time_rounds`] over 25 rounds per group: three interleaved
+/// best-of-25 measurements, the sampling every floor of the
+/// `gemm_parallel` and `cpwl_sweep` bins is judged on.
+pub fn time_alternating<T, const N: usize>(
+    calls: usize,
+    fs: [&mut dyn FnMut() -> T; N],
+) -> Timings<N> {
+    time_rounds(25 * GROUPS, calls, fs)
 }
 
 /// Fig 1: op-class breakdown of a CIFAR-10 ResNet and a BERT encoder.

@@ -1,17 +1,21 @@
 //! Admission: how a batching window closes ([`AdmissionPolicy`]), what
 //! happens to a request that cannot be served as submitted
-//! ([`DegradePolicy`], deadline expiry), and the admission thread's
-//! loop, which orchestrates the window through the session table, the
-//! power states and the router.
+//! ([`DegradePolicy`], deadline expiry), and the `Admitter`: a state
+//! machine with no thread, channel or clock of its own that takes one
+//! event at a time and orchestrates each window through the session
+//! table, the power states and the router. The admission thread is a
+//! shell around it that blocks on the engine's one inbox.
 
-use super::power::{PowerStates, WindowReport};
+use super::inbox::{Inbox, Leaving};
+use super::power::PowerStates;
 use super::route::Router;
 use super::session::{SessionTable, SessionTag};
-use super::{DepthGauge, Gate, Job, ServeConfig, ServeError};
+use super::{Job, ServeConfig, ServeError};
 use onesa_plan::{CompileCache, EvalMode};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::collections::VecDeque;
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How the admission thread closes a batching window.
 ///
@@ -21,9 +25,13 @@ use std::time::{Duration, Instant};
 /// once, so a lightly loaded pool degenerates to request-at-a-time
 /// serving and a busy one to large coalesced batches. While every shard
 /// still has a window queued, one closed now could not start before
-/// those anyway: it stays open to new arrivals until a shard takes its
-/// queued window (or the policy's limit closes it), so how full a window
-/// gets under load follows the shards' pace, not the admitter's.
+/// those anyway: when the inbox runs empty the window stays open to new
+/// arrivals until a shard takes its queued window up (or the policy's
+/// limit closes it), so how full a window gets under load follows the
+/// shards' pace, not the admitter's. The hold is event-driven — a
+/// shard's pickup wakes the admitter like an arrival does — and it
+/// holds while paused too: a paused engine takes no submission, and the
+/// window closes at the next pickup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Dispatch in arrival order; close the window after `window`
@@ -137,45 +145,67 @@ pub struct DegradeInfo {
     pub rungs: usize,
 }
 
-/// Everything the admission thread owns.
-pub(super) struct AdmitterCtx {
-    pub(super) rx: Receiver<Job>,
-    pub(super) shard_txs: Vec<SyncSender<Vec<Job>>>,
-    pub(super) shard_depths: Vec<Arc<DepthGauge>>,
-    /// The engine's configuration: the admission and degrade policies, and the granularity bare nonlinear requests
-    /// lower to (every shard engine's own).
-    pub(super) cfg: ServeConfig,
+/// What the admitter reacts to, in the order the inbox hands it over.
+#[derive(Debug)]
+pub(super) enum Event {
+    /// A submission, taken from the queue.
+    Submit(Job),
+    /// Shard `i` took up the oldest window queued for it.
+    ShardTook(usize),
+    /// A shard ran a window it took up: its modeled seconds and MACs
+    /// (zeros for a failed window). It also frees the window's work from
+    /// the router's load.
+    ShardDone {
+        window: usize,
+        shard: usize,
+        seconds: f64,
+        macs: u64,
+    },
+    /// The inbox holds nothing the admitter may take right now.
+    Idle,
+}
+
+/// What the inbox knows as it hands over an event.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Stamp {
+    /// The deadline clock: microseconds since the engine started.
+    pub(super) now_us: u64,
+    /// Submissions still queued behind the event.
+    pub(super) backlog: usize,
+}
+
+/// The admission state machine. [`Admitter::on`] takes one event and
+/// returns the windows to dispatch, each with its shard.
+pub(super) struct Admitter {
+    /// The engine's configuration: the admission and degrade policies,
+    /// and the granularity bare nonlinear requests lower to (every shard
+    /// engine's own).
+    cfg: ServeConfig,
     /// Memo of degrade recompiles, keyed on the coarser mode + the
     /// source program's fingerprint: each (program, rung) pair is
     /// re-compiled at most once per engine lifetime.
-    pub(super) recompile: CompileCache,
-    pub(super) router: Router,
+    recompile: CompileCache,
+    router: Router,
     pub(super) power: PowerStates,
-    /// The shards' reports of the windows they ran, for `power`.
-    pub(super) reports: Receiver<WindowReport>,
-    pub(super) gate: Arc<Gate>,
-    pub(super) queue_depth: Arc<DepthGauge>,
-    /// Epoch of the drop-on-expiry deadline clock.
-    pub(super) epoch: Instant,
-    pub(super) sessions: Arc<SessionTable>,
-}
-
-/// What the admission thread reports at shutdown.
-pub(super) struct AdmitOut {
+    sessions: Arc<SessionTable>,
+    /// The window being filled, and its modeled work.
+    window: Vec<Job>,
+    work: u64,
+    /// The window stayed open at the last event, an `Idle`.
+    held: bool,
+    /// Per shard: windows dispatched it has not taken up yet, and the
+    /// most at once.
+    queued: Vec<usize>,
+    pub(super) peaks: Vec<usize>,
+    /// Per shard: the modeled MACs of every window dispatched to it that
+    /// it has not yet run, oldest first.
+    running: Vec<VecDeque<u64>>,
+    /// Windows closed, requests expired and requests degraded so far.
     pub(super) windows: usize,
     pub(super) expired: usize,
     pub(super) degraded: usize,
-    /// The power states, every window folded that all its shards had
-    /// reported.
-    pub(super) power: PowerStates,
-    /// The reports still to come: shards may still be running windows.
-    pub(super) reports: Receiver<WindowReport>,
+    dispatch_seq: u64,
 }
-
-/// How long a held window (see [`AdmissionPolicy`]) waits for an
-/// arrival before the admitter looks again whether a shard has taken its
-/// queued window.
-const HOLD_POLL: Duration = Duration::from_micros(50);
 
 fn window_full(policy: AdmissionPolicy, len: usize, work: u64) -> bool {
     match policy {
@@ -186,12 +216,83 @@ fn window_full(policy: AdmissionPolicy, len: usize, work: u64) -> bool {
     }
 }
 
-impl AdmitterCtx {
-    /// Whether every shard has a dispatched window it has not yet taken
-    /// up, and admission is open: the condition under which the window
-    /// being filled is held open for arrivals.
-    fn shards_backlogged(&self) -> bool {
-        self.gate.is_open() && self.shard_depths.iter().all(|d| d.current() > 0)
+impl Admitter {
+    pub(super) fn new(
+        cfg: ServeConfig,
+        router: Router,
+        power: PowerStates,
+        sessions: Arc<SessionTable>,
+    ) -> Self {
+        let n = cfg.shards.len();
+        Admitter {
+            cfg,
+            recompile: CompileCache::new(),
+            router,
+            power,
+            sessions,
+            window: Vec::new(),
+            work: 0,
+            held: false,
+            queued: vec![0; n],
+            peaks: vec![0; n],
+            running: vec![VecDeque::new(); n],
+            windows: 0,
+            expired: 0,
+            degraded: 0,
+            dispatch_seq: 0,
+        }
+    }
+
+    /// Takes one event and returns the windows it closed, each batch
+    /// with its shard. A window fills greedily: it closes when the
+    /// policy's limit is reached, or at an `Idle` while some shard has
+    /// no window queued (see [`AdmissionPolicy`]).
+    pub(super) fn on(&mut self, event: Event, at: Stamp) -> Vec<(usize, Vec<Job>)> {
+        let idle = matches!(event, Event::Idle);
+        let close = match event {
+            Event::Submit(job) => {
+                self.admit(job, at.backlog);
+                window_full(self.cfg.admission, self.window.len(), self.work)
+            }
+            Event::ShardTook(shard) => {
+                self.queued[shard] -= 1;
+                false
+            }
+            Event::ShardDone {
+                window,
+                shard,
+                seconds,
+                macs,
+            } => {
+                let charged = self.running[shard].pop_front().unwrap_or(0);
+                self.router.release(shard, charged);
+                self.power.report((window, shard, seconds, macs));
+                false
+            }
+            Event::Idle => self.queued.contains(&0),
+        };
+        self.held = idle && !close;
+        if close && !self.window.is_empty() {
+            self.close(at)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Whether the admitter wants an `Idle` when the inbox runs empty: a
+    /// window is open and the last event did not already leave it held.
+    pub(super) fn wants_idle(&self) -> bool {
+        self.holds_window() && !self.held
+    }
+
+    /// Whether a window is open.
+    pub(super) fn holds_window(&self) -> bool {
+        !self.window.is_empty()
+    }
+
+    /// Whether a window is open or a shard owes a report.
+    pub(super) fn busy(&self) -> bool {
+        self.holds_window() || self.running.iter().any(|r| !r.is_empty())
     }
 
     /// Re-compiles a queued CPWL program request one ladder rung coarser
@@ -258,7 +359,7 @@ impl AdmitterCtx {
     }
 
     /// Takes one dequeued job into the window being filled, or rejects
-    /// it.
+    /// it; `backlog` submissions are still queued behind it.
     ///
     /// The front door: lower the request to a program and check its
     /// inputs. A malformed request is rejected here: its ticket resolves
@@ -267,30 +368,29 @@ impl AdmitterCtx {
     /// request must not close a size-capped window early and split the
     /// valid requests' coalescing opportunity.
     ///
-    /// Window-fill pressure degrade: with the submission queue at least
+    /// Window-fill pressure degrade: with the backlog at least
     /// [`DegradePolicy::depth_threshold`] deep, a CPWL program request
     /// admits one rung coarser. It runs *before* the budget accounting,
     /// so a size-capped window's `work` counts the recompiled program's
     /// modeled MACs.
-    fn admit(&self, mut job: Job, window: &mut Vec<Job>, work: &mut u64) {
+    fn admit(&mut self, mut job: Job, backlog: usize) {
         if let Err(e) = job.request.check(self.cfg.granularity) {
             return job.fail(&self.sessions, ServeError::Exec(e));
         }
-        let deep = |policy: &DegradePolicy| self.queue_depth.current() >= policy.depth_threshold;
+        let deep = |policy: &DegradePolicy| backlog >= policy.depth_threshold;
         if self.cfg.degrade.as_ref().is_some_and(deep) {
             self.degrade(&mut job, false);
         }
-        *work += job.request.lowered_program().modeled_macs();
-        window.push(job);
+        self.work += job.request.lowered_program().modeled_macs();
+        self.window.push(job);
     }
 
     /// Drop-on-expiry: anything already past its deadline at window
-    /// close resolves as expired instead of running — unless the degrade
+    /// close (`now_us`) resolves as expired instead of running — unless the degrade
     /// ladder can rescue it at the coarsest rung (degrade-don't-drop): a
     /// late answer at reduced accuracy beats no answer, and the
     /// session's KV cache survives. Returns how many jobs expired.
-    fn drop_expired(&self, window: &mut Vec<Job>) -> usize {
-        let now_us = self.epoch.elapsed().as_micros() as u64;
+    fn drop_expired(&self, window: &mut Vec<Job>, now_us: u64) -> usize {
         let before = window.len();
         window.retain_mut(|job| {
             let Some(deadline_us) = job.deadline.filter(|&d| d < now_us) else {
@@ -314,101 +414,413 @@ impl AdmitterCtx {
         });
         before - window.len()
     }
-}
 
-/// The admission thread: closes windows until the queue drains, folding
-/// the shards' window reports into the power accounting as they arrive,
-/// then reports the windows dispatched, the requests expired and
-/// degraded and the power states.
-pub(super) fn admitter_loop(mut ctx: AdmitterCtx) -> AdmitOut {
-    ctx.gate.wait_open();
-    let mut windows = 0usize;
-    let mut expired = 0usize;
-    let mut degraded = 0usize;
-    let mut dispatch_seq = 0u64;
-    // Window head: `recv` fails only once `finish` has dropped the
-    // engine's sender and the backlog is drained.
-    while let Ok(head) = ctx.rx.recv() {
-        ctx.queue_depth.dec();
-        // A paused gate holds the window here, head in hand, until the
-        // client finishes staging its wave (see
-        // [`ServeEngine::pause`](super::ServeEngine::pause)).
-        ctx.gate.wait_open();
-        let mut work = 0u64;
-        let mut window: Vec<Job> = Vec::new();
-        ctx.admit(head, &mut window, &mut work);
-        // Fill greedily from what has already arrived; wait for
-        // stragglers only while every shard still has a window queued
-        // (see `AdmissionPolicy`), else they catch the next window.
-        while !window_full(ctx.cfg.admission, window.len(), work) {
-            let job = match ctx.rx.try_recv() {
-                Ok(job) => job,
-                Err(TryRecvError::Empty) if ctx.shards_backlogged() => {
-                    match ctx.rx.recv_timeout(HOLD_POLL) {
-                        Ok(job) => job,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                Err(_) => break,
-            };
-            ctx.queue_depth.dec();
-            ctx.admit(job, &mut window, &mut work);
-        }
-        if window.is_empty() {
-            continue; // everything was rejected at validation
-        }
-        windows += 1;
-        if let AdmissionPolicy::Deadline { drop_expired, .. } = ctx.cfg.admission {
+    /// Closes the window being filled: expiry and EDF order under the
+    /// deadline policy, elastic scale-up against the `at.backlog` still
+    /// queued, one route per job, then the power states settle and each
+    /// shard's batch counts as queued for it.
+    fn close(&mut self, at: Stamp) -> Vec<(usize, Vec<Job>)> {
+        let mut window = std::mem::take(&mut self.window);
+        self.work = 0;
+        self.windows += 1;
+        if let AdmissionPolicy::Deadline { drop_expired, .. } = self.cfg.admission {
             if drop_expired {
-                expired += ctx.drop_expired(&mut window);
+                self.expired += self.drop_expired(&mut window, at.now_us);
             }
             // Stable: equal deadlines (and the no-deadline tail) keep
             // arrival order.
             window.sort_by_key(|job| job.deadline.unwrap_or(u64::MAX));
         }
 
-        ctx.power.scale_up(ctx.queue_depth.current());
-        let mut per_shard: Vec<Vec<Job>> = ctx.shard_txs.iter().map(|_| Vec::new()).collect();
+        self.power.scale_up(at.backlog);
+        let mut per_shard: Vec<Vec<Job>> = self.queued.iter().map(|_| Vec::new()).collect();
         for mut job in window {
-            let pin = |tag: SessionTag| ctx.sessions.peek(tag.id, |s| s.shard).flatten();
+            let pin = |tag: SessionTag| self.sessions.peek(tag.id, |s| s.shard).flatten();
             let pinned = job.session.and_then(pin);
             if let Some(p) = pinned {
-                ctx.power.wake(p);
+                self.power.wake(p);
             }
             let program = job.request.lowered_program();
-            let shard = ctx.router.pick(program, pinned, ctx.power.states());
+            let shard = self.router.pick(program, pinned, self.power.states());
             if let Some(tag) = job.session {
-                ctx.sessions.set_pin(tag.id, shard);
+                self.sessions.set_pin(tag.id, shard);
             }
-            degraded += usize::from(job.degrade.is_some());
-            job.dispatch_seq = dispatch_seq;
-            job.window = windows - 1;
-            dispatch_seq += 1;
+            self.degraded += usize::from(job.degrade.is_some());
+            job.dispatch_seq = self.dispatch_seq;
+            job.window = self.windows - 1;
+            self.dispatch_seq += 1;
             per_shard[shard].push(job);
         }
-        ctx.power.settle(
-            |s| !per_shard[s].is_empty(),
-            |s| ctx.router.load(s) == 0 && ctx.shard_depths[s].current() == 0,
-        );
+        let running = &self.running;
+        self.power
+            .settle(|s| !per_shard[s].is_empty(), |s| running[s].is_empty());
 
-        for (i, batch) in per_shard.into_iter().enumerate() {
+        let mut batches = Vec::new();
+        for (shard, batch) in per_shard.into_iter().enumerate() {
             if !batch.is_empty() {
-                ctx.shard_depths[i].inc();
-                // A full shard channel blocks admission here — bounded
-                // backpressure toward the submission queue.
-                let _ = ctx.shard_txs[i].send(batch);
+                self.queued[shard] += 1;
+                self.peaks[shard] = self.peaks[shard].max(self.queued[shard]);
+                let macs = batch
+                    .iter()
+                    .map(|j| j.request.lowered_program().modeled_macs());
+                self.running[shard].push_back(macs.sum());
+                batches.push((shard, batch));
             }
         }
-        for report in ctx.reports.try_iter() {
-            ctx.power.report(report);
+        batches
+    }
+}
+
+/// The admission thread: hands the inbox's events to the admitter and
+/// each window it closes to its shard, until the inbox is closed and
+/// drained and every dispatched window has been reported; it returns the
+/// admitter for its tallies. Its exit — an unwind included — closes the
+/// inbox.
+pub(super) fn admission_thread(
+    mut admitter: Admitter,
+    inbox: &Inbox,
+    shard_txs: Vec<SyncSender<Vec<Job>>>,
+    epoch: Instant,
+) -> Admitter {
+    let _leaving = Leaving(inbox, true);
+    while let Some((event, backlog)) = inbox.take(&admitter) {
+        let now_us = epoch.elapsed().as_micros() as u64;
+        for (shard, batch) in admitter.on(event, Stamp { now_us, backlog }) {
+            // A full shard channel blocks admission here — bounded
+            // backpressure toward the submission queue. The shard's own
+            // events never wait, so its pickup always gets through.
+            let _ = shard_txs[shard].send(batch);
         }
     }
-    AdmitOut {
-        windows,
-        expired,
-        degraded,
-        power: ctx.power,
-        reports: ctx.reports,
+    admitter
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::inbox::Poll;
+    use super::super::power::{PoolPolicy, ShardPower};
+    use super::super::route::RoutePolicy;
+    use super::super::session::Phase;
+    use super::*;
+    use crate::batch::Request;
+    use crate::engine::OneSa;
+    use onesa_cpwl::NonlinearFn;
+    use onesa_sim::ArrayConfig;
+    use onesa_tensor::parallel::Parallelism;
+    use onesa_tensor::rng::Pcg32;
+    use proptest::prelude::*;
+    use std::sync::mpsc::{self, TryRecvError, TrySendError};
+
+    /// One step of a drawn interleaving.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A submission of a kind — a valid GEMM, a malformed one, a
+        /// nonlinear (degradable), a session step — with a deadline that
+        /// many µs from now, if any.
+        Submit(u8, Option<u64>),
+        /// Shard `i` (modulo the pool) takes up its oldest queued window.
+        Take(usize),
+        /// Shard `i` runs the window it took up: modeled seconds and MACs,
+        /// or a failure, which reports zeros.
+        Run(usize, f64, u64, bool),
+        Pause(bool),
+        /// The admitter takes what the inbox hands it.
+        Deliver,
+        /// The clock advances.
+        Tick(u64),
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        let deadline = || prop_oneof![Just(None), (0u64..40).prop_map(Some)];
+        let submit = || (0u8..4, deadline()).prop_map(|(kind, d)| Step::Submit(kind, d));
+        let flag = || prop_oneof![Just(true), Just(false)];
+        let failed = prop_oneof![Just(true), Just(false), Just(false)];
+        prop_oneof![
+            submit(),
+            submit(),
+            submit(),
+            (0usize..4).prop_map(Step::Take),
+            (0usize..4, 0.0f64..3e-6, 0u64..50_000, failed)
+                .prop_map(|(s, secs, macs, f)| Step::Run(s, secs, macs, f)),
+            flag().prop_map(Step::Pause),
+            flag().prop_map(Step::Pause),
+            Just(Step::Deliver),
+            Just(Step::Deliver),
+            Just(Step::Deliver),
+            (1u64..20).prop_map(Step::Tick),
+        ]
+    }
+
+    fn admission_strategy() -> impl Strategy<Value = AdmissionPolicy> {
+        let flag = prop_oneof![Just(true), Just(false)];
+        prop_oneof![
+            (0usize..5).prop_map(|window| AdmissionPolicy::Fifo { window }),
+            (0usize..5, flag).prop_map(|(window, drop_expired)| AdmissionPolicy::Deadline {
+                window,
+                drop_expired
+            }),
+            (0u64..120).prop_map(|max_macs| AdmissionPolicy::SizeCapped { max_macs }),
+        ]
+    }
+
+    fn pool_strategy() -> impl Strategy<Value = (RoutePolicy, PoolPolicy, Option<usize>)> {
+        let routing = prop_oneof![
+            Just(RoutePolicy::RoundRobin),
+            Just(RoutePolicy::LeastLoaded),
+            Just(RoutePolicy::WeightAffinity),
+            Just(RoutePolicy::EnergyAware),
+        ];
+        let elastic =
+            (0usize..4, 0usize..3, 0usize..3).prop_map(|(min, up, idle)| PoolPolicy::Elastic {
+                min_active: min,
+                scale_up_depth: up,
+                idle_windows: idle,
+            });
+        let pool = prop_oneof![Just(PoolPolicy::AlwaysOn), elastic];
+        let degrade = prop_oneof![Just(None), (0usize..4).prop_map(Some)];
+        (routing, pool, degrade)
+    }
+
+    /// A window's power states as it dispatched, and each shard's run.
+    type WindowLog = (Vec<ShardPower>, Vec<(f64, u64)>);
+
+    /// The pool as a model around one admitter and its inbox: the
+    /// shards' channels and the windows they took up, every ticket, and
+    /// each window's power states and runs for the join-at-the-end
+    /// reference.
+    struct Model {
+        admitter: Admitter,
+        inbox: Inbox,
+        sessions: Arc<SessionTable>,
+        paused: bool,
+        now_us: u64,
+        rng: Pcg32,
+        tickets: Vec<mpsc::Receiver<Result<super::super::ServedOutcome, ServeError>>>,
+        channels: Vec<VecDeque<Vec<Job>>>,
+        taken: Vec<Option<Vec<Job>>>,
+        log: Vec<WindowLog>,
+    }
+
+    impl Model {
+        fn submit(&mut self, kind: u8, deadline: Option<u64>) {
+            let w = self.rng.randn(&[4, 2], 1.0);
+            let request = match kind {
+                1 => Request::gemm(self.rng.randn(&[2, 5], 1.0), w),
+                2 => Request::nonlinear(NonlinearFn::Gelu, self.rng.randn(&[2, 3], 1.0)),
+                _ => Request::gemm(self.rng.randn(&[2, 4], 1.0), w),
+            };
+            let session = if kind == 3 {
+                let id = self.sessions.open();
+                self.sessions.checkout(id, Phase::Prefill).unwrap();
+                Some(SessionTag {
+                    id,
+                    phase: Phase::Prefill,
+                    tokens: 2,
+                })
+            } else {
+                None
+            };
+            let (reply, rx) = mpsc::channel();
+            let job = Job {
+                ticket: 0,
+                deadline: deadline.map(|d| self.now_us + d),
+                submitted_at: Instant::now(),
+                request,
+                session,
+                degrade: None,
+                dispatch_seq: 0,
+                window: 0,
+                queue_seconds: 0.0,
+                reply,
+            };
+            match self.inbox.submit(job, false) {
+                Ok(_) => self.tickets.push(rx),
+                Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
+                    if let Some(tag) = job.session {
+                        self.sessions.release(tag.id);
+                    }
+                }
+            }
+        }
+
+        fn take(&mut self, shard: usize) -> bool {
+            if self.taken[shard].is_some() {
+                return false;
+            }
+            let Some(batch) = self.channels[shard].pop_front() else {
+                return false;
+            };
+            self.taken[shard] = Some(batch);
+            self.inbox.shard_event(Event::ShardTook(shard));
+            true
+        }
+
+        fn run(&mut self, shard: usize, seconds: f64, macs: u64, failed: bool) -> bool {
+            let Some(batch) = self.taken[shard].take() else {
+                return false;
+            };
+            let (seconds, macs) = if failed { (0.0, 0) } else { (seconds, macs) };
+            let window = batch[0].window;
+            for job in batch {
+                job.fail(&self.sessions, ServeError::WorkerLost);
+            }
+            let executed = &mut self.log[window].1[shard];
+            executed.0 += seconds;
+            executed.1 += macs;
+            self.inbox.shard_event(Event::ShardDone {
+                window,
+                shard,
+                seconds,
+                macs,
+            });
+            true
+        }
+
+        /// Hands the admitter what the inbox has for it, checking every
+        /// rule the hand-over and the event must keep; what the inbox
+        /// said instead if it had nothing.
+        fn deliver(&mut self) -> Option<Poll> {
+            let admitter = &mut self.admitter;
+            let (event, backlog) = match self.inbox.poll(admitter) {
+                Poll::Event(event, backlog) => (event, backlog),
+                other => return Some(other),
+            };
+            let submit = matches!(event, Event::Submit(_));
+            assert!(!(submit && self.paused), "a submission taken while paused");
+            let idle_on_open = matches!(event, Event::Idle) && !admitter.window.is_empty();
+            let some_shard_free = self.channels.iter().any(|c| c.is_empty());
+            let windows = admitter.windows;
+            let stamp = Stamp {
+                now_us: self.now_us,
+                backlog,
+            };
+            let batches = admitter.on(event, stamp);
+            let closed = admitter.windows > windows;
+            if idle_on_open {
+                assert_eq!(
+                    closed, some_shard_free,
+                    "a window closes on Idle exactly when some shard has none queued"
+                );
+            }
+            if closed {
+                let states = admitter.power.states().to_vec();
+                self.log.push((states, vec![(0.0, 0); self.channels.len()]));
+            }
+            let mut jobs: Vec<&Job> = batches.iter().flat_map(|(_, b)| b).collect();
+            jobs.sort_by_key(|job| job.dispatch_seq);
+            match admitter.cfg.admission {
+                AdmissionPolicy::Fifo { window } | AdmissionPolicy::Deadline { window, .. } => {
+                    assert!(jobs.len() <= window.max(1), "{} jobs", jobs.len());
+                }
+                AdmissionPolicy::SizeCapped { max_macs } => {
+                    let macs = |job: &&Job| job.request.lowered_program().modeled_macs();
+                    let before_last: u64 = jobs.iter().rev().skip(1).map(macs).sum();
+                    assert!(
+                        before_last < max_macs.max(1),
+                        "{before_last} MACs before the last"
+                    );
+                }
+            }
+            for (shard, batch) in batches {
+                self.channels[shard].push_back(batch);
+            }
+            None
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_admitter_keeps_its_rules_under_any_interleaving(
+            shards in 1usize..4,
+            capacity in 1usize..8,
+            admission in admission_strategy(),
+            (routing, pool, degrade) in pool_strategy(),
+            paused in prop_oneof![Just(true), Just(false)],
+            steps in proptest::collection::vec(step_strategy(), 60..160),
+            seed in 0u64..1000,
+        ) {
+            let array = ArrayConfig::new(8, 16);
+            let mut cfg = ServeConfig::uniform(shards, array.clone(), Parallelism::Sequential)
+                .with_admission(admission)
+                .with_routing(routing)
+                .with_pool(pool);
+            if let Some(depth) = degrade {
+                cfg = cfg.with_degrade(DegradePolicy::new(vec![0.5, 1.0]).with_depth_threshold(depth));
+            }
+            let engine = OneSa::with_parallelism(array, Parallelism::Sequential);
+            let power = PowerStates::new(pool, vec![engine.clone(); shards]);
+            let router = Router::new(routing, power.energy_per_mac());
+            let sessions = Arc::new(SessionTable::new(64));
+            let mut m = Model {
+                admitter: Admitter::new(cfg, router, power, Arc::clone(&sessions)),
+                inbox: Inbox::new(capacity, paused),
+                sessions,
+                paused,
+                now_us: 0,
+                rng: Pcg32::seed_from_u64(seed),
+                tickets: Vec::new(),
+                channels: (0..shards).map(|_| VecDeque::new()).collect(),
+                taken: (0..shards).map(|_| None).collect(),
+                log: Vec::new(),
+            };
+            for step in steps {
+                match step {
+                    Step::Submit(kind, deadline) => m.submit(kind, deadline),
+                    Step::Take(s) => drop(m.take(s % shards)),
+                    Step::Run(s, seconds, macs, failed) => drop(m.run(s % shards, seconds, macs, failed)),
+                    Step::Pause(p) => {
+                        m.inbox.set_paused(p);
+                        m.paused = p;
+                    }
+                    Step::Deliver => drop(m.deliver()),
+                    Step::Tick(us) => m.now_us += us,
+                }
+            }
+            // Close: the admitter drains the queue and waits for every
+            // window's report while the shards work through theirs.
+            m.inbox.close();
+            m.paused = false;
+            loop {
+                match m.deliver() {
+                    None => {}
+                    Some(Poll::Done) => break,
+                    Some(_) => {
+                        let progressed = (0..shards).any(|s| m.run(s, 1e-6, 1_000, false))
+                            || (0..shards).any(|s| m.take(s));
+                        prop_assert!(progressed, "stuck: nothing to take and no shard can move");
+                    }
+                }
+            }
+            prop_assert!(m.channels.iter().all(VecDeque::is_empty));
+            prop_assert!(m.taken.iter().all(Option::is_none));
+            prop_assert_eq!(m.admitter.windows, m.log.len());
+            for (i, ticket) in m.tickets.iter().enumerate() {
+                prop_assert!(ticket.try_recv().is_ok(), "ticket {} never resolved", i);
+                prop_assert_eq!(ticket.try_recv().unwrap_err(), TryRecvError::Disconnected);
+            }
+
+            // The reference: every window as it dispatched, joined at the end.
+            let idle_watts = engine.power_watts(0.0);
+            let config = engine.config();
+            let peak = config.peak_macs_per_cycle() as f64 * config.clock_mhz * 1e6;
+            let mut joules = 0.0f64;
+            for (states, executed) in &m.log {
+                let window_seconds = executed.iter().map(|e| e.0).fold(0.0f64, f64::max);
+                for (s, _) in states.iter().enumerate().filter(|(_, p)| **p != ShardPower::Off) {
+                    let (seconds, macs) = executed[s];
+                    if seconds > 0.0 {
+                        let utilization = macs as f64 / (seconds * peak);
+                        joules += engine.power_watts(utilization) * seconds;
+                        joules += idle_watts * (window_seconds - seconds).max(0.0);
+                    } else {
+                        joules += idle_watts * window_seconds;
+                    }
+                }
+            }
+            let modeled = m.admitter.power.summary().modeled_joules;
+            prop_assert_eq!(modeled.to_bits(), joules.to_bits());
+        }
     }
 }

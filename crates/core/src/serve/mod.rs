@@ -20,8 +20,13 @@
 //! * `session` — the host-resident session table (KV tensors, pinning,
 //!   eviction) and [`Phase`].
 //! * `admit` — [`AdmissionPolicy`] (when a window closes), deadline
-//!   expiry, the [`DegradePolicy`] ladder, and the admission thread's
-//!   loop, which only orchestrates the other modules.
+//!   expiry, the [`DegradePolicy`] ladder, and the `Admitter`: a state
+//!   machine with no thread, channel or clock that takes one event at a
+//!   time and returns the windows to dispatch, orchestrating the other
+//!   modules. The admission thread is a shell around it.
+//! * `inbox` — the one thing the admission thread blocks on: the
+//!   bounded submission queue, the shards' pickup and completion events,
+//!   the pause flag and close, under one lock.
 //! * `route` — [`RoutePolicy`] and the `Router` state machine: one
 //!   `pick` per request (pinned session, then the policy over the
 //!   powered shards).
@@ -36,24 +41,27 @@
 //! # Request lifecycle
 //!
 //! ```text
-//!  client threads                admission thread              shard threads
-//!  ──────────────                ────────────────              ─────────────
-//!  submit(Request) ──► bounded MPSC queue ──► admit: lower to a Program
-//!   = one Job         (backpressure: send     + validate (front door)
-//!        │             blocks when full)            │
-//!        ▼                                    batching window ──► Router::pick
-//!     Ticket                                 (FIFO / EDF /     over PowerStates
-//!        │                                    size-capped)         │
-//!        │                                                per-shard channel
-//!        │                                                         │
-//!        │                                    ShardExec::run_window: the BatchEngine
-//!        │                                    here, or in the shard's worker process
-//!        ▼                                                         │
-//!  Ticket::wait ◄────────────── the Job's reply channel ◄──────────┘
+//!  client threads            the inbox (one lock)          admission thread
+//!  ──────────────            ────────────────────          ────────────────
+//!  submit(Request) ──► bounded submission queue ─┐    Admitter::on(event):
+//!   = one Job         (submit blocks when full;  ├──► Submit: lower to a Program,
+//!        │             paused: none taken)       │     validate, fill the window
+//!  pause / resume ──►  pause flag                │    Idle: close it unless every
+//!        │            shard events (never wait) ─┘     shard has one queued
+//!        ▼              ▲              ▲                     │
+//!     Ticket            │ ShardTook(i) │ ShardDone       Router::pick over
+//!        │              │ on pickup    │ {window, shard,  PowerStates
+//!        │              │              │  seconds, MACs}     │
+//!        │            shard threads ◄── per-shard channel ◄──┘
+//!        │            ShardExec::run_window: the BatchEngine
+//!        │            here, or in the shard's worker process
+//!        ▼                     │
+//!  Ticket::wait ◄── the Job's reply channel
 //!
-//!  finish() ──► closes the queue (the admitter drains the backlog),
-//!               joins every worker, aggregates the shards into a
-//!               ServingReport + per-shard ShardStats
+//!  finish() ──► closes the inbox (the admitter drains the backlog and
+//!               waits for every window's report), joins every worker,
+//!               aggregates the shards into a ServingReport + per-shard
+//!               ShardStats
 //! ```
 //!
 //! A client may submit a GEMM, a nonlinear evaluation or a compiled
@@ -91,9 +99,14 @@
 //! * **Backpressure.** The submission queue is bounded:
 //!   [`ServeEngine::submit`] blocks and [`ServeEngine::try_submit`]
 //!   returns the request back once `queue_capacity` requests are
-//!   waiting, so producers can never outrun the pool unboundedly. The
-//!   per-shard channels are bounded too, which stalls admission (not
-//!   the clients) when one shard falls behind.
+//!   waiting, so producers can never outrun the pool unboundedly; the
+//!   queue counts its depth under its lock, so no more than
+//!   `queue_capacity` are ever waiting. The per-shard channels are
+//!   bounded too, which stalls admission (not the clients) when one
+//!   shard falls behind; a shard's own pickup and completion events
+//!   never wait for room, so a stalled admitter is always released.
+//!   If the admission thread dies, the queue closes: a `submit` waiting
+//!   for room returns [`ServeError::QueueClosed`].
 //! * **Early rejection.** The admission thread lowers every request
 //!   and checks its inputs against its program (the same checks as
 //!   `BatchEngine::submit_checked`) before routing: a malformed
@@ -145,6 +158,7 @@
 //! ```
 
 mod admit;
+mod inbox;
 mod power;
 mod route;
 mod session;
@@ -159,9 +173,9 @@ pub use shard::ShardStats;
 use crate::batch::{BatchEngine, Latencies, Request, ServingReport};
 use crate::engine::OneSa;
 use crate::net::{self, ProcessConfig, WeightCacheStats};
-use admit::{admitter_loop, AdmitOut, AdmitterCtx};
+use admit::{admission_thread, Admitter};
+use inbox::Inbox;
 use onesa_cpwl::ops::TableSet;
-use onesa_plan::CompileCache;
 use onesa_sim::{ArrayConfig, ExecStats};
 use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::{Tensor, TensorError};
@@ -170,9 +184,8 @@ use route::Router;
 use session::{SessionState, SessionTable, SessionTag};
 use shard::{shard_loop, ShardExec, ShardOut};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
@@ -481,10 +494,8 @@ pub struct ServeSummary {
     /// Modeled pool energy accounting (see [`PowerSummary`]); all-zero
     /// for a run that dispatched no windows.
     pub power: PowerSummary,
-    /// Most requests ever observed waiting in the submission queue at
-    /// once. Single-producer submission keeps this at most
-    /// [`ServeConfig::queue_capacity`]; concurrent producers blocked in
-    /// `submit` can momentarily be counted on top of a full queue.
+    /// Most requests ever waiting in the submission queue at once: at
+    /// most [`ServeConfig::queue_capacity`].
     pub peak_queue_depth: usize,
     /// Process backend only: shards whose worker process died during
     /// the run (each one's in-flight windows requeued on survivors).
@@ -651,6 +662,7 @@ impl fmt::Display for ServeSummary {
 /// carry. The submitter fills what it knows, the admitter
 /// `dispatch_seq` and `window` at routing (and `degrade` if it re-compiles
 /// the request), the shard `queue_seconds` at pickup.
+#[derive(Debug)]
 struct Job {
     ticket: TicketId,
     deadline: Option<u64>,
@@ -681,76 +693,6 @@ impl Job {
     }
 }
 
-/// Current/peak gauge for a bounded queue.
-#[derive(Debug, Default)]
-struct DepthGauge {
-    current: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl DepthGauge {
-    fn inc(&self) {
-        let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak.fetch_max(now, Ordering::SeqCst);
-    }
-
-    /// Raises the count without touching the peak; callers record the
-    /// peak themselves once the enqueue is known to have succeeded (a
-    /// rejected `try_submit` must not register as observed depth).
-    fn inc_tentative(&self) {
-        self.current.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn record_peak(&self) {
-        self.peak
-            .fetch_max(self.current.load(Ordering::SeqCst), Ordering::SeqCst);
-    }
-
-    fn dec(&self) {
-        self.current.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn current(&self) -> usize {
-        self.current.load(Ordering::SeqCst)
-    }
-
-    fn peak(&self) -> usize {
-        self.peak.load(Ordering::SeqCst)
-    }
-}
-
-/// The pause gate in front of the admission loop.
-#[derive(Debug)]
-struct Gate {
-    open: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new(open: bool) -> Self {
-        Gate {
-            open: Mutex::new(open),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Opens or closes the gate, waking the admitter either way (it
-    /// re-checks the flag).
-    fn set(&self, open: bool) {
-        *self.open.lock().expect("gate lock") = open;
-        self.cv.notify_all();
-    }
-
-    fn is_open(&self) -> bool {
-        *self.open.lock().expect("gate lock")
-    }
-
-    fn wait_open(&self) {
-        let open = self.open.lock().expect("gate lock");
-        let _open = self.cv.wait_while(open, |open| !*open).expect("gate lock");
-    }
-}
-
 // ---------------------------------------------------------------------
 // the engine
 // ---------------------------------------------------------------------
@@ -761,15 +703,12 @@ impl Gate {
 /// queue and ticket sequence. See the [module docs](self).
 #[derive(Debug)]
 pub struct ServeEngine {
-    /// The submission queue's only sender. `finish` drops it, which
-    /// closes admission once the admitter has drained the backlog.
-    tx: Option<SyncSender<Job>>,
-    next: AtomicU64,
-    depth: Arc<DepthGauge>,
+    /// Submissions, shard events, the pause flag and close: everything
+    /// the admission thread waits on.
+    inbox: Arc<Inbox>,
     sessions: Arc<SessionTable>,
-    gate: Arc<Gate>,
     started: Instant,
-    admitter: Option<JoinHandle<AdmitOut>>,
+    admitter: Option<JoinHandle<Admitter>>,
     workers: Vec<JoinHandle<ShardOut>>,
     /// Process backend: one pid per shard; empty in-process.
     worker_pids: Vec<u32>,
@@ -812,12 +751,8 @@ impl ServeEngine {
         }
         let n = cfg.shards.len();
 
-        let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_capacity.max(1));
-        let gate = Arc::new(Gate::new(!cfg.paused));
+        let inbox = Arc::new(Inbox::new(cfg.queue_capacity, cfg.paused));
         let sessions = Arc::new(SessionTable::new(cfg.session_capacity));
-        let queue_depth = Arc::new(DepthGauge::default());
-        let shard_depths: Vec<Arc<DepthGauge>> =
-            (0..n).map(|_| Arc::new(DepthGauge::default())).collect();
         let engine_of =
             |spec: &ShardSpec| OneSa::with_parallelism(spec.config.clone(), spec.parallelism);
 
@@ -866,48 +801,31 @@ impl ServeEngine {
         let router = Router::new(cfg.routing, power.energy_per_mac());
         let mut shard_txs = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
-        let (report_tx, reports) = mpsc::channel();
         for (i, exec) in execs.into_iter().enumerate() {
             let (btx, rx) = mpsc::sync_channel::<Vec<Job>>(SHARD_CHANNEL_DEPTH);
             shard_txs.push(btx);
-            let load = router.load_handle(i);
-            let depth = Arc::clone(&shard_depths[i]);
+            let inbox = Arc::clone(&inbox);
             let sessions = Arc::clone(&sessions);
-            let report_tx = report_tx.clone();
             let handle = thread::Builder::new()
                 .name(format!("onesa-shard-{i}"))
-                .spawn(move || shard_loop(i, rx, exec, load, depth, sessions, report_tx))
+                .spawn(move || shard_loop(i, rx, exec, inbox, sessions))
                 .expect("spawn shard worker");
             workers.push(handle);
         }
 
         let admitter = {
-            let ctx = AdmitterCtx {
-                rx,
-                shard_txs,
-                shard_depths,
-                recompile: CompileCache::new(),
-                router,
-                power,
-                reports,
-                gate: Arc::clone(&gate),
-                queue_depth: Arc::clone(&queue_depth),
-                epoch: Instant::now(),
-                sessions: Arc::clone(&sessions),
-                cfg,
-            };
+            let admitter = Admitter::new(cfg, router, power, Arc::clone(&sessions));
+            let inbox = Arc::clone(&inbox);
+            let epoch = Instant::now();
             thread::Builder::new()
                 .name("onesa-admitter".to_string())
-                .spawn(move || admitter_loop(ctx))
+                .spawn(move || admission_thread(admitter, &inbox, shard_txs, epoch))
                 .expect("spawn admission thread")
         };
 
         Ok(ServeEngine {
-            tx: Some(tx),
-            next: AtomicU64::new(0),
-            depth: queue_depth,
+            inbox,
             sessions,
-            gate,
             started: Instant::now(),
             admitter: Some(admitter),
             workers,
@@ -925,14 +843,16 @@ impl ServeEngine {
     /// Opens the admission gate of a [`ServeConfig::paused`] engine
     /// (idempotent).
     pub fn resume(&self) {
-        self.gate.set(true);
+        self.inbox.set_paused(false);
     }
 
     /// Closes the admission gate again, so a wave of submissions can be
     /// staged into **one** admission window mid-run: `pause()`, submit
-    /// the wave, `resume()`. While paused, the admitter still dequeues
-    /// the head request of the next window but blocks before filling or
-    /// dispatching it; a window already being filled or executing is
+    /// the wave, `resume()`. While paused, the admitter takes no
+    /// submission: the wave waits in the queue (to `queue_capacity`),
+    /// and the admitter keeps taking its shards' events. A window
+    /// already being filled closes as usual (at the next empty inbox, or
+    /// once a shard takes up its queued window); one executing is
     /// unaffected. This is how a continuous-batching driver keeps the
     /// decode steps of many sessions coalescing even though each round's
     /// inputs only exist after the previous round's outputs: without the
@@ -940,7 +860,7 @@ impl ServeEngine {
     /// of a round alone. [`ServeEngine::finish`] reopens the gate, so a
     /// paused engine still drains.
     pub fn pause(&self) {
-        self.gate.set(false);
+        self.inbox.set_paused(true);
     }
 
     /// Submits a request, blocking while the queue is at capacity.
@@ -975,9 +895,8 @@ impl ServeEngine {
     /// [`TrySubmitError::Full`] at capacity, [`TrySubmitError::Closed`]
     /// if the admission thread is gone; both return the request.
     pub fn try_submit(&self, request: Request) -> Result<Ticket, TrySubmitError> {
-        let (job, ticket) = self.make(request, None, None);
-        match self.enqueue(SyncSender::try_send, job) {
-            Ok(()) => Ok(ticket),
+        match self.enqueue(request, None, None, false) {
+            Ok(ticket) => Ok(ticket),
             Err(TrySendError::Full(job)) => Err(TrySubmitError::Full(job.request)),
             Err(TrySendError::Disconnected(job)) => Err(TrySubmitError::Closed(job.request)),
         }
@@ -1003,7 +922,7 @@ impl ServeEngine {
 
     /// Requests currently waiting in the submission queue.
     pub fn pending(&self) -> usize {
-        self.depth.current()
+        self.inbox.depth().0
     }
 
     // -- decoding sessions ------------------------------------------------
@@ -1100,52 +1019,30 @@ impl ServeEngine {
 
     // -- submission plumbing ----------------------------------------------
 
-    fn make(
+    /// Queues a new job for `request` (waiting for room if `wait`) and
+    /// hands back its ticket; a refused job hands back its request.
+    fn enqueue(
         &self,
         request: Request,
         deadline: Option<u64>,
         session: Option<SessionTag>,
-    ) -> (Job, Ticket) {
-        let id = self.next.fetch_add(1, Ordering::SeqCst);
+        wait: bool,
+    ) -> Result<Ticket, TrySendError<Box<Job>>> {
         let (reply, rx) = mpsc::channel();
-        (
-            Job {
-                ticket: id,
-                deadline,
-                submitted_at: Instant::now(),
-                request,
-                session,
-                degrade: None,
-                dispatch_seq: 0,
-                window: 0,
-                queue_seconds: 0.0,
-                reply,
-            },
-            Ticket { id, rx },
-        )
-    }
-
-    /// Puts `job` into the submission queue through `send`
-    /// (`SyncSender::send` to wait for room, `SyncSender::try_send` to
-    /// fail fast) with the depth gauge in step: the count rises before
-    /// the send so the admitter's decrement can never underflow it, and
-    /// a rejected send is taken back without registering as observed
-    /// depth.
-    fn enqueue<E>(
-        &self,
-        send: impl FnOnce(&SyncSender<Job>, Job) -> Result<(), E>,
-        job: Job,
-    ) -> Result<(), E> {
-        // Only `finish` (which takes the engine by value) and `drop` take
-        // the sender, so every submission still finds it.
-        let tx = self.tx.as_ref().expect("the sender lives until finish");
-        self.depth.inc_tentative();
-        let sent = send(tx, job);
-        match sent {
-            Ok(()) => self.depth.record_peak(),
-            Err(_) => self.depth.dec(),
-        }
-        sent
+        let job = Job {
+            ticket: 0,
+            deadline,
+            submitted_at: Instant::now(),
+            request,
+            session,
+            degrade: None,
+            dispatch_seq: 0,
+            window: 0,
+            queue_seconds: 0.0,
+            reply,
+        };
+        let id = self.inbox.submit(job, wait)?;
+        Ok(Ticket { id, rx })
     }
 
     fn submit_tagged(
@@ -1154,16 +1051,12 @@ impl ServeEngine {
         deadline: Option<u64>,
         session: Option<SessionTag>,
     ) -> Result<Ticket, ServeError> {
-        let (job, ticket) = self.make(request, deadline, session);
-        match self.enqueue(SyncSender::send, job) {
-            Ok(()) => Ok(ticket),
-            Err(_) => {
-                if let Some(tag) = session {
-                    self.sessions.release(tag.id);
-                }
-                Err(ServeError::QueueClosed)
+        self.enqueue(request, deadline, session, true).map_err(|_| {
+            if let Some(tag) = session {
+                self.sessions.release(tag.id);
             }
-        }
+            ServeError::QueueClosed
+        })
     }
 
     /// One session step of either phase: checks the session out (one
@@ -1186,8 +1079,8 @@ impl ServeEngine {
 
     /// Closes the queue, dispatches the backlog, joins every worker and
     /// aggregates the run. Unwaited tickets stay valid — their outcomes
-    /// are buffered. A paused gate is opened first, so a pre-loaded
-    /// engine can be finished directly.
+    /// are buffered. Closing lifts a pause, so a pre-loaded engine can
+    /// be finished directly.
     ///
     /// # Errors
     ///
@@ -1198,12 +1091,11 @@ impl ServeEngine {
 
     fn shutdown(&mut self) -> Result<ServeSummary, ServeError> {
         let admitter = self.admitter.take().ok_or(ServeError::QueueClosed)?;
-        self.gate.set(true);
-        // Dropping the only sender closes the queue: the admitter
-        // dispatches whatever is still queued, then its `recv` fails and
-        // it stops. If it is already gone the join below reports it.
-        self.tx = None;
-        let mut admitted = admitter.join().map_err(|_| ServeError::WorkerLost)?;
+        // The admitter dispatches whatever is still queued, waits for
+        // every window's report, and stops. If it is already gone the
+        // join below reports it.
+        self.inbox.close();
+        let admitted = admitter.join().map_err(|_| ServeError::WorkerLost)?;
         let mut plain = Latencies::default();
         let mut shards: Vec<ShardStats> = Vec::with_capacity(self.workers.len());
         let mut prefill = PhaseStats::default();
@@ -1220,9 +1112,8 @@ impl ServeEngine {
             decode.latencies.merge(decodes);
             shards.push(out.stats);
         }
-        // Every shard has stopped: the last windows' reports are in.
-        for report in admitted.reports.try_iter() {
-            admitted.power.report(report);
+        for (stats, peak) in shards.iter_mut().zip(admitted.peaks) {
+            stats.peak_queue_depth = peak;
         }
         let wall_seconds = self.started.elapsed().as_secs_f64();
         prefill.requests = prefill.latencies.len();
@@ -1258,7 +1149,7 @@ impl ServeEngine {
             expired: admitted.expired,
             degraded: admitted.degraded,
             power: admitted.power.summary(),
-            peak_queue_depth: self.depth.peak(),
+            peak_queue_depth: self.inbox.depth().1,
             failovers,
             wire_cache,
             prefill,
@@ -1890,6 +1781,65 @@ mod tests {
             "the four held requests share one window"
         );
         assert_eq!(summary.report.gemm_groups, 3);
+    }
+
+    #[test]
+    fn backpressure_with_pause_flips_mid_burst_does_not_deadlock() {
+        // One shard behind a one-request queue. The large GEMM of the
+        // test above keeps the shard busy while windows of one fill its
+        // channel, so the admitter blocks handing the next one over, and
+        // four producers block in `submit` while the pool is paused and
+        // resumed under them. Only the shard's pickup, which never waits,
+        // can release the admitter.
+        let mut rng = Pcg32::seed_from_u64(44);
+        let engine = ServeEngine::start(
+            ServeConfig::uniform(1, ArrayConfig::new(4, 4), Parallelism::Sequential)
+                .with_admission(AdmissionPolicy::Fifo { window: 1 })
+                .with_queue_capacity(1),
+        )
+        .unwrap();
+        let n = if cfg!(debug_assertions) { 320 } else { 2048 };
+        let big = rng.randn(&[n, n], 1.0);
+        let first = engine.submit(Request::gemm(big.clone(), big)).unwrap();
+        let w = rng.randn(&[4, 3], 1.0);
+        let bursts: Vec<Vec<Request>> = (0..4)
+            .map(|_| {
+                let mut gemm = || Request::gemm(rng.randn(&[2, 4], 1.0), w.clone());
+                (0..6).map(|_| gemm()).collect()
+            })
+            .collect();
+        let tickets: Vec<Ticket> = thread::scope(|scope| {
+            let engine = &engine;
+            let producers: Vec<_> = bursts
+                .into_iter()
+                .map(|burst| {
+                    scope.spawn(move || {
+                        burst
+                            .into_iter()
+                            .map(|r| engine.submit(r))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for _ in 0..3 {
+                thread::sleep(std::time::Duration::from_millis(10));
+                engine.pause();
+                thread::sleep(std::time::Duration::from_millis(10));
+                engine.resume();
+            }
+            let submitted = producers.into_iter().flat_map(|p| p.join().unwrap());
+            submitted.map(Result::unwrap).collect()
+        });
+        first.wait().unwrap();
+        for t in tickets {
+            t.wait().unwrap();
+        }
+        let summary = engine.finish().unwrap();
+        assert_eq!(summary.report.requests, 25);
+        assert_eq!(
+            summary.peak_queue_depth, 1,
+            "the queue never held more than its bound"
+        );
     }
 
     /// A tiny CPWL MLP (GEMM → Gelu → GEMM) for the degrade tests, plus

@@ -1,11 +1,9 @@
 //! Shard selection: the [`RoutePolicy`] a pool is configured with and
 //! the [`Router`] state machine that applies it — a plain value the
-//! admission thread owns, with no channel or thread of its own.
+//! admitter owns, with no channel or thread of its own.
 
 use super::power::ShardPower;
 use crate::Program;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// How an admitted request picks its shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,9 +43,9 @@ pub(super) struct Router {
     /// Requests [`RoutePolicy::RoundRobin`] has placed so far.
     cursor: usize,
     /// Per-shard outstanding modeled MACs (queued plus executing):
-    /// [`Router::pick`] adds a request's, the shard's thread subtracts
-    /// its window's once it has run.
-    loads: Vec<Arc<AtomicU64>>,
+    /// [`Router::pick`] adds a request's, [`Router::release`] a window's
+    /// once its shard has run it.
+    loads: Vec<u64>,
     /// Per-shard modeled joules per MAC at full activity
     /// ([`RoutePolicy::EnergyAware`]'s weight).
     energy_per_mac: Vec<f64>,
@@ -60,19 +58,19 @@ impl Router {
         Router {
             policy,
             cursor: 0,
-            loads: energy_per_mac.iter().map(|_| Arc::default()).collect(),
+            loads: vec![0; energy_per_mac.len()],
             energy_per_mac,
         }
     }
 
-    /// Shard `shard`'s outstanding-work counter, shared with its thread.
-    pub(super) fn load_handle(&self, shard: usize) -> Arc<AtomicU64> {
-        Arc::clone(&self.loads[shard])
-    }
-
     /// Shard `shard`'s outstanding modeled MACs.
     pub(super) fn load(&self, shard: usize) -> u64 {
-        self.loads[shard].load(Ordering::Relaxed)
+        self.loads[shard]
+    }
+
+    /// Shard `shard` has run a window of `macs` modeled MACs.
+    pub(super) fn release(&mut self, shard: usize, macs: u64) {
+        self.loads[shard] -= macs;
     }
 
     /// Chooses the shard `program` runs on and charges its modeled MACs
@@ -120,7 +118,7 @@ impl Router {
                 }
             }
         });
-        self.loads[shard].fetch_add(macs, Ordering::Relaxed);
+        self.loads[shard] += macs;
         shard
     }
 }
@@ -252,9 +250,8 @@ mod tests {
         let picks: Vec<usize> = (0..5).map(|_| r.pick(&p, None, &[Active; 2])).collect();
         assert_eq!(picks, [1, 1, 1, 0, 1]);
         assert_eq!((r.load(0), r.load(1)), (macs, 4 * macs));
-        // The shard's thread retiring its window frees the cheap shard
-        // again.
-        r.load_handle(1).store(0, Ordering::Relaxed);
+        // The shard running its windows frees the cheap shard again.
+        r.release(1, 4 * macs);
         assert_eq!(r.pick(&p, None, &[Active; 2]), 1);
     }
 

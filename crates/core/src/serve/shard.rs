@@ -3,14 +3,14 @@
 //! thread that answers its tickets ([`shard_loop`]) and what it reports
 //! ([`ShardStats`]).
 
-use super::power::WindowReport;
+use super::admit::Event;
+use super::inbox::{Inbox, Leaving};
 use super::session::{Phase, SessionTable};
-use super::{DepthGauge, Job, ServeError, ServedOutcome, TicketId};
+use super::{Job, ServeError, ServedOutcome, TicketId};
 use crate::batch::{BatchEngine, BatchRun, Latencies, Request};
 use crate::net::{self, WeightCacheStats};
 use onesa_tensor::TensorError;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -38,10 +38,10 @@ pub struct ShardStats {
     /// `busy_seconds` over the engine's wall lifetime: the fraction of
     /// time this shard's worker was doing work rather than waiting.
     pub occupancy: f64,
-    /// Most batches ever observed waiting in this shard's channel at
-    /// once (peak queue depth behind the router): at most the channel
-    /// bound plus the one batch the admitter may be blocked handing
-    /// over.
+    /// Most batches ever queued for this shard at once — dispatched and
+    /// not yet taken up, as the admitter counts them (peak queue depth
+    /// behind the router): at most the channel bound plus the one batch
+    /// the admitter may be blocked handing over.
     pub peak_queue_depth: usize,
     /// Process backend only: this shard's worker process died
     /// (EOF/ping timeout) during the run and its in-flight windows were
@@ -166,11 +166,10 @@ impl ShardExec {
 }
 
 /// One shard's thread, for either backend: receives windows from the
-/// admitter, executes each through [`ShardExec::run_window`], reports
-/// the window's modeled seconds and MACs to the admitter's power
-/// accounting on `reports` as it closes, and answers its tickets; `load`
-/// is the shard's outstanding-work counter the router charges, `depth`
-/// the gauge of its channel. A window that
+/// admitter, tells the admitter's `inbox` as it takes each one up,
+/// executes it through [`ShardExec::run_window`], reports its modeled
+/// seconds and MACs to the inbox as it closes, and answers its tickets.
+/// A window that
 /// re-ran on another shard's worker counts into
 /// [`ShardStats::requeued`], this shard's own worker's death into
 /// [`ShardStats::worker_lost`] →
@@ -179,19 +178,14 @@ pub(super) fn shard_loop(
     shard: usize,
     rx: Receiver<Vec<Job>>,
     mut exec: ShardExec,
-    load: Arc<AtomicU64>,
-    depth: Arc<DepthGauge>,
+    inbox: Arc<Inbox>,
     sessions: Arc<SessionTable>,
-    reports: Sender<WindowReport>,
 ) -> ShardOut {
+    let _leaving = Leaving(&inbox, false);
     let mut out = ShardOut::default();
     out.stats.shard = shard;
     while let Ok(mut batch) = rx.recv() {
-        depth.dec();
-        let batch_macs: u64 = batch
-            .iter()
-            .map(|job| job.request.lowered_program().modeled_macs())
-            .sum();
+        inbox.shard_event(Event::ShardTook(shard));
         let t0 = Instant::now();
         // Queueing delay ends here: what follows — `BatchEngine::run`,
         // or the wire round trip around it — is the execution.
@@ -207,7 +201,13 @@ pub(super) fn shard_loop(
             Ok((run, _)) => (run.report.batched_seconds, run.report.total_macs),
             Err(_) => (0.0, 0),
         };
-        let _ = reports.send((batch[0].window, shard, seconds, macs));
+        let window = batch[0].window;
+        inbox.shard_event(Event::ShardDone {
+            window,
+            shard,
+            seconds,
+            macs,
+        });
         match result {
             Ok((run, served_by)) => {
                 out.stats.batches += 1;
@@ -258,9 +258,7 @@ pub(super) fn shard_loop(
             }
         }
         out.stats.busy_seconds += t0.elapsed().as_secs_f64();
-        load.fetch_sub(batch_macs, Ordering::Relaxed);
     }
     exec.retire(shard, &mut out.stats);
-    out.stats.peak_queue_depth = depth.peak();
     out
 }

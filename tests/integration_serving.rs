@@ -438,9 +438,9 @@ fn concurrent_clients_all_get_served() {
     // The least and the greatest latency finite: every one is.
     let extremes = [0.0, 100.0].map(|q| summary.report.latencies.percentile(q));
     assert!(extremes.iter().all(|l| l.is_finite()));
-    // Queue bound plus at most one momentarily blocked submitter per
-    // producer thread (see `ServeSummary::peak_queue_depth`).
-    assert!(summary.peak_queue_depth <= 8 + 4);
+    // The queue counts its depth under its lock: never past its bound,
+    // however many producers wait for room.
+    assert!(summary.peak_queue_depth <= 8);
 }
 
 /// Nearest-rank percentile of a whole list, sorted: what
