@@ -32,12 +32,22 @@
 //! 0.15× the dense time at `n = 64`, 0.12× at `n = 7`, and half the
 //! reference loop's. The `density` rows sweep a constant operand's
 //! density from 2% to 100% and hold the pack's layout choice to within
-//! 10% of the lines layout at every density. The 256-deep serving rows
+//! 10% of the lines layout at every density. Every serving row also times
+//! `B` packed once (`prepacked_b_us`: `parallel::matmul_rows` with
+//! `Right::Reused`, whose panels the weight's storage keeps, as
+//! `onesa-plan` runs a constant right operand). The 256-deep serving rows
 //! also time `onesa_plan::tensor_fingerprint` of their `[256, n]` weight
-//! (`fingerprint_us`) — the one weight hash a GEMM request pays when it
-//! is lowered on admission — and hold it to at most 0.75× the packed
-//! GEMM (`fingerprint_over_packed`): admitting a request must not cost
-//! more than serving it.
+//! two ways: hashed in full (`fingerprint_us`, through a flat view of the
+//! weight, which its storage's memo does not answer) — what the first
+//! GEMM request on a weight pays when it is lowered on admission — held
+//! to at most 0.75× the packed GEMM (`fingerprint_over_packed`), since
+//! admitting a request must not cost more than serving it; and read back
+//! from the storage (`fingerprint_resubmitted_us`), what every later
+//! request on that weight pays. The `group` row times a window's three
+//! `[48, 256] · [256, 96]` GEMM members against one weight, three ways:
+//! the rows gathered into one block and `B` packed per call (the executor
+//! before it read members in parts), gathered against the packed `B`, and
+//! read where they lie, in parts, against the packed `B`.
 
 use std::hint::black_box;
 
@@ -46,7 +56,7 @@ use onesa_data::{Difficulty, GraphDataset};
 use onesa_plan::tensor_fingerprint;
 use onesa_tensor::gemm;
 use onesa_tensor::im2col::{self, Conv2dGeometry};
-use onesa_tensor::parallel::{self, PackedLhs, Parallelism};
+use onesa_tensor::parallel::{self, PackedLhs, Parallelism, Right};
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::Tensor;
 
@@ -115,17 +125,21 @@ fn bits(t: Tensor) -> Vec<u32> {
     t.into_vec().into_iter().map(f32::to_bits).collect()
 }
 
-/// One serving shape four ways, and the hash of its weight: `(reference,
-/// per call, pack and sweep, prepacked, fingerprint)` seconds per call —
-/// the reference loop; `parallel::matmul`, which reads `a` where
-/// it lies; `a` packed in lines on every call and swept
-/// (`PackedLhs::pack_lines` + `matmul_packed`, what `parallel::matmul`
-/// ran before it read `a` in place); `a` packed in lines once, outside
-/// the timed region; and `tensor_fingerprint(b)`, alternating with the
-/// four so a noisy stretch of the host lands on both sides of its ratio.
-/// The four products are checked `to_bits()`-equal first. Asserts the two
+/// One serving shape five ways, and the hash of its weight two ways:
+/// `(reference, per call, pack and sweep, prepacked, fingerprint,
+/// fingerprint resubmitted, prepacked B)` seconds per call — the
+/// reference loop; `parallel::matmul`, which reads `a` where it lies; `a`
+/// packed in lines on every call and swept (`PackedLhs::pack_lines` +
+/// `matmul_packed`, what `parallel::matmul` ran before it read `a` in
+/// place); `a` packed in lines once, outside the timed region; the hash of
+/// `b`'s values through a flat view (which its storage does not answer,
+/// so every call hashes in full); `tensor_fingerprint(b)`, read back from
+/// `b`'s storage; and `b` packed once, in its storage, with `a` read in
+/// place (`Right::Reused`). The hashes alternate with the products so a
+/// noisy stretch of the host lands on both sides of their ratios. The
+/// five products are checked `to_bits()`-equal first. Asserts the two
 /// floors every serving shape is held to.
-fn time_serving(a: &Tensor, b: &Tensor) -> Timings<5> {
+fn time_serving(a: &Tensor, b: &Tensor) -> Timings<7> {
     let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
     let calls = ((1e7 / (m * k * n) as f64) as usize).clamp(1, 20_000);
     let once = PackedLhs::pack_lines(a).expect("matrix");
@@ -134,13 +148,21 @@ fn time_serving(a: &Tensor, b: &Tensor) -> Timings<5> {
         let packed = PackedLhs::pack_lines(a).expect("matrix");
         parallel::matmul_packed(&packed, b, seq).expect("matmul")
     };
+    let prepacked_b =
+        || parallel::matmul_rows(&[a.as_slice()], m, k, Right::Reused(b), seq).expect("matmul");
     let want = bits(gemm::matmul(a, b).expect("matmul"));
     assert!(
         bits(parallel::matmul(a, b, seq).expect("matmul")) == want
             && bits(pack_and_sweep()) == want
-            && bits(parallel::matmul_packed(&once, b, seq).expect("matmul")) == want,
-        "{m}x{k}x{n}: the four forms differ"
+            && bits(parallel::matmul_packed(&once, b, seq).expect("matmul")) == want
+            && bits(prepacked_b()) == want,
+        "{m}x{k}x{n}: the five forms differ"
     );
+    // The weight's own hash is read first, so its storage keeps it; the
+    // flat view hashes other dims, so it hashes in full on every call.
+    let own = tensor_fingerprint(b);
+    let flat = b.reshape(&[k * n]).expect("same volume");
+    assert_ne!(tensor_fingerprint(&flat), own);
     let times = time_alternating(
         calls,
         [
@@ -148,7 +170,9 @@ fn time_serving(a: &Tensor, b: &Tensor) -> Timings<5> {
             &mut || sink(parallel::matmul(a, b, seq).expect("matmul")),
             &mut || sink(pack_and_sweep()),
             &mut || sink(parallel::matmul_packed(&once, b, seq).expect("matmul")),
+            &mut || sink(tensor_fingerprint(&flat)),
             &mut || sink(tensor_fingerprint(b)),
+            &mut || sink(prepacked_b()),
         ],
     );
     let (over_reference, over_packing) = (times.ratio(1, 0), times.ratio(1, 2));
@@ -161,6 +185,46 @@ fn time_serving(a: &Tensor, b: &Tensor) -> Timings<5> {
         "{m}x{k}x{n}: reading A in place takes {over_packing:.2}x the time of packing it, limit 1.00"
     );
     times
+}
+
+/// A row-stacked window of three `[48, 256]` GEMM members against one
+/// `[256, 96]` weight three ways: `(gathered, gathered prepacked B, parts)`
+/// seconds per window — the members' rows copied into one block and
+/// multiplied with `B` packed per call (`parallel::matmul`); the same
+/// block against `B` packed once (`Right::Reused`); and the members' rows
+/// read where they lie (`parallel::matmul_rows` over three parts) against
+/// the packed `B`. The three products are checked `to_bits()`-equal first.
+fn time_group(rng: &mut Pcg32) -> Timings<3> {
+    let members: Vec<Tensor> = (0..3).map(|_| rng.randn(&[48, 256], 1.0)).collect();
+    let b = rng.randn(&[256, 96], 0.1);
+    let seq = Parallelism::Sequential;
+    // The executor's gather: each member's rows appended in turn.
+    let gather = || {
+        let mut rows = Vec::with_capacity(144 * 256);
+        for a in &members {
+            rows.extend_from_slice(a.as_slice());
+        }
+        Tensor::from_vec(rows, &[144, 256]).expect("stacked rows")
+    };
+    let reused = |parts: &[&[f32]]| {
+        parallel::matmul_rows(parts, 144, 256, Right::Reused(&b), seq).expect("matmul")
+    };
+    let gathered = || parallel::matmul(&gather(), &b, seq).expect("matmul");
+    let gathered_prepacked_b = || reused(&[gather().as_slice()]);
+    let parts: Vec<&[f32]> = members.iter().map(Tensor::as_slice).collect();
+    let want = bits(gathered());
+    assert!(
+        bits(gathered_prepacked_b()) == want && bits(reused(&parts)) == want,
+        "the three group forms differ"
+    );
+    time_alternating(
+        1,
+        [
+            &mut || sink(gathered()),
+            &mut || sink(gathered_prepacked_b()),
+            &mut || sink(reused(&parts)),
+        ],
+    )
 }
 
 /// One constant left operand three ways: `(per call, lines, packed)`
@@ -231,7 +295,8 @@ fn main() {
         let b = rng.randn(&[k, n], 1.0);
         let flop = 2.0 * (m * k * n) as f64;
         let times = time_serving(&a, &b);
-        let [reference, packed, pack_and_sweep, prepacked, fingerprint] = times.best();
+        let [reference, packed, pack_and_sweep, prepacked, fingerprint, resubmitted, prepacked_b] =
+            times.best();
         println!("    {{");
         println!("      \"m\": {m}, \"k\": {k}, \"n\": {n},");
         println!(
@@ -243,6 +308,11 @@ fn main() {
             "      \"pack_and_sweep_us\": {:.2}, \"prepacked_us\": {:.2},",
             pack_and_sweep * 1e6,
             prepacked * 1e6
+        );
+        println!(
+            "      \"prepacked_b_us\": {:.2}, \"prepacked_b_over_packed\": {:.2},",
+            prepacked_b * 1e6,
+            times.ratio(6, 1)
         );
         print!(
             "      \"packed_gflops\": {:.2}, \"packed_over_reference\": {:.2}, \"packed_over_pack_and_sweep\": {:.2}",
@@ -257,13 +327,30 @@ fn main() {
                 "{m}x{k}x{n}: hashing the weight takes {over:.2}x the packed GEMM's time, limit 0.75"
             );
             print!(
-                ",\n      \"fingerprint_us\": {:.2}, \"fingerprint_over_packed\": {over:.2}",
-                fingerprint * 1e6
+                ",\n      \"fingerprint_us\": {:.2}, \"fingerprint_over_packed\": {over:.2}, \"fingerprint_resubmitted_us\": {:.3}",
+                fingerprint * 1e6,
+                resubmitted * 1e6
             );
         }
         println!("\n    }}{}", if idx + 1 < shapes.len() { "," } else { "" });
     }
     println!("  ],");
+    let times = time_group(&mut rng);
+    let [gathered, gathered_prepacked_b, parts] = times.best();
+    println!("  \"group\": {{");
+    println!("    \"members\": 3, \"m\": 48, \"k\": 256, \"n\": 96,");
+    println!(
+        "    \"gathered_us\": {:.2}, \"gathered_prepacked_b_us\": {:.2}, \"parts_prepacked_b_us\": {:.2},",
+        gathered * 1e6,
+        gathered_prepacked_b * 1e6,
+        parts * 1e6
+    );
+    println!(
+        "    \"parts_over_gathered_prepacked_b\": {:.2}, \"parts_over_gathered\": {:.2}",
+        times.ratio(2, 1),
+        times.ratio(2, 0)
+    );
+    println!("  }},");
     // The same kernel on the left operands traffic has: the CNN's two
     // im2col products after a ReLU (activations, packed per call), the
     // GCN's `Â·XW` and `Â·HW` on the benchmark's own graph (`Â` is a

@@ -215,9 +215,12 @@ impl Request {
     /// multiplies the input by the weight constant (on the weights'
     /// storage, never copied), and a nonlinear a CPWL-mode program at `granularity`
     /// whose only op evaluates the function. Building the program
-    /// validates it and hashes a GEMM's weights — the one weight hash
-    /// the request costs end to end; the scheduler and the wire cache
-    /// read the recorded fingerprint afterwards.
+    /// validates it and reads a GEMM weight's fingerprint from the
+    /// weight's storage, which hashes it once per buffer: a client that
+    /// resubmits one weight (a clone sharing its storage) pays the hash
+    /// with its first request only, and the packs the kernels read the
+    /// weight in are kept there the same way. The scheduler and the wire
+    /// cache read the recorded fingerprint afterwards.
     ///
     /// # Errors
     ///

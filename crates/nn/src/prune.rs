@@ -259,8 +259,10 @@ mod tests {
             assert_eq!(model.logits(&g, &mode), want);
         }
         // Five runs, each under a table cache of its own, through the one
-        // cached program: Â (read by two GEMMs) and the sparse W₁ were
-        // each packed once, into slots every clone sees.
+        // cached program: Â (read by two GEMMs), the sparse W₁ and the
+        // dense W₂ (from its second run on) were each packed once, into
+        // their storage, which every clone of the program — and of the
+        // weights — shares.
         let cache = model.compile_cache();
         assert_eq!((cache.misses(), cache.hits()), (1, 4));
         let cached = || -> Result<Program> { unreachable!("a hit compiles nothing") };
@@ -268,16 +270,22 @@ mod tests {
             .get_or_compile_matching(mode.eval_mode(), g.x.dims(), |_| true, cached)
             .unwrap();
         assert_eq!(program.sparse_blocks(), (1, 2));
-        assert_eq!(program.packed_consts(), 2);
+        assert_eq!(program.packed_consts(), 3);
         let clone = Program::clone(&program);
-        assert_eq!(clone.packed_consts(), 2);
-        // The wire carries no pack: a decoded program is equal, starts
-        // empty, and packs for itself on its first run.
+        assert_eq!(clone.packed_consts(), 3);
+        // The wire carries no pack: a decoded program's constants are
+        // copies, so it is equal, starts empty, and packs for itself — `Â`
+        // and `W₁` on its first run, `W₂`, a right operand, on its second.
         let decoded = wire::decode_program(&wire::encode_program(&program)).unwrap();
         assert_eq!(decoded, *program);
         assert_eq!(decoded.packed_consts(), 0);
         let x = std::slice::from_ref(&g.x);
-        assert_eq!(crate::compile::run_compiled(&decoded, x, &mode), want);
-        assert_eq!((decoded.packed_consts(), program.packed_consts()), (2, 2));
+        for packs in [2, 3] {
+            assert_eq!(crate::compile::run_compiled(&decoded, x, &mode), want);
+            assert_eq!(
+                (decoded.packed_consts(), program.packed_consts()),
+                (packs, 3)
+            );
+        }
     }
 }

@@ -32,9 +32,10 @@ use crate::program::{
 use onesa_cpwl::ops::{self, TableSet};
 use onesa_cpwl::NonlinearFn;
 use onesa_sim::{ArrayConfig, CycleBreakdown, ExecStats};
-use onesa_tensor::parallel::{self, Parallelism};
+use onesa_tensor::parallel::{self, PackedLhs, Parallelism, Right};
 use onesa_tensor::quant::{QuantTensor, QuantTensor8};
-use onesa_tensor::{attention, gemm, im2col, sparse, Result, Tensor, TensorError};
+use onesa_tensor::sparse::SparseTensor;
+use onesa_tensor::{attention, gemm, im2col, Result, Tensor, TensorError};
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -923,10 +924,11 @@ fn block_in_place<'s>(
 
 /// Runs a row-stacked group of several members. Each stacked operand is
 /// the block its members' rows already lie in ([`block_in_place`]), or
-/// else their rows gathered; the kernel runs once, and its product stays
-/// one block: each member's own GEMM bias is added on its rows, and its
-/// slot holds those rows. A row-stacked `Add` is credited as its members'
-/// solo passes, the sum of their costs.
+/// else — for a GEMM — its members' rows where they lie, handed to the
+/// sweep in parts, or their rows gathered; the kernel runs once, and its
+/// product stays one block: each member's own GEMM bias is added on its
+/// rows, and its slot holds those rows. A row-stacked `Add` is credited
+/// as its members' solo passes, the sum of their costs.
 #[allow(clippy::too_many_arguments)]
 fn exec_rows(
     key: GroupKey,
@@ -946,24 +948,38 @@ fn exec_rows(
             .then(|| block_in_place(ids, states, stage, side))
             .flatten()
     });
+    // A GEMM's left rows not in one block are read where they lie.
+    let in_parts = matches!(key, GroupKey::GemmRight(_)) && blocks[0].is_none();
     let mut gathered: [Option<Tensor>; 2] = [None, None];
-    for side in sides.clone().filter(|&side| blocks[side].is_none()) {
+    for side in sides
+        .clone()
+        .filter(|&side| blocks[side].is_none() && !in_parts)
+    {
         gathered[side] = Some(gather(Axis::Rows, &parts(ids, states, stage, side))?);
     }
-    let in0 = match (blocks[0], &gathered[0]) {
-        (Some(block), _) => block.dims(),
-        (None, Some(rows)) => rows.dims(),
-        (None, None) => first.resolve(node.inputs[0]).dims(),
+    let stacked = in_parts.then(|| parts(ids, states, stage, 0));
+    let in0 = match (blocks[0], &gathered[0], &stacked) {
+        (Some(block), ..) => [block.dims()[0], block.dims()[1]],
+        (None, Some(rows), _) => [rows.dims()[0], rows.dims()[1]],
+        (None, None, Some(parts)) => [parts.iter().map(|(_, dims)| dims[0]).sum(), parts[0].1[1]],
+        (None, None, None) => {
+            let dims = first.resolve(node.inputs[0]).dims();
+            [dims[0], dims[1]]
+        }
     };
-    let in0 = [in0[0], in0[1]];
-    let mut product = match (&node.op, gathered[0].take()) {
+    let mut product = match (&node.op, gathered[0].take(), stacked) {
         // The group owns the rows it gathered, and nothing else reads
         // them: a nonlinear sweeps them in place.
-        (Op::Nonlinear(func), Some(mut rows)) => {
+        (Op::Nonlinear(func), Some(mut rows), _) => {
             sweep_in_place(program.mode(), *func, &mut rows, par, tables)?;
             rows
         }
-        (_, rows) => {
+        (_, _, Some(parts)) => {
+            let rows: Vec<&[f32]> = parts.iter().map(|&(data, _)| data).collect();
+            let b = first.resolve(node.inputs[1]);
+            gemm_rows(node, &rows, in0[0], in0[1], b, par)?
+        }
+        (_, rows, None) => {
             gathered[0] = rows;
             let operand = |side: usize| match (blocks[side], &gathered[side]) {
                 (Some(block), _) => block,
@@ -1122,7 +1138,7 @@ fn store(state: &mut JobState, stage: usize, mut out: Tensor) {
 /// that ran that way is a reshape — the map moves into its slot.
 /// Everything reported is computed from shapes, exactly as the three
 /// kernels report it, and the outputs are theirs bit for bit (see
-/// `onesa_tensor::parallel`, "Three sources of `B`").
+/// `onesa_tensor::parallel`, "Four sources of `B`").
 ///
 /// `None` means: run the group through [`exec_group`] as usual. A `Gemm`
 /// group that cannot take the sweep — a member outside a chain, members
@@ -1221,7 +1237,8 @@ fn conv_group(
     let Operand::Const(w) = node.inputs[1] else {
         unreachable!("a chain's GEMM multiplies by a constant")
     };
-    let Some(maps) = parallel::conv2d(first.program.packed_conv(w), &images, &geo, par)? else {
+    let weight = PackedLhs::of_transposed(&first.program.consts()[w])?;
+    let Some(maps) = parallel::conv2d(&weight, &images, &geo, par)? else {
         return Ok(None);
     };
     // The costs of the GEMMs this sweep stands for: `[pixels, C·k·k]`
@@ -1311,17 +1328,17 @@ fn exec_single(
 ) -> Result<Tensor> {
     let mode = program.mode();
     match &node.op {
-        // A constant operand the kernel wants packed — a sparse weight, a
-        // left matrix — is packed once per program, not once per run.
-        Op::Gemm { sparsity, .. } => match (sparsity, node.inputs[0], node.inputs[1]) {
-            (Some(s), _, Operand::Const(c)) => {
-                sparse::matmul(ins[0], &program.packed_sparse(c, s.block_cols), par)
+        // A constant left matrix is packed once per buffer, in its
+        // storage, and so is a constant right operand (in `gemm_rows`).
+        Op::Gemm { sparsity, .. } => match (sparsity, node.inputs[0]) {
+            (None, Operand::Const(_)) => {
+                let lhs = PackedLhs::of(ins[0])?;
+                parallel::matmul_packed(&lhs, ins[1], par)
             }
-            (Some(_), ..) => unreachable!("a sealed program's sparse weight is a constant"),
-            (None, Operand::Const(c), _) => {
-                parallel::matmul_packed(program.packed_lhs(c), ins[1], par)
+            _ => {
+                let (m, k) = ins[0].shape().as_matrix()?;
+                gemm_rows(node, &[ins[0].as_slice()], m, k, ins[1], par)
             }
-            (None, ..) => parallel::matmul(ins[0], ins[1], par),
         },
         Op::Nonlinear(func) => match mode {
             EvalMode::Exact => Ok(ins[0].map(|v| func.eval(v))),
@@ -1471,6 +1488,33 @@ fn exec_single(
     }
 }
 
+/// The product of a GEMM's left operand — `m × k`, the rows of `parts`,
+/// read where they lie — by its right operand `b`. A constant `b` is
+/// packed once per buffer, in its storage: a sparse weight's payload, or
+/// a dense one's column panels, which the sweep then reads in place. An
+/// activation `b` is packed panel by panel per call. No bias is added.
+fn gemm_rows(
+    node: &OpNode,
+    parts: &[&[f32]],
+    m: usize,
+    k: usize,
+    b: &Tensor,
+    par: Parallelism,
+) -> Result<Tensor> {
+    let Op::Gemm { sparsity, .. } = &node.op else {
+        unreachable!("a GEMM's operands")
+    };
+    match (sparsity, node.inputs[1]) {
+        (Some(s), Operand::Const(_)) => {
+            let sparse = SparseTensor::of(b, s.block_cols)?;
+            parallel::matmul_rows(parts, m, k, Right::Sparse(&sparse), par)
+        }
+        (Some(_), _) => unreachable!("a sealed program's sparse weight is a constant"),
+        (None, Operand::Const(_)) => parallel::matmul_rows(parts, m, k, Right::Reused(b), par),
+        (None, Operand::Slot(_)) => parallel::matmul_rows(parts, m, k, Right::Dense(b), par),
+    }
+}
+
 /// `func` over every element of `x`, in place, as [`exec_single`]'s
 /// `Nonlinear` arm evaluates it into a new tensor: element for element the
 /// same sweep.
@@ -1502,7 +1546,6 @@ mod tests {
     use super::*;
     use crate::program::GemmSparsity;
     use onesa_tensor::im2col::Conv2dGeometry;
-    use onesa_tensor::parallel::PackedLhs;
     use onesa_tensor::rng::Pcg32;
 
     fn cpwl() -> EvalMode {
@@ -1649,10 +1692,10 @@ mod tests {
         // Â with real zeros in it, read by two GEMMs of one program.
         let mut rng = Pcg32::seed_from_u64(21);
         let a_hat = rng.randn(&[9, 9], 1.0).map(|v| v.max(0.0));
-        let build = || {
+        let build = |a_hat: Tensor| {
             let mut b = Program::builder("gcn-ish", EvalMode::Exact);
             let x = b.input(&[9, 5]);
-            let a = b.constant(a_hat.clone());
+            let a = b.constant(a_hat);
             let gemm = Op::Gemm {
                 bias: None,
                 sparsity: None,
@@ -1661,7 +1704,7 @@ mod tests {
             b.push(gemm, &[a, ax]);
             b.finish().unwrap()
         };
-        let program = build();
+        let program = build(a_hat.clone());
         let clone = program.clone();
         assert_eq!(program.packed_consts(), 0, "nothing is packed until a run");
         let x = rng.randn(&[9, 5], 1.0);
@@ -1673,8 +1716,10 @@ mod tests {
         }
         assert_eq!(program.packed_consts(), 1);
         // Clones and re-targetings keep the constants, so they keep the
-        // pack; an equal program built apart has its own, still empty —
-        // and is equal all the same.
+        // pack; so does an equal program built apart from a clone of the
+        // same `Â`, since the pack is in the storage. A program over a
+        // copy of `Â` has its own, still empty — and is equal all the
+        // same.
         assert_eq!(clone.packed_consts(), 1);
         let wide = program.with_input_shapes(vec![vec![9, 7]]).unwrap();
         assert_eq!(wide.packed_consts(), 1);
@@ -1686,8 +1731,18 @@ mod tests {
         );
         let want7 = gemm::matmul(&a_hat, &gemm::matmul(&a_hat, &x7).unwrap()).unwrap();
         assert_eq!(run.unwrap().output, want7);
-        let apart = build();
-        assert_eq!((apart.packed_consts(), apart == program), (0, true));
+        let apart = build(a_hat.clone());
+        assert_eq!((apart.packed_consts(), apart == program), (1, true));
+        let copy = Tensor::from_vec(a_hat.as_slice().to_vec(), a_hat.dims()).unwrap();
+        let copied = build(copy);
+        assert_eq!((copied.packed_consts(), copied == program), (0, true));
+        let run = copied.run(
+            std::slice::from_ref(&x),
+            Parallelism::Sequential,
+            &mut TableCache::new(),
+        );
+        assert_eq!(run.unwrap().output, want);
+        assert_eq!((copied.packed_consts(), program.packed_consts()), (1, 1));
     }
 
     #[test]
@@ -1802,8 +1857,10 @@ mod tests {
         // Sparse credit shows up in the solo stats.
         let macs = |p: &Program| p.op_stats(&ArrayConfig::default()).unwrap()[0].macs;
         assert!(macs(&sparse) < macs(&dense));
-        // Every run hit the one pack its program holds.
-        assert_eq!((dense.packed_consts(), sparse.packed_consts()), (0, 1));
+        // Every sparse run hit the one pack the weight's storage keeps, and
+        // both programs hold that storage. The dense product's three rows
+        // take the reference loop, which packs nothing.
+        assert_eq!((dense.packed_consts(), sparse.packed_consts()), (1, 1));
     }
 
     #[test]
@@ -2213,8 +2270,14 @@ mod tests {
                         assert_eq!(bits(&alone.output), bits(&want), "{case} #{i}");
                     }
                 }
-                // Every member packed its weight for the sweep, once.
-                assert!(members.iter().all(|(p, _)| p.packed_consts() == 1));
+                // Every member packed its weight for the sweep, once. Where
+                // the sweep declined, the GEMM that ran instead packed the
+                // weight it read as a right operand, once: the first
+                // member's for the group, the poisoned member's alone.
+                for (i, (p, _)) in members.iter().enumerate() {
+                    let gemm = poisoned && (i == 0 || i == size - 1);
+                    assert_eq!(p.packed_consts(), 1 + usize::from(gemm), "x{size} #{i}");
+                }
             }
         }
     }
@@ -2243,7 +2306,9 @@ mod tests {
             let want = conv_reference(&program, &x);
             assert_eq!(bits(&staged.runs[0].output), bits(&want), "{}", par.label());
         }
-        assert!(!program.packed_conv(0).by_rows());
+        assert!(!PackedLhs::of_transposed(&program.consts()[0])
+            .unwrap()
+            .by_rows());
     }
 
     #[test]
@@ -2305,7 +2370,10 @@ mod tests {
                     assert_same_bits(&run.session_outputs[0], &cols, what);
                 }
             }
-            assert_eq!(program.packed_consts(), 0, "{what}");
+            // No convolution pack: a GEMM against the weight packs it as a
+            // right operand, once, in the storage every program here shares.
+            let gemms = usize::from(!program.consts().is_empty());
+            assert_eq!(program.packed_consts(), gemms, "{what}");
         }
     }
 

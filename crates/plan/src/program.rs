@@ -9,12 +9,9 @@ use onesa_resources::power::PowerModel;
 use onesa_resources::Design;
 use onesa_sim::{analytic, ArrayConfig, CycleBreakdown, ExecStats};
 use onesa_tensor::im2col::Conv2dGeometry;
-use onesa_tensor::parallel::PackedLhs;
-use onesa_tensor::sparse::SparseTensor;
+pub use onesa_tensor::tensor_fingerprint;
 use onesa_tensor::{Result, Tensor, TensorError};
-use std::borrow::Cow;
-use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// How a program evaluates its nonlinear operations — the compile-time
 /// image of `onesa_nn::infer::InferenceMode` (the IR sits below `nn` in
@@ -304,14 +301,11 @@ pub struct Program {
     mode: EvalMode,
     input_shapes: Arc<[Vec<usize>]>,
     consts: Arc<[Arc<Tensor>]>,
-    /// [`tensor_fingerprint`] of each constant, hashed once when the
-    /// program is built: the program fingerprint and the staged
-    /// scheduler's weight-group keys read these instead of rehashing the
-    /// weights.
+    /// [`tensor_fingerprint`] of each constant, read from its storage
+    /// when the program is built (hashed there only the first time the
+    /// buffer is): the program fingerprint and the staged scheduler's
+    /// weight-group keys read these.
     const_fingerprints: Arc<[u64]>,
-    /// The kernel-ready form of each constant a GEMM multiplies by,
-    /// built by the first run that needs it and shared by every clone.
-    packs: ConstPacks,
     nodes: Arc<[OpNode]>,
     /// Input-slot indices holding session-resident state (per-layer KV
     /// tensors), in session-state order. Empty for stateless programs.
@@ -345,54 +339,6 @@ pub(crate) struct ConvChain {
     pub(crate) im2col: usize,
     pub(crate) gemm: usize,
     pub(crate) col2im: usize,
-}
-
-/// One lazily-filled slot per constant for the packed form the GEMM
-/// kernels consume: a [`PackedLhs`] for a constant left operand (a GCN's
-/// `Â`), a [`SparseTensor`] for a sparsity-attributed weight, and — for a
-/// convolution's `[C·k·k, cout]` weight — its transpose packed as the left
-/// operand of the convolution sweep. A pack is a
-/// pure function of its constant, so it is neither part of a program's
-/// identity (every `ConstPacks` compares equal) nor of its wire form (a
-/// decoded program starts empty and packs on its first run); clones of a
-/// program — and its re-targetings, which keep the constants — share the
-/// slots, so a constant is packed at most once per compiled program
-/// however many requests, shards or threads run it.
-#[derive(Clone)]
-struct ConstPacks(Arc<[ConstPack]>);
-
-#[derive(Default)]
-struct ConstPack {
-    lhs: OnceLock<PackedLhs>,
-    sparse: OnceLock<SparseTensor>,
-    conv: OnceLock<PackedLhs>,
-}
-
-impl ConstPacks {
-    fn new(consts: usize) -> Self {
-        ConstPacks((0..consts).map(|_| ConstPack::default()).collect())
-    }
-
-    fn built(&self) -> usize {
-        let filled = |p: &ConstPack| {
-            usize::from(p.lhs.get().is_some())
-                + usize::from(p.sparse.get().is_some())
-                + usize::from(p.conv.get().is_some())
-        };
-        self.0.iter().map(filled).sum()
-    }
-}
-
-impl PartialEq for ConstPacks {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl fmt::Debug for ConstPacks {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ConstPacks({} built)", self.built())
-    }
 }
 
 /// Incrementally builds a [`Program`]; see [`Program::builder`].
@@ -505,7 +451,6 @@ impl ProgramBuilder {
             mode: self.mode,
             input_shapes: self.input_shapes.into(),
             const_fingerprints: self.consts.iter().map(|t| tensor_fingerprint(t)).collect(),
-            packs: ConstPacks::new(self.consts.len()),
             consts: self.consts.into(),
             nodes: self.nodes.into(),
             session_inputs: self.session_inputs.into(),
@@ -570,43 +515,6 @@ impl Program {
         self.const_fingerprints[index]
     }
 
-    /// Constant `index` packed as a GEMM's left operand — packed by the
-    /// first caller, shared with every clone of the program afterwards.
-    pub(crate) fn packed_lhs(&self, index: usize) -> &PackedLhs {
-        self.packs.0[index].lhs.get_or_init(|| {
-            PackedLhs::pack(&self.consts[index]).expect("a sealed GEMM's operand is a matrix")
-        })
-    }
-
-    /// Constant `index` packed as a column-block sparse weight at
-    /// `block_cols`, shared like [`Program::packed_lhs`]. (A second GEMM
-    /// reading the same constant at another block width — no compiler
-    /// emits one — packs its own copy per run.)
-    pub(crate) fn packed_sparse(&self, index: usize, block_cols: usize) -> Cow<'_, SparseTensor> {
-        let pack = || {
-            SparseTensor::from_dense(&self.consts[index], block_cols)
-                .expect("a sealed sparse GEMM's weight is a matrix, its block width positive")
-        };
-        let shared = self.packs.0[index].sparse.get_or_init(pack);
-        if shared.block_cols() == block_cols {
-            Cow::Borrowed(shared)
-        } else {
-            Cow::Owned(pack())
-        }
-    }
-
-    /// Constant `index`, a convolution's `[C·k·k, cout]` weight, transposed
-    /// and packed as the left operand of the convolution sweep — in lines
-    /// whatever its density, the layout that sweep reads — and shared like
-    /// [`Program::packed_lhs`].
-    pub(crate) fn packed_conv(&self, index: usize) -> &PackedLhs {
-        self.packs.0[index].conv.get_or_init(|| {
-            let w = self.consts[index].transpose();
-            PackedLhs::pack_lines(&w.expect("a sealed GEMM's weight is a matrix"))
-                .expect("a transposed matrix is a matrix")
-        })
-    }
-
     /// The convolution chain node `stage` is a link of, if any.
     pub(crate) fn conv_chain(&self, stage: usize) -> Option<ConvChain> {
         self.plan.chain(stage)
@@ -618,12 +526,15 @@ impl Program {
         &self.plan
     }
 
-    /// How many constant packs this program (with its clones) has built
-    /// so far — one per constant left operand, per sparse weight and per
-    /// convolution weight its runs have reached, however many runs there
-    /// were.
+    /// How many kernel packs this program's constants keep in their
+    /// storage — one per layout a run (of this program, of a clone, or of
+    /// any program holding a clone of the same weight) has asked for: a
+    /// constant left operand's, a constant right operand's, a sparse
+    /// weight's and a convolution weight's. A pack is made once per
+    /// buffer, however many runs there were; a *copy* of a weight starts
+    /// with none.
     pub fn packed_consts(&self) -> usize {
-        self.packs.built()
+        self.consts.iter().map(|c| c.packs()).sum()
     }
 
     /// Pass accounting of the [`Program::optimize`] run that
@@ -1471,43 +1382,6 @@ pub(crate) fn hash_encoding(seed: u64, value: &impl Wire) -> u64 {
     let mut h = FnvSink(seed);
     value.put(&mut h);
     h.0
-}
-
-/// The independent FNV-1a chains [`tensor_fingerprint`] spreads a
-/// tensor's values over.
-const LANES: usize = 64;
-
-/// Cheap content hash used to bucket constant tensors before exact
-/// equality checks — what the staged executor groups shared-weight GEMMs
-/// by, and what a lowered GEMM request pays once for its weight. FNV-1a
-/// over the dims, then value `i`'s bit pattern into lane `i % 64` of 64
-/// independent FNV-1a chains (no chain waits on another's multiply, so
-/// the loop vectorises and runs at about memory speed), then the
-/// `len % 64` trailing values into the dims' chain, which finally
-/// absorbs the 64 lanes in order. Every step is a bijection in its
-/// state and in its value, so two tensors of one rank and length that
-/// differ in a single value or a single dim always hash apart. A pure
-/// function of the dims and the bit patterns: the same on every platform
-/// and alignment, as the wire's recorded program fingerprints need. A
-/// `[256, 128]` weight hashes in ~5 µs, under a 16-row GEMM against it.
-pub fn tensor_fingerprint(t: &Tensor) -> u64 {
-    let h = t
-        .dims()
-        .iter()
-        .fold(FNV_OFFSET, |h, &d| fnv_step(h, d as u64));
-    let values = t.as_slice().chunks_exact(LANES);
-    let tail = values.remainder();
-    let mut lanes = [FNV_OFFSET; LANES];
-    for chunk in values {
-        let chunk: &[f32; LANES] = chunk.try_into().expect("chunks_exact");
-        for (lane, v) in lanes.iter_mut().zip(chunk) {
-            *lane = fnv_step(*lane, u64::from(v.to_bits()));
-        }
-    }
-    let h = tail
-        .iter()
-        .fold(h, |h, v| fnv_step(h, u64::from(v.to_bits())));
-    lanes.iter().fold(h, |h, &lane| fnv_step(h, lane))
 }
 
 /// Whether two tensors are the same shape and bit pattern (`-0.0` is not

@@ -496,7 +496,7 @@ impl ChainRecipe {
         let mut rng = Pcg32::seed_from_u64(seed);
         let funcs = [NonlinearFn::Gelu, NonlinearFn::Relu, NonlinearFn::Sigmoid];
         ChainRecipe {
-            rows: 1 + rng.below(5) as usize,
+            rows: 1 + rng.below(9) as usize,
             ctx: 1 + rng.below(4) as usize,
             readers: [0; 3].map(|_| rng.below(6) as usize),
             func: funcs[rng.below(3) as usize],
@@ -676,9 +676,11 @@ proptest! {
     /// `Quantize` readers drawn in between — runs every member exactly as
     /// it runs alone: output, session outputs and op stats, bit for bit,
     /// over random row counts, zeros of both signs, tiny magnitudes and
-    /// NaN payloads. Stacked groups hand their product on as one block,
+    /// NaN payloads, with one to nine rows per member, under one, two and
+    /// four threads. Stacked groups hand their product on as one block,
     /// read in place by the next group when its members are the block's
-    /// rows in order and gathered when they are not.
+    /// rows in order, and gathered when they are not — but for a GEMM,
+    /// whose sweep reads the members' rows where they lie, in parts.
     #[test]
     fn row_stacked_windows_are_bit_identical_to_solo_runs(
         mode in mode_strategy(),
@@ -711,18 +713,21 @@ proptest! {
             programs.iter().zip(&inputs).map(|(p, x)| (p, &x[..])).collect();
         let cfg = onesa_sim::ArrayConfig::new(8, 16);
         let mut tables = TableCache::new();
-        let staged = onesa_plan::run_staged(&jobs, &cfg, Parallelism::Sequential, &mut tables)
-            .expect("window runs");
-        // Every member opens with a GEMM against the one shared weight.
-        prop_assert_eq!(staged.stages[0].groups, 1);
-        for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
-            let alone = onesa_plan::run_staged(&[*job], &cfg, Parallelism::Sequential, &mut tables)
-                .expect("member runs");
-            let alone = &alone.runs[0];
-            prop_assert_eq!(bits(&run.output), bits(&alone.output), "member {}", i);
-            prop_assert_eq!(run.session_outputs.len(), alone.session_outputs.len());
-            for (got, want) in run.session_outputs.iter().zip(&alone.session_outputs) {
-                prop_assert_eq!(bits(got), bits(want), "member {} session output", i);
+        for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Threads(4)] {
+            let staged = onesa_plan::run_staged(&jobs, &cfg, par, &mut tables)
+                .expect("window runs");
+            // Every member opens with a GEMM against the one shared weight.
+            prop_assert_eq!(staged.stages[0].groups, 1);
+            for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
+                let alone = onesa_plan::run_staged(&[*job], &cfg, Parallelism::Sequential, &mut tables)
+                    .expect("member runs");
+                let alone = &alone.runs[0];
+                let what = par.label();
+                prop_assert_eq!(bits(&run.output), bits(&alone.output), "member {} {}", i, what);
+                prop_assert_eq!(run.session_outputs.len(), alone.session_outputs.len());
+                for (got, want) in run.session_outputs.iter().zip(&alone.session_outputs) {
+                    prop_assert_eq!(bits(got), bits(want), "member {} session output {}", i, what);
+                }
             }
         }
     }

@@ -66,21 +66,26 @@ pub(crate) fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()
     let av = a.as_slice();
     let bv = b.as_slice();
     let ov = out.as_mut_slice();
-    // i-k-j loop order keeps the inner loop contiguous over B and C rows.
     for i in 0..m {
-        for p in 0..k {
-            let aip = av[i * k + p];
-            if aip == 0.0 {
-                continue;
-            }
-            let brow = &bv[p * n..(p + 1) * n];
-            let orow = &mut ov[i * n..(i + 1) * n];
-            for (o, &bpj) in orow.iter_mut().zip(brow.iter()) {
-                *o = aip.mul_add(bpj, *o);
-            }
-        }
+        row_times(&av[i * k..(i + 1) * k], bv, &mut ov[i * n..(i + 1) * n]);
     }
     Ok(())
+}
+
+/// One row of [`matmul_into`]: `out += a · B` for a row `a` of `k` values
+/// and a row-major `B` of `k` rows as wide as `out`. The k-j loop order
+/// keeps the inner loop contiguous over `B`'s and `out`'s rows.
+pub(crate) fn row_times(a: &[f32], b: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    for (p, &aip) in a.iter().enumerate() {
+        if aip == 0.0 {
+            continue;
+        }
+        let brow = &b[p * n..(p + 1) * n];
+        for (o, &bpj) in out.iter_mut().zip(brow.iter()) {
+            *o = aip.mul_add(bpj, *o);
+        }
+    }
 }
 
 /// Matrix Hadamard Product with bias: `Y = X ⊙ K + B`.

@@ -52,7 +52,7 @@ pub mod stats;
 
 pub use error::TensorError;
 pub use shape::Shape;
-pub use tensor::Tensor;
+pub use tensor::{tensor_fingerprint, Tensor};
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -3,29 +3,34 @@
 //! The [`gemm`] module defines *what* the array computes; this
 //! module computes the same values *fast* on the host CPU so the engine can
 //! serve real traffic. One GEMM sweep serves every entry point —
-//! [`matmul`] under every [`Parallelism`] setting, [`matmul_packed`],
-//! [`sparse::matmul`](crate::sparse::matmul) over its payload and
-//! [`conv2d`] over image patches; only a left operand packed by rows
-//! (idea 2) has a kernel of its own, under the same thread split — built
-//! from three ideas, mirroring how throughput is obtained in systolic-array
-//! designs themselves:
+//! [`matmul`] and [`matmul_rows`] under every [`Parallelism`] setting,
+//! [`matmul_packed`], [`sparse::matmul`](crate::sparse::matmul) over its
+//! payload and [`conv2d`] over image patches; only a left operand packed
+//! by rows (idea 2) has a kernel of its own, under the same thread split —
+//! built from three ideas, mirroring how throughput is obtained in
+//! systolic-array designs themselves:
 //!
 //! 1. **Cache/register blocking** — `B` is packed into column panels that
 //!    a register-tiled microkernel sweeps, exactly the output-stationary
 //!    tiling a systolic schedule performs in hardware. The tile adapts to
 //!    the product instead of the product to the tile: four rows by the
 //!    narrowest of 16 / 32 / 48 lanes that covers the panel (`n = 64` is
-//!    48 + 16, `n = 8` one 16-lane pass), and the last `m % 4` rows ride
-//!    a zero-padded row block.
+//!    48 + 16, `n = 8` one 16-lane pass; a `B` packed once takes panels
+//!    of up to 64 lanes, so `n = 64` is one), and the last `m % 4` rows
+//!    ride a row block padded with rows of zeros.
 //! 2. **Zeros in `A` cost nothing** — real left operands are full of exact
 //!    zeros (a post-ReLU map, im2col padding, a GCN's `Â`). The microkernel
 //!    walks `A`'s lines without a data-dependent branch, so a zero
 //!    mispredicts nothing. A reused operand is packed once
 //!    ([`matmul_packed`]), and a per-call operand is read where it lies:
-//!    [`matmul`] hands the sweep each row block's four rows in place, and
-//!    the microkernel broadcasts `A[i][p]` from them as it does from a
-//!    packed line — interleaving an operand the sweep then reads once or
-//!    twice cost more than it saved. A pack is a [`PackedLhs`]: four-row
+//!    the sweep takes `A` as a list of row-major **parts** — one for
+//!    [`matmul`], one per member for a row-stacked group through
+//!    [`matmul_rows`] — and hands the microkernel each row block's four
+//!    rows where they lie, from one part or from two; it broadcasts
+//!    `A[i][p]` from them as it does from a packed line — interleaving an
+//!    operand the sweep then reads once or twice cost more than it saved,
+//!    and so did gathering a group's rows into one block. A pack is a
+//!    [`PackedLhs`]: four-row
 //!    blocks that keep only the k-lines on which some row is non-zero, so
 //!    an all-zero line is never streamed. It may instead keep **rows**:
 //!    each row's non-zeros as `(value, k)` pairs, multiplied one row at a
@@ -70,8 +75,9 @@
 //!   zero.
 //! * **`B` is finite**, so `0·b` is `±0` and not the NaN of `0·inf`.
 //!
-//! [`PackedLhs`] records `A`'s half of that test when it packs, an `A`
-//! read in place is scanned once per call, and so is `B`. If either half
+//! [`PackedLhs`] records `A`'s half of that test when it packs, and a `B`
+//! packed once ([`Right::Reused`]) records `B`'s; an `A` read in place is
+//! scanned once per call, and so is a `B` packed per call. If either half
 //! fails — a `B` holding `±inf` or
 //! `NaN`, an operand with non-zero values under `2⁻⁵⁰` — the same kernel
 //! runs with the reference's skip compiled in (a const generic of it), so
@@ -90,14 +96,18 @@
 //! fused multiply-add per kept step: the reference's own chain, step for
 //! step, for **every** input, with nothing to fall back on.
 //!
-//! # Three sources of `B`, one sweep
+//! # Four sources of `B`, one sweep
 //!
 //! The sweep walks `B` one `KC × NR` panel at a time, every row block of
-//! `A` reading each panel line while it is cache-hot, and the three entry
-//! points differ only in where a panel line is: the rows of a dense `B`,
-//! packed into a small buffer; the payload of a block-sparse one, packed
-//! the same way, whose column map sends each run of surviving columns to
-//! its place in `C`; or, for [`conv2d`], **image patches**. A convolution
+//! `A` reading each panel line while it is cache-hot, and the entry
+//! points differ only in where a panel line is: the rows of a dense `B`
+//! multiplied once, packed per call into a small buffer; the payload of a
+//! block-sparse one, packed the same way, whose column map sends each run
+//! of surviving columns to its place in `C`; a **packed** `B` — a weight
+//! multiplied many times, whose panels were laid out once for every
+//! (panel, k-block) pair and kept in its storage with its scan's verdict,
+//! so a call neither copies nor scans it ([`Right::Reused`]); or, for
+//! [`conv2d`], **image patches**. A convolution
 //! runs with its kernel weight `W = [cout, C·k·k]` as the packed left
 //! operand and the transposed im2col matrix as `B` — row `(c, ky, kx)` is
 //! that tap of every output pixel — so the wide axis is the pixels, not
@@ -135,18 +145,24 @@
 //! ```
 
 use crate::im2col::Conv2dGeometry;
+use crate::sparse::SparseTensor;
 use crate::{gemm, Result, Tensor, TensorError};
+use std::borrow::Cow;
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 use std::thread;
 
 /// How many rows of `C` one microkernel call produces.
 pub(crate) const MR: usize = 4;
-/// Widest microkernel (three 512-bit vectors of `f32`) and the column
-/// step of the panel sweep; a panel narrower than this runs at 16 or 32
-/// lanes. The `MR × NR` accumulator tile plus one panel line stay well
-/// inside the vector register file.
+/// Widest panel of a `B` packed per call (three 512-bit vectors of
+/// `f32`) and the column step of its sweep; a panel narrower than this
+/// runs at 16 or 32 lanes. The `MR × NR` accumulator tile plus one panel
+/// line stay well inside the vector register file.
 const NR: usize = 48;
+/// Widest panel of a `B` packed once ([`PackedRhs`]): four 512-bit
+/// vectors, a `4 × 64` accumulator tile that with one panel line still
+/// takes 20 of the 32 vector registers.
+const PW: usize = 64;
 /// K-blocking depth: one `KC × NR` packed panel is 24 KiB — it lives in
 /// L1 while every row block sweeps it, and it is the only buffer a call
 /// allocates besides the zero-padded last row block of an `A` read in
@@ -353,6 +369,31 @@ impl PackedLhs {
         LinePack::pack(a).map(|lines| PackedLhs(Layout::Lines(lines)))
     }
 
+    /// `a` packed by [`PackedLhs::pack`], once per buffer: kept in `a`'s
+    /// storage and shared by every clone of it (see "What the buffer
+    /// remembers" on [`Tensor`]).
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::NotAMatrix`] for non-2-D input.
+    pub fn of(a: &Tensor) -> Result<Cow<'_, Self>> {
+        a.memo(|memo| &memo.lhs, PackedLhs::pack)
+    }
+
+    /// The transpose of `w` — a convolution's `[C·k·k, cout]` weight —
+    /// packed by [`PackedLhs::pack_lines`] as [`conv2d`]'s left operand,
+    /// once per buffer like [`PackedLhs::of`].
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::NotAMatrix`] for non-2-D input.
+    pub fn of_transposed(w: &Tensor) -> Result<Cow<'_, Self>> {
+        w.memo(
+            |memo| &memo.conv,
+            |w| PackedLhs::pack_lines(&w.transpose()?),
+        )
+    }
+
     /// Whether the pack keeps rows (rather than lines).
     pub fn by_rows(&self) -> bool {
         matches!(self.0, Layout::Rows(_))
@@ -489,6 +530,123 @@ impl LinePack {
     }
 }
 
+/// A GEMM's right operand `B`, packed once for reuse: the column panels
+/// the sweep packs per call from a [`Rhs::Rows`] matrix, laid out for
+/// every (panel, k-block) pair, plus `B`'s half of the zero-multiplying
+/// test. The sweep reads its lines in place, so a product against a
+/// constant `B` neither scans nor copies it. Made by [`Right::Reused`]
+/// in a tensor's storage, once per buffer, on its second product.
+#[derive(Debug)]
+pub(crate) struct PackedRhs {
+    /// Each panel's first column and width.
+    panels: Vec<(usize, usize)>,
+    /// Where each panel's lines start in [`PackedRhs::values`]: `k` lines
+    /// of [`lanes`]`(width)` values (lanes past the width hold `+0.0`).
+    starts: Vec<usize>,
+    /// The lines from `buf[skew]` on, which starts a cache line.
+    buf: Vec<f32>,
+    skew: usize,
+    /// Whether every element is finite and either zero or at least
+    /// [`SAFE_MIN`] in magnitude.
+    safe: bool,
+}
+
+impl PackedRhs {
+    /// Packs matrix `b` into as few panels as [`PW`]-lane ones cover,
+    /// their widths as even as whole 16-lane vectors make them: `n = 64`
+    /// is one panel, 96 is 48 + 48 and 128 is 64 + 64 (per call they are
+    /// 48 + 16 and 48 + 48 + 32). The sweep reads `A` once per panel,
+    /// and a wider tile shares each broadcast of `A` across more
+    /// multiply-adds; timed at `[16..80, 256]` rows, one 64-lane panel
+    /// takes 0.83× the time of 32 + 32 at `n = 64` and 64 + 64 0.94× of 48
+    /// + 48 + 32 at `n = 128`, while 64 + 32 is 1.02× of 48 + 48 at `n =
+    /// 96`.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::NotAMatrix`] for non-2-D input.
+    fn pack(b: &Tensor) -> Result<Self> {
+        let (k, n) = b.shape().as_matrix()?;
+        let count = n.div_ceil(PW);
+        let mut panels = Vec::with_capacity(count);
+        let mut j0 = 0;
+        for left in (1..=count).rev() {
+            let width = (n - j0).div_ceil(left).next_multiple_of(LINE).min(n - j0);
+            panels.push((j0, width));
+            j0 += width;
+        }
+        let mut starts = Vec::with_capacity(panels.len());
+        let mut len = 0;
+        for &(_, width) in &panels {
+            starts.push(len);
+            len += k * lanes(width);
+        }
+        let (mut buf, skew) = aligned(len);
+        let values = b.as_slice();
+        for (&(j0, width), &start) in panels.iter().zip(&starts) {
+            let w = lanes(width);
+            let lines = buf[skew + start..skew + start + k * w].chunks_exact_mut(w);
+            for (line, row) in lines.zip(values.chunks_exact(n)) {
+                line[..width].copy_from_slice(&row[j0..j0 + width]);
+            }
+        }
+        Ok(PackedRhs {
+            panels,
+            starts,
+            buf,
+            skew,
+            safe: safe_and_finite(values),
+        })
+    }
+
+    /// Every panel's lines, back to back.
+    fn values(&self) -> &[f32] {
+        &self.buf[self.skew..self.skew + self.buf.len() - LINE]
+    }
+}
+
+/// `len` zeroed values starting on a cache line, as `(buffer, offset of
+/// the first)`: a kernel that reads 64-byte vectors of them then never
+/// straddles two lines, where the allocator promises 16 bytes.
+fn aligned(len: usize) -> (Vec<f32>, usize) {
+    let buf = vec![0.0; len + LINE];
+    let skew = buf.as_ptr().align_offset(LINE * 4) % LINE;
+    (buf, skew)
+}
+
+/// A copy starts on a cache line of its own.
+impl Clone for PackedRhs {
+    fn clone(&self) -> Self {
+        let values = self.values();
+        let (mut buf, skew) = aligned(values.len());
+        buf[skew..skew + values.len()].copy_from_slice(values);
+        PackedRhs {
+            panels: self.panels.clone(),
+            starts: self.starts.clone(),
+            buf,
+            skew,
+            safe: self.safe,
+        }
+    }
+}
+
+/// A GEMM's right operand `B` as [`matmul_rows`] takes it.
+#[derive(Debug, Clone, Copy)]
+pub enum Right<'a> {
+    /// A matrix multiplied once (an activation): each worker packs the
+    /// panel it sweeps, per call.
+    Dense(&'a Tensor),
+    /// A matrix multiplied many times (a weight): packed once per buffer,
+    /// in its storage (see "What the buffer remembers" on [`Tensor`]), by
+    /// its second product, and read in place by every call after. Its
+    /// first product packs per call, as [`Right::Dense`] does, so a
+    /// weight that arrives for one product (decoded from a request's
+    /// frame) pays for no pack it would read once.
+    Reused(&'a Tensor),
+    /// A block-sparse weight: its payload, packed per call.
+    Sparse(&'a SparseTensor),
+}
+
 /// Computes `A · B` under the given parallelism setting.
 ///
 /// Every setting runs the same sweep — [`Parallelism`] only picks how many
@@ -505,16 +663,65 @@ impl LinePack {
 /// Shape errors as in [`gemm::matmul`].
 pub fn matmul(a: &Tensor, b: &Tensor, par: Parallelism) -> Result<Tensor> {
     let (m, k) = a.shape().as_matrix()?;
-    if m < MR {
-        return gemm::matmul(a, b);
+    matmul_rows(&[a.as_slice()], m, k, Right::Dense(b), par)
+}
+
+/// [`matmul`] for a left operand given as row-major `parts`, `k` values
+/// per row and `m` rows in all: the product of their rows stacked in
+/// order, which is never built — each part is read where it lies, and a
+/// row block may take its rows from two parts. The result is
+/// bit-identical to [`gemm::matmul`] of the stacked matrix under every
+/// [`Parallelism`] setting, for every source of `b`, and `m < MR` rows go
+/// to the reference loop as in [`matmul`] (but for a sparse `b`, which
+/// is swept at every `m`).
+///
+/// # Errors
+///
+/// [`TensorError::LengthMismatch`] if the parts do not hold `m · k`
+/// values; shape errors as in [`gemm::matmul`].
+pub fn matmul_rows(
+    parts: &[&[f32]],
+    m: usize,
+    k: usize,
+    b: Right<'_>,
+    par: Parallelism,
+) -> Result<Tensor> {
+    let len = parts.iter().map(|part| part.len()).sum();
+    if len != m * k {
+        return Err(TensorError::LengthMismatch {
+            len,
+            expected: m * k,
+        });
     }
-    let n = rhs_cols(m, k, b, "parallel::matmul")?;
-    let a = Lhs::InPlace {
-        values: a.as_slice(),
-        m,
-        k,
-    };
-    Ok(gemm_sweep(a, Rhs::dense(b), n, par))
+    let a = Lhs::InPlace { parts, m, k };
+    match b {
+        Right::Dense(t) | Right::Reused(t) => {
+            let n = rhs_cols(m, k, t, "parallel::matmul")?;
+            if m < MR {
+                let mut out = Tensor::zeros(&[m, n]);
+                let rows = parts.iter().flat_map(|part| part.chunks_exact(k.max(1)));
+                for (row, out) in rows.zip(out.as_mut_slice().chunks_exact_mut(n.max(1))) {
+                    gemm::row_times(row, t.as_slice(), out);
+                }
+                return Ok(out);
+            }
+            if matches!(b, Right::Reused(_)) && t.multiplied_before() {
+                let packed = t.memo(|memo| &memo.rhs, PackedRhs::pack)?;
+                return Ok(gemm_sweep(a, Rhs::Packed(&packed), n, par));
+            }
+            Ok(gemm_sweep(a, Rhs::dense(t), n, par))
+        }
+        Right::Sparse(b) => {
+            if k != b.rows() {
+                return Err(TensorError::ShapeMismatch {
+                    lhs: vec![m, k],
+                    rhs: vec![b.rows(), b.cols()],
+                    op: "sparse::matmul",
+                });
+            }
+            Ok(gemm_sweep(a, b.payload(), b.cols(), par))
+        }
+    }
 }
 
 /// The column count of a `B` that an `m × k` left operand multiplies.
@@ -629,7 +836,7 @@ pub fn conv2d(
 
 /// Where the sweep's right operand `B` — `a.k` rows by the result's `n`
 /// columns — comes from. The sources differ only in where a panel's lines
-/// are (see "Three sources of `B`" in the [module docs](self)).
+/// are (see "Four sources of `B`" in the [module docs](self)).
 #[derive(Clone, Copy)]
 pub(crate) enum Rhs<'a> {
     /// A row-major matrix of `cols` columns whose column `j` lands in
@@ -642,6 +849,8 @@ pub(crate) enum Rhs<'a> {
         cols: usize,
         cmap: Option<&'a [usize]>,
     },
+    /// A matrix packed once ([`Right::Reused`]), read in place.
+    Packed(&'a PackedRhs),
     /// The transposed patch matrix of [`conv2d`]'s images.
     Patches(&'a Patches),
 }
@@ -660,6 +869,7 @@ impl<'a> Rhs<'a> {
     fn panels(self) -> usize {
         match self {
             Rhs::Rows { cols, .. } => cols.div_ceil(NR),
+            Rhs::Packed(p) => p.panels.len(),
             Rhs::Patches(p) => p.panels.len(),
         }
     }
@@ -669,6 +879,7 @@ impl<'a> Rhs<'a> {
     fn width(self, i: usize) -> usize {
         match self {
             Rhs::Rows { cols, .. } => NR.min(cols - i * NR),
+            Rhs::Packed(p) => p.panels[i].1,
             Rhs::Patches(p) => p.panel_width(i),
         }
     }
@@ -678,17 +889,22 @@ impl<'a> Rhs<'a> {
     /// block interrupts; for patches, one per output row the panel meets.
     fn runs(self, i: usize, runs: &mut Vec<Run>) {
         runs.clear();
-        let (j0, width) = (i * NR, self.width(i));
+        let width = self.width(i);
         match self {
             Rhs::Rows { cmap: None, .. } => runs.push(Run {
                 at: 0,
-                col: j0,
+                col: i * NR,
+                len: width,
+            }),
+            Rhs::Packed(p) => runs.push(Run {
+                at: 0,
+                col: p.panels[i].0,
                 len: width,
             }),
             Rhs::Rows {
                 cmap: Some(map), ..
             } => {
-                let map = &map[j0..j0 + width];
+                let map = &map[i * NR..i * NR + width];
                 let mut at = 0;
                 for p in 1..=width {
                     if p == width || map[p] != map[p - 1] + 1 {
@@ -708,8 +924,8 @@ impl<'a> Rhs<'a> {
     /// Rows `k0..k0 + kc` of panel `i`, `w` lanes each, where the kernel
     /// reads them. A matrix is packed into `buf`, line after line (lanes
     /// past the panel's width keep whatever an earlier panel left there:
-    /// the kernel computes on them and never stores them); patches are read
-    /// where they lie.
+    /// the kernel computes on them and never stores them); a packed matrix
+    /// and patches are read where they lie.
     fn lines<'s>(self, i: usize, k0: usize, kc: usize, w: usize, buf: &'s mut [f32]) -> Lines<'s>
     where
         'a: 's,
@@ -726,6 +942,10 @@ impl<'a> Rhs<'a> {
                     taps: &[],
                 }
             }
+            Rhs::Packed(p) => Lines {
+                values: &p.values()[p.starts[i] + k0 * w..],
+                taps: &[],
+            },
             Rhs::Patches(p) => p.lines(i, k0, kc),
         }
     }
@@ -901,21 +1121,23 @@ impl Patches {
 
 /// Where the sweep's left operand `A` — `m` rows by `k` — comes from: a
 /// [`LinePack`] made once for reuse (a program constant, a convolution
-/// weight), or a row-major matrix read where it lies (an activation,
-/// multiplied once). The sweep finds a row block's k-block of lines in
-/// either, and the microkernel reads a line's `MR` values from the pack's
-/// interleaved line or from the block's `MR` row slices.
+/// weight), or row-major matrices read where they lie (activations,
+/// multiplied once): `A`'s rows are the rows of `parts`, one part after
+/// another — one part for [`matmul`], each member's rows for a group
+/// [`matmul_rows`] stacks. The sweep finds a row block's k-block of lines
+/// in either, and the microkernel reads a line's `MR` values from the
+/// pack's interleaved line or from the block's `MR` row slices.
 #[derive(Clone, Copy)]
 pub(crate) enum Lhs<'a> {
     Packed(&'a LinePack),
     InPlace {
-        values: &'a [f32],
+        parts: &'a [&'a [f32]],
         m: usize,
         k: usize,
     },
 }
 
-impl Lhs<'_> {
+impl<'a> Lhs<'a> {
     fn dims(self) -> (usize, usize) {
         match self {
             Lhs::Packed(a) => (a.m, a.k),
@@ -929,21 +1151,24 @@ impl Lhs<'_> {
     fn safe(self) -> bool {
         match self {
             Lhs::Packed(a) => a.safe,
-            Lhs::InPlace { values, .. } => magnitudes(values).0,
+            Lhs::InPlace { parts, .. } => parts.iter().all(|part| magnitudes(part).0),
         }
     }
 
-    /// The last `m % MR` rows of a matrix read in place, zero-padded to a
-    /// whole row block (empty when there are none, or for a pack, whose
-    /// last block is padded already): the rows the microkernel finds past
-    /// `m`, computed on and never stored.
-    fn tail(self) -> Vec<f32> {
+    /// The rows of an `A` read in place, padded to whole row blocks with
+    /// `zeros` (a row of `k` zeros: the rows the microkernel finds past
+    /// `m`, computed on and never stored). Empty for a pack, whose last
+    /// block is padded already, and when `k` is 0.
+    fn rows<'z>(self, zeros: &'z [f32]) -> Vec<&'z [f32]>
+    where
+        'a: 'z,
+    {
         match self {
-            Lhs::InPlace { values, m, k } if m % MR != 0 => {
-                let mut tail = vec![0.0f32; MR * k];
-                let live = &values[(m - m % MR) * k..];
-                tail[..live.len()].copy_from_slice(live);
-                tail
+            Lhs::InPlace { parts, m, k } if k > 0 => {
+                let mut rows = Vec::with_capacity(m.next_multiple_of(MR));
+                rows.extend(parts.iter().flat_map(|part| part.chunks_exact(k)));
+                rows.resize(m.next_multiple_of(MR), zeros);
+                rows
             }
             _ => Vec::new(),
         }
@@ -963,15 +1188,17 @@ impl Lhs<'_> {
 /// Patches always take the first: [`conv2d`] checked the stronger test
 /// before it swept.
 pub(crate) fn gemm_sweep(a: Lhs<'_>, b: Rhs<'_>, n: usize, par: Parallelism) -> Tensor {
-    let (m, _) = a.dims();
+    let (m, k) = a.dims();
     let mut out = Tensor::zeros(&[m, n]);
     let skip = match b {
         Rhs::Rows { values, .. } => !(a.safe() && safe_and_finite(values)),
+        Rhs::Packed(b) => !(a.safe() && b.safe),
         Rhs::Patches(_) => false,
     };
-    let tail = a.tail();
+    let zeros = vec![0.0f32; if m % MR == 0 { 0 } else { k }];
+    let rows = a.rows(&zeros);
     for_each_row_panel(out.as_mut_slice(), m, n, par, |row0, panel| {
-        panel_rows(a, &tail, row0 / MR, b, panel, n, skip)
+        panel_rows(a, &rows, row0 / MR, b, panel, n, skip)
     });
     out
 }
@@ -1032,8 +1259,7 @@ fn rows_sweep(a: &RowPack, b: &[f32], n: usize, par: Parallelism) -> Tensor {
         b
     } else {
         let len = a.k * stride;
-        let mut buf = vec![0.0f32; len + LINE];
-        let skew = buf.as_ptr().align_offset(LINE * 4) % LINE;
+        let (mut buf, skew) = aligned(len);
         for (dst, src) in buf[skew..].chunks_exact_mut(stride).zip(b.chunks_exact(n)) {
             dst[..n].copy_from_slice(src);
         }
@@ -1179,40 +1405,38 @@ where
 }
 
 /// Computes the rows of `C` that `c` holds — whole row blocks of `a`
-/// starting at block `blk0` (the last may be ragged, and of an in-place
-/// `a` is read from `tail`, its [`Lhs::tail`]) — with `b` and `skip` as in
+/// starting at block `blk0` (the last may be ragged; an in-place `a` is
+/// read from `rows`, its [`Lhs::rows`]) — with `b` and `skip` as in
 /// [`gemm_sweep`].
 ///
 /// `B` is consumed one column panel of up to [`NR`] columns at a time,
 /// `KC` rows deep, BLIS-style and independently by each worker (the
 /// duplicated copies are `O(k·n)` against `O(rows · k · n)` of MACs): the
-/// panel is packed into a small contiguous buffer and immediately swept by
-/// every row block, staying cache-hot while in use. A panel is packed at
-/// the narrowest of 16 / 32 / 48 lanes that covers it, so a narrow product
-/// (or the tail of a wide one) does not pay for a `4 × 48` tile it leaves
-/// mostly empty.
+/// panel is packed into a small contiguous buffer — unless `B` was packed
+/// once already — and immediately swept by every row block, staying
+/// cache-hot while in use. A panel is packed at the narrowest of 16 / 32 /
+/// 48 lanes that covers it, so a narrow product (or the tail of a wide
+/// one) does not pay for a `4 × 48` tile it leaves mostly empty.
 fn panel_rows(
     a: Lhs<'_>,
-    tail: &[f32],
+    rows: &[&[f32]],
     blk0: usize,
     b: Rhs<'_>,
     c: &mut [f32],
     n: usize,
     skip: bool,
 ) {
-    let (m, k) = a.dims();
+    let (_, k) = a.dims();
     let kblocks = k.div_ceil(KC);
-    // A matrix is packed panel by panel into one buffer (patches are read
-    // where they lie). The kernel reads it one 64-byte vector at a time;
-    // start it on a cache line so no read straddles two (the allocator
-    // promises 16 bytes, and which residue it hands out varies call to
-    // call).
+    // A matrix is packed panel by panel into one buffer (a packed one and
+    // patches are read where they lie), on a cache line, since the kernel
+    // reads it one 64-byte vector at a time (and which residue the
+    // allocator hands out varies call to call).
     let len = match b {
         Rhs::Rows { cols, .. } => KC.min(k) * lanes(cols.min(NR)),
-        Rhs::Patches(_) => 0,
+        Rhs::Packed(_) | Rhs::Patches(_) => 0,
     };
-    let mut buf = vec![0.0f32; len + LINE];
-    let skew = buf.as_ptr().align_offset(LINE * 4) % LINE;
+    let (mut buf, skew) = aligned(len);
     let panel = &mut buf[skew..skew + len];
     let mut runs = Vec::new();
     for i in 0..b.panels() {
@@ -1232,34 +1456,45 @@ fn panel_rows(
             for (blk, crows) in c.chunks_mut(MR * n).enumerate() {
                 let blk = blk0 + blk;
                 // The block's k-block of `A` lines, and their k offsets.
+                let mut arows: [&[f32]; MR] = [&[]; MR];
                 let (alines, offs) = match a {
                     Lhs::Packed(a) => {
                         let span = blk * kblocks + kb;
                         let (lo, hi) = (a.spans[span], a.spans[span + 1]);
                         (&a.lines[lo * MR..hi * MR], &a.offs[lo..hi])
                     }
-                    Lhs::InPlace { values, .. } => {
-                        let rows = match (blk + 1) * MR {
-                            end if end <= m => &values[blk * MR * k..end * k],
-                            _ => tail,
-                        };
-                        (&rows[k0..], &IOTA[..kc])
+                    Lhs::InPlace { .. } => {
+                        let block = &rows[blk * MR..(blk + 1) * MR];
+                        arows = std::array::from_fn(|r| &block[r][k0..k0 + kc]);
+                        (arows[0], &IOTA[..kc])
                     }
                 };
                 if !offs.is_empty() {
-                    kernel(alines, k, offs, lines.values, lines.taps, crows, n, &runs);
+                    kernel(
+                        alines,
+                        &arows,
+                        offs,
+                        lines.values,
+                        lines.taps,
+                        crows,
+                        n,
+                        &runs,
+                        kb > 0,
+                    );
                 }
             }
         }
     }
 }
 
-/// The narrowest supported microkernel width covering `width` columns.
+/// The narrowest supported microkernel width covering `width` columns
+/// (at most [`PW`]; only a packed `B` has panels wider than [`NR`]).
 fn lanes(width: usize) -> usize {
     match width {
         0..=16 => 16,
         17..=32 => 32,
-        _ => NR,
+        33..=48 => NR,
+        _ => PW,
     }
 }
 
@@ -1273,7 +1508,8 @@ struct Run {
 }
 
 /// The signature every instance of [`microkernel`] shares.
-type Microkernel = fn(&[f32], usize, &[u8], &[f32], &[usize], &mut [f32], usize, &[Run]);
+type Microkernel =
+    fn(&[f32], &[&[f32]; MR], &[u8], &[f32], &[usize], &mut [f32], usize, &[Run], bool);
 
 /// The instance of [`microkernel`] for a `w`-lane panel.
 fn microkernel_for<const SKIP: bool, const TAPS: bool, const IN_PLACE: bool>(
@@ -1282,7 +1518,8 @@ fn microkernel_for<const SKIP: bool, const TAPS: bool, const IN_PLACE: bool>(
     match w {
         16 => microkernel::<16, SKIP, TAPS, IN_PLACE>,
         32 => microkernel::<32, SKIP, TAPS, IN_PLACE>,
-        _ => microkernel::<NR, SKIP, TAPS, IN_PLACE>,
+        NR => microkernel::<NR, SKIP, TAPS, IN_PLACE>,
+        _ => microkernel::<PW, SKIP, TAPS, IN_PLACE>,
     }
 }
 
@@ -1292,13 +1529,15 @@ fn microkernel_for<const SKIP: bool, const TAPS: bool, const IN_PLACE: bool>(
 /// `W`-lane line of `B` at that offset: of `values`, a packed panel, or —
 /// if `TAPS` — through the tap table, as [`Lines`] describes. A line of
 /// `A` is `MR` values side by side in `alines`, a pack's retained line,
-/// or — if `IN_PLACE` — element `p` of the block's `MR` rows, which start
-/// `stride` apart in `alines` (and `offs` is `0, 1, 2, …`). (The operands
-/// travel as separate arguments: passed as one `Lines`, the loop is no
-/// longer vectorised.)
+/// or — if `IN_PLACE` — element `p` of the block's `MR` rows `arows`,
+/// wherever each lies (and `offs` is `0, 1, 2, …`). (The operands travel
+/// as separate arguments: passed as one `Lines`, the loop is no longer
+/// vectorised.)
 ///
-/// The block's running totals are *resumed from* `C` and checkpointed
-/// back to it between k-blocks, so each output element experiences one
+/// The block's running totals are *resumed from* `C` (if `resume`: from
+/// the second k-block on — the first starts at the `+0.0` every sweep's
+/// `C` is created with, without reading it) and checkpointed back to it
+/// between k-blocks, so each output element experiences one
 /// uninterrupted ascending-`k` chain of fused multiply-adds — the exact
 /// reference op sequence — regardless of how `k` is blocked. `crows`
 /// holds the block's live rows of `C` (fewer than `MR` for a ragged last
@@ -1312,26 +1551,29 @@ fn microkernel_for<const SKIP: bool, const TAPS: bool, const IN_PLACE: bool>(
 #[allow(clippy::too_many_arguments)]
 fn microkernel<const W: usize, const SKIP: bool, const TAPS: bool, const IN_PLACE: bool>(
     alines: &[f32],
-    stride: usize,
+    arows: &[&[f32]; MR],
     offs: &[u8],
     values: &[f32],
     taps: &[usize],
     crows: &mut [f32],
     n: usize,
     runs: &[Run],
+    resume: bool,
 ) {
     let mut acc = [[0.0f32; W]; MR];
-    for (accr, crow) in acc.iter_mut().zip(crows.chunks_exact(n)) {
-        for &Run { at, col, len } in runs {
-            accr[at..at + len].copy_from_slice(&crow[col..col + len]);
+    if resume {
+        for (accr, crow) in acc.iter_mut().zip(crows.chunks_exact(n)) {
+            for &Run { at, col, len } in runs {
+                accr[at..at + len].copy_from_slice(&crow[col..col + len]);
+            }
         }
     }
     // Rows sliced to the block's line count up front, so that reading line
-    // `p` checks no bound. (In place, `packed` walks `alines` one value at
-    // a time, only to be zipped.)
+    // `p` checks no bound. (In place, `alines` is the first row, and
+    // `packed` walks it one value at a time, only to be zipped.)
     let lines = offs.len();
     let rows: [&[f32]; MR] = match IN_PLACE {
-        true => std::array::from_fn(|r| &alines[r * stride..r * stride + lines]),
+        true => std::array::from_fn(|r| &arows[r][..lines]),
         false => [&[]; MR],
     };
     let packed = alines.chunks_exact(if IN_PLACE { 1 } else { MR });

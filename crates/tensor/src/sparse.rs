@@ -52,8 +52,9 @@
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 
-use crate::parallel::{gemm_sweep, Lhs, Parallelism, Rhs};
+use crate::parallel::{self, Parallelism, Rhs, Right};
 use crate::{Result, Tensor, TensorError};
+use std::borrow::Cow;
 
 /// A `rows × cols` matrix whose zero column-blocks are not stored. See the [module docs](self) for the layout
 /// and the bit-identicality contract.
@@ -154,6 +155,32 @@ impl SparseTensor {
         })
     }
 
+    /// `t` packed by [`SparseTensor::from_dense`] at `block_cols`, once per
+    /// buffer: kept in `t`'s storage and shared by every clone of it (see
+    /// "What the buffer remembers" on [`Tensor`]). A second block width
+    /// asked of one buffer packs a copy of the caller's own each time.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SparseTensor::from_dense`].
+    pub fn of(t: &Tensor, block_cols: usize) -> Result<Cow<'_, Self>> {
+        let pack = |t: &Tensor| SparseTensor::from_dense(t, block_cols);
+        match t.memo(|memo| &memo.sparse, pack)? {
+            shared if shared.block_cols == block_cols => Ok(shared),
+            _ => pack(t).map(Cow::Owned),
+        }
+    }
+
+    /// The payload as the GEMM sweep reads it: its columns, each mapped to
+    /// its place in the product.
+    pub(crate) fn payload(&self) -> Rhs<'_> {
+        Rhs::Rows {
+            values: &self.payload,
+            cols: self.col_map.len(),
+            cmap: Some(&self.col_map),
+        }
+    }
+
     /// Row count (the GEMM's inner dimension).
     pub fn rows(&self) -> usize {
         self.rows
@@ -189,24 +216,7 @@ impl SparseTensor {
 /// Shape errors as in [`crate::gemm::matmul`].
 pub fn matmul(a: &Tensor, b: &SparseTensor, par: Parallelism) -> Result<Tensor> {
     let (m, k) = a.shape().as_matrix()?;
-    if k != b.rows {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: vec![b.rows, b.cols],
-            op: "sparse::matmul",
-        });
-    }
-    let a = Lhs::InPlace {
-        values: a.as_slice(),
-        m,
-        k,
-    };
-    let payload = Rhs::Rows {
-        values: &b.payload,
-        cols: b.col_map.len(),
-        cmap: Some(&b.col_map),
-    };
-    Ok(gemm_sweep(a, payload, b.cols, par))
+    parallel::matmul_rows(&[a.as_slice()], m, k, Right::Sparse(b), par)
 }
 
 #[cfg(test)]

@@ -1,5 +1,10 @@
+use crate::parallel::{PackedLhs, PackedRhs};
+use crate::sparse::SparseTensor;
 use crate::{Result, Shape, TensorError};
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A dense, row-major tensor of `f32` values.
 ///
@@ -19,6 +24,20 @@ use std::sync::Arc;
 /// writes element by element takes one `&mut [f32]` before it starts.
 /// [`Tensor::shares_storage`] tells whether two tensors hold one buffer.
 ///
+/// # What the buffer remembers
+///
+/// Beside its elements the buffer keeps what is derived from them, each
+/// computed by its first reader: the [`tensor_fingerprint`] and the packs
+/// the GEMM kernels read a reused operand in (a [`PackedLhs`] by either
+/// layout, a convolution weight's transposed lines pack, a
+/// [`SparseTensor`], the right-operand panels — made by the buffer's
+/// second product, so one that arrives for a single product is never
+/// packed whole). Every clone and reshape shares them, so a weight
+/// resubmitted with every request is hashed and packed once. Each entry
+/// records the dims it was taken under, and a view under other dims
+/// computes its own and keeps nothing. A mutator clears them all before
+/// it writes, and a copy starts without them.
+///
 /// # Example
 ///
 /// ```
@@ -33,7 +52,59 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
-    data: Arc<Vec<f32>>,
+    data: Arc<Storage>,
+}
+
+/// A tensor's shared buffer: its elements and what is derived from them.
+struct Storage {
+    values: Vec<f32>,
+    /// Allocated by the first reader of a derived value, so a buffer that
+    /// is never hashed or packed (an activation) carries one empty cell.
+    memo: OnceLock<Box<Memo>>,
+}
+
+/// What is derived from a buffer's contents, each entry beside the dims it
+/// was taken under (see "What the buffer remembers" on [`Tensor`]).
+#[derive(Default)]
+pub(crate) struct Memo {
+    fingerprint: OnceLock<(Shape, u64)>,
+    pub(crate) lhs: OnceLock<(Shape, PackedLhs)>,
+    pub(crate) conv: OnceLock<(Shape, PackedLhs)>,
+    pub(crate) sparse: OnceLock<(Shape, SparseTensor)>,
+    pub(crate) rhs: OnceLock<(Shape, PackedRhs)>,
+    /// Whether a product has read the buffer as a reused right operand.
+    multiplied: AtomicBool,
+}
+
+impl Storage {
+    fn new(values: Vec<f32>) -> Arc<Self> {
+        Arc::new(Storage {
+            values,
+            memo: OnceLock::new(),
+        })
+    }
+}
+
+/// A copy holds the elements and none of what was derived from them.
+impl Clone for Storage {
+    fn clone(&self) -> Self {
+        Storage {
+            values: self.values.clone(),
+            memo: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for Storage {
+    fn eq(&self, other: &Self) -> bool {
+        self.values == other.values
+    }
+}
+
+impl fmt::Debug for Storage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.values.fmt(f)
+    }
 }
 
 impl Tensor {
@@ -53,7 +124,7 @@ impl Tensor {
         }
         Ok(Tensor {
             shape,
-            data: Arc::new(data),
+            data: Storage::new(data),
         })
     }
 
@@ -63,7 +134,7 @@ impl Tensor {
         let volume = shape.volume();
         Tensor {
             shape,
-            data: Arc::new(vec![0.0; volume]),
+            data: Storage::new(vec![0.0; volume]),
         }
     }
 
@@ -78,7 +149,7 @@ impl Tensor {
         let volume = shape.volume();
         Tensor {
             shape,
-            data: Arc::new(vec![value; volume]),
+            data: Storage::new(vec![value; volume]),
         }
     }
 
@@ -104,29 +175,34 @@ impl Tensor {
 
     /// Total number of elements.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data.values.len()
     }
 
     /// Whether the tensor holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data.values.is_empty()
     }
 
     /// Borrow the underlying row-major data.
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        &self.data.values
     }
 
     /// Mutably borrow the underlying row-major data, first copying it if
-    /// another tensor shares it.
+    /// another tensor shares it, and forgetting what was derived from it.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        Arc::make_mut(&mut self.data).as_mut_slice()
+        let storage = Arc::make_mut(&mut self.data);
+        storage.memo.take();
+        &mut storage.values
     }
 
     /// Consumes the tensor and returns its raw data: its own buffer when no
     /// other tensor shares it, a copy otherwise.
     pub fn into_vec(self) -> Vec<f32> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| shared.as_ref().clone())
+        match Arc::try_unwrap(self.data) {
+            Ok(storage) => storage.values,
+            Err(shared) => shared.values.clone(),
+        }
     }
 
     /// Whether `self` and `other` hold one buffer (one is a clone or a
@@ -142,7 +218,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::IndexOutOfBounds`] on bad indices.
     pub fn at(&self, index: &[usize]) -> Result<f32> {
-        Ok(self.data[self.shape.offset(index)?])
+        Ok(self.as_slice()[self.shape.offset(index)?])
     }
 
     /// Sets the element at a multi-dimensional index.
@@ -164,9 +240,9 @@ impl Tensor {
     /// Returns [`TensorError::LengthMismatch`] if the volumes differ.
     pub fn reshape(&self, dims: &[usize]) -> Result<Self> {
         let shape = Shape::new(dims);
-        if shape.volume() != self.data.len() {
+        if shape.volume() != self.len() {
             return Err(TensorError::LengthMismatch {
-                len: self.data.len(),
+                len: self.len(),
                 expected: shape.volume(),
             });
         }
@@ -180,7 +256,7 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Tensor {
             shape: self.shape.clone(),
-            data: Arc::new(self.data.iter().map(|&x| f(x)).collect()),
+            data: Storage::new(self.data.values.iter().map(|&x| f(x)).collect()),
         }
     }
 
@@ -198,14 +274,13 @@ impl Tensor {
             });
         }
         let data = self
-            .data
             .iter()
-            .zip(rhs.data.iter())
+            .zip(rhs.iter())
             .map(|(&a, &b)| f(a, b))
             .collect();
         Ok(Tensor {
             shape: self.shape.clone(),
-            data: Arc::new(data),
+            data: Storage::new(data),
         })
     }
 
@@ -252,7 +327,7 @@ impl Tensor {
         let dst = out.as_mut_slice();
         for r in 0..rows {
             for c in 0..cols {
-                dst[c * rows + r] = self.data[r * cols + c];
+                dst[c * rows + r] = self.data.values[r * cols + c];
             }
         }
         Ok(out)
@@ -272,7 +347,7 @@ impl Tensor {
                 bound: rows,
             });
         }
-        Ok(&self.data[r * cols..(r + 1) * cols])
+        Ok(&self.as_slice()[r * cols..(r + 1) * cols])
     }
 
     /// Mutably borrows row `r` of a matrix.
@@ -312,7 +387,7 @@ impl Tensor {
                 if c0 + c >= cols {
                     break;
                 }
-                dst[r * w + c] = self.data[(r0 + r) * cols + (c0 + c)];
+                dst[r * w + c] = self.data.values[(r0 + r) * cols + (c0 + c)];
             }
         }
         Ok(out)
@@ -337,7 +412,7 @@ impl Tensor {
                 if c0 + c >= cols {
                     break;
                 }
-                dst[(r0 + r) * cols + (c0 + c)] = tile.data[r * w + c];
+                dst[(r0 + r) * cols + (c0 + c)] = tile.data.values[r * w + c];
             }
         }
         Ok(())
@@ -345,8 +420,109 @@ impl Tensor {
 
     /// Iterates over elements in row-major order.
     pub fn iter(&self) -> std::slice::Iter<'_, f32> {
-        self.data.iter()
+        self.as_slice().iter()
     }
+
+    /// The value `slot` of the buffer's memo holds for these dims, made by
+    /// `make` from this tensor: the shared entry when it was taken under
+    /// these dims (made and kept now if the slot is empty), or a value of
+    /// the caller's own for a view under other dims.
+    pub(crate) fn memo<T: Clone>(
+        &self,
+        slot: fn(&Memo) -> &OnceLock<(Shape, T)>,
+        make: impl Fn(&Tensor) -> Result<T>,
+    ) -> Result<Cow<'_, T>> {
+        let cell = slot(self.data.memo.get_or_init(Box::default));
+        let (dims, value) = match cell.get() {
+            Some(kept) => kept,
+            None => {
+                // A racing first reader's value may win the slot; both
+                // are made from the same bits.
+                let _ = cell.set((self.shape.clone(), make(self)?));
+                cell.get().expect("the slot was just filled")
+            }
+        };
+        if *dims == self.shape {
+            Ok(Cow::Borrowed(value))
+        } else {
+            make(self).map(Cow::Owned)
+        }
+    }
+
+    /// Whether a product read the buffer as a reused right operand before
+    /// this one (which is recorded): the second product packs it.
+    pub(crate) fn multiplied_before(&self) -> bool {
+        let memo = self.data.memo.get_or_init(Box::default);
+        // A flag that publishes no other data: the pack itself is
+        // published by its `OnceLock`.
+        memo.multiplied.swap(true, Ordering::Relaxed)
+    }
+
+    /// How many kernel packs the buffer keeps (its fingerprint aside): one
+    /// per layout some reader asked for.
+    pub fn packs(&self) -> usize {
+        self.data.memo.get().map_or(0, |memo| {
+            usize::from(memo.lhs.get().is_some())
+                + usize::from(memo.conv.get().is_some())
+                + usize::from(memo.sparse.get().is_some())
+                + usize::from(memo.rhs.get().is_some())
+        })
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a step over a 64-bit value.
+fn fnv_step(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(FNV_PRIME)
+}
+
+/// The independent FNV-1a chains [`tensor_fingerprint`] spreads a
+/// tensor's values over.
+const LANES: usize = 64;
+
+/// Cheap content hash used to bucket constant tensors before exact
+/// equality checks — what the staged executor groups shared-weight GEMMs
+/// by, and what keys a program and a weight on the wire. FNV-1a over the
+/// dims, then value `i`'s bit pattern into lane `i % 64` of 64 independent
+/// FNV-1a chains (no chain waits on another's multiply, so the loop
+/// vectorises and runs at about memory speed), then the `len % 64`
+/// trailing values into the dims' chain, which finally absorbs the 64
+/// lanes in order. Every step is a bijection in its state and in its
+/// value, so two tensors of one rank and length that differ in a single
+/// value or a single dim always hash apart. A pure function of the dims
+/// and the bit patterns: the same on every platform and alignment, as the
+/// wire's recorded program fingerprints need.
+///
+/// The hash is kept in the tensor's storage (see "What the buffer
+/// remembers" on [`Tensor`]): a `[256, 128]` weight hashes in ~5 µs the
+/// first time and is read back in a few nanoseconds by every clone after,
+/// until a write.
+pub fn tensor_fingerprint(t: &Tensor) -> u64 {
+    let hash = t.memo(|memo| &memo.fingerprint, |t| Ok(hash_contents(t)));
+    *hash.expect("hashing cannot fail")
+}
+
+/// [`tensor_fingerprint`]'s hash itself.
+fn hash_contents(t: &Tensor) -> u64 {
+    let h = t
+        .dims()
+        .iter()
+        .fold(FNV_OFFSET, |h, &d| fnv_step(h, d as u64));
+    let values = t.as_slice().chunks_exact(LANES);
+    let tail = values.remainder();
+    let mut lanes = [FNV_OFFSET; LANES];
+    for chunk in values {
+        let chunk: &[f32; LANES] = chunk.try_into().expect("chunks_exact");
+        for (lane, v) in lanes.iter_mut().zip(chunk) {
+            *lane = fnv_step(*lane, u64::from(v.to_bits()));
+        }
+    }
+    let h = tail
+        .iter()
+        .fold(h, |h, v| fnv_step(h, u64::from(v.to_bits())));
+    lanes.iter().fold(h, |h, &lane| fnv_step(h, lane))
 }
 
 impl Default for Tensor {
@@ -361,9 +537,9 @@ impl std::fmt::Display for Tensor {
             f,
             "Tensor{} {:?}",
             self.shape,
-            &self.data[..self.data.len().min(8)]
+            &self.as_slice()[..self.len().min(8)]
         )?;
-        if self.data.len() > 8 {
+        if self.len() > 8 {
             write!(f, "…")?;
         }
         Ok(())

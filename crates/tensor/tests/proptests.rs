@@ -2,11 +2,11 @@
 
 use onesa_tensor::fixed::QFormat;
 use onesa_tensor::im2col::{self, Conv2dGeometry};
-use onesa_tensor::parallel::{self, PackedLhs, Parallelism};
+use onesa_tensor::parallel::{self, PackedLhs, Parallelism, Right};
 use onesa_tensor::quant::{self, QuantTensor, QuantTensor8};
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::sparse::{self, SparseTensor};
-use onesa_tensor::{gemm, Tensor};
+use onesa_tensor::{gemm, tensor_fingerprint, Tensor};
 use proptest::prelude::*;
 
 fn small_matrix(max_dim: usize) -> impl Strategy<Value = Tensor> {
@@ -309,12 +309,17 @@ proptest! {
 
     /// Every entry point of the one packed GEMM, under every
     /// `Parallelism`, is `to_bits()`-equal to the reference loop: dense
-    /// through `parallel::matmul`, block-sparse through `sparse::matmul`.
+    /// through `parallel::matmul`, block-sparse through `sparse::matmul`,
+    /// and — with `A` in two parts, so a row block may straddle them — a
+    /// `B` reused across calls (packed per call the first time, then
+    /// packed once) through `parallel::matmul_rows`.
     #[test]
     fn packed_gemm_bit_identical_over_the_shape_space(case in gemm_case()) {
         let dense = gemm::matmul(&case.a, &case.b).unwrap();
         let pruned = gemm::matmul(&case.a, &case.pruned_b).unwrap();
         let packed = SparseTensor::from_dense(&case.pruned_b, case.block_cols).unwrap();
+        let (m, k) = (case.a.dims()[0], case.a.dims()[1]);
+        let parts = halves(&case.a);
         for par in [
             Parallelism::Sequential,
             Parallelism::Threads(1),
@@ -323,6 +328,8 @@ proptest! {
         ] {
             assert_bit_identical(&parallel::matmul(&case.a, &case.b, par).unwrap(), &dense);
             assert_bit_identical(&sparse::matmul(&case.a, &packed, par).unwrap(), &pruned);
+            let reused = parallel::matmul_rows(&parts, m, k, Right::Reused(&case.b), par);
+            assert_bit_identical(&reused.unwrap(), &dense);
         }
     }
 
@@ -331,7 +338,8 @@ proptest! {
     /// skips them are chosen from the operands alone, and both equal the
     /// reference loop — through `matmul`, through a pre-packed `A`, and
     /// (for a finite `A`, whose products with a pruned column are `+0.0`)
-    /// through `sparse::matmul`'s payload and column map.
+    /// through `sparse::matmul`'s payload and column map, and through a
+    /// reused `B` against `A` in two parts.
     #[test]
     fn zeros_in_a_change_no_bit(case in zero_case()) {
         let want = gemm::matmul(&case.a, &case.b).unwrap();
@@ -345,9 +353,13 @@ proptest! {
         }
         let packed_a = PackedLhs::pack(&case.a).unwrap();
         let sparse_b = SparseTensor::from_dense(&case.b, case.block_cols).unwrap();
+        let (m, k) = (case.a.dims()[0], case.a.dims()[1]);
+        let parts = halves(&case.a);
         for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
             assert_bit_identical(&parallel::matmul(&case.a, &case.b, par).unwrap(), &want);
             assert_bit_identical(&parallel::matmul_packed(&packed_a, &case.b, par).unwrap(), &want);
+            let reused = parallel::matmul_rows(&parts, m, k, Right::Reused(&case.b), par);
+            assert_bit_identical(&reused.unwrap(), &want);
             if case.finite_a {
                 assert_bit_identical(&sparse::matmul(&case.a, &sparse_b, par).unwrap(), &want);
             }
@@ -581,6 +593,115 @@ proptest! {
         }
         prop_assert_eq!(bits(&t), before);
     }
+
+    /// What a buffer remembers is never stale. For each mutator, a write
+    /// to a buffer nothing else holds — after its fingerprint and every
+    /// pack were read, twice, so that the right operand's pack was made —
+    /// changes the fingerprint, and every pack read after it multiplies
+    /// the written values: each equals what a fresh copy of the written
+    /// tensor gives.
+    #[test]
+    fn a_write_after_a_read_changes_the_fingerprint_and_every_pack(
+        t in small_matrix(12), pick in 0usize..1 << 16, v in -100.0f32..100.0
+    ) {
+        let (rows, cols) = (t.dims()[0], t.dims()[1]);
+        let (r, c) = (pick / cols % rows, pick % cols);
+        // A value the element does not hold already, so the write is one.
+        let v = if v.to_bits() == t.as_slice()[r * cols + c].to_bits() { v + 1.0 } else { v };
+        for write in WRITES {
+            let mut a = copy(&t);
+            let before = memo_reads(&a);
+            prop_assert_eq!(&before, &memo_reads(&a));
+            prop_assert_eq!(&before, &memo_reads(&copy(&a)));
+            write(&mut a, r, c, v);
+            let after = memo_reads(&a);
+            prop_assert_ne!(after.0, before.0);
+            prop_assert_eq!(after, memo_reads(&copy(&a)));
+        }
+    }
+
+    /// A clone shares what its buffer remembers and is never stale: it
+    /// reads what its source reads, a write to it leaves the source's
+    /// memo as it was, and a reshape view computes its own values under
+    /// its own dims.
+    #[test]
+    fn a_clones_memo_is_never_stale_and_a_view_recomputes(
+        t in small_matrix(12), pick in 0usize..1 << 16, v in -100.0f32..100.0
+    ) {
+        let (rows, cols) = (t.dims()[0], t.dims()[1]);
+        let (r, c) = (pick / cols % rows, pick % cols);
+        let fresh = memo_reads(&copy(&t));
+        for write in WRITES {
+            let a = copy(&t);
+            prop_assert_eq!(&memo_reads(&a), &fresh);
+            let mut clone = a.clone();
+            prop_assert_eq!(&memo_reads(&clone), &fresh);
+            write(&mut clone, r, c, v);
+            prop_assert_eq!(memo_reads(&clone), memo_reads(&copy(&clone)));
+            prop_assert_eq!(&memo_reads(&a), &fresh);
+            let view = a.reshape(&[cols, rows]).unwrap();
+            prop_assert_eq!(memo_reads(&view), memo_reads(&copy(&view)));
+            prop_assert_eq!(&memo_reads(&a), &fresh);
+        }
+    }
+}
+
+/// Matrix `a`'s rows as two parts, split a third of the way down.
+fn halves(a: &Tensor) -> [&[f32]; 2] {
+    let split = a.dims()[0] / 3 * a.dims()[1];
+    let (top, bottom) = a.as_slice().split_at(split);
+    [top, bottom]
+}
+
+/// The four mutators, each writing `v` at `[r, c]`.
+const WRITES: [fn(&mut Tensor, usize, usize, f32); 4] = [
+    |x, r, c, v| {
+        let n = x.dims()[1];
+        x.as_mut_slice()[r * n + c] = v;
+    },
+    |x, r, c, v| x.set(&[r, c], v).unwrap(),
+    |x, r, c, v| x.row_mut(r).unwrap()[c] = v,
+    |x, r, c, v| x.tile_write(r, c, &Tensor::filled(&[1, 1], v)).unwrap(),
+];
+
+/// A copy of `t` on a buffer of its own, which remembers nothing.
+fn copy(t: &Tensor) -> Tensor {
+    Tensor::from_vec(t.as_slice().to_vec(), t.dims()).unwrap()
+}
+
+/// Everything the matrix `t`'s storage remembers, read through it: its
+/// fingerprint, and the bits of a product through each pack — `t` as a
+/// left operand (by the layout the pack picks, and transposed by lines),
+/// as a reused right operand and as a sparse one at two block widths.
+fn memo_reads(t: &Tensor) -> (u64, Vec<Vec<u32>>) {
+    let (m, k) = (t.dims()[0], t.dims()[1]);
+    let seq = Parallelism::Sequential;
+    let mut rng = Pcg32::seed_from_u64(5);
+    let right = rng.randn(&[k, 3], 1.0);
+    let right_t = rng.randn(&[m, 3], 1.0);
+    // Five rows, so that the sweep — not the reference loop — reads the
+    // right operand's pack.
+    let left = rng.randn(&[5, m], 1.0);
+    let bits = |x: Tensor| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let lhs = parallel::matmul_packed(&PackedLhs::of(t).unwrap(), &right, seq).unwrap();
+    let conv = PackedLhs::of_transposed(t).unwrap();
+    let conv = parallel::matmul_packed(&conv, &right_t, seq).unwrap();
+    let rhs = parallel::matmul_rows(&[left.as_slice()], 5, m, Right::Reused(t), seq).unwrap();
+    let sparse = [1, 2].map(|block_cols| {
+        let packed = SparseTensor::of(t, block_cols).unwrap();
+        prop_assert_sparse(&packed, t, block_cols);
+        bits(sparse::matmul(&left, &packed, seq).unwrap())
+    });
+    let [s1, s2] = sparse;
+    (
+        tensor_fingerprint(t),
+        vec![bits(lhs), bits(conv), bits(rhs), s1, s2],
+    )
+}
+
+/// A sparse pack read from a buffer's memo is the pack made fresh.
+fn prop_assert_sparse(packed: &SparseTensor, t: &Tensor, block_cols: usize) {
+    assert_eq!(*packed, SparseTensor::from_dense(t, block_cols).unwrap());
 }
 
 /// Symmetric quantization as the scheme defines it, one element at a time
