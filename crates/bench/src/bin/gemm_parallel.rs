@@ -38,7 +38,7 @@
 //! `onesa-plan` runs a constant right operand). The 256-deep serving rows
 //! also time `onesa_plan::tensor_fingerprint` of their `[256, n]` weight
 //! two ways: hashed in full (`fingerprint_us`, through a flat view of the
-//! weight, which its storage's memo does not answer) — what the first
+//! weight, a third dims its storage's memo keeps nothing for) — what the first
 //! GEMM request on a weight pays when it is lowered on admission — held
 //! to at most 0.75× the packed GEMM (`fingerprint_over_packed`), since
 //! admitting a request must not cost more than serving it; and read back
@@ -132,8 +132,8 @@ fn bits(t: Tensor) -> Vec<u32> {
 /// packed in lines on every call and swept (`PackedLhs::pack_lines` +
 /// `matmul_packed`, what `parallel::matmul` ran before it read `a` in
 /// place); `a` packed in lines once, outside the timed region; the hash of
-/// `b`'s values through a flat view (which its storage does not answer,
-/// so every call hashes in full); `tensor_fingerprint(b)`, read back from
+/// `b`'s values through a flat view (a third dims, which its storage
+/// does not answer, so every call hashes in full); `tensor_fingerprint(b)`, read back from
 /// `b`'s storage; and `b` packed once, in its storage, with `a` read in
 /// place (`Right::Reused`). The hashes alternate with the products so a
 /// noisy stretch of the host lands on both sides of their ratios. The
@@ -158,9 +158,12 @@ fn time_serving(a: &Tensor, b: &Tensor) -> Timings<7> {
             && bits(prepacked_b()) == want,
         "{m}x{k}x{n}: the five forms differ"
     );
-    // The weight's own hash is read first, so its storage keeps it; the
-    // flat view hashes other dims, so it hashes in full on every call.
+    // The weight's own hash is read first, so its storage keeps it, and a
+    // row view's fills the memo's other entry; the flat view hashes a third
+    // dims, which the memo keeps nothing for, so it hashes in full on
+    // every call.
     let own = tensor_fingerprint(b);
+    tensor_fingerprint(&b.reshape(&[1, k * n]).expect("same volume"));
     let flat = b.reshape(&[k * n]).expect("same volume");
     assert_ne!(tensor_fingerprint(&flat), own);
     let times = time_alternating(

@@ -1,5 +1,5 @@
 //! Cross-host serving transport: shard workers as **separate
-//! processes**, programs as the wire unit.
+//! processes**, programs as the wire unit and each weight shipped once.
 //!
 //! [`crate::serve::ServeEngine`] normally runs its shards as threads.
 //! This module provides the process-boundary variant: each shard is an
@@ -22,7 +22,7 @@
 //! worker → host   Hello      {}        (the header carries the version)
 //! host → worker   Configure  { granularity, ArrayConfig, Parallelism }
 //! worker → host   Ready      {}
-//! host → worker   Window     { n × (ticket, program | program ref, inputs) }
+//! host → worker   Window     { n × (ticket, program, constants the worker lacks, inputs) }
 //! worker → host   Outcomes   { n × (ticket, output, stats, session outputs),
 //!                              report, per-stage groups }
 //!              or WindowError{ message }          (batch failed; engine cleared)
@@ -38,20 +38,20 @@
 //!
 //! # The weight-cache protocol
 //!
-//! Program consts (the weights) dominate request bytes. The host keeps,
-//! per worker, the set of program fingerprints it has already shipped:
-//! the first request for a program sends the **full** program (consts
-//! included) and later requests send a *const-free delta* — just the
-//! fingerprint plus the input tensors. A window's sends count, and its
-//! new fingerprints become refs, only once the worker answers it with
-//! `Outcomes`: a window that fails may not have reached the worker's
-//! cache. The worker caches decoded programs by fingerprint (consts
-//! `Arc`-shared, so the cache holds one copy of each weight set). A
-//! stateless program's fingerprint ignores its input shapes, so one
-//! entry serves a ref at any shape the op list accepts — every
-//! `[rows, k] · W` GEMM against one `W` — by re-targeting the cached
-//! program at the shapes of the inputs that came with the ref.
-//! [`WeightCacheStats`] counts both kinds of send and the const bytes
+//! Program constants (the weights) dominate request bytes, and a program
+//! names each of its constants by key — its `tensor_fingerprint` — on the
+//! wire (see `onesa_plan::wire`'s "Programs on the wire"). The host keeps,
+//! per worker, the set of constant keys it has already shipped: a
+//! request carries the bytes of only the constants the worker lacks, and
+//! every program is sent whole otherwise — its ops, shapes and keys, then
+//! its inputs. A window's sends count, and its new keys become refs, only
+//! once the worker answers it with `Outcomes`: a window that fails may
+//! not have reached the worker's store. The worker keeps one store of
+//! constants by key; each request's program is decoded and sealed against
+//! it, so a weight crosses the wire once per worker whatever program, row
+//! count or context length it next serves in, and every program on the
+//! worker reads the one stored buffer and the packs it keeps.
+//! [`WeightCacheStats`] counts both kinds of constant send and the bytes
 //! the refs avoided; the serve layer surfaces them per shard.
 //!
 //! # Worker death
@@ -70,7 +70,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use onesa_plan::wire::{self, Wire, WireError, WireReader};
+use onesa_plan::wire::{self, Wire, WireError, WireReader, WireSink};
 use onesa_plan::{wire_layout, Program, StageGroups};
 use onesa_sim::{ArrayConfig, ExecStats};
 use onesa_tensor::parallel::Parallelism;
@@ -141,21 +141,21 @@ pub fn default_worker_path() -> Option<PathBuf> {
 }
 
 /// Weight-cache accounting for one worker connection: how often program
-/// consts actually crossed the wire.
+/// constants actually crossed the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WeightCacheStats {
-    /// Program requests that shipped the full frame (first sighting of
-    /// a fingerprint on this worker).
+    /// Constants shipped with their bytes (the first sighting of a key on
+    /// this worker).
     pub full_sends: usize,
-    /// Program requests that sent only the fingerprint + inputs.
+    /// Constants sent as their key alone, the worker holding them.
     pub ref_sends: usize,
-    /// Const payload bytes the ref sends avoided (4 bytes per weight
-    /// element, per avoided resend).
+    /// Constant bytes the ref sends avoided (4 bytes per weight element,
+    /// per avoided resend).
     pub const_bytes_saved: u64,
 }
 
 impl WeightCacheStats {
-    /// Fraction of program sends served from the worker's cache.
+    /// Fraction of constant sends served from the worker's store.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.full_sends + self.ref_sends;
         if total == 0 {
@@ -282,90 +282,52 @@ fn read_signal(stream: &mut Stream, kind: u16, unexpected: &'static str) -> io::
 // request / outcome codecs (built on onesa-plan's wire schema)
 // ---------------------------------------------------------------------
 
-/// Request tags. Every request crosses the wire as a program; tags 0
-/// and 1 carried bare GEMM / nonlinear requests before those lowered to
-/// programs at the front door, and now decode as corrupt.
-const REQ_PROGRAM_FULL: u8 = 2;
-const REQ_PROGRAM_REF: u8 = 3;
-
-/// What one window sends: the fingerprints it ships in full and its
-/// cache counters, committed to the connection only once the worker
-/// answers the window with `Outcomes`.
-#[derive(Debug, Default)]
-struct WindowSends {
+/// A window being written: its frame, the keys of the constants the
+/// worker held before it, and what it sends — the keys it ships in full
+/// and its cache counters, committed to the connection only once the
+/// worker answers the window with `Outcomes`.
+struct Window<'a> {
+    bytes: Vec<u8>,
+    shipped: &'a HashSet<u64>,
     full: HashSet<u64>,
     stats: WeightCacheStats,
 }
 
-/// Writes one lowered request. A program the worker already holds — in
-/// `shipped`, or sent in full earlier in this window — goes out as a
-/// const-free delta.
-fn put_request(
-    w: &mut Vec<u8>,
-    program: &Program,
-    inputs: &[Tensor],
-    shipped: &HashSet<u64>,
-    sends: &mut WindowSends,
-) {
-    let fp = program.fingerprint();
-    if shipped.contains(&fp) || sends.full.contains(&fp) {
-        REQ_PROGRAM_REF.put(w);
-        fp.put(w);
-        sends.stats.ref_sends += 1;
-        sends.stats.const_bytes_saved += program
-            .consts()
-            .iter()
-            .map(|c| c.as_slice().len() as u64 * 4)
-            .sum::<u64>();
-    } else {
-        REQ_PROGRAM_FULL.put(w);
-        program.put(w);
-        sends.full.insert(fp);
-        sends.stats.full_sends += 1;
+impl WireSink for Window<'_> {
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.bytes.put_bytes(bytes);
     }
+
+    /// The worker lacks a constant neither held nor sent earlier in this
+    /// window; every other constant is named by key.
+    fn lacks(&mut self, key: u64, t: &Tensor) -> bool {
+        if self.shipped.contains(&key) || !self.full.insert(key) {
+            self.stats.ref_sends += 1;
+            self.stats.const_bytes_saved += t.len() as u64 * 4;
+            false
+        } else {
+            self.stats.full_sends += 1;
+            true
+        }
+    }
+}
+
+/// Writes one lowered request: its program, carrying the constants the
+/// worker lacks and naming the rest by key, then its inputs.
+fn put_request(w: &mut Window<'_>, program: &Program, inputs: &[Tensor]) {
+    program.put(w);
     Tensor::put_seq(inputs, w);
 }
 
-/// Reads one request on the worker, resolving program refs against (and
-/// inserting full programs into) the worker's fingerprint cache.
-///
-/// A stateless program's fingerprint ignores its input shapes, so one
-/// cache entry answers refs at every shape — every `[rows, k] · W`
-/// lowered GEMM against one `W`, whatever `rows`. The inputs that
-/// follow the ref say which shapes the host validated against; when
-/// they differ from the cached program's, it is re-targeted
-/// ([`Program::with_input_shapes`]), sharing the one decoded copy of
-/// each weight.
+/// Reads one request on the worker: its program, decoded and sealed
+/// against the worker's constant store (which files the constants it
+/// carries), then its inputs.
 fn get_request(
     r: &mut WireReader<'_>,
-    cache: &mut HashMap<u64, Program>,
+    store: &mut HashMap<u64, Tensor>,
 ) -> Result<Request, WireError> {
-    let fp = match u8::get(r)? {
-        REQ_PROGRAM_FULL => {
-            let program = Program::get(r)?;
-            let fp = program.fingerprint();
-            cache.insert(fp, program);
-            fp
-        }
-        REQ_PROGRAM_REF => u64::get(r)?,
-        _ => return Err(WireError::Corrupt("unknown request tag")),
-    };
-    let cached = cache
-        .get(&fp)
-        .ok_or(WireError::Corrupt("program ref to unshipped fingerprint"))?;
-    let inputs = Vec::<Tensor>::get(r)?;
-    let fits = inputs
-        .iter()
-        .map(Tensor::dims)
-        .eq(cached.input_shapes().iter().map(Vec::as_slice));
-    let program = if fits {
-        cached.clone()
-    } else {
-        cached
-            .with_input_shapes(inputs.iter().map(|t| t.dims().to_vec()).collect())
-            .map_err(|_| WireError::Corrupt("inputs do not fit the referenced program"))?
-    };
-    Ok(Request::program(program, inputs))
+    let program = wire::get_program(r, store)?;
+    Ok(Request::program(program, Vec::<Tensor>::get(r)?))
 }
 
 /// A window's outcome: executed, or failed as a unit (the worker's
@@ -457,6 +419,7 @@ const SPAWN_TIMEOUT: Duration = Duration::from_secs(20);
 pub struct WorkerHandle {
     child: Child,
     stream: Stream,
+    /// Keys of the constants the worker holds.
     shipped: HashSet<u64>,
     /// Weight-cache accounting for this connection.
     pub cache: WeightCacheStats,
@@ -630,8 +593,12 @@ impl WorkerHandle {
     /// Any socket or decode failure — after which the worker must be
     /// considered dead (the caller fails over).
     pub fn run_window(&mut self, items: &[(u64, &Request)]) -> io::Result<WindowReply> {
-        let mut window = wire::frame(KIND_WINDOW);
-        let mut sends = WindowSends::default();
+        let mut window = Window {
+            bytes: wire::frame(KIND_WINDOW),
+            shipped: &self.shipped,
+            full: HashSet::new(),
+            stats: WeightCacheStats::default(),
+        };
         items.len().put(&mut window);
         for (ticket, request) in items {
             ticket.put(&mut window);
@@ -646,9 +613,10 @@ impl WorkerHandle {
                     bare.lowered()
                 }
             };
-            put_request(&mut window, program, inputs, &self.shipped, &mut sends);
+            put_request(&mut window, program, inputs);
         }
-        write_frame(&mut self.stream, &window)?;
+        let (bytes, full, stats) = (window.bytes, window.full, window.stats);
+        write_frame(&mut self.stream, &bytes)?;
 
         let reply = read_frame(&mut self.stream)?;
         let (kind, mut body) = wire::open(&reply).map_err(wire_to_io)?;
@@ -656,8 +624,8 @@ impl WorkerHandle {
             KIND_OUTCOMES => {
                 let tickets: Vec<u64> = items.iter().map(|(ticket, _)| *ticket).collect();
                 let run = get_window_result(&mut body, &tickets).map_err(wire_to_io)?;
-                self.shipped.extend(sends.full);
-                self.cache.merge(&sends.stats);
+                self.shipped.extend(full);
+                self.cache.merge(&stats);
                 Ok(WindowReply::Done(run))
             }
             KIND_WINDOW_ERROR => {
@@ -777,7 +745,7 @@ pub fn worker_main(args: impl Iterator<Item = String>) -> Result<(), String> {
         .map_err(|e| format!("build engine: {e}"))?;
     write_frame(&mut stream, &wire::frame(KIND_READY)).map_err(|e| format!("ready: {e}"))?;
 
-    let mut programs: HashMap<u64, Program> = HashMap::new();
+    let mut store: HashMap<u64, Tensor> = HashMap::new();
     loop {
         let frame = match read_frame(&mut stream) {
             Ok(f) => f,
@@ -793,7 +761,7 @@ pub fn worker_main(args: impl Iterator<Item = String>) -> Result<(), String> {
                     .map_err(|e| format!("pong: {e}"))?;
             }
             KIND_WINDOW => {
-                let reply = serve_window(&mut body, &mut engine, &mut programs);
+                let reply = serve_window(&mut body, &mut engine, &mut store);
                 write_frame(&mut stream, &reply).map_err(|e| format!("outcomes: {e}"))?;
             }
             _ => return Err(format!("unexpected message kind {kind:#06x}")),
@@ -807,7 +775,7 @@ pub fn worker_main(args: impl Iterator<Item = String>) -> Result<(), String> {
 fn serve_window(
     body: &mut WireReader<'_>,
     engine: &mut BatchEngine,
-    programs: &mut HashMap<u64, Program>,
+    store: &mut HashMap<u64, Tensor>,
 ) -> Vec<u8> {
     let fail = |engine: &mut BatchEngine, msg: String| {
         engine.clear();
@@ -818,13 +786,13 @@ fn serve_window(
 
     let mut tickets: Vec<u64> = Vec::new();
     let decoded = (|| -> Result<(), WireError> {
-        // Each item is at least a ticket and a request tag.
-        let n = body.get_len(9)?;
+        // Each item is at least a ticket, a program and an input count.
+        let n = body.get_len(u64::MIN_LEN + Program::MIN_LEN + usize::MIN_LEN)?;
         for _ in 0..n {
             let ticket = u64::get(body)?;
             // Decoding sealed the program; `engine.run` checks the
             // decoded inputs against it.
-            engine.submit(get_request(body, programs)?);
+            engine.submit(get_request(body, store)?);
             tickets.push(ticket);
         }
         body.expect_end()
@@ -847,7 +815,7 @@ fn serve_window(
 mod tests {
     use super::*;
     use onesa_cpwl::NonlinearFn;
-    use onesa_plan::{EvalMode, Op};
+    use onesa_plan::{tensor_fingerprint, EvalMode, Op};
     use onesa_sim::ExecStats;
     use onesa_tensor::rng::Pcg32;
 
@@ -867,12 +835,22 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// A window to a worker that holds `shipped`, without its header.
+    fn window(shipped: &HashSet<u64>) -> Window<'_> {
+        Window {
+            bytes: Vec::new(),
+            shipped,
+            full: HashSet::new(),
+            stats: WeightCacheStats::default(),
+        }
+    }
+
     /// Lowers a request the way `run_window` does and writes it as part
-    /// of one window to a worker that holds nothing yet.
-    fn put_lowered(w: &mut Vec<u8>, mut request: Request, sends: &mut WindowSends) -> Request {
+    /// of `w`.
+    fn put_lowered(w: &mut Window<'_>, mut request: Request) -> Request {
         request.lower(0.25).unwrap();
         let (program, inputs) = request.lowered();
-        put_request(w, program, inputs, &HashSet::new(), sends);
+        put_request(w, program, inputs);
         request
     }
 
@@ -895,49 +873,44 @@ mod tests {
             Request::nonlinear(NonlinearFn::Tanh, rng.randn(&[2, 2], 1.0)),
             Request::program(program.clone(), vec![rng.randn(&[1, 4], 1.0)]),
             Request::program(program.clone(), vec![rng.randn(&[1, 4], 1.0)]),
-            // Same weights, another row count: the fingerprint ignores
-            // input shapes, so this goes out as a ref.
+            // Same weight, another row count: the weight goes out as a key.
             Request::gemm(rng.randn(&[5, 3], 1.0), w.clone()),
         ];
-        let mut sends = WindowSends::default();
-        let mut w = Vec::new();
-        let sent: Vec<Request> = reqs
-            .into_iter()
-            .map(|r| put_lowered(&mut w, r, &mut sends))
-            .collect();
-        // The second program send and the second GEMM rode the cache.
-        let stats = sends.stats;
-        assert_eq!(stats.full_sends, 3);
+        let held = HashSet::new();
+        let mut w = window(&held);
+        let sent: Vec<Request> = reqs.into_iter().map(|r| put_lowered(&mut w, r)).collect();
+        // Two weights crossed; the second program and GEMM named them.
+        let stats = w.stats;
+        assert_eq!(stats.full_sends, 2);
         assert_eq!(stats.ref_sends, 2);
         assert_eq!(stats.const_bytes_saved, 4 * 2 * 4 + 3 * 2 * 4);
-        assert!((stats.hit_ratio() - 0.4).abs() < 1e-12);
+        assert!((stats.hit_ratio() - 0.5).abs() < 1e-12);
 
-        let bytes = w;
+        let bytes = w.bytes;
         let mut r = WireReader::new(&bytes);
-        let mut cache = HashMap::new();
+        let mut store = HashMap::new();
         let back: Vec<Request> = sent
             .iter()
-            .map(|_| get_request(&mut r, &mut cache).unwrap())
+            .map(|_| get_request(&mut r, &mut store).unwrap())
             .collect();
         r.expect_end().unwrap();
         for (sent, back) in sent.iter().zip(&back) {
             assert_same_request(sent, back);
         }
-        // One cache entry per fingerprint, and the re-targeted GEMM
-        // shares the one decoded copy of its weights.
-        assert_eq!(cache.len(), 3);
+        // One stored buffer per weight, read by every program that names
+        // it, at every row count.
+        assert_eq!(store.len(), 2);
         assert_eq!(back[4].lowered_program().input_shapes(), [vec![5, 3]]);
-        assert!(std::sync::Arc::ptr_eq(
-            &back[0].lowered_program().consts()[0],
-            &back[4].lowered_program().consts()[0]
-        ));
+        let weight = |i: usize| back[i].lowered_program().consts()[0].clone();
+        assert!(weight(0).shares_storage(&weight(4)));
+        assert!(weight(2).shares_storage(&weight(3)));
     }
 
     #[test]
     fn programs_differing_only_in_a_nan_payload_each_ship_in_full() {
         let payloads = [0x7fc0_0001, 0x7fc0_0002];
-        let mut sends = WindowSends::default();
-        let mut w = Vec::new();
+        let held = HashSet::new();
+        let mut w = window(&held);
         for bits in payloads {
             let mut b = Program::builder("nan", EvalMode::Exact);
             let x = b.input(&[1, 4]);
@@ -948,38 +921,68 @@ mod tests {
             };
             b.push(norm, &[x]);
             let request = Request::program(b.finish().unwrap(), vec![Tensor::zeros(&[1, 4])]);
-            put_lowered(&mut w, request, &mut sends);
+            put_lowered(&mut w, request);
         }
-        // A ref would have run the first payload in place of the second.
-        assert_eq!((sends.stats.full_sends, sends.stats.ref_sends), (2, 0));
-        let mut r = WireReader::new(&w);
-        let mut cache = HashMap::new();
+        // Every program crosses whole; only constants are ever named by
+        // key, and these have none.
+        assert_eq!(w.stats, WeightCacheStats::default());
+        let mut r = WireReader::new(&w.bytes);
+        let mut store = HashMap::new();
         for bits in payloads {
-            let back = get_request(&mut r, &mut cache).unwrap();
+            let back = get_request(&mut r, &mut store).unwrap();
             assert!(matches!(back.lowered_program().nodes()[0].op,
                 Op::LayerNorm { eps, .. } if eps.to_bits() == bits));
         }
     }
 
+    /// A one-request window body of `program` over `x`, to a worker that
+    /// holds its constants or not.
+    fn window_of(program: &Program, x: &Tensor, held: bool) -> Vec<u8> {
+        let keys = program.consts().iter().map(|c| tensor_fingerprint(c));
+        let held = if held { keys.collect() } else { HashSet::new() };
+        let mut w = window(&held);
+        1usize.put(&mut w);
+        7u64.put(&mut w);
+        put_request(&mut w, program, std::slice::from_ref(x));
+        w.bytes
+    }
+
+    /// Serves `window` on `engine` against `store` and returns the reply
+    /// frame's kind.
+    fn serve(window: &[u8], engine: &mut BatchEngine, store: &mut HashMap<u64, Tensor>) -> u16 {
+        let reply = serve_window(&mut WireReader::new(window), engine, store);
+        assert_eq!(engine.pending(), 0);
+        wire::open(&reply).unwrap().0
+    }
+
     #[test]
-    fn program_ref_without_prior_full_send_is_corrupt() {
-        let mut w = Vec::new();
-        REQ_PROGRAM_REF.put(&mut w);
-        0xdead_beefu64.put(&mut w);
-        0usize.put(&mut w);
-        let bytes = w;
-        let mut cache = HashMap::new();
+    fn a_constant_the_worker_never_received_is_corrupt() {
+        let program = small_program();
+        let x = Tensor::zeros(&[1, 4]);
+        let named = window_of(&program, &x, true);
+        let mut store = HashMap::new();
+        let mut r = WireReader::new(&named[16..]);
         assert!(matches!(
-            get_request(&mut WireReader::new(&bytes), &mut cache),
+            get_request(&mut r, &mut store),
             Err(WireError::Corrupt(_))
         ));
+        // Through the worker's window loop it is a WindowError, and the
+        // worker serves the window that carries the weight.
+        let mut engine = BatchEngine::new(OneSa::new(ArrayConfig::new(4, 4)), 0.25).unwrap();
+        assert_eq!(serve(&named, &mut engine, &mut store), KIND_WINDOW_ERROR);
+        let carried = window_of(&program, &x, false);
+        assert_eq!(serve(&carried, &mut engine, &mut store), KIND_OUTCOMES);
+        assert_eq!(serve(&named, &mut engine, &mut store), KIND_OUTCOMES);
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
     fn hostile_request_bytes_are_corrupt_not_a_panic() {
         let mut rng = Pcg32::seed_from_u64(8);
-        // The removed bare-request tags, with the payloads they used to
-        // carry: tag 0 = GEMM (two tensors), tag 1 = nonlinear.
+        // The removed request tags, with the payloads they used to carry:
+        // tag 0 = GEMM (two tensors), 1 = nonlinear, 2 = a full program,
+        // 3 = a program ref.
+        let program = small_program();
         let mut gemm = Vec::new();
         0u8.put(&mut gemm);
         rng.randn(&[2, 3], 1.0).put(&mut gemm);
@@ -988,45 +991,52 @@ mod tests {
         1u8.put(&mut nonlinear);
         NonlinearFn::Gelu.put(&mut nonlinear);
         rng.randn(&[2, 2], 1.0).put(&mut nonlinear);
-        for bytes in [gemm, nonlinear, vec![0xff]] {
-            assert!(matches!(
-                get_request(&mut WireReader::new(&bytes), &mut HashMap::new()),
-                Err(WireError::Corrupt("unknown request tag"))
-            ));
+        let mut full = vec![2u8];
+        program.put(&mut full);
+        0usize.put(&mut full);
+        let mut reference = vec![3u8];
+        program.fingerprint().put(&mut reference);
+        0usize.put(&mut reference);
+        for bytes in [gemm, nonlinear, full, reference, vec![0xff]] {
+            assert!(get_request(&mut WireReader::new(&bytes), &mut HashMap::new()).is_err());
         }
 
-        // A ref whose inputs the cached program cannot take (a GEMM fed
-        // the wrong inner dimension) is corrupt too, not a re-target.
-        let mut w = Vec::new();
-        let sent = put_lowered(
-            &mut w,
-            Request::gemm(rng.randn(&[2, 3], 1.0), rng.randn(&[3, 2], 1.0)),
-            &mut WindowSends::default(),
-        );
-        REQ_PROGRAM_REF.put(&mut w);
-        sent.lowered_program().fingerprint().put(&mut w);
-        1usize.put(&mut w);
-        rng.randn(&[2, 4], 1.0).put(&mut w);
-        let bytes = w;
-        let mut r = WireReader::new(&bytes);
-        let mut cache = HashMap::new();
-        get_request(&mut r, &mut cache).unwrap();
-        assert!(matches!(
-            get_request(&mut r, &mut cache),
-            Err(WireError::Corrupt(_))
-        ));
-
-        // Through the worker's window loop the same bytes become a
-        // WindowError frame and the engine stays serviceable.
-        let mut window = Vec::new();
-        1usize.put(&mut window);
-        7u64.put(&mut window);
-        0u8.put(&mut window);
-        let bytes = window;
         let mut engine = BatchEngine::new(OneSa::new(ArrayConfig::new(4, 4)), 0.25).unwrap();
-        let reply = serve_window(&mut WireReader::new(&bytes), &mut engine, &mut cache);
-        assert_eq!(wire::open(&reply).unwrap().0, KIND_WINDOW_ERROR);
-        assert_eq!(engine.pending(), 0);
+        let mut store = HashMap::new();
+        let x = rng.randn(&[1, 4], 1.0);
+        let good = window_of(&program, &x, false);
+        // The program ends in the carried count and the weight's pair
+        // (its key, then the `[4, 2]` tensor), and the inputs (a count and
+        // one `[1, 4]` tensor) follow.
+        let tensor = |len: usize| 4 + 2 * 8 + 8 + 4 * len;
+        let pair = good.len() - (8 + tensor(4));
+        let key = pair - tensor(8) - 8;
+        // A constant whose bytes do not hash to its key.
+        let mut flipped = good.clone();
+        flipped[pair - 1] ^= 0x01;
+        let mut misfiled = good.clone();
+        misfiled[key] ^= 0x01;
+        for bytes in [&flipped, &misfiled] {
+            let err = get_request(&mut WireReader::new(&bytes[16..]), &mut store).unwrap_err();
+            assert!(
+                matches!(err, WireError::FingerprintMismatch { .. }),
+                "{err:?}"
+            );
+            assert_eq!(serve(bytes, &mut engine, &mut store), KIND_WINDOW_ERROR);
+        }
+        // A constant list cut short: the count promises a second pair,
+        // and the window ends after the first.
+        let mut short = good[..pair].to_vec();
+        let count = key - 8;
+        short[count..count + 8].copy_from_slice(&2u64.to_le_bytes());
+        let err = get_request(&mut WireReader::new(&short[16..]), &mut store).unwrap_err();
+        assert!(matches!(err, WireError::Truncated { .. }), "{err:?}");
+        assert_eq!(serve(&short, &mut engine, &mut store), KIND_WINDOW_ERROR);
+        // Only the honest pair in front of the cut was filed, under its
+        // own key, and the worker stays serviceable.
+        assert_eq!(store.len(), 1);
+        assert!(store.iter().all(|(&key, t)| tensor_fingerprint(t) == key));
+        assert_eq!(serve(&good, &mut engine, &mut store), KIND_OUTCOMES);
     }
 
     fn sample_run(rng: &mut Pcg32, n: usize, seed: u64) -> BatchRun {
@@ -1198,7 +1208,7 @@ mod tests {
         /// Randomized mixed request streams round trip bit-exactly
         /// through the weight-cached request codec, and the cache
         /// accounting matches the repeat structure exactly: one full
-        /// send per distinct weight / function / program, refs after.
+        /// send per distinct weight, refs after.
         #[test]
         fn request_frames_round_trip(
             n_gemm in 0usize..4,
@@ -1225,23 +1235,21 @@ mod tests {
             for _ in 0..n_prog {
                 reqs.push(Request::program(program.clone(), vec![rng.randn(&[1, 4], 1.0)]));
             }
-            let mut sends = WindowSends::default();
-            let mut w = Vec::new();
-            let sent: Vec<Request> = reqs
-                .into_iter()
-                .map(|r| put_lowered(&mut w, r, &mut sends))
-                .collect();
-            let distinct = usize::from(n_gemm > 0) + n_nl.min(2) + usize::from(n_prog > 0);
-            prop_assert_eq!(sends.stats.full_sends, distinct);
-            prop_assert_eq!(sends.stats.ref_sends, sent.len() - distinct);
-            let bytes = w;
+            let held = HashSet::new();
+            let mut w = window(&held);
+            let sent: Vec<Request> = reqs.into_iter().map(|r| put_lowered(&mut w, r)).collect();
+            // A nonlinear's program has no constants.
+            let distinct = usize::from(n_gemm > 0) + usize::from(n_prog > 0);
+            prop_assert_eq!(w.stats.full_sends, distinct);
+            prop_assert_eq!(w.stats.ref_sends, n_gemm + n_prog - distinct);
+            let bytes = w.bytes;
             let mut r = WireReader::new(&bytes);
-            let mut cache = HashMap::new();
+            let mut store = HashMap::new();
             for req in &sent {
-                assert_same_request(req, &get_request(&mut r, &mut cache).unwrap());
+                assert_same_request(req, &get_request(&mut r, &mut store).unwrap());
             }
             r.expect_end().unwrap();
-            prop_assert_eq!(cache.len(), distinct);
+            prop_assert_eq!(store.len(), distinct);
         }
 
         /// Randomized outcome frames round trip every field — tickets,

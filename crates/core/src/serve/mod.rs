@@ -614,7 +614,7 @@ impl fmt::Display for ServeSummary {
         if cache.full_sends + cache.ref_sends > 0 {
             writeln!(
                 f,
-                "weight cache: {} full / {} ref sends ({:.0}% hit), {} const bytes saved",
+                "weight cache: {} constants sent / {} named by key ({:.0}% hit), {} const bytes saved",
                 cache.full_sends,
                 cache.ref_sends,
                 cache.hit_ratio() * 100.0,

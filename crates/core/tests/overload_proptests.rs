@@ -41,9 +41,10 @@ use proptest::prelude::*;
 const REQUESTED_G: f32 = 0.25;
 const LADDER: [f32; 2] = [0.5, 1.0];
 
-/// A tiny CPWL MLP (GEMM → Gelu → GEMM) compiled at the requested
-/// granularity; weights are fixed so every case shares one fingerprint.
-fn mlp() -> Program {
+/// A tiny CPWL MLP (GEMM → Gelu → GEMM) over `rows` input rows, compiled
+/// at the requested granularity; weights are fixed so every case shares
+/// one fingerprint.
+fn mlp(rows: usize) -> Program {
     let mut rng = Pcg32::seed_from_u64(7);
     let w1 = rng.randn(&[6, 4], 1.0);
     let w2 = rng.randn(&[4, 3], 1.0);
@@ -54,7 +55,7 @@ fn mlp() -> Program {
             quantize: false,
         },
     );
-    let x = b.input(&[2, 6]);
+    let x = b.input(&[rows, 6]);
     let (c1, c2) = (b.constant(w1), b.constant(w2));
     let h = b.push(
         Op::Gemm {
@@ -135,8 +136,6 @@ fn run_case(
     pool: PoolPolicy,
     sessions: usize,
 ) {
-    let mlp = mlp();
-    let program = |rows: usize| mlp.with_input_shapes(vec![vec![rows, 6]]).unwrap();
     let x = |rows: usize| Pcg32::seed_from_u64(11).randn(&[rows, 6], 1.0);
     let engine = ServeEngine::start(
         ServeConfig::uniform(shards, ArrayConfig::new(8, 16), Parallelism::Sequential)
@@ -158,7 +157,7 @@ fn run_case(
         .iter()
         .map(|&r| {
             let (request, want) = if r.degradable {
-                (Request::program(program(r.rows), vec![x(r.rows)]), None)
+                (Request::program(mlp(r.rows), vec![x(r.rows)]), None)
             } else {
                 let a = rng.randn(&[2, 4], 1.0);
                 let b = rng.randn(&[4, 2], 1.0);
@@ -206,9 +205,9 @@ fn run_case(
             .entry((g.to_bits(), rows))
             .or_insert_with(|| {
                 let p = if g == REQUESTED_G {
-                    program(rows)
+                    mlp(rows)
                 } else {
-                    program(rows).with_granularity(g).unwrap()
+                    mlp(rows).with_granularity(g).unwrap()
                 };
                 p.run(&[x(rows)], Parallelism::Sequential, &mut TableCache::new())
                     .unwrap()

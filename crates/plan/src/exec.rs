@@ -641,10 +641,10 @@ fn group_key(program: &Program, shapes: &[Vec<usize>], node: &OpNode) -> GroupKe
                 // Mix the sparsity attribute into the key: a sparse and
                 // a dense GEMM over the same weight run different
                 // kernels and must never coalesce into one group.
-                GroupKey::GemmRight(hash_encoding(program.const_fingerprint(c), sparsity))
+                GroupKey::GemmRight(hash_encoding(program.const_fingerprints()[c], sparsity))
             }
             (Operand::Const(c), Operand::Slot(_)) => {
-                GroupKey::GemmLeft(program.const_fingerprint(c))
+                GroupKey::GemmLeft(program.const_fingerprints()[c])
             }
             _ => GroupKey::Solo,
         },
@@ -676,11 +676,12 @@ fn member_key(state: &JobState, stage: usize) -> GroupKey {
     };
     match &node.op {
         Op::Gemm { sparsity, .. } => match (node.inputs[0], node.inputs[1]) {
-            (Operand::Slot(_), Operand::Const(c)) => {
-                GroupKey::GemmRight(hash_encoding(state.program.const_fingerprint(c), sparsity))
-            }
+            (Operand::Slot(_), Operand::Const(c)) => GroupKey::GemmRight(hash_encoding(
+                state.program.const_fingerprints()[c],
+                sparsity,
+            )),
             (Operand::Const(c), Operand::Slot(_)) => {
-                GroupKey::GemmLeft(state.program.const_fingerprint(c))
+                GroupKey::GemmLeft(state.program.const_fingerprints()[c])
             }
             _ => GroupKey::Solo,
         },
@@ -1692,9 +1693,9 @@ mod tests {
         // Â with real zeros in it, read by two GEMMs of one program.
         let mut rng = Pcg32::seed_from_u64(21);
         let a_hat = rng.randn(&[9, 9], 1.0).map(|v| v.max(0.0));
-        let build = |a_hat: Tensor| {
+        let build_cols = |a_hat: Tensor, cols: usize| {
             let mut b = Program::builder("gcn-ish", EvalMode::Exact);
-            let x = b.input(&[9, 5]);
+            let x = b.input(&[9, cols]);
             let a = b.constant(a_hat);
             let gemm = Op::Gemm {
                 bias: None,
@@ -1704,6 +1705,7 @@ mod tests {
             b.push(gemm, &[a, ax]);
             b.finish().unwrap()
         };
+        let build = |a_hat: Tensor| build_cols(a_hat, 5);
         let program = build(a_hat.clone());
         let clone = program.clone();
         assert_eq!(program.packed_consts(), 0, "nothing is packed until a run");
@@ -1715,13 +1717,13 @@ mod tests {
             assert_eq!(run.unwrap().output, want, "{}", par.label());
         }
         assert_eq!(program.packed_consts(), 1);
-        // Clones and re-targetings keep the constants, so they keep the
-        // pack; so does an equal program built apart from a clone of the
-        // same `Â`, since the pack is in the storage. A program over a
+        // Clones keep the constants, so they keep the pack; so does a
+        // program built apart from a clone of the same `Â`, at this shape
+        // or another, since the pack is in the storage. A program over a
         // copy of `Â` has its own, still empty — and is equal all the
         // same.
         assert_eq!(clone.packed_consts(), 1);
-        let wide = program.with_input_shapes(vec![vec![9, 7]]).unwrap();
+        let wide = build_cols(a_hat.clone(), 7);
         assert_eq!(wide.packed_consts(), 1);
         let x7 = rng.randn(&[9, 7], 1.0);
         let run = wide.run(
@@ -2743,7 +2745,11 @@ mod tests {
         let p = b.push(Op::Softmax, &[x]);
         b.push(Op::Nonlinear(NonlinearFn::Gelu), &[p]);
         let narrow = b.finish().unwrap();
-        let wide = narrow.with_input_shapes(vec![vec![2, 7]]).unwrap();
+        let mut b = Program::builder("softmax-gelu", cpwl());
+        let x = b.input(&[2, 7]);
+        let p = b.push(Op::Softmax, &[x]);
+        b.push(Op::Nonlinear(NonlinearFn::Gelu), &[p]);
+        let wide = b.finish().unwrap();
         let coarse = narrow.with_granularity(0.5).unwrap();
         let keys = |p: &Program| p.plan().keys.clone();
         // The softmax rows' width is part of the key; the nonlinear's

@@ -257,7 +257,7 @@ fn share_common_subexpressions(program: &Program) -> Result<(Program, usize)> {
     let consts = program.consts();
     let mut canon: Vec<usize> = (0..consts.len()).collect();
     let prints: Vec<u64> = (0..consts.len())
-        .map(|c| program.const_fingerprint(c))
+        .map(|c| program.const_fingerprints()[c])
         .collect();
     for i in 0..consts.len() {
         for j in 0..i {

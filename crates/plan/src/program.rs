@@ -285,9 +285,9 @@ pub struct OpNode {
 /// execution model and a worked construction example.
 ///
 /// A `Program` value is **sealed**: built
-/// ([`ProgramBuilder::finish`]), re-targeted
-/// ([`Program::with_granularity`], [`Program::with_input_shapes`]) or
-/// decoded (`wire::decode_program`), it passed [`Program::validate`]
+/// ([`ProgramBuilder::finish`]), re-granularized
+/// ([`Program::with_granularity`]) or decoded (`wire::get_program`), it
+/// passed [`Program::validate`]
 /// once and is immutable afterwards. The executor and the engines
 /// therefore never re-validate a program; they check only the tensors a
 /// caller hands them ([`Program::check_inputs`]).
@@ -505,14 +505,11 @@ impl Program {
         &self.consts
     }
 
-    /// The [`tensor_fingerprint`] of constant `index`, recorded when the
-    /// program was built (reading it never rehashes the tensor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is not a registered constant.
-    pub(crate) fn const_fingerprint(&self, index: usize) -> u64 {
-        self.const_fingerprints[index]
+    /// The [`tensor_fingerprint`] of each constant, recorded when the
+    /// program was built (reading them never rehashes a tensor): the keys
+    /// the wire names the constants by.
+    pub(crate) fn const_fingerprints(&self) -> &[u64] {
+        &self.const_fingerprints
     }
 
     /// The convolution chain node `stage` is a link of, if any.
@@ -922,29 +919,11 @@ impl Program {
             granularity,
             quantize,
         };
-        self.retargeted(mode, self.input_shapes.clone())
+        self.retargeted(mode)
     }
 
-    /// Re-targets the program at different input shapes — how a shard
-    /// worker serves `[rows, k] · W` requests of every row count from
-    /// the one copy of `W` it was shipped. Shares every constant like
-    /// [`Program::with_granularity`]; shape inference and the modeled
-    /// MAC-equivalents are recomputed for the new shapes.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Program::validate`], if the op list does not accept
-    /// `input_shapes`.
-    pub fn with_input_shapes(&self, input_shapes: Vec<Vec<usize>>) -> Result<Program> {
-        if input_shapes.len() != self.input_shapes.len() {
-            return Err(TensorError::InvalidArgument("program input count mismatch"));
-        }
-        self.retargeted(self.mode, input_shapes.into())
-    }
-
-    fn retargeted(&self, mode: EvalMode, input_shapes: Arc<[Vec<usize>]>) -> Result<Program> {
+    fn retargeted(&self, mode: EvalMode) -> Result<Program> {
         let mut program = Program {
-            input_shapes,
             mode,
             ..self.clone()
         };
@@ -1018,9 +997,9 @@ impl Program {
         u64::put_seq(&self.const_fingerprints, &mut h);
         // Session-bearing programs (per-context decode steps) share one
         // op list across context lengths, so they also hash their input
-        // shapes and session wiring. A stateless program does not: a
-        // shard worker re-targets one shipped weight to every row count
-        // under the one fingerprint it was sent with.
+        // shapes and session wiring. A stateless program does not, so
+        // every row count of one `[rows, k] · W` GEMM is one program to
+        // weight-affinity routing and to the degrade memo.
         if self.is_session() {
             Vec::<usize>::put_seq(&self.input_shapes, &mut h);
             usize::put_seq(&self.session_inputs, &mut h);
@@ -1031,8 +1010,8 @@ impl Program {
 
     /// Checks caller-supplied `inputs` against the input slots: one
     /// tensor per slot, each with the slot's declared dims. The program
-    /// itself is sealed — [`ProgramBuilder::finish`], the re-targeting
-    /// constructors and the wire decoder all validate, and nothing
+    /// itself is sealed — [`ProgramBuilder::finish`],
+    /// [`Program::with_granularity`] and the wire decoder all validate, and nothing
     /// mutates a program afterwards — so this is the only check left to
     /// make before a run.
     ///
@@ -1414,11 +1393,16 @@ mod tests {
     use onesa_tensor::rng::Pcg32;
 
     fn mlp(mode: EvalMode) -> Program {
+        mlp_rows(mode, 2)
+    }
+
+    /// The [`mlp`] fed `rows` input rows.
+    fn mlp_rows(mode: EvalMode, rows: usize) -> Program {
         let mut rng = Pcg32::seed_from_u64(1);
         let w1 = rng.randn(&[6, 4], 1.0);
         let w2 = rng.randn(&[4, 3], 1.0);
         let mut b = Program::builder("mlp", mode);
-        let x = b.input(&[2, 6]);
+        let x = b.input(&[rows, 6]);
         let w1 = b.constant(w1);
         let w2 = b.constant(w2);
         let h = b.push(
@@ -1666,12 +1650,10 @@ mod tests {
         };
         assert_ne!(embed("e", 0).fingerprint(), embed("e", 1).fingerprint());
         assert_eq!(embed("e", 0).fingerprint(), embed("f", 0).fingerprint());
-        // A shard worker re-targets one shipped weight to every row count
-        // under the fingerprint it was sent with; a session program's
-        // shapes are its context length, so they count.
-        let p = mlp(EvalMode::Exact);
-        let taller = p.with_input_shapes(vec![vec![5, 6]]).unwrap();
-        assert_eq!(taller.fingerprint(), p.fingerprint());
+        // A stateless program's row count is not part of it; a session
+        // program's shapes are its context length, so they count.
+        let taller = mlp_rows(EvalMode::Exact, 5);
+        assert_eq!(taller.fingerprint(), mlp(EvalMode::Exact).fingerprint());
         let session = |ctx| {
             let mut b = Program::builder("kv", EvalMode::Exact);
             let x = b.input(&[1, 3]);
@@ -1828,13 +1810,10 @@ mod tests {
                 .chain([None; 4])
                 .collect::<Vec<_>>()
         );
-        // Clones share the op list and its plan; a re-targeting shares
-        // the op list and plans it again.
+        // Clones share the op list and its plan.
         let clone = p.clone();
         assert!(Arc::ptr_eq(&p.nodes, &clone.nodes) && Arc::ptr_eq(&p.plan, &clone.plan));
-        let wide = p.with_input_shapes(vec![vec![2, 4, 4]]).unwrap();
-        assert!(Arc::ptr_eq(&p.nodes, &wide.nodes) && !Arc::ptr_eq(&p.plan, &wide.plan));
-        assert_eq!(wide.conv_chain(1), Some(chain));
+        assert_eq!(clone.conv_chain(1), Some(chain));
     }
 
     /// A weight whose second 4-column block is all zero, plus the

@@ -33,7 +33,8 @@
 //! Every value on the wire implements [`Wire`]: [`Wire::put`] writes it
 //! into a [`WireSink`] and [`Wire::get`] reads it back off a
 //! [`WireReader`]. Primitives, `Option<T>`, length-prefixed `Vec<T>`,
-//! [`Tensor`] and [`Program`] implement it here by hand. Every other
+//! [`Tensor`] and [`Program`] (with all of its constants) implement it
+//! here by hand. Every other
 //! layout — every
 //! [`Op`] with its tag, [`NonlinearFn`], [`EvalMode`], [`ArrayConfig`],
 //! [`ExecStats`], the optimizer report, the transport's window reply —
@@ -47,16 +48,24 @@
 //!
 //! # Programs on the wire
 //!
-//! [`encode_program`] writes a program's one layout (see the [`Wire`]
-//! impl for [`Program`]): metadata (name, mode, input shapes,
-//! fingerprint, optimizer report), the op list, the session wiring and
-//! the constant pool. [`decode_program`] reconstructs through
-//! [`ProgramBuilder`][crate::ProgramBuilder], so every decoded program
-//! re-runs the same validation and fingerprinting as a locally-built
-//! one; the recomputed fingerprint must equal the recorded one or
+//! A program's one layout (the [`Wire`] impl for [`Program`]) names each
+//! constant by its key, its [`crate::tensor_fingerprint`], and is followed
+//! by the bytes of only those constants its reader lacks
+//! ([`WireSink::lacks`]), each beside its key. A reader
+//! ([`get_program`]) files what arrives in a store of constants by key and
+//! resolves the layout against it. [`encode_program`] carries every one of
+//! the program's own constants, so its frame stands alone; the cross-host
+//! transport's window carries only the constants the worker does not yet
+//! hold, so a weight crosses each connection once, whatever program or
+//! shape it next serves in.
+//!
+//! Decoding reconstructs through [`ProgramBuilder`][crate::ProgramBuilder],
+//! so every decoded program re-runs the same validation and fingerprinting
+//! as a locally-built one; the recomputed fingerprint must equal the
+//! recorded one, and each carried constant must hash to its key, or
 //! decoding fails with [`WireError::FingerprintMismatch`]. A flipped
-//! weight bit, a reordered op, a truncated const — anything that
-//! survives the structural checks still trips the fingerprint.
+//! weight bit, a reordered op, a truncated const — anything that survives
+//! the structural checks still trips a fingerprint.
 //!
 //! ```
 //! use onesa_plan::{wire, EvalMode, Op, Program};
@@ -73,6 +82,7 @@
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -125,7 +135,11 @@ pub(crate) const MAGIC: [u8; 4] = *b"OSAW";
 ///   the new hash: a constant's [`crate::tensor_fingerprint`] runs 64
 ///   independent lanes and the encoding's hash takes one FNV-1a step per
 ///   byte.
-pub const VERSION: u16 = 8;
+/// * v9 — a program names its constants by key and is followed by the
+///   `(key, tensor)` pairs its reader lacks ([`WireSink::lacks`]); the
+///   transport's request is that program and its inputs (the full / ref
+///   request tags are gone).
+pub const VERSION: u16 = 9;
 
 /// Frame kind: a standalone tensor ([`encode_tensor`]).
 pub(crate) const KIND_TENSOR: u16 = 0x0001;
@@ -164,8 +178,9 @@ pub enum WireError {
     /// Structurally invalid bytes (bad tag, bad length, bad UTF-8, …).
     Corrupt(&'static str),
     /// A decoded program's recomputed fingerprint differs from the one
-    /// recorded on the wire — content corruption that survived the
-    /// structural checks.
+    /// recorded on the wire, or a constant's bytes do not hash to the key
+    /// they came under — content corruption that survived the structural
+    /// checks.
     FingerprintMismatch {
         /// Fingerprint recorded in the frame.
         recorded: u64,
@@ -191,7 +206,7 @@ impl fmt::Display for WireError {
             WireError::Corrupt(what) => write!(f, "corrupt frame: {what}"),
             WireError::FingerprintMismatch { recorded, computed } => write!(
                 f,
-                "program fingerprint mismatch: wire records {recorded:#018x}, \
+                "fingerprint mismatch: wire records {recorded:#018x}, \
                  decoded content hashes to {computed:#018x}"
             ),
             WireError::Rejected(e) => write!(f, "decoded value rejected: {e}"),
@@ -216,13 +231,22 @@ pub type WireResult<T> = std::result::Result<T, WireError>;
 
 /// Where [`Wire::put`] writes: a frame body (`Vec<u8>`), or anything
 /// else that consumes bytes in order — the program fingerprint and the
-/// staged scheduler hash an encoding without storing it.
+/// staged scheduler hash an encoding without storing it, and the
+/// cross-host transport's window knows which constants its reader holds.
 pub trait WireSink {
     /// Appends `bytes`.
     fn put_bytes(&mut self, bytes: &[u8]);
 
     /// Announces that about `additional` more bytes follow.
     fn reserve(&mut self, _additional: usize) {}
+
+    /// Whether this sink's reader lacks constant `t`, keyed `key`: a
+    /// [`Program`] asks once per constant it names, in order, and carries
+    /// the bytes of each one the answer is yes for. By default a reader
+    /// holds nothing, so a program's frame stands alone.
+    fn lacks(&mut self, _key: u64, _t: &Tensor) -> bool {
+        true
+    }
 }
 
 // `#[inline]`: every `put` is generic over its sink, so it is compiled in
@@ -245,8 +269,8 @@ impl WireSink for Vec<u8> {
 /// Implemented by hand for primitives (little-endian; `usize` travels
 /// as a `u64`, `bool` as one strict byte, floats as bit patterns),
 /// `Option<T>` (a `0`/`1` byte, then the value), `Vec<T>` (a `usize`
-/// count, then the items), `Arc<T>` (as `T`), [`Tensor`] and
-/// [`Program`]; every other layout is a
+/// count, then the items), [`Tensor`] and [`Program`]; every other
+/// layout is a
 /// [`wire_layout!`](crate::wire_layout) table.
 pub trait Wire: Sized {
     /// Fewest bytes any value of the type occupies on the wire — what
@@ -509,18 +533,6 @@ impl<T: Wire> Wire for Vec<T> {
 
     fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
         T::get_seq(r)
-    }
-}
-
-impl<T: Wire> Wire for Arc<T> {
-    const MIN_LEN: usize = T::MIN_LEN;
-
-    fn put(&self, w: &mut impl WireSink) {
-        (**self).put(w);
-    }
-
-    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
-        T::get(r).map(Arc::new)
     }
 }
 
@@ -798,25 +810,23 @@ wire_layout! {
     struct OptReport { level: OptLevel, ops_before: usize, totals: OptTotals }
 }
 
-/// A whole program: name, mode, input shapes, the recorded fingerprint
-/// and the optimizer report; the op list; the session inputs, then the
-/// session outputs (both empty for a stateless program); the constant
-/// pool last.
-///
-/// Decoding rebuilds through [`Program::builder`], so a decoded program
-/// re-runs the validation, shape inference, fingerprinting and MAC
-/// costing of a locally-built one — the wire carries no trusted derived
-/// state. The recomputed fingerprint must equal the recorded one
-/// ([`WireError::FingerprintMismatch`] otherwise), which makes it an
-/// end-to-end content check over ops, operands and every constant bit.
+/// A program's one layout: name, mode, input shapes, the recorded
+/// fingerprint and the optimizer report; the op list; the session inputs,
+/// then the session outputs (both empty for a stateless program); each
+/// constant's key, its [`crate::tensor_fingerprint`]; and last, as
+/// `(key, tensor)` pairs, each constant the sink's reader lacks
+/// ([`WireSink::lacks`]) — every one of them in a frame of its own
+/// ([`encode_program`]), which decodes against the constants it carries
+/// and nothing else.
 impl Wire for Program {
     // Name, mode, fingerprint, report, and the counts of the input
-    // shapes, ops, session inputs, session outputs and constants.
+    // shapes, ops, session inputs, session outputs, constant keys and
+    // carried constants.
     const MIN_LEN: usize = String::MIN_LEN
         + EvalMode::MIN_LEN
         + u64::MIN_LEN
         + Option::<OptReport>::MIN_LEN
-        + 5 * usize::MIN_LEN;
+        + 6 * usize::MIN_LEN;
 
     fn put(&self, w: &mut impl WireSink) {
         put_str(self.name(), w);
@@ -826,43 +836,96 @@ impl Wire for Program {
             put_dims(shape, w);
         }
         self.fingerprint().put(w);
-        self.opt.put(w);
+        self.opt_report().cloned().put(w);
         OpNode::put_seq(self.nodes(), w);
         usize::put_seq(self.session_inputs(), w);
         usize::put_seq(self.session_outputs(), w);
-        Arc::<Tensor>::put_seq(self.consts(), w);
+        let keys = self.const_fingerprints();
+        u64::put_seq(keys, w);
+        // A key the program names twice is carried once.
+        let mut carried: Vec<(u64, &Tensor)> = Vec::new();
+        for (&key, t) in keys.iter().zip(self.consts()) {
+            if w.lacks(key, t) && carried.iter().all(|&(k, _)| k != key) {
+                carried.push((key, t));
+            }
+        }
+        carried.len().put(w);
+        for (key, t) in carried {
+            key.put(w);
+            t.put(w);
+        }
     }
 
     fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
-        let name = String::get(r)?;
-        let mut builder = Program::builder(&name, EvalMode::get(r)?);
-        for _ in 0..r.get_len(4)? {
-            builder.input(&get_dims(r)?);
-        }
-        let fingerprint = u64::get(r)?;
-        let opt = Option::<Arc<OptReport>>::get(r)?;
-        for node in Vec::<OpNode>::get(r)? {
-            builder.push(node.op, &node.inputs);
-        }
-        for i in Vec::<usize>::get(r)? {
-            builder.mark_session_input(Operand::Slot(i));
-        }
-        for slot in Vec::<usize>::get(r)? {
-            builder.mark_session_output(Operand::Slot(slot));
-        }
-        for t in Vec::<Arc<Tensor>>::get(r)? {
-            builder.constant_shared(t);
-        }
-        let mut program = builder.finish()?;
-        program.opt = opt;
-        if program.fingerprint() != fingerprint {
+        get_program(r, &mut HashMap::new())
+    }
+}
+
+/// Reads a [`Program`]'s layout. Each carried constant is filed in
+/// `store` under its key — a key already held keeps the held buffer, so
+/// every program read against one store shares one buffer per weight and
+/// what that buffer remembers — and the layout's keys resolve against the
+/// store. Decoding rebuilds through [`Program::builder`], so a decoded
+/// program re-runs the validation, shape inference, fingerprinting and MAC
+/// costing of a locally-built one: the wire carries no trusted derived
+/// state.
+///
+/// # Errors
+///
+/// A typed [`WireError`], never a panic: [`WireError::FingerprintMismatch`]
+/// for a constant whose bytes do not hash to the key it came under, or a
+/// program whose recomputed fingerprint is not the recorded one (an
+/// end-to-end content check over ops, operands and every constant bit);
+/// [`WireError::Corrupt`] for a key neither carried nor held;
+/// [`WireError::Rejected`] for a program that does not validate.
+pub fn get_program(
+    r: &mut WireReader<'_>,
+    store: &mut HashMap<u64, Tensor>,
+) -> WireResult<Program> {
+    let name = String::get(r)?;
+    let mut builder = Program::builder(&name, EvalMode::get(r)?);
+    for _ in 0..r.get_len(4)? {
+        builder.input(&get_dims(r)?);
+    }
+    let fingerprint = u64::get(r)?;
+    let opt = Option::<OptReport>::get(r)?.map(Arc::new);
+    for node in Vec::<OpNode>::get(r)? {
+        builder.push(node.op, &node.inputs);
+    }
+    for i in Vec::<usize>::get(r)? {
+        builder.mark_session_input(Operand::Slot(i));
+    }
+    for slot in Vec::<usize>::get(r)? {
+        builder.mark_session_output(Operand::Slot(slot));
+    }
+    let keys = Vec::<u64>::get(r)?;
+    for _ in 0..r.get_len(u64::MIN_LEN + Tensor::MIN_LEN)? {
+        let key = u64::get(r)?;
+        let t = Tensor::get(r)?;
+        let computed = crate::tensor_fingerprint(&t);
+        if computed != key {
             return Err(WireError::FingerprintMismatch {
-                recorded: fingerprint,
-                computed: program.fingerprint(),
+                recorded: key,
+                computed,
             });
         }
-        Ok(program)
+        store.entry(key).or_insert(t);
     }
+    for key in keys {
+        let t = store.get(&key).ok_or(WireError::Corrupt(
+            "program names a constant its reader lacks",
+        ))?;
+        builder.constant(t.clone());
+    }
+    let mut program = builder.finish()?;
+    program.opt = opt;
+    if program.fingerprint() != fingerprint {
+        return Err(WireError::FingerprintMismatch {
+            recorded: fingerprint,
+            computed: program.fingerprint(),
+        });
+    }
+    Ok(program)
 }
 
 // ---------------------------------------------------------------------------
@@ -937,14 +1000,15 @@ pub fn decode_tensor(bytes: &[u8]) -> WireResult<Tensor> {
     decode(bytes, KIND_TENSOR, "frame kind is not tensor")
 }
 
-/// Encodes a whole program as one frame (kind `0x0002`); the program's
-/// fingerprint rides along and is re-checked on decode.
+/// Encodes a whole program as one frame (kind `0x0002`) carrying all of
+/// its constants; the program's fingerprint rides along and is re-checked
+/// on decode.
 pub fn encode_program(p: &Program) -> Vec<u8> {
     encode(KIND_PROGRAM, p)
 }
 
 /// Decodes a frame produced by [`encode_program`], re-validating and
-/// re-fingerprinting the program (see the [`Wire`] impl for [`Program`]).
+/// re-fingerprinting the program (see [`get_program`]).
 ///
 /// # Errors
 ///
@@ -1152,10 +1216,10 @@ mod tests {
             put_dims(shape, &mut w);
         }
         0u64.put(&mut w);
-        None::<Arc<OptReport>>.put(&mut w);
+        None::<OptReport>.put(&mut w);
         OpNode::put_seq(nodes, &mut w);
         // No session inputs, no session outputs, no constants.
-        for _ in 0..3 {
+        for _ in 0..4 {
             0usize.put(&mut w);
         }
         w

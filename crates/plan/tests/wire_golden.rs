@@ -15,7 +15,9 @@
 //! version is refused, typed. Negative cases prove malformed frames
 //! surface as typed [`WireError`]s, never panics: truncation at every
 //! prefix length, a wrong magic, a bumped or an older format version,
-//! and a corrupted payload bit (fingerprint mismatch).
+//! a corrupted payload bit or constant key (fingerprint mismatch), a
+//! constant list cut short, and a program naming a constant its reader
+//! lacks.
 //!
 //! Regenerating (only with a conscious version bump): delete the previous
 //! version's fixtures and run
@@ -25,10 +27,11 @@
 //! blesses and checks.
 
 use onesa_cpwl::NonlinearFn;
-use onesa_plan::wire::{self, WireError};
-use onesa_plan::{EvalMode, Op, OptLevel, Precision, Program};
+use onesa_plan::wire::{self, Wire, WireError, WireReader, WireSink};
+use onesa_plan::{tensor_fingerprint, EvalMode, Op, OptLevel, Precision, Program};
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::Tensor;
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 /// The fixtures, by the name each file carries before its version.
@@ -462,5 +465,90 @@ fn corrupted_const_payload_trips_the_fingerprint_check() {
             assert_ne!(recorded, computed);
         }
         other => panic!("expected FingerprintMismatch, got {other:?}"),
+    }
+}
+
+/// The program fixture's last constant — `w2`, a `[3, 2]` tensor — closes
+/// the frame as its `(key, tensor)` pair: the offset of its key.
+fn last_key_offset(bytes: &[u8]) -> usize {
+    let tensor = 4 + 2 * 8 + 8 + 6 * 4;
+    bytes.len() - tensor - 8
+}
+
+#[test]
+fn a_constant_whose_bytes_are_not_its_key_is_a_fingerprint_mismatch() {
+    let bytes = fixture("program");
+    let at = last_key_offset(&bytes);
+    let mut corrupt = bytes.clone();
+    corrupt[at] ^= 0x01;
+    let key = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    match wire::decode_program(&corrupt) {
+        Err(WireError::FingerprintMismatch { recorded, computed }) => {
+            assert_eq!((recorded ^ 0x01, computed), (key, key));
+        }
+        other => panic!("expected FingerprintMismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_constant_list_cut_short_is_truncated() {
+    // The count still promises two pairs; the frame holds one.
+    let bytes = fixture("program");
+    let short = &bytes[..last_key_offset(&bytes)];
+    assert!(matches!(
+        wire::decode_program(short),
+        Err(WireError::Truncated { .. })
+    ));
+}
+
+/// A program body written for a reader that lacks only the constants
+/// `lacks` picks.
+struct Reader<F> {
+    bytes: Vec<u8>,
+    lacks: F,
+}
+
+impl<F: FnMut(&Tensor) -> bool> WireSink for Reader<F> {
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
+    }
+
+    fn lacks(&mut self, _key: u64, t: &Tensor) -> bool {
+        (self.lacks)(t)
+    }
+}
+
+fn body_for(p: &Program, lacks: impl FnMut(&Tensor) -> bool) -> Vec<u8> {
+    let mut w = Reader {
+        bytes: Vec::new(),
+        lacks,
+    };
+    p.put(&mut w);
+    w.bytes
+}
+
+#[test]
+fn a_program_naming_a_constant_its_reader_lacks_is_corrupt() {
+    let p = golden_program();
+    let first = p.consts()[0].clone();
+    let bodies = [
+        body_for(&p, |_| false),
+        body_for(&p, |t| t.shares_storage(&first)),
+    ];
+    for body in &bodies {
+        let err = wire::get_program(&mut WireReader::new(body), &mut HashMap::new());
+        assert!(matches!(err, Err(WireError::Corrupt(_))), "{err:?}");
+    }
+    // Against a store that holds both, the same key-only bytes decode to
+    // the program, reading the store's buffers.
+    let mut store = HashMap::new();
+    let full = wire::encode_program(&p);
+    let (_, mut r) = wire::open(&full).unwrap();
+    wire::get_program(&mut r, &mut store).unwrap();
+    assert_eq!(store.len(), 2);
+    let back = wire::get_program(&mut WireReader::new(&bodies[0]), &mut store).unwrap();
+    assert_eq!(back, p);
+    for c in back.consts() {
+        assert!(c.shares_storage(&store[&tensor_fingerprint(c)]));
     }
 }

@@ -34,9 +34,12 @@ use std::sync::{Arc, OnceLock};
 /// second product, so one that arrives for a single product is never
 /// packed whole). Every clone and reshape shares them, so a weight
 /// resubmitted with every request is hashed and packed once. Each entry
-/// records the dims it was taken under, and a view under other dims
-/// computes its own and keeps nothing. A mutator clears them all before
-/// it writes, and a copy starts without them.
+/// records the dims it was taken under, and each kind of value keeps one
+/// entry for each of the first two dims it is asked under, so a view that
+/// reads first (a flat view's hash) does not cost the buffer's own dims
+/// their entry; a third view computes its own and keeps nothing. A
+/// mutator clears them all before it writes, and a copy starts without
+/// them.
 ///
 /// # Example
 ///
@@ -67,14 +70,18 @@ struct Storage {
 /// was taken under (see "What the buffer remembers" on [`Tensor`]).
 #[derive(Default)]
 pub(crate) struct Memo {
-    fingerprint: OnceLock<(Shape, u64)>,
-    pub(crate) lhs: OnceLock<(Shape, PackedLhs)>,
-    pub(crate) conv: OnceLock<(Shape, PackedLhs)>,
-    pub(crate) sparse: OnceLock<(Shape, SparseTensor)>,
-    pub(crate) rhs: OnceLock<(Shape, PackedRhs)>,
+    fingerprint: Slot<u64>,
+    pub(crate) lhs: Slot<PackedLhs>,
+    pub(crate) conv: Slot<PackedLhs>,
+    pub(crate) sparse: Slot<SparseTensor>,
+    pub(crate) rhs: Slot<PackedRhs>,
     /// Whether a product has read the buffer as a reused right operand.
     multiplied: AtomicBool,
 }
+
+/// One kind of derived value, kept for the first two dims it is asked
+/// under, each entry filled once.
+pub(crate) type Slot<T> = [OnceLock<(Shape, T)>; 2];
 
 impl Storage {
     fn new(values: Vec<f32>) -> Arc<Self> {
@@ -424,29 +431,27 @@ impl Tensor {
     }
 
     /// The value `slot` of the buffer's memo holds for these dims, made by
-    /// `make` from this tensor: the shared entry when it was taken under
-    /// these dims (made and kept now if the slot is empty), or a value of
-    /// the caller's own for a view under other dims.
+    /// `make` from this tensor: the shared entry taken under these dims
+    /// (made and kept now in the first empty entry if there is none), or a
+    /// value of the caller's own once both entries hold other dims.
     pub(crate) fn memo<T: Clone>(
         &self,
-        slot: fn(&Memo) -> &OnceLock<(Shape, T)>,
+        slot: fn(&Memo) -> &Slot<T>,
         make: impl Fn(&Tensor) -> Result<T>,
     ) -> Result<Cow<'_, T>> {
-        let cell = slot(self.data.memo.get_or_init(Box::default));
-        let (dims, value) = match cell.get() {
-            Some(kept) => kept,
-            None => {
-                // A racing first reader's value may win the slot; both
-                // are made from the same bits.
+        for cell in slot(self.data.memo.get_or_init(Box::default)) {
+            if cell.get().is_none() {
+                // A racing first reader's value may win the entry; both
+                // are made from the same bits, and one under other dims
+                // sends this reader on to the next entry.
                 let _ = cell.set((self.shape.clone(), make(self)?));
-                cell.get().expect("the slot was just filled")
             }
-        };
-        if *dims == self.shape {
-            Ok(Cow::Borrowed(value))
-        } else {
-            make(self).map(Cow::Owned)
+            let (dims, value) = cell.get().expect("the entry was just filled");
+            if *dims == self.shape {
+                return Ok(Cow::Borrowed(value));
+            }
         }
+        make(self).map(Cow::Owned)
     }
 
     /// Whether a product read the buffer as a reused right operand before
@@ -459,13 +464,13 @@ impl Tensor {
     }
 
     /// How many kernel packs the buffer keeps (its fingerprint aside): one
-    /// per layout some reader asked for.
+    /// per layout and dims some reader asked for.
     pub fn packs(&self) -> usize {
+        fn kept<T>(slot: &Slot<T>) -> usize {
+            slot.iter().filter(|cell| cell.get().is_some()).count()
+        }
         self.data.memo.get().map_or(0, |memo| {
-            usize::from(memo.lhs.get().is_some())
-                + usize::from(memo.conv.get().is_some())
-                + usize::from(memo.sparse.get().is_some())
-                + usize::from(memo.rhs.get().is_some())
+            kept(&memo.lhs) + kept(&memo.conv) + kept(&memo.sparse) + kept(&memo.rhs)
         })
     }
 }
@@ -640,6 +645,32 @@ mod tests {
         let moved = b.into_vec();
         assert_eq!(moved.as_ptr(), ptr);
         assert_eq!(moved, copied);
+    }
+
+    #[test]
+    fn a_view_that_reads_first_leaves_the_buffers_own_dims_their_entry() {
+        let w = Tensor::from_vec((0..24).map(|i| i as f32 - 7.5).collect(), &[4, 6]).unwrap();
+        fn hash(t: &Tensor) -> Cow<'_, u64> {
+            t.memo(|memo| &memo.fingerprint, |t| Ok(hash_contents(t)))
+                .unwrap()
+        }
+        let flat = w.reshape(&[24]).unwrap();
+        assert_eq!(tensor_fingerprint(&flat), hash_contents(&flat));
+        assert!(matches!(hash(&w), Cow::Borrowed(&h) if h == hash_contents(&w)));
+        assert!(matches!(hash(&flat), Cow::Borrowed(_)));
+
+        let view = w.reshape(&[6, 4]).unwrap();
+        assert!(matches!(PackedLhs::of(&view).unwrap(), Cow::Borrowed(_)));
+        assert!(matches!(PackedLhs::of(&w).unwrap(), Cow::Borrowed(_)));
+        assert!(matches!(
+            PackedLhs::of(&w.clone()).unwrap(),
+            Cow::Borrowed(_)
+        ));
+        assert_eq!(w.packs(), 2);
+        // A third view computes its own and keeps nothing.
+        let third = w.reshape(&[3, 8]).unwrap();
+        assert!(matches!(PackedLhs::of(&third).unwrap(), Cow::Owned(_)));
+        assert_eq!(w.packs(), 2);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! sockets, and worker processes over TCP. Every output is checked
 //! bit-identical across the three backends (the wire moves raw `f32`
 //! bits, so this is exact, not approximate), and the weight-cache
-//! stats show the program's constants crossing each socket **once**
-//! while every repeat rides a fingerprint reference.
+//! stats show each weight — a GEMM's, each of the CNN's constants —
+//! crossing each socket **once** while every later request names it by
+//! key.
 //!
 //! Part 2 is a live failover: a 3-shard process pool is loaded while
 //! paused, one worker is SIGKILLed, and the gate opens. The dead
@@ -37,7 +38,7 @@ use std::time::Instant;
 
 /// The serving mix: shared-weight GEMMs, two nonlinears, and four
 /// submissions of one compiled CNN program (so the weight cache has
-/// repeats to elide).
+/// repeated weights to elide).
 fn build_mix() -> (Vec<Request>, usize) {
     let mut rng = Pcg32::seed_from_u64(2026);
     let w1 = rng.randn(&[128, 64], 1.0);
@@ -129,7 +130,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut reference: Option<Vec<Tensor>> = None;
     println!(
         "{:<12} {:>9} {:>12} {:>11} {:>11} {:>10}",
-        "backend", "wall ms", "makespan ms", "full sends", "ref sends", "cache hit"
+        "backend", "wall ms", "makespan ms", "const sends", "const refs", "cache hit"
     );
     for (name, backend) in backends {
         let (outputs, summary, wall) = serve_once(backend, 2, &requests);

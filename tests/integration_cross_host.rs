@@ -10,11 +10,11 @@
 //!    bit-identical to the in-process pool (and hence to the solo
 //!    reference kernels). f32 payloads travel as raw bits, so NaN
 //!    payloads and signed zeros survive too.
-//! 2. **Weight-cache protocol** — a program's constants cross the wire
-//!    once per (shard, fingerprint); repeat submissions — at any input
-//!    shape the program accepts — ship fingerprint-only deltas,
-//!    observable in [`ServeSummary::wire_cache`]. A window that fails
-//!    teaches the cache nothing.
+//! 2. **Weight-cache protocol** — a constant crosses the wire once per
+//!    (shard, key); every later program that uses it — at any input
+//!    shape — names it by key, observable in
+//!    [`ServeSummary::wire_cache`]. A window that fails teaches the cache
+//!    nothing.
 //! 3. **Fault tolerance** — killing a worker process mid-run loses no
 //!    ticket: its windows re-execute on surviving shards (execution is
 //!    pure, so the retry is safe), outputs stay bit-identical, and the
@@ -140,9 +140,9 @@ fn run_pool(
 /// a 2-shard round-robin `Fifo{8}` pool to its pinned numbers. The
 /// modeled makespan is pinned absolutely, hence `to_bits()`-equal across
 /// every backend this runs on: the wire moves bits, not math. `cache` is
-/// the `(full, ref, bytes saved)` split: round-robin hands each shard one
-/// GEMM weight, one function and the CNN, so a socket backend pays 6
-/// full sends and 18 fingerprint references.
+/// the `(full, ref, bytes saved)` split of constant sends: round-robin
+/// hands each shard one GEMM weight and the CNN, so a socket backend
+/// ships each of those weights once per shard and names it by key after.
 fn assert_pinned_mix(backend: ShardBackend, cache: (usize, usize, u64)) {
     let mut rng = Pcg32::seed_from_u64(2027);
     let weights = [64, 96].map(|n| rng.randn(&[128, n], 1.0));
@@ -180,6 +180,9 @@ fn process_pool_bit_identical_for_every_admission_and_routing() {
         RoutePolicy::LeastLoaded,
         RoutePolicy::WeightAffinity,
     ];
+    let mode = InferenceMode::cpwl(0.25).unwrap();
+    let cnn = SmallCnn::new(7, 1, 3).compile((&mode, (8, 8))).unwrap();
+    let cnn = cnn.consts().len();
     let admissions = [
         AdmissionPolicy::Fifo { window: 4 },
         AdmissionPolicy::Deadline {
@@ -216,33 +219,29 @@ fn process_pool_bit_identical_for_every_admission_and_routing() {
                     "{routing:?}/{admission:?}: modeled makespan"
                 );
             }
-            // Every request crosses the wire as a program, and the 14
-            // of them have five fingerprints between them (two GEMM
-            // weights, two functions, one CNN): each of the two shards
-            // pays a fingerprint's full send at most once, every repeat
-            // is a fingerprint-only delta.
+            // The 14 requests name 6 + 4 · cnn constants between them,
+            // of 2 + cnn distinct weights (two GEMM weights, the CNN's):
+            // each of the two shards ships a weight at most once, and
+            // every repeat names it by key.
             let cache = summary.wire_cache;
             assert!(
-                cache.full_sends <= 2 * 5,
+                cache.full_sends <= 2 * (2 + cnn),
                 "{routing:?}/{admission:?}: {} full sends",
                 cache.full_sends
             );
-            assert_eq!(cache.full_sends + cache.ref_sends, 14);
-            if cache.ref_sends > 0 {
-                assert!(cache.const_bytes_saved > 0);
-            }
+            assert_eq!(cache.full_sends + cache.ref_sends, 6 + 4 * cnn);
+            assert!(cache.const_bytes_saved > 0);
         }
     }
     assert_pinned_mix(ShardBackend::InProcess, (0, 0, 0));
-    assert_pinned_mix(process_backend(Transport::Unix), (6, 18, 429_696));
+    assert_pinned_mix(process_backend(Transport::Unix), (10, 26, 429_696));
 }
 
-/// Regression: a stateless program's fingerprint ignores its input
-/// shapes, so `[2, 6] · W` and `[5, 6] · W` share one entry of the
-/// worker's program cache. The second must be served from that entry
-/// re-targeted at its own shapes — not fail as a shape mismatch against
-/// the first — and `W` must have crossed the wire once. Bare GEMMs
-/// lower to exactly such programs, at whatever row count each carries.
+/// Regression: `[2, 6] · W` and `[5, 6] · W` are two programs over one
+/// weight. Each must be served at its own shapes — not fail as a shape
+/// mismatch against the other — and `W` must have crossed the wire once.
+/// Bare GEMMs lower to exactly such programs, at whatever row count each
+/// carries.
 #[test]
 fn one_cached_weight_serves_every_row_count() {
     use onesa_core::plan::{EvalMode, Op, Program};
@@ -268,7 +267,7 @@ fn one_cached_weight_serves_every_row_count() {
             .with_backend(process_backend(Transport::Unix)),
     )
     .unwrap();
-    // One window each, so the second request meets a warm cache.
+    // One window each, so the second request meets a worker holding `W`.
     for (i, rows) in [2usize, 5, 3, 5].into_iter().enumerate() {
         let a = rng.randn(&[rows, 6], 1.0);
         let want = gemm::matmul(&a, &w).unwrap();
@@ -288,8 +287,8 @@ fn one_cached_weight_serves_every_row_count() {
 
 /// Regression: a window that fails on the host before it is sent — one
 /// of its requests does not lower — teaches the weight cache nothing.
-/// The good program it would have shipped in full ships in full with the
-/// next window, instead of as a ref the worker never received.
+/// The weight it would have shipped ships with the next window, instead
+/// of as a key the worker never received.
 #[test]
 fn a_window_that_fails_before_sending_ships_nothing_to_the_cache() {
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_onesa-shard-worker"));
@@ -330,7 +329,7 @@ fn tcp_transport_matches_unix_transport() {
     }
     assert_eq!(summary.report.requests, expected.len());
     assert_eq!(summary.failovers, 0);
-    assert_pinned_mix(process_backend(Transport::Tcp), (6, 18, 429_696));
+    assert_pinned_mix(process_backend(Transport::Tcp), (10, 26, 429_696));
 }
 
 #[test]

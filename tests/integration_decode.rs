@@ -20,14 +20,19 @@
 //!   on both backends;
 //! * a chaos test: SIGKILL a worker process *mid-decode* — the host
 //!   holds every session's KV tensors, so generation resumes on a
-//!   surviving worker and the full token streams stay bit-identical.
+//!   surviving worker and the full token streams stay bit-identical;
+//! * the weight traffic of cross-host decoding: each of the model's
+//!   weights crosses the wire once, however many context lengths (and
+//!   hence distinct decode programs) the sessions step through.
 //!
 //! Tokens are compared with `assert_eq!` on `Vec<usize>`: argmax over
 //! logits is exact, so a single differing mantissa bit anywhere in the
 //! cached path shows up as a diverged token stream within a few steps.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 
+use onesa_core::plan::tensor_fingerprint;
 use onesa_core::serve::{
     AdmissionPolicy, RoutePolicy, ServeConfig, ServeEngine, SessionId, ShardBackend, Ticket,
 };
@@ -281,6 +286,42 @@ fn every_inference_mode_matches_direct_on_both_backends() {
             generate_via_pool(&lm, mode, &prompts, n, base.with_backend(process_backend()));
         assert_eq!(remote, want, "{}: cross-host diverged", mode.label());
     }
+}
+
+#[test]
+fn a_weight_crosses_the_wire_once_whatever_the_context_length() {
+    let lm = TinyCausalLm::new(19, 20, 16, 2, true);
+    let mode = InferenceMode::cpwl(0.25).unwrap();
+    let prompts: Vec<Vec<usize>> = vec![vec![3, 1, 4], vec![1, 5], vec![9, 2, 6, 5]];
+    let n = 8;
+    let want: Vec<Vec<usize>> = prompts
+        .iter()
+        .map(|p| lm.generate_direct(p, n, &mode))
+        .collect();
+    let cfg = ServeConfig::uniform(1, ArrayConfig::new(8, 16), Parallelism::Sequential)
+        .with_backend(process_backend());
+    let (got, summary) = generate_via_pool(&lm, &mode, &prompts, n, cfg);
+    assert_eq!(got, want, "cross-host generation diverged");
+
+    // Every program the sessions ran: a prefill, then a decode step at
+    // each context length the session grew through — nine of them.
+    let mut served = Vec::new();
+    for p in &prompts {
+        served.push(Program::clone(&lm.compiled_prefill(&mode, p.len())));
+        for ctx in p.len()..p.len() + n - 1 {
+            served.push(Program::clone(&lm.compiled_decode(&mode, ctx)));
+        }
+    }
+    let keys = |p: &Program| -> HashSet<u64> {
+        p.consts().iter().map(|c| tensor_fingerprint(c)).collect()
+    };
+    let distinct: HashSet<u64> = served.iter().flat_map(keys).collect();
+    assert_eq!(distinct, keys(&served[1]), "one step names every weight");
+    let cache = summary.wire_cache;
+    assert_eq!(cache.full_sends, distinct.len());
+    // Every other constant a program named went out as its key.
+    let named: usize = served.iter().map(|p| p.consts().len()).sum();
+    assert_eq!(cache.ref_sends, named - distinct.len());
 }
 
 #[test]
