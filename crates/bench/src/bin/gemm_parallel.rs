@@ -1,6 +1,6 @@
 //! Emits the `BENCH_gemm_parallel.json` perf baseline: the packed host
-//! GEMM on one thread and on four, against the reference loop, at three
-//! square sizes and on the shapes serving traffic actually issues.
+//! GEMM against the reference loop, at three square sizes and on the
+//! shapes serving traffic actually issues.
 //!
 //! ```sh
 //! cargo run --release -q -p onesa-bench --bin gemm_parallel > BENCH_gemm_parallel.json
@@ -8,9 +8,8 @@
 //!
 //! The committed copy at the repository root records the trajectory later
 //! performance PRs must beat. Wall-clock numbers are machine-dependent;
-//! the ratios are the stable quantity: `speedup_threads4` (one thread vs
-//! four), `speedup_packed` (`gemm::matmul` vs
-//! `parallel::matmul(Sequential)`) and, per serving shape,
+//! the ratios are the stable quantity: `speedup_packed` (`gemm::matmul`
+//! vs `parallel::matmul`) and, per serving shape,
 //! `packed_over_reference` (a time ratio, lower is better). Every ratio
 //! of a timed row is the median of three independent ratios, each from
 //! its own interleaved group of the alternating samples
@@ -101,7 +100,7 @@ fn time_shape(a: &Tensor, dense: &Tensor, b: &Tensor, what: &str, constant: bool
         [
             &mut || gemm::matmul(a, b).expect("matmul"),
             &mut || match &once {
-                Some(a) => parallel::matmul_packed(a, b, Parallelism::Sequential).expect("matmul"),
+                Some(a) => parallel::matmul_packed(a, b).expect("matmul"),
                 None => packed(a),
             },
             &mut || packed(dense),
@@ -146,15 +145,15 @@ fn time_serving(a: &Tensor, b: &Tensor) -> Timings<7> {
     let seq = Parallelism::Sequential;
     let pack_and_sweep = || {
         let packed = PackedLhs::pack_lines(a).expect("matrix");
-        parallel::matmul_packed(&packed, b, seq).expect("matmul")
+        parallel::matmul_packed(&packed, b).expect("matmul")
     };
     let prepacked_b =
-        || parallel::matmul_rows(&[a.as_slice()], m, k, Right::Reused(b), seq).expect("matmul");
+        || parallel::matmul_rows(&[a.as_slice()], m, k, Right::Reused(b)).expect("matmul");
     let want = bits(gemm::matmul(a, b).expect("matmul"));
     assert!(
         bits(parallel::matmul(a, b, seq).expect("matmul")) == want
             && bits(pack_and_sweep()) == want
-            && bits(parallel::matmul_packed(&once, b, seq).expect("matmul")) == want
+            && bits(parallel::matmul_packed(&once, b).expect("matmul")) == want
             && bits(prepacked_b()) == want,
         "{m}x{k}x{n}: the five forms differ"
     );
@@ -172,7 +171,7 @@ fn time_serving(a: &Tensor, b: &Tensor) -> Timings<7> {
             &mut || sink(gemm::matmul(a, b).expect("matmul")),
             &mut || sink(parallel::matmul(a, b, seq).expect("matmul")),
             &mut || sink(pack_and_sweep()),
-            &mut || sink(parallel::matmul_packed(&once, b, seq).expect("matmul")),
+            &mut || sink(parallel::matmul_packed(&once, b).expect("matmul")),
             &mut || sink(tensor_fingerprint(&flat)),
             &mut || sink(tensor_fingerprint(b)),
             &mut || sink(prepacked_b()),
@@ -210,7 +209,7 @@ fn time_group(rng: &mut Pcg32) -> Timings<3> {
         Tensor::from_vec(rows, &[144, 256]).expect("stacked rows")
     };
     let reused = |parts: &[&[f32]]| {
-        parallel::matmul_rows(parts, 144, 256, Right::Reused(&b), seq).expect("matmul")
+        parallel::matmul_rows(parts, 144, 256, Right::Reused(&b)).expect("matmul")
     };
     let gathered = || parallel::matmul(&gather(), &b, seq).expect("matmul");
     let gathered_prepacked_b = || reused(&[gather().as_slice()]);
@@ -238,8 +237,7 @@ fn time_group(rng: &mut Pcg32) -> Timings<3> {
 fn time_density(a: &Tensor, b: &Tensor) -> Timings<3> {
     let lines = PackedLhs::pack_lines(a).expect("matrix");
     let packed = PackedLhs::pack(a).expect("matrix");
-    let run =
-        |p: &PackedLhs| parallel::matmul_packed(p, b, Parallelism::Sequential).expect("matmul");
+    let run = |p: &PackedLhs| parallel::matmul_packed(p, b).expect("matmul");
     time_alternating(
         1,
         [
@@ -256,7 +254,6 @@ fn main() {
     println!("{{");
     println!("  \"bench\": \"gemm_parallel\",");
     println!("  \"kernel\": \"onesa_tensor::parallel::matmul\",");
-    println!("  \"host_workers\": {},", Parallelism::Auto.worker_count());
     println!("  \"sizes\": [");
     for (idx, &d) in sizes.iter().enumerate() {
         let a = rng.randn(&[d, d], 1.0);
@@ -265,9 +262,6 @@ fn main() {
         let (_, reference) = time_best(5, || gemm::matmul(&a, &b).expect("square matmul"));
         let (_, seq) = time_best(5, || {
             parallel::matmul(&a, &b, Parallelism::Sequential).expect("square matmul")
-        });
-        let (_, thr) = time_best(5, || {
-            parallel::matmul(&a, &b, Parallelism::Threads(4)).expect("square matmul")
         });
         println!("    {{");
         println!("      \"m\": {d}, \"k\": {d}, \"n\": {d},");
@@ -281,13 +275,7 @@ fn main() {
             seq * 1e3,
             gflop / seq
         );
-        println!(
-            "      \"threads4_ms\": {:.3}, \"threads4_gflops\": {:.2},",
-            thr * 1e3,
-            gflop / thr
-        );
-        println!("      \"speedup_packed\": {:.2},", reference / seq);
-        println!("      \"speedup_threads4\": {:.2}", seq / thr);
+        println!("      \"speedup_packed\": {:.2}", reference / seq);
         println!("    }}{}", if idx + 1 < sizes.len() { "," } else { "" });
     }
     println!("  ],");
@@ -531,7 +519,7 @@ fn time_conv(rng: &mut Pcg32, c: usize, side: usize, stride: usize, masked: bool
         let prod = match pack {
             true => {
                 let packed = PackedLhs::pack_lines(&cols).expect("matrix");
-                parallel::matmul_packed(&packed, &wt, seq)
+                parallel::matmul_packed(&packed, &wt)
             }
             false => parallel::matmul(&cols, &wt, seq),
         };
@@ -544,7 +532,7 @@ fn time_conv(rng: &mut Pcg32, c: usize, side: usize, stride: usize, masked: bool
         im2col::col2im_output(&prod, 8, oh, ow).expect("shapes agree")
     };
     let conv = || {
-        let maps = parallel::conv2d(&packed, &[&x], &geo, Parallelism::Sequential);
+        let maps = parallel::conv2d(&packed, &[&x], &geo);
         let maps = maps.expect("shapes agree").expect("safe operands");
         let mut map = maps.into_iter().next().expect("one image, one map");
         for (plane, b) in map.as_mut_slice().chunks_mut(oh * ow).zip(&bias) {

@@ -46,9 +46,8 @@
 //!    lowered GEMM or nonlinear is a stage-0 op like any other: bare
 //!    requests coalesce with each other *and* with the first layer of
 //!    whole networks that share their weights or function.
-//! 2. **Execution.** Each coalesced group runs through the engine's
-//!    parallel backend ([`onesa_tensor::parallel`]), which spreads row
-//!    panels across worker threads.
+//! 2. **Execution.** Each coalesced group runs through the host backend
+//!    ([`onesa_tensor::parallel`]) on the calling thread.
 //! 3. **Accounting.** Every request gets back its own output tensor
 //!    and the [`ExecStats`] of its program run alone
 //!    ([`RequestOutcome::stats`]; the per-op split is the program's own
@@ -651,7 +650,7 @@ impl BatchEngine {
     /// Serves the whole queue: lowers every request to a program, runs
     /// them stage by stage through [`plan::run_staged`] — which
     /// coalesces compatible ops across requests at every stage and
-    /// executes each group through the parallel backend — and drains
+    /// executes each group through the host backend — and drains
     /// the queue.
     ///
     /// # Errors
@@ -694,12 +693,7 @@ impl BatchEngine {
         let idle = ExecStats::new(&cfg, Default::default(), 0, 0);
 
         let jobs: Vec<(&Program, &[Tensor])> = requests.iter().map(|r| r.lowered()).collect();
-        let staged = plan::run_staged(
-            &jobs,
-            &cfg,
-            self.engine.parallelism(),
-            &mut self.plan_tables,
-        )?;
+        let staged = plan::run_staged(&jobs, &cfg, &mut self.plan_tables)?;
         let outcomes = staged
             .runs
             .into_iter()
@@ -746,7 +740,7 @@ mod tests {
     use std::sync::Arc;
 
     fn engine() -> OneSa {
-        OneSa::with_parallelism(ArrayConfig::new(8, 16), Parallelism::Threads(2))
+        OneSa::new(ArrayConfig::new(8, 16))
     }
 
     #[test]

@@ -8,48 +8,38 @@ use onesa_resources::{Design, ModuleCost};
 use onesa_sim::{analytic, ArrayConfig, ExecStats};
 use onesa_tensor::parallel::Parallelism;
 
-/// One ONE-SA design point: a configured array, its cost and power
-/// models, and the host-execution policy a [`crate::BatchEngine`] built
-/// on it runs kernels under. Tensors execute as [`crate::Program`]s
-/// through that engine; this type only models.
+/// One ONE-SA design point: a configured array and its cost and power
+/// models. Tensors execute as [`crate::Program`]s through a
+/// [`crate::BatchEngine`] built on it; this type only models.
 #[derive(Debug, Clone)]
 pub struct OneSa {
     cfg: ArrayConfig,
     cost: ModuleCost,
     power: PowerModel,
-    par: Parallelism,
 }
 
 impl OneSa {
     /// Builds the engine for an array configuration, deriving the FPGA
-    /// cost from the calibrated resource model. Kernels run sequentially;
-    /// use [`OneSa::with_parallelism`] for the multi-threaded backend.
+    /// cost from the calibrated resource model.
     pub fn new(cfg: ArrayConfig) -> Self {
-        OneSa::with_parallelism(cfg, Parallelism::Sequential)
-    }
-
-    /// Builds the engine with an explicit host-execution policy. All
-    /// policies produce bit-identical tensors (see
-    /// [`onesa_tensor::parallel`]); only wall-clock speed changes.
-    pub fn with_parallelism(cfg: ArrayConfig, par: Parallelism) -> Self {
         let resources = ArrayResources::calibrated();
         let cost = resources.total(Design::OneSa, cfg.dim, cfg.macs_per_pe);
         OneSa {
             cfg,
             cost,
             power: PowerModel::virtex7(),
-            par,
         }
+    }
+
+    /// [`OneSa::new`]. The [`Parallelism`] argument is ignored; it stays
+    /// only for `benchmark/` and goes with ROADMAP 12(b).
+    pub fn with_parallelism(cfg: ArrayConfig, _: Parallelism) -> Self {
+        OneSa::new(cfg)
     }
 
     /// The array configuration.
     pub fn config(&self) -> &ArrayConfig {
         &self.cfg
-    }
-
-    /// The host-execution policy used for kernel evaluation.
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
     }
 
     /// FPGA resource cost of this design point.

@@ -20,7 +20,7 @@
 //!
 //! ```text
 //! worker → host   Hello      {}        (the header carries the version)
-//! host → worker   Configure  { granularity, ArrayConfig, Parallelism }
+//! host → worker   Configure  { granularity, ArrayConfig }
 //! worker → host   Ready      {}
 //! host → worker   Window     { n × (ticket, program, constants the worker lacks, inputs) }
 //! worker → host   Outcomes   { n × (ticket, output, stats, session outputs),
@@ -431,7 +431,9 @@ pub struct WorkerHandle {
 impl WorkerHandle {
     /// Spawns the worker binary, waits for it to connect over the
     /// chosen transport and completes the Hello → Configure → Ready
-    /// handshake, leaving the connection ready for windows.
+    /// handshake, leaving the connection ready for windows. The
+    /// [`Parallelism`] argument is ignored; it stays only for `benchmark/`
+    /// and goes with ROADMAP 12(b).
     ///
     /// # Errors
     ///
@@ -441,7 +443,7 @@ impl WorkerHandle {
         transport: Transport,
         worker: Option<&PathBuf>,
         config: &ArrayConfig,
-        parallelism: Parallelism,
+        _: Parallelism,
         granularity: f32,
     ) -> io::Result<WorkerHandle> {
         let worker_path = match worker {
@@ -563,7 +565,6 @@ impl WorkerHandle {
         let mut cfg = wire::frame(KIND_CONFIGURE);
         granularity.put(&mut cfg);
         config.put(&mut cfg);
-        parallelism.put(&mut cfg);
         write_frame(stream, &cfg)?;
         read_signal(
             stream,
@@ -730,18 +731,17 @@ pub fn worker_main(args: impl Iterator<Item = String>) -> Result<(), String> {
     if kind != KIND_CONFIGURE {
         return Err("expected Configure after Hello".into());
     }
-    let (granularity, config, parallelism) = (|| -> Result<_, WireError> {
+    let (granularity, config) = (|| -> Result<_, WireError> {
         let g = f32::get(&mut body)?;
         let c = ArrayConfig::get(&mut body)?;
-        let p = Parallelism::get(&mut body)?;
         body.expect_end()?;
-        Ok((g, c, p))
+        Ok((g, c))
     })()
     .map_err(|e| format!("decode configure: {e}"))?;
 
     // The same construction as an in-process shard: identical engine,
     // identical table set, bit-identical outputs.
-    let mut engine = BatchEngine::new(OneSa::with_parallelism(config, parallelism), granularity)
+    let mut engine = BatchEngine::new(OneSa::new(config), granularity)
         .map_err(|e| format!("build engine: {e}"))?;
     write_frame(&mut stream, &wire::frame(KIND_READY)).map_err(|e| format!("ready: {e}"))?;
 

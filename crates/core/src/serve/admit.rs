@@ -749,7 +749,7 @@ mod tests {
             if let Some(depth) = degrade {
                 cfg = cfg.with_degrade(DegradePolicy::new(vec![0.5, 1.0]).with_depth_threshold(depth));
             }
-            let engine = OneSa::with_parallelism(array, Parallelism::Sequential);
+            let engine = OneSa::new(array);
             let power = PowerStates::new(pool, vec![engine.clone(); shards]);
             let router = Router::new(routing, power.energy_per_mac());
             let sessions = Arc::new(SessionTable::new(64));

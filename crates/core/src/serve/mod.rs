@@ -5,11 +5,13 @@
 //! owns a bounded multi-producer submission queue that keeps **accepting
 //! requests while batches execute**, an admission thread that closes
 //! batching windows under a configurable [`AdmissionPolicy`], and a
-//! shard pool of `N` worker shards — each one a `(OneSa, BatchEngine,
-//! Parallelism)` triple standing in for one simulated systolic array —
+//! shard pool of `N` worker shards — each one a `(OneSa, BatchEngine)`
+//! pair standing in for one simulated systolic array —
 //! fed through a pluggable [`RoutePolicy`]: one workload, many arrays,
 //! in the spirit of FlexSA's sub-array partitioning and ArrayFlex's
-//! per-workload reconfiguration.
+//! per-workload reconfiguration. The shards are the pool's only
+//! parallelism: a shard runs every kernel of a window on its own
+//! thread (or in its own worker process), one window at a time.
 //!
 //! # Modules
 //!
@@ -197,14 +199,11 @@ pub type TicketId = u64;
 /// admitter and a slow shard).
 const SHARD_CHANNEL_DEPTH: usize = 2;
 
-/// One simulated array in the pool: an [`ArrayConfig`] plus the host
-/// execution policy its kernels run under.
+/// One simulated array in the pool.
 #[derive(Debug, Clone)]
 pub struct ShardSpec {
     /// The simulated array this shard stands in for.
     pub config: ArrayConfig,
-    /// Host backend policy for this shard's kernels.
-    pub parallelism: Parallelism,
 }
 
 /// How the pool's shards execute: as threads in this process, or as
@@ -263,13 +262,13 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// A homogeneous pool: `shards` identical arrays, paper-default 0.25
     /// CPWL granularity, a 256-request queue, FIFO windows of 64 and
-    /// round-robin routing.
-    pub fn uniform(shards: usize, config: ArrayConfig, parallelism: Parallelism) -> Self {
+    /// round-robin routing. The [`Parallelism`] argument is ignored; it
+    /// stays only for `benchmark/` and goes with ROADMAP 12(b).
+    pub fn uniform(shards: usize, config: ArrayConfig, _: Parallelism) -> Self {
         ServeConfig {
             shards: (0..shards.max(1))
                 .map(|_| ShardSpec {
                     config: config.clone(),
-                    parallelism,
                 })
                 .collect(),
             granularity: 0.25,
@@ -753,8 +752,7 @@ impl ServeEngine {
 
         let inbox = Arc::new(Inbox::new(cfg.queue_capacity, cfg.paused));
         let sessions = Arc::new(SessionTable::new(cfg.session_capacity));
-        let engine_of =
-            |spec: &ShardSpec| OneSa::with_parallelism(spec.config.clone(), spec.parallelism);
+        let engine_of = |spec: &ShardSpec| OneSa::new(spec.config.clone());
 
         let mut worker_pids = Vec::new();
         let execs: Vec<ShardExec> = match &cfg.backend {
@@ -780,7 +778,7 @@ impl ServeEngine {
                         pcfg.transport,
                         pcfg.worker.as_ref(),
                         &spec.config,
-                        spec.parallelism,
+                        Parallelism::Sequential,
                         cfg.granularity,
                     )
                     .map_err(|e| {

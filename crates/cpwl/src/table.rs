@@ -32,7 +32,6 @@
 
 use crate::{CpwlError, NonlinearFn, Result};
 use onesa_tensor::fixed::QFormat;
-use onesa_tensor::parallel::{self, Parallelism};
 use onesa_tensor::Tensor;
 
 /// The most segments a table can hold: the L3 data-addressing module's
@@ -235,19 +234,9 @@ impl PwlTable {
     ///
     /// None today; the `Result` is the signature callers compiled against.
     pub fn eval_tensor(&self, x: &Tensor) -> Result<Tensor> {
-        Ok(self.eval_tensor_par(x, Parallelism::Sequential))
-    }
-
-    /// [`PwlTable::eval_tensor`] split across `par`'s workers where
-    /// `parallel::mhp` splits (see [`parallel::for_each_chunk`]);
-    /// bit-identical to it under every setting.
-    pub fn eval_tensor_par(&self, x: &Tensor, par: Parallelism) -> Tensor {
         let mut out = Tensor::zeros(x.dims());
-        let xv = x.as_slice();
-        parallel::for_each_chunk(out.as_mut_slice(), par, |lo, chunk| {
-            self.eval_slice(&xv[lo..lo + chunk.len()], chunk);
-        });
-        out
+        self.eval_slice(x.as_slice(), out.as_mut_slice());
+        Ok(out)
     }
 
     /// The fused sweep — the host's IPF + MHP in one pass:

@@ -32,7 +32,7 @@ use crate::program::{
 use onesa_cpwl::ops::{self, TableSet};
 use onesa_cpwl::NonlinearFn;
 use onesa_sim::{ArrayConfig, CycleBreakdown, ExecStats};
-use onesa_tensor::parallel::{self, PackedLhs, Parallelism, Right};
+use onesa_tensor::parallel::{self, PackedLhs, Right};
 use onesa_tensor::quant::{QuantTensor, QuantTensor8};
 use onesa_tensor::sparse::SparseTensor;
 use onesa_tensor::{attention, gemm, im2col, Result, Tensor, TensorError};
@@ -556,7 +556,6 @@ impl Groups {
 pub fn run_staged(
     jobs: &[(&Program, &[Tensor])],
     cfg: &ArrayConfig,
-    par: Parallelism,
     tables: &mut TableCache,
 ) -> Result<StagedRun> {
     let mut states: Vec<JobState> = Vec::with_capacity(jobs.len());
@@ -590,14 +589,14 @@ pub fn run_staged(
             }
             let is_gemm = matches!(op, Op::Gemm { .. });
             let produced = if matches!(op, Op::Attention { .. }) {
-                exec_attention(ids, &mut states, stage, cfg, par, tables)?
+                exec_attention(ids, &mut states, stage, cfg, tables)?
             } else {
-                match conv_links(ids, &mut states, stage, cfg, par)? {
+                match conv_links(ids, &mut states, stage, cfg)? {
                     Some(produced) => {
                         conv_sweeps += usize::from(is_gemm);
                         produced
                     }
-                    None => exec_group(key, ids, &mut states, stage, cfg, par, tables)?,
+                    None => exec_group(key, ids, &mut states, stage, cfg, tables)?,
                 }
             };
             batched = batched.merged(&produced);
@@ -858,11 +857,10 @@ fn exec_group(
     states: &mut [JobState],
     stage: usize,
     cfg: &ArrayConfig,
-    par: Parallelism,
     tables: &mut TableCache,
 ) -> Result<ExecStats> {
     let Some((axis, sides)) = key.stacking().filter(|_| ids.len() > 1) else {
-        return exec_alone(ids[0], states, stage, cfg, par, tables);
+        return exec_alone(ids[0], states, stage, cfg, tables);
     };
     let width = |j: usize| match states[j].dims(states[j].program.nodes()[stage].inputs[0]) {
         [_, n] => Some(*n),
@@ -874,7 +872,7 @@ fn exec_group(
         Axis::Cols => false,
     };
     if rows {
-        return exec_rows(key, sides, ids, states, stage, cfg, par, tables);
+        return exec_rows(key, sides, ids, states, stage, cfg, tables);
     }
     let side = sides.start;
     let parts = parts(ids, states, stage, side);
@@ -886,7 +884,7 @@ fn exec_group(
         ins[0] = first.resolve(node.inputs[0]);
     }
     let ins = &ins[..node.inputs.len()];
-    let product = exec_single(program, node, ins, par, tables)?;
+    let product = exec_single(program, node, ins, tables)?;
     // A nonlinear is costed as the one `[1, total]` row the array sweeps.
     let batched = op_cost(&node.op, &[ins[0].dims()], product.dims(), cfg);
     let shares = scatter(axis, &product, &parts)?;
@@ -938,7 +936,6 @@ fn exec_rows(
     states: &mut [JobState],
     stage: usize,
     cfg: &ArrayConfig,
-    par: Parallelism,
     tables: &mut TableCache,
 ) -> Result<ExecStats> {
     let (first, program) = (&states[ids[0]], states[ids[0]].program);
@@ -972,13 +969,13 @@ fn exec_rows(
         // The group owns the rows it gathered, and nothing else reads
         // them: a nonlinear sweeps them in place.
         (Op::Nonlinear(func), Some(mut rows), _) => {
-            sweep_in_place(program.mode(), *func, &mut rows, par, tables)?;
+            sweep_in_place(program.mode(), *func, &mut rows, tables)?;
             rows
         }
         (_, _, Some(parts)) => {
             let rows: Vec<&[f32]> = parts.iter().map(|&(data, _)| data).collect();
             let b = first.resolve(node.inputs[1]);
-            gemm_rows(node, &rows, in0[0], in0[1], b, par)?
+            gemm_rows(node, &rows, in0[0], in0[1], b)?
         }
         (_, rows, None) => {
             gathered[0] = rows;
@@ -988,7 +985,7 @@ fn exec_rows(
                 (None, None) => first.resolve(node.inputs[side]),
             };
             let ins = [operand(0), operand(node.inputs.len() - 1)];
-            exec_single(program, node, &ins[..node.inputs.len()], par, tables)?
+            exec_single(program, node, &ins[..node.inputs.len()], tables)?
         }
     };
     let batched = match key {
@@ -1031,7 +1028,6 @@ fn exec_alone(
     states: &mut [JobState],
     stage: usize,
     cfg: &ArrayConfig,
-    par: Parallelism,
     tables: &mut TableCache,
 ) -> Result<ExecStats> {
     let state = &mut states[j];
@@ -1059,7 +1055,7 @@ fn exec_alone(
             for (slot, &operand) in ins.iter_mut().zip(&node.inputs) {
                 *slot = state.resolve(operand);
             }
-            exec_single(program, node, &ins[..node.inputs.len()], par, tables)?
+            exec_single(program, node, &ins[..node.inputs.len()], tables)?
         }
     };
     // A nonlinear is costed as the one `[1, total]` row the array sweeps,
@@ -1086,7 +1082,6 @@ fn exec_attention(
     states: &mut [JobState],
     stage: usize,
     cfg: &ArrayConfig,
-    par: Parallelism,
     tables: &mut TableCache,
 ) -> Result<ExecStats> {
     let Op::Attention { heads, .. } = states[ids[0]].program.nodes()[stage].op else {
@@ -1102,7 +1097,7 @@ fn exec_attention(
         }
         let ins = [0, 1, 2].map(|i| state.resolve(node.inputs[i]));
         let (m, d, n) = (ins[0].dims()[0], ins[0].dims()[1], ins[1].dims()[0]);
-        let out = exec_single(state.program, node, &ins, par, tables)?;
+        let out = exec_single(state.program, node, &ins, tables)?;
         batched = batched.merged(&attention_member_cost(cfg, heads, m, n, d));
         (rows, kv_rows) = (rows + m, n);
         store(state, stage, out);
@@ -1150,7 +1145,6 @@ fn conv_links(
     states: &mut [JobState],
     stage: usize,
     cfg: &ArrayConfig,
-    par: Parallelism,
 ) -> Result<Option<ExecStats>> {
     let chain = |state: &JobState| state.program.conv_chain(stage);
     let first = &states[ids[0]];
@@ -1184,7 +1178,7 @@ fn conv_links(
         Op::Gemm { .. } => {
             let chains: Option<Vec<ConvChain>> = ids.iter().map(|&j| chain(&states[j])).collect();
             if let Some(chains) = &chains {
-                if let Some(produced) = conv_group(ids, chains, states, stage, cfg, par)? {
+                if let Some(produced) = conv_group(ids, chains, states, stage, cfg)? {
                     return Ok(Some(produced));
                 }
             }
@@ -1219,7 +1213,6 @@ fn conv_group(
     states: &mut [JobState],
     stage: usize,
     cfg: &ArrayConfig,
-    par: Parallelism,
 ) -> Result<Option<ExecStats>> {
     let first = &states[ids[0]];
     let im2col = |j: usize, link: &ConvChain| &states[j].program.nodes()[link.im2col];
@@ -1239,7 +1232,7 @@ fn conv_group(
         unreachable!("a chain's GEMM multiplies by a constant")
     };
     let weight = PackedLhs::of_transposed(&first.program.consts()[w])?;
-    let Some(maps) = parallel::conv2d(&weight, &images, &geo, par)? else {
+    let Some(maps) = parallel::conv2d(&weight, &images, &geo)? else {
         return Ok(None);
     };
     // The costs of the GEMMs this sweep stands for: `[pixels, C·k·k]`
@@ -1324,7 +1317,6 @@ fn exec_single(
     program: &Program,
     node: &OpNode,
     ins: &[&Tensor],
-    par: Parallelism,
     tables: &mut TableCache,
 ) -> Result<Tensor> {
     let mode = program.mode();
@@ -1334,17 +1326,17 @@ fn exec_single(
         Op::Gemm { sparsity, .. } => match (sparsity, node.inputs[0]) {
             (None, Operand::Const(_)) => {
                 let lhs = PackedLhs::of(ins[0])?;
-                parallel::matmul_packed(&lhs, ins[1], par)
+                parallel::matmul_packed(&lhs, ins[1])
             }
             _ => {
                 let (m, k) = ins[0].shape().as_matrix()?;
-                gemm_rows(node, &[ins[0].as_slice()], m, k, ins[1], par)
+                gemm_rows(node, &[ins[0].as_slice()], m, k, ins[1])
             }
         },
         Op::Nonlinear(func) => match mode {
             EvalMode::Exact => Ok(ins[0].map(|v| func.eval(v))),
             EvalMode::Cpwl { granularity, .. } => {
-                Ok(table_for(tables, granularity, *func)?.eval_tensor_par(ins[0], par))
+                Ok(table_for(tables, granularity, *func)?.eval_tensor(ins[0])?)
             }
         },
         Op::Softmax => softmax_rows(ins[0], mode, tables, None),
@@ -1389,9 +1381,7 @@ fn exec_single(
                 let planes = y.as_mut_slice().chunks_mut(plane);
                 let planes = planes.zip(ins[0].as_slice().chunks(plane));
                 for ((out, x), (&k, &b)) in planes.zip(k.iter().zip(b)) {
-                    parallel::for_each_chunk(out, par, |lo, chunk| {
-                        table.eval_affine_slice(k, b, &x[lo..lo + chunk.len()], chunk);
-                    });
+                    table.eval_affine_slice(k, b, x, out);
                 }
                 Ok(y)
             }
@@ -1484,7 +1474,7 @@ fn exec_single(
                 None => rows.chunks_mut(n).for_each(ops::softmax_row_exact),
             };
             let [q, k, v] = [ins[0], ins[1], ins[2]];
-            attention::attention(q, k, v, *heads, *scale, *causal, par, softmax)
+            attention::attention(q, k, v, *heads, *scale, *causal, softmax)
         }
     }
 }
@@ -1494,25 +1484,18 @@ fn exec_single(
 /// packed once per buffer, in its storage: a sparse weight's payload, or
 /// a dense one's column panels, which the sweep then reads in place. An
 /// activation `b` is packed panel by panel per call. No bias is added.
-fn gemm_rows(
-    node: &OpNode,
-    parts: &[&[f32]],
-    m: usize,
-    k: usize,
-    b: &Tensor,
-    par: Parallelism,
-) -> Result<Tensor> {
+fn gemm_rows(node: &OpNode, parts: &[&[f32]], m: usize, k: usize, b: &Tensor) -> Result<Tensor> {
     let Op::Gemm { sparsity, .. } = &node.op else {
         unreachable!("a GEMM's operands")
     };
     match (sparsity, node.inputs[1]) {
         (Some(s), Operand::Const(_)) => {
             let sparse = SparseTensor::of(b, s.block_cols)?;
-            parallel::matmul_rows(parts, m, k, Right::Sparse(&sparse), par)
+            parallel::matmul_rows(parts, m, k, Right::Sparse(&sparse))
         }
         (Some(_), _) => unreachable!("a sealed program's sparse weight is a constant"),
-        (None, Operand::Const(_)) => parallel::matmul_rows(parts, m, k, Right::Reused(b), par),
-        (None, Operand::Slot(_)) => parallel::matmul_rows(parts, m, k, Right::Dense(b), par),
+        (None, Operand::Const(_)) => parallel::matmul_rows(parts, m, k, Right::Reused(b)),
+        (None, Operand::Slot(_)) => parallel::matmul_rows(parts, m, k, Right::Dense(b)),
     }
 }
 
@@ -1523,14 +1506,13 @@ fn sweep_in_place(
     mode: EvalMode,
     func: NonlinearFn,
     x: &mut Tensor,
-    par: Parallelism,
     tables: &mut TableCache,
 ) -> Result<()> {
     match mode {
         EvalMode::Exact => x.as_mut_slice().iter_mut().for_each(|v| *v = func.eval(*v)),
         EvalMode::Cpwl { granularity, .. } => {
             let table = table_for(tables, granularity, func)?;
-            parallel::for_each_chunk(x.as_mut_slice(), par, |_, chunk| table.eval_in_place(chunk));
+            table.eval_in_place(x.as_mut_slice());
         }
     }
     Ok(())
@@ -1547,7 +1529,10 @@ mod tests {
     use super::*;
     use crate::program::GemmSparsity;
     use onesa_tensor::im2col::Conv2dGeometry;
+    use onesa_tensor::parallel::Parallelism;
     use onesa_tensor::rng::Pcg32;
+
+    const SEQ: Parallelism = Parallelism::Sequential;
 
     fn cpwl() -> EvalMode {
         EvalMode::Cpwl {
@@ -1588,11 +1573,7 @@ mod tests {
         for mode in [EvalMode::Exact, cpwl()] {
             let p = mlp(mode, &w1, &w2);
             let run = p
-                .run(
-                    std::slice::from_ref(&x),
-                    Parallelism::Sequential,
-                    &mut TableCache::new(),
-                )
+                .run(std::slice::from_ref(&x), SEQ, &mut TableCache::new())
                 .unwrap();
             let h = gemm::matmul(&x, &w1).unwrap();
             let g = match mode {
@@ -1618,7 +1599,7 @@ mod tests {
         let solos: Vec<Tensor> = xs
             .iter()
             .map(|x| {
-                p.run(std::slice::from_ref(x), Parallelism::Sequential, &mut cache)
+                p.run(std::slice::from_ref(x), SEQ, &mut cache)
                     .unwrap()
                     .output
             })
@@ -1627,7 +1608,7 @@ mod tests {
         // Concurrent staged run: every stage coalesces 3 ops -> 1 group.
         let jobs: Vec<(&Program, &[Tensor])> =
             xs.iter().map(|x| (&p, std::slice::from_ref(x))).collect();
-        let staged = run_staged(&jobs, &cfg, Parallelism::Threads(2), &mut cache).unwrap();
+        let staged = run_staged(&jobs, &cfg, &mut cache).unwrap();
         for (run, solo) in staged.runs.iter().zip(&solos) {
             assert_eq!(&run.output, solo);
         }
@@ -1678,7 +1659,6 @@ mod tests {
                 (&p2, std::slice::from_ref(&x2)),
             ],
             &cfg,
-            Parallelism::Sequential,
             &mut TableCache::new(),
         )
         .unwrap();
@@ -1711,10 +1691,10 @@ mod tests {
         assert_eq!(program.packed_consts(), 0, "nothing is packed until a run");
         let x = rng.randn(&[9, 5], 1.0);
         let want = gemm::matmul(&a_hat, &gemm::matmul(&a_hat, &x).unwrap()).unwrap();
-        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+        for _ in 0..2 {
             // A fresh table cache per run, as the nn wrappers hand over.
-            let run = program.run(std::slice::from_ref(&x), par, &mut TableCache::new());
-            assert_eq!(run.unwrap().output, want, "{}", par.label());
+            let run = program.run(std::slice::from_ref(&x), SEQ, &mut TableCache::new());
+            assert_eq!(run.unwrap().output, want);
         }
         assert_eq!(program.packed_consts(), 1);
         // Clones keep the constants, so they keep the pack; so does a
@@ -1726,11 +1706,7 @@ mod tests {
         let wide = build_cols(a_hat.clone(), 7);
         assert_eq!(wide.packed_consts(), 1);
         let x7 = rng.randn(&[9, 7], 1.0);
-        let run = wide.run(
-            std::slice::from_ref(&x7),
-            Parallelism::Sequential,
-            &mut TableCache::new(),
-        );
+        let run = wide.run(std::slice::from_ref(&x7), SEQ, &mut TableCache::new());
         let want7 = gemm::matmul(&a_hat, &gemm::matmul(&a_hat, &x7).unwrap()).unwrap();
         assert_eq!(run.unwrap().output, want7);
         let apart = build(a_hat.clone());
@@ -1738,11 +1714,7 @@ mod tests {
         let copy = Tensor::from_vec(a_hat.as_slice().to_vec(), a_hat.dims()).unwrap();
         let copied = build(copy);
         assert_eq!((copied.packed_consts(), copied == program), (0, true));
-        let run = copied.run(
-            std::slice::from_ref(&x),
-            Parallelism::Sequential,
-            &mut TableCache::new(),
-        );
+        let run = copied.run(std::slice::from_ref(&x), SEQ, &mut TableCache::new());
         assert_eq!(run.unwrap().output, want);
         assert_eq!((copied.packed_consts(), program.packed_consts()), (1, 1));
     }
@@ -1765,7 +1737,6 @@ mod tests {
                 (&p_exact, std::slice::from_ref(&x)),
             ],
             &cfg,
-            Parallelism::Sequential,
             &mut TableCache::new(),
         )
         .unwrap();
@@ -1789,12 +1760,8 @@ mod tests {
             &rng.randn(&[4, 3], 1.0),
         );
         let bad = rng.randn(&[2, 6], 1.0);
-        assert!(p
-            .run(&[bad], Parallelism::Sequential, &mut TableCache::new())
-            .is_err());
-        assert!(p
-            .run(&[], Parallelism::Sequential, &mut TableCache::new())
-            .is_err());
+        assert!(p.run(&[bad], SEQ, &mut TableCache::new()).is_err());
+        assert!(p.run(&[], SEQ, &mut TableCache::new()).is_err());
     }
 
     #[test]
@@ -1846,16 +1813,14 @@ mod tests {
         let mut rng = Pcg32::seed_from_u64(7);
         let x = rng.randn(&[3, 6], 1.0);
         let mut cache = TableCache::new();
-        for par in [Parallelism::Sequential, Parallelism::Threads(3)] {
-            let d = dense
-                .run(std::slice::from_ref(&x), par, &mut cache)
-                .unwrap();
-            let s = sparse
-                .run(std::slice::from_ref(&x), par, &mut cache)
-                .unwrap();
-            assert_eq!(d.output, s.output, "{}", par.label());
-            assert_eq!(d.output, gemm::matmul(&x, &w).unwrap());
-        }
+        let d = dense
+            .run(std::slice::from_ref(&x), SEQ, &mut cache)
+            .unwrap();
+        let s = sparse
+            .run(std::slice::from_ref(&x), SEQ, &mut cache)
+            .unwrap();
+        assert_eq!(d.output, s.output);
+        assert_eq!(d.output, gemm::matmul(&x, &w).unwrap());
         // Sparse credit shows up in the solo stats.
         let macs = |p: &Program| p.op_stats(&ArrayConfig::default()).unwrap()[0].macs;
         assert!(macs(&sparse) < macs(&dense));
@@ -1887,11 +1852,7 @@ mod tests {
         b.push(Op::Add, &[wide, narrow]);
         let program = b.finish().unwrap();
         let x = Pcg32::seed_from_u64(9).randn(&[3, 6], 1.0);
-        let run = program.run(
-            std::slice::from_ref(&x),
-            Parallelism::Sequential,
-            &mut TableCache::new(),
-        );
+        let run = program.run(std::slice::from_ref(&x), SEQ, &mut TableCache::new());
         let xw = gemm::matmul(&x, &w).unwrap();
         assert_eq!(run.unwrap().output, xw.add(&xw).unwrap());
         assert_eq!(program.packed_consts(), 1);
@@ -1910,7 +1871,6 @@ mod tests {
                 (&sparse, std::slice::from_ref(&x2)),
             ],
             &cfg,
-            Parallelism::Sequential,
             &mut TableCache::new(),
         )
         .unwrap();
@@ -1924,18 +1884,13 @@ mod tests {
                 (&sparse, std::slice::from_ref(&x2)),
             ],
             &cfg,
-            Parallelism::Sequential,
             &mut TableCache::new(),
         )
         .unwrap();
         assert_eq!(staged.stages[0].groups, 1);
         // Coalesced sparse output still matches the dense reference.
         let d1 = dense
-            .run(
-                std::slice::from_ref(&x1),
-                Parallelism::Sequential,
-                &mut TableCache::new(),
-            )
+            .run(std::slice::from_ref(&x1), SEQ, &mut TableCache::new())
             .unwrap();
         assert_eq!(staged.runs[0].output, d1.output);
     }
@@ -2071,41 +2026,39 @@ mod tests {
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (kind, batched, solo) in GOLDEN {
             for mode in [EvalMode::Exact, cpwl()] {
-                for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
-                    for size in 1..=4usize {
-                        let case = format!("{kind:?} x{size} {mode:?} {}", par.label());
-                        let members: Vec<(Program, Tensor)> =
-                            (0..size).map(|i| group_member(kind, mode, i)).collect();
-                        let jobs: Vec<(&Program, &[Tensor])> = members
-                            .iter()
-                            .map(|(p, x)| (p, std::slice::from_ref(x)))
-                            .collect();
-                        let mut cache = TableCache::new();
-                        let staged = run_staged(&jobs, &cfg, par, &mut cache).unwrap();
-                        let is_gemm = matches!(
-                            kind,
-                            Kind::GemmRight | Kind::GemmRightSparse | Kind::GemmLeft
-                        );
-                        assert_eq!(
-                            staged.stages,
-                            [StageGroups {
-                                stage: 0,
-                                ops: size,
-                                groups: 1,
-                                gemm_groups: usize::from(is_gemm),
-                                nonlinear_groups: usize::from(!is_gemm),
-                            }],
-                            "{case}"
-                        );
-                        assert_eq!(triple(&staged.batched), batched[size - 1], "{case}");
-                        for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
-                            let alone = run_staged(&[*job], &cfg, par, &mut cache).unwrap();
-                            let alone = &alone.runs[0];
-                            assert_eq!(run.output.dims(), alone.output.dims(), "{case} #{i}");
-                            assert_eq!(bits(&run.output), bits(&alone.output), "{case} #{i}");
-                            let op_stats = job.0.op_stats(&cfg).unwrap();
-                            assert_eq!(triple(&op_stats[0]), solo[i], "{case} #{i}");
-                        }
+                for size in 1..=4usize {
+                    let case = format!("{kind:?} x{size} {mode:?}");
+                    let members: Vec<(Program, Tensor)> =
+                        (0..size).map(|i| group_member(kind, mode, i)).collect();
+                    let jobs: Vec<(&Program, &[Tensor])> = members
+                        .iter()
+                        .map(|(p, x)| (p, std::slice::from_ref(x)))
+                        .collect();
+                    let mut cache = TableCache::new();
+                    let staged = run_staged(&jobs, &cfg, &mut cache).unwrap();
+                    let is_gemm = matches!(
+                        kind,
+                        Kind::GemmRight | Kind::GemmRightSparse | Kind::GemmLeft
+                    );
+                    assert_eq!(
+                        staged.stages,
+                        [StageGroups {
+                            stage: 0,
+                            ops: size,
+                            groups: 1,
+                            gemm_groups: usize::from(is_gemm),
+                            nonlinear_groups: usize::from(!is_gemm),
+                        }],
+                        "{case}"
+                    );
+                    assert_eq!(triple(&staged.batched), batched[size - 1], "{case}");
+                    for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
+                        let alone = run_staged(&[*job], &cfg, &mut cache).unwrap();
+                        let alone = &alone.runs[0];
+                        assert_eq!(run.output.dims(), alone.output.dims(), "{case} #{i}");
+                        assert_eq!(bits(&run.output), bits(&alone.output), "{case} #{i}");
+                        let op_stats = job.0.op_stats(&cfg).unwrap();
+                        assert_eq!(triple(&op_stats[0]), solo[i], "{case} #{i}");
                     }
                 }
             }
@@ -2127,7 +2080,6 @@ mod tests {
                     (&p1, std::slice::from_ref(&x1)),
                 ],
                 &ArrayConfig::new(8, 16),
-                Parallelism::Sequential,
                 &mut TableCache::new(),
             )
             .unwrap();
@@ -2244,13 +2196,12 @@ mod tests {
                     .iter()
                     .map(|(p, x)| (p, std::slice::from_ref(x)))
                     .collect();
-                for par in [
-                    Parallelism::Sequential,
-                    Parallelism::Threads(2),
-                    Parallelism::Auto,
-                ] {
-                    let case = format!("x{size} poisoned={poisoned} {}", par.label());
-                    let staged = run_staged(&jobs, &cfg, par, &mut TableCache::new()).unwrap();
+                // A second window multiplies a declined group's weight
+                // again, which packs it (a right operand packs on its
+                // second product).
+                for window in 0..2 {
+                    let case = format!("x{size} poisoned={poisoned} window {window}");
+                    let staged = run_staged(&jobs, &cfg, &mut TableCache::new()).unwrap();
                     let sweeps = usize::from(!poisoned);
                     assert_eq!(staged.conv_sweeps, sweeps, "{case}: one sweep per group");
                     let stage = |stage, groups, gemm_groups| StageGroups {
@@ -2264,7 +2215,7 @@ mod tests {
                     assert_eq!(staged.stages, want, "{case}");
                     assert_eq!(triple(&staged.batched), CONV_GOLDEN[size - 1], "{case}");
                     for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
-                        let alone = run_staged(&[*job], &cfg, par, &mut TableCache::new());
+                        let alone = run_staged(&[*job], &cfg, &mut TableCache::new());
                         let alone = &alone.unwrap().runs[0];
                         let want = conv_reference(job.0, &job.1[0]);
                         assert_eq!(run.output.dims(), want.dims(), "{case} #{i}");
@@ -2295,19 +2246,12 @@ mod tests {
         assert!(PackedLhs::pack(&wt.transpose().unwrap()).unwrap().by_rows());
         let (program, x) = conv_member_with(wt, 7, 0);
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
-            let job = (&program, std::slice::from_ref(&x));
-            let staged = run_staged(
-                &[job],
-                &ArrayConfig::new(8, 16),
-                par,
-                &mut TableCache::new(),
-            );
-            let staged = staged.unwrap();
-            assert_eq!(staged.conv_sweeps, 1, "{}", par.label());
-            let want = conv_reference(&program, &x);
-            assert_eq!(bits(&staged.runs[0].output), bits(&want), "{}", par.label());
-        }
+        let job = (&program, std::slice::from_ref(&x));
+        let staged = run_staged(&[job], &ArrayConfig::new(8, 16), &mut TableCache::new());
+        let staged = staged.unwrap();
+        assert_eq!(staged.conv_sweeps, 1);
+        let want = conv_reference(&program, &x);
+        assert_eq!(bits(&staged.runs[0].output), bits(&want));
         assert!(!PackedLhs::of_transposed(&program.consts()[0])
             .unwrap()
             .by_rows());
@@ -2364,13 +2308,11 @@ mod tests {
         assert!(chain.conv_chain(1).is_some());
         for (what, program, want) in &programs {
             assert!((0..program.stages()).all(|s| program.conv_chain(s).is_none()));
-            for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
-                let run = program.run(std::slice::from_ref(&x), par, &mut TableCache::new());
-                let run = run.unwrap();
-                assert_same_bits(&run.output, want, what);
-                if *what == "session" {
-                    assert_same_bits(&run.session_outputs[0], &cols, what);
-                }
+            let run = program.run(std::slice::from_ref(&x), SEQ, &mut TableCache::new());
+            let run = run.unwrap();
+            assert_same_bits(&run.output, want, what);
+            if *what == "session" {
+                assert_same_bits(&run.session_outputs[0], &cols, what);
             }
             // No convolution pack: a GEMM against the weight packs it as a
             // right operand, once, in the storage every program here shares.
@@ -2390,13 +2332,9 @@ mod tests {
             b.finish().unwrap()
         };
         let run = |p: &Program| {
-            p.run(
-                std::slice::from_ref(&x),
-                Parallelism::Sequential,
-                &mut TableCache::new(),
-            )
-            .unwrap()
-            .output
+            p.run(std::slice::from_ref(&x), SEQ, &mut TableCache::new())
+                .unwrap()
+                .output
         };
         let y16 = run(&build(Precision::Int16));
         let y8 = run(&build(Precision::Int8));
@@ -2406,12 +2344,12 @@ mod tests {
     }
 
     /// Runs a one-op program over `x`.
-    fn run_op(op: Op, mode: EvalMode, x: &Tensor, par: Parallelism) -> Tensor {
+    fn run_op(op: Op, mode: EvalMode, x: &Tensor) -> Tensor {
         let mut b = Program::builder("one-op", mode);
         let i = b.input(x.dims());
         b.push(op, &[i]);
         let p = b.finish().unwrap();
-        p.run(std::slice::from_ref(x), par, &mut TableCache::new())
+        p.run(std::slice::from_ref(x), SEQ, &mut TableCache::new())
             .unwrap()
             .output
     }
@@ -2446,7 +2384,7 @@ mod tests {
     #[test]
     fn affine_nonlinear_sweep_equals_its_three_pass_body() {
         let mut rng = Pcg32::seed_from_u64(10);
-        // 2 × 4 900 elements: each channel's plane is past the thread split.
+        // Planes of one element up to 4 900.
         for dims in [[1usize, 1, 1], [2, 3, 5], [4, 8, 8], [2, 70, 70]] {
             let mut x = rng.randn(&dims, 3.0);
             for (i, v) in [f32::NAN, f32::INFINITY, -0.0, -1e30]
@@ -2461,19 +2399,13 @@ mod tests {
             let b: Vec<f32> = rng.randn(&[dims[0]], 2.0).as_slice().to_vec();
             for func in [NonlinearFn::Relu, NonlinearFn::Gelu, NonlinearFn::Sigmoid] {
                 let want = affine_nonlinear_three_pass(&x, &k, &b, func);
-                for par in [
-                    Parallelism::Sequential,
-                    Parallelism::Threads(2),
-                    Parallelism::Auto,
-                ] {
-                    let op = Op::AffineNonlinear {
-                        k: k.clone(),
-                        b: b.clone(),
-                        func,
-                    };
-                    let got = run_op(op, cpwl(), &x, par);
-                    assert_same_bits(&got, &want, &format!("{dims:?} {func} {par:?}"));
-                }
+                let op = Op::AffineNonlinear {
+                    k: k.clone(),
+                    b: b.clone(),
+                    func,
+                };
+                let got = run_op(op, cpwl(), &x);
+                assert_same_bits(&got, &want, &format!("{dims:?} {func}"));
             }
         }
     }
@@ -2482,20 +2414,10 @@ mod tests {
     fn slice_pool_and_affine_keep_their_element_order() {
         let mut rng = Pcg32::seed_from_u64(11);
         let x = rng.randn(&[5, 9], 1.0);
-        let got = run_op(
-            Op::SliceRows { start: 2, len: 2 },
-            EvalMode::Exact,
-            &x,
-            Parallelism::Sequential,
-        );
+        let got = run_op(Op::SliceRows { start: 2, len: 2 }, EvalMode::Exact, &x);
         assert_eq!(got.dims(), &[2, 9]);
         assert_eq!(got.as_slice(), &x.as_slice()[2 * 9..4 * 9]);
-        let got = run_op(
-            Op::Pool(PoolKind::MeanRows),
-            EvalMode::Exact,
-            &x,
-            Parallelism::Sequential,
-        );
+        let got = run_op(Op::Pool(PoolKind::MeanRows), EvalMode::Exact, &x);
         let mut want = vec![0.0f32; 9];
         for i in 0..5 {
             for (j, w) in want.iter_mut().enumerate() {
@@ -2512,7 +2434,6 @@ mod tests {
             },
             EvalMode::Exact,
             &img,
-            Parallelism::Sequential,
         );
         for (i, (g, v)) in got.iter().zip(img.iter()).enumerate() {
             assert_eq!(g.to_bits(), (v * k[i / 20] + b[i / 20]).to_bits());
@@ -2533,12 +2454,7 @@ mod tests {
                         _ => {}
                     }
                 }
-                let got = run_op(
-                    Op::Pool(PoolKind::GlobalAvg),
-                    EvalMode::Exact,
-                    &x,
-                    Parallelism::Sequential,
-                );
+                let got = run_op(Op::Pool(PoolKind::GlobalAvg), EvalMode::Exact, &x);
                 let want: Vec<f32> = x
                     .as_slice()
                     .chunks(plane)
@@ -2590,11 +2506,11 @@ mod tests {
                     .map(|(p, x)| (p, std::slice::from_ref(x)))
                     .collect();
                 let mut cache = TableCache::new();
-                let staged = run_staged(&jobs, &cfg, Parallelism::Sequential, &mut cache).unwrap();
+                let staged = run_staged(&jobs, &cfg, &mut cache).unwrap();
                 assert_eq!(staged.stages[0].groups, 1, "{op:?} {mode:?}");
                 for (i, (run, (p, x))) in staged.runs.iter().zip(&members).enumerate() {
                     let case = format!("{op:?} {mode:?} #{i}");
-                    let solo = p.run(std::slice::from_ref(x), Parallelism::Sequential, &mut cache);
+                    let solo = p.run(std::slice::from_ref(x), SEQ, &mut cache);
                     assert_same_bits(&run.output, &solo.unwrap().output, &case);
                     let want = match (&op, mode) {
                         (Op::Softmax, EvalMode::Exact) => ops::softmax_rows_exact(x).unwrap(),
@@ -2627,7 +2543,7 @@ mod tests {
     fn quantize_rows_and_causal_softmax_are_row_functions() {
         let mut rng = Pcg32::seed_from_u64(12);
         let x = rng.randn(&[6, 6], 2.0);
-        let got = run_op(Op::QuantizeRows, cpwl(), &x, Parallelism::Sequential);
+        let got = run_op(Op::QuantizeRows, cpwl(), &x);
         let tables = TableSet::for_granularity(0.25).unwrap();
         for i in 0..6 {
             let row = Tensor::from_vec(x.row(i).unwrap().to_vec(), &[1, 6]).unwrap();
@@ -2643,7 +2559,7 @@ mod tests {
         for mode in [EvalMode::Exact, cpwl()] {
             let op = Op::CausalSoftmax { offset: 2 };
             let scores = rng.randn(&[4, 6], 2.0);
-            let got = run_op(op, mode, &scores, Parallelism::Sequential);
+            let got = run_op(op, mode, &scores);
             for i in 0..4 {
                 let visible = 2 + i + 1;
                 let prefix =
@@ -2675,7 +2591,7 @@ mod tests {
         let program = b.finish().unwrap();
         let embed = |id: f32| {
             let ids = Tensor::from_vec(vec![2.0, id], &[1, 2]).unwrap();
-            program.run(&[ids], Parallelism::Sequential, &mut TableCache::new())
+            program.run(&[ids], SEQ, &mut TableCache::new())
         };
         let out = embed(-0.0).unwrap().output;
         let want: Vec<f32> = [(2, 1), (0, 2)]
@@ -2723,7 +2639,7 @@ mod tests {
             .collect();
         let jobs: Vec<(&Program, &[Tensor])> = members.iter().map(|m| (&program, &m[..])).collect();
         let cfg = ArrayConfig::new(8, 16);
-        let staged = run_staged(&jobs, &cfg, Parallelism::Sequential, &mut TableCache::new());
+        let staged = run_staged(&jobs, &cfg, &mut TableCache::new());
         for (run, [x, cache]) in staged.unwrap().runs.iter().zip(&members) {
             let doubled = x.add(x).unwrap();
             let mut grown = cache.as_slice().to_vec();
@@ -2771,11 +2687,11 @@ mod tests {
         ];
         let cfg = ArrayConfig::new(8, 16);
         let mut cache = TableCache::new();
-        let staged = run_staged(&jobs, &cfg, Parallelism::Sequential, &mut cache).unwrap();
+        let staged = run_staged(&jobs, &cfg, &mut cache).unwrap();
         let groups: Vec<usize> = staged.stages.iter().map(|s| s.groups).collect();
         assert_eq!(groups, [2, 1]);
         for (run, job) in staged.runs.iter().zip(jobs) {
-            let alone = run_staged(&[job], &cfg, Parallelism::Sequential, &mut cache).unwrap();
+            let alone = run_staged(&[job], &cfg, &mut cache).unwrap();
             assert_same_bits(&run.output, &alone.runs[0].output, "retargeted member");
         }
     }
@@ -2834,7 +2750,7 @@ mod tests {
         ];
         let cfg = ArrayConfig::new(8, 16);
         let mut cache = TableCache::new();
-        let staged = run_staged(&jobs, &cfg, Parallelism::Sequential, &mut cache).unwrap();
+        let staged = run_staged(&jobs, &cfg, &mut cache).unwrap();
         assert_eq!(staged.conv_sweeps, 0);
         let stage = |stage, ops, groups, gemm_groups, nonlinear_groups| StageGroups {
             stage,
@@ -2853,7 +2769,7 @@ mod tests {
         ];
         assert_eq!(staged.stages, want);
         for (i, (run, job)) in staged.runs.iter().zip(jobs).enumerate() {
-            let alone = run_staged(&[job], &cfg, Parallelism::Sequential, &mut cache).unwrap();
+            let alone = run_staged(&[job], &cfg, &mut cache).unwrap();
             let alone = &alone.runs[0];
             assert_same_bits(&run.output, &alone.output, &format!("member {i}"));
             assert_eq!(run.session_outputs.len(), alone.session_outputs.len());

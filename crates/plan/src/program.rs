@@ -1033,7 +1033,9 @@ impl Program {
 
     /// Executes the program solo (a one-program staged run on the
     /// default array configuration): the path `onesa-nn`'s `logits` /
-    /// `predict` wrappers take after compiling.
+    /// `predict` wrappers take after compiling. The
+    /// [`Parallelism`](onesa_tensor::parallel::Parallelism) argument is
+    /// ignored; it stays only for `benchmark/` and goes with ROADMAP 12(b).
     ///
     /// # Errors
     ///
@@ -1042,11 +1044,10 @@ impl Program {
     pub fn run(
         &self,
         inputs: &[Tensor],
-        par: onesa_tensor::parallel::Parallelism,
+        _: onesa_tensor::parallel::Parallelism,
         tables: &mut crate::TableCache,
     ) -> Result<crate::ProgramRun> {
-        let mut staged =
-            crate::run_staged(&[(self, inputs)], &ArrayConfig::default(), par, tables)?;
+        let mut staged = crate::run_staged(&[(self, inputs)], &ArrayConfig::default(), tables)?;
         Ok(staged.runs.remove(0))
     }
 }

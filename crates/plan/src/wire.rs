@@ -90,7 +90,6 @@ use std::sync::Arc;
 use onesa_cpwl::NonlinearFn;
 use onesa_sim::{ArrayConfig, BufferSizes, CycleBreakdown, ExecStats, ParamStaging};
 use onesa_tensor::im2col::Conv2dGeometry;
-use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::{Tensor, TensorError};
 
 use crate::exec::StageGroups;
@@ -139,7 +138,10 @@ pub(crate) const MAGIC: [u8; 4] = *b"OSAW";
 ///   `(key, tensor)` pairs its reader lacks ([`WireSink::lacks`]); the
 ///   transport's request is that program and its inputs (the full / ref
 ///   request tags are gone).
-pub const VERSION: u16 = 9;
+/// * v10 — the transport's Configure message loses its host-execution
+///   policy (`Parallelism`, whose schema is gone): every kernel runs on
+///   the calling thread.
+pub const VERSION: u16 = 10;
 
 /// Frame kind: a standalone tensor ([`encode_tensor`]).
 pub(crate) const KIND_TENSOR: u16 = 0x0001;
@@ -732,10 +734,8 @@ wire_layout! {
         15 => Square,
     }
 
-    // The transport's Configure message: the worker's host-execution
-    // policy and the array every shard prices cycles on.
-    enum Parallelism { 0 => Sequential, 1 => Threads(usize), 2 => Auto }
-
+    // The transport's Configure message: the array every shard prices
+    // cycles on.
     enum ParamStaging { 0 => Fused, 1 => Dram }
 
     struct BufferSizes { l3_bytes: usize, l2_bytes: usize, pe_out_bytes: usize, l1_bytes: usize }
@@ -1400,7 +1400,6 @@ mod tests {
         check_schema::<EvalMode>();
         check_schema::<Operand>();
         check_schema::<PoolKind>();
-        check_schema::<Parallelism>();
         check_schema::<ParamStaging>();
         check_schema::<OptLevel>();
         check_schema::<Precision>();

@@ -51,14 +51,13 @@ use crate::{Result, Tensor, TensorError};
 /// A product with fewer than four query rows — a decode step's one token —
 /// allocates nothing per head: it reads every head in place and reuses
 /// one score and one context buffer. Larger ones copy each head's columns
-/// out for [`parallel::matmul`]'s register-tiled sweep under `par`.
+/// out for [`parallel::matmul`]'s register-tiled sweep.
 ///
 /// # Errors
 ///
 /// [`TensorError::NotAMatrix`] or [`TensorError::ShapeMismatch`] unless
 /// `k` and `v` are `[n, d]` beside a `[m, d]` query (and, when `causal`,
 /// `n ≥ m`); [`TensorError::InvalidArgument`] unless `heads` divides `d`.
-#[allow(clippy::too_many_arguments)]
 pub fn attention(
     q: &Tensor,
     k: &Tensor,
@@ -66,7 +65,6 @@ pub fn attention(
     heads: usize,
     scale: f32,
     causal: bool,
-    par: Parallelism,
     softmax: impl Fn(&mut [f32], usize),
 ) -> Result<Tensor> {
     let (m, d) = q.shape().as_matrix()?;
@@ -110,10 +108,11 @@ pub fn attention(
         } else {
             let qh = head.columns(head.q, m);
             let kt = head.columns(head.k, n).transpose()?;
-            let mut s = parallel::matmul(&qh, &kt, par)?.into_vec();
+            let mut s = parallel::matmul(&qh, &kt, Parallelism::Sequential)?.into_vec();
             normalise(&mut s, m, n, scale, causal, &softmax);
             let p = Tensor::from_vec(s, &[m, n])?;
-            ctx = parallel::matmul(&p, &head.columns(head.v, n), par)?.into_vec();
+            let v = head.columns(head.v, n);
+            ctx = parallel::matmul(&p, &v, Parallelism::Sequential)?.into_vec();
         }
         head.merge(&ctx, out.as_mut_slice());
     }
@@ -293,17 +292,7 @@ mod tests {
             let mut v = rng.randn(&[n, d], 1.0);
             v.as_mut_slice()[0] = -0.0;
             for causal in [false, true] {
-                let got = attention(
-                    &q,
-                    &k,
-                    &v,
-                    heads,
-                    0.5,
-                    causal,
-                    Parallelism::Threads(2),
-                    softmax_rows,
-                )
-                .unwrap();
+                let got = attention(&q, &k, &v, heads, 0.5, causal, softmax_rows).unwrap();
                 let want = reference(&q, &k, &v, heads, causal);
                 let bits =
                     |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -322,15 +311,14 @@ mod tests {
         let short = Tensor::zeros(&[1, 4]);
         let narrow = Tensor::zeros(&[2, 3]);
         let none = |_: &mut [f32], _: usize| {};
-        let seq = Parallelism::Sequential;
-        assert!(attention(&x, &narrow, &narrow, 1, 1.0, false, seq, none).is_err());
-        assert!(attention(&x, &x, &short, 1, 1.0, false, seq, none).is_err());
-        assert!(attention(&x, &short, &short, 1, 1.0, true, seq, none).is_err());
-        assert!(attention(&x, &x, &x, 3, 1.0, false, seq, none).is_err());
-        assert!(attention(&x, &x, &x, 0, 1.0, false, seq, none).is_err());
-        assert!(attention(&x, &short, &short, 2, 1.0, false, seq, none).is_ok());
+        assert!(attention(&x, &narrow, &narrow, 1, 1.0, false, none).is_err());
+        assert!(attention(&x, &x, &short, 1, 1.0, false, none).is_err());
+        assert!(attention(&x, &short, &short, 1, 1.0, true, none).is_err());
+        assert!(attention(&x, &x, &x, 3, 1.0, false, none).is_err());
+        assert!(attention(&x, &x, &x, 0, 1.0, false, none).is_err());
+        assert!(attention(&x, &short, &short, 2, 1.0, false, none).is_ok());
         let keyless = Tensor::zeros(&[0, 4]);
-        let out = attention(&x, &keyless, &keyless, 2, 1.0, false, seq, none).unwrap();
+        let out = attention(&x, &keyless, &keyless, 2, 1.0, false, none).unwrap();
         assert_eq!(out, Tensor::zeros(&[2, 4]));
     }
 }

@@ -46,7 +46,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Each accumulation step is one **fused multiply-add**
 /// ([`f32::mul_add`]) — the same single-rounding operation a hardware MAC
-/// unit performs, and the contract the parallel backend
+/// unit performs, and the contract the host backend
 /// ([`crate::parallel`]) reproduces bit-for-bit.
 ///
 /// # Errors

@@ -16,8 +16,8 @@
 //!   shift-based segment addressing of the L3 buffer.
 //! * [`attention`] — multi-head scaled dot-product attention as one
 //!   kernel, bit-identical to its per-head GEMM / softmax composition.
-//! * [`parallel`] — the cache-blocked, multi-threaded execution backend
-//!   behind the serving layer (bit-identical to the reference kernels).
+//! * [`parallel`] — the cache-blocked host execution backend behind the
+//!   serving layer (bit-identical to the reference kernels).
 //! * [`rng`] — a small deterministic PRNG (PCG-32) so every experiment in
 //!   the repository is reproducible without external crates.
 //!

@@ -1,14 +1,13 @@
-//! Parallel execution backend for the reference kernels.
+//! Host execution backend for the reference kernels.
 //!
 //! The [`gemm`] module defines *what* the array computes; this
 //! module computes the same values *fast* on the host CPU so the engine can
 //! serve real traffic. One GEMM sweep serves every entry point —
-//! [`matmul`] and [`matmul_rows`] under every [`Parallelism`] setting,
-//! [`matmul_packed`], [`sparse::matmul`](crate::sparse::matmul) over its
-//! payload and [`conv2d`] over image patches; only a left operand packed
-//! by rows (idea 2) has a kernel of its own, under the same thread split —
-//! built from three ideas, mirroring how throughput is obtained in
-//! systolic-array designs themselves:
+//! [`matmul`], [`matmul_rows`], [`matmul_packed`],
+//! [`sparse::matmul`](crate::sparse::matmul) over its payload and
+//! [`conv2d`] over image patches; only a left operand packed by rows
+//! (idea 2) has a kernel of its own — built from two ideas, mirroring how
+//! throughput is obtained in systolic-array designs themselves:
 //!
 //! 1. **Cache/register blocking** — `B` is packed into column panels that
 //!    a register-tiled microkernel sweeps, exactly the output-stationary
@@ -40,11 +39,11 @@
 //!    multiply-adds per non-zero — so such an operand pays by its
 //!    non-zeros alone. The pack picks the layout from its own counts (see
 //!    [`PackedLhs::pack`]).
-//! 3. **Row-panel threading** — the output matrix is split into disjoint
-//!    panels of row blocks, one per worker, executed under
-//!    [`std::thread::scope`] (no external dependencies).
-//!    [`Parallelism::Sequential`] is the one-worker case of the same split,
-//!    which both layouts share.
+//!
+//! Every kernel runs on the calling thread. A served pool gets its
+//! parallelism from its shards — one thread or worker process per
+//! simulated array — never from threads inside one call: a call's spawns
+//! cost more than the split saved on the 5–70 µs ops a pool serves.
 //!
 //! # Bit-identical by construction
 //!
@@ -52,9 +51,8 @@
 //! order, one fused multiply-add ([`f32::mul_add`], a hardware MAC) per
 //! step, skipping steps where `A[i][k] == 0.0` — precisely the operation
 //! sequence of the sequential reference [`gemm::matmul`]. Row/column
-//! blocking, the panel width and the thread count only change *which core
-//! and which vector lane* performs a given output element, never the
-//! floating-point op sequence behind it.
+//! blocking and the panel width only change *which vector lane* performs a
+//! given output element, never the floating-point op sequence behind it.
 //!
 //! The kernel does not branch on `A[i][k] == 0.0`; it never sees a packed
 //! line whose four rows are all zero, and on the others — and on every
@@ -81,13 +79,12 @@
 //! fails — a `B` holding `±inf` or
 //! `NaN`, an operand with non-zero values under `2⁻⁵⁰` — the same kernel
 //! runs with the reference's skip compiled in (a const generic of it), so
-//! results are bit-identical to the reference for **every** input and
-//! **every** [`Parallelism`] setting; nothing but the operands' own values
-//! chooses between the two, and on inputs where both apply they agree.
-//! The integration suite (`tests/integration_parallel.rs`) asserts this
-//! across thread counts 1/2/4, and the crate's proptests across the whole
-//! shape space, zero fractions from none to all, signed zeros, non-finite
-//! and underflowing values.
+//! results are bit-identical to the reference for **every** input; nothing
+//! but the operands' own values chooses between the two, and on inputs
+//! where both apply they agree. The integration suite
+//! (`tests/integration_parallel.rs`) and the crate's proptests assert this
+//! across the whole shape space, zero fractions from none to all, signed
+//! zeros, non-finite and underflowing values.
 //!
 //! The rows layout needs no such test. A row keeps exactly the `A[i][k]`
 //! for which `A[i][k] != 0.0` — the steps the reference does not skip, so
@@ -139,7 +136,7 @@
 //! let mut rng = Pcg32::seed_from_u64(7);
 //! let a = rng.randn(&[50, 30], 1.0);
 //! let b = rng.randn(&[30, 40], 1.0);
-//! let fast = parallel::matmul(&a, &b, Parallelism::Threads(2))?;
+//! let fast = parallel::matmul(&a, &b, Parallelism::Sequential)?;
 //! assert_eq!(fast, gemm::matmul(&a, &b)?); // bit-identical
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
@@ -148,9 +145,6 @@ use crate::im2col::Conv2dGeometry;
 use crate::sparse::SparseTensor;
 use crate::{gemm, Result, Tensor, TensorError};
 use std::borrow::Cow;
-use std::num::NonZeroUsize;
-use std::sync::OnceLock;
-use std::thread;
 
 /// How many rows of `C` one microkernel call produces.
 pub(crate) const MR: usize = 4;
@@ -172,64 +166,18 @@ const KC: usize = 128;
 /// `f32`s per cache line.
 const LINE: usize = 16;
 
-/// How kernel work is spread across CPU cores.
+/// How kernel work is spread across CPU cores: only ever on the calling
+/// thread (see the [module docs](self)).
 ///
-/// The default is [`Parallelism::Sequential`]: the packed kernels on the
-/// calling thread — engines opt in to threading explicitly. All settings
-/// run the same kernel and produce bit-identical results (see the
-/// [module docs](self)).
+/// The type stays only because the system benchmark (`benchmark/`) names
+/// it, in the seven signatures that still take an ignored `Parallelism` —
+/// [`matmul`], [`mhp`], [`sparse::matmul`](crate::sparse::matmul) and four
+/// in `onesa-plan` and `onesa-core` — and goes with them (ROADMAP 12(b)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// The blocked backend on the calling thread: no thread is spawned
-    /// and the OS is never asked for a core count.
+    /// The blocked backend on the calling thread.
     #[default]
     Sequential,
-    /// The blocked backend on exactly `n` worker threads (`0` is treated
-    /// as `1`). `Threads(1)` runs the blocked kernel without spawning.
-    Threads(usize),
-    /// The blocked backend on [`std::thread::available_parallelism`]
-    /// workers.
-    Auto,
-}
-
-impl Parallelism {
-    /// The number of worker threads this setting resolves to.
-    ///
-    /// Requests beyond the machine's [`available_parallelism`] are capped
-    /// to it: on one core, oversubscribed workers only fight each other
-    /// for cache, so `Threads(4)` degrades gracefully to the blocked
-    /// kernel on however many cores exist.
-    ///
-    /// The core count is read from the OS once per process and cached
-    /// (the query reads cgroup files — tens of microseconds, more than a
-    /// small kernel call), and `Sequential` never asks for it, so no
-    /// kernel call makes a syscall to size its thread split.
-    ///
-    /// [`available_parallelism`]: std::thread::available_parallelism
-    pub fn worker_count(&self) -> usize {
-        static CORES: OnceLock<usize> = OnceLock::new();
-        let cores = || {
-            *CORES.get_or_init(|| {
-                thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-        };
-        match *self {
-            Parallelism::Sequential => 1,
-            Parallelism::Threads(n) => n.clamp(1, cores()),
-            Parallelism::Auto => cores(),
-        }
-    }
-
-    /// Short label for reports (`seq`, `threads(4)`, `auto(8)`).
-    pub fn label(&self) -> String {
-        match *self {
-            Parallelism::Sequential => "seq".to_string(),
-            Parallelism::Threads(n) => format!("threads({})", n.max(1)),
-            Parallelism::Auto => format!("auto({})", self.worker_count()),
-        }
-    }
 }
 
 /// A GEMM's left operand, packed once for the kernels, in one of two
@@ -633,8 +581,8 @@ impl Clone for PackedRhs {
 /// A GEMM's right operand `B` as [`matmul_rows`] takes it.
 #[derive(Debug, Clone, Copy)]
 pub enum Right<'a> {
-    /// A matrix multiplied once (an activation): each worker packs the
-    /// panel it sweeps, per call.
+    /// A matrix multiplied once (an activation): the sweep packs each
+    /// panel as it reaches it, per call.
     Dense(&'a Tensor),
     /// A matrix multiplied many times (a weight): packed once per buffer,
     /// in its storage (see "What the buffer remembers" on [`Tensor`]), by
@@ -647,10 +595,7 @@ pub enum Right<'a> {
     Sparse(&'a SparseTensor),
 }
 
-/// Computes `A · B` under the given parallelism setting.
-///
-/// Every setting runs the same sweep — [`Parallelism`] only picks how many
-/// threads share its row panels — and every result is bit-identical to
+/// Computes `A · B` on the calling thread, bit-identical to
 /// [`gemm::matmul`]. `a` is read where it lies, four rows at a time, and
 /// is not packed: an operand multiplied once would pay for a pack it
 /// reads once (see "Zeros in `A`" in the [module docs](self)). Products
@@ -658,20 +603,23 @@ pub enum Right<'a> {
 /// one register tile, whose padding rows the sweep would compute and drop,
 /// and go to the reference loop directly; that cut-off reads `m` alone.
 ///
+/// The [`Parallelism`] argument is ignored; it stays only for
+/// `benchmark/` and goes with ROADMAP 12(b).
+///
 /// # Errors
 ///
 /// Shape errors as in [`gemm::matmul`].
-pub fn matmul(a: &Tensor, b: &Tensor, par: Parallelism) -> Result<Tensor> {
+pub fn matmul(a: &Tensor, b: &Tensor, _: Parallelism) -> Result<Tensor> {
     let (m, k) = a.shape().as_matrix()?;
-    matmul_rows(&[a.as_slice()], m, k, Right::Dense(b), par)
+    matmul_rows(&[a.as_slice()], m, k, Right::Dense(b))
 }
 
 /// [`matmul`] for a left operand given as row-major `parts`, `k` values
 /// per row and `m` rows in all: the product of their rows stacked in
 /// order, which is never built — each part is read where it lies, and a
 /// row block may take its rows from two parts. The result is
-/// bit-identical to [`gemm::matmul`] of the stacked matrix under every
-/// [`Parallelism`] setting, for every source of `b`, and `m < MR` rows go
+/// bit-identical to [`gemm::matmul`] of the stacked matrix for every
+/// source of `b`, and `m < MR` rows go
 /// to the reference loop as in [`matmul`] (but for a sparse `b`, which
 /// is swept at every `m`).
 ///
@@ -679,13 +627,7 @@ pub fn matmul(a: &Tensor, b: &Tensor, par: Parallelism) -> Result<Tensor> {
 ///
 /// [`TensorError::LengthMismatch`] if the parts do not hold `m · k`
 /// values; shape errors as in [`gemm::matmul`].
-pub fn matmul_rows(
-    parts: &[&[f32]],
-    m: usize,
-    k: usize,
-    b: Right<'_>,
-    par: Parallelism,
-) -> Result<Tensor> {
+pub fn matmul_rows(parts: &[&[f32]], m: usize, k: usize, b: Right<'_>) -> Result<Tensor> {
     let len = parts.iter().map(|part| part.len()).sum();
     if len != m * k {
         return Err(TensorError::LengthMismatch {
@@ -707,9 +649,9 @@ pub fn matmul_rows(
             }
             if matches!(b, Right::Reused(_)) && t.multiplied_before() {
                 let packed = t.memo(|memo| &memo.rhs, PackedRhs::pack)?;
-                return Ok(gemm_sweep(a, Rhs::Packed(&packed), n, par));
+                return Ok(gemm_sweep(a, Rhs::Packed(&packed), n));
             }
-            Ok(gemm_sweep(a, Rhs::dense(t), n, par))
+            Ok(gemm_sweep(a, Rhs::dense(t), n))
         }
         Right::Sparse(b) => {
             if k != b.rows() {
@@ -719,7 +661,7 @@ pub fn matmul_rows(
                     op: "sparse::matmul",
                 });
             }
-            Ok(gemm_sweep(a, b.payload(), b.cols(), par))
+            Ok(gemm_sweep(a, b.payload(), b.cols()))
         }
     }
 }
@@ -749,12 +691,12 @@ fn rhs_cols(m: usize, k: usize, b: &Tensor, op: &'static str) -> Result<usize> {
 /// # Errors
 ///
 /// Shape errors as in [`gemm::matmul`].
-pub fn matmul_packed(a: &PackedLhs, b: &Tensor, par: Parallelism) -> Result<Tensor> {
+pub fn matmul_packed(a: &PackedLhs, b: &Tensor) -> Result<Tensor> {
     let (m, k) = a.dims();
     let n = rhs_cols(m, k, b, "parallel::matmul")?;
     Ok(match &a.0 {
-        Layout::Lines(a) => gemm_sweep(Lhs::Packed(a), Rhs::dense(b), n, par),
-        Layout::Rows(a) => rows_sweep(a, b.as_slice(), n, par),
+        Layout::Lines(a) => gemm_sweep(Lhs::Packed(a), Rhs::dense(b), n),
+        Layout::Rows(a) => rows_sweep(a, b.as_slice(), n),
     })
 }
 
@@ -771,8 +713,7 @@ pub fn matmul_packed(a: &PackedLhs, b: &Tensor, par: Parallelism) -> Result<Tens
 /// Returns `Ok(None)` — declines, computing nothing — unless `w` keeps
 /// lines and every image and `w` are finite with every non-zero magnitude
 /// at least `2⁻⁵⁰`; when it does not decline, every map is bit-identical
-/// to the reference under every [`Parallelism`] setting. Only the
-/// operands' values and `w`'s layout decide.
+/// to the reference. Only the operands' values and `w`'s layout decide.
 ///
 /// # Errors
 ///
@@ -783,7 +724,6 @@ pub fn conv2d(
     w: &PackedLhs,
     images: &[&Tensor],
     geo: &Conv2dGeometry,
-    par: Parallelism,
 ) -> Result<Option<Vec<Tensor>>> {
     let (m, k) = w.dims();
     let shape_err = |rhs: &[usize]| TensorError::ShapeMismatch {
@@ -816,7 +756,7 @@ pub fn conv2d(
         return Ok(None);
     }
     let patches = Patches::new(geo, images)?;
-    let out = gemm_sweep(Lhs::Packed(w), Rhs::Patches(&patches), n, par);
+    let out = gemm_sweep(Lhs::Packed(w), Rhs::Patches(&patches), n);
     if let [(oh, ow)] = maps[..] {
         return Ok(Some(vec![Tensor::from_vec(out.into_vec(), &[m, oh, ow])?]));
     }
@@ -1178,8 +1118,7 @@ impl<'a> Lhs<'a> {
 /// The one GEMM sweep behind [`matmul`], [`matmul_packed`],
 /// [`crate::sparse::matmul`] and [`conv2d`]: `C = A · B` for an `A` from
 /// either [`Lhs`] source and a `B` of `k` rows from any [`Rhs`] source,
-/// into an `n`-wide result, split into disjoint panels of row blocks
-/// across `par`'s workers.
+/// into an `n`-wide result.
 ///
 /// The operands decide which of the microkernel's two bodies runs, once
 /// per call: the one that multiplies by `A`'s zeros whenever that is the
@@ -1187,7 +1126,7 @@ impl<'a> Lhs<'a> {
 /// [module docs](self)), the one that branches around them otherwise.
 /// Patches always take the first: [`conv2d`] checked the stronger test
 /// before it swept.
-pub(crate) fn gemm_sweep(a: Lhs<'_>, b: Rhs<'_>, n: usize, par: Parallelism) -> Tensor {
+pub(crate) fn gemm_sweep(a: Lhs<'_>, b: Rhs<'_>, n: usize) -> Tensor {
     let (m, k) = a.dims();
     let mut out = Tensor::zeros(&[m, n]);
     let skip = match b {
@@ -1196,43 +1135,8 @@ pub(crate) fn gemm_sweep(a: Lhs<'_>, b: Rhs<'_>, n: usize, par: Parallelism) -> 
         Rhs::Patches(_) => false,
     };
     let zeros = vec![0.0f32; if m % MR == 0 { 0 } else { k }];
-    let rows = a.rows(&zeros);
-    for_each_row_panel(out.as_mut_slice(), m, n, par, |row0, panel| {
-        panel_rows(a, &rows, row0 / MR, b, panel, n, skip)
-    });
+    panel_rows(a, &a.rows(&zeros), b, out.as_mut_slice(), n, skip);
     out
-}
-
-/// The row-panel thread split both layouts' sweeps share: `c`, `m` rows
-/// of `n`, cut into near-equal disjoint panels of whole `MR`-row blocks
-/// (the last may be ragged), one per worker of `par`; `f(row0, panel)`
-/// computes the rows from `row0` on that `panel` holds. Each worker owns
-/// a contiguous `&mut` slice of the output, so no synchronization is
-/// needed beyond the scope join; one worker runs `f` on the calling
-/// thread.
-fn for_each_row_panel<F>(c: &mut [f32], m: usize, n: usize, par: Parallelism, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let blocks = m.div_ceil(MR);
-    let workers = par.worker_count().min(blocks.max(1));
-    if workers <= 1 {
-        return f(0, c);
-    }
-    let base = blocks / workers;
-    let extra = blocks % workers;
-    thread::scope(|scope| {
-        let mut rest = c;
-        let mut row0 = 0;
-        for w in 0..workers {
-            let rows = ((base + usize::from(w < extra)) * MR).min(m - row0);
-            let (panel, tail) = rest.split_at_mut(rows * n);
-            rest = tail;
-            let f = &f;
-            scope.spawn(move || f(row0, panel));
-            row0 += rows;
-        }
-    });
 }
 
 /// Lanes of the rows kernel's widest pass: four 512-bit accumulators, so
@@ -1240,15 +1144,14 @@ where
 const RW: usize = 64;
 
 /// `C = A · B` for a rows-packed `A` and a row-major `B` of `n` columns,
-/// split across `par`'s workers as [`gemm_sweep`] splits its row blocks.
-/// Each worker's rows are computed [`RW`] lanes at a time by
+/// computed [`RW`] lanes at a time by
 /// [`rows_kernel`], which reads whole 64-byte vectors of `B`'s rows: in
 /// place when `n` is a whole number of vectors and `B` starts on a cache
 /// line, else from one copy that does, each row padded to the next vector
 /// (its extra lanes are computed on and never stored). A `B` off its cache
 /// line would split every vector read across two lines — 1.8× the time on
 /// a GCN's `Â · XW` — and the allocator promises 16 bytes.
-fn rows_sweep(a: &RowPack, b: &[f32], n: usize, par: Parallelism) -> Tensor {
+fn rows_sweep(a: &RowPack, b: &[f32], n: usize) -> Tensor {
     let mut out = Tensor::zeros(&[a.m, n]);
     if n == 0 {
         return out;
@@ -1266,18 +1169,15 @@ fn rows_sweep(a: &RowPack, b: &[f32], n: usize, par: Parallelism) -> Tensor {
         copy = buf;
         &copy[skew..skew + len]
     };
-    for_each_row_panel(out.as_mut_slice(), a.m, n, par, |row0, panel| {
-        let starts = &a.starts[row0..=row0 + panel.len() / n];
-        for j0 in (0..n).step_by(RW) {
-            let kernel = match (stride - j0).min(RW) {
-                16 => rows_kernel::<16>,
-                32 => rows_kernel::<32>,
-                48 => rows_kernel::<48>,
-                _ => rows_kernel::<RW>,
-            };
-            kernel(starts, &a.entries, b, stride, j0, panel, n);
-        }
-    });
+    for j0 in (0..n).step_by(RW) {
+        let kernel = match (stride - j0).min(RW) {
+            16 => rows_kernel::<16>,
+            32 => rows_kernel::<32>,
+            48 => rows_kernel::<48>,
+            _ => rows_kernel::<RW>,
+        };
+        kernel(&a.starts, &a.entries, b, stride, j0, out.as_mut_slice(), n);
+    }
     out
 }
 
@@ -1340,92 +1240,28 @@ fn rows_step<const W: usize>(acc: &mut [f32; W], (v, p): (f32, u32), b: &[f32], 
     }
 }
 
-/// Matrix Hadamard Product `Y = X ⊙ K + B` under the given parallelism
-/// setting; bit-identical to [`gemm::mhp`].
+/// Matrix Hadamard Product `Y = X ⊙ K + B`: [`gemm::mhp`] itself. The
+/// [`Parallelism`] argument is ignored; it stays only for `benchmark/` and
+/// goes with ROADMAP 12(b).
 ///
 /// # Errors
 ///
 /// Shape errors as in [`gemm::mhp`].
-pub fn mhp(x: &Tensor, k: &Tensor, b: &Tensor, par: Parallelism) -> Result<Tensor> {
-    if x.shape() != k.shape() || x.shape() != b.shape() {
-        return Err(TensorError::ShapeMismatch {
-            lhs: x.dims().to_vec(),
-            rhs: k.dims().to_vec(),
-            op: "parallel::mhp",
-        });
-    }
-    if pointwise_workers(x.len(), par) <= 1 {
-        return gemm::mhp(x, k, b);
-    }
-    let mut out = Tensor::zeros(x.dims());
-    let (xv, kv, bv) = (x.as_slice(), k.as_slice(), b.as_slice());
-    for_each_chunk(out.as_mut_slice(), par, |lo, chunk| {
-        let hi = lo + chunk.len();
-        let operands = xv[lo..hi].iter().zip(&kv[lo..hi]).zip(&bv[lo..hi]);
-        for (o, ((&xi, &ki), &bi)) in chunk.iter_mut().zip(operands) {
-            *o = xi * ki + bi;
-        }
-    });
-    Ok(out)
+pub fn mhp(x: &Tensor, k: &Tensor, b: &Tensor, _: Parallelism) -> Result<Tensor> {
+    gemm::mhp(x, k, b)
 }
 
-/// How many workers a pointwise sweep over `len` elements is split
-/// across: `par`'s, or one below 4 096 elements — less work than spawning
-/// a thread costs.
-fn pointwise_workers(len: usize, par: Parallelism) -> usize {
-    if len < 4096 {
-        1
-    } else {
-        par.worker_count()
-    }
-}
-
-/// The thread split of every pointwise sweep ([`mhp`], the fused CPWL
-/// evaluation in `onesa-cpwl`): calls `f(offset, chunk)` on disjoint,
-/// near-equal chunks of `out`, one per worker (of `par`'s; one worker
-/// below 4 096 elements, and then `f` runs on the calling thread),
-/// `offset` being the chunk's position in `out`. `f` must compute each
-/// element from its own index alone, so the split never shows in the
-/// result.
-pub fn for_each_chunk<F>(out: &mut [f32], par: Parallelism, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let workers = pointwise_workers(out.len(), par);
-    if workers <= 1 {
-        return f(0, out);
-    }
-    let len = out.len().div_ceil(workers);
-    thread::scope(|scope| {
-        for (w, chunk) in out.chunks_mut(len).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(w * len, chunk));
-        }
-    });
-}
-
-/// Computes the rows of `C` that `c` holds — whole row blocks of `a`
-/// starting at block `blk0` (the last may be ragged; an in-place `a` is
-/// read from `rows`, its [`Lhs::rows`]) — with `b` and `skip` as in
-/// [`gemm_sweep`].
+/// Computes `C` into `c`, `n` wide, row block by row block (the last may
+/// be ragged; an in-place `a` is read from `rows`, its [`Lhs::rows`]) —
+/// with `b` and `skip` as in [`gemm_sweep`].
 ///
 /// `B` is consumed one column panel of up to [`NR`] columns at a time,
-/// `KC` rows deep, BLIS-style and independently by each worker (the
-/// duplicated copies are `O(k·n)` against `O(rows · k · n)` of MACs): the
-/// panel is packed into a small contiguous buffer — unless `B` was packed
+/// `KC` rows deep, BLIS-style: the panel is packed into a small contiguous buffer — unless `B` was packed
 /// once already — and immediately swept by every row block, staying
 /// cache-hot while in use. A panel is packed at the narrowest of 16 / 32 /
 /// 48 lanes that covers it, so a narrow product (or the tail of a wide
 /// one) does not pay for a `4 × 48` tile it leaves mostly empty.
-fn panel_rows(
-    a: Lhs<'_>,
-    rows: &[&[f32]],
-    blk0: usize,
-    b: Rhs<'_>,
-    c: &mut [f32],
-    n: usize,
-    skip: bool,
-) {
+fn panel_rows(a: Lhs<'_>, rows: &[&[f32]], b: Rhs<'_>, c: &mut [f32], n: usize, skip: bool) {
     let (_, k) = a.dims();
     let kblocks = k.div_ceil(KC);
     // A matrix is packed panel by panel into one buffer (a packed one and
@@ -1454,7 +1290,6 @@ fn panel_rows(
             let kc = KC.min(k - k0);
             let lines = b.lines(i, k0, kc, w, panel);
             for (blk, crows) in c.chunks_mut(MR * n).enumerate() {
-                let blk = blk0 + blk;
                 // The block's k-block of `A` lines, and their k offsets.
                 let mut arows: [&[f32]; MR] = [&[]; MR];
                 let (alines, offs) = match a {
@@ -1613,6 +1448,8 @@ mod tests {
     use super::*;
     use crate::rng::Pcg32;
 
+    const SEQ: Parallelism = Parallelism::Sequential;
+
     fn assert_bit_identical(x: &Tensor, y: &Tensor) {
         assert_eq!(x.dims(), y.dims());
         for (i, (a, b)) in x.as_slice().iter().zip(y.as_slice()).enumerate() {
@@ -1633,14 +1470,7 @@ mod tests {
             let a = rng.randn(&[m, k], 1.0);
             let b = rng.randn(&[k, n], 1.0);
             let reference = gemm::matmul(&a, &b).unwrap();
-            for par in [
-                Parallelism::Threads(1),
-                Parallelism::Threads(2),
-                Parallelism::Threads(4),
-                Parallelism::Auto,
-            ] {
-                assert_bit_identical(&matmul(&a, &b, par).unwrap(), &reference);
-            }
+            assert_bit_identical(&matmul(&a, &b, SEQ).unwrap(), &reference);
         }
     }
 
@@ -1657,9 +1487,7 @@ mod tests {
         .unwrap();
         let b = Pcg32::seed_from_u64(5).randn(&[6, 49], 1.0);
         let reference = gemm::matmul(&a, &b).unwrap();
-        for par in [Parallelism::Threads(2), Parallelism::Auto] {
-            assert_bit_identical(&matmul(&a, &b, par).unwrap(), &reference);
-        }
+        assert_bit_identical(&matmul(&a, &b, SEQ).unwrap(), &reference);
     }
 
     #[test]
@@ -1674,9 +1502,7 @@ mod tests {
             b.as_mut_slice()[139 * 20] = poison;
             let reference = gemm::matmul(&a, &b).unwrap();
             assert!(reference.as_slice().iter().any(|v| v.is_finite()));
-            for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
-                assert_bit_identical(&matmul(&a, &b, par).unwrap(), &reference);
-            }
+            assert_bit_identical(&matmul(&a, &b, SEQ).unwrap(), &reference);
         }
     }
 
@@ -1695,10 +1521,7 @@ mod tests {
             let b = Tensor::from_vec(col, &[2, 1]).unwrap();
             let reference = gemm::matmul(&a, &b).unwrap();
             assert_eq!(reference.as_slice()[0].to_bits(), (-0.0f32).to_bits());
-            assert_bit_identical(
-                &matmul(&a, &b, Parallelism::Sequential).unwrap(),
-                &reference,
-            );
+            assert_bit_identical(&matmul(&a, &b, SEQ).unwrap(), &reference);
         }
     }
 
@@ -1730,10 +1553,10 @@ mod tests {
         let b = Pcg32::seed_from_u64(8).randn(&[130, 33], 1.0);
         let packed = PackedLhs(Layout::Lines(packed));
         assert_bit_identical(
-            &matmul_packed(&packed, &b, Parallelism::Threads(2)).unwrap(),
+            &matmul_packed(&packed, &b).unwrap(),
             &gemm::matmul(&a, &b).unwrap(),
         );
-        assert!(matmul_packed(&packed, &Tensor::zeros(&[129, 3]), Parallelism::Auto).is_err());
+        assert!(matmul_packed(&packed, &Tensor::zeros(&[129, 3])).is_err());
     }
 
     #[test]
@@ -1758,14 +1581,12 @@ mod tests {
         let mut rng = Pcg32::seed_from_u64(8);
         for n in [0, 1, 7, 16, 33, 64, 100, 128] {
             let b = rng.randn(&[130, n], 1.0);
-            for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
-                assert_bit_identical(
-                    &matmul_packed(&packed, &b, par).unwrap(),
-                    &gemm::matmul(&a, &b).unwrap(),
-                );
-            }
+            assert_bit_identical(
+                &matmul_packed(&packed, &b).unwrap(),
+                &gemm::matmul(&a, &b).unwrap(),
+            );
         }
-        assert!(matmul_packed(&packed, &Tensor::zeros(&[129, 3]), Parallelism::Auto).is_err());
+        assert!(matmul_packed(&packed, &Tensor::zeros(&[129, 3])).is_err());
         // A dense operand, or one that is a quarter zeros, keeps lines.
         let dense = rng.randn(&[9, 20], 1.0);
         assert!(!PackedLhs::pack(&dense).unwrap().by_rows());
@@ -1783,7 +1604,7 @@ mod tests {
         let w = Tensor::from_vec((0..24).map(|i| f32::from(i % 5 == 0)).collect(), &[6, 4]);
         let w = w.unwrap();
         let image = rng.randn(&[4, 3, 3], 1.0);
-        let conv = |w: &PackedLhs| conv2d(w, &[&image], &geo, Parallelism::Sequential).unwrap();
+        let conv = |w: &PackedLhs| conv2d(w, &[&image], &geo).unwrap();
         assert!(PackedLhs::pack(&w).unwrap().by_rows());
         assert!(conv(&PackedLhs::pack(&w).unwrap()).is_none());
         assert!(conv(&PackedLhs::pack_lines(&w).unwrap()).is_some());
@@ -1798,7 +1619,7 @@ mod tests {
             let a = rng.randn(&[m, k], 1.0);
             let b = rng.randn(&[k, n], 1.0);
             assert_bit_identical(
-                &matmul(&a, &b, Parallelism::Sequential).unwrap(),
+                &matmul(&a, &b, SEQ).unwrap(),
                 &gemm::matmul(&a, &b).unwrap(),
             );
         }
@@ -1812,13 +1633,7 @@ mod tests {
             let k = rng.randn(&dims, 1.0);
             let b = rng.randn(&dims, 1.0);
             let reference = gemm::mhp(&x, &k, &b).unwrap();
-            for par in [
-                Parallelism::Sequential,
-                Parallelism::Threads(3),
-                Parallelism::Auto,
-            ] {
-                assert_bit_identical(&mhp(&x, &k, &b, par).unwrap(), &reference);
-            }
+            assert_bit_identical(&mhp(&x, &k, &b, SEQ).unwrap(), &reference);
         }
     }
 
@@ -1833,8 +1648,7 @@ mod tests {
         };
         let w = PackedLhs::pack(&Pcg32::seed_from_u64(9).randn(&[3, 18], 1.0)).unwrap();
         let x = Pcg32::seed_from_u64(10).randn(&[2, 5, 7], 1.0);
-        let run =
-            |images: &[&Tensor], w: &PackedLhs| conv2d(w, images, &geo, Parallelism::Sequential);
+        let run = |images: &[&Tensor], w: &PackedLhs| conv2d(w, images, &geo);
         let maps = run(&[&x, &x], &w).unwrap().unwrap();
         assert_eq!(maps.len(), 2);
         assert_eq!(maps[0].dims(), &[3, 3, 4]);
@@ -1856,20 +1670,7 @@ mod tests {
     fn shape_errors_propagate() {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[4, 5]);
-        assert!(matmul(&a, &b, Parallelism::Auto).is_err());
-        assert!(mhp(&a, &b, &a, Parallelism::Auto).is_err());
-    }
-
-    #[test]
-    fn worker_counts_resolve() {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        assert_eq!(Parallelism::Sequential.worker_count(), 1);
-        assert_eq!(Parallelism::Threads(0).worker_count(), 1);
-        assert_eq!(Parallelism::Threads(4).worker_count(), 4.min(cores));
-        assert_eq!(Parallelism::Auto.worker_count(), cores);
-        assert_eq!(Parallelism::Threads(4).label(), "threads(4)");
-        assert_eq!(Parallelism::Sequential.label(), "seq");
+        assert!(matmul(&a, &b, SEQ).is_err());
+        assert!(mhp(&a, &b, &a, SEQ).is_err());
     }
 }

@@ -28,8 +28,8 @@
 //! columns run the identical packed-microkernel op sequence as the dense
 //! backend — which is bit-identical to the reference for every input (see
 //! [`crate::parallel`]) — so for a finite `A` the whole product is
-//! bit-identical to dense-times-dense under every [`Parallelism`] setting
-//! (a non-finite `a` would turn a dropped column's `a·0` into NaN).
+//! bit-identical to dense-times-dense (a non-finite `a` would turn a
+//! dropped column's `a·0` into NaN).
 //!
 //! # Example
 //!
@@ -47,7 +47,7 @@
 //! }
 //! let sb = SparseTensor::from_dense(&b, 16)?;
 //! assert_eq!(sb.nnz_cols(), 32); // two 16-wide blocks survive
-//! let fast = onesa_tensor::sparse::matmul(&a, &sb, Parallelism::Auto)?;
+//! let fast = onesa_tensor::sparse::matmul(&a, &sb, Parallelism::Sequential)?;
 //! assert_eq!(fast, gemm::matmul(&a, &b)?); // bit-identical
 //! # Ok::<(), onesa_tensor::TensorError>(())
 //! ```
@@ -202,21 +202,24 @@ impl SparseTensor {
     }
 }
 
-/// Computes `A · B` for a column-block sparse `B` under the given
-/// parallelism setting — bit-identical to the dense product `A · B` of
-/// the matrix `B` was packed from, for every setting (see the [module docs](self)).
+/// Computes `A · B` for a column-block sparse `B` — bit-identical to the
+/// dense product `A · B` of the matrix `B` was packed from (see the
+/// [module docs](self)).
 ///
 /// Zero blocks are skipped entirely: the kernel packs and sweeps only
 /// the payload, so the MAC count scales with
 /// [`SparseTensor::nnz_cols`], not with the dense width. A fully pruned
 /// `B` sweeps nothing and returns the `+0.0` output as initialized.
 ///
+/// The [`Parallelism`] argument is ignored; it stays only for
+/// `benchmark/` and goes with ROADMAP 12(b).
+///
 /// # Errors
 ///
 /// Shape errors as in [`crate::gemm::matmul`].
-pub fn matmul(a: &Tensor, b: &SparseTensor, par: Parallelism) -> Result<Tensor> {
+pub fn matmul(a: &Tensor, b: &SparseTensor, _: Parallelism) -> Result<Tensor> {
     let (m, k) = a.shape().as_matrix()?;
-    parallel::matmul_rows(&[a.as_slice()], m, k, Right::Sparse(b), par)
+    parallel::matmul_rows(&[a.as_slice()], m, k, Right::Sparse(b))
 }
 
 #[cfg(test)]
@@ -224,6 +227,8 @@ mod tests {
     use super::*;
     use crate::rng::Pcg32;
     use crate::{gemm, parallel};
+
+    const SEQ: Parallelism = Parallelism::Sequential;
 
     fn assert_bit_identical(x: &Tensor, y: &Tensor) {
         assert_eq!(x.dims(), y.dims());
@@ -309,21 +314,11 @@ mod tests {
             prune_blocks(&mut b, bc, |blk| blk % 3 != 1);
             let sb = SparseTensor::from_dense(&b, bc).unwrap();
             let reference = gemm::matmul(&a, &b).unwrap();
-            for par in [
-                Parallelism::Sequential,
-                Parallelism::Threads(1),
-                Parallelism::Threads(2),
-                Parallelism::Threads(4),
-                Parallelism::Auto,
-            ] {
-                assert_bit_identical(&matmul(&a, &sb, par).unwrap(), &reference);
-                // And against the dense blocked backend, which is itself
-                // bit-identical to the reference.
-                assert_bit_identical(
-                    &matmul(&a, &sb, par).unwrap(),
-                    &parallel::matmul(&a, &b, par).unwrap(),
-                );
-            }
+            let sparse = matmul(&a, &sb, SEQ).unwrap();
+            assert_bit_identical(&sparse, &reference);
+            // And against the dense blocked backend, which is itself
+            // bit-identical to the reference.
+            assert_bit_identical(&sparse, &parallel::matmul(&a, &b, SEQ).unwrap());
         }
     }
 
@@ -340,13 +335,7 @@ mod tests {
         prune_blocks(&mut b, 16, |blk| blk != 1);
         let sb = SparseTensor::from_dense(&b, 16).unwrap();
         let reference = gemm::matmul(&a, &b).unwrap();
-        for par in [
-            Parallelism::Sequential,
-            Parallelism::Threads(2),
-            Parallelism::Auto,
-        ] {
-            assert_bit_identical(&matmul(&a, &sb, par).unwrap(), &reference);
-        }
+        assert_bit_identical(&matmul(&a, &sb, SEQ).unwrap(), &reference);
     }
 
     #[test]
@@ -355,7 +344,7 @@ mod tests {
         let b = Tensor::zeros(&[12, 20]);
         let sb = SparseTensor::from_dense(&b, 8).unwrap();
         assert_eq!(sb.nnz_cols(), 0);
-        let out = matmul(&a, &sb, Parallelism::Auto).unwrap();
+        let out = matmul(&a, &sb, SEQ).unwrap();
         assert_bit_identical(&out, &gemm::matmul(&a, &b).unwrap());
     }
 
@@ -367,7 +356,7 @@ mod tests {
         assert!(SparseTensor::from_dense(&Tensor::zeros(&[4]), 2).is_err());
         assert!(column_block_stats(&b, 0).is_err());
         let sb = SparseTensor::from_dense(&b, 2).unwrap();
-        assert!(matmul(&a, &sb, Parallelism::Auto).is_err());
+        assert!(matmul(&a, &sb, SEQ).is_err());
     }
 
     use proptest::prelude::*;
@@ -400,14 +389,12 @@ mod tests {
         }
 
         /// Random sparse patterns × shapes: the sparse kernel is
-        /// bit-identical to the dense reference in every mode.
+        /// bit-identical to the dense reference.
         #[test]
         fn prop_sparse_kernel_bit_identical((a, b, bc) in sparse_case()) {
             let sb = SparseTensor::from_dense(&b, bc).unwrap();
             let reference = gemm::matmul(&a, &b).unwrap();
-            for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
-                assert_bit_identical(&matmul(&a, &sb, par).unwrap(), &reference);
-            }
+            assert_bit_identical(&matmul(&a, &sb, SEQ).unwrap(), &reference);
         }
     }
 }

@@ -9,6 +9,8 @@ use onesa_tensor::sparse::{self, SparseTensor};
 use onesa_tensor::{gemm, tensor_fingerprint, Tensor};
 use proptest::prelude::*;
 
+const SEQ: Parallelism = Parallelism::Sequential;
+
 fn small_matrix(max_dim: usize) -> impl Strategy<Value = Tensor> {
     (1..=max_dim, 1..=max_dim).prop_flat_map(|(r, c)| {
         proptest::collection::vec(-100.0f32..100.0, r * c)
@@ -307,8 +309,8 @@ proptest! {
     // Pinned case count: CI runs are deterministic and reproducible.
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every entry point of the one packed GEMM, under every
-    /// `Parallelism`, is `to_bits()`-equal to the reference loop: dense
+    /// Every entry point of the one packed GEMM is `to_bits()`-equal to
+    /// the reference loop: dense
     /// through `parallel::matmul`, block-sparse through `sparse::matmul`,
     /// and — with `A` in two parts, so a row block may straddle them — a
     /// `B` reused across calls (packed per call the first time, then
@@ -320,15 +322,11 @@ proptest! {
         let packed = SparseTensor::from_dense(&case.pruned_b, case.block_cols).unwrap();
         let (m, k) = (case.a.dims()[0], case.a.dims()[1]);
         let parts = halves(&case.a);
-        for par in [
-            Parallelism::Sequential,
-            Parallelism::Threads(1),
-            Parallelism::Threads(3),
-            Parallelism::Auto,
-        ] {
-            assert_bit_identical(&parallel::matmul(&case.a, &case.b, par).unwrap(), &dense);
-            assert_bit_identical(&sparse::matmul(&case.a, &packed, par).unwrap(), &pruned);
-            let reused = parallel::matmul_rows(&parts, m, k, Right::Reused(&case.b), par);
+        assert_bit_identical(&parallel::matmul(&case.a, &case.b, SEQ).unwrap(), &dense);
+        assert_bit_identical(&sparse::matmul(&case.a, &packed, SEQ).unwrap(), &pruned);
+        // Packed per call the first time, packed once the second.
+        for _ in 0..2 {
+            let reused = parallel::matmul_rows(&parts, m, k, Right::Reused(&case.b));
             assert_bit_identical(&reused.unwrap(), &dense);
         }
     }
@@ -355,34 +353,31 @@ proptest! {
         let sparse_b = SparseTensor::from_dense(&case.b, case.block_cols).unwrap();
         let (m, k) = (case.a.dims()[0], case.a.dims()[1]);
         let parts = halves(&case.a);
-        for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
-            assert_bit_identical(&parallel::matmul(&case.a, &case.b, par).unwrap(), &want);
-            assert_bit_identical(&parallel::matmul_packed(&packed_a, &case.b, par).unwrap(), &want);
-            let reused = parallel::matmul_rows(&parts, m, k, Right::Reused(&case.b), par);
+        assert_bit_identical(&parallel::matmul(&case.a, &case.b, SEQ).unwrap(), &want);
+        assert_bit_identical(&parallel::matmul_packed(&packed_a, &case.b).unwrap(), &want);
+        for _ in 0..2 {
+            let reused = parallel::matmul_rows(&parts, m, k, Right::Reused(&case.b));
             assert_bit_identical(&reused.unwrap(), &want);
-            if case.finite_a {
-                assert_bit_identical(&sparse::matmul(&case.a, &sparse_b, par).unwrap(), &want);
-            }
+        }
+        if case.finite_a {
+            assert_bit_identical(&sparse::matmul(&case.a, &sparse_b, SEQ).unwrap(), &want);
         }
     }
 
     /// A left operand read in place equals the same operand packed in
-    /// lines, and both equal the reference loop, under every
-    /// `Parallelism`: over every `m % 4` tail (the in-place sweep's
+    /// lines, and both equal the reference loop: over every `m % 4` tail (the in-place sweep's
     /// zero-padded last block), the `m < 4` cut-off to the reference loop,
     /// and k-blocks of every depth.
     #[test]
     fn in_place_a_equals_its_line_pack_and_the_reference(case in gemm_case()) {
         let want = gemm::matmul(&case.a, &case.b).unwrap();
         let lines = PackedLhs::pack_lines(&case.a).unwrap();
-        for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
-            assert_bit_identical(&parallel::matmul(&case.a, &case.b, par).unwrap(), &want);
-            assert_bit_identical(&parallel::matmul_packed(&lines, &case.b, par).unwrap(), &want);
-        }
+        assert_bit_identical(&parallel::matmul(&case.a, &case.b, SEQ).unwrap(), &want);
+        assert_bit_identical(&parallel::matmul_packed(&lines, &case.b).unwrap(), &want);
     }
 
     /// A pre-packed `A` equals the reference loop in whichever layout the
-    /// pack chose, under every `Parallelism` — the rows layout with no
+    /// pack chose — the rows layout with no
     /// value test at all: `-0.0` skipped, `NaN`, `±inf` and subnormals
     /// multiplied exactly where the reference multiplies them.
     #[test]
@@ -392,9 +387,7 @@ proptest! {
         if case.rows {
             prop_assert!(packed.by_rows(), "one non-zero per kept line packs by rows");
         }
-        for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
-            assert_bit_identical(&parallel::matmul_packed(&packed, &case.b, par).unwrap(), &want);
-        }
+        assert_bit_identical(&parallel::matmul_packed(&packed, &case.b).unwrap(), &want);
     }
 
     /// The layout follows the operand's counts: a dense constant keeps
@@ -416,24 +409,21 @@ proptest! {
 
     /// The convolution sweep — weight on the left, patches gathered from
     /// the images — equals the im2col reference bit for bit, for a lone
-    /// image and for a group sharing the weight, under every
-    /// `Parallelism`.
+    /// image and for a group sharing the weight.
     #[test]
     fn conv2d_equals_im2col_gemm_col2im(case in conv_case()) {
         let packed = PackedLhs::pack_lines(&case.w).unwrap();
         let images: Vec<&Tensor> = case.images.iter().collect();
         let want: Vec<Tensor> =
             images.iter().map(|x| conv_reference(x, &case.w, &case.geo)).collect();
-        for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
-            let group = parallel::conv2d(&packed, &images, &case.geo, par).unwrap();
-            let group = group.expect("finite operands above 2^-50 never decline");
-            prop_assert_eq!(group.len(), want.len());
-            for (got, want) in group.iter().zip(&want) {
-                assert_bit_identical(got, want);
-            }
-            let solo = parallel::conv2d(&packed, &images[..1], &case.geo, par).unwrap();
-            assert_bit_identical(&solo.unwrap()[0], &want[0]);
+        let group = parallel::conv2d(&packed, &images, &case.geo).unwrap();
+        let group = group.expect("finite operands above 2^-50 never decline");
+        prop_assert_eq!(group.len(), want.len());
+        for (got, want) in group.iter().zip(&want) {
+            assert_bit_identical(got, want);
         }
+        let solo = parallel::conv2d(&packed, &images[..1], &case.geo).unwrap();
+        assert_bit_identical(&solo.unwrap()[0], &want[0]);
     }
 
     /// A `NaN`, a `±inf` or a subnormal anywhere in one image or in the
@@ -456,10 +446,8 @@ proptest! {
         victim.as_mut_slice()[(at % len) as usize] = value;
         let packed = PackedLhs::pack_lines(&w).unwrap();
         let images: Vec<&Tensor> = images.iter().collect();
-        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
-            let got = parallel::conv2d(&packed, &images, &case.geo, par).unwrap();
-            prop_assert!(got.is_none(), "{} planted in operand {}", value, target);
-        }
+        let got = parallel::conv2d(&packed, &images, &case.geo).unwrap();
+        prop_assert!(got.is_none(), "{} planted in operand {}", value, target);
     }
 
     #[test]
@@ -675,7 +663,6 @@ fn copy(t: &Tensor) -> Tensor {
 /// as a reused right operand and as a sparse one at two block widths.
 fn memo_reads(t: &Tensor) -> (u64, Vec<Vec<u32>>) {
     let (m, k) = (t.dims()[0], t.dims()[1]);
-    let seq = Parallelism::Sequential;
     let mut rng = Pcg32::seed_from_u64(5);
     let right = rng.randn(&[k, 3], 1.0);
     let right_t = rng.randn(&[m, 3], 1.0);
@@ -683,14 +670,14 @@ fn memo_reads(t: &Tensor) -> (u64, Vec<Vec<u32>>) {
     // right operand's pack.
     let left = rng.randn(&[5, m], 1.0);
     let bits = |x: Tensor| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let lhs = parallel::matmul_packed(&PackedLhs::of(t).unwrap(), &right, seq).unwrap();
+    let lhs = parallel::matmul_packed(&PackedLhs::of(t).unwrap(), &right).unwrap();
     let conv = PackedLhs::of_transposed(t).unwrap();
-    let conv = parallel::matmul_packed(&conv, &right_t, seq).unwrap();
-    let rhs = parallel::matmul_rows(&[left.as_slice()], 5, m, Right::Reused(t), seq).unwrap();
+    let conv = parallel::matmul_packed(&conv, &right_t).unwrap();
+    let rhs = parallel::matmul_rows(&[left.as_slice()], 5, m, Right::Reused(t)).unwrap();
     let sparse = [1, 2].map(|block_cols| {
         let packed = SparseTensor::of(t, block_cols).unwrap();
         prop_assert_sparse(&packed, t, block_cols);
-        bits(sparse::matmul(&left, &packed, seq).unwrap())
+        bits(sparse::matmul(&left, &packed, SEQ).unwrap())
     });
     let [s1, s2] = sparse;
     (

@@ -28,7 +28,6 @@ use onesa_nn::prune::magnitude_prune_columns;
 use onesa_nn::train::TrainConfig;
 use onesa_plan::{Compile, OptLevel, PRUNE_BLOCK_COLS};
 use onesa_sim::ArrayConfig;
-use onesa_tensor::parallel::Parallelism;
 use onesa_tensor::stats;
 
 /// (keep fraction, pinned top-1 agreement floor vs the unpruned model).
@@ -102,10 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
 
         // Serve the pruned program: the same logits come back.
-        let mut engine = BatchEngine::new(
-            OneSa::with_parallelism(ArrayConfig::new(8, 16), Parallelism::Sequential),
-            0.25,
-        )?;
+        let mut engine = BatchEngine::new(OneSa::new(ArrayConfig::new(8, 16)), 0.25)?;
         engine.submit(Request::program(program, vec![g.x.clone()]));
         let run = engine.run()?;
         assert_eq!(run.outcomes[0].output, logits);

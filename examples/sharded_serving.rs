@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Pre-load the queue while the admission gate is closed, then
         // open it: one deterministic batching window, clean timing.
         let pool = ServeEngine::start(
-            ServeConfig::uniform(shards, ArrayConfig::new(8, 16), Parallelism::Threads(1))
+            ServeConfig::uniform(shards, ArrayConfig::new(8, 16), Parallelism::Sequential)
                 .with_admission(AdmissionPolicy::Fifo { window: 64 })
                 .with_routing(RoutePolicy::LeastLoaded)
                 .start_paused(),
@@ -159,7 +159,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = Pcg32::seed_from_u64(77);
     let images: Vec<Tensor> = (0..8).map(|_| rng.randn(&[2, 8, 8], 1.0)).collect();
     let pool = ServeEngine::start(
-        ServeConfig::uniform(4, ArrayConfig::new(8, 16), Parallelism::Threads(1))
+        ServeConfig::uniform(4, ArrayConfig::new(8, 16), Parallelism::Sequential)
             .with_routing(RoutePolicy::WeightAffinity)
             .start_paused(),
     )?;

@@ -1,7 +1,6 @@
-//! Parallel-backend integration: every execution policy — thread counts
-//! 1/2/4, `Auto`, batched serving — must be
-//! **bit-identical** to its sequential counterpart. Host parallelism is a
-//! speed knob, never a numerics knob.
+//! Host-backend integration: the packed kernels and batched serving
+//! must be **bit-identical** to the reference loops and to solo requests.
+//! The host backend is a speed knob, never a numerics knob.
 
 use onesa_core::{BatchEngine, OneSa, Parallelism, Request};
 use onesa_cpwl::NonlinearFn;
@@ -9,12 +8,7 @@ use onesa_sim::{ArrayConfig, ExecStats};
 use onesa_tensor::rng::Pcg32;
 use onesa_tensor::{gemm, parallel, Tensor};
 
-const THREAD_COUNTS: [Parallelism; 4] = [
-    Parallelism::Threads(1),
-    Parallelism::Threads(2),
-    Parallelism::Threads(4),
-    Parallelism::Auto,
-];
+const SEQ: Parallelism = Parallelism::Sequential;
 
 fn assert_bit_identical(label: &str, got: &Tensor, want: &Tensor) {
     assert_eq!(got.dims(), want.dims(), "{label}: shape");
@@ -38,14 +32,8 @@ fn parallel_matmul_bit_identical_across_thread_counts() {
         let a = rng.randn(&[m, k], 1.0);
         let b = rng.randn(&[k, n], 1.0);
         let reference = gemm::matmul(&a, &b).unwrap();
-        for par in THREAD_COUNTS {
-            let out = parallel::matmul(&a, &b, par).unwrap();
-            assert_bit_identical(
-                &format!("matmul {m}x{k}x{n} {}", par.label()),
-                &out,
-                &reference,
-            );
-        }
+        let out = parallel::matmul(&a, &b, SEQ).unwrap();
+        assert_bit_identical(&format!("matmul {m}x{k}x{n}"), &out, &reference);
     }
 }
 
@@ -65,10 +53,8 @@ fn parallel_matmul_preserves_zero_skip_semantics() {
     }
     let b = rng.randn(&[23, 51], 1.0);
     let reference = gemm::matmul(&a, &b).unwrap();
-    for par in THREAD_COUNTS {
-        let out = parallel::matmul(&a, &b, par).unwrap();
-        assert_bit_identical(&format!("zeroed matmul {}", par.label()), &out, &reference);
-    }
+    let out = parallel::matmul(&a, &b, SEQ).unwrap();
+    assert_bit_identical("zeroed matmul", &out, &reference);
 }
 
 #[test]
@@ -79,10 +65,8 @@ fn parallel_mhp_bit_identical_across_thread_counts() {
         let k = rng.randn(&dims, 1.0);
         let b = rng.randn(&dims, 1.0);
         let reference = gemm::mhp(&x, &k, &b).unwrap();
-        for par in THREAD_COUNTS {
-            let out = parallel::mhp(&x, &k, &b, par).unwrap();
-            assert_bit_identical(&format!("mhp {dims:?} {}", par.label()), &out, &reference);
-        }
+        let out = parallel::mhp(&x, &k, &b, SEQ).unwrap();
+        assert_bit_identical(&format!("mhp {dims:?}"), &out, &reference);
     }
 }
 
@@ -93,8 +77,10 @@ fn batch_engine_bit_identical_to_solo_requests() {
     let gemm_inputs: Vec<Tensor> = (0..4).map(|i| rng.randn(&[3 + 4 * i, 24], 1.0)).collect();
     let nl_inputs: Vec<Tensor> = (0..3).map(|i| rng.randn(&[5, 6 + i], 1.5)).collect();
     let mut first_stats: Option<Vec<ExecStats>> = None;
-    for par in THREAD_COUNTS {
-        let engine = OneSa::with_parallelism(ArrayConfig::new(8, 16), par);
+    // The first run packs the shared weight per call, the second reads
+    // the pack the first left in its storage.
+    for pass in 0..2 {
+        let engine = OneSa::new(ArrayConfig::new(8, 16));
         let mut serving = BatchEngine::new(engine, 0.25).unwrap();
         for a in &gemm_inputs {
             serving.submit(Request::gemm(a.clone(), w.clone()));
@@ -106,7 +92,7 @@ fn batch_engine_bit_identical_to_solo_requests() {
         for (i, a) in gemm_inputs.iter().enumerate() {
             let want = gemm::matmul(a, &w).unwrap();
             assert_bit_identical(
-                &format!("batched gemm #{i} {}", par.label()),
+                &format!("batched gemm #{i} pass {pass}"),
                 &run.outcomes[i].output,
                 &want,
             );
@@ -115,12 +101,12 @@ fn batch_engine_bit_identical_to_solo_requests() {
         for (i, x) in nl_inputs.iter().enumerate() {
             let want = tables.gelu(x).unwrap();
             let got = &run.outcomes[gemm_inputs.len() + i].output;
-            assert_bit_identical(&format!("batched gelu #{i} {}", par.label()), got, &want);
+            assert_bit_identical(&format!("batched gelu #{i} pass {pass}"), got, &want);
         }
         assert!(run.report.batching_speedup() >= 1.0);
         // Simulated array stats describe the workload, not the host.
         let stats: Vec<ExecStats> = run.outcomes.iter().map(|o| o.stats.clone()).collect();
         let want = first_stats.get_or_insert_with(|| stats.clone());
-        assert_eq!(&stats, want, "stats {}", par.label());
+        assert_eq!(&stats, want, "stats pass {pass}");
     }
 }

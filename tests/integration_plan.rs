@@ -6,7 +6,7 @@
 //! 1. **Bit-identicality** — every model family's compiled program
 //!    produces outputs bit-identical to the direct layer-by-layer
 //!    reference path (`logits_direct` / `predict_direct`), for every
-//!    `InferenceMode` × `Parallelism`, whether run solo, through
+//!    `InferenceMode`, whether run solo, through
 //!    `BatchEngine::submit_program`, or through a `ServeEngine` pool
 //!    under every `AdmissionPolicy` × `RoutePolicy`.
 //! 2. **Cross-program per-stage coalescing** — concurrent instances of
@@ -45,13 +45,7 @@ fn modes() -> Vec<InferenceMode> {
     ]
 }
 
-fn parallelisms() -> [Parallelism; 3] {
-    [
-        Parallelism::Sequential,
-        Parallelism::Threads(2),
-        Parallelism::Auto,
-    ]
-}
+const SEQ: Parallelism = Parallelism::Sequential;
 
 /// The three untrained (but deterministic-weight) model instances plus a
 /// graph for the GCN.
@@ -69,38 +63,36 @@ fn compiled_programs_bit_identical_to_direct_paths() {
     let x = Pcg32::seed_from_u64(1).randn(&[1, 8, 8], 1.0);
     let seq: Vec<usize> = vec![3, 1, 4, 1, 5, 9, 2, 6];
     for mode in modes() {
-        for par in parallelisms() {
-            let label = format!("{} / {}", mode.label(), par.label());
-            let mut cache = TableCache::new();
+        let label = mode.label();
+        let mut cache = TableCache::new();
 
-            let p = cnn.compile((&mode, (8, 8))).unwrap();
-            let run = p.run(std::slice::from_ref(&x), par, &mut cache).unwrap();
-            assert_bits_eq(
-                &format!("cnn {label}"),
-                run.output.as_slice(),
-                &cnn.logits_direct(&x, &mode),
-            );
+        let p = cnn.compile((&mode, (8, 8))).unwrap();
+        let run = p.run(std::slice::from_ref(&x), SEQ, &mut cache).unwrap();
+        assert_bits_eq(
+            &format!("cnn {label}"),
+            run.output.as_slice(),
+            &cnn.logits_direct(&x, &mode),
+        );
 
-            let p = bert.compile((&mode, seq.len())).unwrap();
-            let run = p
-                .run(&[TinyBert::ids_tensor(&seq)], par, &mut cache)
-                .unwrap();
-            assert_bits_eq(
-                &format!("bert {label}"),
-                run.output.as_slice(),
-                &bert.predict_direct(&seq, &mode),
-            );
+        let p = bert.compile((&mode, seq.len())).unwrap();
+        let run = p
+            .run(&[TinyBert::ids_tensor(&seq)], SEQ, &mut cache)
+            .unwrap();
+        assert_bits_eq(
+            &format!("bert {label}"),
+            run.output.as_slice(),
+            &bert.predict_direct(&seq, &mode),
+        );
 
-            let p = gcn.compile((&mode, &graph)).unwrap();
-            let run = p
-                .run(std::slice::from_ref(&graph.x), par, &mut cache)
-                .unwrap();
-            assert_bits_eq(
-                &format!("gcn {label}"),
-                run.output.as_slice(),
-                gcn.logits_direct(&graph, &mode).as_slice(),
-            );
-        }
+        let p = gcn.compile((&mode, &graph)).unwrap();
+        let run = p
+            .run(std::slice::from_ref(&graph.x), SEQ, &mut cache)
+            .unwrap();
+        assert_bits_eq(
+            &format!("gcn {label}"),
+            run.output.as_slice(),
+            gcn.logits_direct(&graph, &mode).as_slice(),
+        );
     }
 }
 
@@ -110,43 +102,39 @@ fn batch_engine_program_path_bit_identical_for_every_parallelism() {
     let mode = InferenceMode::cpwl(0.25).unwrap();
     let x = Pcg32::seed_from_u64(2).randn(&[1, 8, 8], 1.0);
     let seq: Vec<usize> = vec![7, 2, 9, 4, 4, 1];
-    for par in parallelisms() {
-        let mut serving =
-            BatchEngine::new(OneSa::with_parallelism(ArrayConfig::new(8, 16), par), 0.25).unwrap();
-        serving
-            .submit_program(cnn.compile((&mode, (8, 8))).unwrap(), vec![x.clone()])
-            .unwrap();
-        serving
-            .submit_program(
-                bert.compile((&mode, seq.len())).unwrap(),
-                vec![TinyBert::ids_tensor(&seq)],
-            )
-            .unwrap();
-        serving
-            .submit_program(gcn.compile((&mode, &graph)).unwrap(), vec![graph.x.clone()])
-            .unwrap();
-        let run = serving.run().unwrap();
-        let label = par.label();
-        assert_bits_eq(
-            &format!("cnn via engine / {label}"),
-            run.outcomes[0].output.as_slice(),
-            &cnn.logits(&x, &mode),
-        );
-        assert_bits_eq(
-            &format!("bert via engine / {label}"),
-            run.outcomes[1].output.as_slice(),
-            &bert.predict(&seq, &mode),
-        );
-        assert_bits_eq(
-            &format!("gcn via engine / {label}"),
-            run.outcomes[2].output.as_slice(),
-            gcn.logits(&graph, &mode).as_slice(),
-        );
-        // Heterogeneous programs share no weights: per-stage groups
-        // equal per-stage ops, and solo stats surface per request.
-        assert!(!run.program_stages.is_empty());
-        assert!(run.outcomes.iter().all(|o| o.stats.macs > 0));
-    }
+    let mut serving = BatchEngine::new(OneSa::new(ArrayConfig::new(8, 16)), 0.25).unwrap();
+    serving
+        .submit_program(cnn.compile((&mode, (8, 8))).unwrap(), vec![x.clone()])
+        .unwrap();
+    serving
+        .submit_program(
+            bert.compile((&mode, seq.len())).unwrap(),
+            vec![TinyBert::ids_tensor(&seq)],
+        )
+        .unwrap();
+    serving
+        .submit_program(gcn.compile((&mode, &graph)).unwrap(), vec![graph.x.clone()])
+        .unwrap();
+    let run = serving.run().unwrap();
+    assert_bits_eq(
+        "cnn via engine",
+        run.outcomes[0].output.as_slice(),
+        &cnn.logits(&x, &mode),
+    );
+    assert_bits_eq(
+        "bert via engine",
+        run.outcomes[1].output.as_slice(),
+        &bert.predict(&seq, &mode),
+    );
+    assert_bits_eq(
+        "gcn via engine",
+        run.outcomes[2].output.as_slice(),
+        gcn.logits(&graph, &mode).as_slice(),
+    );
+    // Heterogeneous programs share no weights: per-stage groups
+    // equal per-stage ops, and solo stats surface per request.
+    assert!(!run.program_stages.is_empty());
+    assert!(run.outcomes.iter().all(|o| o.stats.macs > 0));
 }
 
 #[test]
@@ -233,57 +221,52 @@ fn serve_engine_programs_bit_identical_for_every_policy_combination() {
     ];
     for admission in admissions {
         for routing in routings {
-            for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
-                let pool = ServeEngine::start(
-                    ServeConfig::uniform(2, ArrayConfig::new(8, 16), par)
-                        .with_admission(admission)
-                        .with_routing(routing),
-                )
-                .unwrap();
-                let label = format!("{admission:?}/{routing:?}/{}", par.label());
-                let mut tickets: Vec<Ticket> = Vec::new();
-                for x in &images {
-                    tickets.push(
-                        pool.submit_program(cnn.compile((&mode, (8, 8))).unwrap(), vec![x.clone()])
-                            .unwrap(),
-                    );
-                }
-                for s in &seqs {
-                    tickets.push(
-                        pool.submit_program(
-                            bert.compile((&mode, s.len())).unwrap(),
-                            vec![TinyBert::ids_tensor(s)],
-                        )
+            let pool = ServeEngine::start(
+                ServeConfig::uniform(2, ArrayConfig::new(8, 16), SEQ)
+                    .with_admission(admission)
+                    .with_routing(routing),
+            )
+            .unwrap();
+            let label = format!("{admission:?}/{routing:?}");
+            let mut tickets: Vec<Ticket> = Vec::new();
+            for x in &images {
+                tickets.push(
+                    pool.submit_program(cnn.compile((&mode, (8, 8))).unwrap(), vec![x.clone()])
                         .unwrap(),
-                    );
-                }
+                );
+            }
+            for s in &seqs {
                 tickets.push(
                     pool.submit_program(
-                        gcn.compile((&mode, &graph)).unwrap(),
-                        vec![graph.x.clone()],
+                        bert.compile((&mode, s.len())).unwrap(),
+                        vec![TinyBert::ids_tensor(s)],
                     )
                     .unwrap(),
                 );
-                let outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-                for (i, want) in want_cnn.iter().enumerate() {
-                    assert_bits_eq(&format!("cnn {label}"), outcomes[i].output.as_slice(), want);
-                }
-                for (i, want) in want_bert.iter().enumerate() {
-                    assert_bits_eq(
-                        &format!("bert {label}"),
-                        outcomes[2 + i].output.as_slice(),
-                        want,
-                    );
-                }
-                assert_bits_eq(
-                    &format!("gcn {label}"),
-                    outcomes[4].output.as_slice(),
-                    want_gcn.as_slice(),
-                );
-                let summary = pool.finish().unwrap();
-                assert_eq!(summary.report.requests, 5, "{label}");
-                assert_eq!(summary.expired, 0, "{label}");
             }
+            tickets.push(
+                pool.submit_program(gcn.compile((&mode, &graph)).unwrap(), vec![graph.x.clone()])
+                    .unwrap(),
+            );
+            let outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+            for (i, want) in want_cnn.iter().enumerate() {
+                assert_bits_eq(&format!("cnn {label}"), outcomes[i].output.as_slice(), want);
+            }
+            for (i, want) in want_bert.iter().enumerate() {
+                assert_bits_eq(
+                    &format!("bert {label}"),
+                    outcomes[2 + i].output.as_slice(),
+                    want,
+                );
+            }
+            assert_bits_eq(
+                &format!("gcn {label}"),
+                outcomes[4].output.as_slice(),
+                want_gcn.as_slice(),
+            );
+            let summary = pool.finish().unwrap();
+            assert_eq!(summary.report.requests, 5, "{label}");
+            assert_eq!(summary.expired, 0, "{label}");
         }
     }
 }
@@ -304,7 +287,7 @@ fn affinity_routed_program_windows_coalesce_on_their_shard() {
     let gemm_stages = 4; // 3 convs + classifier
 
     let pool = ServeEngine::start(
-        ServeConfig::uniform(2, ArrayConfig::new(8, 16), Parallelism::Sequential)
+        ServeConfig::uniform(2, ArrayConfig::new(8, 16), SEQ)
             .with_admission(AdmissionPolicy::Fifo { window: 16 })
             .with_routing(RoutePolicy::WeightAffinity)
             .start_paused(),
@@ -365,20 +348,14 @@ fn optimized_programs_match_unoptimized_across_models_modes_and_engines() {
             ),
         ];
         for (raw, inputs, name) in &programs {
-            let want = raw
-                .run(inputs, Parallelism::Sequential, &mut cache)
-                .unwrap()
-                .output;
+            let want = raw.run(inputs, SEQ, &mut cache).unwrap().output;
             for level in [OptLevel::None, OptLevel::Standard] {
                 let label = format!("{name} / {} / {}", mode.label(), level.label());
                 let opt = raw.optimize(level).unwrap();
                 assert!(opt.stages() <= raw.stages(), "{label}");
 
                 // Solo executor.
-                let got = opt
-                    .run(inputs, Parallelism::Sequential, &mut cache)
-                    .unwrap()
-                    .output;
+                let got = opt.run(inputs, SEQ, &mut cache).unwrap().output;
                 assert_bits_eq(&format!("{label} solo"), got.as_slice(), want.as_slice());
 
                 // BatchEngine: raw and optimized ride in one queue.
@@ -399,12 +376,9 @@ fn optimized_programs_match_unoptimized_across_models_modes_and_engines() {
                 );
 
                 // ServeEngine: optimized program through the async pool.
-                let pool = ServeEngine::start(ServeConfig::uniform(
-                    2,
-                    ArrayConfig::new(8, 16),
-                    Parallelism::Sequential,
-                ))
-                .unwrap();
+                let pool =
+                    ServeEngine::start(ServeConfig::uniform(2, ArrayConfig::new(8, 16), SEQ))
+                        .unwrap();
                 let ticket = pool.submit_program(opt.clone(), inputs.clone()).unwrap();
                 let served = ticket.wait().unwrap();
                 assert_bits_eq(
@@ -444,12 +418,7 @@ fn program_request_rejected_at_admission_does_not_poison_the_window() {
     let (cnn, _, _, _) = models();
     let mode = InferenceMode::cpwl(0.25).unwrap();
     let mut rng = Pcg32::seed_from_u64(6);
-    let pool = ServeEngine::start(ServeConfig::uniform(
-        1,
-        ArrayConfig::new(8, 16),
-        Parallelism::Sequential,
-    ))
-    .unwrap();
+    let pool = ServeEngine::start(ServeConfig::uniform(1, ArrayConfig::new(8, 16), SEQ)).unwrap();
     let program = cnn.compile((&mode, (8, 8))).unwrap();
     // Wrong input shape: rejected by the admitter's input check.
     let bad = pool
@@ -531,48 +500,36 @@ fn staged_cnn_convolutions_match_solo_and_direct_runs_with_unchanged_accounting(
                     .enumerate()
                     .map(|(i, x)| (&programs[i % 2], std::slice::from_ref(x)))
                     .collect();
-                for par in parallelisms() {
-                    let case = format!(
-                        "{} x{size} poisoned={poisoned} {}",
-                        mode.label(),
-                        par.label()
-                    );
-                    let staged =
-                        onesa_core::plan::run_staged(&jobs, &cfg, par, &mut TableCache::new())
-                            .unwrap();
-                    let groups: usize = staged.stages.iter().map(|s| s.groups).sum();
-                    let accounting = (
-                        groups,
-                        staged.gemm_groups,
-                        staged.nonlinear_groups,
-                        triple(&staged.batched),
-                    );
-                    assert_eq!(accounting, golden[size - 1], "{case}");
-                    // Three convolutions, one sweep each — but the exact
-                    // mode's NaN sends the first back to the three kernels.
-                    let exact = matches!(mode, InferenceMode::Exact);
-                    let sweeps = if poisoned && exact { 2 } else { 3 };
-                    assert_eq!(staged.conv_sweeps, sweeps, "{case}");
-                    for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
-                        let label = format!("{case} #{i}");
-                        let alone = onesa_core::plan::run_staged(
-                            &[*job],
-                            &cfg,
-                            par,
-                            &mut TableCache::new(),
-                        )
+                let case = format!("{} x{size} poisoned={poisoned}", mode.label());
+                let staged =
+                    onesa_core::plan::run_staged(&jobs, &cfg, &mut TableCache::new()).unwrap();
+                let groups: usize = staged.stages.iter().map(|s| s.groups).sum();
+                let accounting = (
+                    groups,
+                    staged.gemm_groups,
+                    staged.nonlinear_groups,
+                    triple(&staged.batched),
+                );
+                assert_eq!(accounting, golden[size - 1], "{case}");
+                // Three convolutions, one sweep each — but the exact
+                // mode's NaN sends the first back to the three kernels.
+                let exact = matches!(mode, InferenceMode::Exact);
+                let sweeps = if poisoned && exact { 2 } else { 3 };
+                assert_eq!(staged.conv_sweeps, sweeps, "{case}");
+                for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
+                    let label = format!("{case} #{i}");
+                    let alone = onesa_core::plan::run_staged(&[*job], &cfg, &mut TableCache::new())
                         .unwrap();
-                        assert_bits_eq(
-                            &label,
-                            run.output.as_slice(),
-                            alone.runs[0].output.as_slice(),
-                        );
-                        assert_bits_eq(
-                            &label,
-                            run.output.as_slice(),
-                            &cnn.logits_direct(&job.1[0], mode),
-                        );
-                    }
+                    assert_bits_eq(
+                        &label,
+                        run.output.as_slice(),
+                        alone.runs[0].output.as_slice(),
+                    );
+                    assert_bits_eq(
+                        &label,
+                        run.output.as_slice(),
+                        &cnn.logits_direct(&job.1[0], mode),
+                    );
                 }
             }
         }
@@ -633,21 +590,17 @@ fn staged_gcn_programs_from_graph_clones_match_solo_and_direct_runs() {
             let jobs: Vec<(&onesa_core::Program, &[Tensor])> = (0..size)
                 .map(|i| (&programs[i], std::slice::from_ref(&graphs[i].x)))
                 .collect();
-            for par in parallelisms() {
-                let case = format!("{} x{size} {}", mode.label(), par.label());
-                let staged =
-                    onesa_core::plan::run_staged(&jobs, &cfg, par, &mut TableCache::new()).unwrap();
-                let accounting = (staged.gemm_groups, triple(&staged.batched));
-                assert_eq!(accounting, GCN_GOLDEN[size - 1], "{case}");
-                for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
-                    let label = format!("{case} #{i}");
-                    let alone =
-                        onesa_core::plan::run_staged(&[*job], &cfg, par, &mut TableCache::new())
-                            .unwrap();
-                    let output = run.output.as_slice();
-                    assert_bits_eq(&label, output, alone.runs[0].output.as_slice());
-                    assert_bits_eq(&label, output, direct[i].as_slice());
-                }
+            let case = format!("{} x{size}", mode.label());
+            let staged = onesa_core::plan::run_staged(&jobs, &cfg, &mut TableCache::new()).unwrap();
+            let accounting = (staged.gemm_groups, triple(&staged.batched));
+            assert_eq!(accounting, GCN_GOLDEN[size - 1], "{case}");
+            for (i, (run, job)) in staged.runs.iter().zip(&jobs).enumerate() {
+                let label = format!("{case} #{i}");
+                let alone =
+                    onesa_core::plan::run_staged(&[*job], &cfg, &mut TableCache::new()).unwrap();
+                let output = run.output.as_slice();
+                assert_bits_eq(&label, output, alone.runs[0].output.as_slice());
+                assert_bits_eq(&label, output, direct[i].as_slice());
             }
         }
     }
@@ -721,10 +674,10 @@ fn one_staged_window_of_every_compiled_program_equals_solo_runs_and_oracles() {
         ));
         let window: Vec<(&Program, &[Tensor])> = jobs.iter().map(|(p, x, _)| (p, &x[..])).collect();
         let mut cache = TableCache::new();
-        let staged = run_staged(&window, &cfg, Parallelism::Sequential, &mut cache);
+        let staged = run_staged(&window, &cfg, &mut cache);
         for (i, (run, job)) in staged.unwrap().runs.iter().zip(&window).enumerate() {
             let case = format!("{} member {i}", mode.label());
-            let alone = run_staged(&[*job], &cfg, Parallelism::Sequential, &mut cache);
+            let alone = run_staged(&[*job], &cfg, &mut cache);
             let alone = &alone.unwrap().runs[0];
             assert_eq!(
                 bits(run.output.as_slice()),

@@ -76,7 +76,7 @@ fn mixed_requests(seed: u64) -> (Vec<Request>, Vec<Tensor>) {
 fn sharded_async_results_bit_identical_to_single_shard_sequential() {
     // The oracle IS single-shard sequential execution: the per-request
     // reference outputs from `mixed_requests` are exactly what a
-    // one-shard, `Parallelism::Sequential` pool serves request-at-a-time.
+    // one-shard pool serves request-at-a-time.
     let routings = [
         RoutePolicy::RoundRobin,
         RoutePolicy::LeastLoaded,
@@ -94,7 +94,7 @@ fn sharded_async_results_bit_identical_to_single_shard_sequential() {
         for admission in admissions {
             let (requests, expected) = mixed_requests(7);
             let pool = ServeEngine::start(
-                ServeConfig::uniform(3, ArrayConfig::new(8, 16), Parallelism::Threads(2))
+                ServeConfig::uniform(3, ArrayConfig::new(8, 16), Parallelism::Sequential)
                     .with_routing(routing)
                     .with_admission(admission),
             )
@@ -131,22 +131,19 @@ fn sharded_async_results_bit_identical_to_single_shard_sequential() {
 
 #[test]
 fn heterogeneous_shards_still_bit_identical() {
-    // Different array sizes and host policies per shard change cycle
-    // accounting and wall speed, never values.
+    // Different array sizes per shard change cycle accounting, never
+    // values.
     let (requests, expected) = mixed_requests(11);
     let pool = ServeEngine::start(ServeConfig {
         shards: vec![
             ShardSpec {
                 config: ArrayConfig::new(4, 16),
-                parallelism: Parallelism::Sequential,
             },
             ShardSpec {
                 config: ArrayConfig::new(8, 16),
-                parallelism: Parallelism::Threads(2),
             },
             ShardSpec {
                 config: ArrayConfig::new(16, 8),
-                parallelism: Parallelism::Auto,
             },
         ],
         granularity: 0.25,
